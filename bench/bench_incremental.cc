@@ -5,11 +5,15 @@
 // times DetectIncremental against a full re-detect over the updated
 // snapshot. For every delta the incremental added/removed records are
 // cross-checked byte-identical to the diff of two full runs; timings land
-// in BENCH_incremental.json.
+// in BENCH_incremental.json. The step_age_* rows then serve one fixed
+// 8-op batch through GraphStore::AppendAndDiff on top of overlays of
+// growing age, to show whether a serving step's work tracks the batch or
+// the overlay.
 //
 // Usage: bench_incremental [output.json]
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -23,6 +27,7 @@
 #include "graph/graph_view.h"
 #include "graph/loader.h"
 #include "pattern/canonical.h"
+#include "serve/graph_store.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -114,6 +119,29 @@ GraphDelta RandomDelta(const PropertyGraph& g, size_t ops, uint64_t seed) {
     }
   }
   return d;
+}
+
+// `overlay` without the deletes that would consume an edge `batch` deletes,
+// so the batch still applies on top of it.
+GraphDelta WithoutDeletesOf(const GraphDelta& overlay,
+                            const GraphDelta& batch) {
+  GraphDelta out = overlay;
+  std::erase_if(out.ops, [&](const GraphDelta::Op& op) {
+    if (op.kind != GraphDelta::OpKind::kDeleteEdge) return false;
+    return std::any_of(batch.ops.begin(), batch.ops.end(),
+                       [&](const GraphDelta::Op& b) {
+                         return b.kind == GraphDelta::OpKind::kDeleteEdge &&
+                                b.src == op.src && b.dst == op.dst &&
+                                b.label == op.label;
+                       });
+  });
+  return out;
+}
+
+std::string DeltaTsv(const PropertyGraph& g, const GraphDelta& d) {
+  std::ostringstream os;
+  SaveGraphDeltaTsv(g, d, os);
+  return std::move(os).str();
 }
 
 // Min of `reps` timed runs (sub-10ms bodies need the min to be stable).
@@ -272,6 +300,97 @@ int main(int argc, char** argv) {
                      {"groups_scanned", double(inc.stats.groups_scanned)},
                      {"groups_skipped", double(inc.stats.groups_skipped)}}});
   }
+
+  // Serving-step cost against overlay age: the same 8-op batch served
+  // through GraphStore::AppendAndDiff (forced-incremental planner) on a
+  // store whose overlay holds 0% / 5% / 10% of the base edges in ops.
+  // 10% is the default compaction threshold, so it is the oldest overlay
+  // serving ever sees. Each rep starts from a fresh store (the step
+  // consumes its state); the step diff is cross-checked against two full
+  // Detect runs, and touched_matches shows what the step enumerated.
+  namespace fs = std::filesystem;
+  const std::string step_dir =
+      (fs::temp_directory_path() / "gfd_bench_incremental").string();
+  const GraphDelta step_batch = RandomDelta(g0, 8, /*seed=*/23);
+  const std::string step_tsv = DeltaTsv(g0, step_batch);
+  const struct {
+    double frac;
+    const char* tag;
+  } kAges[] = {{0.0, "0pct"}, {0.05, "5pct"}, {0.1, "10pct"}};
+  for (const auto& [frac, tag] : kAges) {
+    const size_t ops = static_cast<size_t>(frac * double(g0.NumEdges()));
+    const GraphDelta overlay = WithoutDeletesOf(
+        ops ? RandomDelta(g0, ops, /*seed=*/613 + ops) : GraphDelta{},
+        step_batch);
+    const std::string overlay_tsv = DeltaTsv(g0, overlay);
+    const PropertyGraph before_g = GraphView::Apply(g0, overlay)->Materialize();
+    const DetectionResult before_full = engine.Detect(before_g);
+
+    double step_s = 1e100;
+    IncrementalDiff step;
+    bool step_ok = true;
+    for (int r = 0; r < kReps && step_ok; ++r) {
+      fs::remove_all(step_dir);
+      std::string error;
+      std::optional<GraphStore> store;
+      if (GraphStore::Init(step_dir, g0, &error)) {
+        store = GraphStore::Open(step_dir, {}, &error);
+      }
+      if (!store || (!overlay.ops.empty() &&
+                     !store->Append(overlay_tsv, &error))) {
+        std::fprintf(stderr, "step_age_%s setup failed: %s\n", tag,
+                     error.c_str());
+        return 1;
+      }
+      DetectPlanner forced({.mode = PlannerConfig::Mode::kForceIncremental});
+      IncrementalOptions iopts;
+      iopts.planner = &forced;
+      WallTimer t;
+      auto diff = store->AppendAndDiff(engine, step_tsv, iopts, nullptr,
+                                       &error);
+      const double s = t.Seconds();
+      if (!diff) {
+        std::fprintf(stderr, "step_age_%s step failed: %s\n", tag,
+                     error.c_str());
+        return 1;
+      }
+      step_s = std::min(step_s, s);
+      if (r > 0) continue;
+      step = std::move(*diff);
+      // Cross-check the step diff against two full runs.
+      const DetectionResult after_full =
+          engine.Detect(store->MaterializeCurrent());
+      std::vector<Violation> added, removed;
+      std::set_difference(after_full.violations.begin(),
+                          after_full.violations.end(),
+                          before_full.violations.begin(),
+                          before_full.violations.end(),
+                          std::back_inserter(added));
+      std::set_difference(before_full.violations.begin(),
+                          before_full.violations.end(),
+                          after_full.violations.begin(),
+                          after_full.violations.end(),
+                          std::back_inserter(removed));
+      step_ok = step.added == added && step.removed == removed;
+    }
+    verified = verified && step_ok;
+    std::printf("%-28s %8.3fs  +%zu -%zu over a %zu-op overlay, %lu "
+                "touched matches, diffs %s\n",
+                (std::string("step_age_") + tag).c_str(), step_s,
+                step.added.size(), step.removed.size(), overlay.ops.size(),
+                static_cast<unsigned long>(step.stats.matches_seen),
+                step_ok ? "identical" : "DIVERGED");
+    rows.push_back({std::string("step_age_") + tag,
+                    step_s,
+                    {{"overlay_ops", double(overlay.ops.size())},
+                     {"batch_ops", double(step_batch.ops.size())},
+                     {"touched_matches", double(step.stats.matches_seen)},
+                     {"added", double(step.added.size())},
+                     {"removed", double(step.removed.size())},
+                     {"groups_scanned", double(step.stats.groups_scanned)},
+                     {"groups_skipped", double(step.stats.groups_skipped)}}});
+  }
+  fs::remove_all(step_dir);
 
   rows.push_back({"summary",
                   0,
