@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     }
     WallTimer t;
     for (const std::string& p : payloads) {
-      auto diff = AppendAndDiff(*store, engine, p, {}, nullptr, &error);
+      auto diff = store->AppendAndDiff(engine, p, {}, nullptr, &error);
       if (!diff) {
         std::fprintf(stderr, "append failed: %s\n", error.c_str());
         return 1;

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
   auto pre_view = GraphView::Apply(g0, no_delta);
   DetectPlanner planner;
   planner.ObserveFull(
-      MakePlannerInputs(*pre_view, /*overlay_ops=*/0, "",
-                        engine.NumGroups(), engine.NumAnchorPlans()),
+      MakePlannerInputs(*pre_view, "", engine.NumGroups(),
+                        engine.NumAnchorPlans()),
       full_old_s);
   const struct {
     double frac;
@@ -279,8 +279,8 @@ int main(int argc, char** argv) {
     std::ostringstream tsv;
     SaveGraphDeltaTsv(g0, delta, tsv);
     PlannerInputs pin =
-        MakePlannerInputs(*pre_view, /*overlay_ops=*/0, tsv.str(),
-                          engine.NumGroups(), engine.NumAnchorPlans());
+        MakePlannerInputs(*pre_view, tsv.str(), engine.NumGroups(),
+                          engine.NumAnchorPlans());
     DetectPath path = planner.Plan(pin);
     bool chose_full = path == DetectPath::kFull;
     double planner_s = chose_full ? full_s : inc_s;

@@ -11,6 +11,7 @@
 #include "pattern/canonical.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace gfd {
 
@@ -46,6 +47,12 @@ std::vector<VarId> ExactIsomorphism(const Pattern& member,
                      return false;  // exact isomorphism found, stop
                    });
   return iso;
+}
+
+template <typename T>
+void SortUnique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 }  // namespace
@@ -123,7 +130,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     groups_.push_back(std::move(group));
   }
 
-  // Static group footprints for AnchoredDiff's skip gate: the concrete
+  // Static group footprints for AnchoredSides' skip gate: the concrete
   // labels a match of the group must bind, and the attr keys its
   // members' literals read. Built over every group -- including the
   // defensive private plans above -- once per engine lifetime; a
@@ -138,10 +145,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
         group.var_labels.push_back(l);
       }
     }
-    std::sort(group.var_labels.begin(), group.var_labels.end());
-    group.var_labels.erase(
-        std::unique(group.var_labels.begin(), group.var_labels.end()),
-        group.var_labels.end());
+    SortUnique(group.var_labels);
     auto add_keys = [&group](const Literal& l) {
       if (l.kind == LiteralKind::kFalse) return;
       group.attr_keys.push_back(l.a);
@@ -151,10 +155,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
       for (const Literal& l : m.lhs) add_keys(l);
       add_keys(m.rhs);
     }
-    std::sort(group.attr_keys.begin(), group.attr_keys.end());
-    group.attr_keys.erase(
-        std::unique(group.attr_keys.begin(), group.attr_keys.end()),
-        group.attr_keys.end());
+    SortUnique(group.attr_keys);
   }
 }
 
@@ -442,25 +443,49 @@ std::vector<Violation> ViolationEngine::RunAnchored(
   return out;
 }
 
+BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops) {
+  BatchFootprint fp;
+  for (const GraphDelta::Op& op : ops) {
+    fp.affected.push_back(op.src);
+    if (op.kind == GraphDelta::OpKind::kSetAttr) {
+      fp.keys.push_back(op.key);
+    } else {
+      fp.affected.push_back(op.dst);
+      fp.rewired.push_back(op.src);
+      fp.rewired.push_back(op.dst);
+    }
+  }
+  SortUnique(fp.affected);
+  SortUnique(fp.rewired);
+  SortUnique(fp.keys);
+  return fp;
+}
+
 IncrementalDiff ViolationEngine::DetectIncremental(
     const GraphView& view, const IncrementalOptions& opts) const {
-  return AnchoredDiff(view, view.AffectedNodes(), view.AffectedNodes(), opts);
-}
-
-IncrementalDiff ViolationEngine::DetectIncrementalOwned(
-    const GraphView& view, std::span<const uint32_t> node_owner,
-    uint32_t fragment, const IncrementalOptions& opts) const {
-  std::vector<NodeId> owned;
-  for (NodeId v : view.AffectedNodes()) {
-    if (node_owner[v] == fragment) owned.push_back(v);
+  // The view carries no op list, so its footprint is read off the overlay
+  // state: a node whose adjacency changed is rewired, and the attr keys
+  // the overlay wrote are the touched keys.
+  BatchFootprint fp;
+  const auto affected = view.AffectedNodes();
+  fp.affected.assign(affected.begin(), affected.end());
+  for (NodeId v : affected) {
+    if (view.AdjacencyChanged(v)) fp.rewired.push_back(v);
+    for (const Attribute& a : view.OverlayAttrs(v)) fp.keys.push_back(a.key);
   }
-  return AnchoredDiff(view, owned, view.AffectedNodes(), opts);
+  SortUnique(fp.keys);
+  // The old side runs against the base graph: deleted edges are base
+  // edges, so every destroyed match is enumerable there.
+  auto sides = AnchoredSides(view.base(), view, fp, fp.affected,
+                             [] { return true; }, opts);
+  return StepDiff(*sides);
 }
 
-IncrementalDiff ViolationEngine::DetectIncrementalOwned(
-    const GraphView& view, std::span<const NodeId> seeds,
-    std::span<const NodeId> affected, const IncrementalOptions& opts) const {
-  return AnchoredDiff(view, seeds, affected, opts);
+std::optional<StepSides> ViolationEngine::DetectStep(
+    const GraphView& live, const BatchFootprint& batch,
+    std::span<const NodeId> seeds, const std::function<bool()>& apply,
+    const IncrementalOptions& opts) const {
+  return AnchoredSides(live, live, batch, seeds, apply, opts);
 }
 
 uint32_t ViolationEngine::MaxPatternRadius() const {
@@ -491,47 +516,39 @@ uint32_t ViolationEngine::MaxPatternRadius() const {
   return radius;
 }
 
-IncrementalDiff ViolationEngine::AnchoredDiff(
-    const GraphView& view, std::span<const NodeId> seeds,
-    std::span<const NodeId> affected, const IncrementalOptions& opts) const {
-  obs::ScopedTimer run_timer(&DetectIncrementalLatency());
-  const PropertyGraph& base = view.base();
-  IncrementalDiff diff;
-  diff.stats.affected_nodes = seeds.size();
-  if (seeds.empty() || rules_.empty()) return diff;
+template <typename BeforeT>
+std::optional<StepSides> ViolationEngine::AnchoredSides(
+    const BeforeT& before, const GraphView& after, const BatchFootprint& batch,
+    std::span<const NodeId> seeds, const std::function<bool()>& between,
+    const IncrementalOptions& opts) const {
+  StepSides sides;
+  sides.stats.affected_nodes = seeds.size();
+  if (seeds.empty() || rules_.empty()) {
+    if (!between()) return std::nullopt;
+    return sides;
+  }
 
   // Footprint gate: a group can only gain or lose a violation if the
-  // delta (a) rewired adjacency at a node whose label one of its
+  // batch (a) rewired adjacency at a node whose label one of its
   // variables can bind -- every created/destroyed match contains both
-  // endpoints of the changed edge -- or (b) rewrote an attr key its
-  // literals read at such a node. Classify every node THIS view's
-  // overlay touched (the view's own affected set, not the caller's
-  // `affected`: under partitioned storage the local view carries
-  // halo-maintenance ops outside the global set, and local soundness --
-  // both RunAnchored sides below see identical lists for a skipped
-  // group -- is exactly about what this view changed). Node labels are
-  // delta-invariant and always base ids; rule labels / attr keys beyond
-  // the base vocabulary bounds-check or sorted-merge to "no hit", which
-  // is how vocabulary growth invalidates nothing.
+  // endpoints of the changed edge -- or (b) wrote an attr key its
+  // literals read at such a node. The batch alone decides: the two sides
+  // differ by exactly its ops, and both sides enumerate the same `scan`,
+  // so a skipped group's (identical) lists would cancel. Node labels are
+  // delta-invariant base ids; rule labels / attr keys beyond the base
+  // vocabulary bounds-check or sorted-merge to "no hit", which is how
+  // vocabulary growth invalidates nothing.
+  const PropertyGraph& base = after.base();
   std::vector<bool> edge_label(base.labels().size(), false);
   std::vector<bool> attr_label(base.labels().size(), false);
-  std::vector<AttrId> touched_keys;
-  for (NodeId v : view.AffectedNodes()) {
-    (view.AdjacencyChanged(v) ? edge_label : attr_label)[base.NodeLabel(v)] =
-        true;
-    for (const Attribute& a : view.OverlayAttrs(v)) {
-      touched_keys.push_back(a.key);
-    }
-  }
-  std::sort(touched_keys.begin(), touched_keys.end());
-  touched_keys.erase(std::unique(touched_keys.begin(), touched_keys.end()),
-                     touched_keys.end());
+  for (NodeId v : batch.rewired) edge_label[base.NodeLabel(v)] = true;
+  for (NodeId v : batch.affected) attr_label[base.NodeLabel(v)] = true;
   auto keys_touched = [&](std::span<const AttrId> keys) {
     size_t i = 0;
     size_t j = 0;
-    while (i < keys.size() && j < touched_keys.size()) {
-      if (keys[i] == touched_keys[j]) return true;
-      if (keys[i] < touched_keys[j]) {
+    while (i < keys.size() && j < batch.keys.size()) {
+      if (keys[i] == batch.keys[j]) return true;
+      if (keys[i] < batch.keys[j]) {
         ++i;
       } else {
         ++j;
@@ -551,52 +568,43 @@ IncrementalDiff ViolationEngine::AnchoredDiff(
     }
     if (hit) {
       scan.push_back(gi);
-      diff.stats.anchor_plans += group.plan.pattern().NumNodes();
+      sides.stats.anchor_plans += group.plan.pattern().NumNodes();
     }
   }
-  diff.stats.groups_scanned = scan.size();
-  diff.stats.groups_skipped = groups_.size() - scan.size();
-  DetectGroupsScanned().Inc(diff.stats.groups_scanned);
-  DetectGroupsSkipped().Inc(diff.stats.groups_skipped);
+  sides.stats.groups_scanned = scan.size();
+  sides.stats.groups_skipped = groups_.size() - scan.size();
+  DetectGroupsScanned().Inc(sides.stats.groups_scanned);
+  DetectGroupsSkipped().Inc(sides.stats.groups_skipped);
 
   // Attribution sees every affected node, not just the seeds: a match is
   // evaluated at its minimum affected variable or nowhere in this call,
-  // never re-attributed to a seed -- that is what makes the per-fragment
-  // outputs of DetectIncrementalOwned disjoint.
+  // never re-attributed to a seed -- that is what makes per-fragment
+  // step diffs disjoint.
   std::vector<bool> is_affected(base.NumNodes(), false);
-  for (NodeId v : affected) is_affected[v] = true;
+  for (NodeId v : batch.affected) is_affected[v] = true;
 
   DetectOptions uncapped;
   uncapped.match = opts.match;
   RunState st(uncapped, rules_.size());
-  size_t workers = std::max<size_t>(1, opts.workers);
-  // The old side runs against the base graph (deleted edges are base
-  // edges, so every destroyed match is enumerable there), the new side
-  // against the view; both enumerate exactly the delta-touching matches
-  // of the scanned groups, and a skipped group's (identical, hence
-  // cancelling) matches belong to no other group's rules.
-  std::vector<Violation> before =
-      RunAnchored(base, scan, seeds, is_affected, workers, st);
-  std::vector<Violation> after =
-      RunAnchored(view, scan, seeds, is_affected, workers, st);
-  diff.stats.violations_before = before.size();
-  diff.stats.violations_after = after.size();
-  diff.stats.anchors_scanned = st.pivots.load();
-  diff.stats.matches_seen = st.matches.load();
-  diff.stats.literal_evals = st.literal_evals.load();
-
-  // A violation's status can only change if its match touches the delta,
-  // so these set differences equal the diff of two full runs: untouched
-  // matches are byte-identical on both sides and cancel.
-  std::set_difference(after.begin(), after.end(), before.begin(),
-                      before.end(), std::back_inserter(diff.added));
-  std::set_difference(before.begin(), before.end(), after.begin(),
-                      after.end(), std::back_inserter(diff.removed));
-  DetectMatchesEnumerated().Inc(diff.stats.matches_seen);
-  DetectLiteralEvals().Inc(diff.stats.literal_evals);
-  DetectDiffAdded().Inc(diff.added.size());
-  DetectDiffRemoved().Inc(diff.removed.size());
-  return diff;
+  const size_t workers = std::max<size_t>(1, opts.workers);
+  // Timed per side: `between` is a durable append on the serving path.
+  StopwatchNs watch;
+  sides.before = RunAnchored(before, scan, seeds, is_affected, workers, st);
+  sides.detect_ns = watch.ElapsedNs();
+  if (!between()) return std::nullopt;
+  watch.Restart();
+  sides.after = RunAnchored(after, scan, seeds, is_affected, workers, st);
+  sides.detect_ns += watch.ElapsedNs();
+  DetectIncrementalLatency().Observe(static_cast<double>(sides.detect_ns) *
+                                     1e-9);
+  sides.stats.violations_before = sides.before.size();
+  sides.stats.violations_after = sides.after.size();
+  sides.stats.anchors_scanned = st.pivots.load();
+  sides.stats.matches_seen = st.matches.load();
+  sides.stats.literal_evals = st.literal_evals.load();
+  DetectMatchesEnumerated().Inc(sides.stats.matches_seen);
+  DetectLiteralEvals().Inc(sides.stats.literal_evals);
+  return sides;
 }
 
 DeltaVerdict ClassifyDelta(const ViolationEngine& engine,
@@ -617,37 +625,20 @@ DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count) {
                          : DeltaVerdict::kPreexistingOnly;
 }
 
-IncrementalDiff ComposeStepDiff(const IncrementalDiff& before,
-                                const IncrementalDiff& after) {
-  auto minus = [](const std::vector<Violation>& a,
-                  const std::vector<Violation>& b) {
-    std::vector<Violation> out;
-    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-    return out;
-  };
-  auto unite = [](std::vector<Violation> a, std::vector<Violation> b) {
-    std::vector<Violation> out;
-    out.reserve(a.size() + b.size());
-    std::merge(std::make_move_iterator(a.begin()),
-               std::make_move_iterator(a.end()),
-               std::make_move_iterator(b.begin()),
-               std::make_move_iterator(b.end()), std::back_inserter(out));
-    return out;
-  };
-
+IncrementalDiff StepDiff(const StepSides& sides) {
+  // A violation's status can only change if its match touches the batch,
+  // so these set differences equal the diff of two full runs: untouched
+  // matches are byte-identical on both sides and cancel.
   IncrementalDiff diff;
-  diff.added = unite(minus(after.added, before.added),
-                     minus(before.removed, after.removed));
-  diff.removed = unite(minus(before.added, after.added),
-                       minus(after.removed, before.removed));
-  diff.stats = after.stats;
-  diff.stats.anchors_scanned += before.stats.anchors_scanned;
-  diff.stats.matches_seen += before.stats.matches_seen;
-  diff.stats.literal_evals += before.stats.literal_evals;
-  diff.stats.anchor_plans += before.stats.anchor_plans;
-  diff.stats.groups_scanned += before.stats.groups_scanned;
-  diff.stats.groups_skipped += before.stats.groups_skipped;
+  std::set_difference(sides.after.begin(), sides.after.end(),
+                      sides.before.begin(), sides.before.end(),
+                      std::back_inserter(diff.added));
+  std::set_difference(sides.before.begin(), sides.before.end(),
+                      sides.after.begin(), sides.after.end(),
+                      std::back_inserter(diff.removed));
+  diff.stats = sides.stats;
+  DetectDiffAdded().Inc(diff.added.size());
+  DetectDiffRemoved().Inc(diff.removed.size());
   return diff;
 }
 

@@ -22,6 +22,8 @@
 #define GFD_DETECT_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -84,14 +86,14 @@ struct IncrementalOptions {
   MatchOptions match;
   /// Optional per-batch path chooser consulted by the serving-layer
   /// AppendAndDiff entry points (serve/graph_store.h, serve/coordinator.h)
-  /// -- NOT by DetectIncremental itself, which always runs the anchored
+  /// -- NOT by DetectStep itself, which always runs the anchored
   /// path. Borrowed, not owned; must outlive the call. When null, the
   /// incremental path is unconditional (the pre-planner behavior).
   DetectPlanner* planner = nullptr;
 };
 
 struct IncrementalStats {
-  size_t affected_nodes = 0;     ///< delta-touched vertices (the anchors)
+  size_t affected_nodes = 0;     ///< anchor seeds of the run
   size_t anchor_plans = 0;       ///< (group, variable) plans consulted
   uint64_t anchors_scanned = 0;  ///< (plan, anchor) enumerations, both sides
   uint64_t matches_seen = 0;     ///< delta-touching matches, both sides
@@ -116,6 +118,27 @@ struct IncrementalDiff {
   /// persisting through store.meta.
   bool used_full_path = false;
   uint64_t full_post_count = 0;  ///< |after.violations|; only if full path
+};
+
+/// What one update batch touches, read off its ops alone (node, label and
+/// attribute ids in the space of the graph the batch applies to). A step
+/// diff anchors at `affected`; the footprint gate reads all three lists.
+struct BatchFootprint {
+  std::vector<NodeId> affected;  ///< edge endpoints + attr targets
+  std::vector<NodeId> rewired;   ///< edge endpoints
+  std::vector<AttrId> keys;      ///< attribute keys set
+  // All three sorted ascending and unique.
+
+  static BatchFootprint Of(std::span<const GraphDelta::Op> ops);
+};
+
+/// The two anchored sides of one step diff, each sorted per Violation
+/// ordering; StepDiff turns them into the diff.
+struct StepSides {
+  std::vector<Violation> before;
+  std::vector<Violation> after;
+  IncrementalStats stats;
+  uint64_t detect_ns = 0;  ///< spent in the two sides, not in `apply`
 };
 
 /// A loaded rule set, grouped and compiled once, reusable across any
@@ -159,7 +182,7 @@ class ViolationEngine {
                                 const DetectOptions& opts = {},
                                 ClusterStats* cstats = nullptr) const;
 
-  /// Incremental detection over an update stream (the serving path): given
+  /// Incremental detection of one delta (base vs. view): given
   /// a view = base graph + delta, computes the violations the delta added
   /// and removed without re-scanning the graph. Work is localized to the
   /// matches whose embedding touches a delta-affected vertex -- the only
@@ -174,38 +197,26 @@ class ViolationEngine {
   /// is evaluated exactly once per side. The sorted set-difference of the
   /// two sides is provably identical to diffing two full Detect runs:
   /// matches not touching the delta evaluate identically on both sides
-  /// and cancel.
+  /// and cancel -- for ANY two graphs that differ only at the affected
+  /// set, which is what DetectStep builds on.
   IncrementalDiff DetectIncremental(const GraphView& view,
                                     const IncrementalOptions& opts = {}) const;
 
-  /// Fragment-scoped incremental detection -- the distributed serving
-  /// path's work unit (serve/coordinator.h). Identical to
-  /// DetectIncremental except that anchored enumeration is seeded only
-  /// from the affected nodes `fragment` owns under `node_owner`
-  /// (vertex-cut ownership as in DetectSharded), while the attribution
-  /// rule still sees the full affected set: a match whose
-  /// minimum-variable affected node belongs to another fragment is
-  /// skipped here and evaluated exactly once there. Ownership partitions
-  /// the affected nodes, so the union of these diffs over all fragments
-  /// equals DetectIncremental's -- disjointly, which is what lets a
-  /// coordinator merge per-fragment diffs without any cross-fragment
-  /// dedup pass. Precondition: node_owner.size() >= view.NumNodes().
-  IncrementalDiff DetectIncrementalOwned(
-      const GraphView& view, std::span<const uint32_t> node_owner,
-      uint32_t fragment, const IncrementalOptions& opts = {}) const;
-
-  /// Explicit-seed variant for partitioned storage (serve/coordinator.h):
-  /// the fragment's view contains halo-maintenance ops whose endpoints
-  /// must anchor nothing (they reflect residency changes, not graph
-  /// changes), so the caller passes both the anchor seeds (the globally
-  /// affected nodes this fragment owns) and the full GLOBAL affected set
-  /// for the attribution rule -- using the view's own AffectedNodes()
-  /// would mis-attribute matches that touch a maintenance endpoint.
-  /// Preconditions: seeds ⊆ affected, both sorted ascending, node ids
-  /// < view.NumNodes().
-  IncrementalDiff DetectIncrementalOwned(
-      const GraphView& view, std::span<const NodeId> seeds,
-      std::span<const NodeId> affected,
+  /// The serving step (serve/graph_store.h, serve/coordinator.h): `live`
+  /// holds the state just before one batch with footprint `batch`, and
+  /// `apply` must apply exactly that batch to `live` in place (false on
+  /// failure, which returns nullopt). Runs the anchored side on `live`,
+  /// calls `apply`, runs it again; both sides share one footprint-gated
+  /// group list, so the cost tracks the batch, never the overlay behind
+  /// it. Enumeration is seeded from `seeds` (a sorted subset of
+  /// batch.affected) while attribution sees all of batch.affected, so a
+  /// match is evaluated exactly once, where its minimum-variable affected
+  /// node is a seed: a single store passes batch.affected, a coordinator
+  /// fragment the affected nodes it owns, and the fragments' diffs
+  /// partition the store-wide one.
+  std::optional<StepSides> DetectStep(
+      const GraphView& live, const BatchFootprint& batch,
+      std::span<const NodeId> seeds, const std::function<bool()>& apply,
       const IncrementalOptions& opts = {}) const;
 
   /// Max undirected eccentricity of any variable of any rule pattern:
@@ -228,11 +239,11 @@ class ViolationEngine {
     CompiledPattern plan;
     std::vector<Member> members;
     /// Per-variable anchor plans, built lazily on the first
-    /// DetectIncremental call (Detect never needs them). The lazy state
+    /// incremental run (Detect never needs them). The lazy state
     /// lives behind a stable pointer, so Groups move safely even after
     /// the plans were built (anchor_plans.h has the full story).
     LazyAnchorPlans anchors;
-    /// The group's static footprint, for AnchoredDiff's skip gate: a
+    /// The group's static footprint, for AnchoredSides' skip gate: a
     /// delta whose affected labels / touched attr keys are disjoint from
     /// it cannot create or destroy a match of this group, so both sides
     /// enumerate identical lists and the group cancels exactly (its
@@ -278,14 +289,17 @@ class ViolationEngine {
                                      const std::vector<bool>& is_affected,
                                      size_t workers, RunState& st) const;
 
-  // Common body of DetectIncremental / DetectIncrementalOwned: `seeds`
-  // restricts which affected nodes anchor the enumeration; `affected`
-  // is the set the attribution rule sees (the view's own affected set
-  // on the single-store path, the global one under partitioned storage).
-  IncrementalDiff AnchoredDiff(const GraphView& view,
-                               std::span<const NodeId> seeds,
-                               std::span<const NodeId> affected,
-                               const IncrementalOptions& opts) const;
+  // Common body of DetectIncremental and DetectStep: gates the groups by
+  // `batch`, runs the anchored side on `before`, calls `between`, and
+  // runs it on `after`. BeforeT is PropertyGraph (a view's base) or
+  // GraphView (`after` itself, before `between` applied the batch).
+  template <typename BeforeT>
+  std::optional<StepSides> AnchoredSides(const BeforeT& before,
+                                         const GraphView& after,
+                                         const BatchFootprint& batch,
+                                         std::span<const NodeId> seeds,
+                                         const std::function<bool()>& between,
+                                         const IncrementalOptions& opts) const;
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;
@@ -319,25 +333,15 @@ DeltaVerdict ClassifyDelta(const ViolationEngine& engine,
 /// straight off the diff and the counter.
 DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count);
 
-/// Composes two base-relative incremental diffs -- `before` without and
-/// `after` with one extra batch, both diffed against the SAME base graph
-/// -- into the step diff of exactly that batch. With V_k = (V(base) \ R_k)
-/// u A_k on both sides,
-///   added   = (A2 \ A1) u (R1 \ R2),
-///   removed = (A1 \ A2) u (R2 \ R1),
-/// and the two union legs are disjoint because A-sets avoid V(base) while
-/// R-sets are subsets of it. The equal-base precondition is load-bearing:
-/// diffs taken against different snapshots do not compose (the coordinator
-/// keeps fragment compactions in lockstep for exactly this reason). Stats
-/// are summed across both runs.
-IncrementalDiff ComposeStepDiff(const IncrementalDiff& before,
-                                const IncrementalDiff& after);
+/// Sorted set difference of a step's two sides: exactly the records
+/// diffing two full Detect runs would produce.
+IncrementalDiff StepDiff(const StepSides& sides);
 
 /// The full-path equivalent of one serving step: diffs two complete
 /// Detect runs -- `before` on the pre-batch state, `after` on the
 /// post-batch state, both UNCAPPED (a truncated side would fabricate
 /// diff entries; callers assert !stats.truncated). Produces exactly the
-/// records the incremental composition would (violations are value-keyed,
+/// records the anchored step would (violations are value-keyed,
 /// so sorted set differences agree side by side), with used_full_path
 /// set and full_post_count = |after.violations| so running counters can
 /// re-seed from the authoritative run.

@@ -7,23 +7,25 @@
 namespace gfd {
 
 double IncrementalWork(const PlannerInputs& in) {
-  // Every anchor plan is seeded from the affected set and walks its
-  // adjacency; +1 keeps the measure positive for empty estimates.
+  // Every anchor plan is seeded from the batch's nodes -- at most two
+  // endpoints per op, at the mean degree 2|E|/|V| -- and walks their
+  // adjacency; +1 keeps the measure positive for empty batches.
+  const uint64_t avg_degree =
+      in.graph_nodes == 0 ? 0 : (2 * in.graph_edges) / in.graph_nodes;
   const double per_plan =
-      static_cast<double>(in.affected_degree) +
-      static_cast<double>(in.affected_nodes) + 1.0;
+      static_cast<double>(2 * in.batch_ops * (avg_degree + 1)) + 1.0;
   return static_cast<double>(std::max<size_t>(in.anchor_plans, 1)) * per_plan;
 }
 
 double FullWork(const PlannerInputs& in) {
   // A full run scans every node and edge once per pattern group.
   const double per_group =
-      static_cast<double>(in.base_edges) +
-      static_cast<double>(in.base_nodes) + 1.0;
+      static_cast<double>(in.graph_edges) +
+      static_cast<double>(in.graph_nodes) + 1.0;
   return static_cast<double>(std::max<size_t>(in.num_groups, 1)) * per_group;
 }
 
-PlannerInputs MakePlannerInputs(const GraphView& view, size_t overlay_ops,
+PlannerInputs MakePlannerInputs(const GraphView& view,
                                 std::string_view delta_tsv,
                                 size_t num_groups, size_t anchor_plans) {
   PlannerInputs in;
@@ -38,23 +40,10 @@ PlannerInputs MakePlannerInputs(const GraphView& view, size_t overlay_ops,
     if (nl == std::string_view::npos) break;
     pos = nl + 1;
   }
-  in.overlay_ops_after = overlay_ops + in.batch_ops;
-  in.base_nodes = view.base().NumNodes();
-  in.base_edges = view.base().NumEdges();
+  in.graph_nodes = view.NumNodes();
+  in.graph_edges = view.NumEdges();
   in.num_groups = num_groups;
   in.anchor_plans = anchor_plans;
-
-  // Post-append affected-set estimate: the nodes the overlay already
-  // touches, plus at most two endpoints per incoming op; degrees of the
-  // unseen endpoints estimated at the mean degree (2|E|/|V|).
-  const auto affected = view.AffectedNodes();
-  in.affected_nodes = affected.size() + 2 * in.batch_ops;
-  for (const NodeId v : affected) {
-    in.affected_degree += view.Degree(v);
-  }
-  const uint64_t avg_degree =
-      in.base_nodes == 0 ? 0 : (2 * in.base_edges) / in.base_nodes;
-  in.affected_degree += 2 * in.batch_ops * avg_degree;
   return in;
 }
 
@@ -75,11 +64,11 @@ DetectPath DetectPlanner::Plan(const PlannerInputs& in) {
                    ? DetectPath::kFull
                    : DetectPath::kIncremental;
       } else {
-        // Seeded rule: the bench crossover, on post-batch overlay size.
-        path = in.base_edges > 0 &&
-                       static_cast<double>(in.overlay_ops_after) >=
-                           config_.crossover_fraction *
-                               static_cast<double>(in.base_edges)
+        // Seeded rule: the bench crossover, on batch size.
+        path = in.graph_edges > 0 &&
+                       static_cast<double>(in.batch_ops) >=
+                           kIncrementalCrossoverFraction *
+                               static_cast<double>(in.graph_edges)
                    ? DetectPath::kFull
                    : DetectPath::kIncremental;
       }
@@ -109,7 +98,7 @@ void DetectPlanner::ObserveFull(const PlannerInputs& in, double seconds) {
 void DetectPlanner::ObserveUnit(double* unit, double seconds, double work) {
   if (seconds <= 0) return;  // clock glitch: keep the old estimate
   const double u = seconds / work;
-  *unit = *unit == 0 ? u : *unit + config_.calibration_gain * (u - *unit);
+  *unit = *unit == 0 ? u : *unit + kCalibrationGain * (u - *unit);
 }
 
 }  // namespace gfd

@@ -1,26 +1,22 @@
 // Cost-based choice between the two per-batch detection paths of the
-// serving loop: anchored incremental diffing (cheap while the delta is
-// small) and a full re-detect of both sides (cheaper once the delta
-// footprint rivals the graph, as BENCH_incremental.json's crossover
-// records). A DetectPlanner makes that choice once per batch, BEFORE the
-// append, from pre-append estimates of the batch's work -- so the chosen
-// path's before-side can still run against the pre-batch state.
+// serving loop: the anchored step diff (ViolationEngine::DetectStep) and
+// a full re-detect of both sides. A DetectPlanner makes that choice once
+// per batch, BEFORE the append, from the batch text and the live graph's
+// size alone (MakePlannerInputs) -- so the choice is deterministic, both
+// serving backends decide identically on the same stream, and the
+// chosen path's before-side can still run against the pre-batch state.
 //
-// The decision is deterministic: it is a pure function of the planner's
-// state (config + calibration) and the inputs, and the inputs are a pure
-// function of the serving state and the batch text (MakePlannerInputs).
-// Both serving backends -- single GraphStore and the vertex-cut
-// Coordinator -- build their inputs through the same function and consult
-// the planner exactly once per batch at the top of AppendAndDiff, so a
-// given stream replays to the same sequence of choices on either.
+// The full path stays because batch size alone can make it the cheaper
+// one: on bench_incremental's 10% row the full re-detect runs about 2x
+// faster than the incremental diff of that one batch.
 //
-// Until both paths have been observed at least once, an uncalibrated
-// planner falls back to the seeded crossover rule: choose the full path
-// once the post-batch overlay exceeds `crossover_fraction` of the base
-// edges. Observations (ObserveIncremental / ObserveFull, fed from the
-// serving loop's own wall-clock around each batch and from startup
-// seeding scans) then calibrate per-unit costs online, and the decision
-// becomes a direct cost comparison.
+// An uncalibrated planner applies the seeded crossover rule (full once
+// the batch reaches kIncrementalCrossoverFraction of the graph's edges);
+// observed wall-clocks (ObserveIncremental / ObserveFull, from served
+// batches and startup seeding scans) then calibrate per-unit costs, and
+// the decision becomes a cost comparison. The calibration stays because
+// the seeded rule alone misses that same row: 226 batch ops on 2,270
+// edges is just under the 227-op threshold.
 #ifndef GFD_DETECT_PLANNER_H_
 #define GFD_DETECT_PLANNER_H_
 
@@ -32,19 +28,18 @@
 
 namespace gfd {
 
-/// The delta-to-base-size fraction past which a full re-detect beats the
+/// The batch-to-graph-size fraction past which a full re-detect beats the
 /// incremental path: the crossover BENCH_incremental.json records between
-/// the 1% and 10% delta points, pinned at its conservative end. Shared by
-/// the planner's seeded decision rule and by GraphStore's default
-/// compaction threshold (serve/graph_store.h), so detection policy and
-/// compaction policy cannot drift apart: an overlay large enough that
-/// incremental detection stops paying is exactly an overlay that has
-/// outlived its usefulness as an overlay.
+/// the 1% and 10% delta points, pinned at its conservative end. Also
+/// GraphStore's default compaction fraction (serve/graph_store.h).
 inline constexpr double kIncrementalCrossoverFraction = 0.10;
+
+/// EWMA gain of the planner's online per-unit cost calibration.
+inline constexpr double kCalibrationGain = 0.25;
 
 /// Which detection path AppendAndDiff runs for one batch.
 enum class DetectPath {
-  kIncremental,  ///< anchored diff (DetectIncremental, composed per step)
+  kIncremental,  ///< anchored step diff (ViolationEngine::DetectStep)
   kFull,         ///< two full Detect runs, diffed (FullStepDiff)
 };
 
@@ -55,23 +50,14 @@ struct PlannerConfig {
     kForceFull,         ///< always a full re-detect
   };
   Mode mode = Mode::kAdaptive;
-  /// Seeded crossover: while uncalibrated, choose the full path once the
-  /// post-batch overlay reaches this fraction of the base edge count.
-  double crossover_fraction = kIncrementalCrossoverFraction;
-  /// EWMA gain of the online per-unit cost calibration, in (0, 1].
-  double calibration_gain = 0.25;
 };
 
-/// Pre-append estimates of one batch's detection work. Affected-set
-/// fields estimate the POST-append state (current overlay footprint plus
-/// up to two endpoints per incoming op); base/group fields are exact.
+/// Pre-append inputs of one batch's cost estimate: the batch text and the
+/// live graph's size, nothing else.
 struct PlannerInputs {
-  size_t batch_ops = 0;          ///< ops the incoming batch contributes
-  size_t overlay_ops_after = 0;  ///< overlay ops once the batch lands
-  size_t affected_nodes = 0;     ///< est. delta-touched nodes, post-append
-  uint64_t affected_degree = 0;  ///< est. summed degree of those nodes
-  size_t base_nodes = 0;
-  size_t base_edges = 0;
+  size_t batch_ops = 0;     ///< ops the incoming batch contributes
+  size_t graph_nodes = 0;   ///< live graph, pre-append
+  size_t graph_edges = 0;
   size_t num_groups = 0;    ///< compiled pattern groups (full-scan units)
   size_t anchor_plans = 0;  ///< (group, variable) plans (anchored units)
 };
@@ -85,17 +71,16 @@ struct PlannerStats {
 
 /// Work-unit measures the calibrated comparison scales its per-unit
 /// costs by: the incremental path seeds every anchor plan from the
-/// affected set and walks its adjacency; a full run scans the graph once
-/// per pattern group. Both are >= 1 so observed seconds always divide.
+/// batch's nodes and walks their adjacency; a full run scans the graph
+/// once per pattern group. Both are >= 1 so observed seconds always
+/// divide.
 double IncrementalWork(const PlannerInputs& in);
 double FullWork(const PlannerInputs& in);
 
-/// Builds the planner's inputs from the PRE-append serving state and the
-/// batch text: `view` is the store's current view, `overlay_ops` its
-/// current overlay op count, `delta_tsv` the incoming E+/E-/A batch.
-/// Deterministic in those arguments -- this is the one input path every
-/// backend shares.
-PlannerInputs MakePlannerInputs(const GraphView& view, size_t overlay_ops,
+/// Builds the planner's inputs from the PRE-append live view and the
+/// batch text (`delta_tsv`, the incoming E+/E-/A batch). Deterministic in
+/// those arguments -- this is the one input path every backend shares.
+PlannerInputs MakePlannerInputs(const GraphView& view,
                                 std::string_view delta_tsv,
                                 size_t num_groups, size_t anchor_plans);
 

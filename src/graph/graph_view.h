@@ -179,16 +179,16 @@ class GraphView {
   /// the view (`label` may be the wildcard).
   bool HasEdge(NodeId src, NodeId dst, LabelId label) const;
 
-  /// True when the delta changed v's adjacency in either direction (used
-  /// by incremental detection to walk old and new edges in one BFS).
+  /// True when the delta changed v's adjacency in either direction (read
+  /// by DetectIncremental's footprint gate).
   bool AdjacencyChanged(NodeId v) const {
     return out_touched_.contains(v) || in_touched_.contains(v);
   }
 
   /// The attribute writes the delta applied at v (empty when none): just
-  /// the overlayed keys, NOT merged with base attrs -- the footprint
-  /// detection's skip gate wants exactly "which keys did this batch
-  /// touch", which NodeAttrs cannot answer.
+  /// the overlayed keys, NOT merged with base attrs -- DetectIncremental's
+  /// footprint gate wants exactly "which keys did this delta touch",
+  /// which NodeAttrs cannot answer.
   std::span<const Attribute> OverlayAttrs(NodeId v) const {
     auto it = attr_overlay_.find(v);
     if (it == attr_overlay_.end()) return {};

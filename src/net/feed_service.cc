@@ -120,8 +120,7 @@ FeedService::FeedService(ServingStore& store, const ViolationEngine& engine,
       feed_(feed),
       opts_(std::move(opts)),
       limiter_({.rate_per_sec = opts_.ingest_rate_per_sec,
-                .burst = opts_.ingest_burst}),
-      planner_(opts_.planner) {}
+                .burst = opts_.ingest_burst}) {}
 
 uint64_t FeedService::Prime(bool* scanned) {
   std::lock_guard lock(store_mu_);
@@ -145,7 +144,7 @@ uint64_t FeedService::Prime(bool* scanned) {
     // planner so the adaptive mode calibrates after the FIRST served
     // batch instead of needing one of each path.
     planner_.ObserveFull(
-        MakePlannerInputs(*view, 0, "", engine_.NumGroups(),
+        MakePlannerInputs(*view, "", engine_.NumGroups(),
                           engine_.NumAnchorPlans()),
         watch.Seconds());
     std::string err;
@@ -219,27 +218,20 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   iopts.workers = opts_.detect_workers;
   iopts.planner = &planner_;
   std::string error;
-  uint64_t seq = 0;
-  auto diff = store_.AppendAndDiff(engine_, req.body, iopts, &seq, &error);
-  if (!diff) {
+  auto step =
+      ServeStep(store_, engine_, req.body, count_, fingerprint_, iopts, &error);
+  if (!step) {
     // Validation failure: the batch never reached the log.
     w.Respond(Json(422, "{\"error\":\"" + JsonEscape(error) + "\"}\n"));
     return;
   }
-  if (diff->used_full_path) {
-    // The full run is authoritative: RE-SEED the running count rather
-    // than composing, so a count computed on the wrong path can never
-    // persist through store.meta.
-    count_ = diff->full_post_count;
-  } else {
-    count_ += diff->added.size();
-    count_ -= diff->removed.size();
-  }
-  groups_scanned_ += diff->stats.groups_scanned;
-  groups_skipped_ += diff->stats.groups_skipped;
-  if (!store_.SetViolationCount(count_, fingerprint_, &error)) {
+  const IncrementalDiff& diff = step->diff;
+  count_ = step->count;
+  groups_scanned_ += diff.stats.groups_scanned;
+  groups_skipped_ += diff.stats.groups_skipped;
+  if (!step->persist_error.empty()) {
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 error.c_str());
+                 step->persist_error.c_str());
   }
 
   // Serialize-at-publish: descriptions resolve against the post-batch
@@ -248,21 +240,20 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   GraphDelta no_delta;
   auto after_view = GraphView::Apply(after, no_delta);
   std::string payload = SerializeDiffPayload(*after_view, engine_.rules(),
-                                             *diff);
-  if (!feed_.Publish(seq, std::move(payload), &error)) {
+                                             diff);
+  if (!feed_.Publish(step->seq, std::move(payload), &error)) {
     std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());
   }
   if (!store_.MaybeCompact(&error)) {
     std::fprintf(stderr, "warning: compaction failed: %s\n", error.c_str());
   }
 
-  DeltaVerdict verdict = ClassifyDelta(*diff, count_);
   w.Respond(Json(
-      200, "{\"seq\":" + std::to_string(seq) +
-               ",\"added\":" + std::to_string(diff->added.size()) +
-               ",\"removed\":" + std::to_string(diff->removed.size()) +
+      200, "{\"seq\":" + std::to_string(step->seq) +
+               ",\"added\":" + std::to_string(diff.added.size()) +
+               ",\"removed\":" + std::to_string(diff.removed.size()) +
                ",\"violations\":" + std::to_string(count_) +
-               ",\"verdict\":\"" + VerdictName(verdict) + "\"}\n"));
+               ",\"verdict\":\"" + VerdictName(step->verdict) + "\"}\n"));
 }
 
 void FeedService::Feed(const HttpRequest& req, ResponseWriter& w) {

@@ -48,9 +48,6 @@ struct FeedServiceOptions {
   double ingest_burst = 8;
   /// Reported by /status ("single" | "distributed").
   std::string backend = "single";
-  /// Per-batch incremental-vs-full path choice (adaptive by default;
-  /// kForceIncremental restores the pre-planner behavior).
-  PlannerConfig planner;
 };
 
 class FeedService {
@@ -90,8 +87,8 @@ class FeedService {
   uint64_t fingerprint_ = 0;
   uint64_t count_ = 0;
   bool primed_ = false;
-  /// Per-batch path chooser (one decision per /ingest, under store_mu_,
-  /// which is the planner's required serialization).
+  /// Per-batch path chooser, adaptive (one decision per /ingest, under
+  /// store_mu_, which is the planner's required serialization).
   DetectPlanner planner_;
   /// Running footprint-gate totals across batches, for /status.
   uint64_t groups_scanned_ = 0;

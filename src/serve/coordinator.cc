@@ -603,8 +603,7 @@ CoordinatorStats Coordinator::stats() const {
 struct Coordinator::DiffContext {
   const ViolationEngine* engine = nullptr;
   const IncrementalOptions* opts = nullptr;
-  std::vector<IncrementalDiff> before;
-  std::vector<IncrementalDiff> after;
+  std::vector<IncrementalDiff> parts;  // per-fragment step diffs
 };
 
 std::optional<uint64_t> Coordinator::ShipSequenced(
@@ -630,49 +629,46 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     }
   }
 
-  // Per-fragment anchor seeds: the globally affected nodes it owns.
+  // Per-fragment anchor seeds: the batch's affected nodes it owns.
   // Bucketing a sorted list by owner keeps each bucket sorted.
-  std::vector<std::vector<NodeId>> seeds_before(n);
-  std::vector<std::vector<NodeId>> seeds_after(n);
+  std::vector<std::vector<NodeId>> seeds(n);
   if (diff_ctx) {
     std::span<const uint32_t> owner = index_->partition().node_owner;
-    for (NodeId v : plan.affected_before) seeds_before[owner[v]].push_back(v);
-    for (NodeId v : plan.affected_after) seeds_after[owner[v]].push_back(v);
-    diff_ctx->before.resize(n);
-    diff_ctx->after.resize(n);
+    for (NodeId v : plan.footprint.affected) seeds[owner[v]].push_back(v);
+    diff_ctx->parts.resize(n);
   }
 
   std::vector<std::string> errs(n);
   cluster_->RunStep([&](size_t f) {
-    uint64_t detect_ns = 0;
-    if (diff_ctx) {
-      StopwatchNs watch;
-      diff_ctx->before[f] = diff_ctx->engine->DetectIncrementalOwned(
-          fragments_[f].view(), seeds_before[f], plan.affected_before,
-          *diff_ctx->opts);
-      detect_ns = watch.ElapsedNs();
-    }
-    std::string ferr;
-    auto seq2 = fragments_[f].Append(plan.payloads[f], &ferr);
-    if (!seq2) {
-      errs[f] = "fragment " + std::to_string(f) + ": " + ferr;
-      return;
-    }
-    if (*seq2 != seq) {
-      errs[f] = "fragment " + std::to_string(f) + ": out of sequence";
-      return;
-    }
-    if (diff_ctx) {
-      StopwatchNs watch;
-      diff_ctx->after[f] = diff_ctx->engine->DetectIncrementalOwned(
-          fragments_[f].view(), seeds_after[f], plan.affected_after,
-          *diff_ctx->opts);
-      detect_ns += watch.ElapsedNs();
-      if (obs::TraceLog* trace = obs::ActiveTrace()) {
-        trace->Emit("detect", {{"seq", seq}, {"fragment", f}},
-                    static_cast<int64_t>(detect_ns));
+    auto append = [&] {
+      std::string ferr;
+      auto seq2 = fragments_[f].Append(plan.payloads[f], &ferr);
+      if (!seq2) {
+        errs[f] = "fragment " + std::to_string(f) + ": " + ferr;
+        return false;
       }
+      if (*seq2 != seq) {
+        errs[f] = "fragment " + std::to_string(f) + ": out of sequence";
+        return false;
+      }
+      return true;
+    };
+    if (!diff_ctx) {
+      append();
+      return;
     }
+    // Both views around the sub-batch hold every match anchored at an
+    // owned node (halo radius >= pattern radius), so each side equals the
+    // global one at this fragment's seeds and the global footprint gates.
+    auto sides = diff_ctx->engine->DetectStep(
+        fragments_[f].view(), plan.footprint, seeds[f], append,
+        *diff_ctx->opts);
+    if (!sides) return;
+    if (obs::TraceLog* trace = obs::ActiveTrace()) {
+      trace->Emit("detect", {{"seq", seq}, {"fragment", f}},
+                  static_cast<int64_t>(sides->detect_ns));
+    }
+    diff_ctx->parts[f] = StepDiff(*sides);
   });
   for (size_t f = 0; f < n; ++f) {
     cluster_->CountShipment(1, plan.payloads[f].size());
@@ -696,9 +692,8 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     }
   }
   if (diff_ctx) {
-    for (size_t f = 0; f < n; ++f) {
-      cluster_->CountShipment(
-          1, DiffBytes(diff_ctx->before[f]) + DiffBytes(diff_ctx->after[f]));
+    for (const IncrementalDiff& part : diff_ctx->parts) {
+      cluster_->CountShipment(1, DiffBytes(part));
     }
   }
   index_->Commit(std::move(plan));
@@ -744,8 +739,7 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   PlannerInputs pin;
   DetectPath path = DetectPath::kIncremental;
   if (opts.planner) {
-    pin = MakePlannerInputs(index_->view(), index_->view().NumDeltaOps(),
-                            delta_tsv, engine.NumGroups(),
+    pin = MakePlannerInputs(index_->view(), delta_tsv, engine.NumGroups(),
                             engine.NumAnchorPlans());
     path = opts.planner->Plan(pin);
   }
@@ -793,27 +787,20 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   if (!seq) return std::nullopt;
   ++stats_.batches;
 
-  // Ownership attribution partitions the global diff, so merging the
-  // per-fragment base-relative sides and composing reproduces the
-  // single-node step diff record for record.
+  // Ownership attribution partitions the step diff, so merging the
+  // per-fragment added and removed lists reproduces the single-node step
+  // diff record for record.
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff before;
-  IncrementalDiff after;
-  auto merge_side = [](std::vector<IncrementalDiff>& parts, bool added) {
-    std::vector<std::vector<Violation>> lists;
-    lists.reserve(parts.size());
-    for (IncrementalDiff& d : parts) {
-      lists.push_back(std::move(added ? d.added : d.removed));
-    }
-    return MergeSorted(std::move(lists));
-  };
-  before.added = merge_side(ctx.before, true);
-  before.removed = merge_side(ctx.before, false);
-  after.added = merge_side(ctx.after, true);
-  after.removed = merge_side(ctx.after, false);
-  for (const IncrementalDiff& d : ctx.before) AddStats(&before.stats, d.stats);
-  for (const IncrementalDiff& d : ctx.after) AddStats(&after.stats, d.stats);
-  IncrementalDiff diff = ComposeStepDiff(before, after);
+  IncrementalDiff diff;
+  std::vector<std::vector<Violation>> added;
+  std::vector<std::vector<Violation>> removed;
+  for (IncrementalDiff& part : ctx.parts) {
+    added.push_back(std::move(part.added));
+    removed.push_back(std::move(part.removed));
+    AddStats(&diff.stats, part.stats);
+  }
+  diff.added = MergeSorted(std::move(added));
+  diff.removed = MergeSorted(std::move(removed));
   if (opts.planner) opts.planner->ObserveIncremental(pin, watch.Seconds());
   if (seq_out) *seq_out = *seq;
   return diff;
@@ -866,9 +853,9 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   RebalancesTotal().Inc();
   if (carried) count_.Set(carried->count, seq, carried->fingerprint);
 
-  // Mandatory lockstep compaction: the next batch's before-side
-  // enumeration runs on fragment BASES, which must reflect the new
-  // residency (including the halo around the migrated node).
+  // Compact right away: diffs no longer need it (the maintenance already
+  // moved every fragment's live view to the new residency), but CatchUp
+  // reads owners_seq_ past the minimum fragment anchor as a torn rebalance.
   if (!CompactAll(error)) {
     rebalance_timer.Discard();
     return std::nullopt;

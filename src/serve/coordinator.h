@@ -3,7 +3,7 @@
 // hold only their owned edge partition plus a border halo.
 //
 // The Coordinator fuses the serving primitives of earlier PRs -- the
-// overlay-based incremental detector (detect/engine.h) and the durable
+// anchored step detector (detect/engine.h) and the durable
 // sequenced GraphStore (serve/graph_store.h) -- into the paper's
 // shared-nothing shape (Section 6): a master owning N fragments. Unlike
 // the earlier replicated design, no fragment holds the whole graph.
@@ -42,38 +42,45 @@
 //   dir/frag-<f>/                 one GraphStore per fragment, holding
 //                                 its partition + halo only
 //
-// Work partitioning follows data partitioning: fragment f evaluates the
-// delta-touching matches attributed to an affected node it owns
-// (DetectIncrementalOwned), seeded from the GLOBAL affected set
-// restricted to its owned nodes -- never from its local view's affected
-// set, which also contains halo-maintenance endpoints. Attribution is a
-// stateless function of the match and the global affected set, so the
-// per-fragment outputs partition the global diff and the master merges
-// them with a plain sorted merge.
+// Work partitioning follows data partitioning: fragment f runs the
+// engine's DetectStep on its own partition+halo view just before and
+// just after its sub-batch, seeded from the batch's affected nodes that
+// it owns -- never from its local view's changes, which also contain
+// halo-maintenance endpoints -- and gated by the batch's footprint.
+// Attribution is a stateless function of the match and the batch's
+// affected set, so the per-fragment step diffs partition the global one
+// and the master merges one added list and one removed list with a plain
+// sorted merge.
 //
 // Sequence-ordering invariant. Every fragment applies every global
 // sequence number (possibly as an empty or maintenance-only sub-batch),
-// and compaction runs in LOCKSTEP (CompactAll), never per-fragment: the
-// per-batch diff is composed from two base-relative incremental runs
-// (ComposeStepDiff), and diffs taken against different snapshots do not
-// compose. Open() restores the invariant after any crash: a fragment
-// whose log lost its tail is caught up by re-shipping its sub-batches
-// from the routing journal (its own log assigns them the same sequence
-// numbers, so catch-up IS replay); a fragment lost outright is rebuilt
-// partition-scoped -- ExtractSubgraph of the recovered global state
-// under the fragment's residency, installed via GraphStore::InitAt --
-// followed by a lockstep compaction that re-unifies the anchors.
+// and compaction runs in LOCKSTEP (CompactAll), never per-fragment. The
+// step diffs do not need equal anchors -- each fragment diffs its own
+// live view around one batch -- but the routing journal does: CompactAll
+// re-anchors it at the sequence where it writes the global snapshot and
+// rolls every fragment, so Open() rebuilds the master's state and
+// re-ships to lagging fragments from one common anchor, and recognizes a
+// torn rebalance as owners_seq past it. Compacting fragments one by one
+// would mean re-deriving those recovery rules per fragment anchor.
+// Open() restores the invariant after any crash:
+// a fragment whose log lost its tail is caught up by re-shipping its
+// sub-batches from the routing journal (its own log assigns them the
+// same sequence numbers, so catch-up IS replay); a fragment lost outright
+// is rebuilt partition-scoped -- ExtractSubgraph of the recovered global
+// state under the fragment's residency, installed via
+// GraphStore::InitAt -- followed by a lockstep compaction that
+// re-unifies the anchors.
 //
 // Rebalancing. Rebalance(node, to_fragment) migrates ownership of a hot
 // vertex between batches: it consumes one global sequence number whose
 // sub-batches are pure halo maintenance (the graph is unchanged, so the
 // step's violation diff is empty by construction), persists the new
-// ownership in the meta (owners_seq records the sequence), and forces a
-// lockstep compaction so every fragment's BASE graph -- the before-side
-// of diff composition -- reflects the new residency before the next
-// batch. A crash mid-rebalance is detected on Open (owners_seq past the
-// common anchor) and repaired by rebuilding the fragments from the
-// recovered global state under the new ownership.
+// ownership in the meta (owners_seq records the sequence), and compacts
+// in lockstep. The maintenance alone already gives every fragment's live
+// view the new residency; the compaction is what lets Open detect a
+// crash mid-rebalance (owners_seq past the common anchor) and repair it
+// by rebuilding the fragments from the recovered global state under the
+// new ownership.
 #ifndef GFD_SERVE_COORDINATOR_H_
 #define GFD_SERVE_COORDINATOR_H_
 
@@ -176,14 +183,13 @@ class Coordinator final : public ServingStore {
                                  std::string* error = nullptr) override;
 
   /// The distributed serving step: Append plus the violation diff
-  /// induced by exactly this batch. Each fragment runs
-  /// DetectIncrementalOwned against its partition+halo view, seeded
-  /// from the globally affected nodes it owns; the master merges the
-  /// per-fragment base-relative diffs per side (ownership attribution
-  /// makes them disjoint) and composes the step diff (ComposeStepDiff),
-  /// which equals single-node GraphStore AppendAndDiff record for
-  /// record. Errors out (before any shipping) when the engine's
-  /// MaxPatternRadius exceeds the partition's halo radius.
+  /// induced by exactly this batch. Each fragment runs DetectStep around
+  /// its sub-batch on its partition+halo view, seeded from the batch's
+  /// affected nodes it owns; the master merges the per-fragment added
+  /// and removed lists (ownership attribution makes them disjoint), which
+  /// equals single-node GraphStore AppendAndDiff record for record.
+  /// Errors out (before any shipping) when the engine's MaxPatternRadius
+  /// exceeds the partition's halo radius.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -191,8 +197,9 @@ class Coordinator final : public ServingStore {
 
   /// Migrates ownership of `node` to `to_fragment` between batches:
   /// ships halo maintenance under one global sequence number, persists
-  /// the new ownership, and compacts in lockstep so fragment bases
-  /// reflect the new residency. Returns the consumed sequence number.
+  /// the new ownership, and compacts in lockstep so that Open can tell a
+  /// completed rebalance from a torn one (owners_seq at or below the
+  /// common anchor). Returns the consumed sequence number.
   std::optional<uint64_t> Rebalance(NodeId node, uint32_t to_fragment,
                                     std::string* error = nullptr);
 
@@ -201,8 +208,8 @@ class Coordinator final : public ServingStore {
 
   /// Lockstep compaction: writes the global snapshot, rolls EVERY
   /// fragment's snapshot to the current global sequence (keeping the
-  /// anchors equal -- the precondition of diff composition), and
-  /// re-anchors the routing journal.
+  /// anchors equal, which recovery relies on), and re-anchors the
+  /// routing journal.
   bool CompactAll(std::string* error = nullptr);
 
   /// Policy entry point: CompactAll() iff ShouldCompact().

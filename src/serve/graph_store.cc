@@ -297,25 +297,31 @@ std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
   return seq;
 }
 
-bool GraphStore::Validate(std::string_view delta_tsv,
-                          std::string* error) const {
+std::optional<GraphDelta> GraphStore::ParseBatch(std::string_view delta_tsv,
+                                                 std::string* error) const {
   std::istringstream in{std::string(delta_tsv)};
   std::string parse_error;
   auto d = LoadGraphDeltaTsv(in, *base_, &parse_error);
   if (!d) {
     SetError(error, parse_error);
-    return false;
+    return std::nullopt;
   }
-  // Dry-run against the live view: carry only the overlay's extension
-  // vocabulary (so the batch's ids resolve in the view's id space) and
-  // validate the batch as an appended tail -- O(batch), no overlay copy.
-  GraphDelta candidate;
-  candidate.extra_labels = overlay_.extra_labels;
-  candidate.extra_attrs = overlay_.extra_attrs;
-  candidate.extra_values = overlay_.extra_values;
-  candidate.Append(*base_, *d);
+  GraphDelta batch;
+  batch.extra_labels = overlay_.extra_labels;
+  batch.extra_attrs = overlay_.extra_attrs;
+  batch.extra_values = overlay_.extra_values;
+  batch.Append(*base_, *d);
+  return batch;
+}
+
+bool GraphStore::Validate(std::string_view delta_tsv,
+                          std::string* error) const {
+  // Dry-run against the live view: validate the batch as an appended
+  // tail -- O(batch), no overlay copy.
+  auto batch = ParseBatch(delta_tsv, error);
+  if (!batch) return false;
   std::string apply_error;
-  if (!view_->ValidateAppended(candidate, 0, &apply_error)) {
+  if (!view_->ValidateAppended(*batch, 0, &apply_error)) {
     SetError(error, apply_error);
     return false;
   }
@@ -418,12 +424,6 @@ PropertyGraph GraphStore::MaterializeCurrent() const {
   return view_->Materialize();
 }
 
-std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
-    const ViolationEngine& engine, std::string_view delta_tsv,
-    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  return gfd::AppendAndDiff(*this, engine, delta_tsv, opts, seq_out, error);
-}
-
 ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   ServingMetricsSnapshot snap;
   snap.anchor_seq = stats_.anchor_seq;
@@ -437,12 +437,9 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   return snap;
 }
 
-std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
-                                             const ViolationEngine& engine,
-                                             std::string_view delta_tsv,
-                                             const IncrementalOptions& opts,
-                                             uint64_t* seq_out,
-                                             std::string* error) {
+std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
+    const ViolationEngine& engine, std::string_view delta_tsv,
+    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
   // Path choice happens BEFORE the append, from pre-append estimates, so
   // the chosen path's before-side still sees the pre-batch state. The
   // inputs come from the one shared MakePlannerInputs, which is what
@@ -451,12 +448,12 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
   PlannerInputs pin;
   DetectPath path = DetectPath::kIncremental;
   if (opts.planner) {
-    pin = MakePlannerInputs(store.view(), store.overlay().ops.size(),
-                            delta_tsv, engine.NumGroups(),
+    pin = MakePlannerInputs(*view_, delta_tsv, engine.NumGroups(),
                             engine.NumAnchorPlans());
     path = opts.planner->Plan(pin);
   }
 
+  std::optional<uint64_t> seq;
   if (path == DetectPath::kFull) {
     // Full re-detect of both sides: uncapped (a truncated side would
     // fabricate diff entries), diffed by FullStepDiff. The observed
@@ -466,14 +463,14 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
     DetectOptions full;
     full.workers = opts.workers;
     full.match = opts.match;
-    DetectionResult before = engine.Detect(store.view(), full);
-    auto seq = store.Append(delta_tsv, error);
+    DetectionResult before = engine.Detect(*view_, full);
+    seq = Append(delta_tsv, error);
     if (!seq) {
       detect_timer.Discard();
       return std::nullopt;
     }
     if (seq_out) *seq_out = *seq;
-    DetectionResult after = engine.Detect(store.view(), full);
+    DetectionResult after = engine.Detect(*view_, full);
     detect_timer.AddField("seq", *seq);
     detect_timer.StopNs();
     IncrementalDiff diff = FullStepDiff(before, after);
@@ -481,22 +478,30 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
     return diff;
   }
 
-  // Both runs diff against the shared base; Append never compacts, so the
-  // base is identical across them and the diffs compose.
+  // The step diff anchors at what this batch touches, read off the batch
+  // in the live view's id space; Append then absorbs it into the same
+  // view object the after side reads.
+  auto batch = ParseBatch(delta_tsv, error);
+  if (!batch) return std::nullopt;
+  const BatchFootprint footprint = BatchFootprint::Of(batch->ops);
   WallTimer watch;
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  IncrementalDiff before = engine.DetectIncremental(store.view(), opts);
-  auto seq = store.Append(delta_tsv, error);
-  if (!seq) {
+  auto sides = engine.DetectStep(
+      *view_, footprint, footprint.affected,
+      [&] {
+        seq = Append(delta_tsv, error);
+        return seq.has_value();
+      },
+      opts);
+  if (!sides) {
     detect_timer.Discard();
     return std::nullopt;
   }
   if (seq_out) *seq_out = *seq;
-  IncrementalDiff after = engine.DetectIncremental(store.view(), opts);
   detect_timer.AddField("seq", *seq);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff diff = ComposeStepDiff(before, after);
+  IncrementalDiff diff = StepDiff(*sides);
   if (opts.planner) opts.planner->ObserveIncremental(pin, watch.Seconds());
   return diff;
 }

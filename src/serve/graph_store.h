@@ -59,12 +59,11 @@ namespace gfd {
 struct GraphStoreOptions {
   /// Overlay ops threshold (absolute).
   size_t compact_min_ops = 0;
-  /// Overlay ops as a fraction of base edges. Defaults to the SAME
-  /// crossover the DetectPlanner's seeded rule uses
-  /// (detect/planner.h): past it a full re-detect beats the incremental
-  /// path, so an overlay that large has outlived its usefulness -- and
-  /// sharing the constant keeps compaction policy and detection policy
-  /// from drifting apart.
+  /// Overlay ops as a fraction of base edges. A step's detection cost
+  /// does not grow with the overlay, so this bounds the rest of what the
+  /// overlay costs: the view's per-node adjacency and attribute copies,
+  /// and the log a restart replays. Defaults to the planner's crossover
+  /// constant (detect/planner.h).
   double compact_min_fraction = kIncrementalCrossoverFraction;
 };
 
@@ -163,9 +162,11 @@ class GraphStore final : public ServingStore {
   /// The current graph as a standalone PropertyGraph (ids preserved).
   PropertyGraph MaterializeCurrent() const override;
 
-  /// ServingStore conformance: forwards to the free AppendAndDiff below
-  /// (one serving step -- append plus the step diff of exactly this
-  /// batch).
+  /// One serving step: appends `delta_tsv` and returns the violation diff
+  /// of exactly this batch. ViolationEngine::DetectStep runs on the live
+  /// view just before and just after the append, anchored at the batch's
+  /// own nodes, so the cost tracks the batch, not the overlay; the
+  /// planner's full path diffs two full Detect runs instead.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -179,6 +180,12 @@ class GraphStore final : public ServingStore {
   GraphStore() = default;
 
   bool ApplyOverlay(GraphDelta next_overlay, std::string* error);
+
+  // Parses `delta_tsv` against the base vocabulary and re-expresses it in
+  // the live view's id space (the overlay's extension vocabulary, then
+  // the batch's own new names), without touching the overlay.
+  std::optional<GraphDelta> ParseBatch(std::string_view delta_tsv,
+                                       std::string* error) const;
 
   // Rewrites store.meta (atomically) reflecting the current anchor,
   // snapshot, and violation-count state.
@@ -196,18 +203,6 @@ class GraphStore final : public ServingStore {
   // validity rule: valid only at the exact sequence it was taken).
   RunningCount count_;
 };
-
-/// One serving step: appends `delta_tsv` to the store and returns the
-/// violation diff induced by exactly this batch, relative to the
-/// pre-append state. Computed without materializing: both the before- and
-/// after-overlay are diffed incrementally against the shared base and the
-/// two base-relative diffs composed ([added] = (A2\A1) u (R1\R2),
-/// [removed] symmetric). Cost grows with the overlay, which is precisely
-/// what the compaction policy bounds; call store.MaybeCompact() after.
-std::optional<IncrementalDiff> AppendAndDiff(
-    GraphStore& store, const ViolationEngine& engine,
-    std::string_view delta_tsv, const IncrementalOptions& opts = {},
-    uint64_t* seq_out = nullptr, std::string* error = nullptr);
 
 }  // namespace gfd
 

@@ -89,10 +89,7 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanBatch(
 
   plan.new_resident =
       ComputeResidency(ViewAdjacency(*plan.new_view), partition_);
-  auto before = view_->AffectedNodes();
-  plan.affected_before.assign(before.begin(), before.end());
-  auto after = plan.new_view->AffectedNodes();
-  plan.affected_after.assign(after.begin(), after.end());
+  plan.footprint = BatchFootprint::Of(batch_tail.ops);
   plan.candidate = std::move(candidate);
   BuildPayloads(batch_tail, &plan);
   return plan;
@@ -121,9 +118,6 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(
   Partition probe = partition_;
   probe.node_owner = plan.new_owner;
   plan.new_resident = ComputeResidency(ViewAdjacency(*view_), probe);
-  auto affected = view_->AffectedNodes();
-  plan.affected_before.assign(affected.begin(), affected.end());
-  plan.affected_after = plan.affected_before;
   // Graph unchanged: the payloads carry the vocabulary preamble plus
   // pure halo maintenance; candidate/new_view stay empty and Commit
   // leaves the global view alone.

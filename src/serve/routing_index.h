@@ -46,6 +46,7 @@
 #include <string_view>
 #include <vector>
 
+#include "detect/engine.h"
 #include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "parallel/fragment.h"
@@ -76,13 +77,11 @@ class RoutingIndex {
     std::vector<uint64_t> halo_bytes;   ///< maintenance + refresh
     std::vector<size_t> routed_ops;     ///< routed op count per fragment
     std::vector<size_t> halo_ops;       ///< maintenance op count per fragment
-    /// Global affected node sets (sorted, unique): every op endpoint
-    /// since the anchor, excluding / including this plan's batch. These
-    /// -- not any fragment-local affected set, which also contains
-    /// maintenance endpoints -- are what incremental detection
-    /// attributes matches against.
-    std::vector<NodeId> affected_before;
-    std::vector<NodeId> affected_after;
+    /// What this plan's batch touches, in global ids (empty for a
+    /// rebalance: the graph is unchanged). Its affected nodes -- not any
+    /// fragment-local affected set, which also contains maintenance
+    /// endpoints -- seed and attribute the fragments' step diffs.
+    BatchFootprint footprint;
 
     // Candidate state, adopted by Commit.
     GraphDelta candidate;

@@ -7,11 +7,12 @@
 //   Coordinator  (serve/coordinator.h)  -- distributed: vertex-cut
 //                partitioned fragments behind the same verbs
 //
-// `gfdtool detect --log` / `gfdtool serve append` and the oracle tests
-// drive either backend through this interface, so the serving loop --
-// validate, append, diff, classify, maintain the running violation
-// count, compact -- exists exactly once; whether one store or N routed
-// fragments answer is a deployment choice, not a code path.
+// `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
+// and the oracle tests drive either backend through this interface, and
+// the serving step itself -- append, diff, maintain the running
+// violation count, classify -- is the one free function ServeStep below;
+// whether one store or N routed fragments answer is a deployment choice,
+// not a code path.
 #ifndef GFD_SERVE_SERVING_STORE_H_
 #define GFD_SERVE_SERVING_STORE_H_
 
@@ -103,6 +104,33 @@ class ServingStore {
   /// computed over the materialization compare equal across them.
   virtual PropertyGraph MaterializeCurrent() const = 0;
 };
+
+/// What one serving step produced.
+struct ServedBatch {
+  IncrementalDiff diff;
+  uint64_t seq = 0;    ///< the batch's sequence number
+  uint64_t count = 0;  ///< running violation count after the batch
+  DeltaVerdict verdict = DeltaVerdict::kClean;
+  /// Why the new count could not be persisted (empty when it was). The
+  /// in-memory count stays right; the next open re-seeds it.
+  std::string persist_error;
+};
+
+/// The one serving step every front end runs (the changefeed server's
+/// /ingest and gfdtool's `detect --log --delta` / `serve append`):
+/// store.AppendAndDiff, then the running violation count -- `count` is
+/// the count before the batch -- re-seeded from the authoritative
+/// post-batch count after a full-path batch and composed
+/// (count + |added| - |removed|) otherwise, then SetViolationCount under
+/// `fingerprint`, then the verdict. Returns nullopt (with *error set)
+/// when the store rejected the batch; nothing was logged then. Callers
+/// materialize, publish and compact after it returns, in that order.
+std::optional<ServedBatch> ServeStep(ServingStore& store,
+                                     const ViolationEngine& engine,
+                                     std::string_view delta_tsv,
+                                     uint64_t count, uint64_t fingerprint,
+                                     const IncrementalOptions& opts = {},
+                                     std::string* error = nullptr);
 
 }  // namespace gfd
 

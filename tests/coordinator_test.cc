@@ -1,6 +1,6 @@
 // Distributed incremental detection over true vertex-cut partitioned
 // storage: the Coordinator's merged per-fragment diffs must be
-// byte-identical to single-node DetectIncremental / AppendAndDiff on the
+// byte-identical to single-node DetectStep / AppendAndDiff on the
 // unfragmented store -- on fixtures, property-style across random seeds
 // x graph scales x fragment counts {1,2,4,8} x batch streams (repeated,
 // delete-heavy, and mid-stream rebalanced batches included), and across
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -159,9 +160,12 @@ void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
   }
 }
 
-// --- Fragment-scoped incremental entry point -------------------------------
+// --- Fragment-scoped step seeds ---------------------------------------------
 
-TEST(DetectIncrementalOwned, FragmentsPartitionTheFullDiff) {
+// One step over the whole graph, seeded per owner: the owners' step
+// diffs must partition the store-wide step diff, which in turn equals
+// the one-shot base-vs-view diff of the same batch.
+TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   auto g = MakeSynthetic({.nodes = 200,
                           .edges = 600,
                           .node_labels = 5,
@@ -174,16 +178,30 @@ TEST(DetectIncrementalOwned, FragmentsPartitionTheFullDiff) {
   ViolationEngine engine(rules);
   Rng rng(99);
   GraphDelta d = RandomBatch(g, rng, 40);
-  auto view = *GraphView::Apply(g, d);
-  auto full = engine.DetectIncremental(view);
+  const BatchFootprint fp = BatchFootprint::Of(d.ops);
+  // Runs the step from a fresh live view of `g`, anchored at `seeds`.
+  auto step = [&](std::span<const NodeId> seeds) {
+    auto live = *GraphView::Apply(g, GraphDelta{});
+    auto sides = engine.DetectStep(
+        live, fp, seeds, [&] { return live.AbsorbAppended(d, 0); });
+    EXPECT_TRUE(sides.has_value());
+    return StepDiff(*sides);
+  };
+  auto full = step(fp.affected);
+  auto oneshot = engine.DetectIncremental(*GraphView::Apply(g, d));
+  EXPECT_EQ(full.added, oneshot.added);
+  EXPECT_EQ(full.removed, oneshot.removed);
 
   for (size_t n : {1u, 2u, 4u, 8u}) {
     Fragmentation frag = VertexCutPartition(g, n);
     std::vector<Violation> added, removed;
     size_t owned_total = 0;
     for (uint32_t f = 0; f < n; ++f) {
-      auto part =
-          engine.DetectIncrementalOwned(view, frag.partition.node_owner, f);
+      std::vector<NodeId> seeds;
+      for (NodeId v : fp.affected) {
+        if (frag.partition.node_owner[v] == f) seeds.push_back(v);
+      }
+      auto part = step(seeds);
       owned_total += part.stats.affected_nodes;
       // Disjoint by attribution: plain merges reproduce the full diff.
       std::vector<Violation> merged;
@@ -471,7 +489,7 @@ TEST(Coordinator, TornFragmentLogCatchesUpAndNextDiffMatchesUninterrupted) {
   auto single = GraphStore::Open(ref_dir);
   ASSERT_TRUE(single.has_value());
   for (int b = 0; b < 2; ++b) {
-    ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+    ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
   }
 
   // Crash: tear the tail off fragment 1's log -- as a kill between write
@@ -507,7 +525,7 @@ TEST(Coordinator, TornFragmentLogCatchesUpAndNextDiffMatchesUninterrupted) {
   // The next batch: merged diff == uninterrupted single-node diff.
   uint64_t seq = 0;
   auto merged = reopened->AppendAndDiff(engine, payloads[2], {}, &seq);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(seq, 3u);
@@ -551,7 +569,7 @@ TEST(Coordinator, UnilateralFragmentCompactionIsReunifiedOnOpen) {
     ASSERT_TRUE(coord.has_value());
     for (int b = 0; b < 2; ++b) {
       ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
     }
   }
   {
@@ -571,7 +589,7 @@ TEST(Coordinator, UnilateralFragmentCompactionIsReunifiedOnOpen) {
         << "fragment " << f;
   }
   auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(merged->added, ref->added);
@@ -659,7 +677,7 @@ TEST(Coordinator, TornRebalanceIsRepairedByFullResyncOnOpen) {
     ASSERT_TRUE(coord.has_value());
     for (int b = 0; b < 2; ++b) {
       ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
     }
   }
   // Simulate the crash window: bump owners_seq in the meta past every
@@ -686,7 +704,7 @@ TEST(Coordinator, TornRebalanceIsRepairedByFullResyncOnOpen) {
   ExpectFragmentsMatchResidentSubgraphs(*reopened);
 
   auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(merged->added, ref->added);

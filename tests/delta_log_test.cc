@@ -1,7 +1,8 @@
 // Durability subsystem: framed delta-log recovery (torn/corrupt tails,
 // sequence chains, re-anchoring), GraphStore replay determinism across
 // restarts, compaction boundaries and crash injection, exactly-once
-// application of stale records, and the composed per-batch serving diff.
+// application of stale records, and the step-relative per-batch serving
+// diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -502,7 +503,8 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   ViolationEngine engine({FilmRule(store->base())});
 
   // A stream whose batches add, re-add, and remove violations while the
-  // overlay keeps growing (no compaction: every diff composes on base).
+  // overlay keeps growing (no compaction: every step lands on an older
+  // overlay than the last).
   const char* stream[] = {
       "E+\tMusician\tn2\tcreate\n",            // + violation at Musician
       "A\tProducer0\ttype=impostor\n",         // + violation at Producer0
@@ -513,7 +515,7 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   for (const char* batch : stream) {
     PropertyGraph before = store->MaterializeCurrent();
     std::string error;
-    auto diff = AppendAndDiff(*store, engine, batch, {}, nullptr, &error);
+    auto diff = store->AppendAndDiff(engine, batch, {}, nullptr, &error);
     ASSERT_TRUE(diff.has_value()) << error;
     PropertyGraph after = store->MaterializeCurrent();
 
@@ -533,6 +535,45 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   }
   EXPECT_EQ(store->last_seq(), 5u);
   ExpectRestartIdentical(*store, engine);
+}
+
+// The footprint gate reads the batch alone: a batch touching only nodes
+// whose labels the film rule's pattern cannot bind must skip the rule's
+// group, even on an overlay whose earlier batches touched persons.
+TEST(GraphStore, AppendAndDiffGatesGroupsByTheBatchAlone) {
+  std::string dir = Scratch("store_step_gate");
+  PropertyGraph::Builder b;
+  NodeId p0 = b.AddNode("person");
+  b.SetName(p0, "Producer0");
+  b.SetAttr(p0, "type", "producer");
+  NodeId f0 = b.AddNode("product");
+  b.SetAttr(f0, "type", "film");
+  NodeId c0 = b.AddNode("city");
+  b.SetName(c0, "Paris");
+  b.SetAttr(c0, "name", "paris");
+  NodeId c1 = b.AddNode("city");
+  b.SetName(c1, "Lyon");
+  b.AddEdge(p0, f0, "create");
+  ASSERT_TRUE(GraphStore::Init(dir, std::move(b).Build()));
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  ViolationEngine engine({FilmRule(store->base())});
+
+  for (const char* batch :
+       {"A\tProducer0\ttype=impostor\n", "A\tProducer0\ttype=producer\n"}) {
+    auto diff = store->AppendAndDiff(engine, batch);
+    ASSERT_TRUE(diff.has_value());
+    EXPECT_EQ(diff->stats.groups_scanned, 1u) << batch;
+  }
+  const char* city_batch =
+      "A\tParis\tname=paris2\n"
+      "E+\tParis\tLyon\tnear\n";
+  auto diff = store->AppendAndDiff(engine, city_batch);
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_EQ(diff->stats.groups_scanned, 0u);
+  EXPECT_EQ(diff->stats.groups_skipped, 1u);
+  EXPECT_TRUE(diff->added.empty());
+  EXPECT_TRUE(diff->removed.empty());
 }
 
 // --- Running violation count (store.meta) ----------------------------------
@@ -565,7 +606,7 @@ TEST(GraphStore, ViolationCountSurvivesRestartAndCompaction) {
       "E-\tMusician\tn2\tcreate\n",     // removes the first again
   };
   for (const char* batch : stream) {
-    auto diff = AppendAndDiff(*store, engine, batch);
+    auto diff = store->AppendAndDiff(engine, batch);
     ASSERT_TRUE(diff.has_value());
     // The append outdated the count until the diff is folded back in.
     EXPECT_FALSE(store->violation_count(fp).has_value());

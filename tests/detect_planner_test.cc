@@ -4,7 +4,8 @@
 // per-batch diffs and final violation counts whichever path the planner
 // picks, on both the single-node GraphStore and the vertex-cut
 // Coordinator, across 25 random seeds with a forced-flip batch that
-// straddles the seeded crossover. Also the full-path re-seed rule: a
+// straddles the seeded crossover, runs of small batches on aging overlays
+// and a mid-stream compaction. Also the full-path re-seed rule: a
 // running violation counter must be re-seeded from full_post_count after
 // a full-path batch, never composed -- the full run is authoritative and
 // re-seeding repairs any drift a composed counter would persist.
@@ -84,14 +85,11 @@ GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops,
 
 PlannerInputs SyntheticInputs() {
   PlannerInputs in;
-  in.base_nodes = 100;
-  in.base_edges = 1000;
+  in.graph_nodes = 100;
+  in.graph_edges = 1000;
   in.num_groups = 4;
   in.anchor_plans = 8;
   in.batch_ops = 5;
-  in.overlay_ops_after = 5;
-  in.affected_nodes = 10;
-  in.affected_degree = 40;
   return in;
 }
 
@@ -101,11 +99,10 @@ TEST(DetectPlanner, SeededRuleCrossesAtTheConfiguredFraction) {
   DetectPlanner planner;  // adaptive, uncalibrated
   ASSERT_FALSE(planner.calibrated());
   PlannerInputs in = SyntheticInputs();
-  in.overlay_ops_after =
+  in.batch_ops =
       static_cast<size_t>(kIncrementalCrossoverFraction * 1000) - 1;
   EXPECT_EQ(planner.Plan(in), DetectPath::kIncremental);
-  in.overlay_ops_after =
-      static_cast<size_t>(kIncrementalCrossoverFraction * 1000);
+  in.batch_ops = static_cast<size_t>(kIncrementalCrossoverFraction * 1000);
   EXPECT_EQ(planner.Plan(in), DetectPath::kFull);
   EXPECT_EQ(planner.stats().incremental_decisions, 1u);
   EXPECT_EQ(planner.stats().full_decisions, 1u);
@@ -114,7 +111,7 @@ TEST(DetectPlanner, SeededRuleCrossesAtTheConfiguredFraction) {
 TEST(DetectPlanner, ForcedModesIgnoreInputsAndCalibration) {
   PlannerInputs tiny = SyntheticInputs();
   PlannerInputs huge = SyntheticInputs();
-  huge.overlay_ops_after = huge.base_edges;  // far past any crossover
+  huge.batch_ops = huge.graph_edges;  // far past any crossover
 
   DetectPlanner inc({.mode = PlannerConfig::Mode::kForceIncremental});
   EXPECT_EQ(inc.Plan(huge), DetectPath::kIncremental);
@@ -127,14 +124,14 @@ TEST(DetectPlanner, ForcedModesIgnoreInputsAndCalibration) {
 }
 
 TEST(DetectPlanner, CalibrationFlipsTheSeededDecision) {
-  PlannerInputs in = SyntheticInputs();  // small overlay: seeded rule says
+  PlannerInputs in = SyntheticInputs();  // small batch: seeded rule says
                                          // incremental
   DetectPlanner planner;
   EXPECT_EQ(planner.Plan(in), DetectPath::kIncremental);
 
   // Observe the incremental path as ruinously expensive and the full path
   // as nearly free: once both units are live, the cost comparison must
-  // override the seeded rule even though the overlay is tiny.
+  // override the seeded rule even though the batch is tiny.
   planner.ObserveIncremental(in, 10.0);
   EXPECT_FALSE(planner.calibrated());  // one-sided: still seeded
   EXPECT_EQ(planner.Plan(in), DetectPath::kIncremental);
@@ -144,10 +141,10 @@ TEST(DetectPlanner, CalibrationFlipsTheSeededDecision) {
   EXPECT_EQ(planner.stats().incremental_observations, 1u);
   EXPECT_EQ(planner.stats().full_observations, 1u);
 
-  // And the mirror image: a huge overlay stays on the incremental path
+  // And the mirror image: a huge batch stays on the incremental path
   // when the observations say incremental is the cheap one.
   PlannerInputs big = SyntheticInputs();
-  big.overlay_ops_after = big.base_edges;
+  big.batch_ops = big.graph_edges;
   DetectPlanner planner2;
   planner2.ObserveIncremental(big, 1e-6);
   planner2.ObserveFull(big, 10.0);
@@ -178,20 +175,18 @@ TEST(MakePlannerInputs, IsDeterministicAndCountsBatchOps) {
       "A\ta\tk\tv\n"
       "# comment\n"
       "\n";
-  PlannerInputs a = MakePlannerInputs(*view, 7, tsv, 4, 9);
-  PlannerInputs b = MakePlannerInputs(*view, 7, tsv, 4, 9);
+  PlannerInputs a = MakePlannerInputs(*view, tsv, 4, 9);
+  PlannerInputs b = MakePlannerInputs(*view, tsv, 4, 9);
   EXPECT_EQ(a.batch_ops, 3u);
-  EXPECT_EQ(a.overlay_ops_after, 10u);
-  EXPECT_EQ(a.base_nodes, g.NumNodes());
-  EXPECT_EQ(a.base_edges, g.NumEdges());
+  EXPECT_EQ(a.graph_nodes, g.NumNodes());
+  EXPECT_EQ(a.graph_edges, g.NumEdges());
   EXPECT_EQ(a.num_groups, 4u);
   EXPECT_EQ(a.anchor_plans, 9u);
   // Bitwise-identical on identical serving state + batch text: this is
   // what keeps every backend's per-batch decision the same.
   EXPECT_EQ(a.batch_ops, b.batch_ops);
-  EXPECT_EQ(a.overlay_ops_after, b.overlay_ops_after);
-  EXPECT_EQ(a.affected_nodes, b.affected_nodes);
-  EXPECT_EQ(a.affected_degree, b.affected_degree);
+  EXPECT_EQ(IncrementalWork(a), IncrementalWork(b));
+  EXPECT_EQ(FullWork(a), FullWork(b));
 
   // Work measures stay positive even on degenerate inputs, so observed
   // seconds always divide.
@@ -206,7 +201,7 @@ TEST(MakePlannerInputs, IsDeterministicAndCountsBatchOps) {
 // per-batch diffs and the running violation count (maintained by the
 // re-seed rule the serving loop uses) must equal the reference computed
 // from full Detect runs -- i.e. the path choice is invisible in the
-// output. Batch 2 is the forced-flip batch: large enough that the seeded
+// output. Batch 1 is the forced-flip batch: large enough that the seeded
 // crossover sends an adaptive planner to the full path mid-stream.
 class PlannerOracle : public ::testing::TestWithParam<int> {};
 
@@ -226,8 +221,11 @@ TEST_P(PlannerOracle, PathChoiceNeverChangesDiffsOrCounts) {
           .seed = static_cast<uint64_t>(seed) + 61});
   ViolationEngine engine(rules);
 
-  // Three batches: small, the forced-flip batch (a quarter of the edge
-  // count, far past the seeded crossover fraction), small again.
+  // Small, the forced-flip batch (a quarter of the edge count, far past
+  // the seeded crossover fraction), small again; then a run of small
+  // batches that land on overlays several batches old, with a Compact()
+  // after batch kCompactAfter so the rest land on a fresh snapshot.
+  constexpr size_t kCompactAfter = 4;
   std::vector<std::string> payloads;
   std::vector<std::vector<Violation>> want_added, want_removed;
   std::vector<uint64_t> want_count;
@@ -236,8 +234,12 @@ TEST_P(PlannerOracle, PathChoiceNeverChangesDiffsOrCounts) {
     DetectionResult before = engine.Detect(current);
     const size_t sizes[] = {8 + rng.Below(8), g.NumEdges() / 4,
                             6 + rng.Below(8)};
-    for (size_t ops : sizes) {
-      GraphDelta d = RandomBatch(current, rng, ops);
+    std::vector<size_t> stream(std::begin(sizes), std::end(sizes));
+    for (size_t b = 0; b < stream.size(); ++b) {
+      GraphDelta d = RandomBatch(current, rng, stream[b]);
+      if (b == 2) {
+        for (int i = 0; i < 5; ++i) stream.push_back(3 + rng.Below(6));
+      }
       payloads.push_back(DeltaBytes(current, d));
       current = GraphView::Apply(current, d)->Materialize();
       DetectionResult after = engine.Detect(current);
@@ -308,6 +310,9 @@ TEST_P(PlannerOracle, PathChoiceNeverChangesDiffsOrCounts) {
         EXPECT_EQ(count, want_count[b])
             << "seed " << seed << " mode " << static_cast<int>(mode)
             << " batch " << b;
+        if (b == kCompactAfter) {
+          ASSERT_TRUE(backend->Compact(&error)) << error;
+        }
       }
       // The forced-flip batch straddles the seeded crossover, so an
       // adaptive planner must have taken the full path at least once

@@ -640,12 +640,11 @@ uint64_t PreBatchCount(const ViolationEngine& engine, const GraphView& view,
 }
 
 // One serving step, driven entirely through the ServingStore interface:
-// read/seed the running counter, durably append the batch with its
-// per-batch diff, print +/- records, persist the updated counter, and
-// return the documented verdict exit code (nullopt when the append was
-// rejected). `detect --log --delta` (single GraphStore) and `serve
-// append` (coordinator over vertex-cut fragments) both come through
-// here -- the serving loop exists exactly once.
+// read/seed the running counter, run the shared ServeStep (durable append
+// with its per-batch diff, counter update, verdict), print +/- records,
+// and return the documented verdict exit code (nullopt when the append
+// was rejected). `detect --log --delta` (single GraphStore) and `serve
+// append` (coordinator over vertex-cut fragments) both come through here.
 std::optional<int> ServeBatch(ServingStore& store,
                               const ViolationEngine& engine,
                               const std::string& payload,
@@ -667,33 +666,26 @@ std::optional<int> ServeBatch(ServingStore& store,
   iopts.workers = workers;
   iopts.planner = &planner;
   std::string error;
-  uint64_t seq = 0;
   WallTimer t;
-  auto diff = store.AppendAndDiff(engine, payload, iopts, &seq, &error);
-  if (!diff) {
+  auto step = ServeStep(store, engine, payload, pre_count, fp, iopts, &error);
+  if (!step) {
     std::fprintf(stderr, "error appending %s\n",
                  FileLineError(payload_path, error).c_str());
     return std::nullopt;
   }
   double seconds = t.Seconds();
-  // A full-path diff re-seeds the counter from its authoritative
-  // post-state count; composing would be computing it on the wrong path.
-  uint64_t post_count =
-      diff->used_full_path
-          ? diff->full_post_count
-          : pre_count + diff->added.size() - diff->removed.size();
-  if (!store.SetViolationCount(post_count, fp, &error)) {
+  if (!step->persist_error.empty()) {
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 error.c_str());
+                 step->persist_error.c_str());
   }
   PropertyGraph after = store.MaterializeCurrent();
   auto after_view = GraphView::Apply(after, no_delta);
-  int code = ReportDiff(engine, *after_view, before, *diff, seconds, workers,
-                        post_count);
+  int code = ReportDiff(engine, *after_view, before, step->diff, seconds,
+                        workers, step->count);
   // Refresh the snapshot gauges so a metrics export reflects the
   // post-batch sequence and overlay state.
   ExportSnapshotMetrics(store.MetricsSnapshot());
-  if (seq_out) *seq_out = seq;
+  if (seq_out) *seq_out = step->seq;
   return code;
 }
 
