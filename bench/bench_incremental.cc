@@ -128,12 +128,13 @@ GraphDelta WithoutDeletesOf(const GraphDelta& overlay,
   GraphDelta out = overlay;
   std::erase_if(out.ops, [&](const GraphDelta::Op& op) {
     if (op.kind != GraphDelta::OpKind::kDeleteEdge) return false;
-    return std::any_of(batch.ops.begin(), batch.ops.end(),
-                       [&](const GraphDelta::Op& b) {
-                         return b.kind == GraphDelta::OpKind::kDeleteEdge &&
-                                b.src == op.src && b.dst == op.dst &&
-                                b.label == op.label;
-                       });
+    for (const GraphDelta::Op& b : batch.ops) {
+      if (b.kind == op.kind && b.src == op.src && b.dst == op.dst &&
+          b.label == op.label) {
+        return true;
+      }
+    }
+    return false;
   });
   return out;
 }
@@ -199,11 +200,11 @@ int main(int argc, char** argv) {
   // comparison, not just the seeded crossover.
   GraphDelta no_delta;
   auto pre_view = GraphView::Apply(g0, no_delta);
+  const size_t groups = engine.NumGroups();
+  const size_t plans = engine.NumAnchorPlans();
   DetectPlanner planner;
-  planner.ObserveFull(
-      MakePlannerInputs(*pre_view, "", engine.NumGroups(),
-                        engine.NumAnchorPlans()),
-      full_old_s);
+  PlannerInputs startup = MakePlannerInputs(*pre_view, "", groups, plans);
+  planner.ObserveFull(startup, full_old_s);
   const struct {
     double frac;
     const char* tag;
@@ -278,9 +279,7 @@ int main(int argc, char** argv) {
     // the two paths cost the same there by definition).
     std::ostringstream tsv;
     SaveGraphDeltaTsv(g0, delta, tsv);
-    PlannerInputs pin =
-        MakePlannerInputs(*pre_view, tsv.str(), engine.NumGroups(),
-                          engine.NumAnchorPlans());
+    PlannerInputs pin = MakePlannerInputs(*pre_view, tsv.str(), groups, plans);
     DetectPath path = planner.Plan(pin);
     bool chose_full = path == DetectPath::kFull;
     double planner_s = chose_full ? full_s : inc_s;
@@ -346,8 +345,8 @@ int main(int argc, char** argv) {
       IncrementalOptions iopts;
       iopts.planner = &forced;
       WallTimer t;
-      auto diff = store->AppendAndDiff(engine, step_tsv, iopts, nullptr,
-                                       &error);
+      auto diff =
+          store->AppendAndDiff(engine, step_tsv, iopts, nullptr, &error);
       const double s = t.Seconds();
       if (!diff) {
         std::fprintf(stderr, "step_age_%s step failed: %s\n", tag,

@@ -475,9 +475,10 @@ IncrementalDiff ViolationEngine::DetectIncremental(
   }
   SortUnique(fp.keys);
   // The old side runs against the base graph: deleted edges are base
-  // edges, so every destroyed match is enumerable there.
-  auto sides = AnchoredSides(view.base(), view, fp, fp.affected,
-                             [] { return true; }, opts);
+  // edges, so every destroyed match is enumerable there. Both sides
+  // already exist, so there is nothing to apply between them.
+  const auto no_op = [] { return true; };
+  auto sides = AnchoredSides(view.base(), view, fp, fp.affected, no_op, opts);
   return StepDiff(*sides);
 }
 
@@ -595,8 +596,8 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   watch.Restart();
   sides.after = RunAnchored(after, scan, seeds, is_affected, workers, st);
   sides.detect_ns += watch.ElapsedNs();
-  DetectIncrementalLatency().Observe(static_cast<double>(sides.detect_ns) *
-                                     1e-9);
+  const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
+  DetectIncrementalLatency().Observe(detect_s);
   sides.stats.violations_before = sides.before.size();
   sides.stats.violations_after = sides.after.size();
   sides.stats.anchors_scanned = st.pivots.load();

@@ -55,8 +55,8 @@ struct PlannerConfig {
 /// Pre-append inputs of one batch's cost estimate: the batch text and the
 /// live graph's size, nothing else.
 struct PlannerInputs {
-  size_t batch_ops = 0;     ///< ops the incoming batch contributes
-  size_t graph_nodes = 0;   ///< live graph, pre-append
+  size_t batch_ops = 0;    ///< ops the incoming batch contributes
+  size_t graph_nodes = 0;  ///< live graph, pre-append
   size_t graph_edges = 0;
   size_t num_groups = 0;    ///< compiled pattern groups (full-scan units)
   size_t anchor_plans = 0;  ///< (group, variable) plans (anchored units)

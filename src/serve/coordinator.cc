@@ -853,9 +853,9 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   RebalancesTotal().Inc();
   if (carried) count_.Set(carried->count, seq, carried->fingerprint);
 
-  // Compact right away: diffs no longer need it (the maintenance already
-  // moved every fragment's live view to the new residency), but CatchUp
-  // reads owners_seq_ past the minimum fragment anchor as a torn rebalance.
+  // Compact right away, for recovery: CatchUp reads owners_seq_ past the
+  // minimum fragment anchor as a torn rebalance. (Diffs need no compaction:
+  // the maintenance already moved every live view to the new residency.)
   if (!CompactAll(error)) {
     rebalance_timer.Discard();
     return std::nullopt;

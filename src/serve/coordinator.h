@@ -43,33 +43,27 @@
 //                                 its partition + halo only
 //
 // Work partitioning follows data partitioning: fragment f runs the
-// engine's DetectStep on its own partition+halo view just before and
-// just after its sub-batch, seeded from the batch's affected nodes that
-// it owns -- never from its local view's changes, which also contain
-// halo-maintenance endpoints -- and gated by the batch's footprint.
-// Attribution is a stateless function of the match and the batch's
-// affected set, so the per-fragment step diffs partition the global one
-// and the master merges one added list and one removed list with a plain
-// sorted merge.
+// engine's DetectStep on its partition+halo view around its sub-batch,
+// seeded from the batch's affected nodes it owns -- never from its local
+// view's changes, which include halo-maintenance endpoints. Attribution
+// is a stateless function of the match and the batch's affected set, so
+// the per-fragment step diffs partition the global one and the master
+// merges them with a plain sorted merge.
 //
 // Sequence-ordering invariant. Every fragment applies every global
 // sequence number (possibly as an empty or maintenance-only sub-batch),
-// and compaction runs in LOCKSTEP (CompactAll), never per-fragment. The
-// step diffs do not need equal anchors -- each fragment diffs its own
-// live view around one batch -- but the routing journal does: CompactAll
-// re-anchors it at the sequence where it writes the global snapshot and
-// rolls every fragment, so Open() rebuilds the master's state and
-// re-ships to lagging fragments from one common anchor, and recognizes a
-// torn rebalance as owners_seq past it. Compacting fragments one by one
-// would mean re-deriving those recovery rules per fragment anchor.
-// Open() restores the invariant after any crash:
-// a fragment whose log lost its tail is caught up by re-shipping its
-// sub-batches from the routing journal (its own log assigns them the
-// same sequence numbers, so catch-up IS replay); a fragment lost outright
-// is rebuilt partition-scoped -- ExtractSubgraph of the recovered global
-// state under the fragment's residency, installed via
-// GraphStore::InitAt -- followed by a lockstep compaction that
-// re-unifies the anchors.
+// and compaction runs in LOCKSTEP (CompactAll), never per-fragment. Step
+// diffs do not need it; recovery does: CompactAll re-anchors the routing
+// journal where it writes the global snapshot and rolls every fragment,
+// so Open() bridges and re-ships from one common anchor and reads
+// owners_seq past it as a torn rebalance. Open() restores the invariant
+// after any crash: a fragment whose log lost its tail is caught up by
+// re-shipping its sub-batches from the routing journal (its own log
+// assigns them the same sequence numbers, so catch-up IS replay); a
+// fragment lost outright is rebuilt partition-scoped -- ExtractSubgraph
+// of the recovered global state under the fragment's residency,
+// installed via GraphStore::InitAt -- followed by a lockstep compaction
+// that re-unifies the anchors.
 //
 // Rebalancing. Rebalance(node, to_fragment) migrates ownership of a hot
 // vertex between batches: it consumes one global sequence number whose

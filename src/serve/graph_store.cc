@@ -483,16 +483,14 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   // view object the after side reads.
   auto batch = ParseBatch(delta_tsv, error);
   if (!batch) return std::nullopt;
-  const BatchFootprint footprint = BatchFootprint::Of(batch->ops);
+  const BatchFootprint fp = BatchFootprint::Of(batch->ops);
+  auto append = [&] {
+    seq = Append(delta_tsv, error);
+    return seq.has_value();
+  };
   WallTimer watch;
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  auto sides = engine.DetectStep(
-      *view_, footprint, footprint.affected,
-      [&] {
-        seq = Append(delta_tsv, error);
-        return seq.has_value();
-      },
-      opts);
+  auto sides = engine.DetectStep(*view_, fp, fp.affected, append, opts);
   if (!sides) {
     detect_timer.Discard();
     return std::nullopt;

@@ -5,7 +5,7 @@ namespace gfd {
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,
-                                     uint64_t count, uint64_t fingerprint,
+                                     uint64_t pre_count, uint64_t fingerprint,
                                      const IncrementalOptions& opts,
                                      std::string* error) {
   ServedBatch out;
@@ -17,7 +17,7 @@ std::optional<ServedBatch> ServeStep(ServingStore& store,
   // store's meta.
   out.count = out.diff.used_full_path
                   ? out.diff.full_post_count
-                  : count + out.diff.added.size() - out.diff.removed.size();
+                  : pre_count + out.diff.added.size() - out.diff.removed.size();
   store.SetViolationCount(out.count, fingerprint, &out.persist_error);
   out.verdict = ClassifyDelta(out.diff, out.count);
   return out;

@@ -118,17 +118,17 @@ struct ServedBatch {
 
 /// The one serving step every front end runs (the changefeed server's
 /// /ingest and gfdtool's `detect --log --delta` / `serve append`):
-/// store.AppendAndDiff, then the running violation count -- `count` is
-/// the count before the batch -- re-seeded from the authoritative
-/// post-batch count after a full-path batch and composed
-/// (count + |added| - |removed|) otherwise, then SetViolationCount under
-/// `fingerprint`, then the verdict. Returns nullopt (with *error set)
-/// when the store rejected the batch; nothing was logged then. Callers
-/// materialize, publish and compact after it returns, in that order.
+/// store.AppendAndDiff, then the running violation count -- re-seeded
+/// from the authoritative post-batch count after a full-path batch,
+/// composed (pre_count + |added| - |removed|) otherwise -- then
+/// SetViolationCount under `fingerprint`, then the verdict. Returns
+/// nullopt (with *error set) when the store rejected the batch; nothing
+/// was logged then. Callers materialize, publish and compact after it
+/// returns, in that order.
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,
-                                     uint64_t count, uint64_t fingerprint,
+                                     uint64_t pre_count, uint64_t fingerprint,
                                      const IncrementalOptions& opts = {},
                                      std::string* error = nullptr);
 

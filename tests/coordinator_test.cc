@@ -182,8 +182,8 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   // Runs the step from a fresh live view of `g`, anchored at `seeds`.
   auto step = [&](std::span<const NodeId> seeds) {
     auto live = *GraphView::Apply(g, GraphDelta{});
-    auto sides = engine.DetectStep(
-        live, fp, seeds, [&] { return live.AbsorbAppended(d, 0); });
+    auto apply = [&] { return live.AbsorbAppended(d, 0); };
+    auto sides = engine.DetectStep(live, fp, seeds, apply);
     EXPECT_TRUE(sides.has_value());
     return StepDiff(*sides);
   };

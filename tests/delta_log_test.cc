@@ -559,12 +559,8 @@ TEST(GraphStore, AppendAndDiffGatesGroupsByTheBatchAlone) {
   ASSERT_TRUE(store.has_value());
   ViolationEngine engine({FilmRule(store->base())});
 
-  for (const char* batch :
-       {"A\tProducer0\ttype=impostor\n", "A\tProducer0\ttype=producer\n"}) {
-    auto diff = store->AppendAndDiff(engine, batch);
-    ASSERT_TRUE(diff.has_value());
-    EXPECT_EQ(diff->stats.groups_scanned, 1u) << batch;
-  }
+  ASSERT_TRUE(store->Append("A\tProducer0\ttype=impostor\n").has_value());
+  ASSERT_TRUE(store->Append("A\tProducer0\ttype=producer\n").has_value());
   const char* city_batch =
       "A\tParis\tname=paris2\n"
       "E+\tParis\tLyon\tnear\n";

@@ -99,8 +99,7 @@ TEST(DetectPlanner, SeededRuleCrossesAtTheConfiguredFraction) {
   DetectPlanner planner;  // adaptive, uncalibrated
   ASSERT_FALSE(planner.calibrated());
   PlannerInputs in = SyntheticInputs();
-  in.batch_ops =
-      static_cast<size_t>(kIncrementalCrossoverFraction * 1000) - 1;
+  in.batch_ops = static_cast<size_t>(kIncrementalCrossoverFraction * 1000) - 1;
   EXPECT_EQ(planner.Plan(in), DetectPath::kIncremental);
   in.batch_ops = static_cast<size_t>(kIncrementalCrossoverFraction * 1000);
   EXPECT_EQ(planner.Plan(in), DetectPath::kFull);
