@@ -367,13 +367,13 @@ DetectionResult ViolationEngine::DetectSharded(const PropertyGraph& g,
 template <typename GraphT>
 std::vector<Violation> ViolationEngine::RunAnchored(
     const GraphT& g, std::span<const size_t> scan,
-    std::span<const NodeId> affected, const std::vector<bool>& is_affected,
+    std::span<const NodeId> seeds, const std::vector<bool>& is_anchor,
     size_t workers, RunState& st) const {
   // One side of the diff. For every group, every variable u, and every
-  // affected node a, enumerate the matches with h(u) = a. A match binding
-  // several affected nodes is attributed to its minimum such variable, so
-  // it is evaluated exactly once regardless of execution order -- which
-  // also makes the output independent of the worker count.
+  // seed a, enumerate the matches with h(u) = a. A match binding several
+  // anchors is attributed to its minimum such variable, so it is
+  // evaluated exactly once regardless of execution order -- which also
+  // makes the output independent of the worker count.
   auto eval_anchor = [&](const Group& group, VarId u, NodeId a,
                          std::vector<Violation>& out) {
     st.pivots.fetch_add(1, std::memory_order_relaxed);
@@ -382,7 +382,7 @@ std::vector<Violation> ViolationEngine::RunAnchored(
         g, a,
         [&](const Match& match) {
           for (VarId w = 0; w < u; ++w) {
-            if (is_affected[match[w]]) return true;  // attributed to w
+            if (is_anchor[match[w]]) return true;  // attributed to w
           }
           st.matches.fetch_add(1, std::memory_order_relaxed);
           NodeId pivot_node = match[rep.pivot()];
@@ -412,22 +412,22 @@ std::vector<Violation> ViolationEngine::RunAnchored(
     for (size_t gi : scan) {
       const Group& group = groups_[gi];
       for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
-        for (NodeId a : affected) eval_anchor(group, u, a, out);
+        for (NodeId a : seeds) eval_anchor(group, u, a, out);
       }
     }
   } else {
     ThreadPool pool(workers);
     std::vector<std::vector<Violation>> buffers(workers);
-    size_t chunk = (affected.size() + workers - 1) / workers;
-    for (size_t w = 0; w < workers && w * chunk < affected.size(); ++w) {
+    size_t chunk = (seeds.size() + workers - 1) / workers;
+    for (size_t w = 0; w < workers && w * chunk < seeds.size(); ++w) {
       size_t lo = w * chunk;
-      size_t hi = std::min(affected.size(), lo + chunk);
+      size_t hi = std::min(seeds.size(), lo + chunk);
       pool.Submit([&, lo, hi, w] {
         for (size_t gi : scan) {
           const Group& group = groups_[gi];
           for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
             for (size_t i = lo; i < hi; ++i) {
-              eval_anchor(group, u, affected[i], buffers[w]);
+              eval_anchor(group, u, seeds[i], buffers[w]);
             }
           }
         }
@@ -443,19 +443,26 @@ std::vector<Violation> ViolationEngine::RunAnchored(
   return out;
 }
 
-BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops) {
+BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
+                                  const GraphView& pre) {
   BatchFootprint fp;
   for (const GraphDelta::Op& op : ops) {
-    fp.affected.push_back(op.src);
     if (op.kind == GraphDelta::OpKind::kSetAttr) {
+      fp.anchors.push_back(op.src);
       fp.keys.push_back(op.key);
-    } else {
-      fp.affected.push_back(op.dst);
-      fp.rewired.push_back(op.src);
-      fp.rewired.push_back(op.dst);
+      continue;
     }
+    // Every match the op creates or destroys binds both endpoints, so
+    // one suffices: the lower-degree one, which fewer matches go through.
+    const size_t src_degree = pre.Degree(op.src);
+    const size_t dst_degree = pre.Degree(op.dst);
+    const bool src_lower = src_degree != dst_degree ? src_degree < dst_degree
+                                                    : op.src < op.dst;
+    fp.anchors.push_back(src_lower ? op.src : op.dst);
+    fp.rewired.push_back(op.src);
+    fp.rewired.push_back(op.dst);
   }
-  SortUnique(fp.affected);
+  SortUnique(fp.anchors);
   SortUnique(fp.rewired);
   SortUnique(fp.keys);
   return fp;
@@ -468,7 +475,7 @@ IncrementalDiff ViolationEngine::DetectIncremental(
   // the overlay wrote are the touched keys.
   BatchFootprint fp;
   const auto affected = view.AffectedNodes();
-  fp.affected.assign(affected.begin(), affected.end());
+  fp.anchors.assign(affected.begin(), affected.end());
   for (NodeId v : affected) {
     if (view.AdjacencyChanged(v)) fp.rewired.push_back(v);
     for (const Attribute& a : view.OverlayAttrs(v)) fp.keys.push_back(a.key);
@@ -478,7 +485,7 @@ IncrementalDiff ViolationEngine::DetectIncremental(
   // edges, so every destroyed match is enumerable there. Both sides
   // already exist, so there is nothing to apply between them.
   const auto no_op = [] { return true; };
-  auto sides = AnchoredSides(view.base(), view, fp, fp.affected, no_op, opts);
+  auto sides = AnchoredSides(view.base(), view, fp, fp.anchors, no_op, opts);
   return StepDiff(*sides);
 }
 
@@ -533,7 +540,8 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   // batch (a) rewired adjacency at a node whose label one of its
   // variables can bind -- every created/destroyed match contains both
   // endpoints of the changed edge -- or (b) wrote an attr key its
-  // literals read at such a node. The batch alone decides: the two sides
+  // literals read at such a node (every attr target is an anchor, so
+  // (b) reads the anchors). The batch alone decides: the two sides
   // differ by exactly its ops, and both sides enumerate the same `scan`,
   // so a skipped group's (identical) lists would cancel. Node labels are
   // delta-invariant base ids; rule labels / attr keys beyond the base
@@ -543,7 +551,7 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   std::vector<bool> edge_label(base.labels().size(), false);
   std::vector<bool> attr_label(base.labels().size(), false);
   for (NodeId v : batch.rewired) edge_label[base.NodeLabel(v)] = true;
-  for (NodeId v : batch.affected) attr_label[base.NodeLabel(v)] = true;
+  for (NodeId v : batch.anchors) attr_label[base.NodeLabel(v)] = true;
   auto keys_touched = [&](std::span<const AttrId> keys) {
     size_t i = 0;
     size_t j = 0;
@@ -577,12 +585,12 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   DetectGroupsScanned().Inc(sides.stats.groups_scanned);
   DetectGroupsSkipped().Inc(sides.stats.groups_skipped);
 
-  // Attribution sees every affected node, not just the seeds: a match is
-  // evaluated at its minimum affected variable or nowhere in this call,
+  // Attribution sees every anchor, not just the seeds: a match is
+  // evaluated at its minimum anchored variable or nowhere in this call,
   // never re-attributed to a seed -- that is what makes per-fragment
   // step diffs disjoint.
-  std::vector<bool> is_affected(base.NumNodes(), false);
-  for (NodeId v : batch.affected) is_affected[v] = true;
+  std::vector<bool> is_anchor(base.NumNodes(), false);
+  for (NodeId v : batch.anchors) is_anchor[v] = true;
 
   DetectOptions uncapped;
   uncapped.match = opts.match;
@@ -590,11 +598,11 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   const size_t workers = std::max<size_t>(1, opts.workers);
   // Timed per side: `between` is a durable append on the serving path.
   StopwatchNs watch;
-  sides.before = RunAnchored(before, scan, seeds, is_affected, workers, st);
+  sides.before = RunAnchored(before, scan, seeds, is_anchor, workers, st);
   sides.detect_ns = watch.ElapsedNs();
   if (!between()) return std::nullopt;
   watch.Restart();
-  sides.after = RunAnchored(after, scan, seeds, is_affected, workers, st);
+  sides.after = RunAnchored(after, scan, seeds, is_anchor, workers, st);
   sides.detect_ns += watch.ElapsedNs();
   const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
   DetectIncrementalLatency().Observe(detect_s);

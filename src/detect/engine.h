@@ -120,16 +120,22 @@ struct IncrementalDiff {
   uint64_t full_post_count = 0;  ///< |after.violations|; only if full path
 };
 
-/// What one update batch touches, read off its ops alone (node, label and
-/// attribute ids in the space of the graph the batch applies to). A step
-/// diff anchors at `affected`; the footprint gate reads all three lists.
+/// What one update batch touches, read off its ops and the live view
+/// `pre` just before it (node, label and attribute ids in that view's
+/// space). A step diff seeds and attributes at `anchors`: every attribute
+/// target, and ONE endpoint per edge op -- the one with the smaller
+/// degree in `pre`, ties to the smaller node id -- so a batch touching a
+/// hub no longer enumerates every match through it. The footprint gate
+/// reads `rewired` for its edge clause and `anchors` (which hold every
+/// attribute target) for its attribute clause.
 struct BatchFootprint {
-  std::vector<NodeId> affected;  ///< edge endpoints + attr targets
-  std::vector<NodeId> rewired;   ///< edge endpoints
-  std::vector<AttrId> keys;      ///< attribute keys set
+  std::vector<NodeId> anchors;  ///< attr targets + one endpoint per edge op
+  std::vector<NodeId> rewired;  ///< both endpoints of every edge op
+  std::vector<AttrId> keys;     ///< attribute keys set
   // All three sorted ascending and unique.
 
-  static BatchFootprint Of(std::span<const GraphDelta::Op> ops);
+  static BatchFootprint Of(std::span<const GraphDelta::Op> ops,
+                           const GraphView& pre);
 };
 
 /// The two anchored sides of one step diff, each sorted per Violation
@@ -198,7 +204,9 @@ class ViolationEngine {
   /// two sides is provably identical to diffing two full Detect runs:
   /// matches not touching the delta evaluate identically on both sides
   /// and cancel -- for ANY two graphs that differ only at the affected
-  /// set, which is what DetectStep builds on.
+  /// set, which is what DetectStep builds on. The view carries no op
+  /// list, so this one-shot run anchors at view.AffectedNodes(), both
+  /// endpoints of every changed edge.
   IncrementalDiff DetectIncremental(const GraphView& view,
                                     const IncrementalOptions& opts = {}) const;
 
@@ -209,11 +217,18 @@ class ViolationEngine {
   /// calls `apply`, runs it again; both sides share one footprint-gated
   /// group list, so the cost tracks the batch, never the overlay behind
   /// it. Enumeration is seeded from `seeds` (a sorted subset of
-  /// batch.affected) while attribution sees all of batch.affected, so a
-  /// match is evaluated exactly once, where its minimum-variable affected
-  /// node is a seed: a single store passes batch.affected, a coordinator
-  /// fragment the affected nodes it owns, and the fragments' diffs
-  /// partition the store-wide one.
+  /// batch.anchors) while attribution sees all of batch.anchors, so a
+  /// match is evaluated exactly once, where its minimum-variable anchor
+  /// is a seed: a single store passes batch.anchors, a coordinator
+  /// fragment the anchors it owns, and the fragments' diffs partition
+  /// the store-wide one.
+  ///
+  /// One endpoint per edge op suffices for exactness. A match whose
+  /// violation status differs between the sides either contains a
+  /// changed edge -- and so binds both its endpoints, the anchored one
+  /// included -- or binds a node whose attribute was written, which is
+  /// an anchor too. Every other match exists on both sides with
+  /// identical attribute reads, so it cancels in the set difference.
   std::optional<StepSides> DetectStep(
       const GraphView& live, const BatchFootprint& batch,
       std::span<const NodeId> seeds, const std::function<bool()>& apply,
@@ -278,15 +293,15 @@ class ViolationEngine {
                  std::vector<Violation>& out) const;
 
   // One side of an incremental run: enumerates every match of every
-  // group in `scan` (indices into groups_) that binds an affected node
-  // at some variable (each exactly once) and returns the violations
-  // among them, sorted. Both sides of a diff must pass the SAME `scan`
-  // -- the skip gate's cancellation argument needs it.
+  // group in `scan` (indices into groups_) that binds one of `seeds` at
+  // its minimum anchored variable (each exactly once) and returns the
+  // violations among them, sorted. Both sides of a diff must pass the
+  // SAME `scan` -- the skip gate's cancellation argument needs it.
   template <typename GraphT>
   std::vector<Violation> RunAnchored(const GraphT& g,
                                      std::span<const size_t> scan,
-                                     std::span<const NodeId> affected,
-                                     const std::vector<bool>& is_affected,
+                                     std::span<const NodeId> seeds,
+                                     const std::vector<bool>& is_anchor,
                                      size_t workers, RunState& st) const;
 
   // Common body of DetectIncremental and DetectStep: gates the groups by

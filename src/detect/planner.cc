@@ -7,9 +7,11 @@
 namespace gfd {
 
 double IncrementalWork(const PlannerInputs& in) {
-  // Every anchor plan is seeded from the batch's nodes -- at most two
-  // endpoints per op, at the mean degree 2|E|/|V| -- and walks their
-  // adjacency; +1 keeps the measure positive for empty batches.
+  // Every anchor plan is seeded from the batch's anchors -- one node per
+  // op, the lower-degree endpoint of an edge op -- and walks their
+  // adjacency. The measure charges two nodes per op at the mean degree
+  // 2|E|/|V|: a constant factor, which calibration absorbs and the
+  // seeded rule never reads. +1 keeps it positive for empty batches.
   const uint64_t avg_degree =
       in.graph_nodes == 0 ? 0 : (2 * in.graph_edges) / in.graph_nodes;
   const double per_plan =

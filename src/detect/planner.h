@@ -71,7 +71,7 @@ struct PlannerStats {
 
 /// Work-unit measures the calibrated comparison scales its per-unit
 /// costs by: the incremental path seeds every anchor plan from the
-/// batch's nodes and walks their adjacency; a full run scans the graph
+/// batch's anchors and walks their adjacency; a full run scans the graph
 /// once per pattern group. Both are >= 1 so observed seconds always
 /// divide.
 double IncrementalWork(const PlannerInputs& in);

@@ -30,8 +30,11 @@ struct TraceField {
   uint64_t value;
 };
 
-/// Append-only JSON-lines trace sink. Each event is one line:
-///   {"ts_ns":123,"stage":"append","dur_ns":4567,"seq":3,"fragment":1}
+/// Append-only JSON-lines trace sink. Each event is one line, e.g. this
+/// per-fragment detect span (wrapped here), whose anchors and matches
+/// say where the enumeration work went:
+///   {"ts_ns":123,"stage":"detect","dur_ns":4567,"seq":3,"fragment":1,
+///    "anchors":9,"matches":812}
 /// ts_ns is monotonic nanoseconds since process start (steady clock);
 /// dur_ns is present only for span events. Emit() is mutex-guarded and
 /// flushes per line so a crash loses at most the in-flight event.

@@ -29,8 +29,9 @@ struct Partition {
   /// enumerable from the fragment's local view.
   uint32_t halo_radius = 0;
 
-  /// Owner fragment per node: fragment of the node's first incident edge
-  /// under the greedy edge placement; isolated nodes are hashed.
+  /// Owner fragment per node: the lowest-numbered fragment that hosts
+  /// any of its incident edges under the greedy edge placement; isolated
+  /// nodes are hashed.
   std::vector<uint32_t> node_owner;
 
   /// Per fragment: sorted resident non-owned nodes (the shipped border

@@ -72,8 +72,8 @@ std::string MetaContent(const Partition& p, uint64_t owners_seq,
   out << "replication " << p.replication << '\n';
   if (count) out << MetaCountLine(*count);
   // Ownership is part of the coordinator's identity: recomputing it from
-  // an evolved graph would silently re-partition the affected-node
-  // attribution, so it is persisted verbatim.
+  // an evolved graph would silently re-partition the anchor attribution,
+  // so it is persisted verbatim.
   out << "owners";
   for (uint32_t o : p.node_owner) out << ' ' << o;
   out << '\n';
@@ -629,12 +629,12 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     }
   }
 
-  // Per-fragment anchor seeds: the batch's affected nodes it owns.
-  // Bucketing a sorted list by owner keeps each bucket sorted.
+  // Per-fragment anchor seeds: the batch's anchors it owns. Bucketing a
+  // sorted list by owner keeps each bucket sorted.
   std::vector<std::vector<NodeId>> seeds(n);
   if (diff_ctx) {
     std::span<const uint32_t> owner = index_->partition().node_owner;
-    for (NodeId v : plan.footprint.affected) seeds[owner[v]].push_back(v);
+    for (NodeId v : plan.footprint.anchors) seeds[owner[v]].push_back(v);
     diff_ctx->parts.resize(n);
   }
 
@@ -665,7 +665,11 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
         *diff_ctx->opts);
     if (!sides) return;
     if (obs::TraceLog* trace = obs::ActiveTrace()) {
-      trace->Emit("detect", {{"seq", seq}, {"fragment", f}},
+      trace->Emit("detect",
+                  {{"seq", seq},
+                   {"fragment", f},
+                   {"anchors", seeds[f].size()},
+                   {"matches", sides->stats.matches_seen}},
                   static_cast<int64_t>(sides->detect_ns));
     }
     diff_ctx->parts[f] = StepDiff(*sides);

@@ -44,10 +44,11 @@
 //
 // Work partitioning follows data partitioning: fragment f runs the
 // engine's DetectStep on its partition+halo view around its sub-batch,
-// seeded from the batch's affected nodes it owns -- never from its local
-// view's changes, which include halo-maintenance endpoints. Attribution
-// is a stateless function of the match and the batch's affected set, so
-// the per-fragment step diffs partition the global one and the master
+// seeded from the batch's anchors it owns (BatchFootprint, picked on the
+// master's pre-batch global view) -- never from its local view's
+// changes, which include halo-maintenance endpoints. Attribution is a
+// stateless function of the match and the batch's anchor set, so the
+// per-fragment step diffs partition the global one and the master
 // merges them with a plain sorted merge.
 //
 // Sequence-ordering invariant. Every fragment applies every global
@@ -179,7 +180,7 @@ class Coordinator final : public ServingStore {
   /// The distributed serving step: Append plus the violation diff
   /// induced by exactly this batch. Each fragment runs DetectStep around
   /// its sub-batch on its partition+halo view, seeded from the batch's
-  /// affected nodes it owns; the master merges the per-fragment added
+  /// anchors it owns; the master merges the per-fragment added
   /// and removed lists (ownership attribution makes them disjoint), which
   /// equals single-node GraphStore AppendAndDiff record for record.
   /// Errors out (before any shipping) when the engine's MaxPatternRadius

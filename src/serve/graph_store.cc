@@ -478,25 +478,28 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     return diff;
   }
 
-  // The step diff anchors at what this batch touches, read off the batch
-  // in the live view's id space; Append then absorbs it into the same
-  // view object the after side reads.
+  // The step diff anchors at what this batch touches: its ops in the
+  // live view's id space, and that view's pre-batch degrees to pick each
+  // edge op's endpoint. Append then absorbs the batch into the same view
+  // object the after side reads.
   auto batch = ParseBatch(delta_tsv, error);
   if (!batch) return std::nullopt;
-  const BatchFootprint fp = BatchFootprint::Of(batch->ops);
+  const BatchFootprint fp = BatchFootprint::Of(batch->ops, *view_);
   auto append = [&] {
     seq = Append(delta_tsv, error);
     return seq.has_value();
   };
   WallTimer watch;
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  auto sides = engine.DetectStep(*view_, fp, fp.affected, append, opts);
+  auto sides = engine.DetectStep(*view_, fp, fp.anchors, append, opts);
   if (!sides) {
     detect_timer.Discard();
     return std::nullopt;
   }
   if (seq_out) *seq_out = *seq;
   detect_timer.AddField("seq", *seq);
+  detect_timer.AddField("anchors", fp.anchors.size());
+  detect_timer.AddField("matches", sides->stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
   IncrementalDiff diff = StepDiff(*sides);

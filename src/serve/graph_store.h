@@ -165,7 +165,8 @@ class GraphStore final : public ServingStore {
   /// One serving step: appends `delta_tsv` and returns the violation diff
   /// of exactly this batch. ViolationEngine::DetectStep runs on the live
   /// view just before and just after the append, anchored at the batch's
-  /// own nodes, so the cost tracks the batch, not the overlay; the
+  /// attribute targets and the lower-degree endpoint of each edge op, so
+  /// the cost tracks the batch, not the overlay or a hub it touches; the
   /// planner's full path diffs two full Detect runs instead.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,

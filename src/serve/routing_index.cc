@@ -89,7 +89,9 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanBatch(
 
   plan.new_resident =
       ComputeResidency(ViewAdjacency(*plan.new_view), partition_);
-  plan.footprint = BatchFootprint::Of(batch_tail.ops);
+  // Anchored by the pre-batch global degrees, so every backend serving
+  // this stream picks the same anchors.
+  plan.footprint = BatchFootprint::Of(batch_tail.ops, *view_);
   plan.candidate = std::move(candidate);
   BuildPayloads(batch_tail, &plan);
   return plan;

@@ -77,10 +77,11 @@ class RoutingIndex {
     std::vector<uint64_t> halo_bytes;   ///< maintenance + refresh
     std::vector<size_t> routed_ops;     ///< routed op count per fragment
     std::vector<size_t> halo_ops;       ///< maintenance op count per fragment
-    /// What this plan's batch touches, in global ids (empty for a
-    /// rebalance: the graph is unchanged). Its affected nodes -- not any
-    /// fragment-local affected set, which also contains maintenance
-    /// endpoints -- seed and attribute the fragments' step diffs.
+    /// What this plan's batch touches, in global ids, anchored on the
+    /// pre-batch global view (empty for a rebalance: the graph is
+    /// unchanged). Its anchors -- not any fragment-local affected set,
+    /// which also contains maintenance endpoints -- seed and attribute
+    /// the fragments' step diffs.
     BatchFootprint footprint;
 
     // Candidate state, adopted by Commit.

@@ -35,12 +35,16 @@
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
 #include "serve/serving_store.h"
+#include "testlib.h"
 #include "util/rng.h"
 
 namespace gfd {
 namespace {
 
 namespace fs = std::filesystem;
+using gfd::testing::BuildHubStar;
+using gfd::testing::kLeafFollowsHub;
+using gfd::testing::SameTeamRule;
 
 // Fresh per-test scratch directory under gtest's temp root.
 std::string Scratch(const std::string& name) {
@@ -164,7 +168,8 @@ void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
 
 // One step over the whole graph, seeded per owner: the owners' step
 // diffs must partition the store-wide step diff, which in turn equals
-// the one-shot base-vs-view diff of the same batch.
+// the one-shot base-vs-view diff of the same batch (anchored at both
+// endpoints of every changed edge, where the step anchors at one).
 TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   auto g = MakeSynthetic({.nodes = 200,
                           .edges = 600,
@@ -178,7 +183,8 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   ViolationEngine engine(rules);
   Rng rng(99);
   GraphDelta d = RandomBatch(g, rng, 40);
-  const BatchFootprint fp = BatchFootprint::Of(d.ops);
+  const BatchFootprint fp =
+      BatchFootprint::Of(d.ops, *GraphView::Apply(g, GraphDelta{}));
   // Runs the step from a fresh live view of `g`, anchored at `seeds`.
   auto step = [&](std::span<const NodeId> seeds) {
     auto live = *GraphView::Apply(g, GraphDelta{});
@@ -187,7 +193,7 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
     EXPECT_TRUE(sides.has_value());
     return StepDiff(*sides);
   };
-  auto full = step(fp.affected);
+  auto full = step(fp.anchors);
   auto oneshot = engine.DetectIncremental(*GraphView::Apply(g, d));
   EXPECT_EQ(full.added, oneshot.added);
   EXPECT_EQ(full.removed, oneshot.removed);
@@ -198,7 +204,7 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
     size_t owned_total = 0;
     for (uint32_t f = 0; f < n; ++f) {
       std::vector<NodeId> seeds;
-      for (NodeId v : fp.affected) {
+      for (NodeId v : fp.anchors) {
         if (frag.partition.node_owner[v] == f) seeds.push_back(v);
       }
       auto part = step(seeds);
@@ -294,6 +300,60 @@ TEST(Coordinator, AppendKeepsFragmentsInLockstepAndResident) {
   for (size_t f = 0; f < coord->num_fragments(); ++f) {
     EXPECT_EQ(coord->fragment(f).last_seq(), 3u);
   }
+}
+
+// Sums one numeric field over the trace's "detect" spans.
+uint64_t SumDetectField(const std::string& text, const std::string& key) {
+  uint64_t sum = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"stage\":\"detect\"") == std::string::npos) continue;
+    const size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) continue;
+    sum += std::stoull(line.substr(at + key.size() + 3));
+  }
+  return sum;
+}
+
+// The coordinator picks the same lower-degree anchor as the single store:
+// one edge into a hub from a degree-1 node diffs exactly like two full
+// Detect runs and enumerates on the order of the hub's degree D, not the
+// ~D^2 follower pairs a hub seed would. The per-fragment detect spans
+// say where that work went.
+TEST(Coordinator, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
+  constexpr size_t kDegree = 120;
+  const PropertyGraph g = BuildHubStar(kDegree);
+  ASSERT_EQ(g.Degree(0), kDegree);
+  std::string dir = Scratch("coord_hub_edge");
+  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
+  auto coord = Coordinator::Open(dir);
+  ASSERT_TRUE(coord.has_value());
+  ViolationEngine engine({SameTeamRule(g)});
+
+  std::optional<IncrementalDiff> diff;
+  std::string error;
+  std::string trace_text;
+  {
+    ScopedTestTrace trace("coord_hub_edge_trace");
+    diff = coord->AppendAndDiff(engine, kLeafFollowsHub, {}, nullptr, &error);
+    trace_text = trace.Text();
+  }
+  ASSERT_TRUE(diff.has_value()) << error;
+  auto old_run = engine.Detect(g);
+  auto new_run = engine.Detect(coord->MaterializeCurrent());
+  std::vector<Violation> want_added, want_removed;
+  std::set_difference(new_run.violations.begin(), new_run.violations.end(),
+                      old_run.violations.begin(), old_run.violations.end(),
+                      std::back_inserter(want_added));
+  std::set_difference(old_run.violations.begin(), old_run.violations.end(),
+                      new_run.violations.begin(), new_run.violations.end(),
+                      std::back_inserter(want_removed));
+  EXPECT_EQ(diff->added, want_added);
+  EXPECT_EQ(diff->removed, want_removed);
+  EXPECT_EQ(diff->added.size(), 2 * kDegree);  // Leaf vs. every follower
+  EXPECT_LT(diff->stats.matches_seen, 8 * kDegree);
+  EXPECT_EQ(SumDetectField(trace_text, "anchors"), 1u);  // Leaf alone
+  EXPECT_EQ(SumDetectField(trace_text, "matches"), diff->stats.matches_seen);
 }
 
 TEST(Coordinator, PartitionedFootprintIsReplicationTimesGNotNTimesG) {

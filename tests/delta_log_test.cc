@@ -18,11 +18,15 @@
 #include "serve/delta_log.h"
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
+#include "testlib.h"
 
 namespace gfd {
 namespace {
 
 namespace fs = std::filesystem;
+using gfd::testing::BuildHubStar;
+using gfd::testing::kLeafFollowsHub;
+using gfd::testing::SameTeamRule;
 
 // Fresh per-test scratch directory under gtest's temp root.
 std::string Scratch(const std::string& name) {
@@ -570,6 +574,39 @@ TEST(GraphStore, AppendAndDiffGatesGroupsByTheBatchAlone) {
   EXPECT_EQ(diff->stats.groups_skipped, 1u);
   EXPECT_TRUE(diff->added.empty());
   EXPECT_TRUE(diff->removed.empty());
+}
+
+// An edge op anchors at its lower-degree endpoint: a batch inserting one
+// edge into a hub from a degree-1 node must still diff exactly like two
+// full Detect runs, while enumerating on the order of the hub's degree D
+// -- seeding the hub would enumerate every pair of its followers, ~D^2.
+TEST(GraphStore, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
+  constexpr size_t kDegree = 120;
+  std::string dir = Scratch("store_hub_edge");
+  const PropertyGraph g = BuildHubStar(kDegree);
+  ASSERT_EQ(g.Degree(0), kDegree);
+  ASSERT_TRUE(GraphStore::Init(dir, g));
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  ViolationEngine engine({SameTeamRule(store->base())});
+
+  std::string error;
+  auto diff = store->AppendAndDiff(engine, kLeafFollowsHub, {}, nullptr,
+                                   &error);
+  ASSERT_TRUE(diff.has_value()) << error;
+  auto old_run = engine.Detect(g);
+  auto new_run = engine.Detect(store->MaterializeCurrent());
+  std::vector<Violation> want_added, want_removed;
+  std::set_difference(new_run.violations.begin(), new_run.violations.end(),
+                      old_run.violations.begin(), old_run.violations.end(),
+                      std::back_inserter(want_added));
+  std::set_difference(old_run.violations.begin(), old_run.violations.end(),
+                      new_run.violations.begin(), new_run.violations.end(),
+                      std::back_inserter(want_removed));
+  EXPECT_EQ(diff->added, want_added);
+  EXPECT_EQ(diff->removed, want_removed);
+  EXPECT_EQ(diff->added.size(), 2 * kDegree);  // Leaf vs. every follower
+  EXPECT_LT(diff->stats.matches_seen, 8 * kDegree);
 }
 
 // --- Running violation count (store.meta) ----------------------------------

@@ -12,10 +12,13 @@
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "graph/graph_view.h"
+#include "testlib.h"
 #include "util/rng.h"
 
 namespace gfd {
 namespace {
+
+using gfd::testing::BuildHubStar;
 
 // person x0 -create-> product x1, x1.type='film' -> x0.type='producer'
 // over a tiny world with one proper producer and one clean musician.
@@ -360,6 +363,24 @@ TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
   ViolationEngine moved = std::move(engines[0]);
   auto moved_diff = moved.DetectIncremental(view);
   EXPECT_EQ(moved_diff.added, before.added);
+}
+
+// A step anchors every attribute target and one endpoint per edge op:
+// the lower-degree one in the pre-batch view, ties to the smaller id.
+TEST(BatchFootprint, AnchorsEachEdgeOpAtItsLowerDegreeEndpoint) {
+  const PropertyGraph g = BuildHubStar(3);  // Hub 0, fans 1-3, Leaf 4
+  const LabelId follows = *g.FindLabel("follows");
+  const AttrId team = *g.FindAttr("team");
+  GraphDelta d;
+  d.InsertEdge(4, 0, follows);  // Leaf (degree 1) -> Hub (degree 3)
+  d.InsertEdge(3, 1, follows);  // two fans of degree 1: the tie goes to 1
+  d.DeleteEdge(2, 0, follows);  // fan (degree 1) -> Hub
+  d.SetAttr(0, team, *g.FindValue("red"));  // the hub itself
+  const BatchFootprint fp =
+      BatchFootprint::Of(d.ops, *GraphView::Apply(g, GraphDelta{}));
+  EXPECT_EQ(fp.anchors, (std::vector<NodeId>{0, 1, 2, 4}));
+  EXPECT_EQ(fp.rewired, (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(fp.keys, (std::vector<AttrId>{team}));
 }
 
 }  // namespace

@@ -48,36 +48,66 @@ std::string DeltaBytes(const PropertyGraph& base, const GraphDelta& d) {
 
 // Random update batch over the *current* state `g` (same shape as the
 // coordinator oracle's): inserts with label-plausible endpoints, deletes
-// of existing edges, attribute sets.
+// of existing edges, attribute sets. Each batch ends with the shapes the
+// one-endpoint anchoring of edge ops must get right: an attribute set on
+// the higher-degree endpoint of an edge op (the endpoint the op does not
+// anchor), a delete and re-insert of one edge, and a duplicate insert of
+// an existing edge followed by a delete of one copy.
 GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops,
                        double delete_bias = 0.3) {
   GraphDelta d;
   std::vector<bool> gone(g.NumEdges(), false);
+  auto random_node = [&] {
+    return static_cast<NodeId>(rng.Below(g.NumNodes()));
+  };
+  auto random_edge = [&] {
+    return static_cast<EdgeId>(rng.Below(g.NumEdges()));
+  };
+  auto set_attr = [&](NodeId v) {
+    auto attrs = g.NodeAttrs(v);
+    AttrId key = attrs.empty() ? d.InternAttr(g, "patched_key")
+                               : attrs[rng.Below(attrs.size())].key;
+    ValueId val =
+        rng.Chance(0.2)
+            ? d.InternValue(g, "patched_" + std::to_string(rng.Below(4)))
+            : static_cast<ValueId>(rng.Below(g.values().size()));
+    d.SetAttr(v, key, val);
+  };
   for (size_t i = 0; i < ops; ++i) {
     double roll = rng.NextDouble();
     if (roll < 0.4 && g.NumEdges() > 0) {
-      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
-      NodeId src = rng.Chance(0.5)
-                       ? g.EdgeSrc(e)
-                       : static_cast<NodeId>(rng.Below(g.NumNodes()));
-      NodeId dst = static_cast<NodeId>(rng.Below(g.NumNodes()));
-      d.InsertEdge(src, dst, g.EdgeLabel(e));
+      EdgeId e = random_edge();
+      NodeId src = rng.Chance(0.5) ? g.EdgeSrc(e) : random_node();
+      d.InsertEdge(src, random_node(), g.EdgeLabel(e));
     } else if (roll < 0.4 + delete_bias && g.NumEdges() > 0) {
-      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
+      EdgeId e = random_edge();
       if (gone[e]) continue;  // at most one delete per base edge
       gone[e] = true;
       d.DeleteEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
     } else {
-      NodeId v = static_cast<NodeId>(rng.Below(g.NumNodes()));
-      auto attrs = g.NodeAttrs(v);
-      AttrId key = attrs.empty()
-                       ? d.InternAttr(g, "patched_key")
-                       : attrs[rng.Below(attrs.size())].key;
-      ValueId val =
-          rng.Chance(0.2)
-              ? d.InternValue(g, "patched_" + std::to_string(rng.Below(4)))
-              : static_cast<ValueId>(rng.Below(g.values().size()));
-      d.SetAttr(v, key, val);
+      set_attr(random_node());
+    }
+  }
+  if (g.NumEdges() == 0) return d;
+
+  EdgeId e = random_edge();
+  const NodeId src = g.EdgeSrc(e);
+  const NodeId dst = random_node();
+  d.InsertEdge(src, dst, g.EdgeLabel(e));
+  const bool src_higher = g.Degree(src) != g.Degree(dst)
+                              ? g.Degree(src) > g.Degree(dst)
+                              : src > dst;
+  set_attr(src_higher ? src : dst);
+  for (bool reinsert : {true, false}) {
+    e = random_edge();
+    if (gone[e]) continue;
+    gone[e] = true;
+    if (reinsert) {
+      d.DeleteEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
+      d.InsertEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
+    } else {
+      d.InsertEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
+      d.DeleteEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
     }
   }
   return d;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "gfd/gfd.h"
 #include "graph/property_graph.h"
 #include "pattern/pattern.h"
 
@@ -95,6 +96,44 @@ inline Pattern BuildQ3(const PropertyGraph& g) {
   q.AddEdge(y, x, parent);
   q.set_pivot(x);
   return q;
+}
+
+/// A hub of degree `spokes`: node 0, "Hub", followed by `spokes` fans of
+/// team red. One more fan, "Leaf" (team blue), has degree 1: its only
+/// edge likes a club.
+inline PropertyGraph BuildHubStar(size_t spokes) {
+  PropertyGraph::Builder b;
+  NodeId hub = b.AddNode("hub");
+  b.SetName(hub, "Hub");
+  for (size_t i = 0; i < spokes; ++i) {
+    NodeId fan = b.AddNode("fan");
+    b.SetAttr(fan, "team", "red");
+    b.AddEdge(fan, hub, "follows");
+  }
+  NodeId leaf = b.AddNode("fan");
+  b.SetName(leaf, "Leaf");
+  b.SetAttr(leaf, "team", "blue");
+  b.AddEdge(leaf, b.AddNode("club"), "likes");
+  return std::move(b).Build();
+}
+
+/// The batch that makes Leaf follow the hub of BuildHubStar.
+inline constexpr const char* kLeafFollowsHub = "E+\tLeaf\tHub\tfollows\n";
+
+/// Fans following the same hub share a team: x -follows-> z <-follows- y,
+/// pivot x, => x.team = y.team. Two pattern edges into the hub's label,
+/// so a step seeded at the hub enumerates every pair of its followers.
+inline Gfd SameTeamRule(const PropertyGraph& g) {
+  Pattern q;
+  VarId x = q.AddNode(*g.FindLabel("fan"));
+  VarId y = q.AddNode(*g.FindLabel("fan"));
+  VarId z = q.AddNode(*g.FindLabel("hub"));
+  LabelId follows = *g.FindLabel("follows");
+  q.AddEdge(x, z, follows);
+  q.AddEdge(y, z, follows);
+  q.set_pivot(x);
+  AttrId team = *g.FindAttr("team");
+  return Gfd(q, {}, Literal::Vars(x, team, y, team));
 }
 
 }  // namespace gfd::testing
