@@ -2,13 +2,13 @@
 // build next to bench_detect: mines a rule workload from a clean YAGO2-
 // shaped graph at scale 300, corrupts a copy (the serving graph), then
 // replays random update deltas of 0.1% / 1% / 10% of the edge count and
-// times DetectIncremental against a full re-detect over the updated
-// snapshot. For every delta the incremental added/removed records are
-// cross-checked byte-identical to the diff of two full runs; timings land
-// in BENCH_incremental.json. The step_age_* rows then serve one fixed
-// 8-op batch through GraphStore::AppendAndDiff on top of overlays of
-// growing age, to show whether a serving step's work tracks the batch or
-// the overlay.
+// times DetectIncremental (view build, validation and absorb included)
+// against a full re-detect over the updated snapshot. For every delta the
+// incremental added/removed records are cross-checked byte-identical to
+// the diff of two full runs; timings land in BENCH_incremental.json. The
+// step_age_* rows then serve one fixed 8-op batch through
+// GraphStore::AppendAndDiff on top of overlays of growing age, to show
+// whether a serving step's work tracks the batch or the overlay.
 //
 // Usage: bench_incremental [output.json]
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "bench_util.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
-#include "detect/planner.h"
 #include "graph/graph_view.h"
 #include "graph/loader.h"
 #include "pattern/canonical.h"
@@ -190,21 +189,8 @@ int main(int argc, char** argv) {
                   {{"violations", double(full_old.violations.size())}}});
 
   bool verified = true;
-  bool planner_match = true;
   double speedup_smallest = 0;
 
-  // One planner across the whole delta stream, exactly like the serving
-  // loop: the startup full scan seeds the full-path unit cost, each
-  // served batch then feeds back the wall-clock of whichever path was
-  // chosen. By the large deltas the decision is a calibrated cost
-  // comparison, not just the seeded crossover.
-  GraphDelta no_delta;
-  auto pre_view = GraphView::Apply(g0, no_delta);
-  const size_t groups = engine.NumGroups();
-  const size_t plans = engine.NumAnchorPlans();
-  DetectPlanner planner;
-  PlannerInputs startup = MakePlannerInputs(*pre_view, "", groups, plans);
-  planner.ObserveFull(startup, full_old_s);
   const struct {
     double frac;
     const char* tag;
@@ -225,8 +211,9 @@ int main(int argc, char** argv) {
     double full_s = TimedMin(
         kReps, [&] { full_new = engine.Detect(g1, {.workers = 1}); });
     IncrementalDiff inc;
-    double inc_s = TimedMin(
-        kReps, [&] { inc = engine.DetectIncremental(*view, {.workers = 1}); });
+    double inc_s = TimedMin(kReps, [&] {
+      inc = *engine.DetectIncremental(g0, delta, {.workers = 1});
+    });
 
     // Byte-identical diff check against two full runs.
     std::vector<Violation> added, removed;
@@ -268,45 +255,15 @@ int main(int argc, char** argv) {
                     full_s,
                     {{"violations", double(full_new.violations.size())},
                      {"speedup_vs_incremental", speedup}}});
-
-    // What the serving loop's planner picks for this batch, fed through
-    // the same MakePlannerInputs as both serving backends against the
-    // pre-append state. The row's seconds are the measured seconds of
-    // the chosen path, so bench_compare's 25% timing gate fails if the
-    // planner ever picks a path materially slower than the better of
-    // the two pure strategies; planner_optimal applies the same
-    // tolerance (timing near the crossover is noise-dominated --
-    // the two paths cost the same there by definition).
-    std::ostringstream tsv;
-    SaveGraphDeltaTsv(g0, delta, tsv);
-    PlannerInputs pin = MakePlannerInputs(*pre_view, tsv.str(), groups, plans);
-    DetectPath path = planner.Plan(pin);
-    bool chose_full = path == DetectPath::kFull;
-    double planner_s = chose_full ? full_s : inc_s;
-    if (chose_full) {
-      planner.ObserveFull(pin, full_s);
-    } else {
-      planner.ObserveIncremental(pin, inc_s);
-    }
-    planner_match =
-        planner_match && planner_s <= 1.25 * std::min(full_s, inc_s);
-    std::printf("%-28s %8.3fs  chose %s path\n",
-                (std::string("planner_") + tag).c_str(), planner_s,
-                chose_full ? "full" : "incremental");
-    rows.push_back({std::string("planner_") + tag,
-                    planner_s,
-                    {{"planner_full_decision", chose_full ? 1.0 : 0.0},
-                     {"groups_scanned", double(inc.stats.groups_scanned)},
-                     {"groups_skipped", double(inc.stats.groups_skipped)}}});
   }
 
   // Serving-step cost against overlay age: the same 8-op batch served
-  // through GraphStore::AppendAndDiff (forced-incremental planner) on a
-  // store whose overlay holds 0% / 5% / 10% of the base edges in ops.
-  // 10% is the default compaction threshold, so it is the oldest overlay
-  // serving ever sees. Each rep starts from a fresh store (the step
-  // consumes its state); the step diff is cross-checked against two full
-  // Detect runs, and touched_matches shows what the step enumerated.
+  // through GraphStore::AppendAndDiff on a store whose overlay holds 0% /
+  // 5% / 10% of the base edges in ops. 10% is the default compaction
+  // threshold, so it is the oldest overlay serving ever sees. Each rep
+  // starts from a fresh store (the step consumes its state); the step
+  // diff is cross-checked against two full Detect runs, and
+  // touched_matches shows what the step enumerated.
   namespace fs = std::filesystem;
   const std::string step_dir =
       (fs::temp_directory_path() / "gfd_bench_incremental").string();
@@ -341,12 +298,8 @@ int main(int argc, char** argv) {
                      error.c_str());
         return 1;
       }
-      DetectPlanner forced({.mode = PlannerConfig::Mode::kForceIncremental});
-      IncrementalOptions iopts;
-      iopts.planner = &forced;
       WallTimer t;
-      auto diff =
-          store->AppendAndDiff(engine, step_tsv, iopts, nullptr, &error);
+      auto diff = store->AppendAndDiff(engine, step_tsv, {}, nullptr, &error);
       const double s = t.Seconds();
       if (!diff) {
         std::fprintf(stderr, "step_age_%s step failed: %s\n", tag,
@@ -394,12 +347,9 @@ int main(int argc, char** argv) {
   rows.push_back({"summary",
                   0,
                   {{"verified", verified ? 1.0 : 0.0},
-                   {"planner_optimal", planner_match ? 1.0 : 0.0},
                    {"speedup_0.1pct", speedup_smallest}}});
-  std::printf("incremental vs full at 0.1%% delta: %.1fx; diffs %s; "
-              "planner %s\n",
-              speedup_smallest, verified ? "identical" : "DIVERGED",
-              planner_match ? "optimal at every delta" : "SUBOPTIMAL");
+  std::printf("incremental vs full at 0.1%% delta: %.1fx; diffs %s\n",
+              speedup_smallest, verified ? "identical" : "DIVERGED");
 
   WriteJson(out, rows);
   std::printf("wrote %s\n", out);

@@ -4,7 +4,7 @@
 // binding a delta-touched vertex at each variable; that takes one
 // CompiledPattern per variable, rooted there instead of at the pivot.
 // Detect-only workloads never need them, so they are built lazily on the
-// first DetectIncremental call, guarded by std::once_flag so concurrent
+// first DetectStep call, guarded by std::once_flag so concurrent
 // first calls on one engine stay safe.
 //
 // std::once_flag is neither movable nor copyable, which makes a lazily-

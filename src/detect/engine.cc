@@ -130,7 +130,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     groups_.push_back(std::move(group));
   }
 
-  // Static group footprints for AnchoredSides' skip gate: the concrete
+  // Static group footprints for DetectStep's skip gate: the concrete
   // labels a match of the group must bind, and the attr keys its
   // members' literals read. Built over every group -- including the
   // defensive private plans above -- once per engine lifetime; a
@@ -157,12 +157,6 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     }
     SortUnique(group.attr_keys);
   }
-}
-
-size_t ViolationEngine::NumAnchorPlans() const {
-  size_t n = 0;
-  for (const Group& group : groups_) n += group.plan.pattern().NumNodes();
-  return n;
 }
 
 template <typename GraphT>
@@ -364,9 +358,8 @@ DetectionResult ViolationEngine::DetectSharded(const PropertyGraph& g,
   return result;
 }
 
-template <typename GraphT>
 std::vector<Violation> ViolationEngine::RunAnchored(
-    const GraphT& g, std::span<const size_t> scan,
+    const GraphView& g, std::span<const size_t> scan,
     std::span<const NodeId> seeds, const std::vector<bool>& is_anchor,
     size_t workers, RunState& st) const {
   // One side of the diff. For every group, every variable u, and every
@@ -468,32 +461,18 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
   return fp;
 }
 
-IncrementalDiff ViolationEngine::DetectIncremental(
-    const GraphView& view, const IncrementalOptions& opts) const {
-  // The view carries no op list, so its footprint is read off the overlay
-  // state: a node whose adjacency changed is rewired, and the attr keys
-  // the overlay wrote are the touched keys.
-  BatchFootprint fp;
-  const auto affected = view.AffectedNodes();
-  fp.anchors.assign(affected.begin(), affected.end());
-  for (NodeId v : affected) {
-    if (view.AdjacencyChanged(v)) fp.rewired.push_back(v);
-    for (const Attribute& a : view.OverlayAttrs(v)) fp.keys.push_back(a.key);
-  }
-  SortUnique(fp.keys);
-  // The old side runs against the base graph: deleted edges are base
-  // edges, so every destroyed match is enumerable there. Both sides
-  // already exist, so there is nothing to apply between them.
-  const auto no_op = [] { return true; };
-  auto sides = AnchoredSides(view.base(), view, fp, fp.anchors, no_op, opts);
+std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
+    const PropertyGraph& g, const GraphDelta& batch,
+    const IncrementalOptions& opts, std::string* error) const {
+  GraphView view = *GraphView::Apply(g, GraphDelta{});
+  // Validate first: BatchFootprint::Of reads the degree of every op
+  // endpoint, which must be a node of `g`.
+  if (!view.ValidateAppended(batch, 0, error)) return std::nullopt;
+  const BatchFootprint fp = BatchFootprint::Of(batch.ops, view);
+  auto absorb = [&] { return view.AbsorbAppended(batch, 0, error); };
+  auto sides = DetectStep(view, fp, fp.anchors, absorb, opts);
+  if (!sides) return std::nullopt;
   return StepDiff(*sides);
-}
-
-std::optional<StepSides> ViolationEngine::DetectStep(
-    const GraphView& live, const BatchFootprint& batch,
-    std::span<const NodeId> seeds, const std::function<bool()>& apply,
-    const IncrementalOptions& opts) const {
-  return AnchoredSides(live, live, batch, seeds, apply, opts);
 }
 
 uint32_t ViolationEngine::MaxPatternRadius() const {
@@ -524,15 +503,14 @@ uint32_t ViolationEngine::MaxPatternRadius() const {
   return radius;
 }
 
-template <typename BeforeT>
-std::optional<StepSides> ViolationEngine::AnchoredSides(
-    const BeforeT& before, const GraphView& after, const BatchFootprint& batch,
-    std::span<const NodeId> seeds, const std::function<bool()>& between,
+std::optional<StepSides> ViolationEngine::DetectStep(
+    const GraphView& live, const BatchFootprint& batch,
+    std::span<const NodeId> seeds, const std::function<bool()>& apply,
     const IncrementalOptions& opts) const {
   StepSides sides;
   sides.stats.affected_nodes = seeds.size();
   if (seeds.empty() || rules_.empty()) {
-    if (!between()) return std::nullopt;
+    if (!apply()) return std::nullopt;
     return sides;
   }
 
@@ -547,7 +525,7 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   // delta-invariant base ids; rule labels / attr keys beyond the base
   // vocabulary bounds-check or sorted-merge to "no hit", which is how
   // vocabulary growth invalidates nothing.
-  const PropertyGraph& base = after.base();
+  const PropertyGraph& base = live.base();
   std::vector<bool> edge_label(base.labels().size(), false);
   std::vector<bool> attr_label(base.labels().size(), false);
   for (NodeId v : batch.rewired) edge_label[base.NodeLabel(v)] = true;
@@ -596,13 +574,13 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   uncapped.match = opts.match;
   RunState st(uncapped, rules_.size());
   const size_t workers = std::max<size_t>(1, opts.workers);
-  // Timed per side: `between` is a durable append on the serving path.
+  // Timed per side: `apply` is a durable append on the serving path.
   StopwatchNs watch;
-  sides.before = RunAnchored(before, scan, seeds, is_anchor, workers, st);
+  sides.before = RunAnchored(live, scan, seeds, is_anchor, workers, st);
   sides.detect_ns = watch.ElapsedNs();
-  if (!between()) return std::nullopt;
+  if (!apply()) return std::nullopt;
   watch.Restart();
-  sides.after = RunAnchored(after, scan, seeds, is_anchor, workers, st);
+  sides.after = RunAnchored(live, scan, seeds, is_anchor, workers, st);
   sides.detect_ns += watch.ElapsedNs();
   const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
   DetectIncrementalLatency().Observe(detect_s);
@@ -614,18 +592,6 @@ std::optional<StepSides> ViolationEngine::AnchoredSides(
   DetectMatchesEnumerated().Inc(sides.stats.matches_seen);
   DetectLiteralEvals().Inc(sides.stats.literal_evals);
   return sides;
-}
-
-DeltaVerdict ClassifyDelta(const ViolationEngine& engine,
-                           const GraphView& view, const IncrementalDiff& diff,
-                           size_t workers) {
-  if (!diff.added.empty()) return DeltaVerdict::kAddedViolations;
-  DetectOptions probe;
-  probe.max_total_violations = 1;  // existence probe: stop at the first
-  probe.workers = workers;
-  DetectionResult any = engine.Detect(view, probe);
-  return any.violations.empty() ? DeltaVerdict::kClean
-                                : DeltaVerdict::kPreexistingOnly;
 }
 
 DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count) {
@@ -646,32 +612,6 @@ IncrementalDiff StepDiff(const StepSides& sides) {
                       sides.after.begin(), sides.after.end(),
                       std::back_inserter(diff.removed));
   diff.stats = sides.stats;
-  DetectDiffAdded().Inc(diff.added.size());
-  DetectDiffRemoved().Inc(diff.removed.size());
-  return diff;
-}
-
-IncrementalDiff FullStepDiff(const DetectionResult& before,
-                             const DetectionResult& after) {
-  IncrementalDiff diff;
-  std::set_difference(after.violations.begin(), after.violations.end(),
-                      before.violations.begin(), before.violations.end(),
-                      std::back_inserter(diff.added));
-  std::set_difference(before.violations.begin(), before.violations.end(),
-                      after.violations.begin(), after.violations.end(),
-                      std::back_inserter(diff.removed));
-  diff.stats.anchors_scanned =
-      before.stats.pivots_scanned + after.stats.pivots_scanned;
-  diff.stats.matches_seen =
-      before.stats.matches_seen + after.stats.matches_seen;
-  diff.stats.literal_evals =
-      before.stats.literal_evals + after.stats.literal_evals;
-  diff.stats.violations_before = before.violations.size();
-  diff.stats.violations_after = after.violations.size();
-  diff.stats.groups_scanned =
-      before.stats.num_groups + after.stats.num_groups;
-  diff.used_full_path = true;
-  diff.full_post_count = after.violations.size();
   DetectDiffAdded().Inc(diff.added.size());
   DetectDiffRemoved().Inc(diff.removed.size());
   return diff;

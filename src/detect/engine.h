@@ -25,6 +25,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "detect/anchor_plans.h"
@@ -38,8 +39,6 @@
 #include "pattern/pattern.h"
 
 namespace gfd {
-
-class DetectPlanner;  // detect/planner.h
 
 /// Budgets of one detection run. Zero means "unlimited" throughout.
 struct DetectOptions {
@@ -84,12 +83,6 @@ struct IncrementalOptions {
   /// Backtracking budget per (group, pivot) enumeration. Leave unlimited
   /// unless incomplete diffs are acceptable.
   MatchOptions match;
-  /// Optional per-batch path chooser consulted by the serving-layer
-  /// AppendAndDiff entry points (serve/graph_store.h, serve/coordinator.h)
-  /// -- NOT by DetectStep itself, which always runs the anchored
-  /// path. Borrowed, not owned; must outlive the call. When null, the
-  /// incremental path is unconditional (the pre-planner behavior).
-  DetectPlanner* planner = nullptr;
 };
 
 struct IncrementalStats {
@@ -110,14 +103,6 @@ struct IncrementalDiff {
   std::vector<Violation> added;    ///< sorted per Violation ordering
   std::vector<Violation> removed;  ///< sorted per Violation ordering
   IncrementalStats stats;
-  /// True when the serving layer produced this diff from two full Detect
-  /// runs (FullStepDiff) because the planner chose DetectPath::kFull. A
-  /// running violation counter must then be RE-SEEDED from
-  /// `full_post_count` rather than composed (`count += added - removed`):
-  /// the full run is authoritative and re-seeding stops any drift from
-  /// persisting through store.meta.
-  bool used_full_path = false;
-  uint64_t full_post_count = 0;  ///< |after.violations|; only if full path
 };
 
 /// What one update batch touches, read off its ops and the live view
@@ -158,9 +143,6 @@ class ViolationEngine {
 
   size_t NumRules() const { return rules_.size(); }
   size_t NumGroups() const { return groups_.size(); }
-  /// Total (group, variable) anchor plans an incremental run consults --
-  /// the incremental path's work-unit count for the DetectPlanner.
-  size_t NumAnchorPlans() const;
   const Gfd& rule(size_t i) const { return rules_[i]; }
   std::span<const Gfd> rules() const { return rules_; }
 
@@ -170,9 +152,7 @@ class ViolationEngine {
                          const DetectOptions& opts = {}) const;
 
   /// Full detection over a delta-overlay view (same records a Detect over
-  /// view.Materialize() would produce, without materializing). Used to
-  /// answer "does the updated graph have any violation at all" -- e.g.
-  /// with a max_total_violations=1 budget as an existence probe.
+  /// view.Materialize() would produce, without materializing).
   DetectionResult Detect(const GraphView& g,
                          const DetectOptions& opts = {}) const;
 
@@ -188,47 +168,40 @@ class ViolationEngine {
                                 const DetectOptions& opts = {},
                                 ClusterStats* cstats = nullptr) const;
 
-  /// Incremental detection of one delta (base vs. view): given
-  /// a view = base graph + delta, computes the violations the delta added
-  /// and removed without re-scanning the graph. Work is localized to the
-  /// matches whose embedding touches a delta-affected vertex -- the only
-  /// matches whose violation status can differ between base and view: a
-  /// destroyed match contains both endpoints of a deleted edge, a created
-  /// match both endpoints of an inserted one, and an attribute flip sits
-  /// on a matched node. Each pattern group therefore carries one plan per
-  /// variable (the paper's work unit Q(F_s) |><| e(F_t), Section 6.2,
-  /// anchored at the delta instead of a fragment), and enumeration seeds
-  /// those plans from the affected node set on both sides; a stateless
-  /// minimum-variable attribution rule ensures every delta-touching match
-  /// is evaluated exactly once per side. The sorted set-difference of the
-  /// two sides is provably identical to diffing two full Detect runs:
-  /// matches not touching the delta evaluate identically on both sides
-  /// and cancel -- for ANY two graphs that differ only at the affected
-  /// set, which is what DetectStep builds on. The view carries no op
-  /// list, so this one-shot run anchors at view.AffectedNodes(), both
-  /// endpoints of every changed edge.
-  IncrementalDiff DetectIncremental(const GraphView& view,
-                                    const IncrementalOptions& opts = {}) const;
+  /// The violation diff of applying `batch` to `g`: exactly the records
+  /// diffing Detect(g) against Detect of the updated graph would produce.
+  /// One DetectStep over an empty-overlay view of `g`, anchored at the
+  /// batch's footprint, with absorbing the batch as its `apply`. Returns
+  /// nullopt (with *error set to GraphView::Apply's text) when the batch
+  /// does not apply to `g`.
+  std::optional<IncrementalDiff> DetectIncremental(
+      const PropertyGraph& g, const GraphDelta& batch,
+      const IncrementalOptions& opts = {}, std::string* error = nullptr) const;
 
-  /// The serving step (serve/graph_store.h, serve/coordinator.h): `live`
-  /// holds the state just before one batch with footprint `batch`, and
-  /// `apply` must apply exactly that batch to `live` in place (false on
-  /// failure, which returns nullopt). Runs the anchored side on `live`,
-  /// calls `apply`, runs it again; both sides share one footprint-gated
-  /// group list, so the cost tracks the batch, never the overlay behind
-  /// it. Enumeration is seeded from `seeds` (a sorted subset of
-  /// batch.anchors) while attribution sees all of batch.anchors, so a
-  /// match is evaluated exactly once, where its minimum-variable anchor
-  /// is a seed: a single store passes batch.anchors, a coordinator
-  /// fragment the anchors it owns, and the fragments' diffs partition
-  /// the store-wide one.
+  /// The one diff algorithm (the serving backends in serve/graph_store.h
+  /// and serve/coordinator.h, and DetectIncremental): `live` holds the
+  /// state just before one batch with footprint `batch`, and `apply` must
+  /// apply exactly that batch to `live` in place (false on failure, which
+  /// returns nullopt). Runs the anchored side on `live`, calls `apply`,
+  /// runs it again; both sides share one footprint-gated group list, so
+  /// the cost tracks the batch, never the overlay behind it. Enumeration
+  /// is seeded from `seeds` (a sorted subset of batch.anchors) while
+  /// attribution sees all of batch.anchors, so a match is evaluated
+  /// exactly once, where its minimum-variable anchor is a seed: a single
+  /// store passes batch.anchors, a coordinator fragment the anchors it
+  /// owns, and the fragments' diffs partition the store-wide one.
   ///
-  /// One endpoint per edge op suffices for exactness. A match whose
-  /// violation status differs between the sides either contains a
-  /// changed edge -- and so binds both its endpoints, the anchored one
-  /// included -- or binds a node whose attribute was written, which is
-  /// an anchor too. Every other match exists on both sides with
-  /// identical attribute reads, so it cancels in the set difference.
+  /// Exactness: the sorted set difference of the two sides (StepDiff) is
+  /// identical to diffing two full Detect runs. Each pattern group has
+  /// one plan per variable (the paper's work unit Q(F_s) |><| e(F_t),
+  /// Section 6.2, anchored at the batch instead of a fragment), and a
+  /// stateless minimum-variable attribution rule evaluates every anchored
+  /// match exactly once per side. A match whose violation status differs
+  /// between the sides either contains a changed edge -- and so binds
+  /// both its endpoints, the anchored one included -- or binds a node
+  /// whose attribute was written, which is an anchor too. Every other
+  /// match exists on both sides with identical attribute reads, so it
+  /// cancels in the set difference.
   std::optional<StepSides> DetectStep(
       const GraphView& live, const BatchFootprint& batch,
       std::span<const NodeId> seeds, const std::function<bool()>& apply,
@@ -258,7 +231,7 @@ class ViolationEngine {
     /// lives behind a stable pointer, so Groups move safely even after
     /// the plans were built (anchor_plans.h has the full story).
     LazyAnchorPlans anchors;
-    /// The group's static footprint, for AnchoredSides' skip gate: a
+    /// The group's static footprint, for DetectStep's skip gate: a
     /// delta whose affected labels / touched attr keys are disjoint from
     /// it cannot create or destroy a match of this group, so both sides
     /// enumerate identical lists and the group cancels exactly (its
@@ -297,24 +270,11 @@ class ViolationEngine {
   // its minimum anchored variable (each exactly once) and returns the
   // violations among them, sorted. Both sides of a diff must pass the
   // SAME `scan` -- the skip gate's cancellation argument needs it.
-  template <typename GraphT>
-  std::vector<Violation> RunAnchored(const GraphT& g,
+  std::vector<Violation> RunAnchored(const GraphView& g,
                                      std::span<const size_t> scan,
                                      std::span<const NodeId> seeds,
                                      const std::vector<bool>& is_anchor,
                                      size_t workers, RunState& st) const;
-
-  // Common body of DetectIncremental and DetectStep: gates the groups by
-  // `batch`, runs the anchored side on `before`, calls `between`, and
-  // runs it on `after`. BeforeT is PropertyGraph (a view's base) or
-  // GraphView (`after` itself, before `between` applied the batch).
-  template <typename BeforeT>
-  std::optional<StepSides> AnchoredSides(const BeforeT& before,
-                                         const GraphView& after,
-                                         const BatchFootprint& batch,
-                                         std::span<const NodeId> seeds,
-                                         const std::function<bool()>& between,
-                                         const IncrementalOptions& opts) const;
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;
@@ -330,17 +290,6 @@ enum class DeltaVerdict {
                      ///< update (possibly elsewhere in the graph) persist
 };
 
-/// Classifies `view` given the diff its delta induced. Added violations
-/// are read straight off `diff`; distinguishing clean from
-/// pre-existing-only takes one budgeted full scan of the view
-/// (max_total_violations = 1, so it stops at the first survivor --
-/// worst case, a genuinely clean graph, costs a full no-hit scan; a
-/// serving loop that tracks a running violation count across batches
-/// avoids the scan entirely, see ROADMAP).
-DeltaVerdict ClassifyDelta(const ViolationEngine& engine,
-                           const GraphView& view, const IncrementalDiff& diff,
-                           size_t workers = 1);
-
 /// Counter-backed classification: `post_count` is the running violation
 /// count *after* the batch (count += |added| - |removed| per batch, seeded
 /// by one full Detect and persistable in store.meta -- see
@@ -351,17 +300,6 @@ DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count);
 /// Sorted set difference of a step's two sides: exactly the records
 /// diffing two full Detect runs would produce.
 IncrementalDiff StepDiff(const StepSides& sides);
-
-/// The full-path equivalent of one serving step: diffs two complete
-/// Detect runs -- `before` on the pre-batch state, `after` on the
-/// post-batch state, both UNCAPPED (a truncated side would fabricate
-/// diff entries; callers assert !stats.truncated). Produces exactly the
-/// records the anchored step would (violations are value-keyed,
-/// so sorted set differences agree side by side), with used_full_path
-/// set and full_post_count = |after.violations| so running counters can
-/// re-seed from the authoritative run.
-IncrementalDiff FullStepDiff(const DetectionResult& before,
-                             const DetectionResult& after);
 
 /// The baseline the engine is benchmarked against: one full matcher run
 /// per rule (the per-GFD FindViolations loop of gfd/validation.h),

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "detect/planner.h"
-
 namespace gfd {
 
 namespace {
@@ -63,15 +61,6 @@ obs::Counter& DetectDiffRemoved() {
   return c;
 }
 
-obs::Counter& PlannerDecisions(DetectPath path) {
-  // Two children; same mutex-guarded lookup trade-off as group matches
-  // (once per batch, not per match).
-  return Reg().GetCounter(
-      "gfd_detect_planner_decisions_total",
-      "Per-batch detection paths chosen by the DetectPlanner.",
-      {{"path", path == DetectPath::kFull ? "full" : "incremental"}});
-}
-
 obs::Counter& DetectGroupsScanned() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_detect_groups_scanned_total",
@@ -94,8 +83,6 @@ void TouchDetectMetrics() {
   DetectLiteralEvals();
   DetectDiffAdded();
   DetectDiffRemoved();
-  PlannerDecisions(DetectPath::kIncremental);
-  PlannerDecisions(DetectPath::kFull);
   DetectGroupsScanned();
   DetectGroupsSkipped();
 }

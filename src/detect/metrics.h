@@ -11,8 +11,6 @@
 
 namespace gfd {
 
-enum class DetectPath;  // detect/planner.h
-
 /// Full-run detect latency (gfd_detect_full_seconds).
 obs::Histogram& DetectFullLatency();
 
@@ -35,10 +33,6 @@ obs::Counter& DetectLiteralEvals();
 /// (gfd_detect_diff_added_total / gfd_detect_diff_removed_total).
 obs::Counter& DetectDiffAdded();
 obs::Counter& DetectDiffRemoved();
-
-/// Per-batch detection path chosen by the DetectPlanner
-/// (gfd_detect_planner_decisions_total{path="incremental"|"full"}).
-obs::Counter& PlannerDecisions(DetectPath path);
 
 /// Pattern groups scanned / skipped by the anchored-diff footprint gate
 /// (gfd_detect_groups_scanned_total / gfd_detect_groups_skipped_total).

@@ -136,13 +136,11 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
   const size_t num_attrs = base.attrs().size() + delta.extra_attrs.size();
   const size_t num_values = base.values().size() + delta.extra_values.size();
 
-  std::vector<NodeId> affected;
   for (size_t i = 0; i < delta.ops.size(); ++i) {
     const GraphDelta::Op& op = delta.ops[i];
     if (op.src >= base.NumNodes()) {
       return fail(i, "node " + std::to_string(op.src) + " out of range");
     }
-    affected.push_back(op.src);
     switch (op.kind) {
       case GraphDelta::OpKind::kInsertEdge:
       case GraphDelta::OpKind::kDeleteEdge: {
@@ -152,7 +150,6 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
         if (op.label >= num_labels) {
           return fail(i, "edge label id out of range");
         }
-        affected.push_back(op.dst);
         if (op.kind == GraphDelta::OpKind::kInsertEdge) {
           EdgeId id =
               view.base_edges_ + static_cast<EdgeId>(view.added_.size());
@@ -219,11 +216,6 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
       return view.EdgeLabel(a) < view.EdgeLabel(b);
     });
   }
-
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  view.affected_ = std::move(affected);
 
   for (const AddedEdge& e : view.added_) {
     if (e.alive) ++view.inserted_alive_;
@@ -426,7 +418,6 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
   extra_attrs_ = delta.extra_attrs;
   extra_values_ = delta.extra_values;
 
-  std::vector<NodeId> touched;
   // Keeps the materialized-list invariant -- sorted by (neighbor, label)
   // -- without a full re-sort: one positioned insert per new edge.
   auto sorted_insert = [&](std::vector<EdgeId>& list, EdgeId id, bool out) {
@@ -441,10 +432,8 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
   };
   for (size_t i = first_op; i < delta.ops.size(); ++i) {
     const GraphDelta::Op& op = delta.ops[i];
-    touched.push_back(op.src);
     switch (op.kind) {
       case GraphDelta::OpKind::kInsertEdge: {
-        touched.push_back(op.dst);
         EdgeId id = base_edges_ + static_cast<EdgeId>(added_.size());
         added_.push_back({op.src, op.dst, op.label, /*alive=*/true});
         sorted_insert(TouchOut(op.src), id, /*out=*/true);
@@ -454,7 +443,6 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
         break;
       }
       case GraphDelta::OpKind::kDeleteEdge: {
-        touched.push_back(op.dst);
         std::vector<EdgeId>& out = TouchOut(op.src);
         auto hit = std::find_if(out.begin(), out.end(), [&](EdgeId e) {
           return EdgeDst(e) == op.dst && EdgeLabel(e) == op.label;
@@ -490,14 +478,6 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
     }
   }
   num_ops_ = delta.ops.size();
-
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  std::vector<NodeId> merged;
-  merged.reserve(affected_.size() + touched.size());
-  std::set_union(affected_.begin(), affected_.end(), touched.begin(),
-                 touched.end(), std::back_inserter(merged));
-  affected_ = std::move(merged);
   return true;
 }
 

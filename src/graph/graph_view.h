@@ -179,22 +179,6 @@ class GraphView {
   /// the view (`label` may be the wildcard).
   bool HasEdge(NodeId src, NodeId dst, LabelId label) const;
 
-  /// True when the delta changed v's adjacency in either direction (read
-  /// by DetectIncremental's footprint gate).
-  bool AdjacencyChanged(NodeId v) const {
-    return out_touched_.contains(v) || in_touched_.contains(v);
-  }
-
-  /// The attribute writes the delta applied at v (empty when none): just
-  /// the overlayed keys, NOT merged with base attrs -- DetectIncremental's
-  /// footprint gate wants exactly "which keys did this delta touch",
-  /// which NodeAttrs cannot answer.
-  std::span<const Attribute> OverlayAttrs(NodeId v) const {
-    auto it = attr_overlay_.find(v);
-    if (it == attr_overlay_.end()) return {};
-    return it->second;
-  }
-
   // --- Vocabulary (base + delta extension ids) -----------------------------
   const std::string& LabelName(LabelId l) const;
   const std::string& AttrName(AttrId a) const;
@@ -204,12 +188,6 @@ class GraphView {
   std::optional<ValueId> FindValue(std::string_view s) const;
 
   // --- Delta introspection -------------------------------------------------
-  /// Vertices the delta touched (edge endpoints + attribute targets),
-  /// sorted ascending and unique. The seed set of incremental detection:
-  /// any match whose violation status differs between base and view
-  /// contains at least one of these nodes.
-  std::span<const NodeId> AffectedNodes() const { return affected_; }
-
   size_t NumDeltaOps() const { return num_ops_; }
   size_t NumInsertedEdges() const { return inserted_alive_; }
   size_t NumDeletedEdges() const {
@@ -280,8 +258,6 @@ class GraphView {
 
   // Attribute overlay: per node, the keys the delta set (tiny lists).
   std::unordered_map<NodeId, std::vector<Attribute>> attr_overlay_;
-
-  std::vector<NodeId> affected_;
 
   std::vector<std::string> extra_labels_;
   std::vector<std::string> extra_attrs_;

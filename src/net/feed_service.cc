@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "serve/metrics.h"
 #include "util/hash.h"
-#include "util/timer.h"
 #include "util/tsv.h"
 
 namespace gfd::net {
@@ -134,19 +133,9 @@ uint64_t FeedService::Prime(bool* scanned) {
     count_ = *persisted;
     if (scanned) *scanned = false;
   } else {
-    GraphDelta no_delta;
-    auto view = GraphView::Apply(g, no_delta);
     DetectOptions full;
     full.workers = opts_.detect_workers;
-    WallTimer watch;
-    count_ = engine_.Detect(*view, full).violations.size();
-    // The seeding scan is a free full-path cost sample: feed it to the
-    // planner so the adaptive mode calibrates after the FIRST served
-    // batch instead of needing one of each path.
-    planner_.ObserveFull(
-        MakePlannerInputs(*view, "", engine_.NumGroups(),
-                          engine_.NumAnchorPlans()),
-        watch.Seconds());
+    count_ = engine_.Detect(g, full).violations.size();
     std::string err;
     if (!store_.SetViolationCount(count_, fingerprint_, &err)) {
       std::fprintf(stderr, "warning: could not persist counter: %s\n",
@@ -216,7 +205,6 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   }
   IncrementalOptions iopts;
   iopts.workers = opts_.detect_workers;
-  iopts.planner = &planner_;
   std::string error;
   auto step =
       ServeStep(store_, engine_, req.body, count_, fingerprint_, iopts, &error);
@@ -367,14 +355,12 @@ void FeedService::Metrics(ResponseWriter& w) {
 void FeedService::Status(ResponseWriter& w) {
   ServingMetricsSnapshot snap;
   uint64_t count;
-  PlannerStats pstats;
   uint64_t scanned;
   uint64_t skipped;
   {
     std::lock_guard lock(store_mu_);
     snap = store_.MetricsSnapshot();
     count = count_;
-    pstats = planner_.stats();
     scanned = groups_scanned_;
     skipped = groups_skipped_;
   }
@@ -386,9 +372,6 @@ void FeedService::Status(ResponseWriter& w) {
       ",\"overlay_ops\":" + std::to_string(snap.overlay_ops) +
       ",\"compactions\":" + std::to_string(snap.compactions) +
       ",\"violations\":" + std::to_string(count) +
-      ",\"planner_incremental\":" +
-      std::to_string(pstats.incremental_decisions) +
-      ",\"planner_full\":" + std::to_string(pstats.full_decisions) +
       ",\"groups_scanned\":" + std::to_string(scanned) +
       ",\"groups_skipped\":" + std::to_string(skipped) +
       ",\"feed_seq\":" + std::to_string(feed_.last_seq()) +

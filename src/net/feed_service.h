@@ -26,7 +26,6 @@
 #include <string>
 
 #include "detect/engine.h"
-#include "detect/planner.h"
 #include "net/http_server.h"
 #include "net/rate_limiter.h"
 #include "serve/changefeed.h"
@@ -80,16 +79,13 @@ class FeedService {
   TokenBucketLimiter limiter_;
 
   /// Single-writer enforcement. guards: every ServingStore call on
-  /// store_, plus fingerprint_, count_, primed_, planner_,
-  /// groups_scanned_, groups_skipped_. Publish happens inside it so feed
-  /// order == batch order.
+  /// store_, plus fingerprint_, count_, primed_, groups_scanned_,
+  /// groups_skipped_. Publish happens inside it so feed order == batch
+  /// order.
   mutable std::mutex store_mu_;
   uint64_t fingerprint_ = 0;
   uint64_t count_ = 0;
   bool primed_ = false;
-  /// Per-batch path chooser, adaptive (one decision per /ingest, under
-  /// store_mu_, which is the planner's required serialization).
-  DetectPlanner planner_;
   /// Running footprint-gate totals across batches, for /status.
   uint64_t groups_scanned_ = 0;
   uint64_t groups_skipped_ = 0;

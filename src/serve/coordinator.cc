@@ -8,12 +8,10 @@
 #include <sstream>
 #include <utility>
 
-#include "detect/planner.h"
 #include "graph/loader.h"
 #include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "serve/metrics.h"
-#include "util/timer.h"
 
 namespace gfd {
 
@@ -736,18 +734,6 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
     return std::nullopt;
   }
 
-  // The path decision is master-only and happens BEFORE routing, against
-  // the same pre-append global view and through the same
-  // MakePlannerInputs as the single-store backend -- which is what makes
-  // the choice deterministic across backends for a given stream.
-  PlannerInputs pin;
-  DetectPath path = DetectPath::kIncremental;
-  if (opts.planner) {
-    pin = MakePlannerInputs(index_->view(), delta_tsv, engine.NumGroups(),
-                            engine.NumAnchorPlans());
-    path = opts.planner->Plan(pin);
-  }
-
   obs::ScopedTimer route_timer(nullptr, "route",
                                {{"seq", stats_.last_seq + 1}});
   auto plan = index_->PlanBatch(delta_tsv, error);
@@ -757,33 +743,6 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   route_timer.StopNs();
 
-  if (path == DetectPath::kFull) {
-    // Full re-detect runs on the master's global view (uncapped: a
-    // truncated side would fabricate diff entries), so fragments skip
-    // their per-fragment detection entirely -- ShipSequenced with a null
-    // DiffContext appends and commits without running the engine.
-    WallTimer watch;
-    obs::ScopedTimer detect_timer(nullptr, "detect_full");
-    DetectOptions full;
-    full.workers = opts.workers;
-    full.match = opts.match;
-    DetectionResult full_before = engine.Detect(index_->view(), full);
-    auto seq = ShipSequenced(std::move(*plan), delta_tsv, nullptr, error);
-    if (!seq) {
-      detect_timer.Discard();
-      return std::nullopt;
-    }
-    ++stats_.batches;
-    DetectionResult full_after = engine.Detect(index_->view(), full);
-    detect_timer.AddField("seq", *seq);
-    detect_timer.StopNs();
-    IncrementalDiff diff = FullStepDiff(full_before, full_after);
-    opts.planner->ObserveFull(pin, watch.Seconds());
-    if (seq_out) *seq_out = *seq;
-    return diff;
-  }
-
-  WallTimer watch;
   DiffContext ctx;
   ctx.engine = &engine;
   ctx.opts = &opts;
@@ -805,7 +764,6 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   diff.added = MergeSorted(std::move(added));
   diff.removed = MergeSorted(std::move(removed));
-  if (opts.planner) opts.planner->ObserveIncremental(pin, watch.Seconds());
   if (seq_out) *seq_out = *seq;
   return diff;
 }

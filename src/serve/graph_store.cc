@@ -440,44 +440,6 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
 std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  // Path choice happens BEFORE the append, from pre-append estimates, so
-  // the chosen path's before-side still sees the pre-batch state. The
-  // inputs come from the one shared MakePlannerInputs, which is what
-  // makes the single-store and coordinator backends decide identically
-  // on the same stream.
-  PlannerInputs pin;
-  DetectPath path = DetectPath::kIncremental;
-  if (opts.planner) {
-    pin = MakePlannerInputs(*view_, delta_tsv, engine.NumGroups(),
-                            engine.NumAnchorPlans());
-    path = opts.planner->Plan(pin);
-  }
-
-  std::optional<uint64_t> seq;
-  if (path == DetectPath::kFull) {
-    // Full re-detect of both sides: uncapped (a truncated side would
-    // fabricate diff entries), diffed by FullStepDiff. The observed
-    // wall-clock feeds the planner's full-path calibration.
-    WallTimer watch;
-    obs::ScopedTimer detect_timer(nullptr, "detect_full");
-    DetectOptions full;
-    full.workers = opts.workers;
-    full.match = opts.match;
-    DetectionResult before = engine.Detect(*view_, full);
-    seq = Append(delta_tsv, error);
-    if (!seq) {
-      detect_timer.Discard();
-      return std::nullopt;
-    }
-    if (seq_out) *seq_out = *seq;
-    DetectionResult after = engine.Detect(*view_, full);
-    detect_timer.AddField("seq", *seq);
-    detect_timer.StopNs();
-    IncrementalDiff diff = FullStepDiff(before, after);
-    opts.planner->ObserveFull(pin, watch.Seconds());
-    return diff;
-  }
-
   // The step diff anchors at what this batch touches: its ops in the
   // live view's id space, and that view's pre-batch degrees to pick each
   // edge op's endpoint. Append then absorbs the batch into the same view
@@ -485,11 +447,11 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   auto batch = ParseBatch(delta_tsv, error);
   if (!batch) return std::nullopt;
   const BatchFootprint fp = BatchFootprint::Of(batch->ops, *view_);
+  std::optional<uint64_t> seq;
   auto append = [&] {
     seq = Append(delta_tsv, error);
     return seq.has_value();
   };
-  WallTimer watch;
   obs::ScopedTimer detect_timer(nullptr, "detect");
   auto sides = engine.DetectStep(*view_, fp, fp.anchors, append, opts);
   if (!sides) {
@@ -502,9 +464,7 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   detect_timer.AddField("matches", sides->stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff diff = StepDiff(*sides);
-  if (opts.planner) opts.planner->ObserveIncremental(pin, watch.Seconds());
-  return diff;
+  return StepDiff(*sides);
 }
 
 }  // namespace gfd

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "detect/engine.h"
-#include "detect/planner.h"
 #include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "serve/delta_log.h"
@@ -60,11 +59,10 @@ struct GraphStoreOptions {
   /// Overlay ops threshold (absolute).
   size_t compact_min_ops = 0;
   /// Overlay ops as a fraction of base edges. A step's detection cost
-  /// does not grow with the overlay, so this bounds the rest of what the
-  /// overlay costs: the view's per-node adjacency and attribute copies,
-  /// and the log a restart replays. Defaults to the planner's crossover
-  /// constant (detect/planner.h).
-  double compact_min_fraction = kIncrementalCrossoverFraction;
+  /// does not grow with the overlay, so this bounds what the overlay does
+  /// cost: the view's per-node adjacency and attribute copies, and the log
+  /// a restart replays.
+  double compact_min_fraction = 0.10;
 };
 
 struct GraphStoreStats {
@@ -166,8 +164,7 @@ class GraphStore final : public ServingStore {
   /// of exactly this batch. ViolationEngine::DetectStep runs on the live
   /// view just before and just after the append, anchored at the batch's
   /// attribute targets and the lower-degree endpoint of each edge op, so
-  /// the cost tracks the batch, not the overlay or a hub it touches; the
-  /// planner's full path diffs two full Detect runs instead.
+  /// the cost tracks the batch, not the overlay or a hub it touches.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,

@@ -118,13 +118,11 @@ struct ServedBatch {
 
 /// The one serving step every front end runs (the changefeed server's
 /// /ingest and gfdtool's `detect --log --delta` / `serve append`):
-/// store.AppendAndDiff, then the running violation count -- re-seeded
-/// from the authoritative post-batch count after a full-path batch,
-/// composed (pre_count + |added| - |removed|) otherwise -- then
-/// SetViolationCount under `fingerprint`, then the verdict. Returns
-/// nullopt (with *error set) when the store rejected the batch; nothing
-/// was logged then. Callers materialize, publish and compact after it
-/// returns, in that order.
+/// store.AppendAndDiff, then the running violation count
+/// (pre_count + |added| - |removed|), then SetViolationCount under
+/// `fingerprint`, then the verdict. Returns nullopt (with *error set)
+/// when the store rejected the batch; nothing was logged then. Callers
+/// materialize, publish and compact after it returns, in that order.
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,

@@ -168,8 +168,7 @@ void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
 
 // One step over the whole graph, seeded per owner: the owners' step
 // diffs must partition the store-wide step diff, which in turn equals
-// the one-shot base-vs-view diff of the same batch (anchored at both
-// endpoints of every changed edge, where the step anchors at one).
+// the diff of two full Detect runs.
 TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   auto g = MakeSynthetic({.nodes = 200,
                           .edges = 600,
@@ -194,9 +193,17 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
     return StepDiff(*sides);
   };
   auto full = step(fp.anchors);
-  auto oneshot = engine.DetectIncremental(*GraphView::Apply(g, d));
-  EXPECT_EQ(full.added, oneshot.added);
-  EXPECT_EQ(full.removed, oneshot.removed);
+  auto old_run = engine.Detect(g);
+  auto new_run = engine.Detect(GraphView::Apply(g, d)->Materialize());
+  std::vector<Violation> want_added, want_removed;
+  std::set_difference(new_run.violations.begin(), new_run.violations.end(),
+                      old_run.violations.begin(), old_run.violations.end(),
+                      std::back_inserter(want_added));
+  std::set_difference(old_run.violations.begin(), old_run.violations.end(),
+                      new_run.violations.begin(), new_run.violations.end(),
+                      std::back_inserter(want_removed));
+  EXPECT_EQ(full.added, want_added);
+  EXPECT_EQ(full.removed, want_removed);
 
   for (size_t n : {1u, 2u, 4u, 8u}) {
     Fragmentation frag = VertexCutPartition(g, n);

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "datagen/gfd_gen.h"
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "graph/graph_view.h"
+#include "graph/loader.h"
 #include "testlib.h"
 #include "util/rng.h"
 
@@ -19,6 +21,8 @@ namespace gfd {
 namespace {
 
 using gfd::testing::BuildHubStar;
+using gfd::testing::kLeafFollowsHub;
+using gfd::testing::SameTeamRule;
 
 // person x0 -create-> product x1, x1.type='film' -> x0.type='producer'
 // over a tiny world with one proper producer and one clean musician.
@@ -66,11 +70,19 @@ std::pair<std::vector<Violation>, std::vector<Violation>> FullDiff(
   return {added, removed};
 }
 
+// The one-shot diff of `d` on `g`; fails the test when `d` does not apply.
+IncrementalDiff Diff(const ViolationEngine& engine, const PropertyGraph& g,
+                     const GraphDelta& d, const IncrementalOptions& opts = {}) {
+  std::string error;
+  auto diff = engine.DetectIncremental(g, d, opts, &error);
+  EXPECT_TRUE(diff.has_value()) << error;
+  return diff ? std::move(*diff) : IncrementalDiff{};
+}
+
 TEST(DetectIncremental, EmptyDeltaProducesEmptyDiff) {
   auto g = BuildWorld();
   ViolationEngine engine({FilmRule(g)});
-  auto view = *GraphView::Apply(g, {});
-  auto diff = engine.DetectIncremental(view);
+  auto diff = Diff(engine, g, {});
   EXPECT_TRUE(diff.added.empty());
   EXPECT_TRUE(diff.removed.empty());
   EXPECT_EQ(diff.stats.affected_nodes, 0u);
@@ -83,7 +95,7 @@ TEST(DetectIncremental, InsertedEdgeAddsAViolation) {
   GraphDelta d;
   d.InsertEdge(1, 2, *g.FindLabel("create"));  // Musician -create-> film
   auto view = *GraphView::Apply(g, d);
-  auto diff = engine.DetectIncremental(view);
+  auto diff = Diff(engine, g, d);
   ASSERT_EQ(diff.added.size(), 1u);
   EXPECT_TRUE(diff.removed.empty());
   EXPECT_EQ(diff.added[0].pivot, 1u);
@@ -104,8 +116,7 @@ TEST(DetectIncremental, DeletedEdgeRemovesAViolation) {
 
   GraphDelta fix;
   fix.DeleteEdge(1, 2, *bad.FindLabel("create"));
-  auto view = *GraphView::Apply(bad, fix);
-  auto diff = engine.DetectIncremental(view);
+  auto diff = Diff(engine, bad, fix);
   EXPECT_TRUE(diff.added.empty());
   ASSERT_EQ(diff.removed.size(), 1u);
   EXPECT_EQ(diff.removed[0].pivot, 1u);
@@ -121,8 +132,7 @@ TEST(DetectIncremental, AttributeUpdateCanAddAndRemove) {
     // Breaking Producer0's type adds a violation at pivot 0.
     GraphDelta d;
     d.SetAttr(0, type, *g.FindValue("musician"));
-    auto view = *GraphView::Apply(g, d);
-    auto diff = engine.DetectIncremental(view);
+    auto diff = Diff(engine, g, d);
     ASSERT_EQ(diff.added.size(), 1u);
     EXPECT_EQ(diff.added[0].pivot, 0u);
     EXPECT_TRUE(diff.removed.empty());
@@ -134,8 +144,7 @@ TEST(DetectIncremental, AttributeUpdateCanAddAndRemove) {
     GraphDelta d;
     d.SetAttr(3, type, *g.FindValue("film"));
     d.SetAttr(1, type, *g.FindValue("producer"));
-    auto view = *GraphView::Apply(g, d);
-    auto diff = engine.DetectIncremental(view);
+    auto diff = Diff(engine, g, d);
     EXPECT_TRUE(diff.added.empty());
     EXPECT_TRUE(diff.removed.empty());
   }
@@ -167,7 +176,7 @@ TEST(DetectIncremental, LocalizesWorkToTheAffectedBall) {
   GraphDelta d;
   d.InsertEdge(g.EdgeSrc(quiet), g.EdgeDst(quiet), g.EdgeLabel(quiet));
   auto view = *GraphView::Apply(g, d);
-  auto diff = engine.DetectIncremental(view);
+  auto diff = Diff(engine, g, d);
   auto full = engine.Detect(g);
   EXPECT_LT(diff.stats.matches_seen, full.stats.matches_seen / 4)
       << "incremental run did not localize";
@@ -242,7 +251,7 @@ TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
     ASSERT_TRUE(view.has_value()) << error;
     auto next = view->Materialize();
 
-    auto diff = engine.DetectIncremental(*view, {.workers = workers});
+    auto diff = Diff(engine, current, d, {.workers = workers});
     auto [added, removed] = FullDiff(engine, current, next);
     EXPECT_EQ(diff.added, added) << "seed " << seed << " round " << round;
     EXPECT_EQ(diff.removed, removed)
@@ -259,24 +268,29 @@ TEST(ClassifyDelta, DistinguishesCleanAddedAndPreexisting) {
   auto g = BuildWorld();
   ViolationEngine engine({FilmRule(g)});
   LabelId create = *g.FindLabel("create");
+  // The post-update violation count, from a full Detect.
+  auto count_after = [&](const PropertyGraph& before, const GraphDelta& d) {
+    return static_cast<uint64_t>(
+        engine.Detect(GraphView::Apply(before, d)->Materialize())
+            .violations.size());
+  };
 
   // Added: the update introduces a violation.
   GraphDelta add;
   add.InsertEdge(1, 2, create);
-  auto view_add = *GraphView::Apply(g, add);
-  auto diff_add = engine.DetectIncremental(view_add);
-  EXPECT_EQ(ClassifyDelta(engine, view_add, diff_add),
+  auto diff_add = Diff(engine, g, add);
+  EXPECT_EQ(ClassifyDelta(diff_add, count_after(g, add)),
             DeltaVerdict::kAddedViolations);
 
   // Clean: the update removes the only violation -- nothing is left.
-  auto bad1 = view_add.Materialize();
+  auto bad1 = GraphView::Apply(g, add)->Materialize();
   GraphDelta fix;
   fix.DeleteEdge(1, 2, *bad1.FindLabel("create"));
-  auto view_fix = *GraphView::Apply(bad1, fix);
-  auto diff_fix = engine.DetectIncremental(view_fix);
+  auto diff_fix = Diff(engine, bad1, fix);
   EXPECT_TRUE(diff_fix.added.empty());
   EXPECT_EQ(diff_fix.removed.size(), 1u);
-  EXPECT_EQ(ClassifyDelta(engine, view_fix, diff_fix), DeltaVerdict::kClean);
+  EXPECT_EQ(ClassifyDelta(diff_fix, count_after(bad1, fix)),
+            DeltaVerdict::kClean);
 
   // Pre-existing only: two violations, the update removes one -- the
   // run is indistinguishable from `fix` by the diff alone (+0 added),
@@ -287,11 +301,10 @@ TEST(ClassifyDelta, DistinguishesCleanAddedAndPreexisting) {
   auto bad2 = GraphView::Apply(g, add2)->Materialize();
   GraphDelta partial_fix;
   partial_fix.DeleteEdge(1, 2, *bad2.FindLabel("create"));
-  auto view_partial = *GraphView::Apply(bad2, partial_fix);
-  auto diff_partial = engine.DetectIncremental(view_partial);
+  auto diff_partial = Diff(engine, bad2, partial_fix);
   EXPECT_TRUE(diff_partial.added.empty());
   EXPECT_EQ(diff_partial.removed.size(), 1u);
-  EXPECT_EQ(ClassifyDelta(engine, view_partial, diff_partial),
+  EXPECT_EQ(ClassifyDelta(diff_partial, count_after(bad2, partial_fix)),
             DeltaVerdict::kPreexistingOnly);
 }
 
@@ -307,10 +320,10 @@ TEST(DetectOverView, MatchesDetectOverMaterialized) {
   EXPECT_EQ(over_view.violations, over_mat.violations);
   EXPECT_EQ(over_view.violations.size(), 2u);
 
-  // The budgeted existence-probe configuration ClassifyDelta uses.
-  DetectOptions probe;
-  probe.max_total_violations = 1;
-  EXPECT_EQ(engine.Detect(view, probe).violations.size(), 1u);
+  // A global budget stops a run over a view as it stops one over a graph.
+  DetectOptions budget;
+  budget.max_total_violations = 1;
+  EXPECT_EQ(engine.Detect(view, budget).violations.size(), 1u);
 }
 
 // --- Move stability of lazily-built anchor plans ---------------------------
@@ -344,11 +357,10 @@ TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
   auto g = BuildWorld();
   GraphDelta d;
   d.InsertEdge(1, 2, *g.FindLabel("create"));
-  auto view = *GraphView::Apply(g, d);
 
   std::vector<ViolationEngine> engines;
   engines.push_back(ViolationEngine({FilmRule(g)}));
-  auto before = engines[0].DetectIncremental(view);  // builds anchor plans
+  auto before = Diff(engines[0], g, d);  // builds anchor plans
   ASSERT_EQ(before.added.size(), 1u);
 
   // Reallocate the vector several times: every resize moves the engine,
@@ -356,12 +368,12 @@ TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
   for (int i = 0; i < 8; ++i) {
     engines.push_back(ViolationEngine({FilmRule(g)}));
   }
-  auto after = engines[0].DetectIncremental(view);
+  auto after = Diff(engines[0], g, d);
   EXPECT_EQ(after.added, before.added);
   EXPECT_EQ(after.removed, before.removed);
 
   ViolationEngine moved = std::move(engines[0]);
-  auto moved_diff = moved.DetectIncremental(view);
+  auto moved_diff = Diff(moved, g, d);
   EXPECT_EQ(moved_diff.added, before.added);
 }
 
@@ -381,6 +393,53 @@ TEST(BatchFootprint, AnchorsEachEdgeOpAtItsLowerDegreeEndpoint) {
   EXPECT_EQ(fp.anchors, (std::vector<NodeId>{0, 1, 2, 4}));
   EXPECT_EQ(fp.rewired, (std::vector<NodeId>{0, 1, 2, 3, 4}));
   EXPECT_EQ(fp.keys, (std::vector<AttrId>{team}));
+}
+
+// The one-shot diff anchors an edge op the way a serving step does: an
+// edge into a degree-D hub seeds at its degree-1 end, so the run
+// enumerates the matches through Leaf, not every pair of the hub's
+// followers (D * D of them).
+TEST(DetectIncremental, AnchorsAHubEdgeAtItsLowDegreeEnd) {
+  constexpr size_t kDegree = 120;
+  const PropertyGraph g = BuildHubStar(kDegree);
+  ASSERT_EQ(g.Degree(0), kDegree);
+  ViolationEngine engine({SameTeamRule(g)});
+  std::istringstream in(kLeafFollowsHub);
+  std::string error;
+  auto d = LoadGraphDeltaTsv(in, g, &error);
+  ASSERT_TRUE(d.has_value()) << error;
+
+  auto diff = Diff(engine, g, *d);
+  auto [added, removed] =
+      FullDiff(engine, g, GraphView::Apply(g, *d)->Materialize());
+  EXPECT_EQ(diff.added, added);
+  EXPECT_EQ(diff.removed, removed);
+  EXPECT_EQ(diff.added.size(), 2 * kDegree);  // Leaf vs. every follower
+  EXPECT_LT(diff.stats.matches_seen, 8 * kDegree);
+}
+
+// A batch is validated before its footprint reads any degree: an
+// unknown node id and a delete of a missing edge are rejected with
+// GraphView::Apply's error text.
+TEST(DetectIncremental, RejectsABatchThatDoesNotApply) {
+  auto g = BuildWorld();
+  ViolationEngine engine({FilmRule(g)});
+  const LabelId create = *g.FindLabel("create");
+  {
+    GraphDelta d;
+    d.InsertEdge(0, 99, create);
+    std::string error;
+    EXPECT_FALSE(engine.DetectIncremental(g, d, {}, &error).has_value());
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
+  {
+    GraphDelta d;
+    d.DeleteEdge(1, 2, create);  // Musician does not create the film
+    std::string error;
+    EXPECT_FALSE(engine.DetectIncremental(g, d, {}, &error).has_value());
+    EXPECT_NE(error.find("delete of missing edge"), std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

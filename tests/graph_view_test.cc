@@ -40,7 +40,6 @@ TEST(GraphView, EmptyDeltaIsTransparent) {
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->NumNodes(), g.NumNodes());
   EXPECT_EQ(view->NumEdges(), g.NumEdges());
-  EXPECT_TRUE(view->AffectedNodes().empty());
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(view->OutEdges(v).data(), g.OutEdges(v).data());  // same span
   }
@@ -64,10 +63,6 @@ TEST(GraphView, InsertEdgeAppearsOnlyInTheView) {
   EXPECT_EQ(view->EdgeSrc(e), 1u);
   EXPECT_EQ(view->EdgeDst(e), 2u);
   EXPECT_EQ(view->EdgeLabel(e), knows);
-  // Affected set: both endpoints.
-  EXPECT_EQ(std::vector<NodeId>(view->AffectedNodes().begin(),
-                                view->AffectedNodes().end()),
-            (std::vector<NodeId>{1, 2}));
 }
 
 TEST(GraphView, DeleteEdgeRemovesOneParallelOccurrence) {
@@ -155,10 +150,6 @@ TEST(GraphView, AttrOverlayShadowsBaseAndExtendsVocabulary) {
   EXPECT_EQ(view->AttrName(mood), "mood");
   EXPECT_EQ(view->FindAttr("mood"), mood);
   EXPECT_FALSE(g.FindAttr("mood").has_value());
-  // Attr targets are affected nodes.
-  auto affected = view->AffectedNodes();
-  EXPECT_TRUE(std::find(affected.begin(), affected.end(), 2u) !=
-              affected.end());
 }
 
 TEST(GraphView, MaterializePreservesIdsAndContent) {

@@ -43,12 +43,10 @@ GATED_COUNTERS = (
     "shipped_bytes_per_batch",
     "owned_bytes_per_batch",
     "halo_bytes_per_batch",
-    # Planner decisions and footprint-gate coverage from bench_incremental
-    # are deterministic for a fixed workload: a planner flipping to the
-    # full path where it used to pick incremental, or a pattern group
-    # losing its skip eligibility, is a detection-cost regression even
-    # when this runner's wall-clock hides it.
-    "planner_full_decision",
+    # Footprint-gate coverage from bench_incremental is deterministic for
+    # a fixed workload: a pattern group losing its skip eligibility is a
+    # detection-cost regression even when this runner's wall-clock hides
+    # it.
     "groups_scanned",
 )
 

@@ -87,7 +87,6 @@
 #include "serve/changefeed.h"
 #include "detect/engine.h"
 #include "detect/metrics.h"
-#include "detect/planner.h"
 #include "gfd/serialize.h"
 #include "gfd/validation.h"
 #include "graph/loader.h"
@@ -585,16 +584,12 @@ bool AppendFollowUp(GraphStore& store, uint64_t seq) {
 }
 
 // Prints an incremental diff (+ added against `view`, - removed against
-// `removed_graph`, a PropertyGraph or GraphView holding the pre-update
-// state), classifies the post-update state, and returns the documented
-// exit code. With `post_count` (the running violation counter after the
-// batch) the verdict is read off the counter; otherwise it falls back to
-// the budget-1 existence probe.
-template <typename RemovedGraphT>
+// `removed_graph`, which holds the pre-update state), classifies the
+// post-update state by `post_count` (the violation count after the
+// batch), and returns the documented exit code.
 int ReportDiff(const ViolationEngine& engine, const GraphView& view,
-               const RemovedGraphT& removed_graph, const IncrementalDiff& diff,
-               double seconds, size_t workers,
-               std::optional<uint64_t> post_count = std::nullopt) {
+               const PropertyGraph& removed_graph, const IncrementalDiff& diff,
+               double seconds, uint64_t post_count) {
   for (const Violation& v : diff.added) {
     std::printf("+ %s\n", DescribeViolation(view, engine.rules(), v).c_str());
   }
@@ -609,29 +604,23 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
                static_cast<unsigned long>(diff.stats.anchors_scanned),
                diff.stats.anchor_plans,
                static_cast<unsigned long>(diff.stats.matches_seen));
-  DeltaVerdict verdict =
-      post_count ? ClassifyDelta(diff, *post_count)
-                 : ClassifyDelta(engine, view, diff, workers);
-  if (post_count) {
-    std::fprintf(stderr, "verdict: %s (%llu violation(s) by counter)\n",
-                 VerdictName(verdict),
-                 static_cast<unsigned long long>(*post_count));
-  } else {
-    std::fprintf(stderr, "verdict: %s\n", VerdictName(verdict));
-  }
+  DeltaVerdict verdict = ClassifyDelta(diff, post_count);
+  std::fprintf(stderr, "verdict: %s (%llu violation(s) by counter)\n",
+               VerdictName(verdict),
+               static_cast<unsigned long long>(post_count));
   return VerdictExit(verdict);
 }
 
 // The counter a serving step starts from: the persisted running count
 // when it is current, else one full (uncapped) startup scan that seeds
-// it. `view` must be the PRE-append state.
-uint64_t PreBatchCount(const ViolationEngine& engine, const GraphView& view,
+// it. `g` must be the PRE-append state.
+uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
                        std::optional<uint64_t> persisted, size_t workers) {
   if (persisted) return *persisted;
   WallTimer t;
   DetectOptions full;
   full.workers = workers;
-  uint64_t count = engine.Detect(view, full).violations.size();
+  uint64_t count = engine.Detect(g, full).violations.size();
   std::fprintf(stderr,
                "seeded violation counter with a full scan: %llu "
                "violation(s) in %.3fs\n",
@@ -653,18 +642,11 @@ std::optional<int> ServeBatch(ServingStore& store,
   // Reporting works off materialized pre/post states (ids preserved by
   // both backends), so it stays valid across any later compaction.
   PropertyGraph before = store.MaterializeCurrent();
-  GraphDelta no_delta;
-  auto before_view = GraphView::Apply(before, no_delta);
   uint64_t fp = RuleFingerprint(engine.rules(), before);
   uint64_t pre_count =
-      PreBatchCount(engine, *before_view, store.violation_count(fp), workers);
-  // One-shot planner (each CLI invocation is a fresh process, so the
-  // seeded crossover rule decides): large batches take the full-redetect
-  // path instead of paying the known incremental slowdown.
-  DetectPlanner planner;
+      PreBatchCount(engine, before, store.violation_count(fp), workers);
   IncrementalOptions iopts;
   iopts.workers = workers;
-  iopts.planner = &planner;
   std::string error;
   WallTimer t;
   auto step = ServeStep(store, engine, payload, pre_count, fp, iopts, &error);
@@ -679,9 +661,9 @@ std::optional<int> ServeBatch(ServingStore& store,
                  step->persist_error.c_str());
   }
   PropertyGraph after = store.MaterializeCurrent();
-  auto after_view = GraphView::Apply(after, no_delta);
-  int code = ReportDiff(engine, *after_view, before, step->diff, seconds,
-                        workers, step->count);
+  auto after_view = GraphView::Apply(after, GraphDelta{});
+  int code =
+      ReportDiff(engine, *after_view, before, step->diff, seconds, step->count);
   // Refresh the snapshot gauges so a metrics export reflects the
   // post-batch sequence and overlay state.
   ExportSnapshotMetrics(store.MetricsSnapshot());
@@ -778,26 +760,32 @@ int Detect(int argc, char** argv) {
                    FileLineError(delta_path, error).c_str());
       return 1;
     }
-    auto view = GraphView::Apply(*g, *delta, &error);
-    if (!view) {
+    IncrementalOptions iopts;
+    iopts.workers = opts.workers;
+    WallTimer t;
+    auto diff = engine.DetectIncremental(*g, *delta, iopts, &error);
+    double seconds = t.Seconds();
+    if (!diff) {
       std::fprintf(stderr, "error applying %s: %s\n", delta_path,
                    error.c_str());
       return 1;
     }
-    IncrementalOptions iopts;
-    iopts.workers = opts.workers;
-    WallTimer t;
-    auto diff = engine.DetectIncremental(*view, iopts);
-    double seconds = t.Seconds();
+    // The batch applies: DetectIncremental validated it.
+    auto view = GraphView::Apply(*g, *delta);
     std::fprintf(stderr,
                  "delta: %zu ops (%zu+ %zu- edges, %zu attr sets) touching "
                  "%zu nodes\n",
                  view->NumDeltaOps(), view->NumInsertedEdges(),
                  view->NumDeletedEdges(), view->NumAttrSets(),
-                 diff.stats.affected_nodes);
+                 diff->stats.affected_nodes);
+    // Counted the way a serving step counts: one full scan before the
+    // batch, composed with the diff after it.
+    const uint64_t post_count =
+        PreBatchCount(engine, *g, std::nullopt, opts.workers) +
+        diff->added.size() - diff->removed.size();
     // Added violations render against the view (post-update values),
     // removed ones against the base graph they existed in.
-    return ReportDiff(engine, *view, *g, diff, seconds, opts.workers);
+    return ReportDiff(engine, *view, *g, *diff, seconds, post_count);
   }
 
   WallTimer t;
