@@ -8,13 +8,18 @@
 // the diff of two full runs; timings land in BENCH_incremental.json. The
 // step_age_* rows then serve one fixed 8-op batch through
 // GraphStore::AppendAndDiff on top of overlays of growing age, to show
-// whether a serving step's work tracks the batch or the overlay.
+// whether a serving step's work tracks the batch or the overlay. The
+// serve_scale_* rows serve 8-op batches with no rules on YAGO2-like
+// graphs of ~2.2k / 8.7k / 34k nodes through both backends; the run
+// fails when the largest single-store p50 exceeds 2x the smallest, i.e.
+// when per-batch work starts growing with the graph.
 //
 // Usage: bench_incremental [output.json]
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -26,6 +31,7 @@
 #include "graph/graph_view.h"
 #include "graph/loader.h"
 #include "pattern/canonical.h"
+#include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -142,6 +148,31 @@ std::string DeltaTsv(const PropertyGraph& g, const GraphDelta& d) {
   std::ostringstream os;
   SaveGraphDeltaTsv(g, d, os);
   return std::move(os).str();
+}
+
+// `batches` TSV batches of `ops` ops each, cut in order from one
+// RandomDelta over g, so every batch applies on top of the ones before
+// it. Empty when the delta came out too short (RandomDelta skips draws).
+std::vector<std::string> BatchStream(const PropertyGraph& g, size_t batches,
+                                     size_t ops, uint64_t seed) {
+  const GraphDelta all = RandomDelta(g, 2 * batches * ops, seed);
+  if (all.ops.size() < batches * ops) return {};
+  std::vector<std::string> out;
+  for (size_t b = 0; b < batches; ++b) {
+    GraphDelta chunk;
+    chunk.extra_labels = all.extra_labels;
+    chunk.extra_attrs = all.extra_attrs;
+    chunk.extra_values = all.extra_values;
+    chunk.ops.assign(all.ops.begin() + b * ops,
+                     all.ops.begin() + (b + 1) * ops);
+    out.push_back(DeltaTsv(g, chunk));
+  }
+  return out;
+}
+
+double Percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(q * double(v.size() - 1))];
 }
 
 // Min of `reps` timed runs (sub-10ms bodies need the min to be stable).
@@ -344,14 +375,121 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(step_dir);
 
+  // Serving-step cost against graph size: 8-op batches with an empty rule
+  // set, so nothing is detected and what remains is the per-batch work
+  // around the diff (parse, validate, log append, absorb, payload
+  // render). Each size gets 10 warm-up and 40 timed AppendAndDiff calls,
+  // interleaved across sizes so disk and host noise hit all of them
+  // alike; a row reports the p50. The single-store rows are the gate:
+  // the largest graph's p50 must stay within 2x of the smallest's. The
+  // coordinator rows (4 fragments, radius 3) are recorded, not gated:
+  // routing still recomputes residency over the whole graph per batch.
+  const ViolationEngine no_rules(std::vector<Gfd>{});
+  constexpr size_t kWarm = 10, kTimed = 40, kBatchOps = 8;
+  const struct {
+    size_t scale;
+    const char* tag;
+  } kSizes[] = {{1000, "2k"}, {4000, "9k"}, {16000, "34k"}};
+  struct ScaleRun {
+    std::string tag;
+    PropertyGraph g;
+    std::vector<std::string> stream;
+    std::optional<GraphStore> single;
+    std::optional<Coordinator> coord;
+    std::vector<double> single_s, coord_s;
+  };
+  std::vector<ScaleRun> runs;
+  for (const auto& [scale, tag] : kSizes) {
+    ScaleRun run;
+    run.tag = tag;
+    run.g = Yago2Like(scale);
+    run.stream = BatchStream(run.g, kWarm + kTimed, kBatchOps,
+                             /*seed=*/97 + scale);
+    const std::string base =
+        (fs::temp_directory_path() / ("gfd_bench_scale_" + run.tag))
+            .string();
+    fs::remove_all(base);
+    std::string error;
+    if (GraphStore::Init(base + "/single", run.g, &error)) {
+      run.single = GraphStore::Open(base + "/single", {}, &error);
+    }
+    if (run.single &&
+        Coordinator::Init(base + "/coord", run.g, /*fragments=*/4,
+                          /*halo_radius=*/3, &error)) {
+      run.coord = Coordinator::Open(base + "/coord", {}, &error);
+    }
+    if (run.stream.empty() || !run.single || !run.coord) {
+      std::fprintf(stderr, "serve_scale_%s setup failed: %s\n", tag,
+                   error.c_str());
+      return 1;
+    }
+    runs.push_back(std::move(run));
+  }
+  for (size_t b = 0; b < kWarm + kTimed; ++b) {
+    for (ScaleRun& run : runs) {
+      std::string error;
+      WallTimer ts;
+      bool ok = run.single->AppendAndDiff(no_rules, run.stream[b], {},
+                                          nullptr, &error)
+                    .has_value();
+      const double single_s = ts.Seconds();
+      WallTimer tc;
+      ok = ok && run.coord->AppendAndDiff(no_rules, run.stream[b], {},
+                                          nullptr, &error)
+                     .has_value();
+      const double coord_s = tc.Seconds();
+      if (!ok) {
+        std::fprintf(stderr, "serve_scale_%s batch %zu failed: %s\n",
+                     run.tag.c_str(), b, error.c_str());
+        return 1;
+      }
+      if (b < kWarm) continue;
+      run.single_s.push_back(single_s);
+      run.coord_s.push_back(coord_s);
+    }
+  }
+  double single_min = 1e100, single_max = 0;
+  for (ScaleRun& run : runs) {
+    const double p50 = Percentile(run.single_s, 0.5);
+    single_min = std::min(single_min, p50);
+    single_max = std::max(single_max, p50);
+    const std::pair<const char*, const std::vector<double>*> series[] = {
+        {"single", &run.single_s}, {"coord", &run.coord_s}};
+    for (const auto& [backend, samples] : series) {
+      const std::string name =
+          std::string("serve_scale_") + backend + "_" + run.tag;
+      const double s50 = Percentile(*samples, 0.5);
+      const double s90 = Percentile(*samples, 0.9);
+      std::printf("%-28s %8.5fs  p90 %.5fs over %zu %zu-op batches on "
+                  "|V|=%zu |E|=%zu\n",
+                  name.c_str(), s50, s90, samples->size(), kBatchOps,
+                  run.g.NumNodes(), run.g.NumEdges());
+      rows.push_back({name,
+                      s50,
+                      {{"p90_seconds", s90},
+                       {"batches", double(samples->size())},
+                       {"batch_ops", double(kBatchOps)},
+                       {"nodes", double(run.g.NumNodes())},
+                       {"edges", double(run.g.NumEdges())}}});
+    }
+    fs::remove_all(
+        (fs::temp_directory_path() / ("gfd_bench_scale_" + run.tag)).string());
+  }
+  const double scale_ratio = single_min > 0 ? single_max / single_min : 0;
+  const bool scale_ok = scale_ratio <= 2.0;
+  std::printf("single-store p50, largest / smallest graph: %.2fx (gate "
+              "<= 2x) %s\n",
+              scale_ratio, scale_ok ? "ok" : "EXCEEDED");
+
   rows.push_back({"summary",
                   0,
                   {{"verified", verified ? 1.0 : 0.0},
-                   {"speedup_0.1pct", speedup_smallest}}});
+                   {"speedup_0.1pct", speedup_smallest},
+                   {"serve_scale_single_ratio", scale_ratio}}});
   std::printf("incremental vs full at 0.1%% delta: %.1fx; diffs %s\n",
               speedup_smallest, verified ? "identical" : "DIVERGED");
 
   WriteJson(out, rows);
   std::printf("wrote %s\n", out);
-  return verified ? 0 : 1;
+  return verified && scale_ok ? 0 : 1;
 }

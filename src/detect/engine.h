@@ -103,6 +103,11 @@ struct IncrementalDiff {
   std::vector<Violation> added;    ///< sorted per Violation ordering
   std::vector<Violation> removed;  ///< sorted per Violation ordering
   IncrementalStats stats;
+  /// The diff in the changefeed payload format (serve/changefeed.h),
+  /// rendered against the post-batch state. Only a serving step
+  /// (ServingStore::AppendAndDiff) fills it; one-shot and per-fragment
+  /// diffs leave it empty.
+  std::string payload;
 };
 
 /// What one update batch touches, read off its ops and the live view

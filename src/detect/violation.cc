@@ -4,12 +4,6 @@ namespace gfd {
 
 namespace {
 
-// Rule text renders against the base vocabulary (rules are loaded against
-// it); only the *evidence* -- node names and actual attribute values --
-// resolves through the possibly-overlaid graph.
-const PropertyGraph& BaseOf(const PropertyGraph& g) { return g; }
-const PropertyGraph& BaseOf(const GraphView& g) { return g.base(); }
-
 // "JohnWinter" when named, "#17" otherwise.
 template <typename GraphT>
 std::string NodeRef(const GraphT& g, NodeId v) {
@@ -26,12 +20,15 @@ std::string ActualValue(const GraphT& g, const Match& m, VarId x, AttrId a) {
   return term + " is '" + g.ValueName(*v) + "'";
 }
 
+// Everything -- rule text and evidence alike -- resolves through `g`, so a
+// rule loaded against a materialized graph may name vocabulary that, in a
+// live view, exists only in the overlay's extension tables.
 template <typename GraphT>
 std::string Describe(const GraphT& g, std::span<const Gfd> rules,
                      const Violation& v) {
   const Gfd& rule = rules[v.gfd_index];
   std::string s = "rule#" + std::to_string(v.gfd_index) + " " +
-                  rule.ToString(BaseOf(g)) + " at pivot " +
+                  rule.ToString(g) + " at pivot " +
                   NodeRef(g, v.pivot) + ":";
   for (VarId x = 0; x < v.match.size(); ++x) {
     s += " x" + std::to_string(x) + "=" + NodeRef(g, v.match[x]);
@@ -41,11 +38,11 @@ std::string Describe(const GraphT& g, std::span<const Gfd> rules,
       s += " | illegal structure (consequence is false)";
       break;
     case LiteralKind::kVarConst:
-      s += " | expected " + v.failed_rhs.ToString(BaseOf(g)) + ", yet " +
+      s += " | expected " + v.failed_rhs.ToString(g) + ", yet " +
            ActualValue(g, v.match, v.failed_rhs.x, v.failed_rhs.a);
       break;
     case LiteralKind::kVarVar:
-      s += " | expected " + v.failed_rhs.ToString(BaseOf(g)) + ", yet " +
+      s += " | expected " + v.failed_rhs.ToString(g) + ", yet " +
            ActualValue(g, v.match, v.failed_rhs.x, v.failed_rhs.a) +
            " while " +
            ActualValue(g, v.match, v.failed_rhs.y, v.failed_rhs.b);

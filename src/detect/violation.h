@@ -42,8 +42,11 @@ struct Violation {
 std::string DescribeViolation(const PropertyGraph& g,
                               std::span<const Gfd> rules, const Violation& v);
 
-/// View overload: evidence values resolve through the delta overlay (a
-/// violation added by an attribute update names the post-update value).
+/// View overload: the whole description resolves through the view, so
+/// evidence names post-update values, and rule text may name vocabulary
+/// that exists only in the overlay (a rule loaded against the
+/// materialized current graph). For ids below the base interner sizes
+/// the text equals the materialized graph's.
 std::string DescribeViolation(const GraphView& g, std::span<const Gfd> rules,
                               const Violation& v);
 

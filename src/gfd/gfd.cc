@@ -12,21 +12,34 @@ Gfd::Gfd(Pattern q, std::vector<Literal> x, Literal l)
   NormalizeLhs(lhs);
 }
 
-std::string Gfd::ToString(const PropertyGraph& g) const {
+namespace {
+
+template <typename GraphT>
+std::string Render(const Gfd& phi, const GraphT& g) {
   std::ostringstream os;
-  os << pattern.ToString(g) << " : ";
-  if (lhs.empty()) {
+  os << phi.pattern.ToString(g) << " : ";
+  if (phi.lhs.empty()) {
     os << "{}";
   } else {
     os << '{';
-    for (size_t i = 0; i < lhs.size(); ++i) {
+    for (size_t i = 0; i < phi.lhs.size(); ++i) {
       if (i) os << ", ";
-      os << lhs[i].ToString(g);
+      os << phi.lhs[i].ToString(g);
     }
     os << '}';
   }
-  os << " -> " << rhs.ToString(g);
+  os << " -> " << phi.rhs.ToString(g);
   return os.str();
+}
+
+}  // namespace
+
+std::string Gfd::ToString(const PropertyGraph& g) const {
+  return Render(*this, g);
+}
+
+std::string Gfd::ToString(const GraphView& g) const {
+  return Render(*this, g);
 }
 
 Literal MapLiteral(const Literal& l, const std::vector<VarId>& f) {

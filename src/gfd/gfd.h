@@ -30,6 +30,8 @@ struct Gfd {
   size_t NumVars() const { return pattern.NumNodes(); }
 
   std::string ToString(const PropertyGraph& g) const;
+  /// View overload: rule text names overlay-only vocabulary too.
+  std::string ToString(const GraphView& g) const;
 
   friend bool operator==(const Gfd&, const Gfd&) = default;
 };

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "util/hash.h"
 #include "util/ids.h"
@@ -62,7 +63,14 @@ struct Literal {
 
   /// Renders e.g. "x0.type='producer'" or "x1.name=x2.name", resolving
   /// attribute/value names through `g`.
-  std::string ToString(const PropertyGraph& g) const {
+  std::string ToString(const PropertyGraph& g) const { return Render(g); }
+  /// View overload: ids past the base interners (a constant first seen
+  /// in the overlay) resolve through the view's extension vocabulary.
+  std::string ToString(const GraphView& g) const { return Render(g); }
+
+ private:
+  template <typename GraphT>
+  std::string Render(const GraphT& g) const {
     if (kind == LiteralKind::kFalse) return "false";
     std::string s = "x" + std::to_string(x) + "." + g.AttrName(a);
     if (kind == LiteralKind::kVarConst) {

@@ -15,16 +15,6 @@ void SetError(std::string* error, const std::string& msg) {
   if (error) *error = msg;
 }
 
-// The name a node answers to in TSV files: its own name, or the "n<id>"
-// alias SaveGraphTsv emits for unnamed nodes.
-std::string NodeAlias(const PropertyGraph& g, NodeId v) {
-  const std::string& name = g.NodeName(v);
-  if (!name.empty()) return name;
-  std::string alias = "n";
-  alias += std::to_string(v);
-  return alias;
-}
-
 // Unescapes one raw field, reporting a line-numbered error on a dangling
 // backslash or unknown escape instead of silently keeping corrupt data.
 std::optional<std::string> Unescape(std::string_view field, size_t lineno,
@@ -136,14 +126,6 @@ std::optional<PropertyGraph> LoadGraphTsvFile(const std::string& path,
 std::optional<GraphDelta> LoadGraphDeltaTsv(std::istream& in,
                                             const PropertyGraph& g,
                                             std::string* error) {
-  // Node references resolve through names; unnamed nodes answer to the
-  // "n<id>" aliases SaveGraphTsv emits.
-  std::unordered_map<std::string, NodeId> ids;
-  ids.reserve(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    ids.emplace(NodeAlias(g, v), v);
-  }
-
   GraphDelta d;
   std::string line;
   size_t lineno = 0;
@@ -152,16 +134,17 @@ std::optional<GraphDelta> LoadGraphDeltaTsv(std::istream& in,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     auto fields = SplitFields(line);
+    // Node references resolve through the graph's name index (unnamed
+    // nodes answer to the "n<id>" aliases SaveGraphTsv emits).
     auto at = [&](std::string_view raw) -> std::optional<NodeId> {
       auto name = Unescape(raw, lineno, error);
       if (!name) return std::nullopt;
-      auto it = ids.find(*name);
-      if (it == ids.end()) {
+      auto v = g.FindNode(*name);
+      if (!v) {
         SetError(error, "line " + std::to_string(lineno) +
                             ": unknown node '" + *name + "'");
-        return std::nullopt;
       }
-      return it->second;
+      return v;
     };
     if (fields[0] == "L" || fields[0] == "K" || fields[0] == "V") {
       // Vocabulary preamble: intern in file order so every consumer of
@@ -250,7 +233,7 @@ void SaveGraphDeltaTsv(const PropertyGraph& g, const GraphDelta& d,
       out << "V\t" << EscapeField(v) << '\n';
     }
   }
-  auto name_of = [&](NodeId v) { return EscapeField(NodeAlias(g, v)); };
+  auto name_of = [&](NodeId v) { return EscapeField(g.NodeAlias(v)); };
   for (const GraphDelta::Op& op : d.ops) {
     switch (op.kind) {
       case GraphDelta::OpKind::kInsertEdge:
@@ -281,7 +264,7 @@ void SaveGraphTsv(const PropertyGraph& g, std::ostream& out,
       out << "V\t" << EscapeField(g.ValueName(v)) << '\n';
     }
   }
-  auto name_of = [&](NodeId v) { return EscapeField(NodeAlias(g, v)); };
+  auto name_of = [&](NodeId v) { return EscapeField(g.NodeAlias(v)); };
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     out << "N\t" << name_of(v) << '\t'
         << EscapeField(g.LabelName(g.NodeLabel(v)));

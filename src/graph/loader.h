@@ -27,8 +27,10 @@
 //   E+ <src-string-id> <dst-string-id> <label>     insert edge
 //   E- <src-string-id> <dst-string-id> <label>     delete edge
 //   A  <node-string-id> <key>=<value> [...]        set attribute(s)
-// Node references resolve through the graph's node names (unnamed nodes
-// answer to "n<id>", matching SaveGraphTsv's output). Labels, keys, and
+// Node references resolve through PropertyGraph::FindNode: a node's own
+// name, or "n<id>" for an unnamed node (PropertyGraph::NodeAlias, which
+// is also what SaveGraphTsv writes). The graph builds that index once,
+// so parsing a batch costs O(batch log |V|), not O(|V|). Labels, keys, and
 // values the graph never interned are added to the delta's extension
 // vocabulary, so updates may introduce brand-new values. L/K/V records
 // pre-intern extension vocabulary in file order, the delta analogue of
@@ -63,7 +65,8 @@ std::optional<PropertyGraph> LoadGraphTsvFile(const std::string& path,
 void SaveGraphTsv(const PropertyGraph& g, std::ostream& out,
                   bool with_vocab = false);
 
-/// Parses a delta against `g`'s node names and vocabulary. Returns
+/// Parses a delta against `g`'s node names (g.FindNode) and
+/// vocabulary. Returns
 /// std::nullopt and fills `*error` (if non-null) with a line-numbered
 /// message ("line N: ...") on malformed input (unknown tag, unknown node,
 /// short record, attribute without '=').

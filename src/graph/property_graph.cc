@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/hash.h"
+
 namespace gfd {
 
 PropertyGraph::Builder::Builder() {
@@ -129,6 +131,12 @@ PropertyGraph PropertyGraph::Builder::Build() && {
   for (size_t v = 0; v < n; ++v) {
     g.label_nodes_[cursor[g.node_labels_[v]]++] = static_cast<NodeId>(v);
   }
+
+  g.name_index_.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    g.name_index_[v] = {NodeNameHash(g.NodeAlias(v)), v};
+  }
+  std::sort(g.name_index_.begin(), g.name_index_.end());
   return g;
 }
 
@@ -152,6 +160,29 @@ const std::string& PropertyGraph::NodeName(NodeId v) const {
   static const std::string kEmpty;
   if (v >= node_names_.size()) return kEmpty;
   return node_names_[v];
+}
+
+std::string PropertyGraph::NodeAlias(NodeId v) const {
+  const std::string& name = NodeName(v);
+  if (!name.empty()) return name;
+  return "n" + std::to_string(v);
+}
+
+std::optional<NodeId> PropertyGraph::FindNode(std::string_view name) const {
+  const uint32_t h = NodeNameHash(name);
+  auto it = std::lower_bound(name_index_.begin(), name_index_.end(),
+                             std::pair<uint32_t, NodeId>{h, 0});
+  // Entries sharing a hash sit in id order, so the first confirmed hit
+  // is the lowest id answering to `name`.
+  for (; it != name_index_.end() && it->first == h; ++it) {
+    if (NodeAlias(it->second) == name) return it->second;
+  }
+  return std::nullopt;
+}
+
+uint32_t PropertyGraph::NodeNameHash(std::string_view name) {
+  const uint64_t h = Fnv1a64(name);
+  return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
 bool PropertyGraph::HasEdge(NodeId src, NodeId dst, LabelId label) const {

@@ -104,6 +104,19 @@ class PropertyGraph {
   /// Human-readable node name if the source data provided one, else "".
   const std::string& NodeName(NodeId v) const;
 
+  /// The name v answers to in TSV files (graph/loader.h): its own name,
+  /// or "n<id>" when it has none. The one home of that alias rule; the
+  /// TSV savers write it and FindNode resolves it.
+  std::string NodeAlias(NodeId v) const;
+
+  /// The node whose NodeAlias is `name`, or nullopt. When several nodes
+  /// answer to one name (a node named "n5" beside unnamed node 5), the
+  /// lowest id wins. O(log |V|) through an index Build() lays down once.
+  std::optional<NodeId> FindNode(std::string_view name) const;
+
+  /// The 32-bit hash FindNode's index keys aliases by.
+  static uint32_t NodeNameHash(std::string_view name);
+
   // --- Edges ---------------------------------------------------------------
   NodeId EdgeSrc(EdgeId e) const { return edge_src_[e]; }
   NodeId EdgeDst(EdgeId e) const { return edge_dst_[e]; }
@@ -182,6 +195,10 @@ class PropertyGraph {
   std::vector<NodeId> label_nodes_;
 
   std::vector<std::string> node_names_;
+
+  // (NodeNameHash(NodeAlias(v)), v) for every node, sorted: 8 bytes a
+  // node, no copied strings. A hash hit is confirmed against the alias.
+  std::vector<std::pair<uint32_t, NodeId>> name_index_;
 };
 
 }  // namespace gfd

@@ -222,14 +222,9 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
                  step->persist_error.c_str());
   }
 
-  // Serialize-at-publish: descriptions resolve against the post-batch
-  // state, so feed replay never needs historical graph state.
-  PropertyGraph after = store_.MaterializeCurrent();
-  GraphDelta no_delta;
-  auto after_view = GraphView::Apply(after, no_delta);
-  std::string payload = SerializeDiffPayload(*after_view, engine_.rules(),
-                                             diff);
-  if (!feed_.Publish(step->seq, std::move(payload), &error)) {
+  // The serving step rendered the payload against the post-batch state,
+  // so feed replay never needs historical graph state.
+  if (!feed_.Publish(step->seq, std::move(step->diff.payload), &error)) {
     std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());
   }
   if (!store_.MaybeCompact(&error)) {

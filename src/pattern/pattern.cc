@@ -30,6 +30,25 @@ std::vector<size_t> BfsDistances(const Pattern& p, VarId start) {
   }
   return dist;
 }
+
+template <typename GraphT>
+std::string Render(const Pattern& p, const GraphT& g) {
+  std::ostringstream os;
+  os << "Q[";
+  for (VarId v = 0; v < p.NumNodes(); ++v) {
+    if (v) os << ", ";
+    os << 'x' << v << ':' << g.LabelName(p.NodeLabel(v));
+  }
+  os << " |";
+  if (p.edges().empty()) os << " (no edges)";
+  for (size_t i = 0; i < p.edges().size(); ++i) {
+    const PatternEdge& e = p.edges()[i];
+    if (i) os << ',';
+    os << " x" << e.src << " -" << g.LabelName(e.label) << "-> x" << e.dst;
+  }
+  os << " | pivot=x" << p.pivot() << ']';
+  return os.str();
+}
 }  // namespace
 
 bool Pattern::IsConnected() const {
@@ -61,21 +80,11 @@ std::vector<VarId> Pattern::Neighbors(VarId v) const {
 }
 
 std::string Pattern::ToString(const PropertyGraph& g) const {
-  std::ostringstream os;
-  os << "Q[";
-  for (VarId v = 0; v < NumNodes(); ++v) {
-    if (v) os << ", ";
-    os << 'x' << v << ':' << g.LabelName(node_labels_[v]);
-  }
-  os << " |";
-  if (edges_.empty()) os << " (no edges)";
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (i) os << ',';
-    os << " x" << edges_[i].src << " -" << g.LabelName(edges_[i].label)
-       << "-> x" << edges_[i].dst;
-  }
-  os << " | pivot=x" << pivot_ << ']';
-  return os.str();
+  return Render(*this, g);
+}
+
+std::string Pattern::ToString(const GraphView& g) const {
+  return Render(*this, g);
 }
 
 Pattern SingleNodePattern(LabelId label) {

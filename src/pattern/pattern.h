@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "util/ids.h"
 
@@ -74,6 +75,9 @@ class Pattern {
   /// Human-readable rendering, resolving label names via `g`'s interner.
   /// Example: "Q[x0:person, x1:product | x0 -create-> x1 | pivot=x0]".
   std::string ToString(const PropertyGraph& g) const;
+  /// View overload: labels past the base interner resolve through the
+  /// view's extension vocabulary.
+  std::string ToString(const GraphView& g) const;
 
   friend bool operator==(const Pattern&, const Pattern&) = default;
 

@@ -4,9 +4,15 @@
 //
 // Every accepted batch produces one feed record whose sequence number IS
 // the store's batch sequence number and whose payload is the batch's
-// violation diff, serialized at publish time against the then-current
-// view (serialize-at-publish means replay never needs historical graph
-// state). Records live in a second DeltaLog, `<dir>/feed.log`, so a
+// violation diff, serialized against the post-batch state (so replay
+// never needs historical graph state). The serving step renders it: the
+// last thing ServingStore::AppendAndDiff does is SerializeDiffPayload
+// over the store's live post-batch view (the master's global view on a
+// coordinator) into IncrementalDiff::payload, and the publisher appends
+// that string. That is the state a materialization taken just before
+// publish would hold, so the bytes equal what rendering against
+// MaterializeCurrent() gives, without the per-batch O(|G|) copy.
+// Records live in a second DeltaLog, `<dir>/feed.log`, so a
 // subscriber cursor is a durable, replayable position: reconnecting at
 // cursor C first replays every record with seq > C straight out of the
 // log, then switches to the live stream -- registration and the replay
@@ -53,8 +59,9 @@ struct FeedEvent {
 };
 
 /// Serializes one batch's diff into the feed payload format above.
-/// Evidence values resolve through `view` (the post-batch overlay), so
-/// descriptions name post-update attribute values.
+/// Everything resolves through `view` (the post-batch state): evidence
+/// names post-update attribute values, and rule text may name
+/// vocabulary that exists only in the view's overlay.
 std::string SerializeDiffPayload(const GraphView& view,
                                  std::span<const Gfd> rules,
                                  const IncrementalDiff& diff);

@@ -11,6 +11,7 @@
 #include "graph/loader.h"
 #include "graph/subgraph.h"
 #include "obs/trace.h"
+#include "serve/changefeed.h"
 #include "serve/metrics.h"
 
 namespace gfd {
@@ -764,6 +765,10 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   diff.added = MergeSorted(std::move(added));
   diff.removed = MergeSorted(std::move(removed));
+  // ShipSequenced committed the master's global view to the post-batch
+  // state; the payload renders against it, as it would against
+  // MaterializeCurrent().
+  diff.payload = SerializeDiffPayload(index_->view(), engine.rules(), diff);
   if (seq_out) *seq_out = *seq;
   return diff;
 }
@@ -839,8 +844,8 @@ bool Coordinator::CompactAll(std::string* error) {
   // Global snapshot first (the gross-damage recovery source), fragment
   // rolls second, journal re-anchor last: a crash between any two steps
   // leaves a state Open() can still bridge.
+  PropertyGraph current = index_->view().Materialize();
   {
-    PropertyGraph current = index_->view().Materialize();
     std::ostringstream snap;
     SaveGraphTsv(current, snap, /*with_vocab=*/true);
     std::string werr;
@@ -864,7 +869,7 @@ bool Coordinator::CompactAll(std::string* error) {
       return false;
     }
   }
-  index_->Compact();
+  index_->Compact(std::move(current));
   std::string jerr;
   if (!journal_->DropThrough(seq, &jerr)) {
     SetError(error, "routing journal: " + jerr);

@@ -11,6 +11,7 @@
 
 #include "graph/loader.h"
 #include "obs/trace.h"
+#include "serve/changefeed.h"
 #include "serve/durable_io.h"
 #include "serve/metrics.h"
 #include "util/timer.h"
@@ -237,17 +238,16 @@ bool GraphStore::ApplyOverlay(GraphDelta next_overlay, std::string* error) {
 
 std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
                                            std::string* error) {
+  auto batch = ParseBatch(delta_tsv, error);
+  if (!batch) return std::nullopt;
+  return AppendParsed(*batch, delta_tsv, error);
+}
+
+std::optional<uint64_t> GraphStore::AppendParsed(const GraphDelta& batch,
+                                                 std::string_view delta_tsv,
+                                                 std::string* error) {
   obs::ScopedTimer append_timer(&StoreAppendLatency(), "append");
   obs::ScopedTimer validate_timer(nullptr, "validate");
-  std::istringstream in{std::string(delta_tsv)};
-  std::string parse_error;
-  auto d = LoadGraphDeltaTsv(in, *base_, &parse_error);
-  if (!d) {
-    append_timer.Discard();
-    validate_timer.Discard();
-    SetError(error, parse_error);
-    return std::nullopt;
-  }
   // Fold the batch onto the overlay tail, remembering the rollback point:
   // on any failure below, the ops and extras the batch contributed are
   // truncated away again (nothing before first_op references them).
@@ -255,7 +255,16 @@ std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
   const size_t labels0 = overlay_.extra_labels.size();
   const size_t attrs0 = overlay_.extra_attrs.size();
   const size_t values0 = overlay_.extra_values.size();
-  overlay_.Append(*base_, *d);
+  // ParseBatch seeds the batch's extension tables with the overlay's own,
+  // so adopting their tails keeps every id already handed out.
+  auto adopt_tail = [](std::vector<std::string>& own,
+                       const std::vector<std::string>& extras) {
+    own.insert(own.end(), extras.begin() + own.size(), extras.end());
+  };
+  overlay_.ops.insert(overlay_.ops.end(), batch.ops.begin(), batch.ops.end());
+  adopt_tail(overlay_.extra_labels, batch.extra_labels);
+  adopt_tail(overlay_.extra_attrs, batch.extra_attrs);
+  adopt_tail(overlay_.extra_values, batch.extra_values);
   auto rollback = [&] {
     overlay_.ops.resize(first_op);
     overlay_.extra_labels.resize(labels0);
@@ -312,20 +321,6 @@ std::optional<GraphDelta> GraphStore::ParseBatch(std::string_view delta_tsv,
   batch.extra_values = overlay_.extra_values;
   batch.Append(*base_, *d);
   return batch;
-}
-
-bool GraphStore::Validate(std::string_view delta_tsv,
-                          std::string* error) const {
-  // Dry-run against the live view: validate the batch as an appended
-  // tail -- O(batch), no overlay copy.
-  auto batch = ParseBatch(delta_tsv, error);
-  if (!batch) return false;
-  std::string apply_error;
-  if (!view_->ValidateAppended(*batch, 0, &apply_error)) {
-    SetError(error, apply_error);
-    return false;
-  }
-  return true;
 }
 
 std::optional<uint64_t> GraphStore::violation_count(
@@ -442,14 +437,14 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
   // The step diff anchors at what this batch touches: its ops in the
   // live view's id space, and that view's pre-batch degrees to pick each
-  // edge op's endpoint. Append then absorbs the batch into the same view
-  // object the after side reads.
+  // edge op's endpoint. The same parsed batch is then appended and
+  // absorbed into the view object the after side reads.
   auto batch = ParseBatch(delta_tsv, error);
   if (!batch) return std::nullopt;
   const BatchFootprint fp = BatchFootprint::Of(batch->ops, *view_);
   std::optional<uint64_t> seq;
   auto append = [&] {
-    seq = Append(delta_tsv, error);
+    seq = AppendParsed(*batch, delta_tsv, error);
     return seq.has_value();
   };
   obs::ScopedTimer detect_timer(nullptr, "detect");
@@ -464,7 +459,11 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   detect_timer.AddField("matches", sides->stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  return StepDiff(*sides);
+  IncrementalDiff diff = StepDiff(*sides);
+  // The live view is now the post-batch state: the feed payload renders
+  // against it, byte-identical to rendering against a materialization.
+  diff.payload = SerializeDiffPayload(*view_, engine.rules(), diff);
+  return diff;
 }
 
 }  // namespace gfd

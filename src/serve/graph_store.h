@@ -18,7 +18,10 @@
 // Append() parses one TSV delta batch against the store's vocabulary,
 // validates it by applying it to the current view, writes it durably to
 // the log, and only then folds it into the in-memory overlay; a batch
-// that fails validation never reaches the log.
+// that fails validation never reaches the log. AppendAndDiff() parses
+// once for both its footprint and its append, and renders the diff's
+// feed payload against the live post-batch view. Node names resolve
+// through the index each snapshot builds once (PropertyGraph::FindNode).
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
@@ -124,12 +127,6 @@ class GraphStore final : public ServingStore {
   std::optional<uint64_t> Append(const GraphDelta& batch,
                                  std::string* error = nullptr);
 
-  /// Parses and validates `delta_tsv` against the current view without
-  /// logging or applying anything -- the dry-run a coordinator performs
-  /// once before broadcasting a batch to every replica, so an invalid
-  /// batch is rejected before any fragment's log sees it.
-  bool Validate(std::string_view delta_tsv, std::string* error = nullptr) const;
-
   /// Running violation count as of last_seq(), maintained by the serving
   /// loop (count += |added| - |removed| per batch, seeded by one full
   /// Detect) and persisted in store.meta next to the anchor. The count is
@@ -164,7 +161,9 @@ class GraphStore final : public ServingStore {
   /// of exactly this batch. ViolationEngine::DetectStep runs on the live
   /// view just before and just after the append, anchored at the batch's
   /// attribute targets and the lower-degree endpoint of each edge op, so
-  /// the cost tracks the batch, not the overlay or a hub it touches.
+  /// the cost tracks the batch, not the overlay or a hub it touches. The
+  /// batch is parsed once; the diff's payload is rendered against the
+  /// live post-batch view, with no materialization.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -184,6 +183,13 @@ class GraphStore final : public ServingStore {
   // the batch's own new names), without touching the overlay.
   std::optional<GraphDelta> ParseBatch(std::string_view delta_tsv,
                                        std::string* error) const;
+
+  // Validates, logs and absorbs `batch` -- ParseBatch's result for
+  // `delta_tsv`, which is what the log records. The overlay adopts the
+  // batch's ops and the tails of its extension tables.
+  std::optional<uint64_t> AppendParsed(const GraphDelta& batch,
+                                       std::string_view delta_tsv,
+                                       std::string* error);
 
   // Rewrites store.meta (atomically) reflecting the current anchor,
   // snapshot, and violation-count state.

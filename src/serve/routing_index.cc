@@ -245,8 +245,8 @@ void RoutingIndex::Commit(ShipPlan&& plan) {
   FillBorders(&partition_, resident_);
 }
 
-void RoutingIndex::Compact() {
-  base_ = std::make_unique<PropertyGraph>(view_->Materialize());
+void RoutingIndex::Compact(PropertyGraph next) {
+  base_ = std::make_unique<PropertyGraph>(std::move(next));
   accum_ = GraphDelta{};
   std::string error;
   // An empty delta over a well-formed graph cannot fail to apply.

@@ -108,10 +108,11 @@ class RoutingIndex {
   /// Adopts a plan's candidate state (global view, residency, owners).
   void Commit(ShipPlan&& plan);
 
-  /// Lockstep-compaction hook: folds the accumulated delta into the
+  /// Lockstep-compaction hook: adopts `next` -- view().Materialize(),
+  /// which the caller already built for the global snapshot -- as the
   /// base snapshot (ids preserved, mirroring GraphStore::Compact) and
-  /// clears the extension-vocabulary preamble.
-  void Compact();
+  /// clears the accumulated delta and its vocabulary preamble.
+  void Compact(PropertyGraph next);
 
   /// Resident (stored) edge count of fragment f under the current
   /// residency -- the footprint metric: summed over fragments this is

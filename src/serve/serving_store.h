@@ -64,8 +64,10 @@ class ServingStore {
                                          std::string* error = nullptr) = 0;
 
   /// One serving step: Append plus the violation diff induced by exactly
-  /// this batch relative to the pre-append state. On success `*seq_out`
-  /// (if non-null) is the assigned sequence number.
+  /// this batch relative to the pre-append state, with the diff's feed
+  /// payload (IncrementalDiff::payload) rendered against the post-batch
+  /// state. On success `*seq_out` (if non-null) is the assigned sequence
+  /// number.
   virtual std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -122,7 +124,8 @@ struct ServedBatch {
 /// (pre_count + |added| - |removed|), then SetViolationCount under
 /// `fingerprint`, then the verdict. Returns nullopt (with *error set)
 /// when the store rejected the batch; nothing was logged then. Callers
-/// materialize, publish and compact after it returns, in that order.
+/// publish `diff.payload`, then compact; nothing in between needs the
+/// graph materialized.
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,

@@ -24,12 +24,14 @@
 #include "datagen/gfd_gen.h"
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
+#include "gfd/serialize.h"
 #include "graph/loader.h"
 #include "net/feed_service.h"
 #include "net/http.h"
 #include "net/http_server.h"
 #include "net/rate_limiter.h"
 #include "serve/changefeed.h"
+#include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "util/rng.h"
 
@@ -296,6 +298,71 @@ TEST(Changefeed, PayloadLinesRoundTripThroughParse) {
     return;
   }
   FAIL() << "no batch changed any violation in 20 attempts";
+}
+
+// A rule whose constant exists only in the un-compacted overlay: the
+// server loads rules against the materialized current graph, so the
+// constant's id is past the store's base interner. The payload the step
+// renders on its live view must still name it, byte-identical to
+// rendering against a materialization, on both backends.
+TEST(Changefeed, PayloadNamesAnOverlayOnlyRuleConstant) {
+  std::istringstream tsv(
+      "N\ta\tperson\ttype=x\tkind=vip\n"
+      "N\tb\tperson\ttype=y\tkind=regular\n"
+      "N\tc\tperson\ttype=y\tkind=regular\n"
+      "E\ta\tb\tknows\n"
+      "E\tb\tc\tknows\n");
+  auto g = LoadGraphTsv(tsv);
+  ASSERT_TRUE(g.has_value());
+  ASSERT_FALSE(g->FindValue("zzz").has_value());
+
+  auto serve = [&](ServingStore& store) {
+    // Every vip is of type 'zzz' -- a value only the overlay holds.
+    std::string error;
+    auto rule =
+        ParseGfd("nodes=person;edges=;pivot=0;lhs=0.kind='vip';"
+                 "rhs=0.type='zzz'",
+                 store.MaterializeCurrent(), &error);
+    ASSERT_TRUE(rule.has_value()) << error;
+    ViolationEngine engine(std::vector<Gfd>{*rule});
+    auto diff = store.AppendAndDiff(engine, "A\tb\tkind=vip\n", {}, nullptr,
+                                    &error);
+    ASSERT_TRUE(diff.has_value()) << error;
+    ASSERT_EQ(diff->added.size(), 1u);
+    const PropertyGraph current = store.MaterializeCurrent();
+    EXPECT_EQ(diff->payload,
+              SerializeDiffPayload(*GraphView::Apply(current, {}),
+                                   engine.rules(), *diff));
+    EXPECT_NE(diff->payload.find("'zzz'"), std::string::npos)
+        << diff->payload;
+  };
+
+  // Both stores take 'zzz' into their overlay, then restart without
+  // compacting.
+  const std::string single_dir = Scratch("feed_overlay_const_single");
+  ASSERT_TRUE(GraphStore::Init(single_dir, *g));
+  {
+    auto store = GraphStore::Open(single_dir);
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(store->Append("A\ta\ttype=zzz\n").has_value());
+  }
+  auto store = GraphStore::Open(single_dir);
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->stats().anchor_seq, 0u);
+  ASSERT_FALSE(store->base().FindValue("zzz").has_value());
+  serve(*store);
+
+  const std::string coord_dir = Scratch("feed_overlay_const_coord");
+  ASSERT_TRUE(Coordinator::Init(coord_dir, *g, /*fragments=*/2));
+  {
+    auto coord = Coordinator::Open(coord_dir);
+    ASSERT_TRUE(coord.has_value());
+    ASSERT_TRUE(coord->Append("A\ta\ttype=zzz\n").has_value());
+  }
+  auto coord = Coordinator::Open(coord_dir);
+  ASSERT_TRUE(coord.has_value());
+  ASSERT_EQ(coord->stats().anchor_seq, 0u);
+  serve(*coord);
 }
 
 TEST(Changefeed, ParseFeedLineRejectsGarbage) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/loader.h"
 #include "graph/property_graph.h"
@@ -122,6 +125,79 @@ TEST(PropertyGraph, EmptyGraph) {
   EXPECT_EQ(g.NumNodes(), 0u);
   EXPECT_EQ(g.NumEdges(), 0u);
   EXPECT_EQ(g.MaxDegree(), 0u);
+}
+
+// Nodes 0..n-1, named per `names` ("" leaves a node unnamed).
+PropertyGraph NamedGraph(const std::vector<std::string>& names) {
+  PropertyGraph::Builder b;
+  for (const std::string& name : names) {
+    NodeId v = b.AddNode("thing");
+    if (!name.empty()) b.SetName(v, name);
+  }
+  return std::move(b).Build();
+}
+
+TEST(PropertyGraph, FindNodeResolvesANamedNode) {
+  auto g = NamedGraph({"alice", "bob", "carol"});
+  EXPECT_EQ(g.FindNode("bob"), 1u);
+  EXPECT_EQ(g.FindNode("carol"), 2u);
+  EXPECT_EQ(g.NodeAlias(0), "alice");
+}
+
+TEST(PropertyGraph, FindNodeResolvesAnUnnamedNodeByItsIdAlias) {
+  auto g = NamedGraph({"alice", "", "carol", ""});
+  EXPECT_EQ(g.NodeAlias(1), "n1");
+  EXPECT_EQ(g.FindNode("n1"), 1u);
+  EXPECT_EQ(g.FindNode("n3"), 3u);
+  // A named node does not answer to its id alias.
+  EXPECT_FALSE(g.FindNode("n0").has_value());
+}
+
+TEST(PropertyGraph, FindNodeSharedAliasResolvesToTheLowerId) {
+  // Node 2 is named "n5" and node 5 is unnamed, so both answer to "n5";
+  // so do node 4 (named "n1") and unnamed node 1.
+  auto g = NamedGraph({"a", "", "n5", "b", "n1", ""});
+  EXPECT_EQ(g.FindNode("n5"), 2u);
+  EXPECT_EQ(g.FindNode("n1"), 1u);
+}
+
+TEST(PropertyGraph, FindNodeUnknownNameIsNullopt) {
+  auto g = NamedGraph({"alice", ""});
+  EXPECT_FALSE(g.FindNode("mallory").has_value());
+  EXPECT_FALSE(g.FindNode("n2").has_value());
+  EXPECT_FALSE(g.FindNode("").has_value());
+  EXPECT_FALSE(PropertyGraph().FindNode("n0").has_value());
+}
+
+TEST(PropertyGraph, FindNodeTellsApartNamesWithEqualIndexHash) {
+  // Brute-force two names whose index hashes collide (a 32-bit hash
+  // collides within ~2^16 names on average).
+  std::unordered_map<uint32_t, std::string> seen;
+  std::string first, second;
+  for (uint64_t i = 0; second.empty(); ++i) {
+    std::string name = "node_" + std::to_string(i);
+    auto [it, fresh] = seen.emplace(PropertyGraph::NodeNameHash(name), name);
+    if (!fresh) {
+      first = it->second;
+      second = name;
+    }
+  }
+  ASSERT_EQ(PropertyGraph::NodeNameHash(first),
+            PropertyGraph::NodeNameHash(second));
+  auto g = NamedGraph({"x", second, "y", first});
+  EXPECT_EQ(g.FindNode(second), 1u);
+  EXPECT_EQ(g.FindNode(first), 3u);
+}
+
+TEST(PropertyGraph, FindNodeSurvivesCopyAndMove) {
+  auto g = NamedGraph({"alice", "", "carol"});
+  PropertyGraph copy = g;
+  PropertyGraph moved = std::move(g);
+  for (const PropertyGraph* h : {&copy, &moved}) {
+    EXPECT_EQ(h->FindNode("alice"), 0u);
+    EXPECT_EQ(h->FindNode("n1"), 1u);
+    EXPECT_EQ(h->FindNode("carol"), 2u);
+  }
 }
 
 TEST(Loader, RoundTripPreservesStructure) {

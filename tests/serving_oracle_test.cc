@@ -1,6 +1,7 @@
 // The serving-level oracle: a batch stream served through AppendAndDiff
-// must produce, batch for batch, the diff of two full Detect runs and a
-// composed running count equal to a full Detect's, on both the
+// must produce, batch for batch, the diff of two full Detect runs, a feed
+// payload equal to one rendered against the materialized post-batch
+// graph, and a composed running count equal to a full Detect's, on both the
 // single-node GraphStore and the vertex-cut Coordinator, across 25
 // random seeds with a batch of a quarter of the edges, runs of small
 // batches on aging overlays and a mid-stream compaction.
@@ -18,6 +19,7 @@
 #include "detect/engine.h"
 #include "graph/graph_view.h"
 #include "graph/loader.h"
+#include "serve/changefeed.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "serve/serving_store.h"
@@ -192,6 +194,13 @@ TEST_P(ServingOracle, DiffsAndCountsMatchFullDetect) {
           << "seed " << seed << " batch " << b;
       count += diff->added.size() - diff->removed.size();
       EXPECT_EQ(count, want_count[b]) << "seed " << seed << " batch " << b;
+      // The payload the step rendered on its live view is byte-identical
+      // to rendering against a fresh materialization.
+      const PropertyGraph current = backend->MaterializeCurrent();
+      EXPECT_EQ(diff->payload,
+                SerializeDiffPayload(*GraphView::Apply(current, {}),
+                                     engine.rules(), *diff))
+          << "seed " << seed << " batch " << b;
       if (b == kCompactAfter) {
         ASSERT_TRUE(backend->Compact(&error)) << error;
       }

@@ -1000,8 +1000,10 @@ int ServeRun(int argc, char** argv) {
     backend = "single";
   }
 
-  PropertyGraph current = serving->MaterializeCurrent();
-  auto rules = LoadRules(argv[1], current);
+  // Rules resolve against the current graph (overlay vocabulary
+  // included); the materialization is a temporary, freed before Prime
+  // builds its own.
+  auto rules = LoadRules(argv[1], serving->MaterializeCurrent());
   if (!rules) return 1;
   ViolationEngine engine(std::move(*rules));
 
