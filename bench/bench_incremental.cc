@@ -9,10 +9,12 @@
 // step_age_* rows then serve one fixed 8-op batch through
 // GraphStore::AppendAndDiff on top of overlays of growing age, to show
 // whether a serving step's work tracks the batch or the overlay. The
-// serve_scale_* rows serve 8-op batches with no rules on YAGO2-like
-// graphs of ~2.2k / 8.7k / 34k nodes through both backends; the run
-// fails when the largest single-store p50 exceeds 2x the smallest, i.e.
-// when per-batch work starts growing with the graph.
+// step_stream_* rows serve one stream of 75-op batches through both
+// backends with the full rule workload. The serve_scale_* rows serve
+// 8-op batches with no rules on YAGO2-like graphs of ~2.2k / 8.7k / 34k
+// nodes through both backends; the run fails when the largest
+// single-store p50 exceeds 2x the smallest, i.e. when per-batch work
+// starts growing with the graph.
 //
 // Usage: bench_incremental [output.json]
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -372,6 +375,94 @@ int main(int argc, char** argv) {
                      {"removed", double(step.removed.size())},
                      {"groups_scanned", double(step.stats.groups_scanned)},
                      {"groups_skipped", double(step.stats.groups_skipped)}}});
+  }
+  fs::remove_all(step_dir);
+
+  // Serving-step cost of a bulk stream: one RandomDelta stream of 75-op
+  // batches served through AppendAndDiff on a single store and on a
+  // 4-fragment coordinator (radius 3), with this bench's rules. A row
+  // reports the summed AppendAndDiff time of the stream, min over kReps
+  // replays from fresh stores, plus the detect work per batch. The
+  // violation set seeded by a full Detect and rolled forward by every
+  // diff is cross-checked against a full Detect of the final graph.
+  constexpr size_t kStreamBatches = 24, kStreamOps = 75;
+  const std::vector<std::string> stream =
+      BatchStream(g0, kStreamBatches, kStreamOps, /*seed=*/331);
+  if (stream.empty()) {
+    std::fprintf(stderr, "step_stream: delta stream came out short\n");
+    return 1;
+  }
+  for (const char* backend : {"single", "coord"}) {
+    const std::string name = std::string("step_stream_") + backend;
+    double stream_s = 1e100;
+    IncrementalStats work;
+    bool stream_ok = true;
+    for (int r = 0; r < kReps && stream_ok; ++r) {
+      fs::remove_all(step_dir);
+      std::string error;
+      std::optional<GraphStore> single;
+      std::optional<Coordinator> coord;
+      ServingStore* store = nullptr;
+      if (backend == std::string("single")) {
+        if (GraphStore::Init(step_dir, g0, &error)) {
+          single = GraphStore::Open(step_dir, {}, &error);
+        }
+        if (single) store = &*single;
+      } else {
+        if (Coordinator::Init(step_dir, g0, /*fragments=*/4,
+                              /*halo_radius=*/3, &error)) {
+          coord = Coordinator::Open(step_dir, {}, &error);
+        }
+        if (coord) store = &*coord;
+      }
+      if (!store) {
+        std::fprintf(stderr, "%s setup failed: %s\n", name.c_str(),
+                     error.c_str());
+        return 1;
+      }
+      std::set<Violation> current(full_old.violations.begin(),
+                                  full_old.violations.end());
+      IncrementalStats totals;
+      double total_s = 0;
+      for (const std::string& batch : stream) {
+        WallTimer t;
+        auto diff = store->AppendAndDiff(engine, batch, {}, nullptr, &error);
+        total_s += t.Seconds();
+        if (!diff) {
+          std::fprintf(stderr, "%s batch failed: %s\n", name.c_str(),
+                       error.c_str());
+          return 1;
+        }
+        for (const Violation& v : diff->removed) current.erase(v);
+        current.insert(diff->added.begin(), diff->added.end());
+        totals.matches_seen += diff->stats.matches_seen;
+        totals.literal_evals += diff->stats.literal_evals;
+        totals.anchors_scanned += diff->stats.anchors_scanned;
+      }
+      stream_s = std::min(stream_s, total_s);
+      if (r > 0) continue;
+      work = totals;
+      const DetectionResult final_full =
+          engine.Detect(store->MaterializeCurrent());
+      stream_ok = std::equal(current.begin(), current.end(),
+                             final_full.violations.begin(),
+                             final_full.violations.end());
+    }
+    verified = verified && stream_ok;
+    const double n = double(stream.size());
+    std::printf("%-28s %8.3fs  %zu %zu-op batches, %.0f matches / %.0f "
+                "literal evals per batch, final count %s\n",
+                name.c_str(), stream_s, stream.size(), kStreamOps,
+                double(work.matches_seen) / n, double(work.literal_evals) / n,
+                stream_ok ? "identical" : "DIVERGED");
+    rows.push_back({name,
+                    stream_s,
+                    {{"batches", n},
+                     {"batch_ops", double(kStreamOps)},
+                     {"matches_per_batch", double(work.matches_seen) / n},
+                     {"literal_evals_per_batch",
+                      double(work.literal_evals) / n},
+                     {"anchors_per_batch", double(work.anchors_scanned) / n}}});
   }
   fs::remove_all(step_dir);
 

@@ -19,9 +19,10 @@ namespace {
 
 // An embedding between exactly-isomorphic patterns may still pair a
 // wildcard with a concrete label (ForEachEmbedding checks subsumption,
-// not equality); literal remapping needs a label-exact isomorphism so
-// that matches of the representative are exactly the matches of the
-// member. Returns f: member VarId -> rep VarId, or empty if none found.
+// not equality); compiling a member's literals against the
+// representative needs a label-exact isomorphism so that matches of the
+// representative are exactly the matches of the member. Returns f:
+// member VarId -> rep VarId, or empty if none found.
 std::vector<VarId> ExactIsomorphism(const Pattern& member,
                                     const Pattern& rep) {
   std::vector<VarId> iso;
@@ -100,6 +101,11 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
   std::sort(member_lists.begin(), member_lists.end(),
             [](const auto& a, const auto& b) { return a[0] < b[0]; });
 
+  auto identity = [](const Pattern& q) {
+    std::vector<VarId> f(q.NumNodes());
+    for (VarId u = 0; u < q.NumNodes(); ++u) f[u] = u;
+    return f;
+  };
   for (auto& members : member_lists) {
     const Pattern& rep = rules_[members[0]].pattern;
     Group group(rep);
@@ -111,21 +117,12 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
         // exists, but if the search ever fails, fall back to a private
         // plan rather than produce wrong answers.
         Group own(phi.pattern);
-        Member m{idx, phi.lhs, phi.rhs, {}};
-        m.to_rep.resize(phi.pattern.NumNodes());
-        for (VarId u = 0; u < phi.pattern.NumNodes(); ++u) m.to_rep[u] = u;
-        own.members.push_back(std::move(m));
+        own.AddMember(idx, phi, identity(phi.pattern));
         groups_.push_back(std::move(own));
         continue;
       }
-      if (f.empty()) {  // representative: identity map
-        f.resize(phi.pattern.NumNodes());
-        for (VarId u = 0; u < phi.pattern.NumNodes(); ++u) f[u] = u;
-      }
-      Member m{idx, {}, MapLiteral(phi.rhs, f), f};
-      m.lhs.reserve(phi.lhs.size());
-      for (const Literal& l : phi.lhs) m.lhs.push_back(MapLiteral(l, f));
-      group.members.push_back(std::move(m));
+      if (f.empty()) f = identity(phi.pattern);  // the representative
+      group.AddMember(idx, phi, std::move(f));
     }
     groups_.push_back(std::move(group));
   }
@@ -146,17 +143,53 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
       }
     }
     SortUnique(group.var_labels);
-    auto add_keys = [&group](const Literal& l) {
-      if (l.kind == LiteralKind::kFalse) return;
-      group.attr_keys.push_back(l.a);
-      if (l.kind == LiteralKind::kVarVar) group.attr_keys.push_back(l.b);
-    };
-    for (const Member& m : group.members) {
-      for (const Literal& l : m.lhs) add_keys(l);
-      add_keys(m.rhs);
-    }
+    for (const SlotRead& r : group.reads) group.attr_keys.push_back(r.key);
     SortUnique(group.attr_keys);
   }
+}
+
+void ViolationEngine::Group::AddMember(uint32_t gfd_index, const Gfd& phi,
+                                       std::vector<VarId> to_rep) {
+  // Slot of (var, key) in `reads`, appended on first use. Groups read a
+  // handful of distinct pairs, so a linear probe is enough.
+  auto slot = [this](VarId var, AttrId key) {
+    for (uint32_t i = 0; i < reads.size(); ++i) {
+      if (reads[i].var == var && reads[i].key == key) return i;
+    }
+    reads.push_back({var, key});
+    return static_cast<uint32_t>(reads.size() - 1);
+  };
+  auto compile = [&](const Literal& l) {
+    SlotLiteral s;
+    s.kind = l.kind;
+    if (l.kind == LiteralKind::kFalse) return s;
+    s.x = slot(to_rep[l.x], l.a);
+    if (l.kind == LiteralKind::kVarVar) {
+      s.y = slot(to_rep[l.y], l.b);
+    } else {
+      s.c = l.c;
+    }
+    return s;
+  };
+  Member m{gfd_index, {}, {}, compile(phi.rhs)};
+  m.lhs.reserve(phi.lhs.size());
+  for (const Literal& l : phi.lhs) m.lhs.push_back(compile(l));
+  m.to_rep = std::move(to_rep);
+  members.push_back(std::move(m));
+}
+
+Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
+                                         const Match& match) const {
+  const Gfd& rule = rules_[m.gfd_index];
+  Violation viol;
+  viol.gfd_index = m.gfd_index;
+  viol.pivot = pivot;
+  viol.failed_rhs = rule.rhs;
+  viol.match.resize(rule.pattern.NumNodes());
+  for (VarId u = 0; u < rule.pattern.NumNodes(); ++u) {
+    viol.match[u] = match[m.to_rep[u]];
+  }
+  return viol;
 }
 
 template <typename GraphT>
@@ -172,17 +205,17 @@ bool ViolationEngine::EvalPivot(const GraphT& g, const Group& group,
   }
   if (active.empty()) return true;
   st.pivots.fetch_add(1, std::memory_order_relaxed);
+  std::vector<ValueId> vals(group.reads.size());
 
   group.plan.ForEachMatchAtPivot(
       g, v,
       [&](const Match& match) {
         st.matches.fetch_add(1, std::memory_order_relaxed);
+        group.ReadSlots(g, match, vals.data());
         for (size_t i = 0; i < active.size();) {
           const Member& m = *active[i];
           st.literal_evals.fetch_add(1, std::memory_order_relaxed);
-          bool violates = MatchSatisfiesAll(g, match, m.lhs) &&
-                          !MatchSatisfies(g, match, m.rhs);
-          if (violates) {
+          if (m.Violates(vals.data())) {
             // Claim a per-rule slot first, then a global one; fetch_add
             // makes both caps exact under concurrency.
             size_t cap = st.opts.max_violations_per_gfd;
@@ -203,16 +236,7 @@ bool ViolationEngine::EvalPivot(const GraphT& g, const Group& group,
             if (budget == 0) {
               st.total.fetch_add(1, std::memory_order_relaxed);
             }
-            const Gfd& rule = rules_[m.gfd_index];
-            Violation viol;
-            viol.gfd_index = m.gfd_index;
-            viol.pivot = v;
-            viol.failed_rhs = rule.rhs;
-            viol.match.resize(rule.pattern.NumNodes());
-            for (VarId u = 0; u < rule.pattern.NumNodes(); ++u) {
-              viol.match[u] = match[m.to_rep[u]];
-            }
-            out.push_back(std::move(viol));
+            out.push_back(MakeViolation(m, v, match));
             if (cap != 0 && st.RuleCapped(m.gfd_index)) {
               st.truncated.store(true, std::memory_order_relaxed);
               active.erase(active.begin() + i);
@@ -367,47 +391,55 @@ std::vector<Violation> ViolationEngine::RunAnchored(
   // anchors is attributed to its minimum such variable, so it is
   // evaluated exactly once regardless of execution order -- which also
   // makes the output independent of the worker count.
-  auto eval_anchor = [&](const Group& group, VarId u, NodeId a,
-                         std::vector<Violation>& out) {
-    st.pivots.fetch_add(1, std::memory_order_relaxed);
+  //
+  // One (group, variable) plan over a seed range: the plan, the match
+  // callback and its slot buffer are set up once, and the counters are
+  // added once at the end.
+  auto scan_plan = [&](const Group& group, VarId u,
+                       std::span<const NodeId> range,
+                       std::vector<Violation>& out) {
     const Pattern& rep = group.plan.pattern();
-    group.AnchorPlans()[u].ForEachMatchAtPivot(
-        g, a,
+    const CompiledPattern& plan = group.AnchorPlans()[u];
+    std::vector<ValueId> vals(group.reads.size());
+    uint64_t matches = 0;
+    const std::function<bool(const Match&)> on_match =
         [&](const Match& match) {
           for (VarId w = 0; w < u; ++w) {
             if (is_anchor[match[w]]) return true;  // attributed to w
           }
-          st.matches.fetch_add(1, std::memory_order_relaxed);
-          NodeId pivot_node = match[rep.pivot()];
+          ++matches;
+          group.ReadSlots(g, match, vals.data());
           for (const Member& m : group.members) {
-            st.literal_evals.fetch_add(1, std::memory_order_relaxed);
-            if (MatchSatisfiesAll(g, match, m.lhs) &&
-                !MatchSatisfies(g, match, m.rhs)) {
-              const Gfd& rule = rules_[m.gfd_index];
-              Violation viol;
-              viol.gfd_index = m.gfd_index;
-              viol.pivot = pivot_node;
-              viol.failed_rhs = rule.rhs;
-              viol.match.resize(rule.pattern.NumNodes());
-              for (VarId x = 0; x < rule.pattern.NumNodes(); ++x) {
-                viol.match[x] = match[m.to_rep[x]];
-              }
-              out.push_back(std::move(viol));
+            if (m.Violates(vals.data())) {
+              out.push_back(MakeViolation(m, match[rep.pivot()], match));
             }
           }
           return true;
-        },
-        st.opts.match);
+        };
+    for (NodeId a : range) {
+      // The plan's own first rejection, taken before it builds any
+      // state: a seed whose label u cannot bind starts no match.
+      if (!LabelMatches(g.NodeLabel(a), rep.NodeLabel(u))) continue;
+      plan.ForEachMatchAtPivot(g, a, on_match, st.opts.match);
+    }
+    st.pivots.fetch_add(range.size(), std::memory_order_relaxed);
+    st.matches.fetch_add(matches, std::memory_order_relaxed);
+    st.literal_evals.fetch_add(matches * group.members.size(),
+                               std::memory_order_relaxed);
+  };
+  auto scan_range = [&](std::span<const NodeId> range,
+                        std::vector<Violation>& out) {
+    for (size_t gi : scan) {
+      const Group& group = groups_[gi];
+      for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
+        scan_plan(group, u, range, out);
+      }
+    }
   };
 
   std::vector<Violation> out;
   if (workers <= 1) {
-    for (size_t gi : scan) {
-      const Group& group = groups_[gi];
-      for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
-        for (NodeId a : seeds) eval_anchor(group, u, a, out);
-      }
-    }
+    scan_range(seeds, out);
   } else {
     ThreadPool pool(workers);
     std::vector<std::vector<Violation>> buffers(workers);
@@ -416,14 +448,7 @@ std::vector<Violation> ViolationEngine::RunAnchored(
       size_t lo = w * chunk;
       size_t hi = std::min(seeds.size(), lo + chunk);
       pool.Submit([&, lo, hi, w] {
-        for (size_t gi : scan) {
-          const Group& group = groups_[gi];
-          for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
-            for (size_t i = lo; i < hi; ++i) {
-              eval_anchor(group, u, seeds[i], buffers[w]);
-            }
-          }
-        }
+        scan_range(seeds.subspan(lo, hi - lo), buffers[w]);
       });
     }
     pool.Wait();

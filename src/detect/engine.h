@@ -7,11 +7,13 @@
 // The ViolationEngine instead:
 //   1. groups its rules by pivot-preserving pattern isomorphism
 //      (pattern/canonical.h canonical codes),
-//   2. compiles ONE CompiledPattern per group and remaps every member's
-//      literals into the representative's variable space, and
-//   3. evaluates all literals of all grouped GFDs against each enumerated
-//      match in a single backtracking pass per pattern group,
-// so the matcher cost is paid |groups| times instead of |rules| times.
+//   2. compiles ONE CompiledPattern per group and every member's literals
+//      into slot literals over the group's distinct (variable, attribute)
+//      reads, in the representative's variable space, and
+//   3. per enumerated match, reads each slot once and tests every member
+//      with value-id compares, in a single backtracking pass per group,
+// so the matcher cost is paid |groups| times instead of |rules| times,
+// and the attribute lookups once per match instead of once per rule.
 //
 // Execution is parallel over pivot ranges (util/thread_pool.h) and, for
 // the simulated shared-nothing path, over vertex-cut fragments
@@ -220,17 +222,61 @@ class ViolationEngine {
   uint32_t MaxPatternRadius() const;
 
  private:
-  /// One rule's literals remapped into its group representative's
-  /// variable space, plus the inverse map to translate matches back.
+  /// One attribute read of a group: variable `var` (in the
+  /// representative's space) at key `key`.
+  struct SlotRead {
+    VarId var;
+    AttrId key;
+  };
+  /// A literal compiled against its group's reads: `x` and `y` index
+  /// Group::reads. Per match the kernel fills vals[i] with reads[i]'s
+  /// value (kNoValue when absent), and then
+  ///   x.A = c   holds iff vals[x] != kNoValue && vals[x] == c,
+  ///   x.A = y.B holds iff vals[x] != kNoValue && vals[x] == vals[y],
+  ///   false     never holds --
+  /// exactly MatchSatisfies: a missing attribute satisfies nothing, and
+  /// two missing attributes are not equal.
+  struct SlotLiteral {
+    LiteralKind kind = LiteralKind::kFalse;
+    uint32_t x = 0;
+    uint32_t y = 0;
+    ValueId c = kNoValue;
+
+    bool Holds(const ValueId* vals) const {
+      switch (kind) {
+        case LiteralKind::kVarConst:
+          return vals[x] != kNoValue && vals[x] == c;
+        case LiteralKind::kVarVar:
+          return vals[x] != kNoValue && vals[x] == vals[y];
+        case LiteralKind::kFalse:
+          break;
+      }
+      return false;
+    }
+  };
+  /// One rule of a group: its literals compiled against the group's
+  /// reads, plus the map that translates a representative match back
+  /// into the rule's own variable space.
   struct Member {
     uint32_t gfd_index;
-    std::vector<Literal> lhs;      // over the representative's VarIds
-    Literal rhs;                   // over the representative's VarIds
-    std::vector<VarId> to_rep;     // member VarId -> representative VarId
+    std::vector<VarId> to_rep;  // member VarId -> representative VarId
+    std::vector<SlotLiteral> lhs;
+    SlotLiteral rhs;
+
+    /// h |= X and h |/= l, given the group's slot values of match h.
+    bool Violates(const ValueId* vals) const {
+      for (const SlotLiteral& l : lhs) {
+        if (!l.Holds(vals)) return false;
+      }
+      return !rhs.Holds(vals);
+    }
   };
   struct Group {
     CompiledPattern plan;
     std::vector<Member> members;
+    /// The distinct (variable, key) pairs any member literal reads, in
+    /// first-use order; every SlotLiteral indexes into it.
+    std::vector<SlotRead> reads;
     /// Per-variable anchor plans, built lazily on the first
     /// incremental run (Detect never needs them). The lazy state
     /// lives behind a stable pointer, so Groups move safely even after
@@ -245,13 +291,28 @@ class ViolationEngine {
     /// invalidation is needed (vocabulary growth is handled numerically:
     /// new label/attr ids simply never intersect these sorted sets).
     std::vector<LabelId> var_labels;  ///< concrete variable labels, sorted
-    std::vector<AttrId> attr_keys;    ///< literal attr keys, sorted
+    std::vector<AttrId> attr_keys;    ///< the keys of `reads`, sorted
     bool has_wildcard_var = false;    ///< some variable matches any label
 
     explicit Group(const Pattern& rep) : plan(rep) {}
 
     const std::vector<CompiledPattern>& AnchorPlans() const {
       return anchors.Get(plan.pattern());
+    }
+
+    /// Compiles rule `gfd_index` (`phi`, whose variable u is the
+    /// representative's to_rep[u]) into a member, adding its reads.
+    void AddMember(uint32_t gfd_index, const Gfd& phi,
+                   std::vector<VarId> to_rep);
+
+    /// Fills vals[i] with reads[i]'s value at `match` (kNoValue when
+    /// absent). GraphT is PropertyGraph or GraphView.
+    template <typename GraphT>
+    void ReadSlots(const GraphT& g, const Match& match, ValueId* vals) const {
+      for (size_t i = 0; i < reads.size(); ++i) {
+        vals[i] =
+            g.GetAttr(match[reads[i].var], reads[i].key).value_or(kNoValue);
+      }
     }
   };
 
@@ -280,6 +341,10 @@ class ViolationEngine {
                                      std::span<const NodeId> seeds,
                                      const std::vector<bool>& is_anchor,
                                      size_t workers, RunState& st) const;
+
+  // The violation record of `m` at representative match `match`.
+  Violation MakeViolation(const Member& m, NodeId pivot,
+                          const Match& match) const;
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;

@@ -59,8 +59,7 @@ void NormalizeLhs(std::vector<Literal>& lhs) {
   lhs.erase(std::unique(lhs.begin(), lhs.end()), lhs.end());
 }
 
-template <typename GraphT>
-bool MatchSatisfies(const GraphT& g, const Match& h, const Literal& l) {
+bool MatchSatisfies(const PropertyGraph& g, const Match& h, const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kFalse:
       return false;
@@ -78,24 +77,13 @@ bool MatchSatisfies(const GraphT& g, const Match& h, const Literal& l) {
   return false;
 }
 
-template <typename GraphT>
-bool MatchSatisfiesAll(const GraphT& g, const Match& h,
+bool MatchSatisfiesAll(const PropertyGraph& g, const Match& h,
                        const std::vector<Literal>& lits) {
   for (const auto& l : lits) {
     if (!MatchSatisfies(g, h, l)) return false;
   }
   return true;
 }
-
-template bool MatchSatisfies<PropertyGraph>(const PropertyGraph&,
-                                            const Match&, const Literal&);
-template bool MatchSatisfies<GraphView>(const GraphView&, const Match&,
-                                        const Literal&);
-template bool MatchSatisfiesAll<PropertyGraph>(const PropertyGraph&,
-                                               const Match&,
-                                               const std::vector<Literal>&);
-template bool MatchSatisfiesAll<GraphView>(const GraphView&, const Match&,
-                                           const std::vector<Literal>&);
 
 bool GfdReduces(const Gfd& phi1, const Gfd& phi2) {
   if (phi1.pattern.NumNodes() > phi2.pattern.NumNodes()) return false;

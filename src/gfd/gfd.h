@@ -47,26 +47,14 @@ void NormalizeLhs(std::vector<Literal>& lhs);
 /// Does match h satisfy literal l? Missing attributes make the literal
 /// unsatisfied (for both LHS and RHS; the asymmetric treatment of missing
 /// attributes in the paper is exactly this plus the implication direction).
-/// kFalse is never satisfied. GraphT is any graph type with GetAttr --
-/// PropertyGraph or GraphView (instantiated in gfd.cc).
-template <typename GraphT>
-bool MatchSatisfies(const GraphT& g, const Match& h, const Literal& l);
+/// kFalse is never satisfied. This is the reference semantics: the
+/// detection engine compiles the same test into slot compares
+/// (detect/engine.h), and its oracles compare against this one.
+bool MatchSatisfies(const PropertyGraph& g, const Match& h, const Literal& l);
 
 /// h |= X: all literals satisfied.
-template <typename GraphT>
-bool MatchSatisfiesAll(const GraphT& g, const Match& h,
+bool MatchSatisfiesAll(const PropertyGraph& g, const Match& h,
                        const std::vector<Literal>& lits);
-
-extern template bool MatchSatisfies<PropertyGraph>(const PropertyGraph&,
-                                                   const Match&,
-                                                   const Literal&);
-extern template bool MatchSatisfies<GraphView>(const GraphView&, const Match&,
-                                               const Literal&);
-extern template bool MatchSatisfiesAll<PropertyGraph>(
-    const PropertyGraph&, const Match&, const std::vector<Literal>&);
-extern template bool MatchSatisfiesAll<GraphView>(const GraphView&,
-                                                  const Match&,
-                                                  const std::vector<Literal>&);
 
 /// The GFD reduction order phi1 << phi2 (Section 4.1): a pivot-preserving
 /// embedding f of phi1's pattern into phi2's with f(X1) ⊆ X2, f(l1) = l2,

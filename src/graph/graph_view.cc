@@ -98,23 +98,29 @@ void GraphDelta::Append(const PropertyGraph& base, const GraphDelta& other) {
 }
 
 std::vector<EdgeId>& GraphView::TouchOut(NodeId v) {
-  auto [it, fresh] =
-      out_touched_.try_emplace(v, static_cast<uint32_t>(out_lists_.size()));
-  if (fresh) {
+  if (out_index_[v] == kUntouched) {
+    out_index_[v] = static_cast<uint32_t>(out_lists_.size());
     auto span = base_->OutEdges(v);
     out_lists_.emplace_back(span.begin(), span.end());
   }
-  return out_lists_[it->second];
+  return out_lists_[out_index_[v]];
 }
 
 std::vector<EdgeId>& GraphView::TouchIn(NodeId v) {
-  auto [it, fresh] =
-      in_touched_.try_emplace(v, static_cast<uint32_t>(in_lists_.size()));
-  if (fresh) {
+  if (in_index_[v] == kUntouched) {
+    in_index_[v] = static_cast<uint32_t>(in_lists_.size());
     auto span = base_->InEdges(v);
     in_lists_.emplace_back(span.begin(), span.end());
   }
-  return in_lists_[it->second];
+  return in_lists_[in_index_[v]];
+}
+
+std::vector<Attribute>& GraphView::TouchAttrs(NodeId v) {
+  if (attr_index_[v] == kUntouched) {
+    attr_index_[v] = static_cast<uint32_t>(attr_lists_.size());
+    attr_lists_.emplace_back();
+  }
+  return attr_lists_[attr_index_[v]];
 }
 
 std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
@@ -127,6 +133,9 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
   view.extra_labels_ = delta.extra_labels;
   view.extra_attrs_ = delta.extra_attrs;
   view.extra_values_ = delta.extra_values;
+  view.out_index_.assign(base.NumNodes(), kUntouched);
+  view.in_index_.assign(base.NumNodes(), kUntouched);
+  view.attr_index_.assign(base.NumNodes(), kUntouched);
 
   auto fail = [&](size_t op_index, const std::string& msg) {
     if (error) *error = "op " + std::to_string(op_index + 1) + ": " + msg;
@@ -184,7 +193,7 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
       case GraphDelta::OpKind::kSetAttr: {
         if (op.key >= num_attrs) return fail(i, "attribute id out of range");
         if (op.value >= num_values) return fail(i, "value id out of range");
-        auto& overlay = view.attr_overlay_[op.src];
+        auto& overlay = view.TouchAttrs(op.src);
         auto hit = std::find_if(overlay.begin(), overlay.end(),
                                 [&](const Attribute& a) {
                                   return a.key == op.key;
@@ -228,9 +237,8 @@ std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
 std::vector<Attribute> GraphView::NodeAttrs(NodeId v) const {
   std::vector<Attribute> out(base_->NodeAttrs(v).begin(),
                              base_->NodeAttrs(v).end());
-  auto it = attr_overlay_.find(v);
-  if (it != attr_overlay_.end()) {
-    for (const Attribute& a : it->second) {
+  if (const std::vector<Attribute>* overlay = OverlayAttrs(v)) {
+    for (const Attribute& a : *overlay) {
       auto pos = std::find_if(out.begin(), out.end(), [&](const Attribute& b) {
         return b.key == a.key;
       });
@@ -248,9 +256,8 @@ std::vector<Attribute> GraphView::NodeAttrs(NodeId v) const {
 }
 
 bool GraphView::HasEdge(NodeId src, NodeId dst, LabelId label) const {
-  auto it = out_touched_.find(src);
-  if (it == out_touched_.end()) return base_->HasEdge(src, dst, label);
-  const std::vector<EdgeId>& edges = out_lists_[it->second];
+  if (out_index_[src] == kUntouched) return base_->HasEdge(src, dst, label);
+  const std::vector<EdgeId>& edges = out_lists_[out_index_[src]];
   // Binary search on dst (lists sorted by (dst, label)), as in the base.
   auto lo = std::lower_bound(edges.begin(), edges.end(), dst,
                              [&](EdgeId e, NodeId d) {
@@ -328,9 +335,7 @@ PropertyGraph GraphView::Materialize() const {
   for (NodeId v = 0; v < NumNodes(); ++v) {
     b.AddNodeById(NodeLabel(v));
     if (!NodeName(v).empty()) b.SetName(v, NodeName(v));
-    auto it = attr_overlay_.find(v);
-    const std::vector<Attribute>* overlay =
-        it == attr_overlay_.end() ? nullptr : &it->second;
+    const std::vector<Attribute>* overlay = OverlayAttrs(v);
     for (const Attribute& a : base_->NodeAttrs(v)) {
       bool overridden =
           overlay && std::any_of(overlay->begin(), overlay->end(),
@@ -463,7 +468,7 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
         break;
       }
       case GraphDelta::OpKind::kSetAttr: {
-        auto& overlay = attr_overlay_[op.src];
+        auto& overlay = TouchAttrs(op.src);
         auto hit = std::find_if(
             overlay.begin(), overlay.end(),
             [&](const Attribute& a) { return a.key == op.key; });

@@ -11,13 +11,20 @@
 // and vocabulary the base graph never interned lives in an id-space
 // extension past the base interner sizes.
 //
-// The view satisfies the same read interface the matcher and the literal
-// evaluator consume (match/matcher.h and gfd/gfd.h are templated over the
-// graph type), so every query -- subgraph isomorphism, violation
-// detection -- runs against a view exactly as it runs against a graph.
-// GraphView::Materialize() compacts a view back into a standalone
+// The view satisfies the same read interface the matcher and the
+// detection kernel consume (match/matcher.h and detect/engine.h are
+// templated over the graph type), so every query -- subgraph isomorphism,
+// violation detection -- runs against a view exactly as it runs against a
+// graph. GraphView::Materialize() compacts a view back into a standalone
 // PropertyGraph (ids preserved), which is how snapshots are rolled
 // forward under repeated delta application.
+//
+// Overlay lookups are O(1): a dense per-node index (three uint32_t per
+// node: out-list, in-list and attribute-list slot, or kUntouched) says
+// whether and where a node's state is overlaid. That costs 12 bytes per
+// node per view and an O(|V|) fill per Apply; AbsorbAppended keeps the
+// index current in O(batch), so a store that absorbs batches in place
+// pays the fill only when it builds a view (open, compaction).
 #ifndef GFD_GRAPH_GRAPH_VIEW_H_
 #define GFD_GRAPH_GRAPH_VIEW_H_
 
@@ -26,7 +33,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -99,9 +105,10 @@ struct GraphDelta {
 };
 
 /// A base graph with one delta applied on top. Read-only once built;
-/// cheap to build (cost proportional to the delta and the degrees of the
-/// touched nodes, not to the graph). Keeps a pointer to the base graph,
-/// which must outlive the view; the delta is copied out and need not.
+/// cheap to build (one O(|V|) index fill, then cost proportional to the
+/// delta and the degrees of the touched nodes). Keeps a pointer to the
+/// base graph, which must outlive the view; the delta is copied out and
+/// need not.
 ///
 /// Edge-id space: ids < base.NumEdges() are base edges, ids >= that index
 /// the view's inserted-edge table. Deleted edges simply never appear in
@@ -131,9 +138,8 @@ class GraphView {
 
   /// Value of attribute `key` at node v under the overlay.
   std::optional<ValueId> GetAttr(NodeId v, AttrId key) const {
-    auto it = attr_overlay_.find(v);
-    if (it != attr_overlay_.end()) {
-      for (const Attribute& a : it->second) {
+    if (const std::vector<Attribute>* overlay = OverlayAttrs(v)) {
+      for (const Attribute& a : *overlay) {
         if (a.key == key) return a.value;
       }
     }
@@ -160,15 +166,13 @@ class GraphView {
   /// Out-edges of v, sorted by (dst, label); the base CSR span when v's
   /// out-adjacency is untouched by the delta.
   std::span<const EdgeId> OutEdges(NodeId v) const {
-    auto it = out_touched_.find(v);
-    if (it == out_touched_.end()) return base_->OutEdges(v);
-    return out_lists_[it->second];
+    if (out_index_[v] == kUntouched) return base_->OutEdges(v);
+    return out_lists_[out_index_[v]];
   }
   /// In-edges of v, sorted by (src, label).
   std::span<const EdgeId> InEdges(NodeId v) const {
-    auto it = in_touched_.find(v);
-    if (it == in_touched_.end()) return base_->InEdges(v);
-    return in_lists_[it->second];
+    if (in_index_[v] == kUntouched) return base_->InEdges(v);
+    return in_lists_[in_index_[v]];
   }
 
   size_t OutDegree(NodeId v) const { return OutEdges(v).size(); }
@@ -232,12 +236,22 @@ class GraphView {
     bool alive;  ///< false when a later delete consumed this insert
   };
 
+  /// Index entry of a node whose state the overlay does not touch.
+  static constexpr uint32_t kUntouched = UINT32_MAX;
+
   GraphView() = default;
 
   // Returns the mutable materialized list for v, copying the base span on
   // first touch.
   std::vector<EdgeId>& TouchOut(NodeId v);
   std::vector<EdgeId>& TouchIn(NodeId v);
+  // Returns v's attribute overlay list, created empty on first touch.
+  std::vector<Attribute>& TouchAttrs(NodeId v);
+  // v's attribute overlay, or nullptr when the overlay sets none.
+  const std::vector<Attribute>* OverlayAttrs(NodeId v) const {
+    return attr_index_[v] == kUntouched ? nullptr
+                                        : &attr_lists_[attr_index_[v]];
+  }
 
   const PropertyGraph* base_ = nullptr;
   EdgeId base_edges_ = 0;  ///< base_->NumEdges(), the added-id offset
@@ -250,14 +264,15 @@ class GraphView {
   std::vector<AddedEdge> added_;
   std::unordered_set<EdgeId> deleted_base_;
 
-  // Touched-node adjacency: node -> index into the materialized lists.
-  std::unordered_map<NodeId, uint32_t> out_touched_;
-  std::unordered_map<NodeId, uint32_t> in_touched_;
+  // Dense per-node index, sized NumNodes() at Apply: the node's slot in
+  // the materialized adjacency lists / attribute lists, or kUntouched.
+  std::vector<uint32_t> out_index_;
+  std::vector<uint32_t> in_index_;
+  std::vector<uint32_t> attr_index_;
   std::vector<std::vector<EdgeId>> out_lists_;
   std::vector<std::vector<EdgeId>> in_lists_;
-
-  // Attribute overlay: per node, the keys the delta set (tiny lists).
-  std::unordered_map<NodeId, std::vector<Attribute>> attr_overlay_;
+  // Attribute overlay: per touched node, the keys the delta set.
+  std::vector<std::vector<Attribute>> attr_lists_;
 
   std::vector<std::string> extra_labels_;
   std::vector<std::string> extra_attrs_;

@@ -106,18 +106,6 @@ FragmentResidency ComputeResidency(const PropertyGraph& g, const Partition& p) {
   return ComputeResidency(adj, p);
 }
 
-void FillBorders(Partition* p, const FragmentResidency& resident) {
-  p->borders.assign(p->num_fragments, {});
-  for (size_t f = 0; f < p->num_fragments; ++f) {
-    for (NodeId v = 0; v < resident[f].size(); ++v) {
-      if (resident[f][v] && (v >= p->node_owner.size() ||
-                             p->node_owner[v] != static_cast<uint32_t>(f))) {
-        p->borders[f].push_back(v);
-      }
-    }
-  }
-}
-
 DeltaRouting RouteDelta(const GraphDelta& d,
                         const FragmentResidency& resident) {
   const size_t num_fragments = resident.size();

@@ -34,11 +34,6 @@ struct Partition {
   /// nodes are hashed.
   std::vector<uint32_t> node_owner;
 
-  /// Per fragment: sorted resident non-owned nodes (the shipped border
-  /// halo). Persisted for introspection; residency is recomputed from
-  /// the live graph on open (ComputeResidency is authoritative).
-  std::vector<std::vector<NodeId>> borders;
-
   /// Replication factor: average number of fragments a (non-isolated)
   /// node appears in under the edge partition. 1.0 = no replication.
   double replication = 1.0;
@@ -54,8 +49,8 @@ struct Fragmentation {
 
 /// Partitions `g`'s edges into `n` fragments. Precondition: n >= 1.
 /// Deterministic. Fragment sizes differ by at most a small constant.
-/// The returned partition has halo_radius 0 and empty borders; callers
-/// pick the radius and derive borders via ComputeResidency/FillBorders.
+/// The returned partition has halo_radius 0; callers pick the radius and
+/// derive each fragment's halo via ComputeResidency.
 Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n);
 
 /// Per-fragment node residency map: resident[f][v] != 0 iff v lies
@@ -71,10 +66,6 @@ FragmentResidency ComputeResidency(const std::vector<std::vector<NodeId>>& adj,
 
 /// Convenience overload over a materialized graph.
 FragmentResidency ComputeResidency(const PropertyGraph& g, const Partition& p);
-
-/// Rebuilds p.borders from a residency map: borders[f] = sorted resident
-/// nodes of f that f does not own.
-void FillBorders(Partition* p, const FragmentResidency& resident);
 
 /// Shipping plan of one update batch under vertex-cut partitioned
 /// storage. RouteDelta is the coordinator's delivery mechanism: each

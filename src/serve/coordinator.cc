@@ -76,13 +76,6 @@ std::string MetaContent(const Partition& p, uint64_t owners_seq,
   out << "owners";
   for (uint32_t o : p.node_owner) out << ' ' << o;
   out << '\n';
-  // Border lists are advisory (status/introspection); residency is
-  // recomputed from the live graph on open.
-  for (size_t f = 0; f < p.borders.size(); ++f) {
-    out << "border " << f;
-    for (NodeId v : p.borders[f]) out << ' ' << v;
-    out << '\n';
-  }
   return out.str();
 }
 
@@ -128,7 +121,8 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
       while (ls >> o) meta->owners.push_back(o);
       have_owners = true;
     } else if (key == "border") {
-      // Advisory; skipped.
+      // Advisory border lists written by older builds; residency is
+      // recomputed from the live graph on open, so they are skipped.
     } else {
       SetError(error, "unrecognized line in " + path + ": " + line);
       return false;
@@ -277,7 +271,6 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
   Partition p = std::move(frag.partition);
   p.halo_radius = halo_radius;
   FragmentResidency resident = ComputeResidency(g, p);
-  FillBorders(&p, resident);
 
   // Each fragment starts from its resident subgraph -- owned partition
   // plus halo -- never the whole graph.

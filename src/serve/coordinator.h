@@ -29,9 +29,8 @@
 // On-disk layout:
 //
 //   dir/coordinator.meta          magic v2 + fragment count + halo radius
-//                                 + owners_seq + vertex-cut ownership +
-//                                 advisory border lists (+ optional
-//                                 running violation count)
+//                                 + owners_seq + vertex-cut ownership
+//                                 (+ optional running violation count)
 //   dir/routing.log               the master's routing journal: per
 //                                 sequence, the global batch plus every
 //                                 fragment's sub-batch payload, appended
@@ -157,7 +156,7 @@ class Coordinator final : public ServingStore {
     return index_->partition().node_owner;
   }
   /// Current per-fragment halo residency (recomputed from the live
-  /// graph; authoritative over the persisted border lists).
+  /// graph; never persisted).
   const FragmentResidency& residency() const { return index_->residency(); }
   /// Stored (resident) edge count of fragment f -- the footprint metric.
   uint64_t resident_edges(size_t f) const { return index_->ResidentEdges(f); }
@@ -268,8 +267,8 @@ class Coordinator final : public ServingStore {
   bool CheckNotDegraded(std::string* error) const;
 
   // Rewrites coordinator.meta (atomic) with the current ownership,
-  // owners_seq, borders and, when valid at the current sequence, the
-  // running violation count.
+  // owners_seq and, when valid at the current sequence, the running
+  // violation count.
   bool WriteMeta(std::string* error);
 
   std::string dir_;

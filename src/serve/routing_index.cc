@@ -59,7 +59,6 @@ bool RoutingIndex::Refresh(std::string* error) {
   view_ = GraphView::Apply(*base_, accum_, error);
   if (!view_) return false;
   resident_ = ComputeResidency(ViewAdjacency(*view_), partition_);
-  FillBorders(&partition_, resident_);
   return true;
 }
 
@@ -242,7 +241,6 @@ void RoutingIndex::Commit(ShipPlan&& plan) {
     view_ = std::move(plan.new_view);
   }
   resident_ = std::move(plan.new_resident);
-  FillBorders(&partition_, resident_);
 }
 
 void RoutingIndex::Compact(PropertyGraph next) {

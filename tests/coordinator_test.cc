@@ -839,5 +839,43 @@ TEST(Coordinator, ViolationCountPersistsAndInvalidates) {
       engine.Detect(reopened->MaterializeCurrent()).violations.size(), count);
 }
 
+// Metas written by older builds carry advisory `border <f> <node> ...`
+// lines. The coordinator no longer writes them, but must still open such
+// a meta and serve from it exactly as a single store does.
+TEST(Coordinator, OpensAMetaWithLegacyBorderLines) {
+  auto g = MakeSynthetic({.nodes = 60,
+                          .edges = 180,
+                          .value_correlation = 0.9,
+                          .seed = 12});
+  auto rules = GenerateGfdSet(g, {.count = 8, .k = 3, .seed = 31});
+  ViolationEngine engine(rules);
+  std::string dir = Scratch("coord_legacy_border");
+  std::string single_dir = Scratch("coord_legacy_border_single");
+  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
+  ASSERT_TRUE(GraphStore::Init(single_dir, g));
+  const std::string meta = dir + "/coordinator.meta";
+  EXPECT_EQ(FileBytes(meta).find("border"), std::string::npos);
+  {
+    std::ofstream out(meta, std::ios::app);
+    out << "border 0 1 2 3\nborder 1 4 5\n";
+  }
+
+  auto coord = Coordinator::Open(dir);
+  ASSERT_TRUE(coord.has_value());
+  auto single = GraphStore::Open(single_dir);
+  ASSERT_TRUE(single.has_value());
+  Rng rng(47);
+  GraphDelta d = RandomBatch(g, rng, 16);
+  auto merged = coord->AppendAndDiff(engine, DeltaBytes(g, d));
+  auto expect = single->AppendAndDiff(engine, DeltaBytes(g, d));
+  ASSERT_TRUE(merged.has_value());
+  ASSERT_TRUE(expect.has_value());
+  EXPECT_EQ(merged->added, expect->added);
+  EXPECT_EQ(merged->removed, expect->removed);
+  EXPECT_EQ(merged->payload, expect->payload);
+  EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()),
+            GraphBytes(single->MaterializeCurrent()));
+}
+
 }  // namespace
 }  // namespace gfd

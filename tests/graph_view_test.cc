@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "datagen/synthetic.h"
 #include "graph/loader.h"
@@ -150,6 +153,65 @@ TEST(GraphView, AttrOverlayShadowsBaseAndExtendsVocabulary) {
   EXPECT_EQ(view->AttrName(mood), "mood");
   EXPECT_EQ(view->FindAttr("mood"), mood);
   EXPECT_FALSE(g.FindAttr("mood").has_value());
+}
+
+// The dense per-node overlay index must cover the last node id: its
+// adjacency and attributes read through the overlay, on a fresh Apply
+// and after an in-place absorb.
+TEST(GraphView, OverlayOnTheLastNodeReads) {
+  auto g = BuildBase();
+  const NodeId last = static_cast<NodeId>(g.NumNodes() - 1);
+  LabelId knows = *g.FindLabel("knows");
+  AttrId city = *g.FindAttr("city");
+  GraphDelta d;
+  d.InsertEdge(last, 1, knows);
+  d.InsertEdge(0, last, knows);
+  d.SetAttr(last, city, *g.FindValue("rome"));
+  auto view = GraphView::Apply(g, d);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->HasEdge(last, 1, knows));
+  EXPECT_EQ(view->OutDegree(last), g.OutDegree(last) + 1);
+  EXPECT_EQ(view->InDegree(last), g.InDegree(last) + 1);
+  EXPECT_EQ(view->GetAttr(last, city), g.FindValue("rome"));
+  EXPECT_EQ(view->NodeAttrs(last).size(), 1u);
+
+  auto absorbed = GraphView::Apply(g, {});
+  ASSERT_TRUE(absorbed.has_value());
+  ASSERT_TRUE(absorbed->AbsorbAppended(d, 0));
+  PropertyGraph m = absorbed->Materialize();
+  EXPECT_TRUE(m.HasEdge(last, 1, knows));
+  EXPECT_TRUE(m.HasEdge(0, last, knows));
+  EXPECT_EQ(m.GetAttr(last, city), g.FindValue("rome"));
+  EXPECT_EQ(absorbed->GetAttr(last, city), view->GetAttr(last, city));
+}
+
+// A view owns its overlay: a copy reads identically after the view it
+// was copied from is gone (only the base graph must outlive it).
+TEST(GraphView, CopyReadsIdenticallyAfterItsSourceIsDestroyed) {
+  auto g = BuildBase();
+  LabelId knows = *g.FindLabel("knows");
+  GraphDelta d;
+  d.DeleteEdge(0, 1, knows);
+  d.InsertEdge(1, 2, knows);
+  d.SetAttr(2, d.InternAttr(g, "mood"), d.InternValue(g, "calm"));
+  auto source = std::make_unique<GraphView>(*GraphView::Apply(g, d));
+  const PropertyGraph expect = source->Materialize();
+  GraphView copy = *source;
+  source.reset();
+
+  EXPECT_EQ(copy.NumEdges(), expect.NumEdges());
+  for (NodeId v = 0; v < copy.NumNodes(); ++v) {
+    EXPECT_EQ(copy.OutDegree(v), expect.OutDegree(v));
+    EXPECT_EQ(copy.InDegree(v), expect.InDegree(v));
+    for (NodeId u = 0; u < copy.NumNodes(); ++u) {
+      EXPECT_EQ(copy.HasEdge(v, u, knows), expect.HasEdge(v, u, knows));
+    }
+    const std::vector<Attribute> attrs = copy.NodeAttrs(v);
+    const auto want = expect.NodeAttrs(v);
+    EXPECT_TRUE(std::equal(attrs.begin(), attrs.end(), want.begin(),
+                           want.end()));
+  }
+  EXPECT_EQ(copy.ValueName(*copy.GetAttr(2, *copy.FindAttr("mood"))), "calm");
 }
 
 TEST(GraphView, MaterializePreservesIdsAndContent) {

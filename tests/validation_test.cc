@@ -59,8 +59,10 @@ TEST(Validation, CleanGraphSatisfiesPhi1) {
 }
 
 TEST(Validation, MissingLhsAttributeSatisfiesVacuously) {
-  // Product without type attribute: X never holds, phi1 satisfied.
+  // Product without type attribute: X never holds, phi1 satisfied. The
+  // key is interned (no node carries it) so that Phi1 can name it.
   PropertyGraph::Builder b;
+  b.InternAttr("type");
   b.InternValue("film");
   b.InternValue("producer");
   NodeId john = b.AddNode("person");

@@ -61,6 +61,9 @@ WARN_COUNTERS = (
     "matches_enumerated",
     "touched_matches",
     "groups_skipped",
+    # Detect work per served batch (bench_incremental's step_stream_*).
+    "matches_per_batch",
+    "literal_evals_per_batch",
 )
 
 
