@@ -1,10 +1,10 @@
 // Violation-detection smoke bench, run as a ctest entry on every CI
 // build next to bench_smoke: mines a rule workload from a clean YAGO2-
-// shaped graph, corrupts a copy, and times error detection over it four
+// shaped graph, corrupts a copy, and times error detection over it three
 // ways -- the naive per-GFD validation loop, the batched engine on one
-// thread (isolating the shared-match-plan win), the engine on 4 threads,
-// and the sharded vertex-cut path. All four are cross-checked to report
-// the identical violation multiset; timings land in BENCH_detect.json.
+// thread (isolating the shared-match-plan win) and the engine on 4
+// threads. All three are cross-checked to report the identical violation
+// multiset; timings land in BENCH_detect.json.
 //
 // Usage: bench_detect [output.json]
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "bench_util.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
-#include "parallel/fragment.h"
 #include "pattern/canonical.h"
 #include "util/hash.h"
 
@@ -125,7 +124,7 @@ int main(int argc, char** argv) {
   };
 
   const int kReps = 3;
-  DetectionResult naive, batched, batched4, sharded;
+  DetectionResult naive, batched, batched4;
   double naive_s =
       TimedMin(kReps, [&] { naive = DetectNaive(noisy.graph, rules); });
   add("detect_naive_per_gfd", naive_s, naive);
@@ -138,14 +137,8 @@ int main(int argc, char** argv) {
       kReps, [&] { batched4 = engine.Detect(noisy.graph, {.workers = 4}); });
   add("detect_batched_w4", batched4_s, batched4);
 
-  auto frag = VertexCutPartition(noisy.graph, 4);
-  double sharded_s = TimedMin(
-      kReps, [&] { sharded = engine.DetectSharded(noisy.graph, frag); });
-  add("detect_sharded_f4", sharded_s, sharded);
-
   bool agree = batched.violations == naive.violations &&
-               batched4.violations == naive.violations &&
-               sharded.violations == naive.violations;
+               batched4.violations == naive.violations;
   double speedup = batched_s > 0 ? naive_s / batched_s : 0;
   rows.push_back({"summary",
                   0,

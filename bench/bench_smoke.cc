@@ -1,7 +1,9 @@
 // Tiny-input smoke benches, run as a ctest entry on every CI build.
 // Exercises the three hot paths the figure benches scale up -- SeqDis,
 // ParDis, and SeqCover -- on ~300-node graphs and writes the timings to
-// BENCH_smoke.json, seeding the per-PR perf trajectory.
+// BENCH_smoke.json, seeding the per-PR perf trajectory. SeqDis and ParDis
+// at 1 and 4 workers share one graph, so the rows compare the local and
+// the distributed row sources of the one literal lattice.
 //
 // Usage: bench_smoke [output.json]
 #include <cstdio>
@@ -72,17 +74,30 @@ int main(int argc, char** argv) {
     results.push_back(std::move(rc));
   }
 
-  // Smoke 3: parallel discovery with load balancing (fig 5b/5e path).
+  // Smoke 3: parallel discovery with load balancing (fig 5b/5e path),
+  // then SeqDis and ParDis at 1 worker on the same graph.
   {
     auto g = Yago2Like(300);
     auto cfg = ScaledConfig(g);
+    auto add = [&](const char* name, double seconds, size_t positives,
+                   size_t negatives) {
+      SmokeResult r{name, seconds, {}};
+      r.counters.emplace_back("positives", double(positives));
+      r.counters.emplace_back("negatives", double(negatives));
+      std::printf("%-24s %8.3fs  +%zu/-%zu\n", r.name.c_str(), r.seconds,
+                  positives, negatives);
+      results.push_back(std::move(r));
+    };
     auto run = TimeParDis(g, cfg, /*workers=*/4, /*load_balance=*/true);
-    SmokeResult r{"pardis_w4_yago300", run.seconds, {}};
-    r.counters.emplace_back("positives", double(run.positives));
-    r.counters.emplace_back("negatives", double(run.negatives));
-    std::printf("%-24s %8.3fs  +%zu/-%zu\n", r.name.c_str(), r.seconds,
-                run.positives, run.negatives);
-    results.push_back(std::move(r));
+    add("pardis_w4_yago300", run.seconds, run.positives, run.negatives);
+
+    WallTimer t;
+    auto seq = SeqDis(g, cfg);
+    add("seqdis_yago300", t.Seconds(), seq.positives.size(),
+        seq.negatives.size());
+
+    run = TimeParDis(g, cfg, /*workers=*/1, /*load_balance=*/true);
+    add("pardis_w1_yago300", run.seconds, run.positives, run.negatives);
   }
 
   WriteJson(out, results);

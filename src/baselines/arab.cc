@@ -78,7 +78,7 @@ ArabResult ParArab(const PropertyGraph& g, const DiscoveryConfig& cfg,
   LiteralLatticeMiner lattice(cfg, result.discovery);
   for (auto& [id, store] : stores) {
     const TreeNode& node = tree.node(id);
-    auto constants = CollectMatchConstants(g, store, gamma);
+    auto constants = CollectMatchConstants(g, store.matches, gamma);
     auto pool =
         BuildLiteralPoolFromMatches(node.pattern, gamma, constants, cfg);
     PatternProfile profile(g, store, node.pattern.pivot(), pool);

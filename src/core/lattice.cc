@@ -16,49 +16,60 @@ bool LiteralLatticeMiner::ChargeCandidate() {
 bool LiteralLatticeMiner::MinePattern(int pattern_key, const Pattern& pattern,
                                       const std::vector<Literal>& pool,
                                       const PatternProfile& profile) {
+  return MinePattern(pattern_key, pattern, pool,
+                     [&profile](std::span<const LatticeQuery> batch) {
+                       std::vector<LatticeAnswer> answers;
+                       answers.reserve(batch.size());
+                       for (const auto& q : batch) {
+                         answers.push_back(profile.Answer(q));
+                       }
+                       return answers;
+                     });
+}
+
+bool LiteralLatticeMiner::MinePattern(int pattern_key, const Pattern& pattern,
+                                      const std::vector<Literal>& pool,
+                                      const RowSource& rows) {
   // Literal-level anti-monotonicity: a literal whose own pivot support is
   // below sigma can never appear in a sigma-frequent GFD. With pruning
   // disabled (ParGFDn), fall back to mere witnessing.
+  std::vector<LatticeQuery> singles(pool.size());
+  for (size_t b = 0; b < pool.size(); ++b) singles[b].mask.set(b);
+  const auto single_answers = rows(singles);
   LitMask usable;
   for (size_t b = 0; b < pool.size(); ++b) {
-    LitMask one;
-    one.set(b);
-    if (cfg_.prune) {
-      if (profile.SupportOf(one) >= cfg_.support_threshold) usable.set(b);
-    } else {
-      if (profile.AnyMatchSatisfies(one)) usable.set(b);
+    if (cfg_.prune ? single_answers[b].supp >= cfg_.support_threshold
+                   : single_answers[b].any_sat) {
+      usable.set(b);
     }
   }
-  for (size_t r = 0; r < pool.size(); ++r) {
-    if (result_.stats.budget_exceeded) return false;
-    if (!usable.test(r)) continue;
-    MineRhsTree(pattern_key, pattern, pool, profile, r, usable);
-  }
-  return !result_.stats.budget_exceeded;
-}
 
-void LiteralLatticeMiner::MineRhsTree(int pattern_key, const Pattern& pattern,
-                                      const std::vector<Literal>& pool,
-                                      const PatternProfile& profile, size_t r,
-                                      const LitMask& usable) {
   struct XNode {
+    uint32_t rhs;
     LitMask mask;
     int max_bit;  // highest set bit, for index-ordered expansion
   };
-  std::vector<XNode> frontier{{LitMask{}, -1}};
-  std::vector<LitMask> closed;  // satisfied LHS masks (Lemma 4(b))
+  std::vector<XNode> frontier;
+  for (size_t r = 0; r < pool.size(); ++r) {
+    if (usable.test(r)) {
+      frontier.push_back({static_cast<uint32_t>(r), LitMask{}, -1});
+    }
+  }
+  // Satisfied LHS masks per RHS bit (Lemma 4(b)).
+  std::vector<std::vector<LitMask>> closed(pool.size());
 
   for (size_t depth = 0; depth <= cfg_.max_lhs_size && !frontier.empty();
        ++depth) {
-    std::vector<XNode> next;
+    // Filters and trivial checks here, then one candidate batch.
+    std::vector<XNode> to_eval;
+    std::vector<LatticeQuery> batch;
     for (const auto& xn : frontier) {
-      if (!ChargeCandidate()) return;
-
+      if (!ChargeCandidate()) return false;
       // Lemma 4(b) across generation orders: supersets of a satisfied
       // LHS are not reduced.
       bool superseded = false;
       if (cfg_.prune) {
-        for (const auto& c : closed) {
+        for (const auto& c : closed[xn.rhs]) {
           if ((xn.mask & c) == c) {
             superseded = true;
             break;
@@ -69,69 +80,75 @@ void LiteralLatticeMiner::MineRhsTree(int pattern_key, const Pattern& pattern,
         ++result_.stats.candidates_pruned_reduced;
         continue;
       }
-
-      auto lits = LitsOfMask(xn.mask, pool);
-      Gfd phi(pattern, lits, pool[r]);
-      if (IsTrivialGfd(phi)) {
+      if (IsTrivialGfd(
+              Gfd(pattern, LitsOfMask(xn.mask, pool), pool[xn.rhs]))) {
         ++result_.stats.candidates_pruned_trivial;
         continue;  // supersets stay trivial: prune the branch
       }
+      to_eval.push_back(xn);
+      batch.push_back({LatticeQuery::kCandidate, xn.mask, xn.rhs});
+    }
+    result_.stats.candidates_validated += batch.size();
+    const auto answers = rows(batch);
 
-      ++result_.stats.candidates_validated;
-      LitMask xl = xn.mask;
-      xl.set(r);
-      const bool satisfied = profile.Satisfied(xn.mask, r);
-      const uint64_t supp = profile.SupportOf(xl);
-
-      if (satisfied) {
-        closed.push_back(xn.mask);
-        if (supp >= cfg_.support_threshold) {
+    // Decide, and queue NHSpawn's emptiness checks.
+    std::vector<XNode> next;
+    std::vector<uint64_t> neg_base_supp;
+    std::vector<LatticeQuery> neg_batch;
+    for (size_t i = 0; i < to_eval.size(); ++i) {
+      const XNode& xn = to_eval[i];
+      const LatticeAnswer& a = answers[i];
+      if (!a.violated) {
+        closed[xn.rhs].push_back(xn.mask);
+        if (a.supp >= cfg_.support_threshold) {
+          Gfd phi(pattern, LitsOfMask(xn.mask, pool), pool[xn.rhs]);
           if (IsReducedAway(phi)) {
             ++result_.stats.candidates_pruned_reduced;
           } else {
-            AddPositive(phi, supp);
+            AddPositive(std::move(phi), a.supp);
           }
           // NHSpawn fires on every *validated frequent* positive
           // (Section 5.1) -- including ones reduced away as positives:
           // the negatives they trigger are not expressible on the
           // smaller pattern.
-          if (cfg_.discover_negative) {
-            NHSpawn(pattern_key, pattern, pool, profile, xn.mask, r, usable,
-                    supp);
+          if (cfg_.discover_negative &&
+              xn.mask.count() + 1 <= cfg_.max_negative_lhs_size) {
+            for (size_t b = 0; b < pool.size(); ++b) {
+              if (b == xn.rhs || xn.mask.test(b) || !usable.test(b)) {
+                continue;
+              }
+              LatticeQuery q{LatticeQuery::kEmptiness, xn.mask};
+              q.mask.set(b);
+              neg_batch.push_back(q);
+              neg_base_supp.push_back(a.supp);
+            }
           }
         }
         if (cfg_.prune) continue;  // Lemma 4(b): stop this branch
       }
-
       if (depth == cfg_.max_lhs_size) continue;
       for (size_t b = xn.max_bit + 1; b < pool.size(); ++b) {
-        if (b == r || xn.mask.test(b) || !usable.test(b)) continue;
-        XNode child{xn.mask, static_cast<int>(b)};
+        if (b == xn.rhs || xn.mask.test(b) || !usable.test(b)) continue;
+        XNode child{xn.rhs, xn.mask, static_cast<int>(b)};
         child.mask.set(b);
         next.push_back(child);
       }
     }
+
+    if (!neg_batch.empty()) {
+      const auto neg_answers = rows(neg_batch);
+      for (size_t i = 0; i < neg_batch.size(); ++i) {
+        if (neg_answers[i].any_sat) continue;       // Q(G, X', z) != 0
+        if (!neg_answers[i].any_present) continue;  // OWA gate
+        Gfd neg(pattern, LitsOfMask(neg_batch[i].mask, pool),
+                Literal::False());
+        if (IsTrivialGfd(neg)) continue;  // X' symbolically unsatisfiable
+        AddNegative(pattern_key, std::move(neg), neg_base_supp[i]);
+      }
+    }
     frontier = std::move(next);
   }
-}
-
-void LiteralLatticeMiner::NHSpawn(int pattern_key, const Pattern& pattern,
-                                  const std::vector<Literal>& pool,
-                                  const PatternProfile& profile,
-                                  const LitMask& x_mask, size_t r,
-                                  const LitMask& usable, uint64_t base_supp) {
-  if (x_mask.count() + 1 > cfg_.max_negative_lhs_size) return;
-  for (size_t b = 0; b < pool.size(); ++b) {
-    if (b == r || x_mask.test(b) || !usable.test(b)) continue;
-    LitMask ext = x_mask;
-    ext.set(b);
-    if (profile.AnyMatchSatisfies(ext)) continue;   // Q(G, X', z) != 0
-    if (!profile.AnyMatchPresents(ext)) continue;   // OWA gate
-    auto lits = LitsOfMask(ext, pool);
-    Gfd neg(pattern, lits, Literal::False());
-    if (IsTrivialGfd(neg)) continue;  // X' symbolically unsatisfiable
-    AddNegative(pattern_key, std::move(neg), base_supp);
-  }
+  return !result_.stats.budget_exceeded;
 }
 
 bool LiteralLatticeMiner::IsReducedAway(const Gfd& phi) const {

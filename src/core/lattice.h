@@ -1,13 +1,16 @@
 // The literal-tree lattice miner (HSpawn + NHSpawn over one pattern's
-// match profile), extracted so that SeqDis and the split-pipeline baseline
-// (ParArab, Section 7 "baselines") share one implementation. ParDis mirrors
-// the same decisions with distributed batch evaluation (see
-// parallel/pardis.cc).
+// matches), the one lattice of SeqDis, ParDis and the split-pipeline
+// baseline (ParArab, Section 7 "baselines"). It asks its questions of a
+// row source in batches, one per lattice step; a local PatternProfile
+// answers them for SeqDis and ParArab, and one Cluster superstep over the
+// workers' profiles for ParDis (parallel/pardis.cc).
 #ifndef GFD_CORE_LATTICE_H_
 #define GFD_CORE_LATTICE_H_
 
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,12 +28,23 @@ namespace gfd {
 /// patterns most-general-first.
 class LiteralLatticeMiner {
  public:
+  /// Answers a batch of lattice queries, in order, as one PatternProfile
+  /// holding all of the pattern's matches would (see LatticeAnswer).
+  using RowSource = std::function<std::vector<LatticeAnswer>(
+      std::span<const LatticeQuery>)>;
+
   LiteralLatticeMiner(const DiscoveryConfig& cfg, DiscoveryResult& result)
       : cfg_(cfg), result_(result) {}
 
   /// Mines one pattern. `pattern_key` is any id unique per pattern (used
-  /// to deduplicate negatives); `profile` must be built against `pool`.
-  /// Returns false when the candidate budget tripped.
+  /// to deduplicate negatives); `rows` answers queries over `pool`. All
+  /// RHS trees advance together, so each lattice depth asks `rows` one
+  /// candidate batch and at most one NHSpawn batch (the paper's HSpawn(i,
+  /// j) batches). Returns false when the candidate budget tripped.
+  bool MinePattern(int pattern_key, const Pattern& pattern,
+                   const std::vector<Literal>& pool, const RowSource& rows);
+
+  /// Mines one pattern from a local profile built against `pool`.
   bool MinePattern(int pattern_key, const Pattern& pattern,
                    const std::vector<Literal>& pool,
                    const PatternProfile& profile);
@@ -41,14 +55,6 @@ class LiteralLatticeMiner {
 
  private:
   bool ChargeCandidate();
-  void MineRhsTree(int pattern_key, const Pattern& pattern,
-                   const std::vector<Literal>& pool,
-                   const PatternProfile& profile, size_t r,
-                   const LitMask& usable);
-  void NHSpawn(int pattern_key, const Pattern& pattern,
-               const std::vector<Literal>& pool,
-               const PatternProfile& profile, const LitMask& x_mask,
-               size_t r, const LitMask& usable, uint64_t base_supp);
   bool IsReducedAway(const Gfd& phi) const;
   void AddPositive(Gfd phi, uint64_t supp);
 

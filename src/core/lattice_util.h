@@ -1,5 +1,5 @@
-// Small helpers shared by the sequential (SeqDis) and parallel (ParDis)
-// lattice drivers.
+// Small helpers of the literal lattice (core/lattice.h) and of the
+// miners that feed it patterns (SeqDis, ParDis, ParArab).
 #ifndef GFD_CORE_LATTICE_UTIL_H_
 #define GFD_CORE_LATTICE_UTIL_H_
 

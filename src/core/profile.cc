@@ -23,7 +23,7 @@ MatchStore EnumerateMatches(const PropertyGraph& g, const CompiledPattern& cq,
 }
 
 std::vector<VarConstFreq> CollectMatchConstants(
-    const PropertyGraph& g, const MatchStore& store,
+    const PropertyGraph& g, std::span<const Match> matches,
     const std::vector<AttrId>& gamma) {
   // (var, attr, value) -> count, over all stored matches.
   auto key_of = [](VarId v, AttrId a, ValueId c) {
@@ -32,7 +32,7 @@ std::vector<VarConstFreq> CollectMatchConstants(
   };
   std::vector<VarConstFreq> out;
   std::unordered_map<uint64_t, size_t> index;
-  for (const auto& m : store.matches) {
+  for (const auto& m : matches) {
     for (VarId v = 0; v < m.size(); ++v) {
       for (AttrId a : gamma) {
         auto val = g.GetAttr(m[v], a);
@@ -137,6 +137,20 @@ uint64_t PatternProfile::SupportOf(const LitMask& required) const {
   return count;
 }
 
+std::vector<NodeId> PatternProfile::WitnessPivots(
+    const LitMask& required) const {
+  std::vector<NodeId> out;
+  for (size_t p = 0; p < pivots_.size(); ++p) {
+    for (uint32_t i = offsets_[p]; i < offsets_[p + 1]; ++i) {
+      if ((masks_[i] & required) == required) {
+        out.push_back(pivots_[p]);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 bool PatternProfile::AnyMatchSatisfies(const LitMask& required) const {
   for (const auto& m : masks_) {
     if ((m & required) == required) return true;
@@ -156,6 +170,25 @@ bool PatternProfile::Satisfied(const LitMask& lhs, size_t rhs_bit) const {
     if ((m & lhs) == lhs && !m.test(rhs_bit)) return false;
   }
   return true;
+}
+
+LatticeAnswer PatternProfile::Answer(const LatticeQuery& q) const {
+  LatticeAnswer a;
+  switch (q.kind) {
+    case LatticeQuery::kSupport:
+      a.supp = SupportOf(q.mask);
+      a.any_sat = a.supp > 0;
+      break;
+    case LatticeQuery::kCandidate:
+      a.violated = !Satisfied(q.mask, q.rhs_bit);
+      if (!a.violated) a.supp = SupportOf(q.SupportMask());
+      break;
+    case LatticeQuery::kEmptiness:
+      a.any_sat = AnyMatchSatisfies(q.mask);
+      if (!a.any_sat) a.any_present = AnyMatchPresents(q.mask);
+      break;
+  }
+  return a;
 }
 
 LitMask MaskOf(const std::vector<Literal>& lits,

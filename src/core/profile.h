@@ -22,6 +22,7 @@
 
 #include <bitset>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -64,8 +65,45 @@ struct VarConstFreq {
   uint64_t count;
 };
 std::vector<VarConstFreq> CollectMatchConstants(
-    const PropertyGraph& g, const MatchStore& store,
+    const PropertyGraph& g, std::span<const Match> matches,
     const std::vector<AttrId>& gamma);
+
+/// One question the literal lattice (core/lattice.h) asks about a
+/// pattern's matches. Every row source answers it through
+/// PatternProfile::Answer, so each kind means the same thing locally and
+/// in ParDis.
+struct LatticeQuery {
+  enum Kind : uint8_t {
+    kSupport,    ///< how many pivots witness X (a singleton: usable bits)
+    kCandidate,  ///< does G |= Q(X -> l) hold, and with what support?
+    kEmptiness,  ///< NHSpawn: is Q(G, X', z) empty, and is X' observable?
+  };
+  Kind kind = kSupport;
+  LitMask mask;          ///< X, or X' for kEmptiness
+  uint32_t rhs_bit = 0;  ///< l; read by kCandidate only
+
+  /// The literal set whose support the answer may carry: X ∪ {l} for a
+  /// candidate, X otherwise.
+  LitMask SupportMask() const {
+    LitMask m = mask;
+    if (kind == kCandidate) m.set(rhs_bit);
+    return m;
+  }
+};
+
+/// Answer to one LatticeQuery. Which fields a kind defines:
+///   kSupport:   supp = |Q(G, X, z)|, and any_sat = supp > 0.
+///   kCandidate: violated = not G |= Q(X -> l). supp of X ∪ {l} is
+///               defined only when not violated.
+///   kEmptiness: any_sat = Q(G, X', z) != ∅. any_present (the OWA gate)
+///               is defined only when not any_sat.
+/// Fields a kind leaves undefined stay zero.
+struct LatticeAnswer {
+  uint64_t supp = 0;
+  bool violated = false;
+  bool any_sat = false;
+  bool any_present = false;
+};
 
 /// Computes the profile row of one match against a literal pool.
 ProfileRow ProfileMatch(const PropertyGraph& g, const Match& m, NodeId pivot,
@@ -103,6 +141,15 @@ class PatternProfile {
 
   /// G |= Q(X -> l): no match with X ⊆ sat-mask and l ∉ sat-mask.
   bool Satisfied(const LitMask& lhs, size_t rhs_bit) const;
+
+  /// Answers one lattice query from the queries above, computing only the
+  /// fields its kind defines (see LatticeAnswer).
+  LatticeAnswer Answer(const LatticeQuery& q) const;
+
+  /// Pivots with some match satisfying every literal in `required`,
+  /// ascending: what SupportOf() counts, as a set that can be unioned
+  /// with other fragments' (pivots may repeat across fragments).
+  std::vector<NodeId> WitnessPivots(const LitMask& required) const;
 
   /// Distinct pivots, ascending.
   const std::vector<NodeId>& pivots() const { return pivots_; }

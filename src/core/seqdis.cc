@@ -15,8 +15,9 @@ namespace gfd {
 
 namespace {
 
-// The sequential discovery engine: VSpawn/NVSpawn + profile construction;
-// literal mining is delegated to the shared LiteralLatticeMiner.
+// The sequential discovery engine: VSpawn/NVSpawn and one local profile
+// per pattern, which answers the queries of the literal lattice
+// (LiteralLatticeMiner) that ParDis runs too.
 class Miner {
  public:
   Miner(const PropertyGraph& g, const DiscoveryConfig& cfg)
@@ -72,7 +73,7 @@ class Miner {
     // constants from them (the paper's VSpawn constant collection), build
     // the literal pool, then mask the matches against the pool.
     MatchStore store = EnumerateMatches(g_, cq, cfg_.max_profile_matches);
-    auto constants = CollectMatchConstants(g_, store, gamma_);
+    auto constants = CollectMatchConstants(g_, store.matches, gamma_);
     auto pool = BuildLiteralPoolFromMatches(node.pattern, gamma_, constants,
                                             cfg_);
     PatternProfile profile(g_, store, node.pattern.pivot(), pool);

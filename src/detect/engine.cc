@@ -325,63 +325,6 @@ DetectionResult ViolationEngine::Detect(const GraphView& g,
   return DetectImpl(g, opts);
 }
 
-DetectionResult ViolationEngine::DetectSharded(const PropertyGraph& g,
-                                               const Fragmentation& frag,
-                                               const DetectOptions& opts,
-                                               ClusterStats* cstats) const {
-  RunState st(opts, rules_.size());
-  DetectionResult result;
-  result.stats.num_rules = rules_.size();
-  result.stats.num_groups = groups_.size();
-
-  size_t shards = std::max<size_t>(1, frag.partition.num_fragments);
-  Cluster cluster(shards);
-  // Candidate lists are computed once (a full-graph scan each) and read
-  // by all fragments, instead of shards x groups recomputations.
-  std::vector<std::vector<NodeId>> candidates;
-  candidates.reserve(groups_.size());
-  for (const Group& group : groups_) {
-    candidates.push_back(group.plan.PivotCandidates(g));
-  }
-  std::vector<std::vector<Violation>> buffers(shards);
-  cluster.RunStep([&](size_t w) {
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      for (NodeId v : candidates[gi]) {
-        // Pivot-aligned ownership: every pivot is evaluated by exactly
-        // one fragment, so the union over fragments is the full answer.
-        if (frag.partition.node_owner[v] != w) continue;
-        if (!EvalPivot(g, groups_[gi], v, st, buffers[w])) return;
-      }
-    }
-  });
-  for (size_t w = 0; w < shards; ++w) {
-    if (buffers[w].empty()) continue;
-    // Each fragment ships its violation list to the master; a violation
-    // record is its fixed header plus one NodeId per pattern variable.
-    size_t bytes = 0;
-    for (const Violation& viol : buffers[w]) {
-      bytes += sizeof(Violation) + viol.match.size() * sizeof(NodeId);
-    }
-    cluster.CountShipment(buffers[w].size(),
-                          bytes / std::max<size_t>(1, buffers[w].size()));
-    result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(buffers[w].begin()),
-                             std::make_move_iterator(buffers[w].end()));
-  }
-  if (cstats) {
-    cstats->messages = cluster.messages();
-    cstats->bytes_shipped = cluster.bytes();
-    cstats->replication = frag.partition.replication;
-  }
-
-  std::sort(result.violations.begin(), result.violations.end());
-  result.stats.pivots_scanned = st.pivots.load();
-  result.stats.matches_seen = st.matches.load();
-  result.stats.literal_evals = st.literal_evals.load();
-  result.stats.truncated = st.truncated.load();
-  return result;
-}
-
 std::vector<Violation> ViolationEngine::RunAnchored(
     const GraphView& g, std::span<const size_t> scan,
     std::span<const NodeId> seeds, const std::vector<bool>& is_anchor,

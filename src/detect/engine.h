@@ -15,11 +15,7 @@
 // so the matcher cost is paid |groups| times instead of |rules| times,
 // and the attribute lookups once per match instead of once per rule.
 //
-// Execution is parallel over pivot ranges (util/thread_pool.h) and, for
-// the simulated shared-nothing path, over vertex-cut fragments
-// (parallel/fragment.h) with pivot-aligned ownership: every pivot is
-// evaluated by exactly one fragment, so sharded output equals sequential
-// output while shipped violations are accounted through the Cluster.
+// Execution is parallel over pivot ranges (util/thread_pool.h).
 #ifndef GFD_DETECT_ENGINE_H_
 #define GFD_DETECT_ENGINE_H_
 
@@ -36,8 +32,6 @@
 #include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "match/matcher.h"
-#include "parallel/cluster.h"
-#include "parallel/fragment.h"
 #include "pattern/pattern.h"
 
 namespace gfd {
@@ -162,18 +156,6 @@ class ViolationEngine {
   /// view.Materialize() would produce, without materializing).
   DetectionResult Detect(const GraphView& g,
                          const DetectOptions& opts = {}) const;
-
-  /// Sharded run over a vertex-cut fragmentation: fragment f evaluates
-  /// exactly the pivots it owns (frag.node_owner), one Cluster worker per
-  /// fragment, and ships its violations to the master (accounted in
-  /// `cstats`). Uncapped output is identical to Detect; when a cap or
-  /// global budget bites, fragments race for the remaining slots, so
-  /// *which* violations are kept can differ (same caveat as
-  /// DetectOptions::workers > 1).
-  DetectionResult DetectSharded(const PropertyGraph& g,
-                                const Fragmentation& frag,
-                                const DetectOptions& opts = {},
-                                ClusterStats* cstats = nullptr) const;
 
   /// The violation diff of applying `batch` to `g`: exactly the records
   /// diffing Detect(g) against Detect of the updated graph would produce.

@@ -15,7 +15,7 @@
 
 namespace gfd {
 
-/// Ownership state of a vertex-cut partition, shared by DetectSharded,
+/// Ownership state of a vertex-cut partition, shared by ParDis,
 /// RouteDelta, and the serving coordinator (which persists it in
 /// coordinator.meta so every layer reads the same owners).
 struct Partition {

@@ -3,43 +3,22 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "core/generation_tree.h"
+#include "core/lattice.h"
 #include "core/lattice_util.h"
 #include "core/literal_pool.h"
 #include "core/profile.h"
-#include "gfd/problems.h"
 #include "graph/stats.h"
 #include "match/incremental.h"
 #include "parallel/fragment.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace gfd {
 
 namespace {
-
-// A batched evaluation request against one pattern's distributed rows.
-struct EvalQuery {
-  LitMask mask;     // X (or X' / singleton)
-  int rhs_bit = -1; // -1: no RHS
-};
-
-// Aggregated answer.
-struct EvalAnswer {
-  uint64_t supp = 0;       // pivots with a match satisfying mask ∪ {rhs}
-  bool violated = false;   // some match: mask ⊆ sat, rhs not in sat
-  bool any_sat = false;    // some match satisfies mask
-  bool any_present = false;// some match has all attrs of mask present
-};
-
-// Per-worker state for one pattern: owned matches and their profile rows
-// (rows are grouped by pivot for the supp computation).
-struct WorkerPatternState {
-  std::vector<Match> matches;
-  std::vector<ProfileRow> rows;  // sorted by pivot once profiled
-};
 
 class ParMiner {
  public:
@@ -50,7 +29,8 @@ class ParMiner {
         pcfg_(pcfg),
         cluster_(pcfg.workers),
         frag_(VertexCutPartition(g, pcfg.workers)),
-        gstats_(g) {}
+        gstats_(g),
+        lattice_(cfg_, result_) {}
 
   DiscoveryResult Run(ClusterStats* out_stats) {
     gamma_ = ResolveActiveAttrs(gstats_, cfg_);
@@ -95,15 +75,6 @@ class ParMiner {
  private:
   bool Exhausted() const { return result_.stats.budget_exceeded; }
 
-  bool ChargeCandidate() {
-    ++result_.stats.candidates_generated;
-    if (result_.stats.candidates_generated > cfg_.candidate_budget) {
-      result_.stats.budget_exceeded = true;
-      return false;
-    }
-    return true;
-  }
-
   void SortGeneralFirst(std::vector<int>& ids) {
     std::sort(ids.begin(), ids.end(), [&](int a, int b) {
       size_t wa = WildcardCount(tree_.node(a).pattern);
@@ -125,7 +96,7 @@ class ParMiner {
     LabelId l = node.pattern.NodeLabel(0);
     for (NodeId v = 0; v < g_.NumNodes(); ++v) {
       if (!LabelMatches(g_.NodeLabel(v), l)) continue;
-      st[OwnerOf(v)].matches.push_back({v});
+      st[OwnerOf(v)].push_back({v});
     }
   }
 
@@ -172,9 +143,8 @@ class ParMiner {
     // Step 3 (parallel): local joins.
     std::vector<size_t> loads(pcfg_.workers, 0);
     cluster_.RunStep([&](size_t w) {
-      st[w].matches = JoinMatchesWithEdges(parent_states[w].matches, delta,
-                                           all_edges);
-      loads[w] = st[w].matches.size();
+      st[w] = JoinMatchesWithEdges(parent_states[w], delta, all_edges);
+      loads[w] = st[w].size();
     });
 
     // Skew accounting (before any re-balancing).
@@ -194,7 +164,7 @@ class ParMiner {
       const VarId pivot = node.pattern.pivot();
       std::vector<std::vector<Match>> outbound(pcfg_.workers);
       for (size_t w = 0; w < pcfg_.workers; ++w) {
-        auto& mine = st[w].matches;
+        auto& mine = st[w];
         std::vector<Match> keep;
         for (auto& m : mine) {
           size_t owner = m[pivot] % pcfg_.workers;
@@ -210,7 +180,7 @@ class ParMiner {
       for (size_t w = 0; w < pcfg_.workers; ++w) {
         cluster_.CountShipment(outbound[w].size(),
                                node.pattern.NumNodes() * sizeof(NodeId));
-        auto& mine = st[w].matches;
+        auto& mine = st[w];
         mine.insert(mine.end(),
                     std::make_move_iterator(outbound[w].begin()),
                     std::make_move_iterator(outbound[w].end()));
@@ -225,7 +195,7 @@ class ParMiner {
     auto& st = states_[node_id];
 
     size_t total_matches = 0;
-    for (const auto& w : st) total_matches += w.matches.size();
+    for (const auto& w : st) total_matches += w.size();
     result_.stats.profile_matches += total_matches;
     result_.stats.max_pattern_matches =
         std::max<uint64_t>(result_.stats.max_pattern_matches, total_matches);
@@ -245,9 +215,7 @@ class ParMiner {
     // Distributed constant collection -> literal pool at the master.
     std::vector<std::vector<VarConstFreq>> local_consts(pcfg_.workers);
     cluster_.RunStep([&](size_t w) {
-      MatchStore store;
-      store.matches = st[w].matches;  // local view
-      local_consts[w] = CollectMatchConstants(g_, store, gamma_);
+      local_consts[w] = CollectMatchConstants(g_, st[w], gamma_);
     });
     std::map<std::tuple<VarId, AttrId, ValueId>, uint64_t> merged;
     for (size_t w = 0; w < pcfg_.workers; ++w) {
@@ -273,29 +241,24 @@ class ParMiner {
                                             cfg_);
     cluster_.CountBroadcast(pool.size(), sizeof(Literal));
 
-    // Distributed row profiling (rows stay at their worker).
+    // Distributed profiling: each worker profiles the matches it owns (the
+    // matches stay for the next level's joins).
     WallTimer vt;
     const VarId pivot = node.pattern.pivot();
+    std::vector<PatternProfile> profiles(pcfg_.workers);
     cluster_.RunStep([&](size_t w) {
-      auto& ws = st[w];
-      ws.rows.clear();
-      ws.rows.reserve(ws.matches.size());
-      for (const auto& m : ws.matches) {
-        ws.rows.push_back(ProfileMatch(g_, m, pivot, pool));
+      std::vector<ProfileRow> rows;
+      rows.reserve(st[w].size());
+      for (const auto& m : st[w]) {
+        rows.push_back(ProfileMatch(g_, m, pivot, pool));
       }
-      std::sort(ws.rows.begin(), ws.rows.end(),
-                [](const ProfileRow& a, const ProfileRow& b) {
-                  return a.pivot < b.pivot;
-                });
+      profiles[w] = PatternProfile::FromRows(std::move(rows), pool.size());
     });
-
-    MineLiterals(node_id, pool);
+    lattice_.MinePattern(node_id, node.pattern, pool,
+                         [&](std::span<const LatticeQuery> batch) {
+                           return Evaluate(profiles, batch);
+                         });
     cstats_.validate_seconds += vt.Seconds();
-    // Rows are no longer needed (matches are kept for next-level joins).
-    for (auto& w : st) {
-      w.rows.clear();
-      w.rows.shrink_to_fit();
-    }
   }
 
   uint64_t CountDistinctPivots(int node_id) {
@@ -307,8 +270,8 @@ class ParMiner {
       std::vector<uint64_t> local(pcfg_.workers, 0);
       cluster_.RunStep([&](size_t w) {
         std::vector<NodeId> pivots;
-        pivots.reserve(st[w].matches.size());
-        for (const auto& m : st[w].matches) pivots.push_back(m[pivot]);
+        pivots.reserve(st[w].size());
+        for (const auto& m : st[w]) pivots.push_back(m[pivot]);
         std::sort(pivots.begin(), pivots.end());
         pivots.erase(std::unique(pivots.begin(), pivots.end()),
                      pivots.end());
@@ -322,81 +285,52 @@ class ParMiner {
     // unions shipped pivot sets (extra communication, the ablation cost).
     std::set<NodeId> all;
     for (size_t w = 0; w < pcfg_.workers; ++w) {
-      cluster_.CountShipment(st[w].matches.size(), sizeof(NodeId));
-      for (const auto& m : st[w].matches) all.insert(m[pivot]);
+      cluster_.CountShipment(st[w].size(), sizeof(NodeId));
+      for (const auto& m : st[w]) all.insert(m[pivot]);
     }
     return all.size();
   }
 
-  // Evaluates a batch of queries against the pattern's distributed rows.
-  std::vector<EvalAnswer> Evaluate(int node_id,
-                                   const std::vector<EvalQuery>& batch) {
-    const auto& st = states_[node_id];
+  // One superstep answering a lattice batch: every worker answers each
+  // query from its own profile, and the master combines the answers.
+  // Balanced, each pivot lives on one worker, so supports add up
+  // (supp(phi, G) = sum_s supp(phi, F_s), Section 6.2). Unbalanced, the
+  // workers also ship their witness pivots, and the master unions them.
+  std::vector<LatticeAnswer> Evaluate(
+      const std::vector<PatternProfile>& profiles,
+      std::span<const LatticeQuery> batch) {
     const size_t n = pcfg_.workers;
-    std::vector<std::vector<EvalAnswer>> local(n);
-    std::vector<std::vector<std::vector<NodeId>>> local_pivots(n);
+    std::vector<std::vector<LatticeAnswer>> local(n);
+    std::vector<std::vector<std::vector<NodeId>>> witnesses(n);
     cluster_.RunStep([&](size_t w) {
-      const auto& rows = st[w].rows;
-      auto& answers = local[w];
-      answers.assign(batch.size(), {});
-      if (!pcfg_.load_balance) {
-        local_pivots[w].assign(batch.size(), {});
-      }
-      for (size_t qi = 0; qi < batch.size(); ++qi) {
-        const EvalQuery& q = batch[qi];
-        EvalAnswer& a = answers[qi];
-        LitMask need = q.mask;
-        if (q.rhs_bit >= 0) need.set(q.rhs_bit);
-        size_t i = 0;
-        while (i < rows.size()) {
-          // One pivot group: rows are sorted by pivot.
-          NodeId pv = rows[i].pivot;
-          bool supp_here = false;
-          for (; i < rows.size() && rows[i].pivot == pv; ++i) {
-            const ProfileRow& r = rows[i];
-            if ((r.sat & q.mask) == q.mask) {
-              a.any_sat = true;
-              if (q.rhs_bit >= 0 && !r.sat.test(q.rhs_bit)) {
-                a.violated = true;
-              }
-            }
-            if ((r.sat & need) == need) supp_here = true;
-            if ((r.present & q.mask) == q.mask) a.any_present = true;
-          }
-          if (supp_here) {
-            ++a.supp;
-            if (!pcfg_.load_balance) local_pivots[w][qi].push_back(pv);
-          }
+      local[w].reserve(batch.size());
+      for (const auto& q : batch) {
+        local[w].push_back(profiles[w].Answer(q));
+        if (!pcfg_.load_balance) {
+          witnesses[w].push_back(profiles[w].WitnessPivots(q.SupportMask()));
         }
       }
     });
-    // Master aggregation.
-    std::vector<EvalAnswer> out(batch.size());
-    if (pcfg_.load_balance) {
-      for (size_t w = 0; w < n; ++w) {
-        cluster_.CountShipment(batch.size(), sizeof(EvalAnswer));
-        for (size_t qi = 0; qi < batch.size(); ++qi) {
-          out[qi].supp += local[w][qi].supp;
-          out[qi].violated |= local[w][qi].violated;
-          out[qi].any_sat |= local[w][qi].any_sat;
-          out[qi].any_present |= local[w][qi].any_present;
-        }
-      }
-    } else {
-      std::vector<std::set<NodeId>> pivot_union(batch.size());
-      for (size_t w = 0; w < n; ++w) {
-        cluster_.CountShipment(batch.size(), sizeof(EvalAnswer));
-        for (size_t qi = 0; qi < batch.size(); ++qi) {
-          out[qi].violated |= local[w][qi].violated;
-          out[qi].any_sat |= local[w][qi].any_sat;
-          out[qi].any_present |= local[w][qi].any_present;
-          cluster_.CountShipment(local_pivots[w][qi].size(), sizeof(NodeId));
-          pivot_union[qi].insert(local_pivots[w][qi].begin(),
-                                 local_pivots[w][qi].end());
-        }
-      }
+    std::vector<LatticeAnswer> out(batch.size());
+    for (size_t w = 0; w < n; ++w) {
+      cluster_.CountShipment(batch.size(), sizeof(LatticeAnswer));
       for (size_t qi = 0; qi < batch.size(); ++qi) {
-        out[qi].supp = pivot_union[qi].size();
+        out[qi].supp += local[w][qi].supp;
+        out[qi].violated |= local[w][qi].violated;
+        out[qi].any_sat |= local[w][qi].any_sat;
+        out[qi].any_present |= local[w][qi].any_present;
+      }
+    }
+    if (!pcfg_.load_balance) {
+      for (size_t qi = 0; qi < batch.size(); ++qi) {
+        std::vector<NodeId> all;
+        for (size_t w = 0; w < n; ++w) {
+          cluster_.CountShipment(witnesses[w][qi].size(), sizeof(NodeId));
+          all.insert(all.end(), witnesses[w][qi].begin(),
+                     witnesses[w][qi].end());
+        }
+        std::sort(all.begin(), all.end());
+        out[qi].supp = std::unique(all.begin(), all.end()) - all.begin();
       }
     }
     return out;
@@ -412,162 +346,8 @@ class ParMiner {
       }
     }
     if (base_support < cfg_.support_threshold) return;
-    AddNegative(node_id, Gfd(node.pattern, {}, Literal::False()),
-                base_support);
-  }
-
-  // Master-driven literal lattice with distributed batch evaluation.
-  // Mirrors SeqDis::MineRhsTree level by level, but all rhs trees of the
-  // pattern advance together so each (i, j) step is one worker batch
-  // (the paper's HSpawn(i, j) batches).
-  void MineLiterals(int node_id, const std::vector<Literal>& pool) {
-    const TreeNode& node = tree_.node(node_id);
-
-    // Usable bits (one batch of singleton queries).
-    std::vector<EvalQuery> singles(pool.size());
-    for (size_t b = 0; b < pool.size(); ++b) singles[b].mask.set(b);
-    auto single_answers = Evaluate(node_id, singles);
-    LitMask usable;
-    for (size_t b = 0; b < pool.size(); ++b) {
-      if (cfg_.prune) {
-        if (single_answers[b].supp >= cfg_.support_threshold) usable.set(b);
-      } else {
-        if (single_answers[b].any_sat) usable.set(b);
-      }
-    }
-
-    struct XNode {
-      uint32_t rhs;
-      LitMask mask;
-      int max_bit;
-    };
-    std::vector<XNode> frontier;
-    for (size_t r = 0; r < pool.size(); ++r) {
-      if (usable.test(r)) frontier.push_back({static_cast<uint32_t>(r),
-                                              LitMask{}, -1});
-    }
-    // Per-rhs satisfied (closed) masks, Lemma 4(b).
-    std::map<uint32_t, std::vector<LitMask>> closed;
-
-    for (size_t depth = 0; depth <= cfg_.max_lhs_size && !frontier.empty();
-         ++depth) {
-      // Filter + trivial checks at the master, then one evaluation batch.
-      std::vector<XNode> to_eval;
-      std::vector<EvalQuery> batch;
-      for (const auto& xn : frontier) {
-        if (!ChargeCandidate()) return;
-        bool superseded = false;
-        if (cfg_.prune) {
-          for (const auto& c : closed[xn.rhs]) {
-            if ((xn.mask & c) == c) {
-              superseded = true;
-              break;
-            }
-          }
-        }
-        if (superseded) {
-          ++result_.stats.candidates_pruned_reduced;
-          continue;
-        }
-        Gfd phi(node.pattern, LitsOfMask(xn.mask, pool), pool[xn.rhs]);
-        if (IsTrivialGfd(phi)) {
-          ++result_.stats.candidates_pruned_trivial;
-          continue;
-        }
-        to_eval.push_back(xn);
-        batch.push_back({xn.mask, static_cast<int>(xn.rhs)});
-      }
-      result_.stats.candidates_validated += batch.size();
-      auto answers = Evaluate(node_id, batch);
-
-      // Decide + queue NHSpawn emptiness checks.
-      std::vector<XNode> next;
-      struct NegCheck {
-        LitMask ext;
-        uint64_t base_supp;
-      };
-      std::vector<NegCheck> neg_checks;
-      std::vector<EvalQuery> neg_batch;
-      for (size_t i = 0; i < to_eval.size(); ++i) {
-        const XNode& xn = to_eval[i];
-        const EvalAnswer& a = answers[i];
-        const bool satisfied = !a.violated;
-        if (satisfied) {
-          closed[xn.rhs].push_back(xn.mask);
-          if (a.supp >= cfg_.support_threshold) {
-            Gfd phi(node.pattern, LitsOfMask(xn.mask, pool), pool[xn.rhs]);
-            if (IsReducedAway(phi)) {
-              ++result_.stats.candidates_pruned_reduced;
-            } else {
-              AddPositive(phi, a.supp);
-            }
-            if (cfg_.discover_negative &&
-                xn.mask.count() + 1 <= cfg_.max_negative_lhs_size) {
-              for (size_t b = 0; b < pool.size(); ++b) {
-                if (b == xn.rhs || xn.mask.test(b) || !usable.test(b)) {
-                  continue;
-                }
-                LitMask ext = xn.mask;
-                ext.set(b);
-                neg_checks.push_back({ext, a.supp});
-                neg_batch.push_back({ext, -1});
-              }
-            }
-          }
-          if (cfg_.prune) continue;  // close this branch
-        }
-        if (depth == cfg_.max_lhs_size) continue;
-        for (size_t b = xn.max_bit + 1; b < pool.size(); ++b) {
-          if (b == xn.rhs || xn.mask.test(b) || !usable.test(b)) continue;
-          XNode child{xn.rhs, xn.mask, static_cast<int>(b)};
-          child.mask.set(b);
-          next.push_back(child);
-        }
-      }
-
-      if (!neg_batch.empty()) {
-        auto neg_answers = Evaluate(node_id, neg_batch);
-        for (size_t i = 0; i < neg_checks.size(); ++i) {
-          if (neg_answers[i].any_sat) continue;       // Q(G, X', z) != 0
-          if (!neg_answers[i].any_present) continue;  // OWA gate
-          Gfd neg(node.pattern, LitsOfMask(neg_checks[i].ext, pool),
-                  Literal::False());
-          if (IsTrivialGfd(neg)) continue;
-          AddNegative(node_id, std::move(neg), neg_checks[i].base_supp);
-        }
-      }
-      frontier = std::move(next);
-    }
-  }
-
-  bool IsReducedAway(const Gfd& phi) const {
-    auto it = by_rhs_.find(SignatureOf(phi.rhs));
-    if (it == by_rhs_.end()) return false;
-    for (size_t idx : it->second) {
-      if (GfdReduces(result_.positives[idx], phi)) return true;
-    }
-    return false;
-  }
-
-  void AddPositive(Gfd phi, uint64_t supp) {
-    by_rhs_[SignatureOf(phi.rhs)].push_back(result_.positives.size());
-    result_.positives.push_back(std::move(phi));
-    result_.positive_supports.push_back(supp);
-    ++result_.stats.positives_found;
-  }
-
-  void AddNegative(int node_id, Gfd phi, uint64_t base_supp) {
-    auto key = std::pair(node_id, phi.lhs);
-    if (!seen_negatives_.insert(key).second) return;
-    for (const auto& neg : result_.negatives) {
-      if (GfdReduces(neg, phi)) {
-        ++result_.stats.candidates_pruned_reduced;
-        return;
-      }
-    }
-    result_.negatives.push_back(std::move(phi));
-    result_.negative_supports.push_back(base_supp);
-    ++result_.stats.negatives_found;
+    lattice_.AddNegative(node_id, Gfd(node.pattern, {}, Literal::False()),
+                         base_support);
   }
 
   const PropertyGraph& g_;
@@ -580,9 +360,9 @@ class ParMiner {
   GenerationTree tree_;
   DiscoveryResult result_;
   ClusterStats cstats_;
-  std::unordered_map<int, std::vector<WorkerPatternState>> states_;
-  std::map<RhsSig, std::vector<size_t>> by_rhs_;
-  std::set<std::pair<int, std::vector<Literal>>> seen_negatives_;
+  LiteralLatticeMiner lattice_;
+  // Per pattern, the matches each worker owns.
+  std::unordered_map<int, std::vector<std::vector<Match>>> states_;
 };
 
 }  // namespace

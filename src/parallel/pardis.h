@@ -10,14 +10,15 @@
 //      workers (ownership by pivot hash), so per-candidate supports are
 //      disjoint sums; the ParGFDnb ablation skips the shuffle, and the
 //      master must instead merge shipped pivot sets per candidate.
-//   4. Parallel GFD validation: the master grows each pattern's literal
-//      trees (HSpawn) and posts candidate batches; workers evaluate them
-//      against their local profile rows (supports, SAT flags, NHSpawn
-//      emptiness + OWA presence); the master aggregates and decides.
+//   4. Parallel GFD validation: the master runs SeqDis's literal lattice
+//      (core/lattice.h, HSpawn + NHSpawn) and answers each of its query
+//      batches in one superstep: every worker answers from the profile of
+//      the matches it owns (supports, violation, NHSpawn emptiness + OWA
+//      presence), and the master combines the answers.
 //
-// Output is identical to SeqDis (asserted by tests): the lattice logic,
-// pruning rules, and reduced-GFD filters are the same code or mirrored
-// decisions, and FinalizeReduced makes the result order-independent.
+// Output is identical to SeqDis, in order (asserted by tests): there is
+// one lattice, with one set of pruning rules and reduced-GFD filters, and
+// only the row source differs.
 #ifndef GFD_PARALLEL_PARDIS_H_
 #define GFD_PARALLEL_PARDIS_H_
 

@@ -1,6 +1,6 @@
 // The batched violation engine: pattern grouping, shared-plan evaluation,
-// budgets, parallel and sharded execution -- all cross-checked against
-// the naive per-GFD detection loop.
+// budgets and parallel execution -- all cross-checked against the naive
+// per-GFD detection loop.
 #include "detect/engine.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "datagen/noise.h"
 #include "datagen/synthetic.h"
 #include "gfd/validation.h"
-#include "parallel/fragment.h"
 #include "testlib.h"
 
 namespace gfd {
@@ -244,24 +243,6 @@ TEST(ViolationEngine, ParallelWorkersProduceIdenticalOutput) {
   auto seq = engine.Detect(g, {.workers = 1});
   auto par = engine.Detect(g, {.workers = 4});
   EXPECT_EQ(seq.violations, par.violations);
-}
-
-TEST(ViolationEngine, ShardedRunEqualsSequentialAndAccountsShipping) {
-  auto clean = MakeYago2Like({.scale = 150, .seed = 5});
-  DiscoveryConfig cfg;
-  cfg.k = 2;
-  cfg.support_threshold = 8;
-  ViolationEngine engine(SeqDis(clean, cfg).AllGfds());
-  auto noisy = InjectNoise(clean, {.alpha = 0.1, .beta = 0.6, .seed = 9});
-  auto frag = VertexCutPartition(noisy.graph, 4);
-  ClusterStats cstats;
-  auto sharded = engine.DetectSharded(noisy.graph, frag, {}, &cstats);
-  auto seq = engine.Detect(noisy.graph);
-  EXPECT_EQ(sharded.violations, seq.violations);
-  if (!seq.violations.empty()) {
-    EXPECT_GT(cstats.messages, 0u);
-    EXPECT_GT(cstats.bytes_shipped, 0u);
-  }
 }
 
 TEST(ViolationEngine, AgreesWithFindViolationsPerRule) {

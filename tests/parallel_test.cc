@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/cover.h"
 #include "core/seqdis.h"
@@ -21,6 +23,37 @@ std::multiset<std::string> Render(const std::vector<Gfd>& gfds,
   std::multiset<std::string> out;
   for (const auto& phi : gfds) out.insert(phi.ToString(g));
   return out;
+}
+
+// Each GFD rendered with its support, in discovery order.
+std::vector<std::string> RenderInOrder(const std::vector<Gfd>& gfds,
+                                       const std::vector<uint64_t>& supports,
+                                       const PropertyGraph& g) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < gfds.size(); ++i) {
+    out.push_back(gfds[i].ToString(g) + " @" + std::to_string(supports[i]));
+  }
+  return out;
+}
+
+// SeqDis and ParDis run one literal lattice, so beyond the output set they
+// agree on its order, on every support, and on the lattice's counters.
+void ExpectSameLatticeRun(const DiscoveryResult& par,
+                          const DiscoveryResult& seq,
+                          const PropertyGraph& g) {
+  EXPECT_EQ(RenderInOrder(par.positives, par.positive_supports, g),
+            RenderInOrder(seq.positives, seq.positive_supports, g));
+  EXPECT_EQ(RenderInOrder(par.negatives, par.negative_supports, g),
+            RenderInOrder(seq.negatives, seq.negative_supports, g));
+  EXPECT_EQ(par.stats.candidates_generated, seq.stats.candidates_generated);
+  EXPECT_EQ(par.stats.candidates_validated, seq.stats.candidates_validated);
+  EXPECT_EQ(par.stats.candidates_pruned_trivial,
+            seq.stats.candidates_pruned_trivial);
+  EXPECT_EQ(par.stats.candidates_pruned_reduced,
+            seq.stats.candidates_pruned_reduced);
+  EXPECT_EQ(par.stats.positives_found, seq.stats.positives_found);
+  EXPECT_EQ(par.stats.negatives_found, seq.stats.negatives_found);
+  EXPECT_EQ(par.stats.budget_exceeded, seq.stats.budget_exceeded);
 }
 
 TEST(Fragmentation, EdgesPartitionedEvenly) {
@@ -111,6 +144,7 @@ TEST_P(ParDisEquivalence, MatchesSequentialOutput) {
     return m;
   };
   EXPECT_EQ(support_map(par), support_map(seq));
+  ExpectSameLatticeRun(par, seq, g);
   if (pcfg.workers > 1) {
     EXPECT_GT(cs.messages, 0u);
     EXPECT_GT(cs.bytes_shipped, 0u);
@@ -150,6 +184,37 @@ TEST(ParDisNoBalance, ShipsMoreThanBalanced) {
   // Without pivot alignment the master merges shipped pivot sets per
   // candidate: strictly more communication.
   EXPECT_GT(cs_u.bytes_shipped, cs_b.bytes_shipped);
+}
+
+// ParGFDn: without Lemma 4 pruning, literals are usable when witnessed
+// at all and satisfied branches keep growing; the candidate budget then
+// cuts the run at the same lattice step on every row source.
+TEST(ParDisUnpruned, MatchesSequentialInOrderWithAndWithoutBudget) {
+  auto g = MakeYago2Like({.scale = 60, .seed = 3});
+  DiscoveryConfig cfg;
+  cfg.k = 2;
+  cfg.support_threshold = 8;
+  cfg.prune = false;
+  for (uint64_t budget : {cfg.candidate_budget, uint64_t{20000}}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget);
+    cfg.candidate_budget = budget;
+    const bool capped = budget == 20000;
+    auto seq = SeqDis(g, cfg);
+    EXPECT_EQ(seq.stats.budget_exceeded, capped);
+    if (capped) {
+      EXPECT_EQ(seq.stats.candidates_generated, 20001u);
+    }
+    EXPECT_FALSE(seq.positives.empty());
+    EXPECT_FALSE(seq.negatives.empty());
+    for (size_t workers : {1u, 3u}) {
+      for (bool balance : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers, balance "
+                                          << balance);
+        ParallelRunConfig pcfg{.workers = workers, .load_balance = balance};
+        ExpectSameLatticeRun(ParDis(g, cfg, pcfg), seq, g);
+      }
+    }
+  }
 }
 
 TEST(ParDisImdb, WorksAcrossGenerators) {

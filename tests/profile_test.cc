@@ -34,7 +34,7 @@ TEST(MatchConstants, CountsPerVarAttrValue) {
   auto store = EnumerateMatches(g, cq, 1000);
   ASSERT_EQ(store.matches.size(), 2u);
   AttrId name = *g.FindAttr("name");
-  auto consts = CollectMatchConstants(g, store, {name});
+  auto consts = CollectMatchConstants(g, store.matches, {name});
   // Vars: x0 (SaintPetersburg twice), x1/x2 (Russia, Florida once each).
   // Top entry must be (x0, name, 'Saint Petersburg') with count 2.
   ASSERT_FALSE(consts.empty());
@@ -49,7 +49,7 @@ TEST(MatchConstants, IgnoresAttrsOutsideGamma) {
   auto g = BuildG2();
   CompiledPattern cq(BuildQ2(g));
   auto store = EnumerateMatches(g, cq, 1000);
-  auto consts = CollectMatchConstants(g, store, {});
+  auto consts = CollectMatchConstants(g, store.matches, {});
   EXPECT_TRUE(consts.empty());
 }
 
@@ -145,6 +145,81 @@ TEST(ProfileTest, FromRowsGroupsByPivot) {
   LitMask m;
   m.set(0);
   EXPECT_EQ(p.SupportOf(m), 1u);  // only pivot 5 has a satisfying match
+}
+
+// --- PatternProfile::Answer: the one evaluator of lattice queries ------------
+
+LitMask Bits(std::initializer_list<size_t> bits) {
+  LitMask m;
+  for (size_t b : bits) m.set(b);
+  return m;
+}
+
+// Rows in which sat and presence disagree, so an answer read from the
+// wrong masks (or counted per match instead of per pivot) comes out
+// different. Bits 2 and 3 are present on some match but never together.
+PatternProfile AnswerFixture() {
+  return PatternProfile::FromRows(
+      {
+          {1, Bits({0, 1}), Bits({0, 1, 2})},
+          {1, Bits({0, 1}), Bits({0, 1})},
+          {2, Bits({0, 1}), Bits({0, 1})},
+          {3, Bits({1}), Bits({0, 1})},  // bit 0's attribute differs
+          {4, Bits({}), Bits({3})},
+      },
+      4);
+}
+
+TEST(ProfileAnswer, SupportCountsPivotsOverSatMasks) {
+  auto p = AnswerFixture();
+  auto a = p.Answer({LatticeQuery::kSupport, Bits({0})});
+  EXPECT_EQ(a.supp, 2u);  // pivots 1 and 2; presence would give 3
+  EXPECT_TRUE(a.any_sat);
+  auto none = p.Answer({LatticeQuery::kSupport, Bits({2})});
+  EXPECT_EQ(none.supp, 0u);
+  EXPECT_FALSE(none.any_sat);
+}
+
+TEST(ProfileAnswer, ViolatedCandidate) {
+  auto p = AnswerFixture();
+  // Pivot 3's match satisfies bit 1 but not bit 0, although bit 0's
+  // attributes are present: a violation only the sat masks show.
+  auto a = p.Answer({LatticeQuery::kCandidate, Bits({1}), 0});
+  EXPECT_TRUE(a.violated);
+  EXPECT_EQ(a.supp, 0u);  // undefined when violated, left zero
+}
+
+TEST(ProfileAnswer, SatisfiedCandidateCarriesItsSupport) {
+  auto p = AnswerFixture();
+  auto a = p.Answer({LatticeQuery::kCandidate, Bits({0}), 1});
+  EXPECT_FALSE(a.violated);
+  // Pivots 1 and 2 witness {0, 1}; per match it would be 3, and over
+  // presence masks (pivot 3 too) also 3.
+  EXPECT_EQ(a.supp, 2u);
+}
+
+TEST(ProfileAnswer, EmptinessWithAttributesAbsentOnEveryMatch) {
+  auto p = AnswerFixture();
+  auto a = p.Answer({LatticeQuery::kEmptiness, Bits({2, 3})});
+  EXPECT_FALSE(a.any_sat);
+  EXPECT_FALSE(a.any_present);  // each bit is present somewhere, not both
+}
+
+TEST(ProfileAnswer, EmptinessWithAttributesPresentButUnsatisfied) {
+  auto p = AnswerFixture();
+  auto a = p.Answer({LatticeQuery::kEmptiness, Bits({2})});
+  EXPECT_FALSE(a.any_sat);
+  EXPECT_TRUE(a.any_present);  // the sat masks would say absent
+  auto sat = p.Answer({LatticeQuery::kEmptiness, Bits({0, 1})});
+  EXPECT_TRUE(sat.any_sat);
+  EXPECT_FALSE(sat.any_present);  // undefined when satisfiable, left false
+}
+
+TEST(ProfileAnswer, WitnessPivotsAreWhatSupportCounts) {
+  auto p = AnswerFixture();
+  EXPECT_EQ(p.WitnessPivots(Bits({0, 1})), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(p.WitnessPivots(Bits({1})), (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_TRUE(p.WitnessPivots(Bits({3})).empty());
 }
 
 TEST(ProfileTest, MaskOfFindsPoolPositions) {

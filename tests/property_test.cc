@@ -12,7 +12,6 @@
 #include "core/literal_pool.h"
 #include "datagen/gfd_gen.h"
 #include "detect/engine.h"
-#include "parallel/fragment.h"
 #include "datagen/kb.h"
 #include "datagen/synthetic.h"
 #include "gfd/problems.h"
@@ -118,7 +117,7 @@ TEST_P(ProfileOracle, ProfileAgreesWithEvaluateGfd) {
   DiscoveryConfig cfg;
   auto gamma = ResolveActiveAttrs(stats, cfg);
   auto store = EnumerateMatches(g, cq, 1 << 20);
-  auto consts = CollectMatchConstants(g, store, gamma);
+  auto consts = CollectMatchConstants(g, store.matches, gamma);
   auto pool = BuildLiteralPoolFromMatches(q, gamma, consts, cfg);
   if (pool.empty()) return;
   PatternProfile profile(g, store, q.pivot(), pool);
@@ -157,7 +156,7 @@ TEST_P(AntiMonotone, SpecializationNeverGainsSupport) {
   DiscoveryConfig cfg;
   auto gamma = ResolveActiveAttrs(stats, cfg);
   auto store = EnumerateMatches(g, cq, 1 << 20);
-  auto consts = CollectMatchConstants(g, store, gamma);
+  auto consts = CollectMatchConstants(g, store.matches, gamma);
   auto pool = BuildLiteralPoolFromMatches(q, gamma, consts, cfg);
   if (pool.size() < 3) return;
 
@@ -237,8 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoverEquiv, ::testing::Range(0, 8));
 
 // --- Detection oracle: the batched multi-GFD engine returns exactly the
 // --- violation multiset of the naive per-GFD loop, across random graphs,
-// --- random rule sets, and every execution mode (sequential, threaded,
-// --- sharded).
+// --- random rule sets, and worker counts.
 class DetectOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(DetectOracle, BatchedEngineAgreesWithNaivePerGfdValidation) {
@@ -263,12 +261,6 @@ TEST_P(DetectOracle, BatchedEngineAgreesWithNaivePerGfdValidation) {
   ViolationEngine engine(rules);
   auto batched = engine.Detect(g, {.workers = 1 + size_t(seed) % 4});
   EXPECT_EQ(batched.violations, naive.violations) << "seed " << seed;
-
-  // The sharded path partitions pivots across fragments; the union must
-  // be the same multiset again.
-  auto frag = VertexCutPartition(g, 2 + size_t(seed) % 3);
-  auto sharded = engine.DetectSharded(g, frag);
-  EXPECT_EQ(sharded.violations, naive.violations) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectOracle, ::testing::Range(0, 50));

@@ -9,7 +9,7 @@
 //           [-o rules.gfd]
 //       Mine a cover of minimum sigma-frequent GFDs and save/print it.
 //   gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> [-w WORKERS]
-//           [--shards N] [--max-per-gfd N] [--max-total N]
+//           [--max-per-gfd N] [--max-total N]
 //           [--delta <delta.tsv>] [--compact-ops N]
 //       Batched violation detection: group rules by pattern, one match
 //       plan per group, structured violation records. Exit 3 when
@@ -115,7 +115,7 @@ int Usage() {
       "       gfdtool discover <graph.tsv> [-k K] [-s SIGMA] [-w WORKERS] "
       "[-o rules.gfd]\n"
       "       gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> "
-      "[-w WORKERS] [--shards N] [--max-per-gfd N] [--max-total N] "
+      "[-w WORKERS] [--max-per-gfd N] [--max-total N] "
       "[--delta FILE] [--compact-ops N] [--metrics-out FILE] "
       "[--trace FILE]\n"
       "       gfdtool log init <dir> <graph.tsv>\n"
@@ -172,7 +172,7 @@ constexpr VerbHelp kVerbHelp[] = {
      "  -o   write rules to FILE instead of stdout\n"},
     {"detect",
      "gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> [-w WORKERS]\n"
-     "        [--shards N] [--max-per-gfd N] [--max-total N]\n"
+     "        [--max-per-gfd N] [--max-total N]\n"
      "        [--delta FILE] [--compact-ops N] [--metrics-out FILE]\n"
      "        [--trace FILE]\n"
      "\n"
@@ -184,7 +184,6 @@ constexpr VerbHelp kVerbHelp[] = {
      "                  report only the violations it added (+) and\n"
      "                  removed (-); with --log the batch is durably\n"
      "                  appended first\n"
-     "  --shards N      simulate N vertex-cut fragments\n"
      "  --max-per-gfd/--max-total   violation budgets (0 = unlimited)\n"
      "  --compact-ops N             store compaction threshold override\n"
      "  -w WORKERS      detection threads\n"
@@ -409,7 +408,7 @@ const char* FlagValue(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
-// Count-valued flag ("-w 4", "--shards 3"). Rejects "-w -1" / "-w x"
+// Count-valued flag ("-w 4", "--fragments 3"). Rejects "-w -1" / "-w x"
 // instead of letting a negative wrap to a 2^64-sized thread pool.
 // Returns false (after complaining) on a malformed value; `min` is 0 for
 // budget flags where 0 means "unlimited".
@@ -704,10 +703,6 @@ int Detect(int argc, char** argv) {
   std::optional<GraphStore> store;
   const char* rules_path = nullptr;
   if (log_dir) {
-    if (FlagValue(argc, argv, "--shards")) {
-      std::fprintf(stderr, "--shards is not supported with --log\n");
-      return Usage();
-    }
     store = OpenStore(log_dir, sopts);
     if (!store) return 1;
     rules_path = argv[pos];
@@ -731,9 +726,9 @@ int Detect(int argc, char** argv) {
 
   if (const char* delta_path = FlagValue(argc, argv, "--delta")) {
     // Caps would make the added/removed diff ill-defined (a budget could
-    // cut off one side of the comparison) and sharding is a full-scan
-    // concept, so refuse rather than silently ignore them.
-    for (const char* flag : {"--max-per-gfd", "--max-total", "--shards"}) {
+    // cut off one side of the comparison), so refuse rather than silently
+    // ignore them.
+    for (const char* flag : {"--max-per-gfd", "--max-total"}) {
       if (FlagValue(argc, argv, flag)) {
         std::fprintf(stderr, "%s is not supported with --delta\n", flag);
         return Usage();
@@ -789,25 +784,8 @@ int Detect(int argc, char** argv) {
   }
 
   WallTimer t;
-  DetectionResult result;
-  size_t shards = 0;
-  if (!CountFlag(argc, argv, "--shards", &shards)) return Usage();
-  if (log_dir) {
-    result = engine.Detect(store->view(), opts);
-  } else if (shards > 0) {
-    auto frag = VertexCutPartition(*g, shards);
-    ClusterStats cstats;
-    result = engine.DetectSharded(*g, frag, opts, &cstats);
-    std::fprintf(stderr,
-                 "sharded over %zu fragments: %lu messages, %lu bytes "
-                 "shipped, replication %.2f\n",
-                 frag.partition.num_fragments,
-                 static_cast<unsigned long>(cstats.messages),
-                 static_cast<unsigned long>(cstats.bytes_shipped),
-                 cstats.replication);
-  } else {
-    result = engine.Detect(*g, opts);
-  }
+  const DetectionResult result =
+      log_dir ? engine.Detect(store->view(), opts) : engine.Detect(*g, opts);
   for (const Violation& v : result.violations) {
     std::printf("%s\n", log_dir
                             ? DescribeViolation(store->view(), engine.rules(),
