@@ -1,7 +1,8 @@
 // Shared scaffolding for the figure/table reproduction benches: standard
 // dataset instantiations (scaled-down stand-ins for DBpedia / YAGO2 /
-// IMDB, see DESIGN.md "Substitutions"), timing helpers, and the table
-// printer all benches use so their output reads like the paper's series.
+// IMDB, see docs/ARCHITECTURE.md "Substitutions"), timing helpers, and
+// the table printer all benches use so their output reads like the
+// paper's series.
 #ifndef GFD_BENCH_BENCH_UTIL_H_
 #define GFD_BENCH_BENCH_UTIL_H_
 

@@ -1,8 +1,8 @@
 // Shape-preserving stand-ins for the paper's real-life datasets (see
-// DESIGN.md, "Substitutions"). Each generator emits a typed knowledge
-// graph with skewed degrees, five active attributes, and *planted exact
-// regularities* so that GFD discovery has real positive and negative rules
-// to find:
+// docs/ARCHITECTURE.md, "Substitutions"). Each generator emits a typed
+// knowledge graph with skewed degrees, five active attributes, and
+// *planted exact regularities* so that GFD discovery has real positive
+// and negative rules to find:
 //
 //   - creators of films are producers (phi1 of Example 1),
 //   - children and spouses share the family name (GFD1 of Fig. 8),

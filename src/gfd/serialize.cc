@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/hash.h"
 #include "util/tsv.h"
 
 namespace gfd {
@@ -201,6 +202,12 @@ std::optional<Gfd> ParseGfd(std::string_view line, const PropertyGraph& g,
 void SaveGfds(std::span<const Gfd> gfds, const PropertyGraph& g,
               std::ostream& out) {
   for (const auto& phi : gfds) out << SerializeGfd(phi, g) << '\n';
+}
+
+uint64_t RuleSetFingerprint(std::span<const Gfd> gfds, const PropertyGraph& g) {
+  std::ostringstream os;
+  SaveGfds(gfds, g, os);
+  return Fnv1a64(os.str());
 }
 
 std::optional<std::vector<Gfd>> LoadGfds(std::istream& in,

@@ -12,6 +12,7 @@
 #ifndef GFD_GFD_SERIALIZE_H_
 #define GFD_GFD_SERIALIZE_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -36,6 +37,12 @@ std::optional<Gfd> ParseGfd(std::string_view line, const PropertyGraph& g,
 /// Writes one GFD per line.
 void SaveGfds(std::span<const Gfd> gfds, const PropertyGraph& g,
               std::ostream& out);
+
+/// FNV-1a 64 of the SaveGfds text: the fingerprint a persisted running
+/// violation count is keyed by, since the count means something only
+/// under the rules it was taken with. Serialization is name-based, so
+/// the value is stable across restarts and snapshot rolls.
+uint64_t RuleSetFingerprint(std::span<const Gfd> gfds, const PropertyGraph& g);
 
 /// Reads GFDs until EOF; '#' lines and blank lines are skipped.
 std::optional<std::vector<Gfd>> LoadGfds(std::istream& in,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "net/metrics.h"
 #include "obs/metrics.h"
 #include "serve/metrics.h"
-#include "util/hash.h"
 #include "util/tsv.h"
 
 namespace gfd::net {
@@ -121,17 +119,21 @@ FeedService::FeedService(ServingStore& store, const ViolationEngine& engine,
       limiter_({.rate_per_sec = opts_.ingest_rate_per_sec,
                 .burst = opts_.ingest_burst}) {}
 
-uint64_t FeedService::Prime(bool* scanned) {
+uint64_t FeedService::Prime(CountSource* source) {
   std::lock_guard lock(store_mu_);
   TouchServeMetrics();
   TouchNetMetrics();
   PropertyGraph g = store_.MaterializeCurrent();
-  std::ostringstream os;
-  SaveGfds(engine_.rules(), g, os);
-  fingerprint_ = Fnv1a64(os.str());
+  fingerprint_ = RuleSetFingerprint(engine_.rules(), g);
+  CountSource from = CountSource::kScan;
   if (auto persisted = store_.violation_count(fingerprint_)) {
     count_ = *persisted;
-    if (scanned) *scanned = false;
+    from = CountSource::kMeta;
+  } else if (auto fed = feed_.last_count();
+             fed && fed->seq == store_.last_seq() &&
+             fed->fingerprint == fingerprint_) {
+    count_ = fed->count;
+    from = CountSource::kFeed;
   } else {
     DetectOptions full;
     full.workers = opts_.detect_workers;
@@ -141,10 +143,16 @@ uint64_t FeedService::Prime(bool* scanned) {
       std::fprintf(stderr, "warning: could not persist counter: %s\n",
                    err.c_str());
     }
-    if (scanned) *scanned = true;
   }
+  ViolationsRunning().Set(static_cast<double>(count_));
+  if (source) *source = from;
   primed_ = true;
   return count_;
+}
+
+bool FeedService::Checkpoint(std::string* error) {
+  std::lock_guard lock(store_mu_);
+  return !primed_ || store_.SetViolationCount(count_, fingerprint_, error);
 }
 
 uint64_t FeedService::violation_count() const {
@@ -206,8 +214,7 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   IncrementalOptions iopts;
   iopts.workers = opts_.detect_workers;
   std::string error;
-  auto step =
-      ServeStep(store_, engine_, req.body, count_, fingerprint_, iopts, &error);
+  auto step = ServeStep(store_, engine_, req.body, count_, iopts, &error);
   if (!step) {
     // Validation failure: the batch never reached the log.
     w.Respond(Json(422, "{\"error\":\"" + JsonEscape(error) + "\"}\n"));
@@ -217,14 +224,12 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   count_ = step->count;
   groups_scanned_ += diff.stats.groups_scanned;
   groups_skipped_ += diff.stats.groups_skipped;
-  if (!step->persist_error.empty()) {
-    std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 step->persist_error.c_str());
-  }
 
   // The serving step rendered the payload against the post-batch state,
-  // so feed replay never needs historical graph state.
-  if (!feed_.Publish(step->seq, std::move(step->diff.payload), &error)) {
+  // so feed replay never needs historical graph state. The record also
+  // carries the new count: that append is the count's durable write.
+  if (!feed_.Publish(step->seq, std::move(step->diff.payload),
+                     MetaCount{count_, step->seq, fingerprint_}, &error)) {
     std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());
   }
   if (!store_.MaybeCompact(&error)) {

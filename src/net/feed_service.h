@@ -3,7 +3,8 @@
 // ViolationChangefeed.
 //
 //   POST /ingest   one TSV delta batch -> AppendAndDiff -> publish the
-//                  diff to the feed; responds with seq + diff summary.
+//                  diff, with the running violation count, to the feed;
+//                  responds with seq + diff summary.
 //                  Validation failures are 4xx and nothing reaches the
 //                  log. Per-client token-bucket rate limiting (429).
 //   GET  /feed     SSE stream of per-batch violation diffs. ?cursor=<seq>
@@ -49,6 +50,13 @@ struct FeedServiceOptions {
   std::string backend = "single";
 };
 
+/// Where Prime found the running violation count.
+enum class CountSource {
+  kMeta,  ///< the store's meta, current at its seq
+  kFeed,  ///< the count line of the feed's last record
+  kScan,  ///< one full Detect (then persisted in the meta)
+};
+
 class FeedService {
  public:
   /// Does not take ownership; `store`, `engine`, and `feed` must outlive
@@ -56,10 +64,16 @@ class FeedService {
   FeedService(ServingStore& store, const ViolationEngine& engine,
               ViolationChangefeed& feed, FeedServiceOptions opts);
 
-  /// Seeds the running violation counter: the persisted count when
-  /// current, else one full startup scan (`*scanned` reports which).
-  /// Must be called once before serving.
-  uint64_t Prime(bool* scanned = nullptr);
+  /// Seeds the running violation counter under the served rules: the
+  /// meta's count when current, else the feed's last record's when that
+  /// record is at exactly the store's seq, else one full startup scan
+  /// (`*source` reports which). Must be called once before serving.
+  uint64_t Prime(CountSource* source = nullptr);
+
+  /// Persists the running count in the store's meta at the store's seq,
+  /// so one-shot CLI runs after a graceful stop need no scan. Call once
+  /// ingest has stopped; a no-op before Prime.
+  bool Checkpoint(std::string* error = nullptr);
 
   /// The HttpHandler: dispatches one request to its endpoint.
   void Handle(const HttpRequest& req, ResponseWriter& w);

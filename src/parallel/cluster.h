@@ -1,9 +1,10 @@
 // The simulated shared-nothing cluster: a master coordinating n workers
 // (threads) over a vertex-cut fragmented graph, in BSP supersteps. Data
-// that crosses worker boundaries is explicitly *copied* through Ship(),
-// which accounts messages and bytes -- the transport is memcpy instead of
-// TCP, but the communication pattern (what is shipped, when, to whom) is
-// the paper's (Section 6.2). See DESIGN.md "Substitutions".
+// that crosses worker boundaries is explicitly *copied*, and accounted in
+// messages and bytes through CountShipment() -- the transport is memcpy
+// instead of TCP, but the communication pattern (what is shipped, when,
+// to whom) is the paper's (Section 6.2). See docs/ARCHITECTURE.md,
+// "Substitutions".
 #ifndef GFD_PARALLEL_CLUSTER_H_
 #define GFD_PARALLEL_CLUSTER_H_
 

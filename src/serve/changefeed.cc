@@ -4,8 +4,11 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 
 #include "detect/violation.h"
+#include "obs/trace.h"
+#include "serve/metrics.h"
 #include "util/tsv.h"
 
 namespace gfd {
@@ -15,6 +18,29 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kFeedFile[] = "feed.log";
+constexpr std::string_view kCountKey = "violations ";
+
+// A durable record is an optional count line, then the diff payload
+// subscribers see. Payload lines start with A or R, so a leading
+// "violations " line is unambiguous.
+std::string_view DiffPayload(std::string_view record) {
+  if (!record.starts_with(kCountKey)) return record;
+  const size_t eol = record.find('\n');
+  if (eol == std::string_view::npos) return {};
+  return record.substr(eol + 1);
+}
+
+// The count line of `rec`, when it has a well-formed one taken at its
+// own seq.
+std::optional<MetaCount> RecordCount(const DeltaLogRecord& rec) {
+  if (!rec.payload.starts_with(kCountKey)) return std::nullopt;
+  std::istringstream in(rec.payload.substr(0, rec.payload.find('\n')));
+  std::string key;
+  in >> key;
+  auto c = ParseMetaCountFields(in);
+  if (c && c->seq == rec.seq) return c;
+  return std::nullopt;
+}
 
 void AppendSide(std::string& out, const GraphView& view,
                 std::span<const Gfd> rules, std::span<const Violation> side,
@@ -101,6 +127,9 @@ std::unique_ptr<ViolationChangefeed> ViolationChangefeed::Open(
     if (!log) return nullptr;
     feed->reset_on_open_ = true;
   }
+  if (!log->records().empty()) {
+    feed->last_count_ = RecordCount(log->records().back());
+  }
   feed->log_ = std::move(*log);
   return feed;
 }
@@ -110,7 +139,13 @@ uint64_t ViolationChangefeed::last_seq() const {
   return log_->next_seq() - 1;
 }
 
+std::optional<MetaCount> ViolationChangefeed::last_count() const {
+  std::lock_guard lock(mu_);
+  return last_count_;
+}
+
 bool ViolationChangefeed::Publish(uint64_t seq, std::string payload,
+                                  const std::optional<MetaCount>& count,
                                   std::string* error) {
   std::lock_guard lock(mu_);
   if (shutdown_) {
@@ -124,7 +159,13 @@ bool ViolationChangefeed::Publish(uint64_t seq, std::string payload,
     }
     return false;
   }
-  if (!log_->Append(payload, error)) return false;
+  obs::ScopedTimer timer(&FeedPublishLatency());  // append + fan-out
+  const std::string record = count ? MetaCountLine(*count) + payload : payload;
+  if (!log_->Append(record, error)) {
+    timer.Discard();
+    return false;
+  }
+  last_count_ = count;
 
   // Fan out; a full queue evicts its subscription here (slow-consumer
   // disconnect), which also drops it from the live set.
@@ -161,7 +202,9 @@ std::shared_ptr<FeedSubscription> ViolationChangefeed::Subscribe(
   std::lock_guard lock(mu_);
   if (replay) {
     for (const DeltaLogRecord& rec : log_->records()) {
-      if (rec.seq > cursor) replay->push_back(FeedEvent{rec.seq, rec.payload});
+      if (rec.seq <= cursor) continue;
+      std::string_view diff = DiffPayload(rec.payload);
+      replay->push_back(FeedEvent{rec.seq, std::string(diff)});
     }
   }
   auto sub = std::make_shared<FeedSubscription>();

@@ -32,6 +32,14 @@
 //
 // "A" = violation added by the batch, "R" = removed. An empty payload is
 // a batch that changed no violation.
+//
+// Count line: the durable record of batch N may lead with one
+// `violations <count> <N> <fingerprint>` line (serve/durable_io.h
+// MetaCountLine) -- the running violation count after N under the rule
+// set with that fingerprint. It is the count's per-batch durable home,
+// fsync'd with the diff before /ingest acknowledges; the feed strips it
+// before any live or replayed subscriber sees the event. Logs written
+// before it existed simply lack it.
 #ifndef GFD_SERVE_CHANGEFEED_H_
 #define GFD_SERVE_CHANGEFEED_H_
 
@@ -47,6 +55,7 @@
 #include "detect/engine.h"
 #include "graph/graph_view.h"
 #include "serve/delta_log.h"
+#include "serve/durable_io.h"
 
 namespace gfd {
 
@@ -129,9 +138,15 @@ class ViolationChangefeed {
 
   /// Durably appends the diff payload of batch `seq` (which must be the
   /// next sequence), then fans it out to every live subscription.
-  /// Subscriptions whose queue is full are evicted here.
+  /// Subscriptions whose queue is full are evicted here. With `count`
+  /// (taken at `seq`), the durable record leads with its count line.
   bool Publish(uint64_t seq, std::string payload,
+               const std::optional<MetaCount>& count = std::nullopt,
                std::string* error = nullptr);
+
+  /// The count line of the last durable record, when it has one: the
+  /// running count at last_seq() without a scan (FeedService::Prime).
+  std::optional<MetaCount> last_count() const;
 
   /// Registers a subscriber at `cursor`: `replay` receives every durable
   /// record with seq > cursor (in order), and the returned subscription
@@ -157,10 +172,11 @@ class ViolationChangefeed {
  private:
   ViolationChangefeed() = default;
 
-  // guards: log_, subs_, shutdown_, evictions_ (reset_on_open_ is set
-  // once in Open before the feed is shared)
+  // guards: log_, last_count_, subs_, shutdown_, evictions_
+  // (reset_on_open_ is set once in Open before the feed is shared)
   mutable std::mutex mu_;
   std::optional<DeltaLog> log_;
+  std::optional<MetaCount> last_count_;
   std::vector<std::shared_ptr<FeedSubscription>> subs_;
   bool reset_on_open_ = false;
   bool shutdown_ = false;

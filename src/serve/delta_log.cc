@@ -168,6 +168,7 @@ std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
   // torn tail it could not cut); retry the recovery rather than handing
   // fwrite a null stream.
   if (!file_ && !RecoverAppendHandle(error)) return std::nullopt;
+  DurableWritePoint();
   uint64_t seq = next_seq_;
   obs::ScopedTimer timer(&LogAppendLatency());
   std::string frame = FrameRecord(seq, payload);
@@ -196,6 +197,7 @@ std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
 }
 
 bool DeltaLog::DropThrough(uint64_t through, std::string* error) {
+  DurableWritePoint();
   std::string content;
   for (const DeltaLogRecord& rec : records_) {
     if (rec.seq <= through) continue;

@@ -2,7 +2,9 @@
 
 #include "serve/metrics.h"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +20,23 @@ namespace gfd {
 
 namespace fs = std::filesystem;
 
+namespace {
+std::atomic<int64_t> g_crash_at{-1};
+std::atomic<int64_t> g_write_points{0};
+}  // namespace
+
+void CrashAtWritePoint(int64_t k) {
+  g_write_points.store(0);
+  g_crash_at.store(k);
+}
+
+void DurableWritePoint() {
+  const int64_t k = g_crash_at.load(std::memory_order_relaxed);
+  if (k >= 0 && g_write_points.fetch_add(1) == k) std::_Exit(kCrashExitCode);
+}
+
 bool SyncFile(std::FILE* f) {
+  DurableWritePoint();
   if (std::fflush(f) != 0) return false;
 #ifdef GFD_HAVE_FSYNC
   FsyncsTotal().Inc();
@@ -28,6 +46,7 @@ bool SyncFile(std::FILE* f) {
 }
 
 bool SyncClosedFile(const std::string& path) {
+  DurableWritePoint();
 #ifdef GFD_HAVE_FSYNC
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
@@ -79,6 +98,7 @@ bool AtomicWriteFile(const std::string& path, std::string_view content,
     if (error) *error = tmp + ": fsync failed: " + std::strerror(errno);
     return false;
   }
+  DurableWritePoint();
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {

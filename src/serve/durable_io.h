@@ -1,7 +1,8 @@
 // Shared durability primitives of the serve layer: fsync wrappers, the
 // write-temp + fsync + rename + directory-fsync sequence both the delta
-// log and the graph store commit through, and the running-violation-
-// count meta record store.meta and coordinator.meta share. One
+// log and the graph store commit through, the running-violation-count
+// record store.meta, coordinator.meta and feed.log records share, and
+// the test-only crash-point hook every durable write passes. One
 // implementation, so a crash-ordering or format fix lands everywhere at
 // once.
 #ifndef GFD_SERVE_DURABLE_IO_H_
@@ -31,10 +32,22 @@ void SyncParentDir(const std::string& path);
 bool AtomicWriteFile(const std::string& path, std::string_view content,
                      std::string* error);
 
-/// The running violation count as persisted in a meta file: the value,
-/// the sequence it was taken at, and the fingerprint of the rule set it
-/// counts under. store.meta and coordinator.meta both carry it as a
-/// `violations <count> <seq> <fingerprint>` line.
+/// Test-only crash injection. Every durable write point -- SyncFile,
+/// SyncClosedFile, AtomicWriteFile's rename, DeltaLog::Append and
+/// DeltaLog::DropThrough -- calls DurableWritePoint() before it acts.
+/// After CrashAtWritePoint(k), the point with index k (0-based, counted
+/// from that call) ends the process with std::_Exit(kCrashExitCode): nothing
+/// from that point on reaches disk, and unflushed stdio buffers are
+/// lost, exactly as under kill -9 there. Meant for a forked child; k < 0
+/// disarms. Thread-safe (fragment appends run on cluster workers).
+inline constexpr int kCrashExitCode = 86;
+void CrashAtWritePoint(int64_t k);
+void DurableWritePoint();
+
+/// The running violation count as persisted: the value, the sequence it
+/// was taken at, and the fingerprint of the rule set it counts under.
+/// store.meta, coordinator.meta and feed.log records (serve/changefeed.h)
+/// all carry it as a `violations <count> <seq> <fingerprint>` line.
 struct MetaCount {
   uint64_t count = 0;
   uint64_t seq = 0;
@@ -67,8 +80,8 @@ class RunningCount {
     fingerprint_ = fingerprint;
   }
 
-  /// An append outdates the count until the serving loop folds the
-  /// batch's diff back in.
+  /// An append outdates the count until a caller sets the post-batch
+  /// one (SetViolationCount).
   void Invalidate() { count_.reset(); }
 
   /// Adopts a persisted record iff it was taken at exactly `seq` (the

@@ -300,8 +300,8 @@ std::optional<uint64_t> GraphStore::AppendParsed(const GraphDelta& batch,
   stats_.last_seq = *seq;
   StoreAppendsTotal().Inc();
   append_timer.AddField("seq", *seq);
-  // The batch changed the graph; the count is stale until the serving
-  // loop folds the batch's diff back in via SetViolationCount.
+  // The batch changed the graph; the count is stale until a caller
+  // persists the post-batch count via SetViolationCount.
   count_.Invalidate();
   return seq;
 }

@@ -127,15 +127,17 @@ class GraphStore final : public ServingStore {
   std::optional<uint64_t> Append(const GraphDelta& batch,
                                  std::string* error = nullptr);
 
-  /// Running violation count as of last_seq(), maintained by the serving
-  /// loop (count += |added| - |removed| per batch, seeded by one full
-  /// Detect) and persisted in store.meta next to the anchor. The count is
-  /// only meaningful under the rule set it was computed with, so it is
-  /// keyed by `fingerprint` (util/hash.h Fnv1a64 of the serialized rules,
-  /// as gfdtool computes it): a lookup under a different fingerprint, or
-  /// after an append that has not been followed by SetViolationCount, or
-  /// across a restart whose replayed sequence disagrees with the persisted
-  /// one, returns nullopt -- the caller re-seeds with a full scan.
+  /// Running violation count as of last_seq(), as last persisted in
+  /// store.meta next to the anchor (the serving loop maintains it as
+  /// count += |added| - |removed| per batch, seeded by one full Detect;
+  /// the server's per-batch copy lives in the feed record instead). The
+  /// count is only meaningful under the rule set it was computed with,
+  /// so it is keyed by `fingerprint` (RuleSetFingerprint in
+  /// gfd/serialize.h): a lookup under a different fingerprint, or after
+  /// an append that has not been followed by SetViolationCount, or
+  /// across a restart whose replayed sequence disagrees with the
+  /// persisted one, returns nullopt -- the caller looks elsewhere or
+  /// re-seeds with a full scan.
   std::optional<uint64_t> violation_count(
       uint64_t fingerprint) const override;
 

@@ -111,6 +111,14 @@ obs::Gauge& ViolationsRunning() {
   return g;
 }
 
+obs::Histogram& FeedPublishLatency() {
+  static obs::Histogram& h = Reg().GetHistogram(
+      "gfd_feed_publish_seconds",
+      "Changefeed publish latency (durable append + fan-out).",
+      obs::DefaultLatencyBuckets());
+  return h;
+}
+
 obs::Counter& FragmentBytesShipped(size_t f, std::string_view kind) {
   return Reg().GetCounter(
       "gfd_fragment_bytes_shipped",
@@ -176,6 +184,7 @@ void TouchServeMetrics() {
   StoreReplayedBatchesTotal();
   StoreOverlayOps();
   ViolationsRunning();
+  FeedPublishLatency();
   CatchupRecordsTotal();
   CatchupFragmentsTotal();
   SnapshotTransfersTotal();

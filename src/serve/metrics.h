@@ -37,6 +37,11 @@ obs::Counter& StoreReplayedBatchesTotal();
 obs::Gauge& StoreOverlayOps();  ///< gfd_store_overlay_ops (sum over stores)
 obs::Gauge& ViolationsRunning();  ///< gfd_violations_running
 
+// ---- changefeed ----
+/// One feed publish: durable append plus fan-out
+/// (gfd_feed_publish_seconds).
+obs::Histogram& FeedPublishLatency();
+
 // ---- coordinator ----
 /// Bytes shipped to fragment `f`, split by purpose
 /// (gfd_fragment_bytes_shipped{fragment="<f>",kind="owned"|"halo"}).

@@ -88,7 +88,10 @@ class ServingStore {
       uint64_t fingerprint) const = 0;
 
   /// Persists `count` (under `fingerprint`) as the violation count at
-  /// the current last_seq.
+  /// the current last_seq, by rewriting the meta. Not per batch: the
+  /// server carries each batch's count in its feed record and calls
+  /// this after a seeding scan and on a graceful stop; the one-shot CLI
+  /// steps call it once per run.
   virtual bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                                  std::string* error = nullptr) = 0;
 
@@ -113,23 +116,20 @@ struct ServedBatch {
   uint64_t seq = 0;    ///< the batch's sequence number
   uint64_t count = 0;  ///< running violation count after the batch
   DeltaVerdict verdict = DeltaVerdict::kClean;
-  /// Why the new count could not be persisted (empty when it was). The
-  /// in-memory count stays right; the next open re-seeds it.
-  std::string persist_error;
 };
 
 /// The one serving step every front end runs (the changefeed server's
 /// /ingest and gfdtool's `detect --log --delta` / `serve append`):
 /// store.AppendAndDiff, then the running violation count
-/// (pre_count + |added| - |removed|), then SetViolationCount under
-/// `fingerprint`, then the verdict. Returns nullopt (with *error set)
-/// when the store rejected the batch; nothing was logged then. Callers
-/// publish `diff.payload`, then compact; nothing in between needs the
-/// graph materialized.
+/// (pre_count + |added| - |removed|), then the verdict. Returns nullopt
+/// (with *error set) when the store rejected the batch; nothing was
+/// logged then. The count is not persisted here: the server publishes
+/// `diff.payload` with it in one durable feed record, then compacts;
+/// the CLI persists it with SetViolationCount.
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,
-                                     uint64_t pre_count, uint64_t fingerprint,
+                                     uint64_t pre_count,
                                      const IncrementalOptions& opts = {},
                                      std::string* error = nullptr);
 

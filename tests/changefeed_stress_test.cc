@@ -140,7 +140,7 @@ TEST(ChangefeedStress, PublishersSubscribersEvictionAndShutdown) {
         uint64_t seq = feed->last_seq() + 1;
         if (seq > kTargetSeq) return;
         std::string err;
-        if (feed->Publish(seq, PayloadFor(seq), &err)) {
+        if (feed->Publish(seq, PayloadFor(seq), std::nullopt, &err)) {
           accepted.fetch_add(1, std::memory_order_relaxed);
         } else if (err.find("shut down") != std::string::npos) {
           return;

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -33,6 +34,7 @@
 #include "serve/changefeed.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
+#include "testlib.h"
 #include "util/rng.h"
 
 namespace gfd {
@@ -43,49 +45,13 @@ using net::HttpLimits;
 using net::HttpParser;
 using net::HttpRequest;
 using net::ParseStatus;
+using testing::DeltaBytes;
+using testing::RandomBatch;
 
 std::string Scratch(const std::string& name) {
   std::string dir = ::testing::TempDir() + "gfd_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-std::string DeltaBytes(const PropertyGraph& base, const GraphDelta& d) {
-  std::ostringstream os;
-  SaveGraphDeltaTsv(base, d, os);
-  return std::move(os).str();
-}
-
-// Same shape as coordinator_test's random batches: inserts, deletes of
-// existing edges, attribute sets introducing fresh values.
-GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops) {
-  GraphDelta d;
-  std::vector<bool> gone(g.NumEdges(), false);
-  for (size_t i = 0; i < ops; ++i) {
-    double roll = rng.NextDouble();
-    if (roll < 0.4 && g.NumEdges() > 0) {
-      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
-      NodeId dst = static_cast<NodeId>(rng.Below(g.NumNodes()));
-      d.InsertEdge(g.EdgeSrc(e), dst, g.EdgeLabel(e));
-    } else if (roll < 0.7 && g.NumEdges() > 0) {
-      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
-      if (gone[e]) continue;
-      gone[e] = true;
-      d.DeleteEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
-    } else {
-      NodeId v = static_cast<NodeId>(rng.Below(g.NumNodes()));
-      auto attrs = g.NodeAttrs(v);
-      AttrId key = attrs.empty()
-                       ? d.InternAttr(g, "patched_key")
-                       : attrs[rng.Below(attrs.size())].key;
-      ValueId val =
-          rng.Chance(0.3)
-              ? d.InternValue(g, "patched_" + std::to_string(rng.Below(4)))
-              : static_cast<ValueId>(rng.Below(g.values().size()));
-      d.SetAttr(v, key, val);
-    }
-  }
-  return d;
 }
 
 // --- HTTP parser -----------------------------------------------------------
@@ -474,10 +440,10 @@ TEST(Changefeed, PublishOutOfSequenceIsRejected) {
   auto feed = ViolationChangefeed::Open(dir, 0);
   ASSERT_NE(feed, nullptr);
   std::string error;
-  EXPECT_FALSE(feed->Publish(2, "skip", &error));
+  EXPECT_FALSE(feed->Publish(2, "skip", std::nullopt, &error));
   EXPECT_NE(error.find("out of sequence"), std::string::npos);
   EXPECT_TRUE(feed->Publish(1, "ok"));
-  EXPECT_FALSE(feed->Publish(1, "dup", &error));
+  EXPECT_FALSE(feed->Publish(1, "dup", std::nullopt, &error));
   EXPECT_EQ(feed->last_seq(), 1u);
 }
 
@@ -547,7 +513,7 @@ TEST(Changefeed, ShutdownWakesBlockedSubscribers) {
   EXPECT_EQ(result.load(),
             static_cast<int>(FeedSubscription::Wait::kClosed));
   std::string error;
-  EXPECT_FALSE(feed->Publish(1, "after shutdown", &error));
+  EXPECT_FALSE(feed->Publish(1, "after shutdown", std::nullopt, &error));
 }
 
 // TSan-friendly: one ingest thread publishing through the store mutex,
@@ -680,7 +646,63 @@ std::string Post(uint16_t port, const std::string& target,
                               body);
 }
 
+// An ephemeral-port HTTP server dispatching into `service`.
+std::unique_ptr<net::HttpServer> ServeOverHttp(net::FeedService& service) {
+  net::HttpServerOptions hopts;
+  hopts.port = 0;  // ephemeral
+  hopts.poll_interval_ms = 50;
+  std::string error;
+  auto server = net::HttpServer::Start(
+      hopts,
+      [&service](const net::HttpRequest& req, net::ResponseWriter& w) {
+        service.Handle(req, w);
+      },
+      &error);
+  EXPECT_NE(server, nullptr) << error;
+  return server;
+}
+
+// The SSE events of a /feed response, without heartbeat comments and
+// frame separators: live streams may interleave heartbeats, the event
+// bytes themselves must be equal.
+std::string EventsOnly(const std::string& response) {
+  size_t body_at = response.find("\r\n\r\n");
+  EXPECT_NE(body_at, std::string::npos);
+  std::string out;
+  std::istringstream in(response.substr(body_at + 4));
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.starts_with(":")) continue;
+    out += line + "\n";
+  }
+  return out;
+}
+
+// A /feed request for `query` that closes after `max_events` events.
+std::string FeedTarget(const std::string& query, size_t max_events) {
+  return "/feed?" + query + "&max_events=" + std::to_string(max_events);
+}
+
+// How many of `events` a filter keeps: an event stays when any of its
+// lines matches.
+size_t EventsKept(const std::vector<FeedEvent>& events,
+                  const std::function<bool(const FeedLine&)>& keep) {
+  size_t n = 0;
+  for (const FeedEvent& ev : events) {
+    std::istringstream in(ev.payload);
+    std::string line;
+    bool any = false;
+    while (std::getline(in, line)) {
+      auto parsed = ParseFeedLine(line);
+      any = any || (parsed && keep(*parsed));
+    }
+    n += any;
+  }
+  return n;
+}
+
 struct E2eServer {
+  std::string dir;
   std::optional<GraphStore> store;
   std::unique_ptr<ViolationEngine> engine;
   std::unique_ptr<ViolationChangefeed> feed;
@@ -699,7 +721,7 @@ struct E2eServer {
                           .seed = 13});
     auto rules = GenerateGfdSet(base, {.count = 8, .k = 2, .seed = 6});
     engine = std::make_unique<ViolationEngine>(rules);
-    std::string dir = Scratch(name);
+    dir = Scratch(name);
     EXPECT_TRUE(GraphStore::Init(dir, base));
     store = GraphStore::Open(dir);
     EXPECT_TRUE(store.has_value());
@@ -712,17 +734,7 @@ struct E2eServer {
     service = std::make_unique<net::FeedService>(*store, *engine, *feed,
                                                  fopts);
     service->Prime();
-    net::HttpServerOptions hopts;
-    hopts.port = 0;  // ephemeral
-    hopts.poll_interval_ms = 50;
-    std::string error;
-    server = net::HttpServer::Start(
-        hopts,
-        [this](const net::HttpRequest& req, net::ResponseWriter& w) {
-          service->Handle(req, w);
-        },
-        &error);
-    EXPECT_NE(server, nullptr) << error;
+    server = ServeOverHttp(*service);
   }
 
   ~E2eServer() {
@@ -732,10 +744,40 @@ struct E2eServer {
 
   uint16_t port() const { return server->port(); }
 
-  std::string ValidBatch() {
+  std::string ValidBatch(uint64_t seed = 71) {
     PropertyGraph cur = store->MaterializeCurrent();
-    Rng rng(71);
+    Rng rng(seed);
     return DeltaBytes(cur, RandomBatch(cur, rng, 3));
+  }
+
+  // Posts batches until `n` were accepted (a random batch can clash with
+  // the current graph and draw a 422).
+  void IngestAccepted(size_t n) {
+    for (uint64_t seed = 1; n > 0 && seed < 100; ++seed) {
+      if (Post(port(), "/ingest", ValidBatch(seed)).find("200 OK") !=
+          std::string::npos) {
+        --n;
+      }
+    }
+    EXPECT_EQ(n, 0u) << "batches the server never accepted";
+  }
+
+  // Posts up to `n` batches that each move the running count (drawn
+  // against the current graph, kept when their one-shot diff adds and
+  // removes different numbers of violations); returns how many.
+  size_t IngestCountChanging(size_t n) {
+    Rng rng(53);
+    size_t posted = 0;
+    for (size_t attempt = 0; posted < n && attempt < 400; ++attempt) {
+      PropertyGraph cur = store->MaterializeCurrent();
+      GraphDelta d = RandomBatch(cur, rng, 4);
+      auto diff = engine->DetectIncremental(cur, d);
+      if (!diff || diff->added.size() == diff->removed.size()) continue;
+      EXPECT_NE(Post(port(), "/ingest", DeltaBytes(cur, d)).find("200 OK"),
+                std::string::npos);
+      ++posted;
+    }
+    return posted;
   }
 };
 
@@ -820,24 +862,255 @@ TEST(FeedServiceE2e, LiveSubscriberSeesBatchesAsTheyArrive) {
   EXPECT_NE(stream.find("id: 1"), std::string::npos);
   EXPECT_NE(stream.find("id: 2"), std::string::npos);
 
-  // And a reconnecting cursor catches up to the identical events. The
-  // live stream may contain heartbeat comments between events (SSE
-  // comments carry no data); the event bytes themselves must be equal.
-  auto events_only = [](const std::string& response) {
-    size_t body_at = response.find("\r\n\r\n");
-    EXPECT_NE(body_at, std::string::npos);
-    std::string out;
-    std::istringstream in(response.substr(body_at + 4));
-    std::string line;
-    while (std::getline(in, line)) {
-      // Drop SSE comments (heartbeats) and the blank frame separators.
-      if (line.empty() || line.starts_with(":")) continue;
-      out += line + "\n";
-    }
-    return out;
-  };
+  // And a reconnecting cursor catches up to the identical events.
   std::string replay = Get(s.port(), "/feed?cursor=0&max_events=2");
-  EXPECT_EQ(events_only(stream), events_only(replay));
+  EXPECT_EQ(EventsOnly(stream), EventsOnly(replay));
+}
+
+// --- The running count in the feed record ----------------------------------
+
+// The records /ingest writes lead with the count line, yet no subscriber
+// sees it: live, cursor-replay and ?label= / ?rule= filtered streams
+// render the same SSE bytes as streams over the same diffs in the older
+// count-less format, which is what older builds wrote and served.
+TEST(FeedServiceE2e, CountLineNeverReachesASubscriber) {
+  E2eServer s("e2e_countline");
+  ASSERT_NE(s.server, nullptr);
+  constexpr size_t kBatches = 4;
+  const std::string all = FeedTarget("cursor=0", kBatches);
+  std::string live;
+  std::thread subscriber([&] { live = Get(s.port(), all); });
+  std::vector<FeedEvent> none;
+  auto live_sub = s.feed->Subscribe(0, 16, &none);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Batches that change violations, so the filters below have lines to
+  // select.
+  const size_t posted = s.IngestCountChanging(kBatches);
+  if (posted < kBatches) s.feed->Shutdown();  // unblocks the subscriber
+  subscriber.join();
+  ASSERT_EQ(posted, kBatches);
+  ASSERT_EQ(s.store->last_seq(), kBatches);
+
+  // Each raw record: the count line at its own seq under the served
+  // rules, then the diff. Copy the diffs into a count-less feed.
+  const uint64_t fp =
+      RuleSetFingerprint(s.engine->rules(), s.store->MaterializeCurrent());
+  auto raw = DeltaLog::Open(s.dir + "/feed.log", 1);
+  ASSERT_TRUE(raw.has_value());
+  ASSERT_EQ(raw->records().size(), kBatches);
+  const std::string old_dir = Scratch("e2e_countline_old");
+  fs::create_directories(old_dir);
+  auto old_feed = ViolationChangefeed::Open(old_dir, 0);
+  ASSERT_NE(old_feed, nullptr);
+  std::optional<FeedLine> any_line;
+  std::vector<FeedEvent> diffs;
+  for (const DeltaLogRecord& rec : raw->records()) {
+    const size_t eol = rec.payload.find('\n');
+    ASSERT_NE(eol, std::string::npos);
+    std::istringstream count_line(rec.payload.substr(0, eol));
+    std::string key;
+    count_line >> key;
+    ASSERT_EQ(key, "violations") << rec.payload;
+    auto count = ParseMetaCountFields(count_line);
+    ASSERT_TRUE(count.has_value());
+    EXPECT_EQ(count->seq, rec.seq);
+    EXPECT_EQ(count->fingerprint, fp);
+    const std::string diff = rec.payload.substr(eol + 1);
+    if (!any_line && !diff.empty()) {
+      any_line = ParseFeedLine(diff.substr(0, diff.find('\n')));
+    }
+    ASSERT_TRUE(old_feed->Publish(rec.seq, diff));
+    diffs.push_back({rec.seq, diff});
+  }
+  EXPECT_FALSE(old_feed->last_count().has_value());
+  ASSERT_TRUE(any_line.has_value()) << "no batch changed any violation";
+
+  // Events carry the diff alone, live and replayed.
+  std::vector<FeedEvent> live_events;
+  FeedEvent ev;
+  while (live_sub->Next(&ev, 0) == FeedSubscription::Wait::kEvent) {
+    live_events.push_back(ev);
+  }
+  EXPECT_EQ(live_events, diffs);
+  std::vector<FeedEvent> events;
+  s.feed->Subscribe(0, 1, &events);
+  EXPECT_EQ(events, diffs);
+
+  net::FeedServiceOptions fopts;
+  fopts.heartbeat_ms = 100;
+  net::FeedService old_service(*s.store, *s.engine, *old_feed, fopts);
+  auto old_server = ServeOverHttp(old_service);
+  ASSERT_NE(old_server, nullptr);
+
+  // Filters need the exact number of events they keep, or the stream
+  // waits for more.
+  const std::string label = any_line->pivot_label;
+  const uint32_t rule = any_line->rule;
+  const std::string by_rule = "cursor=0&rule=" + std::to_string(rule);
+  auto has_label = [&](const FeedLine& l) { return l.pivot_label == label; };
+  auto has_rule = [&](const FeedLine& l) { return l.rule == rule; };
+  const std::string targets[] = {
+      all,
+      FeedTarget("cursor=2", kBatches - 2),
+      FeedTarget("cursor=0&label=" + label, EventsKept(diffs, has_label)),
+      FeedTarget(by_rule, EventsKept(diffs, has_rule)),
+  };
+  for (const std::string& target : targets) {
+    SCOPED_TRACE(target);
+    EXPECT_EQ(Get(s.port(), target), Get(old_server->port(), target));
+  }
+  EXPECT_EQ(EventsOnly(live), EventsOnly(Get(old_server->port(), all)));
+  old_feed->Shutdown();
+  old_server->Stop();
+}
+
+// After batches through the server and a teardown that checkpoints
+// nothing (what kill -9 leaves), a fresh service takes the count from
+// the feed's last record, with no scan; a checkpoint then puts it in the
+// meta for the one-shot CLI steps.
+TEST(FeedServiceE2e, RestartPrimesFromTheFeedWithoutAScan) {
+  std::string dir;
+  std::vector<Gfd> rules;
+  uint64_t served = 0;
+  {
+    E2eServer s("e2e_prime_feed");
+    ASSERT_NE(s.server, nullptr);
+    // Every batch moves the count, so a record carrying a stale one
+    // cannot pass for the served count below.
+    ASSERT_EQ(s.IngestCountChanging(3), 3u);
+    served = s.service->violation_count();
+    dir = s.dir;
+    rules.assign(s.engine->rules().begin(), s.engine->rules().end());
+  }
+  ViolationEngine engine(rules);
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  const PropertyGraph current = store->MaterializeCurrent();
+  const uint64_t fp = RuleSetFingerprint(engine.rules(), current);
+  EXPECT_FALSE(store->violation_count(fp).has_value());  // meta is stale
+  auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+  ASSERT_NE(feed, nullptr);
+  EXPECT_FALSE(feed->reset_on_open());
+
+  net::FeedService service(*store, engine, *feed, {});
+  net::CountSource source = net::CountSource::kScan;
+  EXPECT_EQ(service.Prime(&source), served);
+  EXPECT_EQ(source, net::CountSource::kFeed);
+  EXPECT_EQ(served, engine.Detect(current).violations.size());
+
+  ASSERT_TRUE(service.Checkpoint());
+  auto reopened = GraphStore::Open(dir);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->violation_count(fp), served);
+}
+
+// The feed's count is trusted only under the rules it was taken with and
+// at exactly the store's seq: a restart under other rules scans, and so
+// does one after a batch reached the store behind the feed's back.
+TEST(FeedServiceE2e, OtherRulesOrABatchBehindTheFeedForceAScan) {
+  std::string dir;
+  std::vector<Gfd> rules;
+  {
+    E2eServer s("e2e_prime_scan");
+    ASSERT_NE(s.server, nullptr);
+    s.IngestAccepted(2);
+    dir = s.dir;
+    rules.assign(s.engine->rules().begin(), s.engine->rules().end());
+  }
+  auto prime = [&](std::span<const Gfd> served, bool expect_reset) {
+    ViolationEngine engine(std::vector<Gfd>(served.begin(), served.end()));
+    auto store = GraphStore::Open(dir);
+    EXPECT_TRUE(store.has_value());
+    auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+    EXPECT_NE(feed, nullptr);
+    EXPECT_EQ(feed->reset_on_open(), expect_reset);
+    net::FeedService service(*store, engine, *feed, {});
+    net::CountSource source = net::CountSource::kMeta;
+    EXPECT_EQ(service.Prime(&source),
+              engine.Detect(store->MaterializeCurrent()).violations.size());
+    return source;
+  };
+  EXPECT_EQ(prime(std::span(rules).first(rules.size() / 2), false),
+            net::CountSource::kScan);
+  // That scan persisted the other rules' count; the served rules still
+  // find theirs in the feed.
+  EXPECT_EQ(prime(rules, false), net::CountSource::kFeed);
+  {
+    auto store = GraphStore::Open(dir);
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(store->Append("A\tn0\tbehind=feed\n").has_value());
+  }
+  EXPECT_EQ(prime(rules, true), net::CountSource::kScan);
+}
+
+// A feed.log written before records carried a count opens and replays
+// the same events; Prime falls back to the meta, or scans when the meta
+// is stale too.
+TEST(Changefeed, OldFormatFeedLogReplaysAndPrimesFromMetaOrScan) {
+  auto g = MakeSynthetic({.nodes = 60,
+                          .edges = 180,
+                          .node_labels = 4,
+                          .edge_labels = 3,
+                          .attrs = 3,
+                          .values = 8,
+                          .value_correlation = 0.9,
+                          .seed = 21});
+  ViolationEngine engine(GenerateGfdSet(g, {.count = 8, .k = 2, .seed = 2}));
+  const std::string dir = Scratch("feed_old_format");
+  ASSERT_TRUE(GraphStore::Init(dir, g));
+  std::vector<FeedEvent> published;
+  Rng rng(37);
+  // Serves one batch the way older builds did: the diff alone goes to
+  // the feed.
+  auto serve_old = [&](GraphStore& store, ViolationChangefeed& feed) {
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      PropertyGraph cur = store.MaterializeCurrent();
+      uint64_t seq = 0;
+      auto diff = store.AppendAndDiff(
+          engine, DeltaBytes(cur, RandomBatch(cur, rng, 4)), {}, &seq);
+      if (!diff) continue;
+      ASSERT_TRUE(feed.Publish(seq, diff->payload));
+      published.push_back({seq, diff->payload});
+      return;
+    }
+    FAIL() << "no batch applied in 20 attempts";
+  };
+  auto prime = [&](GraphStore& store, ViolationChangefeed& feed) {
+    net::FeedService service(store, engine, feed, {});
+    net::CountSource source = net::CountSource::kFeed;
+    EXPECT_EQ(service.Prime(&source),
+              engine.Detect(store.MaterializeCurrent()).violations.size());
+    return source;
+  };
+  {
+    auto store = GraphStore::Open(dir);
+    ASSERT_TRUE(store.has_value());
+    auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+    ASSERT_NE(feed, nullptr);
+    for (int b = 0; b < 3; ++b) serve_old(*store, *feed);
+    const PropertyGraph current = store->MaterializeCurrent();
+    ASSERT_TRUE(store->SetViolationCount(
+        engine.Detect(current).violations.size(),
+        RuleSetFingerprint(engine.rules(), current)));
+  }
+  {
+    auto store = GraphStore::Open(dir);
+    ASSERT_TRUE(store.has_value());
+    auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+    ASSERT_NE(feed, nullptr);
+    EXPECT_FALSE(feed->reset_on_open());
+    EXPECT_FALSE(feed->last_count().has_value());
+    std::vector<FeedEvent> replay;
+    feed->Subscribe(0, 1, &replay);
+    EXPECT_EQ(replay, published);
+    EXPECT_EQ(prime(*store, *feed), net::CountSource::kMeta);
+    serve_old(*store, *feed);  // the meta's count is stale from here on
+  }
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+  ASSERT_NE(feed, nullptr);
+  EXPECT_EQ(prime(*store, *feed), net::CountSource::kScan);
 }
 
 }  // namespace

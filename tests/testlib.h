@@ -1,15 +1,19 @@
 // Shared fixtures for the test suites: the graphs and GFDs of Example 1 /
-// Figure 1 of the paper, plus small helpers for building graphs and
-// patterns in tests.
+// Figure 1 of the paper, plus small helpers for building graphs,
+// patterns and update batches in tests.
 #ifndef GFD_TESTS_TESTLIB_H_
 #define GFD_TESTS_TESTLIB_H_
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gfd/gfd.h"
+#include "graph/graph_view.h"
+#include "graph/loader.h"
 #include "graph/property_graph.h"
 #include "pattern/pattern.h"
+#include "util/rng.h"
 
 namespace gfd::testing {
 
@@ -134,6 +138,45 @@ inline Gfd SameTeamRule(const PropertyGraph& g) {
   q.set_pivot(x);
   AttrId team = *g.FindAttr("team");
   return Gfd(q, {}, Literal::Vars(x, team, y, team));
+}
+
+/// `d` in the delta TSV format a store appends (graph/loader.h).
+inline std::string DeltaBytes(const PropertyGraph& base, const GraphDelta& d) {
+  std::ostringstream os;
+  SaveGraphDeltaTsv(base, d, os);
+  return std::move(os).str();
+}
+
+/// A random batch over `g` of up to `ops` ops: inserts, deletes of
+/// existing edges, attribute sets introducing fresh values.
+inline GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops) {
+  GraphDelta d;
+  std::vector<bool> gone(g.NumEdges(), false);
+  for (size_t i = 0; i < ops; ++i) {
+    double roll = rng.NextDouble();
+    if (roll < 0.4 && g.NumEdges() > 0) {
+      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
+      NodeId dst = static_cast<NodeId>(rng.Below(g.NumNodes()));
+      d.InsertEdge(g.EdgeSrc(e), dst, g.EdgeLabel(e));
+    } else if (roll < 0.7 && g.NumEdges() > 0) {
+      EdgeId e = static_cast<EdgeId>(rng.Below(g.NumEdges()));
+      if (gone[e]) continue;
+      gone[e] = true;
+      d.DeleteEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
+    } else {
+      NodeId v = static_cast<NodeId>(rng.Below(g.NumNodes()));
+      auto attrs = g.NodeAttrs(v);
+      AttrId key = attrs.empty()
+                       ? d.InternAttr(g, "patched_key")
+                       : attrs[rng.Below(attrs.size())].key;
+      ValueId val =
+          rng.Chance(0.3)
+              ? d.InternValue(g, "patched_" + std::to_string(rng.Below(4)))
+              : static_cast<ValueId>(rng.Below(g.values().size()));
+      d.SetAttr(v, key, val);
+    }
+  }
+  return d;
 }
 
 }  // namespace gfd::testing

@@ -100,7 +100,6 @@
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
 #include "serve/serving_store.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 using namespace gfd;
@@ -317,6 +316,19 @@ const char* VerdictName(DeltaVerdict v) {
   return "?";
 }
 
+// Where `serve run` found the running violation count (its banner).
+const char* CountSourceName(net::CountSource s) {
+  switch (s) {
+    case net::CountSource::kMeta:
+      return "persisted";
+    case net::CountSource::kFeed:
+      return "from the feed";
+    case net::CountSource::kScan:
+      return "seeded by full scan";
+  }
+  return "?";
+}
+
 std::optional<std::string> ReadFile(const char* path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -374,16 +386,6 @@ std::optional<std::vector<Gfd>> LoadRules(const char* path,
     return std::nullopt;
   }
   return rules;
-}
-
-// Fingerprint of a loaded rule set: the running violation count persisted
-// in store/coordinator meta is only meaningful under the rules it was
-// computed with, so it is keyed by this. Serialization is name-based,
-// hence stable across restarts and snapshot rolls.
-uint64_t RuleFingerprint(std::span<const Gfd> rules, const PropertyGraph& g) {
-  std::ostringstream os;
-  SaveGfds(rules, g, os);
-  return Fnv1a64(os.str());
 }
 
 // Writes `gfds` to `path`, or stdout when path is null.
@@ -629,35 +631,36 @@ uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
 
 // One serving step, driven entirely through the ServingStore interface:
 // read/seed the running counter, run the shared ServeStep (durable append
-// with its per-batch diff, counter update, verdict), print +/- records,
-// and return the documented verdict exit code (nullopt when the append
-// was rejected). `detect --log --delta` (single GraphStore) and `serve
-// append` (coordinator over vertex-cut fragments) both come through here.
-std::optional<int> ServeBatch(ServingStore& store,
+// with its per-batch diff, counter update, verdict), persist the new
+// count in the meta, print +/- records, and return the documented verdict
+// exit code (nullopt when the append was rejected). `detect --log
+// --delta` (single GraphStore) and `serve append` (coordinator over
+// vertex-cut fragments) both come through here. `before` is the store's
+// current graph, materialized: reporting works off materialized pre/post
+// states (ids preserved by both backends), so it stays valid across any
+// later compaction.
+std::optional<int> ServeBatch(ServingStore& store, const PropertyGraph& before,
                               const ViolationEngine& engine,
                               const std::string& payload,
                               const char* payload_path, size_t workers,
                               uint64_t* seq_out = nullptr) {
-  // Reporting works off materialized pre/post states (ids preserved by
-  // both backends), so it stays valid across any later compaction.
-  PropertyGraph before = store.MaterializeCurrent();
-  uint64_t fp = RuleFingerprint(engine.rules(), before);
+  uint64_t fp = RuleSetFingerprint(engine.rules(), before);
   uint64_t pre_count =
       PreBatchCount(engine, before, store.violation_count(fp), workers);
   IncrementalOptions iopts;
   iopts.workers = workers;
   std::string error;
   WallTimer t;
-  auto step = ServeStep(store, engine, payload, pre_count, fp, iopts, &error);
+  auto step = ServeStep(store, engine, payload, pre_count, iopts, &error);
   if (!step) {
     std::fprintf(stderr, "error appending %s\n",
                  FileLineError(payload_path, error).c_str());
     return std::nullopt;
   }
   double seconds = t.Seconds();
-  if (!step->persist_error.empty()) {
+  if (!store.SetViolationCount(step->count, fp, &error)) {
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 step->persist_error.c_str());
+                 error.c_str());
   }
   PropertyGraph after = store.MaterializeCurrent();
   auto after_view = GraphView::Apply(after, GraphDelta{});
@@ -705,6 +708,10 @@ int Detect(int argc, char** argv) {
   if (log_dir) {
     store = OpenStore(log_dir, sopts);
     if (!store) return 1;
+    // The store's current graph, overlay vocabulary included, as `serve
+    // run` and `serve append` resolve rules: the same rules file then
+    // fingerprints the same on every verb.
+    g = store->MaterializeCurrent();
     rules_path = argv[pos];
   } else {
     g = LoadGraph(argv[pos]);
@@ -712,9 +719,7 @@ int Detect(int argc, char** argv) {
     if (pos + 1 >= argc) return Usage();
     rules_path = argv[pos + 1];
   }
-  // Rules resolve against the snapshot's vocabulary; `log compact` folds
-  // overlay-introduced vocabulary into the snapshot.
-  auto rules = LoadRules(rules_path, log_dir ? store->base() : *g);
+  auto rules = LoadRules(rules_path, *g);
   if (!rules) return 1;
 
   WallTimer build;
@@ -741,8 +746,8 @@ int Detect(int argc, char** argv) {
       auto payload = ReadFile(delta_path);
       if (!payload) return 1;
       uint64_t seq = 0;
-      auto code =
-          ServeBatch(*store, engine, *payload, delta_path, opts.workers, &seq);
+      auto code = ServeBatch(*store, *g, engine, *payload, delta_path,
+                             opts.workers, &seq);
       if (!code) return 1;
       if (!AppendFollowUp(*store, seq)) return 1;
       ExportSnapshotMetrics(store->MetricsSnapshot());
@@ -784,14 +789,9 @@ int Detect(int argc, char** argv) {
   }
 
   WallTimer t;
-  const DetectionResult result =
-      log_dir ? engine.Detect(store->view(), opts) : engine.Detect(*g, opts);
+  const DetectionResult result = engine.Detect(*g, opts);
   for (const Violation& v : result.violations) {
-    std::printf("%s\n", log_dir
-                            ? DescribeViolation(store->view(), engine.rules(),
-                                                v)
-                                  .c_str()
-                            : DescribeViolation(*g, engine.rules(), v).c_str());
+    std::printf("%s\n", DescribeViolation(*g, engine.rules(), v).c_str());
   }
   std::fprintf(stderr,
                "%zu violation(s) in %.2fs%s: %lu pivots scanned, %lu "
@@ -804,7 +804,7 @@ int Detect(int argc, char** argv) {
   // A complete scan over a store doubles as the counter's seed: later
   // detect --log --delta runs read their verdicts off it scan-free.
   if (log_dir && !result.stats.truncated) {
-    uint64_t fp = RuleFingerprint(engine.rules(), store->base());
+    uint64_t fp = RuleSetFingerprint(engine.rules(), *g);
     std::string error;
     if (!store->SetViolationCount(result.violations.size(), fp, &error)) {
       std::fprintf(stderr, "warning: could not persist counter: %s\n",
@@ -1005,11 +1005,10 @@ int ServeRun(int argc, char** argv) {
   fopts.ingest_burst = static_cast<double>(ingest_burst);
   fopts.backend = backend;
   net::FeedService service(*serving, engine, *feed, fopts);
-  bool scanned = false;
-  uint64_t count = service.Prime(&scanned);
+  net::CountSource source = net::CountSource::kScan;
+  uint64_t count = service.Prime(&source);
   std::fprintf(stderr, "violation counter: %llu (%s)\n",
-               static_cast<unsigned long long>(count),
-               scanned ? "seeded by full scan" : "persisted");
+               static_cast<unsigned long long>(count), CountSourceName(source));
 
   net::HttpServerOptions hopts;
   hopts.bind_address = bind;
@@ -1044,6 +1043,12 @@ int ServeRun(int argc, char** argv) {
   std::fprintf(stderr, "signal received; shutting down\n");
   feed->Shutdown();  // closes subscriber streams -> handlers drain
   server->Stop();
+  // Ingest has stopped: checkpoint the count so later CLI runs skip the
+  // seeding scan.
+  if (!service.Checkpoint(&error)) {
+    std::fprintf(stderr, "warning: could not persist counter: %s\n",
+                 error.c_str());
+  }
   std::fprintf(stderr, "stopped at seq %llu\n",
                static_cast<unsigned long long>(serving->last_seq()));
   return 0;
@@ -1173,7 +1178,8 @@ int Serve(int argc, char** argv) {
 
     CoordinatorStats pre = coord->stats();
     uint64_t seq = 0;
-    auto code = ServeBatch(*coord, engine, *payload, argv[3], workers, &seq);
+    auto code =
+        ServeBatch(*coord, current, engine, *payload, argv[3], workers, &seq);
     if (!code) return 1;
     CoordinatorStats post = coord->stats();
     std::fprintf(stderr,
