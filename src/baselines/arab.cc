@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "core/generation_tree.h"
-#include "core/lattice.h"
-#include "core/lattice_util.h"
+#include "core/discovery.h"
 #include "core/literal_pool.h"
 #include "core/profile.h"
 #include "graph/stats.h"
@@ -43,13 +41,7 @@ ArabResult ParArab(const PropertyGraph& g, const DiscoveryConfig& cfg,
       result.matches_materialized += store.matches.size();
       stats.profile_matches += store.matches.size();
       // Pattern support still has to be computed pivot-grouped.
-      std::vector<NodeId> pivots;
-      pivots.reserve(store.matches.size());
-      const VarId pivot = node.pattern.pivot();
-      for (const auto& m : store.matches) pivots.push_back(m[pivot]);
-      std::sort(pivots.begin(), pivots.end());
-      pivots.erase(std::unique(pivots.begin(), pivots.end()), pivots.end());
-      node.support = pivots.size();
+      node.support = CountPivots(store.matches, node.pattern.pivot());
       node.verified = true;
       node.frequent = node.support >= cfg.support_threshold;
       if (node.frequent) {
@@ -67,13 +59,9 @@ ArabResult ParArab(const PropertyGraph& g, const DiscoveryConfig& cfg,
   }
 
   // ---- Phase 2: literal attachment + validation per pattern ----
+  const GeneralFirstOrder order{tree};
   std::sort(stores.begin(), stores.end(), [&](const auto& a, const auto& b) {
-    const Pattern& pa = tree.node(a.first).pattern;
-    const Pattern& pb = tree.node(b.first).pattern;
-    if (pa.NumEdges() != pb.NumEdges()) return pa.NumEdges() < pb.NumEdges();
-    size_t wa = WildcardCount(pa), wb = WildcardCount(pb);
-    if (wa != wb) return wa > wb;
-    return a.first < b.first;
+    return order(a.first, b.first);
   });
   LiteralLatticeMiner lattice(cfg, result.discovery);
   for (auto& [id, store] : stores) {
@@ -84,7 +72,6 @@ ArabResult ParArab(const PropertyGraph& g, const DiscoveryConfig& cfg,
     PatternProfile profile(g, store, node.pattern.pivot(), pool);
     if (!lattice.MinePattern(id, node.pattern, pool, profile)) break;
   }
-  FinalizeReduced(result.discovery);
   return result;
 }
 

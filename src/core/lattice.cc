@@ -1,8 +1,36 @@
 #include "core/lattice.h"
 
+#include <algorithm>
+
 #include "gfd/problems.h"
 
 namespace gfd {
+
+namespace {
+
+RhsSig SignatureOf(const Literal& l) {
+  switch (l.kind) {
+    case LiteralKind::kFalse:
+      return {0, 0, 0, 0};
+    case LiteralKind::kVarConst:
+      return {1, l.a, 0, l.c};
+    case LiteralKind::kVarVar:
+      return {2, std::min(l.a, l.b), std::max(l.a, l.b), 0};
+  }
+  return {0, 0, 0, 0};
+}
+
+// Expands a bitset over `pool` into the corresponding literal vector.
+std::vector<Literal> LitsOfMask(const LitMask& mask,
+                                const std::vector<Literal>& pool) {
+  std::vector<Literal> lits;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (mask.test(i)) lits.push_back(pool[i]);
+  }
+  return lits;
+}
+
+}  // namespace
 
 bool LiteralLatticeMiner::ChargeCandidate() {
   ++result_.stats.candidates_generated;

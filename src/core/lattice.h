@@ -11,21 +11,27 @@
 #include <map>
 #include <set>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/config.h"
-#include "core/lattice_util.h"
 #include "core/profile.h"
 #include "core/seqdis.h"
 #include "gfd/gfd.h"
 
 namespace gfd {
 
+/// Invariant key of an RHS literal under variable renaming: embeddings
+/// preserve kinds, attributes and constants, so only GFDs with equal
+/// signatures can stand in the << relation. Indexes the found positives.
+using RhsSig = std::tuple<int, AttrId, AttrId, ValueId>;
+
 /// Mines literal trees pattern by pattern, accumulating minimum frequent
 /// GFDs (positive and negative) into a DiscoveryResult. Stateful across
-/// patterns: the reduced-GFD filters need the GFDs found so far, so feed
-/// patterns most-general-first.
+/// patterns: the reduced-GFD filters test each new GFD against the GFDs
+/// kept so far, so they keep exactly the <<-minimal ones only when
+/// patterns arrive in GeneralFirstOrder (core/discovery.h).
 class LiteralLatticeMiner {
  public:
   /// Answers a batch of lattice queries, in order, as one PatternProfile

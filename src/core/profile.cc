@@ -22,38 +22,66 @@ MatchStore EnumerateMatches(const PropertyGraph& g, const CompiledPattern& cq,
   return store;
 }
 
+uint64_t CountPivots(std::span<const Match> matches, VarId pivot) {
+  std::vector<NodeId> pivots;
+  pivots.reserve(matches.size());
+  for (const auto& m : matches) pivots.push_back(m[pivot]);
+  std::sort(pivots.begin(), pivots.end());
+  return std::unique(pivots.begin(), pivots.end()) - pivots.begin();
+}
+
+namespace {
+
+// Sums the counts of equal (var, attr, value) keys in one pass, then
+// orders the distinct keys for the pool builder.
+class ConstantCounter {
+ public:
+  void Add(VarId v, AttrId a, ValueId c, uint64_t count) {
+    const uint64_t key = (static_cast<uint64_t>(v) << 56) ^
+                         (static_cast<uint64_t>(a & 0xffffff) << 32) ^ c;
+    auto [it, inserted] = index_.try_emplace(key, out_.size());
+    if (inserted) out_.push_back({v, a, c, 0});
+    out_[it->second].count += count;
+  }
+  std::vector<VarConstFreq> Ordered() && {
+    std::sort(out_.begin(), out_.end(),
+              [](const VarConstFreq& l, const VarConstFreq& r) {
+                if (l.count != r.count) return l.count > r.count;
+                if (l.var != r.var) return l.var < r.var;
+                if (l.attr != r.attr) return l.attr < r.attr;
+                return l.value < r.value;
+              });
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<VarConstFreq> out_;
+  std::unordered_map<uint64_t, size_t> index_;
+};
+
+}  // namespace
+
 std::vector<VarConstFreq> CollectMatchConstants(
     const PropertyGraph& g, std::span<const Match> matches,
     const std::vector<AttrId>& gamma) {
-  // (var, attr, value) -> count, over all stored matches.
-  auto key_of = [](VarId v, AttrId a, ValueId c) {
-    return (static_cast<uint64_t>(v) << 56) ^
-           (static_cast<uint64_t>(a & 0xffffff) << 32) ^ c;
-  };
-  std::vector<VarConstFreq> out;
-  std::unordered_map<uint64_t, size_t> index;
+  ConstantCounter counter;
   for (const auto& m : matches) {
     for (VarId v = 0; v < m.size(); ++v) {
       for (AttrId a : gamma) {
-        auto val = g.GetAttr(m[v], a);
-        if (!val) continue;
-        uint64_t key = key_of(v, a, *val);
-        auto [it, inserted] = index.try_emplace(key, out.size());
-        if (inserted) {
-          out.push_back({v, a, *val, 0});
-        }
-        ++out[it->second].count;
+        if (auto val = g.GetAttr(m[v], a)) counter.Add(v, a, *val, 1);
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const VarConstFreq& l, const VarConstFreq& r) {
-              if (l.count != r.count) return l.count > r.count;
-              if (l.var != r.var) return l.var < r.var;
-              if (l.attr != r.attr) return l.attr < r.attr;
-              return l.value < r.value;
-            });
-  return out;
+  return std::move(counter).Ordered();
+}
+
+std::vector<VarConstFreq> MergeMatchConstants(
+    std::span<const std::vector<VarConstFreq>> parts) {
+  ConstantCounter counter;
+  for (const auto& part : parts) {
+    for (const auto& c : part) counter.Add(c.var, c.attr, c.value, c.count);
+  }
+  return std::move(counter).Ordered();
 }
 
 ProfileRow ProfileMatch(const PropertyGraph& g, const Match& m, NodeId pivot,

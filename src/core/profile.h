@@ -53,6 +53,9 @@ struct MatchStore {
 MatchStore EnumerateMatches(const PropertyGraph& g, const CompiledPattern& cq,
                             size_t max_matches);
 
+/// Distinct images of `pivot` among `matches`: their support |Q(G, z)|.
+uint64_t CountPivots(std::span<const Match> matches, VarId pivot);
+
 /// Per (variable, attribute) constant frequencies observed *among the
 /// stored matches* -- the paper's VSpawn collects literal constants from
 /// the matches h(x-bar), not from global value statistics, which is what
@@ -64,9 +67,17 @@ struct VarConstFreq {
   ValueId value;
   uint64_t count;
 };
+/// Ordered as BuildLiteralPoolFromMatches expects: count descending, then
+/// (var, attr, value).
 std::vector<VarConstFreq> CollectMatchConstants(
     const PropertyGraph& g, std::span<const Match> matches,
     const std::vector<AttrId>& gamma);
+
+/// Adds up constant frequencies collected over disjoint match sets (one
+/// CollectMatchConstants per fragment) into CollectMatchConstants's answer
+/// over their union, in its order.
+std::vector<VarConstFreq> MergeMatchConstants(
+    std::span<const std::vector<VarConstFreq>> parts);
 
 /// One question the literal lattice (core/lattice.h) asks about a
 /// pattern's matches. Every row source answers it through

@@ -1,6 +1,6 @@
 // SeqDis (Section 5.1): sequential discovery of all k-bounded minimum
 // sigma-frequent GFDs, positive and negative, in a single integrated
-// process. The lattice interleaves
+// process. The discovery loop (discovery.h) interleaves
 //   - VSpawn: grow patterns edge by edge (generation_tree.h),
 //   - HSpawn: grow LHS literal sets level-wise per (pattern, RHS literal),
 //     evaluated against the pattern's match profile (profile.h),
@@ -9,8 +9,10 @@
 //   - NHSpawn: frequent validated positives extended by one literal with
 //     Q(G, X', z) = 0 become negative GFDs Q(X' -> false),
 // with the pruning rules of Lemma 4 (no trivial GFDs, stop an X branch
-// once satisfied, never extend infrequent patterns) and reduced-GFD
-// filtering via the << order.
+// once satisfied, never extend infrequent patterns) and online
+// reduced-GFD filtering via the << order, which the loop's feeding order
+// makes exact (GeneralFirstOrder). SeqDis's pattern source enumerates each
+// pattern's matches once and answers the lattice from a local profile.
 #ifndef GFD_CORE_SEQDIS_H_
 #define GFD_CORE_SEQDIS_H_
 
@@ -71,12 +73,6 @@ struct DiscoveryResult {
 
 /// Runs sequential GFD discovery on `g`.
 DiscoveryResult SeqDis(const PropertyGraph& g, const DiscoveryConfig& cfg);
-
-/// Final reduced-GFD sweep: removes every GFD (positive or negative) that
-/// some other discovered GFD reduces (<<). The << order is a strict
-/// partial order, so the result is independent of discovery order --
-/// sequential and parallel miners converge to the same output set.
-void FinalizeReduced(DiscoveryResult& result);
 
 }  // namespace gfd
 

@@ -33,8 +33,10 @@ struct ClusterStats {
   double match_seconds = 0;     ///< parallel pattern matching wall time
   double validate_seconds = 0;  ///< parallel GFD validation wall time
   double replication = 1.0;     ///< vertex-cut node replication factor
-  /// Max over supersteps of (max worker busy share / mean busy share);
-  /// 1.0 = perfectly balanced.
+  /// Work skew of ParDis's profiling and validation: over every pattern
+  /// the workers profile, the sum of the largest worker's match rows
+  /// divided by the sum of the mean rows per worker. 1.0 = every
+  /// pattern's rows split evenly; n = each pattern's rows on one worker.
   double max_skew = 1.0;
 };
 

@@ -1,17 +1,12 @@
 #include "parallel/pardis.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <span>
 #include <unordered_map>
 
-#include "core/generation_tree.h"
-#include "core/lattice.h"
-#include "core/lattice_util.h"
-#include "core/literal_pool.h"
+#include "core/discovery.h"
 #include "core/profile.h"
-#include "graph/stats.h"
 #include "match/incremental.h"
 #include "parallel/fragment.h"
 #include "util/timer.h"
@@ -20,77 +15,102 @@ namespace gfd {
 
 namespace {
 
-class ParMiner {
+// ParDis's pattern source: each level's matches are joined on the
+// workers (seeded from the fragments at level 0) and stay there; every
+// pattern question is one or more Cluster supersteps over them.
+class ClusterSource : public PatternSource {
  public:
-  ParMiner(const PropertyGraph& g, const DiscoveryConfig& cfg,
-           const ParallelRunConfig& pcfg)
+  ClusterSource(const PropertyGraph& g, const ParallelRunConfig& pcfg)
       : g_(g),
-        cfg_(cfg),
         pcfg_(pcfg),
         cluster_(pcfg.workers),
-        frag_(VertexCutPartition(g, pcfg.workers)),
-        gstats_(g),
-        lattice_(cfg_, result_) {}
+        frag_(VertexCutPartition(g, pcfg.workers)) {}
 
-  DiscoveryResult Run(ClusterStats* out_stats) {
-    gamma_ = ResolveActiveAttrs(gstats_, cfg_);
-    auto triples = gstats_.FrequentTriples(cfg_.support_threshold);
-    auto wildcard_labels =
-        cfg_.wildcard_upgrades ? WildcardEdgeLabels(gstats_, cfg_)
-                               : std::vector<LabelId>{};
-    cstats_.replication = frag_.partition.replication;
-
-    // Level 0: single-node patterns; their "matches" are the label's nodes,
-    // placed at their owner fragment.
-    auto l0 = InitTree(tree_, gstats_, cfg_, result_.stats);
-    for (int id : l0) SeedSingleNodeMatches(id);
-    SortGeneralFirst(l0);
-    for (int id : l0) ProcessPattern(id);
-
-    const size_t max_level = cfg_.k * cfg_.k;
-    for (size_t level = 1; level <= max_level && !Exhausted(); ++level) {
-      auto spawned = VSpawn(tree_, static_cast<int>(level), triples,
-                            wildcard_labels, cfg_, result_.stats);
-      if (spawned.empty()) break;
-      // Parallel incremental matching for every spawned pattern.
-      WallTimer match_timer;
-      for (int id : spawned) MatchPattern(id);
-      cstats_.match_seconds += match_timer.Seconds();
-      // Drop the previous level's matches: joins only need level-1.
-      for (int id : tree_.level(level - 1)) states_.erase(id);
-      SortGeneralFirst(spawned);
-      for (int id : spawned) {
-        if (Exhausted()) break;
-        ProcessPattern(id);
-      }
+  // Communication and skew accounting of the run so far.
+  ClusterStats Stats() const {
+    ClusterStats out = cstats_;
+    out.replication = frag_.partition.replication;
+    out.messages = cluster_.messages();
+    out.bytes_shipped = cluster_.bytes();
+    if (rows_ > 0) {
+      out.max_skew = static_cast<double>(largest_rows_) * pcfg_.workers / rows_;
     }
+    return out;
+  }
 
-    FinalizeReduced(result_);
-    cstats_.messages = cluster_.messages();
-    cstats_.bytes_shipped = cluster_.bytes();
-    if (out_stats) *out_stats = cstats_;
-    return std::move(result_);
+  void BeginLevel(const GenerationTree& tree, size_t level,
+                  std::span<const int> ids) override {
+    // Level 0's "matches" are the label's nodes, placed at their owner.
+    if (level == 0) {
+      for (int id : ids) SeedSingleNodeMatches(tree.node(id), id);
+      return;
+    }
+    // Parallel incremental matching for every spawned pattern.
+    WallTimer match_timer;
+    for (int id : ids) MatchPattern(tree.node(id), id);
+    cstats_.match_seconds += match_timer.Seconds();
+    // Drop the previous level's matches: joins only need level-1.
+    for (int id : tree.level(level - 1)) states_.erase(id);
+  }
+
+  PatternCount Count(const GenerationTree& tree, int id) override {
+    uint64_t matches = 0;
+    for (const auto& w : states_[id]) matches += w.size();
+    return {matches, CountDistinctPivots(id, tree.node(id).pattern.pivot())};
+  }
+
+  // Distributed constant collection, merged at the master.
+  std::vector<VarConstFreq> Constants(
+      int id, const std::vector<AttrId>& gamma) override {
+    const auto& st = states_[id];
+    std::vector<std::vector<VarConstFreq>> local(pcfg_.workers);
+    cluster_.RunStep([&](size_t w) {
+      local[w] = CollectMatchConstants(g_, st[w], gamma);
+    });
+    for (const auto& part : local) {
+      cluster_.CountShipment(part.size(), sizeof(VarConstFreq));
+    }
+    return MergeMatchConstants(local);
+  }
+
+  // Distributed profiling, then the lattice with one superstep per query
+  // batch. Each worker profiles the matches it owns (the matches stay for
+  // the next level's joins).
+  void Mine(int id, const Pattern& pattern, const std::vector<Literal>& pool,
+            LiteralLatticeMiner& lattice) override {
+    cluster_.CountBroadcast(pool.size(), sizeof(Literal));
+    WallTimer vt;
+    const auto& st = states_[id];
+    const VarId pivot = pattern.pivot();
+    std::vector<PatternProfile> profiles(pcfg_.workers);
+    cluster_.RunStep([&](size_t w) {
+      std::vector<ProfileRow> rows;
+      rows.reserve(st[w].size());
+      for (const auto& m : st[w]) {
+        rows.push_back(ProfileMatch(g_, m, pivot, pool));
+      }
+      profiles[w] = PatternProfile::FromRows(std::move(rows), pool.size());
+    });
+    size_t largest = 0;
+    for (const auto& w : st) {
+      rows_ += w.size();
+      largest = std::max(largest, w.size());
+    }
+    largest_rows_ += largest;
+    lattice.MinePattern(id, pattern, pool,
+                        [&](std::span<const LatticeQuery> batch) {
+                          return Evaluate(profiles, batch);
+                        });
+    cstats_.validate_seconds += vt.Seconds();
   }
 
  private:
-  bool Exhausted() const { return result_.stats.budget_exceeded; }
-
-  void SortGeneralFirst(std::vector<int>& ids) {
-    std::sort(ids.begin(), ids.end(), [&](int a, int b) {
-      size_t wa = WildcardCount(tree_.node(a).pattern);
-      size_t wb = WildcardCount(tree_.node(b).pattern);
-      if (wa != wb) return wa > wb;
-      return a < b;
-    });
-  }
-
   size_t OwnerOf(NodeId pivot) const {
     if (pcfg_.load_balance) return pivot % pcfg_.workers;
     return frag_.partition.node_owner[pivot];
   }
 
-  void SeedSingleNodeMatches(int node_id) {
-    const TreeNode& node = tree_.node(node_id);
+  void SeedSingleNodeMatches(const TreeNode& node, int node_id) {
     auto& st = states_[node_id];
     st.assign(pcfg_.workers, {});
     LabelId l = node.pattern.NodeLabel(0);
@@ -101,8 +121,7 @@ class ParMiner {
   }
 
   // Parallel incremental matching: Q'(F_s) = Q(F_s) |><| e(F_t) for all t.
-  void MatchPattern(int node_id) {
-    TreeNode& node = tree_.node(node_id);
+  void MatchPattern(const TreeNode& node, int node_id) {
     auto& st = states_[node_id];
     st.assign(pcfg_.workers, {});
     if (node.parents.empty()) return;
@@ -141,22 +160,9 @@ class ParMiner {
                     all_edges.end());
 
     // Step 3 (parallel): local joins.
-    std::vector<size_t> loads(pcfg_.workers, 0);
     cluster_.RunStep([&](size_t w) {
       st[w] = JoinMatchesWithEdges(parent_states[w], delta, all_edges);
-      loads[w] = st[w].size();
     });
-
-    // Skew accounting (before any re-balancing).
-    size_t total = 0, max_load = 0;
-    for (size_t w = 0; w < pcfg_.workers; ++w) {
-      total += loads[w];
-      max_load = std::max(max_load, loads[w]);
-    }
-    if (total > 0) {
-      double mean = static_cast<double>(total) / pcfg_.workers;
-      cstats_.max_skew = std::max(cstats_.max_skew, max_load / mean);
-    }
 
     // Step 4: pivot-aligned shuffle (load balancing). Matches whose pivot
     // hashes elsewhere are shipped to their owner.
@@ -188,95 +194,13 @@ class ParMiner {
     }
   }
 
-  // Verifies support, handles NVSpawn, and mines the pattern's literal
-  // trees with distributed batch validation.
-  void ProcessPattern(int node_id) {
-    TreeNode& node = tree_.node(node_id);
-    auto& st = states_[node_id];
-
-    size_t total_matches = 0;
-    for (const auto& w : st) total_matches += w.size();
-    result_.stats.profile_matches += total_matches;
-    result_.stats.max_pattern_matches =
-        std::max<uint64_t>(result_.stats.max_pattern_matches, total_matches);
-    node.support = CountDistinctPivots(node_id);
-    node.verified = true;
-    node.frequent = cfg_.prune ? node.support >= cfg_.support_threshold
-                               : node.support > 0;
-    if (node.frequent) ++result_.stats.patterns_frequent;
-
-    if (node.support == 0) {
-      ++result_.stats.patterns_zero_support;
-      if (cfg_.discover_negative) NVSpawn(node_id);
-      return;
-    }
-    if (cfg_.prune && node.support < cfg_.support_threshold) return;
-
-    // Distributed constant collection -> literal pool at the master.
-    std::vector<std::vector<VarConstFreq>> local_consts(pcfg_.workers);
-    cluster_.RunStep([&](size_t w) {
-      local_consts[w] = CollectMatchConstants(g_, st[w], gamma_);
-    });
-    std::map<std::tuple<VarId, AttrId, ValueId>, uint64_t> merged;
-    for (size_t w = 0; w < pcfg_.workers; ++w) {
-      cluster_.CountShipment(local_consts[w].size(), sizeof(VarConstFreq));
-      for (const auto& c : local_consts[w]) {
-        merged[{c.var, c.attr, c.value}] += c.count;
-      }
-    }
-    std::vector<VarConstFreq> constants;
-    constants.reserve(merged.size());
-    for (const auto& [key, count] : merged) {
-      constants.push_back(
-          {std::get<0>(key), std::get<1>(key), std::get<2>(key), count});
-    }
-    std::sort(constants.begin(), constants.end(),
-              [](const VarConstFreq& l, const VarConstFreq& r) {
-                if (l.count != r.count) return l.count > r.count;
-                if (l.var != r.var) return l.var < r.var;
-                if (l.attr != r.attr) return l.attr < r.attr;
-                return l.value < r.value;
-              });
-    auto pool = BuildLiteralPoolFromMatches(node.pattern, gamma_, constants,
-                                            cfg_);
-    cluster_.CountBroadcast(pool.size(), sizeof(Literal));
-
-    // Distributed profiling: each worker profiles the matches it owns (the
-    // matches stay for the next level's joins).
-    WallTimer vt;
-    const VarId pivot = node.pattern.pivot();
-    std::vector<PatternProfile> profiles(pcfg_.workers);
-    cluster_.RunStep([&](size_t w) {
-      std::vector<ProfileRow> rows;
-      rows.reserve(st[w].size());
-      for (const auto& m : st[w]) {
-        rows.push_back(ProfileMatch(g_, m, pivot, pool));
-      }
-      profiles[w] = PatternProfile::FromRows(std::move(rows), pool.size());
-    });
-    lattice_.MinePattern(node_id, node.pattern, pool,
-                         [&](std::span<const LatticeQuery> batch) {
-                           return Evaluate(profiles, batch);
-                         });
-    cstats_.validate_seconds += vt.Seconds();
-  }
-
-  uint64_t CountDistinctPivots(int node_id) {
+  uint64_t CountDistinctPivots(int node_id, VarId pivot) {
     const auto& st = states_[node_id];
-    const VarId pivot = tree_.node(node_id).pattern.pivot();
     if (pcfg_.load_balance) {
       // Pivot-aligned ownership: local distinct counts sum exactly
       // (supp(phi, G) = sum_s supp(phi, F_s), Section 6.2).
       std::vector<uint64_t> local(pcfg_.workers, 0);
-      cluster_.RunStep([&](size_t w) {
-        std::vector<NodeId> pivots;
-        pivots.reserve(st[w].size());
-        for (const auto& m : st[w]) pivots.push_back(m[pivot]);
-        std::sort(pivots.begin(), pivots.end());
-        pivots.erase(std::unique(pivots.begin(), pivots.end()),
-                     pivots.end());
-        local[w] = pivots.size();
-      });
+      cluster_.RunStep([&](size_t w) { local[w] = CountPivots(st[w], pivot); });
       uint64_t total = 0;
       for (uint64_t c : local) total += c;
       return total;
@@ -336,31 +260,14 @@ class ParMiner {
     return out;
   }
 
-  void NVSpawn(int node_id) {
-    const TreeNode& node = tree_.node(node_id);
-    uint64_t base_support = 0;
-    for (int pid : node.parents) {
-      const TreeNode& parent = tree_.node(pid);
-      if (parent.verified && parent.frequent) {
-        base_support = std::max(base_support, parent.support);
-      }
-    }
-    if (base_support < cfg_.support_threshold) return;
-    lattice_.AddNegative(node_id, Gfd(node.pattern, {}, Literal::False()),
-                         base_support);
-  }
-
   const PropertyGraph& g_;
-  const DiscoveryConfig cfg_;
   const ParallelRunConfig pcfg_;
   Cluster cluster_;
   Fragmentation frag_;
-  GraphStats gstats_;
-  std::vector<AttrId> gamma_;
-  GenerationTree tree_;
-  DiscoveryResult result_;
   ClusterStats cstats_;
-  LiteralLatticeMiner lattice_;
+  // Over the profiled patterns: all rows, and the largest worker's.
+  uint64_t rows_ = 0;
+  uint64_t largest_rows_ = 0;
   // Per pattern, the matches each worker owns.
   std::unordered_map<int, std::vector<std::vector<Match>>> states_;
 };
@@ -369,7 +276,10 @@ class ParMiner {
 
 DiscoveryResult ParDis(const PropertyGraph& g, const DiscoveryConfig& cfg,
                        const ParallelRunConfig& pcfg, ClusterStats* stats) {
-  return ParMiner(g, cfg, pcfg).Run(stats);
+  ClusterSource source(g, pcfg);
+  DiscoveryResult result = Discover(g, cfg, source);
+  if (stats) *stats = source.Stats();
+  return result;
 }
 
 }  // namespace gfd

@@ -1,8 +1,10 @@
 // ParDis (Section 6.2): parallel GFD discovery over a vertex-cut
 // fragmented graph, parallel-scalable relative to SeqDis (Theorem 5).
 //
+// ParDis runs SeqDis's discovery loop (core/discovery.h) with a pattern
+// source that splits matching and validation across the workers.
 // Supersteps per pattern level:
-//   1. VSpawn at the master (identical lattice to SeqDis).
+//   1. VSpawn at the master (the loop's, as in SeqDis).
 //   2. Parallel incremental pattern matching: each worker s joins its
 //      locally owned matches Q(F_s) with the candidate edge lists e(F_t)
 //      shipped from every fragment t (the distributed join work units).
@@ -17,8 +19,8 @@
 //      presence), and the master combines the answers.
 //
 // Output is identical to SeqDis, in order (asserted by tests): there is
-// one lattice, with one set of pruning rules and reduced-GFD filters, and
-// only the row source differs.
+// one discovery loop and one lattice, with one set of pruning rules and
+// reduced-GFD filters, and only the pattern source differs.
 #ifndef GFD_PARALLEL_PARDIS_H_
 #define GFD_PARALLEL_PARDIS_H_
 

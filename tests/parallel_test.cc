@@ -217,6 +217,24 @@ TEST(ParDisUnpruned, MatchesSequentialInOrderWithAndWithoutBudget) {
   }
 }
 
+// max_skew weighs each profiled pattern by its rows: one worker reads
+// 1.0, pivot-aligned balancing keeps it near 1, and fragment ownership
+// without balancing skews more.
+TEST(ParDisSkew, MeasuresProfilingWork) {
+  auto g = MakeYago2Like({.scale = 150, .seed = 3});
+  DiscoveryConfig cfg;
+  cfg.k = 3;
+  cfg.support_threshold = 8;
+  ClusterStats one, balanced, unbalanced;
+  ParDis(g, cfg, {.workers = 1}, &one);
+  ParDis(g, cfg, {.workers = 4, .load_balance = true}, &balanced);
+  ParDis(g, cfg, {.workers = 4, .load_balance = false}, &unbalanced);
+  EXPECT_DOUBLE_EQ(one.max_skew, 1.0);
+  EXPECT_GE(balanced.max_skew, 1.0);
+  EXPECT_LT(balanced.max_skew, 1.5);
+  EXPECT_GT(unbalanced.max_skew, balanced.max_skew);
+}
+
 TEST(ParDisImdb, WorksAcrossGenerators) {
   KbConfig kcfg{.scale = 120, .seed = 9};
   auto g = MakeImdbLike(kcfg);

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
+#include <utility>
 
+#include "baselines/arab.h"
 #include "core/cover.h"
 #include "core/profile.h"
 #include "core/seqdis.h"
@@ -18,6 +21,7 @@
 #include "graph/stats.h"
 #include "gfd/validation.h"
 #include "parallel/parcover.h"
+#include "parallel/pardis.h"
 #include "util/rng.h"
 
 namespace gfd {
@@ -265,21 +269,76 @@ TEST_P(DetectOracle, BatchedEngineAgreesWithNaivePerGfdValidation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectOracle, ::testing::Range(0, 50));
 
-// --- FinalizeReduced leaves exactly the <<-minimal elements.
-TEST(FinalizeReducedTest, OutputIsReductionFree) {
+// --- Discovery output is reduction-free: no discovered GFD reduces (<<)
+// --- another, for every miner. The lattice's online filters guarantee
+// --- this only because patterns arrive in GeneralFirstOrder
+// --- (core/discovery.h); there is no final sweep.
+void ExpectNoGfdReducesAnother(const std::vector<Gfd>& gfds,
+                               const PropertyGraph& g) {
+  for (size_t i = 0; i < gfds.size(); ++i) {
+    for (size_t j = 0; j < gfds.size(); ++j) {
+      if (i != j && GfdReduces(gfds[j], gfds[i])) {
+        ADD_FAILURE() << gfds[j].ToString(g) << "  <<  " << gfds[i].ToString(g);
+      }
+    }
+  }
+}
+
+// Runs every miner on Yago2Like(150) and checks each distinct output.
+void ExpectReductionFreeOutputs(const DiscoveryConfig& cfg) {
   auto g = MakeYago2Like({.scale = 150, .seed = 3});
+  std::vector<std::pair<std::string, DiscoveryResult>> runs;
+  runs.emplace_back("SeqDis", SeqDis(g, cfg));
+  for (size_t workers : {1u, 4u}) {
+    for (bool balance : {true, false}) {
+      std::string name = "ParDis w" + std::to_string(workers);
+      name += balance ? " balanced" : " unbalanced";
+      ParallelRunConfig pcfg{.workers = workers, .load_balance = balance};
+      runs.emplace_back(name, ParDis(g, cfg, pcfg));
+    }
+  }
+  runs.emplace_back("ParArab", ParArab(g, cfg).discovery);
+  // An output equal to one already checked is reduction-free too.
+  std::vector<const DiscoveryResult*> checked;
+  for (const auto& [miner, r] : runs) {
+    SCOPED_TRACE(miner);
+    EXPECT_FALSE(r.positives.empty());
+    EXPECT_FALSE(r.negatives.empty());
+    bool seen = false;
+    for (const DiscoveryResult* c : checked) {
+      if (c->positives == r.positives && c->negatives == r.negatives) {
+        seen = true;
+      }
+    }
+    if (seen) continue;
+    ExpectNoGfdReducesAnother(r.positives, g);
+    ExpectNoGfdReducesAnother(r.negatives, g);
+    checked.push_back(&r);
+  }
+}
+
+DiscoveryConfig ReducedOutputConfig() {
   DiscoveryConfig cfg;
   cfg.k = 3;
   cfg.support_threshold = 8;
-  auto res = SeqDis(g, cfg);
-  for (size_t i = 0; i < res.negatives.size(); i += 5) {
-    for (size_t j = 0; j < res.negatives.size(); j += 3) {
-      if (i == j) continue;
-      EXPECT_FALSE(GfdReduces(res.negatives[j], res.negatives[i]))
-          << res.negatives[j].ToString(g) << "  <<  "
-          << res.negatives[i].ToString(g);
-    }
-  }
+  return cfg;
+}
+
+TEST(ReducedOutputTest, NoDiscoveredGfdReducesAnother) {
+  ExpectReductionFreeOutputs(ReducedOutputConfig());
+}
+
+TEST(ReducedOutputTest, NoDiscoveredGfdReducesAnotherUnpruned) {
+  DiscoveryConfig cfg = ReducedOutputConfig();
+  cfg.k = 2;
+  cfg.prune = false;
+  ExpectReductionFreeOutputs(cfg);
+}
+
+TEST(ReducedOutputTest, NoDiscoveredGfdReducesAnotherMoreWildcards) {
+  DiscoveryConfig cfg = ReducedOutputConfig();
+  cfg.wildcard_min_pairs = 1;
+  ExpectReductionFreeOutputs(cfg);
 }
 
 }  // namespace
