@@ -4,7 +4,12 @@
 // ways -- the naive per-GFD validation loop, the batched engine on one
 // thread (isolating the shared-match-plan win) and the engine on 4
 // threads. All three are cross-checked to report the identical violation
-// multiset; timings land in BENCH_detect.json.
+// multiset. Then the detect_full_w{1,4} rows time the full scan a serving
+// store seeds its violation counter with, on the serving benchmark's
+// input shape: Yago2Like(1000) plus 5% noise, checked against the
+// SeqCover of the rules mined from the clean graph; both worker counts
+// must agree on violations and counters. Timings land in
+// BENCH_detect.json.
 //
 // Usage: bench_detect [output.json]
 #include <algorithm>
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/cover.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
 #include "pattern/canonical.h"
@@ -140,12 +146,67 @@ int main(int argc, char** argv) {
   bool agree = batched.violations == naive.violations &&
                batched4.violations == naive.violations;
   double speedup = batched_s > 0 ? naive_s / batched_s : 0;
+  std::printf("batched(w1) vs naive: %.2fx; outputs %s\n", speedup,
+              agree ? "identical" : "DIVERGED");
+
+  // The serving shape: perfbench's graph (gfdtool gen --scale 1000
+  // --seed 42 [--noise 0.05]) and gfdtool discover's configuration.
+  // One timed body is kScansPerBody scans, which keeps the four-worker
+  // row above the perf gate's 10 ms floor.
+  auto serve_clean = MakeYago2Like({.scale = 1000, .seed = 42});
+  auto serve_noisy = InjectNoise(serve_clean, {.alpha = 0.05, .seed = 43});
+  DiscoveryConfig serve_cfg;
+  serve_cfg.k = 3;
+  serve_cfg.support_threshold =
+      std::max<uint64_t>(10, serve_clean.NumNodes() / 100);
+  ViolationEngine serve_engine(
+      SeqCover(SeqDis(serve_clean, serve_cfg).AllGfds()));
+  std::printf("serving workload: %zu rules in %zu pattern groups on "
+              "|V|=%zu |E|=%zu (+noise)\n",
+              serve_engine.NumRules(), serve_engine.NumGroups(),
+              serve_noisy.graph.NumNodes(), serve_noisy.graph.NumEdges());
+  constexpr int kScansPerBody = 5;
+  DetectionResult full[2];
+  const size_t full_workers[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    DetectOptions opts;
+    opts.workers = full_workers[i];
+    const double s = TimedMin(kReps, [&] {
+      for (int scan = 0; scan < kScansPerBody; ++scan) {
+        full[i] = serve_engine.Detect(serve_noisy.graph, opts);
+      }
+    });
+    const DetectStats& st = full[i].stats;
+    rows.push_back({"detect_full_w" + std::to_string(full_workers[i]),
+                    s,
+                    {{"scans", double(kScansPerBody)},
+                     {"rules", double(serve_engine.NumRules())},
+                     {"groups", double(st.num_groups)},
+                     {"violations", double(full[i].violations.size())},
+                     {"pivots_scanned", double(st.pivots_scanned)},
+                     {"matches_seen", double(st.matches_seen)},
+                     {"literal_evals", double(st.literal_evals)}}});
+    std::printf("%-24s %8.3fs  %d scans: %zu violations, %lu pivots, %lu "
+                "matches, %lu literal evals\n",
+                rows.back().name.c_str(), s, kScansPerBody,
+                full[i].violations.size(),
+                static_cast<unsigned long>(st.pivots_scanned),
+                static_cast<unsigned long>(st.matches_seen),
+                static_cast<unsigned long>(st.literal_evals));
+  }
+  const bool full_agree =
+      full[0].violations == full[1].violations &&
+      full[0].stats.pivots_scanned == full[1].stats.pivots_scanned &&
+      full[0].stats.matches_seen == full[1].stats.matches_seen &&
+      full[0].stats.literal_evals == full[1].stats.literal_evals;
+  std::printf("full scan w1 vs w4: outputs and counters %s\n",
+              full_agree ? "identical" : "DIVERGED");
+  agree = agree && full_agree;
+
   rows.push_back({"summary",
                   0,
                   {{"verified", agree ? 1.0 : 0.0},
                    {"speedup_w1_vs_naive", speedup}}});
-  std::printf("batched(w1) vs naive: %.2fx; outputs %s\n", speedup,
-              agree ? "identical" : "DIVERGED");
 
   WriteJson(out, rows);
   std::printf("wrote %s\n", out);

@@ -197,8 +197,17 @@ void LiteralLatticeMiner::AddPositive(Gfd phi, uint64_t supp) {
 
 void LiteralLatticeMiner::AddNegative(int pattern_key, Gfd phi,
                                       uint64_t base_supp) {
-  auto key = std::pair(pattern_key, phi.lhs);
-  if (!seen_negatives_.insert(key).second) return;
+  // A negative several bases spawn is one GFD: its support is the
+  // maximum over them (Section 4.2), whichever base arrives first.
+  auto [seen, fresh] =
+      seen_negatives_.try_emplace(std::pair(pattern_key, phi.lhs), kDropped);
+  if (!fresh) {
+    if (seen->second != kDropped) {
+      uint64_t& supp = result_.negative_supports[seen->second];
+      supp = std::max(supp, base_supp);
+    }
+    return;
+  }
   // Reduced-negative filter: a more general negative already covers this
   // one (wildcard-first / small-pattern-first feeding order makes general
   // negatives arrive before their specializations).
@@ -208,6 +217,7 @@ void LiteralLatticeMiner::AddNegative(int pattern_key, Gfd phi,
       return;
     }
   }
+  seen->second = result_.negatives.size();
   result_.negatives.push_back(std::move(phi));
   result_.negative_supports.push_back(base_supp);
   ++result_.stats.negatives_found;

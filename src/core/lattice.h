@@ -7,9 +7,9 @@
 #ifndef GFD_CORE_LATTICE_H_
 #define GFD_CORE_LATTICE_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -56,7 +56,8 @@ class LiteralLatticeMiner {
                    const PatternProfile& profile);
 
   /// Registers a negative GFD (used by NVSpawn, which lives outside the
-  /// literal lattice). Applies the same dedup/reduction filters.
+  /// literal lattice). Applies the same dedup/reduction filters; a
+  /// negative registered again keeps the larger base support.
   void AddNegative(int pattern_key, Gfd phi, uint64_t base_supp);
 
  private:
@@ -67,7 +68,10 @@ class LiteralLatticeMiner {
   const DiscoveryConfig& cfg_;
   DiscoveryResult& result_;
   std::map<RhsSig, std::vector<size_t>> by_rhs_;
-  std::set<std::pair<int, std::vector<Literal>>> seen_negatives_;
+  // Every (pattern_key, X') AddNegative saw: the index of the negative
+  // it kept in result_.negatives, or kDropped when it was reduced away.
+  static constexpr size_t kDropped = SIZE_MAX;
+  std::map<std::pair<int, std::vector<Literal>>, size_t> seen_negatives_;
 };
 
 }  // namespace gfd

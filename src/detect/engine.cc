@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <iterator>
 #include <memory>
+#include <ranges>
 #include <unordered_map>
 
 #include "detect/metrics.h"
@@ -58,17 +60,23 @@ void SortUnique(std::vector<T>& v) {
 
 }  // namespace
 
-struct ViolationEngine::RunState {
+// The caps of one capped full scan, shared by its workers. A worker
+// touches them once per violation it would emit, never per match.
+struct ViolationEngine::Budget {
+  enum class Claim {
+    kEmit,       // emit it; the rule wants more
+    kEmitLast,   // emit it; the rule reached its cap with this one
+    kRuleFull,   // drop it: the rule was already capped
+    kExhausted,  // drop it: the global budget is spent, stop the run
+  };
+
   const DetectOptions& opts;
-  std::unique_ptr<std::atomic<size_t>[]> per_rule;  // emitted per rule
+  std::unique_ptr<std::atomic<size_t>[]> per_rule;  // claimed per rule
   std::atomic<size_t> total{0};
   std::atomic<bool> stop{false};  // global budget exhausted
   std::atomic<bool> truncated{false};
-  std::atomic<uint64_t> pivots{0};
-  std::atomic<uint64_t> matches{0};
-  std::atomic<uint64_t> literal_evals{0};
 
-  RunState(const DetectOptions& o, size_t num_rules)
+  Budget(const DetectOptions& o, size_t num_rules)
       : opts(o), per_rule(new std::atomic<size_t>[num_rules]) {
     for (size_t i = 0; i < num_rules; ++i) per_rule[i] = 0;
   }
@@ -78,7 +86,92 @@ struct ViolationEngine::RunState {
            per_rule[r].load(std::memory_order_relaxed) >=
                opts.max_violations_per_gfd;
   }
+
+  // Claims a per-rule slot first, then a global one; fetch_add makes
+  // both caps exact under concurrency.
+  Claim Take(uint32_t r) {
+    const size_t cap = opts.max_violations_per_gfd;
+    if (cap != 0 &&
+        per_rule[r].fetch_add(1, std::memory_order_relaxed) >= cap) {
+      truncated.store(true, std::memory_order_relaxed);
+      return Claim::kRuleFull;
+    }
+    const size_t budget = opts.max_total_violations;
+    if (budget != 0 &&
+        total.fetch_add(1, std::memory_order_relaxed) >= budget) {
+      truncated.store(true, std::memory_order_relaxed);
+      stop.store(true, std::memory_order_relaxed);
+      return Claim::kExhausted;
+    }
+    if (cap != 0 && RuleCapped(r)) {
+      truncated.store(true, std::memory_order_relaxed);
+      return Claim::kEmitLast;
+    }
+    return Claim::kEmit;
+  }
 };
+
+// One worker's share of a scan, merged into the run's result after the
+// barrier.
+struct ViolationEngine::Tally {
+  std::vector<Violation> violations;
+  uint64_t pivots = 0;
+  uint64_t matches = 0;
+  uint64_t literal_evals = 0;
+  std::vector<uint64_t> group_matches;  // full scans: matches per group
+  std::vector<ValueId> slots;  // scratch: the current match's slot values
+
+  // Concatenates `parts` (one per worker) and sorts the violations.
+  static Tally Merge(std::vector<Tally> parts) {
+    Tally out = std::move(parts[0]);
+    for (size_t w = 1; w < parts.size(); ++w) {
+      Tally& t = parts[w];
+      out.violations.insert(out.violations.end(),
+                            std::make_move_iterator(t.violations.begin()),
+                            std::make_move_iterator(t.violations.end()));
+      out.pivots += t.pivots;
+      out.matches += t.matches;
+      out.literal_evals += t.literal_evals;
+      for (size_t gi = 0; gi < t.group_matches.size(); ++gi) {
+        out.group_matches[gi] += t.group_matches[gi];
+      }
+    }
+    std::sort(out.violations.begin(), out.violations.end());
+    return out;
+  }
+};
+
+namespace {
+
+// Runs body(i, tally) for every i in [0, n): inline at one worker, else
+// on `workers` threads that each take the next index from one shared
+// cursor into their own copy of `empty`. The pool's Wait is the run's
+// one barrier.
+template <typename Tally, typename Body>
+std::vector<Tally> RunUnits(size_t n, size_t workers, const Tally& empty,
+                            const Body& body) {
+  std::vector<Tally> tallies(
+      std::clamp<size_t>(workers, 1, std::max<size_t>(n, 1)), empty);
+  if (tallies.size() == 1) {
+    for (size_t i = 0; i < n; ++i) body(i, tallies[0]);
+    return tallies;
+  }
+  std::atomic<size_t> next{0};
+  ThreadPool pool(tallies.size());
+  for (Tally& tally : tallies) {
+    pool.Submit([&] {
+      while (true) {
+        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        body(i, tally);
+      }
+    });
+  }
+  pool.Wait();
+  return tallies;
+}
+
+}  // namespace
 
 ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     : rules_(std::move(rules)) {
@@ -192,124 +285,135 @@ Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
   return viol;
 }
 
-template <typename GraphT>
-bool ViolationEngine::EvalPivot(const GraphT& g, const Group& group,
-                                NodeId v, RunState& st,
-                                std::vector<Violation>& out) const {
-  if (st.stop.load(std::memory_order_relaxed)) return false;
-  // Members whose rule still wants violations at this pivot.
-  std::vector<const Member*> active;
-  active.reserve(group.members.size());
-  for (const Member& m : group.members) {
-    if (!st.RuleCapped(m.gfd_index)) active.push_back(&m);
+template <typename GraphT, typename Nodes, typename Attributed>
+void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
+                               const CompiledPattern& plan, const Nodes& nodes,
+                               const Attributed& attributed,
+                               const MatchOptions& match, Budget* budget,
+                               Tally& tally) const {
+  // Set up once per range, without touching the heap on the uncapped
+  // path: the worker's slot buffer, the match callback (std::function
+  // stores the reference to `visit` inline) and local counters, added
+  // to the tally at the end.
+  const VarId pivot = group.plan.pattern().pivot();
+  std::vector<ValueId>& vals = tally.slots;
+  vals.resize(group.reads.size());
+  uint64_t matches = 0;
+  uint64_t evals = 0;
+  // Capped runs only: the members whose rule this range saw capped, and
+  // how many still want violations.
+  std::vector<bool> capped(budget ? group.members.size() : 0, false);
+  size_t wanting = group.members.size();
+  for (size_t i = 0; i < capped.size(); ++i) {
+    if (budget->RuleCapped(group.members[i].gfd_index)) {
+      capped[i] = true;
+      --wanting;
+    }
   }
-  if (active.empty()) return true;
-  st.pivots.fetch_add(1, std::memory_order_relaxed);
-  std::vector<ValueId> vals(group.reads.size());
-
-  group.plan.ForEachMatchAtPivot(
-      g, v,
-      [&](const Match& match) {
-        st.matches.fetch_add(1, std::memory_order_relaxed);
-        group.ReadSlots(g, match, vals.data());
-        for (size_t i = 0; i < active.size();) {
-          const Member& m = *active[i];
-          st.literal_evals.fetch_add(1, std::memory_order_relaxed);
-          if (m.Violates(vals.data())) {
-            // Claim a per-rule slot first, then a global one; fetch_add
-            // makes both caps exact under concurrency.
-            size_t cap = st.opts.max_violations_per_gfd;
-            size_t prev = st.per_rule[m.gfd_index].fetch_add(
-                1, std::memory_order_relaxed);
-            if (cap != 0 && prev >= cap) {
-              st.truncated.store(true, std::memory_order_relaxed);
-              active.erase(active.begin() + i);
-              continue;
-            }
-            size_t budget = st.opts.max_total_violations;
-            if (budget != 0 &&
-                st.total.fetch_add(1, std::memory_order_relaxed) >= budget) {
-              st.truncated.store(true, std::memory_order_relaxed);
-              st.stop.store(true, std::memory_order_relaxed);
-              return false;
-            }
-            if (budget == 0) {
-              st.total.fetch_add(1, std::memory_order_relaxed);
-            }
-            out.push_back(MakeViolation(m, v, match));
-            if (cap != 0 && st.RuleCapped(m.gfd_index)) {
-              st.truncated.store(true, std::memory_order_relaxed);
-              active.erase(active.begin() + i);
-              continue;
-            }
-          }
-          ++i;
+  auto visit = [&](const Match& h) {
+    if (!attributed(h)) return true;
+    ++matches;
+    group.ReadSlots(g, h, vals.data());
+    if (budget == nullptr) {
+      evals += group.members.size();
+      for (const Member& m : group.members) {
+        if (m.Violates(vals.data())) {
+          tally.violations.push_back(MakeViolation(m, h[pivot], h));
         }
-        return !active.empty();
-      },
-      st.opts.match);
-  return !st.stop.load(std::memory_order_relaxed);
+      }
+      return true;
+    }
+    for (size_t i = 0; i < group.members.size(); ++i) {
+      if (capped[i]) continue;
+      ++evals;
+      const Member& m = group.members[i];
+      if (!m.Violates(vals.data())) continue;
+      const Budget::Claim claim = budget->Take(m.gfd_index);
+      if (claim == Budget::Claim::kExhausted) return false;
+      if (claim != Budget::Claim::kRuleFull) {
+        tally.violations.push_back(MakeViolation(m, h[pivot], h));
+      }
+      if (claim != Budget::Claim::kEmit) {
+        capped[i] = true;
+        --wanting;
+      }
+    }
+    return wanting > 0;  // stop this pivot once every member is capped
+  };
+  const std::function<bool(const Match&)> on_match = std::ref(visit);
+  for (NodeId v : nodes) {
+    if (!plan.AdmitsPivot(g, v)) continue;
+    if (budget &&
+        (wanting == 0 || budget->stop.load(std::memory_order_relaxed))) {
+      break;
+    }
+    ++tally.pivots;
+    plan.ForEachMatchAtPivot(g, v, on_match, match);
+  }
+  tally.matches += matches;
+  tally.literal_evals += evals;
 }
 
 template <typename GraphT>
 DetectionResult ViolationEngine::DetectImpl(const GraphT& g,
                                             const DetectOptions& opts) const {
   obs::ScopedTimer run_timer(&DetectFullLatency());
-  RunState st(opts, rules_.size());
-  DetectionResult result;
-  result.stats.num_rules = rules_.size();
-  result.stats.num_groups = groups_.size();
-
-  // Per-group match attribution rides the existing per-group barrier:
-  // one load before / after each group, never per match.
-  size_t workers = std::max<size_t>(1, opts.workers);
-  if (workers == 1) {
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      const Group& group = groups_[gi];
-      const uint64_t group_entry = st.matches.load(std::memory_order_relaxed);
-      for (NodeId v : group.plan.PivotCandidates(g)) {
-        if (!EvalPivot(g, group, v, st, result.violations)) break;
-      }
-      DetectGroupMatches(gi).Inc(st.matches.load(std::memory_order_relaxed) -
-                                 group_entry);
-      if (st.stop.load(std::memory_order_relaxed)) break;
-    }
-  } else {
-    ThreadPool pool(workers);
-    std::vector<std::vector<Violation>> buffers(workers);
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      const Group& group = groups_[gi];
-      const uint64_t group_entry = st.matches.load(std::memory_order_relaxed);
-      // Contiguous pivot ranges, one per worker; worker-local buffers
-      // avoid any locking on the hot path.
-      std::vector<NodeId> pivots = group.plan.PivotCandidates(g);
-      size_t chunk = (pivots.size() + workers - 1) / workers;
-      for (size_t w = 0; w < workers && w * chunk < pivots.size(); ++w) {
-        size_t lo = w * chunk;
-        size_t hi = std::min(pivots.size(), lo + chunk);
-        pool.Submit([&, lo, hi, w] {
-          for (size_t i = lo; i < hi; ++i) {
-            if (!EvalPivot(g, group, pivots[i], st, buffers[w])) break;
-          }
-        });
-      }
-      pool.Wait();
-      DetectGroupMatches(gi).Inc(st.matches.load(std::memory_order_relaxed) -
-                                 group_entry);
-      if (st.stop.load(std::memory_order_relaxed)) break;
-    }
-    for (auto& buf : buffers) {
-      result.violations.insert(result.violations.end(),
-                               std::make_move_iterator(buf.begin()),
-                               std::make_move_iterator(buf.end()));
+  // Flat units: every group's candidate pivots -- its label index span,
+  // or [0, |V|) for a wildcard pivot -- cut into ranges of kUnitNodes.
+  // A unit indexes that span, so no pivot list is copied.
+  constexpr size_t kUnitNodes = 256;
+  struct Unit {
+    uint32_t group;
+    uint32_t lo;
+    uint32_t hi;
+  };
+  std::vector<Unit> units;
+  for (uint32_t gi = 0; gi < groups_.size(); ++gi) {
+    const LabelId l = groups_[gi].plan.PivotLabel();
+    const size_t n =
+        l == kWildcardLabel ? g.NumNodes() : g.NodesWithLabel(l).size();
+    for (size_t lo = 0; lo < n; lo += kUnitNodes) {
+      units.push_back({gi, static_cast<uint32_t>(lo),
+                       static_cast<uint32_t>(std::min(n, lo + kUnitNodes))});
     }
   }
 
-  std::sort(result.violations.begin(), result.violations.end());
-  result.stats.pivots_scanned = st.pivots.load();
-  result.stats.matches_seen = st.matches.load();
-  result.stats.literal_evals = st.literal_evals.load();
-  result.stats.truncated = st.truncated.load();
+  std::optional<Budget> budget;
+  if (opts.max_violations_per_gfd != 0 || opts.max_total_violations != 0) {
+    budget.emplace(opts, rules_.size());
+  }
+  Budget* caps = budget ? &*budget : nullptr;
+  auto every_match = [](const Match&) { return true; };
+  Tally empty;
+  empty.group_matches.assign(groups_.size(), 0);
+  Tally run = Tally::Merge(RunUnits(
+      units.size(), opts.workers, empty, [&](size_t i, Tally& tally) {
+        const Unit& unit = units[i];
+        const Group& group = groups_[unit.group];
+        const uint64_t entry = tally.matches;
+        const LabelId l = group.plan.PivotLabel();
+        if (l == kWildcardLabel) {
+          ScanPlan(g, group, group.plan, std::views::iota(unit.lo, unit.hi),
+                   every_match, opts.match, caps, tally);
+        } else {
+          ScanPlan(g, group, group.plan,
+                   g.NodesWithLabel(l).subspan(unit.lo, unit.hi - unit.lo),
+                   every_match, opts.match, caps, tally);
+        }
+        tally.group_matches[unit.group] += tally.matches - entry;
+      }));
+
+  for (size_t gi = 0; gi < run.group_matches.size(); ++gi) {
+    DetectGroupMatches(gi).Inc(run.group_matches[gi]);
+  }
+  DetectionResult result;
+  result.violations = std::move(run.violations);
+  result.stats.num_rules = rules_.size();
+  result.stats.num_groups = groups_.size();
+  result.stats.pivots_scanned = run.pivots;
+  result.stats.matches_seen = run.matches;
+  result.stats.literal_evals = run.literal_evals;
+  result.stats.truncated = budget && budget->truncated.load();
   DetectMatchesEnumerated().Inc(result.stats.matches_seen);
   DetectLiteralEvals().Inc(result.stats.literal_evals);
   return result;
@@ -325,83 +429,35 @@ DetectionResult ViolationEngine::Detect(const GraphView& g,
   return DetectImpl(g, opts);
 }
 
-std::vector<Violation> ViolationEngine::RunAnchored(
+ViolationEngine::Tally ViolationEngine::RunAnchored(
     const GraphView& g, std::span<const size_t> scan,
     std::span<const NodeId> seeds, const std::vector<bool>& is_anchor,
-    size_t workers, RunState& st) const {
+    const IncrementalOptions& opts) const {
   // One side of the diff. For every group, every variable u, and every
   // seed a, enumerate the matches with h(u) = a. A match binding several
   // anchors is attributed to its minimum such variable, so it is
   // evaluated exactly once regardless of execution order -- which also
-  // makes the output independent of the worker count.
-  //
-  // One (group, variable) plan over a seed range: the plan, the match
-  // callback and its slot buffer are set up once, and the counters are
-  // added once at the end.
-  auto scan_plan = [&](const Group& group, VarId u,
-                       std::span<const NodeId> range,
-                       std::vector<Violation>& out) {
-    const Pattern& rep = group.plan.pattern();
-    const CompiledPattern& plan = group.AnchorPlans()[u];
-    std::vector<ValueId> vals(group.reads.size());
-    uint64_t matches = 0;
-    const std::function<bool(const Match&)> on_match =
-        [&](const Match& match) {
+  // makes the output independent of the worker count. Units are the
+  // (group, variable) plans, each over all seeds.
+  std::vector<std::pair<size_t, VarId>> units;
+  for (size_t gi : scan) {
+    for (VarId u = 0; u < groups_[gi].plan.pattern().NumNodes(); ++u) {
+      units.emplace_back(gi, u);
+    }
+  }
+  return Tally::Merge(RunUnits(
+      units.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
+        const size_t gi = units[i].first;
+        const VarId u = units[i].second;
+        auto attributed = [&](const Match& h) {
           for (VarId w = 0; w < u; ++w) {
-            if (is_anchor[match[w]]) return true;  // attributed to w
-          }
-          ++matches;
-          group.ReadSlots(g, match, vals.data());
-          for (const Member& m : group.members) {
-            if (m.Violates(vals.data())) {
-              out.push_back(MakeViolation(m, match[rep.pivot()], match));
-            }
+            if (is_anchor[h[w]]) return false;  // attributed to w
           }
           return true;
         };
-    for (NodeId a : range) {
-      // The plan's own first rejection, taken before it builds any
-      // state: a seed whose label u cannot bind starts no match.
-      if (!LabelMatches(g.NodeLabel(a), rep.NodeLabel(u))) continue;
-      plan.ForEachMatchAtPivot(g, a, on_match, st.opts.match);
-    }
-    st.pivots.fetch_add(range.size(), std::memory_order_relaxed);
-    st.matches.fetch_add(matches, std::memory_order_relaxed);
-    st.literal_evals.fetch_add(matches * group.members.size(),
-                               std::memory_order_relaxed);
-  };
-  auto scan_range = [&](std::span<const NodeId> range,
-                        std::vector<Violation>& out) {
-    for (size_t gi : scan) {
-      const Group& group = groups_[gi];
-      for (VarId u = 0; u < group.plan.pattern().NumNodes(); ++u) {
-        scan_plan(group, u, range, out);
-      }
-    }
-  };
-
-  std::vector<Violation> out;
-  if (workers <= 1) {
-    scan_range(seeds, out);
-  } else {
-    ThreadPool pool(workers);
-    std::vector<std::vector<Violation>> buffers(workers);
-    size_t chunk = (seeds.size() + workers - 1) / workers;
-    for (size_t w = 0; w < workers && w * chunk < seeds.size(); ++w) {
-      size_t lo = w * chunk;
-      size_t hi = std::min(seeds.size(), lo + chunk);
-      pool.Submit([&, lo, hi, w] {
-        scan_range(seeds.subspan(lo, hi - lo), buffers[w]);
-      });
-    }
-    pool.Wait();
-    for (auto& buf : buffers) {
-      out.insert(out.end(), std::make_move_iterator(buf.begin()),
-                 std::make_move_iterator(buf.end()));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+        ScanPlan(g, groups_[gi], groups_[gi].AnchorPlans()[u], seeds,
+                 attributed, opts.match, nullptr, tally);
+      }));
 }
 
 BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
@@ -538,25 +594,23 @@ std::optional<StepSides> ViolationEngine::DetectStep(
   std::vector<bool> is_anchor(base.NumNodes(), false);
   for (NodeId v : batch.anchors) is_anchor[v] = true;
 
-  DetectOptions uncapped;
-  uncapped.match = opts.match;
-  RunState st(uncapped, rules_.size());
-  const size_t workers = std::max<size_t>(1, opts.workers);
   // Timed per side: `apply` is a durable append on the serving path.
   StopwatchNs watch;
-  sides.before = RunAnchored(live, scan, seeds, is_anchor, workers, st);
+  Tally before = RunAnchored(live, scan, seeds, is_anchor, opts);
   sides.detect_ns = watch.ElapsedNs();
   if (!apply()) return std::nullopt;
   watch.Restart();
-  sides.after = RunAnchored(live, scan, seeds, is_anchor, workers, st);
+  Tally after = RunAnchored(live, scan, seeds, is_anchor, opts);
   sides.detect_ns += watch.ElapsedNs();
   const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
   DetectIncrementalLatency().Observe(detect_s);
+  sides.before = std::move(before.violations);
+  sides.after = std::move(after.violations);
   sides.stats.violations_before = sides.before.size();
   sides.stats.violations_after = sides.after.size();
-  sides.stats.anchors_scanned = st.pivots.load();
-  sides.stats.matches_seen = st.matches.load();
-  sides.stats.literal_evals = st.literal_evals.load();
+  sides.stats.anchors_scanned = before.pivots + after.pivots;
+  sides.stats.matches_seen = before.matches + after.matches;
+  sides.stats.literal_evals = before.literal_evals + after.literal_evals;
   DetectMatchesEnumerated().Inc(sides.stats.matches_seen);
   DetectLiteralEvals().Inc(sides.stats.literal_evals);
   return sides;

@@ -15,7 +15,11 @@
 // so the matcher cost is paid |groups| times instead of |rules| times,
 // and the attribute lookups once per match instead of once per rule.
 //
-// Execution is parallel over pivot ranges (util/thread_pool.h).
+// The full scan (Detect) and the anchored step scan (DetectStep) run one
+// kernel: one plan over one node range, its counters added once per
+// range. In parallel, workers take flat units -- (group, pivot range) or
+// (group, variable) -- from one shared cursor into private buffers that
+// are merged after a single barrier (util/thread_pool.h).
 #ifndef GFD_DETECT_ENGINE_H_
 #define GFD_DETECT_ENGINE_H_
 
@@ -44,10 +48,12 @@ struct DetectOptions {
   size_t max_violations_per_gfd = 0;
   /// Global budget across all rules; the run stops once reached.
   size_t max_total_violations = 0;
-  /// Worker threads over pivot ranges. 1 = sequential (fully
-  /// deterministic even with caps; with caps and >1 workers, *which*
-  /// violations are kept can vary run to run -- uncapped output is
-  /// deterministic at any worker count, sorted per Violation ordering).
+  /// Worker threads. Each takes (group, pivot range) units from one
+  /// shared cursor into its own buffer and counters, merged after one
+  /// barrier. 1 = sequential (fully deterministic even with caps). With
+  /// caps and >1 workers, *which* violations are kept can vary run to
+  /// run, though every cap holds exactly; uncapped output and counters
+  /// are identical at any worker count, sorted per Violation ordering.
   size_t workers = 1;
   /// Backtracking budget per (group, pivot) enumeration.
   MatchOptions match;
@@ -73,8 +79,8 @@ struct DetectionResult {
 /// completely (a capped run could report a "removed" violation that was
 /// merely cut off by a budget).
 struct IncrementalOptions {
-  /// Worker threads over the affected pivot ranges. Output is
-  /// deterministic at any worker count.
+  /// Worker threads over (group, variable) units of each side. Output
+  /// and counters are identical at any worker count.
   size_t workers = 1;
   /// Backtracking budget per (group, pivot) enumeration. Leave unlimited
   /// unless incomplete diffs are acceptable.
@@ -84,7 +90,8 @@ struct IncrementalOptions {
 struct IncrementalStats {
   size_t affected_nodes = 0;     ///< anchor seeds of the run
   size_t anchor_plans = 0;       ///< (group, variable) plans consulted
-  uint64_t anchors_scanned = 0;  ///< (plan, anchor) enumerations, both sides
+  uint64_t anchors_scanned = 0;  ///< (plan, seed) pairs the plan's root
+                                 ///< step admits, both sides
   uint64_t matches_seen = 0;     ///< delta-touching matches, both sides
   uint64_t literal_evals = 0;    ///< per-match per-rule LHS/RHS evaluations
   size_t violations_before = 0;  ///< violations at touched matches, old side
@@ -147,8 +154,8 @@ class ViolationEngine {
   const Gfd& rule(size_t i) const { return rules_[i]; }
   std::span<const Gfd> rules() const { return rules_; }
 
-  /// Finds violations of every rule in `g`. Parallel over pivot ranges
-  /// when opts.workers > 1.
+  /// Finds violations of every rule in `g`. Parallel over (group, pivot
+  /// range) units when opts.workers > 1.
   DetectionResult Detect(const PropertyGraph& g,
                          const DetectOptions& opts = {}) const;
 
@@ -298,31 +305,38 @@ class ViolationEngine {
     }
   };
 
-  // Shared mutable state of one run (budget counters; defined in the .cc).
-  struct RunState;
+  // The shared caps of one capped full scan, and one worker's output of
+  // a scan (both defined in the .cc).
+  struct Budget;
+  struct Tally;
 
   // Common body of the two Detect overloads. GraphT is PropertyGraph or
   // GraphView.
   template <typename GraphT>
   DetectionResult DetectImpl(const GraphT& g, const DetectOptions& opts) const;
 
-  // Evaluates one (group, pivot) pair, appending violations to `out`.
-  // Returns false once the global budget is exhausted (callers stop).
-  // GraphT is PropertyGraph or GraphView.
-  template <typename GraphT>
-  bool EvalPivot(const GraphT& g, const Group& group, NodeId v, RunState& st,
-                 std::vector<Violation>& out) const;
+  // The kernel of both scans: runs `plan` (the group's own plan, or one
+  // of its anchor plans) at every node of `nodes` its root step admits,
+  // evaluates every member on each match `attributed` accepts, and adds
+  // the violations and the pivot / match / literal-eval counts to
+  // `tally` once at the end. `budget` is null for uncapped runs; a
+  // capped full scan claims its atomics once per emitted violation.
+  template <typename GraphT, typename Nodes, typename Attributed>
+  void ScanPlan(const GraphT& g, const Group& group,
+                const CompiledPattern& plan, const Nodes& nodes,
+                const Attributed& attributed, const MatchOptions& match,
+                Budget* budget, Tally& tally) const;
 
   // One side of an incremental run: enumerates every match of every
   // group in `scan` (indices into groups_) that binds one of `seeds` at
   // its minimum anchored variable (each exactly once) and returns the
-  // violations among them, sorted. Both sides of a diff must pass the
-  // SAME `scan` -- the skip gate's cancellation argument needs it.
-  std::vector<Violation> RunAnchored(const GraphView& g,
-                                     std::span<const size_t> scan,
-                                     std::span<const NodeId> seeds,
-                                     const std::vector<bool>& is_anchor,
-                                     size_t workers, RunState& st) const;
+  // violations among them, sorted, with the side's counters. Both sides
+  // of a diff must pass the SAME `scan` -- the skip gate's cancellation
+  // argument needs it.
+  Tally RunAnchored(const GraphView& g, std::span<const size_t> scan,
+                    std::span<const NodeId> seeds,
+                    const std::vector<bool>& is_anchor,
+                    const IncrementalOptions& opts) const;
 
   // The violation record of `m` at representative match `match`.
   Violation MakeViolation(const Member& m, NodeId pivot,

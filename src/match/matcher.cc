@@ -122,7 +122,7 @@ CompiledPattern::CompiledPattern(const Pattern& q) : pattern_(q) {
 
 template <typename GraphT>
 bool CompiledPattern::Backtrack(
-    const GraphT& g, size_t depth, Match& h, std::vector<NodeId>& used,
+    const GraphT& g, size_t depth, Match& h,
     const std::function<bool(const Match&)>& on_match,
     const MatchOptions& opts, MatchCounters& counters, bool& stop) const {
   if (depth == steps_.size()) {
@@ -144,9 +144,10 @@ bool CompiledPattern::Backtrack(
     if (g.OutDegree(cand) < s.min_out_deg || g.InDegree(cand) < s.min_in_deg) {
       return;
     }
-    // Injectivity: patterns are tiny, so scanning the bound nodes beats a
-    // per-call |V|-sized bitset by orders of magnitude.
-    if (std::find(used.begin(), used.end(), cand) != used.end()) return;
+    // Injectivity: patterns are tiny, so scanning h (its unbound slots
+    // hold kNoNode, which no candidate equals) beats a per-call |V|-sized
+    // bitset by orders of magnitude.
+    if (std::find(h.begin(), h.end(), cand) != h.end()) return;
     for (const auto& c : s.checks) {
       NodeId other = (c.other == s.var) ? cand : h[c.other];
       bool ok = c.out ? g.HasEdge(cand, other, c.label)
@@ -154,9 +155,7 @@ bool CompiledPattern::Backtrack(
       if (!ok) return;
     }
     h[s.var] = cand;
-    used.push_back(cand);
-    Backtrack(g, depth + 1, h, used, on_match, opts, counters, stop);
-    used.pop_back();
+    Backtrack(g, depth + 1, h, on_match, opts, counters, stop);
     h[s.var] = kNoNode;
   };
 
@@ -196,26 +195,20 @@ bool CompiledPattern::ForEachMatchAtPivot(
   MatchCounters local;
   MatchCounters& ctr = counters ? *counters : local;
   const Step& s0 = steps_[0];
-  if (!LabelMatches(g.NodeLabel(v), s0.label)) return true;
-  if (g.OutDegree(v) < s0.min_out_deg || g.InDegree(v) < s0.min_in_deg) {
-    return true;
-  }
+  if (!AdmitsPivot(g, v)) return true;
   for (const auto& c : s0.checks) {
     // Pivot-step checks are self-loops only.
     if (!g.HasEdge(v, v, c.label)) return true;
   }
   Match h(pattern_.NumNodes(), kNoNode);
-  std::vector<NodeId> used;
-  used.reserve(pattern_.NumNodes());
   h[s0.var] = v;
-  used.push_back(v);
   bool stop = false;
   if (steps_.size() == 1) {
     ++ctr.matches_found;
     on_match(h);
     return true;
   }
-  Backtrack(g, 1, h, used, on_match, opts, ctr, stop);
+  Backtrack(g, 1, h, on_match, opts, ctr, stop);
   return !ctr.budget_exhausted;
 }
 
@@ -242,26 +235,21 @@ bool CompiledPattern::ForEachMatch(
 
 template <typename GraphT>
 std::vector<NodeId> CompiledPattern::PivotCandidates(const GraphT& g) const {
-  // Degree pre-filter on top of the label index: both bounds are the
-  // pivot step's own, so every node dropped here is one
-  // ForEachMatchAtPivot would reject before enumerating anything -- the
-  // filter changes which pivots get scanned, never the match set.
-  const Step& s0 = steps_[0];
-  auto admits = [&](NodeId v) {
-    return g.OutDegree(v) >= s0.min_out_deg && g.InDegree(v) >= s0.min_in_deg;
-  };
+  // Filtering drops only nodes ForEachMatchAtPivot would reject before
+  // enumerating anything: it changes which pivots get scanned, never the
+  // match set.
   std::vector<NodeId> out;
-  if (s0.label != kWildcardLabel) {
-    auto span = g.NodesWithLabel(s0.label);
+  if (PivotLabel() != kWildcardLabel) {
+    auto span = g.NodesWithLabel(PivotLabel());
     out.reserve(span.size());
     for (NodeId v : span) {
-      if (admits(v)) out.push_back(v);
+      if (AdmitsPivot(g, v)) out.push_back(v);
     }
     return out;
   }
   out.reserve(g.NumNodes());
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (admits(v)) out.push_back(v);
+    if (AdmitsPivot(g, v)) out.push_back(v);
   }
   return out;
 }

@@ -81,9 +81,22 @@ class CompiledPattern {
                     const MatchOptions& opts = {},
                     MatchCounters* counters = nullptr) const;
 
-  /// Candidate pivot nodes of G: label pre-filter plus the pivot step's
-  /// degree lower bounds, exactly the checks ForEachMatchAtPivot would
-  /// reject the node on anyway -- callers still need the full match test.
+  /// Whether v passes the pivot step's label and degree lower bounds,
+  /// the checks ForEachMatchAtPivot rejects a node on before enumerating
+  /// anything -- an admitted node still needs the full match test.
+  template <typename GraphT>
+  bool AdmitsPivot(const GraphT& g, NodeId v) const {
+    const Step& s0 = steps_[0];
+    return LabelMatches(g.NodeLabel(v), s0.label) &&
+           g.OutDegree(v) >= s0.min_out_deg && g.InDegree(v) >= s0.min_in_deg;
+  }
+
+  /// The label of the pivot step: candidate pivots are
+  /// g.NodesWithLabel(PivotLabel()), or every node for a wildcard.
+  LabelId PivotLabel() const { return steps_[0].label; }
+
+  /// Candidate pivot nodes of G: the nodes AdmitsPivot accepts, read off
+  /// the label index.
   template <typename GraphT>
   std::vector<NodeId> PivotCandidates(const GraphT& g) const;
 
@@ -106,7 +119,6 @@ class CompiledPattern {
 
   template <typename GraphT>
   bool Backtrack(const GraphT& g, size_t depth, Match& h,
-                 std::vector<NodeId>& used,
                  const std::function<bool(const Match&)>& on_match,
                  const MatchOptions& opts, MatchCounters& counters,
                  bool& stop) const;

@@ -20,8 +20,11 @@ namespace gfd {
 /// Runtime knobs of the parallel algorithms.
 struct ParallelRunConfig {
   size_t workers = 4;
-  /// Pivot-aligned match shuffling between supersteps (Section 6.2 "load
-  /// balancing"). The ParGFDnb ablation turns this off.
+  /// Pivot-aligned match placement (Section 6.2 "load balancing"): every
+  /// match lives at worker pivot % n from level 0 on, so supports add up
+  /// across workers without shipping pivots. Off (the ParGFDnb ablation),
+  /// matches stay on their pivot's fragment owner and the master unions
+  /// shipped pivot sets.
   bool load_balance = true;
 };
 
@@ -29,7 +32,6 @@ struct ParallelRunConfig {
 struct ClusterStats {
   uint64_t messages = 0;
   uint64_t bytes_shipped = 0;
-  uint64_t matches_rebalanced = 0;
   double match_seconds = 0;     ///< parallel pattern matching wall time
   double validate_seconds = 0;  ///< parallel GFD validation wall time
   double replication = 1.0;     ///< vertex-cut node replication factor

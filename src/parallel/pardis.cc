@@ -105,6 +105,12 @@ class ClusterSource : public PatternSource {
   }
 
  private:
+  // The worker holding every match of pivot v: pivot-aligned (v % n)
+  // under load balancing, else the fragment owning v. Level-0 seeding
+  // places each single-node match here, and a join never changes a
+  // match's pivot, so every later match stays at OwnerOf(its pivot) --
+  // which is what lets balanced runs add per-worker distinct-pivot
+  // counts into a support.
   size_t OwnerOf(NodeId pivot) const {
     if (pcfg_.load_balance) return pivot % pcfg_.workers;
     return frag_.partition.node_owner[pivot];
@@ -159,39 +165,11 @@ class ClusterSource : public PatternSource {
     all_edges.erase(std::unique(all_edges.begin(), all_edges.end()),
                     all_edges.end());
 
-    // Step 3 (parallel): local joins.
+    // Step 3 (parallel): local joins. A join keeps its parent match's
+    // pivot, so every joined match stays where OwnerOf placed its pivot.
     cluster_.RunStep([&](size_t w) {
       st[w] = JoinMatchesWithEdges(parent_states[w], delta, all_edges);
     });
-
-    // Step 4: pivot-aligned shuffle (load balancing). Matches whose pivot
-    // hashes elsewhere are shipped to their owner.
-    if (pcfg_.load_balance) {
-      const VarId pivot = node.pattern.pivot();
-      std::vector<std::vector<Match>> outbound(pcfg_.workers);
-      for (size_t w = 0; w < pcfg_.workers; ++w) {
-        auto& mine = st[w];
-        std::vector<Match> keep;
-        for (auto& m : mine) {
-          size_t owner = m[pivot] % pcfg_.workers;
-          if (owner == w) {
-            keep.push_back(std::move(m));
-          } else {
-            outbound[owner].push_back(std::move(m));
-            ++cstats_.matches_rebalanced;
-          }
-        }
-        mine = std::move(keep);
-      }
-      for (size_t w = 0; w < pcfg_.workers; ++w) {
-        cluster_.CountShipment(outbound[w].size(),
-                               node.pattern.NumNodes() * sizeof(NodeId));
-        auto& mine = st[w];
-        mine.insert(mine.end(),
-                    std::make_move_iterator(outbound[w].begin()),
-                    std::make_move_iterator(outbound[w].end()));
-      }
-    }
   }
 
   uint64_t CountDistinctPivots(int node_id, VarId pivot) {

@@ -8,10 +8,11 @@
 //   2. Parallel incremental pattern matching: each worker s joins its
 //      locally owned matches Q(F_s) with the candidate edge lists e(F_t)
 //      shipped from every fragment t (the distributed join work units).
-//   3. Load balancing: matches are re-shuffled pivot-aligned across
-//      workers (ownership by pivot hash), so per-candidate supports are
-//      disjoint sums; the ParGFDnb ablation skips the shuffle, and the
-//      master must instead merge shipped pivot sets per candidate.
+//   3. Load balancing: every match lives at its pivot's worker (pivot %
+//      n) from level-0 seeding on, and joins keep the pivot, so matches
+//      never move and per-candidate supports are disjoint sums; the
+//      ParGFDnb ablation seeds at the pivot's fragment owner instead,
+//      and the master merges shipped pivot sets per candidate.
 //   4. Parallel GFD validation: the master runs SeqDis's literal lattice
 //      (core/lattice.h, HSpawn + NHSpawn) and answers each of its query
 //      batches in one superstep: every worker answers from the profile of

@@ -12,6 +12,7 @@
 #include "datagen/kb.h"
 #include "datagen/noise.h"
 #include "datagen/synthetic.h"
+#include "detect_checks.h"
 #include "gfd/validation.h"
 #include "testlib.h"
 
@@ -168,6 +169,26 @@ TEST(ViolationEngine, FindsTheExpectedFixtureViolations) {
   EXPECT_EQ(per_rule, (std::vector<size_t>{1, 1, 1, 2, 2}));
 }
 
+TEST(ViolationEngine, CountsTheFixtureWork) {
+  // Three groups: person -create-> product (phi1 and its two variants),
+  // the doubly-located city (phi2), mutual parents (phi3). A pivot counts
+  // when its group's root step admits it: 5 persons with an out-edge, 1
+  // city with two out-neighbours, 2 persons with an edge each way.
+  auto g = BuildFixture();
+  ViolationEngine engine(FixtureRules(g));
+  ASSERT_EQ(engine.NumGroups(), 3u);
+  for (size_t workers : {1u, 4u}) {
+    DetectOptions opts;
+    opts.workers = workers;
+    auto result = engine.Detect(g, opts);
+    EXPECT_EQ(result.stats.pivots_scanned, 5 + 1 + 2u);
+    // 3 create edges, 2 (y, z) orders, 2 mutual-parent orientations.
+    EXPECT_EQ(result.stats.matches_seen, 3 + 2 + 2u);
+    // Every match tests every member of its group.
+    EXPECT_EQ(result.stats.literal_evals, 3 * 3 + 2 + 2u);
+  }
+}
+
 TEST(ViolationEngine, TranslatesMatchesIntoEachRulesOwnVariableSpace) {
   auto g = BuildFixture();
   auto rules = FixtureRules(g);
@@ -223,18 +244,51 @@ TEST(ViolationEngine, CleanGraphYieldsNoViolations) {
   EXPECT_FALSE(result.stats.truncated);
 }
 
-TEST(ViolationEngine, MinedRulesCatchInjectedNoise) {
+// Rules mined from a clean Yago2Like(200) graph, and a noisy copy of it.
+struct MinedWorkload {
+  std::vector<Gfd> rules;
+  PropertyGraph noisy;
+};
+
+MinedWorkload MineAndCorrupt() {
   auto clean = MakeYago2Like({.scale = 200, .seed = 11});
   DiscoveryConfig cfg;
   cfg.k = 2;
   cfg.support_threshold = 8;
-  ViolationEngine engine(SeqDis(clean, cfg).AllGfds());
   auto noisy = InjectNoise(clean, {.alpha = 0.08, .beta = 0.6, .seed = 3});
-  auto result = engine.Detect(noisy.graph, {.workers = 2});
+  return {SeqDis(clean, cfg).AllGfds(), std::move(noisy.graph)};
+}
+
+TEST(ViolationEngine, MinedRulesCatchInjectedNoise) {
+  const MinedWorkload w = MineAndCorrupt();
+  ViolationEngine engine(w.rules);
+  DetectOptions opts;
+  opts.workers = 2;
+  auto result = engine.Detect(w.noisy, opts);
   EXPECT_FALSE(result.violations.empty());
   // Agrees with the per-rule loop on the corrupted graph.
-  auto naive = DetectNaive(noisy.graph, engine.rules());
+  auto naive = DetectNaive(w.noisy, engine.rules());
   EXPECT_EQ(result.violations, naive.violations);
+}
+
+TEST(ViolationEngine, FullScanIsIdenticalAtEveryWorkerCount) {
+  const MinedWorkload w = MineAndCorrupt();
+  ViolationEngine engine(w.rules);
+  const DetectionResult full =
+      testing::ExpectSameAtEveryWorkerCount(engine, w.noisy);
+  EXPECT_EQ(full.violations, DetectNaive(w.noisy, engine.rules()).violations);
+  EXPECT_GT(full.stats.matches_seen, 0u);
+}
+
+TEST(ViolationEngine, CapsHoldExactlyWhenWorkersRaceForThem) {
+  const MinedWorkload w = MineAndCorrupt();
+  ViolationEngine engine(w.rules);
+  const DetectionResult full = engine.Detect(w.noisy);
+  for (size_t cap : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "cap " << cap);
+    EXPECT_TRUE(testing::ExpectCapsHoldAtFourWorkers(engine, w.noisy, full,
+                                                     cap));
+  }
 }
 
 TEST(ViolationEngine, ParallelWorkersProduceIdenticalOutput) {

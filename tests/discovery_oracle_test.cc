@@ -136,14 +136,12 @@ std::string GfdKey(const Gfd& phi) {
   return best;
 }
 
-// The reference's answer: per GFD key, one entry per GFD (isomorphic
-// duplicates, from automorphic literals, are separate GFDs), each with
-// the supports it may carry. A positive's support is |Q(G, X ∪ {l}, z)|.
-// A negative's is its base's (Section 4.2): the most supported frequent
-// parent for Q(∅ -> false); for X' = X ∪ {b}, any base X -> l that spawns
-// it, since the lattice keeps the first in its pool order, which depends
-// on variable numbering.
-using Expectation = std::map<std::string, std::vector<std::set<uint64_t>>>;
+// The reference's answer: per GFD key, the supports of its GFDs
+// (isomorphic duplicates, from automorphic literals, are separate GFDs),
+// sorted. A positive's support is |Q(G, X ∪ {l}, z)|. A negative's is the
+// maximum over its bases (Section 4.2): over the frequent parents for
+// Q(∅ -> false), and over the bases X -> l that spawn X' = X ∪ {b}.
+using Expectation = std::map<std::string, std::vector<uint64_t>>;
 struct Expected {
   Expectation positives;
   Expectation negatives;
@@ -167,13 +165,13 @@ class Reference {
       }
     }
     Expected out;
-    for (const auto& [phi, supps] : Minimal(positives_)) {
-      out.positives[GfdKey(phi)].push_back(supps);
+    for (const auto& [phi, supp] : Minimal(positives_)) {
+      out.positives[GfdKey(phi)].push_back(supp);
       out.text[GfdKey(phi)] = phi.ToString(g_);
       out.all.push_back(phi);
     }
-    for (const auto& [phi, supps] : Minimal(negatives_)) {
-      out.negatives[GfdKey(phi)].push_back(supps);
+    for (const auto& [phi, supp] : Minimal(negatives_)) {
+      out.negatives[GfdKey(phi)].push_back(supp);
       out.text[GfdKey(phi)] = phi.ToString(g_);
       out.all.push_back(phi);
     }
@@ -185,7 +183,7 @@ class Reference {
     Pattern q;
     uint64_t support;
   };
-  using Found = std::pair<Gfd, std::set<uint64_t>>;
+  using Found = std::pair<Gfd, uint64_t>;
 
   // Frequent triples, diverse edge labels, and the active attributes.
   void CollectVocabulary() {
@@ -338,7 +336,7 @@ class Reference {
       const uint64_t s = patterns_[it->second].support;
       if (s >= cfg_.support_threshold) base = std::max(base, s);
     }
-    if (base > 0) negatives_.push_back({Gfd(q, {}, Literal::False()), {base}});
+    if (base > 0) negatives_.push_back({Gfd(q, {}, Literal::False()), base});
   }
 
   // The lattice's search space on one pattern with support >= sigma.
@@ -419,11 +417,11 @@ class Reference {
         Gfd phi(q, lits(x), pool[r]);
         if (IsTrivialGfd(phi) || !SatisfiesGfd(g_, phi)) continue;
         valid.push_back({r, x, s});
-        positives_.push_back({std::move(phi), {s}});
+        positives_.push_back({std::move(phi), s});
       }
     }
     if (!cfg_.discover_negative) return;
-    std::map<std::vector<size_t>, std::set<uint64_t>> spawned;
+    std::map<std::vector<size_t>, uint64_t> spawned;
     for (const Valid& base : valid) {
       if (base.lhs.size() + 1 > cfg_.max_negative_lhs_size) continue;
       const std::vector<size_t>& x = base.lhs;
@@ -443,11 +441,11 @@ class Reference {
         std::sort(x2.begin(), x2.end());
         if (supp(x2) > 0 || !Observed(matches, lits(x2))) continue;
         if (IsTrivialGfd(Gfd(q, lits(x2), Literal::False()))) continue;
-        spawned[x2].insert(base.supp);
+        spawned[x2] = std::max(spawned[x2], base.supp);
       }
     }
-    for (const auto& [x2, supps] : spawned) {
-      negatives_.push_back({Gfd(q, lits(x2), Literal::False()), supps});
+    for (const auto& [x2, supp] : spawned) {
+      negatives_.push_back({Gfd(q, lits(x2), Literal::False()), supp});
     }
   }
 
@@ -474,7 +472,7 @@ class Reference {
       return std::tuple(l.kind, std::min(l.a, l.b), std::max(l.a, l.b), l.c);
     };
     std::map<decltype(shape(Literal{})), std::vector<const Gfd*>> by_rhs;
-    for (const auto& [phi, supps] : all) {
+    for (const auto& [phi, supp] : all) {
       by_rhs[shape(phi.rhs)].push_back(&phi);
     }
     std::vector<Found> out;
@@ -512,17 +510,16 @@ void ExpectMatches(const Expectation& expected, const std::vector<Gfd>& gfds,
     got[key].push_back(supports[i]);
     text[key] = gfds[i].ToString(g);
   }
-  for (const auto& [key, supps] : got) {
+  for (auto& [key, supps] : got) {
     auto it = expected.find(key);
     if (it == expected.end()) {
       ADD_FAILURE() << "not in the reference: " << text[key];
       continue;
     }
-    EXPECT_EQ(supps.size(), it->second.size()) << ref.text.at(key);
-    for (size_t i = 0; i < std::min(supps.size(), it->second.size()); ++i) {
-      EXPECT_TRUE(it->second[i].count(supps[i]))
-          << ref.text.at(key) << " has support " << supps[i];
-    }
+    std::vector<uint64_t> want = it->second;
+    std::sort(supps.begin(), supps.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(supps, want) << ref.text.at(key);
   }
   for (const auto& [key, supps] : expected) {
     EXPECT_TRUE(got.count(key)) << "missed: " << ref.text.at(key);

@@ -17,6 +17,7 @@
 #include "detect/engine.h"
 #include "datagen/kb.h"
 #include "datagen/synthetic.h"
+#include "detect_checks.h"
 #include "gfd/problems.h"
 #include "graph/stats.h"
 #include "gfd/validation.h"
@@ -263,8 +264,9 @@ TEST_P(DetectOracle, BatchedEngineAgreesWithNaivePerGfdValidation) {
 
   auto naive = DetectNaive(g, rules);
   ViolationEngine engine(rules);
-  auto batched = engine.Detect(g, {.workers = 1 + size_t(seed) % 4});
+  auto batched = testing::ExpectSameAtEveryWorkerCount(engine, g);
   EXPECT_EQ(batched.violations, naive.violations) << "seed " << seed;
+  testing::ExpectCapsHoldAtFourWorkers(engine, g, batched, /*cap=*/2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectOracle, ::testing::Range(0, 50));

@@ -64,6 +64,11 @@ WARN_COUNTERS = (
     # Detect work per served batch (bench_incremental's step_stream_*).
     "matches_per_batch",
     "literal_evals_per_batch",
+    # Full-scan work (bench_detect's detect_full_*; matches_seen also on
+    # its detect_batched_* and naive rows).
+    "pivots_scanned",
+    "matches_seen",
+    "literal_evals",
 )
 
 
