@@ -1,11 +1,13 @@
 // Delta-log durability smoke bench, run as a ctest entry on every CI
 // build next to bench_incremental: times the serving-side persistence
 // primitives of serve/ -- append throughput (fsync'd, growing overlay),
-// startup replay vs. log length, and snapshot compaction cost vs.
-// overlay size -- against a YAGO2-shaped graph at scale 300. Every
-// restart is verified byte-identical: the reopened store's materialized
-// graph must equal the in-process one. Timings land in
-// BENCH_delta_log.json.
+// startup replay vs. log length (and on an overlay concentrated on the
+// highest-degree nodes), and snapshot compaction cost vs. overlay size
+// -- against a YAGO2-shaped graph at scale 300. Replay and compaction
+// rows time kReps repetitions each, so they clear the perf gate's
+// jitter floor. Every restart is verified byte-identical: the reopened
+// store's materialized graph must equal the in-process one. Timings
+// land in BENCH_delta_log.json.
 //
 // Usage: bench_delta_log [output.json]
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -107,9 +110,63 @@ std::string GraphBytes(const PropertyGraph& g) {
   return std::move(os).str();
 }
 
+// Batches that insert and delete only edges at the `hubs` highest-degree
+// nodes: half inserts from a hub to a random node under one of the hub's
+// labels, half deletes of a still-alive hub edge (base or inserted).
+// Absorbing them re-sorts the longest adjacency lists in the graph.
+class HubGen {
+ public:
+  HubGen(const PropertyGraph& g, uint64_t seed, size_t hubs = 4)
+      : g_(g), rng_(seed) {
+    std::vector<NodeId> by_degree(g.NumNodes());
+    for (NodeId v = 0; v < g.NumNodes(); ++v) by_degree[v] = v;
+    std::partial_sort(
+        by_degree.begin(), by_degree.begin() + hubs, by_degree.end(),
+        [&](NodeId a, NodeId b) { return g.Degree(a) > g.Degree(b); });
+    hubs_.assign(by_degree.begin(), by_degree.begin() + hubs);
+    for (NodeId h : hubs_) {
+      for (EdgeId e : g.OutEdges(h)) alive_.push_back(Key(e));
+      for (EdgeId e : g.InEdges(h)) alive_.push_back(Key(e));
+    }
+  }
+
+  GraphDelta NextBatch(size_t ops) {
+    GraphDelta d;
+    for (size_t i = 0; i < ops; ++i) {
+      if (rng_.Chance(0.5) && !alive_.empty()) {
+        std::swap(alive_[rng_.Below(alive_.size())], alive_.back());
+        const auto [src, dst, label] = alive_.back();
+        alive_.pop_back();
+        d.DeleteEdge(src, dst, label);
+        continue;
+      }
+      const NodeId hub = hubs_[rng_.Below(hubs_.size())];
+      const auto out = g_.OutEdges(hub);
+      const LabelId label = out.empty()
+                                ? g_.EdgeLabel(0)
+                                : g_.EdgeLabel(out[rng_.Below(out.size())]);
+      const NodeId dst = static_cast<NodeId>(rng_.Below(g_.NumNodes()));
+      d.InsertEdge(hub, dst, label);
+      alive_.push_back({hub, dst, label});
+    }
+    return d;
+  }
+
+ private:
+  std::tuple<NodeId, NodeId, LabelId> Key(EdgeId e) const {
+    return {g_.EdgeSrc(e), g_.EdgeDst(e), g_.EdgeLabel(e)};
+  }
+
+  const PropertyGraph& g_;
+  Rng rng_;
+  std::vector<NodeId> hubs_;
+  std::vector<std::tuple<NodeId, NodeId, LabelId>> alive_;
+};
+
 // A fresh store under the system temp dir holding `g`, with `batches`
-// batches of `ops_per_batch` ops appended (no compaction). Returns the
-// directory.
+// batches of `ops_per_batch` ops from a `Gen` appended (no compaction).
+// Returns the directory.
+template <typename Gen = StreamGen>
 std::string BuildStore(const PropertyGraph& g, size_t batches,
                        size_t ops_per_batch, uint64_t seed) {
   std::string dir =
@@ -128,7 +185,7 @@ std::string BuildStore(const PropertyGraph& g, size_t batches,
   // Batches are expressed over the store's own base, per the Append
   // contract (vocab-preserving snapshots make it id-identical to `g`
   // here, but that is the store's guarantee to rely on, not the bench's).
-  StreamGen gen(store->base(), seed);
+  Gen gen(store->base(), seed);
   for (size_t b = 0; b < batches; ++b) {
     if (!store->Append(gen.NextBatch(ops_per_batch), &error)) {
       std::fprintf(stderr, "append failed: %s\n", error.c_str());
@@ -138,16 +195,48 @@ std::string BuildStore(const PropertyGraph& g, size_t batches,
   return dir;
 }
 
-// Min of `reps` timed runs (sub-10ms bodies need the min to be stable).
+// Repetitions per replay and compaction row: one replay or compaction
+// of these stores takes 3-4 ms, under the perf gate's 10 ms floor.
+constexpr int kReps = 8;
+
+// Min of `trials` timed runs of kReps calls of `fn` each.
 template <typename Fn>
-double TimedMin(int reps, const Fn& fn) {
+double TimedMin(int trials, const Fn& fn) {
   double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.Seconds());
+  for (int t = 0; t < trials; ++t) {
+    WallTimer timer;
+    for (int r = 0; r < kReps; ++r) fn();
+    best = std::min(best, timer.Seconds());
   }
   return best;
+}
+
+// The replay row `name`: kReps opens of `dir`, each of which must land
+// on the bytes an in-process open of the same directory holds.
+Row ReplayRow(const std::string& name, const std::string& dir,
+              size_t batches, bool* verified) {
+  std::string error;
+  std::string expect;
+  {
+    auto ref = GraphStore::Open(dir, {}, &error);
+    expect = GraphBytes(ref->MaterializeCurrent());
+  }
+  double s = TimedMin(3, [&] {
+    auto store = GraphStore::Open(dir, {}, &error);
+    if (!store) std::exit(1);
+  });
+  auto reopened = GraphStore::Open(dir, {}, &error);
+  bool ok = GraphBytes(reopened->MaterializeCurrent()) == expect;
+  *verified = *verified && ok;
+  std::printf("%-28s %8.3fs  %d x %zu ops replayed, restart %s\n",
+              name.c_str(), s, kReps, reopened->overlay().ops.size(),
+              ok ? "byte-identical" : "DIVERGED");
+  return {name,
+          s,
+          {{"batches", double(batches)},
+           {"reps", double(kReps)},
+           {"overlay_ops", double(reopened->overlay().ops.size())},
+           {"verified", ok ? 1.0 : 0.0}}};
 }
 
 }  // namespace
@@ -240,60 +329,61 @@ int main(int argc, char** argv) {
   // --- Replay time vs. log length --------------------------------------
   for (size_t batches : {32UL, 128UL}) {
     std::string dir = BuildStore(g, batches, 8, /*seed=*/23);
-    // In-process reference state for the restart-determinism check.
-    std::string expect;
-    {
-      std::string error;
-      auto ref = GraphStore::Open(dir, {}, &error);
-      expect = GraphBytes(ref->MaterializeCurrent());
-    }
-    std::string error;
-    double s = TimedMin(3, [&] {
-      auto store = GraphStore::Open(dir, {}, &error);
-      if (!store) std::exit(1);
-    });
-    auto reopened = GraphStore::Open(dir, {}, &error);
-    bool ok = GraphBytes(reopened->MaterializeCurrent()) == expect;
-    verified = verified && ok;
-    std::string name = "replay_" + std::to_string(batches) + "batches";
-    std::printf("%-28s %8.3fs  %zu ops replayed, restart %s\n", name.c_str(),
-                s, reopened->overlay().ops.size(),
-                ok ? "byte-identical" : "DIVERGED");
-    rows.push_back({name,
-                    s,
-                    {{"batches", double(batches)},
-                     {"overlay_ops", double(reopened->overlay().ops.size())},
-                     {"verified", ok ? 1.0 : 0.0}}});
+    rows.push_back(ReplayRow("replay_" + std::to_string(batches) +
+                                 "batches_x" + std::to_string(kReps),
+                             dir, batches, &verified));
+  }
+  // Replay of an overlay whose 1,024 ops all insert or delete edges at
+  // the four highest-degree nodes: where absorbing in place pays a sorted
+  // insert into the longest adjacency lists per op.
+  {
+    std::string dir = BuildStore<HubGen>(g, 128, 8, /*seed=*/31);
+    rows.push_back(ReplayRow("replay_hub_1024ops_x" + std::to_string(kReps),
+                             dir, 128, &verified));
   }
 
   // --- Compaction cost vs. overlay size --------------------------------
+  // Compaction consumes its overlay, so each repetition compacts its own
+  // copy of the store; only the Compact calls are timed.
   for (size_t batches : {32UL, 128UL}) {
     std::string dir = BuildStore(g, batches, 8, /*seed=*/37);
     std::string error;
-    auto store = GraphStore::Open(dir, {}, &error);
-    size_t overlay_ops = store->overlay().ops.size();
-    WallTimer t;
-    if (!store->Compact(&error)) {
-      std::fprintf(stderr, "compact failed: %s\n", error.c_str());
-      return 1;
+    size_t overlay_ops = 0;
+    double s = 0;
+    bool ok = true;
+    double snap_bytes = 0;
+    for (int r = 0; r < kReps; ++r) {
+      std::string copy = dir + "_copy";
+      fs::remove_all(copy);
+      fs::copy(dir, copy, fs::copy_options::recursive);
+      auto store = GraphStore::Open(copy, {}, &error);
+      overlay_ops = store->overlay().ops.size();
+      WallTimer t;
+      if (!store->Compact(&error)) {
+        std::fprintf(stderr, "compact failed: %s\n", error.c_str());
+        return 1;
+      }
+      s += t.Seconds();
+      // Restart after the compaction boundary must land on the same bytes.
+      auto reopened = GraphStore::Open(copy, {}, &error);
+      ok = ok && reopened &&
+           GraphBytes(reopened->MaterializeCurrent()) ==
+               GraphBytes(store->MaterializeCurrent());
+      snap_bytes = static_cast<double>(fs::file_size(
+          fs::path(copy) / ("snapshot-" + std::to_string(store->last_seq()) +
+                            ".tsv")));
+      fs::remove_all(copy);
     }
-    double s = t.Seconds();
-    // Restart after the compaction boundary must land on the same bytes.
-    auto reopened = GraphStore::Open(dir, {}, &error);
-    bool ok = reopened &&
-              GraphBytes(reopened->MaterializeCurrent()) ==
-                  GraphBytes(store->MaterializeCurrent());
     verified = verified && ok;
-    double snap_bytes = static_cast<double>(fs::file_size(
-        fs::path(dir) / ("snapshot-" + std::to_string(store->last_seq()) +
-                         ".tsv")));
-    std::string name = "compact_" + std::to_string(overlay_ops) + "ops";
+    std::string name = "compact_" + std::to_string(overlay_ops) + "ops_x" +
+                       std::to_string(kReps);
     std::printf("%-28s %8.3fs  snapshot %.0f bytes, restart %s\n",
                 name.c_str(), s, snap_bytes,
                 ok ? "byte-identical" : "DIVERGED");
     rows.push_back({name,
                     s,
                     {{"overlay_ops", double(overlay_ops)},
+                     {"reps", double(kReps)},
                      {"snapshot_bytes", snap_bytes},
                      {"verified", ok ? 1.0 : 0.0}}});
   }

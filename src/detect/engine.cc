@@ -226,7 +226,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
   // defensive private plans above -- once per engine lifetime; a
   // rule-set change means a new engine, so these never go stale.
   for (Group& group : groups_) {
-    const Pattern& rep = group.plan.pattern();
+    const Pattern& rep = group.pattern();
     for (VarId u = 0; u < rep.NumNodes(); ++u) {
       const LabelId l = rep.NodeLabel(u);
       if (l == kWildcardLabel) {
@@ -238,6 +238,15 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     SortUnique(group.var_labels);
     for (const SlotRead& r : group.reads) group.attr_keys.push_back(r.key);
     SortUnique(group.attr_keys);
+  }
+}
+
+ViolationEngine::Group::Group(const Pattern& rep) : pivot(rep.pivot()) {
+  plans.reserve(rep.NumNodes());
+  for (VarId u = 0; u < rep.NumNodes(); ++u) {
+    Pattern q = rep;
+    q.set_pivot(u);
+    plans.emplace_back(q);
   }
 }
 
@@ -288,14 +297,13 @@ Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
 template <typename GraphT, typename Nodes, typename Attributed>
 void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
                                const CompiledPattern& plan, const Nodes& nodes,
-                               const Attributed& attributed,
-                               const MatchOptions& match, Budget* budget,
+                               const Attributed& attributed, Budget* budget,
                                Tally& tally) const {
   // Set up once per range, without touching the heap on the uncapped
   // path: the worker's slot buffer, the match callback (std::function
   // stores the reference to `visit` inline) and local counters, added
   // to the tally at the end.
-  const VarId pivot = group.plan.pattern().pivot();
+  const VarId pivot = group.pivot;
   std::vector<ValueId>& vals = tally.slots;
   vals.resize(group.reads.size());
   uint64_t matches = 0;
@@ -348,7 +356,7 @@ void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
       break;
     }
     ++tally.pivots;
-    plan.ForEachMatchAtPivot(g, v, on_match, match);
+    plan.ForEachMatchAtPivot(g, v, on_match);
   }
   tally.matches += matches;
   tally.literal_evals += evals;
@@ -369,7 +377,7 @@ DetectionResult ViolationEngine::DetectImpl(const GraphT& g,
   };
   std::vector<Unit> units;
   for (uint32_t gi = 0; gi < groups_.size(); ++gi) {
-    const LabelId l = groups_[gi].plan.PivotLabel();
+    const LabelId l = groups_[gi].PivotPlan().PivotLabel();
     const size_t n =
         l == kWildcardLabel ? g.NumNodes() : g.NodesWithLabel(l).size();
     for (size_t lo = 0; lo < n; lo += kUnitNodes) {
@@ -391,14 +399,15 @@ DetectionResult ViolationEngine::DetectImpl(const GraphT& g,
         const Unit& unit = units[i];
         const Group& group = groups_[unit.group];
         const uint64_t entry = tally.matches;
-        const LabelId l = group.plan.PivotLabel();
+        const CompiledPattern& plan = group.PivotPlan();
+        const LabelId l = plan.PivotLabel();
         if (l == kWildcardLabel) {
-          ScanPlan(g, group, group.plan, std::views::iota(unit.lo, unit.hi),
-                   every_match, opts.match, caps, tally);
+          ScanPlan(g, group, plan, std::views::iota(unit.lo, unit.hi),
+                   every_match, caps, tally);
         } else {
-          ScanPlan(g, group, group.plan,
+          ScanPlan(g, group, plan,
                    g.NodesWithLabel(l).subspan(unit.lo, unit.hi - unit.lo),
-                   every_match, opts.match, caps, tally);
+                   every_match, caps, tally);
         }
         tally.group_matches[unit.group] += tally.matches - entry;
       }));
@@ -441,7 +450,7 @@ ViolationEngine::Tally ViolationEngine::RunAnchored(
   // (group, variable) plans, each over all seeds.
   std::vector<std::pair<size_t, VarId>> units;
   for (size_t gi : scan) {
-    for (VarId u = 0; u < groups_[gi].plan.pattern().NumNodes(); ++u) {
+    for (VarId u = 0; u < groups_[gi].plans.size(); ++u) {
       units.emplace_back(gi, u);
     }
   }
@@ -455,8 +464,8 @@ ViolationEngine::Tally ViolationEngine::RunAnchored(
           }
           return true;
         };
-        ScanPlan(g, groups_[gi], groups_[gi].AnchorPlans()[u], seeds,
-                 attributed, opts.match, nullptr, tally);
+        ScanPlan(g, groups_[gi], groups_[gi].plans[u], seeds, attributed,
+                 nullptr, tally);
       }));
 }
 
@@ -502,7 +511,7 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
 uint32_t ViolationEngine::MaxPatternRadius() const {
   uint32_t radius = 0;
   for (const Group& group : groups_) {
-    const Pattern& p = group.plan.pattern();
+    const Pattern& p = group.pattern();
     const size_t n = p.NumNodes();
     // Eccentricity of every variable by BFS over the undirected
     // variable graph; patterns are tiny (k nodes), so n BFS runs are
@@ -579,7 +588,7 @@ std::optional<StepSides> ViolationEngine::DetectStep(
     }
     if (hit) {
       scan.push_back(gi);
-      sides.stats.anchor_plans += group.plan.pattern().NumNodes();
+      sides.stats.anchor_plans += group.plans.size();
     }
   }
   sides.stats.groups_scanned = scan.size();
@@ -675,8 +684,7 @@ DetectionResult DetectNaive(const PropertyGraph& g, std::span<const Gfd> rules,
               }
             }
             return true;
-          },
-          opts.match);
+          });
       if (stop) break;
       if (opts.max_violations_per_gfd != 0 &&
           emitted >= opts.max_violations_per_gfd) {

@@ -7,9 +7,10 @@
 // The ViolationEngine instead:
 //   1. groups its rules by pivot-preserving pattern isomorphism
 //      (pattern/canonical.h canonical codes),
-//   2. compiles ONE CompiledPattern per group and every member's literals
-//      into slot literals over the group's distinct (variable, attribute)
-//      reads, in the representative's variable space, and
+//   2. compiles each group's pattern once -- one plan rooted at each
+//      variable -- and every member's literals into slot literals over
+//      the group's distinct (variable, attribute) reads, in the
+//      representative's variable space, and
 //   3. per enumerated match, reads each slot once and tests every member
 //      with value-id compares, in a single backtracking pass per group,
 // so the matcher cost is paid |groups| times instead of |rules| times,
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "detect/anchor_plans.h"
 #include "detect/violation.h"
 #include "gfd/gfd.h"
 #include "graph/graph_view.h"
@@ -55,8 +55,6 @@ struct DetectOptions {
   /// run, though every cap holds exactly; uncapped output and counters
   /// are identical at any worker count, sorted per Violation ordering.
   size_t workers = 1;
-  /// Backtracking budget per (group, pivot) enumeration.
-  MatchOptions match;
 };
 
 struct DetectStats {
@@ -82,9 +80,6 @@ struct IncrementalOptions {
   /// Worker threads over (group, variable) units of each side. Output
   /// and counters are identical at any worker count.
   size_t workers = 1;
-  /// Backtracking budget per (group, pivot) enumeration. Leave unlimited
-  /// unless incomplete diffs are acceptable.
-  MatchOptions match;
 };
 
 struct IncrementalStats {
@@ -261,16 +256,16 @@ class ViolationEngine {
     }
   };
   struct Group {
-    CompiledPattern plan;
+    /// One plan per variable of the representative pattern: plans[u]
+    /// enumerates exactly the matches binding u to a given node. The
+    /// full scan runs the pivot's; DetectStep runs all of them. Built
+    /// with the engine, so a shared engine is read-only.
+    std::vector<CompiledPattern> plans;
+    VarId pivot = 0;
     std::vector<Member> members;
     /// The distinct (variable, key) pairs any member literal reads, in
     /// first-use order; every SlotLiteral indexes into it.
     std::vector<SlotRead> reads;
-    /// Per-variable anchor plans, built lazily on the first
-    /// incremental run (Detect never needs them). The lazy state
-    /// lives behind a stable pointer, so Groups move safely even after
-    /// the plans were built (anchor_plans.h has the full story).
-    LazyAnchorPlans anchors;
     /// The group's static footprint, for DetectStep's skip gate: a
     /// delta whose affected labels / touched attr keys are disjoint from
     /// it cannot create or destroy a match of this group, so both sides
@@ -283,11 +278,10 @@ class ViolationEngine {
     std::vector<AttrId> attr_keys;    ///< the keys of `reads`, sorted
     bool has_wildcard_var = false;    ///< some variable matches any label
 
-    explicit Group(const Pattern& rep) : plan(rep) {}
+    explicit Group(const Pattern& rep);
 
-    const std::vector<CompiledPattern>& AnchorPlans() const {
-      return anchors.Get(plan.pattern());
-    }
+    const CompiledPattern& PivotPlan() const { return plans[pivot]; }
+    const Pattern& pattern() const { return PivotPlan().pattern(); }
 
     /// Compiles rule `gfd_index` (`phi`, whose variable u is the
     /// representative's to_rep[u]) into a member, adding its reads.
@@ -315,8 +309,8 @@ class ViolationEngine {
   template <typename GraphT>
   DetectionResult DetectImpl(const GraphT& g, const DetectOptions& opts) const;
 
-  // The kernel of both scans: runs `plan` (the group's own plan, or one
-  // of its anchor plans) at every node of `nodes` its root step admits,
+  // The kernel of both scans: runs `plan` (one of the group's plans) at
+  // every node of `nodes` its root step admits,
   // evaluates every member on each match `attributed` accepts, and adds
   // the violations and the pivot / match / literal-eval counts to
   // `tally` once at the end. `budget` is null for uncapped runs; a
@@ -324,8 +318,8 @@ class ViolationEngine {
   template <typename GraphT, typename Nodes, typename Attributed>
   void ScanPlan(const GraphT& g, const Group& group,
                 const CompiledPattern& plan, const Nodes& nodes,
-                const Attributed& attributed, const MatchOptions& match,
-                Budget* budget, Tally& tally) const;
+                const Attributed& attributed, Budget* budget,
+                Tally& tally) const;
 
   // One side of an incremental run: enumerates every match of every
   // group in `scan` (indices into groups_) that binds one of `seeds` at

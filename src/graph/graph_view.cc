@@ -126,111 +126,16 @@ std::vector<Attribute>& GraphView::TouchAttrs(NodeId v) {
 std::optional<GraphView> GraphView::Apply(const PropertyGraph& base,
                                           const GraphDelta& delta,
                                           std::string* error) {
+  // An empty view over `base`, which then absorbs the whole delta: one
+  // apply path, whether a delta arrives at once or batch by batch.
   GraphView view;
   view.base_ = &base;
   view.base_edges_ = static_cast<EdgeId>(base.NumEdges());
-  view.num_ops_ = delta.ops.size();
-  view.extra_labels_ = delta.extra_labels;
-  view.extra_attrs_ = delta.extra_attrs;
-  view.extra_values_ = delta.extra_values;
+  view.num_edges_ = base.NumEdges();
   view.out_index_.assign(base.NumNodes(), kUntouched);
   view.in_index_.assign(base.NumNodes(), kUntouched);
   view.attr_index_.assign(base.NumNodes(), kUntouched);
-
-  auto fail = [&](size_t op_index, const std::string& msg) {
-    if (error) *error = "op " + std::to_string(op_index + 1) + ": " + msg;
-    return std::nullopt;
-  };
-  const size_t num_labels = base.labels().size() + delta.extra_labels.size();
-  const size_t num_attrs = base.attrs().size() + delta.extra_attrs.size();
-  const size_t num_values = base.values().size() + delta.extra_values.size();
-
-  for (size_t i = 0; i < delta.ops.size(); ++i) {
-    const GraphDelta::Op& op = delta.ops[i];
-    if (op.src >= base.NumNodes()) {
-      return fail(i, "node " + std::to_string(op.src) + " out of range");
-    }
-    switch (op.kind) {
-      case GraphDelta::OpKind::kInsertEdge:
-      case GraphDelta::OpKind::kDeleteEdge: {
-        if (op.dst >= base.NumNodes()) {
-          return fail(i, "node " + std::to_string(op.dst) + " out of range");
-        }
-        if (op.label >= num_labels) {
-          return fail(i, "edge label id out of range");
-        }
-        if (op.kind == GraphDelta::OpKind::kInsertEdge) {
-          EdgeId id =
-              view.base_edges_ + static_cast<EdgeId>(view.added_.size());
-          view.added_.push_back({op.src, op.dst, op.label, /*alive=*/true});
-          view.TouchOut(op.src).push_back(id);
-          view.TouchIn(op.dst).push_back(id);
-          break;
-        }
-        // Delete: resolve against the *current* out-list of src (exact
-        // label; the wildcard never labels data edges).
-        std::vector<EdgeId>& out = view.TouchOut(op.src);
-        auto hit = std::find_if(out.begin(), out.end(), [&](EdgeId e) {
-          return view.EdgeDst(e) == op.dst && view.EdgeLabel(e) == op.label;
-        });
-        if (hit == out.end()) {
-          return fail(i, "delete of missing edge " + std::to_string(op.src) +
-                             " -" + delta.LabelName(base, op.label) + "-> " +
-                             std::to_string(op.dst));
-        }
-        EdgeId victim = *hit;
-        out.erase(hit);
-        std::vector<EdgeId>& in = view.TouchIn(op.dst);
-        in.erase(std::find(in.begin(), in.end(), victim));
-        if (victim < view.base_edges_) {
-          view.deleted_base_.insert(victim);
-        } else {
-          view.added_[victim - view.base_edges_].alive = false;
-          ++view.deleted_inserted_;
-        }
-        break;
-      }
-      case GraphDelta::OpKind::kSetAttr: {
-        if (op.key >= num_attrs) return fail(i, "attribute id out of range");
-        if (op.value >= num_values) return fail(i, "value id out of range");
-        auto& overlay = view.TouchAttrs(op.src);
-        auto hit = std::find_if(overlay.begin(), overlay.end(),
-                                [&](const Attribute& a) {
-                                  return a.key == op.key;
-                                });
-        if (hit != overlay.end()) {
-          hit->value = op.value;  // last write wins
-        } else {
-          overlay.push_back({op.key, op.value});
-        }
-        ++view.attr_sets_;
-        break;
-      }
-    }
-  }
-
-  // Materialized lists keep the base invariant: sorted by (neighbor,
-  // label), which the matcher's parallel-edge dedup relies on.
-  for (auto& list : view.out_lists_) {
-    std::sort(list.begin(), list.end(), [&](EdgeId a, EdgeId b) {
-      NodeId na = view.EdgeDst(a), nb = view.EdgeDst(b);
-      if (na != nb) return na < nb;
-      return view.EdgeLabel(a) < view.EdgeLabel(b);
-    });
-  }
-  for (auto& list : view.in_lists_) {
-    std::sort(list.begin(), list.end(), [&](EdgeId a, EdgeId b) {
-      NodeId na = view.EdgeSrc(a), nb = view.EdgeSrc(b);
-      if (na != nb) return na < nb;
-      return view.EdgeLabel(a) < view.EdgeLabel(b);
-    });
-  }
-
-  for (const AddedEdge& e : view.added_) {
-    if (e.alive) ++view.inserted_alive_;
-  }
-  view.num_edges_ =
-      base.NumEdges() - view.deleted_base_.size() + view.inserted_alive_;
+  if (!view.AbsorbAppended(delta, 0, error)) return std::nullopt;
   return view;
 }
 

@@ -19,12 +19,17 @@
 // PropertyGraph (ids preserved), which is how snapshots are rolled
 // forward under repeated delta application.
 //
+// A view changes one way: AbsorbAppended applies the ops a delta gained
+// since the view last absorbed it, in place. Apply is an empty view plus
+// one absorb of the whole delta, and a serving backend's live graph
+// (graph/live_graph.h) absorbs each batch as it arrives.
+//
 // Overlay lookups are O(1): a dense per-node index (three uint32_t per
 // node: out-list, in-list and attribute-list slot, or kUntouched) says
 // whether and where a node's state is overlaid. That costs 12 bytes per
-// node per view and an O(|V|) fill per Apply; AbsorbAppended keeps the
-// index current in O(batch), so a store that absorbs batches in place
-// pays the fill only when it builds a view (open, compaction).
+// node per view and an O(|V|) fill when a view is built; absorbing keeps
+// the index current in O(batch), so a live graph pays the fill only when
+// it builds a view (open, compaction, rollback).
 #ifndef GFD_GRAPH_GRAPH_VIEW_H_
 #define GFD_GRAPH_GRAPH_VIEW_H_
 
@@ -95,9 +100,9 @@ struct GraphDelta {
   /// Appends `other` -- a delta over the same `base` -- to this one: ops
   /// are concatenated in stream order and `other`'s extension vocabulary
   /// is re-interned *by name*, so two batches that each introduced the
-  /// same new string agree on its id in the merged delta. This is how an
-  /// update stream of many batches collapses into the single overlay
-  /// GraphView::Apply consumes.
+  /// same new string agree on its id in the merged delta. This is how a
+  /// parsed batch is re-expressed in a live overlay's id space
+  /// (LiveGraph::Parse).
   void Append(const PropertyGraph& base, const GraphDelta& other);
 
   bool empty() const { return ops.empty(); }
@@ -115,10 +120,11 @@ struct GraphDelta {
 /// any adjacency list.
 class GraphView {
  public:
-  /// Applies `delta` to `base`. Returns nullopt (and sets *error to a
-  /// message naming the offending op) when an op references an
-  /// out-of-range node/vocabulary id or deletes an edge that does not
-  /// exist at that point of the stream.
+  /// Applies `delta` to `base`: an empty view over `base` that absorbs
+  /// the whole delta (AbsorbAppended(delta, 0)). Returns nullopt (and
+  /// sets *error to a message naming the offending op, "op N: ...") when
+  /// an op references an out-of-range node/vocabulary id or deletes an
+  /// edge that does not exist at that point of the stream.
   static std::optional<GraphView> Apply(const PropertyGraph& base,
                                         const GraphDelta& delta,
                                         std::string* error = nullptr);
@@ -209,11 +215,10 @@ class GraphView {
   /// Dry-run of AbsorbAppended: checks that the ops `delta` gained since
   /// this view last absorbed it -- ops[first_op, delta.size()) -- can
   /// apply on top of the current view state. Cost is O(batch + touched
-  /// degrees), independent of the overlay size. Error text matches
-  /// Apply's ("op N: ...", N 1-based and absolute within `delta`).
-  /// Delete validity is count-based per (src, dst, label), which is
-  /// equivalent to Apply's pick-any-matching-edge resolution: edges with
-  /// an identical key are interchangeable for existence.
+  /// degrees), independent of the overlay size. Error text is "op N:
+  /// ...", N 1-based and absolute within `delta`. Delete validity is
+  /// count-based per (src, dst, label): edges with an identical key are
+  /// interchangeable for existence.
   bool ValidateAppended(const GraphDelta& delta, size_t first_op,
                         std::string* error = nullptr) const;
 
@@ -223,8 +228,9 @@ class GraphView {
   /// extension vocabulary grew append-only (GraphDelta::Append
   /// guarantees both -- this is the serving overlay's shape). Validates
   /// first; returns false with the view unchanged when the tail cannot
-  /// apply. This is what keeps GraphStore::Append at O(batch) instead of
-  /// re-applying the whole overlay per batch.
+  /// apply. A delete takes the first edge with its key in its source's
+  /// out-list, and an insert lands after every edge with its key, so
+  /// absorbing a delta at once or split at any op yields the same view.
   bool AbsorbAppended(const GraphDelta& delta, size_t first_op,
                       std::string* error = nullptr);
 
@@ -264,7 +270,7 @@ class GraphView {
   std::vector<AddedEdge> added_;
   std::unordered_set<EdgeId> deleted_base_;
 
-  // Dense per-node index, sized NumNodes() at Apply: the node's slot in
+  // Dense per-node index, sized NumNodes() by Apply: the node's slot in
   // the materialized adjacency lists / attribute lists, or kUntouched.
   std::vector<uint32_t> out_index_;
   std::vector<uint32_t> in_index_;

@@ -1,0 +1,72 @@
+#include "graph/live_graph.h"
+
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "graph/loader.h"
+
+namespace gfd {
+
+LiveGraph::LiveGraph(PropertyGraph base)
+    : base_(std::make_unique<PropertyGraph>(std::move(base))),
+      view_(GraphView::Apply(*base_, overlay_)) {}
+
+std::optional<GraphDelta> LiveGraph::Parse(std::string_view delta_tsv,
+                                           std::string* error) const {
+  std::istringstream in{std::string(delta_tsv)};
+  auto d = LoadGraphDeltaTsv(in, *base_, error);
+  if (!d) return std::nullopt;
+  GraphDelta batch;
+  batch.extra_labels = overlay_.extra_labels;
+  batch.extra_attrs = overlay_.extra_attrs;
+  batch.extra_values = overlay_.extra_values;
+  batch.Append(*base_, *d);
+  return batch;
+}
+
+LiveGraph::Mark LiveGraph::mark() const {
+  return {overlay_.ops.size(), overlay_.extra_labels.size(),
+          overlay_.extra_attrs.size(), overlay_.extra_values.size()};
+}
+
+bool LiveGraph::Absorb(const GraphDelta& batch, std::string* error) {
+  const Mark before = mark();
+  // The batch's extension tables start with the overlay's, so adopting
+  // their tails keeps every id already handed out.
+  auto adopt_tail = [](std::vector<std::string>& own,
+                       const std::vector<std::string>& extras) {
+    own.insert(own.end(), extras.begin() + own.size(), extras.end());
+  };
+  overlay_.ops.insert(overlay_.ops.end(), batch.ops.begin(), batch.ops.end());
+  adopt_tail(overlay_.extra_labels, batch.extra_labels);
+  adopt_tail(overlay_.extra_attrs, batch.extra_attrs);
+  adopt_tail(overlay_.extra_values, batch.extra_values);
+  if (view_->AbsorbAppended(overlay_, before.ops, error)) return true;
+  // The view validates before it changes anything: only the overlay
+  // needs taking back.
+  Truncate(before);
+  return false;
+}
+
+void LiveGraph::Rollback(const Mark& to) {
+  Truncate(to);
+  // The truncated overlay applied before, so it applies again.
+  view_ = GraphView::Apply(*base_, overlay_);
+}
+
+void LiveGraph::Truncate(const Mark& to) {
+  overlay_.ops.resize(to.ops);
+  overlay_.extra_labels.resize(to.labels);
+  overlay_.extra_attrs.resize(to.attrs);
+  overlay_.extra_values.resize(to.values);
+}
+
+void LiveGraph::Rebase(PropertyGraph next) {
+  view_.reset();
+  base_ = std::make_unique<PropertyGraph>(std::move(next));
+  overlay_ = GraphDelta{};
+  view_ = GraphView::Apply(*base_, overlay_);
+}
+
+}  // namespace gfd

@@ -1,8 +1,5 @@
 #include "parallel/fragment.h"
 
-#include <algorithm>
-#include <deque>
-
 namespace gfd {
 
 Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n) {
@@ -65,12 +62,12 @@ Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n) {
   return frag;
 }
 
-FragmentResidency ComputeResidency(const std::vector<std::vector<NodeId>>& adj,
-                                   const Partition& p) {
-  const size_t num_nodes = adj.size();
+template <typename GraphT>
+FragmentResidency ComputeResidency(const GraphT& g, const Partition& p) {
+  const size_t num_nodes = g.NumNodes();
   FragmentResidency resident(p.num_fragments);
   std::vector<uint32_t> dist;
-  std::deque<NodeId> queue;
+  std::vector<NodeId> queue;
   for (size_t f = 0; f < p.num_fragments; ++f) {
     resident[f].assign(num_nodes, 0);
     dist.assign(num_nodes, UINT32_MAX);
@@ -82,29 +79,25 @@ FragmentResidency ComputeResidency(const std::vector<std::vector<NodeId>>& adj,
         queue.push_back(v);
       }
     }
-    while (!queue.empty()) {
-      NodeId v = queue.front();
-      queue.pop_front();
+    auto reach = [&](NodeId v, NodeId w) {
+      if (dist[w] != UINT32_MAX) return;
+      dist[w] = dist[v] + 1;
+      resident[f][w] = 1;
+      queue.push_back(w);
+    };
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId v = queue[head];
       if (dist[v] >= p.halo_radius) continue;
-      for (NodeId w : adj[v]) {
-        if (dist[w] != UINT32_MAX) continue;
-        dist[w] = dist[v] + 1;
-        resident[f][w] = 1;
-        queue.push_back(w);
-      }
+      for (EdgeId e : g.OutEdges(v)) reach(v, g.EdgeDst(e));
+      for (EdgeId e : g.InEdges(v)) reach(v, g.EdgeSrc(e));
     }
   }
   return resident;
 }
 
-FragmentResidency ComputeResidency(const PropertyGraph& g, const Partition& p) {
-  std::vector<std::vector<NodeId>> adj(g.NumNodes());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    adj[g.EdgeSrc(e)].push_back(g.EdgeDst(e));
-    adj[g.EdgeDst(e)].push_back(g.EdgeSrc(e));
-  }
-  return ComputeResidency(adj, p);
-}
+template FragmentResidency ComputeResidency(const PropertyGraph&,
+                                            const Partition&);
+template FragmentResidency ComputeResidency(const GraphView&, const Partition&);
 
 DeltaRouting RouteDelta(const GraphDelta& d,
                         const FragmentResidency& resident) {

@@ -59,13 +59,11 @@ Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n);
 using FragmentResidency = std::vector<std::vector<char>>;
 
 /// Computes residency by multi-source BFS from each fragment's owned
-/// set over `adj`, the undirected neighbor lists of the live graph
-/// (duplicate neighbors are harmless).
-FragmentResidency ComputeResidency(const std::vector<std::vector<NodeId>>& adj,
-                                   const Partition& p);
-
-/// Convenience overload over a materialized graph.
-FragmentResidency ComputeResidency(const PropertyGraph& g, const Partition& p);
+/// set, walking `g`'s out- and in-edges (edges are undirected for
+/// residency). GraphT is PropertyGraph or GraphView: the coordinator
+/// walks its live global view directly, with no adjacency copy.
+template <typename GraphT>
+FragmentResidency ComputeResidency(const GraphT& g, const Partition& p);
 
 /// Shipping plan of one update batch under vertex-cut partitioned
 /// storage. RouteDelta is the coordinator's delivery mechanism: each

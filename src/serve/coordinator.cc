@@ -605,12 +605,15 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
   const uint64_t seq = stats_.last_seq + 1;
 
   // Journal first: once the routed sub-batches are durable at the
-  // master, a crash anywhere below is repaired by re-shipping them.
+  // master, a crash anywhere below is repaired by re-shipping them. A
+  // batch the journal never took leaves the master's view again, so the
+  // failure rejects only this batch.
   {
     std::string jerr;
     auto jseq =
         journal_->Append(JournalPayload(global_tsv, plan.payloads), &jerr);
     if (!jseq) {
+      index_->Rollback(plan);
       SetError(error, "routing journal: " + jerr);
       return std::nullopt;
     }
@@ -758,9 +761,8 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   diff.added = MergeSorted(std::move(added));
   diff.removed = MergeSorted(std::move(removed));
-  // ShipSequenced committed the master's global view to the post-batch
-  // state; the payload renders against it, as it would against
-  // MaterializeCurrent().
+  // The master's global view absorbed the batch when it was planned; the
+  // payload renders against it, as it would against MaterializeCurrent().
   diff.payload = SerializeDiffPayload(index_->view(), engine.rules(), diff);
   if (seq_out) *seq_out = *seq;
   return diff;
@@ -798,6 +800,7 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
             MetaContent(intent, owners_seq_, count_.Persisted(stats_.last_seq)),
             &werr)) {
       owners_seq_ = prev_owners_seq;
+      index_->Rollback(*plan);
       SetError(error, "meta: " + werr);
       rebalance_timer.Discard();
       return std::nullopt;

@@ -87,6 +87,7 @@
 #include <vector>
 
 #include "detect/engine.h"
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "parallel/cluster.h"
 #include "parallel/fragment.h"
@@ -161,6 +162,9 @@ class Coordinator final : public ServingStore {
   /// Stored (resident) edge count of fragment f -- the footprint metric.
   uint64_t resident_edges(size_t f) const { return index_->ResidentEdges(f); }
   const GraphStore& fragment(size_t f) const { return fragments_[f]; }
+  /// The master's live global view (by the storage invariant, the union
+  /// of fragment states); it absorbs each accepted batch in place.
+  const GraphView& view() const { return index_->view(); }
   uint64_t last_seq() const override { return stats_.last_seq; }
   const std::string& dir() const { return dir_; }
 
@@ -168,11 +172,13 @@ class Coordinator final : public ServingStore {
   CoordinatorStats stats() const;
 
   /// Accepts one update batch (the E+/E-/A TSV of graph/loader.h):
-  /// validates it once against the master's global view, assigns it the
-  /// next global sequence number, journals the routed sub-batches
-  /// durably, then ships each fragment its routed ops plus halo
-  /// maintenance. Every fragment applies every sequence number, so logs
-  /// never diverge. Nothing reaches any fragment when validation fails.
+  /// validates it once against the master's global view and absorbs it
+  /// there, assigns it the next global sequence number, journals the
+  /// routed sub-batches durably, then ships each fragment its routed ops
+  /// plus halo maintenance. Every fragment applies every sequence number,
+  /// so logs never diverge. Nothing reaches any fragment when validation
+  /// fails, and a batch the journal does not take leaves the master's
+  /// view again.
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 

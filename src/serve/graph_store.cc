@@ -1,9 +1,5 @@
 #include "serve/graph_store.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -135,7 +131,7 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
     SetError(error, snap_path + ": " + load_error);
     return std::nullopt;
   }
-  store.base_ = std::make_unique<PropertyGraph>(std::move(*base));
+  store.live_.emplace(std::move(*base));
   store.stats_.anchor_seq = anchor;
   store.stats_.last_seq = anchor;
 
@@ -148,10 +144,8 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   // Sequenced, exactly-once replay: records the snapshot already contains
   // (seq <= anchor; left over when a crash hit between the meta commit
   // and the log re-anchor) are skipped, the rest must continue the chain
-  // at anchor+1.
+  // at anchor+1 and are absorbed one by one, as Append absorbed them.
   StopwatchNs replay_watch;
-  GraphDelta overlay;
-  std::vector<std::pair<size_t, uint64_t>> op_origin;  // ops-so-far -> seq
   for (const DeltaLogRecord& rec : store.log_->records()) {
     if (rec.seq <= anchor) {
       ++store.stats_.skipped_batches;
@@ -164,43 +158,21 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
                           " (lost batches?)");
       return std::nullopt;
     }
-    std::istringstream in(rec.payload);
-    std::string parse_error;
-    auto d = LoadGraphDeltaTsv(in, *store.base_, &parse_error);
-    if (!d) {
+    std::string replay_error;
+    auto batch = store.live_->Parse(rec.payload, &replay_error);
+    if (!batch || !store.live_->Absorb(*batch, &replay_error)) {
       SetError(error, store.log_->path() + ": record " +
-                          std::to_string(rec.seq) + ": " + parse_error);
+                          std::to_string(rec.seq) + ": " + replay_error);
       return std::nullopt;
     }
-    overlay.Append(*store.base_, *d);
-    op_origin.emplace_back(overlay.ops.size(), rec.seq);
     store.stats_.last_seq = rec.seq;
     ++store.stats_.replayed_batches;
   }
-  std::string apply_error;
-  auto view = GraphView::Apply(*store.base_, overlay, &apply_error);
-  if (!view) {
-    // Map the failing op index ("op N: ...") back to its batch.
-    std::string at;
-    size_t op_index = 0;
-    if (std::sscanf(apply_error.c_str(), "op %zu", &op_index) == 1) {
-      for (const auto& [ops_end, seq] : op_origin) {
-        if (op_index <= ops_end) {
-          at = " in record " + std::to_string(seq);
-          break;
-        }
-      }
-    }
-    SetError(error, store.log_->path() + at + ": " + apply_error);
-    return std::nullopt;
-  }
-  store.overlay_ = std::move(overlay);
-  store.view_ = std::move(*view);
   StoreReplayLatency().Observe(replay_watch.Seconds());
   StoreReplayedBatchesTotal().Inc(store.stats_.replayed_batches);
   obs::EmitTrace("replay", {{"seq", store.stats_.last_seq},
                             {"batches", store.stats_.replayed_batches},
-                            {"overlay_ops", store.overlay_.ops.size()}});
+                            {"overlay_ops", store.overlay().ops.size()}});
 
   // The persisted count is trusted only when it was taken at exactly the
   // state replay reconstructed: a torn tail (count ahead) or appends that
@@ -224,21 +196,9 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   return store;
 }
 
-bool GraphStore::ApplyOverlay(GraphDelta next_overlay, std::string* error) {
-  std::string apply_error;
-  auto view = GraphView::Apply(*base_, next_overlay, &apply_error);
-  if (!view) {
-    SetError(error, apply_error);
-    return false;
-  }
-  overlay_ = std::move(next_overlay);
-  view_ = std::move(*view);
-  return true;
-}
-
 std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
                                            std::string* error) {
-  auto batch = ParseBatch(delta_tsv, error);
+  auto batch = live_->Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
   return AppendParsed(*batch, delta_tsv, error);
 }
@@ -248,53 +208,21 @@ std::optional<uint64_t> GraphStore::AppendParsed(const GraphDelta& batch,
                                                  std::string* error) {
   obs::ScopedTimer append_timer(&StoreAppendLatency(), "append");
   obs::ScopedTimer validate_timer(nullptr, "validate");
-  // Fold the batch onto the overlay tail, remembering the rollback point:
-  // on any failure below, the ops and extras the batch contributed are
-  // truncated away again (nothing before first_op references them).
-  const size_t first_op = overlay_.ops.size();
-  const size_t labels0 = overlay_.extra_labels.size();
-  const size_t attrs0 = overlay_.extra_attrs.size();
-  const size_t values0 = overlay_.extra_values.size();
-  // ParseBatch seeds the batch's extension tables with the overlay's own,
-  // so adopting their tails keeps every id already handed out.
-  auto adopt_tail = [](std::vector<std::string>& own,
-                       const std::vector<std::string>& extras) {
-    own.insert(own.end(), extras.begin() + own.size(), extras.end());
-  };
-  overlay_.ops.insert(overlay_.ops.end(), batch.ops.begin(), batch.ops.end());
-  adopt_tail(overlay_.extra_labels, batch.extra_labels);
-  adopt_tail(overlay_.extra_attrs, batch.extra_attrs);
-  adopt_tail(overlay_.extra_values, batch.extra_values);
-  auto rollback = [&] {
-    overlay_.ops.resize(first_op);
-    overlay_.extra_labels.resize(labels0);
-    overlay_.extra_attrs.resize(attrs0);
-    overlay_.extra_values.resize(values0);
-  };
-  // Validate against the *current* view before anything touches disk: the
-  // log must never hold a batch that cannot apply. O(batch), not
-  // O(overlay) -- the view absorbs the appended tail in place instead of
-  // re-applying the merged overlay from scratch.
-  std::string apply_error;
-  if (!view_->ValidateAppended(overlay_, first_op, &apply_error)) {
-    rollback();
+  // Validate and absorb before anything touches disk, so the log never
+  // holds a batch that cannot apply; a batch whose append fails is taken
+  // back out. O(batch), not O(overlay).
+  const LiveGraph::Mark mark = live_->mark();
+  if (!live_->Absorb(batch, error)) {
     append_timer.Discard();
     validate_timer.Discard();
-    SetError(error, apply_error);
     return std::nullopt;
   }
-  validate_timer.AddField("ops", overlay_.ops.size());
+  validate_timer.AddField("ops", overlay().ops.size());
   validate_timer.StopNs();
   auto seq = log_->Append(delta_tsv, error);
   if (!seq) {
-    rollback();
+    live_->Rollback(mark);
     append_timer.Discard();
-    return std::nullopt;
-  }
-  if (!view_->AbsorbAppended(overlay_, first_op, &apply_error)) {
-    // Unreachable: validation just passed on the identical state. Fail
-    // loudly rather than let memory and log quietly diverge.
-    SetError(error, "post-log absorb failed: " + apply_error);
     return std::nullopt;
   }
   stats_.last_seq = *seq;
@@ -304,23 +232,6 @@ std::optional<uint64_t> GraphStore::AppendParsed(const GraphDelta& batch,
   // persists the post-batch count via SetViolationCount.
   count_.Invalidate();
   return seq;
-}
-
-std::optional<GraphDelta> GraphStore::ParseBatch(std::string_view delta_tsv,
-                                                 std::string* error) const {
-  std::istringstream in{std::string(delta_tsv)};
-  std::string parse_error;
-  auto d = LoadGraphDeltaTsv(in, *base_, &parse_error);
-  if (!d) {
-    SetError(error, parse_error);
-    return std::nullopt;
-  }
-  GraphDelta batch;
-  batch.extra_labels = overlay_.extra_labels;
-  batch.extra_attrs = overlay_.extra_attrs;
-  batch.extra_values = overlay_.extra_values;
-  batch.Append(*base_, *d);
-  return batch;
 }
 
 std::optional<uint64_t> GraphStore::violation_count(
@@ -346,18 +257,18 @@ bool GraphStore::WriteMeta(std::string* error) {
 std::optional<uint64_t> GraphStore::Append(const GraphDelta& batch,
                                            std::string* error) {
   std::ostringstream os;
-  SaveGraphDeltaTsv(*base_, batch, os);
+  SaveGraphDeltaTsv(base(), batch, os);
   return Append(std::move(os).str(), error);
 }
 
 bool GraphStore::ShouldCompact() const {
-  size_t ops = overlay_.ops.size();
+  size_t ops = overlay().ops.size();
   if (ops == 0) return false;
   if (opts_.compact_min_ops > 0 && ops >= opts_.compact_min_ops) return true;
   if (opts_.compact_min_fraction > 0 &&
       static_cast<double>(ops) >=
           opts_.compact_min_fraction *
-              static_cast<double>(base_->NumEdges())) {
+              static_cast<double>(base().NumEdges())) {
     return true;
   }
   return false;
@@ -369,15 +280,16 @@ bool GraphStore::Compact(std::string* error) {
   // the post-compaction base vocabulary), and empty sub-batches must
   // still roll the anchor -- coordinator lockstep compares anchors
   // across fragments.
-  if (overlay_.ops.empty() && overlay_.extra_labels.empty() &&
-      overlay_.extra_attrs.empty() && overlay_.extra_values.empty() &&
+  const GraphDelta& overlay = live_->overlay();
+  if (overlay.ops.empty() && overlay.extra_labels.empty() &&
+      overlay.extra_attrs.empty() && overlay.extra_values.empty() &&
       stats_.anchor_seq == stats_.last_seq) {
     return true;
   }
   obs::ScopedTimer compact_timer(&StoreCompactLatency(), "compact",
                                  {{"seq", stats_.last_seq},
-                                  {"overlay_ops", overlay_.ops.size()}});
-  PropertyGraph next = view_->Materialize();
+                                  {"overlay_ops", overlay.ops.size()}});
+  PropertyGraph next = view().Materialize();
   uint64_t anchor = stats_.last_seq;
   std::string snapshot = SnapshotName(anchor);
 
@@ -404,11 +316,11 @@ bool GraphStore::Compact(std::string* error) {
   }
 
   snapshot_file_ = snapshot;
-  base_ = std::make_unique<PropertyGraph>(std::move(next));
+  live_->Rebase(std::move(next));
   stats_.anchor_seq = anchor;
   ++stats_.compactions;
   StoreCompactionsTotal().Inc();
-  return ApplyOverlay(GraphDelta{}, error);
+  return true;
 }
 
 bool GraphStore::MaybeCompact(std::string* error) {
@@ -416,7 +328,7 @@ bool GraphStore::MaybeCompact(std::string* error) {
 }
 
 PropertyGraph GraphStore::MaterializeCurrent() const {
-  return view_->Materialize();
+  return view().Materialize();
 }
 
 ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
@@ -426,7 +338,7 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   snap.fragments = 1;
   snap.replayed_batches = stats_.replayed_batches;
   snap.skipped_batches = stats_.skipped_batches;
-  snap.overlay_ops = overlay_.ops.size();
+  snap.overlay_ops = overlay().ops.size();
   snap.truncated_bytes = stats_.truncated_bytes;
   snap.compactions = stats_.compactions;
   return snap;
@@ -439,16 +351,16 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   // live view's id space, and that view's pre-batch degrees to pick each
   // edge op's endpoint. The same parsed batch is then appended and
   // absorbed into the view object the after side reads.
-  auto batch = ParseBatch(delta_tsv, error);
+  auto batch = live_->Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
-  const BatchFootprint fp = BatchFootprint::Of(batch->ops, *view_);
+  const BatchFootprint fp = BatchFootprint::Of(batch->ops, view());
   std::optional<uint64_t> seq;
   auto append = [&] {
     seq = AppendParsed(*batch, delta_tsv, error);
     return seq.has_value();
   };
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  auto sides = engine.DetectStep(*view_, fp, fp.anchors, append, opts);
+  auto sides = engine.DetectStep(view(), fp, fp.anchors, append, opts);
   if (!sides) {
     detect_timer.Discard();
     return std::nullopt;
@@ -462,7 +374,7 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   IncrementalDiff diff = StepDiff(*sides);
   // The live view is now the post-batch state: the feed payload renders
   // against it, byte-identical to rendering against a materialization.
-  diff.payload = SerializeDiffPayload(*view_, engine.rules(), diff);
+  diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
   return diff;
 }
 

@@ -15,13 +15,17 @@
 // restarts and compactions), a torn tail from a mid-append crash is cut
 // by the log layer, and a partial batch is never applied.
 //
-// Append() parses one TSV delta batch against the store's vocabulary,
-// validates it by applying it to the current view, writes it durably to
-// the log, and only then folds it into the in-memory overlay; a batch
-// that fails validation never reaches the log. AppendAndDiff() parses
-// once for both its footprint and its append, and renders the diff's
-// feed payload against the live post-batch view. Node names resolve
-// through the index each snapshot builds once (PropertyGraph::FindNode).
+// The in-memory state is a LiveGraph (graph/live_graph.h): the snapshot,
+// the overlay of the batches since, and a view absorbing each batch in
+// place. Append() parses one TSV delta batch against the store's
+// vocabulary, validates and absorbs it, then writes it durably to the
+// log; a batch that fails validation never reaches the log, and one
+// whose log append fails is rolled back out of memory. Open() replays
+// the log through the same absorb, record by record. AppendAndDiff()
+// parses once for both its footprint and its append, and renders the
+// diff's feed payload against the live post-batch view. Node names
+// resolve through the index each snapshot builds once
+// (PropertyGraph::FindNode).
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
@@ -41,7 +45,6 @@
 #define GFD_SERVE_GRAPH_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,6 +52,7 @@
 
 #include "detect/engine.h"
 #include "graph/graph_view.h"
+#include "graph/live_graph.h"
 #include "graph/property_graph.h"
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
@@ -98,9 +102,9 @@ class GraphStore final : public ServingStore {
                                         const GraphStoreOptions& opts = {},
                                         std::string* error = nullptr);
 
-  const PropertyGraph& base() const { return *base_; }
-  const GraphView& view() const { return *view_; }
-  const GraphDelta& overlay() const { return overlay_; }
+  const PropertyGraph& base() const { return live_->base(); }
+  const GraphView& view() const { return live_->view(); }
+  const GraphDelta& overlay() const { return live_->overlay(); }
   const GraphStoreStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
   uint64_t last_seq() const override { return stats_.last_seq; }
@@ -109,13 +113,11 @@ class GraphStore final : public ServingStore {
   const DeltaLog& log() const { return *log_; }
 
   /// Parses `delta_tsv` (the E+/E-/A format of graph/loader.h) against
-  /// the store's vocabulary, validates it on the current view, appends it
-  /// durably, and applies it. Returns the assigned sequence number;
+  /// the store's vocabulary, validates and absorbs it into the live view,
+  /// and appends it durably. Returns the assigned sequence number;
   /// nothing is logged or applied on error. One append costs
-  /// O(batch + touched degrees), independent of the overlay size: the
-  /// view validates and absorbs the appended tail in place
-  /// (GraphView::AbsorbAppended) instead of re-applying the merged
-  /// overlay per batch.
+  /// O(batch + touched degrees), independent of the overlay size
+  /// (LiveGraph::Absorb).
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 
@@ -178,17 +180,9 @@ class GraphStore final : public ServingStore {
  private:
   GraphStore() = default;
 
-  bool ApplyOverlay(GraphDelta next_overlay, std::string* error);
-
-  // Parses `delta_tsv` against the base vocabulary and re-expresses it in
-  // the live view's id space (the overlay's extension vocabulary, then
-  // the batch's own new names), without touching the overlay.
-  std::optional<GraphDelta> ParseBatch(std::string_view delta_tsv,
-                                       std::string* error) const;
-
-  // Validates, logs and absorbs `batch` -- ParseBatch's result for
-  // `delta_tsv`, which is what the log records. The overlay adopts the
-  // batch's ops and the tails of its extension tables.
+  // Absorbs and logs `batch` -- LiveGraph::Parse's result for
+  // `delta_tsv`, which is what the log records -- rolling it back out
+  // when the log append fails.
   std::optional<uint64_t> AppendParsed(const GraphDelta& batch,
                                        std::string_view delta_tsv,
                                        std::string* error);
@@ -200,9 +194,7 @@ class GraphStore final : public ServingStore {
   GraphStoreOptions opts_;
   std::string dir_;
   std::string snapshot_file_;  // relative to dir_
-  std::unique_ptr<PropertyGraph> base_;
-  GraphDelta overlay_;
-  std::optional<GraphView> view_;
+  std::optional<LiveGraph> live_;  // snapshot + overlay + live view
   std::optional<DeltaLog> log_;
   GraphStoreStats stats_;
   // Running violation count (serve/durable_io.h holds the shared

@@ -1,9 +1,7 @@
 #include "serve/routing_index.h"
 
-#include <algorithm>
 #include <array>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -14,20 +12,6 @@ namespace gfd {
 namespace {
 void SetError(std::string* error, const std::string& msg) {
   if (error) *error = msg;
-}
-
-// Undirected neighbor lists of the live view (duplicates fine; the
-// residency BFS tolerates them).
-std::vector<std::vector<NodeId>> ViewAdjacency(const GraphView& view) {
-  std::vector<std::vector<NodeId>> adj(view.NumNodes());
-  for (NodeId v = 0; v < view.NumNodes(); ++v) {
-    for (EdgeId e : view.OutEdges(v)) {
-      NodeId dst = view.EdgeDst(e);
-      adj[v].push_back(dst);
-      adj[dst].push_back(v);
-    }
-  }
-  return adj;
 }
 }  // namespace
 
@@ -50,55 +34,33 @@ std::optional<RoutingIndex> RoutingIndex::Build(PropertyGraph base,
   }
   RoutingIndex idx;
   idx.partition_ = std::move(p);
-  idx.base_ = std::make_unique<PropertyGraph>(std::move(base));
-  if (!idx.Refresh(error)) return std::nullopt;
+  idx.live_.emplace(std::move(base));
+  idx.resident_ = ComputeResidency(idx.view(), idx.partition_);
   return idx;
-}
-
-bool RoutingIndex::Refresh(std::string* error) {
-  view_ = GraphView::Apply(*base_, accum_, error);
-  if (!view_) return false;
-  resident_ = ComputeResidency(ViewAdjacency(*view_), partition_);
-  return true;
 }
 
 std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanBatch(
     std::string_view delta_tsv, std::string* error) {
-  std::istringstream in{std::string(delta_tsv)};
-  auto d = LoadGraphDeltaTsv(in, *base_, error);
-  if (!d) return std::nullopt;
-
-  // Validate the whole stream (accumulated overlay + this batch) on the
-  // global view -- the one place a delete-of-missing-edge or bad id can
-  // be caught before any fragment's log sees the batch.
-  GraphDelta candidate = accum_;
-  const size_t accum_ops = candidate.ops.size();
-  candidate.Append(*base_, *d);
+  auto batch = live_->Parse(delta_tsv, error);
+  if (!batch) return std::nullopt;
   ShipPlan plan;
-  plan.new_view = GraphView::Apply(*base_, candidate, error);
-  if (!plan.new_view) return std::nullopt;
-
-  // This batch's ops in the candidate's (canonical) vocabulary space.
-  GraphDelta batch_tail;
-  batch_tail.ops.assign(candidate.ops.begin() + accum_ops,
-                        candidate.ops.end());
-  batch_tail.extra_labels = candidate.extra_labels;
-  batch_tail.extra_attrs = candidate.extra_attrs;
-  batch_tail.extra_values = candidate.extra_values;
-
-  plan.new_resident =
-      ComputeResidency(ViewAdjacency(*plan.new_view), partition_);
+  plan.pre = live_->mark();
   // Anchored by the pre-batch global degrees, so every backend serving
-  // this stream picks the same anchors.
-  plan.footprint = BatchFootprint::Of(batch_tail.ops, *view_);
-  plan.candidate = std::move(candidate);
-  BuildPayloads(batch_tail, &plan);
+  // this stream picks the same anchors. Parse resolved every node
+  // through the base's name index, so the degrees are readable before
+  // validation.
+  plan.footprint = BatchFootprint::Of(batch->ops, view());
+  // Validating on the global view is the one place a delete-of-missing-
+  // edge can be caught before any fragment's log sees the batch.
+  if (!live_->Absorb(*batch, error)) return std::nullopt;
+  plan.new_resident = ComputeResidency(view(), partition_);
+  BuildPayloads(*batch, &plan);
   return plan;
 }
 
 std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(
     NodeId node, uint32_t to, std::string* error) {
-  if (node >= base_->NumNodes()) {
+  if (node >= view().NumNodes()) {
     SetError(error, "rebalance: node id out of range");
     return std::nullopt;
   }
@@ -115,40 +77,35 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(
   moved.node_owner[node] = to;
 
   ShipPlan plan;
+  plan.pre = live_->mark();
+  plan.new_resident = ComputeResidency(view(), moved);
   plan.new_owner = std::move(moved.node_owner);
-  Partition probe = partition_;
-  probe.node_owner = plan.new_owner;
-  plan.new_resident = ComputeResidency(ViewAdjacency(*view_), probe);
   // Graph unchanged: the payloads carry the vocabulary preamble plus
-  // pure halo maintenance; candidate/new_view stay empty and Commit
-  // leaves the global view alone.
-  GraphDelta empty_tail;
-  empty_tail.extra_labels = accum_.extra_labels;
-  empty_tail.extra_attrs = accum_.extra_attrs;
-  empty_tail.extra_values = accum_.extra_values;
-  BuildPayloads(empty_tail, &plan);
+  // pure halo maintenance.
+  BuildPayloads(GraphDelta{}, &plan);
   return plan;
 }
 
-void RoutingIndex::BuildPayloads(const GraphDelta& batch_tail,
+void RoutingIndex::BuildPayloads(const GraphDelta& batch,
                                  ShipPlan* plan) const {
   const size_t n = partition_.num_fragments;
-  const GraphView& nv = plan->new_view ? *plan->new_view : *view_;
+  const GraphView& nv = view();
+  const PropertyGraph& base = live_->base();
 
   // Full extension-vocabulary preamble, identical for every fragment:
-  // the canonical accumulated extras (batch_tail carries the candidate's
-  // tables), so all fragments intern the same names in the same order.
+  // the overlay's tables, so all fragments intern the same names in the
+  // same order.
   GraphDelta vocab_only;
-  vocab_only.extra_labels = batch_tail.extra_labels;
-  vocab_only.extra_attrs = batch_tail.extra_attrs;
-  vocab_only.extra_values = batch_tail.extra_values;
+  vocab_only.extra_labels = live_->overlay().extra_labels;
+  vocab_only.extra_attrs = live_->overlay().extra_attrs;
+  vocab_only.extra_values = live_->overlay().extra_values;
   std::ostringstream pre;
-  SaveGraphDeltaTsv(*base_, vocab_only, pre, /*with_vocab=*/true);
+  SaveGraphDeltaTsv(base, vocab_only, pre, /*with_vocab=*/true);
   const std::string preamble = pre.str();
 
   // RouteDelta is the delivery mechanism: ops go to the fragments whose
   // pre-batch resident set covers every referenced node.
-  DeltaRouting routing = RouteDelta(batch_tail, resident_);
+  DeltaRouting routing = RouteDelta(batch, resident_);
 
   plan->payloads.resize(n);
   plan->owned_bytes.assign(n, 0);
@@ -164,9 +121,9 @@ void RoutingIndex::BuildPayloads(const GraphDelta& batch_tail,
     if (!routing.fragment_ops[f].empty()) {
       GraphDelta sub = vocab_only;
       for (size_t i : routing.fragment_ops[f]) {
-        sub.ops.push_back(batch_tail.ops[i]);
+        sub.ops.push_back(batch.ops[i]);
       }
-      SaveGraphDeltaTsv(*base_, sub, routed, /*with_vocab=*/false);
+      SaveGraphDeltaTsv(base, sub, routed, /*with_vocab=*/false);
       plan->routed_ops[f] = sub.ops.size();
     }
 
@@ -221,7 +178,7 @@ void RoutingIndex::BuildPayloads(const GraphDelta& batch_tail,
       }
     }
     std::ostringstream maint_out;
-    SaveGraphDeltaTsv(*base_, maint, maint_out, /*with_vocab=*/false);
+    SaveGraphDeltaTsv(base, maint, maint_out, /*with_vocab=*/false);
     plan->halo_ops[f] = maint.ops.size();
 
     std::string routed_str = routed.str();
@@ -236,28 +193,24 @@ void RoutingIndex::Commit(ShipPlan&& plan) {
   if (!plan.new_owner.empty()) {
     partition_.node_owner = std::move(plan.new_owner);
   }
-  if (plan.new_view) {
-    accum_ = std::move(plan.candidate);
-    view_ = std::move(plan.new_view);
-  }
   resident_ = std::move(plan.new_resident);
 }
 
+void RoutingIndex::Rollback(const ShipPlan& plan) { live_->Rollback(plan.pre); }
+
 void RoutingIndex::Compact(PropertyGraph next) {
-  base_ = std::make_unique<PropertyGraph>(std::move(next));
-  accum_ = GraphDelta{};
-  std::string error;
-  // An empty delta over a well-formed graph cannot fail to apply.
-  Refresh(&error);
+  // The graph is unchanged (ids preserved), and so is the residency.
+  live_->Rebase(std::move(next));
 }
 
 uint64_t RoutingIndex::ResidentEdges(size_t f) const {
   const std::vector<char>& res = resident_[f];
+  const GraphView& g = view();
   uint64_t count = 0;
-  for (NodeId v = 0; v < view_->NumNodes(); ++v) {
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
     if (!res[v]) continue;
-    for (EdgeId e : view_->OutEdges(v)) {
-      if (res[view_->EdgeDst(e)]) ++count;
+    for (EdgeId e : g.OutEdges(v)) {
+      if (res[g.EdgeDst(e)]) ++count;
     }
   }
   return count;

@@ -1,6 +1,7 @@
-// The coordinator's master-side routing state: the global graph topology
-// (anchor snapshot + accumulated delta), the vertex-cut partition, and
-// the per-fragment halo residency derived from it.
+// The coordinator's master-side routing state: the global graph (a
+// LiveGraph: anchor snapshot + the batches since, absorbed in place into
+// one view, as a GraphStore holds its graph), the vertex-cut partition,
+// and the per-fragment halo residency derived from it.
 //
 // Under true vertex-cut sharding no fragment holds the whole graph, so
 // the master keeps the one global view needed to (a) validate an
@@ -13,6 +14,12 @@
 // fragmentation and routes workload; holding the topology at the master
 // is the simulation's stand-in for the partition manager of a real
 // deployment.
+//
+// A plan changes the index: PlanBatch absorbs its batch into the global
+// view right away, and the plan is then either committed (the residency
+// and ownership it computed take effect) or rolled back (the batch leaves
+// the view again, as when the journal append fails). Between the two
+// the view is post-batch while the residency is still pre-batch.
 //
 // Invariant maintained across PlanBatch/Commit cycles, for every
 // fragment f with residency R_f (ComputeResidency over the live graph):
@@ -40,7 +47,6 @@
 #define GFD_SERVE_ROUTING_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,6 +54,7 @@
 
 #include "detect/engine.h"
 #include "graph/graph_view.h"
+#include "graph/live_graph.h"
 #include "graph/property_graph.h"
 #include "parallel/fragment.h"
 #include "util/ids.h"
@@ -63,14 +70,12 @@ class RoutingIndex {
                                            std::string* error = nullptr);
 
   const Partition& partition() const { return partition_; }
-  const PropertyGraph& base() const { return *base_; }
-  const GraphView& view() const { return *view_; }
-  const GraphDelta& accum() const { return accum_; }
+  /// The live global graph; post-batch from PlanBatch on.
+  const GraphView& view() const { return live_->view(); }
   const FragmentResidency& residency() const { return resident_; }
 
-  /// One planned shipment: per-fragment payloads plus accounting. The
-  /// candidate state it was planned against rides along so Commit can
-  /// adopt it without re-deriving anything.
+  /// One planned shipment: per-fragment payloads plus accounting, and
+  /// what Commit adopts or Rollback undoes.
   struct ShipPlan {
     std::vector<std::string> payloads;  ///< sub-batch TSV per fragment
     std::vector<uint64_t> owned_bytes;  ///< vocab preamble + routed ops
@@ -84,18 +89,17 @@ class RoutingIndex {
     /// the fragments' step diffs.
     BatchFootprint footprint;
 
-    // Candidate state, adopted by Commit.
-    GraphDelta candidate;
-    std::optional<GraphView> new_view;
-    FragmentResidency new_resident;
+    FragmentResidency new_resident;   ///< adopted by Commit
     std::vector<uint32_t> new_owner;  ///< non-empty only for rebalance
+    LiveGraph::Mark pre;              ///< where Rollback returns the graph
   };
 
-  /// Parses `delta_tsv` against the anchor snapshot's vocabulary,
-  /// validates it on the current global view (so an invalid batch is
-  /// rejected before any fragment's log sees it), and derives the
-  /// shipping plan. Does not change the index; Commit() the plan after
-  /// shipping succeeds.
+  /// Parses `delta_tsv` against the anchor snapshot's vocabulary, picks
+  /// the batch's anchors on the pre-batch global degrees, validates it
+  /// and absorbs it into the global view (so an invalid batch is rejected
+  /// before any fragment's log sees it, and changes nothing), and derives
+  /// the shipping plan from the post-batch view. Commit() the plan after
+  /// shipping succeeds, or Rollback() it.
   std::optional<ShipPlan> PlanBatch(std::string_view delta_tsv,
                                     std::string* error = nullptr);
 
@@ -105,13 +109,18 @@ class RoutingIndex {
   std::optional<ShipPlan> PlanRebalance(NodeId node, uint32_t to,
                                         std::string* error = nullptr);
 
-  /// Adopts a plan's candidate state (global view, residency, owners).
+  /// Adopts a plan's residency and ownership.
   void Commit(ShipPlan&& plan);
+
+  /// Undoes a plan that is not committed: the batch PlanBatch absorbed
+  /// leaves the global view, and the next plan is made as if this one
+  /// never was.
+  void Rollback(const ShipPlan& plan);
 
   /// Lockstep-compaction hook: adopts `next` -- view().Materialize(),
   /// which the caller already built for the global snapshot -- as the
   /// base snapshot (ids preserved, mirroring GraphStore::Compact) and
-  /// clears the accumulated delta and its vocabulary preamble.
+  /// clears the overlay and its vocabulary preamble.
   void Compact(PropertyGraph next);
 
   /// Resident (stored) edge count of fragment f under the current
@@ -122,18 +131,14 @@ class RoutingIndex {
  private:
   RoutingIndex() = default;
 
-  // Rebuilds view_ from base_ + accum_ and resident_ from the live
-  // adjacency. accum_ must be valid over base_.
-  bool Refresh(std::string* error);
-
-  // Payload assembly shared by PlanBatch and PlanRebalance: routed ops
-  // (possibly none) plus maintenance derived from the residency change.
-  void BuildPayloads(const GraphDelta& batch_tail, ShipPlan* plan) const;
+  // Payload assembly shared by PlanBatch and PlanRebalance: the
+  // overlay's vocabulary preamble, `batch`'s routed ops (none for a
+  // rebalance) and maintenance derived from the residency change, read
+  // off the current view.
+  void BuildPayloads(const GraphDelta& batch, ShipPlan* plan) const;
 
   Partition partition_;
-  std::unique_ptr<PropertyGraph> base_;
-  GraphDelta accum_;
-  std::optional<GraphView> view_;
+  std::optional<LiveGraph> live_;
   FragmentResidency resident_;
 };
 

@@ -34,6 +34,7 @@
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
+#include "serve/routing_index.h"
 #include "serve/serving_store.h"
 #include "testlib.h"
 #include "util/rng.h"
@@ -265,6 +266,71 @@ TEST(RouteDelta, ShipsOpsToFragmentsWhoseResidentSetCoversThem) {
       }
     }
   }
+}
+
+// --- Routing index plans ----------------------------------------------------
+
+// PlanBatch absorbs its batch into the master's view; a plan rolled back
+// instead of committed (its journal append failed) must leave the index
+// exactly as it was, so the next batch plans as on an index that never
+// saw the doomed one -- payload bytes, footprint and residency included.
+TEST(RoutingIndex, RolledBackPlanLeavesTheIndexAsItWas) {
+  auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 4});
+  Fragmentation frag = VertexCutPartition(g, 3);
+  frag.partition.halo_radius = 2;
+  auto index = RoutingIndex::Build(g, frag.partition);
+  auto fresh = RoutingIndex::Build(g, frag.partition);
+  ASSERT_TRUE(index.has_value());
+  ASSERT_TRUE(fresh.has_value());
+
+  Rng rng(13);
+  auto next_batch = [&] {
+    PropertyGraph current = fresh->view().Materialize();
+    return DeltaBytes(current, RandomBatch(current, rng, 12));
+  };
+  auto plan_both = [&](const std::string& batch) {
+    auto a = index->PlanBatch(batch);
+    auto b = fresh->PlanBatch(batch);
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(a->payloads, b->payloads);
+    EXPECT_EQ(a->footprint.anchors, b->footprint.anchors);
+    EXPECT_EQ(a->new_resident, b->new_resident);
+    index->Commit(std::move(*a));
+    fresh->Commit(std::move(*b));
+  };
+  plan_both(next_batch());
+
+  const std::string before = GraphBytes(index->view().Materialize());
+  // New vocabulary and edge changes, absorbed by the plan...
+  PropertyGraph current = index->view().Materialize();
+  std::string doomed = next_batch();
+  doomed += "E+\t" + current.NodeAlias(0) + "\t" + current.NodeAlias(1) +
+            "\tlabel_never_seen\n";
+  doomed += "A\t" + current.NodeAlias(2) + "\tkey_never_seen=value\n";
+  auto plan = index->PlanBatch(doomed);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_NE(GraphBytes(index->view().Materialize()), before);
+  // ...and taken back out.
+  index->Rollback(*plan);
+  EXPECT_EQ(GraphBytes(index->view().Materialize()), before);
+  EXPECT_EQ(index->view().NumDeltaOps(), fresh->view().NumDeltaOps());
+  EXPECT_FALSE(index->view().FindLabel("label_never_seen").has_value());
+  EXPECT_EQ(index->residency(), fresh->residency());
+
+  // A rolled-back rebalance changes nothing either.
+  NodeId moved = 5;
+  uint32_t to = (index->partition().node_owner[moved] + 1) % 3;
+  auto rebalance = index->PlanRebalance(moved, to);
+  ASSERT_TRUE(rebalance.has_value());
+  index->Rollback(*rebalance);
+  EXPECT_EQ(index->partition().node_owner, fresh->partition().node_owner);
+
+  // The next batches plan as on the index that never saw either plan.
+  plan_both(next_batch());
+  plan_both(next_batch());
+  EXPECT_EQ(GraphBytes(index->view().Materialize()),
+            GraphBytes(fresh->view().Materialize()));
 }
 
 // --- Coordinator basics ----------------------------------------------------

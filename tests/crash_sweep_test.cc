@@ -12,9 +12,16 @@
 //   3. the primed count equals a full Detect of the recovered graph;
 //   4. Prime scans only when neither the meta nor the feed's last record
 //      holds a count at that seq.
-// Both backends run it: one GraphStore, and a Coordinator over 2
-// fragments. One child at a time; the parent holds no threads when it
-// forks.
+// Three legs run it: one GraphStore, a Coordinator over 2 fragments, and
+// that Coordinator with a Rebalance between two batches, before a
+// compaction. The rebalance consumes one seq, whose feed event is an
+// empty diff (the graph is unchanged); after each crash that leg also
+// checks that
+//   5. the recovered ownership is the pre- or the post-rebalance table
+//      (the post one once the rebalance's seq is recovered), and every
+//      fragment holds exactly the resident subgraph of the recovered
+//      global graph under it.
+// One child at a time; the parent holds no threads when it forks.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -31,7 +38,9 @@
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "gfd/serialize.h"
+#include "graph/subgraph.h"
 #include "net/feed_service.h"
+#include "parallel/fragment.h"
 #include "serve/changefeed.h"
 #include "serve/coordinator.h"
 #include "serve/durable_io.h"
@@ -48,16 +57,35 @@ constexpr size_t kBatches = 6;
 // Low enough that the script compacts at least once on either backend.
 constexpr size_t kCompactOps = 10;
 
+enum class Leg { kSingleStore, kCoordinator, kRebalance };
+
+bool Distributed(Leg leg) { return leg != Leg::kSingleStore; }
+
+// The rebalance leg's ownership move, made just before batch `before`.
+struct Move {
+  size_t before = 1;
+  NodeId node = kNoNode;
+  uint32_t to = 0;
+  std::vector<uint32_t> pre_owners;
+  std::vector<uint32_t> post_owners;
+};
+
 struct Script {
   PropertyGraph g;
   std::unique_ptr<ViolationEngine> engine;
   std::vector<std::string> batches;  ///< each valid after the ones before
+  std::optional<Move> move;          ///< the rebalance leg only
+  /// Seqs the script consumes: one per batch, plus the rebalance's.
+  size_t seqs() const { return batches.size() + (move ? 1 : 0); }
 };
 
-Script MakeScript(const std::string& dir) {
+Script MakeScript(const std::string& dir, Leg leg) {
   Script s;
+  // The rebalance leg's graph is sparse enough that a 3-hop halo does not
+  // cover it, so an ownership move shifts what fragments store.
+  const bool sparse = leg == Leg::kRebalance;
   s.g = MakeSynthetic({.nodes = 50,
-                       .edges = 150,
+                       .edges = sparse ? size_t{60} : size_t{150},
                        .node_labels = 4,
                        .edge_labels = 3,
                        .attrs = 3,
@@ -78,6 +106,27 @@ Script MakeScript(const std::string& dir) {
     std::string batch =
         testing::DeltaBytes(cur, testing::RandomBatch(cur, rng, 5));
     if (store->Append(batch)) s.batches.push_back(std::move(batch));
+  }
+  if (leg == Leg::kRebalance) {
+    // Move the first node with incident edges whose move shifts the
+    // halo to the other fragment, from the owners Coordinator::Init
+    // assigns, at its default radius.
+    Partition p = VertexCutPartition(s.g, 2).partition;
+    p.halo_radius = 3;
+    const FragmentResidency before = ComputeResidency(s.g, p);
+    Move m;
+    m.pre_owners = p.node_owner;
+    for (NodeId v = 0; v < s.g.NumNodes() && m.node == kNoNode; ++v) {
+      p.node_owner = m.pre_owners;
+      p.node_owner[v] = 1 - m.pre_owners[v];
+      if (s.g.Degree(v) > 0 && ComputeResidency(s.g, p) != before) {
+        m.node = v;
+        m.to = p.node_owner[v];
+        m.post_owners = p.node_owner;
+      }
+    }
+    EXPECT_NE(m.node, kNoNode) << "no single move shifts the halo";
+    s.move = std::move(m);
   }
   return s;
 }
@@ -103,36 +152,12 @@ std::unique_ptr<ServingStore> OpenServing(const std::string& dir,
   return s ? std::make_unique<GraphStore>(std::move(*s)) : nullptr;
 }
 
-// Order-free form of a graph, by names: recovery may hold the same
-// state as a different snapshot/overlay split.
-std::vector<std::string> Canonical(const PropertyGraph& g) {
-  std::vector<std::string> out;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    std::vector<std::string> attrs;
-    for (const Attribute& a : g.NodeAttrs(v)) {
-      attrs.push_back(g.AttrName(a.key) + "=" + g.ValueName(a.value));
-    }
-    std::sort(attrs.begin(), attrs.end());
-    std::string line = "N " + g.NodeAlias(v);
-    line += " " + g.LabelName(g.NodeLabel(v));
-    for (const std::string& a : attrs) line += " " + a;
-    out.push_back(std::move(line));
-  }
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    std::string line = "E " + g.NodeAlias(g.EdgeSrc(e));
-    line += " " + g.NodeAlias(g.EdgeDst(e));
-    line += " " + g.LabelName(g.EdgeLabel(e));
-    out.push_back(std::move(line));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // Runs where the server would answer 200 for batch `seq`.
 using Ack = std::function<void(uint64_t seq, const ServingStore& store)>;
 
 // One `serve run` process over `dir`: open, prime, then every batch as
-// FeedService::Ingest serves it. False on any unexpected error.
+// FeedService::Ingest serves it (with the rebalance leg's move before
+// its batch). False on any unexpected error.
 bool RunScript(const Script& s, const std::string& dir, bool distributed,
                const Ack& ack) {
   auto store = OpenServing(dir, distributed);
@@ -143,7 +168,20 @@ bool RunScript(const Script& s, const std::string& dir, bool distributed,
   uint64_t count = service.Prime();
   const uint64_t fp =
       RuleSetFingerprint(s.engine->rules(), store->MaterializeCurrent());
-  for (const std::string& batch : s.batches) {
+  for (size_t i = 0; i < s.batches.size(); ++i) {
+    if (s.move && i == s.move->before) {
+      auto& coord = dynamic_cast<Coordinator&>(*store);
+      auto seq = coord.Rebalance(s.move->node, s.move->to);
+      if (!seq ||
+          !feed->Publish(*seq,
+                         SerializeDiffPayload(coord.view(), s.engine->rules(),
+                                              IncrementalDiff{}),
+                         MetaCount{count, *seq, fp})) {
+        return false;
+      }
+      ack(*seq, *store);
+    }
+    const std::string& batch = s.batches[i];
     auto step = ServeStep(*store, *s.engine, batch, count);
     if (!step) return false;
     count = step->count;
@@ -159,7 +197,7 @@ bool RunScript(const Script& s, const std::string& dir, bool distributed,
 
 struct Reference {
   std::vector<std::vector<std::string>> states;  ///< by seq, 0 = initial
-  std::vector<FeedEvent> events;                 ///< seqs 1..kBatches
+  std::vector<FeedEvent> events;                 ///< seqs 1..s.seqs()
 };
 
 struct SweepTotals {
@@ -169,8 +207,53 @@ struct SweepTotals {
   size_t scans = 0;
 };
 
+// A fragment's edges and its resident nodes' attributes, by name. With
+// `only_resident`, edges leaving `resident` are skipped (for the global
+// graph); a fragment must hold no such edge at all.
+std::vector<std::string> ResidentLines(const PropertyGraph& g,
+                                       const std::vector<char>& resident,
+                                       bool only_resident) {
+  std::vector<std::string> out;
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const NodeId src = g.EdgeSrc(e);
+    const NodeId dst = g.EdgeDst(e);
+    if (only_resident && !(resident[src] && resident[dst])) continue;
+    out.push_back("E " + g.NodeAlias(src) + " " + g.NodeAlias(dst) + " " +
+                  g.LabelName(g.EdgeLabel(e)));
+  }
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (!resident[v]) continue;
+    for (const Attribute& a : g.NodeAttrs(v)) {
+      out.push_back("A " + g.NodeAlias(v) + " " + g.AttrName(a.key) + "=" +
+                    g.ValueName(a.value));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Property 5: the recovered ownership and the fragments it lays out.
+void CheckOwnership(const Script& s, const Coordinator& coord,
+                    const PropertyGraph& current) {
+  const std::vector<uint32_t> owners(coord.node_owner().begin(),
+                                     coord.node_owner().end());
+  EXPECT_TRUE(owners == s.move->pre_owners || owners == s.move->post_owners)
+      << "ownership is neither the pre- nor the post-rebalance table";
+  if (coord.last_seq() > s.move->before) {
+    EXPECT_EQ(owners, s.move->post_owners) << "the rebalance's seq is in";
+  }
+  const FragmentResidency resident =
+      ComputeResidency(current, coord.partition());
+  for (size_t f = 0; f < coord.num_fragments(); ++f) {
+    EXPECT_EQ(ResidentLines(coord.fragment(f).MaterializeCurrent(),
+                            resident[f], /*only_resident=*/false),
+              ResidentLines(current, resident[f], /*only_resident=*/true))
+        << "fragment " << f << " is not the resident subgraph";
+  }
+}
+
 // Reopens `dir` after the child stopped (crashed or done) with `acked`
-// batches acknowledged, and checks the four recovery properties.
+// seqs acknowledged, and checks the recovery properties.
 void CheckRecovery(const Script& s, const Reference& ref,
                    const std::string& dir, bool distributed, uint64_t acked,
                    SweepTotals* totals) {
@@ -178,9 +261,11 @@ void CheckRecovery(const Script& s, const Reference& ref,
   ASSERT_NE(store, nullptr);
   const uint64_t seq = store->last_seq();
   ASSERT_GE(seq, acked) << "an acknowledged batch was lost";
-  ASSERT_LE(seq, kBatches);
+  ASSERT_LE(seq, s.seqs());
   const PropertyGraph current = store->MaterializeCurrent();
-  EXPECT_EQ(Canonical(current), ref.states[seq]) << "not a script prefix";
+  EXPECT_EQ(testing::CanonicalLines(current), ref.states[seq])
+      << "not a script prefix";
+  if (s.move) CheckOwnership(s, dynamic_cast<Coordinator&>(*store), current);
 
   // The feed continues at the store's seq: what it still holds are the
   // script's events up to that seq (a crash before the first feed append
@@ -218,29 +303,31 @@ void CheckRecovery(const Script& s, const Reference& ref,
   totals->scans += source == net::CountSource::kScan;
 }
 
-SweepTotals Sweep(bool distributed) {
+SweepTotals Sweep(Leg leg) {
   SweepTotals totals;
-  const char* name = distributed ? "gfd_sweep_coord" : "gfd_sweep_single";
-  const std::string dir = ::testing::TempDir() + name;
-  const Script s = MakeScript(dir + "_script");
+  const bool distributed = Distributed(leg);
+  const char* names[] = {"gfd_sweep_single", "gfd_sweep_coord",
+                         "gfd_sweep_rebalance"};
+  const std::string dir = ::testing::TempDir() + names[static_cast<int>(leg)];
+  const Script s = MakeScript(dir + "_script", leg);
   EXPECT_EQ(s.batches.size(), kBatches);
 
   // The uncrashed run every recovery is checked against.
   Reference ref;
-  ref.states.push_back(Canonical(s.g));
+  ref.states.push_back(testing::CanonicalLines(s.g));
   size_t compactions = 0;
   auto record = [&](uint64_t, const ServingStore& store) {
-    ref.states.push_back(Canonical(store.MaterializeCurrent()));
+    ref.states.push_back(testing::CanonicalLines(store.MaterializeCurrent()));
     compactions = store.MetricsSnapshot().compactions;
   };
   InitDir(dir, s.g, distributed);
   EXPECT_TRUE(RunScript(s, dir, distributed, record));
-  EXPECT_EQ(ref.states.size(), kBatches + 1);
+  EXPECT_EQ(ref.states.size(), s.seqs() + 1);
   EXPECT_GE(compactions, 1u) << "the script must compact at least once";
-  if (auto feed = ViolationChangefeed::Open(dir, kBatches)) {
+  if (auto feed = ViolationChangefeed::Open(dir, s.seqs())) {
     feed->Subscribe(0, 1, &ref.events);
   }
-  EXPECT_EQ(ref.events.size(), kBatches);
+  EXPECT_EQ(ref.events.size(), s.seqs());
   if (::testing::Test::HasFailure()) return totals;
 
   for (int64_t k = 0;; ++k) {
@@ -278,7 +365,7 @@ SweepTotals Sweep(bool distributed) {
     if (::testing::Test::HasFailure()) break;
     if (WEXITSTATUS(status) == 0) {
       // Past the last write point: the script ran to completion.
-      EXPECT_EQ(acked, kBatches);
+      EXPECT_EQ(acked, s.seqs());
       break;
     }
     ++totals.crashes;
@@ -287,7 +374,7 @@ SweepTotals Sweep(bool distributed) {
 }
 
 TEST(CrashSweep, ServingStepOnASingleStore) {
-  SweepTotals t = Sweep(/*distributed=*/false);
+  SweepTotals t = Sweep(Leg::kSingleStore);
   // Every batch writes the delta log and the feed; compaction and the
   // seeding scan's meta write add more.
   EXPECT_GE(t.crashes, 4 * kBatches);
@@ -300,8 +387,18 @@ TEST(CrashSweep, ServingStepOnASingleStore) {
 }
 
 TEST(CrashSweep, ServingStepOnATwoFragmentCoordinator) {
-  SweepTotals t = Sweep(/*distributed=*/true);
+  SweepTotals t = Sweep(Leg::kCoordinator);
   EXPECT_GE(t.crashes, 4 * kBatches);
+  EXPECT_GT(t.from_meta, 0u);
+  EXPECT_GT(t.from_feed, 0u);
+  EXPECT_GT(t.scans, 0u);
+}
+
+TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
+  SweepTotals t = Sweep(Leg::kRebalance);
+  // The batches' write points plus the rebalance's: its meta intent,
+  // journal record, fragment appends and lockstep compaction.
+  EXPECT_GE(t.crashes, 4 * kBatches + 4);
   EXPECT_GT(t.from_meta, 0u);
   EXPECT_GT(t.from_feed, 0u);
   EXPECT_GT(t.scans, 0u);

@@ -326,32 +326,7 @@ TEST(DetectOverView, MatchesDetectOverMaterialized) {
   EXPECT_EQ(engine.Detect(view, budget).violations.size(), 1u);
 }
 
-// --- Move stability of lazily-built anchor plans ---------------------------
-
-// std::once_flag is not movable; the regression this guards: a group
-// moved after its anchor plans were built must neither rebuild nor lose
-// them (anchor_plans.h).
-TEST(LazyAnchorPlans, SurvivesOwnerReallocationAfterBuild) {
-  Pattern q;
-  VarId x = q.AddNode(1);
-  VarId y = q.AddNode(2);
-  q.AddEdge(x, y, 3);
-  q.set_pivot(x);
-
-  std::vector<LazyAnchorPlans> owners(1);
-  const std::vector<CompiledPattern>* plans = &owners[0].Get(q);
-  ASSERT_EQ(plans->size(), q.NumNodes());
-  ASSERT_TRUE(owners[0].built());
-
-  // Force repeated reallocation (and therefore element moves).
-  for (int i = 0; i < 64; ++i) owners.emplace_back();
-  EXPECT_TRUE(owners[0].built());           // still marked built...
-  EXPECT_EQ(&owners[0].Get(q), plans);      // ...and the same block,
-                                            // not a second build
-  std::vector<LazyAnchorPlans> stolen = std::move(owners);
-  EXPECT_TRUE(stolen[0].built());
-  EXPECT_EQ(&stolen[0].Get(q), plans);
-}
+// --- Move stability --------------------------------------------------------
 
 TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
   auto g = BuildWorld();
@@ -360,11 +335,11 @@ TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
 
   std::vector<ViolationEngine> engines;
   engines.push_back(ViolationEngine({FilmRule(g)}));
-  auto before = Diff(engines[0], g, d);  // builds anchor plans
+  auto before = Diff(engines[0], g, d);
   ASSERT_EQ(before.added.size(), 1u);
 
   // Reallocate the vector several times: every resize moves the engine,
-  // its group vector, and the already-built lazy plan state.
+  // its group vector, and the groups' plans.
   for (int i = 0; i < 8; ++i) {
     engines.push_back(ViolationEngine({FilmRule(g)}));
   }

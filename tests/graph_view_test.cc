@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "datagen/synthetic.h"
@@ -291,6 +294,147 @@ TEST(GraphView, MatcherEnumeratesViewExactlyAsMaterialized) {
   std::sort(from_graph.begin(), from_graph.end());
   EXPECT_EQ(from_view, from_graph);
   EXPECT_FALSE(from_view.empty());
+}
+
+// A random valid delta over `g`: inserts that duplicate an existing key
+// (parallel edges), runs of deletes on one key, and labels, keys and
+// values the base never interned.
+GraphDelta RandomDelta(const PropertyGraph& g, Rng& rng, size_t ops) {
+  using Key = std::tuple<NodeId, NodeId, LabelId>;
+  std::map<Key, size_t> live;  // edge multiplicity under the delta so far
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    ++live[{g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e)}];
+  }
+  auto any_key = [&] {
+    auto it = live.begin();
+    std::advance(it, rng.Below(live.size()));
+    return it->first;
+  };
+  auto node = [&] { return static_cast<NodeId>(rng.Below(g.NumNodes())); };
+  GraphDelta d;
+  while (d.ops.size() < ops) {
+    switch (rng.Below(4)) {
+      case 0: {  // a parallel copy of an existing key
+        const auto [src, dst, label] = any_key();
+        d.InsertEdge(src, dst, label);
+        ++live[{src, dst, label}];
+        break;
+      }
+      case 1: {  // a fresh edge, sometimes under a new label
+        const LabelId label =
+            rng.Chance(0.3)
+                ? d.InternLabel(g, "new_label_" + std::to_string(rng.Below(3)))
+                : g.EdgeLabel(static_cast<EdgeId>(rng.Below(g.NumEdges())));
+        const NodeId src = node();
+        const NodeId dst = node();
+        d.InsertEdge(src, dst, label);
+        ++live[{src, dst, label}];
+        break;
+      }
+      case 2: {  // deletes on one key, up to all of its copies
+        const Key key = any_key();
+        const auto [src, dst, label] = key;
+        for (size_t n = 1 + rng.Below(live[key]); n > 0; --n) {
+          d.DeleteEdge(src, dst, label);
+          if (--live[key] == 0) live.erase(key);
+        }
+        break;
+      }
+      default: {  // an attribute, sometimes under a new key or value
+        const AttrId key =
+            rng.Chance(0.3) ? d.InternAttr(g, "new_key")
+                            : static_cast<AttrId>(rng.Below(g.attrs().size()));
+        const ValueId value =
+            rng.Chance(0.3)
+                ? d.InternValue(g, "new_value_" + std::to_string(rng.Below(3)))
+                : static_cast<ValueId>(rng.Below(g.values().size()));
+        d.SetAttr(node(), key, value);
+        break;
+      }
+    }
+  }
+  return d;
+}
+
+PropertyGraph SmallRandomGraph() {
+  return MakeSynthetic({.nodes = 24,
+                        .edges = 80,
+                        .node_labels = 3,
+                        .edge_labels = 2,
+                        .attrs = 2,
+                        .values = 4,
+                        .seed = 8});
+}
+
+// The graph with its vocabulary and edges in id order: equal only if the
+// same edges survive, in the same order.
+std::string Dump(const PropertyGraph& g) {
+  std::ostringstream os;
+  SaveGraphTsv(g, os, /*with_vocab=*/true);
+  return std::move(os).str();
+}
+
+// Apply is one absorb of the whole delta; absorbing the same delta in two
+// pieces, split at any op, must leave the same view.
+TEST(GraphView, ApplyEqualsAbsorbingTheDeltaSplitAtAnyOp) {
+  const PropertyGraph g = SmallRandomGraph();
+  Rng rng(41);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const GraphDelta d = RandomDelta(g, rng, 40);
+    auto whole = GraphView::Apply(g, d);
+    ASSERT_TRUE(whole.has_value());
+    const std::string want = Dump(whole->Materialize());
+    for (size_t k = 0; k <= d.ops.size(); ++k) {
+      GraphDelta prefix = d;
+      prefix.ops.resize(k);
+      auto view = GraphView::Apply(g, GraphDelta{});
+      ASSERT_TRUE(view->AbsorbAppended(prefix, 0));
+      ASSERT_TRUE(view->AbsorbAppended(d, k));
+      EXPECT_EQ(Dump(view->Materialize()), want) << "split at op " << k;
+      EXPECT_EQ(view->NumEdges(), whole->NumEdges());
+      EXPECT_EQ(view->NumDeletedEdges(), whole->NumDeletedEdges());
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        ASSERT_TRUE(std::ranges::equal(view->OutEdges(v), whole->OutEdges(v)));
+        ASSERT_TRUE(std::ranges::equal(view->InEdges(v), whole->InEdges(v)));
+      }
+    }
+  }
+}
+
+// A failing op names itself the same way whether the delta arrives at
+// once or in two pieces, and wherever the split falls.
+TEST(GraphView, FailingOpReportsTheSameTextAtAnySplit) {
+  const PropertyGraph g = SmallRandomGraph();
+  Rng rng(43);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    GraphDelta d = RandomDelta(g, rng, 20);
+    const size_t bad = rng.Below(d.ops.size() + 1);
+    GraphDelta::Op poison;
+    if (round % 2 == 0) {
+      poison = {GraphDelta::OpKind::kDeleteEdge, 0, 1,
+                d.InternLabel(g, "never_inserted"), 0, kNoValue};
+    } else {
+      poison = {GraphDelta::OpKind::kInsertEdge, 0,
+                static_cast<NodeId>(g.NumNodes()), 0, 0, kNoValue};
+    }
+    d.ops.insert(d.ops.begin() + static_cast<std::ptrdiff_t>(bad), poison);
+    std::string want;
+    ASSERT_FALSE(GraphView::Apply(g, d, &want).has_value());
+    EXPECT_EQ(want.rfind("op " + std::to_string(bad + 1) + ": ", 0), 0u)
+        << want;
+    for (size_t k = 0; k <= d.ops.size(); ++k) {
+      GraphDelta prefix = d;
+      prefix.ops.resize(k);
+      auto view = GraphView::Apply(g, GraphDelta{});
+      std::string got;
+      const bool applied = view->AbsorbAppended(prefix, 0, &got) &&
+                           view->AbsorbAppended(d, k, &got);
+      EXPECT_FALSE(applied) << "split at op " << k;
+      EXPECT_EQ(got, want) << "split at op " << k;
+    }
+  }
 }
 
 TEST(DeltaLoader, ParsesOpsInOrderAndRoundTrips) {

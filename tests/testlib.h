@@ -4,6 +4,7 @@
 #ifndef GFD_TESTS_TESTLIB_H_
 #define GFD_TESTS_TESTLIB_H_
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -138,6 +139,32 @@ inline Gfd SameTeamRule(const PropertyGraph& g) {
   q.set_pivot(x);
   AttrId team = *g.FindAttr("team");
   return Gfd(q, {}, Literal::Vars(x, team, y, team));
+}
+
+/// Order-free form of a graph, by names: two backends (or a recovery)
+/// may hold the same state as different snapshot/overlay splits, with
+/// different edge and vocabulary ids.
+inline std::vector<std::string> CanonicalLines(const PropertyGraph& g) {
+  std::vector<std::string> out;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    std::vector<std::string> attrs;
+    for (const Attribute& a : g.NodeAttrs(v)) {
+      attrs.push_back(g.AttrName(a.key) + "=" + g.ValueName(a.value));
+    }
+    std::sort(attrs.begin(), attrs.end());
+    std::string line = "N " + g.NodeAlias(v);
+    line += " " + g.LabelName(g.NodeLabel(v));
+    for (const std::string& a : attrs) line += " " + a;
+    out.push_back(std::move(line));
+  }
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    std::string line = "E " + g.NodeAlias(g.EdgeSrc(e));
+    line += " " + g.NodeAlias(g.EdgeDst(e));
+    line += " " + g.LabelName(g.EdgeLabel(e));
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// `d` in the delta TSV format a store appends (graph/loader.h).

@@ -629,17 +629,18 @@ uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
   return count;
 }
 
-// One serving step, driven entirely through the ServingStore interface:
-// read/seed the running counter, run the shared ServeStep (durable append
-// with its per-batch diff, counter update, verdict), persist the new
-// count in the meta, print +/- records, and return the documented verdict
-// exit code (nullopt when the append was rejected). `detect --log
-// --delta` (single GraphStore) and `serve append` (coordinator over
-// vertex-cut fragments) both come through here. `before` is the store's
-// current graph, materialized: reporting works off materialized pre/post
-// states (ids preserved by both backends), so it stays valid across any
-// later compaction.
-std::optional<int> ServeBatch(ServingStore& store, const PropertyGraph& before,
+// One serving step: read/seed the running counter, run the shared
+// ServeStep (durable append with its per-batch diff, counter update,
+// verdict), persist the new count in the meta, print +/- records, and
+// return the documented verdict exit code (nullopt when the append was
+// rejected). `detect --log --delta` (single GraphStore) and `serve
+// append` (coordinator over vertex-cut fragments) both come through here.
+// `before` is the store's pre-batch graph, which the verb materialized to
+// load its rules: `-` records render against it, `+` records against the
+// store's live view, which absorbed the batch in place (ids preserved by
+// both backends).
+template <typename Store>
+std::optional<int> ServeBatch(Store& store, const PropertyGraph& before,
                               const ViolationEngine& engine,
                               const std::string& payload,
                               const char* payload_path, size_t workers,
@@ -662,10 +663,8 @@ std::optional<int> ServeBatch(ServingStore& store, const PropertyGraph& before,
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
                  error.c_str());
   }
-  PropertyGraph after = store.MaterializeCurrent();
-  auto after_view = GraphView::Apply(after, GraphDelta{});
-  int code =
-      ReportDiff(engine, *after_view, before, step->diff, seconds, step->count);
+  int code = ReportDiff(engine, store.view(), before, step->diff, seconds,
+                        step->count);
   // Refresh the snapshot gauges so a metrics export reflects the
   // post-batch sequence and overlay state.
   ExportSnapshotMetrics(store.MetricsSnapshot());
