@@ -2,7 +2,8 @@
 // build next to bench_delta_log: times the coordinator's merged-diff
 // serving step (validation + routed shipping + per-fragment incremental
 // detection + master-side merge) against fragment counts {1, 2, 4, 8} on
-// a YAGO2-shaped graph at scale 300. Records, per fragment count, the
+// a YAGO2-shaped graph at scale 300, and the coordinator's Open after a
+// bulk stream (open_104x75_f4_x4). Records, per fragment count, the
 // bytes shipped per batch through the Cluster ledger split into routed
 // owned-op traffic vs border-halo maintenance, and the storage footprint
 // of vertex-cut sharding: resident edges per fragment and the measured
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "datagen/kb.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
 #include "detect/metrics.h"
@@ -285,6 +287,62 @@ int main(int argc, char** argv) {
                      {"ops_routed_total", double(st.ops_routed)},
                      {"ops_maintenance_total", double(st.ops_maintenance)},
                      {"matches_enumerated", double(matches_enumerated)},
+                     {"verified", ok ? 1.0 : 0.0}}});
+  }
+
+  // Open after a bulk stream, in perfbench's ingest_bulk shape: 104
+  // batches of 75 ops into a 4-fragment, radius-3 coordinator over the
+  // graph `gfdtool gen --scale 1000 --seed 42 --noise 0.05` makes, with
+  // compaction off, so Open recovers the whole stream from the journal.
+  // Open writes nothing, so one directory serves every repetition; the
+  // row is the fastest of 3 trials of kOpens opens.
+  {
+    constexpr size_t kOpenBatches = 104;
+    constexpr size_t kOpenOps = 75;
+    constexpr int kOpens = 4;
+    auto serve_clean = MakeYago2Like({.scale = 1000, .seed = 42});
+    auto serve_noisy = InjectNoise(serve_clean, {.alpha = 0.05, .seed = 43});
+    const PropertyGraph& serve = serve_noisy.graph;
+    const auto stream = MakeStream(serve, kOpenBatches, kOpenOps, /*seed=*/29);
+    const std::string dir = root + "/open";
+    CoordinatorOptions no_compaction;
+    no_compaction.store.compact_min_ops = 0;
+    no_compaction.store.compact_min_fraction = 0;
+    std::string error;
+    if (!Coordinator::Init(dir, serve, /*fragments=*/4, /*halo_radius=*/3,
+                           &error)) {
+      std::fprintf(stderr, "init failed: %s\n", error.c_str());
+      return 1;
+    }
+    {
+      auto coord = Coordinator::Open(dir, no_compaction, &error);
+      for (size_t b = 0; coord && b < stream.size(); ++b) {
+        if (!coord->Append(stream[b], &error)) coord.reset();
+      }
+      if (!coord) {
+        std::fprintf(stderr, "stream failed: %s\n", error.c_str());
+        return 1;
+      }
+    }
+    double best = 1e9;
+    bool ok = true;
+    for (int trial = 0; trial < 3; ++trial) {
+      WallTimer t;
+      for (int i = 0; i < kOpens; ++i) {
+        auto coord = Coordinator::Open(dir, no_compaction, &error);
+        ok = ok && coord && coord->last_seq() == kOpenBatches;
+      }
+      best = std::min(best, t.Seconds());
+    }
+    verified = verified && ok;
+    std::printf("%-24s %8.3fs  %d opens after %zu batches x %zu ops, %s\n",
+                "open_104x75_f4_x4", best, kOpens, kOpenBatches, kOpenOps,
+                ok ? "recovered" : "FAILED");
+    rows.push_back({"open_104x75_f4_x4",
+                    best,
+                    {{"opens", double(kOpens)},
+                     {"batches", double(kOpenBatches)},
+                     {"batch_ops", double(kOpenOps)},
                      {"verified", ok ? 1.0 : 0.0}}});
   }
 

@@ -266,7 +266,9 @@ PropertyGraph GraphView::Materialize() const {
 bool GraphView::ValidateAppended(const GraphDelta& delta, size_t first_op,
                                  std::string* error) const {
   auto fail = [&](size_t op_index, const std::string& msg) {
-    if (error) *error = "op " + std::to_string(op_index + 1) + ": " + msg;
+    if (error) {
+      *error = "op " + std::to_string(op_index - first_op + 1) + ": " + msg;
+    }
     return false;
   };
   const size_t num_labels = base_->labels().size() + delta.extra_labels.size();

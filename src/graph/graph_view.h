@@ -216,9 +216,10 @@ class GraphView {
   /// this view last absorbed it -- ops[first_op, delta.size()) -- can
   /// apply on top of the current view state. Cost is O(batch + touched
   /// degrees), independent of the overlay size. Error text is "op N:
-  /// ...", N 1-based and absolute within `delta`. Delete validity is
-  /// count-based per (src, dst, label): edges with an identical key are
-  /// interchangeable for existence.
+  /// ...", N 1-based from ops[first_op]: the op's place in the batch
+  /// being absorbed, however long the overlay before it. Delete
+  /// validity is count-based per (src, dst, label): edges with an
+  /// identical key are interchangeable for existence.
   bool ValidateAppended(const GraphDelta& delta, size_t first_op,
                         std::string* error = nullptr) const;
 

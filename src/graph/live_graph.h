@@ -52,8 +52,8 @@ class LiveGraph {
   /// space whose extension tables extend the overlay's -- on the view
   /// and absorbs it in place: the overlay gains its ops and the tails of
   /// its extension tables. Returns false, changing nothing, when an op
-  /// cannot apply (*error is "op N: ...", N counted from the first
-  /// overlay op).
+  /// cannot apply (*error is "op N: ...", N counted from the batch's
+  /// first op).
   bool Absorb(const GraphDelta& batch, std::string* error = nullptr);
 
   /// Takes back every batch absorbed since `to` was taken, for a batch

@@ -1,6 +1,7 @@
 #include "serve/coordinator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -25,10 +26,6 @@ constexpr char kJournalFile[] = "routing.log";
 
 void SetError(std::string* error, const std::string& msg) {
   if (error) *error = msg;
-}
-
-std::string FragmentDir(const std::string& dir, size_t f) {
-  return dir + "/frag-" + std::to_string(f);
 }
 
 std::string GlobalSnapshotName(uint64_t seq) {
@@ -61,13 +58,12 @@ std::vector<uint64_t> ListGlobalSnapshots(const std::string& dir) {
   return seqs;
 }
 
-std::string MetaContent(const Partition& p, uint64_t owners_seq,
+std::string MetaContent(const Partition& p,
                         const std::optional<MetaCount>& count) {
   std::ostringstream out;
   out << kMetaMagic << '\n';
   out << "fragments " << p.num_fragments << '\n';
   out << "radius " << p.halo_radius << '\n';
-  out << "owners_seq " << owners_seq << '\n';
   out << "replication " << p.replication << '\n';
   if (count) out << MetaCountLine(*count);
   // Ownership is part of the coordinator's identity: recomputing it from
@@ -82,7 +78,6 @@ std::string MetaContent(const Partition& p, uint64_t owners_seq,
 struct MetaData {
   size_t fragments = 0;
   uint32_t radius = 0;
-  uint64_t owners_seq = 0;
   double replication = 1.0;
   std::vector<uint32_t> owners;
   std::optional<MetaCount> count;
@@ -110,8 +105,6 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
       if (ls >> meta->fragments) have_fragments = true;
     } else if (key == "radius") {
       ls >> meta->radius;
-    } else if (key == "owners_seq") {
-      ls >> meta->owners_seq;
     } else if (key == "replication") {
       ls >> meta->replication;
     } else if (key == "violations") {
@@ -120,9 +113,10 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
       uint32_t o;
       while (ls >> o) meta->owners.push_back(o);
       have_owners = true;
-    } else if (key == "border") {
-      // Advisory border lists written by older builds; residency is
-      // recomputed from the live graph on open, so they are skipped.
+    } else if (key == "border" || key == "owners_seq") {
+      // Written by older builds: advisory border lists (residency is
+      // recomputed from the live graph on open) and the sequence of the
+      // last owner change (the owner table itself is what Open reads).
     } else {
       SetError(error, "unrecognized line in " + path + ": " + line);
       return false;
@@ -135,73 +129,24 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
   return true;
 }
 
-// One routing-journal record: the original global batch plus every
-// fragment's routed sub-batch, length-framed so arbitrary TSV bytes
-// survive the round trip.
-//
-//   G <bytes>\n<global batch>\n
-//   F <f> <bytes>\n<sub-batch f>\n   for f = 0 .. fragments-1
-std::string JournalPayload(std::string_view global_tsv,
-                           const std::vector<std::string>& frags) {
-  std::string out;
-  out += "G " + std::to_string(global_tsv.size()) + "\n";
-  out.append(global_tsv);
-  out += '\n';
-  for (size_t f = 0; f < frags.size(); ++f) {
-    out +=
-        "F " + std::to_string(f) + " " + std::to_string(frags[f].size()) + "\n";
-    out += frags[f];
-    out += '\n';
-  }
-  return out;
-}
-
-bool ParseJournalPayload(const std::string& payload, size_t fragments,
-                         std::string* global_tsv,
-                         std::vector<std::string>* frags, std::string* error) {
-  size_t pos = 0;
-  auto next_line = [&](std::string* out_line) {
-    size_t nl = payload.find('\n', pos);
-    if (nl == std::string::npos) return false;
-    *out_line = payload.substr(pos, nl - pos);
-    pos = nl + 1;
-    return true;
-  };
-  auto read_body = [&](size_t n, std::string* body) {
-    if (pos + n >= payload.size() || payload[pos + n] != '\n') return false;
-    body->assign(payload, pos, n);
-    pos += n + 1;
-    return true;
-  };
-  std::string header;
-  std::string tag;
+// The global batch a routing-journal record holds. A record is the batch
+// itself, as a deltas.log record is. Older builds framed it as
+// `G <bytes>\n<batch>\n`, followed by `F <f> <bytes>\n<sub-batch>\n` per
+// fragment; the F frames are skipped. No delta record has the tag "G ",
+// so an accepted batch never starts with it and the two forms cannot be
+// confused.
+std::optional<std::string> GlobalBatch(std::string_view payload) {
+  if (!payload.starts_with("G ")) return std::string(payload);
+  const size_t nl = payload.find('\n');
   size_t n = 0;
-  if (!next_line(&header)) {
-    SetError(error, "corrupt routing journal record");
-    return false;
+  const char* digits = payload.data() + 2;
+  const char* digits_end = payload.data() + std::min(nl, payload.size());
+  auto [end, ec] = std::from_chars(digits, digits_end, n);
+  if (nl == std::string_view::npos || ec != std::errc() || end != digits_end ||
+      nl + 1 + n >= payload.size() || payload[nl + 1 + n] != '\n') {
+    return std::nullopt;
   }
-  {
-    std::istringstream hs(header);
-    if (!(hs >> tag >> n) || tag != "G" || !read_body(n, global_tsv)) {
-      SetError(error, "corrupt routing journal record");
-      return false;
-    }
-  }
-  frags->assign(fragments, "");
-  for (size_t f = 0; f < fragments; ++f) {
-    size_t id = 0;
-    if (!next_line(&header)) {
-      SetError(error, "corrupt routing journal record");
-      return false;
-    }
-    std::istringstream hs(header);
-    if (!(hs >> tag >> id >> n) || tag != "F" || id != f ||
-        !read_body(n, &(*frags)[f])) {
-      SetError(error, "corrupt routing journal record");
-      return false;
-    }
-  }
-  return true;
+  return std::string(payload.substr(nl + 1, n));
 }
 
 // Accounted size of a diff shipped fragment -> master.
@@ -270,18 +215,6 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
   Fragmentation frag = VertexCutPartition(g, fragments);
   Partition p = std::move(frag.partition);
   p.halo_radius = halo_radius;
-  FragmentResidency resident = ComputeResidency(g, p);
-
-  // Each fragment starts from its resident subgraph -- owned partition
-  // plus halo -- never the whole graph.
-  for (size_t f = 0; f < fragments; ++f) {
-    std::string ferr;
-    if (!GraphStore::Init(FragmentDir(dir, f), ExtractSubgraph(g, resident[f]),
-                          &ferr)) {
-      SetError(error, "fragment " + std::to_string(f) + ": " + ferr);
-      return false;
-    }
-  }
   {
     std::ostringstream snap;
     SaveGraphTsv(g, snap, /*with_vocab=*/true);
@@ -300,8 +233,8 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
     }
   }
   std::string werr;
-  if (!AtomicWriteFile(dir + "/" + kMetaFile,
-                       MetaContent(p, /*owners_seq=*/0, std::nullopt), &werr)) {
+  if (!AtomicWriteFile(dir + "/" + kMetaFile, MetaContent(p, std::nullopt),
+                       &werr)) {
     SetError(error, "meta: " + werr);
     return false;
   }
@@ -326,267 +259,92 @@ std::optional<Coordinator> Coordinator::Open(const std::string& dir,
       return std::nullopt;
     }
   }
-  c.owners_seq_ = meta.owners_seq;
   c.cluster_ = std::make_unique<Cluster>(meta.fragments);
 
-  // Every fragment store recovers independently from its local log;
-  // fragments lost outright are rebuilt below from the global state.
-  std::vector<std::optional<GraphStore>> opened(meta.fragments);
-  uint64_t frag_max = 0;
-  for (size_t f = 0; f < meta.fragments; ++f) {
-    std::string ferr;
-    auto s = GraphStore::Open(FragmentDir(dir, f), opts.store, &ferr);
-    if (!s) continue;
-    frag_max = std::max(frag_max, s->last_seq());
-    opened[f] = std::move(*s);
-  }
-
-  // Recover the master's global state from the newest snapshot the
-  // routing journal can bridge to the global sequence, preferring the
-  // common fragment anchor so a clean open needs no re-compaction.
+  // The master's global graph: the newest snapshot the routing journal
+  // bridges to the global sequence, plus the journal's later batches.
   std::vector<uint64_t> snaps = ListGlobalSnapshots(dir);
   if (snaps.empty()) {
     SetError(error, "no global snapshot in " + dir);
     return std::nullopt;
   }
-  uint64_t provisional = std::max(frag_max, snaps.back());
   {
     std::string jerr;
-    auto j = DeltaLog::Open(dir + "/" + kJournalFile, provisional + 1, &jerr);
+    auto j = DeltaLog::Open(dir + "/" + kJournalFile, snaps.back() + 1, &jerr);
     if (!j) {
       SetError(error, "routing journal: " + jerr);
       return std::nullopt;
     }
     c.journal_ = std::move(*j);
   }
-  auto records = c.journal_->records();
-  uint64_t global_seq = provisional;
-  if (!records.empty()) global_seq = std::max(global_seq, records.back().seq);
-
-  auto bridgeable = [&](uint64_t x) {
-    if (x > global_seq) return false;
-    if (x == global_seq) return true;
-    if (records.empty()) return false;
-    return records.front().seq <= x + 1 && records.back().seq >= global_seq;
+  std::vector<DeltaLogRecord> batches;
+  for (const DeltaLogRecord& rec : c.journal_->records()) {
+    auto batch = GlobalBatch(rec.payload);
+    if (!batch) {
+      SetError(error, "corrupt journal record " + std::to_string(rec.seq));
+      return std::nullopt;
+    }
+    batches.push_back({rec.seq, std::move(*batch)});
+  }
+  uint64_t global_seq = snaps.back();
+  if (!batches.empty()) global_seq = std::max(global_seq, batches.back().seq);
+  auto bridges = [&](uint64_t s) {
+    return s == global_seq ||
+           (!batches.empty() && batches.front().seq <= s + 1 &&
+            batches.back().seq == global_seq);
   };
-  std::optional<uint64_t> common_anchor;
-  bool anchors_equal = true;
-  for (const auto& s : opened) {
-    if (!s) continue;
-    uint64_t a = s->stats().anchor_seq;
-    if (!common_anchor) {
-      common_anchor = a;
-    } else if (*common_anchor != a) {
-      anchors_equal = false;
-    }
-  }
-  std::optional<uint64_t> chosen;
-  if (anchors_equal && common_anchor &&
-      std::binary_search(snaps.begin(), snaps.end(), *common_anchor) &&
-      bridgeable(*common_anchor)) {
-    chosen = *common_anchor;
-  }
-  if (!chosen) {
-    for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
-      if (bridgeable(*it)) {
-        chosen = *it;
-        break;
-      }
-    }
-  }
-  if (!chosen) {
+  auto chosen = std::find_if(snaps.rbegin(), snaps.rend(), bridges);
+  if (chosen == snaps.rend()) {
     SetError(error,
              "cannot reconstruct the global state: no snapshot bridges to "
              "sequence " +
                  std::to_string(global_seq));
     return std::nullopt;
   }
-  const uint64_t master_anchor = *chosen;
+  const uint64_t anchor = *chosen;
   std::string gerr;
-  auto g =
-      LoadGraphTsvFile(dir + "/" + GlobalSnapshotName(master_anchor), &gerr);
+  auto g = LoadGraphTsvFile(dir + "/" + GlobalSnapshotName(anchor), &gerr);
   if (!g) {
     SetError(error, "global snapshot: " + gerr);
     return std::nullopt;
   }
-  if (meta.owners.size() != g->NumNodes()) {
-    SetError(error, "ownership table does not match the graph");
-    return std::nullopt;
-  }
+  LiveGraph live(std::move(*g));
+  auto replay = ReplayLog(batches, anchor, live, c.journal_->path(), error);
+  if (!replay) return std::nullopt;
+
+  // Residency once, under the meta's owner table; then every fragment
+  // from the recovered graph -- the loaded snapshot itself when no record
+  // followed it.
   Partition p;
   p.num_fragments = meta.fragments;
   p.halo_radius = meta.radius;
   p.node_owner = std::move(meta.owners);
   p.replication = meta.replication;
-  c.index_ = RoutingIndex::Build(std::move(*g), std::move(p), error);
+  c.index_ = RoutingIndex::Build(std::move(live), std::move(p), error);
   if (!c.index_) return std::nullopt;
-  for (const auto& rec : records) {
-    if (rec.seq <= master_anchor) continue;
-    std::string gtsv;
-    std::vector<std::string> fpayloads;
-    if (!ParseJournalPayload(rec.payload, meta.fragments, &gtsv, &fpayloads,
-                             error)) {
-      return std::nullopt;
-    }
-    auto plan = c.index_->PlanBatch(gtsv, &gerr);
-    if (!plan) {
-      SetError(error, "routing journal replay seq " + std::to_string(rec.seq) +
-                          ": " + gerr);
-      return std::nullopt;
-    }
-    c.index_->Commit(std::move(*plan));
-  }
-  c.stats_.last_seq = global_seq;
-
-  std::optional<PropertyGraph> current;
-  for (size_t f = 0; f < meta.fragments; ++f) {
-    if (opened[f]) {
-      c.fragments_.push_back(std::move(*opened[f]));
-      continue;
-    }
-    if (!current) current = c.index_->view().Materialize();
-    auto s = c.RebuildFragment(f, global_seq, *current, error);
-    if (!s) return std::nullopt;
-    c.fragments_.push_back(std::move(*s));
-    ++c.stats_.catchup_snapshots;
-    ++c.stats_.lagging_fragments;
-    CatchupFragmentsTotal().Inc();
+  if (replay->replayed_batches == 0) {
+    c.ExtractFragments(c.index_->live().base());
+  } else {
+    c.ExtractFragments(c.index_->view().Materialize());
   }
 
-  if (!c.CatchUp(global_seq, master_anchor, error)) return std::nullopt;
-
-  for (const GraphStore& s : c.fragments_) {
-    if (s.last_seq() != global_seq) {
-      SetError(error, "fragments disagree after catch-up");
-      return std::nullopt;
-    }
-  }
-  uint64_t anchor = c.fragments_.front().stats().anchor_seq;
-  for (const GraphStore& s : c.fragments_) {
-    if (s.stats().anchor_seq != anchor) {
-      SetError(error, "fragment anchors disagree after catch-up");
-      return std::nullopt;
-    }
-  }
   c.stats_.anchor_seq = anchor;
-  c.count_.Restore(meta.count, global_seq);
+  c.stats_.last_seq = replay->last_seq;
+  c.stats_.replayed_batches = replay->replayed_batches;
+  c.stats_.skipped_batches = replay->skipped_batches;
+  c.count_.Restore(meta.count, c.stats_.last_seq);
   return c;
 }
 
-std::optional<GraphStore> Coordinator::RebuildFragment(
-    size_t f, uint64_t global_seq, const PropertyGraph& current,
-    std::string* error) {
-  PropertyGraph sub = ExtractSubgraph(current, index_->residency()[f]);
-  std::ostringstream shipped;
-  SaveGraphTsv(sub, shipped, /*with_vocab=*/true);
-  std::error_code ec;
-  fs::remove_all(FragmentDir(dir_, f), ec);
-  std::string ferr;
-  if (!GraphStore::InitAt(FragmentDir(dir_, f), sub, global_seq, &ferr)) {
-    SetError(error, "fragment " + std::to_string(f) + ": rebuild: " + ferr);
-    return std::nullopt;
+void Coordinator::ExtractFragments(const PropertyGraph& g) {
+  fragments_.clear();
+  for (const std::vector<char>& resident : index_->residency()) {
+    fragments_.emplace_back(ExtractSubgraph(g, resident));
   }
-  auto s = GraphStore::Open(FragmentDir(dir_, f), opts_.store, &ferr);
-  if (!s) {
-    SetError(error, "fragment " + std::to_string(f) +
-                        ": reopen after rebuild: " + ferr);
-    return std::nullopt;
-  }
-  cluster_->CountShipment(1, shipped.str().size());
-  SnapshotTransfersTotal().Inc();
-  obs::EmitTrace("snapshot_transfer",
-                 {{"fragment", f},
-                  {"seq", global_seq},
-                  {"bytes", shipped.str().size()}});
-  return s;
-}
-
-bool Coordinator::CatchUp(uint64_t global_seq, uint64_t master_anchor,
-                          std::string* error) {
-  auto records = journal_->records();
-  const uint64_t journal_first = records.empty() ? 0 : records.front().seq;
-  std::vector<std::optional<std::vector<std::string>>> parsed(records.size());
-  for (size_t f = 0; f < fragments_.size(); ++f) {
-    bool lagged = false;
-    while (fragments_[f].last_seq() < global_seq) {
-      uint64_t need = fragments_[f].last_seq() + 1;
-      if (records.empty() || need < journal_first ||
-          need > records.back().seq) {
-        SetError(error, "fragment " + std::to_string(f) +
-                            " cannot be caught up from the routing journal");
-        return false;
-      }
-      size_t idx = need - journal_first;
-      if (!parsed[idx]) {
-        std::string gtsv;
-        std::vector<std::string> fpayloads;
-        if (!ParseJournalPayload(records[idx].payload, fragments_.size(),
-                                 &gtsv, &fpayloads, error)) {
-          return false;
-        }
-        parsed[idx] = std::move(fpayloads);
-      }
-      const std::string& payload = (*parsed[idx])[f];
-      std::string ferr;
-      auto seq2 = fragments_[f].Append(payload, &ferr);
-      if (!seq2) {
-        SetError(error,
-                 "fragment " + std::to_string(f) + ": catch-up: " + ferr);
-        return false;
-      }
-      if (*seq2 != need) {
-        SetError(error, "fragment " + std::to_string(f) +
-                            ": catch-up out of sequence");
-        return false;
-      }
-      cluster_->CountShipment(1, payload.size());
-      ++stats_.catchup_records;
-      CatchupRecordsTotal().Inc();
-      lagged = true;
-    }
-    if (lagged) {
-      ++stats_.lagging_fragments;
-      CatchupFragmentsTotal().Inc();
-      obs::EmitTrace("catchup", {{"fragment", f},
-                                 {"seq", global_seq},
-                                 {"records", stats_.catchup_records}});
-    }
-  }
-
-  uint64_t min_anchor = fragments_.front().stats().anchor_seq;
-  bool anchors_differ = false;
-  for (const GraphStore& s : fragments_) {
-    uint64_t a = s.stats().anchor_seq;
-    min_anchor = std::min(min_anchor, a);
-    if (a != fragments_.front().stats().anchor_seq) anchors_differ = true;
-  }
-
-  // A rebalance that crashed between its meta commit and its lockstep
-  // compaction leaves fragment bases (and halos) laid out under the old
-  // ownership: rebuild every fragment from the recovered global state
-  // under the persisted (new) ownership.
-  if (owners_seq_ > min_anchor) {
-    PropertyGraph current = index_->view().Materialize();
-    for (size_t f = 0; f < fragments_.size(); ++f) {
-      auto s = RebuildFragment(f, global_seq, current, error);
-      if (!s) return false;
-      fragments_[f] = std::move(*s);
-      ++stats_.catchup_snapshots;
-    }
-    owners_seq_ = global_seq;  // ownership takes effect at the new anchor
-    anchors_differ = true;
-  }
-
-  if (anchors_differ ||
-      fragments_.front().stats().anchor_seq != master_anchor) {
-    if (!CompactAll(error)) return false;
-  }
-  return true;
 }
 
 CoordinatorStats Coordinator::stats() const {
   CoordinatorStats s = stats_;
-  s.anchor_seq = fragments_.front().stats().anchor_seq;
   s.messages = cluster_->messages();
   s.bytes_shipped = cluster_->bytes();
   return s;
@@ -604,15 +362,18 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
   const size_t n = fragments_.size();
   const uint64_t seq = stats_.last_seq + 1;
 
-  // Journal first: once the routed sub-batches are durable at the
-  // master, a crash anywhere below is repaired by re-shipping them. A
-  // batch the journal never took leaves the master's view again, so the
-  // failure rejects only this batch.
+  // The journal append is the one durable write: once the global batch is
+  // durable, a crash anywhere below is repaired by Open, which rebuilds
+  // every fragment from the recovered global graph. A batch the journal
+  // never took leaves the master's view again, so the failure rejects
+  // only this batch.
   {
+    obs::ScopedTimer append_timer(&StoreAppendLatency(), "append",
+                                  {{"seq", seq}});
     std::string jerr;
-    auto jseq =
-        journal_->Append(JournalPayload(global_tsv, plan.payloads), &jerr);
+    auto jseq = journal_->Append(global_tsv, &jerr);
     if (!jseq) {
+      append_timer.Discard();
       index_->Rollback(plan);
       SetError(error, "routing journal: " + jerr);
       return std::nullopt;
@@ -622,6 +383,7 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
       SetError(error, "routing journal out of sequence");
       return std::nullopt;
     }
+    StoreAppendsTotal().Inc();
   }
 
   // Per-fragment anchor seeds: the batch's anchors it owns. Bucketing a
@@ -635,28 +397,24 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
 
   std::vector<std::string> errs(n);
   cluster_->RunStep([&](size_t f) {
-    auto append = [&] {
+    auto absorb = [&] {
       std::string ferr;
-      auto seq2 = fragments_[f].Append(plan.payloads[f], &ferr);
-      if (!seq2) {
+      auto batch = fragments_[f].Parse(plan.payloads[f], &ferr);
+      if (!batch || !fragments_[f].Absorb(*batch, &ferr)) {
         errs[f] = "fragment " + std::to_string(f) + ": " + ferr;
-        return false;
-      }
-      if (*seq2 != seq) {
-        errs[f] = "fragment " + std::to_string(f) + ": out of sequence";
         return false;
       }
       return true;
     };
     if (!diff_ctx) {
-      append();
+      absorb();
       return;
     }
     // Both views around the sub-batch hold every match anchored at an
     // owned node (halo radius >= pattern radius), so each side equals the
     // global one at this fragment's seeds and the global footprint gates.
     auto sides = diff_ctx->engine->DetectStep(
-        fragments_[f].view(), plan.footprint, seeds[f], append,
+        fragments_[f].view(), plan.footprint, seeds[f], absorb,
         *diff_ctx->opts);
     if (!sides) return;
     if (obs::TraceLog* trace = obs::ActiveTrace()) {
@@ -786,20 +544,15 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   // count across the consumed sequence number.
   auto carried = count_.Persisted(stats_.last_seq);
 
-  // Persist intent FIRST: if anything past this point crashes, Open
-  // sees owners_seq beyond the minimum fragment anchor and rebuilds the
-  // fragments under the new ownership from the recovered global state.
-  const uint64_t prev_owners_seq = owners_seq_;
-  owners_seq_ = seq;
+  // The owner table first, its journal record second: Open reads the
+  // table from the meta, so a recovered rebalance seq always comes with
+  // the new table.
   {
-    Partition intent = index_->partition();
-    intent.node_owner = plan->new_owner;
+    Partition moved = index_->partition();
+    moved.node_owner = plan->new_owner;
     std::string werr;
-    if (!AtomicWriteFile(
-            dir_ + "/" + kMetaFile,
-            MetaContent(intent, owners_seq_, count_.Persisted(stats_.last_seq)),
-            &werr)) {
-      owners_seq_ = prev_owners_seq;
+    if (!AtomicWriteFile(dir_ + "/" + kMetaFile, MetaContent(moved, carried),
+                         &werr)) {
       index_->Rollback(*plan);
       SetError(error, "meta: " + werr);
       rebalance_timer.Discard();
@@ -807,6 +560,8 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
     }
   }
 
+  // An empty global batch: the journal numbers the rebalance like any
+  // batch, and replay absorbs nothing for it.
   auto s = ShipSequenced(std::move(*plan), "", nullptr, error);
   if (!s) {
     rebalance_timer.Discard();
@@ -814,32 +569,27 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   }
   ++stats_.rebalances;
   RebalancesTotal().Inc();
-  if (carried) count_.Set(carried->count, seq, carried->fingerprint);
-
-  // Compact right away, for recovery: CatchUp reads owners_seq_ past the
-  // minimum fragment anchor as a torn rebalance. (Diffs need no compaction:
-  // the maintenance already moved every live view to the new residency.)
-  if (!CompactAll(error)) {
-    rebalance_timer.Discard();
-    return std::nullopt;
+  if (carried) {
+    count_.Set(carried->count, seq, carried->fingerprint);
+    if (!WriteMeta(error)) return std::nullopt;
   }
   return seq;
 }
 
 bool Coordinator::ShouldCompact() const {
-  for (const GraphStore& s : fragments_) {
-    if (s.ShouldCompact()) return true;
-  }
-  return false;
+  return CompactionDue(opts_.store, index_->live());
 }
 
 bool Coordinator::CompactAll(std::string* error) {
   if (!CheckNotDegraded(error)) return false;
   const uint64_t seq = stats_.last_seq;
+  const size_t overlay_ops = index_->live().overlay().ops.size();
+  obs::ScopedTimer compact_timer(&StoreCompactLatency(), "compact",
+                                 {{"seq", seq}, {"overlay_ops", overlay_ops}});
 
-  // Global snapshot first (the gross-damage recovery source), fragment
-  // rolls second, journal re-anchor last: a crash between any two steps
-  // leaves a state Open() can still bridge.
+  // The global snapshot is the round's commit point: once it is durable,
+  // Open recovers from it, skipping whatever the journal still holds at
+  // or below its sequence. The journal re-anchors after it.
   PropertyGraph current = index_->view().Materialize();
   {
     std::ostringstream snap;
@@ -847,27 +597,16 @@ bool Coordinator::CompactAll(std::string* error) {
     std::string werr;
     if (!AtomicWriteFile(dir_ + "/" + GlobalSnapshotName(seq), snap.str(),
                          &werr)) {
+      compact_timer.Discard();
       SetError(error, "global snapshot: " + werr);
       return false;
     }
   }
-  std::vector<std::string> errs(fragments_.size());
-  cluster_->RunStep([&](size_t f) {
-    std::string ferr;
-    if (!fragments_[f].Compact(&ferr)) {
-      errs[f] = "fragment " + std::to_string(f) + ": " + ferr;
-    }
-  });
-  for (const std::string& e : errs) {
-    if (!e.empty()) {
-      degraded_ = true;
-      SetError(error, e + "; coordinator degraded, reopen to recover");
-      return false;
-    }
-  }
+  ExtractFragments(current);
   index_->Compact(std::move(current));
   std::string jerr;
   if (!journal_->DropThrough(seq, &jerr)) {
+    compact_timer.Discard();
     SetError(error, "routing journal: " + jerr);
     return false;
   }
@@ -877,7 +616,8 @@ bool Coordinator::CompactAll(std::string* error) {
   }
   stats_.anchor_seq = seq;
   ++stats_.compactions;
-  return WriteMeta(error);
+  StoreCompactionsTotal().Inc();
+  return true;
 }
 
 bool Coordinator::MaybeCompactAll(std::string* error) {
@@ -906,17 +646,12 @@ ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {
   snap.anchor_seq = s.anchor_seq;
   snap.last_seq = s.last_seq;
   snap.fragments = fragments_.size();
-  for (const GraphStore& f : fragments_) {
-    snap.replayed_batches += f.stats().replayed_batches;
-    snap.skipped_batches += f.stats().skipped_batches;
-    snap.overlay_ops += f.overlay().ops.size();
-    snap.truncated_bytes += f.stats().truncated_bytes;
-    snap.compactions += f.stats().compactions;
-  }
+  snap.replayed_batches = s.replayed_batches;
+  snap.skipped_batches = s.skipped_batches;
+  snap.overlay_ops = index_->live().overlay().ops.size();
+  snap.truncated_bytes = journal_->open_stats().truncated_bytes;
+  snap.compactions = s.compactions;
   snap.batches = s.batches;
-  snap.lagging_fragments = s.lagging_fragments;
-  snap.catchup_records = s.catchup_records;
-  snap.catchup_snapshots = s.catchup_snapshots;
   snap.rebalances = s.rebalances;
   snap.messages = s.messages;
   snap.bytes_shipped = s.bytes_shipped;
@@ -936,11 +671,10 @@ bool Coordinator::CheckNotDegraded(std::string* error) const {
 }
 
 bool Coordinator::WriteMeta(std::string* error) {
+  const auto count = count_.Persisted(stats_.last_seq);
   std::string werr;
   if (!AtomicWriteFile(dir_ + "/" + kMetaFile,
-                       MetaContent(index_->partition(), owners_seq_,
-                                   count_.Persisted(stats_.last_seq)),
-                       &werr)) {
+                       MetaContent(index_->partition(), count), &werr)) {
     SetError(error, "meta: " + werr);
     return false;
   }

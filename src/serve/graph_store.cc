@@ -84,13 +84,53 @@ std::string SaveGraphString(const PropertyGraph& g) {
 
 }  // namespace
 
-bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
-                      std::string* error) {
-  return InitAt(dir, g, /*anchor=*/0, error);
+bool CompactionDue(const GraphStoreOptions& opts, const LiveGraph& live) {
+  const size_t ops = live.overlay().ops.size();
+  if (ops == 0) return false;
+  if (opts.compact_min_ops > 0 && ops >= opts.compact_min_ops) return true;
+  const double edges = static_cast<double>(live.base().NumEdges());
+  return opts.compact_min_fraction > 0 &&
+         static_cast<double>(ops) >= opts.compact_min_fraction * edges;
 }
 
-bool GraphStore::InitAt(const std::string& dir, const PropertyGraph& g,
-                        uint64_t anchor, std::string* error) {
+std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
+                                     uint64_t anchor, LiveGraph& live,
+                                     const std::string& source,
+                                     std::string* error) {
+  StopwatchNs replay_watch;
+  ReplayStats stats;
+  stats.last_seq = anchor;
+  for (const DeltaLogRecord& rec : records) {
+    if (rec.seq <= anchor) {
+      ++stats.skipped_batches;
+      continue;
+    }
+    if (rec.seq != stats.last_seq + 1) {
+      SetError(error, source + ": record " + std::to_string(rec.seq) +
+                          " does not continue " +
+                          std::to_string(stats.last_seq) + " (lost batches?)");
+      return std::nullopt;
+    }
+    std::string replay_error;
+    auto batch = live.Parse(rec.payload, &replay_error);
+    if (!batch || !live.Absorb(*batch, &replay_error)) {
+      SetError(error, source + ": record " + std::to_string(rec.seq) + ": " +
+                          replay_error);
+      return std::nullopt;
+    }
+    stats.last_seq = rec.seq;
+    ++stats.replayed_batches;
+  }
+  StoreReplayLatency().Observe(replay_watch.Seconds());
+  StoreReplayedBatchesTotal().Inc(stats.replayed_batches);
+  obs::EmitTrace("replay", {{"seq", stats.last_seq},
+                            {"batches", stats.replayed_batches},
+                            {"overlay_ops", live.overlay().ops.size()}});
+  return stats;
+}
+
+bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
+                      std::string* error) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -102,13 +142,13 @@ bool GraphStore::InitAt(const std::string& dir, const PropertyGraph& g,
     SetError(error, dir + ": already holds a graph store");
     return false;
   }
-  std::string snapshot = SnapshotName(anchor);
+  std::string snapshot = SnapshotName(0);
   if (!AtomicWriteFile((fs::path(dir) / snapshot).string(),
                        SaveGraphString(g), error)) {
     return false;
   }
-  return AtomicWriteFile(meta_path,
-                         MetaContent(anchor, snapshot, std::nullopt), error);
+  return AtomicWriteFile(meta_path, MetaContent(0, snapshot, std::nullopt),
+                         error);
 }
 
 std::optional<GraphStore> GraphStore::Open(const std::string& dir,
@@ -143,36 +183,14 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
 
   // Sequenced, exactly-once replay: records the snapshot already contains
   // (seq <= anchor; left over when a crash hit between the meta commit
-  // and the log re-anchor) are skipped, the rest must continue the chain
-  // at anchor+1 and are absorbed one by one, as Append absorbed them.
-  StopwatchNs replay_watch;
-  for (const DeltaLogRecord& rec : store.log_->records()) {
-    if (rec.seq <= anchor) {
-      ++store.stats_.skipped_batches;
-      continue;
-    }
-    if (rec.seq != store.stats_.last_seq + 1) {
-      SetError(error, store.log_->path() + ": record " +
-                          std::to_string(rec.seq) + " does not continue " +
-                          std::to_string(store.stats_.last_seq) +
-                          " (lost batches?)");
-      return std::nullopt;
-    }
-    std::string replay_error;
-    auto batch = store.live_->Parse(rec.payload, &replay_error);
-    if (!batch || !store.live_->Absorb(*batch, &replay_error)) {
-      SetError(error, store.log_->path() + ": record " +
-                          std::to_string(rec.seq) + ": " + replay_error);
-      return std::nullopt;
-    }
-    store.stats_.last_seq = rec.seq;
-    ++store.stats_.replayed_batches;
-  }
-  StoreReplayLatency().Observe(replay_watch.Seconds());
-  StoreReplayedBatchesTotal().Inc(store.stats_.replayed_batches);
-  obs::EmitTrace("replay", {{"seq", store.stats_.last_seq},
-                            {"batches", store.stats_.replayed_batches},
-                            {"overlay_ops", store.overlay().ops.size()}});
+  // and the log re-anchor) are skipped, the rest are absorbed one by one,
+  // as Append absorbed them.
+  auto replay = ReplayLog(store.log_->records(), anchor, *store.live_,
+                          store.log_->path(), error);
+  if (!replay) return std::nullopt;
+  store.stats_.last_seq = replay->last_seq;
+  store.stats_.replayed_batches = replay->replayed_batches;
+  store.stats_.skipped_batches = replay->skipped_batches;
 
   // The persisted count is trusted only when it was taken at exactly the
   // state replay reconstructed: a torn tail (count ahead) or appends that
@@ -261,25 +279,13 @@ std::optional<uint64_t> GraphStore::Append(const GraphDelta& batch,
   return Append(std::move(os).str(), error);
 }
 
-bool GraphStore::ShouldCompact() const {
-  size_t ops = overlay().ops.size();
-  if (ops == 0) return false;
-  if (opts_.compact_min_ops > 0 && ops >= opts_.compact_min_ops) return true;
-  if (opts_.compact_min_fraction > 0 &&
-      static_cast<double>(ops) >=
-          opts_.compact_min_fraction *
-              static_cast<double>(base().NumEdges())) {
-    return true;
-  }
-  return false;
-}
+bool GraphStore::ShouldCompact() const { return CompactionDue(opts_, *live_); }
 
 bool GraphStore::Compact(std::string* error) {
   // No-op only when there is truly nothing to fold AND the anchor is
   // already current. Extras-only overlays must still fold (they change
-  // the post-compaction base vocabulary), and empty sub-batches must
-  // still roll the anchor -- coordinator lockstep compares anchors
-  // across fragments.
+  // the post-compaction base vocabulary), and empty batches must still
+  // roll the anchor, so the log re-anchors at last_seq.
   const GraphDelta& overlay = live_->overlay();
   if (overlay.ops.empty() && overlay.extra_labels.empty() &&
       overlay.extra_attrs.empty() && overlay.extra_values.empty() &&

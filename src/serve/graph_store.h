@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +73,30 @@ struct GraphStoreOptions {
   double compact_min_fraction = 0.10;
 };
 
+/// True when `live`'s overlay exceeds a threshold of `opts`: the one
+/// compaction policy, which a coordinator applies to its master graph.
+bool CompactionDue(const GraphStoreOptions& opts, const LiveGraph& live);
+
+/// What replaying a log onto a live graph did.
+struct ReplayStats {
+  uint64_t last_seq = 0;        ///< the anchor, or the last record absorbed
+  size_t replayed_batches = 0;  ///< records absorbed
+  size_t skipped_batches = 0;   ///< records at or below the anchor
+};
+
+/// The replay both backends recover through: absorbs every record of
+/// `records` past `anchor` into `live`, in sequence order, exactly as
+/// the live path absorbed it (LiveGraph::Parse, then Absorb). Records
+/// at or below `anchor` -- already in the snapshot `live` was built
+/// from -- are skipped; the rest must continue the chain at anchor+1.
+/// Nullopt (with *error naming `source` and the record) when a record
+/// does not continue the chain or cannot apply. Emits the `replay`
+/// trace event and the gfd_store_replay_* metrics.
+std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
+                                     uint64_t anchor, LiveGraph& live,
+                                     const std::string& source,
+                                     std::string* error = nullptr);
+
 struct GraphStoreStats {
   uint64_t anchor_seq = 0;       ///< snapshot includes batches through this
   uint64_t last_seq = 0;         ///< last applied batch (0 = none yet)
@@ -88,13 +113,6 @@ class GraphStore final : public ServingStore {
   static bool Init(const std::string& dir, const PropertyGraph& g,
                    std::string* error = nullptr);
 
-  /// Init with a non-zero starting anchor: `g` becomes snapshot-<anchor>
-  /// and the first appended batch is numbered anchor+1. The snapshot-
-  /// transfer path of distributed catch-up (serve/coordinator.h) uses
-  /// this to rebuild a fragment whose peers compacted past its log.
-  static bool InitAt(const std::string& dir, const PropertyGraph& g,
-                     uint64_t anchor, std::string* error = nullptr);
-
   /// Opens `dir`, replaying the log onto the snapshot (sequenced,
   /// exactly-once; corrupt tail cut). Also self-heals: pre-anchor log
   /// records are dropped and orphaned temp/old-snapshot files deleted.
@@ -108,9 +126,6 @@ class GraphStore final : public ServingStore {
   const GraphStoreStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
   uint64_t last_seq() const override { return stats_.last_seq; }
-  /// The store's log (read access; the coordinator's catch-up path ships
-  /// a lagging peer the records it is missing straight out of here).
-  const DeltaLog& log() const { return *log_; }
 
   /// Parses `delta_tsv` (the E+/E-/A format of graph/loader.h) against
   /// the store's vocabulary, validates and absorbs it into the live view,

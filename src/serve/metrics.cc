@@ -59,7 +59,7 @@ obs::Counter& FsyncsTotal() {
 obs::Histogram& StoreAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_store_append_seconds",
-      "Graph-store append latency (validate + log + apply).",
+      "Store append latency (a coordinator's: its journal append).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -86,7 +86,8 @@ obs::Counter& StoreAppendsTotal() {
 
 obs::Counter& StoreCompactionsTotal() {
   static obs::Counter& c = Reg().GetCounter(
-      "gfd_store_compactions_total", "Graph-store snapshot compactions.");
+      "gfd_store_compactions_total",
+      "Snapshot compactions (one per coordinator round).");
   return c;
 }
 
@@ -100,7 +101,7 @@ obs::Counter& StoreReplayedBatchesTotal() {
 obs::Gauge& StoreOverlayOps() {
   static obs::Gauge& g = Reg().GetGauge(
       "gfd_store_overlay_ops",
-      "Current overlay ops pending compaction (summed over open stores).");
+      "Current overlay ops pending compaction.");
   return g;
 }
 
@@ -134,26 +135,6 @@ obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind) {
       {{"fragment", std::to_string(f)}, {"kind", std::string(kind)}});
 }
 
-obs::Counter& CatchupRecordsTotal() {
-  static obs::Counter& c = Reg().GetCounter(
-      "gfd_catchup_records_total",
-      "Journal sub-batches re-shipped to lagging fragments on open.");
-  return c;
-}
-
-obs::Counter& CatchupFragmentsTotal() {
-  static obs::Counter& c = Reg().GetCounter(
-      "gfd_catchup_fragments_total", "Lagging fragments caught up on open.");
-  return c;
-}
-
-obs::Counter& SnapshotTransfersTotal() {
-  static obs::Counter& c = Reg().GetCounter(
-      "gfd_snapshot_transfers_total",
-      "Partition-scoped fragment rebuilds (snapshot transfers).");
-  return c;
-}
-
 obs::Counter& RebalancesTotal() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_rebalances_total", "Ownership migrations between fragments.");
@@ -163,7 +144,7 @@ obs::Counter& RebalancesTotal() {
 obs::Histogram& RebalanceLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_rebalance_seconds",
-      "End-to-end rebalance latency (ship + meta + lockstep compaction).",
+      "End-to-end rebalance latency (owner table, journal, ship).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -185,9 +166,6 @@ void TouchServeMetrics() {
   StoreOverlayOps();
   ViolationsRunning();
   FeedPublishLatency();
-  CatchupRecordsTotal();
-  CatchupFragmentsTotal();
-  SnapshotTransfersTotal();
   RebalancesTotal();
   RebalanceLatency();
 }

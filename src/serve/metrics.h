@@ -31,10 +31,12 @@ obs::Histogram& StoreAppendLatency();   ///< gfd_store_append_seconds
 obs::Histogram& StoreReplayLatency();   ///< gfd_store_replay_seconds
 obs::Histogram& StoreCompactLatency();  ///< gfd_store_compact_seconds
 obs::Counter& StoreAppendsTotal();      ///< gfd_store_appends_total
-obs::Counter& StoreCompactionsTotal();  ///< gfd_store_compactions_total
+/// Snapshot compactions: one per GraphStore roll or coordinator round
+/// (gfd_store_compactions_total).
+obs::Counter& StoreCompactionsTotal();
 /// Batches replayed from logs on open (gfd_store_replayed_batches_total).
 obs::Counter& StoreReplayedBatchesTotal();
-obs::Gauge& StoreOverlayOps();  ///< gfd_store_overlay_ops (sum over stores)
+obs::Gauge& StoreOverlayOps();    ///< gfd_store_overlay_ops
 obs::Gauge& ViolationsRunning();  ///< gfd_violations_running
 
 // ---- changefeed ----
@@ -50,13 +52,8 @@ obs::Counter& FragmentBytesShipped(size_t f, std::string_view kind);
 /// maintenance (gfd_fragment_ops_total{fragment="<f>",kind="routed"|
 /// "maintenance"}).
 obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind);
-/// Crash-recovery events: journal sub-batches re-shipped, fragments
-/// caught up, partition-scoped snapshot transfers.
-obs::Counter& CatchupRecordsTotal();    ///< gfd_catchup_records_total
-obs::Counter& CatchupFragmentsTotal();  ///< gfd_catchup_fragments_total
-obs::Counter& SnapshotTransfersTotal();  ///< gfd_snapshot_transfers_total
-obs::Counter& RebalancesTotal();         ///< gfd_rebalances_total
-obs::Histogram& RebalanceLatency();      ///< gfd_rebalance_seconds
+obs::Counter& RebalancesTotal();     ///< gfd_rebalances_total
+obs::Histogram& RebalanceLatency();  ///< gfd_rebalance_seconds
 
 /// Pre-registers every unlabeled serve family so a render shows the
 /// full catalog even on an idle store.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/loader.h"
+#include "obs/trace.h"
 
 namespace gfd {
 
@@ -15,8 +16,7 @@ void SetError(std::string* error, const std::string& msg) {
 }
 }  // namespace
 
-std::optional<RoutingIndex> RoutingIndex::Build(PropertyGraph base,
-                                                Partition p,
+std::optional<RoutingIndex> RoutingIndex::Build(LiveGraph live, Partition p,
                                                 std::string* error) {
   if (p.num_fragments == 0) {
     SetError(error, "partition has no fragments");
@@ -28,13 +28,13 @@ std::optional<RoutingIndex> RoutingIndex::Build(PropertyGraph base,
     SetError(error, "halo radius must be >= 1");
     return std::nullopt;
   }
-  if (p.node_owner.size() != base.NumNodes()) {
+  if (p.node_owner.size() != live.view().NumNodes()) {
     SetError(error, "partition owner table does not match the graph");
     return std::nullopt;
   }
   RoutingIndex idx;
   idx.partition_ = std::move(p);
-  idx.live_.emplace(std::move(base));
+  idx.live_.emplace(std::move(live));
   idx.resident_ = ComputeResidency(idx.view(), idx.partition_);
   return idx;
 }
@@ -51,8 +51,14 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanBatch(
   // validation.
   plan.footprint = BatchFootprint::Of(batch->ops, view());
   // Validating on the global view is the one place a delete-of-missing-
-  // edge can be caught before any fragment's log sees the batch.
-  if (!live_->Absorb(*batch, error)) return std::nullopt;
+  // edge can be caught before the journal or any fragment sees the batch.
+  obs::ScopedTimer validate_timer(nullptr, "validate");
+  if (!live_->Absorb(*batch, error)) {
+    validate_timer.Discard();
+    return std::nullopt;
+  }
+  validate_timer.AddField("ops", live_->overlay().ops.size());
+  validate_timer.StopNs();
   plan.new_resident = ComputeResidency(view(), partition_);
   BuildPayloads(*batch, &plan);
   return plan;

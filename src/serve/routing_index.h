@@ -5,15 +5,15 @@
 //
 // Under true vertex-cut sharding no fragment holds the whole graph, so
 // the master keeps the one global view needed to (a) validate an
-// incoming batch before any fragment's log sees it, (b) route each op to
-// exactly the fragments whose resident set covers it (RouteDelta), and
-// (c) derive the halo-maintenance traffic -- border entry/exit edge
-// repair plus attribute refresh for nodes entering a fragment's halo --
-// that keeps every fragment equal to the resident subgraph of the
-// global state. This mirrors the paper's coordinator, which knows the
-// fragmentation and routes workload; holding the topology at the master
-// is the simulation's stand-in for the partition manager of a real
-// deployment.
+// incoming batch before the journal or any fragment sees it, (b) route
+// each op to exactly the fragments whose resident set covers it
+// (RouteDelta), and (c) derive the halo-maintenance traffic -- border
+// entry/exit edge repair plus attribute refresh for nodes entering a
+// fragment's halo -- that keeps every fragment equal to the resident
+// subgraph of the global state. This mirrors the paper's coordinator,
+// which knows the fragmentation and routes workload; holding the
+// topology at the master is the simulation's stand-in for the partition
+// manager of a real deployment.
 //
 // A plan changes the index: PlanBatch absorbs its batch into the global
 // view right away, and the plan is then either committed (the residency
@@ -41,8 +41,8 @@
 //      while the node was out of the halo).
 //
 // PlanRebalance produces the same shape for an ownership move with an
-// unchanged graph: maintenance-only payloads (empty for untouched
-// fragments, preserving lockstep sequencing).
+// unchanged graph: maintenance-only payloads (empty for the fragments
+// whose residency does not shift).
 #ifndef GFD_SERVE_ROUTING_INDEX_H_
 #define GFD_SERVE_ROUTING_INDEX_H_
 
@@ -63,14 +63,17 @@ namespace gfd {
 
 class RoutingIndex {
  public:
-  /// Builds the index over `base` (the global anchor snapshot) under
-  /// partition `p` (halo_radius >= 1 required: radius 1 is what makes
-  /// every edge resident at both endpoint owners, i.e. storage-complete).
-  static std::optional<RoutingIndex> Build(PropertyGraph base, Partition p,
+  /// Builds the index over `live` (the global graph: the anchor
+  /// snapshot plus whatever recovery replayed onto it) under partition
+  /// `p` (halo_radius >= 1 required: radius 1 is what makes every edge
+  /// resident at both endpoint owners, i.e. storage-complete), computing
+  /// the residency once.
+  static std::optional<RoutingIndex> Build(LiveGraph live, Partition p,
                                            std::string* error = nullptr);
 
   const Partition& partition() const { return partition_; }
   /// The live global graph; post-batch from PlanBatch on.
+  const LiveGraph& live() const { return *live_; }
   const GraphView& view() const { return live_->view(); }
   const FragmentResidency& residency() const { return resident_; }
 
@@ -97,9 +100,10 @@ class RoutingIndex {
   /// Parses `delta_tsv` against the anchor snapshot's vocabulary, picks
   /// the batch's anchors on the pre-batch global degrees, validates it
   /// and absorbs it into the global view (so an invalid batch is rejected
-  /// before any fragment's log sees it, and changes nothing), and derives
-  /// the shipping plan from the post-batch view. Commit() the plan after
-  /// shipping succeeds, or Rollback() it.
+  /// before the journal or any fragment sees it, and changes nothing;
+  /// traced as `validate`), and derives the shipping plan from the
+  /// post-batch view. Commit() the plan after shipping succeeds, or
+  /// Rollback() it.
   std::optional<ShipPlan> PlanBatch(std::string_view delta_tsv,
                                     std::string* error = nullptr);
 
@@ -117,10 +121,10 @@ class RoutingIndex {
   /// never was.
   void Rollback(const ShipPlan& plan);
 
-  /// Lockstep-compaction hook: adopts `next` -- view().Materialize(),
-  /// which the caller already built for the global snapshot -- as the
-  /// base snapshot (ids preserved, mirroring GraphStore::Compact) and
-  /// clears the overlay and its vocabulary preamble.
+  /// Compaction hook: adopts `next` -- view().Materialize(), which the
+  /// caller already built for the global snapshot -- as the base
+  /// snapshot (ids preserved, mirroring GraphStore::Compact) and clears
+  /// the overlay and its vocabulary preamble.
   void Compact(PropertyGraph next);
 
   /// Resident (stored) edge count of fragment f under the current

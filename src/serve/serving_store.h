@@ -4,8 +4,9 @@
 // ask for per-batch violation diffs, compact, and materialize":
 //
 //   GraphStore   (serve/graph_store.h)  -- single node: snapshot + log
-//   Coordinator  (serve/coordinator.h)  -- distributed: vertex-cut
-//                partitioned fragments behind the same verbs
+//   Coordinator  (serve/coordinator.h)  -- distributed: a global
+//                snapshot + routing journal, served by vertex-cut
+//                partitioned in-memory fragments behind the same verbs
 //
 // `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
 // and the oracle tests drive either backend through this interface, and
@@ -29,7 +30,9 @@ namespace gfd {
 /// One unified telemetry snapshot both backends report through --
 /// replaces querying GraphStoreStats and CoordinatorStats separately.
 /// Distributed-only fields are zero for a single store; `fragments` is 1
-/// there. `overlay_ops` is the total pending (un-compacted) delta ops.
+/// there. The recovery and compaction fields describe the one durable
+/// graph -- a coordinator's master -- so `overlay_ops` is its pending
+/// (un-compacted) delta ops and `compactions` its rounds.
 struct ServingMetricsSnapshot {
   uint64_t anchor_seq = 0;
   uint64_t last_seq = 0;
@@ -41,9 +44,6 @@ struct ServingMetricsSnapshot {
   size_t compactions = 0;
   // Distributed (Coordinator) only.
   size_t batches = 0;
-  size_t lagging_fragments = 0;
-  size_t catchup_records = 0;
-  size_t catchup_snapshots = 0;
   size_t rebalances = 0;
   uint64_t messages = 0;
   uint64_t bytes_shipped = 0;

@@ -3,13 +3,15 @@
 // byte-identical to single-node DetectStep / AppendAndDiff on the
 // unfragmented store -- on fixtures, property-style across random seeds
 // x graph scales x fragment counts {1,2,4,8} x batch streams (repeated,
-// delete-heavy, and mid-stream rebalanced batches included), and across
-// crash-recovery boundaries (torn fragment logs, lost fragment
-// directories, missed lockstep compactions, torn rebalances). Both
-// backends are driven through the ServingStore interface. On top of the
-// oracle, every fragment must equal the resident subgraph of the global
-// state (edges exact, resident-node attributes fresh) and the summed
-// footprint must be ~replication x |G|, not N x |G|.
+// delete-heavy, and mid-stream rebalanced batches included), across a
+// restart, and from a directory an older build wrote with durable
+// fragment stores. Both backends are driven through the ServingStore
+// interface. On top of the oracle, every fragment must equal the
+// resident subgraph of the global state (edges exact, resident-node
+// attributes fresh), the summed footprint must be ~replication x |G|,
+// not N x |G|, and the coordinator's durable state must be its meta,
+// its journal and one global snapshot. Crash recovery at every durable
+// write point is crash_sweep_test's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,13 +29,14 @@
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "graph/graph_view.h"
+#include "graph/live_graph.h"
 #include "graph/loader.h"
 #include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "parallel/fragment.h"
 #include "serve/coordinator.h"
+#include "serve/delta_log.h"
 #include "serve/graph_store.h"
-#include "serve/metrics.h"
 #include "serve/routing_index.h"
 #include "serve/serving_store.h"
 #include "testlib.h"
@@ -153,7 +156,7 @@ void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
   PropertyGraph current = coord.MaterializeCurrent();
   const FragmentResidency& res = coord.residency();
   for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    PropertyGraph frag = coord.fragment(f).MaterializeCurrent();
+    PropertyGraph frag = coord.fragment(f).view().Materialize();
     PropertyGraph want = ExtractSubgraph(current, res[f]);
     EXPECT_EQ(EdgeKeys(frag), EdgeKeys(want)) << "fragment " << f;
     ASSERT_EQ(frag.NumNodes(), current.NumNodes()) << "fragment " << f;
@@ -278,8 +281,8 @@ TEST(RoutingIndex, RolledBackPlanLeavesTheIndexAsItWas) {
   auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 4});
   Fragmentation frag = VertexCutPartition(g, 3);
   frag.partition.halo_radius = 2;
-  auto index = RoutingIndex::Build(g, frag.partition);
-  auto fresh = RoutingIndex::Build(g, frag.partition);
+  auto index = RoutingIndex::Build(LiveGraph(g), frag.partition);
+  auto fresh = RoutingIndex::Build(LiveGraph(g), frag.partition);
   ASSERT_TRUE(index.has_value());
   ASSERT_TRUE(fresh.has_value());
 
@@ -362,16 +365,19 @@ TEST(Coordinator, AppendKeepsFragmentsInLockstepAndResident) {
     ASSERT_TRUE(seq.has_value()) << error;
     EXPECT_EQ(*seq, static_cast<uint64_t>(b + 1));
   }
-  for (size_t f = 0; f < coord->num_fragments(); ++f) {
-    EXPECT_EQ(coord->fragment(f).last_seq(), 3u) << "fragment " << f;
-  }
   ExpectFragmentsMatchResidentSubgraphs(*coord);
-  // An invalid batch is rejected before any log sees it.
+  // An invalid batch is rejected before the journal or any fragment sees
+  // it.
+  std::vector<std::string> before;
+  for (size_t f = 0; f < coord->num_fragments(); ++f) {
+    before.push_back(GraphBytes(coord->fragment(f).view().Materialize()));
+  }
   std::string error;
   EXPECT_FALSE(coord->Append("E-\tno_such_node\talso_missing\tx\n", &error));
   EXPECT_EQ(coord->last_seq(), 3u);
   for (size_t f = 0; f < coord->num_fragments(); ++f) {
-    EXPECT_EQ(coord->fragment(f).last_seq(), 3u);
+    EXPECT_EQ(GraphBytes(coord->fragment(f).view().Materialize()), before[f])
+        << "fragment " << f;
   }
 }
 
@@ -441,8 +447,8 @@ TEST(Coordinator, PartitionedFootprintIsReplicationTimesGNotNTimesG) {
   uint64_t sum = 0;
   for (size_t f = 0; f < fragments; ++f) {
     uint64_t resident = coord->resident_edges(f);
-    // The footprint counter equals what the fragment store actually holds.
-    EXPECT_EQ(resident, coord->fragment(f).MaterializeCurrent().NumEdges())
+    // The footprint counter equals what the fragment actually holds.
+    EXPECT_EQ(resident, coord->fragment(f).view().NumEdges())
         << "fragment " << f;
     sum += resident;
   }
@@ -530,8 +536,8 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
 
     // Mid-stream rebalance: move ownership of one node to the last
     // fragment. The graph is unchanged, so the reference consumes the
-    // same sequence number with an empty batch, and both sides compact
-    // (Rebalance forces lockstep compaction) to stay at the same anchor.
+    // same sequence number with an empty batch. Neither side compacts,
+    // so both materialize their edges in one order.
     if (b == 1 && fragments > 1) {
       std::span<const uint32_t> owner = coord->node_owner();
       uint32_t target = static_cast<uint32_t>(fragments - 1);
@@ -543,7 +549,6 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
       ASSERT_TRUE(rseq.has_value()) << "seed " << seed << ": " << rerror;
       EXPECT_EQ(coord->node_owner()[node], target);
       ASSERT_TRUE(ref.Append("").has_value());
-      ASSERT_TRUE(ref.Compact());
       ExpectFragmentsMatchResidentSubgraphs(*coord);
     }
   }
@@ -578,270 +583,157 @@ TEST(Coordinator, RestartReplaysEveryFragmentToTheSameGlobalState) {
   auto reopened = Coordinator::Open(dir);
   ASSERT_TRUE(reopened.has_value());
   EXPECT_EQ(reopened->last_seq(), 3u);
-  EXPECT_EQ(reopened->stats().lagging_fragments, 0u);
+  EXPECT_EQ(reopened->stats().replayed_batches, 3u);
   EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), expect);
   ExpectFragmentsMatchResidentSubgraphs(*reopened);
 }
 
-// Kill one fragment mid-append (truncate its local log tail), reopen:
-// the fragment must be re-shipped its routed sub-batches from the
-// routing journal, and the next batch must produce the same merged diff
-// as an uninterrupted run.
-TEST(Coordinator, TornFragmentLogCatchesUpAndNextDiffMatchesUninterrupted) {
-  auto g = MakeSynthetic({.nodes = 100,
-                          .edges = 300,
-                          .value_correlation = 0.9,
-                          .seed = 4});
-  auto rules = GenerateGfdSet(g, {.count = 10, .k = 3, .seed = 19});
-  ViolationEngine engine(rules);
-
-  std::string dir = Scratch("coord_torn");
-  std::string ref_dir = Scratch("coord_torn_ref");
-  ASSERT_TRUE(Coordinator::Init(dir, g, 3));
-  ASSERT_TRUE(GraphStore::Init(ref_dir, g));
-
-  Rng rng(31);
-  std::vector<std::string> payloads;
-  {
-    PropertyGraph current = g;
-    for (int b = 0; b < 3; ++b) {
-      GraphDelta d = RandomBatch(current, rng, 10);
-      payloads.push_back(DeltaBytes(current, d));
-      current = GraphView::Apply(current, d)->Materialize();
-    }
-  }
-
-  {
-    auto coord = Coordinator::Open(dir);
-    ASSERT_TRUE(coord.has_value());
-    for (int b = 0; b < 2; ++b) {
-      ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-    }
-  }
-  // The uninterrupted reference applies the same stream to one store.
-  auto single = GraphStore::Open(ref_dir);
+// A rejected batch names its failing op from the batch's first op, so
+// both backends answer one bad batch with one text, whatever overlay
+// each holds: "op 1", not the op's place in the overlay.
+TEST(Coordinator, RejectsABadBatchWithTheSingleStoresText) {
+  auto g = MakeSynthetic({.nodes = 40, .edges = 120, .seed = 21});
+  std::string dir = Scratch("coord_op_text");
+  std::string single_dir = Scratch("coord_op_text_single");
+  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
+  ASSERT_TRUE(GraphStore::Init(single_dir, g));
+  auto coord = Coordinator::Open(dir);
+  auto single = GraphStore::Open(single_dir);
+  ASSERT_TRUE(coord.has_value());
   ASSERT_TRUE(single.has_value());
-  for (int b = 0; b < 2; ++b) {
-    ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
-  }
-
-  // Crash: tear the tail off fragment 1's log -- as a kill between write
-  // and ack would. Its last record (batch 2) becomes unrecoverable.
-  std::string frag_log = dir + "/frag-1/deltas.log";
-  auto size = fs::file_size(frag_log);
-  fs::resize_file(frag_log, size - 7);
-
-  // Catch-up must be visible through the metrics/trace channel too.
-  uint64_t catchup_frags_before = CatchupFragmentsTotal().Value();
-  uint64_t catchup_recs_before = CatchupRecordsTotal().Value();
-  std::optional<Coordinator> reopened;
-  {
-    ScopedTestTrace trace("coord_torn_trace");
-    reopened = Coordinator::Open(dir);
-    ASSERT_TRUE(reopened.has_value());
-    std::string text = trace.Text();
-    EXPECT_NE(text.find("\"stage\":\"catchup\""), std::string::npos);
-    EXPECT_NE(text.find("\"stage\":\"torn_tail\""), std::string::npos);
-  }
-  auto stats = reopened->stats();
-  EXPECT_EQ(stats.lagging_fragments, 1u);
-  EXPECT_GE(stats.catchup_records, 1u);
-  EXPECT_EQ(CatchupFragmentsTotal().Value(), catchup_frags_before + 1);
-  EXPECT_EQ(CatchupRecordsTotal().Value() - catchup_recs_before,
-            stats.catchup_records);
-  EXPECT_EQ(reopened->last_seq(), 2u);
-  for (size_t f = 0; f < reopened->num_fragments(); ++f) {
-    EXPECT_EQ(reopened->fragment(f).last_seq(), 2u) << "fragment " << f;
-  }
-  ExpectFragmentsMatchResidentSubgraphs(*reopened);
-
-  // The next batch: merged diff == uninterrupted single-node diff.
-  uint64_t seq = 0;
-  auto merged = reopened->AppendAndDiff(engine, payloads[2], {}, &seq);
-  auto ref = single->AppendAndDiff(engine, payloads[2]);
-  ASSERT_TRUE(merged.has_value());
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(seq, 3u);
-  EXPECT_EQ(merged->added, ref->added);
-  EXPECT_EQ(merged->removed, ref->removed);
-  EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()),
-            GraphBytes(single->MaterializeCurrent()));
+  std::string good = "A\t" + g.NodeAlias(0) + "\tkey=one\n";
+  good += "A\t" + g.NodeAlias(1) + "\tkey=two\n";
+  good += "E+\t" + g.NodeAlias(2) + "\t" + g.NodeAlias(3) + "\tfresh_label\n";
+  ASSERT_TRUE(coord->Append(good).has_value());
+  ASSERT_TRUE(single->Append(good).has_value());
+  std::string bad = "E-\t" + g.NodeAlias(4) + "\t" + g.NodeAlias(5);
+  bad += "\tnever_an_edge\n";
+  std::string coord_error, single_error;
+  EXPECT_FALSE(coord->Append(bad, &coord_error).has_value());
+  EXPECT_FALSE(single->Append(bad, &single_error).has_value());
+  EXPECT_EQ(coord_error, single_error);
+  EXPECT_EQ(coord_error.rfind("op 1: delete of missing edge", 0), 0u)
+      << coord_error;
 }
 
-// A fragment that compacted while its peers did not (a crash between the
-// per-fragment Compact calls of a lockstep round, simulated by compacting
-// one store directly): Open must re-unify the anchors, and diffs must
-// still match the single-node reference afterwards.
-TEST(Coordinator, UnilateralFragmentCompactionIsReunifiedOnOpen) {
-  auto g = MakeSynthetic({.nodes = 90,
-                          .edges = 270,
-                          .value_correlation = 0.9,
-                          .seed = 6});
-  auto rules = GenerateGfdSet(g, {.count = 8, .k = 3, .seed = 23});
-  ViolationEngine engine(rules);
-
-  std::string dir = Scratch("coord_unilateral");
-  std::string ref_dir = Scratch("coord_unilateral_ref");
+// Fragments keep nothing durable: after a stream with a compaction and a
+// rebalance, the directory holds the meta, the journal and one global
+// snapshot, and each journal record is the global batch as sent (an
+// empty one for the rebalance).
+TEST(Coordinator, DurableStateIsTheMetaTheJournalAndOneSnapshot) {
+  auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 13});
+  std::string dir = Scratch("coord_layout");
   ASSERT_TRUE(Coordinator::Init(dir, g, 3));
-  ASSERT_TRUE(GraphStore::Init(ref_dir, g));
-  auto single = GraphStore::Open(ref_dir);
-  ASSERT_TRUE(single.has_value());
+  auto coord = Coordinator::Open(dir);
+  ASSERT_TRUE(coord.has_value());
+  Rng rng(59);
+  auto append = [&] {
+    PropertyGraph current = coord->MaterializeCurrent();
+    std::string batch = DeltaBytes(current, RandomBatch(current, rng, 10));
+    EXPECT_TRUE(coord->Append(batch).has_value());
+    return batch;
+  };
+  append();
+  append();
+  ASSERT_TRUE(coord->CompactAll());
+  const NodeId moved = 0;
+  ASSERT_TRUE(coord->Rebalance(moved, (coord->node_owner()[moved] + 1) % 3));
+  std::vector<std::string> sent{""};
+  sent.push_back(append());
+  sent.push_back(append());
 
-  Rng rng(37);
-  std::vector<std::string> payloads;
+  std::set<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    files.insert(fs::relative(entry.path(), dir).string());
+  }
+  const std::set<std::string> want{"coordinator.meta", "routing.log",
+                                   "global-snapshot-2.tsv"};
+  EXPECT_EQ(files, want);
+  auto journal = DeltaLog::Open(dir + "/routing.log", 1);
+  ASSERT_TRUE(journal.has_value());
+  ASSERT_EQ(journal->records().size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(journal->records()[i].seq, 3 + i);
+    EXPECT_EQ(journal->records()[i].payload, sent[i]) << "seq " << 3 + i;
+  }
+}
+
+// --- A directory an older build wrote ---------------------------------------
+
+// tests/data/coordinator_with_fragment_stores: the layout in which every
+// fragment was a durable store -- frag-<f>/ directories, journal records
+// with per-fragment frames, an owners_seq line (tests/data/README.md).
+// It opens at the seq and graph that build reached, lays the fragments
+// out under the meta's owner table, and serves the next batch as a
+// single store over the same graph does. With owners_seq bumped past the
+// snapshot's anchor -- what that build read as a torn rebalance -- it
+// opens the same way.
+TEST(Coordinator, OpensADirectoryWithFragmentStores) {
+  const std::string data = GFD_TEST_DATA_DIR;
+  const std::string fixture = data + "/coordinator_with_fragment_stores";
+  std::string gerr;
+  auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &gerr);
+  ASSERT_TRUE(want.has_value()) << gerr;
+  auto rules = GenerateGfdSet(*want, {.count = 8, .k = 3, .seed = 61});
+  ViolationEngine engine(rules);
+  ASSERT_LE(engine.MaxPatternRadius(), 2u);  // the fixture's halo radius
+  Rng rng(67);
+  const std::string batch = DeltaBytes(*want, RandomBatch(*want, rng, 12));
+  std::string single_dir = Scratch("coord_fixture_single");
+  ASSERT_TRUE(GraphStore::Init(single_dir, *want));
+  auto single = GraphStore::Open(single_dir);
+  ASSERT_TRUE(single.has_value());
+  auto expect = single->AppendAndDiff(engine, batch);
+  ASSERT_TRUE(expect.has_value());
+  const std::string want_after = GraphBytes(single->MaterializeCurrent());
+
+  const std::string meta_text = FileBytes(fixture + "/coordinator.meta");
+  std::vector<uint32_t> owners;
   {
-    PropertyGraph current = g;
-    for (int b = 0; b < 3; ++b) {
-      GraphDelta d = RandomBatch(current, rng, 10);
-      payloads.push_back(DeltaBytes(current, d));
-      current = GraphView::Apply(current, d)->Materialize();
+    std::istringstream lines(meta_text);
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.starts_with("owners ")) continue;
+      std::istringstream fields(line.substr(7));
+      for (uint32_t o; fields >> o;) owners.push_back(o);
     }
   }
-  {
-    auto coord = Coordinator::Open(dir);
-    ASSERT_TRUE(coord.has_value());
-    for (int b = 0; b < 2; ++b) {
-      ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
+  ASSERT_EQ(owners.size(), want->NumNodes());
+
+  for (const bool torn_mark : {false, true}) {
+    SCOPED_TRACE(torn_mark ? "owners_seq past the anchor" : "as written");
+    const std::string dir = Scratch("coord_fixture");
+    fs::copy(fixture, dir, fs::copy_options::recursive);
+    if (torn_mark) {
+      std::string meta = meta_text;
+      const size_t pos = meta.find("owners_seq 3\n");
+      ASSERT_NE(pos, std::string::npos);
+      meta.replace(pos, 12, "owners_seq 5");
+      std::ofstream(dir + "/coordinator.meta", std::ios::trunc) << meta;
     }
-  }
-  {
-    // Half-done lockstep round: only fragment 2 compacted.
-    auto frag = GraphStore::Open(dir + "/frag-2");
-    ASSERT_TRUE(frag.has_value());
     std::string error;
-    ASSERT_TRUE(frag->Compact(&error)) << error;
-    ASSERT_EQ(frag->stats().anchor_seq, 2u);
-  }
+    auto coord = Coordinator::Open(dir, {}, &error);
+    ASSERT_TRUE(coord.has_value()) << error;
+    EXPECT_EQ(coord->last_seq(), 5u);
+    EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()), GraphBytes(*want));
+    EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
+    ExpectFragmentsMatchResidentSubgraphs(*coord);
 
-  auto reopened = Coordinator::Open(dir);
-  ASSERT_TRUE(reopened.has_value());
-  uint64_t anchor = reopened->fragment(0).stats().anchor_seq;
-  for (size_t f = 0; f < reopened->num_fragments(); ++f) {
-    EXPECT_EQ(reopened->fragment(f).stats().anchor_seq, anchor)
-        << "fragment " << f;
-  }
-  auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = single->AppendAndDiff(engine, payloads[2]);
-  ASSERT_TRUE(merged.has_value());
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(merged->added, ref->added);
-  EXPECT_EQ(merged->removed, ref->removed);
-}
+    uint64_t seq = 0;
+    auto merged = coord->AppendAndDiff(engine, batch, {}, &seq, &error);
+    ASSERT_TRUE(merged.has_value()) << error;
+    EXPECT_EQ(seq, 6u);
+    EXPECT_EQ(merged->added, expect->added);
+    EXPECT_EQ(merged->removed, expect->removed);
+    EXPECT_EQ(merged->payload, expect->payload);
 
-// A fragment that loses its entire directory is rebuilt from the global
-// state as a partition-scoped snapshot transfer: it receives exactly its
-// resident subgraph at the global sequence, not the whole graph.
-TEST(Coordinator, LostFragmentDirectoryIsRebuiltFromItsResidentSubgraph) {
-  auto g = MakeSynthetic({.nodes = 70, .edges = 200, .seed = 8});
-  std::string dir = Scratch("coord_snapxfer");
-  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
-  Rng rng(41);
-  std::string expect;
-  {
-    auto coord = Coordinator::Open(dir);
-    ASSERT_TRUE(coord.has_value());
-    for (int b = 0; b < 2; ++b) {
-      PropertyGraph current = coord->MaterializeCurrent();
-      GraphDelta d = RandomBatch(current, rng, 8);
-      auto seq = coord->Append(DeltaBytes(current, d));
-      ASSERT_TRUE(seq.has_value());
-    }
-    expect = GraphBytes(coord->MaterializeCurrent());
+    // The journal now mixes both record forms; a reopen reads both.
+    coord.reset();
+    auto reopened = Coordinator::Open(dir, {}, &error);
+    ASSERT_TRUE(reopened.has_value()) << error;
+    EXPECT_EQ(reopened->last_seq(), 6u);
+    EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), want_after);
+    ExpectFragmentsMatchResidentSubgraphs(*reopened);
   }
-  // Fragment 1's whole directory is lost (disk gone)...
-  fs::remove_all(dir + "/frag-1");
-  // ...while fragment 0 compacts, dropping the records from its log too.
-  {
-    auto frag = GraphStore::Open(dir + "/frag-0");
-    ASSERT_TRUE(frag.has_value());
-    ASSERT_TRUE(frag->Compact());
-  }
-  // The rebuild is a snapshot transfer: counted, and traced as one.
-  uint64_t transfers_before = SnapshotTransfersTotal().Value();
-  std::optional<Coordinator> reopened;
-  {
-    ScopedTestTrace trace("coord_snapxfer_trace");
-    reopened = Coordinator::Open(dir);
-    ASSERT_TRUE(reopened.has_value());
-    std::string text = trace.Text();
-    EXPECT_NE(text.find("\"stage\":\"snapshot_transfer\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"fragment\":1"), std::string::npos);
-  }
-  EXPECT_EQ(SnapshotTransfersTotal().Value(), transfers_before + 1);
-  EXPECT_EQ(reopened->stats().catchup_snapshots, 1u);
-  EXPECT_EQ(reopened->last_seq(), 2u);
-  EXPECT_EQ(reopened->fragment(1).last_seq(), 2u);
-  EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), expect);
-  ExpectFragmentsMatchResidentSubgraphs(*reopened);
-}
-
-// A rebalance that crashed right after persisting its intent (meta
-// carries owners_seq beyond every fragment anchor) must trigger a full
-// partition-scoped resync on open, after which serving continues and
-// diffs still match the single-node reference.
-TEST(Coordinator, TornRebalanceIsRepairedByFullResyncOnOpen) {
-  auto g = MakeSynthetic({.nodes = 80,
-                          .edges = 240,
-                          .value_correlation = 0.9,
-                          .seed = 12});
-  auto rules = GenerateGfdSet(g, {.count = 8, .k = 3, .seed = 27});
-  ViolationEngine engine(rules);
-  std::string dir = Scratch("coord_torn_rebalance");
-  std::string ref_dir = Scratch("coord_torn_rebalance_ref");
-  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
-  ASSERT_TRUE(GraphStore::Init(ref_dir, g));
-  auto single = GraphStore::Open(ref_dir);
-  ASSERT_TRUE(single.has_value());
-
-  Rng rng(53);
-  std::vector<std::string> payloads;
-  {
-    PropertyGraph current = g;
-    for (int b = 0; b < 3; ++b) {
-      GraphDelta d = RandomBatch(current, rng, 10);
-      payloads.push_back(DeltaBytes(current, d));
-      current = GraphView::Apply(current, d)->Materialize();
-    }
-  }
-  {
-    auto coord = Coordinator::Open(dir);
-    ASSERT_TRUE(coord.has_value());
-    for (int b = 0; b < 2; ++b) {
-      ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
-    }
-  }
-  // Simulate the crash window: bump owners_seq in the meta past every
-  // fragment anchor, exactly what Rebalance persists before shipping.
-  {
-    std::ifstream in(dir + "/coordinator.meta");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string meta = buf.str();
-    size_t pos = meta.find("owners_seq 0");
-    ASSERT_NE(pos, std::string::npos);
-    meta.replace(pos, 12, "owners_seq 2");
-    std::ofstream out(dir + "/coordinator.meta", std::ios::trunc);
-    out << meta;
-  }
-
-  uint64_t transfers_before = SnapshotTransfersTotal().Value();
-  auto reopened = Coordinator::Open(dir);
-  ASSERT_TRUE(reopened.has_value());
-  EXPECT_EQ(reopened->stats().catchup_snapshots, reopened->num_fragments());
-  EXPECT_EQ(SnapshotTransfersTotal().Value() - transfers_before,
-            reopened->num_fragments());
-  EXPECT_EQ(reopened->last_seq(), 2u);
-  ExpectFragmentsMatchResidentSubgraphs(*reopened);
-
-  auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = single->AppendAndDiff(engine, payloads[2]);
-  ASSERT_TRUE(merged.has_value());
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(merged->added, ref->added);
-  EXPECT_EQ(merged->removed, ref->removed);
 }
 
 // --- Halo-radius guard -----------------------------------------------------

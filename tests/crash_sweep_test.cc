@@ -245,7 +245,7 @@ void CheckOwnership(const Script& s, const Coordinator& coord,
   const FragmentResidency resident =
       ComputeResidency(current, coord.partition());
   for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    EXPECT_EQ(ResidentLines(coord.fragment(f).MaterializeCurrent(),
+    EXPECT_EQ(ResidentLines(coord.fragment(f).view().Materialize(),
                             resident[f], /*only_resident=*/false),
               ResidentLines(current, resident[f], /*only_resident=*/true))
         << "fragment " << f << " is not the resident subgraph";
@@ -396,8 +396,8 @@ TEST(CrashSweep, ServingStepOnATwoFragmentCoordinator) {
 
 TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   SweepTotals t = Sweep(Leg::kRebalance);
-  // The batches' write points plus the rebalance's: its meta intent,
-  // journal record, fragment appends and lockstep compaction.
+  // The batches' write points plus the rebalance's: its owner table and
+  // its journal record.
   EXPECT_GE(t.crashes, 4 * kBatches + 4);
   EXPECT_GT(t.from_meta, 0u);
   EXPECT_GT(t.from_feed, 0u);

@@ -9,8 +9,9 @@
 //   - an accepted batch gets the same seq on both and leaves
 //     canonical-equal graphs, with every fragment equal to the resident
 //     subgraph of the coordinator's global graph;
-//   - a rejected batch leaves last_seq, the graph and every file of both
-//     directories unchanged, and a reopen recovers the same state.
+//   - a rejected batch gets the same error text from both, and leaves
+//     last_seq, the graph and every file of both directories unchanged;
+//   - a reopen recovers the same state.
 // Deterministic: one seed, no threads beyond the coordinator's own.
 #include <gtest/gtest.h>
 
@@ -178,7 +179,7 @@ void ExpectFragmentsResident(const Coordinator& coord) {
     for (EdgeId e = 0; e < want.NumEdges(); ++e) {
       want_keys.insert({want.EdgeSrc(e), want.EdgeDst(e), want.EdgeLabel(e)});
     }
-    const PropertyGraph have = coord.fragment(f).MaterializeCurrent();
+    const PropertyGraph have = coord.fragment(f).view().Materialize();
     for (EdgeId e = 0; e < have.NumEdges(); ++e) {
       have_keys.insert({have.EdgeSrc(e), have.EdgeDst(e), have.EdgeLabel(e)});
     }
@@ -254,6 +255,9 @@ TEST(ServingMutation, BothBackendsAgreeOnEveryMutatedBatch) {
       untouched = capture();
     } else {
       ++rejected;
+      // Both number a failing op from the batch, so they reject with
+      // one text whatever each has compacted.
+      ASSERT_EQ(single_error, coord_error) << "batch:\n" << batch;
       ASSERT_TRUE(capture() == untouched) << "a rejected batch left a trace";
     }
     if ((i + 1) % kReopenEvery == 0) {

@@ -33,10 +33,10 @@
 //   gfdtool log compact <dir>
 //       Roll the snapshot forward over the overlay and re-anchor the log.
 //   gfdtool serve init <dir> <graph.tsv> --fragments N [--radius R]
-//       Create a distributed serving directory: N vertex-cut partitioned
-//       fragments (each a GraphStore holding only its owned edge
-//       partition plus a radius-R border halo, with a private delta log)
-//       under a coordinator with persisted node ownership.
+//       Create a distributed serving directory: a coordinator over N
+//       vertex-cut fragments (each holding only its owned edge partition
+//       plus a radius-R border halo, in memory) with persisted node
+//       ownership, a global snapshot and a routing journal.
 //   gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]
 //           [--compact-ops N]
 //       The distributed serving step: the coordinator assigns the batch
@@ -45,15 +45,16 @@
 //       traffic), runs owned-scope incremental detection on every
 //       fragment, and merges the per-fragment diffs -- printed as +/-
 //       records with the same 0/3/4 verdict exit codes as detect
-//       --delta, read off the running violation counter. Lagging
-//       fragments (say, after a mid-append kill) are caught up from the
-//       routing journal on open before the batch applies.
+//       --delta, read off the running violation counter. Open rebuilds
+//       every fragment from the global snapshot and the routing journal,
+//       whatever state a kill left.
 //   gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]
-//       Move ownership of one node to another fragment online: halo
-//       maintenance ships the newly resident edges, then all fragments
-//       compact in lockstep onto the new ownership.
+//       Move ownership of one node to another fragment online: the new
+//       owner table is persisted, then halo maintenance ships the newly
+//       resident edges under one sequence number.
 //   gfdtool serve status <dir>
-//       Per-fragment sequence/anchor/overlay/footprint report.
+//       Sequence/anchor/overlay report plus per-fragment ownership and
+//       footprint.
 //   gfdtool metrics <dir> [-o FILE]
 //       Open the store or coordinator at <dir> (replaying its logs, so
 //       recovery metrics are populated) and render the full metrics
@@ -227,6 +228,11 @@ constexpr VerbHelp kVerbHelp[] = {
      "                  ?max_events=N closes after N events\n"
      "  GET  /metrics   live Prometheus text\n"
      "  GET  /status    JSON summary (seq, backend, counters)\n"
+     "status prints `coordinator: seq S anchor A, N overlay op(s)`, one\n"
+     "`fragment F: N owned node(s), E resident edge(s)` line per\n"
+     "fragment, then the halo radius and replication factor. rebalance\n"
+     "persists <node>'s (numeric id) new owner, then ships the halo\n"
+     "maintenance the move implies under one sequence number.\n"
      "Flags of run:\n"
      "  --port P            listen port (default 8080; 0 = ephemeral,\n"
      "                      the chosen port is printed)\n"
@@ -884,7 +890,7 @@ int Log(int argc, char** argv) {
   return Usage();
 }
 
-// Opens a coordinator, reporting recovery/catch-up context on stderr.
+// Opens a coordinator, reporting recovery context on stderr.
 std::optional<Coordinator> OpenCoordinator(const char* dir,
                                            const CoordinatorOptions& opts) {
   std::string error;
@@ -897,17 +903,13 @@ std::optional<Coordinator> OpenCoordinator(const char* dir,
   ServingMetricsSnapshot snap = coord->MetricsSnapshot();
   ExportSnapshotMetrics(snap);
   std::fprintf(stderr,
-               "coordinator %s: %zu fragment(s) at seq %llu (anchor %llu)\n",
+               "coordinator %s: %zu fragment(s) at seq %llu (snapshot@%llu "
+               "+ %zu replayed batch(es))%s\n",
                dir, snap.fragments,
                static_cast<unsigned long long>(snap.last_seq),
-               static_cast<unsigned long long>(snap.anchor_seq));
-  if (snap.lagging_fragments > 0) {
-    std::fprintf(stderr,
-                 "caught up %zu lagging fragment(s): %zu record(s) "
-                 "re-shipped, %zu snapshot transfer(s)\n",
-                 snap.lagging_fragments, snap.catchup_records,
-                 snap.catchup_snapshots);
-  }
+               static_cast<unsigned long long>(snap.anchor_seq),
+               snap.replayed_batches,
+               snap.truncated_bytes ? " [corrupt journal tail cut]" : "");
   return coord;
 }
 
@@ -1090,19 +1092,19 @@ int Serve(int argc, char** argv) {
   if (!std::strcmp(verb, "status")) {
     auto coord = OpenCoordinator(dir, copts);
     if (!coord) return 1;
+    const ServingMetricsSnapshot snap = coord->MetricsSnapshot();
+    std::printf("coordinator: seq %llu anchor %llu, %zu overlay op(s)\n",
+                static_cast<unsigned long long>(snap.last_seq),
+                static_cast<unsigned long long>(snap.anchor_seq),
+                snap.overlay_ops);
     uint64_t resident_total = 0;
     for (size_t f = 0; f < coord->num_fragments(); ++f) {
-      const GraphStoreStats& st = coord->fragment(f).stats();
       size_t owned = 0;
       for (uint32_t o : coord->node_owner()) owned += o == f ? 1 : 0;
       uint64_t resident = coord->resident_edges(f);
       resident_total += resident;
-      std::printf("frag-%zu: seq %llu anchor %llu, %zu overlay op(s), "
-                  "%zu owned node(s), %llu resident edge(s)\n",
-                  f, static_cast<unsigned long long>(st.last_seq),
-                  static_cast<unsigned long long>(st.anchor_seq),
-                  coord->fragment(f).overlay().ops.size(), owned,
-                  static_cast<unsigned long long>(resident));
+      std::printf("fragment %zu: %zu owned node(s), %llu resident edge(s)\n",
+                  f, owned, static_cast<unsigned long long>(resident));
     }
     std::printf("partition: halo radius %u, replication %.2f, "
                 "%llu resident edge(s) total\n",
@@ -1136,8 +1138,8 @@ int Serve(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr,
-                 "rebalanced node %llu to fragment %llu at seq %llu; all "
-                 "fragments compacted onto the new ownership\n",
+                 "rebalanced node %llu to fragment %llu at seq %llu; halo "
+                 "maintenance shipped under the new ownership\n",
                  node, to, static_cast<unsigned long long>(*seq));
     return 0;
   }
@@ -1146,9 +1148,9 @@ int Serve(int argc, char** argv) {
     if (argc < 4) return Usage();
     size_t workers = 1;
     if (!CountFlag(argc, argv, "-w", &workers)) return Usage();
-    // Trace must be live before the coordinator opens (catch-up and
-    // snapshot-transfer events fire during Open); metrics render on
-    // scope exit, after the compaction policy ran.
+    // Trace must be live before the coordinator opens (the journal's
+    // replay event fires during Open); metrics render on scope exit,
+    // after the compaction policy ran.
     ObsSetup obs(argc, argv);
     if (!obs.ok) return 1;
     auto coord = OpenCoordinator(dir, copts);
@@ -1193,16 +1195,13 @@ int Serve(int argc, char** argv) {
                  static_cast<unsigned long long>(post.bytes_halo_shipped -
                                                  pre.bytes_halo_shipped));
 
-    // stats().compactions is cumulative (an open-time anchor re-unify
-    // counts too); only a delta means THIS batch triggered a roll.
-    size_t compactions_before = coord->stats().compactions;
     std::string error;
     if (!coord->MaybeCompactAll(&error)) {
       std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
       return 1;
     }
-    if (coord->stats().compactions > compactions_before) {
-      std::fprintf(stderr, "compacted: all fragments rolled to seq %llu\n",
+    if (coord->stats().compactions > 0) {
+      std::fprintf(stderr, "compacted: global snapshot rolled to seq %llu\n",
                    static_cast<unsigned long long>(coord->stats().anchor_seq));
     }
     ExportSnapshotMetrics(coord->MetricsSnapshot());
@@ -1213,8 +1212,8 @@ int Serve(int argc, char** argv) {
 }
 
 // `gfdtool metrics <dir> [-o FILE]`: open whichever backend lives at
-// <dir> (the replay populates recovery metrics -- torn tails, catch-up,
-// replayed batches), mirror its unified snapshot into the gauges, and
+// <dir> (the replay populates recovery metrics -- torn tails, replayed
+// batches), mirror its unified snapshot into the gauges, and
 // render the complete registry in Prometheus text format.
 int Metrics(int argc, char** argv) {
   if (argc < 1) return Usage();
