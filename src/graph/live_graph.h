@@ -2,13 +2,13 @@
 // the overlay of every batch absorbed since, and one GraphView over both
 // that absorbs each batch in place.
 //
-// GraphStore (serve/graph_store.h, also each coordinator fragment) and
-// the coordinator's RoutingIndex (serve/routing_index.h) both hold their
+// GraphStore (serve/graph_store.h) -- a single-node server's store and a
+// coordinator's master alike -- and each coordinator fragment hold their
 // graph as a LiveGraph, so a batch reaches memory one way on either
 // backend: Parse re-expresses its TSV in the live id space, Absorb
 // validates it and applies it to the view in O(batch + touched degrees),
-// Rollback takes it back out when it never became durable, and Rebase
-// adopts the next snapshot at compaction.
+// Rollback takes it back out when the store's log did not take it, and
+// Rebase adopts the next snapshot at compaction.
 #ifndef GFD_GRAPH_LIVE_GRAPH_H_
 #define GFD_GRAPH_LIVE_GRAPH_H_
 

@@ -13,6 +13,8 @@
 #include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "serve/changefeed.h"
+#include "serve/delta_log.h"
+#include "serve/durable_io.h"
 #include "serve/metrics.h"
 
 namespace gfd {
@@ -22,50 +24,20 @@ namespace fs = std::filesystem;
 
 constexpr char kMetaFile[] = "coordinator.meta";
 constexpr char kMetaMagic[] = "gfd-coordinator v2";
-constexpr char kJournalFile[] = "routing.log";
+// The journal older builds kept beside their global snapshots. A
+// directory holding it has not been converted yet.
+constexpr char kLegacyJournalFile[] = "routing.log";
 
 void SetError(std::string* error, const std::string& msg) {
   if (error) *error = msg;
 }
 
-std::string GlobalSnapshotName(uint64_t seq) {
-  return "global-snapshot-" + std::to_string(seq) + ".tsv";
-}
-
-// Global snapshots present in `dir`, by anchor sequence, ascending.
-std::vector<uint64_t> ListGlobalSnapshots(const std::string& dir) {
-  constexpr std::string_view kPrefix = "global-snapshot-";
-  constexpr std::string_view kSuffix = ".tsv";
-  std::vector<uint64_t> seqs;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
-    if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-        0) {
-      continue;
-    }
-    std::string mid = name.substr(
-        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-    if (mid.empty() ||
-        mid.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    seqs.push_back(std::stoull(mid));
-  }
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
-}
-
-std::string MetaContent(const Partition& p,
-                        const std::optional<MetaCount>& count) {
+std::string MetaContent(const Partition& p) {
   std::ostringstream out;
   out << kMetaMagic << '\n';
   out << "fragments " << p.num_fragments << '\n';
   out << "radius " << p.halo_radius << '\n';
   out << "replication " << p.replication << '\n';
-  if (count) out << MetaCountLine(*count);
   // Ownership is part of the coordinator's identity: recomputing it from
   // an evolved graph would silently re-partition the anchor attribution,
   // so it is persisted verbatim.
@@ -75,11 +47,18 @@ std::string MetaContent(const Partition& p,
   return out.str();
 }
 
+bool WriteMeta(const std::string& dir, const Partition& p, std::string* error) {
+  std::string werr;
+  if (!AtomicWriteFile(dir + "/" + kMetaFile, MetaContent(p), &werr)) {
+    SetError(error, "meta: " + werr);
+    return false;
+  }
+  return true;
+}
+
 struct MetaData {
-  size_t fragments = 0;
-  uint32_t radius = 0;
-  double replication = 1.0;
-  std::vector<uint32_t> owners;
+  Partition partition;
+  // The running count older builds kept here; the conversion carries it.
   std::optional<MetaCount> count;
 };
 
@@ -94,6 +73,7 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
     SetError(error, "bad magic in " + path);
     return false;
   }
+  Partition& p = meta->partition;
   bool have_fragments = false;
   bool have_owners = false;
   while (std::getline(in, line)) {
@@ -102,16 +82,16 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
     std::string key;
     ls >> key;
     if (key == "fragments") {
-      if (ls >> meta->fragments) have_fragments = true;
+      if (ls >> p.num_fragments) have_fragments = true;
     } else if (key == "radius") {
-      ls >> meta->radius;
+      ls >> p.halo_radius;
     } else if (key == "replication") {
-      ls >> meta->replication;
+      ls >> p.replication;
     } else if (key == "violations") {
       meta->count = ParseMetaCountFields(ls);
     } else if (key == "owners") {
       uint32_t o;
-      while (ls >> o) meta->owners.push_back(o);
+      while (ls >> o) p.node_owner.push_back(o);
       have_owners = true;
     } else if (key == "border" || key == "owners_seq") {
       // Written by older builds: advisory border lists (residency is
@@ -122,31 +102,142 @@ bool ParseMeta(const std::string& path, MetaData* meta, std::string* error) {
       return false;
     }
   }
-  if (!have_fragments || !have_owners || meta->radius < 1) {
+  if (!have_fragments || !have_owners || p.halo_radius < 1) {
     SetError(error, "incomplete coordinator meta in " + path);
     return false;
+  }
+  if (p.num_fragments == 0) {
+    SetError(error, "coordinator meta has no fragments");
+    return false;
+  }
+  for (uint32_t o : p.node_owner) {
+    if (o >= p.num_fragments) {
+      SetError(error, "meta owner out of range");
+      return false;
+    }
   }
   return true;
 }
 
-// The global batch a routing-journal record holds. A record is the batch
-// itself, as a deltas.log record is. Older builds framed it as
-// `G <bytes>\n<batch>\n`, followed by `F <f> <bytes>\n<sub-batch>\n` per
-// fragment; the F frames are skipped. No delta record has the tag "G ",
-// so an accepted batch never starts with it and the two forms cannot be
-// confused.
-std::optional<std::string> GlobalBatch(std::string_view payload) {
-  if (!payload.starts_with("G ")) return std::string(payload);
-  const size_t nl = payload.find('\n');
-  size_t n = 0;
-  const char* digits = payload.data() + 2;
-  const char* digits_end = payload.data() + std::min(nl, payload.size());
-  auto [end, ec] = std::from_chars(digits, digits_end, n);
-  if (nl == std::string_view::npos || ec != std::errc() || end != digits_end ||
-      nl + 1 + n >= payload.size() || payload[nl + 1 + n] != '\n') {
+// The graph a directory in an older layout holds, and its seq: the
+// newest global-snapshot-<s>.tsv the routing.log journal bridges, plus
+// the journal's later records. A record is the global batch, as a
+// deltas.log record is; builds that kept fragment stores framed it as
+// `G <bytes>\n<batch>\n` followed by `F <f> <bytes>\n<sub-batch>\n` per
+// fragment, and the F frames are skipped. No delta record has the tag
+// "G ", so the two forms cannot be confused. The only reader of those
+// files.
+std::optional<PropertyGraph> RecoverLegacyGraph(const std::string& dir,
+                                                uint64_t* seq,
+                                                std::string* error) {
+  constexpr std::string_view kPrefix = "global-snapshot-";
+  constexpr std::string_view kSuffix = ".tsv";
+  std::vector<uint64_t> snaps;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+    const std::string mid = name.substr(
+        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+    if (mid.empty() ||
+        mid.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    snaps.push_back(std::stoull(mid));
+  }
+  std::sort(snaps.begin(), snaps.end());
+  if (snaps.empty()) {
+    SetError(error, "no global snapshot in " + dir);
     return std::nullopt;
   }
-  return std::string(payload.substr(nl + 1, n));
+  std::string jerr;
+  auto journal = DeltaLog::Open(dir + "/" + kLegacyJournalFile,
+                                snaps.back() + 1, &jerr);
+  if (!journal) {
+    SetError(error, "routing journal: " + jerr);
+    return std::nullopt;
+  }
+  std::vector<DeltaLogRecord> batches;
+  for (const DeltaLogRecord& rec : journal->records()) {
+    std::string_view body = rec.payload;
+    if (body.starts_with("G ")) {
+      const size_t nl = body.find('\n');
+      size_t n = 0;
+      const char* digits = body.data() + 2;
+      const char* digits_end = body.data() + std::min(nl, body.size());
+      auto [end, fc] = std::from_chars(digits, digits_end, n);
+      if (nl == std::string_view::npos || fc != std::errc() ||
+          end != digits_end || nl + 1 + n >= body.size() ||
+          body[nl + 1 + n] != '\n') {
+        SetError(error, "corrupt journal record " + std::to_string(rec.seq));
+        return std::nullopt;
+      }
+      body = body.substr(nl + 1, n);
+    }
+    batches.push_back({rec.seq, std::string(body)});
+  }
+  uint64_t global_seq = snaps.back();
+  if (!batches.empty()) global_seq = std::max(global_seq, batches.back().seq);
+  auto bridges = [&](uint64_t s) {
+    return s == global_seq ||
+           (!batches.empty() && batches.front().seq <= s + 1 &&
+            batches.back().seq == global_seq);
+  };
+  auto chosen = std::find_if(snaps.rbegin(), snaps.rend(), bridges);
+  if (chosen == snaps.rend()) {
+    SetError(error,
+             "cannot reconstruct the global state: no snapshot bridges to "
+             "sequence " +
+                 std::to_string(global_seq));
+    return std::nullopt;
+  }
+  const std::string snapshot =
+      dir + "/" + std::string(kPrefix) + std::to_string(*chosen) + ".tsv";
+  std::string gerr;
+  auto g = LoadGraphTsvFile(snapshot, &gerr);
+  if (!g) {
+    SetError(error, "global snapshot: " + gerr);
+    return std::nullopt;
+  }
+  LiveGraph live(std::move(*g));
+  auto replay = ReplayLog(batches, *chosen, live, journal->path(), error);
+  if (!replay) return std::nullopt;
+  *seq = replay->last_seq;
+  return live.view().Materialize();
+}
+
+// Converts a directory an older build wrote into the master's layout:
+// the recovered graph becomes the master's snapshot at its seq (store.meta
+// last, as the commit), a count the old meta held at that seq moves to
+// store.meta, the meta is rewritten without it, and the old files go --
+// routing.log last, so an interrupted conversion runs again on the next
+// Open and finds the store already committed.
+bool ConvertLegacyLayout(const std::string& dir, const MetaData& meta,
+                         std::string* error) {
+  if (!fs::exists(dir + "/" + GraphStore::kMetaFile)) {
+    uint64_t seq = 0;
+    auto g = RecoverLegacyGraph(dir, &seq, error);
+    if (!g || !GraphStore::Init(dir, *g, error, seq)) return false;
+  }
+  if (meta.count) {
+    auto store = GraphStore::Open(dir, {}, error);
+    if (!store) return false;
+    if (meta.count->seq == store->last_seq() &&
+        !store->SetViolationCount(meta.count->count, meta.count->fingerprint,
+                                  error)) {
+      return false;
+    }
+  }
+  if (!WriteMeta(dir, meta.partition, error)) return false;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("global-snapshot-") || name.starts_with("frag-")) {
+      fs::remove_all(entry.path(), ec);
+    }
+  }
+  fs::remove(dir + "/" + kLegacyJournalFile, ec);
+  return true;
 }
 
 // Accounted size of a diff shipped fragment -> master.
@@ -207,132 +298,46 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
     SetError(error, "cannot create " + dir + ": " + ec.message());
     return false;
   }
-  if (fs::exists(dir + "/" + kMetaFile)) {
-    SetError(error, dir + " already holds a coordinator");
-    return false;
+  // A committed store (single or a coordinator's master), or the journal
+  // of an older coordinator layout. A meta alone is an interrupted Init.
+  for (const char* held : {GraphStore::kMetaFile, kLegacyJournalFile}) {
+    if (fs::exists(dir + "/" + held)) {
+      SetError(error, dir + " already holds a store or a coordinator");
+      return false;
+    }
   }
-
   Fragmentation frag = VertexCutPartition(g, fragments);
   Partition p = std::move(frag.partition);
   p.halo_radius = halo_radius;
-  {
-    std::ostringstream snap;
-    SaveGraphTsv(g, snap, /*with_vocab=*/true);
-    std::string werr;
-    if (!AtomicWriteFile(dir + "/" + GlobalSnapshotName(0), snap.str(),
-                         &werr)) {
-      SetError(error, "global snapshot: " + werr);
-      return false;
-    }
-  }
-  {
-    std::string jerr;
-    if (!DeltaLog::Open(dir + "/" + kJournalFile, 1, &jerr)) {
-      SetError(error, "routing journal: " + jerr);
-      return false;
-    }
-  }
-  std::string werr;
-  if (!AtomicWriteFile(dir + "/" + kMetaFile, MetaContent(p, std::nullopt),
-                       &werr)) {
-    SetError(error, "meta: " + werr);
-    return false;
-  }
-  return true;
+  // The owner table first, the master second: its store.meta commits the
+  // directory.
+  return WriteMeta(dir, p, error) && GraphStore::Init(dir, g, error);
 }
 
 std::optional<Coordinator> Coordinator::Open(const std::string& dir,
                                              const CoordinatorOptions& opts,
                                              std::string* error) {
-  Coordinator c;
-  c.dir_ = dir;
-  c.opts_ = opts;
   MetaData meta;
   if (!ParseMeta(dir + "/" + kMetaFile, &meta, error)) return std::nullopt;
-  if (meta.fragments == 0) {
-    SetError(error, "coordinator meta has no fragments");
+  if (fs::exists(dir + "/" + kLegacyJournalFile) &&
+      !ConvertLegacyLayout(dir, meta, error)) {
     return std::nullopt;
   }
-  for (uint32_t o : meta.owners) {
-    if (o >= meta.fragments) {
-      SetError(error, "meta owner out of range");
-      return std::nullopt;
-    }
-  }
-  c.cluster_ = std::make_unique<Cluster>(meta.fragments);
-
-  // The master's global graph: the newest snapshot the routing journal
-  // bridges to the global sequence, plus the journal's later batches.
-  std::vector<uint64_t> snaps = ListGlobalSnapshots(dir);
-  if (snaps.empty()) {
-    SetError(error, "no global snapshot in " + dir);
-    return std::nullopt;
-  }
-  {
-    std::string jerr;
-    auto j = DeltaLog::Open(dir + "/" + kJournalFile, snaps.back() + 1, &jerr);
-    if (!j) {
-      SetError(error, "routing journal: " + jerr);
-      return std::nullopt;
-    }
-    c.journal_ = std::move(*j);
-  }
-  std::vector<DeltaLogRecord> batches;
-  for (const DeltaLogRecord& rec : c.journal_->records()) {
-    auto batch = GlobalBatch(rec.payload);
-    if (!batch) {
-      SetError(error, "corrupt journal record " + std::to_string(rec.seq));
-      return std::nullopt;
-    }
-    batches.push_back({rec.seq, std::move(*batch)});
-  }
-  uint64_t global_seq = snaps.back();
-  if (!batches.empty()) global_seq = std::max(global_seq, batches.back().seq);
-  auto bridges = [&](uint64_t s) {
-    return s == global_seq ||
-           (!batches.empty() && batches.front().seq <= s + 1 &&
-            batches.back().seq == global_seq);
-  };
-  auto chosen = std::find_if(snaps.rbegin(), snaps.rend(), bridges);
-  if (chosen == snaps.rend()) {
-    SetError(error,
-             "cannot reconstruct the global state: no snapshot bridges to "
-             "sequence " +
-                 std::to_string(global_seq));
-    return std::nullopt;
-  }
-  const uint64_t anchor = *chosen;
-  std::string gerr;
-  auto g = LoadGraphTsvFile(dir + "/" + GlobalSnapshotName(anchor), &gerr);
-  if (!g) {
-    SetError(error, "global snapshot: " + gerr);
-    return std::nullopt;
-  }
-  LiveGraph live(std::move(*g));
-  auto replay = ReplayLog(batches, anchor, live, c.journal_->path(), error);
-  if (!replay) return std::nullopt;
-
+  Coordinator c;
+  c.dir_ = dir;
+  c.master_ = GraphStore::Open(dir, opts.store, error);
+  if (!c.master_) return std::nullopt;
+  c.cluster_ = std::make_unique<Cluster>(meta.partition.num_fragments);
   // Residency once, under the meta's owner table; then every fragment
   // from the recovered graph -- the loaded snapshot itself when no record
   // followed it.
-  Partition p;
-  p.num_fragments = meta.fragments;
-  p.halo_radius = meta.radius;
-  p.node_owner = std::move(meta.owners);
-  p.replication = meta.replication;
-  c.index_ = RoutingIndex::Build(std::move(live), std::move(p), error);
+  c.index_ = RoutingIndex::Build(c.view(), std::move(meta.partition), error);
   if (!c.index_) return std::nullopt;
-  if (replay->replayed_batches == 0) {
-    c.ExtractFragments(c.index_->live().base());
+  if (c.master_->stats().replayed_batches == 0) {
+    c.ExtractFragments(c.master_->base());
   } else {
-    c.ExtractFragments(c.index_->view().Materialize());
+    c.ExtractFragments(c.view().Materialize());
   }
-
-  c.stats_.anchor_seq = anchor;
-  c.stats_.last_seq = replay->last_seq;
-  c.stats_.replayed_batches = replay->replayed_batches;
-  c.stats_.skipped_batches = replay->skipped_batches;
-  c.count_.Restore(meta.count, c.stats_.last_seq);
   return c;
 }
 
@@ -356,42 +361,42 @@ struct Coordinator::DiffContext {
   std::vector<IncrementalDiff> parts;  // per-fragment step diffs
 };
 
-std::optional<uint64_t> Coordinator::ShipSequenced(
-    RoutingIndex::ShipPlan&& plan, std::string_view global_tsv,
-    DiffContext* diff_ctx, std::string* error) {
-  const size_t n = fragments_.size();
-  const uint64_t seq = stats_.last_seq + 1;
-
-  // The journal append is the one durable write: once the global batch is
-  // durable, a crash anywhere below is repaired by Open, which rebuilds
-  // every fragment from the recovered global graph. A batch the journal
-  // never took leaves the master's view again, so the failure rejects
-  // only this batch.
-  {
-    obs::ScopedTimer append_timer(&StoreAppendLatency(), "append",
-                                  {{"seq", seq}});
-    std::string jerr;
-    auto jseq = journal_->Append(global_tsv, &jerr);
-    if (!jseq) {
-      append_timer.Discard();
-      index_->Rollback(plan);
-      SetError(error, "routing journal: " + jerr);
-      return std::nullopt;
-    }
-    if (*jseq != seq) {
-      degraded_ = true;
-      SetError(error, "routing journal out of sequence");
-      return std::nullopt;
-    }
-    StoreAppendsTotal().Inc();
+std::optional<uint64_t> Coordinator::AppendAndShip(std::string_view delta_tsv,
+                                                   DiffContext* diff_ctx,
+                                                   std::string* error) {
+  if (!CheckNotDegraded(error)) return std::nullopt;
+  auto batch = master_->live().Parse(delta_tsv, error);
+  if (!batch) return std::nullopt;
+  // Anchored by the pre-batch global degrees, so every backend serving
+  // this stream picks the same anchors.
+  const BatchFootprint footprint = BatchFootprint::Of(batch->ops, view());
+  // The master's append is the one durable write: it validates and
+  // absorbs the batch, logs it, and takes it back out when the log does
+  // not take it -- so an invalid batch reaches neither the log nor any
+  // fragment. Once it is durable, a crash anywhere below is repaired by
+  // Open, which extracts every fragment from the recovered graph.
+  auto seq = master_->AppendParsed(*batch, delta_tsv, error);
+  if (!seq) return std::nullopt;
+  obs::ScopedTimer route_timer(nullptr, "route", {{"seq", *seq}});
+  RoutingIndex::ShipPlan plan = index_->PlanBatch(master_->live(), *batch);
+  route_timer.StopNs();
+  if (!Ship(std::move(plan), footprint, *seq, diff_ctx, error)) {
+    return std::nullopt;
   }
+  ++stats_.batches;
+  return seq;
+}
 
+bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
+                       const BatchFootprint& footprint, uint64_t seq,
+                       DiffContext* diff_ctx, std::string* error) {
+  const size_t n = fragments_.size();
   // Per-fragment anchor seeds: the batch's anchors it owns. Bucketing a
   // sorted list by owner keeps each bucket sorted.
   std::vector<std::vector<NodeId>> seeds(n);
   if (diff_ctx) {
     std::span<const uint32_t> owner = index_->partition().node_owner;
-    for (NodeId v : plan.footprint.anchors) seeds[owner[v]].push_back(v);
+    for (NodeId v : footprint.anchors) seeds[owner[v]].push_back(v);
     diff_ctx->parts.resize(n);
   }
 
@@ -414,8 +419,7 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     // owned node (halo radius >= pattern radius), so each side equals the
     // global one at this fragment's seeds and the global footprint gates.
     auto sides = diff_ctx->engine->DetectStep(
-        fragments_[f].view(), plan.footprint, seeds[f], absorb,
-        *diff_ctx->opts);
+        fragments_[f].view(), footprint, seeds[f], absorb, *diff_ctx->opts);
     if (!sides) return;
     if (obs::TraceLog* trace = obs::ActiveTrace()) {
       trace->Emit("detect",
@@ -445,7 +449,7 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     if (!errs[f].empty()) {
       degraded_ = true;
       SetError(error, errs[f] + "; coordinator degraded, reopen to recover");
-      return std::nullopt;
+      return false;
     }
   }
   if (diff_ctx) {
@@ -454,32 +458,17 @@ std::optional<uint64_t> Coordinator::ShipSequenced(
     }
   }
   index_->Commit(std::move(plan));
-  stats_.last_seq = seq;
-  count_.Invalidate();
-  return seq;
+  return true;
 }
 
 std::optional<uint64_t> Coordinator::Append(std::string_view delta_tsv,
                                             std::string* error) {
-  if (!CheckNotDegraded(error)) return std::nullopt;
-  obs::ScopedTimer route_timer(nullptr, "route",
-                               {{"seq", stats_.last_seq + 1}});
-  auto plan = index_->PlanBatch(delta_tsv, error);
-  if (!plan) {
-    route_timer.Discard();
-    return std::nullopt;
-  }
-  route_timer.StopNs();
-  auto seq = ShipSequenced(std::move(*plan), delta_tsv, nullptr, error);
-  if (!seq) return std::nullopt;
-  ++stats_.batches;
-  return seq;
+  return AppendAndShip(delta_tsv, nullptr, error);
 }
 
 std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  if (!CheckNotDegraded(error)) return std::nullopt;
   const uint32_t need = engine.MaxPatternRadius();
   if (need > index_->partition().halo_radius) {
     SetError(error, "rule pattern radius " + std::to_string(need) +
@@ -488,22 +477,11 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
                         "; re-init the coordinator with a larger radius");
     return std::nullopt;
   }
-
-  obs::ScopedTimer route_timer(nullptr, "route",
-                               {{"seq", stats_.last_seq + 1}});
-  auto plan = index_->PlanBatch(delta_tsv, error);
-  if (!plan) {
-    route_timer.Discard();
-    return std::nullopt;
-  }
-  route_timer.StopNs();
-
   DiffContext ctx;
   ctx.engine = &engine;
   ctx.opts = &opts;
-  auto seq = ShipSequenced(std::move(*plan), delta_tsv, &ctx, error);
+  auto seq = AppendAndShip(delta_tsv, &ctx, error);
   if (!seq) return std::nullopt;
-  ++stats_.batches;
 
   // Ownership attribution partitions the step diff, so merging the
   // per-fragment added and removed lists reproduces the single-node step
@@ -519,9 +497,9 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   diff.added = MergeSorted(std::move(added));
   diff.removed = MergeSorted(std::move(removed));
-  // The master's global view absorbed the batch when it was planned; the
-  // payload renders against it, as it would against MaterializeCurrent().
-  diff.payload = SerializeDiffPayload(index_->view(), engine.rules(), diff);
+  // The master's view absorbed the batch on append; the payload renders
+  // against it, as it would against MaterializeCurrent().
+  diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
   if (seq_out) *seq_out = *seq;
   return diff;
 }
@@ -532,125 +510,76 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   if (!CheckNotDegraded(error)) return std::nullopt;
   obs::ScopedTimer rebalance_timer(&RebalanceLatency(), "rebalance",
                                    {{"node", node}, {"to", to_fragment}});
-  auto plan = index_->PlanRebalance(node, to_fragment, error);
+  auto plan = index_->PlanRebalance(master_->live(), node, to_fragment, error);
   if (!plan) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
-  const uint64_t seq = stats_.last_seq + 1;
-  rebalance_timer.AddField("seq", seq);
-
   // The graph (hence the violation set) is unchanged; carry the running
   // count across the consumed sequence number.
-  auto carried = count_.Persisted(stats_.last_seq);
-
-  // The owner table first, its journal record second: Open reads the
-  // table from the meta, so a recovered rebalance seq always comes with
-  // the new table.
-  {
-    Partition moved = index_->partition();
-    moved.node_owner = plan->new_owner;
-    std::string werr;
-    if (!AtomicWriteFile(dir_ + "/" + kMetaFile, MetaContent(moved, carried),
-                         &werr)) {
-      index_->Rollback(*plan);
-      SetError(error, "meta: " + werr);
-      rebalance_timer.Discard();
-      return std::nullopt;
-    }
-  }
-
-  // An empty global batch: the journal numbers the rebalance like any
-  // batch, and replay absorbs nothing for it.
-  auto s = ShipSequenced(std::move(*plan), "", nullptr, error);
-  if (!s) {
+  const std::optional<MetaCount> carried = master_->count();
+  // The owner table first, its batch second: Open reads the table from
+  // the meta, so a recovered rebalance seq always comes with the new
+  // table.
+  Partition moved = index_->partition();
+  moved.node_owner = plan->new_owner;
+  if (!WriteMeta(dir_, moved, error)) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
+  // An empty batch: the master numbers the rebalance like any batch, and
+  // replay absorbs nothing for it.
+  auto seq = master_->Append("", error);
+  if (!seq || !Ship(std::move(*plan), BatchFootprint{}, *seq, nullptr, error)) {
+    rebalance_timer.Discard();
+    return std::nullopt;
+  }
+  rebalance_timer.AddField("seq", *seq);
   ++stats_.rebalances;
   RebalancesTotal().Inc();
-  if (carried) {
-    count_.Set(carried->count, seq, carried->fingerprint);
-    if (!WriteMeta(error)) return std::nullopt;
+  if (carried && !master_->SetViolationCount(carried->count,
+                                             carried->fingerprint, error)) {
+    return std::nullopt;
   }
   return seq;
 }
 
-bool Coordinator::ShouldCompact() const {
-  return CompactionDue(opts_.store, index_->live());
-}
+bool Coordinator::ShouldCompact() const { return master_->ShouldCompact(); }
 
-bool Coordinator::CompactAll(std::string* error) {
+bool Coordinator::Compact(std::string* error) {
   if (!CheckNotDegraded(error)) return false;
-  const uint64_t seq = stats_.last_seq;
-  const size_t overlay_ops = index_->live().overlay().ops.size();
-  obs::ScopedTimer compact_timer(&StoreCompactLatency(), "compact",
-                                 {{"seq", seq}, {"overlay_ops", overlay_ops}});
-
-  // The global snapshot is the round's commit point: once it is durable,
-  // Open recovers from it, skipping whatever the journal still holds at
-  // or below its sequence. The journal re-anchors after it.
-  PropertyGraph current = index_->view().Materialize();
-  {
-    std::ostringstream snap;
-    SaveGraphTsv(current, snap, /*with_vocab=*/true);
-    std::string werr;
-    if (!AtomicWriteFile(dir_ + "/" + GlobalSnapshotName(seq), snap.str(),
-                         &werr)) {
-      compact_timer.Discard();
-      SetError(error, "global snapshot: " + werr);
-      return false;
-    }
-  }
-  ExtractFragments(current);
-  index_->Compact(std::move(current));
-  std::string jerr;
-  if (!journal_->DropThrough(seq, &jerr)) {
-    compact_timer.Discard();
-    SetError(error, "routing journal: " + jerr);
-    return false;
-  }
-  std::error_code ec;
-  for (uint64_t old : ListGlobalSnapshots(dir_)) {
-    if (old != seq) fs::remove(dir_ + "/" + GlobalSnapshotName(old), ec);
-  }
-  stats_.anchor_seq = seq;
-  ++stats_.compactions;
-  StoreCompactionsTotal().Inc();
+  const size_t rounds = master_->stats().compactions;
+  if (!master_->Compact(error)) return false;
+  if (master_->stats().compactions == rounds) return true;  // nothing folded
+  // The round committed with the master's meta; the fragments are derived
+  // from the snapshot it wrote.
+  obs::ScopedTimer extract_timer(nullptr, "extract", {{"seq", last_seq()}});
+  ExtractFragments(master_->base());
   return true;
 }
 
-bool Coordinator::MaybeCompactAll(std::string* error) {
-  return ShouldCompact() ? CompactAll(error) : true;
+bool Coordinator::MaybeCompact(std::string* error) {
+  return ShouldCompact() ? Compact(error) : true;
 }
 
 std::optional<uint64_t> Coordinator::violation_count(
     uint64_t fingerprint) const {
-  return count_.Get(stats_.last_seq, fingerprint);
+  return master_->violation_count(fingerprint);
 }
 
 bool Coordinator::SetViolationCount(uint64_t count, uint64_t fingerprint,
                                     std::string* error) {
-  count_.Set(count, stats_.last_seq, fingerprint);
-  ViolationsRunning().Set(static_cast<double>(count));
-  return WriteMeta(error);
+  return master_->SetViolationCount(count, fingerprint, error);
 }
 
 PropertyGraph Coordinator::MaterializeCurrent() const {
-  return index_->view().Materialize();
+  return master_->MaterializeCurrent();
 }
 
 ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {
   const CoordinatorStats s = stats();
-  ServingMetricsSnapshot snap;
-  snap.anchor_seq = s.anchor_seq;
-  snap.last_seq = s.last_seq;
+  ServingMetricsSnapshot snap = master_->MetricsSnapshot();
   snap.fragments = fragments_.size();
-  snap.replayed_batches = s.replayed_batches;
-  snap.skipped_batches = s.skipped_batches;
-  snap.overlay_ops = index_->live().overlay().ops.size();
-  snap.truncated_bytes = journal_->open_stats().truncated_bytes;
-  snap.compactions = s.compactions;
   snap.batches = s.batches;
   snap.rebalances = s.rebalances;
   snap.messages = s.messages;
@@ -668,17 +597,6 @@ bool Coordinator::CheckNotDegraded(std::string* error) const {
            "coordinator degraded by a partial batch failure; reopen to "
            "recover");
   return false;
-}
-
-bool Coordinator::WriteMeta(std::string* error) {
-  const auto count = count_.Persisted(stats_.last_seq);
-  std::string werr;
-  if (!AtomicWriteFile(dir_ + "/" + kMetaFile,
-                       MetaContent(index_->partition(), count), &werr)) {
-    SetError(error, "meta: " + werr);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace gfd

@@ -27,23 +27,22 @@
 // Cluster, split into owned-op bytes and border-halo bytes
 // (CoordinatorStats).
 //
-// On-disk layout -- the coordinator's whole durable state:
+// On-disk layout -- the coordinator's whole durable state is one
+// GraphStore (serve/graph_store.h), the master, plus the partition:
 //
-//   dir/coordinator.meta          magic v2 + fragment count + halo radius
-//                                 + vertex-cut ownership (+ optional
-//                                 running violation count)
-//   dir/routing.log               the routing journal: per global
-//                                 sequence, the global batch (what a
-//                                 deltas.log record holds), appended
+//   dir/store.meta, dir/snapshot-<s>.tsv, dir/deltas.log
+//                                 the master: the global graph, as a
+//                                 single store holds its graph; each
+//                                 accepted batch is appended to its log
 //                                 durably BEFORE any fragment sees it
-//   dir/global-snapshot-<s>.tsv   the global graph at compaction anchor s
+//   dir/coordinator.meta          magic v2 + fragment count + halo radius
+//                                 + replication + vertex-cut ownership
 //
 // Fragments keep nothing durable. A fragment's graph is a function of
 // the global graph and the owner table, and it is built one way:
 // ExtractSubgraph of the global graph under the current residency -- by
-// Open from the recovered graph, and by CompactAll from the one it
-// snapshots. Between the two, fragments absorb their shipped
-// sub-batches.
+// Open from the recovered graph, and by Compact from the master's new
+// snapshot. Between the two, fragments absorb their shipped sub-batches.
 //
 // Work partitioning follows data partitioning: fragment f runs the
 // engine's DetectStep on its partition+halo view around its sub-batch,
@@ -54,24 +53,24 @@
 // per-fragment step diffs partition the global one and the master
 // merges them with a plain sorted merge.
 //
-// Recovery. Open has one path for every crash state, the single store's:
-// it loads the newest global snapshot the journal bridges, absorbs each
-// later record's global batch into the master (ReplayLog, as
-// GraphStore::Open replays its log), computes residency once under the
-// meta's owner table, and extracts every fragment from the recovered
-// graph. Compaction is the single store's too: CompactAll writes the
-// global snapshot, rebuilds the fragments from it in memory, rebases the
-// master and re-anchors the journal, so a crash anywhere in a round
-// leaves a snapshot the journal bridges.
+// Recovery, compaction and the running violation count are the master's:
+// Open is GraphStore::Open, then the partition from coordinator.meta,
+// residency once, and every fragment extracted from the recovered graph.
+// Compact is the master's compaction, committed by its store.meta rename,
+// then the fragments rebuilt from its new base. Directories written by
+// older builds -- a routing.log journal and global-snapshot-<s>.tsv
+// files, perhaps frag-<f>/ stores -- are converted once, on their first
+// Open, into this layout.
 //
 // Rebalancing. Rebalance(node, to_fragment) migrates ownership of a hot
 // vertex between batches: it writes the new owner table to the meta,
-// then journals an empty global batch under one global sequence number
-// and ships each fragment its halo maintenance (the graph is unchanged,
-// so the step's violation diff is empty by construction). Open reads the
-// owner table from the meta, so a recovered rebalance seq always comes
-// with the new table; a crash between the two writes leaves the new
-// table with no seq consumed, which serves the same graph and diffs.
+// then appends an empty batch through the master under one global
+// sequence number and ships each fragment its halo maintenance (the
+// graph is unchanged, so the step's violation diff is empty by
+// construction). Open reads the owner table from the meta, so a
+// recovered rebalance seq always comes with the new table; a crash
+// between the two writes leaves the new table with no seq consumed,
+// which serves the same graph and diffs.
 #ifndef GFD_SERVE_COORDINATOR_H_
 #define GFD_SERVE_COORDINATOR_H_
 
@@ -89,8 +88,6 @@
 #include "graph/property_graph.h"
 #include "parallel/cluster.h"
 #include "parallel/fragment.h"
-#include "serve/delta_log.h"
-#include "serve/durable_io.h"
 #include "serve/graph_store.h"
 #include "serve/routing_index.h"
 #include "serve/serving_store.h"
@@ -98,18 +95,14 @@
 namespace gfd {
 
 struct CoordinatorOptions {
-  /// Compaction thresholds of the master's global graph: ShouldCompact
-  /// applies the single store's policy (CompactionDue) to it.
+  /// The master's options: its compaction thresholds.
   GraphStoreOptions store;
 };
 
+/// What the coordinator adds to its master's GraphStoreStats (sequence,
+/// anchor, replay and compactions are the master's).
 struct CoordinatorStats {
-  uint64_t anchor_seq = 0;      ///< the global snapshot's sequence
-  uint64_t last_seq = 0;        ///< global sequence (max shipped batch)
-  size_t replayed_batches = 0;  ///< journal records absorbed on Open
-  size_t skipped_batches = 0;   ///< journal records the snapshot held
   size_t batches = 0;           ///< batches accepted this session
-  size_t compactions = 0;       ///< compaction rounds this session
   size_t rebalances = 0;        ///< ownership migrations this session
   uint64_t messages = 0;        ///< cluster messages (ships + diffs)
   uint64_t bytes_shipped = 0;   ///< cluster bytes (all traffic)
@@ -127,21 +120,25 @@ class Coordinator final : public ServingStore {
  public:
   /// Creates `dir` as a coordinator over `fragments` partitions of `g`:
   /// vertex-cut ownership is computed once (VertexCutPartition) and
-  /// persisted next to `g` as global-snapshot-0 and an empty journal.
-  /// `halo_radius` must be >= 1 and >= the max pattern radius of every
-  /// rule set later served (AppendAndDiff rejects an engine whose
-  /// MaxPatternRadius exceeds it). Fails if `dir` already holds a
-  /// coordinator.
+  /// written to coordinator.meta, then the master store is created
+  /// holding `g` at seq 0 -- its store.meta last, so an interrupted Init
+  /// leaves a directory a second Init accepts. `halo_radius` must be >= 1
+  /// and >= the max pattern radius of every rule set later served
+  /// (AppendAndDiff rejects an engine whose MaxPatternRadius exceeds it).
+  /// Fails if `dir` already holds a store or a coordinator, in any
+  /// layout.
   static bool Init(const std::string& dir, const PropertyGraph& g,
                    size_t fragments, uint32_t halo_radius = 3,
                    std::string* error = nullptr);
 
-  /// Opens `dir`: the master recovers the global graph from the newest
-  /// global snapshot the routing journal bridges plus the journal's later
-  /// batches, and every fragment is extracted from it under the meta's
-  /// owner table -- one path for every crash state. Directories written
-  /// by older builds open too: their per-fragment journal frames, frag-<f>
-  /// stores and owners_seq line are never read.
+  /// Opens `dir`: the master recovers the global graph (GraphStore::Open),
+  /// and every fragment is extracted from it under the meta's owner table
+  /// -- one path for every crash state. A directory an older build wrote
+  /// (routing.log present) is first converted into the master's layout:
+  /// its graph is recovered from the newest global snapshot the journal
+  /// bridges plus the journal's later batches and written as the master's
+  /// snapshot at that seq, a count taken at that seq is carried, and the
+  /// old files are deleted.
   static std::optional<Coordinator> Open(const std::string& dir,
                                          const CoordinatorOptions& opts = {},
                                          std::string* error = nullptr);
@@ -155,25 +152,26 @@ class Coordinator final : public ServingStore {
   /// graph; never persisted).
   const FragmentResidency& residency() const { return index_->residency(); }
   /// Stored (resident) edge count of fragment f -- the footprint metric.
-  uint64_t resident_edges(size_t f) const { return index_->ResidentEdges(f); }
+  uint64_t resident_edges(size_t f) const {
+    return index_->ResidentEdges(view(), f);
+  }
   /// Fragment f's in-memory graph: its resident subgraph.
   const LiveGraph& fragment(size_t f) const { return fragments_[f]; }
   /// The master's live global view (by the storage invariant, the union
   /// of fragment states); it absorbs each accepted batch in place.
-  const GraphView& view() const { return index_->view(); }
-  uint64_t last_seq() const override { return stats_.last_seq; }
+  const GraphView& view() const { return master_->view(); }
+  uint64_t last_seq() const override { return master_->last_seq(); }
   const std::string& dir() const { return dir_; }
 
   /// Session stats with the cluster's communication counters folded in.
   CoordinatorStats stats() const;
 
-  /// Accepts one update batch (the E+/E-/A TSV of graph/loader.h):
-  /// validates it once against the master's global view and absorbs it
-  /// there, assigns it the next global sequence number, journals it
-  /// durably, then ships each fragment its routed ops plus halo
-  /// maintenance. Nothing reaches the journal or any fragment when
-  /// validation fails, and a batch the journal does not take leaves the
-  /// master's view again.
+  /// Accepts one update batch (the E+/E-/A TSV of graph/loader.h): the
+  /// master parses, validates, absorbs and durably appends it under the
+  /// next global sequence number, then each fragment is shipped its
+  /// routed ops plus halo maintenance. Nothing reaches the log or any
+  /// fragment when validation fails, and a batch the log does not take
+  /// leaves the master's view again.
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 
@@ -191,36 +189,25 @@ class Coordinator final : public ServingStore {
       std::string* error = nullptr) override;
 
   /// Migrates ownership of `node` to `to_fragment` between batches:
-  /// persists the new owner table, then journals an empty batch under
-  /// one global sequence number and ships the halo maintenance it
-  /// implies. Returns the consumed sequence number.
+  /// persists the new owner table, then appends an empty batch through
+  /// the master under one global sequence number and ships the halo
+  /// maintenance it implies; a count valid before is valid after.
+  /// Returns the consumed sequence number.
   std::optional<uint64_t> Rebalance(NodeId node, uint32_t to_fragment,
                                     std::string* error = nullptr);
 
-  /// True when the master's overlay exceeds a threshold of
-  /// CoordinatorOptions::store (the single store's policy).
+  /// The master's compaction policy.
   bool ShouldCompact() const override;
 
-  /// One compaction round: writes the global snapshot, rebuilds every
-  /// fragment from it in memory, rebases the master and re-anchors the
-  /// routing journal.
-  bool CompactAll(std::string* error = nullptr);
+  /// The master's compaction -- its store.meta rename commits the round
+  /// -- then every fragment rebuilt in memory from the master's new base
+  /// (traced as `extract`).
+  bool Compact(std::string* error = nullptr) override;
 
-  /// Policy entry point: CompactAll() iff ShouldCompact().
-  bool MaybeCompactAll(std::string* error = nullptr);
+  /// Policy entry point: Compact() iff ShouldCompact().
+  bool MaybeCompact(std::string* error = nullptr) override;
 
-  /// ServingStore conformance: a round is the only compaction a
-  /// coordinator has.
-  bool Compact(std::string* error = nullptr) override {
-    return CompactAll(error);
-  }
-  bool MaybeCompact(std::string* error = nullptr) override {
-    return MaybeCompactAll(error);
-  }
-
-  /// Running violation count across the whole graph, maintained by the
-  /// serving loop and persisted in coordinator.meta -- same contract as
-  /// GraphStore::violation_count.
+  /// The master's running violation count (GraphStore::violation_count).
   std::optional<uint64_t> violation_count(
       uint64_t fingerprint) const override;
   bool SetViolationCount(uint64_t count, uint64_t fingerprint,
@@ -230,9 +217,8 @@ class Coordinator final : public ServingStore {
   /// the storage invariant, equal to the union of fragment states).
   PropertyGraph MaterializeCurrent() const override;
 
-  /// Unified telemetry snapshot: coordinator stats folded into the
-  /// shared shape. Replay, overlay and compaction fields are the
-  /// master's, as a single store reports its own.
+  /// Unified telemetry snapshot: the master's, with the fragment count
+  /// and the coordinator stats folded in.
   ServingMetricsSnapshot MetricsSnapshot() const override;
 
  private:
@@ -242,45 +228,40 @@ class Coordinator final : public ServingStore {
   // current global graph -- under the current residency.
   void ExtractFragments(const PropertyGraph& g);
 
-  // Journals + ships one planned shipment under the next sequence
-  // number; commits the plan into the index on success. Shared by
-  // Append / AppendAndDiff / Rebalance (the latter passes
-  // `diff_ctx` = nullptr just like Append).
+  // Appends `delta_tsv` through the master, then plans and ships it.
+  // Shared by Append and AppendAndDiff (Append passes `diff_ctx` =
+  // nullptr).
   struct DiffContext;
-  std::optional<uint64_t> ShipSequenced(RoutingIndex::ShipPlan&& plan,
-                                        std::string_view global_tsv,
+  std::optional<uint64_t> AppendAndShip(std::string_view delta_tsv,
                                         DiffContext* diff_ctx,
                                         std::string* error);
+
+  // Ships `plan` for the batch the master took as `seq`: each fragment
+  // absorbs its payload, inside its DetectStep when `diff_ctx` asks for
+  // the diff; then the plan commits into the index.
+  bool Ship(RoutingIndex::ShipPlan&& plan, const BatchFootprint& footprint,
+            uint64_t seq, DiffContext* diff_ctx, std::string* error);
 
   // False (with error) once a partial batch failure degraded the
   // fragments; mutating entry points call this first.
   bool CheckNotDegraded(std::string* error) const;
 
-  // Rewrites coordinator.meta (atomic) with the current ownership and,
-  // when valid at the current sequence, the running violation count.
-  bool WriteMeta(std::string* error);
-
   std::string dir_;
-  CoordinatorOptions opts_;
-  // Master-side global graph, partition, residency, and routing
-  // (serve/routing_index.h).
+  // The global graph, durable: snapshot + log in dir_, with its running
+  // violation count.
+  std::optional<GraphStore> master_;
+  // Partition, residency and routing (serve/routing_index.h).
   std::optional<RoutingIndex> index_;
   // Fragment f's resident subgraph, absorbing its sub-batches.
   std::vector<LiveGraph> fragments_;
   // Master + one worker per fragment; also the communication ledger.
   std::unique_ptr<Cluster> cluster_;
-  // The routing journal (dir/routing.log): per global sequence, the
-  // global batch.
-  std::optional<DeltaLog> journal_;
   CoordinatorStats stats_;
-  // Set when a fragment failed to absorb a batch the journal already
-  // recorded: the in-memory states no longer agree, so every mutating
+  // Set when a fragment failed to absorb a batch the master already
+  // logged: the in-memory states no longer agree, so every mutating
   // entry point refuses until the coordinator is reopened (which
   // rebuilds every fragment from the recovered global graph).
   bool degraded_ = false;
-  // Running violation count (serve/durable_io.h holds the shared
-  // validity rule: valid only at the exact sequence it was taken).
-  RunningCount count_;
 };
 
 }  // namespace gfd

@@ -18,7 +18,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMetaFile[] = "store.meta";
 constexpr char kLogFile[] = "deltas.log";
 constexpr char kMetaMagic[] = "gfd-graph-store v1";
 
@@ -84,15 +83,6 @@ std::string SaveGraphString(const PropertyGraph& g) {
 
 }  // namespace
 
-bool CompactionDue(const GraphStoreOptions& opts, const LiveGraph& live) {
-  const size_t ops = live.overlay().ops.size();
-  if (ops == 0) return false;
-  if (opts.compact_min_ops > 0 && ops >= opts.compact_min_ops) return true;
-  const double edges = static_cast<double>(live.base().NumEdges());
-  return opts.compact_min_fraction > 0 &&
-         static_cast<double>(ops) >= opts.compact_min_fraction * edges;
-}
-
 std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      uint64_t anchor, LiveGraph& live,
                                      const std::string& source,
@@ -130,7 +120,7 @@ std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
 }
 
 bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
-                      std::string* error) {
+                      std::string* error, uint64_t anchor) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -142,12 +132,12 @@ bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
     SetError(error, dir + ": already holds a graph store");
     return false;
   }
-  std::string snapshot = SnapshotName(0);
+  std::string snapshot = SnapshotName(anchor);
   if (!AtomicWriteFile((fs::path(dir) / snapshot).string(),
                        SaveGraphString(g), error)) {
     return false;
   }
-  return AtomicWriteFile(meta_path, MetaContent(0, snapshot, std::nullopt),
+  return AtomicWriteFile(meta_path, MetaContent(anchor, snapshot, std::nullopt),
                          error);
 }
 
@@ -279,7 +269,14 @@ std::optional<uint64_t> GraphStore::Append(const GraphDelta& batch,
   return Append(std::move(os).str(), error);
 }
 
-bool GraphStore::ShouldCompact() const { return CompactionDue(opts_, *live_); }
+bool GraphStore::ShouldCompact() const {
+  const size_t ops = overlay().ops.size();
+  if (ops == 0) return false;
+  if (opts_.compact_min_ops > 0 && ops >= opts_.compact_min_ops) return true;
+  const double edges = static_cast<double>(base().NumEdges());
+  return opts_.compact_min_fraction > 0 &&
+         static_cast<double>(ops) >= opts_.compact_min_fraction * edges;
+}
 
 bool GraphStore::Compact(std::string* error) {
   // No-op only when there is truly nothing to fold AND the anchor is

@@ -27,6 +27,13 @@
 // resolve through the index each snapshot builds once
 // (PropertyGraph::FindNode).
 //
+// A store is both backends' durable graph: a single-node server serves
+// it directly, and a coordinator (serve/coordinator.h) hosts its global
+// graph as one, its master, in the coordinator's own directory beside
+// the owner table -- appending each batch through AppendParsed before
+// any fragment sees it, compacting through Compact, and keeping its
+// running violation count here.
+//
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
 // writers (two appenders would assign duplicate sequence numbers and the
@@ -73,10 +80,6 @@ struct GraphStoreOptions {
   double compact_min_fraction = 0.10;
 };
 
-/// True when `live`'s overlay exceeds a threshold of `opts`: the one
-/// compaction policy, which a coordinator applies to its master graph.
-bool CompactionDue(const GraphStoreOptions& opts, const LiveGraph& live);
-
 /// What replaying a log onto a live graph did.
 struct ReplayStats {
   uint64_t last_seq = 0;        ///< the anchor, or the last record absorbed
@@ -84,11 +87,13 @@ struct ReplayStats {
   size_t skipped_batches = 0;   ///< records at or below the anchor
 };
 
-/// The replay both backends recover through: absorbs every record of
-/// `records` past `anchor` into `live`, in sequence order, exactly as
-/// the live path absorbed it (LiveGraph::Parse, then Absorb). Records
-/// at or below `anchor` -- already in the snapshot `live` was built
-/// from -- are skipped; the rest must continue the chain at anchor+1.
+/// The replay a store recovers through -- and a coordinator converting
+/// an older directory, whose journal records are batches too: absorbs
+/// every record of `records` past `anchor` into `live`, in sequence
+/// order, exactly as the live path absorbed it (LiveGraph::Parse, then
+/// Absorb). Records at or below `anchor` -- already in the snapshot
+/// `live` was built from -- are skipped; the rest must continue the
+/// chain at anchor+1.
 /// Nullopt (with *error naming `source` and the record) when a record
 /// does not continue the chain or cannot apply. Emits the `replay`
 /// trace event and the gfd_store_replay_* metrics.
@@ -108,10 +113,17 @@ struct GraphStoreStats {
 
 class GraphStore final : public ServingStore {
  public:
-  /// Creates a store directory holding `g` as snapshot-0 and an empty
-  /// log. Fails if `dir` already holds a store.
+  /// The commit record's file name: a directory holds a store iff it
+  /// holds this file.
+  static constexpr char kMetaFile[] = "store.meta";
+
+  /// Creates a store directory holding `g` as snapshot-<anchor> and an
+  /// empty log whose first record will be anchor+1; store.meta is written
+  /// last, as the commit. A fresh directory passes anchor 0; a
+  /// coordinator converting an older layout passes the seq it recovered.
+  /// Fails if `dir` already holds a store.
   static bool Init(const std::string& dir, const PropertyGraph& g,
-                   std::string* error = nullptr);
+                   std::string* error = nullptr, uint64_t anchor = 0);
 
   /// Opens `dir`, replaying the log onto the snapshot (sequenced,
   /// exactly-once; corrupt tail cut). Also self-heals: pre-anchor log
@@ -120,6 +132,7 @@ class GraphStore final : public ServingStore {
                                         const GraphStoreOptions& opts = {},
                                         std::string* error = nullptr);
 
+  const LiveGraph& live() const { return *live_; }
   const PropertyGraph& base() const { return live_->base(); }
   const GraphView& view() const { return live_->view(); }
   const GraphDelta& overlay() const { return live_->overlay(); }
@@ -144,6 +157,16 @@ class GraphStore final : public ServingStore {
   std::optional<uint64_t> Append(const GraphDelta& batch,
                                  std::string* error = nullptr);
 
+  /// The append every text path ends in (Append, AppendAndDiff, and a
+  /// coordinator's per-batch append to its master): validates and
+  /// absorbs `batch` --
+  /// live().Parse's result for `delta_tsv`, which is what the log
+  /// records -- then logs it, taking it back out of memory when the log
+  /// append fails. Traced as `append`, with the absorb as `validate`.
+  std::optional<uint64_t> AppendParsed(const GraphDelta& batch,
+                                       std::string_view delta_tsv,
+                                       std::string* error = nullptr);
+
   /// Running violation count as of last_seq(), as last persisted in
   /// store.meta next to the anchor (the serving loop maintains it as
   /// count += |added| - |removed| per batch, seeded by one full Detect;
@@ -163,6 +186,13 @@ class GraphStore final : public ServingStore {
   /// compactions.
   bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                          std::string* error = nullptr) override;
+
+  /// The running count valid at last_seq(), with its fingerprint, or
+  /// nullopt: what a caller carries across a batch it knows leaves the
+  /// violation set unchanged.
+  std::optional<MetaCount> count() const {
+    return count_.Persisted(stats_.last_seq);
+  }
 
   /// True when the overlay exceeds a configured compaction threshold.
   bool ShouldCompact() const override;
@@ -194,13 +224,6 @@ class GraphStore final : public ServingStore {
 
  private:
   GraphStore() = default;
-
-  // Absorbs and logs `batch` -- LiveGraph::Parse's result for
-  // `delta_tsv`, which is what the log records -- rolling it back out
-  // when the log append fails.
-  std::optional<uint64_t> AppendParsed(const GraphDelta& batch,
-                                       std::string_view delta_tsv,
-                                       std::string* error);
 
   // Rewrites store.meta (atomically) reflecting the current anchor,
   // snapshot, and violation-count state.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "graph/loader.h"
-#include "obs/trace.h"
 
 namespace gfd {
 
@@ -16,7 +15,7 @@ void SetError(std::string* error, const std::string& msg) {
 }
 }  // namespace
 
-std::optional<RoutingIndex> RoutingIndex::Build(LiveGraph live, Partition p,
+std::optional<RoutingIndex> RoutingIndex::Build(const GraphView& g, Partition p,
                                                 std::string* error) {
   if (p.num_fragments == 0) {
     SetError(error, "partition has no fragments");
@@ -28,45 +27,27 @@ std::optional<RoutingIndex> RoutingIndex::Build(LiveGraph live, Partition p,
     SetError(error, "halo radius must be >= 1");
     return std::nullopt;
   }
-  if (p.node_owner.size() != live.view().NumNodes()) {
+  if (p.node_owner.size() != g.NumNodes()) {
     SetError(error, "partition owner table does not match the graph");
     return std::nullopt;
   }
   RoutingIndex idx;
   idx.partition_ = std::move(p);
-  idx.live_.emplace(std::move(live));
-  idx.resident_ = ComputeResidency(idx.view(), idx.partition_);
+  idx.resident_ = ComputeResidency(g, idx.partition_);
   return idx;
 }
 
-std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanBatch(
-    std::string_view delta_tsv, std::string* error) {
-  auto batch = live_->Parse(delta_tsv, error);
-  if (!batch) return std::nullopt;
+RoutingIndex::ShipPlan RoutingIndex::PlanBatch(const LiveGraph& live,
+                                               const GraphDelta& batch) const {
   ShipPlan plan;
-  plan.pre = live_->mark();
-  // Anchored by the pre-batch global degrees, so every backend serving
-  // this stream picks the same anchors. Parse resolved every node
-  // through the base's name index, so the degrees are readable before
-  // validation.
-  plan.footprint = BatchFootprint::Of(batch->ops, view());
-  // Validating on the global view is the one place a delete-of-missing-
-  // edge can be caught before the journal or any fragment sees the batch.
-  obs::ScopedTimer validate_timer(nullptr, "validate");
-  if (!live_->Absorb(*batch, error)) {
-    validate_timer.Discard();
-    return std::nullopt;
-  }
-  validate_timer.AddField("ops", live_->overlay().ops.size());
-  validate_timer.StopNs();
-  plan.new_resident = ComputeResidency(view(), partition_);
-  BuildPayloads(*batch, &plan);
+  plan.new_resident = ComputeResidency(live.view(), partition_);
+  BuildPayloads(live, batch, &plan);
   return plan;
 }
 
 std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(
-    NodeId node, uint32_t to, std::string* error) {
-  if (node >= view().NumNodes()) {
+    const LiveGraph& live, NodeId node, uint32_t to, std::string* error) const {
+  if (node >= live.view().NumNodes()) {
     SetError(error, "rebalance: node id out of range");
     return std::nullopt;
   }
@@ -83,28 +64,27 @@ std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(
   moved.node_owner[node] = to;
 
   ShipPlan plan;
-  plan.pre = live_->mark();
-  plan.new_resident = ComputeResidency(view(), moved);
+  plan.new_resident = ComputeResidency(live.view(), moved);
   plan.new_owner = std::move(moved.node_owner);
   // Graph unchanged: the payloads carry the vocabulary preamble plus
   // pure halo maintenance.
-  BuildPayloads(GraphDelta{}, &plan);
+  BuildPayloads(live, GraphDelta{}, &plan);
   return plan;
 }
 
-void RoutingIndex::BuildPayloads(const GraphDelta& batch,
+void RoutingIndex::BuildPayloads(const LiveGraph& live, const GraphDelta& batch,
                                  ShipPlan* plan) const {
   const size_t n = partition_.num_fragments;
-  const GraphView& nv = view();
-  const PropertyGraph& base = live_->base();
+  const GraphView& nv = live.view();
+  const PropertyGraph& base = live.base();
 
   // Full extension-vocabulary preamble, identical for every fragment:
   // the overlay's tables, so all fragments intern the same names in the
   // same order.
   GraphDelta vocab_only;
-  vocab_only.extra_labels = live_->overlay().extra_labels;
-  vocab_only.extra_attrs = live_->overlay().extra_attrs;
-  vocab_only.extra_values = live_->overlay().extra_values;
+  vocab_only.extra_labels = live.overlay().extra_labels;
+  vocab_only.extra_attrs = live.overlay().extra_attrs;
+  vocab_only.extra_values = live.overlay().extra_values;
   std::ostringstream pre;
   SaveGraphDeltaTsv(base, vocab_only, pre, /*with_vocab=*/true);
   const std::string preamble = pre.str();
@@ -202,16 +182,8 @@ void RoutingIndex::Commit(ShipPlan&& plan) {
   resident_ = std::move(plan.new_resident);
 }
 
-void RoutingIndex::Rollback(const ShipPlan& plan) { live_->Rollback(plan.pre); }
-
-void RoutingIndex::Compact(PropertyGraph next) {
-  // The graph is unchanged (ids preserved), and so is the residency.
-  live_->Rebase(std::move(next));
-}
-
-uint64_t RoutingIndex::ResidentEdges(size_t f) const {
+uint64_t RoutingIndex::ResidentEdges(const GraphView& g, size_t f) const {
   const std::vector<char>& res = resident_[f];
-  const GraphView& g = view();
   uint64_t count = 0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     if (!res[v]) continue;

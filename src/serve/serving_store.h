@@ -4,9 +4,10 @@
 // ask for per-batch violation diffs, compact, and materialize":
 //
 //   GraphStore   (serve/graph_store.h)  -- single node: snapshot + log
-//   Coordinator  (serve/coordinator.h)  -- distributed: a global
-//                snapshot + routing journal, served by vertex-cut
-//                partitioned in-memory fragments behind the same verbs
+//   Coordinator  (serve/coordinator.h)  -- distributed: the same store of
+//                the global graph (its master) plus an owner table,
+//                served by vertex-cut partitioned in-memory fragments
+//                behind the same verbs
 //
 // `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
 // and the oracle tests drive either backend through this interface, and
@@ -31,8 +32,8 @@ namespace gfd {
 /// replaces querying GraphStoreStats and CoordinatorStats separately.
 /// Distributed-only fields are zero for a single store; `fragments` is 1
 /// there. The recovery and compaction fields describe the one durable
-/// graph -- a coordinator's master -- so `overlay_ops` is its pending
-/// (un-compacted) delta ops and `compactions` its rounds.
+/// graph -- a coordinator's master GraphStore -- so `overlay_ops` is its
+/// pending (un-compacted) delta ops and `compactions` its rounds.
 struct ServingMetricsSnapshot {
   uint64_t anchor_seq = 0;
   uint64_t last_seq = 0;

@@ -327,7 +327,7 @@ TEST(Changefeed, PayloadNamesAnOverlayOnlyRuleConstant) {
   }
   auto coord = Coordinator::Open(coord_dir);
   ASSERT_TRUE(coord.has_value());
-  ASSERT_EQ(coord->stats().anchor_seq, 0u);
+  ASSERT_EQ(coord->MetricsSnapshot().anchor_seq, 0u);
   serve(*coord);
 }
 

@@ -4,14 +4,14 @@
 // unfragmented store -- on fixtures, property-style across random seeds
 // x graph scales x fragment counts {1,2,4,8} x batch streams (repeated,
 // delete-heavy, and mid-stream rebalanced batches included), across a
-// restart, and from a directory an older build wrote with durable
-// fragment stores. Both backends are driven through the ServingStore
-// interface. On top of the oracle, every fragment must equal the
-// resident subgraph of the global state (edges exact, resident-node
-// attributes fresh), the summed footprint must be ~replication x |G|,
-// not N x |G|, and the coordinator's durable state must be its meta,
-// its journal and one global snapshot. Crash recovery at every durable
-// write point is crash_sweep_test's.
+// restart, and from directories older builds wrote, which convert once.
+// Both backends are driven through the ServingStore interface. On top of
+// the oracle, every fragment must equal the resident subgraph of the
+// global state (edges exact, resident-node attributes fresh), the summed
+// footprint must be ~replication x |G|, not N x |G|, and the
+// coordinator's durable state must be its master store plus the owner
+// table. Crash recovery at every durable write point is
+// crash_sweep_test's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,6 @@
 #include "serve/coordinator.h"
 #include "serve/delta_log.h"
 #include "serve/graph_store.h"
-#include "serve/routing_index.h"
 #include "serve/serving_store.h"
 #include "testlib.h"
 #include "util/rng.h"
@@ -269,71 +268,6 @@ TEST(RouteDelta, ShipsOpsToFragmentsWhoseResidentSetCoversThem) {
       }
     }
   }
-}
-
-// --- Routing index plans ----------------------------------------------------
-
-// PlanBatch absorbs its batch into the master's view; a plan rolled back
-// instead of committed (its journal append failed) must leave the index
-// exactly as it was, so the next batch plans as on an index that never
-// saw the doomed one -- payload bytes, footprint and residency included.
-TEST(RoutingIndex, RolledBackPlanLeavesTheIndexAsItWas) {
-  auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 4});
-  Fragmentation frag = VertexCutPartition(g, 3);
-  frag.partition.halo_radius = 2;
-  auto index = RoutingIndex::Build(LiveGraph(g), frag.partition);
-  auto fresh = RoutingIndex::Build(LiveGraph(g), frag.partition);
-  ASSERT_TRUE(index.has_value());
-  ASSERT_TRUE(fresh.has_value());
-
-  Rng rng(13);
-  auto next_batch = [&] {
-    PropertyGraph current = fresh->view().Materialize();
-    return DeltaBytes(current, RandomBatch(current, rng, 12));
-  };
-  auto plan_both = [&](const std::string& batch) {
-    auto a = index->PlanBatch(batch);
-    auto b = fresh->PlanBatch(batch);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->payloads, b->payloads);
-    EXPECT_EQ(a->footprint.anchors, b->footprint.anchors);
-    EXPECT_EQ(a->new_resident, b->new_resident);
-    index->Commit(std::move(*a));
-    fresh->Commit(std::move(*b));
-  };
-  plan_both(next_batch());
-
-  const std::string before = GraphBytes(index->view().Materialize());
-  // New vocabulary and edge changes, absorbed by the plan...
-  PropertyGraph current = index->view().Materialize();
-  std::string doomed = next_batch();
-  doomed += "E+\t" + current.NodeAlias(0) + "\t" + current.NodeAlias(1) +
-            "\tlabel_never_seen\n";
-  doomed += "A\t" + current.NodeAlias(2) + "\tkey_never_seen=value\n";
-  auto plan = index->PlanBatch(doomed);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_NE(GraphBytes(index->view().Materialize()), before);
-  // ...and taken back out.
-  index->Rollback(*plan);
-  EXPECT_EQ(GraphBytes(index->view().Materialize()), before);
-  EXPECT_EQ(index->view().NumDeltaOps(), fresh->view().NumDeltaOps());
-  EXPECT_FALSE(index->view().FindLabel("label_never_seen").has_value());
-  EXPECT_EQ(index->residency(), fresh->residency());
-
-  // A rolled-back rebalance changes nothing either.
-  NodeId moved = 5;
-  uint32_t to = (index->partition().node_owner[moved] + 1) % 3;
-  auto rebalance = index->PlanRebalance(moved, to);
-  ASSERT_TRUE(rebalance.has_value());
-  index->Rollback(*rebalance);
-  EXPECT_EQ(index->partition().node_owner, fresh->partition().node_owner);
-
-  // The next batches plan as on the index that never saw either plan.
-  plan_both(next_batch());
-  plan_both(next_batch());
-  EXPECT_EQ(GraphBytes(index->view().Materialize()),
-            GraphBytes(fresh->view().Materialize()));
 }
 
 // --- Coordinator basics ----------------------------------------------------
@@ -583,7 +517,7 @@ TEST(Coordinator, RestartReplaysEveryFragmentToTheSameGlobalState) {
   auto reopened = Coordinator::Open(dir);
   ASSERT_TRUE(reopened.has_value());
   EXPECT_EQ(reopened->last_seq(), 3u);
-  EXPECT_EQ(reopened->stats().replayed_batches, 3u);
+  EXPECT_EQ(reopened->MetricsSnapshot().replayed_batches, 3u);
   EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), expect);
   ExpectFragmentsMatchResidentSubgraphs(*reopened);
 }
@@ -616,11 +550,13 @@ TEST(Coordinator, RejectsABadBatchWithTheSingleStoresText) {
       << coord_error;
 }
 
-// Fragments keep nothing durable: after a stream with a compaction and a
-// rebalance, the directory holds the meta, the journal and one global
-// snapshot, and each journal record is the global batch as sent (an
-// empty one for the rebalance).
-TEST(Coordinator, DurableStateIsTheMetaTheJournalAndOneSnapshot) {
+// The coordinator's durable state is one GraphStore plus the owner
+// table: after a stream with a compaction and a rebalance, the directory
+// holds coordinator.meta and the master's store.meta, deltas.log and one
+// snapshot, and each log record is the global batch as sent (an empty
+// one for the rebalance). The meta holds the partition alone: setting
+// the running count rewrites store.meta, not the owner table.
+TEST(Coordinator, DurableStateIsTheMasterStoreAndTheOwnerTable) {
   auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 13});
   std::string dir = Scratch("coord_layout");
   ASSERT_TRUE(Coordinator::Init(dir, g, 3));
@@ -635,7 +571,7 @@ TEST(Coordinator, DurableStateIsTheMetaTheJournalAndOneSnapshot) {
   };
   append();
   append();
-  ASSERT_TRUE(coord->CompactAll());
+  ASSERT_TRUE(coord->Compact());
   const NodeId moved = 0;
   ASSERT_TRUE(coord->Rebalance(moved, (coord->node_owner()[moved] + 1) % 3));
   std::vector<std::string> sent{""};
@@ -646,70 +582,63 @@ TEST(Coordinator, DurableStateIsTheMetaTheJournalAndOneSnapshot) {
   for (const auto& entry : fs::recursive_directory_iterator(dir)) {
     files.insert(fs::relative(entry.path(), dir).string());
   }
-  const std::set<std::string> want{"coordinator.meta", "routing.log",
-                                   "global-snapshot-2.tsv"};
+  const std::set<std::string> want{"coordinator.meta", "deltas.log",
+                                   "snapshot-2.tsv", "store.meta"};
   EXPECT_EQ(files, want);
-  auto journal = DeltaLog::Open(dir + "/routing.log", 1);
-  ASSERT_TRUE(journal.has_value());
-  ASSERT_EQ(journal->records().size(), sent.size());
+  auto log = DeltaLog::Open(dir + "/deltas.log", 1);
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->records().size(), sent.size());
   for (size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(journal->records()[i].seq, 3 + i);
-    EXPECT_EQ(journal->records()[i].payload, sent[i]) << "seq " << 3 + i;
+    EXPECT_EQ(log->records()[i].seq, 3 + i);
+    EXPECT_EQ(log->records()[i].payload, sent[i]) << "seq " << 3 + i;
   }
+
+  const std::string meta = FileBytes(dir + "/coordinator.meta");
+  ASSERT_TRUE(coord->SetViolationCount(7, 0xfeedu));
+  EXPECT_EQ(FileBytes(dir + "/coordinator.meta"), meta);
+  EXPECT_EQ(meta.find("violations"), std::string::npos);
+  EXPECT_NE(FileBytes(dir + "/store.meta").find("violations 7 5 "),
+            std::string::npos);
 }
 
-// --- A directory an older build wrote ---------------------------------------
+// --- Directories older builds wrote -----------------------------------------
 
-// tests/data/coordinator_with_fragment_stores: the layout in which every
-// fragment was a durable store -- frag-<f>/ directories, journal records
-// with per-fragment frames, an owners_seq line (tests/data/README.md).
-// It opens at the seq and graph that build reached, lays the fragments
-// out under the meta's owner table, and serves the next batch as a
-// single store over the same graph does. With owners_seq bumped past the
-// snapshot's anchor -- what that build read as a torn rebalance -- it
-// opens the same way.
-TEST(Coordinator, OpensADirectoryWithFragmentStores) {
-  const std::string data = GFD_TEST_DATA_DIR;
-  const std::string fixture = data + "/coordinator_with_fragment_stores";
-  std::string gerr;
-  auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &gerr);
-  ASSERT_TRUE(want.has_value()) << gerr;
-  auto rules = GenerateGfdSet(*want, {.count = 8, .k = 3, .seed = 61});
-  ViolationEngine engine(rules);
-  ASSERT_LE(engine.MaxPatternRadius(), 2u);  // the fixture's halo radius
-  Rng rng(67);
-  const std::string batch = DeltaBytes(*want, RandomBatch(*want, rng, 12));
-  std::string single_dir = Scratch("coord_fixture_single");
-  ASSERT_TRUE(GraphStore::Init(single_dir, *want));
-  auto single = GraphStore::Open(single_dir);
-  ASSERT_TRUE(single.has_value());
-  auto expect = single->AppendAndDiff(engine, batch);
-  ASSERT_TRUE(expect.has_value());
-  const std::string want_after = GraphBytes(single->MaterializeCurrent());
+// tests/data (README.md there) holds a directory in each older layout:
+// coordinator_with_fragment_stores (frag-<f>/ stores, journal records
+// with per-fragment frames, an owners_seq line) and
+// coordinator_with_global_journal (routing.log and one global snapshot).
+// Each opens at the seq and graph its build reached, under the meta's
+// owner table, with the meta's count carried; afterwards the directory
+// holds only the current layout, and it serves the next batch as a
+// single store over the same graph does, across a reopen.
+TEST(Coordinator, ConvertsOlderLayoutsOnce) {
+  for (const char* name : testing::kOlderLayouts) {
+    SCOPED_TRACE(name);
+    const std::string fixture = std::string(GFD_TEST_DATA_DIR) + "/" + name;
+    std::string gerr;
+    auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &gerr);
+    ASSERT_TRUE(want.has_value()) << gerr;
+    auto rules = GenerateGfdSet(*want, {.count = 8, .k = 3, .seed = 61});
+    ViolationEngine engine(rules);
+    ASSERT_LE(engine.MaxPatternRadius(), 2u);  // the fixtures' halo radius
+    Rng rng(67);
+    const std::string batch = DeltaBytes(*want, RandomBatch(*want, rng, 12));
+    std::string single_dir = Scratch("coord_fixture_single");
+    ASSERT_TRUE(GraphStore::Init(single_dir, *want));
+    auto single = GraphStore::Open(single_dir);
+    ASSERT_TRUE(single.has_value());
+    auto expect = single->AppendAndDiff(engine, batch);
+    ASSERT_TRUE(expect.has_value());
+    const std::string want_after = GraphBytes(single->MaterializeCurrent());
 
-  const std::string meta_text = FileBytes(fixture + "/coordinator.meta");
-  std::vector<uint32_t> owners;
-  {
-    std::istringstream lines(meta_text);
-    for (std::string line; std::getline(lines, line);) {
-      if (!line.starts_with("owners ")) continue;
-      std::istringstream fields(line.substr(7));
-      for (uint32_t o; fields >> o;) owners.push_back(o);
-    }
-  }
-  ASSERT_EQ(owners.size(), want->NumNodes());
+    const auto [owners, count] =
+        testing::ReadOlderMeta(fixture + "/coordinator.meta");
+    ASSERT_EQ(owners.size(), want->NumNodes());
+    ASSERT_TRUE(count.has_value());
+    ASSERT_EQ(count->seq, 5u);
 
-  for (const bool torn_mark : {false, true}) {
-    SCOPED_TRACE(torn_mark ? "owners_seq past the anchor" : "as written");
     const std::string dir = Scratch("coord_fixture");
     fs::copy(fixture, dir, fs::copy_options::recursive);
-    if (torn_mark) {
-      std::string meta = meta_text;
-      const size_t pos = meta.find("owners_seq 3\n");
-      ASSERT_NE(pos, std::string::npos);
-      meta.replace(pos, 12, "owners_seq 5");
-      std::ofstream(dir + "/coordinator.meta", std::ios::trunc) << meta;
-    }
     std::string error;
     auto coord = Coordinator::Open(dir, {}, &error);
     ASSERT_TRUE(coord.has_value()) << error;
@@ -717,6 +646,18 @@ TEST(Coordinator, OpensADirectoryWithFragmentStores) {
     EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()), GraphBytes(*want));
     EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
     ExpectFragmentsMatchResidentSubgraphs(*coord);
+    EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
+
+    std::set<std::string> files;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      files.insert(fs::relative(entry.path(), dir).string());
+    }
+    const std::set<std::string> layout{"coordinator.meta", "deltas.log",
+                                       "snapshot-5.tsv", "store.meta"};
+    EXPECT_EQ(files, layout);
+    const std::string meta = FileBytes(dir + "/coordinator.meta");
+    EXPECT_EQ(meta.find("violations"), std::string::npos) << meta;
+    EXPECT_EQ(meta.find("owners_seq"), std::string::npos) << meta;
 
     uint64_t seq = 0;
     auto merged = coord->AppendAndDiff(engine, batch, {}, &seq, &error);
@@ -726,7 +667,6 @@ TEST(Coordinator, OpensADirectoryWithFragmentStores) {
     EXPECT_EQ(merged->removed, expect->removed);
     EXPECT_EQ(merged->payload, expect->payload);
 
-    // The journal now mixes both record forms; a reopen reads both.
     coord.reset();
     auto reopened = Coordinator::Open(dir, {}, &error);
     ASSERT_TRUE(reopened.has_value()) << error;

@@ -21,6 +21,11 @@
 //      (the post one once the rebalance's seq is recovered), and every
 //      fragment holds exactly the resident subgraph of the recovered
 //      global graph under it.
+// Two more sweeps crash what precedes serving on a coordinator:
+// Coordinator::Init, whose directory must then open as initialized or
+// accept a second Init, and the one-time conversion of a directory an
+// older build wrote (tests/data), which must reopen to the state an
+// uninterrupted conversion reaches.
 // One child at a time; the parent holds no threads when it forks.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -31,6 +36,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,6 +44,7 @@
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "gfd/serialize.h"
+#include "graph/loader.h"
 #include "graph/subgraph.h"
 #include "net/feed_service.h"
 #include "parallel/fragment.h"
@@ -232,6 +239,20 @@ std::vector<std::string> ResidentLines(const PropertyGraph& g,
   return out;
 }
 
+// Every fragment holds exactly the resident subgraph of `current`, the
+// recovered global graph, under the coordinator's owner table.
+void ExpectFragmentsResident(const Coordinator& coord,
+                             const PropertyGraph& current) {
+  const FragmentResidency resident =
+      ComputeResidency(current, coord.partition());
+  for (size_t f = 0; f < coord.num_fragments(); ++f) {
+    EXPECT_EQ(ResidentLines(coord.fragment(f).view().Materialize(),
+                            resident[f], /*only_resident=*/false),
+              ResidentLines(current, resident[f], /*only_resident=*/true))
+        << "fragment " << f << " is not the resident subgraph";
+  }
+}
+
 // Property 5: the recovered ownership and the fragments it lays out.
 void CheckOwnership(const Script& s, const Coordinator& coord,
                     const PropertyGraph& current) {
@@ -242,14 +263,7 @@ void CheckOwnership(const Script& s, const Coordinator& coord,
   if (coord.last_seq() > s.move->before) {
     EXPECT_EQ(owners, s.move->post_owners) << "the rebalance's seq is in";
   }
-  const FragmentResidency resident =
-      ComputeResidency(current, coord.partition());
-  for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    EXPECT_EQ(ResidentLines(coord.fragment(f).view().Materialize(),
-                            resident[f], /*only_resident=*/false),
-              ResidentLines(current, resident[f], /*only_resident=*/true))
-        << "fragment " << f << " is not the resident subgraph";
-  }
+  ExpectFragmentsResident(coord, current);
 }
 
 // Reopens `dir` after the child stopped (crashed or done) with `acked`
@@ -303,6 +317,23 @@ void CheckRecovery(const Script& s, const Reference& ref,
   totals->scans += source == net::CountSource::kScan;
 }
 
+// Runs `body` in a forked child armed to die at durable write point k
+// and returns the child's exit code: kCrashExitCode when it died there,
+// 0 when `body` ran to completion and returned true. Any other code
+// (including -1, a child that was not reaped) is a failure.
+int RunChildCrashingAt(int64_t k, const std::function<bool()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    CrashAtWritePoint(k);
+    std::_Exit(body() ? 0 : 1);
+  }
+  int status = 0;
+  if (pid <= 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+    return -1;
+  }
+  return WEXITSTATUS(status);
+}
+
 SweepTotals Sweep(Leg leg) {
   SweepTotals totals;
   const bool distributed = Distributed(leg);
@@ -338,32 +369,27 @@ SweepTotals Sweep(Leg leg) {
       ADD_FAILURE() << "pipe failed";
       break;
     }
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::close(acks[0]);
+    // The acks are a few bytes: the child never blocks on the pipe.
+    const int status = RunChildCrashingAt(k, [&] {
       auto report = [&](uint64_t seq, const ServingStore&) {
         const char b = static_cast<char>(seq);
         (void)!::write(acks[1], &b, 1);
       };
-      CrashAtWritePoint(k);
-      std::_Exit(RunScript(s, dir, distributed, report) ? 0 : 1);
-    }
+      return RunScript(s, dir, distributed, report);
+    });
     ::close(acks[1]);
-    int status = 0;
-    const bool reaped = pid > 0 && ::waitpid(pid, &status, 0) == pid;
     uint64_t acked = 0;
     char b = 0;
     while (::read(acks[0], &b, 1) == 1) acked = static_cast<uint64_t>(b);
     ::close(acks[0]);
-    if (!reaped || !WIFEXITED(status) ||
-        (WEXITSTATUS(status) != 0 && WEXITSTATUS(status) != kCrashExitCode)) {
-      ADD_FAILURE() << "child did not crash or finish cleanly (status "
+    if (status != 0 && status != kCrashExitCode) {
+      ADD_FAILURE() << "child did not crash or finish cleanly (exit "
                     << status << ")";
       break;
     }
     CheckRecovery(s, ref, dir, distributed, acked, &totals);
     if (::testing::Test::HasFailure()) break;
-    if (WEXITSTATUS(status) == 0) {
+    if (status == 0) {
       // Past the last write point: the script ran to completion.
       EXPECT_EQ(acked, s.seqs());
       break;
@@ -402,6 +428,102 @@ TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   EXPECT_GT(t.from_meta, 0u);
   EXPECT_GT(t.from_feed, 0u);
   EXPECT_GT(t.scans, 0u);
+}
+
+// The files of a directory (and of its subdirectories), relative to it.
+std::set<std::string> Listing(const std::string& dir) {
+  std::set<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    files.insert(fs::relative(entry.path(), dir).string());
+  }
+  return files;
+}
+
+// An interrupted Coordinator::Init leaves a directory that either opens
+// as initialized -- seq 0, the graph, the owner table Init computes,
+// every fragment its resident subgraph -- or accepts a second Init,
+// after which it opens so.
+TEST(CrashSweep, InitializingACoordinator) {
+  const PropertyGraph g =
+      MakeSynthetic({.nodes = 50, .edges = 150, .seed = 19});
+  const std::vector<uint32_t> owners =
+      VertexCutPartition(g, 2).partition.node_owner;
+  const std::string dir = ::testing::TempDir() + "gfd_sweep_init";
+  size_t crashes = 0;
+  size_t reinits = 0;
+  for (int64_t k = 0;; ++k) {
+    SCOPED_TRACE("crash at write point " + std::to_string(k));
+    fs::remove_all(dir);
+    const int status =
+        RunChildCrashingAt(k, [&] { return Coordinator::Init(dir, g, 2); });
+    ASSERT_TRUE(status == 0 || status == kCrashExitCode) << "exit " << status;
+    auto coord = Coordinator::Open(dir);
+    if (!coord) {
+      ASSERT_EQ(status, kCrashExitCode) << "a completed Init does not open";
+      std::string error;
+      ASSERT_TRUE(Coordinator::Init(dir, g, 2, 3, &error)) << error;
+      ++reinits;
+      coord = Coordinator::Open(dir);
+      ASSERT_TRUE(coord.has_value());
+    }
+    EXPECT_EQ(coord->last_seq(), 0u);
+    const PropertyGraph current = coord->MaterializeCurrent();
+    EXPECT_EQ(testing::CanonicalLines(current), testing::CanonicalLines(g));
+    EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
+    ExpectFragmentsResident(*coord, current);
+    if (::testing::Test::HasFailure() || status == 0) break;
+    ++crashes;
+  }
+  // Two write points each: the owner table, the snapshot, store.meta.
+  EXPECT_EQ(crashes, 6u);
+  EXPECT_GT(reinits, 0u);
+}
+
+// Opening a directory an older build wrote converts it. Crashed at every
+// durable write point of that conversion, the directory reopens to the
+// seq, graph, owners and fragments the older build served, holding only
+// the current layout, with the old meta's count carried -- the
+// conversion moves it into store.meta before the meta loses it, so it is
+// never absent, let alone wrong.
+TEST(CrashSweep, ConvertingAnOlderLayout) {
+  for (const char* name : testing::kOlderLayouts) {
+    SCOPED_TRACE(name);
+    const std::string fixture = std::string(GFD_TEST_DATA_DIR) + "/" + name;
+    std::string error;
+    auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &error);
+    ASSERT_TRUE(want.has_value()) << error;
+    const auto [owners, count] =
+        testing::ReadOlderMeta(fixture + "/coordinator.meta");
+    ASSERT_TRUE(count.has_value());
+    const std::set<std::string> layout{"coordinator.meta", "deltas.log",
+                                       "snapshot-5.tsv", "store.meta"};
+
+    const std::string dir = ::testing::TempDir() + "gfd_sweep_convert";
+    size_t crashes = 0;
+    for (int64_t k = 0;; ++k) {
+      SCOPED_TRACE("crash at write point " + std::to_string(k));
+      fs::remove_all(dir);
+      fs::copy(fixture, dir, fs::copy_options::recursive);
+      const int status = RunChildCrashingAt(
+          k, [&] { return Coordinator::Open(dir).has_value(); });
+      ASSERT_TRUE(status == 0 || status == kCrashExitCode) << "exit " << status;
+      auto coord = Coordinator::Open(dir, {}, &error);
+      ASSERT_TRUE(coord.has_value()) << error;
+      EXPECT_EQ(coord->last_seq(), 5u);
+      const PropertyGraph current = coord->MaterializeCurrent();
+      EXPECT_EQ(testing::CanonicalLines(current),
+                testing::CanonicalLines(*want));
+      EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
+      ExpectFragmentsResident(*coord, current);
+      EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
+      EXPECT_EQ(Listing(dir), layout);
+      if (::testing::Test::HasFailure() || status == 0) break;
+      ++crashes;
+    }
+    // The snapshot and store.meta (Init), the count (store.meta again)
+    // and the meta without it: two write points each.
+    EXPECT_EQ(crashes, 8u);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // GraphDelta / GraphView semantics: overlay adjacency, attribute
-// overrides, extension vocabulary, materialization, the delta TSV
-// loader, and equivalence of matcher enumeration over a view vs. over
-// the materialized graph.
+// overrides, extension vocabulary, materialization, LiveGraph's
+// rollback, the delta TSV loader, and equivalence of matcher enumeration
+// over a view vs. over the materialized graph.
 #include "graph/graph_view.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "datagen/synthetic.h"
+#include "graph/live_graph.h"
 #include "graph/loader.h"
 #include "match/matcher.h"
 #include "util/rng.h"
@@ -400,6 +401,49 @@ TEST(GraphView, ApplyEqualsAbsorbingTheDeltaSplitAtAnyOp) {
       }
     }
   }
+}
+
+// A batch that never became durable leaves again: rolled back to the
+// mark taken before it, a LiveGraph reads as if it never absorbed the
+// batch -- same bytes, same overlay size -- and parses the batch again
+// into the same extension ids as a LiveGraph that never saw it.
+TEST(LiveGraph, RolledBackBatchLeavesTheGraphAsItWas) {
+  const PropertyGraph g = BuildBase();
+  LiveGraph live(g);
+  LiveGraph fresh(g);
+  // Both absorb a first batch with a new value of their own.
+  for (LiveGraph* l : {&live, &fresh}) {
+    auto first = l->Parse("E+\ta\tb\tlikes\nA\tb\tcity=oslo\n");
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(l->Absorb(*first));
+  }
+  const std::string before = Dump(live.view().Materialize());
+  const size_t before_ops = live.view().NumDeltaOps();
+
+  // A new label, attribute key and value, plus edge ops.
+  const std::string doomed =
+      "E+\tb\tc\tadmires\nA\tc\tmood=calm\nE-\tc\ta\tlikes\n";
+  const LiveGraph::Mark mark = live.mark();
+  auto batch = live.Parse(doomed);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_TRUE(live.Absorb(*batch));
+  EXPECT_NE(Dump(live.view().Materialize()), before);
+  live.Rollback(mark);
+  EXPECT_EQ(Dump(live.view().Materialize()), before);
+  EXPECT_EQ(live.view().NumDeltaOps(), before_ops);
+  EXPECT_FALSE(live.view().FindLabel("admires").has_value());
+
+  auto again = live.Parse(doomed);
+  auto never = fresh.Parse(doomed);
+  ASSERT_TRUE(again.has_value());
+  ASSERT_TRUE(never.has_value());
+  EXPECT_EQ(again->ops, never->ops);
+  EXPECT_EQ(again->extra_labels, never->extra_labels);
+  EXPECT_EQ(again->extra_attrs, never->extra_attrs);
+  EXPECT_EQ(again->extra_values, never->extra_values);
+  ASSERT_TRUE(live.Absorb(*again));
+  ASSERT_TRUE(fresh.Absorb(*never));
+  EXPECT_EQ(Dump(live.view().Materialize()), Dump(fresh.view().Materialize()));
 }
 
 // A failing op reports the same text whether the delta arrives at once

@@ -281,7 +281,7 @@ TEST(ServingMutation, BothBackendsAgreeOnEveryMutatedBatch) {
   EXPECT_GE(accepted, kBatches / 5);
   EXPECT_GE(rejected, kBatches / 5);
   EXPECT_GT(single->stats().anchor_seq, 0u);
-  EXPECT_GT(coord->stats().anchor_seq, 0u);
+  EXPECT_GT(coord->MetricsSnapshot().anchor_seq, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 #define GFD_TESTS_TESTLIB_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "graph/loader.h"
 #include "graph/property_graph.h"
 #include "pattern/pattern.h"
+#include "serve/durable_io.h"
 #include "util/rng.h"
 
 namespace gfd::testing {
@@ -204,6 +208,34 @@ inline GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops) {
     }
   }
   return d;
+}
+
+/// Coordinator directories in the layouts older builds wrote, under
+/// tests/data (README.md there says how each was made).
+inline constexpr const char* kOlderLayouts[] = {
+    "coordinator_with_fragment_stores", "coordinator_with_global_journal"};
+
+/// What an older build's coordinator.meta at `path` holds beyond the
+/// partition sizes: the owner table and the running count.
+struct OlderMeta {
+  std::vector<uint32_t> owners;
+  std::optional<MetaCount> count;
+};
+
+inline OlderMeta ReadOlderMeta(const std::string& path) {
+  OlderMeta meta;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string key;
+    fields >> key;
+    if (key == "owners") {
+      for (uint32_t o; fields >> o;) meta.owners.push_back(o);
+    } else if (key == "violations") {
+      meta.count = ParseMetaCountFields(fields);
+    }
+  }
+  return meta;
 }
 
 }  // namespace gfd::testing

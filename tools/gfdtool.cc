@@ -36,7 +36,8 @@
 //       Create a distributed serving directory: a coordinator over N
 //       vertex-cut fragments (each holding only its owned edge partition
 //       plus a radius-R border halo, in memory) with persisted node
-//       ownership, a global snapshot and a routing journal.
+//       ownership, over a master store of the global graph. Refuses a
+//       directory that already holds a store or a coordinator.
 //   gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]
 //           [--compact-ops N]
 //       The distributed serving step: the coordinator assigns the batch
@@ -46,12 +47,11 @@
 //       fragment, and merges the per-fragment diffs -- printed as +/-
 //       records with the same 0/3/4 verdict exit codes as detect
 //       --delta, read off the running violation counter. Open rebuilds
-//       every fragment from the global snapshot and the routing journal,
-//       whatever state a kill left.
+//       every fragment from the master store, whatever state a kill left.
 //   gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]
-//       Move ownership of one node to another fragment online: the new
-//       owner table is persisted, then halo maintenance ships the newly
-//       resident edges under one sequence number.
+//       Move ownership of one node (numeric id) to another fragment
+//       online: the new owner table is persisted, then halo maintenance
+//       ships the newly resident edges under one sequence number.
 //   gfdtool serve status <dir>
 //       Sequence/anchor/overlay report plus per-fragment ownership and
 //       footprint.
@@ -69,6 +69,7 @@
 //                        everything this invocation did on exit
 //   --trace FILE         append one JSON-lines trace event per serving
 //                        stage (validate/route/ship/detect/merge/compact)
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -228,11 +229,14 @@ constexpr VerbHelp kVerbHelp[] = {
      "                  ?max_events=N closes after N events\n"
      "  GET  /metrics   live Prometheus text\n"
      "  GET  /status    JSON summary (seq, backend, counters)\n"
+     "init writes the owner table and a master store of the graph, and\n"
+     "refuses a directory that already holds a store or a coordinator.\n"
      "status prints `coordinator: seq S anchor A, N overlay op(s)`, one\n"
      "`fragment F: N owned node(s), E resident edge(s)` line per\n"
      "fragment, then the halo radius and replication factor. rebalance\n"
-     "persists <node>'s (numeric id) new owner, then ships the halo\n"
-     "maintenance the move implies under one sequence number.\n"
+     "persists <node>'s new owner, then ships the halo maintenance the\n"
+     "move implies under one sequence number; <node> and <fragment> are\n"
+     "decimal 32-bit ids (`5`, not `n5`), anything else exits 2.\n"
      "Flags of run:\n"
      "  --port P            listen port (default 8080; 0 = ephemeral,\n"
      "                      the chosen port is printed)\n"
@@ -433,6 +437,14 @@ bool CountFlag(int argc, char** argv, const char* flag, size_t* out,
   }
   *out = static_cast<size_t>(n);
   return true;
+}
+
+// A whole-string decimal uint32_t ("5", not "", "+5", "-1", "n5" or
+// 4294967296).
+bool ParseId(const char* text, uint32_t* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return text != end && ec == std::errc() && ptr == end;
 }
 
 // Wires the optional --trace / --metrics-out flags of the serving
@@ -909,7 +921,7 @@ std::optional<Coordinator> OpenCoordinator(const char* dir,
                static_cast<unsigned long long>(snap.last_seq),
                static_cast<unsigned long long>(snap.anchor_seq),
                snap.replayed_batches,
-               snap.truncated_bytes ? " [corrupt journal tail cut]" : "");
+               snap.truncated_bytes ? " [corrupt log tail cut]" : "");
   return coord;
 }
 
@@ -1116,29 +1128,26 @@ int Serve(int argc, char** argv) {
 
   if (!std::strcmp(verb, "rebalance")) {
     if (argc < 4) return Usage();
-    char* end = nullptr;
-    unsigned long long node = std::strtoull(argv[2], &end, 10);
-    if (!end || *end != '\0') {
+    uint32_t node = 0;
+    uint32_t to = 0;
+    if (!ParseId(argv[2], &node)) {
       std::fprintf(stderr, "bad node id '%s'\n", argv[2]);
       return Usage();
     }
-    end = nullptr;
-    unsigned long long to = std::strtoull(argv[3], &end, 10);
-    if (!end || *end != '\0') {
+    if (!ParseId(argv[3], &to)) {
       std::fprintf(stderr, "bad fragment id '%s'\n", argv[3]);
       return Usage();
     }
     auto coord = OpenCoordinator(dir, copts);
     if (!coord) return 1;
     std::string error;
-    auto seq = coord->Rebalance(static_cast<NodeId>(node),
-                                static_cast<uint32_t>(to), &error);
+    auto seq = coord->Rebalance(node, to, &error);
     if (!seq) {
       std::fprintf(stderr, "rebalance failed: %s\n", error.c_str());
       return 1;
     }
     std::fprintf(stderr,
-                 "rebalanced node %llu to fragment %llu at seq %llu; halo "
+                 "rebalanced node %u to fragment %u at seq %llu; halo "
                  "maintenance shipped under the new ownership\n",
                  node, to, static_cast<unsigned long long>(*seq));
     return 0;
@@ -1162,21 +1171,6 @@ int Serve(int argc, char** argv) {
     auto payload = ReadFile(argv[3]);
     if (!payload) return 1;
 
-    // Routing report: which fragments' resident sets receive batch ops.
-    {
-      std::istringstream in(*payload);
-      std::string error;
-      auto d = LoadGraphDeltaTsv(in, current, &error);
-      if (!d) {
-        std::fprintf(stderr, "error loading %s\n",
-                     FileLineError(argv[3], error).c_str());
-        return 1;
-      }
-      auto route = RouteDelta(*d, coord->residency());
-      std::fprintf(stderr, "batch: %zu op(s) routed to %zu fragment(s)\n",
-                   d->ops.size(), route.affected_fragments.size());
-    }
-
     CoordinatorStats pre = coord->stats();
     uint64_t seq = 0;
     auto code =
@@ -1184,9 +1178,14 @@ int Serve(int argc, char** argv) {
     if (!code) return 1;
     CoordinatorStats post = coord->stats();
     std::fprintf(stderr,
-                 "batch seq %llu: %llu byte(s) shipped across %zu "
-                 "fragment(s) (%llu owned-op, %llu border-halo)\n",
+                 "batch seq %llu: %llu routed op(s) + %llu maintenance "
+                 "op(s), %llu byte(s) shipped across %zu fragment(s) (%llu "
+                 "owned-op, %llu border-halo)\n",
                  static_cast<unsigned long long>(seq),
+                 static_cast<unsigned long long>(post.ops_routed -
+                                                 pre.ops_routed),
+                 static_cast<unsigned long long>(post.ops_maintenance -
+                                                 pre.ops_maintenance),
                  static_cast<unsigned long long>(post.bytes_shipped -
                                                  pre.bytes_shipped),
                  coord->num_fragments(),
@@ -1196,15 +1195,16 @@ int Serve(int argc, char** argv) {
                                                  pre.bytes_halo_shipped));
 
     std::string error;
-    if (!coord->MaybeCompactAll(&error)) {
+    if (!coord->MaybeCompact(&error)) {
       std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
       return 1;
     }
-    if (coord->stats().compactions > 0) {
-      std::fprintf(stderr, "compacted: global snapshot rolled to seq %llu\n",
-                   static_cast<unsigned long long>(coord->stats().anchor_seq));
+    const ServingMetricsSnapshot snap = coord->MetricsSnapshot();
+    if (snap.compactions > 0) {
+      std::fprintf(stderr, "compacted: master snapshot rolled to seq %llu\n",
+                   static_cast<unsigned long long>(snap.anchor_seq));
     }
-    ExportSnapshotMetrics(coord->MetricsSnapshot());
+    ExportSnapshotMetrics(snap);
     return *code;
   }
 
