@@ -1,9 +1,10 @@
 // Tiny-input smoke benches, run as a ctest entry on every CI build.
 // Exercises the three hot paths the figure benches scale up -- SeqDis,
-// ParDis, and SeqCover -- on ~300-node graphs and writes the timings to
-// BENCH_smoke.json, seeding the per-PR perf trajectory. SeqDis and ParDis
-// at 1 and 4 workers share one graph, so the rows compare the local and
-// the distributed row sources of the one literal lattice.
+// ParDis, and SeqCover (the cover's grouped elimination on one thread) --
+// on ~300-node graphs and writes the timings to BENCH_smoke.json, seeding
+// the per-PR perf trajectory. SeqDis and ParDis at 1 and 4 workers share
+// one graph, so the rows compare the local and the distributed row
+// sources of the one literal lattice.
 //
 // Usage: bench_smoke [output.json]
 #include <cstdio>
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
     std::printf("%-24s %8.3fs  +%zu/-%zu\n", r.name.c_str(), r.seconds,
                 res.positives.size(), res.negatives.size());
 
-    // Smoke 2: cover of the discovered set (fig 5ijk path).
+    // Smoke 2: cover of the discovered set -- the grouped (Lemma 6)
+    // elimination Fig. 5(i-k)'s ParCover runs, here inline on one thread.
     WallTimer t2;
     auto cover = SeqCover(std::move(res).AllGfds());
     SmokeResult rc{"seqcover_dbpedia300", t2.Seconds(), {}};

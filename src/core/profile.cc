@@ -165,20 +165,6 @@ uint64_t PatternProfile::SupportOf(const LitMask& required) const {
   return count;
 }
 
-std::vector<NodeId> PatternProfile::WitnessPivots(
-    const LitMask& required) const {
-  std::vector<NodeId> out;
-  for (size_t p = 0; p < pivots_.size(); ++p) {
-    for (uint32_t i = offsets_[p]; i < offsets_[p + 1]; ++i) {
-      if ((masks_[i] & required) == required) {
-        out.push_back(pivots_[p]);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 bool PatternProfile::AnyMatchSatisfies(const LitMask& required) const {
   for (const auto& m : masks_) {
     if ((m & required) == required) return true;

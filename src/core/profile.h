@@ -157,11 +157,6 @@ class PatternProfile {
   /// fields its kind defines (see LatticeAnswer).
   LatticeAnswer Answer(const LatticeQuery& q) const;
 
-  /// Pivots with some match satisfying every literal in `required`,
-  /// ascending: what SupportOf() counts, as a set that can be unioned
-  /// with other fragments' (pivots may repeat across fragments).
-  std::vector<NodeId> WitnessPivots(const LitMask& required) const;
-
   /// Distinct pivots, ascending.
   const std::vector<NodeId>& pivots() const { return pivots_; }
 

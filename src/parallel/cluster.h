@@ -21,10 +21,10 @@ namespace gfd {
 struct ParallelRunConfig {
   size_t workers = 4;
   /// Pivot-aligned match placement (Section 6.2 "load balancing"): every
-  /// match lives at worker pivot % n from level 0 on, so supports add up
-  /// across workers without shipping pivots. Off (the ParGFDnb ablation),
-  /// matches stay on their pivot's fragment owner and the master unions
-  /// shipped pivot sets.
+  /// match lives at worker pivot % n from level 0 on. Off (the ParGFDnb
+  /// ablation), matches stay on their pivot's fragment owner. Either way
+  /// a pivot lives on one worker and supports add up across workers
+  /// without shipping pivots; only the spread of the work differs.
   bool load_balance = true;
 };
 

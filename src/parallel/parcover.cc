@@ -1,148 +1,41 @@
 #include "parallel/parcover.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <numeric>
 
 #include "gfd/problems.h"
-#include "pattern/canonical.h"
-#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace gfd {
 
-namespace {
-
-// Most-specific-first ordering (duplicates adjacent), shared with SeqCover.
-bool MoreSpecific(const Gfd& a, const Gfd& b) {
-  if (a.pattern.NumEdges() != b.pattern.NumEdges()) {
-    return a.pattern.NumEdges() > b.pattern.NumEdges();
-  }
-  if (a.lhs.size() != b.lhs.size()) return a.lhs.size() > b.lhs.size();
-  if (!(a.rhs == b.rhs)) return a.rhs < b.rhs;
-  if (!(a.lhs == b.lhs)) return a.lhs < b.lhs;
-  return false;
-}
-
-void Dedup(std::vector<Gfd>& sigma, CoverStats& st) {
-  std::sort(sigma.begin(), sigma.end(), MoreSpecific);
-  size_t before = sigma.size();
-  sigma.erase(std::unique(sigma.begin(), sigma.end()), sigma.end());
-  st.removed += before - sigma.size();
-}
-
-}  // namespace
-
 std::vector<Gfd> ParCover(std::vector<Gfd> sigma,
-                          const ParallelRunConfig& pcfg, CoverStats* stats,
-                          ClusterStats* cstats) {
-  CoverStats local_stats;
-  CoverStats& st = stats ? *stats : local_stats;
-  Dedup(sigma, st);
-  const size_t n = sigma.size();
-
-  // Group by pattern isomorphism (pivot-free canonical codes: implication
-  // does not involve pivots).
-  std::unordered_map<std::vector<uint32_t>, std::vector<size_t>, VecHash>
-      groups_by_code;
-  for (size_t i = 0; i < n; ++i) {
-    groups_by_code[CanonicalCode(sigma[i].pattern, /*fix_pivot=*/false)]
-        .push_back(i);
-  }
-  struct Group {
-    std::vector<size_t> members;   // indices into sigma
-    std::vector<size_t> embedded;  // Sigma-bar: GFDs embedding into Q_j
-  };
-  std::vector<Group> groups;
-  groups.reserve(groups_by_code.size());
-  for (auto& [code, members] : groups_by_code) {
-    Group grp;
-    grp.members = std::move(members);
-    const Pattern& rep = sigma[grp.members[0]].pattern;
-    for (size_t i = 0; i < n; ++i) {
-      const Pattern& p = sigma[i].pattern;
-      if (p.NumNodes() > rep.NumNodes() || p.NumEdges() > rep.NumEdges()) {
-        continue;
-      }
-      if (HasEmbedding(p, rep, /*require_pivot=*/false)) {
-        grp.embedded.push_back(i);
-      }
-    }
-    groups.push_back(std::move(grp));
-  }
-
-  // LPT bin packing: largest estimated group cost first, to the least
-  // loaded worker (factor-2 approximation of makespan, the paper's [4]).
-  std::vector<size_t> order(groups.size());
-  std::iota(order.begin(), order.end(), 0);
-  auto cost = [&](size_t gi) {
-    return groups[gi].members.size() * (groups[gi].embedded.size() + 1);
-  };
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return cost(a) > cost(b); });
-  std::vector<std::vector<size_t>> assignment(pcfg.workers);
-  std::vector<size_t> load(pcfg.workers, 0);
-  for (size_t gi : order) {
-    size_t best = 0;
-    for (size_t w = 1; w < pcfg.workers; ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    assignment[best].push_back(gi);
-    load[best] += cost(gi);
-  }
-
-  // Parallel group-local elimination (ParImp). The liveness flags are
-  // shared across groups: each slot is written only by the worker that
-  // owns its group, but embedded lists reach into other groups, so other
-  // workers read those slots concurrently -- the cells must be atomic.
-  // Relaxed suffices: a stale read only admits one extra (still sound)
-  // implication-test input, a tolerance the sequential elimination
-  // order already grants.
-  std::vector<std::atomic<char>> alive(n);
-  for (auto& a : alive) a.store(1, std::memory_order_relaxed);
-  std::atomic<uint64_t> tests{0}, removed{0};
-  Cluster cluster(pcfg.workers);
-  cluster.RunStep([&](size_t w) {
-    for (size_t gi : assignment[w]) {
-      Group& grp = groups[gi];
-      // Most specific members first, so general rules survive.
-      std::sort(grp.members.begin(), grp.members.end(),
-                [&](size_t a, size_t b) {
-                  return MoreSpecific(sigma[a], sigma[b]);
-                });
-      for (size_t mi : grp.members) {
-        std::vector<Gfd> others;
-        others.reserve(grp.embedded.size());
-        for (size_t ei : grp.embedded) {
-          if (ei != mi && alive[ei].load(std::memory_order_relaxed)) {
-            others.push_back(sigma[ei]);
+                          const ParallelRunConfig& pcfg, CoverStats* stats) {
+  return GroupedCover(
+      std::move(sigma), stats,
+      [&](std::span<const uint64_t> costs,
+          const std::function<void(size_t)>& eliminate) {
+        // LPT bin packing: largest estimated group cost first, to the
+        // least loaded worker (factor-2 approximation of makespan, the
+        // paper's [4]).
+        std::vector<size_t> order(costs.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(),
+                  [&](size_t a, size_t b) { return costs[a] > costs[b]; });
+        std::vector<std::vector<size_t>> assignment(pcfg.workers);
+        std::vector<uint64_t> load(pcfg.workers, 0);
+        for (size_t g : order) {
+          size_t best = 0;
+          for (size_t w = 1; w < pcfg.workers; ++w) {
+            if (load[w] < load[best]) best = w;
           }
+          assignment[best].push_back(g);
+          load[best] += costs[g];
         }
-        tests.fetch_add(1, std::memory_order_relaxed);
-        if (Implies(others, sigma[mi])) {
-          // Only this worker's group writes this slot (readers elsewhere).
-          alive[mi].store(0, std::memory_order_relaxed);
-          removed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-  if (cstats) {
-    cstats->messages = cluster.messages();
-    cstats->bytes_shipped = cluster.bytes();
-  }
-  st.implication_tests += tests.load();
-  st.removed += removed.load();
-
-  std::vector<Gfd> cover;
-  for (size_t i = 0; i < n; ++i) {
-    // RunStep joined the workers; relaxed reads see the final flags.
-    if (alive[i].load(std::memory_order_relaxed)) {
-      cover.push_back(std::move(sigma[i]));
-    }
-  }
-  return cover;
+        Cluster cluster(pcfg.workers);
+        cluster.RunStep([&](size_t w) {
+          for (size_t g : assignment[w]) eliminate(g);
+        });
+      });
 }
 
 std::vector<Gfd> ParCoverNoGrouping(std::vector<Gfd> sigma,
@@ -150,14 +43,12 @@ std::vector<Gfd> ParCoverNoGrouping(std::vector<Gfd> sigma,
                                     CoverStats* stats) {
   CoverStats local_stats;
   CoverStats& st = stats ? *stats : local_stats;
-  Dedup(sigma, st);
+  OrderForCover(sigma, st);
   const size_t n = sigma.size();
 
   // Phase 1: parallel marking, every test against the full Sigma (that is
   // the ablation's cost: no Lemma-6 locality).
   std::vector<char> candidate(n, 0);
-  std::atomic<uint64_t> tests{0};
-  Cluster cluster(pcfg.workers);
   ThreadPool pool(pcfg.workers);
   ParallelFor(pool, n, [&](size_t i) {
     std::vector<Gfd> others;
@@ -165,10 +56,9 @@ std::vector<Gfd> ParCoverNoGrouping(std::vector<Gfd> sigma,
     for (size_t j = 0; j < n; ++j) {
       if (j != i) others.push_back(sigma[j]);
     }
-    tests.fetch_add(1, std::memory_order_relaxed);
     if (Implies(others, sigma[i])) candidate[i] = 1;
   });
-  st.implication_tests += tests.load();
+  st.implication_tests += n;
 
   // Phase 2: sequential confirmation against the surviving set, so that
   // mutually implying GFDs are not both dropped.

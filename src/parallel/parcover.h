@@ -1,14 +1,8 @@
-// ParCover (Section 6.3): parallel cover computation. Sigma is partitioned
-// into groups of GFDs sharing (up to isomorphism) one pattern Q_j; by the
-// independence property (Lemma 6), Sigma \ {phi} |= phi iff the GFDs whose
-// patterns embed into Q_j already imply phi. Groups are assigned to
-// workers with an LPT (longest-processing-time-first) 2-approximate
-// balancer and eliminated group-locally in parallel.
-//
-// Cross-group soundness: a non-trivial implication premise must embed into
-// the target's pattern; mutual embedding forces isomorphism, i.e. the same
-// group -- so concurrent group-local removals can never remove two GFDs
-// that only imply each other.
+// ParCover (Section 6.3): the cover's grouped elimination
+// (core/cover.h) with its pattern groups spread over a cluster. Groups are
+// assigned to workers with an LPT (longest-processing-time-first)
+// 2-approximate balancer and eliminated in one step; the cover, in order,
+// is SeqCover's at every worker count.
 #ifndef GFD_PARALLEL_PARCOVER_H_
 #define GFD_PARALLEL_PARCOVER_H_
 
@@ -23,11 +17,13 @@ namespace gfd {
 /// Parallel cover with pattern grouping (the paper's ParCover).
 std::vector<Gfd> ParCover(std::vector<Gfd> sigma,
                           const ParallelRunConfig& pcfg,
-                          CoverStats* stats = nullptr,
-                          ClusterStats* cstats = nullptr);
+                          CoverStats* stats = nullptr);
 
-/// The ParCovern ablation: no grouping -- every implication test runs
-/// against all of Sigma (parallel marking + sequential confirmation).
+/// The ParCovern ablation (Fig. 5(i-k)): no grouping. Every GFD is first
+/// tested against all of Sigma in parallel; the implied ones are then
+/// confirmed in order against the surviving set, so mutually implying
+/// GFDs are not both dropped. Implication is monotone, so the cover, in
+/// order, is the grouped elimination's: the tests hold both to it.
 std::vector<Gfd> ParCoverNoGrouping(std::vector<Gfd> sigma,
                                     const ParallelRunConfig& pcfg,
                                     CoverStats* stats = nullptr);

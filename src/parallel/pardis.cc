@@ -1,7 +1,6 @@
 #include "parallel/pardis.h"
 
 #include <algorithm>
-#include <set>
 #include <span>
 #include <unordered_map>
 
@@ -106,11 +105,12 @@ class ClusterSource : public PatternSource {
 
  private:
   // The worker holding every match of pivot v: pivot-aligned (v % n)
-  // under load balancing, else the fragment owning v. Level-0 seeding
-  // places each single-node match here, and a join never changes a
-  // match's pivot, so every later match stays at OwnerOf(its pivot) --
-  // which is what lets balanced runs add per-worker distinct-pivot
-  // counts into a support.
+  // under load balancing, else the fragment owning v (the ParGFDnb
+  // ablation). Level-0 seeding places each single-node match here, and a
+  // join never changes a match's pivot, so every later match stays at
+  // OwnerOf(its pivot). A pivot thus lives on one worker in both modes,
+  // and per-worker distinct-pivot counts add up into a support; the modes
+  // differ only in how evenly the pivots spread.
   size_t OwnerOf(NodeId pivot) const {
     if (pcfg_.load_balance) return pivot % pcfg_.workers;
     return frag_.partition.node_owner[pivot];
@@ -172,46 +172,28 @@ class ClusterSource : public PatternSource {
     });
   }
 
+  // Each pivot lives on one worker (OwnerOf), so local distinct counts
+  // sum exactly (supp(phi, G) = sum_s supp(phi, F_s), Section 6.2).
   uint64_t CountDistinctPivots(int node_id, VarId pivot) {
     const auto& st = states_[node_id];
-    if (pcfg_.load_balance) {
-      // Pivot-aligned ownership: local distinct counts sum exactly
-      // (supp(phi, G) = sum_s supp(phi, F_s), Section 6.2).
-      std::vector<uint64_t> local(pcfg_.workers, 0);
-      cluster_.RunStep([&](size_t w) { local[w] = CountPivots(st[w], pivot); });
-      uint64_t total = 0;
-      for (uint64_t c : local) total += c;
-      return total;
-    }
-    // Unbalanced ownership: pivots may repeat across workers; the master
-    // unions shipped pivot sets (extra communication, the ablation cost).
-    std::set<NodeId> all;
-    for (size_t w = 0; w < pcfg_.workers; ++w) {
-      cluster_.CountShipment(st[w].size(), sizeof(NodeId));
-      for (const auto& m : st[w]) all.insert(m[pivot]);
-    }
-    return all.size();
+    std::vector<uint64_t> local(pcfg_.workers, 0);
+    cluster_.RunStep([&](size_t w) { local[w] = CountPivots(st[w], pivot); });
+    uint64_t total = 0;
+    for (uint64_t c : local) total += c;
+    return total;
   }
 
   // One superstep answering a lattice batch: every worker answers each
   // query from its own profile, and the master combines the answers.
-  // Balanced, each pivot lives on one worker, so supports add up
-  // (supp(phi, G) = sum_s supp(phi, F_s), Section 6.2). Unbalanced, the
-  // workers also ship their witness pivots, and the master unions them.
+  // Each pivot lives on one worker, so supports add up.
   std::vector<LatticeAnswer> Evaluate(
       const std::vector<PatternProfile>& profiles,
       std::span<const LatticeQuery> batch) {
     const size_t n = pcfg_.workers;
     std::vector<std::vector<LatticeAnswer>> local(n);
-    std::vector<std::vector<std::vector<NodeId>>> witnesses(n);
     cluster_.RunStep([&](size_t w) {
       local[w].reserve(batch.size());
-      for (const auto& q : batch) {
-        local[w].push_back(profiles[w].Answer(q));
-        if (!pcfg_.load_balance) {
-          witnesses[w].push_back(profiles[w].WitnessPivots(q.SupportMask()));
-        }
-      }
+      for (const auto& q : batch) local[w].push_back(profiles[w].Answer(q));
     });
     std::vector<LatticeAnswer> out(batch.size());
     for (size_t w = 0; w < n; ++w) {
@@ -221,18 +203,6 @@ class ClusterSource : public PatternSource {
         out[qi].violated |= local[w][qi].violated;
         out[qi].any_sat |= local[w][qi].any_sat;
         out[qi].any_present |= local[w][qi].any_present;
-      }
-    }
-    if (!pcfg_.load_balance) {
-      for (size_t qi = 0; qi < batch.size(); ++qi) {
-        std::vector<NodeId> all;
-        for (size_t w = 0; w < n; ++w) {
-          cluster_.CountShipment(witnesses[w][qi].size(), sizeof(NodeId));
-          all.insert(all.end(), witnesses[w][qi].begin(),
-                     witnesses[w][qi].end());
-        }
-        std::sort(all.begin(), all.end());
-        out[qi].supp = std::unique(all.begin(), all.end()) - all.begin();
       }
     }
     return out;

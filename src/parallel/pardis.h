@@ -10,9 +10,10 @@
 //      shipped from every fragment t (the distributed join work units).
 //   3. Load balancing: every match lives at its pivot's worker (pivot %
 //      n) from level-0 seeding on, and joins keep the pivot, so matches
-//      never move and per-candidate supports are disjoint sums; the
-//      ParGFDnb ablation seeds at the pivot's fragment owner instead,
-//      and the master merges shipped pivot sets per candidate.
+//      never move and per-candidate supports are disjoint sums. The
+//      ParGFDnb ablation seeds at the pivot's fragment owner instead;
+//      its pivots are as disjoint and its supports add up the same way,
+//      so it differs only in placement: it measures the imbalance.
 //   4. Parallel GFD validation: the master runs SeqDis's literal lattice
 //      (core/lattice.h, HSpawn + NHSpawn) and answers each of its query
 //      batches in one superstep: every worker answers from the profile of

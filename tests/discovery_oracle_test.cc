@@ -35,6 +35,7 @@
 #include "core/seqdis.h"
 #include "gfd/problems.h"
 #include "gfd/validation.h"
+#include "parallel/parcover.h"
 #include "parallel/pardis.h"
 #include "pattern/canonical.h"
 #include "util/rng.h"
@@ -544,7 +545,11 @@ void CheckSeed(int seed, bool prune, bool wildcards) {
   cfg.wildcard_upgrades = wildcards;
   const Expected ref = Reference(g, cfg).Run();
   if (::testing::Test::HasFatalFailure()) return;
-  const std::vector<Gfd> ref_cover = SeqCover(ref.all);
+  // The reference cover tests every GFD against all live ones (the
+  // ungrouped ablation at one worker), so the miners' grouped covers are
+  // not checked against the grouped elimination itself.
+  const std::vector<Gfd> ref_cover =
+      ParCoverNoGrouping(ref.all, {.workers = 1});
 
   auto check = [&](const DiscoveryResult& r) {
     EXPECT_FALSE(r.stats.level_cap_hit);

@@ -7,6 +7,7 @@
 
 #include "core/cover.h"
 #include "core/seqdis.h"
+#include "cover_checks.h"
 #include "datagen/gfd_gen.h"
 #include "datagen/kb.h"
 #include "gfd/problems.h"
@@ -170,22 +171,6 @@ TEST(ParDisNoBalance, MatchesSequentialOutputToo) {
   EXPECT_EQ(Render(par.negatives, g), Render(seq.negatives, g));
 }
 
-TEST(ParDisNoBalance, ShipsMoreThanBalanced) {
-  KbConfig kcfg{.scale = 150, .seed = 3};
-  auto g = MakeYago2Like(kcfg);
-  DiscoveryConfig cfg;
-  cfg.k = 2;
-  cfg.support_threshold = 8;
-  ParallelRunConfig balanced{.workers = 4, .load_balance = true};
-  ParallelRunConfig unbalanced{.workers = 4, .load_balance = false};
-  ClusterStats cs_b, cs_u;
-  ParDis(g, cfg, balanced, &cs_b);
-  ParDis(g, cfg, unbalanced, &cs_u);
-  // Without pivot alignment the master merges shipped pivot sets per
-  // candidate: strictly more communication.
-  EXPECT_GT(cs_u.bytes_shipped, cs_b.bytes_shipped);
-}
-
 // ParGFDn: without Lemma 4 pruning, literals are usable when witnessed
 // at all and satisfied branches keep growing; the candidate budget then
 // cuts the run at the same lattice step on every row source.
@@ -257,22 +242,9 @@ TEST(ParCoverTest, EquivalentToSeqCover) {
   GfdGenConfig gcfg;
   gcfg.count = 400;
   auto sigma = GenerateGfdSet(g, gcfg);
-
-  auto seq_cover = SeqCover(sigma);
-  ParallelRunConfig pcfg;
-  pcfg.workers = 4;
-  CoverStats pstats;
-  auto par_cover = ParCover(sigma, pcfg, &pstats);
-
-  // Mutual implication: both covers are equivalent to Sigma, hence to
-  // each other.
-  for (const auto& phi : seq_cover) {
-    EXPECT_TRUE(Implies(par_cover, phi)) << phi.ToString(g);
-  }
-  for (const auto& phi : par_cover) {
-    EXPECT_TRUE(Implies(seq_cover, phi)) << phi.ToString(g);
-  }
-  EXPECT_GT(pstats.removed, 0u);
+  // Identical covers, not merely equivalent ones.
+  CoverStats st = testing::ExpectCoversEqualReference(sigma, g);
+  EXPECT_GT(st.removed, 0u);
 }
 
 TEST(ParCoverTest, CoverIsMinimal) {
@@ -304,9 +276,10 @@ TEST(ParCoverTest, NoGroupingSameResultMoreTests) {
   CoverStats grouped, ungrouped;
   auto c1 = ParCover(sigma, pcfg, &grouped);
   auto c2 = ParCoverNoGrouping(sigma, pcfg, &ungrouped);
-  // Equivalent covers.
-  for (const auto& phi : c1) EXPECT_TRUE(Implies(c2, phi));
-  for (const auto& phi : c2) EXPECT_TRUE(Implies(c1, phi));
+  EXPECT_EQ(testing::CoverText(c1, g), testing::CoverText(c2, g));
+  EXPECT_EQ(grouped.removed, ungrouped.removed);
+  EXPECT_LT(grouped.implication_tests, ungrouped.implication_tests);
+  testing::ExpectCoversEqualReference(sigma, g);
 }
 
 TEST(ParCoverTest, WorkerCountInvariant) {
@@ -314,22 +287,7 @@ TEST(ParCoverTest, WorkerCountInvariant) {
   auto g = MakeYago2Like(kcfg);
   GfdGenConfig gcfg;
   gcfg.count = 150;
-  auto sigma = GenerateGfdSet(g, gcfg);
-  std::vector<Gfd> prev;
-  for (size_t w : {1u, 2u, 8u}) {
-    ParallelRunConfig pcfg;
-    pcfg.workers = w;
-    auto cover = ParCover(sigma, pcfg);
-    if (!prev.empty()) {
-      auto render = [&](const std::vector<Gfd>& v) {
-        std::multiset<std::string> s;
-        for (const auto& phi : v) s.insert(phi.ToString(g));
-        return s;
-      };
-      EXPECT_EQ(render(cover), render(prev)) << "workers=" << w;
-    }
-    prev = cover;
-  }
+  testing::ExpectCoversEqualReference(GenerateGfdSet(g, gcfg), g);
 }
 
 TEST(ParCoverTest, EmptyAndSingleton) {

@@ -215,13 +215,6 @@ TEST(ProfileAnswer, EmptinessWithAttributesPresentButUnsatisfied) {
   EXPECT_FALSE(sat.any_present);  // undefined when satisfiable, left false
 }
 
-TEST(ProfileAnswer, WitnessPivotsAreWhatSupportCounts) {
-  auto p = AnswerFixture();
-  EXPECT_EQ(p.WitnessPivots(Bits({0, 1})), (std::vector<NodeId>{1, 2}));
-  EXPECT_EQ(p.WitnessPivots(Bits({1})), (std::vector<NodeId>{1, 2, 3}));
-  EXPECT_TRUE(p.WitnessPivots(Bits({3})).empty());
-}
-
 TEST(ProfileTest, MaskOfFindsPoolPositions) {
   std::vector<Literal> pool{Literal::Const(0, 1, 2), Literal::Const(0, 1, 3),
                             Literal::Vars(0, 1, 1, 1)};

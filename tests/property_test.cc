@@ -13,6 +13,7 @@
 #include "core/profile.h"
 #include "core/seqdis.h"
 #include "core/literal_pool.h"
+#include "cover_checks.h"
 #include "datagen/gfd_gen.h"
 #include "detect/engine.h"
 #include "datagen/kb.h"
@@ -209,8 +210,8 @@ TEST_P(ImplicationSound, ImpliedGfdsHoldOnTheGraph) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImplicationSound, ::testing::Range(0, 10));
 
-// --- Cover equivalence between sequential and parallel implementations
-// --- across generated rule sets.
+// --- Cover identity: SeqCover and ParCover at every worker count return
+// --- the ungrouped reference's cover, in order, across generated rule sets.
 class CoverEquiv : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoverEquiv, SeqAndParCoversMutuallyImply) {
@@ -224,17 +225,7 @@ TEST_P(CoverEquiv, SeqAndParCoversMutuallyImply) {
   GfdGenConfig gcfg;
   gcfg.count = 120;
   gcfg.seed = GetParam() * 13 + 1;
-  auto sigma = GenerateGfdSet(g, gcfg);
-  auto seq = SeqCover(sigma);
-  ParallelRunConfig pcfg;
-  pcfg.workers = 4;
-  auto par = ParCover(sigma, pcfg);
-  for (const auto& phi : seq) {
-    EXPECT_TRUE(Implies(par, phi)) << phi.ToString(g);
-  }
-  for (const auto& phi : par) {
-    EXPECT_TRUE(Implies(seq, phi)) << phi.ToString(g);
-  }
+  testing::ExpectCoversEqualReference(GenerateGfdSet(g, gcfg), g);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoverEquiv, ::testing::Range(0, 8));

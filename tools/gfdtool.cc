@@ -267,9 +267,11 @@ constexpr VerbHelp kVerbHelp[] = {
     {"cover",
      "gfdtool cover <graph.tsv> <rules.gfd> [-w WORKERS] [-o cover.gfd]\n"
      "\n"
-     "Reduce a rule file to a minimal equivalent cover by pairwise\n"
-     "implication testing. -o writes the cover to FILE (default:\n"
-     "stdout).\n"},
+     "Reduce a rule file to a minimal equivalent cover by the grouped\n"
+     "(Lemma 6) elimination: rules are grouped by pattern, and each is\n"
+     "tested, most specific first, only against the live rules whose\n"
+     "patterns embed into its own. The cover, in order, is the same at\n"
+     "every -w. -o writes the cover to FILE (default: stdout).\n"},
     {"help",
      "gfdtool help [verb]\n"
      "\n"
@@ -630,12 +632,10 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
   return VerdictExit(verdict);
 }
 
-// The counter a serving step starts from: the persisted running count
-// when it is current, else one full (uncapped) startup scan that seeds
-// it. `g` must be the PRE-append state.
+// One full (uncapped) scan of `g`, the PRE-batch state, that seeds the
+// running violation counter a batch's diff is composed with.
 uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
-                       std::optional<uint64_t> persisted, size_t workers) {
-  if (persisted) return *persisted;
+                       size_t workers) {
   WallTimer t;
   DetectOptions full;
   full.workers = workers;
@@ -647,16 +647,18 @@ uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
   return count;
 }
 
-// One serving step: read/seed the running counter, run the shared
-// ServeStep (durable append with its per-batch diff, counter update,
-// verdict), persist the new count in the meta, print +/- records, and
+// One serving step: run the shared ServeStep (durable append with its
+// per-batch diff, counter update, verdict) from the persisted running
+// count, persist the new count in the meta, print +/- records, and
 // return the documented verdict exit code (nullopt when the append was
-// rejected). `detect --log --delta` (single GraphStore) and `serve
-// append` (coordinator over vertex-cut fragments) both come through here.
-// `before` is the store's pre-batch graph, which the verb materialized to
-// load its rules: `-` records render against it, `+` records against the
-// store's live view, which absorbed the batch in place (ids preserved by
-// both backends).
+// rejected). A store with no current count is seeded by PreBatchCount
+// over `before`, once the store has accepted the batch, so a rejected
+// batch costs no scan. `detect --log --delta` (single GraphStore) and
+// `serve append` (coordinator over vertex-cut fragments) both come
+// through here. `before` is the store's pre-batch graph, which the verb
+// materialized to load its rules: `-` records render against it, `+`
+// records against the store's live view, which absorbed the batch in
+// place (ids preserved by both backends).
 template <typename Store>
 std::optional<int> ServeBatch(Store& store, const PropertyGraph& before,
                               const ViolationEngine& engine,
@@ -664,19 +666,24 @@ std::optional<int> ServeBatch(Store& store, const PropertyGraph& before,
                               const char* payload_path, size_t workers,
                               uint64_t* seq_out = nullptr) {
   uint64_t fp = RuleSetFingerprint(engine.rules(), before);
-  uint64_t pre_count =
-      PreBatchCount(engine, before, store.violation_count(fp), workers);
+  const std::optional<uint64_t> persisted = store.violation_count(fp);
   IncrementalOptions iopts;
   iopts.workers = workers;
   std::string error;
   WallTimer t;
-  auto step = ServeStep(store, engine, payload, pre_count, iopts, &error);
+  auto step = ServeStep(store, engine, payload, persisted.value_or(0), iopts,
+                        &error);
   if (!step) {
     std::fprintf(stderr, "error appending %s\n",
                  FileLineError(payload_path, error).c_str());
     return std::nullopt;
   }
   double seconds = t.Seconds();
+  if (!persisted) {
+    // The step counted from 0; unsigned arithmetic makes the sum exact.
+    step->count += PreBatchCount(engine, before, workers);
+    step->verdict = ClassifyDelta(step->diff, step->count);
+  }
   if (!store.SetViolationCount(step->count, fp, &error)) {
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
                  error.c_str());
@@ -798,7 +805,7 @@ int Detect(int argc, char** argv) {
     // Counted the way a serving step counts: one full scan before the
     // batch, composed with the diff after it.
     const uint64_t post_count =
-        PreBatchCount(engine, *g, std::nullopt, opts.workers) +
+        PreBatchCount(engine, *g, opts.workers) +
         diff->added.size() - diff->removed.size();
     // Added violations render against the view (post-update values),
     // removed ones against the base graph they existed in.
