@@ -2,8 +2,10 @@
 // build next to bench_delta_log: times the coordinator's merged-diff
 // serving step (validation + routed shipping + per-fragment incremental
 // detection + master-side merge) against fragment counts {1, 2, 4, 8} on
-// a YAGO2-shaped graph at scale 300, and the coordinator's Open after a
-// bulk stream (open_104x75_f4_x4). Records, per fragment count, the
+// a YAGO2-shaped graph at scale 300; the fragment step on a bulk stream
+// in perfbench's ingest_bulk shape (step_104x75_f{1,2,4,8}, with the
+// skew of the fragments' enumerated matches); and the coordinator's Open
+// after that stream (open_104x75_f4_x4). Records, per fragment count, the
 // bytes shipped per batch through the Cluster ledger split into routed
 // owned-op traffic vs border-halo maintenance, and the storage footprint
 // of vertex-cut sharding: resident edges per fragment and the measured
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/cover.h"
 #include "datagen/kb.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
@@ -31,6 +34,7 @@
 #include "pattern/canonical.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
+#include "serve/metrics.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -290,24 +294,122 @@ int main(int argc, char** argv) {
                      {"verified", ok ? 1.0 : 0.0}}});
   }
 
-  // Open after a bulk stream, in perfbench's ingest_bulk shape: 104
-  // batches of 75 ops into a 4-fragment, radius-3 coordinator over the
-  // graph `gfdtool gen --scale 1000 --seed 42 --noise 0.05` makes, with
-  // compaction off, so Open recovers the whole stream from the journal.
-  // Open writes nothing, so one directory serves every repetition; the
-  // row is the fastest of 3 trials of kOpens opens.
+  // Perfbench's ingest_bulk shape: 104 batches of 75 ops into a
+  // radius-3 coordinator over the graph `gfdtool gen --scale 1000 --seed
+  // 42 --noise 0.05` makes, with compaction off.
+  constexpr size_t kBulkBatches = 104;
+  constexpr size_t kBulkOps = 75;
+  auto serve_clean = MakeYago2Like({.scale = 1000, .seed = 42});
+  auto serve_noisy = InjectNoise(serve_clean, {.alpha = 0.05, .seed = 43});
+  const PropertyGraph& serve = serve_noisy.graph;
+  const auto stream = MakeStream(serve, kBulkBatches, kBulkOps, /*seed=*/29);
+  CoordinatorOptions no_compaction;
+  no_compaction.store.compact_min_ops = 0;
+  no_compaction.store.compact_min_fraction = 0;
+
+  // The fragment step on that stream, diffed against the rules perfbench
+  // serves (the cover of the rules mined on the clean graph), at fragment
+  // counts {1, 2, 4, 8}: summed AppendAndDiff seconds, the fastest of 3
+  // trials on fresh coordinators, and fragment_matches_skew -- the
+  // largest fragment's enumerated matches over the stream divided by the
+  // mean (gfd_fragment_matches_total; 1.0 = the seeds split the work
+  // evenly).
   {
-    constexpr size_t kOpenBatches = 104;
-    constexpr size_t kOpenOps = 75;
+    ViolationEngine step_engine(
+        SeqCover(SeqDis(serve_clean, ScaledConfig(serve_clean)).AllGfds()));
+    std::vector<IncrementalDiff> step_want;
+    {
+      const std::string dir = root + "/step_single";
+      std::string error;
+      if (!GraphStore::Init(dir, serve, &error)) {
+        std::fprintf(stderr, "init failed: %s\n", error.c_str());
+        return 1;
+      }
+      auto store = GraphStore::Open(dir, no_compaction.store, &error);
+      if (!store) {
+        std::fprintf(stderr, "open failed: %s\n", error.c_str());
+        return 1;
+      }
+      for (const std::string& p : stream) {
+        auto diff = store->AppendAndDiff(step_engine, p, {}, nullptr, &error);
+        if (!diff) {
+          std::fprintf(stderr, "append failed: %s\n", error.c_str());
+          return 1;
+        }
+        step_want.push_back(std::move(*diff));
+      }
+    }
+    for (size_t fragments : {1UL, 2UL, 4UL, 8UL}) {
+      const std::string name = "step_104x75_f" + std::to_string(fragments);
+      double best = 1e9;
+      uint64_t total = 0, most = 0;
+      bool ok = true;
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::string dir = root + "/" + name + "_" + std::to_string(trial);
+        std::string error;
+        if (!Coordinator::Init(dir, serve, fragments, /*halo_radius=*/3,
+                               &error)) {
+          std::fprintf(stderr, "init failed: %s\n", error.c_str());
+          return 1;
+        }
+        auto coord = Coordinator::Open(dir, no_compaction, &error);
+        if (!coord) {
+          std::fprintf(stderr, "open failed: %s\n", error.c_str());
+          return 1;
+        }
+        std::vector<uint64_t> matches(fragments);
+        for (size_t f = 0; f < fragments; ++f) {
+          matches[f] = FragmentMatches(f).Value();
+        }
+        double s = 0;
+        for (size_t b = 0; b < stream.size(); ++b) {
+          const std::string& batch = stream[b];
+          WallTimer t;
+          auto diff =
+              coord->AppendAndDiff(step_engine, batch, {}, nullptr, &error);
+          s += t.Seconds();
+          if (!diff) {
+            std::fprintf(stderr, "append failed: %s\n", error.c_str());
+            return 1;
+          }
+          ok = ok && diff->added == step_want[b].added &&
+               diff->removed == step_want[b].removed;
+        }
+        best = std::min(best, s);
+        total = most = 0;
+        for (size_t f = 0; f < fragments; ++f) {
+          const uint64_t m = FragmentMatches(f).Value() - matches[f];
+          total += m;
+          most = std::max(most, m);
+        }
+      }
+      verified = verified && ok;
+      double skew = 1.0;
+      if (total > 0) skew = double(most) * double(fragments) / double(total);
+      std::printf("%-24s %8.3fs  %zu batches x %zu ops, %llu matches, "
+                  "fragment matches skew %.2f, diffs %s\n",
+                  name.c_str(), best, kBulkBatches, kBulkOps,
+                  static_cast<unsigned long long>(total), skew,
+                  ok ? "identical" : "DIVERGED");
+      rows.push_back({name,
+                      best,
+                      {{"fragments", double(fragments)},
+                       {"halo_radius", 3.0},
+                       {"batches", double(kBulkBatches)},
+                       {"batch_ops", double(kBulkOps)},
+                       {"matches_enumerated", double(total)},
+                       {"fragment_matches_skew", skew},
+                       {"verified", ok ? 1.0 : 0.0}}});
+    }
+  }
+
+  // Open after the bulk stream (Append only), so Open recovers the
+  // whole stream from the log. Open writes nothing, so one directory
+  // serves every repetition; the row is the fastest of 3 trials of
+  // kOpens opens.
+  {
     constexpr int kOpens = 4;
-    auto serve_clean = MakeYago2Like({.scale = 1000, .seed = 42});
-    auto serve_noisy = InjectNoise(serve_clean, {.alpha = 0.05, .seed = 43});
-    const PropertyGraph& serve = serve_noisy.graph;
-    const auto stream = MakeStream(serve, kOpenBatches, kOpenOps, /*seed=*/29);
     const std::string dir = root + "/open";
-    CoordinatorOptions no_compaction;
-    no_compaction.store.compact_min_ops = 0;
-    no_compaction.store.compact_min_fraction = 0;
     std::string error;
     if (!Coordinator::Init(dir, serve, /*fragments=*/4, /*halo_radius=*/3,
                            &error)) {
@@ -330,19 +432,19 @@ int main(int argc, char** argv) {
       WallTimer t;
       for (int i = 0; i < kOpens; ++i) {
         auto coord = Coordinator::Open(dir, no_compaction, &error);
-        ok = ok && coord && coord->last_seq() == kOpenBatches;
+        ok = ok && coord && coord->last_seq() == kBulkBatches;
       }
       best = std::min(best, t.Seconds());
     }
     verified = verified && ok;
     std::printf("%-24s %8.3fs  %d opens after %zu batches x %zu ops, %s\n",
-                "open_104x75_f4_x4", best, kOpens, kOpenBatches, kOpenOps,
+                "open_104x75_f4_x4", best, kOpens, kBulkBatches, kBulkOps,
                 ok ? "recovered" : "FAILED");
     rows.push_back({"open_104x75_f4_x4",
                     best,
                     {{"opens", double(kOpens)},
-                     {"batches", double(kOpenBatches)},
-                     {"batch_ops", double(kOpenOps)},
+                     {"batches", double(kBulkBatches)},
+                     {"batch_ops", double(kBulkOps)},
                      {"verified", ok ? 1.0 : 0.0}}});
   }
 

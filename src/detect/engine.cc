@@ -222,9 +222,10 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
 
   // Static group footprints for DetectStep's skip gate: the concrete
   // labels a match of the group must bind, and the attr keys its
-  // members' literals read. Built over every group -- including the
-  // defensive private plans above -- once per engine lifetime; a
-  // rule-set change means a new engine, so these never go stale.
+  // members' literals read; and the patterns' widest radius. Built over
+  // every group -- including the defensive private plans above -- once
+  // per engine lifetime; a rule-set change means a new engine, so these
+  // never go stale.
   for (Group& group : groups_) {
     const Pattern& rep = group.pattern();
     for (VarId u = 0; u < rep.NumNodes(); ++u) {
@@ -238,6 +239,28 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     SortUnique(group.var_labels);
     for (const SlotRead& r : group.reads) group.attr_keys.push_back(r.key);
     SortUnique(group.attr_keys);
+
+    // Eccentricity of every variable by BFS over the undirected variable
+    // graph; patterns are tiny (k nodes), so n BFS runs are cheap.
+    const size_t n = rep.NumNodes();
+    for (VarId s = 0; s < n; ++s) {
+      std::vector<uint32_t> dist(n, UINT32_MAX);
+      std::vector<VarId> queue{s};
+      dist[s] = 0;
+      for (size_t head = 0; head < queue.size(); ++head) {
+        VarId u = queue[head];
+        for (VarId w : rep.Neighbors(u)) {
+          if (dist[w] != UINT32_MAX) continue;
+          dist[w] = dist[u] + 1;
+          queue.push_back(w);
+        }
+      }
+      for (VarId u = 0; u < n; ++u) {
+        if (dist[u] != UINT32_MAX) {
+          max_pattern_radius_ = std::max(max_pattern_radius_, dist[u]);
+        }
+      }
+    }
   }
 }
 
@@ -506,34 +529,6 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
   auto sides = DetectStep(view, fp, fp.anchors, absorb, opts);
   if (!sides) return std::nullopt;
   return StepDiff(*sides);
-}
-
-uint32_t ViolationEngine::MaxPatternRadius() const {
-  uint32_t radius = 0;
-  for (const Group& group : groups_) {
-    const Pattern& p = group.pattern();
-    const size_t n = p.NumNodes();
-    // Eccentricity of every variable by BFS over the undirected
-    // variable graph; patterns are tiny (k nodes), so n BFS runs are
-    // cheap and run once per engine lifetime.
-    for (VarId s = 0; s < n; ++s) {
-      std::vector<uint32_t> dist(n, UINT32_MAX);
-      std::vector<VarId> queue{s};
-      dist[s] = 0;
-      for (size_t head = 0; head < queue.size(); ++head) {
-        VarId u = queue[head];
-        for (VarId w : p.Neighbors(u)) {
-          if (dist[w] != UINT32_MAX) continue;
-          dist[w] = dist[u] + 1;
-          queue.push_back(w);
-        }
-      }
-      for (VarId u = 0; u < n; ++u) {
-        if (dist[u] != UINT32_MAX) radius = std::max(radius, dist[u]);
-      }
-    }
-  }
-  return radius;
 }
 
 std::optional<StepSides> ViolationEngine::DetectStep(

@@ -179,8 +179,10 @@ class ViolationEngine {
   /// is seeded from `seeds` (a sorted subset of batch.anchors) while
   /// attribution sees all of batch.anchors, so a match is evaluated
   /// exactly once, where its minimum-variable anchor is a seed: a single
-  /// store passes batch.anchors, a coordinator fragment the anchors it
-  /// owns, and the fragments' diffs partition the store-wide one.
+  /// store passes batch.anchors, a coordinator fragment the anchors the
+  /// master planned for it (each anchor at one fragment whose views hold
+  /// the anchor's pattern-radius ball), and the fragments' diffs
+  /// partition the store-wide one.
   ///
   /// Exactness: the sorted set difference of the two sides (StepDiff) is
   /// identical to diffing two full Detect runs. Each pattern group has
@@ -201,9 +203,11 @@ class ViolationEngine {
   /// Max undirected eccentricity of any variable of any rule pattern:
   /// the halo radius partitioned storage needs so that every match
   /// anchored (at ANY variable) at an owned node stays within the
-  /// fragment's resident view. RadiusAtPivot is not enough -- anchored
+  /// fragment's resident view, and the ball a coordinator's seed planner
+  /// checks around each anchor. RadiusAtPivot is not enough -- anchored
   /// incremental plans pivot at every variable, not just the rule pivot.
-  uint32_t MaxPatternRadius() const;
+  /// Computed once, with the engine.
+  uint32_t MaxPatternRadius() const { return max_pattern_radius_; }
 
  private:
   /// One attribute read of a group: variable `var` (in the
@@ -338,6 +342,7 @@ class ViolationEngine {
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;
+  uint32_t max_pattern_radius_ = 0;
 };
 
 /// Classification of a post-update state, for exit-code style reporting

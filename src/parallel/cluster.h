@@ -51,6 +51,9 @@ class Cluster {
   size_t num_workers() const { return workers_; }
 
   /// Runs fn(worker_id) on every worker and waits for all (one BSP step).
+  /// Worker 0 runs on the calling thread (ParallelFor), so a step does
+  /// not wait out a pool thread's wake-up for it, and a one-worker
+  /// cluster runs every step inline.
   void RunStep(const std::function<void(size_t)>& fn) {
     ParallelFor(pool_, workers_, fn);
   }

@@ -63,34 +63,47 @@ Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n) {
 }
 
 template <typename GraphT>
+void FragmentMasks::Spread(const GraphT& g,
+                           std::span<const GraphDelta::Op> extra,
+                           uint32_t hops) {
+  std::vector<uint64_t> next;
+  for (std::vector<uint64_t>& cur : blocks_) {
+    for (uint32_t h = 0; h < hops; ++h) {
+      next = cur;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        for (EdgeId e : g.OutEdges(v)) {
+          const NodeId w = g.EdgeDst(e);
+          next[v] |= cur[w];
+          next[w] |= cur[v];
+        }
+      }
+      for (const GraphDelta::Op& op : extra) {
+        if (op.kind == GraphDelta::OpKind::kSetAttr) continue;
+        next[op.src] |= cur[op.dst];
+        next[op.dst] |= cur[op.src];
+      }
+      cur.swap(next);
+    }
+  }
+}
+
+template void FragmentMasks::Spread(const PropertyGraph&,
+                                    std::span<const GraphDelta::Op>, uint32_t);
+template void FragmentMasks::Spread(const GraphView&,
+                                    std::span<const GraphDelta::Op>, uint32_t);
+
+template <typename GraphT>
 FragmentResidency ComputeResidency(const GraphT& g, const Partition& p) {
   const size_t num_nodes = g.NumNodes();
+  FragmentMasks reach(num_nodes, p.num_fragments);
+  for (NodeId v = 0; v < num_nodes && v < p.node_owner.size(); ++v) {
+    reach.Set(v, p.node_owner[v]);
+  }
+  reach.Spread(g, {}, p.halo_radius);
   FragmentResidency resident(p.num_fragments);
-  std::vector<uint32_t> dist;
-  std::vector<NodeId> queue;
   for (size_t f = 0; f < p.num_fragments; ++f) {
-    resident[f].assign(num_nodes, 0);
-    dist.assign(num_nodes, UINT32_MAX);
-    queue.clear();
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      if (v < p.node_owner.size() && p.node_owner[v] == f) {
-        dist[v] = 0;
-        resident[f][v] = 1;
-        queue.push_back(v);
-      }
-    }
-    auto reach = [&](NodeId v, NodeId w) {
-      if (dist[w] != UINT32_MAX) return;
-      dist[w] = dist[v] + 1;
-      resident[f][w] = 1;
-      queue.push_back(w);
-    };
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      if (dist[v] >= p.halo_radius) continue;
-      for (EdgeId e : g.OutEdges(v)) reach(v, g.EdgeDst(e));
-      for (EdgeId e : g.InEdges(v)) reach(v, g.EdgeSrc(e));
-    }
+    resident[f].resize(num_nodes);
+    for (NodeId v = 0; v < num_nodes; ++v) resident[f][v] = reach.Test(v, f);
   }
   return resident;
 }
@@ -98,6 +111,31 @@ FragmentResidency ComputeResidency(const GraphT& g, const Partition& p) {
 template FragmentResidency ComputeResidency(const PropertyGraph&,
                                             const Partition&);
 template FragmentResidency ComputeResidency(const GraphView&, const Partition&);
+
+FragmentMasks SeedableFragments(const GraphView& post,
+                                std::span<const GraphDelta::Op> ops,
+                                const FragmentResidency& before,
+                                const FragmentResidency& after,
+                                uint32_t radius) {
+  const size_t num_nodes = post.NumNodes();
+  const size_t n = before.size();
+  // The fragments each node is missing from on either side, spread over
+  // the radius: a fragment left clear holds the whole ball on both.
+  FragmentMasks blocked(num_nodes, n);
+  for (size_t f = 0; f < n; ++f) {
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      if (!before[f][v] || !after[f][v]) blocked.Set(v, f);
+    }
+  }
+  blocked.Spread(post, ops, radius);
+  FragmentMasks seedable(num_nodes, n);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (size_t f = 0; f < n; ++f) {
+      if (!blocked.Test(v, f)) seedable.Set(v, f);
+    }
+  }
+  return seedable;
+}
 
 DeltaRouting RouteDelta(const GraphDelta& d,
                         const FragmentResidency& resident) {

@@ -58,12 +58,58 @@ Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n);
 /// nodes are at distance 0, hence always resident).
 using FragmentResidency = std::vector<std::vector<char>>;
 
-/// Computes residency by multi-source BFS from each fragment's owned
-/// set, walking `g`'s out- and in-edges (edges are undirected for
-/// residency). GraphT is PropertyGraph or GraphView: the coordinator
-/// walks its live global view directly, with no adjacency copy.
+/// A set of fragments per node, bit-parallel, in blocks of 64 fragments:
+/// block b holds one word per node, and bit f % 64 of node v's word in
+/// block f / 64 is set iff fragment f is in v's set. Residency and seed
+/// eligibility are sweeps over these words -- one pass over the edges
+/// per hop and block, for 64 fragments at once.
+class FragmentMasks {
+ public:
+  FragmentMasks(size_t num_nodes, size_t num_fragments)
+      : blocks_((num_fragments + 63) / 64,
+                std::vector<uint64_t>(num_nodes, 0)) {}
+
+  bool Test(NodeId v, size_t f) const {
+    return (blocks_[f / 64][v] >> (f % 64) & 1) != 0;
+  }
+  void Set(NodeId v, size_t f) {
+    blocks_[f / 64][v] |= uint64_t{1} << (f % 64);
+  }
+
+  /// Grows every node's set by its neighbours' sets, `hops` times, so
+  /// that each node ends with the union of the sets of the nodes within
+  /// `hops` undirected hops of it -- over `g`'s edges plus the edges of
+  /// `extra`'s edge ops (its attribute ops join nothing). GraphT is
+  /// PropertyGraph or GraphView.
+  template <typename GraphT>
+  void Spread(const GraphT& g, std::span<const GraphDelta::Op> extra,
+              uint32_t hops);
+
+ private:
+  std::vector<std::vector<uint64_t>> blocks_;
+};
+
+/// Computes residency by sweeping the owner masks p.halo_radius times
+/// over `g`'s edges (undirected for residency). GraphT is PropertyGraph
+/// or GraphView: the coordinator sweeps its live global view directly,
+/// with no adjacency copy.
 template <typename GraphT>
 FragmentResidency ComputeResidency(const GraphT& g, const Partition& p);
+
+/// Where each node may seed one batch's step diff: fragment f is in v's
+/// set iff every node within `radius` undirected hops of v is resident
+/// at f both under `before`, the residency before the batch, and under
+/// `after`, the residency after it. The hops run over `post`, the
+/// post-batch graph, plus the edges `ops` (the batch) deletes: together
+/// they hold every edge of the graph before the batch and after it, so
+/// the balls are over-approximated, and f in v's set means both of f's
+/// views around the batch hold v's pattern-radius ball: f enumerates
+/// every match through v on both sides of the step.
+FragmentMasks SeedableFragments(const GraphView& post,
+                                std::span<const GraphDelta::Op> ops,
+                                const FragmentResidency& before,
+                                const FragmentResidency& after,
+                                uint32_t radius);
 
 /// Shipping plan of one update batch under vertex-cut partitioned
 /// storage. RouteDelta is the coordinator's delivery mechanism: each

@@ -251,8 +251,9 @@ uint64_t DiffBytes(const IncrementalDiff& diff) {
   return bytes;
 }
 
-// Merges per-fragment violation lists. Ownership attribution makes the
-// parts disjoint, so sorting the concatenation reproduces the exact
+// Merges per-fragment violation lists. Each match is evaluated only at
+// the one fragment seeding its attributed anchor, so the parts are
+// disjoint and sorting the concatenation reproduces the exact
 // single-node ordering.
 std::vector<Violation> MergeSorted(std::vector<std::vector<Violation>> parts) {
   std::vector<Violation> out;
@@ -377,8 +378,13 @@ std::optional<uint64_t> Coordinator::AppendAndShip(std::string_view delta_tsv,
   // Open, which extracts every fragment from the recovered graph.
   auto seq = master_->AppendParsed(*batch, delta_tsv, error);
   if (!seq) return std::nullopt;
-  obs::ScopedTimer route_timer(nullptr, "route", {{"seq", *seq}});
+  obs::ScopedTimer route_timer(
+      nullptr, "route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}});
   RoutingIndex::ShipPlan plan = index_->PlanBatch(master_->live(), *batch);
+  if (diff_ctx) {
+    index_->PlanSeeds(master_->live(), *batch, footprint.anchors,
+                      diff_ctx->engine->MaxPatternRadius(), &plan);
+  }
   route_timer.StopNs();
   if (!Ship(std::move(plan), footprint, *seq, diff_ctx, error)) {
     return std::nullopt;
@@ -391,14 +397,7 @@ bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
                        const BatchFootprint& footprint, uint64_t seq,
                        DiffContext* diff_ctx, std::string* error) {
   const size_t n = fragments_.size();
-  // Per-fragment anchor seeds: the batch's anchors it owns. Bucketing a
-  // sorted list by owner keeps each bucket sorted.
-  std::vector<std::vector<NodeId>> seeds(n);
-  if (diff_ctx) {
-    std::span<const uint32_t> owner = index_->partition().node_owner;
-    for (NodeId v : footprint.anchors) seeds[owner[v]].push_back(v);
-    diff_ctx->parts.resize(n);
-  }
+  if (diff_ctx) diff_ctx->parts.resize(n);
 
   std::vector<std::string> errs(n);
   cluster_->RunStep([&](size_t f) {
@@ -415,17 +414,18 @@ bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
       absorb();
       return;
     }
-    // Both views around the sub-batch hold every match anchored at an
-    // owned node (halo radius >= pattern radius), so each side equals the
-    // global one at this fragment's seeds and the global footprint gates.
+    // Both views around the sub-batch hold every match through a seed
+    // (PlanSeeds), so each side equals the global one at this fragment's
+    // seeds and the global footprint gates.
+    const std::vector<NodeId>& seeds = plan.seeds[f];
     auto sides = diff_ctx->engine->DetectStep(
-        fragments_[f].view(), footprint, seeds[f], absorb, *diff_ctx->opts);
+        fragments_[f].view(), footprint, seeds, absorb, *diff_ctx->opts);
     if (!sides) return;
     if (obs::TraceLog* trace = obs::ActiveTrace()) {
       trace->Emit("detect",
                   {{"seq", seq},
                    {"fragment", f},
-                   {"anchors", seeds[f].size()},
+                   {"anchors", seeds.size()},
                    {"matches", sides->stats.matches_seen}},
                   static_cast<int64_t>(sides->detect_ns));
     }
@@ -453,8 +453,10 @@ bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
     }
   }
   if (diff_ctx) {
-    for (const IncrementalDiff& part : diff_ctx->parts) {
+    for (size_t f = 0; f < n; ++f) {
+      const IncrementalDiff& part = diff_ctx->parts[f];
       cluster_->CountShipment(1, DiffBytes(part));
+      FragmentMatches(f).Inc(part.stats.matches_seen);
     }
   }
   index_->Commit(std::move(plan));
@@ -483,9 +485,9 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   auto seq = AppendAndShip(delta_tsv, &ctx, error);
   if (!seq) return std::nullopt;
 
-  // Ownership attribution partitions the step diff, so merging the
-  // per-fragment added and removed lists reproduces the single-node step
-  // diff record for record.
+  // The seeds partition the anchors, so the per-fragment added and
+  // removed lists partition the step diff, and merging them reproduces
+  // the single-node step diff record for record.
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
   IncrementalDiff diff;
   std::vector<std::vector<Violation>> added;

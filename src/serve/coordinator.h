@@ -44,14 +44,19 @@
 // Open from the recovered graph, and by Compact from the master's new
 // snapshot. Between the two, fragments absorb their shipped sub-batches.
 //
-// Work partitioning follows data partitioning: fragment f runs the
-// engine's DetectStep on its partition+halo view around its sub-batch,
-// seeded from the batch's anchors it owns (BatchFootprint, picked on the
-// master's pre-batch global view) -- never from its local view's
-// changes, which include halo-maintenance endpoints. Attribution is a
-// stateless function of the match and the batch's anchor set, so the
-// per-fragment step diffs partition the global one and the master
-// merges them with a plain sorted merge.
+// Work partitioning is planned by the master, not by ownership: fragment
+// f runs the engine's DetectStep on its partition+halo view around its
+// sub-batch, seeded from the anchors the master assigned it
+// (RoutingIndex::PlanSeeds) -- never from its local view's changes,
+// which include halo-maintenance endpoints. The anchors (BatchFootprint)
+// are picked on the master's pre-batch global view; each goes to exactly
+// one fragment whose views before and after the batch hold the anchor's
+// pattern-radius ball, the most expensive first to the least-loaded such
+// fragment (the owner always qualifies). Attribution is a stateless
+// function of the match and the batch's whole anchor set, and a seed's
+// fragment enumerates every match through it, so the per-fragment step
+// diffs partition the global one whatever the assignment, and the
+// master merges them with a plain sorted merge.
 //
 // Recovery, compaction and the running violation count are the master's:
 // Open is GraphStore::Open, then the partition from coordinator.meta,
@@ -177,10 +182,11 @@ class Coordinator final : public ServingStore {
 
   /// The distributed serving step: Append plus the violation diff
   /// induced by exactly this batch. Each fragment runs DetectStep around
-  /// its sub-batch on its partition+halo view, seeded from the batch's
-  /// anchors it owns; the master merges the per-fragment added
-  /// and removed lists (ownership attribution makes them disjoint), which
-  /// equals single-node GraphStore AppendAndDiff record for record.
+  /// its sub-batch on its partition+halo view, seeded from the batch
+  /// anchors the master planned for it (each anchor at one fragment); the
+  /// master merges the per-fragment added and removed lists (disjoint,
+  /// since the seeds partition the anchors), which equals single-node
+  /// GraphStore AppendAndDiff record for record.
   /// Errors out (before any shipping) when the engine's MaxPatternRadius
   /// exceeds the partition's halo radius.
   std::optional<IncrementalDiff> AppendAndDiff(
@@ -237,8 +243,9 @@ class Coordinator final : public ServingStore {
                                         std::string* error);
 
   // Ships `plan` for the batch the master took as `seq`: each fragment
-  // absorbs its payload, inside its DetectStep when `diff_ctx` asks for
-  // the diff; then the plan commits into the index.
+  // absorbs its payload, inside its DetectStep -- seeded by the plan's
+  // seeds -- when `diff_ctx` asks for the diff; then the plan commits
+  // into the index.
   bool Ship(RoutingIndex::ShipPlan&& plan, const BatchFootprint& footprint,
             uint64_t seq, DiffContext* diff_ctx, std::string* error);
 

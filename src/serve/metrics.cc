@@ -135,6 +135,13 @@ obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind) {
       {{"fragment", std::to_string(f)}, {"kind", std::string(kind)}});
 }
 
+obs::Counter& FragmentMatches(size_t f) {
+  return Reg().GetCounter(
+      "gfd_fragment_matches_total",
+      "Matches each fragment's step diffs enumerated (both sides).",
+      {{"fragment", std::to_string(f)}});
+}
+
 obs::Counter& RebalancesTotal() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_rebalances_total", "Ownership migrations between fragments.");

@@ -52,6 +52,9 @@ obs::Counter& FragmentBytesShipped(size_t f, std::string_view kind);
 /// maintenance (gfd_fragment_ops_total{fragment="<f>",kind="routed"|
 /// "maintenance"}).
 obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind);
+/// Matches fragment `f`'s step diffs enumerated, both sides
+/// (gfd_fragment_matches_total{fragment="<f>"}).
+obs::Counter& FragmentMatches(size_t f);
 obs::Counter& RebalancesTotal();     ///< gfd_rebalances_total
 obs::Histogram& RebalanceLatency();  ///< gfd_rebalance_seconds
 

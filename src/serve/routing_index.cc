@@ -1,5 +1,6 @@
 #include "serve/routing_index.h"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <sstream>
@@ -43,6 +44,45 @@ RoutingIndex::ShipPlan RoutingIndex::PlanBatch(const LiveGraph& live,
   plan.new_resident = ComputeResidency(live.view(), partition_);
   BuildPayloads(live, batch, &plan);
   return plan;
+}
+
+void RoutingIndex::PlanSeeds(const LiveGraph& live, const GraphDelta& batch,
+                             std::span<const NodeId> anchors, uint32_t radius,
+                             ShipPlan* plan) const {
+  const size_t n = partition_.num_fragments;
+  const GraphView& g = live.view();
+  const FragmentMasks seedable =
+      SeedableFragments(g, batch.ops, resident_, plan->new_resident, radius);
+  // The matches through an anchor grow with its degree and with its
+  // neighbours' degrees.
+  std::vector<std::pair<uint64_t, NodeId>> order;
+  order.reserve(anchors.size());
+  for (NodeId a : anchors) {
+    uint64_t cost = 1 + g.Degree(a);
+    for (EdgeId e : g.OutEdges(a)) cost += g.Degree(g.EdgeDst(e));
+    for (EdgeId e : g.InEdges(a)) cost += g.Degree(g.EdgeSrc(e));
+    order.emplace_back(cost, a);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first > y.first : x.second < y.second;
+  });
+  std::vector<uint64_t> load(n, 0);
+  plan->seeds.assign(n, {});
+  for (const auto& [cost, a] : order) {
+    // The owner's halo holds the ball in both graphs (radius <= halo
+    // radius), whatever the sweep's over-approximation says. A strictly
+    // smaller load is needed to leave it, and the ascending scan keeps
+    // the lowest id among equals.
+    size_t best = partition_.node_owner[a];
+    for (size_t f = 0; f < n; ++f) {
+      if (load[f] < load[best] && seedable.Test(a, f)) best = f;
+    }
+    load[best] += cost;
+    plan->seeds[best].push_back(a);
+  }
+  for (std::vector<NodeId>& seeds : plan->seeds) {
+    std::sort(seeds.begin(), seeds.end());
+  }
 }
 
 std::optional<RoutingIndex::ShipPlan> RoutingIndex::PlanRebalance(

@@ -15,7 +15,11 @@
 // deployment.
 //
 // A plan is made from the post-batch graph against the residency of the
-// last committed plan, and committed once the fragments absorbed it.
+// last committed plan, and committed once the fragments absorbed it. When
+// the batch is diffed, the plan also carries each fragment's detection
+// seeds (PlanSeeds): the master, which sees the whole graph, spreads the
+// batch's anchors over the fragments by estimated cost instead of
+// leaving each at its owner.
 //
 // Invariant maintained across PlanBatch/Commit cycles, for every
 // fragment f with residency R_f (ComputeResidency over the live graph):
@@ -44,6 +48,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +79,9 @@ class RoutingIndex {
     std::vector<uint64_t> halo_bytes;   ///< maintenance + refresh
     std::vector<size_t> routed_ops;     ///< routed op count per fragment
     std::vector<size_t> halo_ops;       ///< maintenance op count per fragment
+    /// Per fragment, the sorted anchors its step diff seeds (PlanSeeds);
+    /// empty when the batch ships without a diff.
+    std::vector<std::vector<NodeId>> seeds;
 
     FragmentResidency new_resident;   ///< adopted by Commit
     std::vector<uint32_t> new_owner;  ///< non-empty only for rebalance
@@ -84,6 +92,19 @@ class RoutingIndex {
   /// per fragment the batch's routed ops plus the maintenance the
   /// residency change implies. Commit() it once the fragments took it.
   ShipPlan PlanBatch(const LiveGraph& live, const GraphDelta& batch) const;
+
+  /// Plans the seeds of the step that diffs `batch` (planned into `plan`
+  /// by PlanBatch): each of `anchors`, the batch's BatchFootprint
+  /// anchors, goes to exactly one fragment whose views before and after
+  /// the batch hold the anchor's `radius`-hop ball (SeedableFragments;
+  /// `radius` is the rules' MaxPatternRadius, <= the halo radius, so the
+  /// anchor's owner always qualifies). Anchors are placed most expensive
+  /// first -- cost 1 + degree + the neighbours' degrees on `live`'s view,
+  /// ties by node id -- each on the least-loaded fragment that qualifies,
+  /// ties to the owner and then to the lowest id. Deterministic.
+  void PlanSeeds(const LiveGraph& live, const GraphDelta& batch,
+                 std::span<const NodeId> anchors, uint32_t radius,
+                 ShipPlan* plan) const;
 
   /// Plans moving ownership of `node` to fragment `to` over the global
   /// graph `live`: the graph is unchanged, so payloads are pure halo

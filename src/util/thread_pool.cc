@@ -65,14 +65,16 @@ void ParallelFor(ThreadPool& pool, size_t n,
   if (n == 0) return;
   const size_t workers = std::min(pool.size(), n);
   const size_t chunk = (n + workers - 1) / workers;
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
+  // Chunks 1.. go to the pool; the caller runs chunk 0 meanwhile, so a
+  // balanced loop does not wait out the last worker's wake-up, and a
+  // one-chunk loop never leaves the calling thread.
+  for (size_t begin = chunk; begin < n; begin += chunk) {
     const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
     pool.Submit([begin, end, &fn] {
       for (size_t i = begin; i < end; ++i) fn(i);
     });
   }
+  for (size_t i = 0; i < chunk; ++i) fn(i);
   pool.Wait();
 }
 

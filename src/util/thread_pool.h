@@ -57,8 +57,11 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) across `pool`, blocking until all complete.
-/// Work is split into contiguous chunks, one batch per worker, to keep
-/// scheduling overhead negligible for small bodies.
+/// Work is split into contiguous chunks, one per worker, to keep
+/// scheduling overhead negligible for small bodies. The calling thread
+/// runs the first chunk itself (indices [0, ceil(n / workers))) while
+/// the pool runs the rest, so a loop of one chunk -- n == 1, or a
+/// one-thread pool -- runs entirely on the caller.
 void ParallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "core/config.h"
 #include "core/generation_tree.h"
@@ -18,6 +19,19 @@ TEST(Cluster, RunStepVisitsEveryWorkerOnce) {
   c.RunStep([&](size_t w) { ++hits[w]; });
   for (int h : hits) EXPECT_EQ(h, 1);
   EXPECT_EQ(c.num_workers(), 6u);
+}
+
+TEST(Cluster, OneWorkerRunsEveryStepOnTheCaller) {
+  Cluster c(1);
+  std::thread::id ran;
+  for (int step = 0; step < 3; ++step) {
+    ran = std::thread::id();
+    c.RunStep([&](size_t w) {
+      EXPECT_EQ(w, 0u);
+      ran = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran, std::this_thread::get_id());
+  }
 }
 
 TEST(Cluster, ShipmentAccounting) {

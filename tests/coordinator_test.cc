@@ -15,14 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datagen/gfd_gen.h"
@@ -208,17 +211,16 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
   EXPECT_EQ(full.added, want_added);
   EXPECT_EQ(full.removed, want_removed);
 
-  for (size_t n : {1u, 2u, 4u, 8u}) {
-    Fragmentation frag = VertexCutPartition(g, n);
+  // Seeds per fragment -- by owner, then as the master's planner places
+  // them -- must partition the anchors, and their step diffs the full one.
+  auto expect_partition = [&](const std::vector<std::vector<NodeId>>& seeds,
+                              const std::string& what) {
+    std::vector<NodeId> all;
     std::vector<Violation> added, removed;
-    size_t owned_total = 0;
-    for (uint32_t f = 0; f < n; ++f) {
-      std::vector<NodeId> seeds;
-      for (NodeId v : fp.anchors) {
-        if (frag.partition.node_owner[v] == f) seeds.push_back(v);
-      }
-      auto part = step(seeds);
-      owned_total += part.stats.affected_nodes;
+    for (const std::vector<NodeId>& part_seeds : seeds) {
+      EXPECT_TRUE(std::is_sorted(part_seeds.begin(), part_seeds.end()));
+      all.insert(all.end(), part_seeds.begin(), part_seeds.end());
+      auto part = step(part_seeds);
       // Disjoint by attribution: plain merges reproduce the full diff.
       std::vector<Violation> merged;
       std::merge(added.begin(), added.end(), part.added.begin(),
@@ -229,12 +231,205 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
                  part.removed.end(), std::back_inserter(merged));
       removed = std::move(merged);
     }
-    EXPECT_EQ(owned_total, full.stats.affected_nodes) << n << " fragments";
-    EXPECT_EQ(added, full.added) << n << " fragments";
-    EXPECT_EQ(removed, full.removed) << n << " fragments";
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(all, fp.anchors) << what;  // each anchor exactly once
+    EXPECT_EQ(added, full.added) << what;
+    EXPECT_EQ(removed, full.removed) << what;
     // No duplicates slipped through the merge.
     EXPECT_TRUE(std::adjacent_find(added.begin(), added.end()) == added.end());
+  };
+  const uint32_t radius = engine.MaxPatternRadius();
+  for (size_t n : {1u, 2u, 4u, 8u}) {
+    Fragmentation frag = VertexCutPartition(g, n);
+    std::vector<std::vector<NodeId>> by_owner(n);
+    for (NodeId v : fp.anchors) {
+      by_owner[frag.partition.node_owner[v]].push_back(v);
+    }
+    expect_partition(by_owner, std::to_string(n) + " fragments, by owner");
+
+    Partition p = frag.partition;
+    p.halo_radius = std::max<uint32_t>(1, radius);
+    LiveGraph live(g);
+    auto index = RoutingIndex::Build(live.view(), p);
+    ASSERT_TRUE(index.has_value());
+    ASSERT_TRUE(live.Absorb(d));
+    RoutingIndex::ShipPlan plan = index->PlanBatch(live, d);
+    index->PlanSeeds(live, d, fp.anchors, radius, &plan);
+    ASSERT_EQ(plan.seeds.size(), n);
+    expect_partition(plan.seeds, std::to_string(n) + " fragments, planned");
   }
+}
+
+// --- Seed eligibility ------------------------------------------------------
+
+// Nodes 0..n-1 (one label) joined by `edges` (one label).
+PropertyGraph Gadget(size_t nodes,
+                     std::initializer_list<std::pair<NodeId, NodeId>> edges) {
+  PropertyGraph::Builder b;
+  for (size_t i = 0; i < nodes; ++i) b.AddNode("n");
+  for (const auto& [src, dst] : edges) b.AddEdge(src, dst, "e");
+  return std::move(b).Build();
+}
+
+// Nodes within `radius` undirected hops of v.
+std::vector<NodeId> Ball(const GraphView& g, NodeId v, uint32_t radius) {
+  std::vector<uint32_t> dist(g.NumNodes(), UINT32_MAX);
+  std::vector<NodeId> ball{v};
+  dist[v] = 0;
+  for (size_t head = 0; head < ball.size(); ++head) {
+    const NodeId u = ball[head];
+    if (dist[u] == radius) continue;
+    auto reach = [&](NodeId w) {
+      if (dist[w] != UINT32_MAX) return;
+      dist[w] = dist[u] + 1;
+      ball.push_back(w);
+    };
+    for (EdgeId e : g.OutEdges(u)) reach(g.EdgeDst(e));
+    for (EdgeId e : g.InEdges(u)) reach(g.EdgeSrc(e));
+  }
+  return ball;
+}
+
+// SeedableFragments of `batch` over `g` under `p`, checked for soundness
+// by BFS: wherever it admits fragment f for node v, f's residency before
+// the batch holds v's ball in the graph before it, and f's residency
+// after the batch holds v's ball in the graph after it.
+FragmentMasks CheckedSeedable(const PropertyGraph& g, const Partition& p,
+                              const GraphDelta& batch, uint32_t radius) {
+  const GraphView pre = *GraphView::Apply(g, GraphDelta{});
+  const GraphView post = *GraphView::Apply(g, batch);
+  const FragmentResidency before = ComputeResidency(pre, p);
+  const FragmentResidency after = ComputeResidency(post, p);
+  EXPECT_EQ(before, ComputeResidency(g, p));
+  FragmentMasks seedable =
+      SeedableFragments(post, batch.ops, before, after, radius);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (size_t f = 0; f < p.num_fragments; ++f) {
+      if (!seedable.Test(v, f)) continue;
+      for (NodeId w : Ball(pre, v, radius)) {
+        EXPECT_TRUE(before[f][w]) << "node " << v << " fragment " << f
+                                  << ": pre-batch ball reaches " << w;
+      }
+      for (NodeId w : Ball(post, v, radius)) {
+        EXPECT_TRUE(after[f][w]) << "node " << v << " fragment " << f
+                                 << ": post-batch ball reaches " << w;
+      }
+    }
+  }
+  return seedable;
+}
+
+Partition TwoFragments(std::vector<uint32_t> owners) {
+  Partition p;
+  p.num_fragments = 2;
+  p.halo_radius = 1;
+  p.node_owner = std::move(owners);
+  return p;
+}
+
+TEST(SeedableFragments, ABallThatReachesAFragmentsBorderBlocksIt) {
+  constexpr NodeId u = 0, a = 1, x = 2, y = 3;
+  // Fragment 0 owns u, fragment 1 the rest; at halo radius 1 fragment 0
+  // holds u and a, never x.
+  {
+    // Before the batch a's ball reaches x; the E- cuts that path, so
+    // after it the ball is {u, a}, all resident at 0. Fragment 0's view
+    // before the batch lacks x, so it must not seed a.
+    PropertyGraph g = Gadget(4, {{u, a}, {a, x}, {x, y}});
+    GraphDelta d;
+    d.DeleteEdge(a, x, *g.FindLabel("e"));
+    FragmentMasks seedable =
+        CheckedSeedable(g, TwoFragments({0, 1, 1, 1}), d, /*radius=*/1);
+    EXPECT_FALSE(seedable.Test(a, 0));
+    EXPECT_TRUE(seedable.Test(a, 1));
+    EXPECT_TRUE(seedable.Test(u, 0));
+    EXPECT_TRUE(seedable.Test(u, 1));
+  }
+  {
+    // Before the batch a's ball is {u, a}; the E+ makes a path to x, so
+    // fragment 0's view after the batch lacks part of the ball.
+    PropertyGraph g = Gadget(4, {{u, a}, {x, y}});
+    GraphDelta d;
+    d.InsertEdge(a, x, *g.FindLabel("e"));
+    FragmentMasks seedable =
+        CheckedSeedable(g, TwoFragments({0, 1, 1, 1}), d, /*radius=*/1);
+    EXPECT_FALSE(seedable.Test(a, 0));
+    EXPECT_TRUE(seedable.Test(a, 1));
+  }
+}
+
+// Residency that changes with the batch: a node resident at a fragment
+// on one side only still blocks it.
+TEST(SeedableFragments, ResidencyOnOneSideOnlyBlocks) {
+  {
+    // The E+ u -> x brings x into fragment 0's halo after the batch; a's
+    // ball held x before it, when fragment 0 did not.
+    constexpr NodeId u = 0, a = 1, x = 2;
+    PropertyGraph g = Gadget(3, {{u, a}, {a, x}});
+    GraphDelta d;
+    d.InsertEdge(u, x, *g.FindLabel("e"));
+    FragmentMasks seedable =
+        CheckedSeedable(g, TwoFragments({0, 1, 1}), d, /*radius=*/1);
+    EXPECT_FALSE(seedable.Test(a, 0));
+    EXPECT_TRUE(seedable.Test(a, 1));
+  }
+  {
+    // The E- u -> x drops x from fragment 0's halo; v's ball holds x on
+    // both sides, and fragment 0's view after the batch lacks it.
+    constexpr NodeId u = 0, w = 1, v = 2, x = 3;
+    PropertyGraph g = Gadget(4, {{u, x}, {w, v}, {v, x}});
+    GraphDelta d;
+    d.DeleteEdge(u, x, *g.FindLabel("e"));
+    FragmentMasks seedable =
+        CheckedSeedable(g, TwoFragments({0, 0, 1, 1}), d, /*radius=*/1);
+    EXPECT_FALSE(seedable.Test(v, 0));
+    EXPECT_TRUE(seedable.Test(v, 1));
+    EXPECT_TRUE(seedable.Test(w, 0));
+  }
+}
+
+// The mask sweeps give residency's definition: v is resident at f iff a
+// node f owns lies within halo_radius undirected hops of v.
+TEST(ComputeResidency, SweepsMatchTheHopDefinition) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto g = MakeSynthetic({.nodes = 150, .edges = 300, .seed = seed});
+    const GraphView view = *GraphView::Apply(g, GraphDelta{});
+    for (uint32_t halo : {1u, 2u, 3u}) {
+      Partition p = VertexCutPartition(g, 3 + seed % 3).partition;
+      p.halo_radius = halo;
+      const FragmentResidency resident = ComputeResidency(view, p);
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        std::vector<char> near(p.num_fragments, 0);
+        for (NodeId w : Ball(view, v, halo)) near[p.node_owner[w]] = 1;
+        for (size_t f = 0; f < p.num_fragments; ++f) {
+          EXPECT_EQ(resident[f][v] != 0, near[f] != 0)
+              << "node " << v << " fragment " << f << " halo " << halo;
+        }
+      }
+    }
+  }
+}
+
+// Random graphs and batches: whatever the mask admits is sound, and it
+// admits fragments other than the owner.
+TEST(SeedableFragments, SoundOnRandomBatches) {
+  size_t off_owner = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    auto g = MakeSynthetic({.nodes = 150, .edges = 360, .seed = seed});
+    Rng rng(seed * 31);
+    GraphDelta d = RandomBatch(g, rng, 30, /*delete_bias=*/0.4);
+    Partition p = VertexCutPartition(g, 2 + seed % 3).partition;
+    p.halo_radius = 2;
+    for (uint32_t radius : {1u, 2u}) {
+      FragmentMasks seedable = CheckedSeedable(g, p, d, radius);
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        for (size_t f = 0; f < p.num_fragments; ++f) {
+          if (f != p.node_owner[v] && seedable.Test(v, f)) ++off_owner;
+        }
+      }
+    }
+  }
+  EXPECT_GT(off_owner, 0u);
 }
 
 TEST(RouteDelta, ShipsOpsToFragmentsWhoseResidentSetCoversThem) {
@@ -315,15 +510,21 @@ TEST(Coordinator, AppendKeepsFragmentsInLockstepAndResident) {
   }
 }
 
+// A numeric field of one trace line.
+uint64_t TraceField(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " in " << line;
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size() + 3));
+}
+
 // Sums one numeric field over the trace's "detect" spans.
 uint64_t SumDetectField(const std::string& text, const std::string& key) {
   uint64_t sum = 0;
   std::istringstream lines(text);
   for (std::string line; std::getline(lines, line);) {
     if (line.find("\"stage\":\"detect\"") == std::string::npos) continue;
-    const size_t at = line.find("\"" + key + "\":");
-    if (at == std::string::npos) continue;
-    sum += std::stoull(line.substr(at + key.size() + 3));
+    sum += TraceField(line, key);
   }
   return sum;
 }
@@ -367,6 +568,94 @@ TEST(Coordinator, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
   EXPECT_LT(diff->stats.matches_seen, 8 * kDegree);
   EXPECT_EQ(SumDetectField(trace_text, "anchors"), 1u);  // Leaf alone
   EXPECT_EQ(SumDetectField(trace_text, "matches"), diff->stats.matches_seen);
+}
+
+// Per-fragment "anchors" of the trace's "detect" spans, and the sum of
+// the "route" spans' anchors.
+struct SeedTrace {
+  std::vector<uint64_t> detect;
+  uint64_t route = 0;
+};
+SeedTrace SeedAnchors(const std::string& text, size_t fragments) {
+  SeedTrace out;
+  out.detect.assign(fragments, 0);
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"stage\":\"detect\"") != std::string::npos) {
+      out.detect.at(TraceField(line, "fragment")) +=
+          TraceField(line, "anchors");
+    } else if (line.find("\"stage\":\"route\"") != std::string::npos) {
+      out.route += TraceField(line, "anchors");
+    }
+  }
+  return out;
+}
+
+// The master plans the seeds: on a graph whose owner rule gives fragment
+// 0 most of a batch's anchors, the seeds still spread evenly, each
+// anchor at exactly one fragment, and the merged diff is the single
+// store's.
+TEST(Coordinator, AppendAndDiffSpreadsTheSeedsOffTheOwners) {
+  auto g = MakeSynthetic({.nodes = 400,
+                          .edges = 1200,
+                          .node_labels = 5,
+                          .edge_labels = 4,
+                          .attrs = 3,
+                          .values = 15,
+                          .value_correlation = 0.9,
+                          .degree_skew = 0,
+                          .seed = 21});
+  ViolationEngine engine(GenerateGfdSet(g, {.count = 12, .k = 3, .seed = 7}));
+  ASSERT_LE(engine.MaxPatternRadius(), 3u);
+  constexpr size_t kFragments = 4;
+  std::string dir = Scratch("coord_spread");
+  std::string single_dir = Scratch("coord_spread_single");
+  ASSERT_TRUE(Coordinator::Init(dir, g, kFragments, /*halo_radius=*/3));
+  ASSERT_TRUE(GraphStore::Init(single_dir, g));
+  auto coord = Coordinator::Open(dir);
+  auto single = GraphStore::Open(single_dir);
+  ASSERT_TRUE(coord.has_value());
+  ASSERT_TRUE(single.has_value());
+
+  Rng rng(5);
+  GraphDelta d = RandomBatch(g, rng, 80);
+  const BatchFootprint fp =
+      BatchFootprint::Of(d.ops, *GraphView::Apply(g, GraphDelta{}));
+  std::vector<uint64_t> owned(kFragments, 0);
+  for (NodeId v : fp.anchors) ++owned[coord->node_owner()[v]];
+  // The largest count over the mean.
+  auto skew = [](const std::vector<uint64_t>& counts) {
+    double sum = 0;
+    for (uint64_t c : counts) sum += static_cast<double>(c);
+    const double most = *std::max_element(counts.begin(), counts.end());
+    return most * static_cast<double>(counts.size()) / sum;
+  };
+  ASSERT_GT(skew(owned), 1.5) << "the owner rule must skew this batch";
+
+  const std::string batch = DeltaBytes(g, d);
+  std::optional<IncrementalDiff> diff;
+  std::string error;
+  std::string trace_text;
+  {
+    ScopedTestTrace trace("coord_spread_trace");
+    diff = coord->AppendAndDiff(engine, batch, {}, nullptr, &error);
+    trace_text = trace.Text();
+  }
+  ASSERT_TRUE(diff.has_value()) << error;
+  auto want = single->AppendAndDiff(engine, batch, {}, nullptr, &error);
+  ASSERT_TRUE(want.has_value()) << error;
+  EXPECT_EQ(diff->added, want->added);
+  EXPECT_EQ(diff->removed, want->removed);
+  EXPECT_EQ(diff->payload, want->payload);
+
+  const SeedTrace seeds = SeedAnchors(trace_text, kFragments);
+  uint64_t seeded_total = 0;
+  for (uint64_t c : seeds.detect) seeded_total += c;
+  EXPECT_EQ(seeds.route, fp.anchors.size());
+  EXPECT_EQ(seeded_total, seeds.route);
+  EXPECT_NE(seeds.detect, owned) << "some anchor is seeded off its owner";
+  EXPECT_LE(skew(seeds.detect), 1.5);
+  ExpectFragmentsMatchResidentSubgraphs(*coord);
 }
 
 TEST(Coordinator, PartitionedFootprintIsReplicationTimesGNotNTimesG) {

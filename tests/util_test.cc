@@ -199,6 +199,26 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+// The caller runs the first chunk itself, so a balanced loop does not
+// wait out the last worker's wake-up; every index still runs once.
+TEST(ThreadPool, ParallelForRunsTheFirstChunkOnTheCaller) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(10);
+  std::vector<std::thread::id> ran(10);
+  ParallelFor(pool, hits.size(), [&](size_t i) {
+    hits[i].fetch_add(1);
+    ran[i] = std::this_thread::get_id();
+  });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(ran[0], std::this_thread::get_id());
+
+  // A one-thread pool makes one chunk: nothing leaves the caller.
+  ThreadPool one(1);
+  std::vector<std::thread::id> ids(5);
+  ParallelFor(one, 5, [&](size_t i) { ids[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ids) EXPECT_EQ(id, ran[0]);
+}
+
 TEST(ThreadPool, ParallelForEmptyIsNoop) {
   ThreadPool pool(4);
   ParallelFor(pool, 0, [](size_t) { FAIL() << "must not be called"; });

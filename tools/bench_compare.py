@@ -8,12 +8,14 @@ main run) and fails when any timed metric slowed down by more than
 fields (violations, matches, ...) are informational and never gate.
 
 The exception is the distributed footprint/traffic counters
-(resident_edges_*, replication_measured, *_bytes_per_batch): those are
-deterministic, so growth beyond the threshold gates exactly like a
-slowdown -- a replication-factor or shipped-bytes blowup is a storage
-regression even when wall-clock stays flat. A counter present in this
-run but absent from the baseline reports "new, no baseline" and passes
-(warn-only bootstrap, same as a brand-new bench).
+(resident_edges_*, replication_measured, *_bytes_per_batch) and the
+fragment step's fragment_matches_skew: those are deterministic, so
+growth beyond the threshold gates exactly like a slowdown -- a
+replication-factor or shipped-bytes blowup is a storage regression, and
+a skew blowup a balance regression, even when wall-clock stays flat. A
+counter present in this run but absent from the baseline reports "new,
+no baseline" and passes (warn-only bootstrap, same as a brand-new
+bench).
 
 A second class of deterministic work counters (ops routed, matches
 enumerated, touched matches) is compared and reported but warn-only:
@@ -48,6 +50,10 @@ GATED_COUNTERS = (
     # detection-cost regression even when this runner's wall-clock hides
     # it.
     "groups_scanned",
+    # bench_distributed's step_104x75_f*: the largest fragment's share of
+    # the stream's enumerated matches over the mean. Deterministic for a
+    # fixed stream; growth means the seed planner lost balance.
+    "fragment_matches_skew",
 )
 
 # Deterministic work counters that are compared and reported but never
