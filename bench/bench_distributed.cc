@@ -4,8 +4,10 @@
 // detection + master-side merge) against fragment counts {1, 2, 4, 8} on
 // a YAGO2-shaped graph at scale 300; the fragment step on a bulk stream
 // in perfbench's ingest_bulk shape (step_104x75_f{1,2,4,8}, with the
-// skew of the fragments' enumerated matches); and the coordinator's Open
-// after that stream (open_104x75_f4_x4). Records, per fragment count, the
+// skew of the fragments' enumerated matches); the single store's step on
+// a stream in perfbench's ingest_trickle shape (step_332x8_single, every
+// diff checked against full Detect runs); and the coordinator's Open
+// after the bulk stream (open_104x75_f4_x4). Records, per fragment count, the
 // bytes shipped per batch through the Cluster ledger split into routed
 // owned-op traffic vs border-halo maintenance, and the storage footprint
 // of vertex-cut sharding: resident edges per fragment and the measured
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -401,6 +404,81 @@ int main(int argc, char** argv) {
                        {"fragment_matches_skew", skew},
                        {"verified", ok ? 1.0 : 0.0}}});
     }
+
+    // Perfbench's ingest_trickle shape: 332 batches of 8 ops through one
+    // GraphStore, compaction off, with the same rules. Summed
+    // AppendAndDiff seconds, the fastest of 3 trials on fresh stores, and
+    // the matches each batch's step evaluates. The first trial checks
+    // every diff against full Detect runs of the states before and after
+    // its batch; the others must reproduce its diffs.
+    constexpr size_t kTrickleBatches = 332;
+    constexpr size_t kTrickleOps = 8;
+    const auto trickle =
+        MakeStream(serve, kTrickleBatches, kTrickleOps, /*seed=*/31);
+    const std::string name = "step_332x8_single";
+    std::vector<IncrementalDiff> first;
+    double best = 1e9;
+    uint64_t matches = 0;
+    bool ok = true;
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::string dir = root + "/" + name + "_" + std::to_string(trial);
+      std::string error;
+      if (!GraphStore::Init(dir, serve, &error)) {
+        std::fprintf(stderr, "init failed: %s\n", error.c_str());
+        return 1;
+      }
+      auto store = GraphStore::Open(dir, no_compaction.store, &error);
+      if (!store) {
+        std::fprintf(stderr, "open failed: %s\n", error.c_str());
+        return 1;
+      }
+      const DetectOptions oracle{.workers = 4};
+      std::vector<Violation> current;
+      if (trial == 0) {
+        current = step_engine.Detect(store->view(), oracle).violations;
+      }
+      double s = 0;
+      matches = 0;
+      for (size_t b = 0; b < trickle.size(); ++b) {
+        WallTimer t;
+        auto diff =
+            store->AppendAndDiff(step_engine, trickle[b], {}, nullptr, &error);
+        s += t.Seconds();
+        if (!diff) {
+          std::fprintf(stderr, "append failed: %s\n", error.c_str());
+          return 1;
+        }
+        matches += diff->stats.matches_seen;
+        if (trial > 0) {
+          ok = ok && diff->added == first[b].added &&
+               diff->removed == first[b].removed;
+          continue;
+        }
+        std::vector<Violation> next =
+            step_engine.Detect(store->view(), oracle).violations;
+        std::vector<Violation> added, removed;
+        std::set_difference(next.begin(), next.end(), current.begin(),
+                            current.end(), std::back_inserter(added));
+        std::set_difference(current.begin(), current.end(), next.begin(),
+                            next.end(), std::back_inserter(removed));
+        ok = ok && diff->added == added && diff->removed == removed;
+        current = std::move(next);
+        first.push_back(std::move(*diff));
+      }
+      best = std::min(best, s);
+    }
+    verified = verified && ok;
+    const double per_batch = double(matches) / double(kTrickleBatches);
+    std::printf("%-24s %8.3fs  %zu batches x %zu ops, %.0f matches per "
+                "batch, diffs %s\n",
+                name.c_str(), best, kTrickleBatches, kTrickleOps, per_batch,
+                ok ? "identical to full detect" : "DIVERGED");
+    rows.push_back({name,
+                    best,
+                    {{"batches", double(kTrickleBatches)},
+                     {"batch_ops", double(kTrickleOps)},
+                     {"matches_per_batch", per_batch},
+                     {"verified", ok ? 1.0 : 0.0}}});
   }
 
   // Open after the bulk stream (Append only), so Open recovers the

@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
         current.insert(diff->added.begin(), diff->added.end());
         totals.matches_seen += diff->stats.matches_seen;
         totals.literal_evals += diff->stats.literal_evals;
-        totals.anchors_scanned += diff->stats.anchors_scanned;
+        totals.roots_scanned += diff->stats.roots_scanned;
       }
       stream_s = std::min(stream_s, total_s);
       if (r > 0) continue;
@@ -462,7 +462,7 @@ int main(int argc, char** argv) {
                      {"matches_per_batch", double(work.matches_seen) / n},
                      {"literal_evals_per_batch",
                       double(work.literal_evals) / n},
-                     {"anchors_per_batch", double(work.anchors_scanned) / n}}});
+                     {"roots_per_batch", double(work.roots_scanned) / n}}});
   }
   fs::remove_all(step_dir);
 

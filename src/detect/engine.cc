@@ -6,7 +6,10 @@
 #include <iterator>
 #include <memory>
 #include <ranges>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "detect/metrics.h"
 #include "obs/trace.h"
@@ -51,6 +54,9 @@ std::vector<VarId> ExactIsomorphism(const Pattern& member,
                    });
   return iso;
 }
+
+// A root of an edge unit: the nodes its plan binds first and second.
+using NodePair = std::pair<NodeId, NodeId>;
 
 template <typename T>
 void SortUnique(std::vector<T>& v) {
@@ -109,6 +115,22 @@ struct ViolationEngine::Budget {
     }
     return Claim::kEmit;
   }
+};
+
+// A step's work units (DetectStep): a write unit (group, variable) over
+// node roots, or an edge unit (group, pattern edge) over pair roots, each
+// a range of the shared root lists.
+struct ViolationEngine::StepUnits {
+  struct Unit {
+    size_t group;
+    size_t index;  // the write unit's variable, the edge unit's edge
+    bool edge;
+    size_t begin;  // its roots: [begin, end) of nodes or of pairs
+    size_t end;
+  };
+  std::vector<Unit> units;
+  std::vector<NodeId> nodes;
+  std::vector<NodePair> pairs;
 };
 
 // One worker's share of a scan, merged into the run's result after the
@@ -220,13 +242,14 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     groups_.push_back(std::move(group));
   }
 
-  // Static group footprints for DetectStep's skip gate: the concrete
-  // labels a match of the group must bind, and the attr keys its
-  // members' literals read; and the patterns' widest radius. Built over
-  // every group -- including the defensive private plans above -- once
-  // per engine lifetime; a rule-set change means a new engine, so these
-  // never go stale.
+  // The step's plans, static group footprints for DetectStep's skip
+  // gate -- the concrete labels a match of the group must bind, and the
+  // attr keys its members' literals read -- and the patterns' widest
+  // radius. Built over every group -- including the defensive private
+  // plans above -- once per engine lifetime; a rule-set change means a
+  // new engine, so these never go stale.
   for (Group& group : groups_) {
+    group.CompileStepPlans();
     const Pattern& rep = group.pattern();
     for (VarId u = 0; u < rep.NumNodes(); ++u) {
       const LabelId l = rep.NodeLabel(u);
@@ -265,11 +288,45 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
 }
 
 ViolationEngine::Group::Group(const Pattern& rep) : pivot(rep.pivot()) {
-  plans.reserve(rep.NumNodes());
-  for (VarId u = 0; u < rep.NumNodes(); ++u) {
+  plans.emplace_back(rep);
+}
+
+void ViolationEngine::Group::CompileStepPlans() {
+  const Pattern rep = pattern();  // a copy: plans grows below
+  auto add_plan = [&](VarId root, VarId second) {
     Pattern q = rep;
-    q.set_pivot(u);
-    plans.emplace_back(q);
+    q.set_pivot(root);
+    plans.emplace_back(q, second);
+    return static_cast<uint32_t>(plans.size() - 1);
+  };
+  var_plan.assign(rep.NumNodes(), kNoPlan);
+  var_plan[pivot] = 0;
+  for (const SlotRead& r : reads) {
+    if (var_plan[r.var] == kNoPlan) var_plan[r.var] = add_plan(r.var, kNoVar);
+  }
+  edge_plan.assign(rep.NumEdges(), {});
+  for (size_t j = 0; j < rep.NumEdges(); ++j) {
+    const PatternEdge& e = rep.edges()[j];
+    if (e.src == e.dst) {  // the root step of its variable checks it
+      if (var_plan[e.src] == kNoPlan) {
+        var_plan[e.src] = add_plan(e.src, kNoVar);
+      }
+      edge_plan[j] = {var_plan[e.src], false};
+      continue;
+    }
+    // Any plan so far -- a variable's, or an earlier edge's between the
+    // same two variables -- that binds one endpoint first and the other
+    // second.
+    for (uint32_t p = 0; p < plans.size(); ++p) {
+      const VarId root = plans[p].pattern().pivot();
+      const VarId second = plans[p].SecondVar();
+      if (root == e.src && second == e.dst) edge_plan[j] = {p, false};
+      if (root == e.dst && second == e.src) edge_plan[j] = {p, true};
+      if (edge_plan[j].plan != kNoPlan) break;
+    }
+    if (edge_plan[j].plan == kNoPlan) {
+      edge_plan[j] = {add_plan(e.src, e.dst), false};
+    }
   }
 }
 
@@ -317,9 +374,9 @@ Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
   return viol;
 }
 
-template <typename GraphT, typename Nodes, typename Attributed>
+template <typename GraphT, typename Roots, typename Attributed>
 void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
-                               const CompiledPattern& plan, const Nodes& nodes,
+                               const CompiledPattern& plan, const Roots& roots,
                                const Attributed& attributed, Budget* budget,
                                Tally& tally) const {
   // Set up once per range, without touching the heap on the uncapped
@@ -372,14 +429,26 @@ void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
     return wanting > 0;  // stop this pivot once every member is capped
   };
   const std::function<bool(const Match&)> on_match = std::ref(visit);
-  for (NodeId v : nodes) {
+  for (const auto& root : roots) {
+    NodeId v = 0;
+    NodeId second = kNoNode;
+    if constexpr (std::is_same_v<std::decay_t<decltype(root)>, NodePair>) {
+      v = root.first;
+      if (root.second != v) second = root.second;
+    } else {
+      v = root;
+    }
     if (!plan.AdmitsPivot(g, v)) continue;
     if (budget &&
         (wanting == 0 || budget->stop.load(std::memory_order_relaxed))) {
       break;
     }
     ++tally.pivots;
-    plan.ForEachMatchAtPivot(g, v, on_match);
+    if (second == kNoNode) {
+      plan.ForEachMatchAtPivot(g, v, on_match);
+    } else {
+      plan.ForEachMatchAtPair(g, v, second, on_match);
+    }
   }
   tally.matches += matches;
   tally.literal_evals += evals;
@@ -461,34 +530,107 @@ DetectionResult ViolationEngine::Detect(const GraphView& g,
   return DetectImpl(g, opts);
 }
 
-ViolationEngine::Tally ViolationEngine::RunAnchored(
-    const GraphView& g, std::span<const size_t> scan,
-    std::span<const NodeId> seeds, const std::vector<bool>& is_anchor,
-    const IncrementalOptions& opts) const {
-  // One side of the diff. For every group, every variable u, and every
-  // seed a, enumerate the matches with h(u) = a. A match binding several
-  // anchors is attributed to its minimum such variable, so it is
-  // evaluated exactly once regardless of execution order -- which also
-  // makes the output independent of the worker count. Units are the
-  // (group, variable) plans, each over all seeds.
-  std::vector<std::pair<size_t, VarId>> units;
+ViolationEngine::StepUnits ViolationEngine::PlanUnits(
+    const GraphView& g, const BatchFootprint& batch,
+    std::span<const NodeId> seeds, std::span<const size_t> scan) const {
+  // The writes and the changed keys rooted at this call's seeds.
+  auto seeded = [&](NodeId v) {
+    return std::binary_search(seeds.begin(), seeds.end(), v);
+  };
+  std::vector<BatchFootprint::Write> writes;
+  for (const BatchFootprint::Write& w : batch.writes) {
+    if (seeded(w.node)) writes.push_back(w);
+  }
+  std::vector<BatchFootprint::EdgeKey> keys;
+  for (const BatchFootprint::EdgeKey& k : batch.edges) {
+    if (seeded(k.anchor)) keys.push_back(k);
+  }
+  // Roots are filtered by the labels of their nodes, which no batch
+  // changes, so both sides get the same units.
+  StepUnits step;
+  auto add_unit = [&](size_t gi, size_t index, bool edge, size_t begin) {
+    const size_t end = edge ? step.pairs.size() : step.nodes.size();
+    if (end > begin) step.units.push_back({gi, index, edge, begin, end});
+  };
   for (size_t gi : scan) {
-    for (VarId u = 0; u < groups_[gi].plans.size(); ++u) {
-      units.emplace_back(gi, u);
+    const Group& group = groups_[gi];
+    const Pattern& rep = group.pattern();
+    for (VarId u = 0; u < rep.NumNodes(); ++u) {
+      const size_t begin = step.nodes.size();
+      for (const BatchFootprint::Write& w : writes) {  // sorted by node
+        if (step.nodes.size() > begin && step.nodes.back() == w.node) continue;
+        if (LabelMatches(g.NodeLabel(w.node), rep.NodeLabel(u)) &&
+            group.ReadsAt(u, w.key)) {
+          step.nodes.push_back(w.node);
+        }
+      }
+      add_unit(gi, u, false, begin);
+    }
+    for (size_t j = 0; j < rep.NumEdges(); ++j) {
+      const PatternEdge& e = rep.edges()[j];
+      const size_t begin = step.pairs.size();
+      for (const BatchFootprint::EdgeKey& k : keys) {
+        // A self-loop edge maps onto self-loops only; injectivity keeps
+        // any other edge off them.
+        if ((k.src == k.dst) != (e.src == e.dst) ||
+            !LabelMatches(k.label, e.label) ||
+            !LabelMatches(g.NodeLabel(k.src), rep.NodeLabel(e.src)) ||
+            !LabelMatches(g.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
+          continue;
+        }
+        NodePair root{k.src, k.dst};
+        if (group.edge_plan[j].root_is_dst) std::swap(root.first, root.second);
+        // Keys sorted by (src, dst): parallel labels come in a row.
+        if (step.pairs.size() > begin && step.pairs.back() == root) continue;
+        step.pairs.push_back(root);
+      }
+      add_unit(gi, j, true, begin);
     }
   }
+  return step;
+}
+
+ViolationEngine::Tally ViolationEngine::RunSide(
+    const GraphView& g, const StepUnits& step, const BatchFootprint& batch,
+    const IncrementalOptions& opts) const {
+  // Attribution reads only the match and the whole footprint, so it is
+  // independent of the side, the seeds, the execution order and the
+  // worker count: a match is evaluated at its lowest variable that reads
+  // a written key, else at its lowest pattern edge that maps onto a
+  // changed key.
   return Tally::Merge(RunUnits(
-      units.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
-        const size_t gi = units[i].first;
-        const VarId u = units[i].second;
+      step.units.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
+        const StepUnits::Unit& unit = step.units[i];
+        const Group& group = groups_[unit.group];
+        auto roots = [&](const auto& all) {
+          return std::span(all).subspan(unit.begin, unit.end - unit.begin);
+        };
+        if (!unit.edge) {
+          const size_t u = unit.index;
+          auto attributed = [&](const Match& h) {
+            for (const SlotRead& r : group.reads) {
+              if (r.var < u && batch.Wrote(h[r.var], r.key)) return false;
+            }
+            return true;
+          };
+          ScanPlan(g, group, group.plans[group.var_plan[u]], roots(step.nodes),
+                   attributed, nullptr, tally);
+          return;
+        }
+        const std::vector<PatternEdge>& edges = group.pattern().edges();
+        const size_t j = unit.index;
         auto attributed = [&](const Match& h) {
-          for (VarId w = 0; w < u; ++w) {
-            if (is_anchor[h[w]]) return false;  // attributed to w
+          for (const SlotRead& r : group.reads) {
+            if (batch.Wrote(h[r.var], r.key)) return false;
+          }
+          for (size_t k = 0; k < j; ++k) {
+            const PatternEdge& e = edges[k];
+            if (batch.Changed(h[e.src], h[e.dst], e.label)) return false;
           }
           return true;
         };
-        ScanPlan(g, groups_[gi], groups_[gi].plans[u], seeds, attributed,
-                 nullptr, tally);
+        ScanPlan(g, group, group.plans[group.edge_plan[j].plan],
+                 roots(step.pairs), attributed, nullptr, tally);
       }));
 }
 
@@ -499,22 +641,40 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
     if (op.kind == GraphDelta::OpKind::kSetAttr) {
       fp.anchors.push_back(op.src);
       fp.keys.push_back(op.key);
+      fp.writes.push_back({op.src, op.key});
       continue;
     }
     // Every match the op creates or destroys binds both endpoints, so
-    // one suffices: the lower-degree one, which fewer matches go through.
+    // one suffices: the lower-degree one, whose ball is smaller.
     const size_t src_degree = pre.Degree(op.src);
     const size_t dst_degree = pre.Degree(op.dst);
     const bool src_lower = src_degree != dst_degree ? src_degree < dst_degree
                                                     : op.src < op.dst;
-    fp.anchors.push_back(src_lower ? op.src : op.dst);
+    const NodeId anchor = src_lower ? op.src : op.dst;
+    fp.anchors.push_back(anchor);
     fp.rewired.push_back(op.src);
     fp.rewired.push_back(op.dst);
+    fp.edges.push_back({op.src, op.dst, op.label, anchor});
   }
   SortUnique(fp.anchors);
   SortUnique(fp.rewired);
   SortUnique(fp.keys);
+  SortUnique(fp.writes);
+  SortUnique(fp.edges);
   return fp;
+}
+
+bool BatchFootprint::Wrote(NodeId v, AttrId key) const {
+  return std::binary_search(writes.begin(), writes.end(), Write{v, key});
+}
+
+bool BatchFootprint::Changed(NodeId src, NodeId dst, LabelId label) const {
+  const EdgeKey least{src, dst, 0, 0};  // no key src -> dst sorts before it
+  auto it = std::lower_bound(edges.begin(), edges.end(), least);
+  for (; it != edges.end() && it->src == src && it->dst == dst; ++it) {
+    if (LabelMatches(it->label, label)) return true;
+  }
+  return false;
 }
 
 std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
@@ -581,30 +741,29 @@ std::optional<StepSides> ViolationEngine::DetectStep(
       if (l >= edge_label.size()) break;  // sorted: rest out of range too
       hit = edge_label[l] || (attr_label[l] && keys_touched(group.attr_keys));
     }
-    if (hit) {
-      scan.push_back(gi);
-      sides.stats.anchor_plans += group.plans.size();
-    }
+    if (hit) scan.push_back(gi);
   }
   sides.stats.groups_scanned = scan.size();
   sides.stats.groups_skipped = groups_.size() - scan.size();
   DetectGroupsScanned().Inc(sides.stats.groups_scanned);
   DetectGroupsSkipped().Inc(sides.stats.groups_skipped);
 
-  // Attribution sees every anchor, not just the seeds: a match is
-  // evaluated at its minimum anchored variable or nowhere in this call,
-  // never re-attributed to a seed -- that is what makes per-fragment
-  // step diffs disjoint.
-  std::vector<bool> is_anchor(base.NumNodes(), false);
-  for (NodeId v : batch.anchors) is_anchor[v] = true;
+  // Units root at the seeds while attribution reads the whole footprint:
+  // a match is evaluated at its attributed unit or nowhere in this call,
+  // never re-attributed to a seed's unit -- that is what makes
+  // per-fragment step diffs disjoint.
+  StopwatchNs watch;
+  const StepUnits step = PlanUnits(live, batch, seeds, scan);
+  for (const StepUnits::Unit& unit : step.units) {
+    ++(unit.edge ? sides.stats.edge_units : sides.stats.write_units);
+  }
 
   // Timed per side: `apply` is a durable append on the serving path.
-  StopwatchNs watch;
-  Tally before = RunAnchored(live, scan, seeds, is_anchor, opts);
+  Tally before = RunSide(live, step, batch, opts);
   sides.detect_ns = watch.ElapsedNs();
   if (!apply()) return std::nullopt;
   watch.Restart();
-  Tally after = RunAnchored(live, scan, seeds, is_anchor, opts);
+  Tally after = RunSide(live, step, batch, opts);
   sides.detect_ns += watch.ElapsedNs();
   const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
   DetectIncrementalLatency().Observe(detect_s);
@@ -612,7 +771,7 @@ std::optional<StepSides> ViolationEngine::DetectStep(
   sides.after = std::move(after.violations);
   sides.stats.violations_before = sides.before.size();
   sides.stats.violations_after = sides.after.size();
-  sides.stats.anchors_scanned = before.pivots + after.pivots;
+  sides.stats.roots_scanned = before.pivots + after.pivots;
   sides.stats.matches_seen = before.matches + after.matches;
   sides.stats.literal_evals = before.literal_evals + after.literal_evals;
   DetectMatchesEnumerated().Inc(sides.stats.matches_seen);

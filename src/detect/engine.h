@@ -16,14 +16,16 @@
 // so the matcher cost is paid |groups| times instead of |rules| times,
 // and the attribute lookups once per match instead of once per rule.
 //
-// The full scan (Detect) and the anchored step scan (DetectStep) run one
-// kernel: one plan over one node range, its counters added once per
-// range. In parallel, workers take flat units -- (group, pivot range) or
-// (group, variable) -- from one shared cursor into private buffers that
-// are merged after a single barrier (util/thread_pool.h).
+// The full scan (Detect) and the step scan (DetectStep) run one kernel:
+// one plan over a list of roots, its counters added once per list. In
+// parallel, workers take flat units -- (group, pivot range), or a step's
+// (group, variable) write units and (group, pattern edge) edge units --
+// from one shared cursor into private buffers that are merged after a
+// single barrier (util/thread_pool.h).
 #ifndef GFD_DETECT_ENGINE_H_
 #define GFD_DETECT_ENGINE_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -77,17 +79,22 @@ struct DetectionResult {
 /// completely (a capped run could report a "removed" violation that was
 /// merely cut off by a budget).
 struct IncrementalOptions {
-  /// Worker threads over (group, variable) units of each side. Output
-  /// and counters are identical at any worker count.
+  /// Worker threads over the units of each side. Output and counters are
+  /// identical at any worker count.
   size_t workers = 1;
 };
 
 struct IncrementalStats {
-  size_t affected_nodes = 0;     ///< anchor seeds of the run
-  size_t anchor_plans = 0;       ///< (group, variable) plans consulted
-  uint64_t anchors_scanned = 0;  ///< (plan, seed) pairs the plan's root
-                                 ///< step admits, both sides
-  uint64_t matches_seen = 0;     ///< delta-touching matches, both sides
+  size_t affected_nodes = 0;     ///< seeds of the run
+  size_t write_units = 0;        ///< (group, variable) units rooted at a
+                                 ///< seed's read write (see DetectStep)
+  size_t edge_units = 0;         ///< (group, pattern edge) units rooted
+                                 ///< at a seed's changed edge key
+  uint64_t roots_scanned = 0;    ///< (unit, root) pairs whose root node
+                                 ///< the plan's root step admits, both
+                                 ///< sides
+  uint64_t matches_seen = 0;     ///< matches evaluated (each at the one
+                                 ///< unit it is attributed to), both sides
   uint64_t literal_evals = 0;    ///< per-match per-rule LHS/RHS evaluations
   size_t violations_before = 0;  ///< violations at touched matches, old side
   size_t violations_after = 0;   ///< violations at touched matches, new side
@@ -110,20 +117,47 @@ struct IncrementalDiff {
 
 /// What one update batch touches, read off its ops and the live view
 /// `pre` just before it (node, label and attribute ids in that view's
-/// space). A step diff seeds and attributes at `anchors`: every attribute
-/// target, and ONE endpoint per edge op -- the one with the smaller
-/// degree in `pre`, ties to the smaller node id -- so a batch touching a
-/// hub no longer enumerates every match through it. The footprint gate
-/// reads `rewired` for its edge clause and `anchors` (which hold every
-/// attribute target) for its attribute clause.
+/// space): the (node, key) pairs it writes and the (src, dst, label) keys
+/// of its edge ops, its changed keys. A step diff roots its work units
+/// there (DetectStep). Each changed key is anchored at ONE endpoint --
+/// the one with the smaller degree in `pre`, ties to the smaller node id
+/// -- so a batch touching a hub never roots work at the hub. The anchors
+/// are the write targets plus those endpoints: the nodes a coordinator
+/// places on fragments, each seed carrying the writes at it and the keys
+/// anchored at it. The footprint gate reads `rewired` for its edge clause
+/// and `anchors` (which hold every write target) with `keys` for its
+/// attribute clause.
 struct BatchFootprint {
-  std::vector<NodeId> anchors;  ///< attr targets + one endpoint per edge op
+  /// Attribute `key` of `node` was set.
+  struct Write {
+    NodeId node = kNoNode;
+    AttrId key = 0;
+    friend auto operator<=>(const Write&, const Write&) = default;
+  };
+  /// The key of an edge op, anchored at `anchor` (src or dst).
+  struct EdgeKey {
+    NodeId src = kNoNode;
+    NodeId dst = kNoNode;
+    LabelId label = 0;
+    NodeId anchor = kNoNode;
+    friend auto operator<=>(const EdgeKey&, const EdgeKey&) = default;
+  };
+
+  std::vector<NodeId> anchors;  ///< write targets + every key's anchor
   std::vector<NodeId> rewired;  ///< both endpoints of every edge op
   std::vector<AttrId> keys;     ///< attribute keys set
-  // All three sorted ascending and unique.
+  std::vector<Write> writes;    ///< every (node, key) set
+  std::vector<EdgeKey> edges;   ///< every edge op's key: the changed keys
+  // All five sorted ascending and unique.
 
   static BatchFootprint Of(std::span<const GraphDelta::Op> ops,
                            const GraphView& pre);
+
+  /// Whether the batch set attribute `key` of `v`.
+  bool Wrote(NodeId v, AttrId key) const;
+  /// Whether some changed key src -l-> dst has a label l that matches
+  /// `label`, a pattern edge label (possibly the wildcard).
+  bool Changed(NodeId src, NodeId dst, LabelId label) const;
 };
 
 /// The two anchored sides of one step diff, each sorted per Violation
@@ -173,28 +207,38 @@ class ViolationEngine {
   /// and serve/coordinator.h, and DetectIncremental): `live` holds the
   /// state just before one batch with footprint `batch`, and `apply` must
   /// apply exactly that batch to `live` in place (false on failure, which
-  /// returns nullopt). Runs the anchored side on `live`, calls `apply`,
-  /// runs it again; both sides share one footprint-gated group list, so
-  /// the cost tracks the batch, never the overlay behind it. Enumeration
-  /// is seeded from `seeds` (a sorted subset of batch.anchors) while
-  /// attribution sees all of batch.anchors, so a match is evaluated
-  /// exactly once, where its minimum-variable anchor is a seed: a single
-  /// store passes batch.anchors, a coordinator fragment the anchors the
-  /// master planned for it (each anchor at one fragment whose views hold
-  /// the anchor's pattern-radius ball), and the fragments' diffs
-  /// partition the store-wide one.
+  /// returns nullopt). Runs the step's side on `live`, calls `apply`,
+  /// runs it again; both sides run the same units, so the cost tracks the
+  /// batch, never the overlay behind it.
+  ///
+  /// Units. Per footprint-gated pattern group, a write unit (group,
+  /// variable u) is rooted at each seed with a written key that some
+  /// member reads at u, and enumerates the matches binding u there; an
+  /// edge unit (group, pattern edge j) is rooted at each changed key
+  /// s -l-> d whose label matches j's and whose anchor is a seed, and
+  /// enumerates the matches binding j's source to s and its target to d
+  /// (a plan that binds both first, CompiledPattern::ForEachMatchAtPair;
+  /// the paper's work unit Q(F_s) |><| e(F_t), Section 6.2, joined with
+  /// the updated edge). Attribution is stateless and reads the whole
+  /// footprint, not just the seeds: a match is evaluated at its
+  /// lowest-numbered variable that reads a written key; failing that, at
+  /// its lowest-numbered pattern edge that maps onto a changed key;
+  /// failing both, nowhere. A single store passes batch.anchors as
+  /// `seeds`, a coordinator fragment the anchors the master planned for
+  /// it (each anchor at one fragment whose views hold the anchor's
+  /// pattern-radius ball on both sides), so every unit root sits at
+  /// exactly one fragment and the fragments' diffs partition the
+  /// store-wide one.
   ///
   /// Exactness: the sorted set difference of the two sides (StepDiff) is
-  /// identical to diffing two full Detect runs. Each pattern group has
-  /// one plan per variable (the paper's work unit Q(F_s) |><| e(F_t),
-  /// Section 6.2, anchored at the batch instead of a fragment), and a
-  /// stateless minimum-variable attribution rule evaluates every anchored
-  /// match exactly once per side. A match whose violation status differs
-  /// between the sides either contains a changed edge -- and so binds
-  /// both its endpoints, the anchored one included -- or binds a node
-  /// whose attribute was written, which is an anchor too. Every other
-  /// match exists on both sides with identical attribute reads, so it
-  /// cancels in the set difference.
+  /// identical to diffing two full Detect runs. A match that reads no
+  /// written key and maps no pattern edge onto a changed key exists on
+  /// both sides -- its edges' keys are untouched -- with identical
+  /// attribute reads, so it cancels and need not be evaluated. Every
+  /// other match of a side is enumerated by its attributed unit, whose
+  /// root it binds, and evaluated there exactly once; the attribution
+  /// reads only the match and the batch, so it is the same on both
+  /// sides.
   std::optional<StepSides> DetectStep(
       const GraphView& live, const BatchFootprint& batch,
       std::span<const NodeId> seeds, const std::function<bool()>& apply,
@@ -202,10 +246,10 @@ class ViolationEngine {
 
   /// Max undirected eccentricity of any variable of any rule pattern:
   /// the halo radius partitioned storage needs so that every match
-  /// anchored (at ANY variable) at an owned node stays within the
-  /// fragment's resident view, and the ball a coordinator's seed planner
-  /// checks around each anchor. RadiusAtPivot is not enough -- anchored
-  /// incremental plans pivot at every variable, not just the rule pivot.
+  /// through an owned node (at ANY variable) stays within the fragment's
+  /// resident view, and the ball a coordinator's seed planner checks
+  /// around each anchor. RadiusAtPivot is not enough -- a step's units
+  /// root at any variable or pattern edge, not just the rule pivot.
   /// Computed once, with the engine.
   uint32_t MaxPatternRadius() const { return max_pattern_radius_; }
 
@@ -260,11 +304,25 @@ class ViolationEngine {
     }
   };
   struct Group {
-    /// One plan per variable of the representative pattern: plans[u]
-    /// enumerates exactly the matches binding u to a given node. The
-    /// full scan runs the pivot's; DetectStep runs all of them. Built
-    /// with the engine, so a shared engine is read-only.
+    static constexpr uint32_t kNoPlan = UINT32_MAX;
+    /// The plan of one edge unit: plans[plan] binds the pattern edge's
+    /// endpoints first, its target first when `root_is_dst`. A self-loop
+    /// edge's plan is rooted at its one variable.
+    struct EdgePlan {
+      uint32_t plan = kNoPlan;
+      bool root_is_dst = false;
+    };
+    /// The plans the scans run, flat, built with the engine (so a shared
+    /// engine is read-only): plans[0] is rooted at the pivot, the full
+    /// scan's. var_plan[u] indexes the plan rooted at variable u, which
+    /// exists for the pivot, for each variable some member reads (its
+    /// write units' plan) and for a self-loop's variable; edge_plan[j]
+    /// names pattern edge j's. An edge reuses a variable plan that binds
+    /// its other endpoint second and gets a pair-rooted plan of its own
+    /// only when none does.
     std::vector<CompiledPattern> plans;
+    std::vector<uint32_t> var_plan;
+    std::vector<EdgePlan> edge_plan;
     VarId pivot = 0;
     std::vector<Member> members;
     /// The distinct (variable, key) pairs any member literal reads, in
@@ -282,15 +340,28 @@ class ViolationEngine {
     std::vector<AttrId> attr_keys;    ///< the keys of `reads`, sorted
     bool has_wildcard_var = false;    ///< some variable matches any label
 
+    /// Compiles the pivot plan; CompileStepPlans adds the rest once the
+    /// members are in.
     explicit Group(const Pattern& rep);
 
-    const CompiledPattern& PivotPlan() const { return plans[pivot]; }
+    const CompiledPattern& PivotPlan() const { return plans[0]; }
     const Pattern& pattern() const { return PivotPlan().pattern(); }
 
     /// Compiles rule `gfd_index` (`phi`, whose variable u is the
     /// representative's to_rep[u]) into a member, adding its reads.
     void AddMember(uint32_t gfd_index, const Gfd& phi,
                    std::vector<VarId> to_rep);
+
+    /// Fills var_plan and edge_plan from `reads` and the pattern.
+    void CompileStepPlans();
+
+    /// Whether some member reads attribute `key` at variable u.
+    bool ReadsAt(VarId u, AttrId key) const {
+      for (const SlotRead& r : reads) {
+        if (r.var == u && r.key == key) return true;
+      }
+      return false;
+    }
 
     /// Fills vals[i] with reads[i]'s value at `match` (kNoValue when
     /// absent). GraphT is PropertyGraph or GraphView.
@@ -303,10 +374,11 @@ class ViolationEngine {
     }
   };
 
-  // The shared caps of one capped full scan, and one worker's output of
-  // a scan (both defined in the .cc).
+  // The shared caps of one capped full scan, one worker's output of a
+  // scan, and a step's units with their roots (all defined in the .cc).
   struct Budget;
   struct Tally;
+  struct StepUnits;
 
   // Common body of the two Detect overloads. GraphT is PropertyGraph or
   // GraphView.
@@ -314,27 +386,33 @@ class ViolationEngine {
   DetectionResult DetectImpl(const GraphT& g, const DetectOptions& opts) const;
 
   // The kernel of both scans: runs `plan` (one of the group's plans) at
-  // every node of `nodes` its root step admits,
-  // evaluates every member on each match `attributed` accepts, and adds
-  // the violations and the pivot / match / literal-eval counts to
-  // `tally` once at the end. `budget` is null for uncapped runs; a
-  // capped full scan claims its atomics once per emitted violation.
-  template <typename GraphT, typename Nodes, typename Attributed>
+  // every root of `roots` whose node its root step admits -- a NodeId
+  // binds the plan's root variable; a (NodeId, NodeId) pair binds its
+  // first two (ForEachMatchAtPair), or only the root when both are one
+  // node (a self-loop edge's unit) -- evaluates every member on each
+  // match `attributed` accepts, and adds the violations and the root /
+  // match / literal-eval counts to `tally` once at the end. `budget` is
+  // null for uncapped runs; a capped full scan claims its atomics once
+  // per emitted violation.
+  template <typename GraphT, typename Roots, typename Attributed>
   void ScanPlan(const GraphT& g, const Group& group,
-                const CompiledPattern& plan, const Nodes& nodes,
+                const CompiledPattern& plan, const Roots& roots,
                 const Attributed& attributed, Budget* budget,
                 Tally& tally) const;
 
-  // One side of an incremental run: enumerates every match of every
-  // group in `scan` (indices into groups_) that binds one of `seeds` at
-  // its minimum anchored variable (each exactly once) and returns the
-  // violations among them, sorted, with the side's counters. Both sides
-  // of a diff must pass the SAME `scan` -- the skip gate's cancellation
-  // argument needs it.
-  Tally RunAnchored(const GraphView& g, std::span<const size_t> scan,
-                    std::span<const NodeId> seeds,
-                    const std::vector<bool>& is_anchor,
-                    const IncrementalOptions& opts) const;
+  // The units of a step over the groups in `scan` (indices into
+  // groups_), rooted at `seeds` (see DetectStep).
+  StepUnits PlanUnits(const GraphView& g, const BatchFootprint& batch,
+                      std::span<const NodeId> seeds,
+                      std::span<const size_t> scan) const;
+
+  // One side of a step: runs every unit of `step`, evaluating each match
+  // at its attributed unit only, and returns the violations, sorted,
+  // with the side's counters. Both sides of a diff must run the SAME
+  // units -- the cancellation argument needs it.
+  Tally RunSide(const GraphView& g, const StepUnits& step,
+                const BatchFootprint& batch,
+                const IncrementalOptions& opts) const;
 
   // The violation record of `m` at representative match `match`.
   Violation MakeViolation(const Member& m, NodeId pivot,

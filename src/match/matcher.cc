@@ -5,9 +5,17 @@
 
 namespace gfd {
 
-CompiledPattern::CompiledPattern(const Pattern& q) : pattern_(q) {
+CompiledPattern::CompiledPattern(const Pattern& q, VarId second)
+    : pattern_(q) {
   assert(q.NumNodes() > 0);
   assert(q.IsConnected());
+#ifndef NDEBUG
+  if (second != kNoVar) {
+    const std::vector<VarId> adjacent = q.Neighbors(q.pivot());
+    assert(second != q.pivot());
+    assert(std::ranges::find(adjacent, second) != adjacent.end());
+  }
+#endif
   const size_t n = q.NumNodes();
 
   // Degree lower bounds per variable: the number of *distinct* out/in
@@ -31,14 +39,19 @@ CompiledPattern::CompiledPattern(const Pattern& q) : pattern_(q) {
     in_deg[v] = distinct(ins);
   }
 
-  // Greedy ordering: pivot first, then repeatedly pick the unbound variable
-  // with the most edges into the bound set (most constrained candidate
-  // generation). Pattern connectivity guarantees an anchor always exists.
+  // Greedy ordering: pivot first (then `second`, when given), then
+  // repeatedly pick the unbound variable with the most edges into the
+  // bound set (most constrained candidate generation). Pattern
+  // connectivity guarantees an anchor always exists.
   std::vector<bool> bound(n, false);
   std::vector<VarId> order;
   order.reserve(n);
   order.push_back(q.pivot());
   bound[q.pivot()] = true;
+  if (second != kNoVar) {
+    order.push_back(second);
+    bound[second] = true;
+  }
   while (order.size() < n) {
     VarId best = kNoVar;
     int best_score = -1;
@@ -121,6 +134,28 @@ CompiledPattern::CompiledPattern(const Pattern& q) : pattern_(q) {
 }
 
 template <typename GraphT>
+inline bool CompiledPattern::Extends(const GraphT& g, const Step& s,
+                                     NodeId cand, const Match& h) const {
+  // Cheapest filters first: one label load, two degree loads, then the
+  // injectivity scan, then per-check adjacency probes.
+  if (!LabelMatches(g.NodeLabel(cand), s.label)) return false;
+  if (g.OutDegree(cand) < s.min_out_deg || g.InDegree(cand) < s.min_in_deg) {
+    return false;
+  }
+  // Injectivity: patterns are tiny, so scanning h (its unbound slots
+  // hold kNoNode, which no candidate equals) beats a per-call |V|-sized
+  // bitset by orders of magnitude.
+  if (std::find(h.begin(), h.end(), cand) != h.end()) return false;
+  for (const auto& c : s.checks) {
+    NodeId other = (c.other == s.var) ? cand : h[c.other];
+    bool ok = c.out ? g.HasEdge(cand, other, c.label)
+                    : g.HasEdge(other, cand, c.label);
+    if (!ok) return false;
+  }
+  return true;
+}
+
+template <typename GraphT>
 bool CompiledPattern::Backtrack(
     const GraphT& g, size_t depth, Match& h,
     const std::function<bool(const Match&)>& on_match,
@@ -138,22 +173,7 @@ bool CompiledPattern::Backtrack(
       stop = true;
       return;
     }
-    // Cheapest filters first: one label load, two degree loads, then the
-    // injectivity scan, then per-check adjacency probes.
-    if (!LabelMatches(g.NodeLabel(cand), s.label)) return;
-    if (g.OutDegree(cand) < s.min_out_deg || g.InDegree(cand) < s.min_in_deg) {
-      return;
-    }
-    // Injectivity: patterns are tiny, so scanning h (its unbound slots
-    // hold kNoNode, which no candidate equals) beats a per-call |V|-sized
-    // bitset by orders of magnitude.
-    if (std::find(h.begin(), h.end(), cand) != h.end()) return;
-    for (const auto& c : s.checks) {
-      NodeId other = (c.other == s.var) ? cand : h[c.other];
-      bool ok = c.out ? g.HasEdge(cand, other, c.label)
-                      : g.HasEdge(other, cand, c.label);
-      if (!ok) return;
-    }
+    if (!Extends(g, s, cand, h)) return;
     h[s.var] = cand;
     Backtrack(g, depth + 1, h, on_match, opts, counters, stop);
     h[s.var] = kNoNode;
@@ -213,6 +233,36 @@ bool CompiledPattern::ForEachMatchAtPivot(
 }
 
 template <typename GraphT>
+bool CompiledPattern::ForEachMatchAtPair(
+    const GraphT& g, NodeId a, NodeId b,
+    const std::function<bool(const Match&)>& on_match,
+    const MatchOptions& opts, MatchCounters* counters) const {
+  assert(steps_.size() > 1);
+  MatchCounters local;
+  MatchCounters& ctr = counters ? *counters : local;
+  const Step& s0 = steps_[0];
+  const Step& s1 = steps_[1];
+  if (!AdmitsPivot(g, a)) return true;
+  for (const auto& c : s0.checks) {
+    if (!g.HasEdge(a, a, c.label)) return true;
+  }
+  Match h(pattern_.NumNodes(), kNoNode);
+  h[s0.var] = a;
+  // b skips the adjacency walk from a, so the anchor edge is probed too.
+  if (++ctr.steps > opts.max_steps) {
+    ctr.budget_exhausted = true;
+    return false;
+  }
+  const bool anchored = s1.anchor_out ? g.HasEdge(a, b, s1.anchor_label)
+                                      : g.HasEdge(b, a, s1.anchor_label);
+  if (!anchored || !Extends(g, s1, b, h)) return true;
+  h[s1.var] = b;
+  bool stop = false;
+  Backtrack(g, 2, h, on_match, opts, ctr, stop);
+  return !ctr.budget_exhausted;
+}
+
+template <typename GraphT>
 bool CompiledPattern::ForEachMatch(
     const GraphT& g, const std::function<bool(const Match&)>& on_match,
     const MatchOptions& opts, MatchCounters* counters) const {
@@ -260,6 +310,10 @@ std::vector<NodeId> CompiledPattern::PivotCandidates(const GraphT& g) const {
   template bool CompiledPattern::ForEachMatchAtPivot<GraphT>(                \
       const GraphT&, NodeId, const std::function<bool(const Match&)>&,       \
       const MatchOptions&, MatchCounters*) const;                            \
+  template bool CompiledPattern::ForEachMatchAtPair<GraphT>(                 \
+      const GraphT&, NodeId, NodeId,                                         \
+      const std::function<bool(const Match&)>&, const MatchOptions&,         \
+      MatchCounters*) const;                                                 \
   template bool CompiledPattern::ForEachMatch<GraphT>(                       \
       const GraphT&, const std::function<bool(const Match&)>&,               \
       const MatchOptions&, MatchCounters*) const;                            \

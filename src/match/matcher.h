@@ -12,7 +12,8 @@
 // The matcher compiles a pattern once into a variable ordering rooted at
 // the pivot (exploiting the data locality of Section 4.1: all matched nodes
 // lie within the pattern radius of the pivot), then backtracks per pivot
-// candidate. All discovery-side queries -- supp(Q,G), Q(G,Xl,z),
+// candidate -- or, for a pair-rooted plan, per (pivot, second variable)
+// node pair. All discovery-side queries -- supp(Q,G), Q(G,Xl,z),
 // validation -- are phrased as per-pivot callbacks with early exit.
 //
 // Enumeration is generic over the graph type: any type exposing the
@@ -55,13 +56,27 @@ struct MatchCounters {
 
 /// A pattern compiled into a pivot-rooted search plan. Reusable across any
 /// number of graphs/pivots; immutable after construction.
+///
+/// A plan binds the pivot first and then one variable per step, each
+/// adjacent to one already bound. A pair-rooted plan fixes the second
+/// step too: compiled with `second`, a neighbour of the pivot, it binds
+/// that variable right after the pivot, so ForEachMatchAtPair can pin
+/// both ends of one pattern edge -- the incremental step diff's work
+/// unit for a changed edge (detect/engine.h).
 class CompiledPattern {
  public:
   /// Precondition: q.IsConnected() (discovery only spawns connected
-  /// patterns). Disconnected patterns are rejected with an assert.
-  explicit CompiledPattern(const Pattern& q);
+  /// patterns). Disconnected patterns are rejected with an assert. When
+  /// `second` is not kNoVar it must be adjacent to, and differ from,
+  /// q.pivot(); it is then bound second, and the rest keep the greedy
+  /// order.
+  explicit CompiledPattern(const Pattern& q, VarId second = kNoVar);
 
   const Pattern& pattern() const { return pattern_; }
+
+  /// The variable the plan binds right after the pivot (kNoVar for a
+  /// one-variable pattern).
+  VarId SecondVar() const { return steps_.size() > 1 ? steps_[1].var : kNoVar; }
 
   /// Enumerates matches with h(pivot) = v. The callback returns false to
   /// stop early (within this pivot). Returns false iff the step budget was
@@ -70,6 +85,18 @@ class CompiledPattern {
   template <typename GraphT>
   bool ForEachMatchAtPivot(
       const GraphT& g, NodeId v,
+      const std::function<bool(const Match&)>& on_match,
+      const MatchOptions& opts = {}, MatchCounters* counters = nullptr) const;
+
+  /// Enumerates the matches with h(pivot) = a and h(SecondVar()) = b.
+  /// Since b is not reached through an adjacency walk, every pattern edge
+  /// between the two variables is probed on `g`, the one the plan would
+  /// have walked included, so an edge absent from this graph admits no
+  /// match. Precondition: the pattern has at least two variables.
+  /// Callback semantics and return value as ForEachMatchAtPivot.
+  template <typename GraphT>
+  bool ForEachMatchAtPair(
+      const GraphT& g, NodeId a, NodeId b,
       const std::function<bool(const Match&)>& on_match,
       const MatchOptions& opts = {}, MatchCounters* counters = nullptr) const;
 
@@ -117,6 +144,15 @@ class CompiledPattern {
     uint32_t min_in_deg;
   };
 
+  // Whether `cand` may be bound at step `s` given the partial match h:
+  // its label and degree bounds, injectivity, and the step's checks.
+  // The step's anchor edge is not probed: the adjacency walk that
+  // produced `cand` already holds it. The matcher's hottest code, run
+  // per candidate, so it is inlined into both of its callers.
+  template <typename GraphT>
+  [[gnu::always_inline]] bool Extends(const GraphT& g, const Step& s,
+                                      NodeId cand, const Match& h) const;
+
   template <typename GraphT>
   bool Backtrack(const GraphT& g, size_t depth, Match& h,
                  const std::function<bool(const Match&)>& on_match,
@@ -134,6 +170,13 @@ extern template bool CompiledPattern::ForEachMatchAtPivot<PropertyGraph>(
     const MatchOptions&, MatchCounters*) const;
 extern template bool CompiledPattern::ForEachMatchAtPivot<GraphView>(
     const GraphView&, NodeId, const std::function<bool(const Match&)>&,
+    const MatchOptions&, MatchCounters*) const;
+extern template bool CompiledPattern::ForEachMatchAtPair<PropertyGraph>(
+    const PropertyGraph&, NodeId, NodeId,
+    const std::function<bool(const Match&)>&, const MatchOptions&,
+    MatchCounters*) const;
+extern template bool CompiledPattern::ForEachMatchAtPair<GraphView>(
+    const GraphView&, NodeId, NodeId, const std::function<bool(const Match&)>&,
     const MatchOptions&, MatchCounters*) const;
 extern template bool CompiledPattern::ForEachMatch<PropertyGraph>(
     const PropertyGraph&, const std::function<bool(const Match&)>&,

@@ -8,6 +8,7 @@
 #ifndef GFD_PARALLEL_CLUSTER_H_
 #define GFD_PARALLEL_CLUSTER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -45,17 +46,23 @@ struct ClusterStats {
 /// Master + n workers executing barrier-synchronized steps.
 class Cluster {
  public:
+  /// Worker 0 is the calling thread of each step, so the pool holds one
+  /// thread per other worker: a one-worker cluster starts none.
   explicit Cluster(size_t workers)
-      : pool_(workers), workers_(workers) {}
+      : pool_(std::max<size_t>(workers, 1) - 1), workers_(workers) {}
 
   size_t num_workers() const { return workers_; }
 
   /// Runs fn(worker_id) on every worker and waits for all (one BSP step).
-  /// Worker 0 runs on the calling thread (ParallelFor), so a step does
-  /// not wait out a pool thread's wake-up for it, and a one-worker
-  /// cluster runs every step inline.
+  /// Worker 0 runs on the calling thread, so a step does not wait out a
+  /// pool thread's wake-up for it, and a one-worker cluster runs every
+  /// step inline; workers 1.. go to the pool, one task each.
   void RunStep(const std::function<void(size_t)>& fn) {
-    ParallelFor(pool_, workers_, fn);
+    for (size_t w = 1; w < workers_; ++w) {
+      pool_.Submit([&fn, w] { fn(w); });
+    }
+    if (workers_ > 0) fn(0);
+    pool_.Wait();
   }
 
   /// Accounts a point-to-point shipment of `count` items of size

@@ -270,8 +270,9 @@ std::vector<Violation> MergeSorted(std::vector<std::vector<Violation>> parts) {
 
 void AddStats(IncrementalStats* into, const IncrementalStats& s) {
   into->affected_nodes += s.affected_nodes;
-  into->anchor_plans += s.anchor_plans;
-  into->anchors_scanned += s.anchors_scanned;
+  into->write_units += s.write_units;
+  into->edge_units += s.edge_units;
+  into->roots_scanned += s.roots_scanned;
   into->matches_seen += s.matches_seen;
   into->literal_evals += s.literal_evals;
   into->violations_before += s.violations_before;
@@ -426,6 +427,8 @@ bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
                   {{"seq", seq},
                    {"fragment", f},
                    {"anchors", seeds.size()},
+                   {"write_units", sides->stats.write_units},
+                   {"edge_units", sides->stats.edge_units},
                    {"matches", sides->stats.matches_seen}},
                   static_cast<int64_t>(sides->detect_ns));
     }

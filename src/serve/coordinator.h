@@ -52,11 +52,13 @@
 // are picked on the master's pre-batch global view; each goes to exactly
 // one fragment whose views before and after the batch hold the anchor's
 // pattern-radius ball, the most expensive first to the least-loaded such
-// fragment (the owner always qualifies). Attribution is a stateless
-// function of the match and the batch's whole anchor set, and a seed's
-// fragment enumerates every match through it, so the per-fragment step
-// diffs partition the global one whatever the assignment, and the
-// master merges them with a plain sorted merge.
+// fragment (the owner always qualifies). A seed carries its write units
+// -- the batch's writes at it -- plus the edge units of the changed keys
+// anchored at it, and its fragment enumerates every match through it.
+// Attribution is a stateless function of the match and the batch's whole
+// footprint, so the per-fragment step diffs partition the global one
+// whatever the assignment, and the master merges them with a plain
+// sorted merge.
 //
 // Recovery, compaction and the running violation count are the master's:
 // Open is GraphStore::Open, then the partition from coordinator.meta,
@@ -183,10 +185,11 @@ class Coordinator final : public ServingStore {
   /// The distributed serving step: Append plus the violation diff
   /// induced by exactly this batch. Each fragment runs DetectStep around
   /// its sub-batch on its partition+halo view, seeded from the batch
-  /// anchors the master planned for it (each anchor at one fragment); the
+  /// anchors the master planned for it (each anchor at one fragment, with
+  /// its write units and the edge units of the keys anchored at it); the
   /// master merges the per-fragment added and removed lists (disjoint,
-  /// since the seeds partition the anchors), which equals single-node
-  /// GraphStore AppendAndDiff record for record.
+  /// since the seeds partition the units' roots), which equals
+  /// single-node GraphStore AppendAndDiff record for record.
   /// Errors out (before any shipping) when the engine's MaxPatternRadius
   /// exceeds the partition's halo radius.
   std::optional<IncrementalDiff> AppendAndDiff(

@@ -371,6 +371,8 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   if (seq_out) *seq_out = *seq;
   detect_timer.AddField("seq", *seq);
   detect_timer.AddField("anchors", fp.anchors.size());
+  detect_timer.AddField("write_units", sides->stats.write_units);
+  detect_timer.AddField("edge_units", sides->stats.edge_units);
   detect_timer.AddField("matches", sides->stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});

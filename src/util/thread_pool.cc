@@ -5,7 +5,6 @@
 namespace gfd {
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -22,6 +21,10 @@ ThreadPool::~ThreadPool() {
 }
 
 bool ThreadPool::Submit(std::function<void()> task) {
+  if (threads_.empty()) {  // no worker: the caller runs it
+    task();
+    return true;
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     // A task accepted after shutdown would sit in the queue forever
@@ -63,7 +66,7 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  const size_t workers = std::min(pool.size(), n);
+  const size_t workers = std::clamp<size_t>(pool.size(), 1, n);
   const size_t chunk = (n + workers - 1) / workers;
   // Chunks 1.. go to the pool; the caller runs chunk 0 meanwhile, so a
   // balanced loop does not wait out the last worker's wake-up, and a

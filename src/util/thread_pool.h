@@ -18,6 +18,8 @@ namespace gfd {
 ///
 /// Lifecycle: construct with n threads, Submit() any number of tasks,
 /// Wait() for quiescence (all submitted tasks finished), destruct to join.
+/// A pool of zero threads starts none and runs each task inside Submit,
+/// on the calling thread.
 ///
 /// Shutdown: the destructor marks the pool shut down, drains every task
 /// already accepted, and joins. A Submit that races shutdown -- legal
@@ -60,8 +62,8 @@ class ThreadPool {
 /// Work is split into contiguous chunks, one per worker, to keep
 /// scheduling overhead negligible for small bodies. The calling thread
 /// runs the first chunk itself (indices [0, ceil(n / workers))) while
-/// the pool runs the rest, so a loop of one chunk -- n == 1, or a
-/// one-thread pool -- runs entirely on the caller.
+/// the pool runs the rest, so a loop of one chunk -- n == 1, or a pool
+/// of at most one thread -- runs entirely on the caller.
 void ParallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

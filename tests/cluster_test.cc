@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "core/config.h"
 #include "core/generation_tree.h"
@@ -32,6 +36,51 @@ TEST(Cluster, OneWorkerRunsEveryStepOnTheCaller) {
     });
     EXPECT_EQ(ran, std::this_thread::get_id());
   }
+}
+
+// A step runs all n workers at once: the caller as worker 0 and n - 1
+// pool threads. Each worker waits until every other one has arrived, so
+// a step short of a thread would give up here instead of finishing.
+TEST(Cluster, StepRunsEveryWorkerAtOnce) {
+  constexpr size_t kWorkers = 4;
+  Cluster c(kWorkers);
+  std::atomic<size_t> arrived{0};
+  std::vector<char> met(kWorkers, 0);
+  std::vector<std::thread::id> ids(kWorkers);
+  c.RunStep([&](size_t w) {
+    arrived.fetch_add(1);
+    WallTimer t;
+    while (arrived.load() < kWorkers && t.Seconds() < 10) {
+      std::this_thread::yield();
+    }
+    met[w] = arrived.load() == kWorkers;
+    ids[w] = std::this_thread::get_id();
+  });
+  for (size_t w = 0; w < kWorkers; ++w) EXPECT_TRUE(met[w]) << "worker " << w;
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+// Worker 0 is the caller, so a cluster of n workers starts n - 1
+// threads and a one-worker cluster none (counted in /proc/self/task).
+TEST(Cluster, StartsOneThreadPerWorkerBeyondTheCaller) {
+  auto threads = [] {
+    std::error_code ec;
+    size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec)) {
+      ++n;
+    }
+    return n;
+  };
+  const size_t base = threads();
+  if (base == 0) GTEST_SKIP() << "no /proc/self/task to count threads in";
+  for (size_t n : {1, 2, 4}) {
+    Cluster c(n);
+    EXPECT_EQ(threads(), base + n - 1) << n << " worker(s)";
+  }
+  EXPECT_EQ(threads(), base);
 }
 
 TEST(Cluster, ShipmentAccounting) {

@@ -51,6 +51,7 @@ namespace fs = std::filesystem;
 using gfd::testing::BuildHubStar;
 using gfd::testing::kLeafFollowsHub;
 using gfd::testing::SameTeamRule;
+using gfd::testing::TangledBatch;
 
 // Fresh per-test scratch directory under gtest's temp root.
 std::string Scratch(const std::string& name) {
@@ -172,22 +173,14 @@ void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
 
 // --- Fragment-scoped step seeds ---------------------------------------------
 
-// One step over the whole graph, seeded per owner: the owners' step
-// diffs must partition the store-wide step diff, which in turn equals
-// the diff of two full Detect runs.
-TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
-  auto g = MakeSynthetic({.nodes = 200,
-                          .edges = 600,
-                          .node_labels = 5,
-                          .edge_labels = 4,
-                          .attrs = 3,
-                          .values = 15,
-                          .value_correlation = 0.9,
-                          .seed = 42});
-  auto rules = GenerateGfdSet(g, {.count = 12, .k = 3, .seed = 7});
-  ViolationEngine engine(rules);
-  Rng rng(99);
-  GraphDelta d = RandomBatch(g, rng, 40);
+// Runs the step of `d` on `g` whole, and again per fragment at 1, 2, 4
+// and 8 fragments -- seeded by owner, then as the master's planner
+// places the anchors: the fragments' step diffs, enumerated matches and
+// scanned roots must partition the whole step's, whose diff equals the
+// diff of two full Detect runs.
+void ExpectFragmentSeedsPartition(const PropertyGraph& g,
+                                  const ViolationEngine& engine,
+                                  const GraphDelta& d) {
   const BatchFootprint fp =
       BatchFootprint::Of(d.ops, *GraphView::Apply(g, GraphDelta{}));
   // Runs the step from a fresh live view of `g`, anchored at `seeds`.
@@ -210,6 +203,7 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
                       std::back_inserter(want_removed));
   EXPECT_EQ(full.added, want_added);
   EXPECT_EQ(full.removed, want_removed);
+  EXPECT_GT(full.stats.edge_units, 0u);
 
   // Seeds per fragment -- by owner, then as the master's planner places
   // them -- must partition the anchors, and their step diffs the full one.
@@ -217,10 +211,13 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
                               const std::string& what) {
     std::vector<NodeId> all;
     std::vector<Violation> added, removed;
+    uint64_t matches = 0, roots = 0;
     for (const std::vector<NodeId>& part_seeds : seeds) {
       EXPECT_TRUE(std::is_sorted(part_seeds.begin(), part_seeds.end()));
       all.insert(all.end(), part_seeds.begin(), part_seeds.end());
       auto part = step(part_seeds);
+      matches += part.stats.matches_seen;
+      roots += part.stats.roots_scanned;
       // Disjoint by attribution: plain merges reproduce the full diff.
       std::vector<Violation> merged;
       std::merge(added.begin(), added.end(), part.added.begin(),
@@ -235,6 +232,9 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
     EXPECT_EQ(all, fp.anchors) << what;  // each anchor exactly once
     EXPECT_EQ(added, full.added) << what;
     EXPECT_EQ(removed, full.removed) << what;
+    // Each unit root at one fragment, each match evaluated at one.
+    EXPECT_EQ(matches, full.stats.matches_seen) << what;
+    EXPECT_EQ(roots, full.stats.roots_scanned) << what;
     // No duplicates slipped through the merge.
     EXPECT_TRUE(std::adjacent_find(added.begin(), added.end()) == added.end());
   };
@@ -257,6 +257,33 @@ TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
     index->PlanSeeds(live, d, fp.anchors, radius, &plan);
     ASSERT_EQ(plan.seeds.size(), n);
     expect_partition(plan.seeds, std::to_string(n) + " fragments, planned");
+  }
+}
+
+// One step over the whole graph, seeded per fragment: for a random
+// batch and for a tangled one (2-paths deleted whole, a parallel copy, a
+// write at an edge op's endpoint, a self-loop), both with edge units.
+TEST(DetectStep, FragmentSeedsPartitionTheStepDiff) {
+  auto g = MakeSynthetic({.nodes = 200,
+                          .edges = 600,
+                          .node_labels = 5,
+                          .edge_labels = 4,
+                          .attrs = 3,
+                          .values = 15,
+                          .value_correlation = 0.9,
+                          .seed = 42});
+  auto rules = GenerateGfdSet(g, {.count = 12, .k = 3, .seed = 7});
+  ViolationEngine engine(rules);
+  Rng rng(99);
+  const GraphDelta random = RandomBatch(g, rng, 40);
+  const GraphDelta tangled = TangledBatch(g, rng, 6);
+  {
+    SCOPED_TRACE("random batch");
+    ExpectFragmentSeedsPartition(g, engine, random);
+  }
+  {
+    SCOPED_TRACE("tangled batch");
+    ExpectFragmentSeedsPartition(g, engine, tangled);
   }
 }
 

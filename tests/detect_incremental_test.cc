@@ -23,6 +23,7 @@ namespace {
 using gfd::testing::BuildHubStar;
 using gfd::testing::kLeafFollowsHub;
 using gfd::testing::SameTeamRule;
+using gfd::testing::TangledBatch;
 
 // person x0 -create-> product x1, x1.type='film' -> x0.type='producer'
 // over a tiny world with one proper producer and one clean musician.
@@ -86,7 +87,7 @@ TEST(DetectIncremental, EmptyDeltaProducesEmptyDiff) {
   EXPECT_TRUE(diff.added.empty());
   EXPECT_TRUE(diff.removed.empty());
   EXPECT_EQ(diff.stats.affected_nodes, 0u);
-  EXPECT_EQ(diff.stats.anchors_scanned, 0u);
+  EXPECT_EQ(diff.stats.roots_scanned, 0u);
 }
 
 TEST(DetectIncremental, InsertedEdgeAddsAViolation) {
@@ -244,8 +245,10 @@ TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
   size_t workers = 1 + seed % 3;
 
   PropertyGraph current = g;
-  for (int round = 0; round < 2; ++round) {  // repeated delta application
-    GraphDelta d = RandomDelta(current, rng, 10 + rng.Below(20));
+  // Repeated delta application; the last round is a tangled batch.
+  for (int round = 0; round < 3; ++round) {
+    GraphDelta d = round < 2 ? RandomDelta(current, rng, 10 + rng.Below(20))
+                             : TangledBatch(current, rng, 4);
     std::string error;
     auto view = GraphView::Apply(current, d, &error);
     ASSERT_TRUE(view.has_value()) << error;
@@ -368,6 +371,210 @@ TEST(BatchFootprint, AnchorsEachEdgeOpAtItsLowerDegreeEndpoint) {
   EXPECT_EQ(fp.anchors, (std::vector<NodeId>{0, 1, 2, 4}));
   EXPECT_EQ(fp.rewired, (std::vector<NodeId>{0, 1, 2, 3, 4}));
   EXPECT_EQ(fp.keys, (std::vector<AttrId>{team}));
+  EXPECT_EQ(fp.writes, (std::vector<BatchFootprint::Write>{{0, team}}));
+  const std::vector<BatchFootprint::EdgeKey> keys{
+      {2, 0, follows, 2}, {3, 1, follows, 1}, {4, 0, follows, 4}};
+  EXPECT_EQ(fp.edges, keys);
+  EXPECT_TRUE(fp.Wrote(0, team));
+  EXPECT_FALSE(fp.Wrote(1, team));
+  EXPECT_TRUE(fp.Changed(3, 1, follows));
+  EXPECT_TRUE(fp.Changed(3, 1, kWildcardLabel));
+  EXPECT_FALSE(fp.Changed(1, 3, follows));  // keys are directed
+  EXPECT_FALSE(fp.Changed(3, 1, *g.FindLabel("likes")));
+}
+
+// --- Attribution of a step's units -----------------------------------------
+
+// Three disjoint 2-paths a -e-> b -e-> c whose ends disagree on `k`, and
+// a rule over the path that the disagreement violates.
+PropertyGraph BuildPaths() {
+  PropertyGraph::Builder b;
+  for (int i = 0; i < 3; ++i) {
+    NodeId a = b.AddNode("n");
+    NodeId mid = b.AddNode("n");
+    NodeId c = b.AddNode("n");
+    b.SetAttr(a, "k", "left");
+    b.SetAttr(c, "k", "right");
+    b.AddEdge(a, mid, "e");
+    b.AddEdge(mid, c, "e");
+  }
+  return std::move(b).Build();
+}
+
+Gfd PathRule(const PropertyGraph& g) {
+  Pattern q;
+  VarId x = q.AddNode(*g.FindLabel("n"));
+  VarId y = q.AddNode(*g.FindLabel("n"));
+  VarId z = q.AddNode(*g.FindLabel("n"));
+  q.AddEdge(x, y, *g.FindLabel("e"));
+  q.AddEdge(y, z, *g.FindLabel("e"));
+  q.set_pivot(x);
+  AttrId k = *g.FindAttr("k");
+  return Gfd(q, {}, Literal::Vars(x, k, z, k));
+}
+
+// A match that maps two pattern edges onto changed keys is evaluated at
+// the lower one only: deleting both edges of every path removes each
+// path's violation exactly once, from one evaluated match per path.
+TEST(DetectIncremental, PathDeletesReportEachRemovedViolationOnce) {
+  const PropertyGraph g = BuildPaths();
+  ViolationEngine engine({PathRule(g)});
+  ASSERT_EQ(engine.Detect(g).violations.size(), 3u);
+  GraphDelta d;
+  const LabelId e = *g.FindLabel("e");
+  for (NodeId a = 0; a < 9; a += 3) {
+    d.DeleteEdge(a, a + 1, e);
+    d.DeleteEdge(a + 1, a + 2, e);
+  }
+  auto diff = Diff(engine, g, d);
+  auto [added, removed] =
+      FullDiff(engine, g, GraphView::Apply(g, d)->Materialize());
+  EXPECT_TRUE(diff.added.empty());
+  EXPECT_EQ(diff.removed, removed);
+  EXPECT_EQ(diff.removed.size(), 3u);
+  EXPECT_EQ(diff.stats.matches_seen, 3u);
+  EXPECT_EQ(diff.stats.write_units, 0u);
+  EXPECT_EQ(diff.stats.edge_units, 2u);
+}
+
+// A match binding a written node and a changed key is evaluated once, at
+// the write: Musician starts creating the film and loses the producer
+// type in one batch.
+TEST(DetectIncremental, AMatchThroughAWriteAndAChangedKeyIsEvaluatedOnce) {
+  auto g = BuildWorld();
+  ViolationEngine engine({FilmRule(g)});
+  GraphDelta d;
+  d.InsertEdge(1, 2, *g.FindLabel("create"));
+  d.SetAttr(1, *g.FindAttr("type"), *g.FindValue("film"));
+  auto diff = Diff(engine, g, d);
+  auto [added, removed] =
+      FullDiff(engine, g, GraphView::Apply(g, d)->Materialize());
+  EXPECT_EQ(diff.added, added);
+  EXPECT_EQ(diff.removed, removed);
+  ASSERT_EQ(diff.added.size(), 1u);
+  EXPECT_EQ(diff.added[0].match, (Match{1, 2}));
+  // Musician's one match before (to the album) and two after.
+  EXPECT_EQ(diff.stats.matches_seen, 3u);
+}
+
+// A second copy of an existing edge changes no match: the step evaluates
+// the matches over its key on both sides, and they cancel.
+TEST(DetectIncremental, AParallelCopyOfAnEdgeAddsNothing) {
+  auto g = BuildWorld();
+  ViolationEngine engine({FilmRule(g)});
+  GraphDelta d;
+  d.InsertEdge(0, 2, *g.FindLabel("create"));  // Producer0 -> film again
+  d.InsertEdge(1, 3, *g.FindLabel("create"));  // Musician -> album again
+  auto diff = Diff(engine, g, d);
+  EXPECT_TRUE(diff.added.empty());
+  EXPECT_TRUE(diff.removed.empty());
+  EXPECT_EQ(diff.stats.matches_seen, 4u);
+}
+
+// Accounts that pay themselves: a self-loop pattern edge over inserted
+// and deleted self-loops, in a one-variable pattern and beside another
+// edge.
+TEST(DetectIncremental, SelfLoopPatternEdgesFollowChangedSelfLoops) {
+  PropertyGraph::Builder b;
+  const NodeId a = b.AddNode("acct");
+  const NodeId c = b.AddNode("acct");
+  const NodeId d = b.AddNode("acct");
+  b.SetAttr(a, "risk", "low");
+  b.SetAttr(c, "risk", "low");
+  b.SetAttr(d, "risk", "high");
+  b.AddEdge(a, a, "pays");
+  b.AddEdge(a, d, "pays");
+  b.AddEdge(c, d, "pays");
+  b.AddEdge(d, d, "owes");
+  const PropertyGraph g = std::move(b).Build();
+  const LabelId acct = *g.FindLabel("acct");
+  const LabelId pays = *g.FindLabel("pays");
+  const AttrId risk = *g.FindAttr("risk");
+  Pattern loop;  // x -pays-> x
+  VarId x = loop.AddNode(acct);
+  loop.AddEdge(x, x, pays);
+  loop.set_pivot(x);
+  Pattern loop_and_pay = loop;  // x -pays-> x, x -pays-> y
+  VarId y = loop_and_pay.AddNode(acct);
+  loop_and_pay.AddEdge(x, y, pays);
+  const Gfd low_risk(loop, {}, Literal::Const(x, risk, *g.FindValue("low")));
+  const Gfd same_risk(loop_and_pay, {}, Literal::Vars(x, risk, y, risk));
+  ViolationEngine engine({low_risk, same_risk});
+
+  GraphDelta delta;
+  delta.DeleteEdge(a, a, pays);
+  delta.InsertEdge(c, c, pays);
+  delta.InsertEdge(d, d, pays);
+  auto diff = Diff(engine, g, delta);
+  auto [added, removed] =
+      FullDiff(engine, g, GraphView::Apply(g, delta)->Materialize());
+  EXPECT_EQ(diff.added, added);
+  EXPECT_EQ(diff.removed, removed);
+  // d now pays itself with high risk; c pays d.
+  EXPECT_EQ(diff.added.size(), 2u);
+  // a no longer pays itself, so its payment to d no longer violates.
+  EXPECT_EQ(diff.removed.size(), 1u);
+}
+
+// person x -create-> product y, y.genre = drama -> x.type = producer:
+// `genre` is read at y only.
+Gfd DramaRule(const PropertyGraph& g) {
+  Pattern q;
+  VarId x = q.AddNode(*g.FindLabel("person"));
+  VarId y = q.AddNode(*g.FindLabel("product"));
+  q.AddEdge(x, y, *g.FindLabel("create"));
+  q.set_pivot(x);
+  const Literal drama =
+      Literal::Const(y, *g.FindAttr("genre"), *g.FindValue("drama"));
+  const Literal producer =
+      Literal::Const(x, *g.FindAttr("type"), *g.FindValue("producer"));
+  return Gfd(q, {drama}, producer);
+}
+
+PropertyGraph BuildDramaWorld() {
+  PropertyGraph::Builder b;
+  NodeId p = b.AddNode("person");
+  b.SetName(p, "Musician");
+  b.SetAttr(p, "type", "musician");
+  NodeId f = b.AddNode("product");
+  b.SetAttr(f, "genre", "comedy");
+  b.InternValue("drama");
+  b.InternValue("producer");
+  b.AddEdge(p, f, "create");
+  return std::move(b).Build();
+}
+
+// A write roots work only where some member reads its key: `genre` set
+// at a person passes the group's footprint gate but enumerates nothing.
+// Written beside a read write on one match, it does not take the match
+// from the variable that reads it.
+TEST(DetectIncremental, AWriteNoMemberReadsThereEnumeratesNothing) {
+  const PropertyGraph g = BuildDramaWorld();
+  ViolationEngine engine({DramaRule(g)});
+  const AttrId genre = *g.FindAttr("genre");
+  {
+    GraphDelta d;
+    d.SetAttr(0, genre, *g.FindValue("drama"));  // the person
+    auto diff = Diff(engine, g, d);
+    EXPECT_EQ(diff.stats.groups_scanned, 1u);
+    EXPECT_EQ(diff.stats.write_units, 0u);
+    EXPECT_EQ(diff.stats.roots_scanned, 0u);
+    EXPECT_EQ(diff.stats.matches_seen, 0u);
+    EXPECT_TRUE(diff.added.empty());
+  }
+  {
+    GraphDelta d;
+    d.SetAttr(0, genre, *g.FindValue("drama"));  // read at no variable
+    d.SetAttr(1, genre, *g.FindValue("drama"));  // read at y
+    auto diff = Diff(engine, g, d);
+    auto [added, removed] =
+        FullDiff(engine, g, GraphView::Apply(g, d)->Materialize());
+    EXPECT_EQ(diff.added, added);
+    EXPECT_EQ(diff.removed, removed);
+    EXPECT_EQ(diff.added.size(), 1u);
+    EXPECT_EQ(diff.stats.write_units, 1u);
+    EXPECT_EQ(diff.stats.matches_seen, 2u);
+  }
 }
 
 // The one-shot diff anchors an edge op the way a serving step does: an

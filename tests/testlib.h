@@ -210,6 +210,43 @@ inline GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops) {
   return d;
 }
 
+/// A batch of the cases a step's attribution must get right: both edges
+/// of up to `paths` 2-paths a -> b -> c deleted, a parallel copy of a
+/// live edge inserted, an edge inserted from a node whose attribute is
+/// also written, and a self-loop inserted.
+inline GraphDelta TangledBatch(const PropertyGraph& g, Rng& rng,
+                               size_t paths) {
+  GraphDelta d;
+  std::vector<bool> gone(g.NumEdges(), false);
+  auto pick = [&] { return static_cast<EdgeId>(rng.Below(g.NumEdges())); };
+  for (size_t tries = 0, taken = 0; taken < paths && tries < 50 * paths;
+       ++tries) {
+    const EdgeId in = pick();
+    if (gone[in]) continue;
+    for (EdgeId out : g.OutEdges(g.EdgeDst(in))) {
+      if (out == in || gone[out]) continue;
+      gone[in] = gone[out] = true;
+      d.DeleteEdge(g.EdgeSrc(in), g.EdgeDst(in), g.EdgeLabel(in));
+      d.DeleteEdge(g.EdgeSrc(out), g.EdgeDst(out), g.EdgeLabel(out));
+      ++taken;
+      break;
+    }
+  }
+  const EdgeId copy = pick();
+  d.InsertEdge(g.EdgeSrc(copy), g.EdgeDst(copy), g.EdgeLabel(copy));
+  const EdgeId from = pick();
+  const NodeId v = g.EdgeSrc(from);
+  d.InsertEdge(v, static_cast<NodeId>(rng.Below(g.NumNodes())),
+               g.EdgeLabel(from));
+  if (!g.NodeAttrs(v).empty()) {
+    d.SetAttr(v, g.NodeAttrs(v)[0].key,
+              static_cast<ValueId>(rng.Below(g.values().size())));
+  }
+  const NodeId loop = static_cast<NodeId>(rng.Below(g.NumNodes()));
+  d.InsertEdge(loop, loop, g.EdgeLabel(pick()));
+  return d;
+}
+
 /// Coordinator directories in the layouts older builds wrote, under
 /// tests/data (README.md there says how each was made).
 inline constexpr const char* kOlderLayouts[] = {

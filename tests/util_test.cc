@@ -182,13 +182,24 @@ TEST(ThreadPool, WaitIsReusable) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
+// A zero-thread pool starts no thread: Submit runs the task on the
+// caller, and a ParallelFor over it never leaves the caller.
+TEST(ThreadPool, ZeroThreadsRunTasksOnTheCaller) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), 0u);
   std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
+  std::thread::id ran;
+  EXPECT_TRUE(pool.Submit([&] {
+    count.fetch_add(1);
+    ran = std::this_thread::get_id();
+  }));
+  EXPECT_EQ(count.load(), 1);  // before any Wait
+  EXPECT_EQ(ran, std::this_thread::get_id());
   pool.Wait();
-  EXPECT_EQ(count.load(), 1);
+  std::vector<std::thread::id> ids(7);
+  ParallelFor(pool, ids.size(),
+              [&](size_t i) { ids[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ids) EXPECT_EQ(id, ran);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

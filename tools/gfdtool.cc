@@ -619,11 +619,13 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
                 DescribeViolation(removed_graph, engine.rules(), v).c_str());
   }
   std::fprintf(stderr,
-               "incremental: +%zu -%zu violation(s) in %.3fs: %lu anchor "
-               "enumerations over %zu plans, %lu touched matches\n",
+               "incremental: +%zu -%zu violation(s) in %.3fs: %zu anchor(s), "
+               "%zu write unit(s) + %zu edge unit(s) over %lu root(s), %lu "
+               "touched matches\n",
                diff.added.size(), diff.removed.size(), seconds,
-               static_cast<unsigned long>(diff.stats.anchors_scanned),
-               diff.stats.anchor_plans,
+               diff.stats.affected_nodes, diff.stats.write_units,
+               diff.stats.edge_units,
+               static_cast<unsigned long>(diff.stats.roots_scanned),
                static_cast<unsigned long>(diff.stats.matches_seen));
   DeltaVerdict verdict = ClassifyDelta(diff, post_count);
   std::fprintf(stderr, "verdict: %s (%llu violation(s) by counter)\n",
