@@ -1,20 +1,17 @@
-// Distributed serving smoke bench, run as a ctest entry on every CI
-// build next to bench_delta_log: times the coordinator's merged-diff
-// serving step (validation + routed shipping + per-fragment incremental
-// detection + master-side merge) against fragment counts {1, 2, 4, 8} on
-// a YAGO2-shaped graph at scale 300; the fragment step on a bulk stream
-// in perfbench's ingest_bulk shape (step_104x75_f{1,2,4,8}, with the
-// skew of the fragments' enumerated matches); the single store's step on
-// a stream in perfbench's ingest_trickle shape (step_332x8_single, every
-// diff checked against full Detect runs); and the coordinator's Open
-// after the bulk stream (open_104x75_f4_x4). Records, per fragment count, the
-// bytes shipped per batch through the Cluster ledger split into routed
-// owned-op traffic vs border-halo maintenance, and the storage footprint
-// of vertex-cut sharding: resident edges per fragment and the measured
-// replication factor (sum of fragment edges / |E|), which stays a small
-// constant instead of the fragment count. Every per-batch merged diff is
-// verified byte-identical to single-node GraphStore AppendAndDiff over
-// the same payload stream. Timings land in BENCH_distributed.json.
+// Distributed serving bench, run as a ctest entry on every CI build next
+// to bench_delta_log. On a bulk stream in perfbench's ingest_bulk shape
+// it times the single store's step (step_104x75_single) and the
+// coordinator's at fragment counts {1, 2, 4, 8} (step_104x75_f*, with the
+// skew of the fragments' evaluated matches and the residency footprint:
+// the edges inside each fragment's mask and the measured replication,
+// their sum over |E| -- what fragments holding their masks would store,
+// a small constant rather than the fragment count, while the process
+// stores the graph once). It also times the single store's step on a
+// stream in perfbench's ingest_trickle shape (step_332x8_single, every
+// diff checked against full Detect runs) and the coordinator's Open after
+// the bulk stream (open_104x75_f4_x4). Every coordinator diff is verified
+// byte-identical to the single store's. Timings land in
+// BENCH_distributed.json.
 //
 // Usage: bench_distributed [output.json]
 #include <algorithm>
@@ -23,7 +20,6 @@
 #include <iterator>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -31,14 +27,11 @@
 #include "datagen/kb.h"
 #include "datagen/noise.h"
 #include "detect/engine.h"
-#include "detect/metrics.h"
 #include "graph/graph_view.h"
 #include "graph/loader.h"
-#include "pattern/canonical.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
-#include "util/hash.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -74,31 +67,6 @@ void WriteJson(const char* path, const std::vector<Row>& rows) {
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-}
-
-// Same serving-shaped workload as bench_incremental: the largest pattern
-// groups of a mined cover, up to `per_group` literal variants each.
-std::vector<Gfd> BuildWorkload(const PropertyGraph& g, size_t max_groups,
-                               size_t per_group) {
-  auto cfg = ScaledConfig(g);
-  auto all = SeqDis(g, cfg).AllGfds();
-  std::unordered_map<std::vector<uint32_t>, std::vector<size_t>, VecHash>
-      by_code;
-  for (size_t i = 0; i < all.size(); ++i) {
-    by_code[CanonicalCode(all[i].pattern, /*fix_pivot=*/true)].push_back(i);
-  }
-  std::vector<std::vector<size_t>> groups;
-  for (auto& [code, members] : by_code) groups.push_back(std::move(members));
-  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
-    return a.size() != b.size() ? a.size() > b.size() : a[0] < b[0];
-  });
-  std::vector<Gfd> rules;
-  for (size_t gi = 0; gi < groups.size() && gi < max_groups; ++gi) {
-    for (size_t i = 0; i < groups[gi].size() && i < per_group; ++i) {
-      rules.push_back(std::move(all[groups[gi][i]]));
-    }
-  }
-  return rules;
 }
 
 // A batch stream over the evolving state: inserts with label-plausible
@@ -153,149 +121,12 @@ std::vector<std::string> MakeStream(const PropertyGraph& g0, size_t batches,
 int main(int argc, char** argv) {
   const char* out = argc > 1 ? argv[1] : "BENCH_distributed.json";
 
-  auto clean = Yago2Like(300);
-  auto rules = BuildWorkload(clean, /*max_groups=*/10, /*per_group=*/25);
-  auto noisy = InjectNoise(clean, {.alpha = 0.08, .beta = 0.6, .seed = 3});
-  const PropertyGraph& g0 = noisy.graph;
-
-  ViolationEngine engine(rules);
-  std::printf("workload: %zu rules in %zu pattern groups on |V|=%zu "
-              "|E|=%zu (+noise)\n",
-              engine.NumRules(), engine.NumGroups(), g0.NumNodes(),
-              g0.NumEdges());
-  if (engine.NumRules() < 20 || engine.NumGroups() < 5) {
-    std::fprintf(stderr, "workload too small to be meaningful\n");
-    return 1;
-  }
-
-  const size_t kBatches = 6;
-  const size_t kOps = std::max<size_t>(4, g0.NumEdges() / 200);
-  auto payloads = MakeStream(g0, kBatches, kOps, /*seed=*/17);
   std::string root =
       (fs::temp_directory_path() / "gfd_bench_distributed").string();
   fs::remove_all(root);
 
   std::vector<Row> rows;
   bool verified = true;
-
-  // Single-node reference: the same stream through one GraphStore.
-  std::vector<IncrementalDiff> want;
-  double single_s = 0;
-  {
-    std::string dir = root + "/single";
-    std::string error;
-    if (!GraphStore::Init(dir, g0, &error)) {
-      std::fprintf(stderr, "init failed: %s\n", error.c_str());
-      return 1;
-    }
-    auto store = GraphStore::Open(dir, {}, &error);
-    if (!store) {
-      std::fprintf(stderr, "open failed: %s\n", error.c_str());
-      return 1;
-    }
-    WallTimer t;
-    for (const std::string& p : payloads) {
-      auto diff = store->AppendAndDiff(engine, p, {}, nullptr, &error);
-      if (!diff) {
-        std::fprintf(stderr, "append failed: %s\n", error.c_str());
-        return 1;
-      }
-      want.push_back(std::move(*diff));
-    }
-    single_s = t.Seconds();
-    size_t added = 0, removed = 0;
-    for (const auto& d : want) {
-      added += d.added.size();
-      removed += d.removed.size();
-    }
-    std::printf("%-24s %8.3fs  %zu batches x %zu ops, +%zu -%zu\n",
-                "single_node", single_s, kBatches, kOps, added, removed);
-    rows.push_back({"single_node",
-                    single_s,
-                    {{"batches", double(kBatches)},
-                     {"batch_ops", double(kOps)},
-                     {"added", double(added)},
-                     {"removed", double(removed)}}});
-  }
-
-  // Distributed: merged-diff latency and shipped bytes vs. fragment count.
-  for (size_t fragments : {1UL, 2UL, 4UL, 8UL}) {
-    // Provision the smallest halo the workload can be served with: the
-    // widest rule pattern's radius. A larger halo only inflates the
-    // replication factor without changing any result.
-    const uint32_t radius = std::max<uint32_t>(1, engine.MaxPatternRadius());
-    std::string dir = root + "/f" + std::to_string(fragments);
-    std::string error;
-    if (!Coordinator::Init(dir, g0, fragments, radius, &error)) {
-      std::fprintf(stderr, "init failed: %s\n", error.c_str());
-      return 1;
-    }
-    auto coord = Coordinator::Open(dir, {}, &error);
-    if (!coord) {
-      std::fprintf(stderr, "open failed: %s\n", error.c_str());
-      return 1;
-    }
-    bool ok = true;
-    // Deterministic-work counters for the warn-only perf-gate class:
-    // routed/maintenance op deltas come off CoordinatorStats, enumerated
-    // matches off the process metrics registry.
-    uint64_t matches_before = DetectMatchesEnumerated().Value();
-    WallTimer t;
-    for (size_t b = 0; b < payloads.size(); ++b) {
-      auto diff =
-          coord->AppendAndDiff(engine, payloads[b], {}, nullptr, &error);
-      if (!diff) {
-        std::fprintf(stderr, "append failed: %s\n", error.c_str());
-        return 1;
-      }
-      ok = ok && diff->added == want[b].added &&
-           diff->removed == want[b].removed;
-    }
-    double s = t.Seconds();
-    verified = verified && ok;
-    uint64_t matches_enumerated =
-        DetectMatchesEnumerated().Value() - matches_before;
-    CoordinatorStats st = coord->stats();
-    double bytes_per_batch =
-        static_cast<double>(st.bytes_shipped) / double(kBatches);
-    double owned_per_batch =
-        static_cast<double>(st.bytes_owned_shipped) / double(kBatches);
-    double halo_per_batch =
-        static_cast<double>(st.bytes_halo_shipped) / double(kBatches);
-    uint64_t resident_total = 0, resident_max = 0;
-    for (size_t f = 0; f < fragments; ++f) {
-      uint64_t r = coord->resident_edges(f);
-      resident_total += r;
-      resident_max = std::max(resident_max, r);
-    }
-    PropertyGraph current = coord->MaterializeCurrent();
-    double replication =
-        static_cast<double>(resident_total) / double(current.NumEdges());
-    std::string name = "distributed_f" + std::to_string(fragments);
-    std::printf("%-24s %8.3fs  %.0f bytes/batch shipped (%.0f owned-op + "
-                "%.0f border-halo), %llu messages, %llu resident edges "
-                "(replication %.2f), diffs %s\n",
-                name.c_str(), s, bytes_per_batch, owned_per_batch,
-                halo_per_batch, static_cast<unsigned long long>(st.messages),
-                static_cast<unsigned long long>(resident_total), replication,
-                ok ? "identical" : "DIVERGED");
-    rows.push_back({name,
-                    s,
-                    {{"fragments", double(fragments)},
-                     {"halo_radius", double(radius)},
-                     {"batches", double(kBatches)},
-                     {"shipped_bytes_per_batch", bytes_per_batch},
-                     {"owned_bytes_per_batch", owned_per_batch},
-                     {"halo_bytes_per_batch", halo_per_batch},
-                     {"resident_edges_total", double(resident_total)},
-                     {"resident_edges_max", double(resident_max)},
-                     {"replication_measured", replication},
-                     {"messages", double(st.messages)},
-                     {"ops_routed_total", double(st.ops_routed)},
-                     {"ops_maintenance_total", double(st.ops_maintenance)},
-                     {"matches_enumerated", double(matches_enumerated)},
-                     {"verified", ok ? 1.0 : 0.0}}});
-  }
 
   // Perfbench's ingest_bulk shape: 104 batches of 75 ops into a
   // radius-3 coordinator over the graph `gfdtool gen --scale 1000 --seed
@@ -310,42 +141,70 @@ int main(int argc, char** argv) {
   no_compaction.store.compact_min_ops = 0;
   no_compaction.store.compact_min_fraction = 0;
 
-  // The fragment step on that stream, diffed against the rules perfbench
-  // serves (the cover of the rules mined on the clean graph), at fragment
-  // counts {1, 2, 4, 8}: summed AppendAndDiff seconds, the fastest of 3
-  // trials on fresh coordinators, and fragment_matches_skew -- the
-  // largest fragment's enumerated matches over the stream divided by the
+  // The step on that stream, diffed against the rules perfbench serves
+  // (the cover of the rules mined on the clean graph): summed
+  // AppendAndDiff seconds, the fastest of 3 trials on fresh stores. First
+  // through one GraphStore, whose first trial's diffs every later trial
+  // and every coordinator must reproduce; then through coordinators at
+  // fragment counts {1, 2, 4, 8}, with fragment_matches_skew -- the
+  // largest fragment's evaluated matches over the stream divided by the
   // mean (gfd_fragment_matches_total; 1.0 = the seeds split the work
-  // evenly).
+  // evenly) -- and the residency footprint after the stream.
   {
     ViolationEngine step_engine(
         SeqCover(SeqDis(serve_clean, ScaledConfig(serve_clean)).AllGfds()));
     std::vector<IncrementalDiff> step_want;
     {
-      const std::string dir = root + "/step_single";
-      std::string error;
-      if (!GraphStore::Init(dir, serve, &error)) {
-        std::fprintf(stderr, "init failed: %s\n", error.c_str());
-        return 1;
-      }
-      auto store = GraphStore::Open(dir, no_compaction.store, &error);
-      if (!store) {
-        std::fprintf(stderr, "open failed: %s\n", error.c_str());
-        return 1;
-      }
-      for (const std::string& p : stream) {
-        auto diff = store->AppendAndDiff(step_engine, p, {}, nullptr, &error);
-        if (!diff) {
-          std::fprintf(stderr, "append failed: %s\n", error.c_str());
+      const std::string name = "step_104x75_single";
+      double best = 1e9;
+      bool ok = true;
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::string dir = root + "/" + name + "_" + std::to_string(trial);
+        std::string error;
+        if (!GraphStore::Init(dir, serve, &error)) {
+          std::fprintf(stderr, "init failed: %s\n", error.c_str());
           return 1;
         }
-        step_want.push_back(std::move(*diff));
+        auto store = GraphStore::Open(dir, no_compaction.store, &error);
+        if (!store) {
+          std::fprintf(stderr, "open failed: %s\n", error.c_str());
+          return 1;
+        }
+        double s = 0;
+        for (size_t b = 0; b < stream.size(); ++b) {
+          WallTimer t;
+          auto diff =
+              store->AppendAndDiff(step_engine, stream[b], {}, nullptr, &error);
+          s += t.Seconds();
+          if (!diff) {
+            std::fprintf(stderr, "append failed: %s\n", error.c_str());
+            return 1;
+          }
+          if (trial == 0) {
+            step_want.push_back(std::move(*diff));
+          } else {
+            ok = ok && diff->added == step_want[b].added &&
+                 diff->removed == step_want[b].removed;
+          }
+        }
+        best = std::min(best, s);
       }
+      verified = verified && ok;
+      std::printf("%-24s %8.3fs  %zu batches x %zu ops, diffs %s\n",
+                  name.c_str(), best, kBulkBatches, kBulkOps,
+                  ok ? "identical" : "DIVERGED");
+      rows.push_back({name,
+                      best,
+                      {{"batches", double(kBulkBatches)},
+                       {"batch_ops", double(kBulkOps)},
+                       {"verified", ok ? 1.0 : 0.0}}});
     }
     for (size_t fragments : {1UL, 2UL, 4UL, 8UL}) {
       const std::string name = "step_104x75_f" + std::to_string(fragments);
       double best = 1e9;
       uint64_t total = 0, most = 0;
+      uint64_t resident_total = 0, resident_max = 0;
+      size_t edges = 0;
       bool ok = true;
       for (int trial = 0; trial < 3; ++trial) {
         const std::string dir = root + "/" + name + "_" + std::to_string(trial);
@@ -385,14 +244,25 @@ int main(int argc, char** argv) {
           total += m;
           most = std::max(most, m);
         }
+        const FragmentResidency residency = coord->residency();
+        resident_total = resident_max = 0;
+        for (size_t f = 0; f < fragments; ++f) {
+          const uint64_t r = ResidentEdges(coord->view(), residency[f]);
+          resident_total += r;
+          resident_max = std::max(resident_max, r);
+        }
+        edges = coord->view().NumEdges();
       }
       verified = verified && ok;
       double skew = 1.0;
       if (total > 0) skew = double(most) * double(fragments) / double(total);
+      const double replication = double(resident_total) / double(edges);
       std::printf("%-24s %8.3fs  %zu batches x %zu ops, %llu matches, "
-                  "fragment matches skew %.2f, diffs %s\n",
+                  "fragment matches skew %.2f, %llu resident edges "
+                  "(replication %.2f), diffs %s\n",
                   name.c_str(), best, kBulkBatches, kBulkOps,
                   static_cast<unsigned long long>(total), skew,
+                  static_cast<unsigned long long>(resident_total), replication,
                   ok ? "identical" : "DIVERGED");
       rows.push_back({name,
                       best,
@@ -402,6 +272,9 @@ int main(int argc, char** argv) {
                        {"batch_ops", double(kBulkOps)},
                        {"matches_enumerated", double(total)},
                        {"fragment_matches_skew", skew},
+                       {"resident_edges_total", double(resident_total)},
+                       {"resident_edges_max", double(resident_max)},
+                       {"replication_measured", replication},
                        {"verified", ok ? 1.0 : 0.0}}});
     }
 

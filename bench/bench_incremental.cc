@@ -283,8 +283,7 @@ int main(int argc, char** argv) {
                      {"touched_matches", double(inc.stats.matches_seen)},
                      {"added", double(inc.added.size())},
                      {"removed", double(inc.removed.size())},
-                     {"groups_scanned", double(inc.stats.groups_scanned)},
-                     {"groups_skipped", double(inc.stats.groups_skipped)}}});
+                     {"groups_scanned", double(inc.stats.groups_scanned)}}});
     rows.push_back({std::string("full_redetect_") + tag,
                     full_s,
                     {{"violations", double(full_new.violations.size())},
@@ -373,8 +372,7 @@ int main(int argc, char** argv) {
                      {"touched_matches", double(step.stats.matches_seen)},
                      {"added", double(step.added.size())},
                      {"removed", double(step.removed.size())},
-                     {"groups_scanned", double(step.stats.groups_scanned)},
-                     {"groups_skipped", double(step.stats.groups_skipped)}}});
+                     {"groups_scanned", double(step.stats.groups_scanned)}}});
   }
   fs::remove_all(step_dir);
 

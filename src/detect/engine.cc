@@ -55,9 +55,6 @@ std::vector<VarId> ExactIsomorphism(const Pattern& member,
   return iso;
 }
 
-// A root of an edge unit: the nodes its plan binds first and second.
-using NodePair = std::pair<NodeId, NodeId>;
-
 template <typename T>
 void SortUnique(std::vector<T>& v) {
   std::sort(v.begin(), v.end());
@@ -115,22 +112,6 @@ struct ViolationEngine::Budget {
     }
     return Claim::kEmit;
   }
-};
-
-// A step's work units (DetectStep): a write unit (group, variable) over
-// node roots, or an edge unit (group, pattern edge) over pair roots, each
-// a range of the shared root lists.
-struct ViolationEngine::StepUnits {
-  struct Unit {
-    size_t group;
-    size_t index;  // the write unit's variable, the edge unit's edge
-    bool edge;
-    size_t begin;  // its roots: [begin, end) of nodes or of pairs
-    size_t end;
-  };
-  std::vector<Unit> units;
-  std::vector<NodeId> nodes;
-  std::vector<NodePair> pairs;
 };
 
 // One worker's share of a scan, merged into the run's result after the
@@ -242,26 +223,13 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     groups_.push_back(std::move(group));
   }
 
-  // The step's plans, static group footprints for DetectStep's skip
-  // gate -- the concrete labels a match of the group must bind, and the
-  // attr keys its members' literals read -- and the patterns' widest
-  // radius. Built over every group -- including the defensive private
-  // plans above -- once per engine lifetime; a rule-set change means a
-  // new engine, so these never go stale.
+  // The step's plans and the patterns' widest radius, built over every
+  // group -- including the defensive private plans above -- once per
+  // engine lifetime; a rule-set change means a new engine, so they never
+  // go stale.
   for (Group& group : groups_) {
     group.CompileStepPlans();
     const Pattern& rep = group.pattern();
-    for (VarId u = 0; u < rep.NumNodes(); ++u) {
-      const LabelId l = rep.NodeLabel(u);
-      if (l == kWildcardLabel) {
-        group.has_wildcard_var = true;
-      } else {
-        group.var_labels.push_back(l);
-      }
-    }
-    SortUnique(group.var_labels);
-    for (const SlotRead& r : group.reads) group.attr_keys.push_back(r.key);
-    SortUnique(group.attr_keys);
 
     // Eccentricity of every variable by BFS over the undirected variable
     // graph; patterns are tiny (k nodes), so n BFS runs are cheap.
@@ -432,7 +400,8 @@ void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
   for (const auto& root : roots) {
     NodeId v = 0;
     NodeId second = kNoNode;
-    if constexpr (std::is_same_v<std::decay_t<decltype(root)>, NodePair>) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(root)>,
+                                 StepPlan::PairRoot>) {
       v = root.first;
       if (root.second != v) second = root.second;
     } else {
@@ -530,77 +499,132 @@ DetectionResult ViolationEngine::Detect(const GraphView& g,
   return DetectImpl(g, opts);
 }
 
-ViolationEngine::StepUnits ViolationEngine::PlanUnits(
-    const GraphView& g, const BatchFootprint& batch,
-    std::span<const NodeId> seeds, std::span<const size_t> scan) const {
-  // The writes and the changed keys rooted at this call's seeds.
-  auto seeded = [&](NodeId v) {
-    return std::binary_search(seeds.begin(), seeds.end(), v);
+StepPlan ViolationEngine::PlanStep(const GraphView& pre,
+                                   const BatchFootprint& batch) const {
+  StepPlan plan;
+  plan.seeds_ = batch.anchors.size();
+  plan.anchor_costs_.assign(batch.anchors.size(), 1);
+  auto charge = [&](NodeId anchor, uint64_t cost) {
+    const auto at = std::lower_bound(batch.anchors.begin(),
+                                     batch.anchors.end(), anchor);
+    plan.anchor_costs_[at - batch.anchors.begin()] += 1 + cost;
   };
-  std::vector<BatchFootprint::Write> writes;
-  for (const BatchFootprint::Write& w : batch.writes) {
-    if (seeded(w.node)) writes.push_back(w);
-  }
-  std::vector<BatchFootprint::EdgeKey> keys;
-  for (const BatchFootprint::EdgeKey& k : batch.edges) {
-    if (seeded(k.anchor)) keys.push_back(k);
-  }
   // Roots are filtered by the labels of their nodes, which no batch
   // changes, so both sides get the same units.
-  StepUnits step;
   auto add_unit = [&](size_t gi, size_t index, bool edge, size_t begin) {
-    const size_t end = edge ? step.pairs.size() : step.nodes.size();
-    if (end > begin) step.units.push_back({gi, index, edge, begin, end});
+    const size_t end = edge ? plan.pairs_.size() : plan.nodes_.size();
+    if (end > begin) {
+      plan.units_.push_back({static_cast<uint32_t>(gi),
+                             static_cast<uint32_t>(index), edge,
+                             static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(end)});
+    }
   };
-  for (size_t gi : scan) {
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
     const Group& group = groups_[gi];
     const Pattern& rep = group.pattern();
     for (VarId u = 0; u < rep.NumNodes(); ++u) {
-      const size_t begin = step.nodes.size();
-      for (const BatchFootprint::Write& w : writes) {  // sorted by node
-        if (step.nodes.size() > begin && step.nodes.back() == w.node) continue;
-        if (LabelMatches(g.NodeLabel(w.node), rep.NodeLabel(u)) &&
+      const size_t begin = plan.nodes_.size();
+      for (const BatchFootprint::Write& w : batch.writes) {  // by node
+        if (plan.nodes_.size() > begin && plan.nodes_.back() == w.node) {
+          continue;
+        }
+        // A variable some member reads at has a plan of its own.
+        if (LabelMatches(pre.NodeLabel(w.node), rep.NodeLabel(u)) &&
             group.ReadsAt(u, w.key)) {
-          step.nodes.push_back(w.node);
+          plan.nodes_.push_back(w.node);
+          charge(w.node,
+                 group.plans[group.var_plan[u]].RootFanout(pre, w.node));
         }
       }
       add_unit(gi, u, false, begin);
     }
     for (size_t j = 0; j < rep.NumEdges(); ++j) {
       const PatternEdge& e = rep.edges()[j];
-      const size_t begin = step.pairs.size();
-      for (const BatchFootprint::EdgeKey& k : keys) {
+      const size_t begin = plan.pairs_.size();
+      const CompiledPattern& root_plan = group.plans[group.edge_plan[j].plan];
+      for (const BatchFootprint::EdgeKey& k : batch.edges) {
         // A self-loop edge maps onto self-loops only; injectivity keeps
         // any other edge off them.
         if ((k.src == k.dst) != (e.src == e.dst) ||
             !LabelMatches(k.label, e.label) ||
-            !LabelMatches(g.NodeLabel(k.src), rep.NodeLabel(e.src)) ||
-            !LabelMatches(g.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
+            !LabelMatches(pre.NodeLabel(k.src), rep.NodeLabel(e.src)) ||
+            !LabelMatches(pre.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
           continue;
         }
-        NodePair root{k.src, k.dst};
+        StepPlan::PairRoot root{k.src, k.dst, k.anchor};
         if (group.edge_plan[j].root_is_dst) std::swap(root.first, root.second);
         // Keys sorted by (src, dst): parallel labels come in a row.
-        if (step.pairs.size() > begin && step.pairs.back() == root) continue;
-        step.pairs.push_back(root);
+        if (plan.pairs_.size() > begin &&
+            plan.pairs_.back().first == root.first &&
+            plan.pairs_.back().second == root.second) {
+          continue;
+        }
+        plan.pairs_.push_back(root);
+        charge(k.anchor, root.first == root.second
+                             ? root_plan.RootFanout(pre, root.first)
+                             : root_plan.RootFanout(pre, root.first,
+                                                    root.second));
       }
       add_unit(gi, j, true, begin);
     }
   }
-  return step;
+  return plan;
+}
+
+size_t StepPlan::write_units() const {
+  return static_cast<size_t>(std::ranges::count(units_, false, &Unit::edge));
+}
+
+size_t StepPlan::edge_units() const {
+  return static_cast<size_t>(std::ranges::count(units_, true, &Unit::edge));
+}
+
+std::vector<StepPlan> StepPlan::Split(
+    std::span<const std::vector<NodeId>> seeds) const {
+  std::vector<std::pair<NodeId, size_t>> share_of;
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    for (NodeId a : seeds[i]) share_of.emplace_back(a, i);
+  }
+  std::ranges::stable_sort(share_of, {}, &std::pair<NodeId, size_t>::first);
+  std::vector<StepPlan> shares(seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) shares[i].seeds_ = seeds[i].size();
+  for (const Unit& unit : units_) {
+    for (uint32_t r = unit.begin; r < unit.end; ++r) {
+      const NodeId anchor = unit.edge ? pairs_[r].anchor : nodes_[r];
+      const auto it = std::ranges::lower_bound(
+          share_of, anchor, {}, &std::pair<NodeId, size_t>::first);
+      if (it == share_of.end() || it->first != anchor) continue;
+      StepPlan& share = shares[it->second];
+      const uint32_t at = static_cast<uint32_t>(
+          unit.edge ? share.pairs_.size() : share.nodes_.size());
+      if (share.units_.empty() || share.units_.back().group != unit.group ||
+          share.units_.back().index != unit.index ||
+          share.units_.back().edge != unit.edge) {
+        share.units_.push_back({unit.group, unit.index, unit.edge, at, at});
+      }
+      ++share.units_.back().end;
+      if (unit.edge) {
+        share.pairs_.push_back(pairs_[r]);
+      } else {
+        share.nodes_.push_back(nodes_[r]);
+      }
+    }
+  }
+  return shares;
 }
 
 ViolationEngine::Tally ViolationEngine::RunSide(
-    const GraphView& g, const StepUnits& step, const BatchFootprint& batch,
+    const GraphView& g, const StepPlan& plan, const BatchFootprint& batch,
     const IncrementalOptions& opts) const {
   // Attribution reads only the match and the whole footprint, so it is
-  // independent of the side, the seeds, the execution order and the
+  // independent of the side, the share, the execution order and the
   // worker count: a match is evaluated at its lowest variable that reads
   // a written key, else at its lowest pattern edge that maps onto a
   // changed key.
   return Tally::Merge(RunUnits(
-      step.units.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
-        const StepUnits::Unit& unit = step.units[i];
+      plan.units_.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
+        const StepPlan::Unit& unit = plan.units_[i];
         const Group& group = groups_[unit.group];
         auto roots = [&](const auto& all) {
           return std::span(all).subspan(unit.begin, unit.end - unit.begin);
@@ -613,8 +637,8 @@ ViolationEngine::Tally ViolationEngine::RunSide(
             }
             return true;
           };
-          ScanPlan(g, group, group.plans[group.var_plan[u]], roots(step.nodes),
-                   attributed, nullptr, tally);
+          ScanPlan(g, group, group.plans[group.var_plan[u]],
+                   roots(plan.nodes_), attributed, nullptr, tally);
           return;
         }
         const std::vector<PatternEdge>& edges = group.pattern().edges();
@@ -630,7 +654,7 @@ ViolationEngine::Tally ViolationEngine::RunSide(
           return true;
         };
         ScanPlan(g, group, group.plans[group.edge_plan[j].plan],
-                 roots(step.pairs), attributed, nullptr, tally);
+                 roots(plan.pairs_), attributed, nullptr, tally);
       }));
 }
 
@@ -640,7 +664,6 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
   for (const GraphDelta::Op& op : ops) {
     if (op.kind == GraphDelta::OpKind::kSetAttr) {
       fp.anchors.push_back(op.src);
-      fp.keys.push_back(op.key);
       fp.writes.push_back({op.src, op.key});
       continue;
     }
@@ -652,13 +675,9 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
                                                     : op.src < op.dst;
     const NodeId anchor = src_lower ? op.src : op.dst;
     fp.anchors.push_back(anchor);
-    fp.rewired.push_back(op.src);
-    fp.rewired.push_back(op.dst);
     fp.edges.push_back({op.src, op.dst, op.label, anchor});
   }
   SortUnique(fp.anchors);
-  SortUnique(fp.rewired);
-  SortUnique(fp.keys);
   SortUnique(fp.writes);
   SortUnique(fp.edges);
   return fp;
@@ -686,97 +705,79 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
   if (!view.ValidateAppended(batch, 0, error)) return std::nullopt;
   const BatchFootprint fp = BatchFootprint::Of(batch.ops, view);
   auto absorb = [&] { return view.AbsorbAppended(batch, 0, error); };
-  auto sides = DetectStep(view, fp, fp.anchors, absorb, opts);
+  const StepPlan plan = PlanStep(view, fp);
+  auto sides = DetectStep(view, fp, std::span(&plan, 1), absorb, opts);
   if (!sides) return std::nullopt;
-  return StepDiff(*sides);
+  return StepDiff(sides->front());
+}
+
+std::optional<std::vector<StepSides>> ViolationEngine::DetectStep(
+    const GraphView& live, const BatchFootprint& batch,
+    std::span<const StepPlan> shares, const std::function<bool()>& apply,
+    const IncrementalOptions& opts, const ShareRunner& run) const {
+  std::vector<StepSides> sides(shares.size());
+  bool seeded = false;
+  for (size_t i = 0; i < shares.size(); ++i) {
+    sides[i].stats.affected_nodes = shares[i].seeds_;
+    seeded = seeded || shares[i].seeds_ > 0;
+  }
+  if (!seeded || rules_.empty()) {
+    if (!apply()) return std::nullopt;
+    return sides;
+  }
+  // Timed per side: `apply` is a durable append on the serving path.
+  std::vector<Tally> before(shares.size());
+  std::vector<Tally> after(shares.size());
+  auto run_sides = [&](std::vector<Tally>& side) {
+    const std::function<void(size_t)> one = [&](size_t i) {
+      StopwatchNs watch;
+      side[i] = RunSide(live, shares[i], batch, opts);
+      sides[i].detect_ns += watch.ElapsedNs();
+    };
+    if (run) {
+      run(one);
+    } else {
+      for (size_t i = 0; i < shares.size(); ++i) one(i);
+    }
+  };
+  run_sides(before);
+  if (!apply()) return std::nullopt;
+  run_sides(after);
+  for (size_t i = 0; i < shares.size(); ++i) {
+    const StepPlan& share = shares[i];
+    IncrementalStats& stats = sides[i].stats;
+    for (size_t u = 0; u < share.units_.size(); ++u) {
+      if (u == 0 || share.units_[u].group != share.units_[u - 1].group) {
+        ++stats.groups_scanned;
+      }
+    }
+    stats.write_units = share.write_units();
+    stats.edge_units = share.edge_units();
+    sides[i].before = std::move(before[i].violations);
+    sides[i].after = std::move(after[i].violations);
+    stats.violations_before = sides[i].before.size();
+    stats.violations_after = sides[i].after.size();
+    stats.roots_scanned = before[i].pivots + after[i].pivots;
+    stats.matches_seen = before[i].matches + after[i].matches;
+    stats.literal_evals = before[i].literal_evals + after[i].literal_evals;
+    DetectIncrementalLatency().Observe(
+        static_cast<double>(sides[i].detect_ns) * 1e-9);
+    DetectGroupsScanned().Inc(stats.groups_scanned);
+    DetectMatchesEnumerated().Inc(stats.matches_seen);
+    DetectLiteralEvals().Inc(stats.literal_evals);
+  }
+  return sides;
 }
 
 std::optional<StepSides> ViolationEngine::DetectStep(
     const GraphView& live, const BatchFootprint& batch,
     std::span<const NodeId> seeds, const std::function<bool()>& apply,
     const IncrementalOptions& opts) const {
-  StepSides sides;
-  sides.stats.affected_nodes = seeds.size();
-  if (seeds.empty() || rules_.empty()) {
-    if (!apply()) return std::nullopt;
-    return sides;
-  }
-
-  // Footprint gate: a group can only gain or lose a violation if the
-  // batch (a) rewired adjacency at a node whose label one of its
-  // variables can bind -- every created/destroyed match contains both
-  // endpoints of the changed edge -- or (b) wrote an attr key its
-  // literals read at such a node (every attr target is an anchor, so
-  // (b) reads the anchors). The batch alone decides: the two sides
-  // differ by exactly its ops, and both sides enumerate the same `scan`,
-  // so a skipped group's (identical) lists would cancel. Node labels are
-  // delta-invariant base ids; rule labels / attr keys beyond the base
-  // vocabulary bounds-check or sorted-merge to "no hit", which is how
-  // vocabulary growth invalidates nothing.
-  const PropertyGraph& base = live.base();
-  std::vector<bool> edge_label(base.labels().size(), false);
-  std::vector<bool> attr_label(base.labels().size(), false);
-  for (NodeId v : batch.rewired) edge_label[base.NodeLabel(v)] = true;
-  for (NodeId v : batch.anchors) attr_label[base.NodeLabel(v)] = true;
-  auto keys_touched = [&](std::span<const AttrId> keys) {
-    size_t i = 0;
-    size_t j = 0;
-    while (i < keys.size() && j < batch.keys.size()) {
-      if (keys[i] == batch.keys[j]) return true;
-      if (keys[i] < batch.keys[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    return false;
-  };
-  std::vector<size_t> scan;
-  scan.reserve(groups_.size());
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    const Group& group = groups_[gi];
-    bool hit = group.has_wildcard_var;
-    for (size_t li = 0; !hit && li < group.var_labels.size(); ++li) {
-      const LabelId l = group.var_labels[li];
-      if (l >= edge_label.size()) break;  // sorted: rest out of range too
-      hit = edge_label[l] || (attr_label[l] && keys_touched(group.attr_keys));
-    }
-    if (hit) scan.push_back(gi);
-  }
-  sides.stats.groups_scanned = scan.size();
-  sides.stats.groups_skipped = groups_.size() - scan.size();
-  DetectGroupsScanned().Inc(sides.stats.groups_scanned);
-  DetectGroupsSkipped().Inc(sides.stats.groups_skipped);
-
-  // Units root at the seeds while attribution reads the whole footprint:
-  // a match is evaluated at its attributed unit or nowhere in this call,
-  // never re-attributed to a seed's unit -- that is what makes
-  // per-fragment step diffs disjoint.
-  StopwatchNs watch;
-  const StepUnits step = PlanUnits(live, batch, seeds, scan);
-  for (const StepUnits::Unit& unit : step.units) {
-    ++(unit.edge ? sides.stats.edge_units : sides.stats.write_units);
-  }
-
-  // Timed per side: `apply` is a durable append on the serving path.
-  Tally before = RunSide(live, step, batch, opts);
-  sides.detect_ns = watch.ElapsedNs();
-  if (!apply()) return std::nullopt;
-  watch.Restart();
-  Tally after = RunSide(live, step, batch, opts);
-  sides.detect_ns += watch.ElapsedNs();
-  const double detect_s = static_cast<double>(sides.detect_ns) * 1e-9;
-  DetectIncrementalLatency().Observe(detect_s);
-  sides.before = std::move(before.violations);
-  sides.after = std::move(after.violations);
-  sides.stats.violations_before = sides.before.size();
-  sides.stats.violations_after = sides.after.size();
-  sides.stats.roots_scanned = before.pivots + after.pivots;
-  sides.stats.matches_seen = before.matches + after.matches;
-  sides.stats.literal_evals = before.literal_evals + after.literal_evals;
-  DetectMatchesEnumerated().Inc(sides.stats.matches_seen);
-  DetectLiteralEvals().Inc(sides.stats.literal_evals);
-  return sides;
+  const std::vector<NodeId> share(seeds.begin(), seeds.end());
+  auto sides = DetectStep(live, batch, PlanStep(live, batch).Split({&share, 1}),
+                          apply, opts);
+  if (!sides) return std::nullopt;
+  return std::move(sides->front());
 }
 
 DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count) {

@@ -98,8 +98,7 @@ struct IncrementalStats {
   uint64_t literal_evals = 0;    ///< per-match per-rule LHS/RHS evaluations
   size_t violations_before = 0;  ///< violations at touched matches, old side
   size_t violations_after = 0;   ///< violations at touched matches, new side
-  size_t groups_scanned = 0;     ///< pattern groups the run enumerated
-  size_t groups_skipped = 0;     ///< groups pruned by the footprint gate
+  size_t groups_scanned = 0;     ///< pattern groups with at least one unit
 };
 
 /// The violation diff induced by one delta: exactly the records that
@@ -119,14 +118,12 @@ struct IncrementalDiff {
 /// `pre` just before it (node, label and attribute ids in that view's
 /// space): the (node, key) pairs it writes and the (src, dst, label) keys
 /// of its edge ops, its changed keys. A step diff roots its work units
-/// there (DetectStep). Each changed key is anchored at ONE endpoint --
-/// the one with the smaller degree in `pre`, ties to the smaller node id
-/// -- so a batch touching a hub never roots work at the hub. The anchors
-/// are the write targets plus those endpoints: the nodes a coordinator
-/// places on fragments, each seed carrying the writes at it and the keys
-/// anchored at it. The footprint gate reads `rewired` for its edge clause
-/// and `anchors` (which hold every write target) with `keys` for its
-/// attribute clause.
+/// there (ViolationEngine::PlanStep). Each changed key is anchored at ONE
+/// endpoint -- the one with the smaller degree in `pre`, ties to the
+/// smaller node id -- so a batch touching a hub never roots work at the
+/// hub. The anchors are the write targets plus those endpoints: the nodes
+/// a coordinator places on fragments, each seed carrying the writes at it
+/// and the keys anchored at it.
 struct BatchFootprint {
   /// Attribute `key` of `node` was set.
   struct Write {
@@ -144,11 +141,9 @@ struct BatchFootprint {
   };
 
   std::vector<NodeId> anchors;  ///< write targets + every key's anchor
-  std::vector<NodeId> rewired;  ///< both endpoints of every edge op
-  std::vector<AttrId> keys;     ///< attribute keys set
   std::vector<Write> writes;    ///< every (node, key) set
   std::vector<EdgeKey> edges;   ///< every edge op's key: the changed keys
-  // All five sorted ascending and unique.
+  // All three sorted ascending and unique.
 
   static BatchFootprint Of(std::span<const GraphDelta::Op> ops,
                            const GraphView& pre);
@@ -167,6 +162,54 @@ struct StepSides {
   std::vector<Violation> after;
   IncrementalStats stats;
   uint64_t detect_ns = 0;  ///< spent in the two sides, not in `apply`
+};
+
+/// The work units of one step diff, planned once per batch on the view
+/// just before it (ViolationEngine::PlanStep): write units (group,
+/// variable) rooted at nodes and edge units (group, pattern edge) rooted
+/// at node pairs, every root anchored at one of the batch's anchors.
+/// Which units exist depends on node labels, which no batch changes, so
+/// one plan serves both sides of the step. Split cuts it into shares by
+/// anchor -- a coordinator's fragments -- that run around one apply.
+class StepPlan {
+ public:
+  size_t write_units() const;
+  size_t edge_units() const;
+
+  /// Per anchor of the batch (BatchFootprint::anchors, in its order), its
+  /// price: 1, plus per root anchored there 1 plus the candidates its
+  /// plan's first unbound step walks on the pre-batch view
+  /// (CompiledPattern::RootFanout). Empty in a share.
+  std::span<const uint64_t> anchor_costs() const { return anchor_costs_; }
+
+  /// One share per list of `seeds` (each sorted): share i holds, unit by
+  /// unit, the roots anchored at seeds[i]. Roots anchored at no listed
+  /// seed are dropped; an anchor in two lists goes to the first.
+  std::vector<StepPlan> Split(std::span<const std::vector<NodeId>> seeds) const;
+
+ private:
+  friend class ViolationEngine;
+
+  struct Unit {
+    uint32_t group;
+    uint32_t index;  // the write unit's variable, the edge unit's edge
+    bool edge;
+    uint32_t begin;  // its roots: [begin, end) of nodes_ or of pairs_
+    uint32_t end;
+  };
+  /// An edge unit's root: the nodes its plan binds first and second,
+  /// and the anchor of the changed key it came from.
+  struct PairRoot {
+    NodeId first;
+    NodeId second;
+    NodeId anchor;
+  };
+
+  std::vector<Unit> units_;
+  std::vector<NodeId> nodes_;  // a write unit's root is its own anchor
+  std::vector<PairRoot> pairs_;
+  std::vector<uint64_t> anchor_costs_;
+  size_t seeds_ = 0;  // the anchors this plan covers
 };
 
 /// A loaded rule set, grouped and compiled once, reusable across any
@@ -203,32 +246,42 @@ class ViolationEngine {
       const PropertyGraph& g, const GraphDelta& batch,
       const IncrementalOptions& opts = {}, std::string* error = nullptr) const;
 
+  /// Plans the step that diffs `batch` on `pre`, the view just before
+  /// it: its units, rooted at every anchor (the one share a single store
+  /// runs), with each anchor's cost.
+  ///
+  /// Units. A write unit (group, variable u) is rooted at each anchor
+  /// with a written key that some member reads at u, and enumerates the
+  /// matches binding u there; an edge unit (group, pattern edge j) is
+  /// rooted at each changed key s -l-> d whose label matches j's, and
+  /// enumerates the matches binding j's source to s and its target to d
+  /// (a plan that binds both first, CompiledPattern::ForEachMatchAtPair;
+  /// the paper's work unit Q(F_s) |><| e(F_t), Section 6.2, joined with
+  /// the updated edge). A group with no unit is not scanned at all.
+  StepPlan PlanStep(const GraphView& pre, const BatchFootprint& batch) const;
+
+  /// Runs fn(i) for every share i of a step and returns once all have
+  /// run: inline when empty, else, say, one Cluster step.
+  using ShareRunner = std::function<void(const std::function<void(size_t)>&)>;
+
   /// The one diff algorithm (the serving backends in serve/graph_store.h
   /// and serve/coordinator.h, and DetectIncremental): `live` holds the
   /// state just before one batch with footprint `batch`, and `apply` must
   /// apply exactly that batch to `live` in place (false on failure, which
-  /// returns nullopt). Runs the step's side on `live`, calls `apply`,
-  /// runs it again; both sides run the same units, so the cost tracks the
-  /// batch, never the overlay behind it.
+  /// returns nullopt). Runs the before side of every share of the batch's
+  /// plan on `live`, calls `apply` once, then runs every share's after
+  /// side; each share runs the same units on both sides, so the cost
+  /// tracks the batch, never the overlay behind it. A single store runs
+  /// one share, PlanStep's; a coordinator one per fragment, the anchors
+  /// its master planned there, through `run`. Returns one StepSides per
+  /// share.
   ///
-  /// Units. Per footprint-gated pattern group, a write unit (group,
-  /// variable u) is rooted at each seed with a written key that some
-  /// member reads at u, and enumerates the matches binding u there; an
-  /// edge unit (group, pattern edge j) is rooted at each changed key
-  /// s -l-> d whose label matches j's and whose anchor is a seed, and
-  /// enumerates the matches binding j's source to s and its target to d
-  /// (a plan that binds both first, CompiledPattern::ForEachMatchAtPair;
-  /// the paper's work unit Q(F_s) |><| e(F_t), Section 6.2, joined with
-  /// the updated edge). Attribution is stateless and reads the whole
-  /// footprint, not just the seeds: a match is evaluated at its
-  /// lowest-numbered variable that reads a written key; failing that, at
-  /// its lowest-numbered pattern edge that maps onto a changed key;
-  /// failing both, nowhere. A single store passes batch.anchors as
-  /// `seeds`, a coordinator fragment the anchors the master planned for
-  /// it (each anchor at one fragment whose views hold the anchor's
-  /// pattern-radius ball on both sides), so every unit root sits at
-  /// exactly one fragment and the fragments' diffs partition the
-  /// store-wide one.
+  /// Attribution is stateless and reads the whole footprint, not just a
+  /// share's anchors: a match is evaluated at its lowest-numbered
+  /// variable that reads a written key; failing that, at its
+  /// lowest-numbered pattern edge that maps onto a changed key; failing
+  /// both, nowhere. Every unit root sits in exactly one share, so the
+  /// shares' diffs partition the whole step's.
   ///
   /// Exactness: the sorted set difference of the two sides (StepDiff) is
   /// identical to diffing two full Detect runs. A match that reads no
@@ -239,6 +292,12 @@ class ViolationEngine {
   /// root it binds, and evaluated there exactly once; the attribution
   /// reads only the match and the batch, so it is the same on both
   /// sides.
+  std::optional<std::vector<StepSides>> DetectStep(
+      const GraphView& live, const BatchFootprint& batch,
+      std::span<const StepPlan> shares, const std::function<bool()>& apply,
+      const IncrementalOptions& opts = {}, const ShareRunner& run = {}) const;
+
+  /// DetectStep over one share: the units rooted at `seeds` (sorted).
   std::optional<StepSides> DetectStep(
       const GraphView& live, const BatchFootprint& batch,
       std::span<const NodeId> seeds, const std::function<bool()>& apply,
@@ -328,17 +387,6 @@ class ViolationEngine {
     /// The distinct (variable, key) pairs any member literal reads, in
     /// first-use order; every SlotLiteral indexes into it.
     std::vector<SlotRead> reads;
-    /// The group's static footprint, for DetectStep's skip gate: a
-    /// delta whose affected labels / touched attr keys are disjoint from
-    /// it cannot create or destroy a match of this group, so both sides
-    /// enumerate identical lists and the group cancels exactly (its
-    /// gfd_indices appear in no other group). Built once in the engine
-    /// constructor; a rule-set change means a new engine, so no runtime
-    /// invalidation is needed (vocabulary growth is handled numerically:
-    /// new label/attr ids simply never intersect these sorted sets).
-    std::vector<LabelId> var_labels;  ///< concrete variable labels, sorted
-    std::vector<AttrId> attr_keys;    ///< the keys of `reads`, sorted
-    bool has_wildcard_var = false;    ///< some variable matches any label
 
     /// Compiles the pivot plan; CompileStepPlans adds the rest once the
     /// members are in.
@@ -374,11 +422,10 @@ class ViolationEngine {
     }
   };
 
-  // The shared caps of one capped full scan, one worker's output of a
-  // scan, and a step's units with their roots (all defined in the .cc).
+  // The shared caps of one capped full scan and one worker's output of a
+  // scan (both defined in the .cc).
   struct Budget;
   struct Tally;
-  struct StepUnits;
 
   // Common body of the two Detect overloads. GraphT is PropertyGraph or
   // GraphView.
@@ -387,9 +434,9 @@ class ViolationEngine {
 
   // The kernel of both scans: runs `plan` (one of the group's plans) at
   // every root of `roots` whose node its root step admits -- a NodeId
-  // binds the plan's root variable; a (NodeId, NodeId) pair binds its
-  // first two (ForEachMatchAtPair), or only the root when both are one
-  // node (a self-loop edge's unit) -- evaluates every member on each
+  // binds the plan's root variable; a StepPlan::PairRoot binds its first
+  // two (ForEachMatchAtPair), or only the root when both are one node (a
+  // self-loop edge's unit) -- evaluates every member on each
   // match `attributed` accepts, and adds the violations and the root /
   // match / literal-eval counts to `tally` once at the end. `budget` is
   // null for uncapped runs; a capped full scan claims its atomics once
@@ -400,17 +447,11 @@ class ViolationEngine {
                 const Attributed& attributed, Budget* budget,
                 Tally& tally) const;
 
-  // The units of a step over the groups in `scan` (indices into
-  // groups_), rooted at `seeds` (see DetectStep).
-  StepUnits PlanUnits(const GraphView& g, const BatchFootprint& batch,
-                      std::span<const NodeId> seeds,
-                      std::span<const size_t> scan) const;
-
-  // One side of a step: runs every unit of `step`, evaluating each match
+  // One side of a step: runs every unit of `plan`, evaluating each match
   // at its attributed unit only, and returns the violations, sorted,
   // with the side's counters. Both sides of a diff must run the SAME
   // units -- the cancellation argument needs it.
-  Tally RunSide(const GraphView& g, const StepUnits& step,
+  Tally RunSide(const GraphView& g, const StepPlan& plan,
                 const BatchFootprint& batch,
                 const IncrementalOptions& opts) const;
 

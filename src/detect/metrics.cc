@@ -64,15 +64,7 @@ obs::Counter& DetectDiffRemoved() {
 obs::Counter& DetectGroupsScanned() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_detect_groups_scanned_total",
-      "Pattern groups scanned by anchored-diff runs (footprint gate).");
-  return c;
-}
-
-obs::Counter& DetectGroupsSkipped() {
-  static obs::Counter& c = Reg().GetCounter(
-      "gfd_detect_groups_skipped_total",
-      "Pattern groups skipped by anchored-diff runs whose label/attr "
-      "footprint was disjoint from the batch's affected set.");
+      "Pattern groups in which step diffs ran at least one unit.");
   return c;
 }
 
@@ -84,7 +76,6 @@ void TouchDetectMetrics() {
   DetectDiffAdded();
   DetectDiffRemoved();
   DetectGroupsScanned();
-  DetectGroupsSkipped();
 }
 
 }  // namespace gfd

@@ -34,10 +34,9 @@ obs::Counter& DetectLiteralEvals();
 obs::Counter& DetectDiffAdded();
 obs::Counter& DetectDiffRemoved();
 
-/// Pattern groups scanned / skipped by the anchored-diff footprint gate
-/// (gfd_detect_groups_scanned_total / gfd_detect_groups_skipped_total).
+/// Pattern groups in which a step diff ran at least one unit, summed
+/// over the step's shares (gfd_detect_groups_scanned_total).
 obs::Counter& DetectGroupsScanned();
-obs::Counter& DetectGroupsSkipped();
 
 /// Pre-registers every unlabeled detect family so a render shows the
 /// full catalog even before any detection ran.

@@ -3,9 +3,9 @@
 // that absorbs each batch in place.
 //
 // GraphStore (serve/graph_store.h) -- a single-node server's store and a
-// coordinator's master alike -- and each coordinator fragment hold their
-// graph as a LiveGraph, so a batch reaches memory one way on either
-// backend: Parse re-expresses its TSV in the live id space, Absorb
+// coordinator's master alike, the only graph either backend holds --
+// keeps its graph as a LiveGraph, so a batch reaches memory one way on
+// either backend: Parse re-expresses its TSV in the live id space, Absorb
 // validates it and applies it to the view in O(batch + touched degrees),
 // Rollback takes it back out when the store's log did not take it, and
 // Rebase adopts the next snapshot at compaction.

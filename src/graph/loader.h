@@ -34,9 +34,7 @@
 // values the graph never interned are added to the delta's extension
 // vocabulary, so updates may introduce brand-new values. L/K/V records
 // pre-intern extension vocabulary in file order, the delta analogue of
-// the graph format's durability preamble: the coordinator ships every
-// fragment the same preamble so extension ids stay identical across
-// fragments even when the ops that first use a name route elsewhere.
+// the graph format's durability preamble.
 #ifndef GFD_GRAPH_LOADER_H_
 #define GFD_GRAPH_LOADER_H_
 

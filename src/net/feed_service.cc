@@ -223,7 +223,6 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   const IncrementalDiff& diff = step->diff;
   count_ = step->count;
   groups_scanned_ += diff.stats.groups_scanned;
-  groups_skipped_ += diff.stats.groups_skipped;
 
   // The serving step rendered the payload against the post-batch state,
   // so feed replay never needs historical graph state. The record also
@@ -356,13 +355,11 @@ void FeedService::Status(ResponseWriter& w) {
   ServingMetricsSnapshot snap;
   uint64_t count;
   uint64_t scanned;
-  uint64_t skipped;
   {
     std::lock_guard lock(store_mu_);
     snap = store_.MetricsSnapshot();
     count = count_;
     scanned = groups_scanned_;
-    skipped = groups_skipped_;
   }
   std::string body =
       "{\"seq\":" + std::to_string(snap.last_seq) +
@@ -373,7 +370,6 @@ void FeedService::Status(ResponseWriter& w) {
       ",\"compactions\":" + std::to_string(snap.compactions) +
       ",\"violations\":" + std::to_string(count) +
       ",\"groups_scanned\":" + std::to_string(scanned) +
-      ",\"groups_skipped\":" + std::to_string(skipped) +
       ",\"feed_seq\":" + std::to_string(feed_.last_seq()) +
       ",\"subscribers\":" + std::to_string(feed_.subscriber_count()) +
       ",\"evictions\":" + std::to_string(feed_.evictions()) + "}\n";

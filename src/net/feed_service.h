@@ -93,16 +93,14 @@ class FeedService {
   TokenBucketLimiter limiter_;
 
   /// Single-writer enforcement. guards: every ServingStore call on
-  /// store_, plus fingerprint_, count_, primed_, groups_scanned_,
-  /// groups_skipped_. Publish happens inside it so feed order == batch
-  /// order.
+  /// store_, plus fingerprint_, count_, primed_, groups_scanned_.
+  /// Publish happens inside it so feed order == batch order.
   mutable std::mutex store_mu_;
   uint64_t fingerprint_ = 0;
   uint64_t count_ = 0;
   bool primed_ = false;
-  /// Running footprint-gate totals across batches, for /status.
+  /// Groups the batches' steps ran units in, summed, for /status.
   uint64_t groups_scanned_ = 0;
-  uint64_t groups_skipped_ = 0;
 };
 
 }  // namespace gfd::net

@@ -1,7 +1,7 @@
 // Structured JSON-lines trace log plus the ScopedTimer RAII span that
 // feeds latency histograms and (optionally) emits one trace event per
-// serving-loop stage (validate -> route -> ship -> detect -> merge ->
-// compact) with seq/batch/fragment fields.
+// serving-loop stage (validate -> route -> detect -> merge -> compact)
+// with seq/batch/fragment fields.
 //
 // One TraceLog can be installed process-wide via SetActiveTrace; hot
 // paths then call EmitTrace / construct ScopedTimers unconditionally --

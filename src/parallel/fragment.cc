@@ -1,5 +1,10 @@
 #include "parallel/fragment.h"
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <utility>
+
 namespace gfd {
 
 Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n) {
@@ -62,17 +67,43 @@ Fragmentation VertexCutPartition(const PropertyGraph& g, size_t n) {
   return frag;
 }
 
+void FragmentMasks::Complement() {
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const size_t bits = std::min<size_t>(64, num_fragments_ - 64 * b);
+    const uint64_t valid =
+        bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    for (uint64_t& word : blocks_[b]) word = ~word & valid;
+  }
+}
+
 template <typename GraphT>
 void FragmentMasks::Spread(const GraphT& g,
                            std::span<const GraphDelta::Op> extra,
-                           uint32_t hops) {
+                           uint32_t hops, std::span<const GraphDelta::Op> cut) {
+  // The cut keys, and their sources: only an edge out of one is looked
+  // up.
+  std::vector<std::array<uint32_t, 3>> cut_keys;
+  std::vector<char> cut_src;
+  for (const GraphDelta::Op& op : cut) {
+    if (op.kind != GraphDelta::OpKind::kDeleteEdge) continue;
+    if (cut_src.empty()) cut_src.assign(g.NumNodes(), 0);
+    cut_keys.push_back({op.src, op.dst, op.label});
+    cut_src[op.src] = 1;
+  }
+  std::sort(cut_keys.begin(), cut_keys.end());
   std::vector<uint64_t> next;
   for (std::vector<uint64_t>& cur : blocks_) {
     for (uint32_t h = 0; h < hops; ++h) {
       next = cur;
       for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        const bool cuts = !cut_src.empty() && cut_src[v];
         for (EdgeId e : g.OutEdges(v)) {
           const NodeId w = g.EdgeDst(e);
+          if (cuts && std::binary_search(cut_keys.begin(), cut_keys.end(),
+                                         std::array<uint32_t, 3>{
+                                             v, w, g.EdgeLabel(e)})) {
+            continue;
+          }
           next[v] |= cur[w];
           next[w] |= cur[v];
         }
@@ -88,17 +119,29 @@ void FragmentMasks::Spread(const GraphT& g,
 }
 
 template void FragmentMasks::Spread(const PropertyGraph&,
-                                    std::span<const GraphDelta::Op>, uint32_t);
+                                    std::span<const GraphDelta::Op>, uint32_t,
+                                    std::span<const GraphDelta::Op>);
 template void FragmentMasks::Spread(const GraphView&,
-                                    std::span<const GraphDelta::Op>, uint32_t);
+                                    std::span<const GraphDelta::Op>, uint32_t,
+                                    std::span<const GraphDelta::Op>);
+
+namespace {
+
+// Each node's owner, as a one-fragment set.
+FragmentMasks OwnerMasks(size_t num_nodes, const Partition& p) {
+  FragmentMasks masks(num_nodes, p.num_fragments);
+  for (NodeId v = 0; v < num_nodes && v < p.node_owner.size(); ++v) {
+    masks.Set(v, p.node_owner[v]);
+  }
+  return masks;
+}
+
+}  // namespace
 
 template <typename GraphT>
 FragmentResidency ComputeResidency(const GraphT& g, const Partition& p) {
   const size_t num_nodes = g.NumNodes();
-  FragmentMasks reach(num_nodes, p.num_fragments);
-  for (NodeId v = 0; v < num_nodes && v < p.node_owner.size(); ++v) {
-    reach.Set(v, p.node_owner[v]);
-  }
+  FragmentMasks reach = OwnerMasks(num_nodes, p);
   reach.Spread(g, {}, p.halo_radius);
   FragmentResidency resident(p.num_fragments);
   for (size_t f = 0; f < p.num_fragments; ++f) {
@@ -112,53 +155,65 @@ template FragmentResidency ComputeResidency(const PropertyGraph&,
                                             const Partition&);
 template FragmentResidency ComputeResidency(const GraphView&, const Partition&);
 
-FragmentMasks SeedableFragments(const GraphView& post,
-                                std::span<const GraphDelta::Op> ops,
-                                const FragmentResidency& before,
-                                const FragmentResidency& after,
-                                uint32_t radius) {
-  const size_t num_nodes = post.NumNodes();
-  const size_t n = before.size();
-  // The fragments each node is missing from on either side, spread over
-  // the radius: a fragment left clear holds the whole ball on both.
-  FragmentMasks blocked(num_nodes, n);
-  for (size_t f = 0; f < n; ++f) {
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      if (!before[f][v] || !after[f][v]) blocked.Set(v, f);
+uint64_t ResidentEdges(const GraphView& g, std::span<const char> resident) {
+  uint64_t count = 0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (!resident[v]) continue;
+    for (EdgeId e : g.OutEdges(v)) {
+      if (resident[g.EdgeDst(e)]) ++count;
     }
   }
-  blocked.Spread(post, ops, radius);
-  FragmentMasks seedable(num_nodes, n);
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    for (size_t f = 0; f < n; ++f) {
-      if (!blocked.Test(v, f)) seedable.Set(v, f);
-    }
-  }
-  return seedable;
+  return count;
 }
 
-DeltaRouting RouteDelta(const GraphDelta& d,
-                        const FragmentResidency& resident) {
-  const size_t num_fragments = resident.size();
-  DeltaRouting route;
-  route.fragment_ops.resize(num_fragments);
-  auto resident_in = [&](size_t f, NodeId v) {
-    return v < resident[f].size() && resident[f][v] != 0;
-  };
-  for (size_t i = 0; i < d.ops.size(); ++i) {
-    const GraphDelta::Op& op = d.ops[i];
-    for (size_t f = 0; f < num_fragments; ++f) {
-      if (!resident_in(f, op.src)) continue;
-      if (op.kind != GraphDelta::OpKind::kSetAttr && !resident_in(f, op.dst)) {
-        continue;
-      }
-      route.fragment_ops[f].push_back(i);
+FragmentMasks SeedableFragments(const GraphView& pre,
+                                std::span<const GraphDelta::Op> ops,
+                                const Partition& p, uint32_t radius) {
+  // Residency over the edges both sides hold; then the fragments each
+  // node is missing from, spread over the radius: a fragment left clear
+  // holds the whole ball on both sides.
+  FragmentMasks masks = OwnerMasks(pre.NumNodes(), p);
+  masks.Spread(pre, {}, p.halo_radius, /*cut=*/ops);
+  masks.Complement();
+  masks.Spread(pre, /*extra=*/ops, radius);
+  masks.Complement();
+  return masks;
+}
+
+std::vector<std::vector<NodeId>> PlanSeeds(const Partition& p,
+                                           const GraphView& pre,
+                                           std::span<const GraphDelta::Op> ops,
+                                           std::span<const NodeId> anchors,
+                                           std::span<const uint64_t> costs,
+                                           uint32_t radius) {
+  const size_t n = p.num_fragments;
+  std::vector<std::vector<NodeId>> seeds(n);
+  std::optional<FragmentMasks> seedable;
+  if (n > 1 && !anchors.empty()) {
+    seedable = SeedableFragments(pre, ops, p, radius);
+  }
+  std::vector<std::pair<uint64_t, NodeId>> order;
+  order.reserve(anchors.size());
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    order.emplace_back(costs[i], anchors[i]);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first > y.first : x.second < y.second;
+  });
+  std::vector<uint64_t> load(n, 0);
+  for (const auto& [cost, a] : order) {
+    // The owner's halo holds the ball on both sides, whatever the masks'
+    // approximations say. A strictly smaller load is needed to leave it,
+    // and the ascending scan keeps the lowest id among equals.
+    size_t best = p.node_owner[a];
+    for (size_t f = 0; seedable && f < n; ++f) {
+      if (load[f] < load[best] && seedable->Test(a, f)) best = f;
     }
+    load[best] += cost;
+    seeds[best].push_back(a);
   }
-  for (uint32_t f = 0; f < num_fragments; ++f) {
-    if (!route.fragment_ops[f].empty()) route.affected_fragments.push_back(f);
-  }
-  return route;
+  for (std::vector<NodeId>& s : seeds) std::sort(s.begin(), s.end());
+  return seeds;
 }
 
 }  // namespace gfd

@@ -15,18 +15,17 @@
 
 namespace gfd {
 
-/// Ownership state of a vertex-cut partition, shared by ParDis,
-/// RouteDelta, and the serving coordinator (which persists it in
-/// coordinator.meta so every layer reads the same owners).
+/// Ownership state of a vertex-cut partition, shared by ParDis and the
+/// serving coordinator (which persists it in coordinator.meta so every
+/// layer reads the same owners).
 struct Partition {
   size_t num_fragments = 0;
 
   /// Halo radius in hops: a node is resident in fragment f iff its
   /// undirected distance from f's owned node set is <= halo_radius.
-  /// Correctness requires halo_radius >= the max per-variable
-  /// eccentricity over all rule patterns (ViolationEngine::
-  /// MaxPatternRadius), so every match anchored at an owned node is
-  /// enumerable from the fragment's local view.
+  /// Serving requires halo_radius >= the max per-variable eccentricity
+  /// over all rule patterns (ViolationEngine::MaxPatternRadius), so every
+  /// match through an owned node lies inside the fragment's residency.
   uint32_t halo_radius = 0;
 
   /// Owner fragment per node: the lowest-numbered fragment that hosts
@@ -66,7 +65,8 @@ using FragmentResidency = std::vector<std::vector<char>>;
 class FragmentMasks {
  public:
   FragmentMasks(size_t num_nodes, size_t num_fragments)
-      : blocks_((num_fragments + 63) / 64,
+      : num_fragments_(num_fragments),
+        blocks_((num_fragments + 63) / 64,
                 std::vector<uint64_t>(num_nodes, 0)) {}
 
   bool Test(NodeId v, size_t f) const {
@@ -76,16 +76,21 @@ class FragmentMasks {
     blocks_[f / 64][v] |= uint64_t{1} << (f % 64);
   }
 
+  /// Every node's set replaced by the fragments missing from it.
+  void Complement();
+
   /// Grows every node's set by its neighbours' sets, `hops` times, so
   /// that each node ends with the union of the sets of the nodes within
   /// `hops` undirected hops of it -- over `g`'s edges plus the edges of
-  /// `extra`'s edge ops (its attribute ops join nothing). GraphT is
-  /// PropertyGraph or GraphView.
+  /// `extra`'s edge ops (its attribute ops join nothing), less every
+  /// edge of `g` whose (src, dst, label) key an E- op of `cut` names.
+  /// GraphT is PropertyGraph or GraphView.
   template <typename GraphT>
   void Spread(const GraphT& g, std::span<const GraphDelta::Op> extra,
-              uint32_t hops);
+              uint32_t hops, std::span<const GraphDelta::Op> cut = {});
 
  private:
+  size_t num_fragments_;
   std::vector<std::vector<uint64_t>> blocks_;
 };
 
@@ -96,42 +101,41 @@ class FragmentMasks {
 template <typename GraphT>
 FragmentResidency ComputeResidency(const GraphT& g, const Partition& p);
 
-/// Where each node may seed one batch's step diff: fragment f is in v's
-/// set iff every node within `radius` undirected hops of v is resident
-/// at f both under `before`, the residency before the batch, and under
-/// `after`, the residency after it. The hops run over `post`, the
-/// post-batch graph, plus the edges `ops` (the batch) deletes: together
-/// they hold every edge of the graph before the batch and after it, so
-/// the balls are over-approximated, and f in v's set means both of f's
-/// views around the batch hold v's pattern-radius ball: f enumerates
-/// every match through v on both sides of the step.
-FragmentMasks SeedableFragments(const GraphView& post,
+/// The edges of `g` with both endpoints in `resident`: what a fragment
+/// holding that residency would store.
+uint64_t ResidentEdges(const GraphView& g, std::span<const char> resident);
+
+/// Where each node may seed one batch's step diff, read off `pre`, the
+/// graph just before the batch, and the batch's `ops`, before anything
+/// absorbs them: fragment f is in v's set iff every node within
+/// `radius` undirected hops of v is resident at f under `p` both before
+/// the batch and after it. Residency is taken over `pre` less every
+/// edge key `ops` delete -- edges both sides hold, so a node resident
+/// there is resident on both sides -- and the hops run over `pre` plus
+/// the edges `ops` insert, which hold every edge of either side. The
+/// residency is under-approximated and the balls over-approximated, so
+/// f in v's set means both of f's views around the batch hold v's
+/// pattern-radius ball: f enumerates every match through v on both
+/// sides of the step.
+FragmentMasks SeedableFragments(const GraphView& pre,
                                 std::span<const GraphDelta::Op> ops,
-                                const FragmentResidency& before,
-                                const FragmentResidency& after,
-                                uint32_t radius);
+                                const Partition& p, uint32_t radius);
 
-/// Shipping plan of one update batch under vertex-cut partitioned
-/// storage. RouteDelta is the coordinator's delivery mechanism: each
-/// fragment receives exactly the ops whose referenced nodes are all
-/// resident in its pre-batch view, in stream order; the coordinator
-/// appends halo-maintenance ops (border entry/exit repair) separately.
-/// `gfdtool serve append` reports the same plan as shipping fan-out.
-struct DeltaRouting {
-  /// For each fragment: ascending indices into d.ops of the ops it
-  /// receives. An op shipping to k fragments appears in k lists,
-  /// exactly like vertex replication.
-  std::vector<std::vector<size_t>> fragment_ops;
-  /// Fragments receiving at least one op, sorted ascending.
-  std::vector<uint32_t> affected_fragments;
-};
-
-/// Routes `d`'s ops by residency: an op ships to fragment f iff every
-/// node it references is resident in f (edge ops: both endpoints; attr
-/// ops: the node — so halo copies stay attribute-fresh). Ops that
-/// reference out-of-range nodes are ignored (validation is the store's
-/// job).
-DeltaRouting RouteDelta(const GraphDelta& d, const FragmentResidency& resident);
+/// Plans the seeds of one batch's step on a coordinator over `p`: each
+/// of `anchors` (BatchFootprint::anchors), priced by `costs` (StepPlan::
+/// anchor_costs, in the same order), goes to exactly one fragment that
+/// SeedableFragments admits, or its owner -- whose residency holds the
+/// anchor's `radius`-hop ball on both sides, radius being <= the halo
+/// radius. Longest processing time first: most expensive first, ties by
+/// node id, each on the least-loaded fragment that qualifies, ties to
+/// the owner and then to the lowest id. Returns every fragment's sorted
+/// seeds. Deterministic.
+std::vector<std::vector<NodeId>> PlanSeeds(const Partition& p,
+                                           const GraphView& pre,
+                                           std::span<const GraphDelta::Op> ops,
+                                           std::span<const NodeId> anchors,
+                                           std::span<const uint64_t> costs,
+                                           uint32_t radius);
 
 }  // namespace gfd
 

@@ -5,17 +5,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <utility>
 
+#include "graph/live_graph.h"
 #include "graph/loader.h"
-#include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "serve/changefeed.h"
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
 #include "serve/metrics.h"
+#include "util/timer.h"
 
 namespace gfd {
 
@@ -240,17 +242,6 @@ bool ConvertLegacyLayout(const std::string& dir, const MetaData& meta,
   return true;
 }
 
-// Accounted size of a diff shipped fragment -> master.
-uint64_t DiffBytes(const IncrementalDiff& diff) {
-  uint64_t bytes = 0;
-  for (const std::vector<Violation>* side : {&diff.added, &diff.removed}) {
-    for (const Violation& v : *side) {
-      bytes += sizeof(Violation) + v.match.size() * sizeof(NodeId);
-    }
-  }
-  return bytes;
-}
-
 // Merges per-fragment violation lists. Each match is evaluated only at
 // the one fragment seeding its attributed anchor, so the parts are
 // disjoint and sorting the concatenation reproduces the exact
@@ -278,7 +269,6 @@ void AddStats(IncrementalStats* into, const IncrementalStats& s) {
   into->violations_before += s.violations_before;
   into->violations_after += s.violations_after;
   into->groups_scanned += s.groups_scanned;
-  into->groups_skipped += s.groups_skipped;
 }
 
 }  // namespace
@@ -329,164 +319,68 @@ std::optional<Coordinator> Coordinator::Open(const std::string& dir,
   c.dir_ = dir;
   c.master_ = GraphStore::Open(dir, opts.store, error);
   if (!c.master_) return std::nullopt;
-  c.cluster_ = std::make_unique<Cluster>(meta.partition.num_fragments);
-  // Residency once, under the meta's owner table; then every fragment
-  // from the recovered graph -- the loaded snapshot itself when no record
-  // followed it.
-  c.index_ = RoutingIndex::Build(c.view(), std::move(meta.partition), error);
-  if (!c.index_) return std::nullopt;
-  if (c.master_->stats().replayed_batches == 0) {
-    c.ExtractFragments(c.master_->base());
-  } else {
-    c.ExtractFragments(c.view().Materialize());
-  }
-  return c;
-}
-
-void Coordinator::ExtractFragments(const PropertyGraph& g) {
-  fragments_.clear();
-  for (const std::vector<char>& resident : index_->residency()) {
-    fragments_.emplace_back(ExtractSubgraph(g, resident));
-  }
-}
-
-CoordinatorStats Coordinator::stats() const {
-  CoordinatorStats s = stats_;
-  s.messages = cluster_->messages();
-  s.bytes_shipped = cluster_->bytes();
-  return s;
-}
-
-struct Coordinator::DiffContext {
-  const ViolationEngine* engine = nullptr;
-  const IncrementalOptions* opts = nullptr;
-  std::vector<IncrementalDiff> parts;  // per-fragment step diffs
-};
-
-std::optional<uint64_t> Coordinator::AppendAndShip(std::string_view delta_tsv,
-                                                   DiffContext* diff_ctx,
-                                                   std::string* error) {
-  if (!CheckNotDegraded(error)) return std::nullopt;
-  auto batch = master_->live().Parse(delta_tsv, error);
-  if (!batch) return std::nullopt;
-  // Anchored by the pre-batch global degrees, so every backend serving
-  // this stream picks the same anchors.
-  const BatchFootprint footprint = BatchFootprint::Of(batch->ops, view());
-  // The master's append is the one durable write: it validates and
-  // absorbs the batch, logs it, and takes it back out when the log does
-  // not take it -- so an invalid batch reaches neither the log nor any
-  // fragment. Once it is durable, a crash anywhere below is repaired by
-  // Open, which extracts every fragment from the recovered graph.
-  auto seq = master_->AppendParsed(*batch, delta_tsv, error);
-  if (!seq) return std::nullopt;
-  obs::ScopedTimer route_timer(
-      nullptr, "route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}});
-  RoutingIndex::ShipPlan plan = index_->PlanBatch(master_->live(), *batch);
-  if (diff_ctx) {
-    index_->PlanSeeds(master_->live(), *batch, footprint.anchors,
-                      diff_ctx->engine->MaxPatternRadius(), &plan);
-  }
-  route_timer.StopNs();
-  if (!Ship(std::move(plan), footprint, *seq, diff_ctx, error)) {
+  if (meta.partition.node_owner.size() != c.view().NumNodes()) {
+    SetError(error, "partition owner table does not match the graph");
     return std::nullopt;
   }
-  ++stats_.batches;
-  return seq;
-}
-
-bool Coordinator::Ship(RoutingIndex::ShipPlan&& plan,
-                       const BatchFootprint& footprint, uint64_t seq,
-                       DiffContext* diff_ctx, std::string* error) {
-  const size_t n = fragments_.size();
-  if (diff_ctx) diff_ctx->parts.resize(n);
-
-  std::vector<std::string> errs(n);
-  cluster_->RunStep([&](size_t f) {
-    auto absorb = [&] {
-      std::string ferr;
-      auto batch = fragments_[f].Parse(plan.payloads[f], &ferr);
-      if (!batch || !fragments_[f].Absorb(*batch, &ferr)) {
-        errs[f] = "fragment " + std::to_string(f) + ": " + ferr;
-        return false;
-      }
-      return true;
-    };
-    if (!diff_ctx) {
-      absorb();
-      return;
-    }
-    // Both views around the sub-batch hold every match through a seed
-    // (PlanSeeds), so each side equals the global one at this fragment's
-    // seeds and the global footprint gates.
-    const std::vector<NodeId>& seeds = plan.seeds[f];
-    auto sides = diff_ctx->engine->DetectStep(
-        fragments_[f].view(), footprint, seeds, absorb, *diff_ctx->opts);
-    if (!sides) return;
-    if (obs::TraceLog* trace = obs::ActiveTrace()) {
-      trace->Emit("detect",
-                  {{"seq", seq},
-                   {"fragment", f},
-                   {"anchors", seeds.size()},
-                   {"write_units", sides->stats.write_units},
-                   {"edge_units", sides->stats.edge_units},
-                   {"matches", sides->stats.matches_seen}},
-                  static_cast<int64_t>(sides->detect_ns));
-    }
-    diff_ctx->parts[f] = StepDiff(*sides);
-  });
-  for (size_t f = 0; f < n; ++f) {
-    cluster_->CountShipment(1, plan.payloads[f].size());
-    stats_.bytes_owned_shipped += plan.owned_bytes[f];
-    stats_.bytes_halo_shipped += plan.halo_bytes[f];
-    stats_.ops_routed += plan.routed_ops[f];
-    stats_.ops_maintenance += plan.halo_ops[f];
-    FragmentBytesShipped(f, "owned").Inc(plan.owned_bytes[f]);
-    FragmentBytesShipped(f, "halo").Inc(plan.halo_bytes[f]);
-    FragmentOpsShipped(f, "routed").Inc(plan.routed_ops[f]);
-    FragmentOpsShipped(f, "maintenance").Inc(plan.halo_ops[f]);
-    obs::EmitTrace("ship", {{"seq", seq},
-                            {"fragment", f},
-                            {"bytes", plan.payloads[f].size()}});
-  }
-  for (size_t f = 0; f < n; ++f) {
-    if (!errs[f].empty()) {
-      degraded_ = true;
-      SetError(error, errs[f] + "; coordinator degraded, reopen to recover");
-      return false;
-    }
-  }
-  if (diff_ctx) {
-    for (size_t f = 0; f < n; ++f) {
-      const IncrementalDiff& part = diff_ctx->parts[f];
-      cluster_->CountShipment(1, DiffBytes(part));
-      FragmentMatches(f).Inc(part.stats.matches_seen);
-    }
-  }
-  index_->Commit(std::move(plan));
-  return true;
+  c.partition_ = std::move(meta.partition);
+  c.cluster_ = std::make_unique<Cluster>(c.partition_.num_fragments);
+  c.stats_.seeds.assign(c.partition_.num_fragments, 0);
+  return c;
 }
 
 std::optional<uint64_t> Coordinator::Append(std::string_view delta_tsv,
                                             std::string* error) {
-  return AppendAndShip(delta_tsv, nullptr, error);
+  auto seq = master_->Append(delta_tsv, error);
+  if (seq) ++stats_.batches;
+  return seq;
 }
 
 std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  const uint32_t need = engine.MaxPatternRadius();
-  if (need > index_->partition().halo_radius) {
-    SetError(error, "rule pattern radius " + std::to_string(need) +
+  const uint32_t radius = engine.MaxPatternRadius();
+  if (radius > partition_.halo_radius) {
+    SetError(error, "rule pattern radius " + std::to_string(radius) +
                         " exceeds the partition halo radius " +
-                        std::to_string(index_->partition().halo_radius) +
+                        std::to_string(partition_.halo_radius) +
                         "; re-init the coordinator with a larger radius");
     return std::nullopt;
   }
-  DiffContext ctx;
-  ctx.engine = &engine;
-  ctx.opts = &opts;
-  auto seq = AppendAndShip(delta_tsv, &ctx, error);
-  if (!seq) return std::nullopt;
+  auto batch = master_->live().Parse(delta_tsv, error);
+  if (!batch) return std::nullopt;
+  // Everything below `route` reads the pre-batch view: the anchors, by
+  // its degrees, so every backend serving this stream picks the same
+  // ones; the step's units, planned once; and each fragment's seeds.
+  const BatchFootprint footprint = BatchFootprint::Of(batch->ops, view());
+  StopwatchNs route_watch;
+  const StepPlan plan = engine.PlanStep(view(), footprint);
+  const std::vector<std::vector<NodeId>> seeds =
+      PlanSeeds(partition_, view(), batch->ops, footprint.anchors,
+                plan.anchor_costs(), radius);
+  const std::vector<StepPlan> shares = plan.Split(seeds);
+  const uint64_t route_ns = route_watch.ElapsedNs();
+
+  // The master's append is the step's one apply, between the fragments'
+  // two sides: it validates and absorbs the batch and logs it, taking it
+  // back out when the log does not take it -- so an invalid batch never
+  // reaches the log. Once it is durable nothing else can fail.
+  std::optional<uint64_t> seq;
+  auto append = [&] {
+    seq = master_->AppendParsed(*batch, delta_tsv, error);
+    return seq.has_value();
+  };
+  auto each_fragment = [this](const std::function<void(size_t)>& side) {
+    cluster_->RunStep(side);
+  };
+  auto sides =
+      engine.DetectStep(view(), footprint, shares, append, opts, each_fragment);
+  if (!sides) return std::nullopt;
+  ++stats_.batches;
+  if (obs::TraceLog* trace = obs::ActiveTrace()) {
+    trace->Emit("route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}},
+                static_cast<int64_t>(route_ns));
+  }
 
   // The seeds partition the anchors, so the per-fragment added and
   // removed lists partition the step diff, and merging them reproduces
@@ -495,7 +389,21 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   IncrementalDiff diff;
   std::vector<std::vector<Violation>> added;
   std::vector<std::vector<Violation>> removed;
-  for (IncrementalDiff& part : ctx.parts) {
+  for (size_t f = 0; f < sides->size(); ++f) {
+    const StepSides& side = (*sides)[f];
+    if (obs::TraceLog* trace = obs::ActiveTrace()) {
+      trace->Emit("detect",
+                  {{"seq", *seq},
+                   {"fragment", f},
+                   {"anchors", seeds[f].size()},
+                   {"write_units", side.stats.write_units},
+                   {"edge_units", side.stats.edge_units},
+                   {"matches", side.stats.matches_seen}},
+                  static_cast<int64_t>(side.detect_ns));
+    }
+    stats_.seeds[f] += seeds[f].size();
+    FragmentMatches(f).Inc(side.stats.matches_seen);
+    IncrementalDiff part = StepDiff(side);
     added.push_back(std::move(part.added));
     removed.push_back(std::move(part.removed));
     AddStats(&diff.stats, part.stats);
@@ -512,30 +420,38 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
 std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
                                                uint32_t to_fragment,
                                                std::string* error) {
-  if (!CheckNotDegraded(error)) return std::nullopt;
-  obs::ScopedTimer rebalance_timer(&RebalanceLatency(), "rebalance",
-                                   {{"node", node}, {"to", to_fragment}});
-  auto plan = index_->PlanRebalance(master_->live(), node, to_fragment, error);
-  if (!plan) {
-    rebalance_timer.Discard();
+  if (node >= partition_.node_owner.size()) {
+    SetError(error, "rebalance: node id out of range");
     return std::nullopt;
   }
+  if (to_fragment >= partition_.num_fragments) {
+    SetError(error, "rebalance: fragment id out of range");
+    return std::nullopt;
+  }
+  if (partition_.node_owner[node] == to_fragment) {
+    SetError(error, "rebalance: node already owned by fragment " +
+                        std::to_string(to_fragment));
+    return std::nullopt;
+  }
+  obs::ScopedTimer rebalance_timer(&RebalanceLatency(), "rebalance",
+                                   {{"node", node}, {"to", to_fragment}});
   // The graph (hence the violation set) is unchanged; carry the running
   // count across the consumed sequence number.
   const std::optional<MetaCount> carried = master_->count();
   // The owner table first, its batch second: Open reads the table from
   // the meta, so a recovered rebalance seq always comes with the new
   // table.
-  Partition moved = index_->partition();
-  moved.node_owner = plan->new_owner;
+  Partition moved = partition_;
+  moved.node_owner[node] = to_fragment;
   if (!WriteMeta(dir_, moved, error)) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
+  partition_ = std::move(moved);
   // An empty batch: the master numbers the rebalance like any batch, and
   // replay absorbs nothing for it.
   auto seq = master_->Append("", error);
-  if (!seq || !Ship(std::move(*plan), BatchFootprint{}, *seq, nullptr, error)) {
+  if (!seq) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
@@ -552,19 +468,11 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
 bool Coordinator::ShouldCompact() const { return master_->ShouldCompact(); }
 
 bool Coordinator::Compact(std::string* error) {
-  if (!CheckNotDegraded(error)) return false;
-  const size_t rounds = master_->stats().compactions;
-  if (!master_->Compact(error)) return false;
-  if (master_->stats().compactions == rounds) return true;  // nothing folded
-  // The round committed with the master's meta; the fragments are derived
-  // from the snapshot it wrote.
-  obs::ScopedTimer extract_timer(nullptr, "extract", {{"seq", last_seq()}});
-  ExtractFragments(master_->base());
-  return true;
+  return master_->Compact(error);
 }
 
 bool Coordinator::MaybeCompact(std::string* error) {
-  return ShouldCompact() ? Compact(error) : true;
+  return master_->MaybeCompact(error);
 }
 
 std::optional<uint64_t> Coordinator::violation_count(
@@ -582,26 +490,11 @@ PropertyGraph Coordinator::MaterializeCurrent() const {
 }
 
 ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {
-  const CoordinatorStats s = stats();
   ServingMetricsSnapshot snap = master_->MetricsSnapshot();
-  snap.fragments = fragments_.size();
-  snap.batches = s.batches;
-  snap.rebalances = s.rebalances;
-  snap.messages = s.messages;
-  snap.bytes_shipped = s.bytes_shipped;
-  snap.bytes_owned_shipped = s.bytes_owned_shipped;
-  snap.bytes_halo_shipped = s.bytes_halo_shipped;
-  snap.ops_routed = s.ops_routed;
-  snap.ops_maintenance = s.ops_maintenance;
+  snap.fragments = partition_.num_fragments;
+  snap.batches = stats_.batches;
+  snap.rebalances = stats_.rebalances;
   return snap;
-}
-
-bool Coordinator::CheckNotDegraded(std::string* error) const {
-  if (!degraded_) return true;
-  SetError(error,
-           "coordinator degraded by a partial batch failure; reopen to "
-           "recover");
-  return false;
 }
 
 }  // namespace gfd

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <system_error>
 
@@ -362,21 +363,25 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     seq = AppendParsed(*batch, delta_tsv, error);
     return seq.has_value();
   };
+  // One share: the single store is a coordinator of one fragment, whose
+  // seeds are every anchor.
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  auto sides = engine.DetectStep(view(), fp, fp.anchors, append, opts);
+  const StepPlan plan = engine.PlanStep(view(), fp);
+  auto sides = engine.DetectStep(view(), fp, std::span(&plan, 1), append, opts);
   if (!sides) {
     detect_timer.Discard();
     return std::nullopt;
   }
+  const StepSides& step = sides->front();
   if (seq_out) *seq_out = *seq;
   detect_timer.AddField("seq", *seq);
   detect_timer.AddField("anchors", fp.anchors.size());
-  detect_timer.AddField("write_units", sides->stats.write_units);
-  detect_timer.AddField("edge_units", sides->stats.edge_units);
-  detect_timer.AddField("matches", sides->stats.matches_seen);
+  detect_timer.AddField("write_units", step.stats.write_units);
+  detect_timer.AddField("edge_units", step.stats.edge_units);
+  detect_timer.AddField("matches", step.stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff diff = StepDiff(*sides);
+  IncrementalDiff diff = StepDiff(step);
   // The live view is now the post-batch state: the feed payload renders
   // against it, byte-identical to rendering against a materialization.
   diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);

@@ -30,9 +30,9 @@
 // A store is both backends' durable graph: a single-node server serves
 // it directly, and a coordinator (serve/coordinator.h) hosts its global
 // graph as one, its master, in the coordinator's own directory beside
-// the owner table -- appending each batch through AppendParsed before
-// any fragment sees it, compacting through Compact, and keeping its
-// running violation count here.
+// the owner table -- appending each batch through AppendParsed between
+// its fragments' two sides of the step, compacting through Compact, and
+// keeping its running violation count here.
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent

@@ -59,7 +59,7 @@ obs::Counter& FsyncsTotal() {
 obs::Histogram& StoreAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_store_append_seconds",
-      "Store append latency (a coordinator's: its journal append).",
+      "Store append latency (a coordinator's: its master's).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -120,21 +120,6 @@ obs::Histogram& FeedPublishLatency() {
   return h;
 }
 
-obs::Counter& FragmentBytesShipped(size_t f, std::string_view kind) {
-  return Reg().GetCounter(
-      "gfd_fragment_bytes_shipped",
-      "Bytes shipped per fragment, split into routed batch ops (owned) "
-      "vs. border-halo maintenance (halo).",
-      {{"fragment", std::to_string(f)}, {"kind", std::string(kind)}});
-}
-
-obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind) {
-  return Reg().GetCounter(
-      "gfd_fragment_ops_total",
-      "Delta ops shipped per fragment, routed vs. halo maintenance.",
-      {{"fragment", std::to_string(f)}, {"kind", std::string(kind)}});
-}
-
 obs::Counter& FragmentMatches(size_t f) {
   return Reg().GetCounter(
       "gfd_fragment_matches_total",
@@ -151,7 +136,7 @@ obs::Counter& RebalancesTotal() {
 obs::Histogram& RebalanceLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_rebalance_seconds",
-      "End-to-end rebalance latency (owner table, journal, ship).",
+      "End-to-end rebalance latency (owner table, then the empty batch).",
       obs::DefaultLatencyBuckets());
   return h;
 }

@@ -7,7 +7,6 @@
 #define GFD_SERVE_METRICS_H_
 
 #include <cstddef>
-#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -45,13 +44,6 @@ obs::Gauge& ViolationsRunning();  ///< gfd_violations_running
 obs::Histogram& FeedPublishLatency();
 
 // ---- coordinator ----
-/// Bytes shipped to fragment `f`, split by purpose
-/// (gfd_fragment_bytes_shipped{fragment="<f>",kind="owned"|"halo"}).
-obs::Counter& FragmentBytesShipped(size_t f, std::string_view kind);
-/// Ops shipped to fragment `f`, split into routed batch ops vs. halo
-/// maintenance (gfd_fragment_ops_total{fragment="<f>",kind="routed"|
-/// "maintenance"}).
-obs::Counter& FragmentOpsShipped(size_t f, std::string_view kind);
 /// Matches fragment `f`'s step diffs enumerated, both sides
 /// (gfd_fragment_matches_total{fragment="<f>"}).
 obs::Counter& FragmentMatches(size_t f);

@@ -6,14 +6,14 @@
 //   GraphStore   (serve/graph_store.h)  -- single node: snapshot + log
 //   Coordinator  (serve/coordinator.h)  -- distributed: the same store of
 //                the global graph (its master) plus an owner table,
-//                served by vertex-cut partitioned in-memory fragments
+//                each batch's detection spread over vertex-cut fragments
 //                behind the same verbs
 //
 // `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
 // and the oracle tests drive either backend through this interface, and
 // the serving step itself -- append, diff, maintain the running
 // violation count, classify -- is the one free function ServeStep below;
-// whether one store or N routed fragments answer is a deployment choice,
+// whether one store or N fragments answer is a deployment choice,
 // not a code path.
 #ifndef GFD_SERVE_SERVING_STORE_H_
 #define GFD_SERVE_SERVING_STORE_H_
@@ -46,12 +46,6 @@ struct ServingMetricsSnapshot {
   // Distributed (Coordinator) only.
   size_t batches = 0;
   size_t rebalances = 0;
-  uint64_t messages = 0;
-  uint64_t bytes_shipped = 0;
-  uint64_t bytes_owned_shipped = 0;
-  uint64_t bytes_halo_shipped = 0;
-  uint64_t ops_routed = 0;
-  uint64_t ops_maintenance = 0;
 };
 
 class ServingStore {
@@ -78,8 +72,8 @@ class ServingStore {
   virtual uint64_t last_seq() const = 0;
 
   /// Unified telemetry snapshot (see ServingMetricsSnapshot): both
-  /// backends report recovery, compaction, and shipping state through
-  /// this one path.
+  /// backends report recovery and compaction state through this one
+  /// path.
   virtual ServingMetricsSnapshot MetricsSnapshot() const = 0;
 
   /// Running violation count as of last_seq() under the rule-set

@@ -1,16 +1,17 @@
-// Distributed incremental detection over true vertex-cut partitioned
-// storage: the Coordinator's merged per-fragment diffs must be
+// Distributed incremental detection over vertex-cut fragments of one
+// graph: the Coordinator's merged per-fragment diffs must be
 // byte-identical to single-node DetectStep / AppendAndDiff on the
 // unfragmented store -- on fixtures, property-style across random seeds
 // x graph scales x fragment counts {1,2,4,8} x batch streams (repeated,
 // delete-heavy, and mid-stream rebalanced batches included), across a
 // restart, and from directories older builds wrote, which convert once.
 // Both backends are driven through the ServingStore interface. On top of
-// the oracle, every fragment must equal the resident subgraph of the
-// global state (edges exact, resident-node attributes fresh), the summed
-// footprint must be ~replication x |G|, not N x |G|, and the
-// coordinator's durable state must be its master store plus the owner
-// table. Crash recovery at every durable write point is
+// the oracle, every fragment's seeds must run inside its residency masks
+// (the shared-nothing check: rerun on the subgraphs a fragment holding
+// its masks would store, they give the same part diff and matches), the
+// masks' summed footprint must be ~replication x |G|, not N x |G|, and
+// the coordinator's durable state must be its master store plus the
+// owner table. Crash recovery at every durable write point is
 // crash_sweep_test's.
 #include <gtest/gtest.h>
 
@@ -24,7 +25,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,7 +34,6 @@
 #include "graph/graph_view.h"
 #include "graph/live_graph.h"
 #include "graph/loader.h"
-#include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "parallel/fragment.h"
 #include "serve/coordinator.h"
@@ -134,41 +133,85 @@ GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops,
   return d;
 }
 
-// Edge multiset by (src, dst, label) -- node and label ids are preserved
-// across fragments and the master, so keys compare directly.
-std::multiset<std::tuple<NodeId, NodeId, LabelId>> EdgeKeys(
-    const PropertyGraph& g) {
-  std::multiset<std::tuple<NodeId, NodeId, LabelId>> keys;
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    keys.insert({g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e)});
+// The subgraph of `g` a fragment holding residency `resident` would
+// store: every node row and the whole vocabulary, ids preserved, and the
+// edges with both endpoints resident.
+PropertyGraph ExtractSubgraph(const PropertyGraph& g,
+                              std::span<const char> resident) {
+  PropertyGraph::Builder b;
+  // Re-intern the full vocabulary in id order so every id is preserved
+  // verbatim (Intern dedups the builder's pre-interned wildcard).
+  for (uint32_t l = 0; l < g.labels().size(); ++l) {
+    b.InternLabel(g.LabelName(l));
   }
-  return keys;
-}
-
-std::vector<Attribute> Attrs(const PropertyGraph& g, NodeId v) {
-  auto s = g.NodeAttrs(v);
-  return {s.begin(), s.end()};
-}
-
-// The storage invariant of vertex-cut sharding: every fragment's current
-// graph is exactly the resident subgraph of the global state (edge
-// multisets equal), and attributes of resident nodes are fresh.
-// Attributes of NON-resident nodes may be stale by design (they are
-// refreshed when the node re-enters the halo), so they are not compared.
-void ExpectFragmentsMatchResidentSubgraphs(const Coordinator& coord) {
-  PropertyGraph current = coord.MaterializeCurrent();
-  const FragmentResidency& res = coord.residency();
-  for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    PropertyGraph frag = coord.fragment(f).view().Materialize();
-    PropertyGraph want = ExtractSubgraph(current, res[f]);
-    EXPECT_EQ(EdgeKeys(frag), EdgeKeys(want)) << "fragment " << f;
-    ASSERT_EQ(frag.NumNodes(), current.NumNodes()) << "fragment " << f;
-    for (NodeId v = 0; v < current.NumNodes(); ++v) {
-      if (!res[f][v]) continue;
-      EXPECT_EQ(Attrs(frag, v), Attrs(current, v))
-          << "fragment " << f << " node " << v;
+  for (uint32_t a = 0; a < g.attrs().size(); ++a) b.InternAttr(g.AttrName(a));
+  for (uint32_t v = 0; v < g.values().size(); ++v) {
+    b.InternValue(g.ValueName(v));
+  }
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    b.AddNodeById(g.NodeLabel(v));  // ids are dense, so the id is v
+    if (!g.NodeName(v).empty()) b.SetName(v, g.NodeName(v));
+    for (const Attribute& a : g.NodeAttrs(v)) b.SetAttrById(v, a.key, a.value);
+  }
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if (resident[g.EdgeSrc(e)] && resident[g.EdgeDst(e)]) {
+      b.AddEdgeById(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
     }
   }
+  return std::move(b).Build();
+}
+
+// The shared-nothing check. Plans the seeds of batch `d` on `pre` under
+// `p` as a coordinator's master does, and reruns each fragment's seeds on
+// the graphs a fragment holding its masks would store: ExtractSubgraph of
+// `pre` under its residency before the batch, then of the post-batch
+// graph under its residency after it. Each rerun must give the part diff
+// and the matches_seen of the same seeds on the whole graph, so a seed
+// planned where its fragment's masks miss part of its ball fails here.
+// Returns every fragment's seeds.
+std::vector<std::vector<NodeId>> ExpectSeedsRunInsideTheirFragments(
+    const PropertyGraph& pre, const Partition& p,
+    const ViolationEngine& engine, const GraphDelta& d) {
+  const GraphView view = *GraphView::Apply(pre, GraphDelta{});
+  const BatchFootprint fp = BatchFootprint::Of(d.ops, view);
+  const StepPlan plan = engine.PlanStep(view, fp);
+  std::vector<std::vector<NodeId>> seeds =
+      PlanSeeds(p, view, d.ops, fp.anchors, plan.anchor_costs(),
+                engine.MaxPatternRadius());
+  const PropertyGraph post = GraphView::Apply(pre, d)->Materialize();
+  const FragmentResidency before = ComputeResidency(pre, p);
+  const FragmentResidency after = ComputeResidency(post, p);
+  for (size_t f = 0; f < p.num_fragments; ++f) {
+    SCOPED_TRACE("fragment " + std::to_string(f) + " of " +
+                 std::to_string(p.num_fragments));
+    GraphView whole = *GraphView::Apply(pre, GraphDelta{});
+    auto absorb = [&] { return whole.AbsorbAppended(d, 0); };
+    auto one_view = engine.DetectStep(whole, fp, seeds[f], absorb);
+
+    const PropertyGraph held_before = ExtractSubgraph(pre, before[f]);
+    const PropertyGraph held_after = ExtractSubgraph(post, after[f]);
+    GraphView held = *GraphView::Apply(held_before, GraphDelta{});
+    auto swap_in_after = [&] {
+      held = *GraphView::Apply(held_after, GraphDelta{});
+      return true;
+    };
+    auto own = engine.DetectStep(held, fp, seeds[f], swap_in_after);
+    EXPECT_TRUE(one_view.has_value() && own.has_value());
+    if (!one_view || !own) continue;
+    const IncrementalDiff want = StepDiff(*one_view);
+    const IncrementalDiff have = StepDiff(*own);
+    EXPECT_EQ(have.added, want.added);
+    EXPECT_EQ(have.removed, want.removed);
+    EXPECT_EQ(have.stats.matches_seen, want.stats.matches_seen);
+  }
+  return seeds;
+}
+
+// A coordinator's residency masks are those of its current graph under
+// its owner table.
+void ExpectResidencyCurrent(const Coordinator& coord) {
+  EXPECT_EQ(coord.residency(),
+            ComputeResidency(coord.MaterializeCurrent(), coord.partition()));
 }
 
 // --- Fragment-scoped step seeds ---------------------------------------------
@@ -247,16 +290,14 @@ void ExpectFragmentSeedsPartition(const PropertyGraph& g,
     }
     expect_partition(by_owner, std::to_string(n) + " fragments, by owner");
 
+    // The tightest halo the rules allow, so the masks leave out much of
+    // the graph and a misplaced seed shows.
     Partition p = frag.partition;
     p.halo_radius = std::max<uint32_t>(1, radius);
-    LiveGraph live(g);
-    auto index = RoutingIndex::Build(live.view(), p);
-    ASSERT_TRUE(index.has_value());
-    ASSERT_TRUE(live.Absorb(d));
-    RoutingIndex::ShipPlan plan = index->PlanBatch(live, d);
-    index->PlanSeeds(live, d, fp.anchors, radius, &plan);
-    ASSERT_EQ(plan.seeds.size(), n);
-    expect_partition(plan.seeds, std::to_string(n) + " fragments, planned");
+    const std::vector<std::vector<NodeId>> planned =
+        ExpectSeedsRunInsideTheirFragments(g, p, engine, d);
+    ASSERT_EQ(planned.size(), n);
+    expect_partition(planned, std::to_string(n) + " fragments, planned");
   }
 }
 
@@ -328,8 +369,7 @@ FragmentMasks CheckedSeedable(const PropertyGraph& g, const Partition& p,
   const FragmentResidency before = ComputeResidency(pre, p);
   const FragmentResidency after = ComputeResidency(post, p);
   EXPECT_EQ(before, ComputeResidency(g, p));
-  FragmentMasks seedable =
-      SeedableFragments(post, batch.ops, before, after, radius);
+  FragmentMasks seedable = SeedableFragments(pre, batch.ops, p, radius);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     for (size_t f = 0; f < p.num_fragments; ++f) {
       if (!seedable.Test(v, f)) continue;
@@ -459,39 +499,6 @@ TEST(SeedableFragments, SoundOnRandomBatches) {
   EXPECT_GT(off_owner, 0u);
 }
 
-TEST(RouteDelta, ShipsOpsToFragmentsWhoseResidentSetCoversThem) {
-  auto g = MakeSynthetic({.nodes = 50, .edges = 150, .seed = 5});
-  Fragmentation frag = VertexCutPartition(g, 4);
-  frag.partition.halo_radius = 1;
-  auto resident = ComputeResidency(g, frag.partition);
-  GraphDelta d;
-  EdgeId e = 0;
-  d.InsertEdge(g.EdgeSrc(e), g.EdgeDst(e), g.EdgeLabel(e));
-  d.SetAttr(g.EdgeSrc(e), 0, 0);
-  auto route = RouteDelta(d, resident);
-  uint32_t src_owner = frag.partition.node_owner[g.EdgeSrc(e)];
-  uint32_t dst_owner = frag.partition.node_owner[g.EdgeDst(e)];
-  // Radius >= 1 makes both endpoints of an existing edge resident at
-  // both endpoint owners, so the edge op reaches at least those two; the
-  // src owner additionally receives the attribute op.
-  EXPECT_GE(route.fragment_ops[src_owner].size(), 2u);
-  EXPECT_TRUE(std::binary_search(route.affected_fragments.begin(),
-                                 route.affected_fragments.end(), src_owner));
-  EXPECT_TRUE(std::binary_search(route.affected_fragments.begin(),
-                                 route.affected_fragments.end(), dst_owner));
-  // Every shipped op's referenced nodes are resident at the receiver --
-  // the storage-completeness contract of residency-based routing.
-  for (size_t f = 0; f < resident.size(); ++f) {
-    for (size_t i : route.fragment_ops[f]) {
-      const GraphDelta::Op& op = d.ops[i];
-      EXPECT_TRUE(resident[f][op.src]) << "fragment " << f << " op " << i;
-      if (op.kind != GraphDelta::OpKind::kSetAttr) {
-        EXPECT_TRUE(resident[f][op.dst]) << "fragment " << f << " op " << i;
-      }
-    }
-  }
-}
-
 // --- Coordinator basics ----------------------------------------------------
 
 TEST(Coordinator, InitRejectsBadParamsAndDoubleInit) {
@@ -506,6 +513,9 @@ TEST(Coordinator, InitRejectsBadParamsAndDoubleInit) {
   EXPECT_NE(error.find("already holds"), std::string::npos);
 }
 
+// The fragments are masks over the one graph: after every append they
+// are the residency of the current graph, and an invalid batch changes
+// neither the graph nor them.
 TEST(Coordinator, AppendKeepsFragmentsInLockstepAndResident) {
   auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 2});
   std::string dir = Scratch("coord_lockstep");
@@ -520,21 +530,16 @@ TEST(Coordinator, AppendKeepsFragmentsInLockstepAndResident) {
     auto seq = coord->Append(DeltaBytes(current, d), &error);
     ASSERT_TRUE(seq.has_value()) << error;
     EXPECT_EQ(*seq, static_cast<uint64_t>(b + 1));
+    ExpectResidencyCurrent(*coord);
   }
-  ExpectFragmentsMatchResidentSubgraphs(*coord);
-  // An invalid batch is rejected before the journal or any fragment sees
-  // it.
-  std::vector<std::string> before;
-  for (size_t f = 0; f < coord->num_fragments(); ++f) {
-    before.push_back(GraphBytes(coord->fragment(f).view().Materialize()));
-  }
+  // An invalid batch is rejected before the log sees it.
+  const std::string graph = GraphBytes(coord->MaterializeCurrent());
+  const FragmentResidency masks = coord->residency();
   std::string error;
   EXPECT_FALSE(coord->Append("E-\tno_such_node\talso_missing\tx\n", &error));
   EXPECT_EQ(coord->last_seq(), 3u);
-  for (size_t f = 0; f < coord->num_fragments(); ++f) {
-    EXPECT_EQ(GraphBytes(coord->fragment(f).view().Materialize()), before[f])
-        << "fragment " << f;
-  }
+  EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()), graph);
+  EXPECT_EQ(coord->residency(), masks);
 }
 
 // A numeric field of one trace line.
@@ -682,23 +687,24 @@ TEST(Coordinator, AppendAndDiffSpreadsTheSeedsOffTheOwners) {
   EXPECT_EQ(seeded_total, seeds.route);
   EXPECT_NE(seeds.detect, owned) << "some anchor is seeded off its owner";
   EXPECT_LE(skew(seeds.detect), 1.5);
-  ExpectFragmentsMatchResidentSubgraphs(*coord);
 }
 
 TEST(Coordinator, PartitionedFootprintIsReplicationTimesGNotNTimesG) {
   // Sparse graph + tight halo: the regime partitioned storage exists
-  // for. Whole-graph replication would store fragments x |E| edges.
+  // for. Whole-graph replication would store fragments x |E| edges; the
+  // masks span a small multiple of |E|, and the process stores |E| once.
   auto g = MakeSynthetic({.nodes = 600, .edges = 900, .seed = 11});
   const size_t fragments = 8;
   std::string dir = Scratch("coord_footprint");
   ASSERT_TRUE(Coordinator::Init(dir, g, fragments, /*halo_radius=*/1));
   auto coord = Coordinator::Open(dir);
   ASSERT_TRUE(coord.has_value());
+  const FragmentResidency residency = coord->residency();
   uint64_t sum = 0;
   for (size_t f = 0; f < fragments; ++f) {
-    uint64_t resident = coord->resident_edges(f);
-    // The footprint counter equals what the fragment actually holds.
-    EXPECT_EQ(resident, coord->fragment(f).view().NumEdges())
+    const uint64_t resident = ResidentEdges(coord->view(), residency[f]);
+    // What a fragment holding its mask would store.
+    EXPECT_EQ(resident, ExtractSubgraph(g, residency[f]).NumEdges())
         << "fragment " << f;
     sum += resident;
   }
@@ -768,6 +774,16 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
   }
 
   for (size_t b = 0; b < payloads.size(); ++b) {
+    // Every fragment's seeds run inside its masks, and the coordinator
+    // seeds each fragment as planned.
+    const PropertyGraph pre = coord->MaterializeCurrent();
+    const auto batch = LiveGraph(pre).Parse(payloads[b]);
+    ASSERT_TRUE(batch.has_value());
+    const std::vector<std::vector<NodeId>> planned =
+        ExpectSeedsRunInsideTheirFragments(pre, coord->partition(), engine,
+                                           *batch);
+    const std::vector<uint64_t> seeded = coord->stats().seeds;
+
     std::string cerror, serror;
     uint64_t cseq = 0, sseq = 0;
     auto merged = dist.AppendAndDiff(engine, payloads[b], {}, &cseq, &cerror);
@@ -783,6 +799,10 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
     EXPECT_EQ(merged->removed, refd->removed)
         << "seed " << seed << " batch " << b << " (" << fragments
         << " fragments)";
+    for (size_t f = 0; f < fragments; ++f) {
+      EXPECT_EQ(coord->stats().seeds[f] - seeded[f], planned[f].size())
+          << "seed " << seed << " batch " << b << " fragment " << f;
+    }
 
     // Mid-stream rebalance: move ownership of one node to the last
     // fragment. The graph is unchanged, so the reference consumes the
@@ -799,12 +819,12 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
       ASSERT_TRUE(rseq.has_value()) << "seed " << seed << ": " << rerror;
       EXPECT_EQ(coord->node_owner()[node], target);
       ASSERT_TRUE(ref.Append("").has_value());
-      ExpectFragmentsMatchResidentSubgraphs(*coord);
+      ExpectResidencyCurrent(*coord);
     }
   }
   EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()),
             GraphBytes(single->MaterializeCurrent()));
-  ExpectFragmentsMatchResidentSubgraphs(*coord);
+  ExpectResidencyCurrent(*coord);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoordinatorOracle, ::testing::Range(0, 25));
@@ -835,7 +855,7 @@ TEST(Coordinator, RestartReplaysEveryFragmentToTheSameGlobalState) {
   EXPECT_EQ(reopened->last_seq(), 3u);
   EXPECT_EQ(reopened->MetricsSnapshot().replayed_batches, 3u);
   EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), expect);
-  ExpectFragmentsMatchResidentSubgraphs(*reopened);
+  ExpectResidencyCurrent(*reopened);
 }
 
 // A rejected batch names its failing op from the batch's first op, so
@@ -961,7 +981,7 @@ TEST(Coordinator, ConvertsOlderLayoutsOnce) {
     EXPECT_EQ(coord->last_seq(), 5u);
     EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()), GraphBytes(*want));
     EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
-    ExpectFragmentsMatchResidentSubgraphs(*coord);
+    ExpectResidencyCurrent(*coord);
     EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
 
     std::set<std::string> files;
@@ -988,7 +1008,7 @@ TEST(Coordinator, ConvertsOlderLayoutsOnce) {
     ASSERT_TRUE(reopened.has_value()) << error;
     EXPECT_EQ(reopened->last_seq(), 6u);
     EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), want_after);
-    ExpectFragmentsMatchResidentSubgraphs(*reopened);
+    ExpectResidencyCurrent(*reopened);
   }
 }
 

@@ -14,13 +14,12 @@
 //      holds a count at that seq.
 // Three legs run it: one GraphStore, a Coordinator over 2 fragments, and
 // that Coordinator with a Rebalance between two batches, before a
-// compaction. The rebalance consumes one seq, whose feed event is an
-// empty diff (the graph is unchanged); after each crash that leg also
-// checks that
+// compaction. On both coordinator legs the residency masks must be those
+// of the recovered graph under the recovered owner table. The rebalance
+// consumes one seq, whose feed event is an empty diff (the graph is
+// unchanged); after each crash that leg also checks that
 //   5. the recovered ownership is the pre- or the post-rebalance table
-//      (the post one once the rebalance's seq is recovered), and every
-//      fragment holds exactly the resident subgraph of the recovered
-//      global graph under it.
+//      (the post one once the rebalance's seq is recovered).
 // Two more sweeps crash what precedes serving on a coordinator:
 // Coordinator::Init, whose directory must then open as initialized or
 // accept a second Init, and the one-time conversion of a directory an
@@ -45,7 +44,6 @@
 #include "detect/engine.h"
 #include "gfd/serialize.h"
 #include "graph/loader.h"
-#include "graph/subgraph.h"
 #include "net/feed_service.h"
 #include "parallel/fragment.h"
 #include "serve/changefeed.h"
@@ -214,48 +212,15 @@ struct SweepTotals {
   size_t scans = 0;
 };
 
-// A fragment's edges and its resident nodes' attributes, by name. With
-// `only_resident`, edges leaving `resident` are skipped (for the global
-// graph); a fragment must hold no such edge at all.
-std::vector<std::string> ResidentLines(const PropertyGraph& g,
-                                       const std::vector<char>& resident,
-                                       bool only_resident) {
-  std::vector<std::string> out;
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const NodeId src = g.EdgeSrc(e);
-    const NodeId dst = g.EdgeDst(e);
-    if (only_resident && !(resident[src] && resident[dst])) continue;
-    out.push_back("E " + g.NodeAlias(src) + " " + g.NodeAlias(dst) + " " +
-                  g.LabelName(g.EdgeLabel(e)));
-  }
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (!resident[v]) continue;
-    for (const Attribute& a : g.NodeAttrs(v)) {
-      out.push_back("A " + g.NodeAlias(v) + " " + g.AttrName(a.key) + "=" +
-                    g.ValueName(a.value));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+// The coordinator's residency masks are those of `current`, the
+// recovered global graph, under its owner table.
+void ExpectResidencyOf(const Coordinator& coord, const PropertyGraph& current) {
+  EXPECT_EQ(coord.residency(), ComputeResidency(current, coord.partition()))
+      << "the masks are not the recovered graph's";
 }
 
-// Every fragment holds exactly the resident subgraph of `current`, the
-// recovered global graph, under the coordinator's owner table.
-void ExpectFragmentsResident(const Coordinator& coord,
-                             const PropertyGraph& current) {
-  const FragmentResidency resident =
-      ComputeResidency(current, coord.partition());
-  for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    EXPECT_EQ(ResidentLines(coord.fragment(f).view().Materialize(),
-                            resident[f], /*only_resident=*/false),
-              ResidentLines(current, resident[f], /*only_resident=*/true))
-        << "fragment " << f << " is not the resident subgraph";
-  }
-}
-
-// Property 5: the recovered ownership and the fragments it lays out.
-void CheckOwnership(const Script& s, const Coordinator& coord,
-                    const PropertyGraph& current) {
+// Property 5: the recovered ownership.
+void CheckOwnership(const Script& s, const Coordinator& coord) {
   const std::vector<uint32_t> owners(coord.node_owner().begin(),
                                      coord.node_owner().end());
   EXPECT_TRUE(owners == s.move->pre_owners || owners == s.move->post_owners)
@@ -263,7 +228,6 @@ void CheckOwnership(const Script& s, const Coordinator& coord,
   if (coord.last_seq() > s.move->before) {
     EXPECT_EQ(owners, s.move->post_owners) << "the rebalance's seq is in";
   }
-  ExpectFragmentsResident(coord, current);
 }
 
 // Reopens `dir` after the child stopped (crashed or done) with `acked`
@@ -279,7 +243,10 @@ void CheckRecovery(const Script& s, const Reference& ref,
   const PropertyGraph current = store->MaterializeCurrent();
   EXPECT_EQ(testing::CanonicalLines(current), ref.states[seq])
       << "not a script prefix";
-  if (s.move) CheckOwnership(s, dynamic_cast<Coordinator&>(*store), current);
+  if (s.move) CheckOwnership(s, dynamic_cast<Coordinator&>(*store));
+  if (distributed) {
+    ExpectResidencyOf(dynamic_cast<Coordinator&>(*store), current);
+  }
 
   // The feed continues at the store's seq: what it still holds are the
   // script's events up to that seq (a crash before the first feed append
@@ -440,8 +407,8 @@ std::set<std::string> Listing(const std::string& dir) {
 }
 
 // An interrupted Coordinator::Init leaves a directory that either opens
-// as initialized -- seq 0, the graph, the owner table Init computes,
-// every fragment its resident subgraph -- or accepts a second Init,
+// as initialized -- seq 0, the graph, the owner table Init computes and
+// the masks it lays out -- or accepts a second Init,
 // after which it opens so.
 TEST(CrashSweep, InitializingACoordinator) {
   const PropertyGraph g =
@@ -470,7 +437,7 @@ TEST(CrashSweep, InitializingACoordinator) {
     const PropertyGraph current = coord->MaterializeCurrent();
     EXPECT_EQ(testing::CanonicalLines(current), testing::CanonicalLines(g));
     EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
-    ExpectFragmentsResident(*coord, current);
+    ExpectResidencyOf(*coord, current);
     if (::testing::Test::HasFailure() || status == 0) break;
     ++crashes;
   }
@@ -481,7 +448,7 @@ TEST(CrashSweep, InitializingACoordinator) {
 
 // Opening a directory an older build wrote converts it. Crashed at every
 // durable write point of that conversion, the directory reopens to the
-// seq, graph, owners and fragments the older build served, holding only
+// seq, graph, owners and masks the older build served, holding only
 // the current layout, with the old meta's count carried -- the
 // conversion moves it into store.meta before the meta loses it, so it is
 // never absent, let alone wrong.
@@ -514,7 +481,7 @@ TEST(CrashSweep, ConvertingAnOlderLayout) {
       EXPECT_EQ(testing::CanonicalLines(current),
                 testing::CanonicalLines(*want));
       EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
-      ExpectFragmentsResident(*coord, current);
+      ExpectResidencyOf(*coord, current);
       EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
       EXPECT_EQ(Listing(dir), layout);
       if (::testing::Test::HasFailure() || status == 0) break;

@@ -541,10 +541,11 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   ExpectRestartIdentical(*store, engine);
 }
 
-// The footprint gate reads the batch alone: a batch touching only nodes
-// whose labels the film rule's pattern cannot bind must skip the rule's
-// group, even on an overlay whose earlier batches touched persons.
-TEST(GraphStore, AppendAndDiffGatesGroupsByTheBatchAlone) {
+// The units read the batch alone: a batch touching only nodes whose
+// labels the film rule's pattern cannot bind roots no unit, so the rule's
+// group is not scanned, even on an overlay whose earlier batches touched
+// persons.
+TEST(GraphStore, AppendAndDiffScansGroupsByTheBatchAlone) {
   std::string dir = Scratch("store_step_gate");
   PropertyGraph::Builder b;
   NodeId p0 = b.AddNode("person");
@@ -571,7 +572,7 @@ TEST(GraphStore, AppendAndDiffGatesGroupsByTheBatchAlone) {
   auto diff = store->AppendAndDiff(engine, city_batch);
   ASSERT_TRUE(diff.has_value());
   EXPECT_EQ(diff->stats.groups_scanned, 0u);
-  EXPECT_EQ(diff->stats.groups_skipped, 1u);
+  EXPECT_EQ(diff->stats.write_units + diff->stats.edge_units, 0u);
   EXPECT_TRUE(diff->added.empty());
   EXPECT_TRUE(diff->removed.empty());
 }

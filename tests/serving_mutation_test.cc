@@ -7,8 +7,8 @@
 // batch:
 //   - the same accept/reject decision;
 //   - an accepted batch gets the same seq on both and leaves
-//     canonical-equal graphs, with every fragment equal to the resident
-//     subgraph of the coordinator's global graph;
+//     canonical-equal graphs, with the coordinator's residency masks
+//     those of its global graph;
 //   - a rejected batch gets the same error text from both, and leaves
 //     last_seq, the graph and every file of both directories unchanged;
 //   - a reopen recovers the same state.
@@ -21,14 +21,12 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "datagen/synthetic.h"
-#include "graph/subgraph.h"
+#include "parallel/fragment.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "testlib.h"
@@ -170,21 +168,10 @@ std::string Mutate(const std::string& batch, const PropertyGraph& g,
   return Join(lines, '\n') + "\n";
 }
 
-// Every fragment holds exactly the resident subgraph of the global graph.
-void ExpectFragmentsResident(const Coordinator& coord) {
-  const PropertyGraph current = coord.MaterializeCurrent();
-  for (size_t f = 0; f < coord.num_fragments(); ++f) {
-    const PropertyGraph want = ExtractSubgraph(current, coord.residency()[f]);
-    std::multiset<std::tuple<NodeId, NodeId, LabelId>> want_keys, have_keys;
-    for (EdgeId e = 0; e < want.NumEdges(); ++e) {
-      want_keys.insert({want.EdgeSrc(e), want.EdgeDst(e), want.EdgeLabel(e)});
-    }
-    const PropertyGraph have = coord.fragment(f).view().Materialize();
-    for (EdgeId e = 0; e < have.NumEdges(); ++e) {
-      have_keys.insert({have.EdgeSrc(e), have.EdgeDst(e), have.EdgeLabel(e)});
-    }
-    EXPECT_EQ(have_keys, want_keys) << "fragment " << f;
-  }
+// The coordinator's residency masks are those of its global graph.
+void ExpectResidencyCurrent(const Coordinator& coord) {
+  EXPECT_EQ(coord.residency(),
+            ComputeResidency(coord.MaterializeCurrent(), coord.partition()));
 }
 
 TEST(ServingMutation, BothBackendsAgreeOnEveryMutatedBatch) {
@@ -271,11 +258,11 @@ TEST(ServingMutation, BothBackendsAgreeOnEveryMutatedBatch) {
                 testing::CanonicalLines(current));
       ASSERT_EQ(testing::CanonicalLines(coord->MaterializeCurrent()),
                 testing::CanonicalLines(current));
-      ExpectFragmentsResident(*coord);
+      ExpectResidencyCurrent(*coord);
       untouched = capture();
     }
   }
-  ExpectFragmentsResident(*coord);
+  ExpectResidencyCurrent(*coord);
   // Both outcomes must be well represented for the agreement to mean
   // anything, and both backends must have compacted on the way.
   EXPECT_GE(accepted, kBatches / 5);

@@ -7,20 +7,19 @@ main run) and fails when any timed metric slowed down by more than
 --threshold. Metrics are the per-bench "seconds" fields; most counter
 fields (violations, matches, ...) are informational and never gate.
 
-The exception is the distributed footprint/traffic counters
-(resident_edges_*, replication_measured, *_bytes_per_batch) and the
-fragment step's fragment_matches_skew: those are deterministic, so
-growth beyond the threshold gates exactly like a slowdown -- a
-replication-factor or shipped-bytes blowup is a storage regression, and
-a skew blowup a balance regression, even when wall-clock stays flat. A
-counter present in this run but absent from the baseline reports "new,
-no baseline" and passes (warn-only bootstrap, same as a brand-new
-bench).
+The exception is the fragment step's residency footprint counters
+(resident_edges_*, replication_measured) and its fragment_matches_skew:
+those are deterministic, so growth beyond the threshold gates exactly
+like a slowdown -- a replication-factor blowup is a partitioning
+regression, and a skew blowup a balance regression, even when
+wall-clock stays flat. A counter present in this run but absent from
+the baseline reports "new, no baseline" and passes (warn-only
+bootstrap, same as a brand-new bench).
 
-A second class of deterministic work counters (ops routed, matches
-enumerated, touched matches) is compared and reported but warn-only:
-drift there flags an algorithmic-shape change for review without ever
-failing the gate.
+A second class of deterministic work counters (matches enumerated,
+touched matches) is compared and reported but warn-only: drift there
+flags an algorithmic-shape change for review without ever failing the
+gate.
 
 Rows faster than --min-seconds in the baseline are skipped: at
 sub-10-millisecond scale, CI-runner jitter swamps any real signal.
@@ -39,14 +38,13 @@ from pathlib import Path
 
 # Deterministic counters that gate on growth like a slowdown would.
 GATED_COUNTERS = (
+    # bench_distributed's step_104x75_f*: the edges inside the fragments'
+    # residency masks after the stream, and their sum over |E|.
     "resident_edges_total",
     "resident_edges_max",
     "replication_measured",
-    "shipped_bytes_per_batch",
-    "owned_bytes_per_batch",
-    "halo_bytes_per_batch",
-    # Footprint-gate coverage from bench_incremental is deterministic for
-    # a fixed workload: a pattern group losing its skip eligibility is a
+    # The pattern groups bench_incremental's steps run units in, fixed
+    # for a fixed workload: a group scanned without need is a
     # detection-cost regression even when this runner's wall-clock hides
     # it.
     "groups_scanned",
@@ -58,15 +56,12 @@ GATED_COUNTERS = (
 
 # Deterministic work counters that are compared and reported but never
 # fail the gate: drift here means the workload or algorithm changed shape
-# (more ops routed, more matches enumerated), which a PR may well intend.
+# (more matches enumerated), which a change may well intend.
 # The WARN line makes an unintended change visible in review instead of
 # blocking it.
 WARN_COUNTERS = (
-    "ops_routed_total",
-    "ops_maintenance_total",
     "matches_enumerated",
     "touched_matches",
-    "groups_skipped",
     # Detect work per served batch (bench_incremental's step_stream_*).
     "matches_per_batch",
     "literal_evals_per_batch",

@@ -34,27 +34,25 @@
 //       Roll the snapshot forward over the overlay and re-anchor the log.
 //   gfdtool serve init <dir> <graph.tsv> --fragments N [--radius R]
 //       Create a distributed serving directory: a coordinator over N
-//       vertex-cut fragments (each holding only its owned edge partition
-//       plus a radius-R border halo, in memory) with persisted node
+//       vertex-cut fragments (each an owner set plus its radius-R halo
+//       residency over the one in-memory graph) with persisted node
 //       ownership, over a master store of the global graph. Refuses a
 //       directory that already holds a store or a coordinator.
 //   gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]
 //           [--compact-ops N]
-//       The distributed serving step: the coordinator assigns the batch
-//       the next global sequence number, routes each op to exactly the
-//       fragments whose resident set covers it (plus halo-maintenance
-//       traffic), runs owned-scope incremental detection on every
-//       fragment, and merges the per-fragment diffs -- printed as +/-
-//       records with the same 0/3/4 verdict exit codes as detect
-//       --delta, read off the running violation counter. Open rebuilds
-//       every fragment from the master store, whatever state a kill left.
+//       The distributed serving step: the master plans the batch's
+//       detection seeds over the fragments, each fragment diffs its seeds
+//       around the master's one durable append under the next global
+//       sequence number, and the master merges the per-fragment diffs --
+//       printed as +/- records with the same 0/3/4 verdict exit codes as
+//       detect --delta, read off the running violation counter.
 //   gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]
 //       Move ownership of one node (numeric id) to another fragment
-//       online: the new owner table is persisted, then halo maintenance
-//       ships the newly resident edges under one sequence number.
+//       online: the new owner table is persisted, then an empty batch
+//       consumes one sequence number.
 //   gfdtool serve status <dir>
 //       Sequence/anchor/overlay report plus per-fragment ownership and
-//       footprint.
+//       residency.
 //   gfdtool metrics <dir> [-o FILE]
 //       Open the store or coordinator at <dir> (replaying its logs, so
 //       recovery metrics are populated) and render the full metrics
@@ -68,7 +66,7 @@
 //   --metrics-out FILE   atomically write the Prometheus exposition of
 //                        everything this invocation did on exit
 //   --trace FILE         append one JSON-lines trace event per serving
-//                        stage (validate/route/ship/detect/merge/compact)
+//                        stage (validate/route/detect/merge/compact)
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -233,10 +231,11 @@ constexpr VerbHelp kVerbHelp[] = {
      "refuses a directory that already holds a store or a coordinator.\n"
      "status prints `coordinator: seq S anchor A, N overlay op(s)`, one\n"
      "`fragment F: N owned node(s), E resident edge(s)` line per\n"
-     "fragment, then the halo radius and replication factor. rebalance\n"
-     "persists <node>'s new owner, then ships the halo maintenance the\n"
-     "move implies under one sequence number; <node> and <fragment> are\n"
-     "decimal 32-bit ids (`5`, not `n5`), anything else exits 2.\n"
+     "fragment (edges inside its residency mask), then the halo radius,\n"
+     "the vertex-cut replication and the resident-edge factor. rebalance\n"
+     "persists <node>'s new owner, then consumes one sequence number\n"
+     "with an empty batch; <node> and <fragment> are decimal 32-bit ids\n"
+     "(`5`, not `n5`), anything else exits 2.\n"
      "Flags of run:\n"
      "  --port P            listen port (default 8080; 0 = ephemeral,\n"
      "                      the chosen port is printed)\n"
@@ -1118,20 +1117,29 @@ int Serve(int argc, char** argv) {
                 static_cast<unsigned long long>(snap.last_seq),
                 static_cast<unsigned long long>(snap.anchor_seq),
                 snap.overlay_ops);
+    const FragmentResidency residency = coord->residency();
     uint64_t resident_total = 0;
     for (size_t f = 0; f < coord->num_fragments(); ++f) {
       size_t owned = 0;
       for (uint32_t o : coord->node_owner()) owned += o == f ? 1 : 0;
-      uint64_t resident = coord->resident_edges(f);
+      const uint64_t resident = ResidentEdges(coord->view(), residency[f]);
       resident_total += resident;
       std::printf("fragment %zu: %zu owned node(s), %llu resident edge(s)\n",
                   f, owned, static_cast<unsigned long long>(resident));
     }
-    std::printf("partition: halo radius %u, replication %.2f, "
-                "%llu resident edge(s) total\n",
+    // Two factors: the vertex-cut's node replication, and how many
+    // copies of the graph the residency masks span -- what fragments
+    // holding their residency would store. The process stores one.
+    const size_t edges = coord->view().NumEdges();
+    std::printf("partition: halo radius %u, vertex-cut replication %.2f, "
+                "resident-edge factor %.2f (%llu resident edge(s) over %zu "
+                "edge(s), stored once)\n",
                 coord->partition().halo_radius,
                 coord->partition().replication,
-                static_cast<unsigned long long>(resident_total));
+                edges ? static_cast<double>(resident_total) /
+                            static_cast<double>(edges)
+                      : 0.0,
+                static_cast<unsigned long long>(resident_total), edges);
     return 0;
   }
 
@@ -1155,9 +1163,7 @@ int Serve(int argc, char** argv) {
       std::fprintf(stderr, "rebalance failed: %s\n", error.c_str());
       return 1;
     }
-    std::fprintf(stderr,
-                 "rebalanced node %u to fragment %u at seq %llu; halo "
-                 "maintenance shipped under the new ownership\n",
+    std::fprintf(stderr, "rebalanced node %u to fragment %u at seq %llu\n",
                  node, to, static_cast<unsigned long long>(*seq));
     return 0;
   }
@@ -1180,28 +1186,18 @@ int Serve(int argc, char** argv) {
     auto payload = ReadFile(argv[3]);
     if (!payload) return 1;
 
-    CoordinatorStats pre = coord->stats();
+    const std::vector<uint64_t> pre = coord->stats().seeds;
     uint64_t seq = 0;
     auto code =
         ServeBatch(*coord, current, engine, *payload, argv[3], workers, &seq);
     if (!code) return 1;
-    CoordinatorStats post = coord->stats();
-    std::fprintf(stderr,
-                 "batch seq %llu: %llu routed op(s) + %llu maintenance "
-                 "op(s), %llu byte(s) shipped across %zu fragment(s) (%llu "
-                 "owned-op, %llu border-halo)\n",
-                 static_cast<unsigned long long>(seq),
-                 static_cast<unsigned long long>(post.ops_routed -
-                                                 pre.ops_routed),
-                 static_cast<unsigned long long>(post.ops_maintenance -
-                                                 pre.ops_maintenance),
-                 static_cast<unsigned long long>(post.bytes_shipped -
-                                                 pre.bytes_shipped),
-                 coord->num_fragments(),
-                 static_cast<unsigned long long>(post.bytes_owned_shipped -
-                                                 pre.bytes_owned_shipped),
-                 static_cast<unsigned long long>(post.bytes_halo_shipped -
-                                                 pre.bytes_halo_shipped));
+    std::string seeded;
+    for (size_t f = 0; f < coord->num_fragments(); ++f) {
+      seeded += (f ? ", " : "") +
+                std::to_string(coord->stats().seeds[f] - pre[f]);
+    }
+    std::fprintf(stderr, "batch seq %llu: seeds per fragment [%s]\n",
+                 static_cast<unsigned long long>(seq), seeded.c_str());
 
     std::string error;
     if (!coord->MaybeCompact(&error)) {
