@@ -10,6 +10,7 @@
 #include "gfd/serialize.h"
 #include "net/metrics.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/metrics.h"
 #include "util/tsv.h"
 
@@ -119,21 +120,22 @@ FeedService::FeedService(ServingStore& store, const ViolationEngine& engine,
       limiter_({.rate_per_sec = opts_.ingest_rate_per_sec,
                 .burst = opts_.ingest_burst}) {}
 
-uint64_t FeedService::Prime(CountSource* source) {
+uint64_t FeedService::Prime(PrimeReport* report) {
   std::lock_guard lock(store_mu_);
   TouchServeMetrics();
   TouchNetMetrics();
   PropertyGraph g = store_.MaterializeCurrent();
   fingerprint_ = RuleSetFingerprint(engine_.rules(), g);
-  CountSource from = CountSource::kScan;
+  PrimeReport out;
+  LevelFeed(&out);
   if (auto persisted = store_.violation_count(fingerprint_)) {
     count_ = *persisted;
-    from = CountSource::kMeta;
+    out.source = CountSource::kMeta;
   } else if (auto fed = feed_.last_count();
              fed && fed->seq == store_.last_seq() &&
              fed->fingerprint == fingerprint_) {
     count_ = fed->count;
-    from = CountSource::kFeed;
+    out.source = CountSource::kFeed;
   } else {
     DetectOptions full;
     full.workers = opts_.detect_workers;
@@ -145,9 +147,55 @@ uint64_t FeedService::Prime(CountSource* source) {
     }
   }
   ViolationsRunning().Set(static_cast<double>(count_));
-  if (source) *source = from;
+  if (report) *report = out;
   primed_ = true;
   return count_;
+}
+
+void FeedService::LevelFeed(PrimeReport* report) {
+  const uint64_t s = store_.last_seq();
+  const bool empty = feed_.empty();
+  // Where the feed ends and the running count there, which a catch-up
+  // carries forward.
+  const std::optional<MetaCount> from =
+      empty ? store_.persisted_count() : feed_.last_count();
+  const uint64_t f = empty ? (from ? from->seq : s) : feed_.last_seq();
+  if (f == s) return;
+  std::string error;
+  const bool bridged = f < s && from && from->seq == f &&
+                       from->fingerprint == fingerprint_ &&
+                       store_.MetricsSnapshot().anchor_seq <= f;
+  if (bridged) {
+    obs::ScopedTimer timer(nullptr, "feed_catchup", {{"from", f}, {"to", s}});
+    IncrementalOptions iopts;
+    iopts.workers = opts_.detect_workers;
+    uint64_t count = from->count;
+    auto publish = [&](uint64_t seq, IncrementalDiff diff) {
+      count = count + diff.added.size() - diff.removed.size();
+      if (!feed_.Publish(seq, std::move(diff.payload),
+                         MetaCount{count, seq, fingerprint_}, &error)) {
+        return false;
+      }
+      FeedRederivedTotal().Inc();
+      ++report->caught_up;
+      return true;
+    };
+    if ((!empty || feed_.Reset(f, &error)) &&
+        store_.Restep(engine_, f, publish, iopts, &error)) {
+      return;
+    }
+    timer.Discard();
+    report->caught_up = 0;  // the reset below drops what it published
+    std::fprintf(stderr, "warning: feed catch-up failed: %s\n", error.c_str());
+  }
+  // The log cannot bridge the gap, or the feed is ahead of the store:
+  // restart the feed at the store's seq. A feed that held no record
+  // drops nothing.
+  if (feed_.empty() && feed_.last_seq() == s) return;
+  report->feed_reset = !feed_.empty();
+  if (!feed_.Reset(s, &error)) {
+    std::fprintf(stderr, "warning: feed reset failed: %s\n", error.c_str());
+  }
 }
 
 bool FeedService::Checkpoint(std::string* error) {
@@ -226,7 +274,9 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
 
   // The serving step rendered the payload against the post-batch state,
   // so feed replay never needs historical graph state. The record also
-  // carries the new count: that append is the count's durable write.
+  // carries the new count. It is not fsync'd: the store's log append
+  // above is the ack's durable write, and Prime re-derives a lost record
+  // from it.
   if (!feed_.Publish(step->seq, std::move(step->diff.payload),
                      MetaCount{count_, step->seq, fingerprint_}, &error)) {
     std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());

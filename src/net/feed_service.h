@@ -8,7 +8,7 @@
 //                  Validation failures are 4xx and nothing reaches the
 //                  log. Per-client token-bucket rate limiting (429).
 //   GET  /feed     SSE stream of per-batch violation diffs. ?cursor=<seq>
-//                  replays every durable record after <seq> before going
+//                  replays every logged record after <seq> before going
 //                  live; ?rule= / ?label= / ?pivot= filter; ?max_events=
 //                  closes the stream after N events (scripting aid).
 //   GET  /metrics  live Prometheus text (obs registry + store snapshot).
@@ -18,7 +18,7 @@
 // ingest, and the snapshot reads of /status and /metrics -- serializes
 // through one mutex; that same mutex makes this process the single
 // writer and keeps feed publishes in batch order. Feed subscribers never
-// take it: they read the durable feed log and their own bounded queues.
+// take it: they read the feed log and their own bounded queues.
 #ifndef GFD_NET_FEED_SERVICE_H_
 #define GFD_NET_FEED_SERVICE_H_
 
@@ -57,6 +57,17 @@ enum class CountSource {
   kScan,  ///< one full Detect (then persisted in the meta)
 };
 
+/// What Prime did before serving (`gfdtool serve run`'s banner).
+struct PrimeReport {
+  CountSource source = CountSource::kScan;
+  /// Feed records re-derived from the store's log: the batches the feed
+  /// lacked and the log could bridge.
+  uint64_t caught_up = 0;
+  /// The feed could not be brought level and restarted at the store's
+  /// seq: subscribers see a sequence gap.
+  bool feed_reset = false;
+};
+
 class FeedService {
  public:
   /// Does not take ownership; `store`, `engine`, and `feed` must outlive
@@ -64,11 +75,23 @@ class FeedService {
   FeedService(ServingStore& store, const ViolationEngine& engine,
               ViolationChangefeed& feed, FeedServiceOptions opts);
 
-  /// Seeds the running violation counter under the served rules: the
-  /// meta's count when current, else the feed's last record's when that
-  /// record is at exactly the store's seq, else one full startup scan
-  /// (`*source` reports which). Must be called once before serving.
-  uint64_t Prime(CountSource* source = nullptr);
+  /// Brings the feed level with the store, then seeds the running
+  /// violation counter under the served rules. Must be called once before
+  /// serving.
+  ///
+  /// The feed. Say it ends at seq f below the store's seq s. Its records
+  /// f+1..s are re-derived (ServingStore::Restep) and published, each
+  /// with its running count, when two things hold: the count at f under
+  /// the served rules' fingerprint is known -- from the feed's last
+  /// record's count line, or, for a feed with no record, from the
+  /// store's meta, whose count seq is where that feed was primed -- and
+  /// the store's log still holds f+1..s. Any other gap, and a feed ahead
+  /// of the store, resets the feed to continue at s+1.
+  ///
+  /// The count: the meta's when current, else the feed's last record's
+  /// when that record is at exactly the store's seq, else one full
+  /// startup scan (`report->source` says which).
+  uint64_t Prime(PrimeReport* report = nullptr);
 
   /// Persists the running count in the store's meta at the store's seq,
   /// so one-shot CLI runs after a graceful stop need no scan. Call once
@@ -81,6 +104,8 @@ class FeedService {
   uint64_t violation_count() const;
 
  private:
+  // Prime's first half, under store_mu_ with fingerprint_ set.
+  void LevelFeed(PrimeReport* report);
   void Ingest(const HttpRequest& req, ResponseWriter& w);
   void Feed(const HttpRequest& req, ResponseWriter& w);
   void Metrics(ResponseWriter& w);

@@ -1,9 +1,12 @@
 #include "serve/changefeed.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <span>
 #include <sstream>
 
 #include "detect/violation.h"
@@ -17,10 +20,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kFeedFile[] = "feed.log";
 constexpr std::string_view kCountKey = "violations ";
 
-// A durable record is an optional count line, then the diff payload
+// A record is an optional count line, then the diff payload
 // subscribers see. Payload lines start with A or R, so a leading
 // "violations " line is unambiguous.
 std::string_view DiffPayload(std::string_view record) {
@@ -110,23 +112,19 @@ FeedSubscription::Wait FeedSubscription::Next(FeedEvent* out,
   return Wait::kTimeout;
 }
 
+bool SyncFeedLog(const std::string& dir, std::string* error) {
+  const std::string path = (fs::path(dir) / kFeedLogFile).string();
+  if (!fs::exists(path) || SyncClosedFile(path)) return true;
+  if (error) *error = path + ": fsync failed: " + std::strerror(errno);
+  return false;
+}
+
 std::unique_ptr<ViolationChangefeed> ViolationChangefeed::Open(
     const std::string& dir, uint64_t store_last_seq, std::string* error) {
-  std::string path = (fs::path(dir) / kFeedFile).string();
-  auto feed = std::unique_ptr<ViolationChangefeed>(new ViolationChangefeed());
-  auto log = DeltaLog::Open(path, store_last_seq + 1, error);
+  auto log = DeltaLog::Open((fs::path(dir) / kFeedLogFile).string(),
+                            store_last_seq + 1, error);
   if (!log) return nullptr;
-  if (log->next_seq() != store_last_seq + 1) {
-    // The feed missed (or is ahead of) the store: its diffs cannot be
-    // reconstructed, so restart the log at the store's position. Event
-    // sequence numbers make the gap visible to reconnecting clients.
-    log.reset();
-    std::error_code ec;
-    fs::remove(path, ec);
-    log = DeltaLog::Open(path, store_last_seq + 1, error);
-    if (!log) return nullptr;
-    feed->reset_on_open_ = true;
-  }
+  auto feed = std::unique_ptr<ViolationChangefeed>(new ViolationChangefeed());
   if (!log->records().empty()) {
     feed->last_count_ = RecordCount(log->records().back());
   }
@@ -137,6 +135,23 @@ std::unique_ptr<ViolationChangefeed> ViolationChangefeed::Open(
 uint64_t ViolationChangefeed::last_seq() const {
   std::lock_guard lock(mu_);
   return log_->next_seq() - 1;
+}
+
+bool ViolationChangefeed::empty() const {
+  std::lock_guard lock(mu_);
+  return log_->records().empty();
+}
+
+bool ViolationChangefeed::Reset(uint64_t last_seq, std::string* error) {
+  std::lock_guard lock(mu_);
+  const std::string path = log_->path();
+  std::error_code ec;
+  fs::remove(path, ec);
+  auto fresh = DeltaLog::Open(path, last_seq + 1, error);
+  if (!fresh) return false;
+  log_ = std::move(*fresh);
+  last_count_.reset();
+  return true;
 }
 
 std::optional<MetaCount> ViolationChangefeed::last_count() const {
@@ -159,9 +174,11 @@ bool ViolationChangefeed::Publish(uint64_t seq, std::string payload,
     }
     return false;
   }
-  obs::ScopedTimer timer(&FeedPublishLatency());  // append + fan-out
+  obs::ScopedTimer timer(&FeedPublishLatency());  // write + fan-out
   const std::string record = count ? MetaCountLine(*count) + payload : payload;
-  if (!log_->Append(record, error)) {
+  // Written and flushed, not fsync'd: a lost record is re-derived from
+  // the store's log (see the header).
+  if (!log_->Write(record, error)) {
     timer.Discard();
     return false;
   }
@@ -201,10 +218,16 @@ std::shared_ptr<FeedSubscription> ViolationChangefeed::Subscribe(
     uint64_t cursor, size_t queue_cap, std::vector<FeedEvent>* replay) {
   std::lock_guard lock(mu_);
   if (replay) {
-    for (const DeltaLogRecord& rec : log_->records()) {
-      if (rec.seq <= cursor) continue;
-      std::string_view diff = DiffPayload(rec.payload);
-      replay->push_back(FeedEvent{rec.seq, std::string(diff)});
+    // Records are seq-contiguous, so the first one past the cursor sits
+    // at a known offset.
+    std::span<const DeltaLogRecord> records = log_->records();
+    if (!records.empty() && cursor >= records.front().seq) {
+      const uint64_t seen = cursor - records.front().seq + 1;
+      records = records.subspan(std::min<uint64_t>(seen, records.size()));
+    }
+    for (const DeltaLogRecord& rec : records) {
+      replay->push_back(
+          FeedEvent{rec.seq, std::string(DiffPayload(rec.payload))});
     }
   }
   auto sub = std::make_shared<FeedSubscription>();
@@ -224,7 +247,7 @@ void ViolationChangefeed::Unsubscribe(
   subs_.erase(std::remove(subs_.begin(), subs_.end(), sub), subs_.end());
 }
 
-void ViolationChangefeed::Shutdown() {
+bool ViolationChangefeed::Shutdown(std::string* error) {
   std::lock_guard lock(mu_);
   shutdown_ = true;
   for (const auto& sub : subs_) {
@@ -235,6 +258,7 @@ void ViolationChangefeed::Shutdown() {
     sub->cv_.notify_all();
   }
   subs_.clear();
+  return log_->Sync(error);
 }
 
 size_t ViolationChangefeed::subscriber_count() const {

@@ -13,17 +13,30 @@
 // publish would hold, so the bytes equal what rendering against
 // MaterializeCurrent() gives, without the per-batch O(|G|) copy.
 // Records live in a second DeltaLog, `<dir>/feed.log`, so a
-// subscriber cursor is a durable, replayable position: reconnecting at
-// cursor C first replays every record with seq > C straight out of the
-// log, then switches to the live stream -- registration and the replay
-// snapshot happen under one mutex, so no event is missed or duplicated
-// in between.
+// subscriber cursor is a replayable position: reconnecting at cursor C
+// first replays every record with seq > C straight out of the log, then
+// switches to the live stream -- registration and the replay snapshot
+// happen under one mutex, so no event is missed or duplicated in
+// between.
+//
+// The feed is derived data. A record is a pure function of the graph
+// before its batch, the batch and the rules, all of which the store's
+// snapshot and deltas.log already hold durably, so Publish writes and
+// flushes a record -- a killed process keeps it -- but does not fsync
+// it: the store's deltas.log append is the ack's only fsync. A machine
+// crash can lose the feed's unsynced tail, or a batch can reach the
+// store with no record at all; on open, FeedService::Prime re-derives
+// the missing records from the store's log (ServingStore::Restep). One
+// ordering rule keeps that possible: feed.log is fsync'd before a
+// compaction re-anchors the store's log (GraphStore::Compact calls
+// SyncFeedLog), so the log always holds every batch past the feed's
+// last synced record; Shutdown syncs it too.
 //
 // Backpressure: each subscription owns a bounded queue. A publish that
 // finds the queue full marks the subscription evicted and drops it --
 // a slow consumer is disconnected rather than allowed to stall ingest
 // or buffer unboundedly; it reconnects with its last seen cursor and
-// replays from durable state.
+// replays from the log.
 //
 // Payload format (one TSV line per violation, util/tsv.h escaping):
 //
@@ -33,13 +46,14 @@
 // "A" = violation added by the batch, "R" = removed. An empty payload is
 // a batch that changed no violation.
 //
-// Count line: the durable record of batch N may lead with one
+// Count line: the record of batch N may lead with one
 // `violations <count> <N> <fingerprint>` line (serve/durable_io.h
 // MetaCountLine) -- the running violation count after N under the rule
-// set with that fingerprint. It is the count's per-batch durable home,
-// fsync'd with the diff before /ingest acknowledges; the feed strips it
-// before any live or replayed subscriber sees the event. Logs written
-// before it existed simply lack it.
+// set with that fingerprint. It is the count's per-batch home, written
+// with the diff before /ingest acknowledges, and what a re-derivation
+// carries forward from; the feed strips it before any live or replayed
+// subscriber sees the event. Logs written before it existed simply lack
+// it.
 #ifndef GFD_SERVE_CHANGEFEED_H_
 #define GFD_SERVE_CHANGEFEED_H_
 
@@ -58,6 +72,14 @@
 #include "serve/durable_io.h"
 
 namespace gfd {
+
+/// The feed's file in a store directory.
+inline constexpr char kFeedLogFile[] = "feed.log";
+
+/// fsyncs the records written to `<dir>/feed.log`; true when `dir` holds
+/// no feed. GraphStore::Compact calls it before it commits a new anchor,
+/// so the store's log keeps every batch the feed has not synced.
+bool SyncFeedLog(const std::string& dir, std::string* error = nullptr);
 
 /// One feed record: the violation diff of batch `seq`.
 struct FeedEvent {
@@ -115,40 +137,47 @@ class FeedSubscription {
   bool closed_ = false;
 };
 
-/// The process-wide feed: one durable log + the live subscriber set.
+/// The process-wide feed: one log + the live subscriber set.
 /// Single publisher (the ingest path, already serialized through the
 /// store mutex); any number of subscriber threads.
 class ViolationChangefeed {
  public:
-  /// Opens (or creates) `<dir>/feed.log`. The feed must continue exactly
-  /// at the store's sequence: when an existing log would not assign
-  /// store_last_seq+1 next -- a batch was accepted while the feed was
-  /// not recording, so its diff is unrecoverable -- the log is reset and
-  /// restarted at store_last_seq+1. The gap is client-visible (event
-  /// seqs jump), never silently misnumbered.
+  /// Opens (or creates) `<dir>/feed.log` as it stands; a log with no
+  /// record continues at store_last_seq+1. Whether the feed is level
+  /// with the store -- and what to do when it is not -- is
+  /// FeedService::Prime's call: it re-derives missing records from the
+  /// store's log or, where the log cannot bridge the gap, Resets.
   static std::unique_ptr<ViolationChangefeed> Open(
       const std::string& dir, uint64_t store_last_seq,
       std::string* error = nullptr);
 
-  /// Highest published (or recovered) sequence; 0 when empty.
+  /// Highest published (or recovered) sequence; for a log with no record,
+  /// the sequence it continues after.
   uint64_t last_seq() const;
 
-  /// True when the log was reset on Open (see above).
-  bool reset_on_open() const { return reset_on_open_; }
+  /// True when the log holds no record.
+  bool empty() const;
 
-  /// Durably appends the diff payload of batch `seq` (which must be the
-  /// next sequence), then fans it out to every live subscription.
-  /// Subscriptions whose queue is full are evicted here. With `count`
-  /// (taken at `seq`), the durable record leads with its count line.
+  /// Drops every record and restarts the log after `last_seq`: the next
+  /// publish is last_seq+1. The gap is client-visible (event seqs jump),
+  /// never silently misnumbered.
+  bool Reset(uint64_t last_seq, std::string* error = nullptr);
+
+  /// Appends the diff payload of batch `seq` (which must be the next
+  /// sequence), written and flushed but not fsync'd, then fans it out to
+  /// every live subscription. Subscriptions whose queue is full are
+  /// evicted here. With `count` (taken at `seq`), the record leads with
+  /// its count line.
   bool Publish(uint64_t seq, std::string payload,
                const std::optional<MetaCount>& count = std::nullopt,
                std::string* error = nullptr);
 
-  /// The count line of the last durable record, when it has one: the
-  /// running count at last_seq() without a scan (FeedService::Prime).
+  /// The count line of the last record, when it has one: the running
+  /// count at last_seq() without a scan, and where a re-derivation
+  /// resumes (FeedService::Prime).
   std::optional<MetaCount> last_count() const;
 
-  /// Registers a subscriber at `cursor`: `replay` receives every durable
+  /// Registers a subscriber at `cursor`: `replay` receives every logged
   /// record with seq > cursor (in order), and the returned subscription
   /// sees every event published afterwards -- the two are contiguous
   /// because both happen under the feed mutex. `queue_cap` bounds the
@@ -161,9 +190,10 @@ class ViolationChangefeed {
   /// Drops one subscription (idempotent; evicted ones drop themselves).
   void Unsubscribe(const std::shared_ptr<FeedSubscription>& sub);
 
-  /// Closes every subscription and wakes all waiters; further publishes
-  /// are rejected. Called by the server on graceful shutdown.
-  void Shutdown();
+  /// Closes every subscription and wakes all waiters, then fsyncs the
+  /// log; further publishes are rejected. Called by the server on
+  /// graceful shutdown. False when the fsync failed.
+  bool Shutdown(std::string* error = nullptr);
 
   size_t subscriber_count() const;
   uint64_t evictions() const;
@@ -173,12 +203,10 @@ class ViolationChangefeed {
   ViolationChangefeed() = default;
 
   // guards: log_, last_count_, subs_, shutdown_, evictions_
-  // (reset_on_open_ is set once in Open before the feed is shared)
   mutable std::mutex mu_;
   std::optional<DeltaLog> log_;
   std::optional<MetaCount> last_count_;
   std::vector<std::shared_ptr<FeedSubscription>> subs_;
-  bool reset_on_open_ = false;
   bool shutdown_ = false;
   uint64_t evictions_ = 0;
 };

@@ -186,6 +186,17 @@ class Coordinator final : public ServingStore {
       uint64_t fingerprint) const override;
   bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                          std::string* error = nullptr) override;
+  std::optional<MetaCount> persisted_count() const override {
+    return master_->persisted_count();
+  }
+
+  /// The master's re-derivation: the single-store step, which this
+  /// coordinator's merged step equals.
+  bool Restep(const ViolationEngine& engine, uint64_t after_seq,
+              const RestepVisitor& visit, const IncrementalOptions& opts = {},
+              std::string* error = nullptr) const override {
+    return master_->Restep(engine, after_seq, visit, opts, error);
+  }
 
   /// The current global graph, materialized from the master's view.
   PropertyGraph MaterializeCurrent() const override;

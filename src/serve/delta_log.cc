@@ -94,11 +94,11 @@ bool DeltaLog::OpenAppendHandle(std::string* error) {
 }
 
 bool DeltaLog::RecoverAppendHandle(std::string* error) {
-  // A failed append may have left torn bytes; cut back to the last
-  // durable record BEFORE reopening, or the next acknowledged append
-  // would land behind garbage and be discarded as a corrupt tail later.
+  // A failed append may have left torn bytes; cut back to the last whole
+  // record BEFORE reopening, or the next append would land behind
+  // garbage and be discarded as a corrupt tail later.
   std::error_code ec;
-  std::filesystem::resize_file(path_, durable_bytes_, ec);
+  std::filesystem::resize_file(path_, whole_bytes_, ec);
   if (ec && std::filesystem::exists(path_)) {
     SetError(error, path_ + ": cannot truncate torn tail: " + ec.message());
     return false;  // stay closed: appending would risk acknowledged data
@@ -138,7 +138,7 @@ std::optional<DeltaLog> DeltaLog::Open(const std::string& path,
     log.records_.push_back(std::move(rec));
   }
   log.open_stats_.records = log.records_.size();
-  log.durable_bytes_ = pos;
+  log.whole_bytes_ = pos;
   if (pos < data.size()) {
     // Corrupt or torn tail: cut the file back to the last whole record so
     // the partial batch can never be applied or appended after.
@@ -164,6 +164,16 @@ std::optional<DeltaLog> DeltaLog::Open(const std::string& path,
 
 std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
                                          std::string* error) {
+  return AddRecord(payload, /*sync=*/true, error);
+}
+
+std::optional<uint64_t> DeltaLog::Write(std::string_view payload,
+                                        std::string* error) {
+  return AddRecord(payload, /*sync=*/false, error);
+}
+
+std::optional<uint64_t> DeltaLog::AddRecord(std::string_view payload,
+                                            bool sync, std::string* error) {
   // An earlier error path may have left the log closed (possibly with a
   // torn tail it could not cut); retry the recovery rather than handing
   // fwrite a null stream.
@@ -174,26 +184,32 @@ std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
   std::string frame = FrameRecord(seq, payload);
   bool ok = std::fwrite(frame.data(), 1, frame.size(), file_.get()) ==
                 frame.size() &&
-            SyncFile(file_.get());
+            (sync ? SyncFile(file_.get()) : std::fflush(file_.get()) == 0);
   if (!ok) {
     timer.Discard();
     LogAppendFailuresTotal().Inc();
     SetError(error, path_ + ": append failed: " + std::strerror(errno));
     // A torn frame may sit on disk (or in the stdio buffer). Cut the file
-    // back to the last durable record so a *later* successful append can
+    // back to the last whole record so a *later* successful append can
     // never land behind garbage and be discarded as a corrupt tail. If
-    // the cut itself fails, the log stays closed and the next Append
+    // the cut itself fails, the log stays closed and the next append
     // retries it before writing anything.
     file_.reset();
     RecoverAppendHandle(nullptr);
     return std::nullopt;
   }
-  durable_bytes_ += frame.size();
+  whole_bytes_ += frame.size();
   LogAppendsTotal().Inc();
   LogAppendBytesTotal().Inc(frame.size());
   records_.push_back({seq, std::string(payload)});
   ++next_seq_;
   return seq;
+}
+
+bool DeltaLog::Sync(std::string* error) {
+  if (file_ && SyncFile(file_.get())) return true;
+  SetError(error, path_ + ": sync failed: " + std::strerror(errno));
+  return false;
 }
 
 bool DeltaLog::DropThrough(uint64_t through, std::string* error) {
@@ -211,7 +227,7 @@ bool DeltaLog::DropThrough(uint64_t through, std::string* error) {
   }
   std::erase_if(records_,
                 [&](const DeltaLogRecord& r) { return r.seq <= through; });
-  durable_bytes_ = content.size();
+  whole_bytes_ = content.size();
   next_seq_ = std::max(next_seq_, through + 1);
   return OpenAppendHandle(error);
 }

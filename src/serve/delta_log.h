@@ -26,8 +26,13 @@
 //   cuts the tail there (physically truncating the file), so a crash in
 //   the middle of an append can never surface a partial batch.
 //
-// Appends are flushed and fsync'd before returning -- an acknowledged
-// record survives the process.
+// Two ways to add a record. Append flushes and fsyncs it before
+// returning -- an acknowledged record survives the machine; the store's
+// deltas.log takes every batch this way. Write flushes it to the OS and
+// returns -- the record survives the process, not a machine crash --
+// and Sync later forces everything written so far to stable storage;
+// feed.log takes its records this way (its records are derived from the
+// store's, serve/changefeed.h).
 //
 // Threading: DeltaLog itself is NOT thread-safe; every instance has one
 // externally serialized writer. GraphStore's log serializes through the
@@ -85,6 +90,15 @@ class DeltaLog {
   std::optional<uint64_t> Append(std::string_view payload,
                                  std::string* error = nullptr);
 
+  /// Appends one record and flushes it to the OS without an fsync: it
+  /// survives the process, and the next Sync (or Append) makes it
+  /// durable. Returns its assigned sequence number.
+  std::optional<uint64_t> Write(std::string_view payload,
+                                std::string* error = nullptr);
+
+  /// Forces every record written so far to stable storage.
+  bool Sync(std::string* error = nullptr);
+
   /// Drops every record with seq <= `through` by atomically rewriting the
   /// file (write-temp + rename); numbering continues unchanged. This is
   /// the re-anchoring step after snapshot compaction: records the new
@@ -95,9 +109,13 @@ class DeltaLog {
   DeltaLog() = default;
 
   bool OpenAppendHandle(std::string* error);
-  // Truncates any torn bytes back to durable_bytes_, then reopens the
+  // Truncates any torn bytes back to whole_bytes_, then reopens the
   // append handle. The write path after a failed append.
   bool RecoverAppendHandle(std::string* error);
+  // Append and Write: frames `payload` as the next record, writes and
+  // flushes it, and fsyncs it when `sync`.
+  std::optional<uint64_t> AddRecord(std::string_view payload, bool sync,
+                                    std::string* error);
 
   struct FileCloser {
     void operator()(std::FILE* f) const {
@@ -107,10 +125,11 @@ class DeltaLog {
 
   std::string path_;
   uint64_t next_seq_ = 1;
-  /// Bytes of whole, acknowledged records -- the truncation point that
-  /// rolls back a torn append (a failed write must never leave garbage
-  /// for a later acknowledged record to land behind).
-  size_t durable_bytes_ = 0;
+  /// Bytes of whole records written, synced or not -- the truncation
+  /// point that rolls back a torn append (a failed write must never leave
+  /// garbage for a later record to land behind, and must keep the
+  /// unsynced records before it: subscribers have seen them).
+  size_t whole_bytes_ = 0;
   std::vector<DeltaLogRecord> records_;
   DeltaLogOpenStats open_stats_;
   std::unique_ptr<std::FILE, FileCloser> file_;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <system_error>
@@ -80,6 +81,22 @@ std::string SaveGraphString(const PropertyGraph& g) {
   // permuted vocabulary after a restart.
   SaveGraphTsv(g, os, /*with_vocab=*/true);
   return std::move(os).str();
+}
+
+// The single-store step diff of a batch with footprint `fp` on `view`,
+// the state just before it: both sides of DetectStep around `apply`,
+// which must absorb the batch into the graph behind `view`. One share:
+// the single store is a coordinator of one fragment, whose seeds are
+// every anchor.
+std::optional<StepSides> SingleStoreStep(const ViolationEngine& engine,
+                                         const GraphView& view,
+                                         const BatchFootprint& fp,
+                                         const std::function<bool()>& apply,
+                                         const IncrementalOptions& opts) {
+  const StepPlan plan = engine.PlanStep(view, fp);
+  auto sides = engine.DetectStep(view, fp, std::span(&plan, 1), apply, opts);
+  if (!sides) return std::nullopt;
+  return std::move(sides->front());
 }
 
 }  // namespace
@@ -187,6 +204,7 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   // state replay reconstructed: a torn tail (count ahead) or appends that
   // never folded their diff back in (count behind) both invalidate it.
   store.count_.Restore(count, store.stats_.last_seq);
+  store.meta_count_ = count;
 
   // Self-heal: drop pre-anchor records and clean tmp/orphan snapshots.
   if (store.stats_.skipped_batches > 0) {
@@ -252,15 +270,18 @@ bool GraphStore::SetViolationCount(uint64_t count, uint64_t fingerprint,
                                    std::string* error) {
   count_.Set(count, stats_.last_seq, fingerprint);
   ViolationsRunning().Set(static_cast<double>(count));
-  return WriteMeta(error);
+  return WriteMeta(stats_.anchor_seq, snapshot_file_, error);
 }
 
-bool GraphStore::WriteMeta(std::string* error) {
-  return AtomicWriteFile(
-      (fs::path(dir_) / kMetaFile).string(),
-      MetaContent(stats_.anchor_seq, snapshot_file_,
-                  count_.Persisted(stats_.last_seq)),
-      error);
+bool GraphStore::WriteMeta(uint64_t anchor, const std::string& snapshot_file,
+                           std::string* error) {
+  const std::optional<MetaCount> count = count_.Persisted(stats_.last_seq);
+  if (!AtomicWriteFile((fs::path(dir_) / kMetaFile).string(),
+                       MetaContent(anchor, snapshot_file, count), error)) {
+    return false;
+  }
+  meta_count_ = count;
+  return true;
 }
 
 std::optional<uint64_t> GraphStore::Append(const GraphDelta& batch,
@@ -293,6 +314,13 @@ bool GraphStore::Compact(std::string* error) {
   obs::ScopedTimer compact_timer(&StoreCompactLatency(), "compact",
                                  {{"seq", stats_.last_seq},
                                   {"overlay_ops", overlay.ops.size()}});
+  // The feed writes its records unsynced and re-derives a lost tail from
+  // this log on open; the records the meta commit re-anchors past must be
+  // durable in the feed first.
+  if (!SyncFeedLog(dir_, error)) {
+    compact_timer.Discard();
+    return false;
+  }
   PropertyGraph next = view().Materialize();
   uint64_t anchor = stats_.last_seq;
   std::string snapshot = SnapshotName(anchor);
@@ -307,12 +335,7 @@ bool GraphStore::Compact(std::string* error) {
   }
   // Compaction does not advance last_seq, so a valid running count rides
   // through the meta commit unchanged.
-  if (!AtomicWriteFile(
-          (fs::path(dir_) / kMetaFile).string(),
-          MetaContent(anchor, snapshot, count_.Persisted(stats_.last_seq)),
-          error)) {
-    return false;
-  }
+  if (!WriteMeta(anchor, snapshot, error)) return false;
   if (!log_->DropThrough(anchor, error)) return false;
   if (snapshot != snapshot_file_) {
     std::error_code ec;
@@ -363,29 +386,56 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     seq = AppendParsed(*batch, delta_tsv, error);
     return seq.has_value();
   };
-  // One share: the single store is a coordinator of one fragment, whose
-  // seeds are every anchor.
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  const StepPlan plan = engine.PlanStep(view(), fp);
-  auto sides = engine.DetectStep(view(), fp, std::span(&plan, 1), append, opts);
-  if (!sides) {
+  auto step = SingleStoreStep(engine, view(), fp, append, opts);
+  if (!step) {
     detect_timer.Discard();
     return std::nullopt;
   }
-  const StepSides& step = sides->front();
   if (seq_out) *seq_out = *seq;
   detect_timer.AddField("seq", *seq);
   detect_timer.AddField("anchors", fp.anchors.size());
-  detect_timer.AddField("write_units", step.stats.write_units);
-  detect_timer.AddField("edge_units", step.stats.edge_units);
-  detect_timer.AddField("matches", step.stats.matches_seen);
+  detect_timer.AddField("write_units", step->stats.write_units);
+  detect_timer.AddField("edge_units", step->stats.edge_units);
+  detect_timer.AddField("matches", step->stats.matches_seen);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff diff = StepDiff(step);
+  IncrementalDiff diff = StepDiff(*step);
   // The live view is now the post-batch state: the feed payload renders
   // against it, byte-identical to rendering against a materialization.
   diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
   return diff;
+}
+
+bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
+                        const RestepVisitor& visit,
+                        const IncrementalOptions& opts,
+                        std::string* error) const {
+  if (after_seq < stats_.anchor_seq || after_seq > stats_.last_seq) {
+    SetError(error, dir_ + ": the log does not hold every batch after " +
+                        std::to_string(after_seq));
+    return false;
+  }
+  // The log holds exactly the batches after the anchor, in order: absorb
+  // those up to `after_seq` into a copy of the snapshot, then step the
+  // rest, as AppendAndDiff stepped them.
+  LiveGraph scratch{PropertyGraph(base())};
+  for (const DeltaLogRecord& rec : log_->records()) {
+    auto batch = scratch.Parse(rec.payload, error);
+    if (!batch) return false;
+    auto absorb = [&] { return scratch.Absorb(*batch, error); };
+    if (rec.seq <= after_seq) {
+      if (!absorb()) return false;
+      continue;
+    }
+    const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());
+    auto step = SingleStoreStep(engine, scratch.view(), fp, absorb, opts);
+    if (!step) return false;
+    IncrementalDiff diff = StepDiff(*step);
+    diff.payload = SerializeDiffPayload(scratch.view(), engine.rules(), diff);
+    if (!visit(rec.seq, std::move(diff))) return false;
+  }
+  return true;
 }
 
 }  // namespace gfd

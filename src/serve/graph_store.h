@@ -194,6 +194,11 @@ class GraphStore final : public ServingStore {
     return count_.Persisted(stats_.last_seq);
   }
 
+  /// The count store.meta holds, at whatever seq it was taken.
+  std::optional<MetaCount> persisted_count() const override {
+    return meta_count_;
+  }
+
   /// True when the overlay exceeds a configured compaction threshold.
   bool ShouldCompact() const override;
 
@@ -218,6 +223,12 @@ class GraphStore final : public ServingStore {
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
       std::string* error = nullptr) override;
 
+  /// Re-derivation from this store's snapshot and log (see
+  /// ServingStore::Restep): a coordinator answers through its master.
+  bool Restep(const ViolationEngine& engine, uint64_t after_seq,
+              const RestepVisitor& visit, const IncrementalOptions& opts = {},
+              std::string* error = nullptr) const override;
+
   /// Unified telemetry snapshot (mirrors stats() plus the live overlay
   /// size; distributed-only fields stay zero).
   ServingMetricsSnapshot MetricsSnapshot() const override;
@@ -225,9 +236,10 @@ class GraphStore final : public ServingStore {
  private:
   GraphStore() = default;
 
-  // Rewrites store.meta (atomically) reflecting the current anchor,
-  // snapshot, and violation-count state.
-  bool WriteMeta(std::string* error);
+  // Rewrites store.meta (atomically) with `anchor`, `snapshot_file` and
+  // the count valid at last_seq, if any.
+  bool WriteMeta(uint64_t anchor, const std::string& snapshot_file,
+                 std::string* error);
 
   GraphStoreOptions opts_;
   std::string dir_;
@@ -238,6 +250,8 @@ class GraphStore final : public ServingStore {
   // Running violation count (serve/durable_io.h holds the shared
   // validity rule: valid only at the exact sequence it was taken).
   RunningCount count_;
+  // What store.meta's count line holds, at whatever seq.
+  std::optional<MetaCount> meta_count_;
 };
 
 }  // namespace gfd

@@ -12,7 +12,8 @@ obs::MetricsRegistry& Reg() { return obs::MetricsRegistry::Default(); }
 
 obs::Counter& LogAppendsTotal() {
   static obs::Counter& c = Reg().GetCounter(
-      "gfd_log_appends_total", "Delta-log records appended durably.");
+      "gfd_log_appends_total",
+      "Delta-log records appended (fsync'd or written through).");
   return c;
 }
 
@@ -45,7 +46,8 @@ obs::Counter& LogTruncatedBytesTotal() {
 
 obs::Histogram& LogAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
-      "gfd_log_append_seconds", "Delta-log append latency (fsync included).",
+      "gfd_log_append_seconds",
+      "Delta-log append latency (fsync included for durable appends).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -115,9 +117,16 @@ obs::Gauge& ViolationsRunning() {
 obs::Histogram& FeedPublishLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_feed_publish_seconds",
-      "Changefeed publish latency (durable append + fan-out).",
+      "Changefeed publish latency (unsynced append + fan-out).",
       obs::DefaultLatencyBuckets());
   return h;
+}
+
+obs::Counter& FeedRederivedTotal() {
+  static obs::Counter& c = Reg().GetCounter(
+      "gfd_feed_rederived_total",
+      "Feed records re-derived from the store's log on open.");
+  return c;
 }
 
 obs::Counter& FragmentMatches(size_t f) {
@@ -158,6 +167,7 @@ void TouchServeMetrics() {
   StoreOverlayOps();
   ViolationsRunning();
   FeedPublishLatency();
+  FeedRederivedTotal();
   RebalancesTotal();
   RebalanceLatency();
 }

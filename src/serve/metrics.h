@@ -39,9 +39,12 @@ obs::Gauge& StoreOverlayOps();    ///< gfd_store_overlay_ops
 obs::Gauge& ViolationsRunning();  ///< gfd_violations_running
 
 // ---- changefeed ----
-/// One feed publish: durable append plus fan-out
+/// One feed publish: unsynced append plus fan-out
 /// (gfd_feed_publish_seconds).
 obs::Histogram& FeedPublishLatency();
+/// Feed records a catch-up re-derived from the store's log
+/// (gfd_feed_rederived_total).
+obs::Counter& FeedRederivedTotal();
 
 // ---- coordinator ----
 /// Matches fragment `f`'s step diffs enumerated, both sides

@@ -4,6 +4,13 @@
 
 namespace gfd {
 
+bool ServingStore::Restep(const ViolationEngine&, uint64_t,
+                          const RestepVisitor&, const IncrementalOptions&,
+                          std::string* error) const {
+  if (error) *error = "this store keeps no log to re-derive batches from";
+  return false;
+}
+
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,

@@ -19,12 +19,14 @@
 #define GFD_SERVE_SERVING_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "detect/engine.h"
 #include "graph/property_graph.h"
+#include "serve/durable_io.h"
 
 namespace gfd {
 
@@ -47,6 +49,10 @@ struct ServingMetricsSnapshot {
   size_t batches = 0;
   size_t rebalances = 0;
 };
+
+/// Receives one re-derived serving step (ServingStore::Restep): the
+/// batch's seq and its diff. Returning false stops the walk.
+using RestepVisitor = std::function<bool(uint64_t seq, IncrementalDiff diff)>;
 
 class ServingStore {
  public:
@@ -90,6 +96,31 @@ class ServingStore {
   virtual bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                                  std::string* error = nullptr) = 0;
 
+  /// The count the meta holds, with the seq it was taken at and its
+  /// fingerprint, whether or not that seq is still last_seq(); nullopt
+  /// when it holds none. A feed with no record yet resumes from it
+  /// (FeedService::Prime): the server primed that feed there. A store
+  /// that keeps no meta of its own holds none.
+  virtual std::optional<MetaCount> persisted_count() const {
+    return std::nullopt;
+  }
+
+  /// Re-runs the serving step of every logged batch after `after_seq`,
+  /// through last_seq(), in order, on a scratch copy of the graph rebuilt
+  /// from the snapshot and the log: `visit` receives each batch's seq and
+  /// diff, its payload rendered against the post-batch state -- what
+  /// AppendAndDiff returned when the batch was served (the single-store
+  /// step, which a coordinator's merged step equals). The store itself
+  /// is left as it is. Returns false when `visit` stopped the walk, and
+  /// (with *error) when a record does not apply or the log no longer
+  /// holds every batch after `after_seq` -- a compaction anchored past
+  /// it. Both backends answer from their one GraphStore; a store that
+  /// keeps no log of its own cannot re-derive anything.
+  virtual bool Restep(const ViolationEngine& engine, uint64_t after_seq,
+                      const RestepVisitor& visit,
+                      const IncrementalOptions& opts = {},
+                      std::string* error = nullptr) const;
+
   /// True when the overlay state exceeds the compaction threshold.
   virtual bool ShouldCompact() const = 0;
 
@@ -119,8 +150,8 @@ struct ServedBatch {
 /// (pre_count + |added| - |removed|), then the verdict. Returns nullopt
 /// (with *error set) when the store rejected the batch; nothing was
 /// logged then. The count is not persisted here: the server publishes
-/// `diff.payload` with it in one durable feed record, then compacts;
-/// the CLI persists it with SetViolationCount.
+/// `diff.payload` with it in one feed record, then compacts; the CLI
+/// persists it with SetViolationCount.
 std::optional<ServedBatch> ServeStep(ServingStore& store,
                                      const ViolationEngine& engine,
                                      std::string_view delta_tsv,

@@ -34,6 +34,7 @@
 #include "serve/changefeed.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
+#include "serve/metrics.h"
 #include "testlib.h"
 #include "util/rng.h"
 
@@ -427,7 +428,6 @@ TEST(Changefeed, CursorReplayEqualsUninterruptedStream) {
   feed.reset();
   auto reopened = ViolationChangefeed::Open(dir, store->last_seq());
   ASSERT_NE(reopened, nullptr);
-  EXPECT_FALSE(reopened->reset_on_open());
   EXPECT_EQ(reopened->last_seq(), expected.back().seq);
   std::vector<FeedEvent> recovered;
   reopened->Subscribe(0, 1, &recovered);
@@ -447,25 +447,94 @@ TEST(Changefeed, PublishOutOfSequenceIsRejected) {
   EXPECT_EQ(feed->last_seq(), 1u);
 }
 
+// A feed behind the store is re-derived when the store's log bridges the
+// gap under the served rules; otherwise -- the store compacted past the
+// feed, or the feed's last record has no count line or counts under
+// other rules -- Prime restarts it at the store's seq rather than hand
+// out stale numbering.
 TEST(Changefeed, FeedBehindStoreIsResetNotMisnumbered) {
-  std::string dir = Scratch("feed_reset");
+  const PropertyGraph g =
+      MakeSynthetic({.nodes = 40, .edges = 100, .seed = 17});
+  ViolationEngine engine(GenerateGfdSet(g, {.count = 6, .k = 2, .seed = 3}));
+  const uint64_t fp = RuleSetFingerprint(engine.rules(), g);
+  enum class Last { kOurCount, kNoCount, kOtherRules };
+  // Batch 1 reaches the feed with `last` as its record; batches 2..5 (empty
+  // ones, which leave the graph and its violations alone) reach only the
+  // store, which then compacts when `compact`.
+  auto prime = [&](const std::string& name, Last last, bool compact) {
+    const std::string dir = Scratch(name);
+    EXPECT_TRUE(GraphStore::Init(dir, g));
+    const uint64_t count = engine.Detect(g).violations.size();
+    {
+      auto store = GraphStore::Open(dir);
+      auto feed = ViolationChangefeed::Open(dir, 0);
+      EXPECT_EQ(store->Append(""), 1u);
+      std::optional<MetaCount> line;
+      if (last != Last::kNoCount) {
+        line = MetaCount{count, 1, last == Last::kOurCount ? fp : fp + 1};
+      }
+      EXPECT_TRUE(feed->Publish(1, "", line));
+      for (uint64_t seq = 2; seq <= 5; ++seq) {
+        EXPECT_EQ(store->Append(""), seq);
+      }
+      if (compact) {
+        EXPECT_TRUE(store->Compact());
+      }
+    }
+    auto store = GraphStore::Open(dir);
+    auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+    EXPECT_EQ(feed->last_seq(), 1u);
+    net::FeedService service(*store, engine, *feed, {});
+    net::PrimeReport report;
+    EXPECT_EQ(service.Prime(&report), count);
+    EXPECT_EQ(feed->last_seq(), 5u);
+    std::vector<FeedEvent> replay;
+    feed->Subscribe(0, 1, &replay);
+    if (report.feed_reset) {
+      EXPECT_EQ(report.caught_up, 0u);
+      EXPECT_TRUE(replay.empty());
+      EXPECT_EQ(report.source, net::CountSource::kScan);
+    } else {
+      EXPECT_EQ(replay.size(), 5u);
+      EXPECT_EQ(report.source, net::CountSource::kFeed);
+    }
+    EXPECT_TRUE(feed->Publish(6, "six"));
+    return report;
+  };
+  net::PrimeReport bridged = prime("feed_bridged", Last::kOurCount, false);
+  EXPECT_FALSE(bridged.feed_reset);
+  EXPECT_EQ(bridged.caught_up, 4u);
+  EXPECT_TRUE(prime("feed_reset_compacted", Last::kOurCount, true).feed_reset);
+  EXPECT_TRUE(prime("feed_reset_no_count", Last::kNoCount, false).feed_reset);
+  EXPECT_TRUE(prime("feed_reset_other", Last::kOtherRules, false).feed_reset);
+}
+
+// Publish writes a record through to the OS without an fsync, so a feed
+// dropped without Shutdown -- what kill -9 leaves -- reopens intact.
+TEST(Changefeed, UnsyncedRecordsReopenIntactAfterTheWriterIsDropped) {
+  const std::string dir = Scratch("feed_unsynced");
   fs::create_directories(dir);
+  std::vector<FeedEvent> published;
+  const uint64_t fsyncs = FsyncsTotal().Value();
   {
     auto feed = ViolationChangefeed::Open(dir, 0);
     ASSERT_NE(feed, nullptr);
-    ASSERT_TRUE(feed->Publish(1, "one"));
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      const std::string payload =
+          "A\t0\t" + std::to_string(seq) + "\tn\tl\td\n";
+      ASSERT_TRUE(feed->Publish(seq, payload, MetaCount{seq, seq, 7}));
+      published.push_back({seq, payload});
+    }
   }
-  // The store advanced to seq 5 while the feed was not recording; those
-  // diffs are unrecoverable, so the feed must restart at 6, not hand
-  // out stale numbering.
-  auto feed = ViolationChangefeed::Open(dir, 5);
+  EXPECT_EQ(FsyncsTotal().Value(), fsyncs) << "a publish fsync'd";
+  auto feed = ViolationChangefeed::Open(dir, 3);
   ASSERT_NE(feed, nullptr);
-  EXPECT_TRUE(feed->reset_on_open());
-  EXPECT_EQ(feed->last_seq(), 5u);
   std::vector<FeedEvent> replay;
   feed->Subscribe(0, 1, &replay);
-  EXPECT_TRUE(replay.empty());
-  EXPECT_TRUE(feed->Publish(6, "six"));
+  EXPECT_EQ(replay, published);
+  ASSERT_TRUE(feed->last_count().has_value());
+  EXPECT_EQ(feed->last_count()->count, 3u);
+  EXPECT_EQ(feed->last_count()->fingerprint, 7u);
 }
 
 TEST(Changefeed, SlowConsumerIsEvicted) {
@@ -964,6 +1033,48 @@ TEST(FeedServiceE2e, CountLineNeverReachesASubscriber) {
   old_server->Stop();
 }
 
+// The store's deltas.log append is an acknowledged batch's only fsync:
+// the feed writes its record through to the OS and leaves the fsync to
+// the next compaction or a graceful stop. Compaction is off here.
+TEST(FeedServiceE2e, OneFsyncPerAcknowledgedBatch) {
+  const PropertyGraph g =
+      MakeSynthetic({.nodes = 40, .edges = 100, .seed = 23});
+  ViolationEngine engine(GenerateGfdSet(g, {.count = 6, .k = 2, .seed = 8}));
+  GraphStoreOptions no_compaction;
+  no_compaction.compact_min_fraction = 0;
+  constexpr uint64_t kBatches = 6;
+  auto fsyncs_per_batch = [&](ServingStore& store, const std::string& dir) {
+    auto feed = ViolationChangefeed::Open(dir, store.last_seq());
+    EXPECT_NE(feed, nullptr);
+    net::FeedService service(store, engine, *feed, {});
+    service.Prime();
+    auto server = ServeOverHttp(service);
+    EXPECT_NE(server, nullptr);
+    const uint64_t before = FsyncsTotal().Value();
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      const std::string batch = "A\tn" + std::to_string(b) + "\tprobe=v\n";
+      EXPECT_NE(Post(server->port(), "/ingest", batch).find("200 OK"),
+                std::string::npos);
+    }
+    const uint64_t fsyncs = FsyncsTotal().Value() - before;
+    EXPECT_EQ(feed->last_seq(), kBatches);
+    feed->Shutdown();
+    server->Stop();
+    return fsyncs;
+  };
+  const std::string single_dir = Scratch("e2e_fsyncs_single");
+  ASSERT_TRUE(GraphStore::Init(single_dir, g));
+  auto single = GraphStore::Open(single_dir, no_compaction);
+  ASSERT_TRUE(single.has_value());
+  EXPECT_EQ(fsyncs_per_batch(*single, single_dir), kBatches);
+
+  const std::string coord_dir = Scratch("e2e_fsyncs_coord");
+  ASSERT_TRUE(Coordinator::Init(coord_dir, g, /*fragments=*/2));
+  auto coord = Coordinator::Open(coord_dir, {.store = no_compaction});
+  ASSERT_TRUE(coord.has_value());
+  EXPECT_EQ(fsyncs_per_batch(*coord, coord_dir), kBatches);
+}
+
 // After batches through the server and a teardown that checkpoints
 // nothing (what kill -9 leaves), a fresh service takes the count from
 // the feed's last record, with no scan; a checkpoint then puts it in the
@@ -990,12 +1101,13 @@ TEST(FeedServiceE2e, RestartPrimesFromTheFeedWithoutAScan) {
   EXPECT_FALSE(store->violation_count(fp).has_value());  // meta is stale
   auto feed = ViolationChangefeed::Open(dir, store->last_seq());
   ASSERT_NE(feed, nullptr);
-  EXPECT_FALSE(feed->reset_on_open());
 
   net::FeedService service(*store, engine, *feed, {});
-  net::CountSource source = net::CountSource::kScan;
-  EXPECT_EQ(service.Prime(&source), served);
-  EXPECT_EQ(source, net::CountSource::kFeed);
+  net::PrimeReport report;
+  EXPECT_EQ(service.Prime(&report), served);
+  EXPECT_EQ(report.source, net::CountSource::kFeed);
+  EXPECT_FALSE(report.feed_reset);
+  EXPECT_EQ(report.caught_up, 0u);
   EXPECT_EQ(served, engine.Detect(current).violations.size());
 
   ASSERT_TRUE(service.Checkpoint());
@@ -1005,8 +1117,11 @@ TEST(FeedServiceE2e, RestartPrimesFromTheFeedWithoutAScan) {
 }
 
 // The feed's count is trusted only under the rules it was taken with and
-// at exactly the store's seq: a restart under other rules scans, and so
-// does one after a batch reached the store behind the feed's back.
+// at exactly the store's seq: a restart under other rules scans. A batch
+// that reached the store behind the feed's back is re-derived from the
+// log, as a live server would have published it, and its count taken
+// from there; once a compaction has dropped it from the log, the feed
+// resets and the count is scanned.
 TEST(FeedServiceE2e, OtherRulesOrABatchBehindTheFeedForceAScan) {
   std::string dir;
   std::vector<Gfd> rules;
@@ -1017,30 +1132,70 @@ TEST(FeedServiceE2e, OtherRulesOrABatchBehindTheFeedForceAScan) {
     dir = s.dir;
     rules.assign(s.engine->rules().begin(), s.engine->rules().end());
   }
-  auto prime = [&](std::span<const Gfd> served, bool expect_reset) {
+  auto prime = [&](std::span<const Gfd> served) {
     ViolationEngine engine(std::vector<Gfd>(served.begin(), served.end()));
     auto store = GraphStore::Open(dir);
     EXPECT_TRUE(store.has_value());
     auto feed = ViolationChangefeed::Open(dir, store->last_seq());
     EXPECT_NE(feed, nullptr);
-    EXPECT_EQ(feed->reset_on_open(), expect_reset);
     net::FeedService service(*store, engine, *feed, {});
-    net::CountSource source = net::CountSource::kMeta;
-    EXPECT_EQ(service.Prime(&source),
+    net::PrimeReport report;
+    report.source = net::CountSource::kMeta;
+    EXPECT_EQ(service.Prime(&report),
               engine.Detect(store->MaterializeCurrent()).violations.size());
-    return source;
+    EXPECT_EQ(feed->last_seq(), store->last_seq());
+    return report;
   };
-  EXPECT_EQ(prime(std::span(rules).first(rules.size() / 2), false),
-            net::CountSource::kScan);
+  net::PrimeReport other = prime(std::span(rules).first(rules.size() / 2));
+  EXPECT_EQ(other.source, net::CountSource::kScan);
+  EXPECT_FALSE(other.feed_reset);
   // That scan persisted the other rules' count; the served rules still
   // find theirs in the feed.
-  EXPECT_EQ(prime(rules, false), net::CountSource::kFeed);
+  net::PrimeReport same = prime(rules);
+  EXPECT_EQ(same.source, net::CountSource::kFeed);
+  EXPECT_FALSE(same.feed_reset);
+
+  // What a live server publishes for the batch, on a copy.
+  const std::string batch = "A\tn0\tbehind=feed\n";
+  const std::string live_dir = Scratch("e2e_prime_scan_live");
+  fs::copy(dir, live_dir);
+  {
+    ViolationEngine engine(rules);
+    auto store = GraphStore::Open(live_dir);
+    ASSERT_TRUE(store.has_value());
+    auto feed = ViolationChangefeed::Open(live_dir, store->last_seq());
+    ASSERT_NE(feed, nullptr);
+    net::FeedService service(*store, engine, *feed, {});
+    service.Prime();
+    auto server = ServeOverHttp(service);
+    ASSERT_NE(server, nullptr);
+    EXPECT_NE(Post(server->port(), "/ingest", batch).find("200 OK"),
+              std::string::npos);
+    feed->Shutdown();
+    server->Stop();
+  }
   {
     auto store = GraphStore::Open(dir);
     ASSERT_TRUE(store.has_value());
-    ASSERT_TRUE(store->Append("A\tn0\tbehind=feed\n").has_value());
+    ASSERT_TRUE(store->Append(batch).has_value());
   }
-  EXPECT_EQ(prime(rules, true), net::CountSource::kScan);
+  net::PrimeReport behind = prime(rules);
+  EXPECT_FALSE(behind.feed_reset);
+  EXPECT_EQ(behind.caught_up, 1u);
+  EXPECT_EQ(behind.source, net::CountSource::kFeed);
+  EXPECT_EQ(testing::ReadFileBytes(dir + "/feed.log"),
+            testing::ReadFileBytes(live_dir + "/feed.log"));
+
+  {
+    auto store = GraphStore::Open(dir);
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(store->Append("A\tn1\tbehind=feed\n").has_value());
+    ASSERT_TRUE(store->Compact());
+  }
+  net::PrimeReport compacted = prime(rules);
+  EXPECT_TRUE(compacted.feed_reset);
+  EXPECT_EQ(compacted.caught_up, 0u);
+  EXPECT_EQ(compacted.source, net::CountSource::kScan);
 }
 
 // A feed.log written before records carried a count opens and replays
@@ -1077,10 +1232,13 @@ TEST(Changefeed, OldFormatFeedLogReplaysAndPrimesFromMetaOrScan) {
   };
   auto prime = [&](GraphStore& store, ViolationChangefeed& feed) {
     net::FeedService service(store, engine, feed, {});
-    net::CountSource source = net::CountSource::kFeed;
-    EXPECT_EQ(service.Prime(&source),
+    net::PrimeReport report;
+    report.source = net::CountSource::kFeed;
+    EXPECT_EQ(service.Prime(&report),
               engine.Detect(store.MaterializeCurrent()).violations.size());
-    return source;
+    EXPECT_FALSE(report.feed_reset);
+    EXPECT_EQ(report.caught_up, 0u);
+    return report.source;
   };
   {
     auto store = GraphStore::Open(dir);
@@ -1098,7 +1256,6 @@ TEST(Changefeed, OldFormatFeedLogReplaysAndPrimesFromMetaOrScan) {
     ASSERT_TRUE(store.has_value());
     auto feed = ViolationChangefeed::Open(dir, store->last_seq());
     ASSERT_NE(feed, nullptr);
-    EXPECT_FALSE(feed->reset_on_open());
     EXPECT_FALSE(feed->last_count().has_value());
     std::vector<FeedEvent> replay;
     feed->Subscribe(0, 1, &replay);

@@ -7,11 +7,19 @@
 // FeedService, as a restarted `gfdtool serve run` does, and checks:
 //   1. the recovered seq covers every acknowledged batch, and the graph
 //      is the script's prefix at that seq;
-//   2. the feed continues at the store's seq, replaying the script's
-//      events, or reports reset_on_open;
+//   2. Prime never resets the feed, and leaves it level with the store:
+//      feed.log holds the script's records up to the store's seq, byte
+//      for byte, a record it re-derived from the store's log (a crash
+//      between the deltas.log and feed.log appends) included;
 //   3. the primed count equals a full Detect of the recovered graph;
-//   4. Prime scans only when neither the meta nor the feed's last record
-//      holds a count at that seq.
+//   4. Prime takes the count from the meta when it holds one at that seq,
+//      else from the level feed, and scans only before the first batch
+//      with no count persisted.
+// A process crash keeps every record the feed wrote; a machine crash can
+// lose the ones written since its last fsync, which a compaction makes
+// before it re-anchors the store's log. So after each crash the sweep
+// also cuts feed.log back to every record boundary from the store's
+// anchor to its end, on a copy, and checks the same properties there.
 // Three legs run it: one GraphStore, a Coordinator over 2 fragments, and
 // that Coordinator with a Rebalance between two batches, before a
 // compaction. On both coordinator legs the residency masks must be those
@@ -36,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -203,6 +212,7 @@ bool RunScript(const Script& s, const std::string& dir, bool distributed,
 struct Reference {
   std::vector<std::vector<std::string>> states;  ///< by seq, 0 = initial
   std::vector<FeedEvent> events;                 ///< seqs 1..s.seqs()
+  std::string feed_log;                          ///< the whole feed.log
 };
 
 struct SweepTotals {
@@ -210,7 +220,41 @@ struct SweepTotals {
   size_t from_meta = 0;
   size_t from_feed = 0;
   size_t scans = 0;
+  size_t catchups = 0;    ///< crashes whose Prime re-derived a record
+  size_t lost_tails = 0;  ///< feed.log cuts re-derived
 };
+
+// The byte offset where each record of a feed.log ends, by position
+// (deltas.log framing: `R <seq> <bytes> <crc>` then the payload and a
+// newline), after a leading 0 for the empty log.
+std::vector<size_t> RecordEnds(const std::string& log) {
+  std::vector<size_t> ends{0};
+  for (size_t pos = 0; pos < log.size();) {
+    const size_t eol = log.find('\n', pos);
+    std::istringstream header(log.substr(pos, eol - pos));
+    std::string tag;
+    uint64_t seq = 0;
+    size_t bytes = 0;
+    header >> tag >> seq >> bytes;
+    pos = eol + 1 + bytes + 1;
+    ends.push_back(pos);
+  }
+  return ends;
+}
+
+// The anchor store.meta in `dir` commits.
+uint64_t AnchorOf(const std::string& dir) {
+  std::istringstream meta(testing::ReadFileBytes(dir + "/store.meta"));
+  for (std::string key; meta >> key;) {
+    if (key == "anchor") {
+      uint64_t anchor = 0;
+      meta >> anchor;
+      return anchor;
+    }
+  }
+  ADD_FAILURE() << "no anchor in " << dir << "/store.meta";
+  return 0;
+}
 
 // The coordinator's residency masks are those of `current`, the
 // recovered global graph, under its owner table.
@@ -231,10 +275,11 @@ void CheckOwnership(const Script& s, const Coordinator& coord) {
 }
 
 // Reopens `dir` after the child stopped (crashed or done) with `acked`
-// seqs acknowledged, and checks the recovery properties.
+// seqs acknowledged, primes it as a restarted server does (`*primed`
+// says how), and checks the recovery properties.
 void CheckRecovery(const Script& s, const Reference& ref,
                    const std::string& dir, bool distributed, uint64_t acked,
-                   SweepTotals* totals) {
+                   SweepTotals* totals, net::PrimeReport* primed) {
   auto store = OpenServing(dir, distributed);
   ASSERT_NE(store, nullptr);
   const uint64_t seq = store->last_seq();
@@ -248,40 +293,55 @@ void CheckRecovery(const Script& s, const Reference& ref,
     ExpectResidencyOf(dynamic_cast<Coordinator&>(*store), current);
   }
 
-  // The feed continues at the store's seq: what it still holds are the
-  // script's events up to that seq (a crash before the first feed append
-  // leaves an empty log, which continues anywhere).
+  const uint64_t fp = RuleSetFingerprint(s.engine->rules(), current);
+  net::CountSource want = net::CountSource::kScan;
+  if (store->violation_count(fp).has_value()) {
+    want = net::CountSource::kMeta;
+  } else if (seq > 0) {
+    want = net::CountSource::kFeed;
+  }
   auto feed = ViolationChangefeed::Open(dir, seq);
   ASSERT_NE(feed, nullptr);
+  net::FeedService service(*store, *s.engine, *feed, {});
+  EXPECT_EQ(service.Prime(primed),
+            s.engine->Detect(current).violations.size());
+  EXPECT_EQ(primed->source, want);
+  EXPECT_FALSE(primed->feed_reset);
+  totals->from_meta += primed->source == net::CountSource::kMeta;
+  totals->from_feed += primed->source == net::CountSource::kFeed;
+  totals->scans += primed->source == net::CountSource::kScan;
+
+  // The feed is level, and what it holds is the script's.
   EXPECT_EQ(feed->last_seq(), seq);
   std::vector<FeedEvent> replay;
   feed->Subscribe(0, 1, &replay);
-  if (feed->reset_on_open()) {
-    EXPECT_TRUE(replay.empty());
-  } else {
-    ASSERT_LE(replay.size(), seq);
-    const auto end = ref.events.begin() + seq;
-    EXPECT_EQ(replay, std::vector<FeedEvent>(end - replay.size(), end));
-  }
+  EXPECT_EQ(replay, std::vector<FeedEvent>(ref.events.begin(),
+                                           ref.events.begin() + seq));
+  EXPECT_EQ(testing::ReadFileBytes(dir + "/feed.log"),
+            ref.feed_log.substr(0, RecordEnds(ref.feed_log)[seq]));
+}
 
-  const uint64_t fp = RuleSetFingerprint(s.engine->rules(), current);
-  const bool meta_holds = store->violation_count(fp).has_value();
-  const std::optional<MetaCount> fed = feed->last_count();
-  const bool feed_holds = fed && fed->seq == seq && fed->fingerprint == fp;
-  net::CountSource want = net::CountSource::kScan;
-  if (meta_holds) {
-    want = net::CountSource::kMeta;
-  } else if (feed_holds) {
-    want = net::CountSource::kFeed;
+// A machine crash after the child stopped: on a copy of `dir` per cut,
+// feed.log loses its records past each boundary from the store's anchor
+// -- the last record a compaction synced -- to its end, and Prime
+// re-derives every lost record, recovering as CheckRecovery requires.
+void CheckLostFeedTails(const Script& s, const Reference& ref,
+                        const std::string& dir, bool distributed,
+                        uint64_t acked, SweepTotals* totals) {
+  const std::string feed_log = testing::ReadFileBytes(dir + "/feed.log");
+  const std::vector<size_t> ends = RecordEnds(feed_log);
+  const std::string cut_dir = dir + "_cut";
+  for (uint64_t keep = AnchorOf(dir); keep + 1 < ends.size(); ++keep) {
+    SCOPED_TRACE("feed.log cut back to record " + std::to_string(keep));
+    fs::remove_all(cut_dir);
+    fs::copy(dir, cut_dir, fs::copy_options::recursive);
+    fs::resize_file(cut_dir + "/feed.log", ends[keep]);
+    net::PrimeReport primed;
+    CheckRecovery(s, ref, cut_dir, distributed, acked, totals, &primed);
+    EXPECT_GE(primed.caught_up, ends.size() - 1 - keep);
+    if (::testing::Test::HasFailure()) return;
+    ++totals->lost_tails;
   }
-  net::FeedService service(*store, *s.engine, *feed, {});
-  net::CountSource source = net::CountSource::kScan;
-  EXPECT_EQ(service.Prime(&source),
-            s.engine->Detect(current).violations.size());
-  EXPECT_EQ(source, want);
-  totals->from_meta += source == net::CountSource::kMeta;
-  totals->from_feed += source == net::CountSource::kFeed;
-  totals->scans += source == net::CountSource::kScan;
 }
 
 // Runs `body` in a forked child armed to die at durable write point k
@@ -326,6 +386,8 @@ SweepTotals Sweep(Leg leg) {
     feed->Subscribe(0, 1, &ref.events);
   }
   EXPECT_EQ(ref.events.size(), s.seqs());
+  ref.feed_log = testing::ReadFileBytes(dir + "/feed.log");
+  EXPECT_EQ(RecordEnds(ref.feed_log).size(), s.seqs() + 1);
   if (::testing::Test::HasFailure()) return totals;
 
   for (int64_t k = 0;; ++k) {
@@ -354,7 +416,12 @@ SweepTotals Sweep(Leg leg) {
                     << status << ")";
       break;
     }
-    CheckRecovery(s, ref, dir, distributed, acked, &totals);
+    CheckLostFeedTails(s, ref, dir, distributed, acked, &totals);
+    net::PrimeReport primed;
+    CheckRecovery(s, ref, dir, distributed, acked, &totals, &primed);
+    // At most the batch in flight reached the store and not the feed.
+    EXPECT_LE(primed.caught_up, 1u);
+    totals.catchups += primed.caught_up > 0;
     if (::testing::Test::HasFailure()) break;
     if (status == 0) {
       // Past the last write point: the script ran to completion.
@@ -366,35 +433,39 @@ SweepTotals Sweep(Leg leg) {
   return totals;
 }
 
+// Every source is hit: the seeding scan's meta count until the first
+// batch is durable, then the feed's; a crash before that scan's meta
+// write scans again. A crash between the deltas.log and the feed.log
+// appends catches the feed up from the log, with no reset and no scan,
+// and so does every lost feed tail.
+void ExpectEveryRecoveryPath(const SweepTotals& t) {
+  EXPECT_GT(t.from_meta, 0u);
+  EXPECT_GT(t.from_feed, 0u);
+  EXPECT_GT(t.scans, 0u);
+  EXPECT_GT(t.catchups, 0u);
+  EXPECT_GT(t.lost_tails, 0u);
+}
+
 TEST(CrashSweep, ServingStepOnASingleStore) {
   SweepTotals t = Sweep(Leg::kSingleStore);
   // Every batch writes the delta log and the feed; compaction and the
   // seeding scan's meta write add more.
-  EXPECT_GE(t.crashes, 4 * kBatches);
-  // Every source is hit: the seeding scan's meta count until the first
-  // batch is durable, then mostly the feed's; a crash between the log
-  // append and the feed append must fall back to a scan.
-  EXPECT_GT(t.from_meta, 0u);
-  EXPECT_GT(t.from_feed, 0u);
-  EXPECT_GT(t.scans, 0u);
+  EXPECT_GE(t.crashes, 3 * kBatches);
+  ExpectEveryRecoveryPath(t);
 }
 
 TEST(CrashSweep, ServingStepOnATwoFragmentCoordinator) {
   SweepTotals t = Sweep(Leg::kCoordinator);
-  EXPECT_GE(t.crashes, 4 * kBatches);
-  EXPECT_GT(t.from_meta, 0u);
-  EXPECT_GT(t.from_feed, 0u);
-  EXPECT_GT(t.scans, 0u);
+  EXPECT_GE(t.crashes, 3 * kBatches);
+  ExpectEveryRecoveryPath(t);
 }
 
 TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   SweepTotals t = Sweep(Leg::kRebalance);
   // The batches' write points plus the rebalance's: its owner table and
   // its journal record.
-  EXPECT_GE(t.crashes, 4 * kBatches + 4);
-  EXPECT_GT(t.from_meta, 0u);
-  EXPECT_GT(t.from_feed, 0u);
-  EXPECT_GT(t.scans, 0u);
+  EXPECT_GE(t.crashes, 3 * kBatches + 4);
+  ExpectEveryRecoveryPath(t);
 }
 
 // The files of a directory (and of its subdirectories), relative to it.

@@ -4,8 +4,10 @@
 // application of stale records, and the step-relative per-batch serving
 // diff.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "detect/engine.h"
 #include "graph/loader.h"
 #include "obs/trace.h"
+#include "serve/changefeed.h"
 #include "serve/delta_log.h"
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
@@ -223,6 +226,63 @@ TEST(DeltaLog, DropThroughReanchorsAndSurvivesReopen) {
   ASSERT_TRUE(reopened->DropThrough(4));
   EXPECT_EQ(fs::file_size(path), 0u);
   EXPECT_EQ(reopened->Append("eeee"), 5u);
+}
+
+// Write leaves a record unsynced; Sync and Append fsync everything
+// written so far.
+TEST(DeltaLog, WriteDefersTheFsyncToTheNextSyncOrAppend) {
+  std::string path = ScratchLog("log_write");
+  auto log = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(log.has_value());
+  const uint64_t fsyncs = FsyncsTotal().Value();
+  EXPECT_EQ(log->Write("one"), 1u);
+  EXPECT_EQ(log->Write("two"), 2u);
+  EXPECT_EQ(FsyncsTotal().Value(), fsyncs);
+  // Flushed to the OS: another reader sees both records already.
+  auto peek = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(peek.has_value());
+  EXPECT_EQ(Payloads(*peek), (std::vector<std::string>{"one", "two"}));
+  ASSERT_TRUE(log->Sync());
+  EXPECT_EQ(FsyncsTotal().Value(), fsyncs + 1);
+  EXPECT_EQ(log->Append("three"), 3u);
+  EXPECT_EQ(FsyncsTotal().Value(), fsyncs + 2);
+}
+
+// A write that fails after unsynced records cuts the file back to the end
+// of the last whole record written -- not the last one synced: the
+// records in between were flushed, and a feed has fanned them out.
+TEST(DeltaLog, FailedWriteKeepsTheUnsyncedRecordsBeforeIt) {
+  std::string path = ScratchLog("log_failed_write");
+  auto log = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->Append("synced"), 1u);
+  ASSERT_EQ(log->Write("unsynced-a"), 2u);
+  ASSERT_EQ(log->Write("unsynced-b"), 3u);
+  const uintmax_t written = fs::file_size(path);
+
+  // A file-size limit makes the next write fail partway, after some of
+  // its bytes reached the file.
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit limit = old_limit;
+  limit.rlim_cur = written + 8;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  std::string error;
+  const auto failed = log->Write(std::string(4096, 'x'), &error);
+  ::setrlimit(RLIMIT_FSIZE, &old_limit);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(failed.has_value());
+  EXPECT_NE(error.find("append failed"), std::string::npos) << error;
+  EXPECT_EQ(fs::file_size(path), written);
+
+  EXPECT_EQ(log->Write("after"), 4u);
+  auto reopened = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->open_stats().truncated_bytes, 0u);
+  EXPECT_EQ(Payloads(*reopened),
+            (std::vector<std::string>{"synced", "unsynced-a", "unsynced-b",
+                                      "after"}));
 }
 
 // --- GraphDelta::Append: merging batches -----------------------------------
@@ -617,6 +677,28 @@ TEST(GraphStore, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
 // It must survive restart and compaction, track a fresh full Detect at
 // every step, and invalidate on appends, rule-set changes, and replays
 // that land on a different sequence.
+// The feed's records are unsynced until a compaction re-anchors the log
+// past them: Compact fsyncs feed.log before its meta commit, one fsync
+// on top of its own.
+TEST(GraphStore, CompactionSyncsTheFeedLogOnce) {
+  auto compaction_fsyncs = [](const std::string& dir, bool with_feed) {
+    EXPECT_TRUE(GraphStore::Init(dir, BuildHubStar(4)));
+    auto store = GraphStore::Open(dir);
+    EXPECT_TRUE(store.has_value());
+    EXPECT_EQ(store->Append(""), 1u);
+    if (with_feed) {
+      auto feed = ViolationChangefeed::Open(dir, 0);
+      EXPECT_TRUE(feed->Publish(1, ""));
+    }
+    const uint64_t before = FsyncsTotal().Value();
+    EXPECT_TRUE(store->Compact());
+    return FsyncsTotal().Value() - before;
+  };
+  const uint64_t own = compaction_fsyncs(Scratch("compact_no_feed"), false);
+  EXPECT_GT(own, 0u);
+  EXPECT_EQ(compaction_fsyncs(Scratch("compact_feed"), true), own + 1);
+}
+
 TEST(GraphStore, ViolationCountSurvivesRestartAndCompaction) {
   std::string dir = Scratch("store_count");
   auto g = BuildWorld();

@@ -275,6 +275,14 @@ inline OlderMeta ReadOlderMeta(const std::string& path) {
   return meta;
 }
 
+/// The bytes of the file at `path` (empty when it cannot be read).
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
+
 }  // namespace gfd::testing
 
 #endif  // GFD_TESTS_TESTLIB_H_

@@ -223,7 +223,7 @@ constexpr VerbHelp kVerbHelp[] = {
      "                  limited)\n"
      "  GET  /feed      SSE stream of per-batch violation diffs;\n"
      "                  ?cursor=SEQ replays missed batches from the\n"
-     "                  durable feed log; ?rule= ?label= ?pivot= filter;\n"
+     "                  feed log; ?rule= ?label= ?pivot= filter;\n"
      "                  ?max_events=N closes after N events\n"
      "  GET  /metrics   live Prometheus text\n"
      "  GET  /status    JSON summary (seq, backend, counters)\n"
@@ -248,9 +248,12 @@ constexpr VerbHelp kVerbHelp[] = {
      "  --heartbeat-ms MS   SSE keepalive period (default 5000)\n"
      "  --ingest-rps R      per-client ingest rate limit (default 0:\n"
      "                      unlimited), --ingest-burst B tokens burst\n"
-     "Shutdown: SIGINT/SIGTERM close subscriber streams and stop\n"
-     "accepting, then exit 0; durable state needs no cleanup (kill -9\n"
-     "recovers on the next open). See docs/WIRE.md for the wire format.\n"},
+     "On start, feed records the store's log holds but the feed lacks\n"
+     "are re-derived (\"feed caught up K batch(es) from the log\").\n"
+     "Shutdown: SIGINT/SIGTERM close subscriber streams, sync the feed\n"
+     "and stop accepting, then exit 0; durable state needs no cleanup\n"
+     "(kill -9 recovers on the next open). See docs/WIRE.md for the wire\n"
+     "format.\n"},
     {"metrics",
      "gfdtool metrics <dir> [-o FILE]\n"
      "\n"
@@ -1012,11 +1015,6 @@ int ServeRun(int argc, char** argv) {
     std::fprintf(stderr, "error opening feed log: %s\n", error.c_str());
     return 1;
   }
-  if (feed->reset_on_open()) {
-    std::fprintf(stderr,
-                 "feed log out of step with the store; reset -- "
-                 "subscribers will see a sequence gap\n");
-  }
 
   net::FeedServiceOptions fopts;
   fopts.detect_workers = workers;
@@ -1026,10 +1024,20 @@ int ServeRun(int argc, char** argv) {
   fopts.ingest_burst = static_cast<double>(ingest_burst);
   fopts.backend = backend;
   net::FeedService service(*serving, engine, *feed, fopts);
-  net::CountSource source = net::CountSource::kScan;
-  uint64_t count = service.Prime(&source);
+  net::PrimeReport primed;
+  uint64_t count = service.Prime(&primed);
+  if (primed.caught_up > 0) {
+    std::fprintf(stderr, "feed caught up %llu batch(es) from the log\n",
+                 static_cast<unsigned long long>(primed.caught_up));
+  }
+  if (primed.feed_reset) {
+    std::fprintf(stderr,
+                 "feed log out of step with the store; reset -- "
+                 "subscribers will see a sequence gap\n");
+  }
   std::fprintf(stderr, "violation counter: %llu (%s)\n",
-               static_cast<unsigned long long>(count), CountSourceName(source));
+               static_cast<unsigned long long>(count),
+               CountSourceName(primed.source));
 
   net::HttpServerOptions hopts;
   hopts.bind_address = bind;
@@ -1062,7 +1070,11 @@ int ServeRun(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "signal received; shutting down\n");
-  feed->Shutdown();  // closes subscriber streams -> handlers drain
+  // Closes subscriber streams (handlers drain) and syncs the feed.
+  if (!feed->Shutdown(&error)) {
+    std::fprintf(stderr, "warning: could not sync the feed log: %s\n",
+                 error.c_str());
+  }
   server->Stop();
   // Ingest has stopped: checkpoint the count so later CLI runs skip the
   // seeding scan.
