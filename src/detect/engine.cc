@@ -704,7 +704,10 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
   // endpoint, which must be a node of `g`.
   if (!view.ValidateAppended(batch, 0, error)) return std::nullopt;
   const BatchFootprint fp = BatchFootprint::Of(batch.ops, view);
-  auto absorb = [&] { return view.AbsorbAppended(batch, 0, error); };
+  auto absorb = [&] {
+    view.ApplyAppended(batch, 0);
+    return true;
+  };
   const StepPlan plan = PlanStep(view, fp);
   auto sides = DetectStep(view, fp, std::span(&plan, 1), absorb, opts);
   if (!sides) return std::nullopt;

@@ -323,6 +323,11 @@ bool GraphView::ValidateAppended(const GraphDelta& delta, size_t first_op,
 bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
                                std::string* error) {
   if (!ValidateAppended(delta, first_op, error)) return false;
+  ApplyAppended(delta, first_op);
+  return true;
+}
+
+void GraphView::ApplyAppended(const GraphDelta& delta, size_t first_op) {
   // The delta's extension vocabulary grew append-only past what the view
   // carries (GraphDelta::Append re-interns by name), so adopting the
   // whole tables keeps every id the view already handed out valid.
@@ -390,7 +395,6 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
     }
   }
   num_ops_ = delta.ops.size();
-  return true;
 }
 
 }  // namespace gfd

@@ -235,6 +235,10 @@ class GraphView {
   bool AbsorbAppended(const GraphDelta& delta, size_t first_op,
                       std::string* error = nullptr);
 
+  /// AbsorbAppended without its validation, for a tail that
+  /// ValidateAppended already accepted on this very view state.
+  void ApplyAppended(const GraphDelta& delta, size_t first_op);
+
  private:
   struct AddedEdge {
     NodeId src;

@@ -30,8 +30,12 @@ LiveGraph::Mark LiveGraph::mark() const {
           overlay_.extra_attrs.size(), overlay_.extra_values.size()};
 }
 
-bool LiveGraph::Absorb(const GraphDelta& batch, std::string* error) {
-  const Mark before = mark();
+bool LiveGraph::Validate(const GraphDelta& batch, std::string* error) const {
+  return view_->ValidateAppended(batch, 0, error);
+}
+
+void LiveGraph::Absorb(const GraphDelta& batch) {
+  const size_t first_op = overlay_.ops.size();
   // The batch's extension tables start with the overlay's, so adopting
   // their tails keeps every id already handed out.
   auto adopt_tail = [](std::vector<std::string>& own,
@@ -42,24 +46,16 @@ bool LiveGraph::Absorb(const GraphDelta& batch, std::string* error) {
   adopt_tail(overlay_.extra_labels, batch.extra_labels);
   adopt_tail(overlay_.extra_attrs, batch.extra_attrs);
   adopt_tail(overlay_.extra_values, batch.extra_values);
-  if (view_->AbsorbAppended(overlay_, before.ops, error)) return true;
-  // The view validates before it changes anything: only the overlay
-  // needs taking back.
-  Truncate(before);
-  return false;
+  view_->ApplyAppended(overlay_, first_op);
 }
 
 void LiveGraph::Rollback(const Mark& to) {
-  Truncate(to);
-  // The truncated overlay applied before, so it applies again.
-  view_ = GraphView::Apply(*base_, overlay_);
-}
-
-void LiveGraph::Truncate(const Mark& to) {
   overlay_.ops.resize(to.ops);
   overlay_.extra_labels.resize(to.labels);
   overlay_.extra_attrs.resize(to.attrs);
   overlay_.extra_values.resize(to.values);
+  // The truncated overlay applied before, so it applies again.
+  view_ = GraphView::Apply(*base_, overlay_);
 }
 
 void LiveGraph::Rebase(PropertyGraph next) {

@@ -5,10 +5,13 @@
 // GraphStore (serve/graph_store.h) -- a single-node server's store and a
 // coordinator's master alike, the only graph either backend holds --
 // keeps its graph as a LiveGraph, so a batch reaches memory one way on
-// either backend: Parse re-expresses its TSV in the live id space, Absorb
-// validates it and applies it to the view in O(batch + touched degrees),
-// Rollback takes it back out when the store's log did not take it, and
-// Rebase adopts the next snapshot at compaction.
+// either backend: Parse re-expresses its TSV in the live id space,
+// Validate checks it against the view without changing anything, Absorb
+// applies it to the view in O(batch + touched degrees), Rollback takes it
+// back out when the store's log did not make it durable, and Rebase
+// adopts the next snapshot at compaction. A batch is validated once:
+// the serving step validates it before its record is written, and
+// absorbs it only between the step's two sides.
 #ifndef GFD_GRAPH_LIVE_GRAPH_H_
 #define GFD_GRAPH_LIVE_GRAPH_H_
 
@@ -48,13 +51,16 @@ class LiveGraph {
   };
   Mark mark() const;
 
-  /// Validates `batch` -- Parse's result, or any delta in the live id
-  /// space whose extension tables extend the overlay's -- on the view
-  /// and absorbs it in place: the overlay gains its ops and the tails of
-  /// its extension tables. Returns false, changing nothing, when an op
-  /// cannot apply (*error is "op N: ...", N counted from the batch's
-  /// first op).
-  bool Absorb(const GraphDelta& batch, std::string* error = nullptr);
+  /// Checks that `batch` -- Parse's result, or any delta in the live id
+  /// space whose extension tables extend the overlay's -- applies on the
+  /// view as it stands. Changes nothing. False when an op cannot apply
+  /// (*error is "op N: ...", N counted from the batch's first op).
+  bool Validate(const GraphDelta& batch, std::string* error = nullptr) const;
+
+  /// Absorbs `batch`, which Validate accepted on the current state, in
+  /// place: the overlay gains its ops and the tails of its extension
+  /// tables, and the view applies them.
+  void Absorb(const GraphDelta& batch);
 
   /// Takes back every batch absorbed since `to` was taken, for a batch
   /// that never became durable. Rebuilds the view from the base and the
@@ -68,9 +74,6 @@ class LiveGraph {
   void Rebase(PropertyGraph next);
 
  private:
-  // Cuts the overlay back to `to`, leaving the view alone.
-  void Truncate(const Mark& to);
-
   // Heap-held, so the view's base pointer survives moves of the owner.
   std::unique_ptr<PropertyGraph> base_;
   GraphDelta overlay_;

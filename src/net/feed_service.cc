@@ -264,8 +264,11 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   std::string error;
   auto step = ServeStep(store_, engine_, req.body, count_, iopts, &error);
   if (!step) {
-    // Validation failure: the batch never reached the log.
-    w.Respond(Json(422, "{\"error\":\"" + JsonEscape(error) + "\"}\n"));
+    // Either the store rejected the batch (422), or it was valid but its
+    // record's write or fsync failed, a server fault (500). Either way
+    // nothing of it is in the log: a failed record is retracted.
+    const int status = error.starts_with(kNotDurableError) ? 500 : 422;
+    w.Respond(Json(status, "{\"error\":\"" + JsonEscape(error) + "\"}\n"));
     return;
   }
   const IncrementalDiff& diff = step->diff;

@@ -5,8 +5,12 @@
 //   POST /ingest   one TSV delta batch -> AppendAndDiff -> publish the
 //                  diff, with the running violation count, to the feed;
 //                  responds with seq + diff summary.
-//                  Validation failures are 4xx and nothing reaches the
-//                  log. Per-client token-bucket rate limiting (429).
+//                  Validation failures are 422 and nothing reaches the
+//                  log; a valid batch whose record could not be made
+//                  durable is 500, its record retracted from the log.
+//                  The ack waits for the record's fsync, which runs
+//                  beside the detection. Per-client token-bucket rate
+//                  limiting (429).
 //   GET  /feed     SSE stream of per-batch violation diffs. ?cursor=<seq>
 //                  replays every logged record after <seq> before going
 //                  live; ?rule= / ?label= / ?pivot= filter; ?max_events=

@@ -125,8 +125,10 @@ std::unique_ptr<ViolationChangefeed> ViolationChangefeed::Open(
                             store_last_seq + 1, error);
   if (!log) return nullptr;
   auto feed = std::unique_ptr<ViolationChangefeed>(new ViolationChangefeed());
-  if (!log->records().empty()) {
-    feed->last_count_ = RecordCount(log->records().back());
+  if (!log->entries().empty()) {
+    auto last = DeltaLog::Read(log->path(), log->entries().last(1), error);
+    if (!last) return nullptr;
+    feed->last_count_ = RecordCount(last->front());
   }
   feed->log_ = std::move(*log);
   return feed;
@@ -139,7 +141,7 @@ uint64_t ViolationChangefeed::last_seq() const {
 
 bool ViolationChangefeed::empty() const {
   std::lock_guard lock(mu_);
-  return log_->records().empty();
+  return log_->entries().empty();
 }
 
 bool ViolationChangefeed::Reset(uint64_t last_seq, std::string* error) {
@@ -216,28 +218,49 @@ bool ViolationChangefeed::Publish(uint64_t seq, std::string payload,
 
 std::shared_ptr<FeedSubscription> ViolationChangefeed::Subscribe(
     uint64_t cursor, size_t queue_cap, std::vector<FeedEvent>* replay) {
-  std::lock_guard lock(mu_);
-  if (replay) {
-    // Records are seq-contiguous, so the first one past the cursor sits
-    // at a known offset.
-    std::span<const DeltaLogRecord> records = log_->records();
-    if (!records.empty() && cursor >= records.front().seq) {
-      const uint64_t seen = cursor - records.front().seq + 1;
-      records = records.subspan(std::min<uint64_t>(seen, records.size()));
+  auto sub = std::make_shared<FeedSubscription>();
+  sub->cap_ = std::max<size_t>(queue_cap, 1);
+  sub->cursor_ = cursor;
+  // Under the mutex: which records the replay covers, and the
+  // registration, so the replay and the live stream are contiguous.
+  // Outside it: the payload reads, so a replay never holds up Publish.
+  std::string path;
+  std::vector<DeltaLogEntry> missed;
+  {
+    std::lock_guard lock(mu_);
+    if (replay) {
+      // Records are seq-contiguous, so the first one past the cursor
+      // sits at a known offset.
+      std::span<const DeltaLogEntry> entries = log_->entries();
+      if (!entries.empty() && cursor >= entries.front().seq) {
+        const uint64_t seen = cursor - entries.front().seq + 1;
+        entries = entries.subspan(std::min<uint64_t>(seen, entries.size()));
+      }
+      path = log_->path();
+      missed.assign(entries.begin(), entries.end());
     }
-    for (const DeltaLogRecord& rec : records) {
+    if (shutdown_) {
+      sub->closed_ = true;
+    } else {
+      subs_.push_back(sub);
+    }
+  }
+  if (replay && !missed.empty()) {
+    // A record that cannot be read back ends the replay there; the
+    // subscriber reconnects at the last seq it saw.
+    std::string error;
+    auto records = DeltaLog::Read(path, missed, &error);
+    if (!records) {
+      Unsubscribe(sub);
+      std::lock_guard sub_lock(sub->mu_);
+      sub->evicted_ = true;
+      return sub;
+    }
+    for (DeltaLogRecord& rec : *records) {
       replay->push_back(
           FeedEvent{rec.seq, std::string(DiffPayload(rec.payload))});
     }
   }
-  auto sub = std::make_shared<FeedSubscription>();
-  sub->cap_ = std::max<size_t>(queue_cap, 1);
-  sub->cursor_ = cursor;
-  if (shutdown_) {
-    sub->closed_ = true;
-    return sub;
-  }
-  subs_.push_back(sub);
   return sub;
 }
 

@@ -15,9 +15,12 @@
 // Records live in a second DeltaLog, `<dir>/feed.log`, so a
 // subscriber cursor is a replayable position: reconnecting at cursor C
 // first replays every record with seq > C straight out of the log, then
-// switches to the live stream -- registration and the replay snapshot
-// happen under one mutex, so no event is missed or duplicated in
-// between.
+// switches to the live stream -- registration and the choice of the
+// records to replay happen under one mutex, so no event is missed or
+// duplicated in between. The log keeps each record's place in the file,
+// not its payload, so a server's memory does not grow with the stream;
+// a replay reads its payloads from the file after the mutex is
+// released.
 //
 // The feed is derived data. A record is a pure function of the graph
 // before its batch, the batch and the rules, all of which the store's
@@ -160,7 +163,9 @@ class ViolationChangefeed {
 
   /// Drops every record and restarts the log after `last_seq`: the next
   /// publish is last_seq+1. The gap is client-visible (event seqs jump),
-  /// never silently misnumbered.
+  /// never silently misnumbered. Runs before serving (FeedService::
+  /// Prime): a replay reading payloads it chose before a reset would
+  /// read them from the new file.
   bool Reset(uint64_t last_seq, std::string* error = nullptr);
 
   /// Appends the diff payload of batch `seq` (which must be the next
@@ -180,9 +185,12 @@ class ViolationChangefeed {
   /// Registers a subscriber at `cursor`: `replay` receives every logged
   /// record with seq > cursor (in order), and the returned subscription
   /// sees every event published afterwards -- the two are contiguous
-  /// because both happen under the feed mutex. `queue_cap` bounds the
-  /// live queue (the backpressure knob); replay is not subject to it,
-  /// the caller drains it at its own pace.
+  /// because the registration and the choice of the replayed records
+  /// happen under the feed mutex; the payloads are read from the file
+  /// outside it, so a replay never holds up Publish. A replay that
+  /// cannot be read back returns an evicted subscription. `queue_cap`
+  /// bounds the live queue (the backpressure knob); replay is not
+  /// subject to it, the caller drains it at its own pace.
   std::shared_ptr<FeedSubscription> Subscribe(uint64_t cursor,
                                               size_t queue_cap,
                                               std::vector<FeedEvent>* replay);

@@ -159,8 +159,10 @@ std::optional<PropertyGraph> RecoverLegacyGraph(const std::string& dir,
     SetError(error, "routing journal: " + jerr);
     return std::nullopt;
   }
+  auto records = journal->ReadRecords(error);
+  if (!records) return std::nullopt;
   std::vector<DeltaLogRecord> batches;
-  for (const DeltaLogRecord& rec : journal->records()) {
+  for (const DeltaLogRecord& rec : *records) {
     std::string_view body = rec.payload;
     if (body.starts_with("G ")) {
       const size_t nl = body.find('\n');
@@ -349,6 +351,11 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   }
   auto batch = master_->live().Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
+  // The master validates the batch and writes its record, and the
+  // record's fsync runs beside the step; an invalid batch never reaches
+  // the log.
+  const auto seq = master_->Stage(*batch, delta_tsv, error);
+  if (!seq) return std::nullopt;
   // Everything below `route` reads the pre-batch view: the anchors, by
   // its degrees, so every backend serving this stream picks the same
   // ones; the step's units, planned once; and each fragment's seeds.
@@ -359,60 +366,62 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
       PlanSeeds(partition_, view(), batch->ops, footprint.anchors,
                 plan.anchor_costs(), radius);
   const std::vector<StepPlan> shares = plan.Split(seeds);
-  const uint64_t route_ns = route_watch.ElapsedNs();
+  if (obs::TraceLog* trace = obs::ActiveTrace()) {
+    trace->Emit("route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}},
+                static_cast<int64_t>(route_watch.ElapsedNs()));
+  }
 
-  // The master's append is the step's one apply, between the fragments'
-  // two sides: it validates and absorbs the batch and logs it, taking it
-  // back out when the log does not take it -- so an invalid batch never
-  // reaches the log. Once it is durable nothing else can fail.
-  std::optional<uint64_t> seq;
-  auto append = [&] {
-    seq = master_->AppendParsed(*batch, delta_tsv, error);
-    return seq.has_value();
+  // The master's absorb is the step's one apply, between the fragments'
+  // two sides.
+  auto absorb = [&] {
+    master_->Absorb(*batch);
+    return true;
   };
   auto each_fragment = [this](const std::function<void(size_t)>& side) {
     cluster_->RunStep(side);
   };
-  auto sides =
-      engine.DetectStep(view(), footprint, shares, append, opts, each_fragment);
-  if (!sides) return std::nullopt;
-  ++stats_.batches;
-  if (obs::TraceLog* trace = obs::ActiveTrace()) {
-    trace->Emit("route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}},
-                static_cast<int64_t>(route_ns));
-  }
+  const std::vector<StepSides> sides =
+      *engine.DetectStep(view(), footprint, shares, absorb, opts,
+                         each_fragment);
 
   // The seeds partition the anchors, so the per-fragment added and
   // removed lists partition the step diff, and merging them reproduces
   // the single-node step diff record for record.
-  obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
   IncrementalDiff diff;
-  std::vector<std::vector<Violation>> added;
-  std::vector<std::vector<Violation>> removed;
-  for (size_t f = 0; f < sides->size(); ++f) {
-    const StepSides& side = (*sides)[f];
-    if (obs::TraceLog* trace = obs::ActiveTrace()) {
-      trace->Emit("detect",
-                  {{"seq", *seq},
-                   {"fragment", f},
-                   {"anchors", seeds[f].size()},
-                   {"write_units", side.stats.write_units},
-                   {"edge_units", side.stats.edge_units},
-                   {"matches", side.stats.matches_seen}},
-                  static_cast<int64_t>(side.detect_ns));
+  {
+    obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
+    std::vector<std::vector<Violation>> added;
+    std::vector<std::vector<Violation>> removed;
+    for (size_t f = 0; f < sides.size(); ++f) {
+      const StepSides& side = sides[f];
+      if (obs::TraceLog* trace = obs::ActiveTrace()) {
+        trace->Emit("detect",
+                    {{"seq", *seq},
+                     {"fragment", f},
+                     {"anchors", seeds[f].size()},
+                     {"write_units", side.stats.write_units},
+                     {"edge_units", side.stats.edge_units},
+                     {"matches", side.stats.matches_seen}},
+                    static_cast<int64_t>(side.detect_ns));
+      }
+      IncrementalDiff part = StepDiff(side);
+      added.push_back(std::move(part.added));
+      removed.push_back(std::move(part.removed));
+      AddStats(&diff.stats, part.stats);
     }
-    stats_.seeds[f] += seeds[f].size();
-    FragmentMatches(f).Inc(side.stats.matches_seen);
-    IncrementalDiff part = StepDiff(side);
-    added.push_back(std::move(part.added));
-    removed.push_back(std::move(part.removed));
-    AddStats(&diff.stats, part.stats);
+    diff.added = MergeSorted(std::move(added));
+    diff.removed = MergeSorted(std::move(removed));
+    // The master's view absorbed the batch; the payload renders against
+    // it, as it would against MaterializeCurrent().
+    diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
   }
-  diff.added = MergeSorted(std::move(added));
-  diff.removed = MergeSorted(std::move(removed));
-  // The master's view absorbed the batch on append; the payload renders
-  // against it, as it would against MaterializeCurrent().
-  diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
+  // Nothing leaves the step before the master's record is durable.
+  if (!master_->Commit(error)) return std::nullopt;
+  ++stats_.batches;
+  for (size_t f = 0; f < sides.size(); ++f) {
+    stats_.seeds[f] += seeds[f].size();
+    FragmentMatches(f).Inc(sides[f].stats.matches_seen);
+  }
   if (seq_out) *seq_out = *seq;
   return diff;
 }

@@ -17,17 +17,20 @@
 // (ViolationEngine::MaxPatternRadius), so every match through an owned
 // node lies inside the owner's mask.
 //
-// The step. For each batch the master parses it, takes its footprint
-// and plans the step's units on its pre-batch view (ViolationEngine::
-// PlanStep), then assigns each anchor, priced by its units, to one
-// fragment whose masks before and after the batch hold the anchor's
-// pattern-radius ball (PlanSeeds): the owner always qualifies, and
-// SeedableFragments admits others from the pre-batch view and the
-// batch's edge ops alone. Each fragment then runs the before side of its
-// share of the units as one Cluster step; the master appends the batch
-// once (GraphStore::AppendParsed, the step's only apply); each fragment
-// runs its after side as a second Cluster step; and the master merges
-// the per-fragment added and removed lists with a plain sorted merge.
+// The step. For each batch the master parses it and stages it
+// (GraphStore::Stage: validate, write the record, hand its fsync to the
+// log's syncer), takes its footprint and plans the step's units on its
+// pre-batch view (ViolationEngine::PlanStep), then assigns each anchor,
+// priced by its units, to one fragment whose masks before and after the
+// batch hold the anchor's pattern-radius ball (PlanSeeds): the owner
+// always qualifies, and SeedableFragments admits others from the
+// pre-batch view and the batch's edge ops alone. Each fragment then runs
+// the before side of its share of the units as one Cluster step; the
+// master absorbs the batch once (GraphStore::Absorb, the step's only
+// apply); each fragment runs its after side as a second Cluster step;
+// the master merges the per-fragment added and removed lists with a
+// plain sorted merge and renders the payload; and it commits the batch
+// last (GraphStore::Commit), once the record's fsync is done.
 // Attribution is a stateless function of the match and the batch's whole
 // footprint, so the per-fragment diffs partition the single store's step
 // diff whatever the assignment. A single store runs the same algorithm
@@ -142,21 +145,23 @@ class Coordinator final : public ServingStore {
   const CoordinatorStats& stats() const { return stats_; }
 
   /// Accepts one update batch (the E+/E-/A TSV of graph/loader.h): the
-  /// master parses, validates, absorbs and durably appends it under the
-  /// next global sequence number. Nothing reaches the log when
-  /// validation fails, and a batch the log does not take leaves the
-  /// master's view again.
+  /// master parses, validates, durably appends and absorbs it under the
+  /// next global sequence number (GraphStore::Append). Nothing reaches
+  /// the log when validation fails.
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 
   /// The distributed serving step: Append plus the violation diff
   /// induced by exactly this batch. Each fragment runs both sides of its
   /// share of the step's units on the master's view, around the master's
-  /// one append, seeded from the anchors the master planned for it (each
+  /// one absorb, seeded from the anchors the master planned for it (each
   /// anchor at one fragment, with every unit rooted there); the master
   /// merges the per-fragment added and removed lists (disjoint, since the
   /// seeds partition the units' roots), which equals single-node
-  /// GraphStore AppendAndDiff record for record.
+  /// GraphStore AppendAndDiff record for record. The master's record is
+  /// staged before the step and committed after the merge, so its fsync
+  /// runs beside the step; a failed fsync takes the batch back out
+  /// (GraphStore::Commit).
   /// Errors out (before anything is appended) when the engine's
   /// MaxPatternRadius exceeds the partition's halo radius.
   std::optional<IncrementalDiff> AppendAndDiff(

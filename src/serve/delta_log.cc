@@ -4,11 +4,14 @@
 #include <array>
 #include <cerrno>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <system_error>
+#include <thread>
 
 #include "obs/trace.h"
 #include "serve/durable_io.h"
@@ -37,7 +40,7 @@ std::string FrameRecord(uint64_t seq, std::string_view payload) {
 // advances `*pos` past the record, and returns true. Any malformation --
 // torn header, short payload, missing terminator, CRC mismatch -- returns
 // false with *pos untouched (the caller cuts the tail there).
-bool ParseRecord(std::string_view data, size_t* pos, DeltaLogRecord* rec) {
+bool ParseRecord(std::string_view data, size_t* pos, DeltaLogEntry* rec) {
   size_t p = *pos;
   size_t eol = data.find('\n', p);
   if (eol == std::string_view::npos) return false;
@@ -57,12 +60,93 @@ bool ParseRecord(std::string_view data, size_t* pos, DeltaLogRecord* rec) {
   std::string_view payload = data.substr(payload_at, nbytes);
   if (Crc32(payload) != crc) return false;
   rec->seq = seq;
-  rec->payload.assign(payload);
+  rec->offset = payload_at;
+  rec->size = nbytes;
   *pos = payload_at + nbytes + 1;
   return true;
 }
 
 }  // namespace
+
+// The thread a log's staged fsyncs run on: one at a time, handed over by
+// Start and collected by Wait.
+class DeltaLog::Syncer {
+ public:
+  Syncer() : thread_([this] { Run(); }) {}
+
+  ~Syncer() {
+    {
+      std::lock_guard lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  // The thread holds `this`.
+  Syncer(const Syncer&) = delete;
+  Syncer& operator=(const Syncer&) = delete;
+
+  // Hands over the fsync of `fd`, whose stream holds record `seq` flushed.
+  void Start(int fd, uint64_t seq) {
+    {
+      std::lock_guard lock(mu_);
+      fd_ = fd;
+      seq_ = seq;
+      state_ = State::kPending;
+    }
+    cv_.notify_all();
+  }
+
+  // Blocks until the fsync Start handed over ran; 0 when it succeeded,
+  // else its errno.
+  int Wait() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return state_ == State::kDone; });
+    state_ = State::kIdle;
+    return err_;
+  }
+
+ private:
+  enum class State { kIdle, kPending, kDone };
+
+  void Run() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] { return state_ == State::kPending || stop_; });
+      if (state_ != State::kPending) return;
+      const int fd = fd_;
+      const uint64_t seq = seq_;
+      lock.unlock();
+      obs::ScopedTimer timer(nullptr, "log_sync", {{"seq", seq}});
+      const bool ok = SyncFd(fd);
+      const int err = ok ? 0 : (errno != 0 ? errno : EIO);
+      if (ok) {
+        timer.StopNs();
+      } else {
+        timer.Discard();
+      }
+      lock.lock();
+      err_ = err;
+      state_ = State::kDone;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;  // guards: fd_, seq_, state_, err_, stop_
+  std::condition_variable cv_;
+  int fd_ = -1;
+  uint64_t seq_ = 0;
+  State state_ = State::kIdle;
+  int err_ = 0;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once the state above exists
+};
+
+DeltaLog::DeltaLog() = default;
+DeltaLog::DeltaLog(DeltaLog&&) noexcept = default;
+DeltaLog& DeltaLog::operator=(DeltaLog&&) noexcept = default;
+DeltaLog::~DeltaLog() = default;
 
 uint32_t Crc32(std::string_view data) {
   static const std::array<uint32_t, 256> kTable = [] {
@@ -126,18 +210,18 @@ std::optional<DeltaLog> DeltaLog::Open(const std::string& path,
 
   size_t pos = 0;
   while (pos < data.size()) {
-    DeltaLogRecord rec;
+    DeltaLogEntry rec;
     size_t next = pos;
     if (!ParseRecord(data, &next, &rec)) break;
     // A sequence break is corruption exactly like a bad CRC: the chain
     // of exactly-once numbering ends here.
-    if (!log.records_.empty() && rec.seq != log.records_.back().seq + 1) {
+    if (!log.entries_.empty() && rec.seq != log.entries_.back().seq + 1) {
       break;
     }
     pos = next;
-    log.records_.push_back(std::move(rec));
+    log.entries_.push_back(rec);
   }
-  log.open_stats_.records = log.records_.size();
+  log.open_stats_.records = log.entries_.size();
   log.whole_bytes_ = pos;
   if (pos < data.size()) {
     // Corrupt or torn tail: cut the file back to the last whole record so
@@ -153,13 +237,33 @@ std::optional<DeltaLog> DeltaLog::Open(const std::string& path,
     LogTruncatedBytesTotal().Inc(log.open_stats_.truncated_bytes);
     obs::EmitTrace("torn_tail",
                    {{"bytes", log.open_stats_.truncated_bytes},
-                    {"durable_records", log.records_.size()}});
+                    {"durable_records", log.entries_.size()}});
   }
-  if (!log.records_.empty()) {
-    log.next_seq_ = log.records_.back().seq + 1;
+  if (!log.entries_.empty()) {
+    log.next_seq_ = log.entries_.back().seq + 1;
   }
   if (!log.OpenAppendHandle(error)) return std::nullopt;
   return log;
+}
+
+std::optional<std::vector<DeltaLogRecord>> DeltaLog::Read(
+    const std::string& path, std::span<const DeltaLogEntry> entries,
+    std::string* error) {
+  std::vector<DeltaLogRecord> out;
+  if (entries.empty()) return out;
+  std::ifstream in(path, std::ios::binary);
+  out.reserve(entries.size());
+  for (const DeltaLogEntry& e : entries) {
+    DeltaLogRecord rec{e.seq, std::string(e.size, '\0')};
+    in.seekg(static_cast<std::streamoff>(e.offset));
+    in.read(rec.payload.data(), static_cast<std::streamsize>(e.size));
+    if (!in) {
+      SetError(error, path + ": cannot read record " + std::to_string(e.seq));
+      return std::nullopt;
+    }
+    out.push_back(std::move(rec));
+  }
+  return out;
 }
 
 std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
@@ -172,17 +276,47 @@ std::optional<uint64_t> DeltaLog::Write(std::string_view payload,
   return AddRecord(payload, /*sync=*/false, error);
 }
 
+std::optional<uint64_t> DeltaLog::Stage(std::string_view payload,
+                                        std::string* error) {
+  const size_t at = whole_bytes_;
+  auto seq = AddRecord(payload, /*sync=*/false, error);
+  if (!seq) return std::nullopt;
+  if (!syncer_) syncer_ = std::make_unique<Syncer>();
+  staged_at_ = at;
+  syncer_->Start(::fileno(file_.get()), *seq);
+  return seq;
+}
+
+bool DeltaLog::Commit(std::string* error) {
+  if (!staged_at_) return true;
+  const int err = syncer_->Wait();
+  const size_t at = *staged_at_;
+  staged_at_.reset();
+  if (err == 0) return true;
+  // The record may or may not be on disk, and a later fsync cannot tell:
+  // cut it out, as a failed append is cut, so the log holds exactly the
+  // records that were made durable.
+  LogAppendFailuresTotal().Inc();
+  SetError(error, path_ + ": sync failed: " + std::strerror(err));
+  entries_.pop_back();
+  --next_seq_;
+  whole_bytes_ = at;
+  file_.reset();
+  RecoverAppendHandle(nullptr);
+  return false;
+}
+
 std::optional<uint64_t> DeltaLog::AddRecord(std::string_view payload,
                                             bool sync, std::string* error) {
   // An earlier error path may have left the log closed (possibly with a
   // torn tail it could not cut); retry the recovery rather than handing
   // fwrite a null stream.
   if (!file_ && !RecoverAppendHandle(error)) return std::nullopt;
-  DurableWritePoint();
   uint64_t seq = next_seq_;
   obs::ScopedTimer timer(&LogAppendLatency());
   std::string frame = FrameRecord(seq, payload);
-  bool ok = std::fwrite(frame.data(), 1, frame.size(), file_.get()) ==
+  bool ok = DurableWritePoint() &&
+            std::fwrite(frame.data(), 1, frame.size(), file_.get()) ==
                 frame.size() &&
             (sync ? SyncFile(file_.get()) : std::fflush(file_.get()) == 0);
   if (!ok) {
@@ -198,10 +332,11 @@ std::optional<uint64_t> DeltaLog::AddRecord(std::string_view payload,
     RecoverAppendHandle(nullptr);
     return std::nullopt;
   }
+  entries_.push_back(
+      {seq, whole_bytes_ + frame.size() - payload.size() - 1, payload.size()});
   whole_bytes_ += frame.size();
   LogAppendsTotal().Inc();
   LogAppendBytesTotal().Inc(frame.size());
-  records_.push_back({seq, std::string(payload)});
   ++next_seq_;
   return seq;
 }
@@ -213,11 +348,21 @@ bool DeltaLog::Sync(std::string* error) {
 }
 
 bool DeltaLog::DropThrough(uint64_t through, std::string* error) {
-  DurableWritePoint();
+  if (!DurableWritePoint()) {
+    SetError(error, path_ + ": drop failed: " + std::strerror(errno));
+    return false;
+  }
+  const auto kept_from = std::find_if(
+      entries_.begin(), entries_.end(),
+      [&](const DeltaLogEntry& e) { return e.seq > through; });
+  auto kept = Read(path_, {kept_from, entries_.end()}, error);
+  if (!kept) return false;
   std::string content;
-  for (const DeltaLogRecord& rec : records_) {
-    if (rec.seq <= through) continue;
+  std::vector<DeltaLogEntry> entries;
+  for (const DeltaLogRecord& rec : *kept) {
     content += FrameRecord(rec.seq, rec.payload);
+    entries.push_back(
+        {rec.seq, content.size() - rec.payload.size() - 1, rec.payload.size()});
   }
   // Close the live handle before the swap so appends reopen the new file.
   file_.reset();
@@ -225,8 +370,7 @@ bool DeltaLog::DropThrough(uint64_t through, std::string* error) {
     OpenAppendHandle(nullptr);  // best-effort: keep the old log usable
     return false;
   }
-  std::erase_if(records_,
-                [&](const DeltaLogRecord& r) { return r.seq <= through; });
+  entries_ = std::move(entries);
   whole_bytes_ = content.size();
   next_seq_ = std::max(next_seq_, through + 1);
   return OpenAppendHandle(error);

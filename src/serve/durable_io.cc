@@ -22,36 +22,65 @@ namespace fs = std::filesystem;
 
 namespace {
 std::atomic<int64_t> g_crash_at{-1};
+std::atomic<int64_t> g_fail_at{-1};
 std::atomic<int64_t> g_write_points{0};
+
+// fsync without the write point: the callers pass theirs first.
+bool FsyncNoPoint(int fd) {
+#ifdef GFD_HAVE_FSYNC
+  FsyncsTotal().Inc();
+  return ::fsync(fd) == 0;
+#else
+  (void)fd;
+  return true;
+#endif
+}
 }  // namespace
 
 void CrashAtWritePoint(int64_t k) {
+  g_fail_at.store(-1);
   g_write_points.store(0);
   g_crash_at.store(k);
 }
 
-void DurableWritePoint() {
-  const int64_t k = g_crash_at.load(std::memory_order_relaxed);
-  if (k >= 0 && g_write_points.fetch_add(1) == k) std::_Exit(kCrashExitCode);
+void FailAtWritePoint(int64_t k) {
+  g_crash_at.store(-1);
+  g_write_points.store(0);
+  g_fail_at.store(k);
 }
 
-bool SyncFile(std::FILE* f) {
-  DurableWritePoint();
-  if (std::fflush(f) != 0) return false;
-#ifdef GFD_HAVE_FSYNC
-  FsyncsTotal().Inc();
-  if (::fsync(::fileno(f)) != 0) return false;
-#endif
+int64_t WritePointsPassed() { return g_write_points.load(); }
+
+bool DurableWritePoint() {
+  const int64_t point = g_write_points.fetch_add(1);
+  if (point == g_crash_at.load(std::memory_order_relaxed)) {
+    std::_Exit(kCrashExitCode);
+  }
+  if (point == g_fail_at.load(std::memory_order_relaxed)) {
+    errno = EIO;
+    return false;
+  }
   return true;
 }
 
+bool SyncFile(std::FILE* f) {
+  if (!DurableWritePoint()) return false;
+  if (std::fflush(f) != 0) return false;
+#ifdef GFD_HAVE_FSYNC
+  return FsyncNoPoint(::fileno(f));
+#else
+  return true;
+#endif
+}
+
+bool SyncFd(int fd) { return DurableWritePoint() && FsyncNoPoint(fd); }
+
 bool SyncClosedFile(const std::string& path) {
-  DurableWritePoint();
+  if (!DurableWritePoint()) return false;
 #ifdef GFD_HAVE_FSYNC
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
-  FsyncsTotal().Inc();
-  bool ok = ::fsync(fd) == 0;
+  bool ok = FsyncNoPoint(fd);
   ::close(fd);
   return ok;
 #else
@@ -98,9 +127,12 @@ bool AtomicWriteFile(const std::string& path, std::string_view content,
     if (error) *error = tmp + ": fsync failed: " + std::strerror(errno);
     return false;
   }
-  DurableWritePoint();
   std::error_code ec;
-  fs::rename(tmp, path, ec);
+  if (DurableWritePoint()) {
+    fs::rename(tmp, path, ec);
+  } else {
+    ec = std::error_code(errno, std::generic_category());
+  }
   if (ec) {
     if (error) *error = path + ": rename failed: " + ec.message();
     return false;

@@ -33,17 +33,37 @@ void SyncParentDir(const std::string& path);
 bool AtomicWriteFile(const std::string& path, std::string_view content,
                      std::string* error);
 
-/// Test-only crash injection. Every durable write point -- SyncFile,
-/// SyncClosedFile, AtomicWriteFile's rename, DeltaLog::Append and
-/// DeltaLog::DropThrough -- calls DurableWritePoint() before it acts.
-/// After CrashAtWritePoint(k), the point with index k (0-based, counted
-/// from that call) ends the process with std::_Exit(kCrashExitCode): nothing
-/// from that point on reaches disk, and unflushed stdio buffers are
-/// lost, exactly as under kill -9 there. Meant for a forked child; k < 0
-/// disarms. Thread-safe (fragment appends run on cluster workers).
+/// Forces the file behind descriptor `fd` to stable storage: a durable
+/// write point, and no stdio call (the delta log's syncer thread runs it
+/// on the descriptor of a stream its writer already flushed).
+bool SyncFd(int fd);
+
+/// Test-only fault injection. Every durable write point -- SyncFile,
+/// SyncClosedFile, SyncFd, AtomicWriteFile's rename, a DeltaLog record
+/// write and DeltaLog::DropThrough -- calls DurableWritePoint() before it
+/// acts, and acts only when it returns true. Points are counted from the
+/// last arming call, 0-based, whatever thread passes them.
+/// - After CrashAtWritePoint(k), point k ends the process with
+///   std::_Exit(kCrashExitCode): nothing from that point on reaches disk,
+///   and unflushed stdio buffers are lost, exactly as under kill -9
+///   there. Meant for a forked child.
+/// - After FailAtWritePoint(k), point k returns false with errno EIO, and
+///   its caller fails as it would when its own I/O failed; the process
+///   goes on.
+/// k < 0 disarms. Thread-safe (a staged append's fsync runs on its log's
+/// syncer thread).
 inline constexpr int kCrashExitCode = 86;
 void CrashAtWritePoint(int64_t k);
-void DurableWritePoint();
+void FailAtWritePoint(int64_t k);
+/// The write points passed since the last arming call.
+int64_t WritePointsPassed();
+[[nodiscard]] bool DurableWritePoint();
+
+/// What a store's error begins with when a valid batch could not be made
+/// durable -- its log record's write or fsync failed, and the record was
+/// taken back out -- as opposed to a batch the store rejected. The server
+/// answers the first with 500 and the second with 422.
+inline constexpr std::string_view kNotDurableError = "not durable: ";
 
 /// The running violation count as persisted: the value, the sequence it
 /// was taken at, and the fingerprint of the rule set it counts under.

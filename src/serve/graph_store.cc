@@ -121,11 +121,12 @@ std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
     }
     std::string replay_error;
     auto batch = live.Parse(rec.payload, &replay_error);
-    if (!batch || !live.Absorb(*batch, &replay_error)) {
+    if (!batch || !live.Validate(*batch, &replay_error)) {
       SetError(error, source + ": record " + std::to_string(rec.seq) + ": " +
                           replay_error);
       return std::nullopt;
     }
+    live.Absorb(*batch);
     stats.last_seq = rec.seq;
     ++stats.replayed_batches;
   }
@@ -193,8 +194,10 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   // (seq <= anchor; left over when a crash hit between the meta commit
   // and the log re-anchor) are skipped, the rest are absorbed one by one,
   // as Append absorbed them.
-  auto replay = ReplayLog(store.log_->records(), anchor, *store.live_,
-                          store.log_->path(), error);
+  auto records = store.log_->ReadRecords(error);
+  if (!records) return std::nullopt;
+  auto replay =
+      ReplayLog(*records, anchor, *store.live_, store.log_->path(), error);
   if (!replay) return std::nullopt;
   store.stats_.last_seq = replay->last_seq;
   store.stats_.replayed_batches = replay->replayed_batches;
@@ -227,38 +230,77 @@ std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
                                            std::string* error) {
   auto batch = live_->Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
-  return AppendParsed(*batch, delta_tsv, error);
+  // Nothing to overlap: the record is durable before the batch is
+  // absorbed, so there is nothing to take back.
+  auto seq = LogBatch(*batch, delta_tsv, /*staged=*/false, error);
+  if (!seq) return std::nullopt;
+  live_->Absorb(*batch);
+  Advance(*seq);
+  return seq;
 }
 
-std::optional<uint64_t> GraphStore::AppendParsed(const GraphDelta& batch,
-                                                 std::string_view delta_tsv,
-                                                 std::string* error) {
-  obs::ScopedTimer append_timer(&StoreAppendLatency(), "append");
-  obs::ScopedTimer validate_timer(nullptr, "validate");
-  // Validate and absorb before anything touches disk, so the log never
-  // holds a batch that cannot apply; a batch whose append fails is taken
-  // back out. O(batch), not O(overlay).
+std::optional<uint64_t> GraphStore::Stage(const GraphDelta& batch,
+                                          std::string_view delta_tsv,
+                                          std::string* error) {
   const LiveGraph::Mark mark = live_->mark();
-  if (!live_->Absorb(batch, error)) {
-    append_timer.Discard();
-    validate_timer.Discard();
-    return std::nullopt;
+  auto seq = LogBatch(batch, delta_tsv, /*staged=*/true, error);
+  if (seq) staged_ = Staged{*seq, mark};
+  return seq;
+}
+
+void GraphStore::Absorb(const GraphDelta& batch) { live_->Absorb(batch); }
+
+bool GraphStore::Commit(std::string* error) {
+  const Staged staged = *staged_;
+  staged_.reset();
+  obs::ScopedTimer wait_timer(&StoreSyncWaitLatency(), "sync_wait",
+                              {{"seq", staged.seq}});
+  std::string log_error;
+  if (log_->Commit(&log_error)) {
+    wait_timer.StopNs();
+    Advance(staged.seq);
+    return true;
   }
-  validate_timer.AddField("ops", overlay().ops.size());
-  validate_timer.StopNs();
-  auto seq = log_->Append(delta_tsv, error);
+  wait_timer.Discard();
+  // The log cut the record back out; take the batch back out of memory.
+  live_->Rollback(staged.mark);
+  SetError(error, std::string(kNotDurableError) + log_error);
+  return false;
+}
+
+std::optional<uint64_t> GraphStore::LogBatch(const GraphDelta& batch,
+                                             std::string_view delta_tsv,
+                                             bool staged, std::string* error) {
+  obs::ScopedTimer append_timer(&StoreAppendLatency(), "append");
+  {
+    // Validated before anything touches disk, so the log never holds a
+    // batch that cannot apply. O(batch), not O(overlay).
+    const size_t ops = overlay().ops.size() + batch.ops.size();
+    obs::ScopedTimer validate_timer(nullptr, "validate", {{"ops", ops}});
+    if (!live_->Validate(batch, error)) {
+      validate_timer.Discard();
+      append_timer.Discard();
+      return std::nullopt;
+    }
+  }
+  std::string log_error;
+  auto seq = staged ? log_->Stage(delta_tsv, &log_error)
+                    : log_->Append(delta_tsv, &log_error);
   if (!seq) {
-    live_->Rollback(mark);
     append_timer.Discard();
+    SetError(error, std::string(kNotDurableError) + log_error);
     return std::nullopt;
   }
-  stats_.last_seq = *seq;
-  StoreAppendsTotal().Inc();
   append_timer.AddField("seq", *seq);
+  return seq;
+}
+
+void GraphStore::Advance(uint64_t seq) {
+  stats_.last_seq = seq;
+  StoreAppendsTotal().Inc();
   // The batch changed the graph; the count is stale until a caller
   // persists the post-batch count via SetViolationCount.
   count_.Invalidate();
-  return seq;
 }
 
 std::optional<uint64_t> GraphStore::violation_count(
@@ -374,36 +416,39 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
 std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  // The step diff anchors at what this batch touches: its ops in the
-  // live view's id space, and that view's pre-batch degrees to pick each
-  // edge op's endpoint. The same parsed batch is then appended and
-  // absorbed into the view object the after side reads.
+  // Parse, then stage: the batch is validated and its record written, and
+  // the record's fsync runs on the log's syncer while the step computes.
   auto batch = live_->Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
+  const auto seq = Stage(*batch, delta_tsv, error);
+  if (!seq) return std::nullopt;
+  // The step diff anchors at what this batch touches: its ops in the
+  // live view's id space, and that view's pre-batch degrees to pick each
+  // edge op's endpoint. The same parsed batch is absorbed into the view
+  // object the after side reads.
   const BatchFootprint fp = BatchFootprint::Of(batch->ops, view());
-  std::optional<uint64_t> seq;
-  auto append = [&] {
-    seq = AppendParsed(*batch, delta_tsv, error);
-    return seq.has_value();
+  auto absorb = [&] {
+    Absorb(*batch);
+    return true;
   };
-  obs::ScopedTimer detect_timer(nullptr, "detect");
-  auto step = SingleStoreStep(engine, view(), fp, append, opts);
-  if (!step) {
-    detect_timer.Discard();
-    return std::nullopt;
-  }
-  if (seq_out) *seq_out = *seq;
-  detect_timer.AddField("seq", *seq);
+  obs::ScopedTimer detect_timer(nullptr, "detect", {{"seq", *seq}});
+  const StepSides step = *SingleStoreStep(engine, view(), fp, absorb, opts);
   detect_timer.AddField("anchors", fp.anchors.size());
-  detect_timer.AddField("write_units", step->stats.write_units);
-  detect_timer.AddField("edge_units", step->stats.edge_units);
-  detect_timer.AddField("matches", step->stats.matches_seen);
+  detect_timer.AddField("write_units", step.stats.write_units);
+  detect_timer.AddField("edge_units", step.stats.edge_units);
+  detect_timer.AddField("matches", step.stats.matches_seen);
   detect_timer.StopNs();
-  obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-  IncrementalDiff diff = StepDiff(*step);
-  // The live view is now the post-batch state: the feed payload renders
-  // against it, byte-identical to rendering against a materialization.
-  diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
+  IncrementalDiff diff;
+  {
+    obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
+    diff = StepDiff(step);
+    // The live view is now the post-batch state: the feed payload renders
+    // against it, byte-identical to rendering against a materialization.
+    diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
+  }
+  // Nothing leaves the step before its record is durable.
+  if (!Commit(error)) return std::nullopt;
+  if (seq_out) *seq_out = *seq;
   return diff;
 }
 
@@ -419,13 +464,18 @@ bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
   // The log holds exactly the batches after the anchor, in order: absorb
   // those up to `after_seq` into a copy of the snapshot, then step the
   // rest, as AppendAndDiff stepped them.
+  auto records = log_->ReadRecords(error);
+  if (!records) return false;
   LiveGraph scratch{PropertyGraph(base())};
-  for (const DeltaLogRecord& rec : log_->records()) {
+  for (const DeltaLogRecord& rec : *records) {
     auto batch = scratch.Parse(rec.payload, error);
-    if (!batch) return false;
-    auto absorb = [&] { return scratch.Absorb(*batch, error); };
+    if (!batch || !scratch.Validate(*batch, error)) return false;
+    auto absorb = [&] {
+      scratch.Absorb(*batch);
+      return true;
+    };
     if (rec.seq <= after_seq) {
-      if (!absorb()) return false;
+      absorb();
       continue;
     }
     const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());

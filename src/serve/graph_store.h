@@ -17,22 +17,33 @@
 //
 // The in-memory state is a LiveGraph (graph/live_graph.h): the snapshot,
 // the overlay of the batches since, and a view absorbing each batch in
-// place. Append() parses one TSV delta batch against the store's
-// vocabulary, validates and absorbs it, then writes it durably to the
-// log; a batch that fails validation never reaches the log, and one
-// whose log append fails is rolled back out of memory. Open() replays
-// the log through the same absorb, record by record. AppendAndDiff()
-// parses once for both its footprint and its append, and renders the
-// diff's feed payload against the live post-batch view. Node names
+// place. A batch that fails validation never reaches the log. Append()
+// -- the one-shot append of `log append` and a rebalance -- parses one
+// TSV delta batch against the store's vocabulary, validates it, writes
+// and fsyncs its record, and only then absorbs it. Open() replays the
+// log through the same validate and absorb, record by record. Node names
 // resolve through the index each snapshot builds once
 // (PropertyGraph::FindNode).
+//
+// The serving step overlaps the record's fsync with the detection. It
+// appends in three steps: Stage validates the batch, writes its record
+// and hands the fsync to the log's syncer thread; Absorb, the step's one
+// apply between its two sides, takes the batch into the view; Commit
+// waits for the fsync. AppendAndDiff runs parse, Stage, the footprint
+// and the step's plan, the before side, Absorb, the after side, the
+// merge and the payload render (against the live post-batch view), and
+// Commit last: nothing leaves the step before its record is durable.
+// When the fsync fails, Commit retracts the record from the log and
+// rolls the graph back to its mark, and AppendAndDiff fails with an
+// error starting kNotDurableError: no seq is consumed.
 //
 // A store is both backends' durable graph: a single-node server serves
 // it directly, and a coordinator (serve/coordinator.h) hosts its global
 // graph as one, its master, in the coordinator's own directory beside
-// the owner table -- appending each batch through AppendParsed between
-// its fragments' two sides of the step, compacting through Compact, and
-// keeping its running violation count here.
+// the owner table -- staging each batch before its fragments' step,
+// absorbing it between their two sides and committing it after the
+// merge, compacting through Compact, and keeping its running violation
+// count here.
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
@@ -141,11 +152,11 @@ class GraphStore final : public ServingStore {
   uint64_t last_seq() const override { return stats_.last_seq; }
 
   /// Parses `delta_tsv` (the E+/E-/A format of graph/loader.h) against
-  /// the store's vocabulary, validates and absorbs it into the live view,
-  /// and appends it durably. Returns the assigned sequence number;
-  /// nothing is logged or applied on error. One append costs
-  /// O(batch + touched degrees), independent of the overlay size
-  /// (LiveGraph::Absorb).
+  /// the store's vocabulary, validates it, appends it durably (the fsync
+  /// on the caller) and absorbs it into the live view. Returns the
+  /// assigned sequence number; nothing is logged or applied on error. One
+  /// append costs O(batch + touched degrees), independent of the overlay
+  /// size (LiveGraph::Absorb).
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 
@@ -157,15 +168,24 @@ class GraphStore final : public ServingStore {
   std::optional<uint64_t> Append(const GraphDelta& batch,
                                  std::string* error = nullptr);
 
-  /// The append every text path ends in (Append, AppendAndDiff, and a
-  /// coordinator's per-batch append to its master): validates and
-  /// absorbs `batch` --
-  /// live().Parse's result for `delta_tsv`, which is what the log
-  /// records -- then logs it, taking it back out of memory when the log
-  /// append fails. Traced as `append`, with the absorb as `validate`.
-  std::optional<uint64_t> AppendParsed(const GraphDelta& batch,
-                                       std::string_view delta_tsv,
-                                       std::string* error = nullptr);
+  /// The serving step's append, in three steps (see the header). Stage
+  /// validates `batch` -- live().Parse's result for `delta_tsv`, which is
+  /// what the log records -- writes its record and hands the record's
+  /// fsync to the log's syncer; it returns the batch's seq, and nothing
+  /// changed when it fails. Traced as `append`, with the validation as
+  /// `validate`. Commit must follow.
+  std::optional<uint64_t> Stage(const GraphDelta& batch,
+                                std::string_view delta_tsv,
+                                std::string* error = nullptr);
+
+  /// Absorbs the staged batch into the live view (LiveGraph::Absorb).
+  void Absorb(const GraphDelta& batch);
+
+  /// Waits for the staged record's fsync (traced as `sync_wait`). On
+  /// success the batch's seq is last_seq(). On failure the record is
+  /// retracted, the graph rolls back to where it was at Stage, and
+  /// *error starts with kNotDurableError.
+  bool Commit(std::string* error = nullptr);
 
   /// Running violation count as of last_seq(), as last persisted in
   /// store.meta next to the anchor (the serving loop maintains it as
@@ -213,11 +233,13 @@ class GraphStore final : public ServingStore {
 
   /// One serving step: appends `delta_tsv` and returns the violation diff
   /// of exactly this batch. ViolationEngine::DetectStep runs on the live
-  /// view just before and just after the append, anchored at the batch's
+  /// view just before and just after the absorb, anchored at the batch's
   /// attribute targets and the lower-degree endpoint of each edge op, so
   /// the cost tracks the batch, not the overlay or a hub it touches. The
   /// batch is parsed once; the diff's payload is rendered against the
-  /// live post-batch view, with no materialization.
+  /// live post-batch view, with no materialization. The record's fsync
+  /// runs beside the step, and the diff is returned only once it is
+  /// durable (Stage, Absorb, Commit).
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -236,6 +258,16 @@ class GraphStore final : public ServingStore {
  private:
   GraphStore() = default;
 
+  // Validates `batch` and logs it: durably when not `staged`, else with
+  // its fsync handed to the log's syncer. Traced as `append`.
+  std::optional<uint64_t> LogBatch(const GraphDelta& batch,
+                                   std::string_view delta_tsv, bool staged,
+                                   std::string* error);
+
+  // Makes `seq`, whose record is durable and whose batch is absorbed,
+  // the last applied batch.
+  void Advance(uint64_t seq);
+
   // Rewrites store.meta (atomically) with `anchor`, `snapshot_file` and
   // the count valid at last_seq, if any.
   bool WriteMeta(uint64_t anchor, const std::string& snapshot_file,
@@ -246,6 +278,13 @@ class GraphStore final : public ServingStore {
   std::string snapshot_file_;  // relative to dir_
   std::optional<LiveGraph> live_;  // snapshot + overlay + live view
   std::optional<DeltaLog> log_;
+  // The batch awaiting Commit: its seq, and where the graph was before
+  // it.
+  struct Staged {
+    uint64_t seq = 0;
+    LiveGraph::Mark mark;
+  };
+  std::optional<Staged> staged_;
   GraphStoreStats stats_;
   // Running violation count (serve/durable_io.h holds the shared
   // validity rule: valid only at the exact sequence it was taken).

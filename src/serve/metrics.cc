@@ -47,7 +47,9 @@ obs::Counter& LogTruncatedBytesTotal() {
 obs::Histogram& LogAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_log_append_seconds",
-      "Delta-log append latency (fsync included for durable appends).",
+      "Delta-log append latency: the record's write, plus its fsync for a "
+      "one-shot durable append (a staged append's fsync runs on the log's "
+      "syncer thread).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -61,7 +63,18 @@ obs::Counter& FsyncsTotal() {
 obs::Histogram& StoreAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_store_append_seconds",
-      "Store append latency (a coordinator's: its master's).",
+      "Store append latency: validation and the record's write, its fsync "
+      "included only for a one-shot append (a coordinator's: its "
+      "master's).",
+      obs::DefaultLatencyBuckets());
+  return h;
+}
+
+obs::Histogram& StoreSyncWaitLatency() {
+  static obs::Histogram& h = Reg().GetHistogram(
+      "gfd_store_sync_wait_seconds",
+      "Time a serving step waited for its batch record's fsync after the "
+      "detection and the render it overlaps.",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -161,6 +174,7 @@ void TouchServeMetrics() {
   StoreAppendLatency();
   StoreReplayLatency();
   StoreCompactLatency();
+  StoreSyncWaitLatency();
   StoreAppendsTotal();
   StoreCompactionsTotal();
   StoreReplayedBatchesTotal();

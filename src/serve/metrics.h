@@ -29,6 +29,9 @@ obs::Counter& FsyncsTotal();         ///< gfd_fsyncs_total (durable_io)
 obs::Histogram& StoreAppendLatency();   ///< gfd_store_append_seconds
 obs::Histogram& StoreReplayLatency();   ///< gfd_store_replay_seconds
 obs::Histogram& StoreCompactLatency();  ///< gfd_store_compact_seconds
+/// What a serving step blocked on its staged record's fsync after its
+/// render (gfd_store_sync_wait_seconds).
+obs::Histogram& StoreSyncWaitLatency();
 obs::Counter& StoreAppendsTotal();      ///< gfd_store_appends_total
 /// Snapshot compactions: one per GraphStore roll or coordinator round
 /// (gfd_store_compactions_total).

@@ -48,6 +48,7 @@ using net::HttpRequest;
 using net::ParseStatus;
 using testing::DeltaBytes;
 using testing::RandomBatch;
+using testing::ReadFileBytes;
 
 std::string Scratch(const std::string& name) {
   std::string dir = ::testing::TempDir() + "gfd_" + name;
@@ -537,6 +538,44 @@ TEST(Changefeed, UnsyncedRecordsReopenIntactAfterTheWriterIsDropped) {
   EXPECT_EQ(feed->last_count()->fingerprint, 7u);
 }
 
+// The feed keeps its payloads on disk and only their places in memory:
+// a stream the size of a long-running server's feed.log (~1.6 MB here)
+// replays from cursor 0 byte for byte, from the live feed and after a
+// reopen, and from a cursor in the middle.
+TEST(Changefeed, LongStreamReplaysByteIdenticallyFromDisk) {
+  const std::string dir = Scratch("feed_long_stream");
+  fs::create_directories(dir);
+  constexpr uint64_t kRecords = 400;
+  std::vector<FeedEvent> published;
+  auto feed = ViolationChangefeed::Open(dir, 0);
+  ASSERT_NE(feed, nullptr);
+  Rng rng(17);
+  for (uint64_t seq = 1; seq <= kRecords; ++seq) {
+    std::string payload;
+    while (payload.size() < 4000) {
+      payload += "A\t" + std::to_string(rng.Below(50)) + "\t" +
+                 std::to_string(rng.Below(1000)) + "\tnode\tlabel\t" +
+                 std::string(rng.Below(80), 'x') + "\n";
+    }
+    ASSERT_TRUE(feed->Publish(seq, payload, MetaCount{seq, seq, 7}));
+    published.push_back({seq, std::move(payload)});
+  }
+  std::vector<FeedEvent> live;
+  feed->Subscribe(0, 1, &live);
+  EXPECT_TRUE(live == published);
+  std::vector<FeedEvent> tail;
+  feed->Subscribe(kRecords / 2, 1, &tail);
+  EXPECT_TRUE(tail == std::vector<FeedEvent>(
+                          published.begin() + kRecords / 2, published.end()));
+  feed.reset();
+  auto reopened = ViolationChangefeed::Open(dir, kRecords);
+  ASSERT_NE(reopened, nullptr);
+  std::vector<FeedEvent> replay;
+  reopened->Subscribe(0, 1, &replay);
+  EXPECT_TRUE(replay == published);
+  EXPECT_EQ(reopened->last_count()->count, kRecords);
+}
+
 TEST(Changefeed, SlowConsumerIsEvicted) {
   std::string dir = Scratch("feed_evict");
   fs::create_directories(dir);
@@ -898,6 +937,39 @@ TEST(FeedServiceE2e, EveryEndpointAnswersOverSockets) {
             std::string::npos);
 }
 
+// A batch the store rejects answers 422; a valid batch whose record
+// write or fsync fails answers 500. Neither reaches the log or the feed,
+// and re-sending the valid batch is then acknowledged at the seq it
+// would have had.
+TEST(FeedServiceE2e, AnUndurableBatchIs500AndAnInvalidOne422) {
+  E2eServer s("e2e_not_durable");
+  ASSERT_NE(s.server, nullptr);
+  const std::string log = s.dir + "/deltas.log";
+  EXPECT_NE(Post(s.port(), "/ingest", "E-\tn0\tn1\tnope\n").find("422"),
+            std::string::npos);
+  ASSERT_NE(Post(s.port(), "/ingest", s.ValidBatch(71)).find("200 OK"),
+            std::string::npos);
+  const std::string batch = s.ValidBatch(72);
+  const std::string log_before = ReadFileBytes(log);
+  const std::string feed_before = ReadFileBytes(s.dir + "/feed.log");
+  // The next batch's write points: 0 its record's write, 1 its fsync.
+  for (int64_t point : {0, 1}) {
+    SCOPED_TRACE("failing point " + std::to_string(point));
+    FailAtWritePoint(point);
+    const std::string resp = Post(s.port(), "/ingest", batch);
+    FailAtWritePoint(-1);
+    EXPECT_NE(resp.find("500"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("{\"error\":\"not durable: "), std::string::npos)
+        << resp;
+    EXPECT_EQ(s.store->last_seq(), 1u);
+    EXPECT_EQ(ReadFileBytes(log), log_before);
+    EXPECT_EQ(ReadFileBytes(s.dir + "/feed.log"), feed_before);
+  }
+  const std::string ok = Post(s.port(), "/ingest", batch);
+  EXPECT_NE(ok.find("200 OK"), std::string::npos) << ok;
+  EXPECT_NE(ok.find("\"seq\":2"), std::string::npos) << ok;
+}
+
 TEST(FeedServiceE2e, IngestIsRateLimitedPerClient) {
   E2eServer s("e2e_ratelimit", /*ingest_rps=*/1e-9);  // burst 1, no refill
   ASSERT_NE(s.server, nullptr);
@@ -966,14 +1038,16 @@ TEST(FeedServiceE2e, CountLineNeverReachesASubscriber) {
       RuleSetFingerprint(s.engine->rules(), s.store->MaterializeCurrent());
   auto raw = DeltaLog::Open(s.dir + "/feed.log", 1);
   ASSERT_TRUE(raw.has_value());
-  ASSERT_EQ(raw->records().size(), kBatches);
+  const auto records = raw->ReadRecords();
+  ASSERT_TRUE(records.has_value());
+  ASSERT_EQ(records->size(), kBatches);
   const std::string old_dir = Scratch("e2e_countline_old");
   fs::create_directories(old_dir);
   auto old_feed = ViolationChangefeed::Open(old_dir, 0);
   ASSERT_NE(old_feed, nullptr);
   std::optional<FeedLine> any_line;
   std::vector<FeedEvent> diffs;
-  for (const DeltaLogRecord& rec : raw->records()) {
+  for (const DeltaLogRecord& rec : *records) {
     const size_t eol = rec.payload.find('\n');
     ASSERT_NE(eol, std::string::npos);
     std::istringstream count_line(rec.payload.substr(0, eol));

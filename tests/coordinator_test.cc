@@ -923,10 +923,12 @@ TEST(Coordinator, DurableStateIsTheMasterStoreAndTheOwnerTable) {
   EXPECT_EQ(files, want);
   auto log = DeltaLog::Open(dir + "/deltas.log", 1);
   ASSERT_TRUE(log.has_value());
-  ASSERT_EQ(log->records().size(), sent.size());
+  const auto records = log->ReadRecords();
+  ASSERT_TRUE(records.has_value());
+  ASSERT_EQ(records->size(), sent.size());
   for (size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(log->records()[i].seq, 3 + i);
-    EXPECT_EQ(log->records()[i].payload, sent[i]) << "seq " << 3 + i;
+    EXPECT_EQ((*records)[i].seq, 3 + i);
+    EXPECT_EQ((*records)[i].payload, sent[i]) << "seq " << 3 + i;
   }
 
   const std::string meta = FileBytes(dir + "/coordinator.meta");

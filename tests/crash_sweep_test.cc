@@ -34,6 +34,17 @@
 // older build wrote (tests/data), which must reopen to the state an
 // uninterrupted conversion reaches.
 // One child at a time; the parent holds no threads when it forks.
+//
+// A failure sweep runs the same script in process, failing write point k
+// (FailAtWritePoint: an error return, not a crash) for every k, on the
+// single store and on the 2-fragment coordinator. A failed record write
+// or fsync must fail the batch's step and leave the store as it was
+// before it -- seq, graph, deltas.log and feed.log bytes, count -- and
+// re-sending the batch must get the same seq and a byte-identical diff;
+// it is the one test of an fsync that fails after its batch was absorbed
+// and stepped. A failed feed write or compaction leaves the batch
+// acknowledged: the store reopens to its seq and graph, and recovers as
+// the crash sweep requires.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -466,6 +477,139 @@ TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   // its journal record.
   EXPECT_GE(t.crashes, 3 * kBatches + 4);
   ExpectEveryRecoveryPath(t);
+}
+
+// What the failure sweep compares across a failed batch.
+struct StoreState {
+  uint64_t seq = 0;
+  std::vector<std::string> graph;
+  std::string deltas_log;
+  std::string feed_log;
+  std::optional<uint64_t> count;
+
+  friend bool operator==(const StoreState&, const StoreState&) = default;
+};
+
+StoreState StateOf(const ServingStore& store, const std::string& dir,
+                   uint64_t fp) {
+  return {store.last_seq(), testing::CanonicalLines(store.MaterializeCurrent()),
+          testing::ReadFileBytes(dir + "/deltas.log"),
+          testing::ReadFileBytes(dir + "/feed.log"),
+          store.violation_count(fp)};
+}
+
+struct FailureTotals {
+  size_t retracted = 0;  ///< failed record writes and fsyncs
+  size_t after_ack = 0;  ///< failed feed writes and compactions
+};
+
+// Runs the script once with write point k failing. Returns false when
+// the script passed no point k (the sweep is done), with `*acked` the
+// last batch acknowledged when a failure after an ack stopped it.
+bool RunFailingAt(const Script& s, const Reference& ref,
+                  const std::string& dir, bool distributed, int64_t k,
+                  FailureTotals* totals, uint64_t* acked) {
+  auto store = OpenServing(dir, distributed);
+  EXPECT_NE(store, nullptr);
+  auto feed = ViolationChangefeed::Open(dir, 0);
+  EXPECT_NE(feed, nullptr);
+  if (!store || !feed) return false;
+  net::FeedService service(*store, *s.engine, *feed, {});
+  uint64_t count = service.Prime();
+  const uint64_t fp =
+      RuleSetFingerprint(s.engine->rules(), store->MaterializeCurrent());
+  FailAtWritePoint(k);
+  auto failed_during = [&](int64_t from) {
+    return from <= k && k < WritePointsPassed();
+  };
+  for (const std::string& batch : s.batches) {
+    const StoreState before = StateOf(*store, dir, fp);
+    int64_t from = WritePointsPassed();
+    std::string error;
+    auto step = ServeStep(*store, *s.engine, batch, count, {}, &error);
+    if (failed_during(from)) {
+      EXPECT_FALSE(step.has_value())
+          << "a batch whose record write or fsync failed was acknowledged";
+      EXPECT_TRUE(error.starts_with(kNotDurableError)) << error;
+      EXPECT_TRUE(StateOf(*store, dir, fp) == before)
+          << "a failed batch left a trace in the store";
+      ++totals->retracted;
+      step = ServeStep(*store, *s.engine, batch, count, {}, &error);
+      EXPECT_TRUE(step.has_value()) << "re-sending failed: " << error;
+      if (!step) return true;
+      EXPECT_EQ(step->seq, before.seq + 1);
+      EXPECT_EQ(step->diff.payload, ref.events[before.seq].payload);
+    } else {
+      EXPECT_TRUE(step.has_value()) << error;
+      if (!step) return true;
+    }
+    count = step->count;
+    from = WritePointsPassed();
+    if (!feed->Publish(step->seq, step->diff.payload,
+                       MetaCount{count, step->seq, fp}) ||
+        !store->MaybeCompact()) {
+      EXPECT_TRUE(failed_during(from)) << "a write failed unarmed";
+      ++totals->after_ack;
+      *acked = step->seq;
+      return true;
+    }
+    *acked = step->seq;
+  }
+  return WritePointsPassed() > k;
+}
+
+void FailureSweep(Leg leg) {
+  const bool distributed = Distributed(leg);
+  const std::string dir = ::testing::TempDir() + "gfd_fail_sweep_" +
+                          (distributed ? "coord" : "single");
+  const Script s = MakeScript(dir + "_script", leg);
+  Reference ref;
+  ref.states.push_back(testing::CanonicalLines(s.g));
+  InitDir(dir, s.g, distributed);
+  EXPECT_TRUE(RunScript(s, dir, distributed,
+                        [&](uint64_t, const ServingStore& store) {
+                          ref.states.push_back(testing::CanonicalLines(
+                              store.MaterializeCurrent()));
+                        }));
+  if (auto feed = ViolationChangefeed::Open(dir, s.seqs())) {
+    feed->Subscribe(0, 1, &ref.events);
+  }
+  ref.feed_log = testing::ReadFileBytes(dir + "/feed.log");
+  ASSERT_EQ(ref.events.size(), s.seqs());
+
+  FailureTotals totals;
+  SweepTotals recoveries;
+  for (int64_t k = 0;; ++k) {
+    SCOPED_TRACE("failing write point " + std::to_string(k));
+    InitDir(dir, s.g, distributed);
+    uint64_t acked = 0;
+    const size_t stopped = totals.after_ack;
+    const bool failed = RunFailingAt(s, ref, dir, distributed, k, &totals,
+                                     &acked);
+    FailAtWritePoint(-1);
+    if (::testing::Test::HasFailure() || !failed) break;
+    // Whatever failed, the store reopens at the last acknowledged batch
+    // and recovers as after a crash there.
+    net::PrimeReport primed;
+    CheckRecovery(s, ref, dir, distributed, acked, &recoveries, &primed);
+    auto store = OpenServing(dir, distributed);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->last_seq(),
+              totals.after_ack > stopped ? acked : s.seqs());
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Each batch's record write and its fsync, and at least one feed write
+  // and one compaction step.
+  EXPECT_GE(totals.retracted, 2 * kBatches);
+  EXPECT_GE(totals.after_ack, 2u);
+}
+
+TEST(FailureSweep, ServingStepOnASingleStore) {
+  FailureSweep(Leg::kSingleStore);
+}
+
+TEST(FailureSweep, ServingStepOnATwoFragmentCoordinator) {
+  FailureSweep(Leg::kCoordinator);
 }
 
 // The files of a directory (and of its subdirectories), relative to it.

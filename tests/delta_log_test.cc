@@ -66,7 +66,10 @@ void AppendBytes(const std::string& path, const std::string& bytes) {
 
 std::vector<std::string> Payloads(const DeltaLog& log) {
   std::vector<std::string> out;
-  for (const auto& rec : log.records()) out.push_back(rec.payload);
+  const auto records = log.ReadRecords();
+  EXPECT_TRUE(records.has_value());
+  if (!records) return out;
+  for (const auto& rec : *records) out.push_back(rec.payload);
   return out;
 }
 
@@ -77,7 +80,7 @@ TEST(DeltaLog, FreshLogAppendsAndReopens) {
   auto log = DeltaLog::Open(path, /*first_seq=*/1);
   ASSERT_TRUE(log.has_value());
   EXPECT_EQ(log->next_seq(), 1u);
-  EXPECT_TRUE(log->records().empty());
+  EXPECT_TRUE(log->entries().empty());
   EXPECT_EQ(log->Append("alpha"), 1u);
   EXPECT_EQ(log->Append(""), 2u);  // empty payloads are legal batches
   EXPECT_EQ(log->Append("gamma\nwith\tbytes\r"), 3u);
@@ -220,7 +223,7 @@ TEST(DeltaLog, DropThroughReanchorsAndSurvivesReopen) {
   auto reopened = DeltaLog::Open(path, 1);
   ASSERT_TRUE(reopened.has_value());
   EXPECT_EQ(Payloads(*reopened), (std::vector<std::string>{"cccc", "dddd"}));
-  EXPECT_EQ(reopened->records()[0].seq, 3u);
+  EXPECT_EQ(reopened->entries()[0].seq, 3u);
 
   // Dropping everything leaves an empty file whose numbering continues.
   ASSERT_TRUE(reopened->DropThrough(4));
@@ -283,6 +286,60 @@ TEST(DeltaLog, FailedWriteKeepsTheUnsyncedRecordsBeforeIt) {
   EXPECT_EQ(Payloads(*reopened),
             (std::vector<std::string>{"synced", "unsynced-a", "unsynced-b",
                                       "after"}));
+}
+
+// A staged record is written at Stage and made durable at Commit, its
+// fsync run by the log's syncer thread in between.
+TEST(DeltaLog, StagedRecordIsDurableAtCommit) {
+  std::string path = ScratchLog("log_staged");
+  auto log = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->Append("one"), 1u);
+  const uint64_t fsyncs = FsyncsTotal().Value();
+  EXPECT_EQ(log->Stage("two"), 2u);
+  EXPECT_EQ(log->next_seq(), 3u);
+  ASSERT_TRUE(log->Commit());
+  EXPECT_EQ(FsyncsTotal().Value(), fsyncs + 1);
+  EXPECT_TRUE(log->Commit());  // nothing staged
+  EXPECT_EQ(log->Stage("three"), 3u);
+  ASSERT_TRUE(log->Commit());
+  auto reopened = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(Payloads(*reopened),
+            (std::vector<std::string>{"one", "two", "three"}));
+}
+
+// A staged record whose fsync fails is retracted at Commit: the file,
+// the entries and the numbering go back, and the next record takes its
+// seq. A record write that fails takes nothing.
+TEST(DeltaLog, FailedStagedFsyncRetractsTheRecord) {
+  std::string path = ScratchLog("log_staged_fail");
+  auto log = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->Append("one"), 1u);
+  const std::string before = ReadBytes(path);
+  // Point 0 is the record's write, point 1 its fsync.
+  for (int64_t point : {1, 0}) {
+    SCOPED_TRACE("failing point " + std::to_string(point));
+    FailAtWritePoint(point);
+    std::string error;
+    auto seq = log->Stage("doomed", &error);
+    const bool committed = seq && log->Commit(&error);
+    FailAtWritePoint(-1);
+    EXPECT_FALSE(committed);
+    EXPECT_EQ(seq.has_value(), point == 1);
+    EXPECT_NE(error.find(point == 1 ? "sync failed" : "append failed"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(ReadBytes(path), before);
+    EXPECT_EQ(log->next_seq(), 2u);
+    EXPECT_EQ(log->entries().size(), 1u);
+  }
+  EXPECT_EQ(log->Stage("two"), 2u);
+  ASSERT_TRUE(log->Commit());
+  auto reopened = DeltaLog::Open(path, 1);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(Payloads(*reopened), (std::vector<std::string>{"one", "two"}));
 }
 
 // --- GraphDelta::Append: merging batches -----------------------------------
@@ -599,6 +656,47 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   }
   EXPECT_EQ(store->last_seq(), 5u);
   ExpectRestartIdentical(*store, engine);
+}
+
+// The serving step overlaps its record's fsync with the detection: the
+// fsync is a `log_sync` span of its own, and the step blocks on it once,
+// after the render, in a `sync_wait` span; the one-shot append fsyncs
+// inline and emits neither.
+TEST(GraphStore, AppendAndDiffWaitsOnceForTheStagedFsync) {
+  std::string dir = Scratch("store_sync_spans");
+  auto g = BuildWorld();
+  ASSERT_TRUE(GraphStore::Init(dir, g));
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  ViolationEngine engine({FilmRule(store->base())});
+  const std::string trace_path = ::testing::TempDir() + "gfd_sync_spans.jsonl";
+  fs::remove(trace_path);
+  auto trace = obs::TraceLog::Open(trace_path);
+  ASSERT_NE(trace, nullptr);
+  obs::SetActiveTrace(trace.get());
+  const uint64_t waits = StoreSyncWaitLatency().Count();
+  ASSERT_TRUE(store->Append("A\tn3\ttype=film\n").has_value());
+  ASSERT_TRUE(store->AppendAndDiff(engine, "E+\tMusician\tn2\tcreate\n"));
+  obs::SetActiveTrace(nullptr);
+  EXPECT_EQ(StoreSyncWaitLatency().Count(), waits + 1);
+  const std::string text = ReadBytes(trace_path);
+  // Spans of `stage`, and how many of them carry `field`.
+  auto count = [&](const std::string& stage, const std::string& field) {
+    std::istringstream lines(text);
+    size_t n = 0;
+    for (std::string line; std::getline(lines, line);) {
+      n += line.find("\"stage\":\"" + stage + "\"") != std::string::npos &&
+           line.find(field) != std::string::npos;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("log_sync", ""), 1u) << text;
+  EXPECT_EQ(count("log_sync", "\"seq\":2"), 1u) << text;
+  EXPECT_EQ(count("sync_wait", ""), 1u) << text;
+  EXPECT_EQ(count("sync_wait", "\"seq\":2"), 1u) << text;
+  // The wait follows the render: it is the last span of the step.
+  EXPECT_GT(text.rfind("\"stage\":\"sync_wait\""),
+            text.rfind("\"stage\":\"merge\""));
 }
 
 // The units read the batch alone: a batch touching only nodes whose

@@ -415,7 +415,8 @@ TEST(LiveGraph, RolledBackBatchLeavesTheGraphAsItWas) {
   for (LiveGraph* l : {&live, &fresh}) {
     auto first = l->Parse("E+\ta\tb\tlikes\nA\tb\tcity=oslo\n");
     ASSERT_TRUE(first.has_value());
-    ASSERT_TRUE(l->Absorb(*first));
+    ASSERT_TRUE(l->Validate(*first));
+    l->Absorb(*first);
   }
   const std::string before = Dump(live.view().Materialize());
   const size_t before_ops = live.view().NumDeltaOps();
@@ -426,7 +427,8 @@ TEST(LiveGraph, RolledBackBatchLeavesTheGraphAsItWas) {
   const LiveGraph::Mark mark = live.mark();
   auto batch = live.Parse(doomed);
   ASSERT_TRUE(batch.has_value());
-  ASSERT_TRUE(live.Absorb(*batch));
+  ASSERT_TRUE(live.Validate(*batch));
+  live.Absorb(*batch);
   EXPECT_NE(Dump(live.view().Materialize()), before);
   live.Rollback(mark);
   EXPECT_EQ(Dump(live.view().Materialize()), before);
@@ -441,8 +443,10 @@ TEST(LiveGraph, RolledBackBatchLeavesTheGraphAsItWas) {
   EXPECT_EQ(again->extra_labels, never->extra_labels);
   EXPECT_EQ(again->extra_attrs, never->extra_attrs);
   EXPECT_EQ(again->extra_values, never->extra_values);
-  ASSERT_TRUE(live.Absorb(*again));
-  ASSERT_TRUE(fresh.Absorb(*never));
+  ASSERT_TRUE(live.Validate(*again));
+  ASSERT_TRUE(fresh.Validate(*never));
+  live.Absorb(*again);
+  fresh.Absorb(*never);
   EXPECT_EQ(Dump(live.view().Materialize()), Dump(fresh.view().Materialize()));
 }
 

@@ -219,8 +219,9 @@ constexpr VerbHelp kVerbHelp[] = {
      "store or a `serve init` coordinator, sniffed from the directory)\n"
      "over HTTP as one long-lived process:\n"
      "  POST /ingest    one TSV delta batch -> seq + violation diff\n"
-     "                  summary (422 on invalid input, 429 when rate\n"
-     "                  limited)\n"
+     "                  summary (422 on invalid input, 500 when a\n"
+     "                  valid batch could not be made durable, 429\n"
+     "                  when rate limited)\n"
      "  GET  /feed      SSE stream of per-batch violation diffs;\n"
      "                  ?cursor=SEQ replays missed batches from the\n"
      "                  feed log; ?rule= ?label= ?pivot= filter;\n"
