@@ -253,6 +253,29 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
       }
     }
   }
+  unit_index_ = UnitIndex(groups_);
+}
+
+ViolationEngine::UnitIndex::UnitIndex(std::span<const Group> groups) {
+  for (uint32_t gi = 0; gi < groups.size(); ++gi) {
+    const Group& group = groups[gi];
+    const Pattern& rep = group.pattern();
+    const uint32_t first = static_cast<uint32_t>(units.size());
+    for (VarId u = 0; u < rep.NumNodes(); ++u) units.push_back({gi, u, false});
+    for (uint32_t j = 0; j < rep.NumEdges(); ++j) {
+      const PatternEdge& e = rep.edges()[j];
+      const uint32_t unit = static_cast<uint32_t>(units.size());
+      units.push_back({gi, j, true});
+      edges.push_back({e.label, unit, rep.NodeLabel(e.src),
+                       rep.NodeLabel(e.dst), e.src == e.dst});
+    }
+    // A variable some member reads at has a plan of its own.
+    for (const SlotRead& r : group.reads) {
+      writes.push_back({rep.NodeLabel(r.var), r.key, first + r.var});
+    }
+  }
+  std::sort(writes.begin(), writes.end());
+  std::sort(edges.begin(), edges.end());
 }
 
 ViolationEngine::Group::Group(const Pattern& rep) : pivot(rep.pivot()) {
@@ -509,51 +532,80 @@ StepPlan ViolationEngine::PlanStep(const GraphView& pre,
                                      batch.anchors.end(), anchor);
     plan.anchor_costs_[at - batch.anchors.begin()] += 1 + cost;
   };
-  // Roots are filtered by the labels of their nodes, which no batch
-  // changes, so both sides get the same units.
-  auto add_unit = [&](size_t gi, size_t index, bool edge, size_t begin) {
-    const size_t end = edge ? plan.pairs_.size() : plan.nodes_.size();
-    if (end > begin) {
-      plan.units_.push_back({static_cast<uint32_t>(gi),
-                             static_cast<uint32_t>(index), edge,
-                             static_cast<uint32_t>(begin),
-                             static_cast<uint32_t>(end)});
-    }
+
+  // Every (unit, write or changed key) pair that roots work, as the
+  // unit's number over the op's index: sorted, the pairs come unit by
+  // unit in plan order, and each unit's ops in the batch's order. Roots
+  // are filtered by the labels of their nodes, which no batch changes,
+  // so both sides get the same units. A label looks up its own units and
+  // the wildcard's.
+  std::vector<uint64_t> hits;
+  auto hit = [&](uint32_t unit, size_t op) {
+    hits.push_back(uint64_t{unit} << 32 | op);
   };
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    const Group& group = groups_[gi];
-    const Pattern& rep = group.pattern();
-    for (VarId u = 0; u < rep.NumNodes(); ++u) {
-      const size_t begin = plan.nodes_.size();
-      for (const BatchFootprint::Write& w : batch.writes) {  // by node
-        if (plan.nodes_.size() > begin && plan.nodes_.back() == w.node) {
-          continue;
-        }
-        // A variable some member reads at has a plan of its own.
-        if (LabelMatches(pre.NodeLabel(w.node), rep.NodeLabel(u)) &&
-            group.ReadsAt(u, w.key)) {
-          plan.nodes_.push_back(w.node);
-          charge(w.node,
-                 group.plans[group.var_plan[u]].RootFanout(pre, w.node));
-        }
+  auto for_labels = [](LabelId l, const auto& fn) {
+    fn(l);
+    if (l != kWildcardLabel) fn(kWildcardLabel);
+  };
+  for (size_t i = 0; i < batch.writes.size(); ++i) {
+    const BatchFootprint::Write& w = batch.writes[i];
+    for_labels(pre.NodeLabel(w.node), [&](LabelId l) {
+      const UnitIndex::Write least{l, w.key, 0};
+      for (auto it = std::lower_bound(unit_index_.writes.begin(),
+                                      unit_index_.writes.end(), least);
+           it != unit_index_.writes.end() && it->label == l &&
+           it->key == w.key;
+           ++it) {
+        hit(it->unit, i);
       }
-      add_unit(gi, u, false, begin);
-    }
-    for (size_t j = 0; j < rep.NumEdges(); ++j) {
-      const PatternEdge& e = rep.edges()[j];
-      const size_t begin = plan.pairs_.size();
-      const CompiledPattern& root_plan = group.plans[group.edge_plan[j].plan];
-      for (const BatchFootprint::EdgeKey& k : batch.edges) {
+    });
+  }
+  for (size_t i = 0; i < batch.edges.size(); ++i) {
+    const BatchFootprint::EdgeKey& k = batch.edges[i];
+    for_labels(k.label, [&](LabelId l) {
+      const UnitIndex::Edge least{l, 0, 0, 0, false};
+      for (auto it = std::lower_bound(unit_index_.edges.begin(),
+                                      unit_index_.edges.end(), least);
+           it != unit_index_.edges.end() && it->label == l; ++it) {
         // A self-loop edge maps onto self-loops only; injectivity keeps
         // any other edge off them.
-        if ((k.src == k.dst) != (e.src == e.dst) ||
-            !LabelMatches(k.label, e.label) ||
-            !LabelMatches(pre.NodeLabel(k.src), rep.NodeLabel(e.src)) ||
-            !LabelMatches(pre.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
+        if ((k.src == k.dst) == it->self_loop &&
+            LabelMatches(pre.NodeLabel(k.src), it->src_label) &&
+            LabelMatches(pre.NodeLabel(k.dst), it->dst_label)) {
+          hit(it->unit, i);
+        }
+      }
+    });
+  }
+  std::sort(hits.begin(), hits.end());
+
+  for (size_t h = 0; h < hits.size();) {
+    const uint32_t number = static_cast<uint32_t>(hits[h] >> 32);
+    const UnitIndex::Unit& unit = unit_index_.units[number];
+    const Group& group = groups_[unit.group];
+    size_t last = h;  // this unit's hits are [h, last)
+    while (last < hits.size() && hits[last] >> 32 == number) ++last;
+    const uint32_t begin = static_cast<uint32_t>(
+        unit.edge ? plan.pairs_.size() : plan.nodes_.size());
+    if (!unit.edge) {
+      const CompiledPattern& root_plan =
+          group.plans[group.var_plan[unit.index]];
+      for (; h < last; ++h) {  // writes by node
+        const NodeId node = batch.writes[static_cast<uint32_t>(hits[h])].node;
+        if (plan.nodes_.size() > begin && plan.nodes_.back() == node) {
           continue;
         }
+        plan.nodes_.push_back(node);
+        charge(node, root_plan.RootFanout(pre, node));
+      }
+    } else {
+      const Group::EdgePlan& edge_plan = group.edge_plan[unit.index];
+      const CompiledPattern& root_plan = group.plans[edge_plan.plan];
+      for (; h < last; ++h) {
+        const BatchFootprint::EdgeKey& k =
+            batch.edges[static_cast<uint32_t>(hits[h])];
         StepPlan::PairRoot root{k.src, k.dst, k.anchor};
-        if (group.edge_plan[j].root_is_dst) std::swap(root.first, root.second);
+        if (edge_plan.root_is_dst) std::swap(root.first, root.second);
         // Keys sorted by (src, dst): parallel labels come in a row.
         if (plan.pairs_.size() > begin &&
             plan.pairs_.back().first == root.first &&
@@ -566,8 +618,10 @@ StepPlan ViolationEngine::PlanStep(const GraphView& pre,
                              : root_plan.RootFanout(pre, root.first,
                                                     root.second));
       }
-      add_unit(gi, j, true, begin);
     }
+    const uint32_t end = static_cast<uint32_t>(
+        unit.edge ? plan.pairs_.size() : plan.nodes_.size());
+    plan.units_.push_back({unit.group, unit.index, unit.edge, begin, end});
   }
   return plan;
 }

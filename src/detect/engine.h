@@ -164,6 +164,8 @@ struct StepSides {
   uint64_t detect_ns = 0;  ///< spent in the two sides, not in `apply`
 };
 
+struct ViolationEngineInternals;
+
 /// The work units of one step diff, planned once per batch on the view
 /// just before it (ViolationEngine::PlanStep): write units (group,
 /// variable) rooted at nodes and edge units (group, pattern edge) rooted
@@ -189,6 +191,7 @@ class StepPlan {
 
  private:
   friend class ViolationEngine;
+  friend struct ViolationEngineInternals;
 
   struct Unit {
     uint32_t group;
@@ -258,6 +261,11 @@ class ViolationEngine {
   /// (a plan that binds both first, CompiledPattern::ForEachMatchAtPair;
   /// the paper's work unit Q(F_s) |><| e(F_t), Section 6.2, joined with
   /// the updated edge). A group with no unit is not scanned at all.
+  ///
+  /// Cost. Each write and changed key is looked up in an index built with
+  /// the engine -- (node label, key) to write units, edge label to edge
+  /// units -- so planning tracks the batch and the units it roots, not
+  /// the number of groups.
   StepPlan PlanStep(const GraphView& pre, const BatchFootprint& batch) const;
 
   /// Runs fn(i) for every share i of a step and returns once all have
@@ -313,6 +321,10 @@ class ViolationEngine {
   uint32_t MaxPatternRadius() const { return max_pattern_radius_; }
 
  private:
+  // White-box tests reach the groups and the plans through it; only they
+  // define it.
+  friend struct ViolationEngineInternals;
+
   /// One attribute read of a group: variable `var` (in the
   /// representative's space) at key `key`.
   struct SlotRead {
@@ -403,14 +415,6 @@ class ViolationEngine {
     /// Fills var_plan and edge_plan from `reads` and the pattern.
     void CompileStepPlans();
 
-    /// Whether some member reads attribute `key` at variable u.
-    bool ReadsAt(VarId u, AttrId key) const {
-      for (const SlotRead& r : reads) {
-        if (r.var == u && r.key == key) return true;
-      }
-      return false;
-    }
-
     /// Fills vals[i] with reads[i]'s value at `match` (kNoValue when
     /// absent). GraphT is PropertyGraph or GraphView.
     template <typename GraphT>
@@ -420,6 +424,42 @@ class ViolationEngine {
             g.GetAttr(match[reads[i].var], reads[i].key).value_or(kNoValue);
       }
     }
+  };
+
+  /// The step's units by what roots them, built with the engine, so
+  /// PlanStep walks a batch's writes and changed keys instead of every
+  /// group. Units are numbered in plan order: group by group, a group's
+  /// write units (by variable) before its edge units (by pattern edge).
+  struct UnitIndex {
+    struct Unit {
+      uint32_t group;
+      uint32_t index;  // the write unit's variable, the edge unit's edge
+      bool edge;
+    };
+    /// Write unit `unit` reads `key` at a variable labelled `label`.
+    struct Write {
+      LabelId label;
+      AttrId key;
+      uint32_t unit;
+      friend auto operator<=>(const Write&, const Write&) = default;
+    };
+    /// Edge unit `unit`'s pattern edge: its label, its endpoints' labels
+    /// and whether it is a self-loop.
+    struct Edge {
+      LabelId label;
+      uint32_t unit;
+      LabelId src_label;
+      LabelId dst_label;
+      bool self_loop;
+      friend auto operator<=>(const Edge&, const Edge&) = default;
+    };
+    std::vector<Unit> units;    // by unit number
+    std::vector<Write> writes;  // sorted; wildcard variables file under
+                                // kWildcardLabel
+    std::vector<Edge> edges;    // sorted; wildcard edges likewise
+
+    UnitIndex() = default;
+    explicit UnitIndex(std::span<const Group> groups);
   };
 
   // The shared caps of one capped full scan and one worker's output of a
@@ -461,6 +501,7 @@ class ViolationEngine {
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;
+  UnitIndex unit_index_;
   uint32_t max_pattern_radius_ = 0;
 };
 

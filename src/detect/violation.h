@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "gfd/gfd.h"
 #include "graph/graph_view.h"
@@ -49,6 +50,16 @@ std::string DescribeViolation(const PropertyGraph& g,
 /// the text equals the materialized graph's.
 std::string DescribeViolation(const GraphView& g, std::span<const Gfd> rules,
                               const Violation& v);
+
+/// Appends EscapeField(DescribeViolation(g, rules, v)) (util/tsv.h) to
+/// `*out`, built in place by the renderer DescribeViolation runs, with
+/// every name and value escaped on its way in. `escaped_rule_text`
+/// stands for EscapeField(rules[v.gfd_index].ToString(g)) and goes in
+/// as given, so a caller describing many violations of one rule renders
+/// and escapes its text once.
+void AppendEscapedDescription(const GraphView& g,
+                              std::string_view escaped_rule_text,
+                              const Violation& v, std::string* out);
 
 }  // namespace gfd
 

@@ -160,7 +160,7 @@ void FeedService::LevelFeed(PrimeReport* report) {
   const std::optional<MetaCount> from =
       empty ? store_.persisted_count() : feed_.last_count();
   const uint64_t f = empty ? (from ? from->seq : s) : feed_.last_seq();
-  if (f == s) return;
+  if (f == s && feed_.last_seq() == s) return;
   std::string error;
   const bool bridged = f < s && from && from->seq == f &&
                        from->fingerprint == fingerprint_ &&
@@ -192,10 +192,12 @@ void FeedService::LevelFeed(PrimeReport* report) {
   // restart the feed at the store's seq. A feed that held no record
   // drops nothing.
   if (feed_.empty() && feed_.last_seq() == s) return;
-  report->feed_reset = !feed_.empty();
+  const bool drops = !feed_.empty();
   if (!feed_.Reset(s, &error)) {
     std::fprintf(stderr, "warning: feed reset failed: %s\n", error.c_str());
+    return;
   }
+  report->feed_reset = drops;
 }
 
 bool FeedService::Checkpoint(std::string* error) {
@@ -259,6 +261,18 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
     w.Respond(Plain(503, "server not primed\n"));
     return;
   }
+  // A feed that a failed publish left behind the store is levelled
+  // first, as Prime levels it, so this batch's record follows on. A feed
+  // shut down for a graceful stop stays as it is, for the restart to
+  // catch up.
+  if (feed_.last_seq() < store_.last_seq() && !feed_.shut_down()) {
+    PrimeReport level;
+    LevelFeed(&level);
+    if (level.feed_reset) {
+      std::fprintf(stderr, "warning: feed reset to seq %llu\n",
+                   static_cast<unsigned long long>(feed_.last_seq()));
+    }
+  }
   IncrementalOptions iopts;
   iopts.workers = opts_.detect_workers;
   std::string error;
@@ -279,12 +293,13 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   // so feed replay never needs historical graph state. The record also
   // carries the new count. It is not fsync'd: the store's log append
   // above is the ack's durable write, and Prime re-derives a lost record
-  // from it.
+  // from it; a record that failed here, the next batch's levelling. Such
+  // a batch does not compact, which would drop it from the log that
+  // levelling reads; the next batch compacts instead.
   if (!feed_.Publish(step->seq, std::move(step->diff.payload),
                      MetaCount{count_, step->seq, fingerprint_}, &error)) {
     std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());
-  }
-  if (!store_.MaybeCompact(&error)) {
+  } else if (!store_.MaybeCompact(&error)) {
     std::fprintf(stderr, "warning: compaction failed: %s\n", error.c_str());
   }
 

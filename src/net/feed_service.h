@@ -9,8 +9,9 @@
 //                  log; a valid batch whose record could not be made
 //                  durable is 500, its record retracted from the log.
 //                  The ack waits for the record's fsync, which runs
-//                  beside the detection. Per-client token-bucket rate
-//                  limiting (429).
+//                  beside the detection. A feed record whose write
+//                  failed is re-derived before the next batch publishes.
+//                  Per-client token-bucket rate limiting (429).
 //   GET  /feed     SSE stream of per-batch violation diffs. ?cursor=<seq>
 //                  replays every logged record after <seq> before going
 //                  live; ?rule= / ?label= / ?pivot= filter; ?max_events=
@@ -108,7 +109,8 @@ class FeedService {
   uint64_t violation_count() const;
 
  private:
-  // Prime's first half, under store_mu_ with fingerprint_ set.
+  // Prime's first half, under store_mu_ with fingerprint_ set; Ingest
+  // runs it too when a failed publish left the feed behind the store.
   void LevelFeed(PrimeReport* report);
   void Ingest(const HttpRequest& req, ResponseWriter& w);
   void Feed(const HttpRequest& req, ResponseWriter& w);

@@ -77,9 +77,8 @@ void FragmentMasks::Complement() {
 }
 
 template <typename GraphT>
-void FragmentMasks::Spread(const GraphT& g,
-                           std::span<const GraphDelta::Op> extra,
-                           uint32_t hops, std::span<const GraphDelta::Op> cut) {
+void FragmentMasks::Spread(const GraphT& g, uint32_t hops,
+                           std::span<const GraphDelta::Op> cut) {
   // The cut keys, and their sources: only an edge out of one is looked
   // up.
   std::vector<std::array<uint32_t, 3>> cut_keys;
@@ -108,22 +107,61 @@ void FragmentMasks::Spread(const GraphT& g,
           next[w] |= cur[v];
         }
       }
-      for (const GraphDelta::Op& op : extra) {
-        if (op.kind == GraphDelta::OpKind::kSetAttr) continue;
-        next[op.src] |= cur[op.dst];
-        next[op.dst] |= cur[op.src];
-      }
       cur.swap(next);
     }
   }
 }
 
-template void FragmentMasks::Spread(const PropertyGraph&,
-                                    std::span<const GraphDelta::Op>, uint32_t,
+template void FragmentMasks::Spread(const PropertyGraph&, uint32_t,
                                     std::span<const GraphDelta::Op>);
-template void FragmentMasks::Spread(const GraphView&,
-                                    std::span<const GraphDelta::Op>, uint32_t,
+template void FragmentMasks::Spread(const GraphView&, uint32_t,
                                     std::span<const GraphDelta::Op>);
+
+void FragmentMasks::Push(const GraphView& g,
+                         std::span<const GraphDelta::Op> extra,
+                         uint32_t hops) {
+  if (hops == 0) return;
+  // The ops' edges by endpoint, both ways.
+  std::vector<std::pair<NodeId, NodeId>> extra_adj;
+  for (const GraphDelta::Op& op : extra) {
+    if (op.kind == GraphDelta::OpKind::kSetAttr) continue;
+    extra_adj.emplace_back(op.src, op.dst);
+    extra_adj.emplace_back(op.dst, op.src);
+  }
+  std::sort(extra_adj.begin(), extra_adj.end());
+  std::vector<NodeId> changed;
+  std::vector<std::pair<NodeId, uint64_t>> pushing;
+  for (std::vector<uint64_t>& words : blocks_) {
+    changed.clear();
+    for (NodeId v = 0; v < words.size(); ++v) {
+      if (words[v] != 0) changed.push_back(v);
+    }
+    for (uint32_t h = 0; h < hops && !changed.empty(); ++h) {
+      // A node that did not change pushed its set already; the rest push
+      // the sets they start the hop with, so one hop spreads one hop.
+      pushing.clear();
+      for (NodeId v : changed) pushing.emplace_back(v, words[v]);
+      changed.clear();
+      auto reach = [&](NodeId w, uint64_t set) {
+        if ((words[w] | set) == words[w]) return;
+        words[w] |= set;
+        changed.push_back(w);
+      };
+      for (const auto& [v, set] : pushing) {
+        for (EdgeId e : g.OutEdges(v)) reach(g.EdgeDst(e), set);
+        for (EdgeId e : g.InEdges(v)) reach(g.EdgeSrc(e), set);
+        for (auto it = std::lower_bound(extra_adj.begin(), extra_adj.end(),
+                                        std::pair<NodeId, NodeId>{v, 0});
+             it != extra_adj.end() && it->first == v; ++it) {
+          reach(it->second, set);
+        }
+      }
+      std::sort(changed.begin(), changed.end());
+      changed.erase(std::unique(changed.begin(), changed.end()),
+                    changed.end());
+    }
+  }
+}
 
 namespace {
 
@@ -142,7 +180,7 @@ template <typename GraphT>
 FragmentResidency ComputeResidency(const GraphT& g, const Partition& p) {
   const size_t num_nodes = g.NumNodes();
   FragmentMasks reach = OwnerMasks(num_nodes, p);
-  reach.Spread(g, {}, p.halo_radius);
+  reach.Spread(g, p.halo_radius);
   FragmentResidency resident(p.num_fragments);
   for (size_t f = 0; f < p.num_fragments; ++f) {
     resident[f].resize(num_nodes);
@@ -169,13 +207,14 @@ uint64_t ResidentEdges(const GraphView& g, std::span<const char> resident) {
 FragmentMasks SeedableFragments(const GraphView& pre,
                                 std::span<const GraphDelta::Op> ops,
                                 const Partition& p, uint32_t radius) {
-  // Residency over the edges both sides hold; then the fragments each
-  // node is missing from, spread over the radius: a fragment left clear
-  // holds the whole ball on both sides.
+  // Residency over the edges both sides hold, a sweep: nearly every
+  // node is resident somewhere. Then the fragments each node is missing
+  // from, pushed over the radius from the few nodes missing from any: a
+  // fragment left clear holds the whole ball on both sides.
   FragmentMasks masks = OwnerMasks(pre.NumNodes(), p);
-  masks.Spread(pre, {}, p.halo_radius, /*cut=*/ops);
+  masks.Spread(pre, p.halo_radius, /*cut=*/ops);
   masks.Complement();
-  masks.Spread(pre, /*extra=*/ops, radius);
+  masks.Push(pre, /*extra=*/ops, radius);
   masks.Complement();
   return masks;
 }

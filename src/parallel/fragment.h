@@ -59,9 +59,10 @@ using FragmentResidency = std::vector<std::vector<char>>;
 
 /// A set of fragments per node, bit-parallel, in blocks of 64 fragments:
 /// block b holds one word per node, and bit f % 64 of node v's word in
-/// block f / 64 is set iff fragment f is in v's set. Residency and seed
-/// eligibility are sweeps over these words -- one pass over the edges
-/// per hop and block, for 64 fragments at once.
+/// block f / 64 is set iff fragment f is in v's set. Residency is a sweep
+/// over these words -- one pass over the edges per hop and block, for 64
+/// fragments at once; seed eligibility pushes from the few nodes whose
+/// word is not empty.
 class FragmentMasks {
  public:
   FragmentMasks(size_t num_nodes, size_t num_fragments)
@@ -81,13 +82,21 @@ class FragmentMasks {
 
   /// Grows every node's set by its neighbours' sets, `hops` times, so
   /// that each node ends with the union of the sets of the nodes within
-  /// `hops` undirected hops of it -- over `g`'s edges plus the edges of
-  /// `extra`'s edge ops (its attribute ops join nothing), less every
-  /// edge of `g` whose (src, dst, label) key an E- op of `cut` names.
-  /// GraphT is PropertyGraph or GraphView.
+  /// `hops` undirected hops of it -- over `g`'s edges less every edge
+  /// whose (src, dst, label) key an E- op of `cut` names. A sweep: every
+  /// hop visits every edge. GraphT is PropertyGraph or GraphView.
   template <typename GraphT>
-  void Spread(const GraphT& g, std::span<const GraphDelta::Op> extra,
-              uint32_t hops, std::span<const GraphDelta::Op> cut = {});
+  void Spread(const GraphT& g, uint32_t hops,
+              std::span<const GraphDelta::Op> cut = {});
+
+  /// The same growth over `g`'s edges plus the edges of `extra`'s edge
+  /// ops (its attribute ops join nothing), pushed hop by hop from the
+  /// nodes whose set changed in the hop before -- at first, those whose
+  /// set is not empty -- along their out- and in-edges. Its cost tracks
+  /// those nodes' edges, not the graph's: for sets that start empty
+  /// almost everywhere.
+  void Push(const GraphView& g, std::span<const GraphDelta::Op> extra,
+            uint32_t hops);
 
  private:
   size_t num_fragments_;

@@ -44,21 +44,31 @@ std::optional<MetaCount> RecordCount(const DeltaLogRecord& rec) {
   return std::nullopt;
 }
 
+// One line per violation, built in place: the fields escaped straight
+// into `out`, and each rule's text rendered and escaped once per run of
+// its violations (a side is sorted by rule first).
 void AppendSide(std::string& out, const GraphView& view,
                 std::span<const Gfd> rules, std::span<const Violation> side,
                 char kind) {
-  for (const Violation& v : side) {
+  std::string escaped_rule;
+  uint32_t rendered = 0;
+  for (size_t i = 0; i < side.size(); ++i) {
+    const Violation& v = side[i];
+    if (i == 0 || v.gfd_index != rendered) {
+      rendered = v.gfd_index;
+      escaped_rule = EscapeField(rules[rendered].ToString(view));
+    }
     out += kind;
     out += '\t';
     out += std::to_string(v.gfd_index);
     out += '\t';
     out += std::to_string(v.pivot);
     out += '\t';
-    out += EscapeField(view.NodeName(v.pivot));
+    AppendEscapedField(view.NodeName(v.pivot), &out);
     out += '\t';
-    out += EscapeField(view.LabelName(view.NodeLabel(v.pivot)));
+    AppendEscapedField(view.LabelName(view.NodeLabel(v.pivot)), &out);
     out += '\t';
-    out += EscapeField(DescribeViolation(view, rules, v));
+    AppendEscapedDescription(view, escaped_rule, v, &out);
     out += '\n';
   }
 }
@@ -144,8 +154,17 @@ bool ViolationChangefeed::empty() const {
   return log_->entries().empty();
 }
 
+bool ViolationChangefeed::shut_down() const {
+  std::lock_guard lock(mu_);
+  return shutdown_;
+}
+
 bool ViolationChangefeed::Reset(uint64_t last_seq, std::string* error) {
   std::lock_guard lock(mu_);
+  if (shutdown_) {
+    if (error) *error = "changefeed is shut down";
+    return false;
+  }
   const std::string path = log_->path();
   std::error_code ec;
   fs::remove(path, ec);
@@ -153,6 +172,7 @@ bool ViolationChangefeed::Reset(uint64_t last_seq, std::string* error) {
   if (!fresh) return false;
   log_ = std::move(*fresh);
   last_count_.reset();
+  ++resets_;
   return true;
 }
 
@@ -226,8 +246,10 @@ std::shared_ptr<FeedSubscription> ViolationChangefeed::Subscribe(
   // Outside it: the payload reads, so a replay never holds up Publish.
   std::string path;
   std::vector<DeltaLogEntry> missed;
+  uint64_t resets = 0;
   {
     std::lock_guard lock(mu_);
+    resets = resets_;
     if (replay) {
       // Records are seq-contiguous, so the first one past the cursor
       // sits at a known offset.
@@ -246,11 +268,17 @@ std::shared_ptr<FeedSubscription> ViolationChangefeed::Subscribe(
     }
   }
   if (replay && !missed.empty()) {
-    // A record that cannot be read back ends the replay there; the
-    // subscriber reconnects at the last seq it saw.
+    // A record that cannot be read back ends the replay there, as does a
+    // Reset since the records were chosen (the read may have hit the new
+    // file); the subscriber reconnects at the last seq it saw.
     std::string error;
     auto records = DeltaLog::Read(path, missed, &error);
-    if (!records) {
+    bool reset = false;
+    {
+      std::lock_guard lock(mu_);
+      reset = resets_ != resets;
+    }
+    if (!records || reset) {
       Unsubscribe(sub);
       std::lock_guard sub_lock(sub->mu_);
       sub->evicted_ = true;

@@ -161,11 +161,16 @@ class ViolationChangefeed {
   /// True when the log holds no record.
   bool empty() const;
 
+  /// True once Shutdown ran: Publish and Reset are refused.
+  bool shut_down() const;
+
   /// Drops every record and restarts the log after `last_seq`: the next
   /// publish is last_seq+1. The gap is client-visible (event seqs jump),
-  /// never silently misnumbered. Runs before serving (FeedService::
-  /// Prime): a replay reading payloads it chose before a reset would
-  /// read them from the new file.
+  /// never silently misnumbered. Runs where FeedService levels the feed:
+  /// before serving, and before a batch when the log cannot bridge what
+  /// a failed publish missed; a replay whose payload read spans a reset
+  /// is evicted rather than read from the new file. Refused after
+  /// Shutdown, which leaves the records a restart catches up from.
   bool Reset(uint64_t last_seq, std::string* error = nullptr);
 
   /// Appends the diff payload of batch `seq` (which must be the next
@@ -210,12 +215,13 @@ class ViolationChangefeed {
  private:
   ViolationChangefeed() = default;
 
-  // guards: log_, last_count_, subs_, shutdown_, evictions_
+  // guards: log_, last_count_, subs_, shutdown_, resets_, evictions_
   mutable std::mutex mu_;
   std::optional<DeltaLog> log_;
   std::optional<MetaCount> last_count_;
   std::vector<std::shared_ptr<FeedSubscription>> subs_;
   bool shutdown_ = false;
+  uint64_t resets_ = 0;  // Resets so far; a replay's read checks it
   uint64_t evictions_ = 0;
 };
 

@@ -13,7 +13,6 @@
 #include "graph/live_graph.h"
 #include "graph/loader.h"
 #include "obs/trace.h"
-#include "serve/changefeed.h"
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
 #include "serve/metrics.h"
@@ -361,7 +360,7 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
   // ones; the step's units, planned once; and each fragment's seeds.
   const BatchFootprint footprint = BatchFootprint::Of(batch->ops, view());
   StopwatchNs route_watch;
-  const StepPlan plan = engine.PlanStep(view(), footprint);
+  const StepPlan plan = PlanServedStep(engine, view(), footprint, *seq);
   const std::vector<std::vector<NodeId>> seeds =
       PlanSeeds(partition_, view(), batch->ops, footprint.anchors,
                 plan.anchor_costs(), radius);
@@ -413,7 +412,7 @@ std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
     diff.removed = MergeSorted(std::move(removed));
     // The master's view absorbed the batch; the payload renders against
     // it, as it would against MaterializeCurrent().
-    diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
+    diff.payload = RenderServedPayload(view(), engine.rules(), diff, *seq);
   }
   // Nothing leaves the step before the master's record is durable.
   if (!master_->Commit(error)) return std::nullopt;

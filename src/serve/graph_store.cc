@@ -84,22 +84,41 @@ std::string SaveGraphString(const PropertyGraph& g) {
 }
 
 // The single-store step diff of a batch with footprint `fp` on `view`,
-// the state just before it: both sides of DetectStep around `apply`,
-// which must absorb the batch into the graph behind `view`. One share:
-// the single store is a coordinator of one fragment, whose seeds are
-// every anchor.
+// the state just before it, planned as `plan`: both sides of DetectStep
+// around `apply`, which must absorb the batch into the graph behind
+// `view`. One share: the single store is a coordinator of one fragment,
+// whose seeds are every anchor.
 std::optional<StepSides> SingleStoreStep(const ViolationEngine& engine,
                                          const GraphView& view,
                                          const BatchFootprint& fp,
+                                         const StepPlan& plan,
                                          const std::function<bool()>& apply,
                                          const IncrementalOptions& opts) {
-  const StepPlan plan = engine.PlanStep(view, fp);
   auto sides = engine.DetectStep(view, fp, std::span(&plan, 1), apply, opts);
   if (!sides) return std::nullopt;
   return std::move(sides->front());
 }
 
 }  // namespace
+
+StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
+                        const BatchFootprint& fp, uint64_t seq) {
+  obs::ScopedTimer timer(nullptr, "plan", {{"seq", seq}});
+  StepPlan plan = engine.PlanStep(pre, fp);
+  timer.AddField("write_units", plan.write_units());
+  timer.AddField("edge_units", plan.edge_units());
+  return plan;
+}
+
+std::string RenderServedPayload(const GraphView& post,
+                                std::span<const Gfd> rules,
+                                const IncrementalDiff& diff, uint64_t seq) {
+  obs::ScopedTimer timer(nullptr, "render", {{"seq", seq}});
+  std::string payload = SerializeDiffPayload(post, rules, diff);
+  timer.AddField("lines", diff.added.size() + diff.removed.size());
+  timer.AddField("bytes", payload.size());
+  return payload;
+}
 
 std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      uint64_t anchor, LiveGraph& live,
@@ -432,7 +451,9 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     return true;
   };
   obs::ScopedTimer detect_timer(nullptr, "detect", {{"seq", *seq}});
-  const StepSides step = *SingleStoreStep(engine, view(), fp, absorb, opts);
+  const StepPlan plan = PlanServedStep(engine, view(), fp, *seq);
+  const StepSides step =
+      *SingleStoreStep(engine, view(), fp, plan, absorb, opts);
   detect_timer.AddField("anchors", fp.anchors.size());
   detect_timer.AddField("write_units", step.stats.write_units);
   detect_timer.AddField("edge_units", step.stats.edge_units);
@@ -444,7 +465,7 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     diff = StepDiff(step);
     // The live view is now the post-batch state: the feed payload renders
     // against it, byte-identical to rendering against a materialization.
-    diff.payload = SerializeDiffPayload(view(), engine.rules(), diff);
+    diff.payload = RenderServedPayload(view(), engine.rules(), diff, *seq);
   }
   // Nothing leaves the step before its record is durable.
   if (!Commit(error)) return std::nullopt;
@@ -479,7 +500,9 @@ bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
       continue;
     }
     const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());
-    auto step = SingleStoreStep(engine, scratch.view(), fp, absorb, opts);
+    const StepPlan plan = engine.PlanStep(scratch.view(), fp);
+    auto step =
+        SingleStoreStep(engine, scratch.view(), fp, plan, absorb, opts);
     if (!step) return false;
     IncrementalDiff diff = StepDiff(*step);
     diff.payload = SerializeDiffPayload(scratch.view(), engine.rules(), diff);

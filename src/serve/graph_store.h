@@ -113,6 +113,17 @@ std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      const std::string& source,
                                      std::string* error = nullptr);
 
+/// The two stages of a served step that both backends trace by seq:
+/// PlanStep as a `plan` span (write_units, edge_units) -- inside `detect`
+/// on a single store, inside `route` on a coordinator's master -- and
+/// SerializeDiffPayload (serve/changefeed.h) on the post-batch view as a
+/// `render` span (lines, bytes) inside `merge`.
+StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
+                        const BatchFootprint& fp, uint64_t seq);
+std::string RenderServedPayload(const GraphView& post,
+                                std::span<const Gfd> rules,
+                                const IncrementalDiff& diff, uint64_t seq);
+
 struct GraphStoreStats {
   uint64_t anchor_seq = 0;       ///< snapshot includes batches through this
   uint64_t last_seq = 0;         ///< last applied batch (0 = none yet)

@@ -138,7 +138,8 @@ obs::Histogram& FeedPublishLatency() {
 obs::Counter& FeedRederivedTotal() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_feed_rederived_total",
-      "Feed records re-derived from the store's log on open.");
+      "Feed records re-derived from the store's log: on open, or before "
+      "the batch after a failed feed write.");
   return c;
 }
 

@@ -33,30 +33,41 @@ bool SplitKeyValue(std::string_view field, std::string_view* key,
   return false;
 }
 
+void AppendEscapedField(std::string_view raw, std::string* out) {
+  // Plain runs are appended whole; only a metacharacter costs a branch.
+  size_t plain = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const char* escaped = nullptr;
+    switch (raw[i]) {
+      case '\\':
+        escaped = "\\\\";
+        break;
+      case '\t':
+        escaped = "\\t";
+        break;
+      case '\n':
+        escaped = "\\n";
+        break;
+      case '\r':
+        escaped = "\\r";
+        break;
+      case '=':
+        escaped = "\\=";
+        break;
+      default:
+        continue;
+    }
+    out->append(raw.data() + plain, i - plain);
+    out->append(escaped, 2);
+    plain = i + 1;
+  }
+  out->append(raw.data() + plain, raw.size() - plain);
+}
+
 std::string EscapeField(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '=':
-        out += "\\=";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscapedField(raw, &out);
   return out;
 }
 

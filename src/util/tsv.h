@@ -32,6 +32,9 @@ bool SplitKeyValue(std::string_view field, std::string_view* key,
 /// contains a field separator or record terminator.
 std::string EscapeField(std::string_view raw);
 
+/// Appends EscapeField(raw) to *out, with no temporary.
+void AppendEscapedField(std::string_view raw, std::string* out);
+
 /// Inverse of EscapeField. Returns std::nullopt on a dangling backslash
 /// or an unknown escape sequence (the caller reports file:line context).
 std::optional<std::string> UnescapeField(std::string_view field);

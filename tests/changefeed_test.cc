@@ -37,6 +37,7 @@
 #include "serve/metrics.h"
 #include "testlib.h"
 #include "util/rng.h"
+#include "util/tsv.h"
 
 namespace gfd {
 namespace {
@@ -266,6 +267,128 @@ TEST(Changefeed, PayloadLinesRoundTripThroughParse) {
     return;
   }
   FAIL() << "no batch changed any violation in 20 attempts";
+}
+
+// DescribeViolation's text as it was composed before it became one
+// appender: the rule through Gfd::ToString, the consequence through
+// Literal::ToString, each name and value as a string of its own.
+std::string ReferenceDescription(const GraphView& g,
+                                 std::span<const Gfd> rules,
+                                 const Violation& v) {
+  auto node = [&](NodeId n) {
+    const std::string& name = g.NodeName(n);
+    return name.empty() ? "#" + std::to_string(n) : name;
+  };
+  auto actual = [&](VarId x, AttrId a) {
+    const auto value = g.GetAttr(v.match[x], a);
+    const std::string term = "x" + std::to_string(x) + "." + g.AttrName(a);
+    return value ? term + " is '" + g.ValueName(*value) + "'"
+                 : term + " is missing";
+  };
+  std::string s = "rule#" + std::to_string(v.gfd_index) + " " +
+                  rules[v.gfd_index].ToString(g) + " at pivot " +
+                  node(v.pivot) + ":";
+  for (VarId x = 0; x < v.match.size(); ++x) {
+    s += " x" + std::to_string(x) + "=" + node(v.match[x]);
+  }
+  const Literal& rhs = v.failed_rhs;
+  switch (rhs.kind) {
+    case LiteralKind::kFalse:
+      return s + " | illegal structure (consequence is false)";
+    case LiteralKind::kVarConst:
+      return s + " | expected " + rhs.ToString(g) + ", yet " +
+             actual(rhs.x, rhs.a);
+    case LiteralKind::kVarVar:
+      return s + " | expected " + rhs.ToString(g) + ", yet " +
+             actual(rhs.x, rhs.a) + " while " + actual(rhs.y, rhs.b);
+  }
+  return s;
+}
+
+// The payload oracle: every line is its six fields rendered and escaped
+// one by one -- kind, rule, pivot, EscapeField of the pivot's name, of its
+// label and of DescribeViolation -- on random diffs over a graph whose
+// names, labels, keys and values hold every character the payload
+// escapes, with unnamed nodes, missing attributes, an overlay-only value,
+// and var-const, var-var and false consequences.
+TEST(Changefeed, PayloadLinesEqualTheirFieldsRenderedOneByOne) {
+  const std::vector<std::string> tricky = {
+      "tab\there", "line\nfeed", "car\rret", "key=val", "back\\slash",
+      "=\t\\\n\r", "plain"};
+  const std::vector<std::string> labels = {"plain", "lab\tel", "la=b\\el"};
+  const std::string k0 = "ke\ny";
+  const std::string k1 = "k=1";
+  constexpr NodeId kNodes = 24;
+  Rng rng(29);
+  PropertyGraph::Builder b;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    b.AddNode(labels[v % 3]);
+    if (v % 3 != 0) {
+      b.SetName(v, "n" + std::to_string(v) + tricky[v % tricky.size()]);
+    }
+    if (v % 4 != 1) b.SetAttr(v, k0, tricky[rng.Below(tricky.size())]);
+    if (v % 5 != 2) b.SetAttr(v, k1, tricky[rng.Below(tricky.size())]);
+  }
+  for (NodeId v = 0; v + 1 < kNodes; ++v) b.AddEdge(v, v + 1, "ed\rge");
+  const PropertyGraph base = std::move(b).Build();
+  GraphDelta overlay;
+  overlay.SetAttr(5, *base.FindAttr(k0),
+                  overlay.InternValue(base, "over\tlay=\\"));
+  const GraphView view = *GraphView::Apply(base, overlay);
+  const PropertyGraph materialized = view.Materialize();
+
+  const AttrId a0 = *base.FindAttr(k0);
+  const AttrId a1 = *base.FindAttr(k1);
+  const ValueId c = *base.FindValue(tricky[3]);
+  Pattern edge;  // x -ed\rge-> y
+  const VarId x = edge.AddNode(*base.FindLabel(labels[1]));
+  const VarId y = edge.AddNode(*base.FindLabel(labels[2]));
+  edge.AddEdge(x, y, *base.FindLabel("ed\rge"));
+  edge.set_pivot(x);
+  Pattern single;
+  single.AddNode(*base.FindLabel(labels[0]));
+  single.set_pivot(0);
+  const std::vector<Gfd> rules = {
+      Gfd(edge, {Literal::Const(y, a1, c)}, Literal::Const(x, a0, c)),
+      Gfd(edge, {}, Literal::Vars(x, a0, y, a1)),
+      Gfd(single, {}, Literal::False()),
+      Gfd(single, {Literal::Const(0, a1, c)}, Literal::Const(0, a0, c)),
+  };
+
+  for (int round = 0; round < 30; ++round) {
+    IncrementalDiff diff;
+    for (std::vector<Violation>* side : {&diff.added, &diff.removed}) {
+      for (uint64_t i = rng.Below(12); i > 0; --i) {
+        Violation v;
+        v.gfd_index = static_cast<uint32_t>(rng.Below(rules.size()));
+        const Gfd& rule = rules[v.gfd_index];
+        for (VarId u = 0; u < rule.NumVars(); ++u) {
+          v.match.push_back(static_cast<NodeId>(rng.Below(kNodes)));
+        }
+        v.pivot = v.match[rule.pattern.pivot()];
+        v.failed_rhs = rule.rhs;
+        side->push_back(std::move(v));
+      }
+      std::sort(side->begin(), side->end());
+      side->erase(std::unique(side->begin(), side->end()), side->end());
+    }
+    std::string expected;
+    for (const auto& [kind, side] :
+         {std::pair{"A", &diff.added}, std::pair{"R", &diff.removed}}) {
+      for (const Violation& v : *side) {
+        const std::string desc = DescribeViolation(view, rules, v);
+        EXPECT_EQ(desc, ReferenceDescription(view, rules, v));
+        EXPECT_EQ(DescribeViolation(materialized, rules, v), desc);
+        expected += std::string(kind) + "\t" + std::to_string(v.gfd_index) +
+                    "\t" + std::to_string(v.pivot) + "\t" +
+                    EscapeField(view.NodeName(v.pivot)) + "\t" +
+                    EscapeField(view.LabelName(view.NodeLabel(v.pivot))) +
+                    "\t" + EscapeField(desc) + "\n";
+      }
+    }
+    EXPECT_EQ(SerializeDiffPayload(view, rules, diff), expected)
+        << "round " << round;
+  }
 }
 
 // A rule whose constant exists only in the un-compacted overlay: the
@@ -818,7 +941,8 @@ struct E2eServer {
   std::unique_ptr<net::HttpServer> server;
   PropertyGraph base;
 
-  explicit E2eServer(const std::string& name, double ingest_rps = 0) {
+  explicit E2eServer(const std::string& name, double ingest_rps = 0,
+                     const GraphStoreOptions& store_opts = {}) {
     base = MakeSynthetic({.nodes = 60,
                           .edges = 180,
                           .node_labels = 4,
@@ -831,7 +955,7 @@ struct E2eServer {
     engine = std::make_unique<ViolationEngine>(rules);
     dir = Scratch(name);
     EXPECT_TRUE(GraphStore::Init(dir, base));
-    store = GraphStore::Open(dir);
+    store = GraphStore::Open(dir, store_opts);
     EXPECT_TRUE(store.has_value());
     feed = ViolationChangefeed::Open(dir, store->last_seq());
     EXPECT_NE(feed, nullptr);
@@ -968,6 +1092,108 @@ TEST(FeedServiceE2e, AnUndurableBatchIs500AndAnInvalidOne422) {
   const std::string ok = Post(s.port(), "/ingest", batch);
   EXPECT_NE(ok.find("200 OK"), std::string::npos) << ok;
   EXPECT_NE(ok.find("\"seq\":2"), std::string::npos) << ok;
+}
+
+// A failed feed write leaves its batch acknowledged and the feed one
+// record behind the store. The next batch levels the feed from the
+// store's log before publishing -- the missed record re-derived, count
+// line and all -- so the feed ends byte-identical to an unfailed
+// server's. The failed batch does not compact, even where its size
+// would: a compaction would drop its record from the log the levelling
+// reads, and the feed would reset.
+TEST(FeedServiceE2e, TheNextBatchLevelsAFeedAFailedPublishLeftBehind) {
+  GraphStoreOptions every_batch;
+  every_batch.compact_min_ops = 1;
+  every_batch.compact_min_fraction = 0;
+  for (const bool compacting : {false, true}) {
+    SCOPED_TRACE(compacting ? "compacting every batch" : "no compaction");
+    const GraphStoreOptions opts = compacting ? every_batch
+                                              : GraphStoreOptions{};
+    const std::string name = compacting ? "_compacting" : "";
+    E2eServer failed("e2e_publish_failed" + name, 0, opts);
+    E2eServer clean("e2e_publish_clean" + name, 0, opts);
+    ASSERT_NE(failed.server, nullptr);
+    ASSERT_NE(clean.server, nullptr);
+    const uint64_t rederived = FeedRederivedTotal().Value();
+    Rng rng(53);
+    uint64_t accepted = 0;
+    for (size_t attempt = 0; accepted < 3 && attempt < 400; ++attempt) {
+      // Batches that change violations, so every record holds lines; both
+      // stores hold the same graph, so each gets the same batches.
+      const PropertyGraph cur = clean.store->MaterializeCurrent();
+      const GraphDelta d = RandomBatch(cur, rng, 4);
+      const auto diff = clean.engine->DetectIncremental(cur, d);
+      if (!diff || (diff->added.empty() && diff->removed.empty())) continue;
+      const std::string batch = DeltaBytes(cur, d);
+      ASSERT_NE(Post(clean.port(), "/ingest", batch).find("200 OK"),
+                std::string::npos);
+      ++accepted;
+      // The second batch's write points: 0 its record's write, 1 its
+      // fsync, 2 its feed record's write.
+      if (accepted == 2) FailAtWritePoint(2);
+      const std::string resp = Post(failed.port(), "/ingest", batch);
+      FailAtWritePoint(-1);
+      EXPECT_NE(resp.find("200 OK"), std::string::npos) << resp;
+      if (accepted == 2) {
+        EXPECT_EQ(failed.store->last_seq(), 2u);
+        EXPECT_EQ(failed.feed->last_seq(), 1u);
+        // The unfailed server compacted this batch away.
+        EXPECT_EQ(clean.store->MetricsSnapshot().anchor_seq,
+                  compacting ? 2u : 0u);
+      }
+    }
+    ASSERT_EQ(accepted, 3u);
+    EXPECT_EQ(FeedRederivedTotal().Value() - rederived, 1u);
+    // A reset feed would hold the replay below open for good.
+    ASSERT_EQ(ReadFileBytes(failed.dir + "/feed.log"),
+              ReadFileBytes(clean.dir + "/feed.log"));
+    EXPECT_EQ(failed.store->MetricsSnapshot().anchor_seq,
+              compacting ? 3u : 0u);
+    const std::string status = Get(failed.port(), "/status");
+    EXPECT_NE(status.find("\"seq\":3,"), std::string::npos) << status;
+    EXPECT_NE(status.find("\"feed_seq\":3,"), std::string::npos) << status;
+    EXPECT_EQ(Get(failed.port(), "/feed?cursor=0&max_events=3"),
+              Get(clean.port(), "/feed?cursor=0&max_events=3"));
+  }
+}
+
+// Batches still in flight when the server stops (the feed is shut down
+// before the HTTP server) are acknowledged without a feed record, and
+// the feed is left as it stood: no levelling, no reset. The restart
+// catches every one of them up from the store's log.
+TEST(FeedServiceE2e, BatchesAfterShutdownLeaveTheFeedToTheRestart) {
+  std::string dir;
+  std::vector<Gfd> rules;
+  std::string feed_log;
+  {
+    E2eServer s("e2e_after_shutdown");
+    ASSERT_NE(s.server, nullptr);
+    ASSERT_EQ(s.IngestCountChanging(2), 2u);
+    feed_log = ReadFileBytes(s.dir + "/feed.log");
+    ASSERT_TRUE(s.feed->Shutdown());
+    s.IngestAccepted(2);
+    EXPECT_EQ(s.store->last_seq(), 4u);
+    EXPECT_EQ(s.feed->last_seq(), 2u);
+    EXPECT_EQ(ReadFileBytes(s.dir + "/feed.log"), feed_log);
+    dir = s.dir;
+    rules.assign(s.engine->rules().begin(), s.engine->rules().end());
+  }
+  EXPECT_EQ(ReadFileBytes(dir + "/feed.log"), feed_log);
+  ViolationEngine engine(rules);
+  auto store = GraphStore::Open(dir);
+  ASSERT_TRUE(store.has_value());
+  auto feed = ViolationChangefeed::Open(dir, store->last_seq());
+  ASSERT_NE(feed, nullptr);
+  net::FeedService service(*store, engine, *feed, {});
+  net::PrimeReport report;
+  EXPECT_EQ(service.Prime(&report),
+            engine.Detect(store->MaterializeCurrent()).violations.size());
+  EXPECT_EQ(report.caught_up, 2u);
+  EXPECT_FALSE(report.feed_reset);
+  EXPECT_EQ(report.source, net::CountSource::kFeed);
+  EXPECT_EQ(feed->last_seq(), 4u);
+  EXPECT_TRUE(ReadFileBytes(dir + "/feed.log").starts_with(feed_log));
+  feed->Shutdown();
 }
 
 TEST(FeedServiceE2e, IngestIsRateLimitedPerClient) {

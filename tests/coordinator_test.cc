@@ -25,6 +25,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -497,6 +498,104 @@ TEST(SeedableFragments, SoundOnRandomBatches) {
     }
   }
   EXPECT_GT(off_owner, 0u);
+}
+
+// SeedableFragments by its definition, pulled node by node over
+// adjacency lists: residency pulled from the owners over the edges both
+// sides hold, then every node's missing fragments pulled from its
+// neighbours over the edges either side holds, `radius` times. Returns
+// seedable[v][f].
+std::vector<std::vector<char>> PulledSeedable(
+    const GraphView& pre, std::span<const GraphDelta::Op> ops,
+    const Partition& p, uint32_t radius) {
+  const size_t n = pre.NumNodes();
+  const size_t frags = p.num_fragments;
+  std::set<std::tuple<NodeId, NodeId, LabelId>> cut;
+  std::vector<std::vector<NodeId>> both(n), either(n);
+  for (const GraphDelta::Op& op : ops) {
+    if (op.kind == GraphDelta::OpKind::kDeleteEdge) {
+      cut.insert({op.src, op.dst, op.label});
+    }
+    if (op.kind != GraphDelta::OpKind::kSetAttr) {
+      either[op.src].push_back(op.dst);
+      either[op.dst].push_back(op.src);
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    for (EdgeId e : pre.OutEdges(v)) {
+      const NodeId w = pre.EdgeDst(e);
+      either[v].push_back(w);
+      either[w].push_back(v);
+      if (cut.count({v, w, pre.EdgeLabel(e)}) == 0) {
+        both[v].push_back(w);
+        both[w].push_back(v);
+      }
+    }
+  }
+  auto pull = [&](std::vector<std::vector<char>> sets,
+                  const std::vector<std::vector<NodeId>>& adj, uint32_t hops) {
+    for (uint32_t h = 0; h < hops; ++h) {
+      std::vector<std::vector<char>> next = sets;
+      for (NodeId v = 0; v < n; ++v) {
+        for (NodeId w : adj[v]) {
+          for (size_t f = 0; f < frags; ++f) next[v][f] |= sets[w][f];
+        }
+      }
+      sets = std::move(next);
+    }
+    return sets;
+  };
+  std::vector<std::vector<char>> owner(n, std::vector<char>(frags, 0));
+  for (NodeId v = 0; v < n; ++v) owner[v][p.node_owner[v]] = 1;
+  std::vector<std::vector<char>> missing = pull(owner, both, p.halo_radius);
+  for (auto& set : missing) {
+    for (char& bit : set) bit = !bit;
+  }
+  std::vector<std::vector<char>> seedable = pull(missing, either, radius);
+  for (auto& set : seedable) {
+    for (char& bit : set) bit = !bit;
+  }
+  return seedable;
+}
+
+// The masks SeedableFragments pushes from the nodes whose missing set
+// changed equal the pulled definition: on random batches, at radius 0,
+// beyond one 64-fragment block, and where the missing sets start dense
+// (halo 1 on a sparse graph).
+TEST(SeedableFragments, PushedMasksEqualThePulledDefinition) {
+  struct Case {
+    size_t nodes, edges, fragments;
+    uint32_t halo, radius;
+  };
+  const Case cases[] = {
+      {150, 360, 3, 2, 2}, {150, 360, 4, 3, 3}, {150, 360, 2, 2, 0},
+      {200, 150, 4, 1, 1}, {200, 150, 3, 1, 3}, {120, 300, 70, 2, 2},
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(c.nodes) + " nodes, " +
+                   std::to_string(c.fragments) + " fragments, halo " +
+                   std::to_string(c.halo) + ", radius " +
+                   std::to_string(c.radius));
+      auto g = MakeSynthetic({.nodes = c.nodes, .edges = c.edges,
+                              .seed = seed});
+      Rng rng(seed * 97 + c.fragments);
+      const GraphDelta d = RandomBatch(g, rng, 30);
+      Partition p = VertexCutPartition(g, c.fragments).partition;
+      p.halo_radius = c.halo;
+      const GraphView pre = *GraphView::Apply(g, GraphDelta{});
+      const FragmentMasks pushed = SeedableFragments(pre, d.ops, p, c.radius);
+      const auto pulled = PulledSeedable(pre, d.ops, p, c.radius);
+      size_t mismatches = 0;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        for (size_t f = 0; f < p.num_fragments; ++f) {
+          mismatches += pushed.Test(v, f) != (pulled[v][f] != 0);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 // --- Coordinator basics ----------------------------------------------------

@@ -222,9 +222,151 @@ GraphDelta RandomDelta(const PropertyGraph& g, Rng& rng, size_t ops) {
   return d;
 }
 
+}  // namespace
+
+// The scan PlanStep ran before the engine indexed its units -- every
+// group, every variable and pattern edge, every write and changed key --
+// kept as the reference the index must reproduce, and a dump of every
+// field of a plan to compare them by.
+struct ViolationEngineInternals {
+  static StepPlan ScanPlan(const ViolationEngine& engine,
+                           const GraphView& pre, const BatchFootprint& batch) {
+    StepPlan plan;
+    plan.seeds_ = batch.anchors.size();
+    plan.anchor_costs_.assign(batch.anchors.size(), 1);
+    auto charge = [&](NodeId anchor, uint64_t cost) {
+      const auto at = std::lower_bound(batch.anchors.begin(),
+                                       batch.anchors.end(), anchor);
+      plan.anchor_costs_[at - batch.anchors.begin()] += 1 + cost;
+    };
+    auto add_unit = [&](size_t gi, size_t index, bool edge, size_t begin) {
+      const size_t end = edge ? plan.pairs_.size() : plan.nodes_.size();
+      if (end > begin) {
+        plan.units_.push_back({static_cast<uint32_t>(gi),
+                               static_cast<uint32_t>(index), edge,
+                               static_cast<uint32_t>(begin),
+                               static_cast<uint32_t>(end)});
+      }
+    };
+    for (size_t gi = 0; gi < engine.groups_.size(); ++gi) {
+      const auto& group = engine.groups_[gi];
+      const Pattern& rep = group.pattern();
+      auto reads_at = [&](VarId u, AttrId key) {
+        for (const auto& r : group.reads) {
+          if (r.var == u && r.key == key) return true;
+        }
+        return false;
+      };
+      for (VarId u = 0; u < rep.NumNodes(); ++u) {
+        const size_t begin = plan.nodes_.size();
+        for (const BatchFootprint::Write& w : batch.writes) {
+          if (plan.nodes_.size() > begin && plan.nodes_.back() == w.node) {
+            continue;
+          }
+          if (LabelMatches(pre.NodeLabel(w.node), rep.NodeLabel(u)) &&
+              reads_at(u, w.key)) {
+            plan.nodes_.push_back(w.node);
+            charge(w.node,
+                   group.plans[group.var_plan[u]].RootFanout(pre, w.node));
+          }
+        }
+        add_unit(gi, u, false, begin);
+      }
+      for (size_t j = 0; j < rep.NumEdges(); ++j) {
+        const PatternEdge& e = rep.edges()[j];
+        const size_t begin = plan.pairs_.size();
+        const CompiledPattern& root_plan =
+            group.plans[group.edge_plan[j].plan];
+        for (const BatchFootprint::EdgeKey& k : batch.edges) {
+          if ((k.src == k.dst) != (e.src == e.dst) ||
+              !LabelMatches(k.label, e.label) ||
+              !LabelMatches(pre.NodeLabel(k.src), rep.NodeLabel(e.src)) ||
+              !LabelMatches(pre.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
+            continue;
+          }
+          StepPlan::PairRoot root{k.src, k.dst, k.anchor};
+          if (group.edge_plan[j].root_is_dst) {
+            std::swap(root.first, root.second);
+          }
+          if (plan.pairs_.size() > begin &&
+              plan.pairs_.back().first == root.first &&
+              plan.pairs_.back().second == root.second) {
+            continue;
+          }
+          plan.pairs_.push_back(root);
+          charge(k.anchor, root.first == root.second
+                               ? root_plan.RootFanout(pre, root.first)
+                               : root_plan.RootFanout(pre, root.first,
+                                                      root.second));
+        }
+        add_unit(gi, j, true, begin);
+      }
+    }
+    return plan;
+  }
+
+  // One line of seeds and anchor costs, then one per unit with its roots.
+  static std::string Dump(const StepPlan& plan) {
+    std::ostringstream out;
+    out << "seeds " << plan.seeds_ << ", costs";
+    for (uint64_t c : plan.anchor_costs_) out << ' ' << c;
+    out << '\n';
+    for (const StepPlan::Unit& u : plan.units_) {
+      out << (u.edge ? "edge unit " : "write unit ") << u.group << '.'
+          << u.index << ':';
+      for (uint32_t r = u.begin; r < u.end; ++r) {
+        if (u.edge) {
+          const StepPlan::PairRoot& root = plan.pairs_[r];
+          out << ' ' << root.first << '-' << root.second << '@'
+              << root.anchor;
+        } else {
+          out << ' ' << plan.nodes_[r];
+        }
+      }
+      out << '\n';
+    }
+    return out.str();
+  }
+};
+
+namespace {
+
+// `rules` with about a third of their node and edge labels turned into
+// the wildcard, which the unit index files apart.
+std::vector<Gfd> Wildcarded(const std::vector<Gfd>& rules, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Gfd> out;
+  for (const Gfd& rule : rules) {
+    Pattern q;
+    for (VarId u = 0; u < rule.pattern.NumNodes(); ++u) {
+      q.AddNode(rng.Chance(0.35) ? kWildcardLabel : rule.pattern.NodeLabel(u));
+    }
+    for (const PatternEdge& e : rule.pattern.edges()) {
+      q.AddEdge(e.src, e.dst, rng.Chance(0.35) ? kWildcardLabel : e.label);
+    }
+    q.set_pivot(rule.pattern.pivot());
+    out.emplace_back(q, rule.lhs, rule.rhs);
+  }
+  return out;
+}
+
+// The engine's indexed PlanStep of `d` on `g` equals the scan's, field
+// for field.
+void ExpectPlanEqualsTheScan(const ViolationEngine& engine,
+                             const PropertyGraph& g, const GraphDelta& d) {
+  const GraphView pre = *GraphView::Apply(g, GraphDelta{});
+  const BatchFootprint fp = BatchFootprint::Of(d.ops, pre);
+  EXPECT_EQ(
+      ViolationEngineInternals::Dump(engine.PlanStep(pre, fp)),
+      ViolationEngineInternals::Dump(
+          ViolationEngineInternals::ScanPlan(engine, pre, fp)));
+}
+
 // The seeded oracle: incremental == diff of two full runs, across random
 // graphs, rule sets, deltas, and worker counts; then once more on top of
-// the materialized result (repeated delta application).
+// the materialized result (repeated delta application). Every batch's
+// plan also equals the reference scan's, for the rules and for a
+// wildcarded copy of them.
 class IncrementalOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
@@ -242,6 +384,7 @@ TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
       g, {.count = 12, .k = 3, .redundancy = 0.4,
           .seed = static_cast<uint64_t>(seed) + 7});
   ViolationEngine engine(rules);
+  const ViolationEngine wild(Wildcarded(rules, seed + 5));
   size_t workers = 1 + seed % 3;
 
   PropertyGraph current = g;
@@ -253,6 +396,8 @@ TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
     auto view = GraphView::Apply(current, d, &error);
     ASSERT_TRUE(view.has_value()) << error;
     auto next = view->Materialize();
+    ExpectPlanEqualsTheScan(engine, current, d);
+    ExpectPlanEqualsTheScan(wild, current, d);
 
     auto diff = Diff(engine, current, d, {.workers = workers});
     auto [added, removed] = FullDiff(engine, current, next);
