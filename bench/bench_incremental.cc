@@ -468,11 +468,12 @@ int main(int argc, char** argv) {
   // set, so nothing is detected and what remains is the per-batch work
   // around the diff (parse, validate, log append, absorb, payload
   // render). Each size gets 10 warm-up and 40 timed AppendAndDiff calls,
-  // interleaved across sizes so disk and host noise hit all of them
-  // alike; a row reports the p50. The single-store rows are the gate:
-  // the largest graph's p50 must stay within 2x of the smallest's. The
-  // coordinator rows (4 fragments, radius 3) are recorded, not gated:
-  // routing still recomputes residency over the whole graph per batch.
+  // interleaved across sizes in an order that rotates each round, so
+  // disk and host noise hit all of them alike; a row reports the p50.
+  // The single-store rows are the gate: the largest graph's p50 must
+  // stay within 2x of the smallest's. The coordinator rows (4 fragments,
+  // radius 3) are recorded, not gated: routing still recomputes
+  // residency over the whole graph per batch.
   const ViolationEngine no_rules(std::vector<Gfd>{});
   constexpr size_t kWarm = 10, kTimed = 40, kBatchOps = 8;
   const struct {
@@ -515,7 +516,11 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
   for (size_t b = 0; b < kWarm + kTimed; ++b) {
-    for (ScaleRun& run : runs) {
+    // Each round starts at the next size: the first call of a round
+    // follows the previous round's largest coordinator step, and no size
+    // takes that place every round.
+    for (size_t i = 0; i < runs.size(); ++i) {
+      ScaleRun& run = runs[(b + i) % runs.size()];
       std::string error;
       WallTimer ts;
       bool ok = run.single->AppendAndDiff(no_rules, run.stream[b], {},

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -16,14 +14,13 @@
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
 #include "serve/metrics.h"
-#include "util/timer.h"
 
 namespace gfd {
 
 namespace {
 namespace fs = std::filesystem;
 
-constexpr char kMetaFile[] = "coordinator.meta";
+constexpr char kPartitionFile[] = "coordinator.meta";
 constexpr char kMetaMagic[] = "gfd-coordinator v2";
 // The journal older builds kept beside their global snapshots. A
 // directory holding it has not been converted yet.
@@ -48,9 +45,10 @@ std::string MetaContent(const Partition& p) {
   return out.str();
 }
 
-bool WriteMeta(const std::string& dir, const Partition& p, std::string* error) {
+bool WritePartition(const std::string& dir, const Partition& p,
+                    std::string* error) {
   std::string werr;
-  if (!AtomicWriteFile(dir + "/" + kMetaFile, MetaContent(p), &werr)) {
+  if (!AtomicWriteFile(dir + "/" + kPartitionFile, MetaContent(p), &werr)) {
     SetError(error, "meta: " + werr);
     return false;
   }
@@ -209,8 +207,8 @@ std::optional<PropertyGraph> RecoverLegacyGraph(const std::string& dir,
   return live.view().Materialize();
 }
 
-// Converts a directory an older build wrote into the master's layout:
-// the recovered graph becomes the master's snapshot at its seq (store.meta
+// Converts a directory an older build wrote into the store's layout: the
+// recovered graph becomes the store's snapshot at its seq (store.meta
 // last, as the commit), a count the old meta held at that seq moves to
 // store.meta, the meta is rewritten without it, and the old files go --
 // routing.log last, so an interrupted conversion runs again on the next
@@ -231,7 +229,7 @@ bool ConvertLegacyLayout(const std::string& dir, const MetaData& meta,
       return false;
     }
   }
-  if (!WriteMeta(dir, meta.partition, error)) return false;
+  if (!WritePartition(dir, meta.partition, error)) return false;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -241,35 +239,6 @@ bool ConvertLegacyLayout(const std::string& dir, const MetaData& meta,
   }
   fs::remove(dir + "/" + kLegacyJournalFile, ec);
   return true;
-}
-
-// Merges per-fragment violation lists. Each match is evaluated only at
-// the one fragment seeding its attributed anchor, so the parts are
-// disjoint and sorting the concatenation reproduces the exact
-// single-node ordering.
-std::vector<Violation> MergeSorted(std::vector<std::vector<Violation>> parts) {
-  std::vector<Violation> out;
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  out.reserve(total);
-  for (auto& p : parts) {
-    out.insert(out.end(), std::make_move_iterator(p.begin()),
-               std::make_move_iterator(p.end()));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void AddStats(IncrementalStats* into, const IncrementalStats& s) {
-  into->affected_nodes += s.affected_nodes;
-  into->write_units += s.write_units;
-  into->edge_units += s.edge_units;
-  into->roots_scanned += s.roots_scanned;
-  into->matches_seen += s.matches_seen;
-  into->literal_evals += s.literal_evals;
-  into->violations_before += s.violations_before;
-  into->violations_after += s.violations_after;
-  into->groups_scanned += s.groups_scanned;
 }
 
 }  // namespace
@@ -291,8 +260,8 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
     SetError(error, "cannot create " + dir + ": " + ec.message());
     return false;
   }
-  // A committed store (single or a coordinator's master), or the journal
-  // of an older coordinator layout. A meta alone is an interrupted Init.
+  // A committed store (single or a coordinator's), or the journal of an
+  // older coordinator layout. A meta alone is an interrupted Init.
   for (const char* held : {GraphStore::kMetaFile, kLegacyJournalFile}) {
     if (fs::exists(dir + "/" + held)) {
       SetError(error, dir + " already holds a store or a coordinator");
@@ -302,141 +271,45 @@ bool Coordinator::Init(const std::string& dir, const PropertyGraph& g,
   Fragmentation frag = VertexCutPartition(g, fragments);
   Partition p = std::move(frag.partition);
   p.halo_radius = halo_radius;
-  // The owner table first, the master second: its store.meta commits the
+  // The owner table first, the store second: its store.meta commits the
   // directory.
-  return WriteMeta(dir, p, error) && GraphStore::Init(dir, g, error);
+  return WritePartition(dir, p, error) && GraphStore::Init(dir, g, error);
 }
 
 std::optional<Coordinator> Coordinator::Open(const std::string& dir,
                                              const CoordinatorOptions& opts,
                                              std::string* error) {
   MetaData meta;
-  if (!ParseMeta(dir + "/" + kMetaFile, &meta, error)) return std::nullopt;
+  if (!ParseMeta(dir + "/" + kPartitionFile, &meta, error)) {
+    return std::nullopt;
+  }
   if (fs::exists(dir + "/" + kLegacyJournalFile) &&
       !ConvertLegacyLayout(dir, meta, error)) {
     return std::nullopt;
   }
-  Coordinator c;
-  c.dir_ = dir;
-  c.master_ = GraphStore::Open(dir, opts.store, error);
-  if (!c.master_) return std::nullopt;
-  if (meta.partition.node_owner.size() != c.view().NumNodes()) {
+  auto store = GraphStore::Open(dir, opts.store, error);
+  if (!store) return std::nullopt;
+  if (meta.partition.node_owner.size() != store->view().NumNodes()) {
     SetError(error, "partition owner table does not match the graph");
     return std::nullopt;
   }
-  c.partition_ = std::move(meta.partition);
-  c.cluster_ = std::make_unique<Cluster>(c.partition_.num_fragments);
-  c.stats_.seeds.assign(c.partition_.num_fragments, 0);
+  Coordinator c(std::move(*store));
+  c.SpreadOver(std::move(meta.partition));
   return c;
-}
-
-std::optional<uint64_t> Coordinator::Append(std::string_view delta_tsv,
-                                            std::string* error) {
-  auto seq = master_->Append(delta_tsv, error);
-  if (seq) ++stats_.batches;
-  return seq;
-}
-
-std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
-    const ViolationEngine& engine, std::string_view delta_tsv,
-    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  const uint32_t radius = engine.MaxPatternRadius();
-  if (radius > partition_.halo_radius) {
-    SetError(error, "rule pattern radius " + std::to_string(radius) +
-                        " exceeds the partition halo radius " +
-                        std::to_string(partition_.halo_radius) +
-                        "; re-init the coordinator with a larger radius");
-    return std::nullopt;
-  }
-  auto batch = master_->live().Parse(delta_tsv, error);
-  if (!batch) return std::nullopt;
-  // The master validates the batch and writes its record, and the
-  // record's fsync runs beside the step; an invalid batch never reaches
-  // the log.
-  const auto seq = master_->Stage(*batch, delta_tsv, error);
-  if (!seq) return std::nullopt;
-  // Everything below `route` reads the pre-batch view: the anchors, by
-  // its degrees, so every backend serving this stream picks the same
-  // ones; the step's units, planned once; and each fragment's seeds.
-  const BatchFootprint footprint = BatchFootprint::Of(batch->ops, view());
-  StopwatchNs route_watch;
-  const StepPlan plan = PlanServedStep(engine, view(), footprint, *seq);
-  const std::vector<std::vector<NodeId>> seeds =
-      PlanSeeds(partition_, view(), batch->ops, footprint.anchors,
-                plan.anchor_costs(), radius);
-  const std::vector<StepPlan> shares = plan.Split(seeds);
-  if (obs::TraceLog* trace = obs::ActiveTrace()) {
-    trace->Emit("route", {{"seq", *seq}, {"anchors", footprint.anchors.size()}},
-                static_cast<int64_t>(route_watch.ElapsedNs()));
-  }
-
-  // The master's absorb is the step's one apply, between the fragments'
-  // two sides.
-  auto absorb = [&] {
-    master_->Absorb(*batch);
-    return true;
-  };
-  auto each_fragment = [this](const std::function<void(size_t)>& side) {
-    cluster_->RunStep(side);
-  };
-  const std::vector<StepSides> sides =
-      *engine.DetectStep(view(), footprint, shares, absorb, opts,
-                         each_fragment);
-
-  // The seeds partition the anchors, so the per-fragment added and
-  // removed lists partition the step diff, and merging them reproduces
-  // the single-node step diff record for record.
-  IncrementalDiff diff;
-  {
-    obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-    std::vector<std::vector<Violation>> added;
-    std::vector<std::vector<Violation>> removed;
-    for (size_t f = 0; f < sides.size(); ++f) {
-      const StepSides& side = sides[f];
-      if (obs::TraceLog* trace = obs::ActiveTrace()) {
-        trace->Emit("detect",
-                    {{"seq", *seq},
-                     {"fragment", f},
-                     {"anchors", seeds[f].size()},
-                     {"write_units", side.stats.write_units},
-                     {"edge_units", side.stats.edge_units},
-                     {"matches", side.stats.matches_seen}},
-                    static_cast<int64_t>(side.detect_ns));
-      }
-      IncrementalDiff part = StepDiff(side);
-      added.push_back(std::move(part.added));
-      removed.push_back(std::move(part.removed));
-      AddStats(&diff.stats, part.stats);
-    }
-    diff.added = MergeSorted(std::move(added));
-    diff.removed = MergeSorted(std::move(removed));
-    // The master's view absorbed the batch; the payload renders against
-    // it, as it would against MaterializeCurrent().
-    diff.payload = RenderServedPayload(view(), engine.rules(), diff, *seq);
-  }
-  // Nothing leaves the step before the master's record is durable.
-  if (!master_->Commit(error)) return std::nullopt;
-  ++stats_.batches;
-  for (size_t f = 0; f < sides.size(); ++f) {
-    stats_.seeds[f] += seeds[f].size();
-    FragmentMatches(f).Inc(sides[f].stats.matches_seen);
-  }
-  if (seq_out) *seq_out = *seq;
-  return diff;
 }
 
 std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
                                                uint32_t to_fragment,
                                                std::string* error) {
-  if (node >= partition_.node_owner.size()) {
+  if (node >= partition_->node_owner.size()) {
     SetError(error, "rebalance: node id out of range");
     return std::nullopt;
   }
-  if (to_fragment >= partition_.num_fragments) {
+  if (to_fragment >= partition_->num_fragments) {
     SetError(error, "rebalance: fragment id out of range");
     return std::nullopt;
   }
-  if (partition_.node_owner[node] == to_fragment) {
+  if (partition_->node_owner[node] == to_fragment) {
     SetError(error, "rebalance: node already owned by fragment " +
                         std::to_string(to_fragment));
     return std::nullopt;
@@ -445,64 +318,31 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
                                    {{"node", node}, {"to", to_fragment}});
   // The graph (hence the violation set) is unchanged; carry the running
   // count across the consumed sequence number.
-  const std::optional<MetaCount> carried = master_->count();
+  const std::optional<MetaCount> carried = count();
   // The owner table first, its batch second: Open reads the table from
   // the meta, so a recovered rebalance seq always comes with the new
   // table.
-  Partition moved = partition_;
+  Partition moved = *partition_;
   moved.node_owner[node] = to_fragment;
-  if (!WriteMeta(dir_, moved, error)) {
+  if (!WritePartition(dir(), moved, error)) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
   partition_ = std::move(moved);
-  // An empty batch: the master numbers the rebalance like any batch, and
+  // An empty batch: the store numbers the rebalance like any batch, and
   // replay absorbs nothing for it.
-  auto seq = master_->Append("", error);
+  auto seq = Append("", error);
   if (!seq) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
   rebalance_timer.AddField("seq", *seq);
-  ++stats_.rebalances;
   RebalancesTotal().Inc();
-  if (carried && !master_->SetViolationCount(carried->count,
-                                             carried->fingerprint, error)) {
+  if (carried &&
+      !SetViolationCount(carried->count, carried->fingerprint, error)) {
     return std::nullopt;
   }
   return seq;
-}
-
-bool Coordinator::ShouldCompact() const { return master_->ShouldCompact(); }
-
-bool Coordinator::Compact(std::string* error) {
-  return master_->Compact(error);
-}
-
-bool Coordinator::MaybeCompact(std::string* error) {
-  return master_->MaybeCompact(error);
-}
-
-std::optional<uint64_t> Coordinator::violation_count(
-    uint64_t fingerprint) const {
-  return master_->violation_count(fingerprint);
-}
-
-bool Coordinator::SetViolationCount(uint64_t count, uint64_t fingerprint,
-                                    std::string* error) {
-  return master_->SetViolationCount(count, fingerprint, error);
-}
-
-PropertyGraph Coordinator::MaterializeCurrent() const {
-  return master_->MaterializeCurrent();
-}
-
-ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {
-  ServingMetricsSnapshot snap = master_->MetricsSnapshot();
-  snap.fragments = partition_.num_fragments;
-  snap.batches = stats_.batches;
-  snap.rebalances = stats_.rebalances;
-  return snap;
 }
 
 }  // namespace gfd

@@ -85,46 +85,6 @@ std::string MetaCountLine(const MetaCount& c);
 /// -- the caller re-seeds with a full scan).
 std::optional<MetaCount> ParseMetaCountFields(std::istream& in);
 
-/// In-memory running-count state with the shared validity rule: a count
-/// is served only at the exact sequence it was taken and under the same
-/// rule-set fingerprint -- a replay landing elsewhere, an append nobody
-/// folded back in, or a different rule set all read as "absent".
-class RunningCount {
- public:
-  /// The count under `fingerprint`, valid at exactly `seq`.
-  std::optional<uint64_t> Get(uint64_t seq, uint64_t fingerprint) const {
-    if (count_ && seq_ == seq && fingerprint_ == fingerprint) return count_;
-    return std::nullopt;
-  }
-
-  void Set(uint64_t count, uint64_t seq, uint64_t fingerprint) {
-    count_ = count;
-    seq_ = seq;
-    fingerprint_ = fingerprint;
-  }
-
-  /// An append outdates the count until a caller sets the post-batch
-  /// one (SetViolationCount).
-  void Invalidate() { count_.reset(); }
-
-  /// Adopts a persisted record iff it was taken at exactly `seq` (the
-  /// sequence recovery replayed to).
-  void Restore(const std::optional<MetaCount>& c, uint64_t seq) {
-    if (c && c->seq == seq) Set(c->count, c->seq, c->fingerprint);
-  }
-
-  /// The record to persist while valid at `seq`, else nullopt.
-  std::optional<MetaCount> Persisted(uint64_t seq) const {
-    if (count_ && seq_ == seq) return MetaCount{*count_, seq_, fingerprint_};
-    return std::nullopt;
-  }
-
- private:
-  std::optional<uint64_t> count_;
-  uint64_t seq_ = 0;
-  uint64_t fingerprint_ = 0;
-};
-
 }  // namespace gfd
 
 #endif  // GFD_SERVE_DURABLE_IO_H_

@@ -1,8 +1,10 @@
 #include "serve/graph_store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <sstream>
 #include <system_error>
@@ -83,24 +85,8 @@ std::string SaveGraphString(const PropertyGraph& g) {
   return std::move(os).str();
 }
 
-// The single-store step diff of a batch with footprint `fp` on `view`,
-// the state just before it, planned as `plan`: both sides of DetectStep
-// around `apply`, which must absorb the batch into the graph behind
-// `view`. One share: the single store is a coordinator of one fragment,
-// whose seeds are every anchor.
-std::optional<StepSides> SingleStoreStep(const ViolationEngine& engine,
-                                         const GraphView& view,
-                                         const BatchFootprint& fp,
-                                         const StepPlan& plan,
-                                         const std::function<bool()>& apply,
-                                         const IncrementalOptions& opts) {
-  auto sides = engine.DetectStep(view, fp, std::span(&plan, 1), apply, opts);
-  if (!sides) return std::nullopt;
-  return std::move(sides->front());
-}
-
-}  // namespace
-
+// The step's plan on `pre`, the view just before the batch with
+// footprint `fp`, traced as `plan` (inside `route`).
 StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
                         const BatchFootprint& fp, uint64_t seq) {
   obs::ScopedTimer timer(nullptr, "plan", {{"seq", seq}});
@@ -110,6 +96,8 @@ StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
   return plan;
 }
 
+// The feed payload of `diff` on `post`, the view just after the batch,
+// traced as `render` (inside `merge`).
 std::string RenderServedPayload(const GraphView& post,
                                 std::span<const Gfd> rules,
                                 const IncrementalDiff& diff, uint64_t seq) {
@@ -119,6 +107,38 @@ std::string RenderServedPayload(const GraphView& post,
   timer.AddField("bytes", payload.size());
   return payload;
 }
+
+// Merges the shares' violation lists, each sorted (StepDiff). Each match
+// is evaluated only at the one share seeding its attributed anchor, so
+// the parts are disjoint and sorting the concatenation reproduces the
+// one-share ordering; a single part is that ordering already.
+std::vector<Violation> MergeSorted(std::vector<std::vector<Violation>> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  std::vector<Violation> out;
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  out.reserve(total);
+  for (auto& p : parts) {
+    out.insert(out.end(), std::make_move_iterator(p.begin()),
+               std::make_move_iterator(p.end()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void AddStats(IncrementalStats* into, const IncrementalStats& s) {
+  into->affected_nodes += s.affected_nodes;
+  into->write_units += s.write_units;
+  into->edge_units += s.edge_units;
+  into->roots_scanned += s.roots_scanned;
+  into->matches_seen += s.matches_seen;
+  into->literal_evals += s.literal_evals;
+  into->violations_before += s.violations_before;
+  into->violations_after += s.violations_after;
+  into->groups_scanned += s.groups_scanned;
+}
+
+}  // namespace
 
 std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      uint64_t anchor, LiveGraph& live,
@@ -225,8 +245,9 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   // The persisted count is trusted only when it was taken at exactly the
   // state replay reconstructed: a torn tail (count ahead) or appends that
   // never folded their diff back in (count behind) both invalidate it.
-  store.count_.Restore(count, store.stats_.last_seq);
+  if (count && count->seq == store.stats_.last_seq) store.count_ = count;
   store.meta_count_ = count;
+  store.stats_.seeds.assign(1, 0);
 
   // Self-heal: drop pre-anchor records and clean tmp/orphan snapshots.
   if (store.stats_.skipped_batches > 0) {
@@ -317,26 +338,25 @@ std::optional<uint64_t> GraphStore::LogBatch(const GraphDelta& batch,
 void GraphStore::Advance(uint64_t seq) {
   stats_.last_seq = seq;
   StoreAppendsTotal().Inc();
-  // The batch changed the graph; the count is stale until a caller
-  // persists the post-batch count via SetViolationCount.
-  count_.Invalidate();
 }
 
 std::optional<uint64_t> GraphStore::violation_count(
     uint64_t fingerprint) const {
-  return count_.Get(stats_.last_seq, fingerprint);
+  const std::optional<MetaCount> c = count();
+  if (c && c->fingerprint == fingerprint) return c->count;
+  return std::nullopt;
 }
 
 bool GraphStore::SetViolationCount(uint64_t count, uint64_t fingerprint,
                                    std::string* error) {
-  count_.Set(count, stats_.last_seq, fingerprint);
+  count_ = MetaCount{count, stats_.last_seq, fingerprint};
   ViolationsRunning().Set(static_cast<double>(count));
   return WriteMeta(stats_.anchor_seq, snapshot_file_, error);
 }
 
 bool GraphStore::WriteMeta(uint64_t anchor, const std::string& snapshot_file,
                            std::string* error) {
-  const std::optional<MetaCount> count = count_.Persisted(stats_.last_seq);
+  const std::optional<MetaCount> count = this->count();
   if (!AtomicWriteFile((fs::path(dir_) / kMetaFile).string(),
                        MetaContent(anchor, snapshot_file, count), error)) {
     return false;
@@ -423,7 +443,7 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   ServingMetricsSnapshot snap;
   snap.anchor_seq = stats_.anchor_seq;
   snap.last_seq = stats_.last_seq;
-  snap.fragments = 1;
+  snap.fragments = partition_ ? partition_->num_fragments : 1;
   snap.replayed_batches = stats_.replayed_batches;
   snap.skipped_batches = stats_.skipped_batches;
   snap.overlay_ops = overlay().ops.size();
@@ -432,43 +452,100 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   return snap;
 }
 
+void GraphStore::SpreadOver(Partition partition) {
+  cluster_ = std::make_unique<Cluster>(partition.num_fragments);
+  stats_.seeds.assign(partition.num_fragments, 0);
+  partition_ = std::move(partition);
+}
+
 std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
+  const uint32_t radius = engine.MaxPatternRadius();
+  if (partition_ && radius > partition_->halo_radius) {
+    SetError(error, "rule pattern radius " + std::to_string(radius) +
+                        " exceeds the partition halo radius " +
+                        std::to_string(partition_->halo_radius) +
+                        "; re-init the coordinator with a larger radius");
+    return std::nullopt;
+  }
   // Parse, then stage: the batch is validated and its record written, and
   // the record's fsync runs on the log's syncer while the step computes.
   auto batch = live_->Parse(delta_tsv, error);
   if (!batch) return std::nullopt;
   const auto seq = Stage(*batch, delta_tsv, error);
   if (!seq) return std::nullopt;
-  // The step diff anchors at what this batch touches: its ops in the
-  // live view's id space, and that view's pre-batch degrees to pick each
-  // edge op's endpoint. The same parsed batch is absorbed into the view
-  // object the after side reads.
+  // The route reads the pre-batch view: the anchors, by its degrees, so
+  // every backend serving this stream picks the same ones; the step's
+  // units, planned once; and, over a partition, each fragment's seeds,
+  // whose units make its share, each side of which runs as one Cluster
+  // step. A single store runs the whole plan as one share, inline.
   const BatchFootprint fp = BatchFootprint::Of(batch->ops, view());
+  std::vector<StepPlan> shares;
+  ViolationEngine::ShareRunner each_share;
+  {
+    obs::ScopedTimer route_timer(
+        nullptr, "route", {{"seq", *seq}, {"anchors", fp.anchors.size()}});
+    StepPlan plan = PlanServedStep(engine, view(), fp, *seq);
+    if (partition_) {
+      const std::vector<std::vector<NodeId>> seeds =
+          PlanSeeds(*partition_, view(), batch->ops, fp.anchors,
+                    plan.anchor_costs(), radius);
+      shares = plan.Split(seeds);
+      each_share = [this](const std::function<void(size_t)>& side) {
+        cluster_->RunStep(side);
+      };
+    } else {
+      shares.push_back(std::move(plan));
+    }
+  }
+  // The absorb is the step's one apply, between the shares' two sides.
   auto absorb = [&] {
     Absorb(*batch);
     return true;
   };
-  obs::ScopedTimer detect_timer(nullptr, "detect", {{"seq", *seq}});
-  const StepPlan plan = PlanServedStep(engine, view(), fp, *seq);
-  const StepSides step =
-      *SingleStoreStep(engine, view(), fp, plan, absorb, opts);
-  detect_timer.AddField("anchors", fp.anchors.size());
-  detect_timer.AddField("write_units", step.stats.write_units);
-  detect_timer.AddField("edge_units", step.stats.edge_units);
-  detect_timer.AddField("matches", step.stats.matches_seen);
-  detect_timer.StopNs();
+  const std::vector<StepSides> sides =
+      *engine.DetectStep(view(), fp, shares, absorb, opts, each_share);
+  if (obs::TraceLog* trace = obs::ActiveTrace()) {
+    for (size_t f = 0; f < sides.size(); ++f) {
+      const IncrementalStats& s = sides[f].stats;
+      trace->Emit("detect",
+                  {{"seq", *seq},
+                   {"fragment", f},
+                   {"anchors", s.affected_nodes},
+                   {"write_units", s.write_units},
+                   {"edge_units", s.edge_units},
+                   {"matches", s.matches_seen}},
+                  static_cast<int64_t>(sides[f].detect_ns));
+    }
+  }
+
+  // The seeds partition the anchors, so the shares' added and removed
+  // lists partition the step diff, and merging them reproduces the
+  // one-share step diff record for record.
   IncrementalDiff diff;
   {
     obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-    diff = StepDiff(step);
+    std::vector<std::vector<Violation>> added;
+    std::vector<std::vector<Violation>> removed;
+    for (const StepSides& side : sides) {
+      IncrementalDiff part = StepDiff(side);
+      added.push_back(std::move(part.added));
+      removed.push_back(std::move(part.removed));
+      AddStats(&diff.stats, part.stats);
+    }
+    diff.added = MergeSorted(std::move(added));
+    diff.removed = MergeSorted(std::move(removed));
     // The live view is now the post-batch state: the feed payload renders
     // against it, byte-identical to rendering against a materialization.
     diff.payload = RenderServedPayload(view(), engine.rules(), diff, *seq);
   }
   // Nothing leaves the step before its record is durable.
   if (!Commit(error)) return std::nullopt;
+  for (size_t f = 0; f < sides.size(); ++f) {
+    stats_.seeds[f] += sides[f].stats.affected_nodes;
+    FragmentMatches(f).Inc(sides[f].stats.matches_seen);
+  }
   if (seq_out) *seq_out = *seq;
   return diff;
 }
@@ -501,10 +578,10 @@ bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
     }
     const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());
     const StepPlan plan = engine.PlanStep(scratch.view(), fp);
-    auto step =
-        SingleStoreStep(engine, scratch.view(), fp, plan, absorb, opts);
-    if (!step) return false;
-    IncrementalDiff diff = StepDiff(*step);
+    auto sides = engine.DetectStep(scratch.view(), fp, std::span(&plan, 1),
+                                   absorb, opts);
+    if (!sides) return false;
+    IncrementalDiff diff = StepDiff(sides->front());
     diff.payload = SerializeDiffPayload(scratch.view(), engine.rules(), diff);
     if (!visit(rec.seq, std::move(diff))) return false;
   }

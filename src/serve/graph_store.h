@@ -29,21 +29,21 @@
 // appends in three steps: Stage validates the batch, writes its record
 // and hands the fsync to the log's syncer thread; Absorb, the step's one
 // apply between its two sides, takes the batch into the view; Commit
-// waits for the fsync. AppendAndDiff runs parse, Stage, the footprint
-// and the step's plan, the before side, Absorb, the after side, the
-// merge and the payload render (against the live post-batch view), and
-// Commit last: nothing leaves the step before its record is durable.
-// When the fsync fails, Commit retracts the record from the log and
-// rolls the graph back to its mark, and AppendAndDiff fails with an
-// error starting kNotDurableError: no seq is consumed.
+// waits for the fsync. AppendAndDiff runs parse, Stage, the footprint,
+// the route (the step's plan, split into shares), each share's before
+// side, Absorb, each share's after side, the merge and the payload
+// render (against the live post-batch view), and Commit last: nothing
+// leaves the step before its record is durable. When the fsync fails,
+// Commit retracts the record from the log and rolls the graph back to
+// its mark, and AppendAndDiff fails with an error starting
+// kNotDurableError: no seq is consumed.
 //
-// A store is both backends' durable graph: a single-node server serves
-// it directly, and a coordinator (serve/coordinator.h) hosts its global
-// graph as one, its master, in the coordinator's own directory beside
-// the owner table -- staging each batch before its fragments' step,
-// absorbing it between their two sides and committing it after the
-// merge, compacting through Compact, and keeping its running violation
-// count here.
+// A coordinator (serve/coordinator.h) is a store with a partition: the
+// same directory and step, plus an owner table that spreads each step's
+// shares over vertex-cut fragments run as the workers of one Cluster. A
+// store without one -- a single-node server's -- runs its whole plan as
+// one share, inline. Which of the two answers is the step's only
+// branch.
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
@@ -63,6 +63,7 @@
 #define GFD_SERVE_GRAPH_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,6 +74,8 @@
 #include "graph/graph_view.h"
 #include "graph/live_graph.h"
 #include "graph/property_graph.h"
+#include "parallel/cluster.h"
+#include "parallel/fragment.h"
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
 #include "serve/serving_store.h"
@@ -113,17 +116,6 @@ std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      const std::string& source,
                                      std::string* error = nullptr);
 
-/// The two stages of a served step that both backends trace by seq:
-/// PlanStep as a `plan` span (write_units, edge_units) -- inside `detect`
-/// on a single store, inside `route` on a coordinator's master -- and
-/// SerializeDiffPayload (serve/changefeed.h) on the post-batch view as a
-/// `render` span (lines, bytes) inside `merge`.
-StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
-                        const BatchFootprint& fp, uint64_t seq);
-std::string RenderServedPayload(const GraphView& post,
-                                std::span<const Gfd> rules,
-                                const IncrementalDiff& diff, uint64_t seq);
-
 struct GraphStoreStats {
   uint64_t anchor_seq = 0;       ///< snapshot includes batches through this
   uint64_t last_seq = 0;         ///< last applied batch (0 = none yet)
@@ -131,9 +123,12 @@ struct GraphStoreStats {
   size_t skipped_batches = 0;    ///< at/below anchor, dropped on Open
   uint64_t truncated_bytes = 0;  ///< corrupt log tail cut on Open
   size_t compactions = 0;        ///< snapshot rolls this session
+  /// Per share of the step -- the one share of a single store, or each
+  /// fragment of a partition -- the anchors it seeded this session.
+  std::vector<uint64_t> seeds;
 };
 
-class GraphStore final : public ServingStore {
+class GraphStore : public ServingStore {
  public:
   /// The commit record's file name: a directory holds a store iff it
   /// holds this file.
@@ -222,7 +217,8 @@ class GraphStore final : public ServingStore {
   /// nullopt: what a caller carries across a batch it knows leaves the
   /// violation set unchanged.
   std::optional<MetaCount> count() const {
-    return count_.Persisted(stats_.last_seq);
+    if (count_ && count_->seq == stats_.last_seq) return count_;
+    return std::nullopt;
   }
 
   /// The count store.meta holds, at whatever seq it was taken.
@@ -243,28 +239,42 @@ class GraphStore final : public ServingStore {
   PropertyGraph MaterializeCurrent() const override;
 
   /// One serving step: appends `delta_tsv` and returns the violation diff
-  /// of exactly this batch. ViolationEngine::DetectStep runs on the live
-  /// view just before and just after the absorb, anchored at the batch's
-  /// attribute targets and the lower-degree endpoint of each edge op, so
-  /// the cost tracks the batch, not the overlay or a hub it touches. The
-  /// batch is parsed once; the diff's payload is rendered against the
-  /// live post-batch view, with no materialization. The record's fsync
-  /// runs beside the step, and the diff is returned only once it is
-  /// durable (Stage, Absorb, Commit).
+  /// of exactly this batch. The step's units are planned once on the
+  /// live view just before the absorb, anchored at the batch's attribute
+  /// targets and the lower-degree endpoint of each edge op, so the cost
+  /// tracks the batch, not the overlay or a hub it touches; over a
+  /// partition they are split by the anchors the store seeds at each
+  /// fragment (PlanSeeds). ViolationEngine::DetectStep runs every share's
+  /// two sides around the one absorb, and the shares' diffs merge into
+  /// the diff. The batch is parsed once; the diff's payload is rendered
+  /// against the live post-batch view, with no materialization. The
+  /// record's fsync runs beside the step, and the diff is returned only
+  /// once it is durable (Stage, Absorb, Commit). Over a partition, errors
+  /// out (before anything is appended) when the engine's
+  /// MaxPatternRadius exceeds the halo radius.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
       std::string* error = nullptr) override;
 
   /// Re-derivation from this store's snapshot and log (see
-  /// ServingStore::Restep): a coordinator answers through its master.
+  /// ServingStore::Restep), one share per batch whatever the partition.
   bool Restep(const ViolationEngine& engine, uint64_t after_seq,
               const RestepVisitor& visit, const IncrementalOptions& opts = {},
               std::string* error = nullptr) const override;
 
   /// Unified telemetry snapshot (mirrors stats() plus the live overlay
-  /// size; distributed-only fields stay zero).
+  /// size and the fragment count).
   ServingMetricsSnapshot MetricsSnapshot() const override;
+
+ protected:
+  /// Spreads every later step over `partition`'s fragments, one Cluster
+  /// worker each (Coordinator::Open).
+  void SpreadOver(Partition partition);
+
+  /// The vertex-cut ownership and halo radius the step spreads over, as
+  /// coordinator.meta holds them; nullopt for a single store.
+  std::optional<Partition> partition_;
 
  private:
   GraphStore() = default;
@@ -297,11 +307,16 @@ class GraphStore final : public ServingStore {
   };
   std::optional<Staged> staged_;
   GraphStoreStats stats_;
-  // Running violation count (serve/durable_io.h holds the shared
-  // validity rule: valid only at the exact sequence it was taken).
-  RunningCount count_;
-  // What store.meta's count line holds, at whatever seq.
+  // Running violation count, valid only while its seq is last_seq() --
+  // last_seq() only grows, so an append outdates it -- and only under its
+  // fingerprint.
+  std::optional<MetaCount> count_;
+  // What store.meta's count line holds, at whatever seq: after a failed
+  // meta write it differs from count_.
   std::optional<MetaCount> meta_count_;
+  // Master + one worker per fragment of partition_; null for a single
+  // store.
+  std::unique_ptr<Cluster> cluster_;
 };
 
 }  // namespace gfd

@@ -49,10 +49,13 @@ obs::Histogram& FeedPublishLatency();
 /// (gfd_feed_rederived_total).
 obs::Counter& FeedRederivedTotal();
 
-// ---- coordinator ----
-/// Matches fragment `f`'s step diffs enumerated, both sides
-/// (gfd_fragment_matches_total{fragment="<f>"}).
+// ---- serving step ----
+/// Matches share `f` of the serving step enumerated, both sides: fragment
+/// f's over a partition, and the whole step's as fragment 0 on a single
+/// store (gfd_fragment_matches_total{fragment="<f>"}).
 obs::Counter& FragmentMatches(size_t f);
+
+// ---- coordinator ----
 obs::Counter& RebalancesTotal();     ///< gfd_rebalances_total
 obs::Histogram& RebalanceLatency();  ///< gfd_rebalance_seconds
 

@@ -3,18 +3,18 @@
 // A ServingStore is "a durable graph you can append update batches to,
 // ask for per-batch violation diffs, compact, and materialize":
 //
-//   GraphStore   (serve/graph_store.h)  -- single node: snapshot + log
-//   Coordinator  (serve/coordinator.h)  -- distributed: the same store of
-//                the global graph (its master) plus an owner table,
-//                each batch's detection spread over vertex-cut fragments
-//                behind the same verbs
+//   GraphStore   (serve/graph_store.h)  -- snapshot + log, and the one
+//                serving step, AppendAndDiff
+//   Coordinator  (serve/coordinator.h)  -- a GraphStore with a partition:
+//                an owner table over vertex-cut fragments that each
+//                step's shares spread over
 //
 // `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
 // and the oracle tests drive either backend through this interface, and
-// the serving step itself -- append, diff, maintain the running
-// violation count, classify -- is the one free function ServeStep below;
-// whether one store or N fragments answer is a deployment choice,
-// not a code path.
+// the front ends' step -- append, diff, maintain the running violation
+// count, classify -- is the one free function ServeStep below. Whether
+// one store or N fragments answer is a deployment choice, not a code
+// path: the store's step branches only on whether it has a partition.
 #ifndef GFD_SERVE_SERVING_STORE_H_
 #define GFD_SERVE_SERVING_STORE_H_
 
@@ -30,12 +30,10 @@
 
 namespace gfd {
 
-/// One unified telemetry snapshot both backends report through --
-/// replaces querying GraphStoreStats and CoordinatorStats separately.
-/// Distributed-only fields are zero for a single store; `fragments` is 1
-/// there. The recovery and compaction fields describe the one durable
-/// graph -- a coordinator's master GraphStore -- so `overlay_ops` is its
-/// pending (un-compacted) delta ops and `compactions` its rounds.
+/// One unified telemetry snapshot both backends report through.
+/// `fragments` is 1 for a single store. The recovery and compaction
+/// fields describe the one durable graph, so `overlay_ops` is its pending
+/// (un-compacted) delta ops and `compactions` its rounds.
 struct ServingMetricsSnapshot {
   uint64_t anchor_seq = 0;
   uint64_t last_seq = 0;
@@ -45,9 +43,6 @@ struct ServingMetricsSnapshot {
   size_t overlay_ops = 0;
   uint64_t truncated_bytes = 0;
   size_t compactions = 0;
-  // Distributed (Coordinator) only.
-  size_t batches = 0;
-  size_t rebalances = 0;
 };
 
 /// Receives one re-derived serving step (ServingStore::Restep): the

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -786,6 +787,128 @@ TEST(Coordinator, AppendAndDiffSpreadsTheSeedsOffTheOwners) {
   EXPECT_EQ(seeded_total, seeds.route);
   EXPECT_NE(seeds.detect, owned) << "some anchor is seeded off its owner";
   EXPECT_LE(skew(seeds.detect), 1.5);
+}
+
+// One step span of a trace line: its stage and its numeric fields
+// (ts_ns and dur_ns included).
+struct StepSpan {
+  std::string stage;
+  std::map<std::string, uint64_t> fields;
+};
+
+bool IsStepStage(const std::string& stage) {
+  return stage == "route" || stage == "plan" || stage == "detect" ||
+         stage == "merge" || stage == "render" || stage == "sync_wait";
+}
+
+// The spans of a trace's serving steps -- route, plan, detect, merge,
+// render and sync_wait -- in the order they were emitted. A line reads
+// {"ts_ns":1,"stage":"detect","dur_ns":2,"seq":3,...}.
+std::vector<StepSpan> StepSpans(const std::string& text) {
+  std::vector<StepSpan> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    StepSpan span;
+    std::istringstream pairs(line.substr(1, line.size() - 2));
+    for (std::string pair; std::getline(pairs, pair, ',');) {
+      const size_t colon = pair.find(':');
+      const std::string key = pair.substr(1, colon - 2);
+      const std::string value = pair.substr(colon + 1);
+      if (key == "stage") {
+        span.stage = value.substr(1, value.size() - 2);
+      } else {
+        span.fields[key] = std::stoull(value);
+      }
+    }
+    if (IsStepStage(span.stage)) out.push_back(std::move(span));
+  }
+  return out;
+}
+
+// Both backends run one step and trace it in one shape: per seq, a
+// `route` holding `plan`, one `detect` per share (fragment 0 alone on a
+// single store) whose anchors sum to the route's, a `merge` holding
+// `render`, then the `sync_wait` for the record's fsync.
+TEST(ServingStep, BothBackendsTraceOneShape) {
+  auto g = MakeSynthetic({.nodes = 200,
+                          .edges = 600,
+                          .node_labels = 5,
+                          .edge_labels = 4,
+                          .attrs = 3,
+                          .values = 15,
+                          .value_correlation = 0.9,
+                          .seed = 23});
+  ViolationEngine engine(GenerateGfdSet(g, {.count = 12, .k = 3, .seed = 9}));
+  ASSERT_LE(engine.MaxPatternRadius(), 3u);
+  Rng rng(11);
+  const std::string batch = DeltaBytes(g, RandomBatch(g, rng, 40));
+
+  std::string single_dir = Scratch("trace_shape_single");
+  std::string coord_dir = Scratch("trace_shape_coord");
+  ASSERT_TRUE(GraphStore::Init(single_dir, g));
+  ASSERT_TRUE(Coordinator::Init(coord_dir, g, 2, /*halo_radius=*/3));
+  auto single = GraphStore::Open(single_dir);
+  auto coord = Coordinator::Open(coord_dir);
+  ASSERT_TRUE(single.has_value());
+  ASSERT_TRUE(coord.has_value());
+
+  std::vector<IncrementalDiff> diffs;
+  GraphStore* const backends[] = {&*single, &*coord};
+  for (size_t shares = 1; shares <= 2; ++shares) {
+    SCOPED_TRACE(std::to_string(shares) + " share(s)");
+    GraphStore& store = *backends[shares - 1];
+    std::optional<IncrementalDiff> diff;
+    uint64_t seq = 0;
+    std::string error;
+    std::string text;
+    {
+      ScopedTestTrace trace("trace_shape_" + std::to_string(shares));
+      diff = store.AppendAndDiff(engine, batch, {}, &seq, &error);
+      text = trace.Text();
+    }
+    ASSERT_TRUE(diff.has_value()) << error;
+    const std::vector<StepSpan> spans = StepSpans(text);
+    std::vector<std::string> stages;
+    for (const StepSpan& span : spans) stages.push_back(span.stage);
+    std::vector<std::string> want = {"plan", "route"};
+    want.insert(want.end(), shares, "detect");
+    want.insert(want.end(), {"render", "merge", "sync_wait"});
+    ASSERT_EQ(stages, want);
+    for (const StepSpan& span : spans) {
+      EXPECT_EQ(span.fields.at("seq"), seq) << span.stage;
+      EXPECT_TRUE(span.fields.contains("dur_ns")) << span.stage;
+    }
+
+    const StepSpan& plan = spans[0];
+    const StepSpan& route = spans[1];
+    const StepSpan& render = spans[2 + shares];
+    const StepSpan& merge = spans[3 + shares];
+    EXPECT_LE(plan.fields.at("dur_ns"), route.fields.at("dur_ns"));
+    EXPECT_LE(render.fields.at("dur_ns"), merge.fields.at("dur_ns"));
+    EXPECT_TRUE(plan.fields.contains("write_units"));
+    EXPECT_TRUE(plan.fields.contains("edge_units"));
+    const uint64_t anchors = route.fields.at("anchors");
+    EXPECT_GT(anchors, 0u);
+
+    uint64_t seeded = 0;
+    uint64_t matches = 0;
+    for (size_t f = 0; f < shares; ++f) {
+      const std::map<std::string, uint64_t>& detect = spans[2 + f].fields;
+      EXPECT_EQ(detect.at("fragment"), f);
+      EXPECT_TRUE(detect.contains("write_units"));
+      EXPECT_TRUE(detect.contains("edge_units"));
+      EXPECT_EQ(detect.at("anchors"), store.stats().seeds[f]);
+      seeded += detect.at("anchors");
+      matches += detect.at("matches");
+    }
+    EXPECT_EQ(seeded, anchors);
+    EXPECT_EQ(matches, diff->stats.matches_seen);
+    EXPECT_GT(matches, 0u);
+    diffs.push_back(std::move(*diff));
+  }
+  EXPECT_EQ(diffs[0].added, diffs[1].added);
+  EXPECT_EQ(diffs[0].removed, diffs[1].removed);
+  EXPECT_EQ(diffs[0].payload, diffs[1].payload);
 }
 
 TEST(Coordinator, PartitionedFootprintIsReplicationTimesGNotNTimesG) {

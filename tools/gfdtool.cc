@@ -937,6 +937,19 @@ std::optional<Coordinator> OpenCoordinator(const char* dir,
   return coord;
 }
 
+// Opens whichever backend lives at `dir` -- a coordinator when it holds
+// coordinator.meta, else a single store -- as OpenCoordinator and
+// OpenStore do.
+std::unique_ptr<GraphStore> OpenBackend(const char* dir,
+                                        const GraphStoreOptions& opts) {
+  if (std::ifstream(std::string(dir) + "/coordinator.meta").good()) {
+    auto coord = OpenCoordinator(dir, {.store = opts});
+    return coord ? std::make_unique<Coordinator>(std::move(*coord)) : nullptr;
+  }
+  auto store = OpenStore(dir, opts);
+  return store ? std::make_unique<GraphStore>(std::move(*store)) : nullptr;
+}
+
 // SIGINT/SIGTERM flag of `serve run`: the handler only sets this; the
 // main thread notices and runs the orderly shutdown (close subscriber
 // streams, stop accepting) outside signal context.
@@ -985,23 +998,10 @@ int ServeRun(int argc, char** argv) {
                  /*min=*/0)) {
     return Usage();
   }
-  std::optional<GraphStore> store;
-  std::optional<Coordinator> coord;
-  ServingStore* serving = nullptr;
-  const char* backend = nullptr;
-  if (std::ifstream(std::string(dir) + "/coordinator.meta").good()) {
-    CoordinatorOptions copts;
-    copts.store = sopts;
-    coord = OpenCoordinator(dir, copts);
-    if (!coord) return 1;
-    serving = &*coord;
-    backend = "distributed";
-  } else {
-    store = OpenStore(dir, sopts);
-    if (!store) return 1;
-    serving = &*store;
-    backend = "single";
-  }
+  const std::unique_ptr<GraphStore> serving = OpenBackend(dir, sopts);
+  if (!serving) return 1;
+  const bool distributed = dynamic_cast<const Coordinator*>(serving.get());
+  const char* backend = distributed ? "distributed" : "single";
 
   // Rules resolve against the current graph (overlay vocabulary
   // included); the materialization is a temporary, freed before Prime
@@ -1236,15 +1236,8 @@ int Serve(int argc, char** argv) {
 int Metrics(int argc, char** argv) {
   if (argc < 1) return Usage();
   const char* dir = argv[0];
-  std::optional<GraphStore> store;
-  std::optional<Coordinator> coord;
-  if (std::ifstream(std::string(dir) + "/coordinator.meta").good()) {
-    coord = OpenCoordinator(dir, CoordinatorOptions{});
-    if (!coord) return 1;
-  } else {
-    store = OpenStore(dir, GraphStoreOptions{});
-    if (!store) return 1;
-  }
+  const std::unique_ptr<GraphStore> store = OpenBackend(dir, {});
+  if (!store) return 1;
   TouchServeMetrics();
   TouchDetectMetrics();
   std::string text = obs::MetricsRegistry::Default().RenderPrometheusText();
