@@ -1,17 +1,15 @@
-// Distributed serving bench, run as a ctest entry on every CI build next
-// to bench_delta_log. On a bulk stream in perfbench's ingest_bulk shape
-// it times the single store's step (step_104x75_single) and the
-// coordinator's at fragment counts {1, 2, 4, 8} (step_104x75_f*, with the
-// skew of the fragments' evaluated matches and the residency footprint:
-// the edges inside each fragment's mask and the measured replication,
-// their sum over |E| -- what fragments holding their masks would store,
-// a small constant rather than the fragment count, while the process
-// stores the graph once). It also times the single store's step on a
-// stream in perfbench's ingest_trickle shape (step_332x8_single, every
-// diff checked against full Detect runs) and the coordinator's Open after
-// the bulk stream (open_104x75_f4_x4). Every coordinator diff is verified
-// byte-identical to the single store's. Timings land in
-// BENCH_distributed.json.
+// Distributed serving bench, run as a ctest entry on every CI build next to
+// bench_delta_log. On a bulk stream in perfbench's ingest_bulk shape it times
+// the single store's step (step_104x75_single) and the coordinator's at
+// fragment counts {1, 2, 4, 8} (step_104x75_f*, with the residency footprint:
+// the edges inside each fragment's mask and the measured replication, their sum
+// over |E| -- what fragments holding their masks would store, a small constant
+// rather than the fragment count, while the process stores the graph once). It
+// also times the single store's step on a stream in perfbench's ingest_trickle
+// shape (step_332x8_single, every diff checked against full Detect runs) and
+// the coordinator's Open after the bulk stream (open_104x75_f4_x4). Every
+// coordinator diff is verified byte-identical to the single store's. Timings
+// land in BENCH_distributed.json.
 //
 // Usage: bench_distributed [output.json]
 #include <algorithm>
@@ -31,7 +29,6 @@
 #include "graph/loader.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
-#include "serve/metrics.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -146,10 +143,8 @@ int main(int argc, char** argv) {
   // AppendAndDiff seconds, the fastest of 3 trials on fresh stores. First
   // through one GraphStore, whose first trial's diffs every later trial
   // and every coordinator must reproduce; then through coordinators at
-  // fragment counts {1, 2, 4, 8}, with fragment_matches_skew -- the
-  // largest fragment's evaluated matches over the stream divided by the
-  // mean (gfd_fragment_matches_total; 1.0 = the seeds split the work
-  // evenly) -- and the residency footprint after the stream.
+  // fragment counts {1, 2, 4, 8}, with the matches the stream's steps
+  // evaluated and the residency footprint after the stream.
   {
     ViolationEngine step_engine(
         SeqCover(SeqDis(serve_clean, ScaledConfig(serve_clean)).AllGfds()));
@@ -202,7 +197,7 @@ int main(int argc, char** argv) {
     for (size_t fragments : {1UL, 2UL, 4UL, 8UL}) {
       const std::string name = "step_104x75_f" + std::to_string(fragments);
       double best = 1e9;
-      uint64_t total = 0, most = 0;
+      uint64_t matches = 0;
       uint64_t resident_total = 0, resident_max = 0;
       size_t edges = 0;
       bool ok = true;
@@ -219,11 +214,8 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "open failed: %s\n", error.c_str());
           return 1;
         }
-        std::vector<uint64_t> matches(fragments);
-        for (size_t f = 0; f < fragments; ++f) {
-          matches[f] = FragmentMatches(f).Value();
-        }
         double s = 0;
+        matches = 0;
         for (size_t b = 0; b < stream.size(); ++b) {
           const std::string& batch = stream[b];
           WallTimer t;
@@ -236,14 +228,9 @@ int main(int argc, char** argv) {
           }
           ok = ok && diff->added == step_want[b].added &&
                diff->removed == step_want[b].removed;
+          matches += diff->stats.matches_seen;
         }
         best = std::min(best, s);
-        total = most = 0;
-        for (size_t f = 0; f < fragments; ++f) {
-          const uint64_t m = FragmentMatches(f).Value() - matches[f];
-          total += m;
-          most = std::max(most, m);
-        }
         const FragmentResidency residency = coord->residency();
         resident_total = resident_max = 0;
         for (size_t f = 0; f < fragments; ++f) {
@@ -254,14 +241,11 @@ int main(int argc, char** argv) {
         edges = coord->view().NumEdges();
       }
       verified = verified && ok;
-      double skew = 1.0;
-      if (total > 0) skew = double(most) * double(fragments) / double(total);
       const double replication = double(resident_total) / double(edges);
       std::printf("%-24s %8.3fs  %zu batches x %zu ops, %llu matches, "
-                  "fragment matches skew %.2f, %llu resident edges "
-                  "(replication %.2f), diffs %s\n",
+                  "%llu resident edges (replication %.2f), diffs %s\n",
                   name.c_str(), best, kBulkBatches, kBulkOps,
-                  static_cast<unsigned long long>(total), skew,
+                  static_cast<unsigned long long>(matches),
                   static_cast<unsigned long long>(resident_total), replication,
                   ok ? "identical" : "DIVERGED");
       rows.push_back({name,
@@ -270,8 +254,7 @@ int main(int argc, char** argv) {
                        {"halo_radius", 3.0},
                        {"batches", double(kBulkBatches)},
                        {"batch_ops", double(kBulkOps)},
-                       {"matches_enumerated", double(total)},
-                       {"fragment_matches_skew", skew},
+                       {"matches_enumerated", double(matches)},
                        {"resident_edges_total", double(resident_total)},
                        {"resident_edges_max", double(resident_max)},
                        {"replication_measured", replication},

@@ -525,14 +525,6 @@ DetectionResult ViolationEngine::Detect(const GraphView& g,
 StepPlan ViolationEngine::PlanStep(const GraphView& pre,
                                    const BatchFootprint& batch) const {
   StepPlan plan;
-  plan.seeds_ = batch.anchors.size();
-  plan.anchor_costs_.assign(batch.anchors.size(), 1);
-  auto charge = [&](NodeId anchor, uint64_t cost) {
-    const auto at = std::lower_bound(batch.anchors.begin(),
-                                     batch.anchors.end(), anchor);
-    plan.anchor_costs_[at - batch.anchors.begin()] += 1 + cost;
-  };
-
   // Every (unit, write or changed key) pair that roots work, as the
   // unit's number over the op's index: sorted, the pairs come unit by
   // unit in plan order, and each unit's ops in the batch's order. Roots
@@ -588,24 +580,20 @@ StepPlan ViolationEngine::PlanStep(const GraphView& pre,
     const uint32_t begin = static_cast<uint32_t>(
         unit.edge ? plan.pairs_.size() : plan.nodes_.size());
     if (!unit.edge) {
-      const CompiledPattern& root_plan =
-          group.plans[group.var_plan[unit.index]];
       for (; h < last; ++h) {  // writes by node
         const NodeId node = batch.writes[static_cast<uint32_t>(hits[h])].node;
         if (plan.nodes_.size() > begin && plan.nodes_.back() == node) {
           continue;
         }
         plan.nodes_.push_back(node);
-        charge(node, root_plan.RootFanout(pre, node));
       }
     } else {
-      const Group::EdgePlan& edge_plan = group.edge_plan[unit.index];
-      const CompiledPattern& root_plan = group.plans[edge_plan.plan];
+      const bool root_is_dst = group.edge_plan[unit.index].root_is_dst;
       for (; h < last; ++h) {
         const BatchFootprint::EdgeKey& k =
             batch.edges[static_cast<uint32_t>(hits[h])];
-        StepPlan::PairRoot root{k.src, k.dst, k.anchor};
-        if (edge_plan.root_is_dst) std::swap(root.first, root.second);
+        StepPlan::PairRoot root{k.src, k.dst};
+        if (root_is_dst) std::swap(root.first, root.second);
         // Keys sorted by (src, dst): parallel labels come in a row.
         if (plan.pairs_.size() > begin &&
             plan.pairs_.back().first == root.first &&
@@ -613,10 +601,6 @@ StepPlan ViolationEngine::PlanStep(const GraphView& pre,
           continue;
         }
         plan.pairs_.push_back(root);
-        charge(k.anchor, root.first == root.second
-                             ? root_plan.RootFanout(pre, root.first)
-                             : root_plan.RootFanout(pre, root.first,
-                                                    root.second));
       }
     }
     const uint32_t end = static_cast<uint32_t>(
@@ -634,48 +618,13 @@ size_t StepPlan::edge_units() const {
   return static_cast<size_t>(std::ranges::count(units_, true, &Unit::edge));
 }
 
-std::vector<StepPlan> StepPlan::Split(
-    std::span<const std::vector<NodeId>> seeds) const {
-  std::vector<std::pair<NodeId, size_t>> share_of;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    for (NodeId a : seeds[i]) share_of.emplace_back(a, i);
-  }
-  std::ranges::stable_sort(share_of, {}, &std::pair<NodeId, size_t>::first);
-  std::vector<StepPlan> shares(seeds.size());
-  for (size_t i = 0; i < seeds.size(); ++i) shares[i].seeds_ = seeds[i].size();
-  for (const Unit& unit : units_) {
-    for (uint32_t r = unit.begin; r < unit.end; ++r) {
-      const NodeId anchor = unit.edge ? pairs_[r].anchor : nodes_[r];
-      const auto it = std::ranges::lower_bound(
-          share_of, anchor, {}, &std::pair<NodeId, size_t>::first);
-      if (it == share_of.end() || it->first != anchor) continue;
-      StepPlan& share = shares[it->second];
-      const uint32_t at = static_cast<uint32_t>(
-          unit.edge ? share.pairs_.size() : share.nodes_.size());
-      if (share.units_.empty() || share.units_.back().group != unit.group ||
-          share.units_.back().index != unit.index ||
-          share.units_.back().edge != unit.edge) {
-        share.units_.push_back({unit.group, unit.index, unit.edge, at, at});
-      }
-      ++share.units_.back().end;
-      if (unit.edge) {
-        share.pairs_.push_back(pairs_[r]);
-      } else {
-        share.nodes_.push_back(nodes_[r]);
-      }
-    }
-  }
-  return shares;
-}
-
 ViolationEngine::Tally ViolationEngine::RunSide(
     const GraphView& g, const StepPlan& plan, const BatchFootprint& batch,
     const IncrementalOptions& opts) const {
-  // Attribution reads only the match and the whole footprint, so it is
-  // independent of the side, the share, the execution order and the
-  // worker count: a match is evaluated at its lowest variable that reads
-  // a written key, else at its lowest pattern edge that maps onto a
-  // changed key.
+  // Attribution reads only the match and the footprint, so it is
+  // independent of the side, the execution order and the worker count: a
+  // match is evaluated at its lowest variable that reads a written key,
+  // else at its lowest pattern edge that maps onto a changed key.
   return Tally::Merge(RunUnits(
       plan.units_.size(), opts.workers, Tally{}, [&](size_t i, Tally& tally) {
         const StepPlan::Unit& unit = plan.units_[i];
@@ -727,9 +676,8 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
     const size_t dst_degree = pre.Degree(op.dst);
     const bool src_lower = src_degree != dst_degree ? src_degree < dst_degree
                                                     : op.src < op.dst;
-    const NodeId anchor = src_lower ? op.src : op.dst;
-    fp.anchors.push_back(anchor);
-    fp.edges.push_back({op.src, op.dst, op.label, anchor});
+    fp.anchors.push_back(src_lower ? op.src : op.dst);
+    fp.edges.push_back({op.src, op.dst, op.label});
   }
   SortUnique(fp.anchors);
   SortUnique(fp.writes);
@@ -742,7 +690,7 @@ bool BatchFootprint::Wrote(NodeId v, AttrId key) const {
 }
 
 bool BatchFootprint::Changed(NodeId src, NodeId dst, LabelId label) const {
-  const EdgeKey least{src, dst, 0, 0};  // no key src -> dst sorts before it
+  const EdgeKey least{src, dst, 0};  // no key src -> dst sorts before it
   auto it = std::lower_bound(edges.begin(), edges.end(), least);
   for (; it != edges.end() && it->src == src && it->dst == dst; ++it) {
     if (LabelMatches(it->label, label)) return true;
@@ -762,79 +710,51 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
     view.ApplyAppended(batch, 0);
     return true;
   };
-  const StepPlan plan = PlanStep(view, fp);
-  auto sides = DetectStep(view, fp, std::span(&plan, 1), absorb, opts);
+  auto sides = DetectStep(view, fp, PlanStep(view, fp), absorb, opts);
   if (!sides) return std::nullopt;
-  return StepDiff(sides->front());
+  return StepDiff(*sides);
 }
 
-std::optional<std::vector<StepSides>> ViolationEngine::DetectStep(
-    const GraphView& live, const BatchFootprint& batch,
-    std::span<const StepPlan> shares, const std::function<bool()>& apply,
-    const IncrementalOptions& opts, const ShareRunner& run) const {
-  std::vector<StepSides> sides(shares.size());
-  bool seeded = false;
-  for (size_t i = 0; i < shares.size(); ++i) {
-    sides[i].stats.affected_nodes = shares[i].seeds_;
-    seeded = seeded || shares[i].seeds_ > 0;
-  }
-  if (!seeded || rules_.empty()) {
+std::optional<StepSides> ViolationEngine::DetectStep(
+    const GraphView& live, const BatchFootprint& batch, const StepPlan& plan,
+    const std::function<bool()>& apply, const IncrementalOptions& opts) const {
+  StepSides sides;
+  IncrementalStats& stats = sides.stats;
+  stats.affected_nodes = batch.anchors.size();
+  if (batch.anchors.empty() || rules_.empty()) {
     if (!apply()) return std::nullopt;
     return sides;
   }
   // Timed per side: `apply` is a durable append on the serving path.
-  std::vector<Tally> before(shares.size());
-  std::vector<Tally> after(shares.size());
-  auto run_sides = [&](std::vector<Tally>& side) {
-    const std::function<void(size_t)> one = [&](size_t i) {
-      StopwatchNs watch;
-      side[i] = RunSide(live, shares[i], batch, opts);
-      sides[i].detect_ns += watch.ElapsedNs();
-    };
-    if (run) {
-      run(one);
-    } else {
-      for (size_t i = 0; i < shares.size(); ++i) one(i);
-    }
+  auto run_side = [&] {
+    StopwatchNs watch;
+    Tally side = RunSide(live, plan, batch, opts);
+    sides.detect_ns += watch.ElapsedNs();
+    return side;
   };
-  run_sides(before);
+  Tally before = run_side();
   if (!apply()) return std::nullopt;
-  run_sides(after);
-  for (size_t i = 0; i < shares.size(); ++i) {
-    const StepPlan& share = shares[i];
-    IncrementalStats& stats = sides[i].stats;
-    for (size_t u = 0; u < share.units_.size(); ++u) {
-      if (u == 0 || share.units_[u].group != share.units_[u - 1].group) {
-        ++stats.groups_scanned;
-      }
+  Tally after = run_side();
+  for (size_t u = 0; u < plan.units_.size(); ++u) {
+    if (u == 0 || plan.units_[u].group != plan.units_[u - 1].group) {
+      ++stats.groups_scanned;
     }
-    stats.write_units = share.write_units();
-    stats.edge_units = share.edge_units();
-    sides[i].before = std::move(before[i].violations);
-    sides[i].after = std::move(after[i].violations);
-    stats.violations_before = sides[i].before.size();
-    stats.violations_after = sides[i].after.size();
-    stats.roots_scanned = before[i].pivots + after[i].pivots;
-    stats.matches_seen = before[i].matches + after[i].matches;
-    stats.literal_evals = before[i].literal_evals + after[i].literal_evals;
-    DetectIncrementalLatency().Observe(
-        static_cast<double>(sides[i].detect_ns) * 1e-9);
-    DetectGroupsScanned().Inc(stats.groups_scanned);
-    DetectMatchesEnumerated().Inc(stats.matches_seen);
-    DetectLiteralEvals().Inc(stats.literal_evals);
   }
+  stats.write_units = plan.write_units();
+  stats.edge_units = plan.edge_units();
+  sides.before = std::move(before.violations);
+  sides.after = std::move(after.violations);
+  stats.violations_before = sides.before.size();
+  stats.violations_after = sides.after.size();
+  stats.roots_scanned = before.pivots + after.pivots;
+  stats.matches_seen = before.matches + after.matches;
+  stats.literal_evals = before.literal_evals + after.literal_evals;
+  DetectIncrementalLatency().Observe(static_cast<double>(sides.detect_ns) *
+                                     1e-9);
+  DetectGroupsScanned().Inc(stats.groups_scanned);
+  DetectMatchesEnumerated().Inc(stats.matches_seen);
+  DetectLiteralEvals().Inc(stats.literal_evals);
   return sides;
-}
-
-std::optional<StepSides> ViolationEngine::DetectStep(
-    const GraphView& live, const BatchFootprint& batch,
-    std::span<const NodeId> seeds, const std::function<bool()>& apply,
-    const IncrementalOptions& opts) const {
-  const std::vector<NodeId> share(seeds.begin(), seeds.end());
-  auto sides = DetectStep(live, batch, PlanStep(live, batch).Split({&share, 1}),
-                          apply, opts);
-  if (!sides) return std::nullopt;
-  return std::move(sides->front());
 }
 
 DeltaVerdict ClassifyDelta(const IncrementalDiff& diff, uint64_t post_count) {

@@ -109,8 +109,8 @@ struct IncrementalDiff {
   IncrementalStats stats;
   /// The diff in the changefeed payload format (serve/changefeed.h),
   /// rendered against the post-batch state. Only a serving step
-  /// (ServingStore::AppendAndDiff) fills it; one-shot and per-fragment
-  /// diffs leave it empty.
+  /// (ServingStore::AppendAndDiff) fills it; one-shot diffs leave it
+  /// empty.
   std::string payload;
 };
 
@@ -120,10 +120,9 @@ struct IncrementalDiff {
 /// of its edge ops, its changed keys. A step diff roots its work units
 /// there (ViolationEngine::PlanStep). Each changed key is anchored at ONE
 /// endpoint -- the one with the smaller degree in `pre`, ties to the
-/// smaller node id -- so a batch touching a hub never roots work at the
-/// hub. The anchors are the write targets plus those endpoints: the nodes
-/// a coordinator places on fragments, each seed carrying the writes at it
-/// and the keys anchored at it.
+/// smaller node id -- so a batch touching a hub does not count the hub
+/// among its seeds. The anchors are the write targets plus those
+/// endpoints: the step's seeds.
 struct BatchFootprint {
   /// Attribute `key` of `node` was set.
   struct Write {
@@ -131,12 +130,11 @@ struct BatchFootprint {
     AttrId key = 0;
     friend auto operator<=>(const Write&, const Write&) = default;
   };
-  /// The key of an edge op, anchored at `anchor` (src or dst).
+  /// The key of an edge op.
   struct EdgeKey {
     NodeId src = kNoNode;
     NodeId dst = kNoNode;
     LabelId label = 0;
-    NodeId anchor = kNoNode;
     friend auto operator<=>(const EdgeKey&, const EdgeKey&) = default;
   };
 
@@ -169,25 +167,13 @@ struct ViolationEngineInternals;
 /// The work units of one step diff, planned once per batch on the view
 /// just before it (ViolationEngine::PlanStep): write units (group,
 /// variable) rooted at nodes and edge units (group, pattern edge) rooted
-/// at node pairs, every root anchored at one of the batch's anchors.
-/// Which units exist depends on node labels, which no batch changes, so
-/// one plan serves both sides of the step. Split cuts it into shares by
-/// anchor -- a coordinator's fragments -- that run around one apply.
+/// at node pairs, every root at one of the batch's writes or changed
+/// keys. Which units exist depends on node labels, which no batch
+/// changes, so one plan serves both sides of the step.
 class StepPlan {
  public:
   size_t write_units() const;
   size_t edge_units() const;
-
-  /// Per anchor of the batch (BatchFootprint::anchors, in its order), its
-  /// price: 1, plus per root anchored there 1 plus the candidates its
-  /// plan's first unbound step walks on the pre-batch view
-  /// (CompiledPattern::RootFanout). Empty in a share.
-  std::span<const uint64_t> anchor_costs() const { return anchor_costs_; }
-
-  /// One share per list of `seeds` (each sorted): share i holds, unit by
-  /// unit, the roots anchored at seeds[i]. Roots anchored at no listed
-  /// seed are dropped; an anchor in two lists goes to the first.
-  std::vector<StepPlan> Split(std::span<const std::vector<NodeId>> seeds) const;
 
  private:
   friend class ViolationEngine;
@@ -200,19 +186,15 @@ class StepPlan {
     uint32_t begin;  // its roots: [begin, end) of nodes_ or of pairs_
     uint32_t end;
   };
-  /// An edge unit's root: the nodes its plan binds first and second,
-  /// and the anchor of the changed key it came from.
+  /// An edge unit's root: the nodes its plan binds first and second.
   struct PairRoot {
     NodeId first;
     NodeId second;
-    NodeId anchor;
   };
 
   std::vector<Unit> units_;
-  std::vector<NodeId> nodes_;  // a write unit's root is its own anchor
+  std::vector<NodeId> nodes_;  // a write unit's root is its written node
   std::vector<PairRoot> pairs_;
-  std::vector<uint64_t> anchor_costs_;
-  size_t seeds_ = 0;  // the anchors this plan covers
 };
 
 /// A loaded rule set, grouped and compiled once, reusable across any
@@ -250,8 +232,7 @@ class ViolationEngine {
       const IncrementalOptions& opts = {}, std::string* error = nullptr) const;
 
   /// Plans the step that diffs `batch` on `pre`, the view just before
-  /// it: its units, rooted at every anchor (the one share a single store
-  /// runs), with each anchor's cost.
+  /// it: its units and their roots.
   ///
   /// Units. A write unit (group, variable u) is rooted at each anchor
   /// with a written key that some member reads at u, and enumerates the
@@ -268,28 +249,19 @@ class ViolationEngine {
   /// the number of groups.
   StepPlan PlanStep(const GraphView& pre, const BatchFootprint& batch) const;
 
-  /// Runs fn(i) for every share i of a step and returns once all have
-  /// run: inline when empty, else, say, one Cluster step.
-  using ShareRunner = std::function<void(const std::function<void(size_t)>&)>;
-
-  /// The one diff algorithm (the serving backends in serve/graph_store.h
-  /// and serve/coordinator.h, and DetectIncremental): `live` holds the
-  /// state just before one batch with footprint `batch`, and `apply` must
-  /// apply exactly that batch to `live` in place (false on failure, which
-  /// returns nullopt). Runs the before side of every share of the batch's
-  /// plan on `live`, calls `apply` once, then runs every share's after
-  /// side; each share runs the same units on both sides, so the cost
-  /// tracks the batch, never the overlay behind it. A single store runs
-  /// one share, PlanStep's; a coordinator one per fragment, the anchors
-  /// its master planned there, through `run`. Returns one StepSides per
-  /// share.
+  /// The one diff algorithm (the serving step in serve/graph_store.h,
+  /// its re-derivation, and DetectIncremental): `live` holds the state
+  /// just before one batch with footprint `batch`, `plan` is PlanStep's
+  /// on it, and `apply` must apply exactly that batch to `live` in place
+  /// (false on failure, which returns nullopt). Runs the plan's before
+  /// side on `live`, calls `apply` once, then runs its after side; both
+  /// sides run the same units, so the cost tracks the batch, never the
+  /// overlay behind it.
   ///
-  /// Attribution is stateless and reads the whole footprint, not just a
-  /// share's anchors: a match is evaluated at its lowest-numbered
-  /// variable that reads a written key; failing that, at its
-  /// lowest-numbered pattern edge that maps onto a changed key; failing
-  /// both, nowhere. Every unit root sits in exactly one share, so the
-  /// shares' diffs partition the whole step's.
+  /// Attribution is stateless: a match is evaluated at its
+  /// lowest-numbered variable that reads a written key; failing that, at
+  /// its lowest-numbered pattern edge that maps onto a changed key;
+  /// failing both, nowhere.
   ///
   /// Exactness: the sorted set difference of the two sides (StepDiff) is
   /// identical to diffing two full Detect runs. A match that reads no
@@ -300,22 +272,15 @@ class ViolationEngine {
   /// root it binds, and evaluated there exactly once; the attribution
   /// reads only the match and the batch, so it is the same on both
   /// sides.
-  std::optional<std::vector<StepSides>> DetectStep(
-      const GraphView& live, const BatchFootprint& batch,
-      std::span<const StepPlan> shares, const std::function<bool()>& apply,
-      const IncrementalOptions& opts = {}, const ShareRunner& run = {}) const;
-
-  /// DetectStep over one share: the units rooted at `seeds` (sorted).
   std::optional<StepSides> DetectStep(
-      const GraphView& live, const BatchFootprint& batch,
-      std::span<const NodeId> seeds, const std::function<bool()>& apply,
+      const GraphView& live, const BatchFootprint& batch, const StepPlan& plan,
+      const std::function<bool()>& apply,
       const IncrementalOptions& opts = {}) const;
 
   /// Max undirected eccentricity of any variable of any rule pattern:
   /// the halo radius partitioned storage needs so that every match
   /// through an owned node (at ANY variable) stays within the fragment's
-  /// resident view, and the ball a coordinator's seed planner checks
-  /// around each anchor. RadiusAtPivot is not enough -- a step's units
+  /// resident view. RadiusAtPivot is not enough -- a step's units
   /// root at any variable or pattern edge, not just the rule pivot.
   /// Computed once, with the engine.
   uint32_t MaxPatternRadius() const { return max_pattern_radius_; }

@@ -118,20 +118,6 @@ class CompiledPattern {
            g.OutDegree(v) >= s0.min_out_deg && g.InDegree(v) >= s0.min_in_deg;
   }
 
-  /// The candidates the first step after a root walks: the degree, in
-  /// that step's direction, of the node its anchor variable is bound to.
-  /// The root binds the pivot to v and, when b is not kNoNode, the
-  /// second variable to b (ForEachMatchAtPair). 0 when the root binds
-  /// every variable.
-  template <typename GraphT>
-  size_t RootFanout(const GraphT& g, NodeId v, NodeId b = kNoNode) const {
-    const size_t depth = b == kNoNode ? 1 : 2;
-    if (depth >= steps_.size()) return 0;
-    const Step& s = steps_[depth];
-    const NodeId at = s.anchor == steps_[0].var ? v : b;
-    return s.anchor_out ? g.OutDegree(at) : g.InDegree(at);
-  }
-
   /// The label of the pivot step: candidate pivots are
   /// g.NodesWithLabel(PivotLabel()), or every node for a wildcard.
   LabelId PivotLabel() const { return steps_[0].label; }

@@ -293,23 +293,41 @@ std::optional<Coordinator> Coordinator::Open(const std::string& dir,
     SetError(error, "partition owner table does not match the graph");
     return std::nullopt;
   }
-  Coordinator c(std::move(*store));
-  c.SpreadOver(std::move(meta.partition));
-  return c;
+  return Coordinator(std::move(*store), std::move(meta.partition));
+}
+
+std::optional<IncrementalDiff> Coordinator::AppendAndDiff(
+    const ViolationEngine& engine, std::string_view delta_tsv,
+    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
+  const uint32_t radius = engine.MaxPatternRadius();
+  if (radius > partition_.halo_radius) {
+    SetError(error, "rule pattern radius " + std::to_string(radius) +
+                        " exceeds the partition halo radius " +
+                        std::to_string(partition_.halo_radius) +
+                        "; re-init the coordinator with a larger radius");
+    return std::nullopt;
+  }
+  return GraphStore::AppendAndDiff(engine, delta_tsv, opts, seq_out, error);
+}
+
+ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {
+  ServingMetricsSnapshot snap = GraphStore::MetricsSnapshot();
+  snap.fragments = partition_.num_fragments;
+  return snap;
 }
 
 std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
                                                uint32_t to_fragment,
                                                std::string* error) {
-  if (node >= partition_->node_owner.size()) {
+  if (node >= partition_.node_owner.size()) {
     SetError(error, "rebalance: node id out of range");
     return std::nullopt;
   }
-  if (to_fragment >= partition_->num_fragments) {
+  if (to_fragment >= partition_.num_fragments) {
     SetError(error, "rebalance: fragment id out of range");
     return std::nullopt;
   }
-  if (partition_->node_owner[node] == to_fragment) {
+  if (partition_.node_owner[node] == to_fragment) {
     SetError(error, "rebalance: node already owned by fragment " +
                         std::to_string(to_fragment));
     return std::nullopt;
@@ -322,7 +340,7 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   // The owner table first, its batch second: Open reads the table from
   // the meta, so a recovered rebalance seq always comes with the new
   // table.
-  Partition moved = *partition_;
+  Partition moved = partition_;
   moved.node_owner[node] = to_fragment;
   if (!WritePartition(dir(), moved, error)) {
     rebalance_timer.Discard();

@@ -1,34 +1,23 @@
-// Distributed incremental detection over vertex-cut fragments of one
-// in-memory graph: a Coordinator is a GraphStore (serve/graph_store.h)
-// with a partition.
+// A vertex-cut partition of one in-memory graph, kept beside it: a
+// Coordinator is a GraphStore (serve/graph_store.h) plus an owner table.
 //
-// It casts the store's serving step in the paper's master-and-fragments
-// shape (Section 6): a master owning N fragments, run as the workers of
-// one Cluster in this process. The graph is held once, by the store. A
-// fragment is an owner set -- the vertex-cut partition's nodes it owns
-// -- plus its residency mask over that graph: the nodes within
-// `halo_radius` undirected hops of a node it owns (parallel/fragment.h
-// ComputeResidency). The masks are what a fragment of a shared-nothing
-// deployment would store; here they decide only where a batch's work may
-// run, and summed over fragments they cover ~replication x |E| edges
-// while the process stores |E| once. The halo radius is chosen >= the
-// max per-variable pattern eccentricity
+// The partition is the plan of a shared-nothing deployment in the
+// paper's master-and-fragments shape (Section 6). A fragment is an owner
+// set -- the vertex-cut partition's nodes it owns -- plus its residency
+// mask over the graph: the nodes within `halo_radius` undirected hops of
+// a node it owns (parallel/fragment.h ComputeResidency). The masks are
+// what each fragment of such a deployment would store; summed over
+// fragments they cover ~replication x |E| edges while this process
+// stores |E| once, and `gfdtool serve status` reports them. The halo
+// radius is chosen >= the max per-variable pattern eccentricity
 // (ViolationEngine::MaxPatternRadius), so every match through an owned
-// node lies inside the owner's mask.
+// node lies inside its owner's mask.
 //
-// The step is GraphStore::AppendAndDiff. Its route assigns each anchor,
-// priced by its units, to one fragment whose masks before and after the
-// batch hold the anchor's pattern-radius ball (PlanSeeds): the owner
-// always qualifies, and SeedableFragments admits others from the
-// pre-batch view and the batch's edge ops alone. Each fragment runs the
-// before side of its share of the units as one Cluster step, the store
-// absorbs the batch once, and each fragment runs its after side as a
-// second Cluster step; the merge is a plain sorted merge of the
-// per-fragment added and removed lists. Attribution is a stateless
-// function of the match and the batch's whole footprint, so the
-// per-fragment diffs partition the single store's step diff whatever the
-// assignment. A single store runs the same step as one share that seeds
-// every anchor.
+// The serving step does not read the partition. AppendAndDiff rejects
+// an engine whose pattern radius exceeds the halo radius -- a rule set
+// the planned deployment could not serve -- and otherwise runs the
+// store's step, as a single store does: the diffs, logs, snapshots and
+// feed a coordinator serves are a single store's, byte for byte.
 //
 // On-disk layout -- the coordinator's whole durable state is its store
 // plus the partition:
@@ -41,14 +30,14 @@
 //   dir/coordinator.meta          magic v2 + fragment count + halo radius
 //                                 + replication + vertex-cut ownership
 //
-// Fragments keep nothing, durable or in memory, but their seeds of the
-// batch in flight: recovery, compaction and the running violation count
-// are the store's. Open is GraphStore::Open plus the partition from
-// coordinator.meta. Directories written by older builds -- a routing.log
-// journal and global-snapshot-<s>.tsv files, perhaps frag-<f>/ stores --
-// are converted once, on their first Open, into this layout.
+// Fragments keep nothing, durable or in memory, beyond the owner table:
+// recovery, compaction and the running violation count are the store's.
+// Open is GraphStore::Open plus the partition from coordinator.meta.
+// Directories written by older builds -- a routing.log journal and
+// global-snapshot-<s>.tsv files, perhaps frag-<f>/ stores -- are
+// converted once, on their first Open, into this layout.
 //
-// Rebalancing. Rebalance(node, to_fragment) migrates ownership of a hot
+// Rebalancing. Rebalance(node, to_fragment) moves ownership of a hot
 // vertex between batches: it writes the new owner table to the meta,
 // then appends an empty batch under one global sequence number (the
 // graph is unchanged, so the step's violation diff is empty by
@@ -63,11 +52,14 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "detect/engine.h"
 #include "graph/property_graph.h"
 #include "parallel/fragment.h"
 #include "serve/graph_store.h"
+#include "serve/serving_store.h"
 
 namespace gfd {
 
@@ -92,27 +84,37 @@ class Coordinator final : public GraphStore {
                    std::string* error = nullptr);
 
   /// Opens `dir`: the store recovers the global graph (GraphStore::Open)
-  /// and the partition it spreads its step over comes from the meta --
-  /// one path for every crash state. A directory an older build wrote
-  /// (routing.log present) is first converted into the store's layout:
-  /// its graph is recovered from the newest global snapshot the journal
-  /// bridges plus the journal's later batches and written as the store's
-  /// snapshot at that seq, a count taken at that seq is carried, and the
-  /// old files are deleted.
+  /// and the partition comes from the meta -- one path for every crash
+  /// state. A directory an older build wrote (routing.log present) is
+  /// first converted into the store's layout: its graph is recovered from
+  /// the newest global snapshot the journal bridges plus the journal's
+  /// later batches and written as the store's snapshot at that seq, a
+  /// count taken at that seq is carried, and the old files are deleted.
   static std::optional<Coordinator> Open(const std::string& dir,
                                          const CoordinatorOptions& opts = {},
                                          std::string* error = nullptr);
 
-  size_t num_fragments() const { return partition_->num_fragments; }
-  const Partition& partition() const { return *partition_; }
+  size_t num_fragments() const { return partition_.num_fragments; }
+  const Partition& partition() const { return partition_; }
   std::span<const uint32_t> node_owner() const {
-    return partition_->node_owner;
+    return partition_.node_owner;
   }
   /// Every fragment's residency mask over the current graph, computed on
   /// each call (never stored, never persisted).
   FragmentResidency residency() const {
-    return ComputeResidency(view(), *partition_);
+    return ComputeResidency(view(), partition_);
   }
+
+  /// The store's serving step (GraphStore::AppendAndDiff), after one
+  /// check: errors out, before anything is appended, when the engine's
+  /// MaxPatternRadius exceeds the halo radius.
+  std::optional<IncrementalDiff> AppendAndDiff(
+      const ViolationEngine& engine, std::string_view delta_tsv,
+      const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
+      std::string* error = nullptr) override;
+
+  /// The store's snapshot, with the partition's fragment count.
+  ServingMetricsSnapshot MetricsSnapshot() const override;
 
   /// Migrates ownership of `node` to `to_fragment` between batches:
   /// persists the new owner table, then appends an empty batch under one
@@ -123,7 +125,10 @@ class Coordinator final : public GraphStore {
                                     std::string* error = nullptr);
 
  private:
-  explicit Coordinator(GraphStore store) : GraphStore(std::move(store)) {}
+  Coordinator(GraphStore store, Partition partition)
+      : GraphStore(std::move(store)), partition_(std::move(partition)) {}
+
+  Partition partition_;
 };
 
 }  // namespace gfd

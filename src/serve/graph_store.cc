@@ -1,13 +1,11 @@
 #include "serve/graph_store.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <iterator>
 #include <span>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "graph/loader.h"
 #include "obs/trace.h"
@@ -86,10 +84,11 @@ std::string SaveGraphString(const PropertyGraph& g) {
 }
 
 // The step's plan on `pre`, the view just before the batch with
-// footprint `fp`, traced as `plan` (inside `route`).
-StepPlan PlanServedStep(const ViolationEngine& engine, const GraphView& pre,
-                        const BatchFootprint& fp, uint64_t seq) {
-  obs::ScopedTimer timer(nullptr, "plan", {{"seq", seq}});
+// footprint `fp`, traced as `route`.
+StepPlan RouteServedStep(const ViolationEngine& engine, const GraphView& pre,
+                         const BatchFootprint& fp, uint64_t seq) {
+  obs::ScopedTimer timer(nullptr, "route",
+                         {{"seq", seq}, {"anchors", fp.anchors.size()}});
   StepPlan plan = engine.PlanStep(pre, fp);
   timer.AddField("write_units", plan.write_units());
   timer.AddField("edge_units", plan.edge_units());
@@ -106,36 +105,6 @@ std::string RenderServedPayload(const GraphView& post,
   timer.AddField("lines", diff.added.size() + diff.removed.size());
   timer.AddField("bytes", payload.size());
   return payload;
-}
-
-// Merges the shares' violation lists, each sorted (StepDiff). Each match
-// is evaluated only at the one share seeding its attributed anchor, so
-// the parts are disjoint and sorting the concatenation reproduces the
-// one-share ordering; a single part is that ordering already.
-std::vector<Violation> MergeSorted(std::vector<std::vector<Violation>> parts) {
-  if (parts.size() == 1) return std::move(parts.front());
-  std::vector<Violation> out;
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  out.reserve(total);
-  for (auto& p : parts) {
-    out.insert(out.end(), std::make_move_iterator(p.begin()),
-               std::make_move_iterator(p.end()));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void AddStats(IncrementalStats* into, const IncrementalStats& s) {
-  into->affected_nodes += s.affected_nodes;
-  into->write_units += s.write_units;
-  into->edge_units += s.edge_units;
-  into->roots_scanned += s.roots_scanned;
-  into->matches_seen += s.matches_seen;
-  into->literal_evals += s.literal_evals;
-  into->violations_before += s.violations_before;
-  into->violations_after += s.violations_after;
-  into->groups_scanned += s.groups_scanned;
 }
 
 }  // namespace
@@ -247,7 +216,6 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
   // never folded their diff back in (count behind) both invalidate it.
   if (count && count->seq == store.stats_.last_seq) store.count_ = count;
   store.meta_count_ = count;
-  store.stats_.seeds.assign(1, 0);
 
   // Self-heal: drop pre-anchor records and clean tmp/orphan snapshots.
   if (store.stats_.skipped_batches > 0) {
@@ -443,7 +411,6 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   ServingMetricsSnapshot snap;
   snap.anchor_seq = stats_.anchor_seq;
   snap.last_seq = stats_.last_seq;
-  snap.fragments = partition_ ? partition_->num_fragments : 1;
   snap.replayed_batches = stats_.replayed_batches;
   snap.skipped_batches = stats_.skipped_batches;
   snap.overlay_ops = overlay().ops.size();
@@ -452,23 +419,9 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   return snap;
 }
 
-void GraphStore::SpreadOver(Partition partition) {
-  cluster_ = std::make_unique<Cluster>(partition.num_fragments);
-  stats_.seeds.assign(partition.num_fragments, 0);
-  partition_ = std::move(partition);
-}
-
 std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const ViolationEngine& engine, std::string_view delta_tsv,
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  const uint32_t radius = engine.MaxPatternRadius();
-  if (partition_ && radius > partition_->halo_radius) {
-    SetError(error, "rule pattern radius " + std::to_string(radius) +
-                        " exceeds the partition halo radius " +
-                        std::to_string(partition_->halo_radius) +
-                        "; re-init the coordinator with a larger radius");
-    return std::nullopt;
-  }
   // Parse, then stage: the batch is validated and its record written, and
   // the record's fsync runs on the log's syncer while the step computes.
   auto batch = live_->Parse(delta_tsv, error);
@@ -476,76 +429,39 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   const auto seq = Stage(*batch, delta_tsv, error);
   if (!seq) return std::nullopt;
   // The route reads the pre-batch view: the anchors, by its degrees, so
-  // every backend serving this stream picks the same ones; the step's
-  // units, planned once; and, over a partition, each fragment's seeds,
-  // whose units make its share, each side of which runs as one Cluster
-  // step. A single store runs the whole plan as one share, inline.
+  // every store serving this stream picks the same ones, and the step's
+  // units, planned once.
   const BatchFootprint fp = BatchFootprint::Of(batch->ops, view());
-  std::vector<StepPlan> shares;
-  ViolationEngine::ShareRunner each_share;
-  {
-    obs::ScopedTimer route_timer(
-        nullptr, "route", {{"seq", *seq}, {"anchors", fp.anchors.size()}});
-    StepPlan plan = PlanServedStep(engine, view(), fp, *seq);
-    if (partition_) {
-      const std::vector<std::vector<NodeId>> seeds =
-          PlanSeeds(*partition_, view(), batch->ops, fp.anchors,
-                    plan.anchor_costs(), radius);
-      shares = plan.Split(seeds);
-      each_share = [this](const std::function<void(size_t)>& side) {
-        cluster_->RunStep(side);
-      };
-    } else {
-      shares.push_back(std::move(plan));
-    }
-  }
-  // The absorb is the step's one apply, between the shares' two sides.
+  const StepPlan plan = RouteServedStep(engine, view(), fp, *seq);
+  // The absorb is the step's one apply, between the plan's two sides.
   auto absorb = [&] {
+    obs::ScopedTimer absorb_timer(nullptr, "absorb",
+                                  {{"seq", *seq}, {"ops", batch->ops.size()}});
     Absorb(*batch);
     return true;
   };
-  const std::vector<StepSides> sides =
-      *engine.DetectStep(view(), fp, shares, absorb, opts, each_share);
+  const StepSides sides = *engine.DetectStep(view(), fp, plan, absorb, opts);
   if (obs::TraceLog* trace = obs::ActiveTrace()) {
-    for (size_t f = 0; f < sides.size(); ++f) {
-      const IncrementalStats& s = sides[f].stats;
-      trace->Emit("detect",
-                  {{"seq", *seq},
-                   {"fragment", f},
-                   {"anchors", s.affected_nodes},
-                   {"write_units", s.write_units},
-                   {"edge_units", s.edge_units},
-                   {"matches", s.matches_seen}},
-                  static_cast<int64_t>(sides[f].detect_ns));
-    }
+    const IncrementalStats& s = sides.stats;
+    trace->Emit("detect",
+                {{"seq", *seq},
+                 {"anchors", s.affected_nodes},
+                 {"write_units", s.write_units},
+                 {"edge_units", s.edge_units},
+                 {"matches", s.matches_seen}},
+                static_cast<int64_t>(sides.detect_ns));
   }
 
-  // The seeds partition the anchors, so the shares' added and removed
-  // lists partition the step diff, and merging them reproduces the
-  // one-share step diff record for record.
   IncrementalDiff diff;
   {
     obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});
-    std::vector<std::vector<Violation>> added;
-    std::vector<std::vector<Violation>> removed;
-    for (const StepSides& side : sides) {
-      IncrementalDiff part = StepDiff(side);
-      added.push_back(std::move(part.added));
-      removed.push_back(std::move(part.removed));
-      AddStats(&diff.stats, part.stats);
-    }
-    diff.added = MergeSorted(std::move(added));
-    diff.removed = MergeSorted(std::move(removed));
+    diff = StepDiff(sides);
     // The live view is now the post-batch state: the feed payload renders
     // against it, byte-identical to rendering against a materialization.
     diff.payload = RenderServedPayload(view(), engine.rules(), diff, *seq);
   }
   // Nothing leaves the step before its record is durable.
   if (!Commit(error)) return std::nullopt;
-  for (size_t f = 0; f < sides.size(); ++f) {
-    stats_.seeds[f] += sides[f].stats.affected_nodes;
-    FragmentMatches(f).Inc(sides[f].stats.matches_seen);
-  }
   if (seq_out) *seq_out = *seq;
   return diff;
 }
@@ -577,11 +493,11 @@ bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
       continue;
     }
     const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());
-    const StepPlan plan = engine.PlanStep(scratch.view(), fp);
-    auto sides = engine.DetectStep(scratch.view(), fp, std::span(&plan, 1),
-                                   absorb, opts);
+    auto sides = engine.DetectStep(scratch.view(), fp,
+                                   engine.PlanStep(scratch.view(), fp), absorb,
+                                   opts);
     if (!sides) return false;
-    IncrementalDiff diff = StepDiff(sides->front());
+    IncrementalDiff diff = StepDiff(*sides);
     diff.payload = SerializeDiffPayload(scratch.view(), engine.rules(), diff);
     if (!visit(rec.seq, std::move(diff))) return false;
   }

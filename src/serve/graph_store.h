@@ -30,20 +30,18 @@
 // and hands the fsync to the log's syncer thread; Absorb, the step's one
 // apply between its two sides, takes the batch into the view; Commit
 // waits for the fsync. AppendAndDiff runs parse, Stage, the footprint,
-// the route (the step's plan, split into shares), each share's before
-// side, Absorb, each share's after side, the merge and the payload
-// render (against the live post-batch view), and Commit last: nothing
-// leaves the step before its record is durable. When the fsync fails,
-// Commit retracts the record from the log and rolls the graph back to
-// its mark, and AppendAndDiff fails with an error starting
-// kNotDurableError: no seq is consumed.
+// the route (the step's plan), the plan's before side, Absorb, its after
+// side, the diff and the payload render (against the live post-batch
+// view), and Commit last: nothing leaves the step before its record is
+// durable. When the fsync fails, Commit retracts the record from the log
+// and rolls the graph back to its mark, and AppendAndDiff fails with an
+// error starting kNotDurableError: no seq is consumed. The step has one
+// body and no branch; its only parallelism is IncrementalOptions::workers
+// within each side.
 //
-// A coordinator (serve/coordinator.h) is a store with a partition: the
-// same directory and step, plus an owner table that spreads each step's
-// shares over vertex-cut fragments run as the workers of one Cluster. A
-// store without one -- a single-node server's -- runs its whole plan as
-// one share, inline. Which of the two answers is the step's only
-// branch.
+// A coordinator (serve/coordinator.h) is a store plus an owner table:
+// the same directory and the same step, behind a check of the rules'
+// radius against the table's halo.
 //
 // Concurrency: a store directory has exactly ONE writing process -- the
 // serving process owns its log, and nothing coordinates concurrent
@@ -63,19 +61,15 @@
 #define GFD_SERVE_GRAPH_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "detect/engine.h"
 #include "graph/graph_view.h"
 #include "graph/live_graph.h"
 #include "graph/property_graph.h"
-#include "parallel/cluster.h"
-#include "parallel/fragment.h"
 #include "serve/delta_log.h"
 #include "serve/durable_io.h"
 #include "serve/serving_store.h"
@@ -123,9 +117,6 @@ struct GraphStoreStats {
   size_t skipped_batches = 0;    ///< at/below anchor, dropped on Open
   uint64_t truncated_bytes = 0;  ///< corrupt log tail cut on Open
   size_t compactions = 0;        ///< snapshot rolls this session
-  /// Per share of the step -- the one share of a single store, or each
-  /// fragment of a partition -- the anchors it seeded this session.
-  std::vector<uint64_t> seeds;
 };
 
 class GraphStore : public ServingStore {
@@ -242,39 +233,29 @@ class GraphStore : public ServingStore {
   /// of exactly this batch. The step's units are planned once on the
   /// live view just before the absorb, anchored at the batch's attribute
   /// targets and the lower-degree endpoint of each edge op, so the cost
-  /// tracks the batch, not the overlay or a hub it touches; over a
-  /// partition they are split by the anchors the store seeds at each
-  /// fragment (PlanSeeds). ViolationEngine::DetectStep runs every share's
-  /// two sides around the one absorb, and the shares' diffs merge into
-  /// the diff. The batch is parsed once; the diff's payload is rendered
-  /// against the live post-batch view, with no materialization. The
-  /// record's fsync runs beside the step, and the diff is returned only
-  /// once it is durable (Stage, Absorb, Commit). Over a partition, errors
-  /// out (before anything is appended) when the engine's
-  /// MaxPatternRadius exceeds the halo radius.
+  /// tracks the batch, not the overlay or a hub it touches.
+  /// ViolationEngine::DetectStep runs the plan's two sides around the one
+  /// absorb, inline. The batch is parsed once; the diff's payload is
+  /// rendered against the live post-batch view, with no materialization.
+  /// The record's fsync runs beside the step, and the diff is returned
+  /// only once it is durable (Stage, Absorb, Commit). Traced per seq as
+  /// `route` (the plan), `absorb`, `detect` (the two sides), `merge`
+  /// holding `render`, then `sync_wait`.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
       std::string* error = nullptr) override;
 
   /// Re-derivation from this store's snapshot and log (see
-  /// ServingStore::Restep), one share per batch whatever the partition.
+  /// ServingStore::Restep): the serving step of each batch, untraced, on
+  /// a scratch copy of the graph.
   bool Restep(const ViolationEngine& engine, uint64_t after_seq,
               const RestepVisitor& visit, const IncrementalOptions& opts = {},
               std::string* error = nullptr) const override;
 
   /// Unified telemetry snapshot (mirrors stats() plus the live overlay
-  /// size and the fragment count).
+  /// size), with one fragment.
   ServingMetricsSnapshot MetricsSnapshot() const override;
-
- protected:
-  /// Spreads every later step over `partition`'s fragments, one Cluster
-  /// worker each (Coordinator::Open).
-  void SpreadOver(Partition partition);
-
-  /// The vertex-cut ownership and halo radius the step spreads over, as
-  /// coordinator.meta holds them; nullopt for a single store.
-  std::optional<Partition> partition_;
 
  private:
   GraphStore() = default;
@@ -314,9 +295,6 @@ class GraphStore : public ServingStore {
   // What store.meta's count line holds, at whatever seq: after a failed
   // meta write it differs from count_.
   std::optional<MetaCount> meta_count_;
-  // Master + one worker per fragment of partition_; null for a single
-  // store.
-  std::unique_ptr<Cluster> cluster_;
 };
 
 }  // namespace gfd

@@ -143,13 +143,6 @@ obs::Counter& FeedRederivedTotal() {
   return c;
 }
 
-obs::Counter& FragmentMatches(size_t f) {
-  return Reg().GetCounter(
-      "gfd_fragment_matches_total",
-      "Matches each fragment's step diffs enumerated (both sides).",
-      {{"fragment", std::to_string(f)}});
-}
-
 obs::Counter& RebalancesTotal() {
   static obs::Counter& c = Reg().GetCounter(
       "gfd_rebalances_total", "Ownership migrations between fragments.");

@@ -49,12 +49,6 @@ obs::Histogram& FeedPublishLatency();
 /// (gfd_feed_rederived_total).
 obs::Counter& FeedRederivedTotal();
 
-// ---- serving step ----
-/// Matches share `f` of the serving step enumerated, both sides: fragment
-/// f's over a partition, and the whole step's as fragment 0 on a single
-/// store (gfd_fragment_matches_total{fragment="<f>"}).
-obs::Counter& FragmentMatches(size_t f);
-
 // ---- coordinator ----
 obs::Counter& RebalancesTotal();     ///< gfd_rebalances_total
 obs::Histogram& RebalanceLatency();  ///< gfd_rebalance_seconds

@@ -5,16 +5,16 @@
 //
 //   GraphStore   (serve/graph_store.h)  -- snapshot + log, and the one
 //                serving step, AppendAndDiff
-//   Coordinator  (serve/coordinator.h)  -- a GraphStore with a partition:
-//                an owner table over vertex-cut fragments that each
-//                step's shares spread over
+//   Coordinator  (serve/coordinator.h)  -- a GraphStore plus an owner
+//                table over vertex-cut fragments: the plan of a
+//                shared-nothing deployment, which its step does not read
 //
 // `gfdtool detect --log` / `gfdtool serve append`, the changefeed server
 // and the oracle tests drive either backend through this interface, and
 // the front ends' step -- append, diff, maintain the running violation
-// count, classify -- is the one free function ServeStep below. Whether
-// one store or N fragments answer is a deployment choice, not a code
-// path: the store's step branches only on whether it has a partition.
+// count, classify -- is the one free function ServeStep below. Both
+// backends run the one step, with no branch between them: a coordinator
+// only checks first that the rules fit its halo radius.
 #ifndef GFD_SERVE_SERVING_STORE_H_
 #define GFD_SERVE_SERVING_STORE_H_
 
@@ -104,8 +104,7 @@ class ServingStore {
   /// through last_seq(), in order, on a scratch copy of the graph rebuilt
   /// from the snapshot and the log: `visit` receives each batch's seq and
   /// diff, its payload rendered against the post-batch state -- what
-  /// AppendAndDiff returned when the batch was served (the single-store
-  /// step, which a coordinator's merged step equals). The store itself
+  /// AppendAndDiff returned when the batch was served. The store itself
   /// is left as it is. Returns false when `visit` stopped the walk, and
   /// (with *error) when a record does not apply or the log no longer
   /// holds every batch after `after_seq` -- a compaction anchored past

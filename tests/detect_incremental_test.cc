@@ -232,13 +232,6 @@ struct ViolationEngineInternals {
   static StepPlan ScanPlan(const ViolationEngine& engine,
                            const GraphView& pre, const BatchFootprint& batch) {
     StepPlan plan;
-    plan.seeds_ = batch.anchors.size();
-    plan.anchor_costs_.assign(batch.anchors.size(), 1);
-    auto charge = [&](NodeId anchor, uint64_t cost) {
-      const auto at = std::lower_bound(batch.anchors.begin(),
-                                       batch.anchors.end(), anchor);
-      plan.anchor_costs_[at - batch.anchors.begin()] += 1 + cost;
-    };
     auto add_unit = [&](size_t gi, size_t index, bool edge, size_t begin) {
       const size_t end = edge ? plan.pairs_.size() : plan.nodes_.size();
       if (end > begin) {
@@ -266,8 +259,6 @@ struct ViolationEngineInternals {
           if (LabelMatches(pre.NodeLabel(w.node), rep.NodeLabel(u)) &&
               reads_at(u, w.key)) {
             plan.nodes_.push_back(w.node);
-            charge(w.node,
-                   group.plans[group.var_plan[u]].RootFanout(pre, w.node));
           }
         }
         add_unit(gi, u, false, begin);
@@ -275,8 +266,6 @@ struct ViolationEngineInternals {
       for (size_t j = 0; j < rep.NumEdges(); ++j) {
         const PatternEdge& e = rep.edges()[j];
         const size_t begin = plan.pairs_.size();
-        const CompiledPattern& root_plan =
-            group.plans[group.edge_plan[j].plan];
         for (const BatchFootprint::EdgeKey& k : batch.edges) {
           if ((k.src == k.dst) != (e.src == e.dst) ||
               !LabelMatches(k.label, e.label) ||
@@ -284,7 +273,7 @@ struct ViolationEngineInternals {
               !LabelMatches(pre.NodeLabel(k.dst), rep.NodeLabel(e.dst))) {
             continue;
           }
-          StepPlan::PairRoot root{k.src, k.dst, k.anchor};
+          StepPlan::PairRoot root{k.src, k.dst};
           if (group.edge_plan[j].root_is_dst) {
             std::swap(root.first, root.second);
           }
@@ -294,10 +283,6 @@ struct ViolationEngineInternals {
             continue;
           }
           plan.pairs_.push_back(root);
-          charge(k.anchor, root.first == root.second
-                               ? root_plan.RootFanout(pre, root.first)
-                               : root_plan.RootFanout(pre, root.first,
-                                                      root.second));
         }
         add_unit(gi, j, true, begin);
       }
@@ -305,20 +290,16 @@ struct ViolationEngineInternals {
     return plan;
   }
 
-  // One line of seeds and anchor costs, then one per unit with its roots.
+  // One line per unit with its roots.
   static std::string Dump(const StepPlan& plan) {
     std::ostringstream out;
-    out << "seeds " << plan.seeds_ << ", costs";
-    for (uint64_t c : plan.anchor_costs_) out << ' ' << c;
-    out << '\n';
     for (const StepPlan::Unit& u : plan.units_) {
       out << (u.edge ? "edge unit " : "write unit ") << u.group << '.'
           << u.index << ':';
       for (uint32_t r = u.begin; r < u.end; ++r) {
         if (u.edge) {
           const StepPlan::PairRoot& root = plan.pairs_[r];
-          out << ' ' << root.first << '-' << root.second << '@'
-              << root.anchor;
+          out << ' ' << root.first << '-' << root.second;
         } else {
           out << ' ' << plan.nodes_[r];
         }
@@ -516,7 +497,7 @@ TEST(BatchFootprint, AnchorsEachEdgeOpAtItsLowerDegreeEndpoint) {
   EXPECT_EQ(fp.anchors, (std::vector<NodeId>{0, 1, 2, 4}));
   EXPECT_EQ(fp.writes, (std::vector<BatchFootprint::Write>{{0, team}}));
   const std::vector<BatchFootprint::EdgeKey> keys{
-      {2, 0, follows, 2}, {3, 1, follows, 1}, {4, 0, follows, 4}};
+      {2, 0, follows}, {3, 1, follows}, {4, 0, follows}};
   EXPECT_EQ(fp.edges, keys);
   EXPECT_TRUE(fp.Wrote(0, team));
   EXPECT_FALSE(fp.Wrote(1, team));

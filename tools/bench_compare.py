@@ -7,11 +7,10 @@ main run) and fails when any timed metric slowed down by more than
 --threshold. Metrics are the per-bench "seconds" fields; most counter
 fields (violations, matches, ...) are informational and never gate.
 
-The exception is the fragment step's residency footprint counters
-(resident_edges_*, replication_measured) and its fragment_matches_skew:
-those are deterministic, so growth beyond the threshold gates exactly
-like a slowdown -- a replication-factor blowup is a partitioning
-regression, and a skew blowup a balance regression, even when
+The exception is the coordinator's residency footprint counters
+(resident_edges_*, replication_measured): those are deterministic, so
+growth beyond the threshold gates exactly like a slowdown -- a
+replication-factor blowup is a partitioning regression even when
 wall-clock stays flat. A counter present in this run but absent from
 the baseline reports "new, no baseline" and passes (warn-only
 bootstrap, same as a brand-new bench).
@@ -48,10 +47,6 @@ GATED_COUNTERS = (
     # detection-cost regression even when this runner's wall-clock hides
     # it.
     "groups_scanned",
-    # bench_distributed's step_104x75_f*: the largest fragment's share of
-    # the stream's enumerated matches over the mean. Deterministic for a
-    # fixed stream; growth means the seed planner lost balance.
-    "fragment_matches_skew",
 )
 
 # Deterministic work counters that are compared and reported but never

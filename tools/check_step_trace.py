@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Checks the seed planning a serving trace records.
+"""Checks the shape of the serving steps a trace records.
 
 Usage: check_step_trace.py TRACE.jsonl
 
-Both serving backends trace each served seq as one `route` span, carrying
-the batch's anchors, and one `detect` span per share of its step,
-carrying the anchors that share seeded: one share on a single store, one
-per fragment on a coordinator. The seeds partition the anchors, each at
-exactly one share, so per seq the `detect` anchors sum to the `route`'s.
+Both serving backends run one step and trace each served seq in one
+shape: exactly one each of `route` (the plan), `absorb` (the batch's one
+apply), `detect` (the plan's two sides), `merge`, `render` (the feed
+payload, inside `merge`) and `sync_wait` (the wait for the record's
+fsync). Per seq, the `detect` span seeds the anchors its `route` counted.
 Exits 0 and says how many batches it checked; exits 1 on the first
 mismatch, or when the trace holds no served seq.
 """
@@ -15,30 +15,35 @@ mismatch, or when the trace holds no served seq.
 import json
 import sys
 
+STAGES = ("route", "absorb", "detect", "merge", "render", "sync_wait")
+
 
 def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    route, seeded = {}, {}
+    spans = {}  # seq -> stage -> [span]
     with open(argv[1], encoding="utf-8") as trace:
         for line in trace:
             span = json.loads(line)
-            if span.get("stage") == "route":
-                route[span["seq"]] = span["anchors"]
-            elif span.get("stage") == "detect":
-                seq = span["seq"]
-                seeded[seq] = seeded.get(seq, 0) + span["anchors"]
-    if not route or route.keys() != seeded.keys():
-        print(f"route spans at seqs {sorted(route)}, detect spans at "
-              f"{sorted(seeded)}", file=sys.stderr)
+            if span.get("stage") in STAGES:
+                spans.setdefault(span["seq"], {}).setdefault(
+                    span["stage"], []).append(span)
+    if not spans:
+        print("no served seq in the trace", file=sys.stderr)
         return 1
-    for seq, anchors in sorted(route.items()):
-        if anchors != seeded[seq]:
-            print(f"seq {seq}: route counted {anchors} anchor(s), the "
-                  f"detect spans seeded {seeded[seq]}", file=sys.stderr)
+    for seq, stages in sorted(spans.items()):
+        counts = {stage: len(stages.get(stage, [])) for stage in STAGES}
+        if any(n != 1 for n in counts.values()):
+            print(f"seq {seq}: span counts {counts}, want one of each",
+                  file=sys.stderr)
             return 1
-    print(f"seeds partition the anchors of {len(route)} batch(es)")
+        route, detect = stages["route"][0], stages["detect"][0]
+        if route["anchors"] != detect["anchors"]:
+            print(f"seq {seq}: route counted {route['anchors']} anchor(s), "
+                  f"detect seeded {detect['anchors']}", file=sys.stderr)
+            return 1
+    print(f"one step shape in {len(spans)} batch(es)")
     return 0
 
 

@@ -11,17 +11,17 @@
 //   gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> [-w WORKERS]
 //           [--max-per-gfd N] [--max-total N]
 //           [--delta <delta.tsv>] [--compact-ops N]
-//       Batched violation detection: group rules by pattern, one match
-//       plan per group, structured violation records. Exit 3 when
-//       violations were found. With --delta, runs *incrementally*: the
-//       delta (E+/E-/A records) is applied as an overlay view and only
-//       matches near the updated vertices are re-evaluated, reporting
-//       the violations the update added (+) and removed (-). Exit codes
-//       distinguish the post-update states: 0 the updated graph is
-//       violation-free, 3 the update added violations, 4 the update
-//       added none but pre-existing violations remain. With --log the
-//       graph comes from a durable store (replayed on open) and the
-//       --delta batch is appended to its log before detection.
+//       Batched violation detection: group rules by pattern, one match plan per
+//       group, one line per violation record (its description escaped as the
+//       changefeed escapes it, util/tsv.h EscapeField). Exit 3 when violations
+//       were found. With --delta, runs *incrementally*: the delta (E+/E-/A
+//       records) is applied as an overlay view and only matches near the
+//       updated vertices are re-evaluated, reporting the violations the update
+//       added (+) and removed (-). Exit codes distinguish the post-update
+//       states: 0 the updated graph is violation-free, 3 the update added
+//       violations, 4 the update added none but pre-existing violations remain.
+//       With --log the graph comes from a durable store (replayed on open) and
+//       the --delta batch is appended to its log before detection.
 //   gfdtool log init <dir> <graph.tsv>
 //       Create a durable graph store: snapshot + empty delta log.
 //   gfdtool log append <dir> <delta.tsv> [--compact-ops N]
@@ -40,12 +40,11 @@
 //       directory that already holds a store or a coordinator.
 //   gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]
 //           [--compact-ops N]
-//       The distributed serving step: the master plans the batch's
-//       detection seeds over the fragments, each fragment diffs its seeds
-//       around the master's one durable append under the next global
-//       sequence number, and the master merges the per-fragment diffs --
-//       printed as +/- records with the same 0/3/4 verdict exit codes as
-//       detect --delta, read off the running violation counter.
+//       The serving step on a coordinator: once the rules fit its halo
+//       radius, the store's step appends the batch durably under the
+//       next sequence number and diffs it, exactly as on a single store
+//       -- printed as +/- records with the same 0/3/4 verdict exit codes
+//       as detect --delta, read off the running violation counter.
 //   gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]
 //       Move ownership of one node (numeric id) to another fragment
 //       online: the new owner table is persisted, then an empty batch
@@ -66,7 +65,8 @@
 //   --metrics-out FILE   atomically write the Prometheus exposition of
 //                        everything this invocation did on exit
 //   --trace FILE         append one JSON-lines trace event per serving
-//                        stage (validate/route/detect/merge/compact)
+//                        stage (validate/append/route/absorb/detect/
+//                        merge/render/sync_wait/compact)
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -101,6 +101,7 @@
 #include "serve/metrics.h"
 #include "serve/serving_store.h"
 #include "util/timer.h"
+#include "util/tsv.h"
 
 using namespace gfd;
 
@@ -186,6 +187,8 @@ constexpr VerbHelp kVerbHelp[] = {
      "  --max-per-gfd/--max-total   violation budgets (0 = unlimited)\n"
      "  --compact-ops N             store compaction threshold override\n"
      "  -w WORKERS      detection threads\n"
+     "One line per violation, its description escaped as the feed\n"
+     "escapes it (\\\\ \\t \\n \\r \\=), whatever a name holds.\n"
      "\n"
      "Exit codes: 0 clean, 3 violations found (or added by the delta),\n"
      "4 the delta added none but pre-existing violations remain.\n"},
@@ -214,8 +217,10 @@ constexpr VerbHelp kVerbHelp[] = {
      "        [--heartbeat-ms MS] [--ingest-rps R] [--ingest-burst B]\n"
      "        [--compact-ops N] [--metrics-out FILE] [--trace FILE]\n"
      "\n"
-     "Serving verbs. init/append/rebalance/status drive a distributed\n"
-     "vertex-cut coordinator; run serves EITHER backend (a `log init`\n"
+     "Serving verbs. init/append/rebalance/status drive a coordinator\n"
+     "(a store plus a vertex-cut owner table, whose append runs the\n"
+     "single store's step once the rules fit its halo radius); run\n"
+     "serves EITHER backend (a `log init`\n"
      "store or a `serve init` coordinator, sniffed from the directory)\n"
      "over HTTP as one long-lived process:\n"
      "  POST /ingest    one TSV delta batch -> seq + violation diff\n"
@@ -615,11 +620,15 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
                const PropertyGraph& removed_graph, const IncrementalDiff& diff,
                double seconds, uint64_t post_count) {
   for (const Violation& v : diff.added) {
-    std::printf("+ %s\n", DescribeViolation(view, engine.rules(), v).c_str());
+    std::printf(
+        "+ %s\n",
+        EscapeField(DescribeViolation(view, engine.rules(), v)).c_str());
   }
   for (const Violation& v : diff.removed) {
-    std::printf("- %s\n",
-                DescribeViolation(removed_graph, engine.rules(), v).c_str());
+    std::printf(
+        "- %s\n",
+        EscapeField(DescribeViolation(removed_graph, engine.rules(), v))
+            .c_str());
   }
   std::fprintf(stderr,
                "incremental: +%zu -%zu violation(s) in %.3fs: %zu anchor(s), "
@@ -820,7 +829,8 @@ int Detect(int argc, char** argv) {
   WallTimer t;
   const DetectionResult result = engine.Detect(*g, opts);
   for (const Violation& v : result.violations) {
-    std::printf("%s\n", DescribeViolation(*g, engine.rules(), v).c_str());
+    std::printf("%s\n",
+                EscapeField(DescribeViolation(*g, engine.rules(), v)).c_str());
   }
   std::fprintf(stderr,
                "%zu violation(s) in %.2fs%s: %lu pivots scanned, %lu "
@@ -1199,18 +1209,8 @@ int Serve(int argc, char** argv) {
     auto payload = ReadFile(argv[3]);
     if (!payload) return 1;
 
-    const std::vector<uint64_t> pre = coord->stats().seeds;
-    uint64_t seq = 0;
-    auto code =
-        ServeBatch(*coord, current, engine, *payload, argv[3], workers, &seq);
+    auto code = ServeBatch(*coord, current, engine, *payload, argv[3], workers);
     if (!code) return 1;
-    std::string seeded;
-    for (size_t f = 0; f < coord->num_fragments(); ++f) {
-      seeded += (f ? ", " : "") +
-                std::to_string(coord->stats().seeds[f] - pre[f]);
-    }
-    std::fprintf(stderr, "batch seq %llu: seeds per fragment [%s]\n",
-                 static_cast<unsigned long long>(seq), seeded.c_str());
 
     std::string error;
     if (!coord->MaybeCompact(&error)) {
