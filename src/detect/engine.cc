@@ -205,6 +205,12 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
   for (auto& members : member_lists) {
     const Pattern& rep = rules_[members[0]].pattern;
     Group group(rep);
+    // Each member array sized once.
+    size_t literals = 0;
+    for (uint32_t idx : members) literals += rules_[idx].lhs.size();
+    group.members.reserve(members.size());
+    group.lhs.reserve(literals);
+    group.to_rep.reserve(members.size() * rep.NumNodes());
     for (uint32_t idx : members) {
       const Gfd& phi = rules_[idx];
       std::vector<VarId> f = ExactIsomorphism(phi.pattern, rep);
@@ -218,7 +224,7 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
         continue;
       }
       if (f.empty()) f = identity(phi.pattern);  // the representative
-      group.AddMember(idx, phi, std::move(f));
+      group.AddMember(idx, phi, f);
     }
     groups_.push_back(std::move(group));
   }
@@ -254,14 +260,43 @@ ViolationEngine::ViolationEngine(std::vector<Gfd> rules)
     }
   }
   unit_index_ = UnitIndex(groups_);
+  member_index_ = MemberIndex(groups_);
 }
 
 ViolationEngine::UnitIndex::UnitIndex(std::span<const Group> groups) {
+  // A write unit for each variable some member reads at, an edge unit for
+  // each pattern edge. Sized first, so each array is allocated once.
+  static constexpr uint32_t kUnread = UINT32_MAX;
+  std::vector<uint32_t> var_unit;  // a group's variable -> its write unit
+  auto mark_read = [&var_unit](const Group& group) {
+    var_unit.assign(group.pattern().NumNodes(), kUnread);
+    size_t read = 0;
+    for (const SlotRead& r : group.reads) {
+      if (var_unit[r.var] == kUnread) ++read;
+      var_unit[r.var] = 0;
+    }
+    return read;
+  };
+  size_t num_units = 0;
+  size_t num_writes = 0;
+  size_t num_edges = 0;
+  for (const Group& group : groups) {
+    num_units += mark_read(group) + group.pattern().NumEdges();
+    num_writes += group.reads.size();
+    num_edges += group.pattern().NumEdges();
+  }
+  units.reserve(num_units);
+  writes.reserve(num_writes);
+  edges.reserve(num_edges);
   for (uint32_t gi = 0; gi < groups.size(); ++gi) {
     const Group& group = groups[gi];
     const Pattern& rep = group.pattern();
-    const uint32_t first = static_cast<uint32_t>(units.size());
-    for (VarId u = 0; u < rep.NumNodes(); ++u) units.push_back({gi, u, false});
+    mark_read(group);
+    for (VarId u = 0; u < rep.NumNodes(); ++u) {
+      if (var_unit[u] == kUnread) continue;
+      var_unit[u] = static_cast<uint32_t>(units.size());
+      units.push_back({gi, u, false});
+    }
     for (uint32_t j = 0; j < rep.NumEdges(); ++j) {
       const PatternEdge& e = rep.edges()[j];
       const uint32_t unit = static_cast<uint32_t>(units.size());
@@ -269,13 +304,88 @@ ViolationEngine::UnitIndex::UnitIndex(std::span<const Group> groups) {
       edges.push_back({e.label, unit, rep.NodeLabel(e.src),
                        rep.NodeLabel(e.dst), e.src == e.dst});
     }
-    // A variable some member reads at has a plan of its own.
     for (const SlotRead& r : group.reads) {
-      writes.push_back({rep.NodeLabel(r.var), r.key, first + r.var});
+      writes.push_back({rep.NodeLabel(r.var), r.key, var_unit[r.var]});
     }
   }
   std::sort(writes.begin(), writes.end());
   std::sort(edges.begin(), edges.end());
+}
+
+ViolationEngine::MemberIndex::MemberIndex(std::span<const Group> groups) {
+  // Each member's key read, all groups' members in a row: of the reads
+  // its constant LHS literals sit on, the one most members of its group
+  // hold a constant at (each member counted once per read), ties to the
+  // earlier read; kNoKey when its LHS has no constant literal.
+  constexpr uint32_t kNoKey = UINT32_MAX;
+  std::vector<uint32_t> key;
+  std::vector<uint32_t> holders;
+  std::vector<uint32_t> seen;  // the last member counted at each read
+  std::vector<bool> keys_by;   // whether some member keys by each read
+  size_t num_keys = 0;
+  size_t num_keyed = 0;
+  for (const Group& group : groups) {
+    holders.assign(group.reads.size(), 0);
+    seen.assign(group.reads.size(), UINT32_MAX);
+    for (uint32_t mi = 0; mi < group.members.size(); ++mi) {
+      for (const SlotLiteral& l : group.Lhs(group.members[mi])) {
+        if (l.kind != LiteralKind::kVarConst || seen[l.x] == mi) continue;
+        seen[l.x] = mi;
+        ++holders[l.x];
+      }
+    }
+    keys_by.assign(group.reads.size(), false);
+    for (const Member& m : group.members) {
+      uint32_t best = kNoKey;
+      for (const SlotLiteral& l : group.Lhs(m)) {
+        if (l.kind != LiteralKind::kVarConst) continue;
+        if (best == kNoKey || holders[l.x] > holders[best] ||
+            (holders[l.x] == holders[best] && l.x < best)) {
+          best = l.x;
+        }
+      }
+      key.push_back(best);
+      if (best == kNoKey) continue;
+      ++num_keyed;
+      if (!keys_by[best]) ++num_keys;
+      keys_by[best] = true;
+    }
+  }
+
+  // Sized, so every array is allocated once, exactly.
+  group_keyless.reserve(groups.size() + 1);
+  group_keys.reserve(groups.size() + 1);
+  keyless.reserve(key.size() - num_keyed);
+  keys.reserve(num_keys);
+  keyed.reserve(num_keyed);
+  const uint32_t* member_key = key.data();
+  for (const Group& group : groups) {
+    group_keyless.push_back(static_cast<uint32_t>(keyless.size()));
+    group_keys.push_back(static_cast<uint32_t>(keys.size()));
+    for (uint32_t mi = 0; mi < group.members.size(); ++mi) {
+      if (member_key[mi] == kNoKey) keyless.push_back(mi);
+    }
+    // One Key per read that keys a member, in read order, over its
+    // members' (constant, member) pairs.
+    for (uint32_t slot = 0; slot < group.reads.size(); ++slot) {
+      const uint32_t begin = static_cast<uint32_t>(keyed.size());
+      for (uint32_t mi = 0; mi < group.members.size(); ++mi) {
+        if (member_key[mi] != slot) continue;
+        for (const SlotLiteral& l : group.Lhs(group.members[mi])) {
+          if (l.kind == LiteralKind::kVarConst && l.x == slot) {
+            keyed.push_back({l.c, mi});
+            break;
+          }
+        }
+      }
+      if (keyed.size() == begin) continue;
+      std::sort(keyed.begin() + begin, keyed.end());
+      keys.push_back({slot, begin, static_cast<uint32_t>(keyed.size())});
+    }
+    member_key += group.members.size();
+  }
+  group_keyless.push_back(static_cast<uint32_t>(keyless.size()));
+  group_keys.push_back(static_cast<uint32_t>(keys.size()));
 }
 
 ViolationEngine::Group::Group(const Pattern& rep) : pivot(rep.pivot()) {
@@ -322,7 +432,7 @@ void ViolationEngine::Group::CompileStepPlans() {
 }
 
 void ViolationEngine::Group::AddMember(uint32_t gfd_index, const Gfd& phi,
-                                       std::vector<VarId> to_rep) {
+                                       std::span<const VarId> var_map) {
   // Slot of (var, key) in `reads`, appended on first use. Groups read a
   // handful of distinct pairs, so a linear probe is enough.
   auto slot = [this](VarId var, AttrId key) {
@@ -336,22 +446,24 @@ void ViolationEngine::Group::AddMember(uint32_t gfd_index, const Gfd& phi,
     SlotLiteral s;
     s.kind = l.kind;
     if (l.kind == LiteralKind::kFalse) return s;
-    s.x = slot(to_rep[l.x], l.a);
+    s.x = slot(var_map[l.x], l.a);
     if (l.kind == LiteralKind::kVarVar) {
-      s.y = slot(to_rep[l.y], l.b);
+      s.y = slot(var_map[l.y], l.b);
     } else {
       s.c = l.c;
     }
     return s;
   };
-  Member m{gfd_index, {}, {}, compile(phi.rhs)};
-  m.lhs.reserve(phi.lhs.size());
-  for (const Literal& l : phi.lhs) m.lhs.push_back(compile(l));
-  m.to_rep = std::move(to_rep);
-  members.push_back(std::move(m));
+  Member m{gfd_index, static_cast<uint32_t>(to_rep.size()),
+           static_cast<uint32_t>(lhs.size()), 0, compile(phi.rhs)};
+  for (const Literal& l : phi.lhs) lhs.push_back(compile(l));
+  m.lhs_end = static_cast<uint32_t>(lhs.size());
+  to_rep.insert(to_rep.end(), var_map.begin(), var_map.end());
+  members.push_back(m);
 }
 
-Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
+Violation ViolationEngine::MakeViolation(const Group& group, const Member& m,
+                                         NodeId pivot,
                                          const Match& match) const {
   const Gfd& rule = rules_[m.gfd_index];
   Violation viol;
@@ -360,13 +472,13 @@ Violation ViolationEngine::MakeViolation(const Member& m, NodeId pivot,
   viol.failed_rhs = rule.rhs;
   viol.match.resize(rule.pattern.NumNodes());
   for (VarId u = 0; u < rule.pattern.NumNodes(); ++u) {
-    viol.match[u] = match[m.to_rep[u]];
+    viol.match[u] = match[group.to_rep[m.to_rep + u]];
   }
   return viol;
 }
 
 template <typename GraphT, typename Roots, typename Attributed>
-void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
+void ViolationEngine::ScanPlan(const GraphT& g, uint32_t gi,
                                const CompiledPattern& plan, const Roots& roots,
                                const Attributed& attributed, Budget* budget,
                                Tally& tally) const {
@@ -374,6 +486,7 @@ void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
   // path: the worker's slot buffer, the match callback (std::function
   // stores the reference to `visit` inline) and local counters, added
   // to the tally at the end.
+  const Group& group = groups_[gi];
   const VarId pivot = group.pivot;
   std::vector<ValueId>& vals = tally.slots;
   vals.resize(group.reads.size());
@@ -394,23 +507,23 @@ void ViolationEngine::ScanPlan(const GraphT& g, const Group& group,
     ++matches;
     group.ReadSlots(g, h, vals.data());
     if (budget == nullptr) {
-      evals += group.members.size();
-      for (const Member& m : group.members) {
-        if (m.Violates(vals.data())) {
-          tally.violations.push_back(MakeViolation(m, h[pivot], h));
+      evals += member_index_.ForEachCandidate(gi, vals.data(), [&](uint32_t i) {
+        const Member& m = group.members[i];
+        if (group.Violates(m, vals.data())) {
+          tally.violations.push_back(MakeViolation(group, m, h[pivot], h));
         }
-      }
+      });
       return true;
     }
     for (size_t i = 0; i < group.members.size(); ++i) {
       if (capped[i]) continue;
       ++evals;
       const Member& m = group.members[i];
-      if (!m.Violates(vals.data())) continue;
+      if (!group.Violates(m, vals.data())) continue;
       const Budget::Claim claim = budget->Take(m.gfd_index);
       if (claim == Budget::Claim::kExhausted) return false;
       if (claim != Budget::Claim::kRuleFull) {
-        tally.violations.push_back(MakeViolation(m, h[pivot], h));
+        tally.violations.push_back(MakeViolation(group, m, h[pivot], h));
       }
       if (claim != Budget::Claim::kEmit) {
         capped[i] = true;
@@ -481,15 +594,14 @@ DetectionResult ViolationEngine::DetectImpl(const GraphT& g,
   Tally run = Tally::Merge(RunUnits(
       units.size(), opts.workers, empty, [&](size_t i, Tally& tally) {
         const Unit& unit = units[i];
-        const Group& group = groups_[unit.group];
         const uint64_t entry = tally.matches;
-        const CompiledPattern& plan = group.PivotPlan();
+        const CompiledPattern& plan = groups_[unit.group].PivotPlan();
         const LabelId l = plan.PivotLabel();
         if (l == kWildcardLabel) {
-          ScanPlan(g, group, plan, std::views::iota(unit.lo, unit.hi),
+          ScanPlan(g, unit.group, plan, std::views::iota(unit.lo, unit.hi),
                    every_match, caps, tally);
         } else {
-          ScanPlan(g, group, plan,
+          ScanPlan(g, unit.group, plan,
                    g.NodesWithLabel(l).subspan(unit.lo, unit.hi - unit.lo),
                    every_match, caps, tally);
         }
@@ -640,7 +752,7 @@ ViolationEngine::Tally ViolationEngine::RunSide(
             }
             return true;
           };
-          ScanPlan(g, group, group.plans[group.var_plan[u]],
+          ScanPlan(g, unit.group, group.plans[group.var_plan[u]],
                    roots(plan.nodes_), attributed, nullptr, tally);
           return;
         }
@@ -656,7 +768,7 @@ ViolationEngine::Tally ViolationEngine::RunSide(
           }
           return true;
         };
-        ScanPlan(g, group, group.plans[group.edge_plan[j].plan],
+        ScanPlan(g, unit.group, group.plans[group.edge_plan[j].plan],
                  roots(plan.pairs_), attributed, nullptr, tally);
       }));
 }
@@ -664,12 +776,18 @@ ViolationEngine::Tally ViolationEngine::RunSide(
 BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
                                   const GraphView& pre) {
   BatchFootprint fp;
+  auto mark = [&fp](NodeId v) {
+    const uint32_t bit = FilterBit(v);
+    fp.filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+  };
   for (const GraphDelta::Op& op : ops) {
     if (op.kind == GraphDelta::OpKind::kSetAttr) {
       fp.anchors.push_back(op.src);
       fp.writes.push_back({op.src, op.key});
+      mark(op.src);
       continue;
     }
+    mark(op.src);
     // Every match the op creates or destroys binds both endpoints, so
     // one suffices: the lower-degree one, whose ball is smaller.
     const size_t src_degree = pre.Degree(op.src);
@@ -685,11 +803,12 @@ BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
   return fp;
 }
 
-bool BatchFootprint::Wrote(NodeId v, AttrId key) const {
+bool BatchFootprint::SearchWrites(NodeId v, AttrId key) const {
   return std::binary_search(writes.begin(), writes.end(), Write{v, key});
 }
 
-bool BatchFootprint::Changed(NodeId src, NodeId dst, LabelId label) const {
+bool BatchFootprint::SearchEdges(NodeId src, NodeId dst,
+                                 LabelId label) const {
   const EdgeKey least{src, dst, 0};  // no key src -> dst sorts before it
   auto it = std::lower_bound(edges.begin(), edges.end(), least);
   for (; it != edges.end() && it->src == src && it->dst == dst; ++it) {

@@ -11,10 +11,16 @@
 //      variable -- and every member's literals into slot literals over
 //      the group's distinct (variable, attribute) reads, in the
 //      representative's variable space, and
-//   3. per enumerated match, reads each slot once and tests every member
-//      with value-id compares, in a single backtracking pass per group,
+//   3. per enumerated match, reads each slot once and tests, with
+//      value-id compares, only the members that match can violate: a
+//      member whose LHS holds a constant literal x.A = c is keyed by one
+//      such literal (MemberIndex) and skipped where x.A is not c -- the
+//      CFD-style selection by a pattern tuple's constants -- while a
+//      member with none is tested everywhere; all in a single
+//      backtracking pass per group,
 // so the matcher cost is paid |groups| times instead of |rules| times,
-// and the attribute lookups once per match instead of once per rule.
+// the attribute lookups once per match instead of once per rule, and the
+// member tests once per rule whose constants the match carries.
 //
 // The full scan (Detect) and the step scan (DetectStep) run one kernel:
 // one plan over a list of roots, its counters added once per list. In
@@ -25,6 +31,8 @@
 #ifndef GFD_DETECT_ENGINE_H_
 #define GFD_DETECT_ENGINE_H_
 
+#include <algorithm>
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -64,7 +72,8 @@ struct DetectStats {
   size_t num_groups = 0;         ///< distinct pattern topologies compiled
   uint64_t pivots_scanned = 0;   ///< (group, pivot-candidate) pairs tried
   uint64_t matches_seen = 0;     ///< matches enumerated across all groups
-  uint64_t literal_evals = 0;    ///< per-match per-rule LHS/RHS evaluations
+  uint64_t literal_evals = 0;    ///< member tests made: (match, rule)
+                                 ///< pairs whose LHS/RHS were evaluated
   bool truncated = false;        ///< some cap or budget cut the run short
 };
 
@@ -95,7 +104,7 @@ struct IncrementalStats {
                                  ///< sides
   uint64_t matches_seen = 0;     ///< matches evaluated (each at the one
                                  ///< unit it is attributed to), both sides
-  uint64_t literal_evals = 0;    ///< per-match per-rule LHS/RHS evaluations
+  uint64_t literal_evals = 0;    ///< member tests made, both sides
   size_t violations_before = 0;  ///< violations at touched matches, old side
   size_t violations_after = 0;   ///< violations at touched matches, new side
   size_t groups_scanned = 0;     ///< pattern groups with at least one unit
@@ -147,10 +156,32 @@ struct BatchFootprint {
                            const GraphView& pre);
 
   /// Whether the batch set attribute `key` of `v`.
-  bool Wrote(NodeId v, AttrId key) const;
+  bool Wrote(NodeId v, AttrId key) const {
+    return MayTouch(v) && SearchWrites(v, key);
+  }
   /// Whether some changed key src -l-> dst has a label l that matches
   /// `label`, a pattern edge label (possibly the wildcard).
-  bool Changed(NodeId src, NodeId dst, LabelId label) const;
+  bool Changed(NodeId src, NodeId dst, LabelId label) const {
+    return MayTouch(src) && SearchEdges(src, dst, label);
+  }
+
+ private:
+  // A fixed-size filter over nodes, filled by Of: the bit of every
+  // write's node and every changed key's source is set, so a clear bit
+  // answers Wrote and Changed with one test; a set bit falls through to
+  // the binary searches.
+  static constexpr uint32_t kFilterBits = 1024;
+  static uint32_t FilterBit(NodeId v) {
+    return (v * 0x9E3779B1u) >> 22;  // the top 10 bits: Fibonacci hashing
+  }
+  bool MayTouch(NodeId v) const {
+    const uint32_t bit = FilterBit(v);
+    return (filter_[bit / 64] >> (bit % 64)) & 1;
+  }
+  bool SearchWrites(NodeId v, AttrId key) const;
+  bool SearchEdges(NodeId src, NodeId dst, LabelId label) const;
+
+  std::array<uint64_t, kFilterBits / 64> filter_{};
 };
 
 /// The two anchored sides of one step diff, each sorted per Violation
@@ -324,20 +355,13 @@ class ViolationEngine {
   };
   /// One rule of a group: its literals compiled against the group's
   /// reads, plus the map that translates a representative match back
-  /// into the rule's own variable space.
+  /// into the rule's own variable space, both held flat by the group.
   struct Member {
     uint32_t gfd_index;
-    std::vector<VarId> to_rep;  // member VarId -> representative VarId
-    std::vector<SlotLiteral> lhs;
+    uint32_t to_rep;     // member VarId u -> Group::to_rep[to_rep + u]
+    uint32_t lhs_begin;  // its LHS: Group::lhs[lhs_begin, lhs_end)
+    uint32_t lhs_end;
     SlotLiteral rhs;
-
-    /// h |= X and h |/= l, given the group's slot values of match h.
-    bool Violates(const ValueId* vals) const {
-      for (const SlotLiteral& l : lhs) {
-        if (!l.Holds(vals)) return false;
-      }
-      return !rhs.Holds(vals);
-    }
   };
   struct Group {
     static constexpr uint32_t kNoPlan = UINT32_MAX;
@@ -361,6 +385,8 @@ class ViolationEngine {
     std::vector<EdgePlan> edge_plan;
     VarId pivot = 0;
     std::vector<Member> members;
+    std::vector<SlotLiteral> lhs;  // every member's LHS, in member order
+    std::vector<VarId> to_rep;     // every member's variable map, likewise
     /// The distinct (variable, key) pairs any member literal reads, in
     /// first-use order; every SlotLiteral indexes into it.
     std::vector<SlotRead> reads;
@@ -373,9 +399,21 @@ class ViolationEngine {
     const Pattern& pattern() const { return PivotPlan().pattern(); }
 
     /// Compiles rule `gfd_index` (`phi`, whose variable u is the
-    /// representative's to_rep[u]) into a member, adding its reads.
+    /// representative's var_map[u]) into a member, adding its reads.
     void AddMember(uint32_t gfd_index, const Gfd& phi,
-                   std::vector<VarId> to_rep);
+                   std::span<const VarId> var_map);
+
+    std::span<const SlotLiteral> Lhs(const Member& m) const {
+      return {lhs.data() + m.lhs_begin, m.lhs_end - m.lhs_begin};
+    }
+
+    /// h |= X and h |/= l for member `m`, given the slot values of h.
+    bool Violates(const Member& m, const ValueId* vals) const {
+      for (const SlotLiteral& l : Lhs(m)) {
+        if (!l.Holds(vals)) return false;
+      }
+      return !m.rhs.Holds(vals);
+    }
 
     /// Fills var_plan and edge_plan from `reads` and the pattern.
     void CompileStepPlans();
@@ -393,8 +431,10 @@ class ViolationEngine {
 
   /// The step's units by what roots them, built with the engine, so
   /// PlanStep walks a batch's writes and changed keys instead of every
-  /// group. Units are numbered in plan order: group by group, a group's
-  /// write units (by variable) before its edge units (by pattern edge).
+  /// group. A group has a write unit for each variable some member reads
+  /// at and an edge unit for each pattern edge. Units are numbered in
+  /// plan order: group by group, a group's write units (by variable)
+  /// before its edge units (by pattern edge).
   struct UnitIndex {
     struct Unit {
       uint32_t group;
@@ -427,6 +467,63 @@ class ViolationEngine {
     explicit UnitIndex(std::span<const Group> groups);
   };
 
+  /// The members a match must test on the uncapped path, built with the
+  /// engine. A member whose LHS holds a constant literal x.A = c is
+  /// keyed by one of them -- the one on the read most of its group's
+  /// members hold a constant at, ties to the earlier read -- since a
+  /// match whose value there is not c (or absent) cannot satisfy the LHS
+  /// and so cannot violate the rule. A member with no constant literal
+  /// in its LHS is keyless and tested at every match.
+  ///
+  /// Flat, each array sized exactly before it is filled: group gi's
+  /// keyless members are keyless[group_keyless[gi] .. group_keyless[gi +
+  /// 1]), its key reads keys[group_keys[gi] .. group_keys[gi + 1]), and a
+  /// key read's members keyed[begin .. end), sorted by (value, member).
+  /// Members are indexes into Group::members.
+  struct MemberIndex {
+    struct Key {
+      uint32_t slot;   // indexes Group::reads
+      uint32_t begin;  // its members: [begin, end) of keyed
+      uint32_t end;
+    };
+    struct Keyed {
+      ValueId value;
+      uint32_t member;
+      friend auto operator<=>(const Keyed&, const Keyed&) = default;
+    };
+    std::vector<uint32_t> group_keyless;  // NumGroups() + 1 offsets
+    std::vector<uint32_t> keyless;
+    std::vector<uint32_t> group_keys;  // NumGroups() + 1 offsets
+    std::vector<Key> keys;
+    std::vector<Keyed> keyed;
+
+    MemberIndex() = default;
+    explicit MemberIndex(std::span<const Group> groups);
+
+    /// Calls test(member) for every member of group `gi` that a match
+    /// with slot values `vals` can violate, each once; returns how many.
+    template <typename Test>
+    uint64_t ForEachCandidate(uint32_t gi, const ValueId* vals,
+                              const Test& test) const {
+      uint64_t tests = group_keyless[gi + 1] - group_keyless[gi];
+      for (uint32_t i = group_keyless[gi]; i < group_keyless[gi + 1]; ++i) {
+        test(keyless[i]);
+      }
+      for (uint32_t k = group_keys[gi]; k < group_keys[gi + 1]; ++k) {
+        const ValueId v = vals[keys[k].slot];
+        if (v == kNoValue) continue;
+        const Keyed* const end = keyed.data() + keys[k].end;
+        const Keyed* it = std::lower_bound(keyed.data() + keys[k].begin, end,
+                                           Keyed{v, 0});
+        for (; it != end && it->value == v; ++it) {
+          test(it->member);
+          ++tests;
+        }
+      }
+      return tests;
+    }
+  };
+
   // The shared caps of one capped full scan and one worker's output of a
   // scan (both defined in the .cc).
   struct Budget;
@@ -437,20 +534,21 @@ class ViolationEngine {
   template <typename GraphT>
   DetectionResult DetectImpl(const GraphT& g, const DetectOptions& opts) const;
 
-  // The kernel of both scans: runs `plan` (one of the group's plans) at
+  // The kernel of both scans: runs `plan` (one of group `gi`'s plans) at
   // every root of `roots` whose node its root step admits -- a NodeId
   // binds the plan's root variable; a StepPlan::PairRoot binds its first
   // two (ForEachMatchAtPair), or only the root when both are one node (a
-  // self-loop edge's unit) -- evaluates every member on each
-  // match `attributed` accepts, and adds the violations and the root /
-  // match / literal-eval counts to `tally` once at the end. `budget` is
-  // null for uncapped runs; a capped full scan claims its atomics once
-  // per emitted violation.
+  // self-loop edge's unit) -- tests the group's members on each match
+  // `attributed` accepts, and adds the violations and the root / match /
+  // member-test counts to `tally` once at the end. `budget` is null for
+  // uncapped runs, which test only the members member_index_ names for
+  // the match; a capped full scan tests every member in order, so which
+  // violations a cap keeps is unchanged, and claims its atomics once per
+  // emitted violation.
   template <typename GraphT, typename Roots, typename Attributed>
-  void ScanPlan(const GraphT& g, const Group& group,
-                const CompiledPattern& plan, const Roots& roots,
-                const Attributed& attributed, Budget* budget,
-                Tally& tally) const;
+  void ScanPlan(const GraphT& g, uint32_t gi, const CompiledPattern& plan,
+                const Roots& roots, const Attributed& attributed,
+                Budget* budget, Tally& tally) const;
 
   // One side of a step: runs every unit of `plan`, evaluating each match
   // at its attributed unit only, and returns the violations, sorted,
@@ -460,13 +558,15 @@ class ViolationEngine {
                 const BatchFootprint& batch,
                 const IncrementalOptions& opts) const;
 
-  // The violation record of `m` at representative match `match`.
-  Violation MakeViolation(const Member& m, NodeId pivot,
+  // The violation record of `group`'s member `m` at representative
+  // match `match`.
+  Violation MakeViolation(const Group& group, const Member& m, NodeId pivot,
                           const Match& match) const;
 
   std::vector<Gfd> rules_;
   std::vector<Group> groups_;
   UnitIndex unit_index_;
+  MemberIndex member_index_;
   uint32_t max_pattern_radius_ = 0;
 };
 

@@ -43,7 +43,8 @@ obs::Counter& DetectGroupMatches(size_t group) {
 obs::Counter& DetectLiteralEvals() {
   static obs::Counter& c =
       Reg().GetCounter("gfd_detect_literal_evals_total",
-                       "Rule literal evaluations across all detect runs.");
+                       "Member tests (one match against one rule's "
+                       "literals) across all detect runs.");
   return c;
 }
 

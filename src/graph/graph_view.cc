@@ -56,47 +56,6 @@ const std::string& GraphDelta::ValueName(const PropertyGraph& base,
   return ExtName(extra_values, base.values(), v);
 }
 
-void GraphDelta::Append(const PropertyGraph& base, const GraphDelta& other) {
-  // Adopt `other`'s full extension vocabulary first, in its table order
-  // -- not lazily on first op use. Appending the same stream of deltas
-  // must yield the same extension ids regardless of which ops each
-  // consumer applies; the coordinator relies on this to keep every
-  // fragment's vocabulary identical to the master's even though each
-  // fragment only receives a routed subset of the ops.
-  for (const std::string& l : other.extra_labels) InternLabel(base, l);
-  for (const std::string& k : other.extra_attrs) InternAttr(base, k);
-  for (const std::string& v : other.extra_values) InternValue(base, v);
-  // Translate an id of `other`'s vocabulary into this delta's: base ids
-  // are shared, extension ids resolve by name (interning on first sight).
-  auto map_label = [&](LabelId l) {
-    if (l < base.labels().size()) return l;
-    return InternLabel(base, other.LabelName(base, l));
-  };
-  auto map_attr = [&](AttrId a) {
-    if (a < base.attrs().size()) return a;
-    return InternAttr(base, other.AttrName(base, a));
-  };
-  auto map_value = [&](ValueId v) {
-    if (v < base.values().size()) return v;
-    return InternValue(base, other.ValueName(base, v));
-  };
-  ops.reserve(ops.size() + other.ops.size());
-  for (const Op& op : other.ops) {
-    Op mapped = op;
-    switch (op.kind) {
-      case OpKind::kInsertEdge:
-      case OpKind::kDeleteEdge:
-        mapped.label = map_label(op.label);
-        break;
-      case OpKind::kSetAttr:
-        mapped.key = map_attr(op.key);
-        mapped.value = map_value(op.value);
-        break;
-    }
-    ops.push_back(mapped);
-  }
-}
-
 std::vector<EdgeId>& GraphView::TouchOut(NodeId v) {
   if (out_index_[v] == kUntouched) {
     out_index_[v] = static_cast<uint32_t>(out_lists_.size());
@@ -329,8 +288,9 @@ bool GraphView::AbsorbAppended(const GraphDelta& delta, size_t first_op,
 
 void GraphView::ApplyAppended(const GraphDelta& delta, size_t first_op) {
   // The delta's extension vocabulary grew append-only past what the view
-  // carries (GraphDelta::Append re-interns by name), so adopting the
-  // whole tables keeps every id the view already handed out valid.
+  // carries (a parsed batch interns its new names past the overlay's,
+  // LiveGraph::Parse), so adopting the whole tables keeps every id the
+  // view already handed out valid.
   extra_labels_ = delta.extra_labels;
   extra_attrs_ = delta.extra_attrs;
   extra_values_ = delta.extra_values;

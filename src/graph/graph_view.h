@@ -97,14 +97,6 @@ struct GraphDelta {
   const std::string& AttrName(const PropertyGraph& base, AttrId a) const;
   const std::string& ValueName(const PropertyGraph& base, ValueId v) const;
 
-  /// Appends `other` -- a delta over the same `base` -- to this one: ops
-  /// are concatenated in stream order and `other`'s extension vocabulary
-  /// is re-interned *by name*, so two batches that each introduced the
-  /// same new string agree on its id in the merged delta. This is how a
-  /// parsed batch is re-expressed in a live overlay's id space
-  /// (LiveGraph::Parse).
-  void Append(const PropertyGraph& base, const GraphDelta& other);
-
   bool empty() const { return ops.empty(); }
   size_t size() const { return ops.size(); }
 };
@@ -226,8 +218,8 @@ class GraphView {
   /// In-place incremental apply: absorbs ops[first_op, delta.size()) of
   /// `delta` into this view. Precondition: the view currently reflects
   /// exactly delta.ops[0, first_op) over the same base, and `delta`'s
-  /// extension vocabulary grew append-only (GraphDelta::Append
-  /// guarantees both -- this is the serving overlay's shape). Validates
+  /// extension vocabulary grew append-only (LiveGraph's overlay and the
+  /// batches LiveGraph::Parse re-expresses in it have both). Validates
   /// first; returns false with the view unchanged when the tail cannot
   /// apply. A delete takes the first edge with its key in its source's
   /// out-list, and an insert lands after every edge with its key, so

@@ -1,6 +1,5 @@
 #include "graph/live_graph.h"
 
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -14,14 +13,15 @@ LiveGraph::LiveGraph(PropertyGraph base)
 
 std::optional<GraphDelta> LiveGraph::Parse(std::string_view delta_tsv,
                                            std::string* error) const {
-  std::istringstream in{std::string(delta_tsv)};
-  auto d = LoadGraphDeltaTsv(in, *base_, error);
-  if (!d) return std::nullopt;
+  // The batch's extension tables start as the overlay's, so the names
+  // only it introduces are interned past them, in first-use order.
   GraphDelta batch;
   batch.extra_labels = overlay_.extra_labels;
   batch.extra_attrs = overlay_.extra_attrs;
   batch.extra_values = overlay_.extra_values;
-  batch.Append(*base_, *d);
+  if (!AppendGraphDeltaTsv(delta_tsv, *base_, &batch, error)) {
+    return std::nullopt;
+  }
   return batch;
 }
 

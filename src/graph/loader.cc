@@ -1,10 +1,13 @@
 #include "graph/loader.h"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 #include <unordered_map>
+#include <vector>
 
 #include "util/tsv.h"
 
@@ -126,87 +129,114 @@ std::optional<PropertyGraph> LoadGraphTsvFile(const std::string& path,
 std::optional<GraphDelta> LoadGraphDeltaTsv(std::istream& in,
                                             const PropertyGraph& g,
                                             std::string* error) {
+  const std::string tsv{std::istreambuf_iterator<char>(in), {}};
   GraphDelta d;
-  std::string line;
+  if (!AppendGraphDeltaTsv(tsv, g, &d, error)) return std::nullopt;
+  return d;
+}
+
+bool AppendGraphDeltaTsv(std::string_view tsv, const PropertyGraph& g,
+                         GraphDelta* delta, std::string* error) {
+  GraphDelta& d = *delta;
+  const auto lines = std::count(tsv.begin(), tsv.end(), '\n') + 1;
+  d.ops.reserve(d.ops.size() + static_cast<size_t>(lines));
   size_t lineno = 0;
-  while (std::getline(in, line)) {
+  std::vector<std::string_view> fields;
+  // Fields are read in place; only one holding a backslash is unescaped,
+  // into one of two buffers (an attribute's key and value are live at
+  // once).
+  std::array<std::string, 2> unescaped;
+  auto field = [&](std::string_view raw,
+                   size_t buffer) -> std::optional<std::string_view> {
+    if (raw.find('\\') == std::string_view::npos) return raw;
+    auto s = Unescape(raw, lineno, error);
+    if (!s) return std::nullopt;
+    unescaped[buffer] = std::move(*s);
+    return unescaped[buffer];
+  };
+  // Node references resolve through the graph's name index (unnamed
+  // nodes answer to the "n<id>" aliases SaveGraphTsv emits).
+  auto at = [&](std::string_view raw) -> std::optional<NodeId> {
+    auto name = field(raw, 0);
+    if (!name) return std::nullopt;
+    auto v = g.FindNode(*name);
+    if (!v) {
+      SetError(error, "line " + std::to_string(lineno) + ": unknown node '" +
+                          std::string(*name) + "'");
+    }
+    return v;
+  };
+  for (size_t next = 0; next < tsv.size();) {
+    size_t end = tsv.find('\n', next);
+    if (end == std::string_view::npos) end = tsv.size();
+    std::string_view line = tsv.substr(next, end - next);
+    next = end + 1;
     ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty() || line[0] == '#') continue;
-    auto fields = SplitFields(line);
-    // Node references resolve through the graph's name index (unnamed
-    // nodes answer to the "n<id>" aliases SaveGraphTsv emits).
-    auto at = [&](std::string_view raw) -> std::optional<NodeId> {
-      auto name = Unescape(raw, lineno, error);
-      if (!name) return std::nullopt;
-      auto v = g.FindNode(*name);
-      if (!v) {
-        SetError(error, "line " + std::to_string(lineno) +
-                            ": unknown node '" + *name + "'");
-      }
-      return v;
-    };
-    if (fields[0] == "L" || fields[0] == "K" || fields[0] == "V") {
+    SplitFields(line, &fields);
+    const std::string_view tag = fields[0];
+    if (tag == "L" || tag == "K" || tag == "V") {
       // Vocabulary preamble: intern in file order so every consumer of
       // the same preamble assigns identical extension ids (Intern*
       // dedups against both the base graph and prior extras).
       if (fields.size() < 2) {
         SetError(error, "line " + std::to_string(lineno) + ": short " +
-                            std::string(fields[0]) + " record");
-        return std::nullopt;
+                            std::string(tag) + " record");
+        return false;
       }
-      auto name = Unescape(fields[1], lineno, error);
-      if (!name) return std::nullopt;
-      if (fields[0] == "L") {
+      auto name = field(fields[1], 0);
+      if (!name) return false;
+      if (tag == "L") {
         d.InternLabel(g, *name);
-      } else if (fields[0] == "K") {
+      } else if (tag == "K") {
         d.InternAttr(g, *name);
       } else {
         d.InternValue(g, *name);
       }
-    } else if (fields[0] == "E+" || fields[0] == "E-") {
+    } else if (tag == "E+" || tag == "E-") {
       if (fields.size() < 4) {
         SetError(error, "line " + std::to_string(lineno) + ": short " +
-                            std::string(fields[0]) + " record");
-        return std::nullopt;
+                            std::string(tag) + " record");
+        return false;
       }
       auto src = at(fields[1]);
       auto dst = at(fields[2]);
-      if (!src || !dst) return std::nullopt;
-      auto label = Unescape(fields[3], lineno, error);
-      if (!label) return std::nullopt;
+      if (!src || !dst) return false;
+      auto label = field(fields[3], 0);
+      if (!label) return false;
       LabelId l = d.InternLabel(g, *label);
-      if (fields[0] == "E+") {
+      if (tag == "E+") {
         d.InsertEdge(*src, *dst, l);
       } else {
         d.DeleteEdge(*src, *dst, l);
       }
-    } else if (fields[0] == "A") {
+    } else if (tag == "A") {
       if (fields.size() < 3) {
         SetError(error, "line " + std::to_string(lineno) + ": short A record");
-        return std::nullopt;
+        return false;
       }
       auto v = at(fields[1]);
-      if (!v) return std::nullopt;
+      if (!v) return false;
       for (size_t i = 2; i < fields.size(); ++i) {
         std::string_view key, value;
         if (!SplitKeyValue(fields[i], &key, &value)) {
           SetError(error, "line " + std::to_string(lineno) +
                               ": attribute without '='");
-          return std::nullopt;
+          return false;
         }
-        auto k = Unescape(key, lineno, error);
-        auto val = Unescape(value, lineno, error);
-        if (!k || !val) return std::nullopt;
+        auto k = field(key, 0);
+        auto val = field(value, 1);
+        if (!k || !val) return false;
         d.SetAttr(*v, d.InternAttr(g, *k), d.InternValue(g, *val));
       }
     } else {
       SetError(error, "line " + std::to_string(lineno) + ": unknown tag '" +
-                          std::string(fields[0]) + "'");
-      return std::nullopt;
+                          std::string(tag) + "'");
+      return false;
     }
   }
-  return d;
+  return true;
 }
 
 std::optional<GraphDelta> LoadGraphDeltaTsvFile(const std::string& path,

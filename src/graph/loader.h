@@ -29,18 +29,19 @@
 //   A  <node-string-id> <key>=<value> [...]        set attribute(s)
 // Node references resolve through PropertyGraph::FindNode: a node's own
 // name, or "n<id>" for an unnamed node (PropertyGraph::NodeAlias, which
-// is also what SaveGraphTsv writes). The graph builds that index once,
-// so parsing a batch costs O(batch log |V|), not O(|V|). Labels, keys, and
-// values the graph never interned are added to the delta's extension
-// vocabulary, so updates may introduce brand-new values. L/K/V records
-// pre-intern extension vocabulary in file order, the delta analogue of
-// the graph format's durability preamble.
+// is also what SaveGraphTsv writes). The graph builds that hash table
+// once, so parsing a batch costs O(batch) expected, not O(|V|). Labels,
+// keys, and values the graph never interned are added to the delta's
+// extension vocabulary, so updates may introduce brand-new values. L/K/V
+// records pre-intern extension vocabulary in file order, the delta
+// analogue of the graph format's durability preamble.
 #ifndef GFD_GRAPH_LOADER_H_
 #define GFD_GRAPH_LOADER_H_
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "graph/graph_view.h"
 #include "graph/property_graph.h"
@@ -71,6 +72,16 @@ void SaveGraphTsv(const PropertyGraph& g, std::ostream& out,
 std::optional<GraphDelta> LoadGraphDeltaTsv(std::istream& in,
                                             const PropertyGraph& g,
                                             std::string* error = nullptr);
+
+/// LoadGraphDeltaTsv over text in memory, parsed in place: appends the
+/// ops of `tsv` to `*delta` and interns the names `g` lacks past
+/// `*delta`'s extension tables, which may already hold names (a live
+/// overlay's, LiveGraph::Parse). Same records, line numbers and error
+/// texts as the stream overload; no line or field is copied, and only a
+/// field holding a backslash is unescaped. Returns false with *error set
+/// on malformed input, leaving *delta partly extended.
+bool AppendGraphDeltaTsv(std::string_view tsv, const PropertyGraph& g,
+                         GraphDelta* delta, std::string* error = nullptr);
 
 /// Convenience file-based wrapper.
 std::optional<GraphDelta> LoadGraphDeltaTsvFile(const std::string& path,

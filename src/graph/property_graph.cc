@@ -1,11 +1,31 @@
 #include "graph/property_graph.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <charconv>
 
 #include "util/hash.h"
 
 namespace gfd {
+
+namespace {
+
+// Room for "n" and a uint32's decimal digits.
+using AliasBuffer = std::array<char, 12>;
+
+// NodeAlias(v) without an allocation: v's own name, or "n<id>" written
+// into `buf`.
+std::string_view AliasOf(const PropertyGraph& g, NodeId v, AliasBuffer& buf) {
+  const std::string& name = g.NodeName(v);
+  if (!name.empty()) return name;
+  buf[0] = 'n';
+  const char* end =
+      std::to_chars(buf.data() + 1, buf.data() + buf.size(), v).ptr;
+  return {buf.data(), static_cast<size_t>(end - buf.data())};
+}
+
+}  // namespace
 
 PropertyGraph::Builder::Builder() {
   // Reserve label id 0 for the wildcard so that pattern labels and graph
@@ -132,22 +152,16 @@ PropertyGraph PropertyGraph::Builder::Build() && {
     g.label_nodes_[cursor[g.node_labels_[v]]++] = static_cast<NodeId>(v);
   }
 
-  g.name_index_.resize(n);
+  size_t slots = 1;
+  while (slots < 2 * n) slots *= 2;
+  g.name_slots_.assign(slots, kNoNode);
+  AliasBuffer buf;
   for (NodeId v = 0; v < n; ++v) {
-    g.name_index_[v] = {NodeNameHash(g.NodeAlias(v)), v};
+    size_t s = NodeNameHash(AliasOf(g, v, buf)) & (slots - 1);
+    while (g.name_slots_[s] != kNoNode) s = (s + 1) & (slots - 1);
+    g.name_slots_[s] = v;
   }
-  std::sort(g.name_index_.begin(), g.name_index_.end());
   return g;
-}
-
-std::optional<ValueId> PropertyGraph::GetAttr(NodeId v, AttrId key) const {
-  auto span = NodeAttrs(v);
-  // Attribute lists are short (paper: <= 7 per node); linear scan is fastest.
-  for (const auto& a : span) {
-    if (a.key == key) return a.value;
-    if (a.key > key) break;  // sorted by key
-  }
-  return std::nullopt;
 }
 
 std::span<const NodeId> PropertyGraph::NodesWithLabel(LabelId label) const {
@@ -163,19 +177,17 @@ const std::string& PropertyGraph::NodeName(NodeId v) const {
 }
 
 std::string PropertyGraph::NodeAlias(NodeId v) const {
-  const std::string& name = NodeName(v);
-  if (!name.empty()) return name;
-  return "n" + std::to_string(v);
+  AliasBuffer buf;
+  return std::string(AliasOf(*this, v, buf));
 }
 
 std::optional<NodeId> PropertyGraph::FindNode(std::string_view name) const {
-  const uint32_t h = NodeNameHash(name);
-  auto it = std::lower_bound(name_index_.begin(), name_index_.end(),
-                             std::pair<uint32_t, NodeId>{h, 0});
-  // Entries sharing a hash sit in id order, so the first confirmed hit
-  // is the lowest id answering to `name`.
-  for (; it != name_index_.end() && it->first == h; ++it) {
-    if (NodeAlias(it->second) == name) return it->second;
+  if (name_slots_.empty()) return std::nullopt;  // not built
+  const size_t mask = name_slots_.size() - 1;
+  AliasBuffer buf;
+  for (size_t s = NodeNameHash(name) & mask; name_slots_[s] != kNoNode;
+       s = (s + 1) & mask) {
+    if (AliasOf(*this, name_slots_[s], buf) == name) return name_slots_[s];
   }
   return std::nullopt;
 }

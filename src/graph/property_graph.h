@@ -95,8 +95,17 @@ class PropertyGraph {
             attr_offsets_[v + 1] - attr_offsets_[v]};
   }
 
-  /// Value of attribute `key` at node v, if present.
-  std::optional<ValueId> GetAttr(NodeId v, AttrId key) const;
+  /// Value of attribute `key` at node v, if present. Inline: the
+  /// detection kernel reads one per slot per match.
+  std::optional<ValueId> GetAttr(NodeId v, AttrId key) const {
+    // Attribute lists are short (paper: <= 7 per node); a linear scan
+    // is fastest.
+    for (const Attribute& a : NodeAttrs(v)) {
+      if (a.key == key) return a.value;
+      if (a.key > key) break;  // sorted by key
+    }
+    return std::nullopt;
+  }
 
   /// All nodes carrying label `label` (empty span for unknown labels).
   std::span<const NodeId> NodesWithLabel(LabelId label) const;
@@ -111,10 +120,11 @@ class PropertyGraph {
 
   /// The node whose NodeAlias is `name`, or nullopt. When several nodes
   /// answer to one name (a node named "n5" beside unnamed node 5), the
-  /// lowest id wins. O(log |V|) through an index Build() lays down once.
+  /// lowest id wins. O(1) expected, through a hash table Build() lays
+  /// down once, with no allocation.
   std::optional<NodeId> FindNode(std::string_view name) const;
 
-  /// The 32-bit hash FindNode's index keys aliases by.
+  /// The 32-bit hash FindNode's table keys aliases by.
   static uint32_t NodeNameHash(std::string_view name);
 
   // --- Edges ---------------------------------------------------------------
@@ -196,9 +206,12 @@ class PropertyGraph {
 
   std::vector<std::string> node_names_;
 
-  // (NodeNameHash(NodeAlias(v)), v) for every node, sorted: 8 bytes a
-  // node, no copied strings. A hash hit is confirmed against the alias.
-  std::vector<std::pair<uint32_t, NodeId>> name_index_;
+  // An open-addressing table over NodeNameHash(NodeAlias(v)): a power of
+  // two of at least 2 |V| slots, each a node id or kNoNode, filled by
+  // linear probing in id order, so along one name's probe the lowest id
+  // answering to it comes first. No copied strings: a slot is confirmed
+  // against its node's alias.
+  std::vector<NodeId> name_slots_;
 };
 
 }  // namespace gfd

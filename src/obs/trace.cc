@@ -74,7 +74,13 @@ void TraceLog::Emit(std::string_view stage,
 
 void TraceLog::Emit(std::string_view stage,
                     const std::vector<TraceField>& fields, int64_t dur_ns) {
-  std::string line = "{\"ts_ns\":" + std::to_string(MonotonicNowNs()) +
+  Emit(stage, fields, dur_ns, MonotonicNowNs());
+}
+
+void TraceLog::Emit(std::string_view stage,
+                    const std::vector<TraceField>& fields, int64_t dur_ns,
+                    uint64_t ts_ns) {
+  std::string line = "{\"ts_ns\":" + std::to_string(ts_ns) +
                      ",\"stage\":\"" + EscapeJson(stage) + '"';
   if (dur_ns >= 0) line += ",\"dur_ns\":" + std::to_string(dur_ns);
   for (const TraceField& field : fields) {
@@ -110,8 +116,14 @@ void ScopedTimer::AddField(std::string_view key, uint64_t value) {
   fields_.push_back({key, value});
 }
 
+void ScopedTimer::Hold() {
+  held_ns_ = watch_.ElapsedNs();
+  held_end_ns_ = MonotonicNowNs();
+  held_ = true;
+}
+
 uint64_t ScopedTimer::StopNs() {
-  const uint64_t elapsed = watch_.ElapsedNs();
+  const uint64_t elapsed = held_ ? held_ns_ : watch_.ElapsedNs();
   if (done_) return elapsed;
   done_ = true;
   if (histogram_ != nullptr) {
@@ -120,7 +132,8 @@ uint64_t ScopedTimer::StopNs() {
   if (!stage_.empty()) {
     TraceLog* log = ActiveTrace();
     if (log != nullptr) {
-      log->Emit(stage_, fields_, static_cast<int64_t>(elapsed));
+      log->Emit(stage_, fields_, static_cast<int64_t>(elapsed),
+                held_ ? held_end_ns_ : MonotonicNowNs());
     }
   }
   return elapsed;

@@ -54,6 +54,10 @@ class TraceLog {
             int64_t dur_ns = -1);
   void Emit(std::string_view stage, const std::vector<TraceField>& fields,
             int64_t dur_ns = -1);
+  /// Emit with the event's ts_ns given (MonotonicNowNs() at its end)
+  /// rather than taken now.
+  void Emit(std::string_view stage, const std::vector<TraceField>& fields,
+            int64_t dur_ns, uint64_t ts_ns);
 
   const std::string& path() const { return path_; }
 
@@ -96,7 +100,13 @@ class ScopedTimer {
   /// Attaches a field learned mid-span (e.g. the assigned seq).
   void AddField(std::string_view key, uint64_t value);
 
-  /// Stops and records now; returns the span duration in nanoseconds.
+  /// Ends the span here but records it later, on StopNs or destruction,
+  /// so a field a later stage learns (the seq Stage assigns to a parsed
+  /// batch) can still join it; the span keeps this end and duration.
+  void Hold();
+
+  /// Stops and records now (or at Hold's end); returns the span
+  /// duration in nanoseconds.
   uint64_t StopNs();
 
   /// Stops without recording anything (e.g. the operation failed).
@@ -108,6 +118,9 @@ class ScopedTimer {
   std::string_view stage_;
   std::vector<TraceField> fields_;
   bool done_ = false;
+  bool held_ = false;
+  uint64_t held_ns_ = 0;      // the duration at Hold
+  uint64_t held_end_ns_ = 0;  // MonotonicNowNs() at Hold
 };
 
 }  // namespace gfd::obs

@@ -149,20 +149,45 @@ DeltaLog& DeltaLog::operator=(DeltaLog&&) noexcept = default;
 DeltaLog::~DeltaLog() = default;
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> t{};
+  // Slicing-by-8: table[0] is the bytewise table; table[k][b] advances
+  // table[0][b] by k more zero bytes, so one step folds eight input
+  // bytes with eight lookups.
+  using Table = std::array<std::array<uint32_t, 256>, 8>;
+  static const Table kTable = [] {
+    Table t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < t.size(); ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  // Little-endian loads spelled out, so the result is the same on any
+  // host byte order.
+  auto load32 = [](const unsigned char* q) {
+    return uint32_t{q[0]} | uint32_t{q[1]} << 8 | uint32_t{q[2]} << 16 |
+           uint32_t{q[3]} << 24;
+  };
   uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    crc = kTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = load32(p) ^ crc;
+    const uint32_t hi = load32(p + 4);
+    crc = kTable[7][lo & 0xFF] ^ kTable[6][(lo >> 8) & 0xFF] ^
+          kTable[5][(lo >> 16) & 0xFF] ^ kTable[4][lo >> 24] ^
+          kTable[3][hi & 0xFF] ^ kTable[2][(hi >> 8) & 0xFF] ^
+          kTable[1][(hi >> 16) & 0xFF] ^ kTable[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTable[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -69,8 +69,11 @@
 
 namespace gfd {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`. Exposed for the
-/// tests that hand-corrupt log bytes.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`, computed
+/// slicing-by-8 (eight table lookups per eight input bytes). The values
+/// are those of the bytewise algorithm, so every frame a log holds is
+/// byte-for-byte what it was. Exposed for the tests that hand-corrupt log
+/// bytes.
 uint32_t Crc32(std::string_view data);
 
 struct DeltaLogRecord {

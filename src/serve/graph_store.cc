@@ -424,10 +424,18 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
     const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
   // Parse, then stage: the batch is validated and its record written, and
   // the record's fsync runs on the log's syncer while the step computes.
+  // The parse span ends with the parse but takes the seq Stage assigns.
+  obs::ScopedTimer parse_timer(nullptr, "parse");
   auto batch = live_->Parse(delta_tsv, error);
-  if (!batch) return std::nullopt;
-  const auto seq = Stage(*batch, delta_tsv, error);
-  if (!seq) return std::nullopt;
+  parse_timer.Hold();
+  const auto seq = batch ? Stage(*batch, delta_tsv, error) : std::nullopt;
+  if (!seq) {
+    parse_timer.Discard();
+    return std::nullopt;
+  }
+  parse_timer.AddField("seq", *seq);
+  parse_timer.AddField("ops", batch->ops.size());
+  parse_timer.StopNs();
   // The route reads the pre-batch view: the anchors, by its degrees, so
   // every store serving this stream picks the same ones, and the step's
   // units, planned once.

@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace gfd {
@@ -20,7 +19,8 @@ class StringInterner {
   /// Interns `s`, returning its id (existing or freshly assigned).
   uint32_t Intern(std::string_view s);
 
-  /// Returns the id of `s` if already interned.
+  /// Returns the id of `s` if already interned. Looks `s` up as it is,
+  /// with no copy.
   std::optional<uint32_t> Find(std::string_view s) const;
 
   /// Returns the string for id `id`. Precondition: id < size().
@@ -30,8 +30,16 @@ class StringInterner {
   size_t size() const { return strings_.size(); }
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> strings_;
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  // The slot holding `s`'s id, or the empty slot where it would go.
+  size_t Slot(std::string_view s) const;
+
+  std::vector<std::string> strings_;  // by id
+  // An open-addressing table of ids, keyed by their strings' hashes: a
+  // power of two of at least 2 size() slots (kEmpty when free), linear
+  // probing. No string is stored twice.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace gfd

@@ -4,17 +4,23 @@ namespace gfd {
 
 std::vector<std::string_view> SplitFields(std::string_view line, char sep) {
   std::vector<std::string_view> out;
+  SplitFields(line, &out, sep);
+  return out;
+}
+
+void SplitFields(std::string_view line, std::vector<std::string_view>* out,
+                 char sep) {
+  out->clear();
   size_t start = 0;
   while (start <= line.size()) {
     size_t pos = line.find(sep, start);
     if (pos == std::string_view::npos) {
-      out.push_back(line.substr(start));
+      out->push_back(line.substr(start));
       break;
     }
-    out.push_back(line.substr(start, pos - start));
+    out->push_back(line.substr(start, pos - start));
     start = pos + 1;
   }
-  return out;
 }
 
 bool SplitKeyValue(std::string_view field, std::string_view* key,

@@ -21,6 +21,9 @@ namespace gfd {
 /// Splits `line` on `sep` (fields are raw; unescape separately).
 std::vector<std::string_view> SplitFields(std::string_view line,
                                           char sep = '\t');
+/// SplitFields into `*out` (cleared first), reusing its storage.
+void SplitFields(std::string_view line, std::vector<std::string_view>* out,
+                 char sep = '\t');
 
 /// Splits "key=value" at the first *unescaped* '=' (one preceded by an
 /// even number of backslashes). Returns false if no such '='.

@@ -319,13 +319,14 @@ struct StepSpan {
 };
 
 bool IsStepStage(const std::string& stage) {
-  return stage == "route" || stage == "absorb" || stage == "detect" ||
-         stage == "merge" || stage == "render" || stage == "sync_wait";
+  return stage == "parse" || stage == "route" || stage == "absorb" ||
+         stage == "detect" || stage == "merge" || stage == "render" ||
+         stage == "sync_wait";
 }
 
-// The spans of a trace's serving steps -- route, absorb, detect, merge,
-// render and sync_wait -- in the order they were emitted. A line reads
-// {"ts_ns":1,"stage":"detect","dur_ns":2,"seq":3,...}.
+// The spans of a trace's serving steps -- parse, route, absorb, detect,
+// merge, render and sync_wait -- in the order they were emitted. A line
+// reads {"ts_ns":1,"stage":"detect","dur_ns":2,"seq":3,...}.
 std::vector<StepSpan> StepSpans(const std::string& text) {
   std::vector<StepSpan> out;
   std::istringstream lines(text);
@@ -347,8 +348,9 @@ std::vector<StepSpan> StepSpans(const std::string& text) {
   return out;
 }
 
-// Both backends run one step and trace it in one shape: per seq, a
-// `route` (the plan), the `absorb` between the plan's two sides, one
+// Both backends run one step and trace it in one shape: per seq, the
+// `parse` of the batch, a `route` (the plan), the `absorb` between the
+// plan's two sides, one
 // `detect` timing both sides, a `merge` holding `render`, then the
 // `sync_wait` for the record's fsync -- the same stage sequence and the
 // same fields on a single store and on a 2-fragment coordinator, whose
@@ -377,8 +379,9 @@ TEST(ServingStep, BothBackendsTraceOneShape) {
   ASSERT_TRUE(single.has_value());
   ASSERT_TRUE(coord.has_value());
 
-  const std::vector<std::string> want = {"route",  "absorb", "detect",
-                                         "render", "merge",  "sync_wait"};
+  const std::vector<std::string> want = {"parse",  "route", "absorb",
+                                         "detect", "render", "merge",
+                                         "sync_wait"};
   std::vector<IncrementalDiff> diffs;
   std::vector<std::vector<std::string>> shapes;
   const std::pair<const char*, ServingStore*> backends[] = {
@@ -404,12 +407,17 @@ TEST(ServingStep, BothBackendsTraceOneShape) {
       EXPECT_TRUE(span.fields.contains("dur_ns")) << span.stage;
     }
 
-    const StepSpan& route = spans[0];
-    const StepSpan& absorb = spans[1];
-    const StepSpan& detect = spans[2];
-    const StepSpan& render = spans[3];
-    const StepSpan& merge = spans[4];
+    const StepSpan& parse = spans[0];
+    const StepSpan& route = spans[1];
+    const StepSpan& absorb = spans[2];
+    const StepSpan& detect = spans[3];
+    const StepSpan& render = spans[4];
+    const StepSpan& merge = spans[5];
     EXPECT_LE(render.fields.at("dur_ns"), merge.fields.at("dur_ns"));
+    EXPECT_EQ(parse.fields.at("ops"), d.ops.size());
+    // The parse ends before the route starts.
+    EXPECT_LE(parse.fields.at("ts_ns"),
+              route.fields.at("ts_ns") - route.fields.at("dur_ns"));
     EXPECT_EQ(absorb.fields.at("ops"), d.ops.size());
     EXPECT_GT(route.fields.at("anchors"), 0u);
     EXPECT_EQ(detect.fields.at("anchors"), route.fields.at("anchors"));

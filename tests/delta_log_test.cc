@@ -12,9 +12,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "detect/engine.h"
+#include "graph/live_graph.h"
 #include "graph/loader.h"
 #include "obs/trace.h"
 #include "serve/changefeed.h"
@@ -22,6 +24,7 @@
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
 #include "testlib.h"
+#include "util/rng.h"
 
 namespace gfd {
 namespace {
@@ -74,6 +77,40 @@ std::vector<std::string> Payloads(const DeltaLog& log) {
 }
 
 // --- DeltaLog: framing and recovery ----------------------------------------
+
+// The bytewise CRC-32 (reflected 0xEDB88320) the log's frames were
+// first written with: Crc32 must agree with it on every input.
+uint32_t BytewiseCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const unsigned char byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(BytewiseCrc32("123456789"), 0xCBF43926u);
+}
+
+// Every length 0..300 at every start offset 0..7 of a random buffer, so
+// each alignment and each tail length of the eight-byte steps is hit.
+TEST(Crc32, EqualsTheBytewiseCrcAtEveryLengthAndOffset) {
+  std::string buf(8 + 300, '\0');
+  Rng rng(7);
+  for (char& c : buf) c = static_cast<char>(rng.Next() >> 56);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view data(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
 
 TEST(DeltaLog, FreshLogAppendsAndReopens) {
   std::string path = ScratchLog("log_fresh");
@@ -372,28 +409,30 @@ Gfd FilmRule(const PropertyGraph& g) {
              Literal::Const(x, type, *g.FindValue("producer")));
 }
 
-TEST(GraphDeltaAppend, MergesExtensionVocabularyByName) {
-  auto g = BuildWorld();
-  AttrId type = *g.FindAttr("type");
+// A batch parsed over a live overlay reuses the overlay's extension id
+// for a name an earlier batch introduced, and interns the names only it
+// introduces past the overlay's, in first-use order.
+TEST(LiveGraph, ParseReusesTheOverlaysExtensionIdsByName) {
+  LiveGraph live(BuildWorld());
+  const AttrId type = *live.base().FindAttr("type");
+  auto first = live.Parse("A\tProducer0\ttype=newval\n");
+  ASSERT_TRUE(first.has_value());
+  live.Absorb(*first);
 
-  GraphDelta d1;
-  d1.SetAttr(0, type, d1.InternValue(g, "newval"));
-  GraphDelta d2;  // parsed independently: its own extension id space
-  d2.SetAttr(1, type, d2.InternValue(g, "newval"));
-  d2.SetAttr(2, type, d2.InternValue(g, "otherval"));
-
-  GraphDelta merged = d1;
-  merged.Append(g, d2);
-  ASSERT_EQ(merged.ops.size(), 3u);
-  // "newval" resolved to d1's existing extension id, not a duplicate.
-  EXPECT_EQ(merged.ops[1].value, merged.ops[0].value);
-  EXPECT_EQ(merged.extra_values,
+  std::string error;
+  auto next = live.Parse(
+      "A\tMusician\ttype=newval\nA\tn2\ttype=otherval\n", &error);
+  ASSERT_TRUE(next.has_value()) << error;
+  ASSERT_EQ(next->ops.size(), 2u);
+  // "newval" resolved to the overlay's extension id, not a duplicate.
+  EXPECT_EQ(next->ops[0].value, live.overlay().ops[0].value);
+  EXPECT_EQ(next->extra_values,
             (std::vector<std::string>{"newval", "otherval"}));
 
-  auto view = GraphView::Apply(g, merged);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->ValueName(*view->GetAttr(1, type)), "newval");
-  EXPECT_EQ(view->ValueName(*view->GetAttr(2, type)), "otherval");
+  live.Absorb(*next);
+  const GraphView& view = live.view();
+  EXPECT_EQ(view.ValueName(*view.GetAttr(1, type)), "newval");
+  EXPECT_EQ(view.ValueName(*view.GetAttr(2, type)), "otherval");
 }
 
 // --- GraphStore: durability, replay, compaction ----------------------------

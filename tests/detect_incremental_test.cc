@@ -353,8 +353,8 @@ class IncrementalOracle : public ::testing::TestWithParam<int> {};
 TEST_P(IncrementalOracle, MatchesDiffOfTwoFullRuns) {
   const int seed = GetParam();
   Rng rng(seed * 1699 + 29);
-  auto g = MakeSynthetic({.nodes = 150 + seed * 7,
-                          .edges = 400 + seed * 11,
+  auto g = MakeSynthetic({.nodes = static_cast<size_t>(150 + seed * 7),
+                          .edges = static_cast<size_t>(400 + seed * 11),
                           .node_labels = 5,
                           .edge_labels = 4,
                           .attrs = 3,

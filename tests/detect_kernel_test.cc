@@ -5,16 +5,20 @@
 // that share slots must evaluate exactly as the per-rule reference does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "detect/engine.h"
+#include "gfd/gfd.h"
 #include "gfd/serialize.h"
 #include "graph/graph_view.h"
 #include "graph/loader.h"
+#include "match/matcher.h"
 #include "serve/coordinator.h"
 #include "serve/graph_store.h"
 #include "serve/serving_store.h"
@@ -224,8 +228,17 @@ TEST(DetectKernel, MembersSharingSlotsEvaluateAsTheReferenceDoes) {
     const DetectionResult want = DetectNaive(g, rules);
     EXPECT_FALSE(want.violations.empty());
     EXPECT_EQ(got.violations, want.violations) << workers;
-    EXPECT_EQ(got.stats.literal_evals,
-              got.stats.matches_seen * rules.size());
+    // The 32 knows edges are the matches (24 from v -> 7v+3, 8 more from
+    // v -> v+1 at v % 3 == 0; none coincide). Five members have no
+    // constant LHS literal and are tested at each: 5 * 32 = 160. The
+    // others are keyed: the two x.city ones (paris for the negative
+    // rule, rome for the last) by x.city, and x.home = atlantis by
+    // x.home, which the base graph never holds. So a match also tests
+    // one member when x.city is paris -- v % 3 == 0, v % 5 != 0: v in
+    // {3, 6, 9, 12, 18, 21}, two edges each, 12 -- or rome -- v % 3 ==
+    // 1, v % 5 != 0: 7 nodes, one edge each, 7: 160 + 12 + 7 = 179.
+    EXPECT_EQ(got.stats.matches_seen, 32u);
+    EXPECT_EQ(got.stats.literal_evals, 179u);
   }
 
   // Over a view whose overlay writes the fresh value (and others), the
@@ -241,6 +254,210 @@ TEST(DetectKernel, MembersSharingSlotsEvaluateAsTheReferenceDoes) {
   EXPECT_FALSE(want.violations.empty());
   EXPECT_EQ(engine.Detect(*view).violations, want.violations);
   EXPECT_EQ(engine.Detect(m).violations, want.violations);
+}
+
+// People with a city, a home and a job from small vocabularies, each
+// absent at some nodes, linked by two deterministic spreads of knows
+// edges.
+PropertyGraph BuildSuburb() {
+  PropertyGraph::Builder b;
+  const char* const kPlaces[] = {"paris", "rome", "oslo"};
+  const char* const kJobs[] = {"baker", "smith"};
+  constexpr NodeId kPeople = 60;
+  for (NodeId v = 0; v < kPeople; ++v) {
+    b.AddNode("person");
+    if (v % 7 != 0) b.SetAttr(v, "city", kPlaces[v % 3]);
+    if (v % 5 != 2) b.SetAttr(v, "home", kPlaces[(v / 3) % 3]);
+    if (v % 4 != 3) b.SetAttr(v, "job", kJobs[v % 2]);
+  }
+  for (NodeId v = 0; v < kPeople; ++v) {
+    b.AddEdge(v, (v * 11 + 5) % kPeople, "knows");
+    if (v % 2 == 0) b.AddEdge(v, (v + 7) % kPeople, "knows");
+  }
+  return std::move(b).Build();
+}
+
+// One group of 40 members over x -knows-> y whose constant LHS literals
+// repeat and sit on two reads the index keys by, x.city and y.home:
+// constants the base graph lacks (`fresh`), a key literal that is not
+// the LHS's first, rhs = false, var-var-only and empty LHSs.
+std::vector<Gfd> SuburbRules(const PropertyGraph& g, ValueId fresh) {
+  Pattern q;
+  const VarId x = q.AddNode(*g.FindLabel("person"));
+  const VarId y = q.AddNode(*g.FindLabel("person"));
+  q.AddEdge(x, y, *g.FindLabel("knows"));
+  q.set_pivot(x);
+  const AttrId city = *g.FindAttr("city");
+  const AttrId home = *g.FindAttr("home");
+  const AttrId job = *g.FindAttr("job");
+  const ValueId baker = *g.FindValue("baker");
+  const ValueId smith = *g.FindValue("smith");
+  const std::vector<ValueId> known = {*g.FindValue("paris"),
+                                      *g.FindValue("rome"),
+                                      *g.FindValue("oslo")};
+  std::vector<Gfd> rules;
+  auto add = [&](std::vector<Literal> lhs, const Literal& rhs) {
+    rules.emplace_back(q, std::move(lhs), rhs);
+  };
+  for (const ValueId c : {known[0], known[1], known[2], fresh}) {
+    for (const ValueId to : known) {
+      add({Literal::Const(x, city, c)}, Literal::Const(y, city, to));
+      add({Literal::Const(y, home, c)}, Literal::Const(x, home, to));
+    }
+    // Keyed by x.city and y.home, which more members hold a constant at
+    // than x.job, the first literal.
+    add({Literal::Const(x, job, baker), Literal::Const(x, city, c)},
+        Literal::Vars(x, home, y, home));
+    add({Literal::Const(x, job, smith), Literal::Const(y, home, c)},
+        Literal::Vars(x, city, y, city));
+    add({Literal::Const(x, city, c), Literal::Const(y, home, c)},
+        Literal::False());
+  }
+  add({}, Literal::Vars(x, city, y, city));
+  add({}, Literal::Const(y, job, fresh));
+  add({Literal::Vars(x, home, y, home)}, Literal::Vars(x, job, y, job));
+  add({Literal::Vars(y, home, y, city)}, Literal::Const(x, job, smith));
+  return rules;
+}
+
+// Uncapped: the index skips only members whose keyed constant the match
+// does not carry, so full scans at 1 and 4 workers equal the per-rule
+// reference -- over the base graph, where no node holds the fresh
+// constant, and over a view whose overlay writes it -- and every step
+// equals the diff of two full Detect runs.
+TEST(DetectKernel, TheMemberIndexSkipsOnlyMembersAMatchCannotViolate) {
+  const PropertyGraph g = BuildSuburb();
+  GraphDelta d;
+  const ValueId fresh = d.InternValue(g, "atlantis");
+  ASSERT_GE(fresh, g.values().size());
+  const std::vector<Gfd> rules = SuburbRules(g, fresh);
+  ASSERT_GE(rules.size(), 40u);
+  const ViolationEngine engine(rules);
+  ASSERT_EQ(engine.NumGroups(), 1u);
+
+  const AttrId city = *g.FindAttr("city");
+  const AttrId home = *g.FindAttr("home");
+  for (NodeId v = 0; v < g.NumNodes(); v += 4) {
+    d.SetAttr(v, v % 8 == 0 ? city : home, fresh);
+  }
+  d.SetAttr(7, city, *g.FindValue("rome"));  // node 7 had no city
+  auto view = GraphView::Apply(g, d);
+  ASSERT_TRUE(view.has_value());
+  const PropertyGraph m = view->Materialize();
+  const DetectionResult want_base = DetectNaive(g, rules);
+  const DetectionResult want_view = DetectNaive(m, rules);
+  EXPECT_FALSE(want_base.violations.empty());
+  EXPECT_NE(want_base.violations, want_view.violations);
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << workers << " worker(s)");
+    DetectOptions opts;
+    opts.workers = workers;
+    const DetectionResult got = engine.Detect(g, opts);
+    EXPECT_EQ(got.violations, want_base.violations);
+    EXPECT_LT(got.stats.literal_evals, got.stats.matches_seen * rules.size());
+    EXPECT_EQ(engine.Detect(*view, opts).violations, want_view.violations);
+    EXPECT_EQ(engine.Detect(m, opts).violations, want_view.violations);
+  }
+
+  // Steps that write key attributes (the fresh constant among them),
+  // insert and delete edges, each over the state the one before left.
+  const std::vector<std::string> batches = {
+      "A\tn0\tcity=atlantis\nA\tn3\thome=atlantis\nA\tn7\tcity=rome\n"
+      "E+\tn1\tn2\tknows\nE-\tn0\tn5\tknows\n",
+      "A\tn5\thome=paris\nA\tn14\tcity=oslo\nE+\tn5\tn0\tknows\n"
+      "E-\tn2\tn9\tknows\n",
+      "A\tn8\thome=atlantis\tcity=paris\nA\tn10\tjob=baker\n"
+      "E+\tn10\tn11\tknows\nE+\tn8\tn12\tknows\n",
+  };
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << workers << " worker(s)");
+    PropertyGraph cur = g;
+    for (const std::string& tsv : batches) {
+      const GraphDelta batch = ParseDelta(cur, tsv);
+      IncrementalOptions opts;
+      opts.workers = workers;
+      auto diff = engine.DetectIncremental(cur, batch, opts);
+      ASSERT_TRUE(diff.has_value());
+      auto next_view = GraphView::Apply(cur, batch);
+      ASSERT_TRUE(next_view.has_value());
+      PropertyGraph next = next_view->Materialize();
+      const std::vector<Violation> before = engine.Detect(cur).violations;
+      const std::vector<Violation> after = engine.Detect(next).violations;
+      EXPECT_EQ(after, DetectNaive(next, rules).violations);
+      std::vector<Violation> added, removed;
+      std::set_difference(after.begin(), after.end(), before.begin(),
+                          before.end(), std::back_inserter(added));
+      std::set_difference(before.begin(), before.end(), after.begin(),
+                          after.end(), std::back_inserter(removed));
+      EXPECT_EQ(diff->added, added);
+      EXPECT_EQ(diff->removed, removed);
+      EXPECT_FALSE(added.empty() && removed.empty());
+      cur = std::move(next);
+    }
+  }
+}
+
+// The capped kernel's reference over one group: the pivot plan's
+// matches in its order, every rule tested in rule order at each, the
+// per-rule cap and the global budget claimed as a one-worker run
+// claims them.
+std::vector<Violation> CappedReference(const PropertyGraph& g,
+                                       const std::vector<Gfd>& rules,
+                                       const DetectOptions& opts) {
+  const CompiledPattern plan(rules[0].pattern);
+  std::vector<size_t> kept(rules.size(), 0);
+  size_t total = 0;
+  bool exhausted = false;
+  std::vector<Violation> out;
+  for (const NodeId v : plan.PivotCandidates(g)) {
+    plan.ForEachMatchAtPivot(g, v, [&](const Match& h) {
+      for (uint32_t i = 0; i < rules.size(); ++i) {
+        const Gfd& r = rules[i];
+        if (opts.max_violations_per_gfd != 0 &&
+            kept[i] == opts.max_violations_per_gfd) {
+          continue;
+        }
+        if (!MatchSatisfiesAll(g, h, r.lhs) || MatchSatisfies(g, h, r.rhs)) {
+          continue;
+        }
+        if (opts.max_total_violations != 0 &&
+            total == opts.max_total_violations) {
+          exhausted = true;
+          return false;
+        }
+        ++kept[i];
+        ++total;
+        out.push_back({i, v, h, r.rhs});
+      }
+      return true;
+    });
+    if (exhausted) break;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Capped: the kernel tests every member in order, so at one worker a
+// cap keeps exactly the violations the in-order reference keeps.
+TEST(DetectKernel, CappedScansTestEveryMemberInOrder) {
+  const PropertyGraph g = BuildSuburb();
+  GraphDelta d;
+  const std::vector<Gfd> rules = SuburbRules(g, d.InternValue(g, "atlantis"));
+  const ViolationEngine engine(rules);
+  const size_t all = DetectNaive(g, rules).violations.size();
+  ASSERT_GT(all, 40u);
+  const std::pair<size_t, size_t> caps[] = {
+      {1, 0}, {2, 0}, {5, 0}, {0, 7}, {0, all - 1}, {2, 17}, {3, 40}};
+  for (const auto& [per_gfd, total] : caps) {
+    SCOPED_TRACE(::testing::Message() << "cap " << per_gfd << ", budget "
+                                      << total);
+    DetectOptions opts;
+    opts.max_violations_per_gfd = per_gfd;
+    opts.max_total_violations = total;
+    const DetectionResult got = engine.Detect(g, opts);
+    EXPECT_EQ(got.violations, CappedReference(g, rules, opts));
+    EXPECT_TRUE(got.stats.truncated);
+  }
 }
 
 }  // namespace

@@ -555,6 +555,42 @@ TEST(DeltaLoader, ResolvesUnnamedNodesThroughSaveAliases) {
   EXPECT_EQ(d->ops[0].dst, 1u);
 }
 
+// The in-place parse reads text as the stream overload does: CRLF line
+// ends, blank and comment lines, a last line with no newline, escaped
+// fields (only those are unescaped) and "n<id>" aliases a named node
+// shares, with the same line numbers in its errors -- where two fields
+// of a line are bad, the later one is named.
+TEST(DeltaLoader, ParsesTextInPlace) {
+  PropertyGraph::Builder b;
+  const NodeId tabbed = b.AddNode("thing");
+  b.SetName(tabbed, "a\tb");
+  b.AddNode("thing");  // unnamed: answers to n1
+  b.SetName(b.AddNode("thing"), "n1");
+  const PropertyGraph g = std::move(b).Build();
+  const std::string text =
+      "\r\n# c\r\nE+\ta\\tb\tn1\trel\r\n\nA\tn1\tk\\=ey=v\\\\al";
+  GraphDelta d;
+  std::string error;
+  ASSERT_TRUE(AppendGraphDeltaTsv(text, g, &d, &error)) << error;
+  ASSERT_EQ(d.ops.size(), 2u);
+  EXPECT_EQ(d.ops[0].src, tabbed);
+  EXPECT_EQ(d.ops[0].dst, 1u);  // the lowest id answering to n1
+  EXPECT_EQ(d.LabelName(g, d.ops[0].label), "rel");
+  EXPECT_EQ(d.AttrName(g, d.ops[1].key), "k=ey");
+  EXPECT_EQ(d.ValueName(g, d.ops[1].value), "v\\al");
+  std::istringstream in(text);
+  auto streamed = LoadGraphDeltaTsv(in, g, &error);
+  ASSERT_TRUE(streamed.has_value()) << error;
+  EXPECT_EQ(streamed->ops, d.ops);
+  EXPECT_EQ(streamed->extra_attrs, d.extra_attrs);
+  EXPECT_EQ(streamed->extra_values, d.extra_values);
+
+  GraphDelta bad;
+  EXPECT_FALSE(
+      AppendGraphDeltaTsv("# x\nA\tn1\tk\\x=v\\y\n", g, &bad, &error));
+  EXPECT_EQ(error, "line 2: bad escape in 'v\\y'");
+}
+
 // The re-anchoring contract the delta log's compaction relies on:
 // Materialize() keeps node AND vocabulary ids stable, so a later delta
 // written against the old view's ids applies identically to the

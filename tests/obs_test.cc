@@ -364,6 +364,34 @@ TEST(Trace, DiscardRecordsNothing) {
   EXPECT_EQ(ReadAll(path), "");
 }
 
+// A held span keeps the end and duration it had at Hold, and still
+// takes the fields added after it.
+TEST(Trace, HeldSpanEndsAtHoldAndTakesLaterFields) {
+  std::string path = ScratchFile("trace_hold.jsonl");
+  auto log = TraceLog::Open(path);
+  ASSERT_NE(log, nullptr);
+  SetActiveTrace(log.get());
+  uint64_t held_ns = 0;
+  uint64_t after_hold = 0;
+  {
+    ScopedTimer timer(nullptr, "parse");
+    timer.Hold();
+    after_hold = MonotonicNowNs();
+    StopwatchNs wait;
+    while (wait.ElapsedNs() < 2'000'000) continue;
+    timer.AddField("seq", 4);
+    held_ns = timer.StopNs();
+  }
+  SetActiveTrace(nullptr);
+  EXPECT_LT(held_ns, 2'000'000u);
+  const std::string text = ReadAll(path);
+  EXPECT_NE(text.find("\"seq\":4"), std::string::npos);
+  EXPECT_NE(text.find("\"dur_ns\":" + std::to_string(held_ns)),
+            std::string::npos);
+  const size_t ts = text.find("\"ts_ns\":") + 8;
+  EXPECT_LE(std::stoull(text.substr(ts)), after_hold);
+}
+
 TEST(Trace, HistogramOnlySpanNeedsNoTrace) {
   Histogram h({1.0});
   {

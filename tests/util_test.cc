@@ -5,7 +5,9 @@
 #include <functional>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/hash.h"
@@ -50,6 +52,29 @@ TEST(Interner, EmptyStringIsValid) {
   uint32_t id = in.Intern("");
   EXPECT_EQ(in.Get(id), "");
   EXPECT_EQ(in.Find(""), id);
+}
+
+// The table grows many times over 5,000 strings; every id stays where
+// it was, and a lookup of a string never interned finds nothing, also
+// on a never-used interner and on copies.
+TEST(Interner, KeepsEveryIdAcrossGrowth) {
+  EXPECT_FALSE(StringInterner().Find("x").has_value());
+  StringInterner in;
+  for (uint32_t i = 0; i < 5000; ++i) {
+    ASSERT_EQ(in.Intern("s" + std::to_string(i)), i);
+  }
+  const StringInterner copy = in;
+  for (const StringInterner* t : {&std::as_const(in), &copy}) {
+    for (uint32_t i = 0; i < 5000; ++i) {
+      const std::string s = "s" + std::to_string(i);
+      ASSERT_EQ(t->Find(s), i);
+      ASSERT_EQ(t->Get(i), s);
+    }
+    EXPECT_FALSE(t->Find("s5000").has_value());
+    EXPECT_FALSE(t->Find("").has_value());
+  }
+  EXPECT_EQ(in.Intern("s4321"), 4321u);
+  EXPECT_EQ(in.size(), 5000u);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

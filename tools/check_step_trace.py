@@ -4,10 +4,10 @@
 Usage: check_step_trace.py TRACE.jsonl
 
 Both serving backends run one step and trace each served seq in one
-shape: exactly one each of `route` (the plan), `absorb` (the batch's one
-apply), `detect` (the plan's two sides), `merge`, `render` (the feed
-payload, inside `merge`) and `sync_wait` (the wait for the record's
-fsync). Per seq, the `detect` span seeds the anchors its `route` counted.
+shape: exactly one each of `parse` (the batch's TSV into ops), `route`
+(the plan), `absorb` (the batch's one apply), `detect` (the plan's two
+sides), `merge`, `render` (the feed payload, inside `merge`) and
+`sync_wait` (the wait for the record's fsync). Per seq, the `detect` span seeds the anchors its `route` counted.
 Exits 0 and says how many batches it checked; exits 1 on the first
 mismatch, or when the trace holds no served seq.
 """
@@ -15,7 +15,8 @@ mismatch, or when the trace holds no served seq.
 import json
 import sys
 
-STAGES = ("route", "absorb", "detect", "merge", "render", "sync_wait")
+STAGES = ("parse", "route", "absorb", "detect", "merge", "render",
+          "sync_wait")
 
 
 def main(argv):

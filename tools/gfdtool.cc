@@ -144,7 +144,8 @@ int Usage() {
 
 // Per-verb help: one entry per dispatch-table verb, printed by
 // `gfdtool help <verb>` / `gfdtool <verb> --help` and mirrored verbatim
-// in docs/CLI.md (CI greps that every verb here appears there).
+// in docs/CLI.md (CI checks that every verb here has a section there,
+// and tools/check_cli_doc.py that each section's block is this text).
 struct VerbHelp {
   const char* verb;
   const char* text;
@@ -179,7 +180,8 @@ constexpr VerbHelp kVerbHelp[] = {
      "Batched violation detection: rules are grouped by pattern\n"
      "isomorphism and each group shares one match plan.\n"
      "  --log <dir>     check the durable store at <dir> (replayed on\n"
-     "                  open) instead of a TSV file\n"
+     "                  open) instead of a TSV file; rules resolve\n"
+     "                  against its current graph, as under serve\n"
      "  --delta FILE    incremental mode: apply the TSV delta batch and\n"
      "                  report only the violations it added (+) and\n"
      "                  removed (-); with --log the batch is durably\n"
@@ -254,11 +256,19 @@ constexpr VerbHelp kVerbHelp[] = {
      "  --heartbeat-ms MS   SSE keepalive period (default 5000)\n"
      "  --ingest-rps R      per-client ingest rate limit (default 0:\n"
      "                      unlimited), --ingest-burst B tokens burst\n"
-     "On start, feed records the store's log holds but the feed lacks\n"
-     "are re-derived (\"feed caught up K batch(es) from the log\").\n"
-     "Shutdown: SIGINT/SIGTERM close subscriber streams, sync the feed\n"
-     "and stop accepting, then exit 0; durable state needs no cleanup\n"
-     "(kill -9 recovers on the next open). See docs/WIRE.md for the wire\n"
+     "The startup banner says where the running violation count came\n"
+     "from: \"persisted\" (the meta), \"from the feed\" (the count line of\n"
+     "the feed's last record) or \"seeded by full scan\". Feed records are\n"
+     "written unsynced; the store's log holds every batch past the feed's\n"
+     "last fsync, so on start the records the feed lacks (a tail a machine\n"
+     "crash lost, or batches `serve append` took) are re-derived first:\n"
+     "\"feed caught up K batch(es) from the log\". A gap the log cannot\n"
+     "bridge resets the feed instead: \"feed log out of step with the\n"
+     "store; reset -- subscribers will see a sequence gap\".\n"
+     "Shutdown: SIGINT/SIGTERM close subscriber streams, sync the feed,\n"
+     "stop accepting, checkpoint the count into the meta, then exit 0;\n"
+     "durable state needs no cleanup (kill -9 recovers on the next open,\n"
+     "taking the count from the feed). See docs/WIRE.md for the wire\n"
      "format.\n"},
     {"metrics",
      "gfdtool metrics <dir> [-o FILE]\n"
