@@ -265,11 +265,11 @@ int main(int argc, char** argv) {
 
     double speedup = inc_s > 0 ? full_s / inc_s : 0;
     if (frac == 0.001) speedup_smallest = speedup;
-    std::printf("%-28s %8.3fs  +%zu -%zu (%zu affected, %lu touched "
+    std::printf("%-28s %8.3fs  +%zu -%zu (%zu+%zu units, %lu touched "
                 "matches)\n",
                 (std::string("incremental_") + tag).c_str(), inc_s,
-                inc.added.size(), inc.removed.size(),
-                inc.stats.affected_nodes,
+                inc.added.size(), inc.removed.size(), inc.stats.write_units,
+                inc.stats.edge_units,
                 static_cast<unsigned long>(inc.stats.matches_seen));
     std::printf("%-28s %8.3fs  %zu violations; speedup %.1fx, diffs %s\n",
                 (std::string("full_redetect_") + tag).c_str(), full_s,
@@ -279,7 +279,8 @@ int main(int argc, char** argv) {
     rows.push_back({std::string("incremental_") + tag,
                     inc_s,
                     {{"delta_ops", double(delta.ops.size())},
-                     {"affected", double(inc.stats.affected_nodes)},
+                     {"write_units", double(inc.stats.write_units)},
+                     {"edge_units", double(inc.stats.edge_units)},
                      {"touched_matches", double(inc.stats.matches_seen)},
                      {"added", double(inc.added.size())},
                      {"removed", double(inc.removed.size())},

@@ -773,31 +773,17 @@ ViolationEngine::Tally ViolationEngine::RunSide(
       }));
 }
 
-BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops,
-                                  const GraphView& pre) {
+BatchFootprint BatchFootprint::Of(std::span<const GraphDelta::Op> ops) {
   BatchFootprint fp;
-  auto mark = [&fp](NodeId v) {
-    const uint32_t bit = FilterBit(v);
-    fp.filter_[bit / 64] |= uint64_t{1} << (bit % 64);
-  };
   for (const GraphDelta::Op& op : ops) {
+    const uint32_t bit = FilterBit(op.src);
+    fp.filter_[bit / 64] |= uint64_t{1} << (bit % 64);
     if (op.kind == GraphDelta::OpKind::kSetAttr) {
-      fp.anchors.push_back(op.src);
       fp.writes.push_back({op.src, op.key});
-      mark(op.src);
-      continue;
+    } else {
+      fp.edges.push_back({op.src, op.dst, op.label});
     }
-    mark(op.src);
-    // Every match the op creates or destroys binds both endpoints, so
-    // one suffices: the lower-degree one, whose ball is smaller.
-    const size_t src_degree = pre.Degree(op.src);
-    const size_t dst_degree = pre.Degree(op.dst);
-    const bool src_lower = src_degree != dst_degree ? src_degree < dst_degree
-                                                    : op.src < op.dst;
-    fp.anchors.push_back(src_lower ? op.src : op.dst);
-    fp.edges.push_back({op.src, op.dst, op.label});
   }
-  SortUnique(fp.anchors);
   SortUnique(fp.writes);
   SortUnique(fp.edges);
   return fp;
@@ -821,30 +807,26 @@ std::optional<IncrementalDiff> ViolationEngine::DetectIncremental(
     const PropertyGraph& g, const GraphDelta& batch,
     const IncrementalOptions& opts, std::string* error) const {
   GraphView view = *GraphView::Apply(g, GraphDelta{});
-  // Validate first: BatchFootprint::Of reads the degree of every op
-  // endpoint, which must be a node of `g`.
+  // Validate first: the step's apply cannot fail, and PlanStep reads the
+  // label of every op endpoint, which must be a node of `g`.
   if (!view.ValidateAppended(batch, 0, error)) return std::nullopt;
-  const BatchFootprint fp = BatchFootprint::Of(batch.ops, view);
-  auto absorb = [&] {
-    view.ApplyAppended(batch, 0);
-    return true;
-  };
-  auto sides = DetectStep(view, fp, PlanStep(view, fp), absorb, opts);
-  if (!sides) return std::nullopt;
-  return StepDiff(*sides);
+  const BatchFootprint fp = BatchFootprint::Of(batch.ops);
+  auto absorb = [&] { view.ApplyAppended(batch, 0); };
+  return StepDiff(DetectStep(view, fp, PlanStep(view, fp), absorb, opts));
 }
 
-std::optional<StepSides> ViolationEngine::DetectStep(
-    const GraphView& live, const BatchFootprint& batch, const StepPlan& plan,
-    const std::function<bool()>& apply, const IncrementalOptions& opts) const {
+StepSides ViolationEngine::DetectStep(const GraphView& live,
+                                      const BatchFootprint& batch,
+                                      const StepPlan& plan,
+                                      const std::function<void()>& apply,
+                                      const IncrementalOptions& opts) const {
   StepSides sides;
   IncrementalStats& stats = sides.stats;
-  stats.affected_nodes = batch.anchors.size();
-  if (batch.anchors.empty() || rules_.empty()) {
-    if (!apply()) return std::nullopt;
+  if ((batch.writes.empty() && batch.edges.empty()) || rules_.empty()) {
+    apply();
     return sides;
   }
-  // Timed per side: `apply` is a durable append on the serving path.
+  // Timed per side, so the apply between them is not counted.
   auto run_side = [&] {
     StopwatchNs watch;
     Tally side = RunSide(live, plan, batch, opts);
@@ -852,7 +834,7 @@ std::optional<StepSides> ViolationEngine::DetectStep(
     return side;
   };
   Tally before = run_side();
-  if (!apply()) return std::nullopt;
+  apply();
   Tally after = run_side();
   for (size_t u = 0; u < plan.units_.size(); ++u) {
     if (u == 0 || plan.units_[u].group != plan.units_[u - 1].group) {

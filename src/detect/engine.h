@@ -94,11 +94,11 @@ struct IncrementalOptions {
 };
 
 struct IncrementalStats {
-  size_t affected_nodes = 0;     ///< seeds of the run
   size_t write_units = 0;        ///< (group, variable) units rooted at a
-                                 ///< seed's read write (see DetectStep)
+                                 ///< written key some member reads (see
+                                 ///< ViolationEngine::PlanStep)
   size_t edge_units = 0;         ///< (group, pattern edge) units rooted
-                                 ///< at a seed's changed edge key
+                                 ///< at a changed edge key
   uint64_t roots_scanned = 0;    ///< (unit, root) pairs whose root node
                                  ///< the plan's root step admits, both
                                  ///< sides
@@ -123,15 +123,12 @@ struct IncrementalDiff {
   std::string payload;
 };
 
-/// What one update batch touches, read off its ops and the live view
-/// `pre` just before it (node, label and attribute ids in that view's
-/// space): the (node, key) pairs it writes and the (src, dst, label) keys
-/// of its edge ops, its changed keys. A step diff roots its work units
-/// there (ViolationEngine::PlanStep). Each changed key is anchored at ONE
-/// endpoint -- the one with the smaller degree in `pre`, ties to the
-/// smaller node id -- so a batch touching a hub does not count the hub
-/// among its seeds. The anchors are the write targets plus those
-/// endpoints: the step's seeds.
+/// What one update batch touches, read off its ops alone (node, label
+/// and attribute ids in the space of the view it applies to): the (node,
+/// key) pairs it writes and the (src, dst, label) keys of its edge ops,
+/// its changed keys. A step diff roots its work units there
+/// (ViolationEngine::PlanStep) and attributes each match by them
+/// (ViolationEngine::DetectStep).
 struct BatchFootprint {
   /// Attribute `key` of `node` was set.
   struct Write {
@@ -147,13 +144,11 @@ struct BatchFootprint {
     friend auto operator<=>(const EdgeKey&, const EdgeKey&) = default;
   };
 
-  std::vector<NodeId> anchors;  ///< write targets + every key's anchor
-  std::vector<Write> writes;    ///< every (node, key) set
-  std::vector<EdgeKey> edges;   ///< every edge op's key: the changed keys
-  // All three sorted ascending and unique.
+  std::vector<Write> writes;   ///< every (node, key) set
+  std::vector<EdgeKey> edges;  ///< every edge op's key: the changed keys
+  // Both sorted ascending and unique.
 
-  static BatchFootprint Of(std::span<const GraphDelta::Op> ops,
-                           const GraphView& pre);
+  static BatchFootprint Of(std::span<const GraphDelta::Op> ops);
 
   /// Whether the batch set attribute `key` of `v`.
   bool Wrote(NodeId v, AttrId key) const {
@@ -190,7 +185,7 @@ struct StepSides {
   std::vector<Violation> before;
   std::vector<Violation> after;
   IncrementalStats stats;
-  uint64_t detect_ns = 0;  ///< spent in the two sides, not in `apply`
+  uint64_t detect_ns = 0;  ///< spent in the two sides, not in the apply
 };
 
 struct ViolationEngineInternals;
@@ -254,7 +249,7 @@ class ViolationEngine {
 
   /// The violation diff of applying `batch` to `g`: exactly the records
   /// diffing Detect(g) against Detect of the updated graph would produce.
-  /// One DetectStep over an empty-overlay view of `g`, anchored at the
+  /// One DetectStep over an empty-overlay view of `g`, rooted at the
   /// batch's footprint, with absorbing the batch as its `apply`. Returns
   /// nullopt (with *error set to GraphView::Apply's text) when the batch
   /// does not apply to `g`.
@@ -265,7 +260,7 @@ class ViolationEngine {
   /// Plans the step that diffs `batch` on `pre`, the view just before
   /// it: its units and their roots.
   ///
-  /// Units. A write unit (group, variable u) is rooted at each anchor
+  /// Units. A write unit (group, variable u) is rooted at each node
   /// with a written key that some member reads at u, and enumerates the
   /// matches binding u there; an edge unit (group, pattern edge j) is
   /// rooted at each changed key s -l-> d whose label matches j's, and
@@ -283,11 +278,11 @@ class ViolationEngine {
   /// The one diff algorithm (the serving step in serve/graph_store.h,
   /// its re-derivation, and DetectIncremental): `live` holds the state
   /// just before one batch with footprint `batch`, `plan` is PlanStep's
-  /// on it, and `apply` must apply exactly that batch to `live` in place
-  /// (false on failure, which returns nullopt). Runs the plan's before
-  /// side on `live`, calls `apply` once, then runs its after side; both
-  /// sides run the same units, so the cost tracks the batch, never the
-  /// overlay behind it.
+  /// on it, and `apply` applies exactly that batch to `live` in place.
+  /// The batch was validated against `live` before the step, so the
+  /// apply cannot fail. Runs the plan's before side on `live`, calls
+  /// `apply` once, then runs its after side; both sides run the same
+  /// units, so the cost tracks the batch, never the overlay behind it.
   ///
   /// Attribution is stateless: a match is evaluated at its
   /// lowest-numbered variable that reads a written key; failing that, at
@@ -303,10 +298,10 @@ class ViolationEngine {
   /// root it binds, and evaluated there exactly once; the attribution
   /// reads only the match and the batch, so it is the same on both
   /// sides.
-  std::optional<StepSides> DetectStep(
-      const GraphView& live, const BatchFootprint& batch, const StepPlan& plan,
-      const std::function<bool()>& apply,
-      const IncrementalOptions& opts = {}) const;
+  StepSides DetectStep(const GraphView& live, const BatchFootprint& batch,
+                       const StepPlan& plan,
+                       const std::function<void()>& apply,
+                       const IncrementalOptions& opts = {}) const;
 
   /// Max undirected eccentricity of any variable of any rule pattern:
   /// the halo radius partitioned storage needs so that every match

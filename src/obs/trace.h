@@ -31,10 +31,10 @@ struct TraceField {
 };
 
 /// Append-only JSON-lines trace sink. Each event is one line, e.g. this
-/// per-fragment detect span (wrapped here), whose anchors and matches
+/// serving step's detect span (wrapped here), whose units and matches
 /// say where the enumeration work went:
-///   {"ts_ns":123,"stage":"detect","dur_ns":4567,"seq":3,"fragment":1,
-///    "anchors":9,"matches":812}
+///   {"ts_ns":123,"stage":"detect","dur_ns":4567,"seq":3,
+///    "write_units":5,"edge_units":2,"matches":812}
 /// ts_ns is monotonic nanoseconds since process start (steady clock);
 /// dur_ns is present only for span events. Emit() is mutex-guarded and
 /// flushes per line so a crash loses at most the in-flight event.

@@ -230,7 +230,7 @@ std::optional<DeltaLog> DeltaLog::Open(const std::string& path,
       buf << in.rdbuf();
       data = std::move(buf).str();
     }
-    // A missing file is simply an empty log; Append creates it.
+    // A missing file is simply an empty log; its first record creates it.
   }
 
   size_t pos = 0;
@@ -291,20 +291,10 @@ std::optional<std::vector<DeltaLogRecord>> DeltaLog::Read(
   return out;
 }
 
-std::optional<uint64_t> DeltaLog::Append(std::string_view payload,
-                                         std::string* error) {
-  return AddRecord(payload, /*sync=*/true, error);
-}
-
-std::optional<uint64_t> DeltaLog::Write(std::string_view payload,
-                                        std::string* error) {
-  return AddRecord(payload, /*sync=*/false, error);
-}
-
 std::optional<uint64_t> DeltaLog::Stage(std::string_view payload,
                                         std::string* error) {
   const size_t at = whole_bytes_;
-  auto seq = AddRecord(payload, /*sync=*/false, error);
+  auto seq = Write(payload, error);
   if (!seq) return std::nullopt;
   if (!syncer_) syncer_ = std::make_unique<Syncer>();
   staged_at_ = at;
@@ -331,8 +321,8 @@ bool DeltaLog::Commit(std::string* error) {
   return false;
 }
 
-std::optional<uint64_t> DeltaLog::AddRecord(std::string_view payload,
-                                            bool sync, std::string* error) {
+std::optional<uint64_t> DeltaLog::Write(std::string_view payload,
+                                        std::string* error) {
   // An earlier error path may have left the log closed (possibly with a
   // torn tail it could not cut); retry the recovery rather than handing
   // fwrite a null stream.
@@ -343,7 +333,7 @@ std::optional<uint64_t> DeltaLog::AddRecord(std::string_view payload,
   bool ok = DurableWritePoint() &&
             std::fwrite(frame.data(), 1, frame.size(), file_.get()) ==
                 frame.size() &&
-            (sync ? SyncFile(file_.get()) : std::fflush(file_.get()) == 0);
+            std::fflush(file_.get()) == 0;
   if (!ok) {
     timer.Discard();
     LogAppendFailuresTotal().Inc();

@@ -26,17 +26,15 @@
 //   cuts the tail there (physically truncating the file), so a crash in
 //   the middle of an append can never surface a partial batch.
 //
-// Three ways to add a record. Append flushes and fsyncs it before
-// returning -- an acknowledged record survives the machine; the store's
-// one-shot appends (`log append`, a rebalance) take it this way. Stage
-// writes and flushes it and hands its fsync to the log's syncer thread,
-// and Commit waits for that fsync, so the caller's work runs while the
-// disk flushes; a failed fsync retracts the record at Commit. The
-// serving step appends every batch this way (GraphStore::Stage). Write
-// flushes a record to the OS and returns -- it survives the process,
-// not a machine crash -- and Sync later forces everything written so far
-// to stable storage; feed.log takes its records this way (its records
-// are derived from the store's, serve/changefeed.h).
+// Two ways to add a record. Stage writes and flushes it and hands its
+// fsync to the log's syncer thread, and Commit waits for that fsync, so
+// the caller's work runs while the disk flushes; a failed fsync retracts
+// the record at Commit. Every batch a store takes is appended this way
+// (GraphStore::Stage). Write flushes a record to the OS and returns -- it
+// survives the process, not a machine crash -- and Sync later forces
+// everything written so far to stable storage; feed.log takes its
+// records this way (its records are derived from the store's,
+// serve/changefeed.h).
 //
 // In memory a log keeps one entry per record -- its seq and where its
 // payload sits in the file -- and never the payloads: Read fetches them
@@ -132,18 +130,13 @@ class DeltaLog {
     return Read(path_, entries_, error);
   }
 
-  /// Appends one record durably (write + flush + fsync before the call
-  /// returns) and returns its assigned sequence number.
-  std::optional<uint64_t> Append(std::string_view payload,
-                                 std::string* error = nullptr);
-
   /// Appends one record and flushes it to the OS without an fsync: it
-  /// survives the process, and the next Sync (or Append) makes it
-  /// durable. Returns its assigned sequence number.
+  /// survives the process, and the next Sync makes it durable. Returns
+  /// its assigned sequence number.
   std::optional<uint64_t> Write(std::string_view payload,
                                 std::string* error = nullptr);
 
-  /// The first half of a durable append whose fsync overlaps the
+  /// The first half of a durable append, whose fsync overlaps the
   /// caller's work: writes and flushes the record, as Write does, and
   /// hands its fsync to the syncer thread. Returns its assigned sequence
   /// number. Commit must follow before anything else touches the log.
@@ -174,10 +167,6 @@ class DeltaLog {
   // Truncates any torn bytes back to whole_bytes_, then reopens the
   // append handle. The write path after a failed append.
   bool RecoverAppendHandle(std::string* error);
-  // Append, Write and Stage: frames `payload` as the next record, writes
-  // and flushes it, and fsyncs it when `sync`.
-  std::optional<uint64_t> AddRecord(std::string_view payload, bool sync,
-                                    std::string* error);
 
   struct FileCloser {
     void operator()(std::FILE* f) const {

@@ -87,8 +87,7 @@ std::string SaveGraphString(const PropertyGraph& g) {
 // footprint `fp`, traced as `route`.
 StepPlan RouteServedStep(const ViolationEngine& engine, const GraphView& pre,
                          const BatchFootprint& fp, uint64_t seq) {
-  obs::ScopedTimer timer(nullptr, "route",
-                         {{"seq", seq}, {"anchors", fp.anchors.size()}});
+  obs::ScopedTimer timer(nullptr, "route", {{"seq", seq}});
   StepPlan plan = engine.PlanStep(pre, fp);
   timer.AddField("write_units", plan.write_units());
   timer.AddField("edge_units", plan.edge_units());
@@ -236,49 +235,19 @@ std::optional<GraphStore> GraphStore::Open(const std::string& dir,
 
 std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
                                            std::string* error) {
+  // The serving step with nothing between its stage and its commit but
+  // the absorb.
   auto batch = live_->Parse(delta_tsv, error);
-  if (!batch) return std::nullopt;
-  // Nothing to overlap: the record is durable before the batch is
-  // absorbed, so there is nothing to take back.
-  auto seq = LogBatch(*batch, delta_tsv, /*staged=*/false, error);
+  const auto seq = batch ? Stage(*batch, delta_tsv, error) : std::nullopt;
   if (!seq) return std::nullopt;
-  live_->Absorb(*batch);
-  Advance(*seq);
+  Absorb(*batch);
+  if (!Commit(error)) return std::nullopt;
   return seq;
 }
 
 std::optional<uint64_t> GraphStore::Stage(const GraphDelta& batch,
                                           std::string_view delta_tsv,
                                           std::string* error) {
-  const LiveGraph::Mark mark = live_->mark();
-  auto seq = LogBatch(batch, delta_tsv, /*staged=*/true, error);
-  if (seq) staged_ = Staged{*seq, mark};
-  return seq;
-}
-
-void GraphStore::Absorb(const GraphDelta& batch) { live_->Absorb(batch); }
-
-bool GraphStore::Commit(std::string* error) {
-  const Staged staged = *staged_;
-  staged_.reset();
-  obs::ScopedTimer wait_timer(&StoreSyncWaitLatency(), "sync_wait",
-                              {{"seq", staged.seq}});
-  std::string log_error;
-  if (log_->Commit(&log_error)) {
-    wait_timer.StopNs();
-    Advance(staged.seq);
-    return true;
-  }
-  wait_timer.Discard();
-  // The log cut the record back out; take the batch back out of memory.
-  live_->Rollback(staged.mark);
-  SetError(error, std::string(kNotDurableError) + log_error);
-  return false;
-}
-
-std::optional<uint64_t> GraphStore::LogBatch(const GraphDelta& batch,
-                                             std::string_view delta_tsv,
-                                             bool staged, std::string* error) {
   obs::ScopedTimer append_timer(&StoreAppendLatency(), "append");
   {
     // Validated before anything touches disk, so the log never holds a
@@ -292,20 +261,36 @@ std::optional<uint64_t> GraphStore::LogBatch(const GraphDelta& batch,
     }
   }
   std::string log_error;
-  auto seq = staged ? log_->Stage(delta_tsv, &log_error)
-                    : log_->Append(delta_tsv, &log_error);
+  const auto seq = log_->Stage(delta_tsv, &log_error);
   if (!seq) {
     append_timer.Discard();
     SetError(error, std::string(kNotDurableError) + log_error);
     return std::nullopt;
   }
   append_timer.AddField("seq", *seq);
+  staged_ = Staged{*seq, live_->mark()};
   return seq;
 }
 
-void GraphStore::Advance(uint64_t seq) {
-  stats_.last_seq = seq;
-  StoreAppendsTotal().Inc();
+void GraphStore::Absorb(const GraphDelta& batch) { live_->Absorb(batch); }
+
+bool GraphStore::Commit(std::string* error) {
+  const Staged staged = *staged_;
+  staged_.reset();
+  obs::ScopedTimer wait_timer(&StoreSyncWaitLatency(), "sync_wait",
+                              {{"seq", staged.seq}});
+  std::string log_error;
+  if (log_->Commit(&log_error)) {
+    wait_timer.StopNs();
+    stats_.last_seq = staged.seq;
+    StoreAppendsTotal().Inc();
+    return true;
+  }
+  wait_timer.Discard();
+  // The log cut the record back out; take the batch back out of memory.
+  live_->Rollback(staged.mark);
+  SetError(error, std::string(kNotDurableError) + log_error);
+  return false;
 }
 
 std::optional<uint64_t> GraphStore::violation_count(
@@ -331,13 +316,6 @@ bool GraphStore::WriteMeta(uint64_t anchor, const std::string& snapshot_file,
   }
   meta_count_ = count;
   return true;
-}
-
-std::optional<uint64_t> GraphStore::Append(const GraphDelta& batch,
-                                           std::string* error) {
-  std::ostringstream os;
-  SaveGraphDeltaTsv(base(), batch, os);
-  return Append(std::move(os).str(), error);
 }
 
 bool GraphStore::ShouldCompact() const {
@@ -436,24 +414,20 @@ std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
   parse_timer.AddField("seq", *seq);
   parse_timer.AddField("ops", batch->ops.size());
   parse_timer.StopNs();
-  // The route reads the pre-batch view: the anchors, by its degrees, so
-  // every store serving this stream picks the same ones, and the step's
-  // units, planned once.
-  const BatchFootprint fp = BatchFootprint::Of(batch->ops, view());
+  // The route plans the step's units once, on the pre-batch view.
+  const BatchFootprint fp = BatchFootprint::Of(batch->ops);
   const StepPlan plan = RouteServedStep(engine, view(), fp, *seq);
   // The absorb is the step's one apply, between the plan's two sides.
   auto absorb = [&] {
     obs::ScopedTimer absorb_timer(nullptr, "absorb",
                                   {{"seq", *seq}, {"ops", batch->ops.size()}});
     Absorb(*batch);
-    return true;
   };
-  const StepSides sides = *engine.DetectStep(view(), fp, plan, absorb, opts);
+  const StepSides sides = engine.DetectStep(view(), fp, plan, absorb, opts);
   if (obs::TraceLog* trace = obs::ActiveTrace()) {
     const IncrementalStats& s = sides.stats;
     trace->Emit("detect",
                 {{"seq", *seq},
-                 {"anchors", s.affected_nodes},
                  {"write_units", s.write_units},
                  {"edge_units", s.edge_units},
                  {"matches", s.matches_seen}},
@@ -492,20 +466,15 @@ bool GraphStore::Restep(const ViolationEngine& engine, uint64_t after_seq,
   for (const DeltaLogRecord& rec : *records) {
     auto batch = scratch.Parse(rec.payload, error);
     if (!batch || !scratch.Validate(*batch, error)) return false;
-    auto absorb = [&] {
-      scratch.Absorb(*batch);
-      return true;
-    };
+    auto absorb = [&] { scratch.Absorb(*batch); };
     if (rec.seq <= after_seq) {
       absorb();
       continue;
     }
-    const BatchFootprint fp = BatchFootprint::Of(batch->ops, scratch.view());
-    auto sides = engine.DetectStep(scratch.view(), fp,
-                                   engine.PlanStep(scratch.view(), fp), absorb,
-                                   opts);
-    if (!sides) return false;
-    IncrementalDiff diff = StepDiff(*sides);
+    const BatchFootprint fp = BatchFootprint::Of(batch->ops);
+    const StepPlan plan = engine.PlanStep(scratch.view(), fp);
+    IncrementalDiff diff =
+        StepDiff(engine.DetectStep(scratch.view(), fp, plan, absorb, opts));
     diff.payload = SerializeDiffPayload(scratch.view(), engine.rules(), diff);
     if (!visit(rec.seq, std::move(diff))) return false;
   }

@@ -17,27 +17,26 @@
 //
 // The in-memory state is a LiveGraph (graph/live_graph.h): the snapshot,
 // the overlay of the batches since, and a view absorbing each batch in
-// place. A batch that fails validation never reaches the log. Append()
-// -- the one-shot append of `log append` and a rebalance -- parses one
-// TSV delta batch against the store's vocabulary, validates it, writes
-// and fsyncs its record, and only then absorbs it. Open() replays the
-// log through the same validate and absorb, record by record. Node names
-// resolve through the index each snapshot builds once
+// place. A batch that fails validation never reaches the log. Open()
+// replays the log through the same parse, validate and absorb, record by
+// record. Node names resolve through the index each snapshot builds once
 // (PropertyGraph::FindNode).
 //
-// The serving step overlaps the record's fsync with the detection. It
-// appends in three steps: Stage validates the batch, writes its record
-// and hands the fsync to the log's syncer thread; Absorb, the step's one
-// apply between its two sides, takes the batch into the view; Commit
-// waits for the fsync. AppendAndDiff runs parse, Stage, the footprint,
-// the route (the step's plan), the plan's before side, Absorb, its after
-// side, the diff and the payload render (against the live post-batch
-// view), and Commit last: nothing leaves the step before its record is
-// durable. When the fsync fails, Commit retracts the record from the log
-// and rolls the graph back to its mark, and AppendAndDiff fails with an
-// error starting kNotDurableError: no seq is consumed. The step has one
-// body and no branch; its only parallelism is IncrementalOptions::workers
-// within each side.
+// Every batch enters one way, in three steps: Stage validates the batch
+// (parsed against the store's vocabulary), writes its record and hands
+// the fsync to the log's syncer thread; Absorb takes the batch into the
+// view; Commit waits for the fsync. Append() -- `log append`, a
+// rebalance -- runs them back to back. AppendAndDiff, the serving step,
+// overlaps the fsync with the detection: it runs parse, Stage, the
+// footprint, the route (the step's plan), the plan's before side, Absorb
+// (the step's one apply), its after side, the diff and the payload
+// render (against the live post-batch view), and Commit last: nothing
+// leaves the step before its record is durable. When the record's write
+// or fsync fails, the record is retracted from the log, the graph rolls
+// back to its mark, and the append fails with an error starting
+// kNotDurableError: no seq is consumed. The step has one body and no
+// branch; its only parallelism is IncrementalOptions::workers within
+// each side.
 //
 // A coordinator (serve/coordinator.h) is a store plus an owner table:
 // the same directory and the same step, behind a check of the rules'
@@ -148,29 +147,21 @@ class GraphStore : public ServingStore {
   const std::string& dir() const { return dir_; }
   uint64_t last_seq() const override { return stats_.last_seq; }
 
-  /// Parses `delta_tsv` (the E+/E-/A format of graph/loader.h) against
-  /// the store's vocabulary, validates it, appends it durably (the fsync
-  /// on the caller) and absorbs it into the live view. Returns the
-  /// assigned sequence number; nothing is logged or applied on error. One
+  /// The serving step with no detection: parses `delta_tsv` (the E+/E-/A
+  /// format of graph/loader.h) against the store's vocabulary, then
+  /// Stage, Absorb and Commit. Returns the assigned sequence number once
+  /// the record is durable; nothing is logged or applied on error. One
   /// append costs O(batch + touched degrees), independent of the overlay
   /// size (LiveGraph::Absorb).
   std::optional<uint64_t> Append(std::string_view delta_tsv,
                                  std::string* error = nullptr) override;
 
-  /// Programmatic batch append: `batch` is expressed over the store's
-  /// base graph (node ids and base vocabulary ids; extension vocabulary
-  /// relative to the base, as GraphDelta::Intern* builds it). Serialized
-  /// through the same TSV payload the text path uses, so replay and live
-  /// application share one code path.
-  std::optional<uint64_t> Append(const GraphDelta& batch,
-                                 std::string* error = nullptr);
-
-  /// The serving step's append, in three steps (see the header). Stage
-  /// validates `batch` -- live().Parse's result for `delta_tsv`, which is
-  /// what the log records -- writes its record and hands the record's
-  /// fsync to the log's syncer; it returns the batch's seq, and nothing
-  /// changed when it fails. Traced as `append`, with the validation as
-  /// `validate`. Commit must follow.
+  /// A batch's way in, in three steps (see the header). Stage validates
+  /// `batch` -- live().Parse's result for `delta_tsv`, which is what the
+  /// log records -- writes its record and hands the record's fsync to the
+  /// log's syncer; it returns the batch's seq, and nothing changed when
+  /// it fails. Traced as `append`, with the validation as `validate`.
+  /// Commit must follow.
   std::optional<uint64_t> Stage(const GraphDelta& batch,
                                 std::string_view delta_tsv,
                                 std::string* error = nullptr);
@@ -231,9 +222,9 @@ class GraphStore : public ServingStore {
 
   /// One serving step: appends `delta_tsv` and returns the violation diff
   /// of exactly this batch. The step's units are planned once on the
-  /// live view just before the absorb, anchored at the batch's attribute
-  /// targets and the lower-degree endpoint of each edge op, so the cost
-  /// tracks the batch, not the overlay or a hub it touches.
+  /// live view just before the absorb, rooted at the batch's written
+  /// keys and changed edge keys, so the cost tracks the batch, not the
+  /// overlay or a hub it touches.
   /// ViolationEngine::DetectStep runs the plan's two sides around the one
   /// absorb, inline. The batch is parsed once; the diff's payload is
   /// rendered against the live post-batch view, with no materialization.
@@ -259,16 +250,6 @@ class GraphStore : public ServingStore {
 
  private:
   GraphStore() = default;
-
-  // Validates `batch` and logs it: durably when not `staged`, else with
-  // its fsync handed to the log's syncer. Traced as `append`.
-  std::optional<uint64_t> LogBatch(const GraphDelta& batch,
-                                   std::string_view delta_tsv, bool staged,
-                                   std::string* error);
-
-  // Makes `seq`, whose record is durable and whose batch is absorbed,
-  // the last applied batch.
-  void Advance(uint64_t seq);
 
   // Rewrites store.meta (atomically) with `anchor`, `snapshot_file` and
   // the count valid at last_seq, if any.

@@ -47,9 +47,8 @@ obs::Counter& LogTruncatedBytesTotal() {
 obs::Histogram& LogAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_log_append_seconds",
-      "Delta-log append latency: the record's write, plus its fsync for a "
-      "one-shot durable append (a staged append's fsync runs on the log's "
-      "syncer thread).",
+      "Delta-log append latency: the record's write and flush (a store "
+      "record's fsync runs on the log's syncer thread).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -63,9 +62,8 @@ obs::Counter& FsyncsTotal() {
 obs::Histogram& StoreAppendLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_store_append_seconds",
-      "Store append latency: validation and the record's write, its fsync "
-      "included only for a one-shot append (a coordinator's: its "
-      "master's).",
+      "Store append latency: validation and the record's write (its fsync "
+      "runs on the log's syncer thread).",
       obs::DefaultLatencyBuckets());
   return h;
 }
@@ -73,8 +71,9 @@ obs::Histogram& StoreAppendLatency() {
 obs::Histogram& StoreSyncWaitLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_store_sync_wait_seconds",
-      "Time a serving step waited for its batch record's fsync after the "
-      "detection and the render it overlaps.",
+      "Time a store append waited for its batch record's fsync: a serving "
+      "step after the detection and the render it overlaps, a one-shot "
+      "append right after the absorb.",
       obs::DefaultLatencyBuckets());
   return h;
 }

@@ -270,11 +270,11 @@ uint64_t SumDetectField(const std::string& text, const std::string& key) {
   return sum;
 }
 
-// The coordinator picks the same lower-degree anchor as the single store:
-// one edge into a hub from a degree-1 node diffs exactly like two full
-// Detect runs and enumerates on the order of the hub's degree D, not the
-// ~D^2 follower pairs a hub seed would. The detect span says where that
-// work went.
+// The coordinator runs the single store's step: one edge into a hub from
+// a degree-1 node diffs exactly like two full Detect runs and enumerates
+// on the order of the hub's degree D, not the ~D^2 follower pairs a hub
+// seed would, because the edge roots only the units of the pattern edges
+// it can map onto. The detect span says where that work went.
 TEST(Coordinator, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
   constexpr size_t kDegree = 120;
   const PropertyGraph g = BuildHubStar(kDegree);
@@ -307,7 +307,9 @@ TEST(Coordinator, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
   EXPECT_EQ(diff->removed, want_removed);
   EXPECT_EQ(diff->added.size(), 2 * kDegree);  // Leaf vs. every follower
   EXPECT_LT(diff->stats.matches_seen, 8 * kDegree);
-  EXPECT_EQ(SumDetectField(trace_text, "anchors"), 1u);  // Leaf alone
+  // No write; the edge roots one unit per pattern edge into the hub.
+  EXPECT_EQ(SumDetectField(trace_text, "write_units"), 0u);
+  EXPECT_EQ(SumDetectField(trace_text, "edge_units"), 2u);
   EXPECT_EQ(SumDetectField(trace_text, "matches"), diff->stats.matches_seen);
 }
 
@@ -419,8 +421,8 @@ TEST(ServingStep, BothBackendsTraceOneShape) {
     EXPECT_LE(parse.fields.at("ts_ns"),
               route.fields.at("ts_ns") - route.fields.at("dur_ns"));
     EXPECT_EQ(absorb.fields.at("ops"), d.ops.size());
-    EXPECT_GT(route.fields.at("anchors"), 0u);
-    EXPECT_EQ(detect.fields.at("anchors"), route.fields.at("anchors"));
+    EXPECT_GT(route.fields.at("write_units") + route.fields.at("edge_units"),
+              0u);
     EXPECT_EQ(detect.fields.at("write_units"), route.fields.at("write_units"));
     EXPECT_EQ(detect.fields.at("edge_units"), route.fields.at("edge_units"));
     EXPECT_FALSE(detect.fields.contains("fragment"));

@@ -37,14 +37,19 @@
 //
 // A failure sweep runs the same script in process, failing write point k
 // (FailAtWritePoint: an error return, not a crash) for every k, on the
-// single store and on the 2-fragment coordinator. A failed record write
-// or fsync must fail the batch's step and leave the store as it was
-// before it -- seq, graph, deltas.log and feed.log bytes, count -- and
-// re-sending the batch must get the same seq and a byte-identical diff;
-// it is the one test of an fsync that fails after its batch was absorbed
+// same three legs. A failed record write or fsync must fail the batch's
+// step and leave the store as it was before it -- seq, graph, deltas.log
+// and feed.log bytes, count -- and re-sending the batch must get the same
+// seq; every batch's diff must be byte-identical to the uncrashed run's.
+// It is the one test of an fsync that fails after its batch was absorbed
 // and stepped. A failed feed write or compaction leaves the batch
 // acknowledged: the store reopens to its seq and graph, and recovers as
-// the crash sweep requires.
+// the crash sweep requires. A failed rebalance consumes no seq and
+// leaves the graph and both logs as they were: when the owner table's
+// write failed, the table is the old one and the move is re-sent; when
+// the empty batch's record write or fsync failed (a one-shot append,
+// GraphStore::Append), the table is the new one, the move is not
+// re-sent, and the run goes on as the script without the move.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -97,7 +102,7 @@ struct Move {
 
 struct Script {
   PropertyGraph g;
-  std::unique_ptr<ViolationEngine> engine;
+  std::shared_ptr<const ViolationEngine> engine;
   std::vector<std::string> batches;  ///< each valid after the ones before
   std::optional<Move> move;          ///< the rebalance leg only
   /// Seqs the script consumes: one per batch, plus the rebalance's.
@@ -117,7 +122,7 @@ Script MakeScript(const std::string& dir, Leg leg) {
                        .values = 8,
                        .value_correlation = 0.9,
                        .seed = 19});
-  s.engine = std::make_unique<ViolationEngine>(
+  s.engine = std::make_shared<const ViolationEngine>(
       GenerateGfdSet(s.g, {.count = 8, .k = 2, .seed = 5}));
   // Batches that apply in order: each drawn against the state the ones
   // before it leave, kept only when a scratch store at `dir` accepts it.
@@ -499,13 +504,21 @@ StoreState StateOf(const ServingStore& store, const std::string& dir,
 }
 
 struct FailureTotals {
-  size_t retracted = 0;  ///< failed record writes and fsyncs
-  size_t after_ack = 0;  ///< failed feed writes and compactions
+  size_t retracted = 0;          ///< failed record writes and fsyncs
+  size_t after_ack = 0;          ///< failed feed writes and compactions
+  size_t resent_moves = 0;       ///< moves whose owner table failed
+  size_t unsequenced_moves = 0;  ///< moves whose empty batch failed
 };
+
+// The feed event the reference run published for batch `i`: the
+// rebalance leg's move takes the seq before its batch.
+const FeedEvent& EventOf(const Script& s, const Reference& ref, size_t i) {
+  return ref.events[i + (s.move && i >= s.move->before ? 1 : 0)];
+}
 
 // Runs the script once with write point k failing. Returns false when
 // the script passed no point k (the sweep is done), with `*acked` the
-// last batch acknowledged when a failure after an ack stopped it.
+// last seq acknowledged when a failure after an ack stopped it.
 bool RunFailingAt(const Script& s, const Reference& ref,
                   const std::string& dir, bool distributed, int64_t k,
                   FailureTotals* totals, uint64_t* acked) {
@@ -522,7 +535,51 @@ bool RunFailingAt(const Script& s, const Reference& ref,
   auto failed_during = [&](int64_t from) {
     return from <= k && k < WritePointsPassed();
   };
-  for (const std::string& batch : s.batches) {
+  for (size_t i = 0; i < s.batches.size(); ++i) {
+    if (s.move && i == s.move->before) {
+      auto& coord = dynamic_cast<Coordinator&>(*store);
+      auto owners_are = [&](const std::vector<uint32_t>& owners) {
+        return std::ranges::equal(coord.node_owner(), owners);
+      };
+      std::optional<uint64_t> seq;
+      // Re-sent only while the owner table is the pre-move one.
+      while (!seq && owners_are(s.move->pre_owners)) {
+        const StoreState before = StateOf(*store, dir, fp);
+        const int64_t from = WritePointsPassed();
+        std::string error;
+        seq = coord.Rebalance(s.move->node, s.move->to, &error);
+        if (!failed_during(from)) {
+          EXPECT_TRUE(seq.has_value()) << error;
+          if (!seq) return true;
+          continue;
+        }
+        EXPECT_FALSE(seq.has_value())
+            << "a move whose write failed consumed a seq";
+        EXPECT_TRUE(StateOf(*store, dir, fp) == before)
+            << "a failed move left a trace in the store";
+        // The table's own write failed, or the empty batch's record
+        // write or fsync after it.
+        const bool moved = error.starts_with(kNotDurableError);
+        const std::vector<uint32_t>& want =
+            moved ? s.move->post_owners : s.move->pre_owners;
+        EXPECT_TRUE(owners_are(want)) << error;
+        ++(moved ? totals->unsequenced_moves : totals->resent_moves);
+      }
+      if (seq) {
+        const int64_t from = WritePointsPassed();
+        if (!feed->Publish(*seq,
+                           SerializeDiffPayload(coord.view(), s.engine->rules(),
+                                                IncrementalDiff{}),
+                           MetaCount{count, *seq, fp})) {
+          EXPECT_TRUE(failed_during(from)) << "a write failed unarmed";
+          ++totals->after_ack;
+          *acked = *seq;
+          return true;
+        }
+        *acked = *seq;
+      }
+    }
+    const std::string& batch = s.batches[i];
     const StoreState before = StateOf(*store, dir, fp);
     int64_t from = WritePointsPassed();
     std::string error;
@@ -538,11 +595,11 @@ bool RunFailingAt(const Script& s, const Reference& ref,
       EXPECT_TRUE(step.has_value()) << "re-sending failed: " << error;
       if (!step) return true;
       EXPECT_EQ(step->seq, before.seq + 1);
-      EXPECT_EQ(step->diff.payload, ref.events[before.seq].payload);
     } else {
       EXPECT_TRUE(step.has_value()) << error;
       if (!step) return true;
     }
+    EXPECT_EQ(step->diff.payload, EventOf(s, ref, i).payload) << "batch " << i;
     count = step->count;
     from = WritePointsPassed();
     if (!feed->Publish(step->seq, step->diff.payload,
@@ -558,11 +615,10 @@ bool RunFailingAt(const Script& s, const Reference& ref,
   return WritePointsPassed() > k;
 }
 
-void FailureSweep(Leg leg) {
-  const bool distributed = Distributed(leg);
-  const std::string dir = ::testing::TempDir() + "gfd_fail_sweep_" +
-                          (distributed ? "coord" : "single");
-  const Script s = MakeScript(dir + "_script", leg);
+// The uncrashed run of `s` on a fresh `dir`: the states, feed events and
+// feed.log a failure sweep's recoveries are checked against.
+Reference RecordReference(const Script& s, const std::string& dir,
+                          bool distributed) {
   Reference ref;
   ref.states.push_back(testing::CanonicalLines(s.g));
   InitDir(dir, s.g, distributed);
@@ -575,7 +631,23 @@ void FailureSweep(Leg leg) {
     feed->Subscribe(0, 1, &ref.events);
   }
   ref.feed_log = testing::ReadFileBytes(dir + "/feed.log");
-  ASSERT_EQ(ref.events.size(), s.seqs());
+  EXPECT_EQ(ref.events.size(), s.seqs());
+  return ref;
+}
+
+void FailureSweep(Leg leg) {
+  const bool distributed = Distributed(leg);
+  const char* names[] = {"gfd_fail_sweep_single", "gfd_fail_sweep_coord",
+                         "gfd_fail_sweep_rebalance"};
+  const std::string dir = ::testing::TempDir() + names[static_cast<int>(leg)];
+  const Script s = MakeScript(dir + "_script", leg);
+  const Reference ref = RecordReference(s, dir, distributed);
+  // A run whose move lost its empty batch goes on as the script without
+  // the move: same batches, one seq fewer.
+  const Script unmoved{s.g, s.engine, s.batches, std::nullopt};
+  const Reference unmoved_ref =
+      s.move ? RecordReference(unmoved, dir, distributed) : Reference{};
+  if (::testing::Test::HasFailure()) return;
 
   FailureTotals totals;
   SweepTotals recoveries;
@@ -584,24 +656,39 @@ void FailureSweep(Leg leg) {
     InitDir(dir, s.g, distributed);
     uint64_t acked = 0;
     const size_t stopped = totals.after_ack;
+    const size_t unsequenced = totals.unsequenced_moves;
     const bool failed = RunFailingAt(s, ref, dir, distributed, k, &totals,
                                      &acked);
     FailAtWritePoint(-1);
     if (::testing::Test::HasFailure() || !failed) break;
     // Whatever failed, the store reopens at the last acknowledged batch
     // and recovers as after a crash there.
+    const bool lost_move = totals.unsequenced_moves > unsequenced;
+    const Script& ran = lost_move ? unmoved : s;
     net::PrimeReport primed;
-    CheckRecovery(s, ref, dir, distributed, acked, &recoveries, &primed);
+    CheckRecovery(ran, lost_move ? unmoved_ref : ref, dir, distributed, acked,
+                  &recoveries, &primed);
     auto store = OpenServing(dir, distributed);
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->last_seq(),
-              totals.after_ack > stopped ? acked : s.seqs());
+              totals.after_ack > stopped ? acked : ran.seqs());
+    if (lost_move) {
+      const auto& coord = dynamic_cast<const Coordinator&>(*store);
+      EXPECT_TRUE(std::ranges::equal(coord.node_owner(), s.move->post_owners))
+          << "the move's table did not survive its lost batch";
+    }
     if (::testing::Test::HasFailure()) break;
   }
   // Each batch's record write and its fsync, and at least one feed write
   // and one compaction step.
   EXPECT_GE(totals.retracted, 2 * kBatches);
   EXPECT_GE(totals.after_ack, 2u);
+  if (s.move) {
+    // The owner table's temp-file fsync and rename, then the empty
+    // batch's record write and fsync.
+    EXPECT_EQ(totals.resent_moves, 2u);
+    EXPECT_EQ(totals.unsequenced_moves, 2u);
+  }
 }
 
 TEST(FailureSweep, ServingStepOnASingleStore) {
@@ -610,6 +697,10 @@ TEST(FailureSweep, ServingStepOnASingleStore) {
 
 TEST(FailureSweep, ServingStepOnATwoFragmentCoordinator) {
   FailureSweep(Leg::kCoordinator);
+}
+
+TEST(FailureSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
+  FailureSweep(Leg::kRebalance);
 }
 
 // The files of a directory (and of its subdirectories), relative to it.

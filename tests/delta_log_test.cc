@@ -118,9 +118,9 @@ TEST(DeltaLog, FreshLogAppendsAndReopens) {
   ASSERT_TRUE(log.has_value());
   EXPECT_EQ(log->next_seq(), 1u);
   EXPECT_TRUE(log->entries().empty());
-  EXPECT_EQ(log->Append("alpha"), 1u);
-  EXPECT_EQ(log->Append(""), 2u);  // empty payloads are legal batches
-  EXPECT_EQ(log->Append("gamma\nwith\tbytes\r"), 3u);
+  EXPECT_EQ(log->Write("alpha"), 1u);
+  EXPECT_EQ(log->Write(""), 2u);  // empty payloads are legal batches
+  EXPECT_EQ(log->Write("gamma\nwith\tbytes\r"), 3u);
 
   auto reopened = DeltaLog::Open(path, 1);
   ASSERT_TRUE(reopened.has_value());
@@ -129,22 +129,22 @@ TEST(DeltaLog, FreshLogAppendsAndReopens) {
   EXPECT_EQ(Payloads(*reopened),
             (std::vector<std::string>{"alpha", "", "gamma\nwith\tbytes\r"}));
   EXPECT_EQ(reopened->next_seq(), 4u);
-  EXPECT_EQ(reopened->Append("delta"), 4u);
+  EXPECT_EQ(reopened->Write("delta"), 4u);
 }
 
 TEST(DeltaLog, FirstSeqNumbersAnEmptyLog) {
   std::string path = ScratchLog("log_first_seq");
   auto log = DeltaLog::Open(path, /*first_seq=*/42);
   ASSERT_TRUE(log.has_value());
-  EXPECT_EQ(log->Append("x"), 42u);
+  EXPECT_EQ(log->Write("x"), 42u);
 }
 
 TEST(DeltaLog, GarbageTailIsCutAndFileTruncated) {
   std::string path = ScratchLog("log_garbage");
   {
     auto log = DeltaLog::Open(path, 1);
-    log->Append("one");
-    log->Append("two");
+    log->Write("one");
+    log->Write("two");
   }
   size_t good_size = fs::file_size(path);
   AppendBytes(path, "not a record header at all");
@@ -168,7 +168,7 @@ TEST(DeltaLog, GarbageTailIsCutAndFileTruncated) {
             log->open_stats().truncated_bytes);
   EXPECT_NE(ReadBytes(trace_path).find("\"stage\":\"torn_tail\""),
             std::string::npos);
-  EXPECT_EQ(log->Append("three"), 3u);
+  EXPECT_EQ(log->Write("three"), 3u);
 }
 
 TEST(DeltaLog, EveryTornAppendPrefixIsCutCleanly) {
@@ -178,14 +178,14 @@ TEST(DeltaLog, EveryTornAppendPrefixIsCutCleanly) {
   std::string base_path = ScratchLog("log_torn");
   {
     auto log = DeltaLog::Open(base_path, 1);
-    log->Append("first-batch");
-    log->Append("second-batch");
+    log->Write("first-batch");
+    log->Write("second-batch");
   }
   std::string good = ReadBytes(base_path);
   std::string full = good;
   {
     auto log = DeltaLog::Open(base_path, 1);
-    log->Append("third-batch-that-tears");
+    log->Write("third-batch-that-tears");
     full = ReadBytes(base_path);
   }
   for (size_t cut = good.size() + 1; cut < full.size(); ++cut) {
@@ -201,8 +201,8 @@ TEST(DeltaLog, CrcFlipCutsTheTail) {
   std::string path = ScratchLog("log_crc");
   {
     auto log = DeltaLog::Open(path, 1);
-    log->Append("aaaa");
-    log->Append("bbbb");
+    log->Write("aaaa");
+    log->Write("bbbb");
   }
   std::string bytes = ReadBytes(path);
   bytes[bytes.size() - 3] ^= 0x40;  // inside the last payload
@@ -217,9 +217,9 @@ TEST(DeltaLog, MidLogCorruptionCutsEverythingAfterIt) {
   std::string path = ScratchLog("log_mid");
   {
     auto log = DeltaLog::Open(path, 1);
-    log->Append("aaaa");
-    log->Append("bbbb");
-    log->Append("cccc");
+    log->Write("aaaa");
+    log->Write("bbbb");
+    log->Write("cccc");
   }
   std::string bytes = ReadBytes(path);
   bytes[bytes.find("bbbb")] = 'X';  // corrupt the middle record's payload
@@ -234,7 +234,7 @@ TEST(DeltaLog, SequenceGapEndsTheChain) {
   std::string path = ScratchLog("log_gap");
   {
     auto log = DeltaLog::Open(path, 1);
-    log->Append("aaaa");
+    log->Write("aaaa");
   }
   // Forge a record that skips seq 2: frame shape is valid, chain is not.
   char header[64];
@@ -249,13 +249,13 @@ TEST(DeltaLog, SequenceGapEndsTheChain) {
 TEST(DeltaLog, DropThroughReanchorsAndSurvivesReopen) {
   std::string path = ScratchLog("log_drop");
   auto log = DeltaLog::Open(path, 1);
-  log->Append("aaaa");
-  log->Append("bbbb");
-  log->Append("cccc");
+  log->Write("aaaa");
+  log->Write("bbbb");
+  log->Write("cccc");
   ASSERT_TRUE(log->DropThrough(2));
   EXPECT_EQ(Payloads(*log), (std::vector<std::string>{"cccc"}));
   EXPECT_EQ(log->next_seq(), 4u);
-  EXPECT_EQ(log->Append("dddd"), 4u);
+  EXPECT_EQ(log->Write("dddd"), 4u);
 
   auto reopened = DeltaLog::Open(path, 1);
   ASSERT_TRUE(reopened.has_value());
@@ -265,11 +265,11 @@ TEST(DeltaLog, DropThroughReanchorsAndSurvivesReopen) {
   // Dropping everything leaves an empty file whose numbering continues.
   ASSERT_TRUE(reopened->DropThrough(4));
   EXPECT_EQ(fs::file_size(path), 0u);
-  EXPECT_EQ(reopened->Append("eeee"), 5u);
+  EXPECT_EQ(reopened->Write("eeee"), 5u);
 }
 
-// Write leaves a record unsynced; Sync and Append fsync everything
-// written so far.
+// Write leaves a record unsynced; Sync and a staged record's Commit
+// fsync everything written so far.
 TEST(DeltaLog, WriteDefersTheFsyncToTheNextSyncOrAppend) {
   std::string path = ScratchLog("log_write");
   auto log = DeltaLog::Open(path, 1);
@@ -284,7 +284,8 @@ TEST(DeltaLog, WriteDefersTheFsyncToTheNextSyncOrAppend) {
   EXPECT_EQ(Payloads(*peek), (std::vector<std::string>{"one", "two"}));
   ASSERT_TRUE(log->Sync());
   EXPECT_EQ(FsyncsTotal().Value(), fsyncs + 1);
-  EXPECT_EQ(log->Append("three"), 3u);
+  EXPECT_EQ(log->Stage("three"), 3u);
+  ASSERT_TRUE(log->Commit());
   EXPECT_EQ(FsyncsTotal().Value(), fsyncs + 2);
 }
 
@@ -295,7 +296,8 @@ TEST(DeltaLog, FailedWriteKeepsTheUnsyncedRecordsBeforeIt) {
   std::string path = ScratchLog("log_failed_write");
   auto log = DeltaLog::Open(path, 1);
   ASSERT_TRUE(log.has_value());
-  ASSERT_EQ(log->Append("synced"), 1u);
+  ASSERT_EQ(log->Stage("synced"), 1u);
+  ASSERT_TRUE(log->Commit());
   ASSERT_EQ(log->Write("unsynced-a"), 2u);
   ASSERT_EQ(log->Write("unsynced-b"), 3u);
   const uintmax_t written = fs::file_size(path);
@@ -331,7 +333,7 @@ TEST(DeltaLog, StagedRecordIsDurableAtCommit) {
   std::string path = ScratchLog("log_staged");
   auto log = DeltaLog::Open(path, 1);
   ASSERT_TRUE(log.has_value());
-  ASSERT_EQ(log->Append("one"), 1u);
+  ASSERT_EQ(log->Write("one"), 1u);
   const uint64_t fsyncs = FsyncsTotal().Value();
   EXPECT_EQ(log->Stage("two"), 2u);
   EXPECT_EQ(log->next_seq(), 3u);
@@ -353,7 +355,7 @@ TEST(DeltaLog, FailedStagedFsyncRetractsTheRecord) {
   std::string path = ScratchLog("log_staged_fail");
   auto log = DeltaLog::Open(path, 1);
   ASSERT_TRUE(log.has_value());
-  ASSERT_EQ(log->Append("one"), 1u);
+  ASSERT_EQ(log->Write("one"), 1u);
   const std::string before = ReadBytes(path);
   // Point 0 is the record's write, point 1 its fsync.
   for (int64_t point : {1, 0}) {
@@ -697,10 +699,10 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   ExpectRestartIdentical(*store, engine);
 }
 
-// The serving step overlaps its record's fsync with the detection: the
-// fsync is a `log_sync` span of its own, and the step blocks on it once,
-// after the render, in a `sync_wait` span; the one-shot append fsyncs
-// inline and emits neither.
+// Every append stages its record: the fsync is a `log_sync` span of its
+// own, and the append waits for it once, in a `sync_wait` span -- a
+// one-shot append right after its absorb, a serving step after its
+// render.
 TEST(GraphStore, AppendAndDiffWaitsOnceForTheStagedFsync) {
   std::string dir = Scratch("store_sync_spans");
   auto g = BuildWorld();
@@ -714,10 +716,10 @@ TEST(GraphStore, AppendAndDiffWaitsOnceForTheStagedFsync) {
   ASSERT_NE(trace, nullptr);
   obs::SetActiveTrace(trace.get());
   const uint64_t waits = StoreSyncWaitLatency().Count();
-  ASSERT_TRUE(store->Append("A\tn3\ttype=film\n").has_value());
+  ASSERT_EQ(store->Append("A\tn3\ttype=film\n"), 1u);
   ASSERT_TRUE(store->AppendAndDiff(engine, "E+\tMusician\tn2\tcreate\n"));
   obs::SetActiveTrace(nullptr);
-  EXPECT_EQ(StoreSyncWaitLatency().Count(), waits + 1);
+  EXPECT_EQ(StoreSyncWaitLatency().Count(), waits + 2);
   const std::string text = ReadBytes(trace_path);
   // Spans of `stage`, and how many of them carry `field`.
   auto count = [&](const std::string& stage, const std::string& field) {
@@ -729,11 +731,13 @@ TEST(GraphStore, AppendAndDiffWaitsOnceForTheStagedFsync) {
     }
     return n;
   };
-  EXPECT_EQ(count("log_sync", ""), 1u) << text;
-  EXPECT_EQ(count("log_sync", "\"seq\":2"), 1u) << text;
-  EXPECT_EQ(count("sync_wait", ""), 1u) << text;
-  EXPECT_EQ(count("sync_wait", "\"seq\":2"), 1u) << text;
-  // The wait follows the render: it is the last span of the step.
+  EXPECT_EQ(count("log_sync", ""), 2u) << text;
+  EXPECT_EQ(count("sync_wait", ""), 2u) << text;
+  for (const char* seq : {"\"seq\":1", "\"seq\":2"}) {
+    EXPECT_EQ(count("log_sync", seq), 1u) << text;
+    EXPECT_EQ(count("sync_wait", seq), 1u) << text;
+  }
+  // The step's wait follows its render: it is the last span of the step.
   EXPECT_GT(text.rfind("\"stage\":\"sync_wait\""),
             text.rfind("\"stage\":\"merge\""));
 }
@@ -774,10 +778,11 @@ TEST(GraphStore, AppendAndDiffScansGroupsByTheBatchAlone) {
   EXPECT_TRUE(diff->removed.empty());
 }
 
-// An edge op anchors at its lower-degree endpoint: a batch inserting one
-// edge into a hub from a degree-1 node must still diff exactly like two
-// full Detect runs, while enumerating on the order of the hub's degree D
-// -- seeding the hub would enumerate every pair of its followers, ~D^2.
+// An edge op roots the units of the pattern edges it can map onto: a
+// batch inserting one edge into a hub from a degree-1 node must still
+// diff exactly like two full Detect runs, while enumerating on the order
+// of the hub's degree D -- seeding the hub would enumerate every pair of
+// its followers, ~D^2.
 TEST(GraphStore, AppendAndDiffAnchorsAHubEdgeAtItsLowDegreeEnd) {
   constexpr size_t kDegree = 120;
   std::string dir = Scratch("store_hub_edge");

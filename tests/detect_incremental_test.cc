@@ -86,7 +86,7 @@ TEST(DetectIncremental, EmptyDeltaProducesEmptyDiff) {
   auto diff = Diff(engine, g, {});
   EXPECT_TRUE(diff.added.empty());
   EXPECT_TRUE(diff.removed.empty());
-  EXPECT_EQ(diff.stats.affected_nodes, 0u);
+  EXPECT_EQ(diff.stats.write_units + diff.stats.edge_units, 0u);
   EXPECT_EQ(diff.stats.roots_scanned, 0u);
 }
 
@@ -336,7 +336,7 @@ std::vector<Gfd> Wildcarded(const std::vector<Gfd>& rules, uint64_t seed) {
 void ExpectPlanEqualsTheScan(const ViolationEngine& engine,
                              const PropertyGraph& g, const GraphDelta& d) {
   const GraphView pre = *GraphView::Apply(g, GraphDelta{});
-  const BatchFootprint fp = BatchFootprint::Of(d.ops, pre);
+  const BatchFootprint fp = BatchFootprint::Of(d.ops);
   EXPECT_EQ(
       ViolationEngineInternals::Dump(engine.PlanStep(pre, fp)),
       ViolationEngineInternals::Dump(
@@ -481,20 +481,19 @@ TEST(DetectIncremental, EngineMovedAfterARunStaysCorrect) {
   EXPECT_EQ(moved_diff.added, before.added);
 }
 
-// A step anchors every attribute target and one endpoint per edge op:
-// the lower-degree one in the pre-batch view, ties to the smaller id.
-TEST(BatchFootprint, AnchorsEachEdgeOpAtItsLowerDegreeEndpoint) {
+// A footprint keys every attribute write by (node, key) and every edge op
+// by its directed (src, dst, label), and answers for a pattern edge's
+// label, the wildcard included.
+TEST(BatchFootprint, KeysEveryWriteAndEveryEdgeOp) {
   const PropertyGraph g = BuildHubStar(3);  // Hub 0, fans 1-3, Leaf 4
   const LabelId follows = *g.FindLabel("follows");
   const AttrId team = *g.FindAttr("team");
   GraphDelta d;
-  d.InsertEdge(4, 0, follows);  // Leaf (degree 1) -> Hub (degree 3)
-  d.InsertEdge(3, 1, follows);  // two fans of degree 1: the tie goes to 1
-  d.DeleteEdge(2, 0, follows);  // fan (degree 1) -> Hub
-  d.SetAttr(0, team, *g.FindValue("red"));  // the hub itself
-  const BatchFootprint fp =
-      BatchFootprint::Of(d.ops, *GraphView::Apply(g, GraphDelta{}));
-  EXPECT_EQ(fp.anchors, (std::vector<NodeId>{0, 1, 2, 4}));
+  d.InsertEdge(4, 0, follows);
+  d.InsertEdge(3, 1, follows);
+  d.DeleteEdge(2, 0, follows);
+  d.SetAttr(0, team, *g.FindValue("red"));
+  const BatchFootprint fp = BatchFootprint::Of(d.ops);
   EXPECT_EQ(fp.writes, (std::vector<BatchFootprint::Write>{{0, team}}));
   const std::vector<BatchFootprint::EdgeKey> keys{
       {2, 0, follows}, {3, 1, follows}, {4, 0, follows}};
@@ -701,10 +700,10 @@ TEST(DetectIncremental, AWriteNoMemberReadsThereEnumeratesNothing) {
   }
 }
 
-// The one-shot diff anchors an edge op the way a serving step does: an
-// edge into a degree-D hub seeds at its degree-1 end, so the run
-// enumerates the matches through Leaf, not every pair of the hub's
-// followers (D * D of them).
+// The one-shot diff roots an edge op the way a serving step does: an edge
+// into a degree-D hub roots the units of the pattern edges it can map
+// onto at the edge itself, so the run enumerates the matches through
+// Leaf, not every pair of the hub's followers (D * D of them).
 TEST(DetectIncremental, AnchorsAHubEdgeAtItsLowDegreeEnd) {
   constexpr size_t kDegree = 120;
   const PropertyGraph g = BuildHubStar(kDegree);

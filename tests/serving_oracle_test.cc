@@ -45,10 +45,11 @@ std::string DeltaBytes(const PropertyGraph& base, const GraphDelta& d) {
 // Random update batch over the *current* state `g` (same shape as the
 // coordinator oracle's): inserts with label-plausible endpoints, deletes
 // of existing edges, attribute sets. Each batch ends with the shapes the
-// one-endpoint anchoring of edge ops must get right: an attribute set on
-// the higher-degree endpoint of an edge op (the endpoint the op does not
-// anchor), a delete and re-insert of one edge, and a duplicate insert of
-// an existing edge followed by a delete of one copy.
+// attribution of a match to one unit must get right: an attribute set on
+// the higher-degree endpoint of an edge op (a match through both is
+// evaluated at the write's unit only), a delete and re-insert of one
+// edge, and a duplicate insert of an existing edge followed by a delete
+// of one copy.
 GraphDelta RandomBatch(const PropertyGraph& g, Rng& rng, size_t ops,
                        double delete_bias = 0.3) {
   GraphDelta d;

@@ -7,7 +7,8 @@ Both serving backends run one step and trace each served seq in one
 shape: exactly one each of `parse` (the batch's TSV into ops), `route`
 (the plan), `absorb` (the batch's one apply), `detect` (the plan's two
 sides), `merge`, `render` (the feed payload, inside `merge`) and
-`sync_wait` (the wait for the record's fsync). Per seq, the `detect` span seeds the anchors its `route` counted.
+`sync_wait` (the wait for the record's fsync). Per seq, the `detect`
+span runs the write and edge units its `route` planned.
 Exits 0 and says how many batches it checked; exits 1 on the first
 mismatch, or when the trace holds no served seq.
 """
@@ -40,10 +41,11 @@ def main(argv):
                   file=sys.stderr)
             return 1
         route, detect = stages["route"][0], stages["detect"][0]
-        if route["anchors"] != detect["anchors"]:
-            print(f"seq {seq}: route counted {route['anchors']} anchor(s), "
-                  f"detect seeded {detect['anchors']}", file=sys.stderr)
-            return 1
+        for units in ("write_units", "edge_units"):
+            if route[units] != detect[units]:
+                print(f"seq {seq}: route planned {route[units]} {units}, "
+                      f"detect ran {detect[units]}", file=sys.stderr)
+                return 1
     print(f"one step shape in {len(spans)} batch(es)")
     return 0
 

@@ -1,72 +1,8 @@
 // gfdtool: the production-facing command line over the library -- mine
 // rules from a TSV graph, persist them, and serve them back as
-// data-quality checks through the batched violation engine.
-//
-//   gfdtool gen <out.tsv> [--kind yago2|dbpedia|imdb] [--scale N]
-//           [--seed S] [--noise ALPHA]
-//       Generate a knowledge-graph-shaped TSV (optionally corrupted).
-//   gfdtool discover <graph.tsv> [-k K] [-s SIGMA] [-w WORKERS]
-//           [-o rules.gfd]
-//       Mine a cover of minimum sigma-frequent GFDs and save/print it.
-//   gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> [-w WORKERS]
-//           [--max-per-gfd N] [--max-total N]
-//           [--delta <delta.tsv>] [--compact-ops N]
-//       Batched violation detection: group rules by pattern, one match plan per
-//       group, one line per violation record (its description escaped as the
-//       changefeed escapes it, util/tsv.h EscapeField). Exit 3 when violations
-//       were found. With --delta, runs *incrementally*: the delta (E+/E-/A
-//       records) is applied as an overlay view and only matches near the
-//       updated vertices are re-evaluated, reporting the violations the update
-//       added (+) and removed (-). Exit codes distinguish the post-update
-//       states: 0 the updated graph is violation-free, 3 the update added
-//       violations, 4 the update added none but pre-existing violations remain.
-//       With --log the graph comes from a durable store (replayed on open) and
-//       the --delta batch is appended to its log before detection.
-//   gfdtool log init <dir> <graph.tsv>
-//       Create a durable graph store: snapshot + empty delta log.
-//   gfdtool log append <dir> <delta.tsv> [--compact-ops N]
-//       Durably append one update batch and apply it (auto-compacts per
-//       policy; --compact-ops overrides the ops threshold).
-//   gfdtool log replay <dir> [-o graph.tsv]
-//       Replay the log onto the snapshot, report recovery stats, and
-//       optionally dump the materialized current graph.
-//   gfdtool log compact <dir>
-//       Roll the snapshot forward over the overlay and re-anchor the log.
-//   gfdtool serve init <dir> <graph.tsv> --fragments N [--radius R]
-//       Create a distributed serving directory: a coordinator over N
-//       vertex-cut fragments (each an owner set plus its radius-R halo
-//       residency over the one in-memory graph) with persisted node
-//       ownership, over a master store of the global graph. Refuses a
-//       directory that already holds a store or a coordinator.
-//   gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]
-//           [--compact-ops N]
-//       The serving step on a coordinator: once the rules fit its halo
-//       radius, the store's step appends the batch durably under the
-//       next sequence number and diffs it, exactly as on a single store
-//       -- printed as +/- records with the same 0/3/4 verdict exit codes
-//       as detect --delta, read off the running violation counter.
-//   gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]
-//       Move ownership of one node (numeric id) to another fragment
-//       online: the new owner table is persisted, then an empty batch
-//       consumes one sequence number.
-//   gfdtool serve status <dir>
-//       Sequence/anchor/overlay report plus per-fragment ownership and
-//       residency.
-//   gfdtool metrics <dir> [-o FILE]
-//       Open the store or coordinator at <dir> (replaying its logs, so
-//       recovery metrics are populated) and render the full metrics
-//       registry in Prometheus text format to stdout or FILE.
-//   gfdtool validate <graph.tsv> <rules.gfd>
-//       Boolean check G |= Sigma, rule by rule. Exit 3 on violation.
-//   gfdtool cover <graph.tsv> <rules.gfd> [-w WORKERS] [-o cover.gfd]
-//       Reduce a rule file to a minimal equivalent cover.
-//
-// The serving verbs (`detect --log`, `serve append`) additionally accept
-//   --metrics-out FILE   atomically write the Prometheus exposition of
-//                        everything this invocation did on exit
-//   --trace FILE         append one JSON-lines trace event per serving
-//                        stage (validate/append/route/absorb/detect/
-//                        merge/render/sync_wait/compact)
+// data-quality checks through the batched violation engine. Every verb's
+// synopsis and reference is its kVerbHelp entry below, printed by
+// `gfdtool help [verb]` and mirrored in docs/CLI.md.
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -78,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "datagen/kb.h"
@@ -106,41 +43,6 @@
 using namespace gfd;
 
 namespace {
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: gfdtool gen <out.tsv> [--kind yago2|dbpedia|imdb] "
-      "[--scale N] [--seed S] [--noise ALPHA]\n"
-      "       gfdtool discover <graph.tsv> [-k K] [-s SIGMA] [-w WORKERS] "
-      "[-o rules.gfd]\n"
-      "       gfdtool detect <graph.tsv>|--log <dir> <rules.gfd> "
-      "[-w WORKERS] [--max-per-gfd N] [--max-total N] "
-      "[--delta FILE] [--compact-ops N] [--metrics-out FILE] "
-      "[--trace FILE]\n"
-      "       gfdtool log init <dir> <graph.tsv>\n"
-      "       gfdtool log append <dir> <delta.tsv> [--compact-ops N]\n"
-      "       gfdtool log replay <dir> [-o graph.tsv]\n"
-      "       gfdtool log compact <dir>\n"
-      "       gfdtool serve init <dir> <graph.tsv> --fragments N "
-      "[--radius R]\n"
-      "       gfdtool serve append <dir> <rules.gfd> <delta.tsv> "
-      "[-w WORKERS] [--compact-ops N] [--metrics-out FILE] "
-      "[--trace FILE]\n"
-      "       gfdtool serve rebalance <dir> <node> <fragment> "
-      "[--compact-ops N]\n"
-      "       gfdtool serve status <dir>\n"
-      "       gfdtool serve run <dir> <rules.gfd> [--port P] "
-      "[--bind ADDR] [-w WORKERS] [--http-workers N] [--queue-cap N] "
-      "[--heartbeat-ms MS] [--ingest-rps R] [--ingest-burst B] "
-      "[--compact-ops N] [--metrics-out FILE] [--trace FILE]\n"
-      "       gfdtool metrics <dir> [-o FILE]\n"
-      "       gfdtool validate <graph.tsv> <rules.gfd>\n"
-      "       gfdtool cover <graph.tsv> <rules.gfd> [-w WORKERS] "
-      "[-o cover.gfd]\n"
-      "       gfdtool help [verb]       (or: gfdtool <verb> --help)\n");
-  return 2;
-}
 
 // Per-verb help: one entry per dispatch-table verb, printed by
 // `gfdtool help <verb>` / `gfdtool <verb> --help` and mirrored verbatim
@@ -179,13 +81,13 @@ constexpr VerbHelp kVerbHelp[] = {
      "\n"
      "Batched violation detection: rules are grouped by pattern\n"
      "isomorphism and each group shares one match plan.\n"
-     "  --log <dir>     check the durable store at <dir> (replayed on\n"
-     "                  open) instead of a TSV file; rules resolve\n"
-     "                  against its current graph, as under serve\n"
+     "  --log <dir>     check the store or coordinator at <dir>\n"
+     "                  (replayed on open) instead of a TSV file; rules\n"
+     "                  resolve against its current graph, as under serve\n"
      "  --delta FILE    incremental mode: apply the TSV delta batch and\n"
      "                  report only the violations it added (+) and\n"
-     "                  removed (-); with --log the batch is durably\n"
-     "                  appended first\n"
+     "                  removed (-); with --log the batch is served as\n"
+     "                  serve append serves it\n"
      "  --max-per-gfd/--max-total   violation budgets (0 = unlimited)\n"
      "  --compact-ops N             store compaction threshold override\n"
      "  -w WORKERS      detection threads\n"
@@ -201,7 +103,8 @@ constexpr VerbHelp kVerbHelp[] = {
      "gfdtool log compact <dir>\n"
      "\n"
      "Single-node durable graph store: snapshot + sequenced delta log\n"
-     "(see docs/WIRE.md for the on-disk formats).\n"
+     "(see docs/WIRE.md for the on-disk formats). append, replay and\n"
+     "compact open a coordinator's directory too.\n"
      "  init      create the store from a TSV graph\n"
      "  append    durably append one TSV delta batch and apply it\n"
      "            (auto-compacts per policy)\n"
@@ -219,12 +122,13 @@ constexpr VerbHelp kVerbHelp[] = {
      "        [--heartbeat-ms MS] [--ingest-rps R] [--ingest-burst B]\n"
      "        [--compact-ops N] [--metrics-out FILE] [--trace FILE]\n"
      "\n"
-     "Serving verbs. init/append/rebalance/status drive a coordinator\n"
-     "(a store plus a vertex-cut owner table, whose append runs the\n"
-     "single store's step once the rules fit its halo radius); run\n"
-     "serves EITHER backend (a `log init`\n"
-     "store or a `serve init` coordinator, sniffed from the directory)\n"
-     "over HTTP as one long-lived process:\n"
+     "Serving verbs. init, rebalance and status drive a coordinator (a\n"
+     "store plus a vertex-cut owner table); append and run take EITHER\n"
+     "backend (a `log init` store or a `serve init` coordinator, sniffed\n"
+     "from the directory) and run the single store's step, on a\n"
+     "coordinator once the rules fit its halo radius. append serves one\n"
+     "batch, as detect --log --delta does; run serves over HTTP as one\n"
+     "long-lived process:\n"
      "  POST /ingest    one TSV delta batch -> seq + violation diff\n"
      "                  summary (422 on invalid input, 500 when a\n"
      "                  valid batch could not be made durable, 429\n"
@@ -243,7 +147,8 @@ constexpr VerbHelp kVerbHelp[] = {
      "the vertex-cut replication and the resident-edge factor. rebalance\n"
      "persists <node>'s new owner, then consumes one sequence number\n"
      "with an empty batch; <node> and <fragment> are decimal 32-bit ids\n"
-     "(`5`, not `n5`), anything else exits 2.\n"
+     "(`5`, not `n5`), anything else exits 2. Both exit 1 on a single\n"
+     "store.\n"
      "Flags of run:\n"
      "  --port P            listen port (default 8080; 0 = ephemeral,\n"
      "                      the chosen port is printed)\n"
@@ -296,6 +201,22 @@ constexpr VerbHelp kVerbHelp[] = {
      "Print the per-verb reference (also: gfdtool <verb> --help). The\n"
      "same text lives in docs/CLI.md.\n"},
 };
+
+// Every verb's synopsis -- its kVerbHelp text up to the first blank
+// line -- on stderr; returns the usage exit code.
+int Usage() {
+  std::fputs("usage:\n", stderr);
+  for (const VerbHelp& h : kVerbHelp) {
+    const std::string_view text = h.text;
+    std::string_view synopsis = text.substr(0, text.find("\n\n") + 1);
+    while (!synopsis.empty()) {
+      const size_t eol = synopsis.find('\n');
+      std::fprintf(stderr, "  %.*s\n", static_cast<int>(eol), synopsis.data());
+      synopsis.remove_prefix(eol + 1);
+    }
+  }
+  return 2;
+}
 
 int HelpVerb(const char* verb) {
   for (const VerbHelp& h : kVerbHelp) {
@@ -578,29 +499,52 @@ int Discover(int argc, char** argv) {
   return 0;
 }
 
-// Opens a graph store, reporting recovery context on stderr.
-std::optional<GraphStore> OpenStore(const char* dir,
-                                    const GraphStoreOptions& opts) {
+// Opens whichever backend lives at `dir` -- a coordinator when it holds
+// coordinator.meta, else a single store -- reporting its recovery on
+// stderr. Every verb that opens a directory opens it here.
+std::unique_ptr<GraphStore> OpenBackend(const char* dir,
+                                        const GraphStoreOptions& opts) {
+  const bool coordinator =
+      std::ifstream(std::string(dir) + "/coordinator.meta").good();
   std::string error;
-  auto store = GraphStore::Open(dir, opts, &error);
+  std::unique_ptr<GraphStore> store;
+  if (coordinator) {
+    auto coord = Coordinator::Open(dir, {.store = opts}, &error);
+    if (coord) store = std::make_unique<Coordinator>(std::move(*coord));
+  } else {
+    auto single = GraphStore::Open(dir, opts, &error);
+    if (single) store = std::make_unique<GraphStore>(std::move(*single));
+  }
   if (!store) {
-    std::fprintf(stderr, "error opening store %s: %s\n", dir, error.c_str());
-    return std::nullopt;
+    std::fprintf(stderr, "error opening %s %s: %s\n",
+                 coordinator ? "coordinator" : "store", dir, error.c_str());
+    return nullptr;
   }
   // Both backends report recovery through the same unified snapshot;
   // mirroring it into the gauges keeps `--metrics-out` current even for
   // verbs that never append.
-  ServingMetricsSnapshot snap = store->MetricsSnapshot();
+  const ServingMetricsSnapshot snap = store->MetricsSnapshot();
   ExportSnapshotMetrics(snap);
-  std::fprintf(stderr,
-               "store %s: snapshot@%llu + %zu replayed batch(es) -> seq "
-               "%llu, overlay %zu op(s)%s%s\n",
-               dir, static_cast<unsigned long long>(snap.anchor_seq),
-               snap.replayed_batches,
-               static_cast<unsigned long long>(snap.last_seq),
-               snap.overlay_ops,
-               snap.truncated_bytes ? " [corrupt tail cut]" : "",
-               snap.skipped_batches ? " [pre-anchor records dropped]" : "");
+  if (coordinator) {
+    std::fprintf(stderr,
+                 "coordinator %s: %zu fragment(s) at seq %llu (snapshot@%llu "
+                 "+ %zu replayed batch(es))%s\n",
+                 dir, snap.fragments,
+                 static_cast<unsigned long long>(snap.last_seq),
+                 static_cast<unsigned long long>(snap.anchor_seq),
+                 snap.replayed_batches,
+                 snap.truncated_bytes ? " [corrupt log tail cut]" : "");
+  } else {
+    std::fprintf(stderr,
+                 "store %s: snapshot@%llu + %zu replayed batch(es) -> seq "
+                 "%llu, overlay %zu op(s)%s%s\n",
+                 dir, static_cast<unsigned long long>(snap.anchor_seq),
+                 snap.replayed_batches,
+                 static_cast<unsigned long long>(snap.last_seq),
+                 snap.overlay_ops,
+                 snap.truncated_bytes ? " [corrupt tail cut]" : "",
+                 snap.skipped_batches ? " [pre-anchor records dropped]" : "");
+  }
   return store;
 }
 
@@ -641,12 +585,11 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
             .c_str());
   }
   std::fprintf(stderr,
-               "incremental: +%zu -%zu violation(s) in %.3fs: %zu anchor(s), "
-               "%zu write unit(s) + %zu edge unit(s) over %lu root(s), %lu "
-               "touched matches\n",
+               "incremental: +%zu -%zu violation(s) in %.3fs: %zu write "
+               "unit(s) + %zu edge unit(s) over %lu root(s), %lu touched "
+               "matches\n",
                diff.added.size(), diff.removed.size(), seconds,
-               diff.stats.affected_nodes, diff.stats.write_units,
-               diff.stats.edge_units,
+               diff.stats.write_units, diff.stats.edge_units,
                static_cast<unsigned long>(diff.stats.roots_scanned),
                static_cast<unsigned long>(diff.stats.matches_seen));
   DeltaVerdict verdict = ClassifyDelta(diff, post_count);
@@ -671,36 +614,36 @@ uint64_t PreBatchCount(const ViolationEngine& engine, const PropertyGraph& g,
   return count;
 }
 
-// One serving step: run the shared ServeStep (durable append with its
-// per-batch diff, counter update, verdict) from the persisted running
-// count, persist the new count in the meta, print +/- records, and
-// return the documented verdict exit code (nullopt when the append was
-// rejected). A store with no current count is seeded by PreBatchCount
-// over `before`, once the store has accepted the batch, so a rejected
-// batch costs no scan. `detect --log --delta` (single GraphStore) and
-// `serve append` (coordinator over vertex-cut fragments) both come
-// through here. `before` is the store's pre-batch graph, which the verb
+// One serving step from the command line, the body `detect --log
+// --delta` and `serve append` share on either backend: the store's step
+// (ServeStep; a coordinator checks the rules' radius against its halo
+// first) on the batch in `delta_path` from the persisted running count,
+// the new count persisted in the meta, the +/- records and verdict
+// printed, then the compaction policy. Returns the documented verdict
+// exit code, or 1 when the batch was rejected or the follow-up failed. A
+// store with no current count is seeded by PreBatchCount over `before`,
+// once the store has accepted the batch, so a rejected batch costs no
+// scan. `before` is the store's pre-batch graph, which the verb
 // materialized to load its rules: `-` records render against it, `+`
 // records against the store's live view, which absorbed the batch in
-// place (ids preserved by both backends).
-template <typename Store>
-std::optional<int> ServeBatch(Store& store, const PropertyGraph& before,
-                              const ViolationEngine& engine,
-                              const std::string& payload,
-                              const char* payload_path, size_t workers,
-                              uint64_t* seq_out = nullptr) {
+// place (ids preserved).
+int ServeBatch(GraphStore& store, const PropertyGraph& before,
+               const ViolationEngine& engine, const char* delta_path,
+               size_t workers) {
+  auto payload = ReadFile(delta_path);
+  if (!payload) return 1;
   uint64_t fp = RuleSetFingerprint(engine.rules(), before);
   const std::optional<uint64_t> persisted = store.violation_count(fp);
   IncrementalOptions iopts;
   iopts.workers = workers;
   std::string error;
   WallTimer t;
-  auto step = ServeStep(store, engine, payload, persisted.value_or(0), iopts,
+  auto step = ServeStep(store, engine, *payload, persisted.value_or(0), iopts,
                         &error);
   if (!step) {
     std::fprintf(stderr, "error appending %s\n",
-                 FileLineError(payload_path, error).c_str());
-    return std::nullopt;
+                 FileLineError(delta_path, error).c_str());
+    return 1;
   }
   double seconds = t.Seconds();
   if (!persisted) {
@@ -712,13 +655,13 @@ std::optional<int> ServeBatch(Store& store, const PropertyGraph& before,
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
                  error.c_str());
   }
-  int code = ReportDiff(engine, store.view(), before, step->diff, seconds,
-                        step->count);
+  const int code = ReportDiff(engine, store.view(), before, step->diff,
+                              seconds, step->count);
+  const bool followed_up = AppendFollowUp(store, step->seq);
   // Refresh the snapshot gauges so a metrics export reflects the
-  // post-batch sequence and overlay state.
+  // post-batch sequence, overlay and compaction state.
   ExportSnapshotMetrics(store.MetricsSnapshot());
-  if (seq_out) *seq_out = step->seq;
-  return code;
+  return followed_up ? code : 1;
 }
 
 int Detect(int argc, char** argv) {
@@ -751,10 +694,10 @@ int Detect(int argc, char** argv) {
   if (!obs.ok) return 1;
 
   std::optional<PropertyGraph> g;
-  std::optional<GraphStore> store;
+  std::unique_ptr<GraphStore> store;
   const char* rules_path = nullptr;
   if (log_dir) {
-    store = OpenStore(log_dir, sopts);
+    store = OpenBackend(log_dir, sopts);
     if (!store) return 1;
     // The store's current graph, overlay vocabulary included, as `serve
     // run` and `serve append` resolve rules: the same rules file then
@@ -788,18 +731,7 @@ int Detect(int argc, char** argv) {
       }
     }
     if (log_dir) {
-      // Serving step: durably append the batch, then diff exactly it --
-      // the same ServingStore-driven loop `serve append` runs over the
-      // coordinator backend.
-      auto payload = ReadFile(delta_path);
-      if (!payload) return 1;
-      uint64_t seq = 0;
-      auto code = ServeBatch(*store, *g, engine, *payload, delta_path,
-                             opts.workers, &seq);
-      if (!code) return 1;
-      if (!AppendFollowUp(*store, seq)) return 1;
-      ExportSnapshotMetrics(store->MetricsSnapshot());
-      return *code;
+      return ServeBatch(*store, *g, engine, delta_path, opts.workers);
     }
     std::string error;
     auto delta = LoadGraphDeltaTsvFile(delta_path, *g, &error);
@@ -821,11 +753,9 @@ int Detect(int argc, char** argv) {
     // The batch applies: DetectIncremental validated it.
     auto view = GraphView::Apply(*g, *delta);
     std::fprintf(stderr,
-                 "delta: %zu ops (%zu+ %zu- edges, %zu attr sets) touching "
-                 "%zu nodes\n",
+                 "delta: %zu ops (%zu+ %zu- edges, %zu attr sets)\n",
                  view->NumDeltaOps(), view->NumInsertedEdges(),
-                 view->NumDeletedEdges(), view->NumAttrSets(),
-                 diff->stats.affected_nodes);
+                 view->NumDeletedEdges(), view->NumAttrSets());
     // Counted the way a serving step counts: one full scan before the
     // batch, composed with the diff after it.
     const uint64_t post_count =
@@ -887,7 +817,7 @@ int Log(int argc, char** argv) {
     return 0;
   }
 
-  auto store = OpenStore(dir, sopts);
+  const std::unique_ptr<GraphStore> store = OpenBackend(dir, sopts);
   if (!store) return 1;
 
   if (!std::strcmp(verb, "append")) {
@@ -932,42 +862,6 @@ int Log(int argc, char** argv) {
   }
 
   return Usage();
-}
-
-// Opens a coordinator, reporting recovery context on stderr.
-std::optional<Coordinator> OpenCoordinator(const char* dir,
-                                           const CoordinatorOptions& opts) {
-  std::string error;
-  auto coord = Coordinator::Open(dir, opts, &error);
-  if (!coord) {
-    std::fprintf(stderr, "error opening coordinator %s: %s\n", dir,
-                 error.c_str());
-    return std::nullopt;
-  }
-  ServingMetricsSnapshot snap = coord->MetricsSnapshot();
-  ExportSnapshotMetrics(snap);
-  std::fprintf(stderr,
-               "coordinator %s: %zu fragment(s) at seq %llu (snapshot@%llu "
-               "+ %zu replayed batch(es))%s\n",
-               dir, snap.fragments,
-               static_cast<unsigned long long>(snap.last_seq),
-               static_cast<unsigned long long>(snap.anchor_seq),
-               snap.replayed_batches,
-               snap.truncated_bytes ? " [corrupt log tail cut]" : "");
-  return coord;
-}
-
-// Opens whichever backend lives at `dir` -- a coordinator when it holds
-// coordinator.meta, else a single store -- as OpenCoordinator and
-// OpenStore do.
-std::unique_ptr<GraphStore> OpenBackend(const char* dir,
-                                        const GraphStoreOptions& opts) {
-  if (std::ifstream(std::string(dir) + "/coordinator.meta").good()) {
-    auto coord = OpenCoordinator(dir, {.store = opts});
-    return coord ? std::make_unique<Coordinator>(std::move(*coord)) : nullptr;
-  }
-  auto store = OpenStore(dir, opts);
-  return store ? std::make_unique<GraphStore>(std::move(*store)) : nullptr;
 }
 
 // SIGINT/SIGTERM flag of `serve run`: the handler only sets this; the
@@ -1136,50 +1030,37 @@ int Serve(int argc, char** argv) {
     return 0;
   }
 
-  CoordinatorOptions copts;
-  if (!CountFlag(argc, argv, "--compact-ops", &copts.store.compact_min_ops,
+  GraphStoreOptions sopts;
+  if (!CountFlag(argc, argv, "--compact-ops", &sopts.compact_min_ops,
                  /*min=*/0)) {
     return Usage();
   }
 
-  if (!std::strcmp(verb, "status")) {
-    auto coord = OpenCoordinator(dir, copts);
-    if (!coord) return 1;
-    const ServingMetricsSnapshot snap = coord->MetricsSnapshot();
-    std::printf("coordinator: seq %llu anchor %llu, %zu overlay op(s)\n",
-                static_cast<unsigned long long>(snap.last_seq),
-                static_cast<unsigned long long>(snap.anchor_seq),
-                snap.overlay_ops);
-    const FragmentResidency residency = coord->residency();
-    uint64_t resident_total = 0;
-    for (size_t f = 0; f < coord->num_fragments(); ++f) {
-      size_t owned = 0;
-      for (uint32_t o : coord->node_owner()) owned += o == f ? 1 : 0;
-      const uint64_t resident = ResidentEdges(coord->view(), residency[f]);
-      resident_total += resident;
-      std::printf("fragment %zu: %zu owned node(s), %llu resident edge(s)\n",
-                  f, owned, static_cast<unsigned long long>(resident));
-    }
-    // Two factors: the vertex-cut's node replication, and how many
-    // copies of the graph the residency masks span -- what fragments
-    // holding their residency would store. The process stores one.
-    const size_t edges = coord->view().NumEdges();
-    std::printf("partition: halo radius %u, vertex-cut replication %.2f, "
-                "resident-edge factor %.2f (%llu resident edge(s) over %zu "
-                "edge(s), stored once)\n",
-                coord->partition().halo_radius,
-                coord->partition().replication,
-                edges ? static_cast<double>(resident_total) /
-                            static_cast<double>(edges)
-                      : 0.0,
-                static_cast<unsigned long long>(resident_total), edges);
-    return 0;
+  if (!std::strcmp(verb, "append")) {
+    if (argc < 4) return Usage();
+    size_t workers = 1;
+    if (!CountFlag(argc, argv, "-w", &workers)) return Usage();
+    // Trace must be live before the store opens (its replay event fires
+    // during Open); metrics render on scope exit, after the compaction
+    // policy ran.
+    ObsSetup obs(argc, argv);
+    if (!obs.ok) return 1;
+    const std::unique_ptr<GraphStore> store = OpenBackend(dir, sopts);
+    if (!store) return 1;
+    PropertyGraph current = store->MaterializeCurrent();
+    auto rules = LoadRules(argv[2], current);
+    if (!rules) return 1;
+    ViolationEngine engine(std::move(*rules));
+    return ServeBatch(*store, current, engine, argv[3], workers);
   }
 
-  if (!std::strcmp(verb, "rebalance")) {
+  // status and rebalance read and move the owner table: a coordinator's.
+  const bool rebalance = !std::strcmp(verb, "rebalance");
+  if (!rebalance && std::strcmp(verb, "status")) return Usage();
+  uint32_t node = 0;
+  uint32_t to = 0;
+  if (rebalance) {
     if (argc < 4) return Usage();
-    uint32_t node = 0;
-    uint32_t to = 0;
     if (!ParseId(argv[2], &node)) {
       std::fprintf(stderr, "bad node id '%s'\n", argv[2]);
       return Usage();
@@ -1188,8 +1069,18 @@ int Serve(int argc, char** argv) {
       std::fprintf(stderr, "bad fragment id '%s'\n", argv[3]);
       return Usage();
     }
-    auto coord = OpenCoordinator(dir, copts);
-    if (!coord) return 1;
+  }
+  const std::unique_ptr<GraphStore> store = OpenBackend(dir, sopts);
+  if (!store) return 1;
+  auto* coord = dynamic_cast<Coordinator*>(store.get());
+  if (!coord) {
+    std::fprintf(stderr,
+                 "%s holds a single store; serve %s needs a coordinator\n",
+                 dir, verb);
+    return 1;
+  }
+
+  if (rebalance) {
     std::string error;
     auto seq = coord->Rebalance(node, to, &error);
     if (!seq) {
@@ -1201,42 +1092,34 @@ int Serve(int argc, char** argv) {
     return 0;
   }
 
-  if (!std::strcmp(verb, "append")) {
-    if (argc < 4) return Usage();
-    size_t workers = 1;
-    if (!CountFlag(argc, argv, "-w", &workers)) return Usage();
-    // Trace must be live before the coordinator opens (the journal's
-    // replay event fires during Open); metrics render on scope exit,
-    // after the compaction policy ran.
-    ObsSetup obs(argc, argv);
-    if (!obs.ok) return 1;
-    auto coord = OpenCoordinator(dir, copts);
-    if (!coord) return 1;
-    PropertyGraph current = coord->MaterializeCurrent();
-    auto rules = LoadRules(argv[2], current);
-    if (!rules) return 1;
-    ViolationEngine engine(std::move(*rules));
-    auto payload = ReadFile(argv[3]);
-    if (!payload) return 1;
-
-    auto code = ServeBatch(*coord, current, engine, *payload, argv[3], workers);
-    if (!code) return 1;
-
-    std::string error;
-    if (!coord->MaybeCompact(&error)) {
-      std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
-      return 1;
-    }
-    const ServingMetricsSnapshot snap = coord->MetricsSnapshot();
-    if (snap.compactions > 0) {
-      std::fprintf(stderr, "compacted: master snapshot rolled to seq %llu\n",
-                   static_cast<unsigned long long>(snap.anchor_seq));
-    }
-    ExportSnapshotMetrics(snap);
-    return *code;
+  const ServingMetricsSnapshot snap = coord->MetricsSnapshot();
+  std::printf("coordinator: seq %llu anchor %llu, %zu overlay op(s)\n",
+              static_cast<unsigned long long>(snap.last_seq),
+              static_cast<unsigned long long>(snap.anchor_seq),
+              snap.overlay_ops);
+  const FragmentResidency residency = coord->residency();
+  uint64_t resident_total = 0;
+  for (size_t f = 0; f < coord->num_fragments(); ++f) {
+    size_t owned = 0;
+    for (uint32_t o : coord->node_owner()) owned += o == f ? 1 : 0;
+    const uint64_t resident = ResidentEdges(coord->view(), residency[f]);
+    resident_total += resident;
+    std::printf("fragment %zu: %zu owned node(s), %llu resident edge(s)\n", f,
+                owned, static_cast<unsigned long long>(resident));
   }
-
-  return Usage();
+  // Two factors: the vertex-cut's node replication, and how many copies
+  // of the graph the residency masks span -- what fragments holding their
+  // residency would store. The process stores one.
+  const size_t edges = coord->view().NumEdges();
+  std::printf("partition: halo radius %u, vertex-cut replication %.2f, "
+              "resident-edge factor %.2f (%llu resident edge(s) over %zu "
+              "edge(s), stored once)\n",
+              coord->partition().halo_radius, coord->partition().replication,
+              edges ? static_cast<double>(resident_total) /
+                          static_cast<double>(edges)
+                    : 0.0,
+              static_cast<unsigned long long>(resident_total), edges);
+  return 0;
 }
 
 // `gfdtool metrics <dir> [-o FILE]`: open whichever backend lives at
