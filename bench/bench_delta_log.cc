@@ -3,9 +3,10 @@
 // primitives of serve/ -- append throughput (fsync'd, growing overlay),
 // startup replay vs. log length (and on an overlay concentrated on the
 // highest-degree nodes), and snapshot compaction cost vs. overlay size
-// -- against a YAGO2-shaped graph at scale 300. Replay rows time kReps
-// repetitions and compaction rows the fastest of three rounds of
-// kCompactReps, so they clear the perf gate's jitter floor. Each append
+// -- against a YAGO2-shaped graph at scale 300. Replay rows time the
+// fastest of kReplayRounds rounds of enough repetitions to read >= 20 ms,
+// and compaction rows the fastest of three rounds of kCompactReps, so
+// they clear the perf gate's jitter floor. Each append
 // serializes its batch to the delta TSV a store takes, inside the timed
 // loop. Every restart is verified byte-identical: the reopened
 // store's materialized graph must equal the in-process one. Timings
@@ -206,36 +207,40 @@ std::string BuildStore(const PropertyGraph& g, size_t batches,
   return dir;
 }
 
-// Repetitions per replay row: one replay of these stores takes 2-3 ms,
-// under the perf gate's 10 ms floor.
+// Repetitions per replay row: one replay of these stores takes 1.5-2 ms,
+// under the perf gate's 10 ms floor. The 32-batch store's, the shortest,
+// repeats kShortReplayReps times so that its row reads >= 20 ms. Each
+// row is the fastest of kReplayRounds rounds.
 constexpr int kReps = 8;
+constexpr int kShortReplayReps = 24;
+constexpr int kReplayRounds = 15;
 // Compactions per round of a compaction row: one takes ~2 ms, and the
 // fastest of three rounds must read at least 20 ms.
 constexpr int kCompactReps = 16;
 
-// Min of `trials` timed runs of kReps calls of `fn` each.
+// Min of `trials` timed runs of `reps` calls of `fn` each.
 template <typename Fn>
-double TimedMin(int trials, const Fn& fn) {
+double TimedMin(int trials, int reps, const Fn& fn) {
   double best = 1e100;
   for (int t = 0; t < trials; ++t) {
     WallTimer timer;
-    for (int r = 0; r < kReps; ++r) fn();
+    for (int r = 0; r < reps; ++r) fn();
     best = std::min(best, timer.Seconds());
   }
   return best;
 }
 
-// The replay row `name`: kReps opens of `dir`, each of which must land
-// on the bytes an in-process open of the same directory holds.
+// The replay row `name`: `reps` opens of `dir` per round, each of which
+// must land on the bytes an in-process open of the same directory holds.
 Row ReplayRow(const std::string& name, const std::string& dir,
-              size_t batches, bool* verified) {
+              size_t batches, int reps, bool* verified) {
   std::string error;
   std::string expect;
   {
     auto ref = GraphStore::Open(dir, {}, &error);
     expect = GraphBytes(ref->MaterializeCurrent());
   }
-  double s = TimedMin(3, [&] {
+  double s = TimedMin(kReplayRounds, reps, [&] {
     auto store = GraphStore::Open(dir, {}, &error);
     if (!store) std::exit(1);
   });
@@ -243,12 +248,12 @@ Row ReplayRow(const std::string& name, const std::string& dir,
   bool ok = GraphBytes(reopened->MaterializeCurrent()) == expect;
   *verified = *verified && ok;
   std::printf("%-28s %8.3fs  %d x %zu ops replayed, restart %s\n",
-              name.c_str(), s, kReps, reopened->overlay().ops.size(),
+              name.c_str(), s, reps, reopened->overlay().ops.size(),
               ok ? "byte-identical" : "DIVERGED");
   return {name,
           s,
           {{"batches", double(batches)},
-           {"reps", double(kReps)},
+           {"reps", double(reps)},
            {"overlay_ops", double(reopened->overlay().ops.size())},
            {"verified", ok ? 1.0 : 0.0}}};
 }
@@ -344,10 +349,11 @@ int main(int argc, char** argv) {
 
   // --- Replay time vs. log length --------------------------------------
   for (size_t batches : {32UL, 128UL}) {
+    const int reps = batches == 32 ? kShortReplayReps : kReps;
     std::string dir = BuildStore(g, batches, 8, /*seed=*/23);
     rows.push_back(ReplayRow("replay_" + std::to_string(batches) +
-                                 "batches_x" + std::to_string(kReps),
-                             dir, batches, &verified));
+                                 "batches_x" + std::to_string(reps),
+                             dir, batches, reps, &verified));
   }
   // Replay of an overlay whose 1,024 ops all insert or delete edges at
   // the four highest-degree nodes: where absorbing in place pays a sorted
@@ -355,7 +361,7 @@ int main(int argc, char** argv) {
   {
     std::string dir = BuildStore<HubGen>(g, 128, 8, /*seed=*/31);
     rows.push_back(ReplayRow("replay_hub_1024ops_x" + std::to_string(kReps),
-                             dir, 128, &verified));
+                             dir, 128, kReps, &verified));
   }
 
   // --- Compaction cost vs. overlay size --------------------------------

@@ -6,10 +6,13 @@
 // Run:  ./build/examples/consistency_checking
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "core/seqdis.h"
 #include "datagen/kb.h"
 #include "datagen/noise.h"
+#include "detect/engine.h"
+#include "detect/violation.h"
 #include "gfd/validation.h"
 
 using namespace gfd;
@@ -45,13 +48,15 @@ int main() {
                   ? 0.0
                   : 100.0 * hits / noisy.corrupted.size());
 
-  // Show a few concrete catches, fully explained.
+  // Show a few concrete catches, fully explained: one violation of each
+  // of the first five violated rules.
   std::printf("\n-- sample violation explanations --\n");
-  size_t shown = 0;
-  for (const auto& report :
-       ExplainViolations(noisy.graph, sigma, /*limit_per_rule=*/1)) {
-    std::printf("%s\n\n", report.description.c_str());
-    if (++shown >= 5) break;
+  ViolationEngine engine(std::move(sigma));
+  auto result = engine.Detect(noisy.graph, {.max_violations_per_gfd = 1});
+  for (size_t i = 0; i < std::min<size_t>(5, result.violations.size()); ++i) {
+    const std::string text =
+        DescribeViolation(noisy.graph, engine.rules(), result.violations[i]);
+    std::printf("%s\n\n", text.c_str());
   }
   return 0;
 }

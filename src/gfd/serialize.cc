@@ -176,6 +176,12 @@ std::optional<Gfd> ParseGfd(std::string_view line, const PropertyGraph& g,
     SetError(error, "GFD without pattern nodes");
     return std::nullopt;
   }
+  // The matcher enumerates connected patterns only (CompiledPattern), and
+  // discovery emits no other kind.
+  if (!pattern.IsConnected()) {
+    SetError(error, "pattern is not connected");
+    return std::nullopt;
+  }
   if (!rhs) {
     SetError(error, "GFD without rhs");
     return std::nullopt;

@@ -30,7 +30,9 @@ std::string SerializeGfd(const Gfd& phi, const PropertyGraph& g);
 
 /// Parses one serialized GFD. Vocabulary is resolved against `g`; unknown
 /// labels/attributes/values fail the parse (rules reference things the
-/// graph must know about). On failure returns nullopt and fills *error.
+/// graph must know about), and so does a pattern that is not connected
+/// (the matcher enumerates connected patterns only). On failure returns
+/// nullopt and fills *error.
 std::optional<Gfd> ParseGfd(std::string_view line, const PropertyGraph& g,
                             std::string* error = nullptr);
 
@@ -51,13 +53,14 @@ std::optional<std::vector<Gfd>> LoadGfds(std::istream& in,
 
 /// Lenient variant for *serving* rules against a graph whose vocabulary
 /// may have drifted from the mining graph (TSV round trips only persist
-/// vocabulary that is in use): rules referencing labels / attributes /
-/// values the graph does not intern are skipped instead of failing the
-/// whole file, and `*skipped` (if non-null) receives their count. Note
-/// the semantic trade: a skipped rule whose RHS names a value the graph
-/// has never seen could only ever be violated, so lenient loading is a
-/// robustness/completeness trade-off -- callers should surface the
-/// skipped count.
+/// vocabulary that is in use): every line ParseGfd rejects -- a rule
+/// referencing labels / attributes / values the graph does not intern,
+/// or a malformed or disconnected pattern -- is skipped instead of
+/// failing the whole file, and `*skipped` (if non-null) receives their
+/// count. Note the semantic trade: a skipped rule whose RHS names a
+/// value the graph has never seen could only ever be violated, so
+/// lenient loading is a robustness/completeness trade-off -- callers
+/// should surface the skipped count.
 std::vector<Gfd> LoadGfdsLenient(std::istream& in, const PropertyGraph& g,
                                  size_t* skipped = nullptr);
 

@@ -94,62 +94,6 @@ std::vector<Match> FindViolations(const PropertyGraph& g, const Gfd& phi,
   return out;
 }
 
-namespace {
-
-// "JohnWinter" when named, "#17" otherwise.
-std::string NodeRef(const PropertyGraph& g, NodeId v) {
-  const std::string& name = g.NodeName(v);
-  return name.empty() ? "#" + std::to_string(v) : name;
-}
-
-// "x0.type is 'high_jumper'" / "x0 has no attribute type".
-std::string ActualValue(const PropertyGraph& g, const Match& m, VarId x,
-                        AttrId a) {
-  auto v = g.GetAttr(m[x], a);
-  std::string term = "x" + std::to_string(x) + "." + g.AttrName(a);
-  if (!v) return term + " is missing";
-  return term + " is '" + g.ValueName(*v) + "'";
-}
-
-}  // namespace
-
-std::vector<ViolationReport> ExplainViolations(const PropertyGraph& g,
-                                               std::span<const Gfd> sigma,
-                                               size_t limit_per_rule,
-                                               const MatchOptions& opts) {
-  std::vector<ViolationReport> out;
-  for (const auto& phi : sigma) {
-    for (auto& m : FindViolations(g, phi, limit_per_rule, opts)) {
-      ViolationReport report;
-      report.rule = phi;
-      std::string desc = "rule " + phi.ToString(g) + "\n  bound to:";
-      for (VarId x = 0; x < m.size(); ++x) {
-        desc += " x" + std::to_string(x) + "=" + NodeRef(g, m[x]);
-      }
-      desc += "\n  but: ";
-      switch (phi.rhs.kind) {
-        case LiteralKind::kFalse:
-          desc += "this structure is declared illegal (consequence is "
-                  "false)";
-          break;
-        case LiteralKind::kVarConst:
-          desc += "expected " + phi.rhs.ToString(g) + ", yet " +
-                  ActualValue(g, m, phi.rhs.x, phi.rhs.a);
-          break;
-        case LiteralKind::kVarVar:
-          desc += "expected " + phi.rhs.ToString(g) + ", yet " +
-                  ActualValue(g, m, phi.rhs.x, phi.rhs.a) + " while " +
-                  ActualValue(g, m, phi.rhs.y, phi.rhs.b);
-          break;
-      }
-      report.match = std::move(m);
-      report.description = std::move(desc);
-      out.push_back(std::move(report));
-    }
-  }
-  return out;
-}
-
 std::vector<NodeId> ViolationNodes(const PropertyGraph& g,
                                    std::span<const Gfd> sigma,
                                    const MatchOptions& opts) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "gfd/gfd.h"
@@ -58,22 +57,6 @@ uint64_t CountSupportingPivots(const PropertyGraph& g,
 std::vector<Match> FindViolations(const PropertyGraph& g, const Gfd& phi,
                                   size_t limit,
                                   const MatchOptions& opts = {});
-
-/// A human-readable account of one violation: which rule, which binding,
-/// and what the consequence actually evaluated to.
-struct ViolationReport {
-  Gfd rule;
-  Match match;
-  std::string description;  ///< multi-line, rendered against the graph
-};
-
-/// Explains up to `limit` violations of each GFD in sigma against `g`.
-/// The description names the bound entities (node names when present) and
-/// contrasts the expected consequence with the actual attribute values.
-std::vector<ViolationReport> ExplainViolations(const PropertyGraph& g,
-                                               std::span<const Gfd> sigma,
-                                               size_t limit_per_rule = 3,
-                                               const MatchOptions& opts = {});
 
 /// Union of graph nodes implicated by violations of any GFD in sigma:
 /// for a violated consequence x.A = c / x.A = y.B the nodes bound to x

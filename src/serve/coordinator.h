@@ -30,21 +30,19 @@
 //   dir/coordinator.meta          magic v2 + fragment count + halo radius
 //                                 + replication + vertex-cut ownership
 //
-// Fragments keep nothing, durable or in memory, beyond the owner table:
-// recovery, compaction and the running violation count are the store's.
-// Open is GraphStore::Open plus the partition from coordinator.meta.
-// Directories written by older builds -- a routing.log journal and
-// global-snapshot-<s>.tsv files, perhaps frag-<f>/ stores -- are
-// converted once, on their first Open, into this layout.
+// The owner table is the coordinator's only state of its own; recovery,
+// compaction and the running violation count are the store's. Open is
+// GraphStore::Open plus the partition from coordinator.meta. A
+// directory an older build wrote -- a routing.log journal beside
+// global-snapshot-<s>.tsv files, perhaps frag-<f>/ stores -- is refused,
+// untouched: export its graph with the build that wrote it and Init a
+// coordinator over the export.
 //
 // Rebalancing. Rebalance(node, to_fragment) moves ownership of a hot
-// vertex between batches: it writes the new owner table to the meta,
-// then appends an empty batch under one global sequence number (the
-// graph is unchanged, so the step's violation diff is empty by
-// construction). Open reads the owner table from the meta, so a
-// recovered rebalance seq always comes with the new table; a crash
-// between the two writes leaves the new table with no seq consumed,
-// which serves the same graph and diffs.
+// vertex between batches with one atomic rewrite of coordinator.meta. It
+// consumes no sequence number and writes nothing to the store: the
+// step, the diffs, replay and the running count read nothing of the
+// table, so a crash leaves either table over the same graph.
 #ifndef GFD_SERVE_COORDINATOR_H_
 #define GFD_SERVE_COORDINATOR_H_
 
@@ -85,11 +83,9 @@ class Coordinator final : public GraphStore {
 
   /// Opens `dir`: the store recovers the global graph (GraphStore::Open)
   /// and the partition comes from the meta -- one path for every crash
-  /// state. A directory an older build wrote (routing.log present) is
-  /// first converted into the store's layout: its graph is recovered from
-  /// the newest global snapshot the journal bridges plus the journal's
-  /// later batches and written as the store's snapshot at that seq, a
-  /// count taken at that seq is carried, and the old files are deleted.
+  /// state. Fails before reading anything, with an error naming the
+  /// older layout, when `dir` holds routing.log (a directory an older
+  /// build wrote).
   static std::optional<Coordinator> Open(const std::string& dir,
                                          const CoordinatorOptions& opts = {},
                                          std::string* error = nullptr);
@@ -116,13 +112,14 @@ class Coordinator final : public GraphStore {
   /// The store's snapshot, with the partition's fragment count.
   ServingMetricsSnapshot MetricsSnapshot() const override;
 
-  /// Migrates ownership of `node` to `to_fragment` between batches:
-  /// persists the new owner table, then appends an empty batch under one
-  /// global sequence number; a count valid before is valid after.
-  /// Returns the consumed sequence number. Fails for an out-of-range node
-  /// or fragment, or a node `to_fragment` already owns.
-  std::optional<uint64_t> Rebalance(NodeId node, uint32_t to_fragment,
-                                    std::string* error = nullptr);
+  /// Migrates ownership of `node` to `to_fragment` between batches: one
+  /// atomic rewrite of the owner table, and nothing else -- no seq is
+  /// consumed, and last_seq, the graph, the logs and the running count
+  /// stay as they were. Fails for an out-of-range node or fragment, a
+  /// node `to_fragment` already owns, or a failed write (the old table
+  /// stays).
+  bool Rebalance(NodeId node, uint32_t to_fragment,
+                 std::string* error = nullptr);
 
  private:
   Coordinator(GraphStore store, Partition partition)

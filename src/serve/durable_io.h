@@ -1,11 +1,9 @@
 // Shared durability primitives of the serve layer: fsync wrappers, the
 // write-temp + fsync + rename + directory-fsync sequence both the delta
 // log and the graph store commit through, the running-violation-count
-// record store.meta and feed.log records share (as did the
-// coordinator.meta of older builds), and the test-only crash-point hook
-// every durable write passes. One
-// implementation, so a crash-ordering or format fix lands everywhere at
-// once.
+// record store.meta and feed.log records share, and the test-only
+// crash-point hook every durable write passes. One implementation, so a
+// crash-ordering or format fix lands everywhere at once.
 #ifndef GFD_SERVE_DURABLE_IO_H_
 #define GFD_SERVE_DURABLE_IO_H_
 
@@ -69,8 +67,7 @@ inline constexpr std::string_view kNotDurableError = "not durable: ";
 /// was taken at, and the fingerprint of the rule set it counts under.
 /// store.meta -- a coordinator's included -- and feed.log records
 /// (serve/changefeed.h) carry it as a `violations <count> <seq>
-/// <fingerprint>` line; a coordinator converting an older directory
-/// moves the line its coordinator.meta held into store.meta.
+/// <fingerprint>` line.
 struct MetaCount {
   uint64_t count = 0;
   uint64_t seq = 0;

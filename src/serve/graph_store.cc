@@ -106,8 +106,21 @@ std::string RenderServedPayload(const GraphView& post,
   return payload;
 }
 
-}  // namespace
+// What replaying a log onto a live graph did.
+struct ReplayStats {
+  uint64_t last_seq = 0;        // the anchor, or the last record absorbed
+  size_t replayed_batches = 0;  // records absorbed
+  size_t skipped_batches = 0;   // records at or below the anchor
+};
 
+// The replay Open recovers through: absorbs every record of `records`
+// past `anchor` into `live`, in sequence order, exactly as the live path
+// absorbed it (LiveGraph::Parse, then Absorb). Records at or below
+// `anchor` -- already in the snapshot `live` was built from -- are
+// skipped; the rest must continue the chain at anchor+1. Nullopt (with
+// *error naming `source` and the record) when a record does not
+// continue the chain or cannot apply. Emits the `replay` trace event and
+// the gfd_store_replay_* metrics.
 std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
                                      uint64_t anchor, LiveGraph& live,
                                      const std::string& source,
@@ -145,8 +158,10 @@ std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
   return stats;
 }
 
+}  // namespace
+
 bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
-                      std::string* error, uint64_t anchor) {
+                      std::string* error) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -158,12 +173,12 @@ bool GraphStore::Init(const std::string& dir, const PropertyGraph& g,
     SetError(error, dir + ": already holds a graph store");
     return false;
   }
-  std::string snapshot = SnapshotName(anchor);
+  std::string snapshot = SnapshotName(0);
   if (!AtomicWriteFile((fs::path(dir) / snapshot).string(),
                        SaveGraphString(g), error)) {
     return false;
   }
-  return AtomicWriteFile(meta_path, MetaContent(anchor, snapshot, std::nullopt),
+  return AtomicWriteFile(meta_path, MetaContent(0, snapshot, std::nullopt),
                          error);
 }
 

@@ -25,13 +25,13 @@
 // Every batch enters one way, in three steps: Stage validates the batch
 // (parsed against the store's vocabulary), writes its record and hands
 // the fsync to the log's syncer thread; Absorb takes the batch into the
-// view; Commit waits for the fsync. Append() -- `log append`, a
-// rebalance -- runs them back to back. AppendAndDiff, the serving step,
-// overlaps the fsync with the detection: it runs parse, Stage, the
-// footprint, the route (the step's plan), the plan's before side, Absorb
-// (the step's one apply), its after side, the diff and the payload
-// render (against the live post-batch view), and Commit last: nothing
-// leaves the step before its record is durable. When the record's write
+// view; Commit waits for the fsync. Append() -- `log append` -- runs them
+// back to back. AppendAndDiff, the serving step, overlaps the fsync with
+// the detection: it runs parse, Stage, the footprint, the route (the
+// step's plan), the plan's before side, Absorb (the step's one apply),
+// its after side, the diff and the payload render (against the live
+// post-batch view), and Commit last: nothing leaves the step before its
+// record is durable. When the record's write
 // or fsync fails, the record is retracted from the log, the graph rolls
 // back to its mark, and the append fails with an error starting
 // kNotDurableError: no seq is consumed. The step has one body and no
@@ -61,7 +61,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -87,28 +86,6 @@ struct GraphStoreOptions {
   double compact_min_fraction = 0.10;
 };
 
-/// What replaying a log onto a live graph did.
-struct ReplayStats {
-  uint64_t last_seq = 0;        ///< the anchor, or the last record absorbed
-  size_t replayed_batches = 0;  ///< records absorbed
-  size_t skipped_batches = 0;   ///< records at or below the anchor
-};
-
-/// The replay a store recovers through -- and a coordinator converting
-/// an older directory, whose journal records are batches too: absorbs
-/// every record of `records` past `anchor` into `live`, in sequence
-/// order, exactly as the live path absorbed it (LiveGraph::Parse, then
-/// Absorb). Records at or below `anchor` -- already in the snapshot
-/// `live` was built from -- are skipped; the rest must continue the
-/// chain at anchor+1.
-/// Nullopt (with *error naming `source` and the record) when a record
-/// does not continue the chain or cannot apply. Emits the `replay`
-/// trace event and the gfd_store_replay_* metrics.
-std::optional<ReplayStats> ReplayLog(std::span<const DeltaLogRecord> records,
-                                     uint64_t anchor, LiveGraph& live,
-                                     const std::string& source,
-                                     std::string* error = nullptr);
-
 struct GraphStoreStats {
   uint64_t anchor_seq = 0;       ///< snapshot includes batches through this
   uint64_t last_seq = 0;         ///< last applied batch (0 = none yet)
@@ -124,13 +101,11 @@ class GraphStore : public ServingStore {
   /// holds this file.
   static constexpr char kMetaFile[] = "store.meta";
 
-  /// Creates a store directory holding `g` as snapshot-<anchor> and an
-  /// empty log whose first record will be anchor+1; store.meta is written
-  /// last, as the commit. A fresh directory passes anchor 0; a
-  /// coordinator converting an older layout passes the seq it recovered.
-  /// Fails if `dir` already holds a store.
+  /// Creates a store directory holding `g` as snapshot-0 and an empty
+  /// log whose first record will be seq 1; store.meta is written last,
+  /// as the commit. Fails if `dir` already holds a store.
   static bool Init(const std::string& dir, const PropertyGraph& g,
-                   std::string* error = nullptr, uint64_t anchor = 0);
+                   std::string* error = nullptr);
 
   /// Opens `dir`, replaying the log onto the snapshot (sequenced,
   /// exactly-once; corrupt tail cut). Also self-heals: pre-anchor log
@@ -195,14 +170,6 @@ class GraphStore : public ServingStore {
   bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                          std::string* error = nullptr) override;
 
-  /// The running count valid at last_seq(), with its fingerprint, or
-  /// nullopt: what a caller carries across a batch it knows leaves the
-  /// violation set unchanged.
-  std::optional<MetaCount> count() const {
-    if (count_ && count_->seq == stats_.last_seq) return count_;
-    return std::nullopt;
-  }
-
   /// The count store.meta holds, at whatever seq it was taken.
   std::optional<MetaCount> persisted_count() const override {
     return meta_count_;
@@ -250,6 +217,13 @@ class GraphStore : public ServingStore {
 
  private:
   GraphStore() = default;
+
+  // The running count valid at last_seq(), with its fingerprint, or
+  // nullopt.
+  std::optional<MetaCount> count() const {
+    if (count_ && count_->seq == stats_.last_seq) return count_;
+    return std::nullopt;
+  }
 
   // Rewrites store.meta (atomically) with `anchor`, `snapshot_file` and
   // the count valid at last_seq, if any.

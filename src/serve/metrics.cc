@@ -144,14 +144,15 @@ obs::Counter& FeedRederivedTotal() {
 
 obs::Counter& RebalancesTotal() {
   static obs::Counter& c = Reg().GetCounter(
-      "gfd_rebalances_total", "Ownership migrations between fragments.");
+      "gfd_rebalances_total",
+      "Ownership migrations between fragments (owner-table rewrites).");
   return c;
 }
 
 obs::Histogram& RebalanceLatency() {
   static obs::Histogram& h = Reg().GetHistogram(
       "gfd_rebalance_seconds",
-      "End-to-end rebalance latency (owner table, then the empty batch).",
+      "Rebalance latency: the owner table's atomic rewrite.",
       obs::DefaultLatencyBuckets());
   return h;
 }

@@ -3,10 +3,10 @@
 // be byte-identical to single-node AppendAndDiff on the unfragmented
 // store -- on fixtures, property-style across random seeds x graph
 // scales x fragment counts {1,2,4,8} x batch streams (repeated,
-// delete-heavy, and mid-stream rebalanced batches included), across a
-// restart, and from directories older builds wrote, which convert once.
-// Both backends are driven through the ServingStore interface and trace
-// one step shape. On top of the oracle, the residency masks a
+// delete-heavy, and mid-stream rebalanced batches included), and across
+// a restart. Directories older builds wrote are refused untouched. Both
+// backends are driven through the ServingStore interface and trace one
+// step shape. On top of the oracle, the residency masks a
 // shared-nothing deployment would store must follow the hop definition
 // and sum to ~replication x |G|, not N x |G|, and the coordinator's
 // durable state must be its store plus the owner table. Crash recovery
@@ -553,20 +553,21 @@ TEST_P(CoordinatorOracle, MergedDiffEqualsSingleNodeIncremental) {
         << "seed " << seed << " batch " << b;
 
     // Mid-stream rebalance: move ownership of one node to the last
-    // fragment. The graph is unchanged, so the reference consumes the
-    // same sequence number with an empty batch. Neither side compacts,
-    // so both materialize their edges in one order.
+    // fragment. It rewrites the owner table alone, so the reference does
+    // nothing and the next batch takes the next seq on both. Neither
+    // side compacts, so both materialize their edges in one order.
     if (b == 1 && fragments > 1) {
       std::span<const uint32_t> owner = coord->node_owner();
       uint32_t target = static_cast<uint32_t>(fragments - 1);
       NodeId node = 0;
       while (node < owner.size() && owner[node] == target) ++node;
       ASSERT_LT(node, owner.size());
+      const uint64_t seq = coord->last_seq();
       std::string rerror;
-      auto rseq = coord->Rebalance(node, target, &rerror);
-      ASSERT_TRUE(rseq.has_value()) << "seed " << seed << ": " << rerror;
+      ASSERT_TRUE(coord->Rebalance(node, target, &rerror))
+          << "seed " << seed << ": " << rerror;
       EXPECT_EQ(coord->node_owner()[node], target);
-      ASSERT_TRUE(ref.Append("").has_value());
+      EXPECT_EQ(coord->last_seq(), seq);
       ExpectResidencyCurrent(*coord);
     }
   }
@@ -637,8 +638,8 @@ TEST(Coordinator, RejectsABadBatchWithTheSingleStoresText) {
 // The coordinator's durable state is one GraphStore plus the owner
 // table: after a stream with a compaction and a rebalance, the directory
 // holds coordinator.meta and the master's store.meta, deltas.log and one
-// snapshot, and each log record is the global batch as sent (an empty
-// one for the rebalance). The meta holds the partition alone: setting
+// snapshot, and each log record is the global batch as sent (the
+// rebalance writes none). The meta holds the partition alone: setting
 // the running count rewrites store.meta, not the owner table.
 TEST(Coordinator, DurableStateIsTheMasterStoreAndTheOwnerTable) {
   auto g = MakeSynthetic({.nodes = 60, .edges = 180, .seed = 13});
@@ -657,8 +658,10 @@ TEST(Coordinator, DurableStateIsTheMasterStoreAndTheOwnerTable) {
   append();
   ASSERT_TRUE(coord->Compact());
   const NodeId moved = 0;
-  ASSERT_TRUE(coord->Rebalance(moved, (coord->node_owner()[moved] + 1) % 3));
-  std::vector<std::string> sent{""};
+  const uint32_t to = (coord->node_owner()[moved] + 1) % 3;
+  ASSERT_TRUE(coord->Rebalance(moved, to));
+  EXPECT_EQ(coord->last_seq(), 2u);
+  std::vector<std::string> sent;
   sent.push_back(append());
   sent.push_back(append());
 
@@ -683,83 +686,52 @@ TEST(Coordinator, DurableStateIsTheMasterStoreAndTheOwnerTable) {
   ASSERT_TRUE(coord->SetViolationCount(7, 0xfeedu));
   EXPECT_EQ(FileBytes(dir + "/coordinator.meta"), meta);
   EXPECT_EQ(meta.find("violations"), std::string::npos);
-  EXPECT_NE(FileBytes(dir + "/store.meta").find("violations 7 5 "),
+  EXPECT_NE(FileBytes(dir + "/store.meta").find("violations 7 4 "),
             std::string::npos);
+  auto reopened = Coordinator::Open(dir);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->node_owner()[moved], to);
 }
 
 // --- Directories older builds wrote -----------------------------------------
 
-// tests/data (README.md there) holds a directory in each older layout:
-// coordinator_with_fragment_stores (frag-<f>/ stores, journal records
-// with per-fragment frames, an owners_seq line) and
-// coordinator_with_global_journal (routing.log and one global snapshot).
-// Each opens at the seq and graph its build reached, under the meta's
-// owner table, with the meta's count carried; afterwards the directory
-// holds only the current layout, and it serves the next batch as a
-// single store over the same graph does, across a reopen.
-TEST(Coordinator, ConvertsOlderLayoutsOnce) {
-  for (const char* name : testing::kOlderLayouts) {
-    SCOPED_TRACE(name);
-    const std::string fixture = std::string(GFD_TEST_DATA_DIR) + "/" + name;
-    std::string gerr;
-    auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &gerr);
-    ASSERT_TRUE(want.has_value()) << gerr;
-    auto rules = GenerateGfdSet(*want, {.count = 8, .k = 3, .seed = 61});
-    ViolationEngine engine(rules);
-    ASSERT_LE(engine.MaxPatternRadius(), 2u);  // the fixtures' halo radius
-    Rng rng(67);
-    const std::string batch = DeltaBytes(*want, RandomBatch(*want, rng, 12));
-    std::string single_dir = Scratch("coord_fixture_single");
-    ASSERT_TRUE(GraphStore::Init(single_dir, *want));
-    auto single = GraphStore::Open(single_dir);
-    ASSERT_TRUE(single.has_value());
-    auto expect = single->AppendAndDiff(engine, batch);
-    ASSERT_TRUE(expect.has_value());
-    const std::string want_after = GraphBytes(single->MaterializeCurrent());
-
-    const auto [owners, count] =
-        testing::ReadOlderMeta(fixture + "/coordinator.meta");
-    ASSERT_EQ(owners.size(), want->NumNodes());
-    ASSERT_TRUE(count.has_value());
-    ASSERT_EQ(count->seq, 5u);
-
-    const std::string dir = Scratch("coord_fixture");
-    fs::copy(fixture, dir, fs::copy_options::recursive);
-    std::string error;
-    auto coord = Coordinator::Open(dir, {}, &error);
-    ASSERT_TRUE(coord.has_value()) << error;
-    EXPECT_EQ(coord->last_seq(), 5u);
-    EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()), GraphBytes(*want));
-    EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
-    ExpectResidencyCurrent(*coord);
-    EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
-
-    std::set<std::string> files;
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      files.insert(fs::relative(entry.path(), dir).string());
-    }
-    const std::set<std::string> layout{"coordinator.meta", "deltas.log",
-                                       "snapshot-5.tsv", "store.meta"};
-    EXPECT_EQ(files, layout);
-    const std::string meta = FileBytes(dir + "/coordinator.meta");
-    EXPECT_EQ(meta.find("violations"), std::string::npos) << meta;
-    EXPECT_EQ(meta.find("owners_seq"), std::string::npos) << meta;
-
-    uint64_t seq = 0;
-    auto merged = coord->AppendAndDiff(engine, batch, {}, &seq, &error);
-    ASSERT_TRUE(merged.has_value()) << error;
-    EXPECT_EQ(seq, 6u);
-    EXPECT_EQ(merged->added, expect->added);
-    EXPECT_EQ(merged->removed, expect->removed);
-    EXPECT_EQ(merged->payload, expect->payload);
-
-    coord.reset();
-    auto reopened = Coordinator::Open(dir, {}, &error);
-    ASSERT_TRUE(reopened.has_value()) << error;
-    EXPECT_EQ(reopened->last_seq(), 6u);
-    EXPECT_EQ(GraphBytes(reopened->MaterializeCurrent()), want_after);
-    ExpectResidencyCurrent(*reopened);
+// Older builds kept a routing.log journal beside global snapshots and
+// wrote a count line into coordinator.meta. This build reads none of it:
+// Open fails naming the older layout, Init refuses the directory, and
+// neither changes a byte of any file in it.
+TEST(Coordinator, RefusesAnOlderLayoutUntouched) {
+  auto g = MakeSynthetic({.nodes = 12, .edges = 30, .seed = 8});
+  const std::string dir = Scratch("coord_older_layout");
+  fs::create_directories(dir);
+  {
+    std::ofstream meta(dir + "/coordinator.meta", std::ios::binary);
+    meta << "gfd-coordinator v2\nfragments 2\nradius 2\nreplication 1.5\n"
+         << "violations 3 5 4660\nowners";
+    for (NodeId v = 0; v < g.NumNodes(); ++v) meta << ' ' << v % 2;
+    meta << "\n";
+    std::ofstream journal(dir + "/routing.log", std::ios::binary);
+    journal << "R 5 3 0\nE+\n";
+    std::ofstream snapshot(dir + "/global-snapshot-4.tsv", std::ios::binary);
+    SaveGraphTsv(g, snapshot);
   }
+  auto files = [&] {
+    std::map<std::string, std::string> bytes;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      bytes[entry.path().filename().string()] =
+          FileBytes(entry.path().string());
+    }
+    return bytes;
+  };
+  const std::map<std::string, std::string> before = files();
+
+  std::string error;
+  EXPECT_FALSE(Coordinator::Open(dir, {}, &error).has_value());
+  EXPECT_NE(error.find("routing.log"), std::string::npos) << error;
+  EXPECT_NE(error.find("older layout"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(Coordinator::Init(dir, g, 2, 2, &error));
+  EXPECT_NE(error.find("already holds"), std::string::npos) << error;
+  EXPECT_EQ(files(), before);
 }
 
 // --- Halo-radius guard -----------------------------------------------------
@@ -821,44 +793,6 @@ TEST(Coordinator, ViolationCountPersistsAndInvalidates) {
   EXPECT_EQ(reopened->violation_count(fp), count);
   EXPECT_EQ(
       engine.Detect(reopened->MaterializeCurrent()).violations.size(), count);
-}
-
-// Metas written by older builds carry advisory `border <f> <node> ...`
-// lines. The coordinator no longer writes them, but must still open such
-// a meta and serve from it exactly as a single store does.
-TEST(Coordinator, OpensAMetaWithLegacyBorderLines) {
-  auto g = MakeSynthetic({.nodes = 60,
-                          .edges = 180,
-                          .value_correlation = 0.9,
-                          .seed = 12});
-  auto rules = GenerateGfdSet(g, {.count = 8, .k = 3, .seed = 31});
-  ViolationEngine engine(rules);
-  std::string dir = Scratch("coord_legacy_border");
-  std::string single_dir = Scratch("coord_legacy_border_single");
-  ASSERT_TRUE(Coordinator::Init(dir, g, 2));
-  ASSERT_TRUE(GraphStore::Init(single_dir, g));
-  const std::string meta = dir + "/coordinator.meta";
-  EXPECT_EQ(FileBytes(meta).find("border"), std::string::npos);
-  {
-    std::ofstream out(meta, std::ios::app);
-    out << "border 0 1 2 3\nborder 1 4 5\n";
-  }
-
-  auto coord = Coordinator::Open(dir);
-  ASSERT_TRUE(coord.has_value());
-  auto single = GraphStore::Open(single_dir);
-  ASSERT_TRUE(single.has_value());
-  Rng rng(47);
-  GraphDelta d = RandomBatch(g, rng, 16);
-  auto merged = coord->AppendAndDiff(engine, DeltaBytes(g, d));
-  auto expect = single->AppendAndDiff(engine, DeltaBytes(g, d));
-  ASSERT_TRUE(merged.has_value());
-  ASSERT_TRUE(expect.has_value());
-  EXPECT_EQ(merged->added, expect->added);
-  EXPECT_EQ(merged->removed, expect->removed);
-  EXPECT_EQ(merged->payload, expect->payload);
-  EXPECT_EQ(GraphBytes(coord->MaterializeCurrent()),
-            GraphBytes(single->MaterializeCurrent()));
 }
 
 }  // namespace

@@ -24,15 +24,13 @@
 // that Coordinator with a Rebalance between two batches, before a
 // compaction. On both coordinator legs the residency masks must be those
 // of the recovered graph under the recovered owner table. The rebalance
-// consumes one seq, whose feed event is an empty diff (the graph is
-// unchanged); after each crash that leg also checks that
+// rewrites the owner table alone -- it consumes no seq and publishes
+// nothing -- and after each crash that leg also checks that
 //   5. the recovered ownership is the pre- or the post-rebalance table
-//      (the post one once the rebalance's seq is recovered).
-// Two more sweeps crash what precedes serving on a coordinator:
+//      (the post one once a batch after the move is recovered).
+// One more sweep crashes what precedes serving on a coordinator:
 // Coordinator::Init, whose directory must then open as initialized or
-// accept a second Init, and the one-time conversion of a directory an
-// older build wrote (tests/data), which must reopen to the state an
-// uninterrupted conversion reaches.
+// accept a second Init.
 // One child at a time; the parent holds no threads when it forks.
 //
 // A failure sweep runs the same script in process, failing write point k
@@ -44,12 +42,9 @@
 // It is the one test of an fsync that fails after its batch was absorbed
 // and stepped. A failed feed write or compaction leaves the batch
 // acknowledged: the store reopens to its seq and graph, and recovers as
-// the crash sweep requires. A failed rebalance consumes no seq and
-// leaves the graph and both logs as they were: when the owner table's
-// write failed, the table is the old one and the move is re-sent; when
-// the empty batch's record write or fsync failed (a one-shot append,
-// GraphStore::Append), the table is the new one, the move is not
-// re-sent, and the run goes on as the script without the move.
+// the crash sweep requires. A failed rebalance -- either write point of
+// the owner table's rewrite -- leaves the old table, in memory and on
+// disk, and the store as it was, and the move is re-sent.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -59,7 +54,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,7 +62,6 @@
 #include "datagen/synthetic.h"
 #include "detect/engine.h"
 #include "gfd/serialize.h"
-#include "graph/loader.h"
 #include "net/feed_service.h"
 #include "parallel/fragment.h"
 #include "serve/changefeed.h"
@@ -105,8 +98,8 @@ struct Script {
   std::shared_ptr<const ViolationEngine> engine;
   std::vector<std::string> batches;  ///< each valid after the ones before
   std::optional<Move> move;          ///< the rebalance leg only
-  /// Seqs the script consumes: one per batch, plus the rebalance's.
-  size_t seqs() const { return batches.size() + (move ? 1 : 0); }
+  /// Seqs the script consumes: one per batch (a rebalance takes none).
+  size_t seqs() const { return batches.size(); }
 };
 
 Script MakeScript(const std::string& dir, Leg leg) {
@@ -201,15 +194,7 @@ bool RunScript(const Script& s, const std::string& dir, bool distributed,
   for (size_t i = 0; i < s.batches.size(); ++i) {
     if (s.move && i == s.move->before) {
       auto& coord = dynamic_cast<Coordinator&>(*store);
-      auto seq = coord.Rebalance(s.move->node, s.move->to);
-      if (!seq ||
-          !feed->Publish(*seq,
-                         SerializeDiffPayload(coord.view(), s.engine->rules(),
-                                              IncrementalDiff{}),
-                         MetaCount{count, *seq, fp})) {
-        return false;
-      }
-      ack(*seq, *store);
+      if (!coord.Rebalance(s.move->node, s.move->to)) return false;
     }
     const std::string& batch = s.batches[i];
     auto step = ServeStep(*store, *s.engine, batch, count);
@@ -286,7 +271,7 @@ void CheckOwnership(const Script& s, const Coordinator& coord) {
   EXPECT_TRUE(owners == s.move->pre_owners || owners == s.move->post_owners)
       << "ownership is neither the pre- nor the post-rebalance table";
   if (coord.last_seq() > s.move->before) {
-    EXPECT_EQ(owners, s.move->post_owners) << "the rebalance's seq is in";
+    EXPECT_EQ(owners, s.move->post_owners) << "a batch after the move is in";
   }
 }
 
@@ -478,9 +463,9 @@ TEST(CrashSweep, ServingStepOnATwoFragmentCoordinator) {
 
 TEST(CrashSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   SweepTotals t = Sweep(Leg::kRebalance);
-  // The batches' write points plus the rebalance's: its owner table and
-  // its journal record.
-  EXPECT_GE(t.crashes, 3 * kBatches + 4);
+  // The batches' write points plus the rebalance's: the owner table's
+  // temp-file fsync and rename.
+  EXPECT_GE(t.crashes, 3 * kBatches + 2);
   ExpectEveryRecoveryPath(t);
 }
 
@@ -504,17 +489,10 @@ StoreState StateOf(const ServingStore& store, const std::string& dir,
 }
 
 struct FailureTotals {
-  size_t retracted = 0;          ///< failed record writes and fsyncs
-  size_t after_ack = 0;          ///< failed feed writes and compactions
-  size_t resent_moves = 0;       ///< moves whose owner table failed
-  size_t unsequenced_moves = 0;  ///< moves whose empty batch failed
+  size_t retracted = 0;     ///< failed record writes and fsyncs
+  size_t after_ack = 0;     ///< failed feed writes and compactions
+  size_t resent_moves = 0;  ///< moves whose owner table failed
 };
-
-// The feed event the reference run published for batch `i`: the
-// rebalance leg's move takes the seq before its batch.
-const FeedEvent& EventOf(const Script& s, const Reference& ref, size_t i) {
-  return ref.events[i + (s.move && i >= s.move->before ? 1 : 0)];
-}
 
 // Runs the script once with write point k failing. Returns false when
 // the script passed no point k (the sweep is done), with `*acked` the
@@ -538,45 +516,27 @@ bool RunFailingAt(const Script& s, const Reference& ref,
   for (size_t i = 0; i < s.batches.size(); ++i) {
     if (s.move && i == s.move->before) {
       auto& coord = dynamic_cast<Coordinator&>(*store);
-      auto owners_are = [&](const std::vector<uint32_t>& owners) {
-        return std::ranges::equal(coord.node_owner(), owners);
-      };
-      std::optional<uint64_t> seq;
-      // Re-sent only while the owner table is the pre-move one.
-      while (!seq && owners_are(s.move->pre_owners)) {
+      // Re-sent until it lands.
+      for (bool moved = false; !moved;) {
         const StoreState before = StateOf(*store, dir, fp);
+        const std::string table =
+            testing::ReadFileBytes(dir + "/coordinator.meta");
         const int64_t from = WritePointsPassed();
         std::string error;
-        seq = coord.Rebalance(s.move->node, s.move->to, &error);
+        moved = coord.Rebalance(s.move->node, s.move->to, &error);
         if (!failed_during(from)) {
-          EXPECT_TRUE(seq.has_value()) << error;
-          if (!seq) return true;
+          EXPECT_TRUE(moved) << error;
+          if (!moved) return true;
           continue;
         }
-        EXPECT_FALSE(seq.has_value())
-            << "a move whose write failed consumed a seq";
+        EXPECT_FALSE(moved) << "a move whose write failed succeeded";
+        EXPECT_TRUE(std::ranges::equal(coord.node_owner(), s.move->pre_owners))
+            << error;
+        EXPECT_EQ(testing::ReadFileBytes(dir + "/coordinator.meta"), table)
+            << "a failed move changed the owner table on disk";
         EXPECT_TRUE(StateOf(*store, dir, fp) == before)
             << "a failed move left a trace in the store";
-        // The table's own write failed, or the empty batch's record
-        // write or fsync after it.
-        const bool moved = error.starts_with(kNotDurableError);
-        const std::vector<uint32_t>& want =
-            moved ? s.move->post_owners : s.move->pre_owners;
-        EXPECT_TRUE(owners_are(want)) << error;
-        ++(moved ? totals->unsequenced_moves : totals->resent_moves);
-      }
-      if (seq) {
-        const int64_t from = WritePointsPassed();
-        if (!feed->Publish(*seq,
-                           SerializeDiffPayload(coord.view(), s.engine->rules(),
-                                                IncrementalDiff{}),
-                           MetaCount{count, *seq, fp})) {
-          EXPECT_TRUE(failed_during(from)) << "a write failed unarmed";
-          ++totals->after_ack;
-          *acked = *seq;
-          return true;
-        }
-        *acked = *seq;
+        ++totals->resent_moves;
       }
     }
     const std::string& batch = s.batches[i];
@@ -599,7 +559,7 @@ bool RunFailingAt(const Script& s, const Reference& ref,
       EXPECT_TRUE(step.has_value()) << error;
       if (!step) return true;
     }
-    EXPECT_EQ(step->diff.payload, EventOf(s, ref, i).payload) << "batch " << i;
+    EXPECT_EQ(step->diff.payload, ref.events[i].payload) << "batch " << i;
     count = step->count;
     from = WritePointsPassed();
     if (!feed->Publish(step->seq, step->diff.payload,
@@ -642,11 +602,6 @@ void FailureSweep(Leg leg) {
   const std::string dir = ::testing::TempDir() + names[static_cast<int>(leg)];
   const Script s = MakeScript(dir + "_script", leg);
   const Reference ref = RecordReference(s, dir, distributed);
-  // A run whose move lost its empty batch goes on as the script without
-  // the move: same batches, one seq fewer.
-  const Script unmoved{s.g, s.engine, s.batches, std::nullopt};
-  const Reference unmoved_ref =
-      s.move ? RecordReference(unmoved, dir, distributed) : Reference{};
   if (::testing::Test::HasFailure()) return;
 
   FailureTotals totals;
@@ -656,27 +611,17 @@ void FailureSweep(Leg leg) {
     InitDir(dir, s.g, distributed);
     uint64_t acked = 0;
     const size_t stopped = totals.after_ack;
-    const size_t unsequenced = totals.unsequenced_moves;
     const bool failed = RunFailingAt(s, ref, dir, distributed, k, &totals,
                                      &acked);
     FailAtWritePoint(-1);
     if (::testing::Test::HasFailure() || !failed) break;
     // Whatever failed, the store reopens at the last acknowledged batch
     // and recovers as after a crash there.
-    const bool lost_move = totals.unsequenced_moves > unsequenced;
-    const Script& ran = lost_move ? unmoved : s;
     net::PrimeReport primed;
-    CheckRecovery(ran, lost_move ? unmoved_ref : ref, dir, distributed, acked,
-                  &recoveries, &primed);
+    CheckRecovery(s, ref, dir, distributed, acked, &recoveries, &primed);
     auto store = OpenServing(dir, distributed);
     ASSERT_NE(store, nullptr);
-    EXPECT_EQ(store->last_seq(),
-              totals.after_ack > stopped ? acked : ran.seqs());
-    if (lost_move) {
-      const auto& coord = dynamic_cast<const Coordinator&>(*store);
-      EXPECT_TRUE(std::ranges::equal(coord.node_owner(), s.move->post_owners))
-          << "the move's table did not survive its lost batch";
-    }
+    EXPECT_EQ(store->last_seq(), totals.after_ack > stopped ? acked : s.seqs());
     if (::testing::Test::HasFailure()) break;
   }
   // Each batch's record write and its fsync, and at least one feed write
@@ -684,10 +629,8 @@ void FailureSweep(Leg leg) {
   EXPECT_GE(totals.retracted, 2 * kBatches);
   EXPECT_GE(totals.after_ack, 2u);
   if (s.move) {
-    // The owner table's temp-file fsync and rename, then the empty
-    // batch's record write and fsync.
+    // The owner table's temp-file fsync and rename.
     EXPECT_EQ(totals.resent_moves, 2u);
-    EXPECT_EQ(totals.unsequenced_moves, 2u);
   }
 }
 
@@ -701,15 +644,6 @@ TEST(FailureSweep, ServingStepOnATwoFragmentCoordinator) {
 
 TEST(FailureSweep, RebalanceBetweenBatchesOnATwoFragmentCoordinator) {
   FailureSweep(Leg::kRebalance);
-}
-
-// The files of a directory (and of its subdirectories), relative to it.
-std::set<std::string> Listing(const std::string& dir) {
-  std::set<std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    files.insert(fs::relative(entry.path(), dir).string());
-  }
-  return files;
 }
 
 // An interrupted Coordinator::Init leaves a directory that either opens
@@ -750,53 +684,6 @@ TEST(CrashSweep, InitializingACoordinator) {
   // Two write points each: the owner table, the snapshot, store.meta.
   EXPECT_EQ(crashes, 6u);
   EXPECT_GT(reinits, 0u);
-}
-
-// Opening a directory an older build wrote converts it. Crashed at every
-// durable write point of that conversion, the directory reopens to the
-// seq, graph, owners and masks the older build served, holding only
-// the current layout, with the old meta's count carried -- the
-// conversion moves it into store.meta before the meta loses it, so it is
-// never absent, let alone wrong.
-TEST(CrashSweep, ConvertingAnOlderLayout) {
-  for (const char* name : testing::kOlderLayouts) {
-    SCOPED_TRACE(name);
-    const std::string fixture = std::string(GFD_TEST_DATA_DIR) + "/" + name;
-    std::string error;
-    auto want = LoadGraphTsvFile(fixture + ".graph.tsv", &error);
-    ASSERT_TRUE(want.has_value()) << error;
-    const auto [owners, count] =
-        testing::ReadOlderMeta(fixture + "/coordinator.meta");
-    ASSERT_TRUE(count.has_value());
-    const std::set<std::string> layout{"coordinator.meta", "deltas.log",
-                                       "snapshot-5.tsv", "store.meta"};
-
-    const std::string dir = ::testing::TempDir() + "gfd_sweep_convert";
-    size_t crashes = 0;
-    for (int64_t k = 0;; ++k) {
-      SCOPED_TRACE("crash at write point " + std::to_string(k));
-      fs::remove_all(dir);
-      fs::copy(fixture, dir, fs::copy_options::recursive);
-      const int status = RunChildCrashingAt(
-          k, [&] { return Coordinator::Open(dir).has_value(); });
-      ASSERT_TRUE(status == 0 || status == kCrashExitCode) << "exit " << status;
-      auto coord = Coordinator::Open(dir, {}, &error);
-      ASSERT_TRUE(coord.has_value()) << error;
-      EXPECT_EQ(coord->last_seq(), 5u);
-      const PropertyGraph current = coord->MaterializeCurrent();
-      EXPECT_EQ(testing::CanonicalLines(current),
-                testing::CanonicalLines(*want));
-      EXPECT_TRUE(std::ranges::equal(coord->node_owner(), owners));
-      ExpectResidencyOf(*coord, current);
-      EXPECT_EQ(coord->violation_count(count->fingerprint), count->count);
-      EXPECT_EQ(Listing(dir), layout);
-      if (::testing::Test::HasFailure() || status == 0) break;
-      ++crashes;
-    }
-    // The snapshot and store.meta (Init), the count (store.meta again)
-    // and the meta without it: two write points each.
-    EXPECT_EQ(crashes, 8u);
-  }
 }
 
 }  // namespace

@@ -97,6 +97,40 @@ TEST(Serialize, RejectsStructuralErrors) {
       "nodes=person;edges=;pivot=0;lhs=;rhs=3.type='film'", g, &error));
 }
 
+// The matcher enumerates connected patterns only, so a rule whose
+// pattern falls apart must fail the parse, not reach detection: strict
+// loading names its line and lenient loading skips it. (Discovery emits
+// connected patterns only, so the rules it writes still load:
+// FileLevelRoundTripOfMinedRules.)
+TEST(Serialize, RejectsADisconnectedPattern) {
+  auto g = BuildG1();
+  const std::string apart =
+      "nodes=person|product;edges=;pivot=0;lhs=;rhs=false";
+  const std::string loop_apart =
+      "nodes=person|product|person;edges=0:create:0,2:create:1;pivot=0;"
+      "lhs=;rhs=false";
+  const std::string joined =
+      "nodes=person|product;edges=0:create:1;pivot=0;lhs=;rhs=false";
+  for (const std::string& line : {apart, loop_apart}) {
+    std::string error;
+    EXPECT_FALSE(ParseGfd(line, g, &error).has_value()) << line;
+    EXPECT_EQ(error, "pattern is not connected") << line;
+  }
+  EXPECT_TRUE(ParseGfd(joined, g).has_value());
+
+  std::stringstream strict(joined + "\n" + apart + "\n");
+  std::string error;
+  EXPECT_FALSE(LoadGfds(strict, g, &error).has_value());
+  EXPECT_EQ(error, "line 2: pattern is not connected");
+
+  std::stringstream lenient(apart + "\n" + joined + "\n" + loop_apart + "\n");
+  size_t skipped = 0;
+  auto loaded = LoadGfdsLenient(lenient, g, &skipped);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(skipped, 2u);
+  EXPECT_TRUE(loaded[0].pattern.IsConnected());
+}
+
 TEST(Serialize, FileLevelRoundTripOfMinedRules) {
   auto g = MakeYago2Like({.scale = 150, .seed = 3});
   DiscoveryConfig cfg;

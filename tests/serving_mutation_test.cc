@@ -36,6 +36,8 @@ namespace gfd {
 namespace {
 
 namespace fs = std::filesystem;
+using gfd::testing::Join;
+using gfd::testing::Split;
 
 constexpr size_t kBatches = 1000;
 constexpr size_t kReopenEvery = 125;
@@ -66,26 +68,6 @@ std::vector<uint64_t> ViewState(const GraphView& v) {
       out.push_back(uint64_t{a.key} << 32 | a.value);
     }
     out.push_back(UINT64_MAX);
-  }
-  return out;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string::size_type start = 0;
-  while (true) {
-    const auto end = s.find(sep, start);
-    out.push_back(s.substr(start, end - start));
-    if (end == std::string::npos) return out;
-    start = end + 1;
-  }
-}
-
-std::string Join(const std::vector<std::string>& parts, char sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
   }
   return out;
 }

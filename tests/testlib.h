@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "graph/loader.h"
 #include "graph/property_graph.h"
 #include "pattern/pattern.h"
-#include "serve/durable_io.h"
 #include "util/rng.h"
 
 namespace gfd::testing {
@@ -247,32 +245,26 @@ inline GraphDelta TangledBatch(const PropertyGraph& g, Rng& rng,
   return d;
 }
 
-/// Coordinator directories in the layouts older builds wrote, under
-/// tests/data (README.md there says how each was made).
-inline constexpr const char* kOlderLayouts[] = {
-    "coordinator_with_fragment_stores", "coordinator_with_global_journal"};
-
-/// What an older build's coordinator.meta at `path` holds beyond the
-/// partition sizes: the owner table and the running count.
-struct OlderMeta {
-  std::vector<uint32_t> owners;
-  std::optional<MetaCount> count;
-};
-
-inline OlderMeta ReadOlderMeta(const std::string& path) {
-  OlderMeta meta;
-  std::ifstream in(path);
-  for (std::string line; std::getline(in, line);) {
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "owners") {
-      for (uint32_t o; fields >> o;) meta.owners.push_back(o);
-    } else if (key == "violations") {
-      meta.count = ParseMetaCountFields(fields);
-    }
+/// The `sep`-separated fields of `s`, empty ones included.
+inline std::vector<std::string> Split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::string::size_type start = 0;
+  while (true) {
+    const auto end = s.find(sep, start);
+    out.push_back(s.substr(start, end - start));
+    if (end == std::string::npos) return out;
+    start = end + 1;
   }
-  return meta;
+}
+
+/// `parts` joined by `sep`: the inverse of Split.
+inline std::string Join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
 }
 
 /// The bytes of the file at `path` (empty when it cannot be read).

@@ -115,7 +115,7 @@ constexpr VerbHelp kVerbHelp[] = {
      "gfdtool serve init <dir> <graph.tsv> --fragments N [--radius R]\n"
      "gfdtool serve append <dir> <rules.gfd> <delta.tsv> [-w W]\n"
      "        [--compact-ops N] [--metrics-out FILE] [--trace FILE]\n"
-     "gfdtool serve rebalance <dir> <node> <fragment> [--compact-ops N]\n"
+     "gfdtool serve rebalance <dir> <node> <fragment>\n"
      "gfdtool serve status <dir>\n"
      "gfdtool serve run <dir> <rules.gfd> [--port P] [--bind ADDR]\n"
      "        [-w WORKERS] [--http-workers N] [--queue-cap N]\n"
@@ -145,10 +145,11 @@ constexpr VerbHelp kVerbHelp[] = {
      "`fragment F: N owned node(s), E resident edge(s)` line per\n"
      "fragment (edges inside its residency mask), then the halo radius,\n"
      "the vertex-cut replication and the resident-edge factor. rebalance\n"
-     "persists <node>'s new owner, then consumes one sequence number\n"
-     "with an empty batch; <node> and <fragment> are decimal 32-bit ids\n"
-     "(`5`, not `n5`), anything else exits 2. Both exit 1 on a single\n"
-     "store.\n"
+     "rewrites the owner table with <node>'s new owner and writes nothing\n"
+     "else (no sequence number is consumed); <node> and <fragment> are\n"
+     "decimal 32-bit ids (`5`, not `n5`), anything else exits 2. Both\n"
+     "exit 1 on a single store, and every verb that opens a directory\n"
+     "an older build wrote (routing.log present) exits 1 naming it.\n"
      "Flags of run:\n"
      "  --port P            listen port (default 8080; 0 = ephemeral,\n"
      "                      the chosen port is printed)\n"
@@ -328,8 +329,9 @@ std::optional<std::vector<Gfd>> LoadRules(const char* path,
   auto rules = LoadGfdsLenient(in, g, &skipped);
   if (skipped) {
     std::fprintf(stderr,
-                 "%s: skipped %zu rule(s) referencing vocabulary this "
-                 "graph does not intern\n",
+                 "%s: skipped %zu rule(s) that do not parse against this "
+                 "graph (vocabulary it does not intern, or a malformed or "
+                 "disconnected pattern)\n",
                  path, skipped);
   }
   if (rules.empty()) {
@@ -1082,13 +1084,11 @@ int Serve(int argc, char** argv) {
 
   if (rebalance) {
     std::string error;
-    auto seq = coord->Rebalance(node, to, &error);
-    if (!seq) {
+    if (!coord->Rebalance(node, to, &error)) {
       std::fprintf(stderr, "rebalance failed: %s\n", error.c_str());
       return 1;
     }
-    std::fprintf(stderr, "rebalanced node %u to fragment %u at seq %llu\n",
-                 node, to, static_cast<unsigned long long>(*seq));
+    std::fprintf(stderr, "rebalanced node %u to fragment %u\n", node, to);
     return 0;
   }
 
